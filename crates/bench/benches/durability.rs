@@ -17,7 +17,7 @@
 //! `bench_gate`); `CRITERION_SAMPLES` scales both the criterion run and
 //! the JSON measurement.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use criterion::{criterion_group, Criterion, Throughput};
 use wsd_store::{DurableMsgBox, MemStorage, Op, StoreConfig, SyncMode, Wal, WalConfig};
@@ -133,10 +133,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("sync_always_append", |b| {
         b.iter(|| always.append_durable(std::hint::black_box(&op)).unwrap())
     });
-    let grouped = open_wal(SyncMode::GroupCommit {
-        flush_batch: FLUSH_BATCH,
-        flush_interval: Duration::from_millis(2),
-    });
+    let grouped = open_wal(SyncMode::GroupCommit { flush_batch: FLUSH_BATCH });
     g.throughput(Throughput::Elements(FLUSH_BATCH as u64));
     g.bench_function(format!("group_commit_batch_{FLUSH_BATCH}"), |b| {
         b.iter(|| {
@@ -195,10 +192,7 @@ fn emit_json(path: &str) {
     let always_ns = time_ns(reps, || {
         always.append_durable(std::hint::black_box(&op)).unwrap();
     });
-    let grouped = open_wal(SyncMode::GroupCommit {
-        flush_batch: FLUSH_BATCH,
-        flush_interval: Duration::from_millis(2),
-    });
+    let grouped = open_wal(SyncMode::GroupCommit { flush_batch: FLUSH_BATCH });
     let grouped_ns = time_ns(reps.div_ceil(FLUSH_BATCH as u64).max(5), || {
         let mut last = 0;
         for _ in 0..FLUSH_BATCH {

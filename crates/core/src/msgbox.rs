@@ -202,6 +202,32 @@ impl MsgBoxStore {
         }
     }
 
+    /// Deposits a run of `(mailbox id, envelope)` pairs, in order; one
+    /// result per pair. The durable backend stores the whole run behind
+    /// a single durability barrier (one fsync, see
+    /// [`DurableMsgBox::deposit_batch`]) and reports nothing `Ok` before
+    /// it; the memory backend has no barrier to share and just loops.
+    pub fn deposit_batch<'a>(
+        &self,
+        deposits: impl IntoIterator<Item = (&'a str, String)>,
+        now: u64,
+    ) -> Vec<Result<(), MsgBoxError>> {
+        match &self.backing {
+            Backing::Memory { .. } => deposits
+                .into_iter()
+                .map(|(id, body)| self.deposit(id, body, now))
+                .collect(),
+            Backing::Durable(store) => {
+                let ttl = self.config.message_ttl.as_micros() as u64;
+                store
+                    .deposit_batch(deposits, now, now.saturating_add(ttl))
+                    .into_iter()
+                    .map(|r| r.map_err(map_store_err))
+                    .collect()
+            }
+        }
+    }
+
     /// Fetches up to `max` messages in arrival order, removing them.
     /// With the durable backend the removal is logged and fsynced
     /// *before* the messages are returned: pickup is at-most-once even

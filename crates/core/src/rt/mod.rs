@@ -26,7 +26,7 @@ pub use echo_server::EchoServer;
 pub use fleet::{FleetDeployment, FleetMember};
 pub use msg_server::MsgDispatcherServer;
 pub use msgbox_server::MsgBoxServer;
-pub use reactor_front::{ReactorFrontEnd, RequestHandler, ServedConn};
+pub use reactor_front::{BatchHandler, ReactorFrontEnd, RequestHandler, ServedConn};
 pub use registry_server::RegistryServer;
 pub use rpc_server::RpcDispatcherServer;
 
@@ -54,22 +54,46 @@ type ConnHandler = Arc<dyn Fn(PipeStream) + Send + Sync>;
 /// Tracks live server-side connections so shutdown can interrupt workers
 /// blocked in `read` on keep-alive connections.
 pub(crate) struct ConnTracker {
-    handles: Mutex<Vec<wsd_http::ShutdownHandle>>,
+    inner: Mutex<Tracked>,
 }
+
+struct Tracked {
+    handles: Vec<wsd_http::ShutdownHandle>,
+    /// Length at which the next `track` first sweeps out the handles of
+    /// connections that have closed since: twice what survived the last
+    /// sweep, so sweeping is amortised O(1) per connection and the list
+    /// never exceeds twice the live connections (plus the floor).
+    sweep_at: usize,
+}
+
+/// Below this many handles a sweep is not worth the walk.
+const SWEEP_FLOOR: usize = 64;
 
 impl ConnTracker {
     pub(crate) fn new() -> Arc<ConnTracker> {
         Arc::new(ConnTracker {
-            handles: Mutex::new(Vec::new()),
+            inner: Mutex::new(Tracked {
+                handles: Vec::new(),
+                sweep_at: SWEEP_FLOOR,
+            }),
         })
     }
 
+    /// Remembers `stream` until it closes. A server that accepts one
+    /// connection per request (the RPC-Dispatcher's upstream hop, every
+    /// mailbox poll) would otherwise keep two pipe buffers alive per
+    /// connection ever accepted.
     pub(crate) fn track(&self, stream: &PipeStream) {
-        self.handles.lock().push(stream.shutdown_handle());
+        let mut t = self.inner.lock();
+        if t.handles.len() >= t.sweep_at {
+            t.handles.retain(|h| !h.is_closed());
+            t.sweep_at = (2 * t.handles.len()).max(SWEEP_FLOOR);
+        }
+        t.handles.push(stream.shutdown_handle());
     }
 
     pub(crate) fn close_all(&self) {
-        for h in self.handles.lock().drain(..) {
+        for h in self.inner.lock().handles.drain(..) {
             h.shutdown();
         }
     }
@@ -193,6 +217,34 @@ mod tests {
         let mut buf = [0u8; 4];
         c.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
+    }
+
+    #[test]
+    fn conn_tracker_forgets_closed_connections() {
+        let tracker = ConnTracker::new();
+        // Three keep-alive connections stay open throughout …
+        let live: Vec<_> = (0..3).map(|_| duplex(64)).collect();
+        for (_, server_end) in &live {
+            tracker.track(server_end);
+        }
+        // … while 10 000 one-exchange connections come and go.
+        for _ in 0..10_000 {
+            let (mut client_end, mut server_end) = duplex(64);
+            tracker.track(&server_end);
+            client_end.write_all(b"ping").unwrap();
+            let mut buf = [0u8; 4];
+            server_end.read_exact(&mut buf).unwrap();
+        }
+        let tracked = tracker.inner.lock().handles.len();
+        assert!(
+            tracked <= 2 * SWEEP_FLOOR,
+            "{tracked} handles kept for 3 live connections"
+        );
+        // The live ones are still tracked: shutdown reaches them.
+        tracker.close_all();
+        for (client_end, _) in live {
+            assert!(client_end.shutdown_handle().is_closed());
+        }
     }
 
     #[test]

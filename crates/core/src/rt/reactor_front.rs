@@ -1,7 +1,9 @@
 //! Glue between the generic [`Reactor`] and the HTTP layer: accepted
 //! streams become [`ServedConn`]s that pump bytes through an incremental
 //! [`RequestParser`] and hand complete requests to the server's handler
-//! on the reactor's pool.
+//! on the reactor's pool — the whole run of pipelined requests already
+//! parsed at once, so a handler with a per-batch cost (the durable
+//! mailbox's fsync) pays it once per run, not once per request.
 //!
 //! This is the piece that removes the paper's thread-per-connection
 //! bottleneck in the threaded runtime: a dispatcher's `CxThread` pool is
@@ -9,34 +11,67 @@
 //! connections with a complete request buffered, while thousands of idle
 //! keep-alive connections cost a parser buffer each and nothing else.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use wsd_concurrent::{Pump, Reactor, ReactorConfig, ReactorConn, ThreadPool, Wakeup};
-use wsd_http::{write_response, Limits, PipeStream, ReadyStream, Request, RequestParser, Response};
+use wsd_http::{
+    response_bytes_into, Limits, PipeStream, ReadyStream, Request, RequestParser, Response,
+};
 use wsd_telemetry::Scope;
 
 /// The per-request handler a front end runs on the pool; the same shape
 /// as the closure [`wsd_http::serve_connection`] takes, but shareable.
 pub type RequestHandler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
+/// What a [`ServedConn`] runs: one call per *run* — the pipelined
+/// requests of one connection that were already parsed when the
+/// handler was scheduled, in arrival order. The contract:
+///
+/// * only the last request of a run can carry `Connection: close` (the
+///   connection cuts the run there; later requests are never executed);
+/// * the handler returns the responses in request order, one per
+///   request it executed, and may stop early only after a response that
+///   itself says `Connection: close`;
+/// * nothing reaches the peer until the handler returns: all responses
+///   of the run leave in one write, so a handler may make the whole
+///   run durable behind one barrier before any of it is acknowledged.
+pub type BatchHandler = Arc<dyn Fn(Vec<Request>) -> Vec<Response> + Send + Sync>;
+
+/// Adapts a per-request handler to the batch shape: requests run one
+/// after another, stopping at a response that closes the connection —
+/// exactly what a per-request serve loop does.
+fn one_by_one(handler: RequestHandler) -> BatchHandler {
+    Arc::new(move |run| {
+        let mut responses = Vec::with_capacity(run.len());
+        for req in run {
+            let resp = handler(req);
+            let close = !resp.keep_alive();
+            responses.push(resp);
+            if close {
+                break;
+            }
+        }
+        responses
+    })
+}
+
 /// One multiplexed server-side connection: readiness-driven reads, an
 /// incremental parser, and blocking response writes on the handler pool.
 pub struct ServedConn<S: ReadyStream> {
     stream: S,
     parser: RequestParser,
-    pending: VecDeque<Request>,
-    handler: RequestHandler,
+    pending: Vec<Request>,
+    handler: BatchHandler,
     eof: bool,
 }
 
 impl<S: ReadyStream> ServedConn<S> {
     /// Wraps an accepted stream.
-    pub fn new(stream: S, limits: Limits, handler: RequestHandler) -> Self {
+    pub fn new(stream: S, limits: Limits, handler: BatchHandler) -> Self {
         ServedConn {
             stream,
             parser: RequestParser::new(limits),
-            pending: VecDeque::new(),
+            pending: Vec::new(),
             handler,
             eof: false,
         }
@@ -65,11 +100,11 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
                     // exactly as the blocking serve loop does.
                     match self.parser.feed(&chunk[..n]) {
                         Ok(Some(req)) => {
-                            self.pending.push_back(req);
+                            self.pending.push(req);
                             // Drain pipelined surplus already buffered.
                             loop {
                                 match self.parser.poll() {
-                                    Ok(Some(req)) => self.pending.push_back(req),
+                                    Ok(Some(req)) => self.pending.push(req),
                                     Ok(None) => break,
                                     Err(_) => return Pump::Closed,
                                 }
@@ -93,18 +128,28 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
     }
 
     fn handle(&mut self) -> bool {
-        while let Some(req) = self.pending.pop_front() {
-            let client_keep_alive = req.keep_alive();
-            let resp = (self.handler)(req);
-            let resp_keep_alive = resp.keep_alive();
-            if write_response(&mut self.stream, &resp).is_err() {
-                return false;
-            }
-            if !client_keep_alive || !resp_keep_alive {
-                return false;
-            }
+        let mut run = std::mem::take(&mut self.pending);
+        if run.is_empty() {
+            return !self.eof;
         }
-        !self.eof
+        // A request that asks to close ends the run and the connection.
+        let closing = run.iter().position(|req| !req.keep_alive());
+        if let Some(last) = closing {
+            run.truncate(last + 1);
+        }
+        let asked = run.len();
+        let responses = (self.handler)(run);
+        let mut wire = Vec::new();
+        for resp in &responses {
+            response_bytes_into(&mut wire, resp);
+        }
+        if self.stream.write_all(&wire).and_then(|()| self.stream.flush()).is_err() {
+            return false;
+        }
+        let keep = closing.is_none()
+            && responses.len() == asked
+            && responses.iter().all(Response::keep_alive);
+        keep && !self.eof
     }
 
     fn has_partial(&self) -> bool {
@@ -134,8 +179,15 @@ impl ReactorFrontEnd {
         }
     }
 
-    /// Hands an accepted connection to the reactor.
+    /// Hands an accepted connection to the reactor; `handler` runs once
+    /// per request.
     pub fn serve(&self, stream: PipeStream, limits: Limits, handler: RequestHandler) {
+        self.serve_batched(stream, limits, one_by_one(handler));
+    }
+
+    /// Hands an accepted connection to the reactor; `handler` runs once
+    /// per run of pipelined requests (see [`BatchHandler`]).
+    pub fn serve_batched(&self, stream: PipeStream, limits: Limits, handler: BatchHandler) {
         self.reactor.register(ServedConn::new(stream, limits, handler));
     }
 
@@ -208,6 +260,69 @@ mod tests {
         drop(c);
         assert!(wait_until(|| fe.open_connections() == 0));
         fe.shutdown();
+    }
+
+    /// Writes `reqs` back to back in one write (they fit the pipe, so
+    /// the server parses them as one run), then reads responses until
+    /// the server closes; returns their bodies.
+    fn pipeline(mut client: PipeStream, reqs: &[Request]) -> Vec<Vec<u8>> {
+        let mut wire = Vec::new();
+        for req in reqs {
+            wsd_http::request_bytes_into(&mut wire, req);
+        }
+        client.write_all(&wire).unwrap();
+        let mut c = HttpClient::new(client);
+        let mut bodies = Vec::new();
+        while let Ok(resp) = c.read_response() {
+            bodies.push(resp.body.to_vec());
+        }
+        bodies
+    }
+
+    #[test]
+    fn per_request_handler_sees_a_pipelined_run_one_by_one() {
+        let reg = wsd_telemetry::Registry::new();
+        let (fe, pool) = front(&reg);
+        let executed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let handler: RequestHandler = {
+            let executed = Arc::clone(&executed);
+            Arc::new(move |req: Request| {
+                executed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let mut resp = Response::new(Status::OK, "text/xml", req.body.clone());
+                if req.target == "/last-word" {
+                    resp.headers.set("Connection", "close");
+                }
+                resp
+            })
+        };
+        let post = |target: &str, body: &str| {
+            Request::soap_post("h", target, "text/xml", body.as_bytes().to_vec())
+        };
+
+        // Every request of the run is answered, in request order.
+        let (client, server) = duplex(64 * 1024);
+        fe.serve(server, Limits::default(), Arc::clone(&handler));
+        let mut closing = post("/", "m3");
+        closing.headers.set("Connection", "close");
+        let reqs = [post("/", "m1"), post("/", "m2"), closing, post("/", "never")];
+        let bodies = pipeline(client, &reqs);
+        // Nothing after the request that asked to close is executed.
+        assert_eq!(bodies, [b"m1", b"m2", b"m3"]);
+        assert_eq!(executed.swap(0, std::sync::atomic::Ordering::SeqCst), 3);
+
+        // Nor after a response that closes.
+        let (client, server) = duplex(64 * 1024);
+        fe.serve(server, Limits::default(), handler);
+        let reqs = [post("/", "m1"), post("/last-word", "m2"), post("/", "never")];
+        assert_eq!(pipeline(client, &reqs), [b"m1", b"m2"]);
+        assert_eq!(executed.load(std::sync::atomic::Ordering::SeqCst), 2);
+
+        assert!(wait_until(|| fe.open_connections() == 0));
+        fe.shutdown();
+        pool.shutdown();
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("fe.open_conns").map(gauge_value), Some(0));
+        assert_eq!(snap.get("fe.parked_partials").map(gauge_value), Some(0));
     }
 
     #[test]

@@ -270,6 +270,13 @@ impl ShutdownHandle {
         self.incoming.close();
         self.outgoing.close();
     }
+
+    /// Whether the connection is already closed (either endpoint was
+    /// dropped or shut down — both close both directions), so this
+    /// handle has nothing left to interrupt.
+    pub fn is_closed(&self) -> bool {
+        self.incoming.buf.lock().closed
+    }
 }
 
 impl std::fmt::Debug for ShutdownHandle {

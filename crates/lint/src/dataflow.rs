@@ -472,7 +472,14 @@ impl<'a> Walker<'a> {
             }
             entry = next;
         }
+        // A `while`/`for` is left when its header gives up — before the
+        // first iteration or after any later one, so whatever a body
+        // fall-through or `continue` changed (all in the fixpoint
+        // `entry`) survives the loop; a bare `loop` only via `break`.
         let mut out = zero_iter;
+        if kw != "loop" {
+            Self::join_opt(f, &mut out, entry);
+        }
         Self::join_opt(f, &mut out, breaks);
         *cur = out;
         (be + 1).min(e)

@@ -487,6 +487,7 @@ pub fn builtin() -> Ruleset {
                 transitions: arcs(&[
                     "idle => appended : wal.append",
                     "durable => appended : wal.append",
+                    "appended => appended : wal.append",
                     "appended => durable : wal.commit",
                 ]),
                 errors: vec![],

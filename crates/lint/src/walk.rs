@@ -4,8 +4,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Directory names never descended into: build output, vendored
-/// third-party code (not ours to lint), VCS metadata.
-const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "node_modules"];
+/// third-party code (not ours to lint), VCS metadata, and the
+/// stand-alone `benchmark/` workspace — the yardstick measures the
+/// product from outside, with its own clocks, threads and files by
+/// design, and is frozen between the PRs it judges.
+const SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "node_modules", "benchmark"];
 
 /// Collects all `.rs` files under `root`, sorted, as `/`-separated
 /// workspace-relative path strings paired with absolute paths.
@@ -54,6 +57,7 @@ mod tests {
         let files = rust_files(root).unwrap();
         assert!(files.iter().any(|(rel, _)| rel == "crates/lint/src/walk.rs"));
         assert!(files.iter().all(|(rel, _)| !rel.starts_with("vendor/")));
+        assert!(files.iter().all(|(rel, _)| !rel.starts_with("benchmark/")));
         assert!(files.iter().all(|(rel, _)| !rel.contains("/target/")));
     }
 }

@@ -23,4 +23,22 @@ impl WalBox {
         self.wal.commit(lsn)?;
         Ok(())
     }
+
+    /// SEEDED(wal-ack-before-durable): the batch path appends the
+    /// whole run and commits once — but a run of one skips the commit
+    /// ("it rides the next batch's fsync") and its `202` goes out with
+    /// the record still in the page cache.
+    pub fn deposit_batch(&mut self, recs: Vec<Frame>) -> Result<Vec<Status>, Error> {
+        let mut acks = Vec::new();
+        let mut last = Lsn(0);
+        for rec in recs {
+            last = self.wal.append(rec)?;
+            acks.push(Status::ACCEPTED);
+        }
+        if acks.len() < 2 {
+            return Ok(acks);
+        }
+        self.wal.commit(last)?;
+        Ok(acks)
+    }
 }

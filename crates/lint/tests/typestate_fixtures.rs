@@ -24,10 +24,12 @@ fn by_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
 fn seeded_typestate_violations_are_all_caught_exactly() {
     let wa = analyze_workspace(&fixture_root("typestate_seeded"), false).expect("walk fixture");
 
-    // WAL: one fall-through leak, one early-return leak; the commit on
-    // the racy function's long path must not mask the short one.
+    // WAL: one fall-through leak, one early-return leak (the commit on
+    // the racy function's long path must not mask the short one), and
+    // one batch path whose append loop can return before its single
+    // commit.
     let wal = by_rule(&wa.findings, "wal-ack-before-durable");
-    assert_eq!(wal.len(), 2, "{:#?}", wa.findings);
+    assert_eq!(wal.len(), 3, "{:#?}", wa.findings);
     for f in &wal {
         assert_eq!(f.file, "crates/store/src/walbox.rs");
         assert!(f.excerpt.contains("appended but not committed"), "{f:#?}");
@@ -35,6 +37,7 @@ fn seeded_typestate_violations_are_all_caught_exactly() {
     }
     assert!(wal.iter().any(|f| f.excerpt.contains("deposit_fast`")), "{wal:#?}");
     assert!(wal.iter().any(|f| f.excerpt.contains("deposit_racy`")), "{wal:#?}");
+    assert!(wal.iter().any(|f| f.excerpt.contains("deposit_batch`")), "{wal:#?}");
 
     // Scratch guard: binding-tracked machine, error-row violation.
     let scratch = by_rule(&wa.findings, "scratch-use-after-take");
@@ -56,7 +59,7 @@ fn seeded_typestate_violations_are_all_caught_exactly() {
     assert!(fleet[0].excerpt.contains("adopt`"), "{fleet:#?}");
 
     // Nothing else fires on the seeded tree.
-    assert_eq!(wa.findings.len(), 5, "{:#?}", wa.findings);
+    assert_eq!(wa.findings.len(), 6, "{:#?}", wa.findings);
 }
 
 #[test]

@@ -28,10 +28,7 @@ fn open_store(dir: &str, now: u64) -> DurableMsgBox {
     let config = StoreConfig {
         wal: WalConfig {
             segment_bytes: 16 * 1024, // rotate often: exercise checkpoints
-            sync: SyncMode::GroupCommit {
-                flush_batch: 4,
-                flush_interval: std::time::Duration::from_millis(1),
-            },
+            sync: SyncMode::GroupCommit { flush_batch: 4 },
         },
         memory_budget_bytes: 1024, // force spill too
         quota_bytes_per_tenant: u64::MAX,

@@ -7,10 +7,12 @@
 //! crate removes both limits:
 //!
 //! * [`Wal`] — a segment-file write-ahead log: length-prefixed,
-//!   CRC-32-checked records; leader-based **group commit** (one fsync
-//!   covers every pending append); recovery replay with torn-tail
-//!   truncation; checkpoint-at-rotation plus segment GC once a
-//!   segment's deposits are all acked or expired.
+//!   CRC-32-checked records; timer-free leader/follower **group
+//!   commit** (one fsync covers every record appended before it began,
+//!   and runs with the log unlocked so the next batch piles up behind
+//!   it); recovery replay with torn-tail truncation;
+//!   checkpoint-at-rotation plus segment GC once a segment's deposits
+//!   are all acked or expired.
 //! * [`DurableMsgBox`] — WS-MsgBox semantics (create / deposit / fetch
 //!   / destroy, access keys, TTL expiry) where every acknowledgement is
 //!   backed by a durable record, message bodies **spill to disk** past
@@ -38,5 +40,5 @@ pub mod wal;
 
 pub use msgbox::{DurableMsgBox, FetchedMessage, StoreConfig, StoreError};
 pub use record::Op;
-pub use storage::{FsStorage, MemStorage, Storage};
+pub use storage::{FsStorage, MemStorage, Storage, Syncer};
 pub use wal::{AppendInfo, RecoveryReport, SyncMode, Wal, WalConfig};

@@ -5,7 +5,9 @@
 //!
 //! * `create` / `destroy` are durable before they return;
 //! * `deposit` appends, enqueues, then group-commits — the 202 to the
-//!   depositor is not sent until the record is fsynced;
+//!   depositor is not sent until the record is fsynced; `deposit_batch`
+//!   does the same for a run of deposits behind **one** durability
+//!   barrier (append them all, commit the highest LSN once);
 //! * `fetch` appends an `Ack` covering the drained prefix and makes it
 //!   durable **before** returning the messages, so a crash can never
 //!   re-deliver a message some consumer already received (at-most-once
@@ -224,55 +226,110 @@ impl DurableMsgBox {
         now: u64,
         expires_at: u64,
     ) -> Result<(), StoreError> {
-        let body_len = body.len() as u64;
-        let lsn = {
+        self.deposit_batch([(box_id, body)], now, expires_at)
+            .pop()
+            .expect("one result per deposit")
+    }
+
+    /// Deposits a run of messages behind one durability barrier: every
+    /// record is appended in order, then a single commit of the highest
+    /// LSN covers them all, and only then does anything report `Ok` —
+    /// one fsync for the run instead of one per message. Results are in
+    /// input order; a rejected deposit (missing box, quota) is an `Err`
+    /// in its own slot and appends nothing, its neighbours unaffected.
+    /// A log failure fails every deposit not already rejected.
+    pub fn deposit_batch<'a>(
+        &self,
+        deposits: impl IntoIterator<Item = (&'a str, String)>,
+        now: u64,
+        expires_at: u64,
+    ) -> Vec<Result<(), StoreError>> {
+        let mut deposits = deposits.into_iter();
+        let mut results = Vec::with_capacity(deposits.size_hint().0);
+        // LSN 0 precedes every record: committing it is a no-op.
+        let mut last_lsn = 0;
+        let mut log_failure = None;
+        {
             let mut inner = self.inner.lock();
-            let Some(tenant) = inner.boxes.get(box_id).map(|b| b.tenant.clone()) else {
-                return Err(StoreError::NoSuchBox);
-            };
-            let used = inner.tenant_bytes.get(&tenant).copied().unwrap_or(0);
-            if used.saturating_add(body_len) > self.config.quota_bytes_per_tenant {
-                self.metrics.quota_rejections.inc();
-                return Err(StoreError::QuotaExceeded);
+            let inner = &mut *inner;
+            for (box_id, body) in deposits.by_ref() {
+                let body_len = body.len() as u64;
+                let Some(tenant) = inner.boxes.get(box_id).map(|b| b.tenant.clone()) else {
+                    results.push(Err(StoreError::NoSuchBox));
+                    continue;
+                };
+                let used = inner.tenant_bytes.get(&tenant).copied().unwrap_or(0);
+                if used.saturating_add(body_len) > self.config.quota_bytes_per_tenant {
+                    self.metrics.quota_rejections.inc();
+                    results.push(Err(StoreError::QuotaExceeded));
+                    continue;
+                }
+                let op = Op::Deposit {
+                    box_id: box_id.to_string(),
+                    received_at: now,
+                    expires_at,
+                    body,
+                };
+                let info = match self.rotate_if_full(inner).and_then(|()| self.wal.append(&op)) {
+                    Ok(info) => info,
+                    Err(e) => {
+                        let e = StoreError::from(e);
+                        results.push(Err(e.clone()));
+                        log_failure = Some(e);
+                        break;
+                    }
+                };
+                // The log holds the only copy of a spilled body; a
+                // cached one is the caller's `String`, moved, not cloned.
+                let cached = match op {
+                    Op::Deposit { body, .. }
+                        if inner.resident_bytes + body_len <= self.config.memory_budget_bytes =>
+                    {
+                        inner.resident_bytes += body_len;
+                        Some(body)
+                    }
+                    _ => {
+                        inner.spilled_bytes += body_len;
+                        None
+                    }
+                };
+                *inner.tenant_bytes.entry(tenant).or_insert(0) += body_len;
+                *inner.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
+                let mbox = inner.boxes.get_mut(box_id).expect("checked above");
+                mbox.queue.push_back(MsgRef {
+                    lsn: info.lsn,
+                    seg_base: info.seg_base,
+                    body_off: info.payload_off + Op::deposit_body_offset(box_id),
+                    body_len,
+                    received_at: now,
+                    expires_at,
+                    cached,
+                });
+                last_lsn = info.lsn;
+                results.push(Ok(()));
             }
-            if self.wal.needs_rotation() {
-                let snapshot = boxes_snapshot(&inner);
-                let old = self.wal.current_segment();
-                self.wal.rotate(snapshot)?;
+            self.update_gauges(inner);
+        }
+        // The one fsync wait, outside the mailbox lock.
+        let barrier = self.wal.commit(last_lsn).map_err(StoreError::from).and_then(|()| self.gc());
+        if let Err(e) = log_failure.map_or(barrier, Err) {
+            // Nothing appended here may be acknowledged, nor anything
+            // after the append that failed.
+            for r in results.iter_mut().filter(|r| r.is_ok()) {
+                *r = Err(e.clone());
+            }
+            results.extend(deposits.map(|_| Err(e.clone())));
+        }
+        results
+    }
+
+    fn rotate_if_full(&self, inner: &mut Inner) -> io::Result<()> {
+        if self.wal.needs_rotation() {
+            let old = self.wal.current_segment();
+            if self.wal.rotate(boxes_snapshot(inner))?.is_some() {
                 inner.sealed_segments.insert(old);
             }
-            let info = self.wal.append(&Op::Deposit {
-                box_id: box_id.to_string(),
-                received_at: now,
-                expires_at,
-                body: body.clone(),
-            })?;
-            let cached = if inner.resident_bytes + body_len <= self.config.memory_budget_bytes {
-                inner.resident_bytes += body_len;
-                Some(body)
-            } else {
-                inner.spilled_bytes += body_len;
-                None
-            };
-            self.metrics.resident_gauge.set(inner.resident_bytes as i64);
-            self.metrics.spilled_gauge.set(inner.spilled_bytes as i64);
-            *inner.tenant_bytes.entry(tenant).or_insert(0) += body_len;
-            *inner.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
-            let mbox = inner.boxes.get_mut(box_id).expect("checked above");
-            mbox.queue.push_back(MsgRef {
-                lsn: info.lsn,
-                seg_base: info.seg_base,
-                body_off: info.payload_off + Op::deposit_body_offset(box_id),
-                body_len,
-                received_at: now,
-                expires_at,
-                cached,
-            });
-            info.lsn
-        };
-        // Fsync wait happens outside the mailbox lock.
-        self.wal.commit(lsn)?;
-        self.gc()?;
+        }
         Ok(())
     }
 
@@ -755,6 +812,59 @@ mod tests {
         s.fetch("mbox-a", "ka", 10, 1).unwrap();
         s.deposit("mbox-b", "67890".into(), 1, 1_000).unwrap();
         assert_eq!(s.tenant_bytes("acme"), 5);
+    }
+
+    #[test]
+    fn deposit_batch_is_one_barrier_and_rejections_stay_local() {
+        let mem = MemStorage::new();
+        let cfg = StoreConfig {
+            wal: WalConfig {
+                sync: SyncMode::GroupCommit { flush_batch: 64 },
+                ..WalConfig::default()
+            },
+            quota_bytes_per_tenant: 12,
+            ..StoreConfig::default()
+        };
+        let s = open(&mem, cfg.clone(), 0);
+        s.create("mbox-1", "key-1", "t", 0).unwrap();
+        let before = s.wal().fsync_count();
+        let results = s.deposit_batch(
+            [
+                ("mbox-1", "aaaa".to_string()),
+                ("mbox-gone", "bbbb".to_string()),
+                ("mbox-1", "cccc".to_string()),
+                ("mbox-1", "too-big-for-the-quota".to_string()),
+                ("mbox-1", "dddd".to_string()),
+            ],
+            1,
+            1_000,
+        );
+        assert_eq!(
+            results,
+            vec![
+                Ok(()),
+                Err(StoreError::NoSuchBox),
+                Ok(()),
+                Err(StoreError::QuotaExceeded),
+                Ok(()),
+            ]
+        );
+        // Three records, one fsync — and they are durable: a crash that
+        // keeps nothing unsynced still has all three, in order.
+        assert_eq!(s.wal().fsync_count() - before, 1);
+        drop(s);
+        mem.crash(|_| 0);
+        let s = open(&mem, cfg, 2);
+        let got = s.fetch("mbox-1", "key-1", 10, 2).unwrap();
+        assert_eq!(
+            got.iter().map(|m| m.body.as_str()).collect::<Vec<_>>(),
+            vec!["aaaa", "cccc", "dddd"]
+        );
+        // Nothing to store is nothing to sync.
+        let before = s.wal().fsync_count();
+        assert_eq!(s.deposit_batch([("nope", "x".to_string())], 3, 9), vec![Err(StoreError::NoSuchBox)]);
+        assert_eq!(s.deposit_batch([], 3, 9), vec![]);
+        assert_eq!(s.wal().fsync_count(), before);
     }
 
     #[test]

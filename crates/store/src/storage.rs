@@ -5,7 +5,9 @@
 //! durability contract every backend honors: bytes before the last
 //! `sync()` survive a crash; bytes after it may survive wholly,
 //! partially, or not at all — which is exactly what recovery's torn-tail
-//! truncation handles.
+//! truncation handles. The fsync itself is handed out as a detached
+//! [`Syncer`] so the WAL's group-commit leader can run it with the log
+//! lock released while other threads keep appending.
 //!
 //! [`MemStorage`] models that contract deterministically, with an
 //! explicit `crash(..)` that keeps the synced prefix plus a seeded slice
@@ -22,11 +24,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+/// A detached fsync of one segment (see [`Storage::syncer`]).
+pub type Syncer = Box<dyn FnOnce() -> io::Result<()> + Send>;
+
 /// A segment store: append-only numbered segments with explicit sync.
 ///
-/// All offsets are byte offsets from the segment start. Implementations
-/// are used under the WAL's lock, so they need no internal ordering
-/// guarantees beyond `Send`.
+/// All offsets are byte offsets from the segment start. Every method
+/// is called under the WAL's lock, so implementations need no internal
+/// ordering guarantees beyond `Send`; only a [`Syncer`] runs outside
+/// it, concurrently with later `append`s to the same segment.
 pub trait Storage: Send {
     /// Base LSNs of existing segments, ascending.
     fn list_segments(&self) -> io::Result<Vec<u64>>;
@@ -35,8 +41,15 @@ pub trait Storage: Send {
     /// Appends bytes to a segment (buffered; durable only after
     /// [`Storage::sync`]).
     fn append(&mut self, base: u64, bytes: &[u8]) -> io::Result<()>;
-    /// Makes every appended byte of `base` durable.
-    fn sync(&mut self, base: u64) -> io::Result<()>;
+    /// A detached fsync of `base`: running it makes durable every byte
+    /// appended *before this call*; bytes appended later may or may not
+    /// be covered. The WAL keeps at most one in flight and never
+    /// truncates, deletes or rotates away from `base` until it returns.
+    fn syncer(&mut self, base: u64) -> io::Result<Syncer>;
+    /// Makes every appended byte of `base` durable before returning.
+    fn sync(&mut self, base: u64) -> io::Result<()> {
+        self.syncer(base)?()
+    }
     /// Reads a whole segment.
     fn read_segment(&mut self, base: u64) -> io::Result<Vec<u8>>;
     /// Reads `len` bytes at `off` (for spilled message bodies).
@@ -55,8 +68,9 @@ fn segment_file_name(base: u64) -> String {
 /// open; reads reopen on demand.
 pub struct FsStorage {
     dir: PathBuf,
-    /// Open append handle for the segment being written.
-    head: Option<(u64, std::fs::File)>,
+    /// Open append handle for the segment being written; shared with
+    /// an in-flight [`Syncer`].
+    head: Option<(u64, Arc<std::fs::File>)>,
 }
 
 impl FsStorage {
@@ -71,15 +85,15 @@ impl FsStorage {
         self.dir.join(segment_file_name(base))
     }
 
-    fn head_file(&mut self, base: u64) -> io::Result<&mut std::fs::File> {
+    fn head_file(&mut self, base: u64) -> io::Result<&Arc<std::fs::File>> {
         let reopen = !matches!(self.head, Some((b, _)) if b == base);
         if reopen {
             let f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(self.path(base))?;
-            self.head = Some((base, f));
+            self.head = Some((base, Arc::new(f)));
         }
-        Ok(&mut self.head.as_mut().expect("head just set").1)
+        Ok(&self.head.as_ref().expect("head just set").1)
     }
 }
 
@@ -104,16 +118,18 @@ impl Storage for FsStorage {
             .create_new(true)
             .append(true)
             .open(self.path(base))?;
-        self.head = Some((base, f));
+        self.head = Some((base, Arc::new(f)));
         Ok(())
     }
 
     fn append(&mut self, base: u64, bytes: &[u8]) -> io::Result<()> {
-        self.head_file(base)?.write_all(bytes)
+        let mut file: &std::fs::File = self.head_file(base)?;
+        file.write_all(bytes)
     }
 
-    fn sync(&mut self, base: u64) -> io::Result<()> {
-        self.head_file(base)?.sync_data()
+    fn syncer(&mut self, base: u64) -> io::Result<Syncer> {
+        let file = Arc::clone(self.head_file(base)?);
+        Ok(Box::new(move || file.sync_data()))
     }
 
     fn read_segment(&mut self, base: u64) -> io::Result<Vec<u8>> {
@@ -144,13 +160,13 @@ impl Storage for FsStorage {
     }
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct MemSegment {
     bytes: Vec<u8>,
     synced_len: usize,
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct MemInner {
     segments: BTreeMap<u64, MemSegment>,
 }
@@ -185,6 +201,15 @@ impl MemStorage {
         }
     }
 
+    /// An independent copy of the disk as it is this instant — crash
+    /// the copy to see what a kill *now* would leave, while the original
+    /// keeps serving the running log.
+    pub fn fork(&self) -> MemStorage {
+        MemStorage {
+            inner: Arc::new(Mutex::new(self.inner.lock().clone())),
+        }
+    }
+
     /// Total bytes currently on the simulated disk.
     pub fn disk_bytes(&self) -> u64 {
         self.inner.lock().segments.values().map(|s| s.bytes.len() as u64).sum()
@@ -211,14 +236,20 @@ impl Storage for MemStorage {
         Ok(())
     }
 
-    fn sync(&mut self, base: u64) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        let seg = inner
-            .segments
-            .get_mut(&base)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such segment"))?;
-        seg.synced_len = seg.bytes.len();
-        Ok(())
+    /// The strictest disk the contract allows: the fsync covers exactly
+    /// the bytes appended before it was requested, nothing that arrived
+    /// while it ran — so a crash test catches a WAL that credits an
+    /// fsync with records appended after it began.
+    fn syncer(&mut self, base: u64) -> io::Result<Syncer> {
+        let not_found = || io::Error::new(io::ErrorKind::NotFound, "no such segment");
+        let len = self.inner.lock().segments.get(&base).ok_or_else(not_found)?.bytes.len();
+        let disk = Arc::clone(&self.inner);
+        Ok(Box::new(move || {
+            let mut inner = disk.lock();
+            let seg = inner.segments.get_mut(&base).ok_or_else(not_found)?;
+            seg.synced_len = seg.synced_len.max(len.min(seg.bytes.len()));
+            Ok(())
+        }))
     }
 
     fn read_segment(&mut self, base: u64) -> io::Result<Vec<u8>> {

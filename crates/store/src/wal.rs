@@ -1,19 +1,54 @@
-//! Segmented write-ahead log with leader-based group commit.
+//! Segmented write-ahead log with timer-free leader/follower group
+//! commit.
 //!
 //! LSNs are *positional*: records are numbered 1, 2, 3, … in append
 //! order, a segment is named by the LSN of its first record, and replay
 //! re-derives every record's LSN from its position — nothing is stored
 //! twice, so the log can't disagree with itself.
 //!
-//! Group commit is leader-based rather than a background flusher thread
-//! (which would trip the `raw-thread-spawn` lint and make the sim
-//! nondeterministic): `append` buffers and syncs only when `flush_batch`
-//! records are pending; `commit(lsn)` parks on a condvar for at most
-//! `flush_interval` hoping another committer (or a batch-full append)
-//! syncs first, and performs the fsync itself on timeout. Every fsync
-//! covers all pending records, so N concurrent depositors cost one
-//! fsync, not N — the `group_commit_batch` histogram shows the
-//! amortization.
+//! Group commit has no flusher thread (which would trip the
+//! `raw-thread-spawn` lint and make the sim nondeterministic) and no
+//! timer. `append` only buffers; `commit(lsn)` makes the record
+//! durable, and the committers elect a leader among themselves:
+//!
+//! * a committer whose LSN is not yet durable and who finds **no fsync
+//!   in flight** starts one at once — a lone depositor pays one fsync
+//!   and never waits for company that is not coming;
+//! * one who finds an fsync **in flight** waits for it to finish. If it
+//!   began after this committer's record was appended it covers it and
+//!   the committer returns without an fsync of its own (a follower);
+//!   otherwise the committer leads the next fsync, which covers
+//!   everything appended meanwhile.
+//!
+//! The leader runs the fsync with the log lock (`wal.inner`) released,
+//! so appends proceed during it: the arrivals during a slow fsync *are*
+//! the next batch, which is why no timer is needed — the batch grows
+//! exactly as fast as the disk is slow, and is one when the disk keeps
+//! up. N concurrent depositors cost about one fsync per fsync-time, not
+//! N; the `group_commit_batch` histogram (records covered per fsync)
+//! shows the amortization.
+//!
+//! Invariants:
+//!
+//! * `commit(lsn)` returns only after an fsync that *started after*
+//!   record `lsn` was completely appended has *finished*: the leader
+//!   captures `next_lsn - 1` under the lock when it begins and
+//!   `synced_lsn` advances to that captured value, never to whatever
+//!   `next_lsn` reads when the fsync ends.
+//! * At most one fsync is in flight (`syncing`), and only committers
+//!   ever wait for it — holding no lock, not even this log's. Nothing
+//!   that runs under a caller's lock (`append`, `rotate`) blocks on
+//!   another thread.
+//! * `rotate` declines while an fsync is in flight (the caller retries
+//!   at its next deposit), so the in-flight fsync is always of the live
+//!   segment; `delete_segment` refuses the live segment and recovery's
+//!   `truncate` runs before the log is shared, so none of the three can
+//!   race one.
+//! * `flush_batch` caps how many records may sit unsynced with no fsync
+//!   on its way: the append that reaches it syncs before returning.
+//!
+//! `SyncMode::Always` (the simulation, the figures) takes none of this:
+//! every append syncs under the lock and `commit` finds its LSN durable.
 //!
 //! Recovery (`Wal::open`) replays segments in base order. A torn tail —
 //! incomplete header, short payload, or CRC mismatch — in the *last*
@@ -22,13 +57,12 @@
 //! lied about a completed fsync and is reported as corruption.
 
 use std::io;
-use std::time::Duration;
 
 use parking_lot::Condvar;
 use wsd_concurrent::OrderedMutex;
 use wsd_telemetry::{Counter, Histogram, Scope};
 
-use crate::record::{frame, read_record, Op, ReadRecord, HEADER_BYTES};
+use crate::record::{read_record, Op, ReadRecord, HEADER_BYTES};
 use crate::storage::Storage;
 
 /// When appended records become durable.
@@ -37,14 +71,13 @@ pub enum SyncMode {
     /// Every append syncs before returning. Deterministic (no timing
     /// dependence), used by the simulation backend.
     Always,
-    /// Batched fsync: sync when `flush_batch` records are pending, or
-    /// when a committer has waited `flush_interval`.
+    /// Appends buffer; `commit` makes them durable, one committer's
+    /// fsync covering every record appended before it began (see the
+    /// module doc for the leader/follower protocol).
     GroupCommit {
-        /// Pending-record count that triggers an immediate sync.
+        /// Most records that may sit unsynced: the append that reaches
+        /// this count syncs before returning.
         flush_batch: usize,
-        /// Longest a `commit` waits for someone else's sync before
-        /// performing its own.
-        flush_interval: Duration,
     },
 }
 
@@ -62,10 +95,7 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             segment_bytes: 8 * 1024 * 1024,
-            sync: SyncMode::GroupCommit {
-                flush_batch: 64,
-                flush_interval: Duration::from_millis(2),
-            },
+            sync: SyncMode::GroupCommit { flush_batch: 64 },
         }
     }
 }
@@ -104,8 +134,13 @@ struct WalInner {
     next_lsn: u64,
     /// Highest LSN known durable.
     synced_lsn: u64,
-    /// Records appended since the last sync.
+    /// Records appended since the last fsync began.
     pending: usize,
+    /// A leader is running an fsync with the lock released.
+    syncing: bool,
+    /// Encode buffer reused by every append (one copy of the record,
+    /// no allocation once it has grown to the largest one).
+    record: Vec<u8>,
 }
 
 struct WalMetrics {
@@ -119,11 +154,12 @@ struct WalMetrics {
 }
 
 /// The write-ahead log. All mutation goes through one audited lock
-/// (class `wal.inner`); `commit` parks on a condvar while waiting for a
-/// group sync, so depositors don't serialize on the fsync itself.
+/// (class `wal.inner`), which a group-commit leader releases for the
+/// duration of its fsync; followers park on `synced` until it finishes.
 pub struct Wal {
     config: WalConfig,
     inner: OrderedMutex<WalInner>,
+    /// Signalled whenever an fsync finishes (or fails).
     synced: Condvar,
     metrics: WalMetrics,
 }
@@ -212,6 +248,8 @@ impl Wal {
                     // Everything that survived on disk is durable.
                     synced_lsn: next_lsn - 1,
                     pending: 0,
+                    syncing: false,
+                    record: Vec::new(),
                 },
             ),
             synced: Condvar::new(),
@@ -224,50 +262,73 @@ impl Wal {
     /// [`Wal::commit`] with this LSN (or any higher one) returns.
     pub fn append(&self, op: &Op) -> io::Result<AppendInfo> {
         let mut inner = self.inner.lock();
-        let payload = op.encode_payload();
-        let framed = frame(&payload);
-        let info = AppendInfo {
-            lsn: inner.next_lsn,
-            seg_base: inner.cur_base,
-            payload_off: inner.cur_len + HEADER_BYTES,
-            payload_len: payload.len() as u64,
-        };
-        let base = inner.cur_base;
-        inner.storage.append(base, &framed)?;
-        inner.next_lsn += 1;
-        inner.cur_len += framed.len() as u64;
-        inner.pending += 1;
-        self.metrics.appends.inc();
-        self.metrics.wal_bytes.add(framed.len() as u64);
-        let batch_full = match self.config.sync {
+        let info = self.append_locked(&mut inner, op)?;
+        let sync_now = match self.config.sync {
             SyncMode::Always => true,
-            SyncMode::GroupCommit { flush_batch, .. } => inner.pending >= flush_batch,
+            // With an fsync in flight the backlog is already on its way
+            // down; the committers lead the next one.
+            SyncMode::GroupCommit { flush_batch } => {
+                inner.pending >= flush_batch && !inner.syncing
+            }
         };
-        if batch_full {
+        if sync_now {
             self.sync_locked(&mut inner)?;
         }
         Ok(info)
     }
 
-    /// Blocks until every record up to `lsn` is durable. Under group
-    /// commit, waits up to `flush_interval` for another thread's sync
-    /// to cover it, then performs the sync itself (becoming the leader
-    /// for everything pending).
+    fn append_locked(&self, inner: &mut WalInner, op: &Op) -> io::Result<AppendInfo> {
+        op.encode_record_into(&mut inner.record);
+        inner.storage.append(inner.cur_base, &inner.record)?;
+        let len = inner.record.len() as u64;
+        let info = AppendInfo {
+            lsn: inner.next_lsn,
+            seg_base: inner.cur_base,
+            payload_off: inner.cur_len + HEADER_BYTES,
+            payload_len: len - HEADER_BYTES,
+        };
+        inner.next_lsn += 1;
+        inner.cur_len += len;
+        inner.pending += 1;
+        self.metrics.appends.inc();
+        self.metrics.wal_bytes.add(len);
+        Ok(info)
+    }
+
+    /// Blocks until every record up to `lsn` is durable: returns at
+    /// once if it already is, follows an in-flight fsync that covers
+    /// it, and otherwise leads one (see the module doc).
     pub fn commit(&self, lsn: u64) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        let interval = match self.config.sync {
-            // `append` already synced.
-            SyncMode::Always => return Ok(()),
-            SyncMode::GroupCommit { flush_interval, .. } => flush_interval,
-        };
         while inner.synced_lsn < lsn {
-            let timed_out = inner.wait_timeout(&self.synced, interval);
-            if inner.synced_lsn >= lsn {
-                break;
+            if inner.syncing {
+                // Whether or not the fsync in flight covers `lsn` is
+                // decided when it finishes; re-check then.
+                inner.wait(&self.synced);
+                continue;
             }
-            if timed_out {
-                self.sync_locked(&mut inner)?;
+            // Lead. Everything appended so far is in the file before
+            // the fsync begins; what arrives while it runs is not
+            // credited to it.
+            let covers = inner.next_lsn - 1;
+            let base = inner.cur_base;
+            let fsync = inner.storage.syncer(base)?;
+            let batch = std::mem::take(&mut inner.pending);
+            inner.syncing = true;
+            drop(inner);
+            let result = fsync();
+            inner = self.inner.lock();
+            inner.syncing = false;
+            match result {
+                Ok(()) => {
+                    inner.synced_lsn = covers;
+                    self.metrics.fsyncs.inc();
+                    self.metrics.group_commit_batch.record(batch as u64);
+                }
+                Err(_) => inner.pending += batch,
             }
+            self.synced.notify_all();
+            result?;
         }
         Ok(())
     }
@@ -279,7 +340,10 @@ impl Wal {
         Ok(info)
     }
 
+    /// Syncs everything pending without releasing the lock. Only when
+    /// no leader's fsync is in flight.
     fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
+        debug_assert!(!inner.syncing, "one fsync at a time");
         if inner.pending == 0 {
             return Ok(());
         }
@@ -289,7 +353,6 @@ impl Wal {
         self.metrics.group_commit_batch.record(inner.pending as u64);
         inner.pending = 0;
         inner.synced_lsn = inner.next_lsn - 1;
-        self.synced.notify_all();
         Ok(())
     }
 
@@ -307,28 +370,30 @@ impl Wal {
     /// Seals the current segment (syncing it) and starts a fresh one
     /// whose first record is a [`Op::Checkpoint`] of `boxes` — after
     /// which any older segment with no live deposits is deletable.
-    /// Returns the new segment's base LSN.
-    pub fn rotate(&self, boxes: Vec<(String, String, String, u64)>) -> io::Result<u64> {
+    /// Returns the new segment's base LSN, or `None` without touching
+    /// anything while an fsync of the current segment is in flight: the
+    /// size limit is a threshold, not a wall, and the caller asks again
+    /// at its next deposit.
+    pub fn rotate(&self, boxes: Vec<(String, String, String, u64)>) -> io::Result<Option<u64>> {
         let mut inner = self.inner.lock();
+        if inner.syncing {
+            return Ok(None);
+        }
         self.sync_locked(&mut inner)?;
         let base = inner.next_lsn;
         inner.storage.create_segment(base)?;
         inner.cur_base = base;
         inner.cur_len = 0;
-        let framed = frame(&Op::Checkpoint { boxes }.encode_payload());
-        inner.storage.append(base, &framed)?;
-        inner.next_lsn += 1;
-        inner.cur_len += framed.len() as u64;
-        inner.pending += 1;
+        self.append_locked(&mut inner, &Op::Checkpoint { boxes })?;
         // The checkpoint must be durable before it can justify GC.
         self.sync_locked(&mut inner)?;
         self.metrics.checkpoints.inc();
-        self.metrics.appends.inc();
-        self.metrics.wal_bytes.add(framed.len() as u64);
-        Ok(base)
+        Ok(Some(base))
     }
 
     /// Deletes a sealed segment whose deposits are all acked/expired.
+    /// Never the live one — the only segment an fsync can be in flight
+    /// on.
     pub fn delete_segment(&self, base: u64) -> io::Result<()> {
         let mut inner = self.inner.lock();
         assert_ne!(base, inner.cur_base, "never delete the live segment");
@@ -405,10 +470,7 @@ mod tests {
         {
             let (wal, _) = Wal::open(
                 WalConfig {
-                    sync: SyncMode::GroupCommit {
-                        flush_batch: 1000,
-                        flush_interval: Duration::from_millis(1),
-                    },
+                    sync: SyncMode::GroupCommit { flush_batch: 1000 },
                     ..WalConfig::default()
                 },
                 Box::new(mem.clone()),
@@ -438,7 +500,7 @@ mod tests {
         wal.append_durable(&deposit(0)).unwrap();
         let boxes = vec![("mbox-1".into(), "k".into(), "t".into(), 7u64)];
         let base = wal.rotate(boxes.clone()).unwrap();
-        assert_eq!(base, 2); // checkpoint gets LSN 2
+        assert_eq!(base, Some(2)); // checkpoint gets LSN 2
         assert_eq!(wal.current_segment(), 2);
         wal.append_durable(&deposit(1)).unwrap();
         wal.delete_segment(1).unwrap();
@@ -451,30 +513,44 @@ mod tests {
         assert_eq!(replayed[1].0, 3);
     }
 
+    fn open_group(mem: &MemStorage, flush_batch: usize) -> Wal {
+        let config = WalConfig {
+            sync: SyncMode::GroupCommit { flush_batch },
+            ..WalConfig::default()
+        };
+        Wal::open(config, Box::new(mem.clone()), &Scope::noop(), |_, _| {}).unwrap().0
+    }
+
     #[test]
     fn group_commit_batches_fsyncs() {
         let mem = MemStorage::new();
-        let (wal, _) = Wal::open(
-            WalConfig {
-                sync: SyncMode::GroupCommit {
-                    flush_batch: 4,
-                    flush_interval: Duration::from_secs(60),
-                },
-                ..WalConfig::default()
-            },
-            Box::new(mem.clone()),
-            &Scope::noop(),
-            |_, _| {},
-        )
-        .unwrap();
-        let mut last = AppendInfo { lsn: 0, seg_base: 0, payload_off: 0, payload_len: 0 };
-        for i in 0..8 {
-            last = wal.append(&deposit(i)).unwrap();
-        }
-        // Two batch-full syncs covered all eight; commit returns with
-        // no third fsync and without waiting out the interval.
-        wal.commit(last.lsn).unwrap();
+        let wal = open_group(&mem, 4);
+        // A lone committer does not wait for company: its commit is one
+        // fsync, at once.
+        let first = wal.append(&deposit(0)).unwrap();
+        assert_eq!(wal.fsync_count(), 0, "append only buffers");
+        wal.commit(first.lsn).unwrap();
+        assert_eq!(wal.fsync_count(), 1);
+        // Durable means durable: nothing unsynced survives this crash,
+        // yet the record does.
+        mem.crash(|_| 0);
+        // One commit of the highest LSN covers every earlier record …
+        let lsns: Vec<u64> = (1..4).map(|i| wal.append(&deposit(i)).unwrap().lsn).collect();
+        wal.commit(lsns[2]).unwrap();
         assert_eq!(wal.fsync_count(), 2);
+        // … so the covered ones return with no fsync of their own.
+        wal.commit(lsns[0]).unwrap();
+        wal.commit(lsns[1]).unwrap();
+        assert_eq!(wal.fsync_count(), 2);
+        // The append-side cap: the fourth unsynced record syncs itself.
+        let mut last = 0;
+        for i in 4..8 {
+            assert_eq!(wal.fsync_count(), 2);
+            last = wal.append(&deposit(i)).unwrap().lsn;
+        }
+        assert_eq!(wal.fsync_count(), 3);
+        wal.commit(last).unwrap();
+        assert_eq!(wal.fsync_count(), 3);
     }
 
     #[test]

@@ -38,6 +38,15 @@
 #                                      (BENCH_GATE_THRESHOLD=0.30 loosens it on
 #                                      noisy machines); a missing reference
 #                                      baseline warns and skips that gate
+#   scripts/verify.sh e2e-smoke        the default, plus the frozen end-to-end
+#                                      yardstick (`benchmark/`, its own
+#                                      workspace) built offline against the
+#                                      working tree and each of its four
+#                                      workloads run for 2 s: fails when a
+#                                      wsd-store / rt API change stops the
+#                                      benchmark crate compiling or a workload
+#                                      reports `correct: false` (non-zero
+#                                      exit); also part of bench-gate
 #   scripts/verify.sh durability-smoke the real-process WAL crash smoke alone
 #                                      (also part of the default mode): SIGKILL
 #                                      a durable-msgbox writer mid-deposit over
@@ -110,6 +119,13 @@ fi
 # loss, no duplicates across a kill) plus the scale-out floor.
 if [ -z "${1:-}" ] || [ "${1:-}" = "fleet-smoke" ]; then
     FLEET_SMOKE=1 cargo bench -p wsd-bench --bench fleet_scaling
+fi
+
+if [ "${1:-}" = "e2e-smoke" ] || [ "${1:-}" = "bench-gate" ]; then
+    for workload in rpc_echo conv_pingpong backlog_durable sim_fig6; do
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
+    done
 fi
 
 if [ "${1:-}" = "bench-gate" ]; then
