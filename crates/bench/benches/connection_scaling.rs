@@ -3,9 +3,9 @@
 //! The paper's threaded runtime pins one CxThread per open socket, so
 //! thread count — and with it stack memory and scheduler load — grows
 //! linearly with *open* connections even when almost all of them are
-//! idle. The reactor front end multiplexes every parked connection onto
-//! one event-loop thread and runs handlers on a fixed pool, so thread
-//! count tracks *in-flight requests* instead.
+//! idle. The reactor front end parks idle connections at no thread cost
+//! and runs each one that has bytes to read to completion on a fixed
+//! pool, so thread count tracks *in-flight requests* instead.
 //!
 //! Criterion measures one echo round-trip while N-1 connections sit
 //! idle (N = 64, 512) for both front ends. Set
@@ -94,7 +94,7 @@ impl ThreadPerConnRig {
     }
 }
 
-/// The reactor shape: one event loop plus a fixed handler pool.
+/// The reactor shape: a fixed handler pool plus the reactor's ticker.
 struct ReactorRig {
     clients: Vec<HttpClient<PipeStream>>,
     fe: ReactorFrontEnd,
@@ -124,7 +124,7 @@ impl ReactorRig {
         ReactorRig { clients, fe, pool, reg }
     }
 
-    /// Event-loop thread + peak pool workers.
+    /// Ticker thread + peak pool workers.
     fn peak_threads(&self) -> usize {
         1 + self.reg.snapshot().gauge_peak("cs.pool.workers") as usize
     }
@@ -295,7 +295,7 @@ fn main() {
             for s in &sweeps {
                 assert!(
                     s.reactor_peak <= POOL_SIZE + 1,
-                    "reactor used {} threads at {} conns (pool size {POOL_SIZE} + 1 loop)",
+                    "reactor used {} threads at {} conns (pool size {POOL_SIZE} + 1 ticker)",
                     s.reactor_peak,
                     s.conns,
                 );
@@ -304,7 +304,7 @@ fn main() {
                     "thread-per-conn baseline should pin one thread per connection"
                 );
             }
-            println!("connscale-smoke PASS: reactor peak <= pool size + 1 event loop");
+            println!("connscale-smoke PASS: reactor peak <= pool size + 1 ticker");
         }
     }
 }

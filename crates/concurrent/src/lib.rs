@@ -15,9 +15,10 @@
 //! * [`ThreadBudget`] — a global cap on concurrently live threads, used to
 //!   emulate the JVM `OutOfMemoryError` the paper hit when WS-MsgBox spawned
 //!   one thread per message,
-//! * [`Reactor`] — an event-driven connection multiplexer that serves many
-//!   open connections from one event loop plus a bounded handler pool,
-//!   removing the thread-per-connection cost that produced that error,
+//! * [`Reactor`] — a run-to-completion connection scheduler that serves
+//!   many open connections from a bounded handler pool (a connection's
+//!   wake-up hook queues its job there directly), removing the
+//!   thread-per-connection cost that produced that error,
 //! * [`OrderedMutex`] / [`OrderedRwLock`] — lock-order-audited wrappers
 //!   around the parking_lot primitives: under `debug_assertions` they
 //!   record a global lock-acquisition graph and panic on cycles

@@ -270,13 +270,33 @@ impl ThreadPool {
         self.execute_boxed(Box::new(job))
     }
 
-    fn execute_boxed(&self, job: Job) -> Result<(), TaskError> {
+    /// Submits a task only if the queue has room for it right now:
+    /// never blocks, never grows the pool, never runs the task on the
+    /// caller, whatever the rejection policy; a full queue is
+    /// [`TaskError::Rejected`]. For a worker handing work to its own
+    /// pool — it must not wait there for room, and it is about to be
+    /// free to take the task itself.
+    pub fn try_execute(&self, job: impl FnOnce() + Send + 'static) -> Result<(), TaskError> {
+        self.try_push(Box::new(job)).map_err(|e| match e {
+            PushError::Closed(_) => TaskError::Shutdown,
+            PushError::Full(_) => TaskError::Rejected,
+        })
+    }
+
+    /// Queues `job` if the pool is open and the queue has room; hands it
+    /// back otherwise.
+    fn try_push(&self, job: Job) -> Result<(), PushError<Job>> {
         if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(TaskError::Shutdown);
+            return Err(PushError::Closed(job));
         }
-        match self.shared.queue.try_push(job) {
+        self.shared.queue.try_push(job)?;
+        self.note_queue_depth();
+        Ok(())
+    }
+
+    fn execute_boxed(&self, job: Job) -> Result<(), TaskError> {
+        match self.try_push(job) {
             Ok(()) => {
-                self.note_queue_depth();
                 self.maybe_grow();
                 Ok(())
             }
@@ -592,6 +612,31 @@ mod tests {
         assert!(inline, "caller-runs task never executed inline");
         release.count_down();
         pool.shutdown();
+    }
+
+    #[test]
+    fn try_execute_never_waits_for_room() {
+        let cfg = PoolConfig::fixed("t", 1).queue_capacity(1); // policy: Block
+        let pool = ThreadPool::new(cfg).unwrap();
+        let release = crate::CountDownLatch::new(1);
+        let started = crate::CountDownLatch::new(1);
+        {
+            let (release, started) = (release.clone(), started.clone());
+            pool.execute(move || {
+                started.count_down();
+                release.wait();
+            })
+            .unwrap();
+        }
+        started.wait();
+        // Worker busy: one task fits the queue, the next finds it full —
+        // where `execute` would block, this reports it.
+        assert_eq!(pool.try_execute(|| {}), Ok(()));
+        assert_eq!(pool.try_execute(|| {}), Err(TaskError::Rejected));
+        release.count_down();
+        pool.shutdown();
+        assert_eq!(pool.completed_count(), 2);
+        assert_eq!(pool.try_execute(|| {}), Err(TaskError::Shutdown));
     }
 
     #[test]

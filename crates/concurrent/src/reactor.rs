@@ -1,27 +1,83 @@
-//! An event-driven connection multiplexer.
+//! A run-to-completion connection scheduler.
 //!
 //! The paper's dispatchers (and its WS-MsgBox) pin one thread per open
 //! connection for the connection's whole lifetime — the architecture
 //! that produced the ~50-client `OutOfMemoryError`. A [`Reactor`]
-//! inverts that: it *owns* every registered connection, a single event
-//! loop pumps whichever connections have bytes ready, and only complete
-//! requests are dispatched to a bounded handler [`ThreadPool`]. Thread
-//! count scales with in-flight *requests*, not open *sockets*.
+//! inverts that: it *owns* every registered connection, and a
+//! connection occupies a thread of the bounded handler [`ThreadPool`]
+//! only while it has bytes to read or a request to answer. Thread count
+//! scales with in-flight *requests*, not open *sockets*.
 //!
-//! The reactor is transport-agnostic: anything implementing
-//! [`ReactorConn`] can be registered. Connections that can deliver
-//! wakeups (in-process pipes, an OS poller) drive the loop directly;
-//! ones that cannot ([`ReactorConn::needs_poll`]) are pumped on a
-//! fallback tick.
+//! # Who may touch a connection when
 //!
-//! Backpressure is structural: while a connection is checked out to a
-//! handler (its response still being computed/written) it is simply not
-//! polled, so pipelined bytes accumulate in the transport's bounded
-//! buffer exactly like an unread TCP window. When the handler returns
-//! the connection, the reactor re-pumps it once to pick up anything that
-//! arrived meanwhile.
+//! Every connection has its own cell, in one of three live phases:
+//!
+//! * `Parked` — the connection rests in the cell; nobody touches it.
+//! * `Queued` — it still rests in the cell, and one job for it waits on
+//!   the pool's queue.
+//! * `Running { dirty }` — that job is executing and holds the
+//!   connection; the cell keeps only the `dirty` flag.
+//!
+//! `Queued` and `Running` together are "a job exists", and there is at
+//! most one: so at most `open_conns` reactor jobs are ever queued on the
+//! pool, and `pump` and `handle` of one connection never run
+//! concurrently.
+//!
+//! The connection's read-wakeup hook runs on the *writer's* thread. It
+//! takes the cell's lock; a `Parked` cell it flips to `Queued` and
+//! submits the job to the handler pool itself, at a `Running` cell it
+//! only sets `dirty`, and a `Queued` one it leaves alone (the job pumps
+//! before anything else). There is no hop through a reactor thread: a
+//! request costs one cross-thread wake, writer → worker.
+//!
+//! The job takes the connection out of the cell and loops:
+//! [`pump`](ReactorConn::pump), and on
+//!
+//! * `Ready` — [`handle`](ReactorConn::handle) the run, pump again;
+//! * `Idle` — under the cell's lock: if `dirty`, clear it and pump
+//!   again, else put the connection back (`Parked`) and return. The
+//!   hook's transition takes the same lock, so bytes that arrive after
+//!   the job's last pump either show as `dirty` to the job or find the
+//!   cell `Parked` and queue a new job — a wake-up is never lost;
+//! * `Closed`, `handle() == false`, or reactor shutdown — deregister
+//!   and drop the connection.
+//!
+//! Nothing is handed *back* to another thread. A job that keeps finding
+//! its connection `Ready` puts it back as `Queued` after
+//! `MAX_RUNS_PER_JOB` runs and re-submits itself at the pool's tail, so
+//! it cannot starve the other connections of a small fixed pool. That
+//! one submission is made from a pool worker and therefore never waits
+//! for queue room ([`ThreadPool::try_execute`]): without room the job
+//! simply carries on.
+//!
+//! The hot path takes the connection's own lock only. The global
+//! connection map is touched by `register`, deregistration,
+//! [`Reactor::open_connections`], the tick and [`Reactor::shutdown`].
+//!
+//! # The hook may block
+//!
+//! The hook calls [`ThreadPool::execute`] on the writer's thread — never
+//! under the cell's lock (nor, for the in-process pipes, the pipe's). With
+//! [`RejectionPolicy::Block`](crate::RejectionPolicy::Block) and a full
+//! pool queue the writer waits there, which is the back-pressure a full
+//! pipe gives a writer anyway. If the pool refuses the job (it was shut
+//! down), the hook deregisters the connection and drops it.
+//!
+//! # The ticker thread
+//!
+//! The reactor's one thread no longer relays anything. It exists for
+//! transports that cannot deliver wakeups
+//! ([`ReactorConn::needs_poll`]): every
+//! [`poll_interval`](ReactorConfig::poll_interval) it schedules each such
+//! connection exactly as a hook would, and it sleeps untimed while none
+//! is registered.
+//!
+//! Backpressure is structural: while a job is inside `handle` the
+//! connection is not read, so pipelined bytes accumulate in the
+//! transport's bounded buffer exactly like an unread TCP window; the
+//! pump that follows every `handle` picks them up.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -33,18 +89,25 @@ use wsd_telemetry::{Counter, Gauge, Histogram, Scope};
 use crate::ordered::OrderedMutex;
 use crate::pool::ThreadPool;
 
+/// Consecutive `Ready` runs one job handles before it re-submits itself
+/// at the pool's tail, so a connection whose peer keeps it permanently
+/// ready cannot hold a worker while other connections' jobs wait.
+const MAX_RUNS_PER_JOB: usize = 8;
+
 /// What a [`ReactorConn::pump`] pass concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pump {
     /// No complete request yet; park and wait for more bytes.
     Idle,
-    /// At least one complete request is buffered; dispatch to a handler.
+    /// At least one complete request is buffered; handle it.
     Ready,
     /// EOF or protocol error; deregister and drop the connection.
     Closed,
 }
 
 /// Wakeup hook a connection invokes when it may have become readable.
+/// It may block as [`ThreadPool::execute`] does, so transports call it
+/// outside their own locks.
 pub type Wakeup = Arc<dyn Fn() + Send + Sync>;
 
 /// A connection the reactor can multiplex.
@@ -55,13 +118,15 @@ pub trait ReactorConn: Send + 'static {
     fn install_wakeup(&mut self, hook: Wakeup);
 
     /// Whether this connection cannot deliver wakeups and must be pumped
-    /// on the fallback tick.
+    /// on the fallback tick. Asked once, at registration.
     fn needs_poll(&self) -> bool {
         false
     }
 
     /// Ingests whatever bytes are ready *without blocking* and reports
-    /// the connection's state. Runs on the reactor thread.
+    /// the connection's state. Runs on the handler pool, in the job
+    /// that owns the connection — never concurrently with
+    /// [`handle`](Self::handle).
     fn pump(&mut self) -> Pump;
 
     /// Processes the buffered complete request(s) and writes the
@@ -79,14 +144,15 @@ pub trait ReactorConn: Send + 'static {
 
 /// Reactor construction parameters.
 pub struct ReactorConfig {
-    /// Event-loop thread name.
+    /// Ticker thread name.
     pub name: String,
-    /// Fallback tick for connections without wakeup support, and the
-    /// idle wait granularity of the loop.
+    /// Tick on which connections without wakeup support
+    /// ([`ReactorConn::needs_poll`]) are scheduled; governs nothing else.
     pub poll_interval: Duration,
     /// Scope the reactor's instruments live under: `open_conns` and
-    /// `parked_partials` gauges, a `loop_us` histogram, `dispatches` and
-    /// `wakeups` counters.
+    /// `parked_partials` gauges, a `loop_us` histogram (one `pump`),
+    /// `dispatches` (one per `Ready` run) and `wakeups` (one per hook
+    /// firing) counters.
     pub telemetry: Scope,
 }
 
@@ -133,20 +199,69 @@ impl ReactorTelemetry {
     }
 }
 
-/// A registered connection is either parked (reactor-owned, pumpable) or
-/// checked out to a handler.
-enum Slot<C> {
-    Parked { conn: C, partial: bool },
-    Busy,
+/// Where a registered connection is in its schedule.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Nobody runs it. `partial` is `has_partial()` as of parking, and
+    /// is counted in `parked_partials` while parked.
+    Parked { partial: bool },
+    /// Its job waits on the pool's queue. A wake-up has nothing to add:
+    /// the job pumps first.
+    Queued,
+    /// Its job is executing and holds the connection; `dirty` records a
+    /// wake-up that arrived since.
+    Running { dirty: bool },
+    /// Deregistered; a late wake-up or job finds nothing to do.
+    Closed,
+}
+
+struct Slot<C> {
+    phase: Phase,
+    /// The connection rests here while `Parked` or `Queued`.
+    conn: Option<C>,
+}
+
+/// One connection's scheduling cell, shared by its wakeup hook, its job
+/// and the global map.
+struct Cell<C> {
+    id: u64,
+    needs_poll: bool,
+    slot: OrderedMutex<Slot<C>>,
+}
+
+impl<C> Slot<C> {
+    /// Puts the connection back into the cell, for `phase`.
+    fn rest(&mut self, conn: C, phase: Phase) {
+        self.phase = phase;
+        self.conn = Some(conn);
+    }
+}
+
+impl<C> Cell<C> {
+    /// A job's first step: takes the connection out of its `Queued`
+    /// cell. `None` when `deregister` closed the cell while the job
+    /// waited on the queue.
+    fn start_running(&self) -> Option<C> {
+        let mut slot = self.slot.lock();
+        if !matches!(slot.phase, Phase::Queued) {
+            return None;
+        }
+        slot.phase = Phase::Running { dirty: false };
+        slot.conn.take()
+    }
 }
 
 struct State<C> {
-    conns: HashMap<u64, Slot<C>>,
-    ready: VecDeque<u64>,
+    conns: HashMap<u64, Arc<Cell<C>>>,
+    /// Registered connections with `needs_poll`; the ticker sleeps
+    /// untimed while this is zero.
+    polled: usize,
 }
 
 struct Shared<C: ReactorConn> {
     state: OrderedMutex<State<C>>,
+    /// Wakes the ticker for shutdown and for the first `needs_poll`
+    /// registration.
     cv: Condvar,
     handlers: Arc<ThreadPool>,
     stop: AtomicBool,
@@ -156,48 +271,152 @@ struct Shared<C: ReactorConn> {
 }
 
 impl<C: ReactorConn> Shared<C> {
-    /// Returns a checked-out connection after its handler pass. Always
-    /// re-queues a kept connection for one more pump, so bytes that
-    /// arrived while it was busy are picked up even though its wakeup
-    /// fired into a `Busy` slot.
-    fn reinsert(&self, id: u64, conn: C, keep: bool) {
+    /// What a wake-up does: queues a job for a `Parked` connection,
+    /// marks a `Running` one dirty. `execute` may block, so the cell's
+    /// lock is released first.
+    fn schedule(self: &Arc<Self>, cell: &Arc<Cell<C>>) {
+        {
+            let mut slot = cell.slot.lock();
+            match slot.phase {
+                Phase::Parked { partial } => {
+                    if partial {
+                        self.tele.parked_partials.dec();
+                    }
+                    slot.phase = Phase::Queued;
+                }
+                Phase::Running { .. } => {
+                    slot.phase = Phase::Running { dirty: true };
+                    return;
+                }
+                Phase::Queued | Phase::Closed => return,
+            }
+        }
+        self.submit(cell);
+    }
+
+    /// Queues the job of a `Queued` connection.
+    fn submit(self: &Arc<Self>, cell: &Arc<Cell<C>>) {
+        if self.handlers.execute(self.job(cell)).is_err() {
+            // The pool is shut down and dropped the job.
+            self.deregister(cell);
+        }
+    }
+
+    fn job(self: &Arc<Self>, cell: &Arc<Cell<C>>) -> impl FnOnce() + Send + 'static {
+        let (shared, cell) = (Arc::clone(self), Arc::clone(cell));
+        move || shared.run(&cell)
+    }
+
+    /// The job body: pump, handle what is ready, park when idle.
+    fn run(self: &Arc<Self>, cell: &Arc<Cell<C>>) {
+        let Some(mut conn) = cell.start_running() else {
+            return;
+        };
+        let mut runs = 0;
+        while !self.stop.load(Ordering::Acquire) {
+            // wsd-lint: allow(raw-clock): loop_us measures the real cost of one pump on the pool; routing it through a virtual clock would hide the thing it measures
+            let t0 = Instant::now();
+            let verdict = conn.pump();
+            self.tele.loop_us.record(t0.elapsed().as_micros() as u64);
+            match verdict {
+                Pump::Ready => {
+                    self.tele.dispatches.inc();
+                    if !conn.handle() {
+                        break;
+                    }
+                    runs += 1;
+                    if runs == MAX_RUNS_PER_JOB {
+                        // Yield to the jobs waiting behind this one. A
+                        // worker must not wait for room on its own
+                        // pool's queue (if every worker did, nobody
+                        // would pop), so with no room it carries on.
+                        {
+                            let mut slot = cell.slot.lock();
+                            if matches!(slot.phase, Phase::Closed) {
+                                break; // `shutdown` got here first
+                            }
+                            slot.rest(conn, Phase::Queued);
+                        }
+                        if self.handlers.try_execute(self.job(cell)).is_ok() {
+                            return;
+                        }
+                        match cell.start_running() {
+                            Some(back) => conn = back,
+                            None => return,
+                        }
+                        runs = 0;
+                    }
+                }
+                Pump::Idle => {
+                    let partial = conn.has_partial();
+                    let mut slot = cell.slot.lock();
+                    match slot.phase {
+                        Phase::Running { dirty: true } => {
+                            // Bytes arrived after the pump above began.
+                            slot.phase = Phase::Running { dirty: false };
+                            continue;
+                        }
+                        // `shutdown` got here first. (One that has not
+                        // yet will find the connection parked.)
+                        Phase::Closed => break,
+                        _ => {}
+                    }
+                    if partial {
+                        self.tele.parked_partials.inc();
+                    }
+                    slot.rest(conn, Phase::Parked { partial });
+                    return;
+                }
+                Pump::Closed => break,
+            }
+        }
+        // Before `conn` drops: its Drop may fire its own wakeup hook,
+        // which must find the cell `Closed`.
+        self.deregister(cell);
+    }
+
+    /// Takes a connection off the books, once: whoever finds the cell
+    /// not yet `Closed` does the accounting. A connection resting in the
+    /// cell is dropped here; one held by an executing job is dropped by
+    /// that job, which gets here itself or — closed by `shutdown` —
+    /// finds `stop` set or the cell `Closed` at its next step.
+    fn deregister(&self, cell: &Cell<C>) {
+        let resting = {
+            let mut slot = cell.slot.lock();
+            match slot.phase {
+                Phase::Closed => return,
+                Phase::Parked { partial: true } => self.tele.parked_partials.dec(),
+                _ => {}
+            }
+            slot.phase = Phase::Closed;
+            slot.conn.take()
+        };
         let mut st = self.state.lock();
-        if st.conns.remove(&id).is_none() {
-            // Deregistered while busy (shutdown drained us): just drop.
-            return;
-        }
-        if !keep || self.stop.load(Ordering::Acquire) {
-            drop(st);
-            self.tele.open_conns.dec();
-            return;
-        }
-        let partial = conn.has_partial();
-        if partial {
-            self.tele.parked_partials.inc();
-        }
-        st.conns.insert(id, Slot::Parked { conn, partial });
-        st.ready.push_back(id);
+        st.conns.remove(&cell.id);
+        st.polled -= usize::from(cell.needs_poll);
         drop(st);
-        self.cv.notify_one();
+        self.tele.open_conns.dec();
+        // Outside every lock: a conn's Drop may fire its own wakeup
+        // hook, which locks the cell.
+        drop(resting);
     }
 }
 
-/// An event-driven connection multiplexer over a handler [`ThreadPool`].
+/// A run-to-completion connection scheduler over a handler
+/// [`ThreadPool`].
 pub struct Reactor<C: ReactorConn> {
     shared: Arc<Shared<C>>,
     thread: OrderedMutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl<C: ReactorConn> Reactor<C> {
-    /// Starts the event loop. `handlers` is the pool complete requests
-    /// are dispatched to (the dispatcher's existing `CxThread` pool); the
-    /// reactor itself adds exactly one thread.
+    /// Starts the reactor. `handlers` is the pool connections are pumped
+    /// and handled on (the dispatcher's existing `CxThread` pool); the
+    /// reactor itself adds exactly one thread, the `needs_poll` ticker.
     pub fn start(config: ReactorConfig, handlers: Arc<ThreadPool>) -> Arc<Reactor<C>> {
         let shared = Arc::new(Shared {
-            state: OrderedMutex::new("reactor.state", State {
-                conns: HashMap::new(),
-                ready: VecDeque::new(),
-            }),
+            // One line: wsd-lint reads the lock class off the constructor.
+            state: OrderedMutex::new("reactor.state", State { conns: HashMap::new(), polled: 0 }),
             cv: Condvar::new(),
             handlers,
             stop: AtomicBool::new(false),
@@ -208,7 +427,7 @@ impl<C: ReactorConn> Reactor<C> {
         let shared2 = Arc::clone(&shared);
         let thread = thread::Builder::new()
             .name(config.name)
-            .spawn(move || run(&shared2))
+            .spawn(move || tick(&shared2))
             .expect("reactor thread");
         Arc::new(Reactor {
             shared,
@@ -216,38 +435,46 @@ impl<C: ReactorConn> Reactor<C> {
         })
     }
 
-    /// Takes ownership of `conn`: installs the wakeup hook, parks it,
-    /// and schedules an initial pump (bytes may already be buffered).
+    /// Takes ownership of `conn`: installs the wakeup hook and queues
+    /// the connection's first job (bytes may already be buffered). May
+    /// block as [`ThreadPool::execute`] does.
     pub fn register(&self, mut conn: C) {
-        if self.shared.stop.load(Ordering::Acquire) {
-            return; // dropping conn closes it
-        }
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let weak = Arc::downgrade(&self.shared);
+        let shared = &self.shared;
+        let needs_poll = conn.needs_poll();
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+        // Born `Queued`, so a wake-up that fires before the first job is
+        // submitted below leaves it alone.
+        let cell = Arc::new(Cell {
+            id,
+            needs_poll,
+            slot: OrderedMutex::new("reactor.conn", Slot { phase: Phase::Queued, conn: None }),
+        });
+        let (weak, hook_cell) = (Arc::downgrade(shared), Arc::clone(&cell));
         conn.install_wakeup(Arc::new(move || {
             if let Some(shared) = weak.upgrade() {
                 shared.tele.wakeups.inc();
-                let mut st = shared.state.lock();
-                st.ready.push_back(id);
-                drop(st);
-                shared.cv.notify_one();
+                shared.schedule(&hook_cell);
             }
         }));
-        let mut st = self.shared.state.lock();
-        st.conns.insert(
-            id,
-            Slot::Parked {
-                conn,
-                partial: false,
-            },
-        );
-        st.ready.push_back(id);
-        drop(st);
-        self.shared.tele.open_conns.inc();
-        self.shared.cv.notify_one();
+        cell.slot.lock().conn = Some(conn);
+        shared.tele.open_conns.inc();
+        {
+            let mut st = shared.state.lock();
+            st.conns.insert(id, Arc::clone(&cell));
+            if needs_poll {
+                st.polled += 1;
+                shared.cv.notify_all();
+            }
+        }
+        // Read after the insert: `shutdown` sets `stop` before it
+        // collects the cells, so a cell it missed sees it here.
+        if shared.stop.load(Ordering::Acquire) {
+            return shared.deregister(&cell);
+        }
+        shared.submit(&cell);
     }
 
-    /// Connections currently registered (parked or in a handler).
+    /// Connections currently registered (parked or in a job).
     pub fn open_connections(&self) -> usize {
         self.shared.state.lock().conns.len()
     }
@@ -257,12 +484,17 @@ impl<C: ReactorConn> Reactor<C> {
         self.shared.tele.parked_partials.get().max(0) as usize
     }
 
-    /// Stops the loop, joins the reactor thread and drops every parked
-    /// connection (closing its transport). Connections checked out to
-    /// handlers are dropped when their handler returns; the caller is
-    /// responsible for shutting the handler pool down afterwards.
+    /// Stops the reactor, joins the ticker thread, deregisters every
+    /// connection and drops those at rest (closing their transports). A
+    /// connection inside `pump`/`handle` is dropped by its job when that
+    /// call returns; the caller is responsible for shutting the handler
+    /// pool down afterwards.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
+        // Passing through the lock puts the store before the ticker's
+        // next check of it, so the notify cannot fall between that check
+        // and its wait.
+        drop(self.shared.state.lock());
         self.shared.cv.notify_all();
         // Take the handle out first: joining while `reactor.thread` is
         // held would let a concurrent shutdown() block on the lock for
@@ -272,28 +504,10 @@ impl<C: ReactorConn> Reactor<C> {
         if let Some(h) = handle {
             let _ = h.join();
         }
-        // Collect parked conns under the lock but drop them outside it: a
-        // conn's Drop may fire its own wakeup hook, which locks the state.
-        let mut dropped: Vec<C> = Vec::new();
-        {
-            let mut st = self.shared.state.lock();
-            let ids: Vec<u64> = st.conns.keys().copied().collect();
-            for id in ids {
-                if matches!(st.conns.get(&id), Some(Slot::Parked { .. })) {
-                    if let Some(Slot::Parked { conn, partial }) = st.conns.remove(&id) {
-                        if partial {
-                            self.shared.tele.parked_partials.dec();
-                        }
-                        self.shared.tele.open_conns.dec();
-                        dropped.push(conn);
-                    }
-                }
-                // Busy: the handler's reinsert observes `stop` (or the
-                // removed entry) and finishes the bookkeeping.
-            }
-            st.ready.clear();
+        let cells: Vec<Arc<Cell<C>>> = self.shared.state.lock().conns.values().cloned().collect();
+        for cell in &cells {
+            self.shared.deregister(cell);
         }
-        drop(dropped);
     }
 }
 
@@ -311,88 +525,27 @@ impl<C: ReactorConn> std::fmt::Debug for Reactor<C> {
     }
 }
 
-fn run<C: ReactorConn>(shared: &Arc<Shared<C>>) {
+/// The ticker thread: schedules `needs_poll` connections every
+/// `poll_interval`, as their hook would if they had one.
+fn tick<C: ReactorConn>(shared: &Arc<Shared<C>>) {
     loop {
-        let mut st = shared.state.lock();
-        while st.ready.is_empty() {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
+        let due: Vec<Arc<Cell<C>>> = {
+            let mut st = shared.state.lock();
+            loop {
+                if shared.stop.load(Ordering::Acquire) {
+                    return;
+                }
+                if st.polled == 0 {
+                    st.wait(&shared.cv);
+                } else if st.wait_timeout(&shared.cv, shared.poll_interval) {
+                    break;
+                }
             }
-            let timed_out = st.wait_timeout(&shared.cv, shared.poll_interval);
-            if timed_out {
-                // Fallback tick: pump connections that cannot wake us.
-                let ids: Vec<u64> = st
-                    .conns
-                    .iter()
-                    .filter(|(_, slot)| matches!(slot, Slot::Parked { conn, .. } if conn.needs_poll()))
-                    .map(|(id, _)| *id)
-                    .collect();
-                st.ready.extend(ids);
-            }
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(id) = st.ready.pop_front() else {
-            drop(st);
-            continue;
+            st.conns.values().filter(|c| c.needs_poll).cloned().collect()
         };
-        let taken = match st.conns.get_mut(&id) {
-            Some(slot @ Slot::Parked { .. }) => match std::mem::replace(slot, Slot::Busy) {
-                Slot::Parked { conn, partial } => Some((conn, partial)),
-                Slot::Busy => unreachable!("matched Parked"),
-            },
-            // Busy (wakeup raced a handler — reinsert re-queues) or gone.
-            Some(Slot::Busy) | None => None,
-        };
-        drop(st);
-        let Some((mut conn, was_partial)) = taken else {
-            continue;
-        };
-        // wsd-lint: allow(raw-clock): loop_us measures the reactor's own real scheduling latency; routing it through a virtual clock would hide the thing it measures
-        let t0 = Instant::now();
-        let verdict = conn.pump();
-        match verdict {
-            Pump::Idle => {
-                let partial = conn.has_partial();
-                match (was_partial, partial) {
-                    // wsd-lint: allow(gauge-balance): parked_partials is cross-iteration connection state — the dec fires on a later pump or close of the same connection, not on this path
-                    (false, true) => shared.tele.parked_partials.inc(),
-                    (true, false) => shared.tele.parked_partials.dec(),
-                    _ => {}
-                }
-                shared
-                    .state
-                    .lock()
-                    .conns
-                    .insert(id, Slot::Parked { conn, partial });
-            }
-            Pump::Closed => {
-                shared.state.lock().conns.remove(&id);
-                if was_partial {
-                    shared.tele.parked_partials.dec();
-                }
-                shared.tele.open_conns.dec();
-                drop(conn);
-            }
-            Pump::Ready => {
-                if was_partial {
-                    shared.tele.parked_partials.dec();
-                }
-                shared.tele.dispatches.inc();
-                let shared2 = Arc::clone(shared);
-                let submitted = shared.handlers.execute(move || {
-                    let keep = conn.handle();
-                    shared2.reinsert(id, conn, keep);
-                });
-                if submitted.is_err() {
-                    // Pool shut down: the closure (and conn) were dropped.
-                    shared.state.lock().conns.remove(&id);
-                    shared.tele.open_conns.dec();
-                }
-            }
+        for cell in &due {
+            shared.schedule(cell);
         }
-        shared.tele.loop_us.record(t0.elapsed().as_micros() as u64);
     }
 }
 
@@ -648,5 +801,109 @@ mod tests {
         // Still exactly 2 handler threads + 1 reactor thread.
         assert_eq!(pool.worker_count(), 2);
         reactor.shutdown();
+    }
+
+    #[test]
+    fn always_ready_connections_take_turns_on_one_worker() {
+        /// `Ready` on every pump until told to close; logs every run.
+        struct Busy {
+            idx: usize,
+            log: Arc<Mutex<Vec<usize>>>,
+            close: Arc<AtomicBool>,
+        }
+        impl ReactorConn for Busy {
+            fn install_wakeup(&mut self, _hook: Wakeup) {}
+            fn pump(&mut self) -> Pump {
+                if self.close.load(Ordering::SeqCst) {
+                    Pump::Closed
+                } else {
+                    Pump::Ready
+                }
+            }
+            fn handle(&mut self) -> bool {
+                self.log.lock().push(self.idx);
+                true
+            }
+        }
+        const CONNS: usize = 8;
+        const ROUNDS: usize = 16;
+        let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
+        let reactor = Reactor::start(ReactorConfig::new("fair"), Arc::clone(&pool));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let close = Arc::new(AtomicBool::new(false));
+        // Hold the only worker until every connection's job is queued,
+        // so the queue order is the registration order.
+        let held = crate::CountDownLatch::new(1);
+        let release = held.clone();
+        pool.execute(move || release.wait()).unwrap();
+        for idx in 0..CONNS {
+            reactor.register(Busy {
+                idx,
+                log: Arc::clone(&log),
+                close: Arc::clone(&close),
+            });
+        }
+        held.count_down();
+        assert!(wait_until(|| log.lock().len() >= CONNS * MAX_RUNS_PER_JOB * ROUNDS));
+        close.store(true, Ordering::SeqCst);
+        assert!(wait_until(|| reactor.open_connections() == 0));
+        reactor.shutdown();
+        // Each job does its bounded share and goes to the back of the
+        // queue: strict round-robin, MAX_RUNS_PER_JOB runs a turn.
+        let log = log.lock();
+        for (turn, runs) in log.chunks(MAX_RUNS_PER_JOB).take(CONNS * ROUNDS).enumerate() {
+            assert!(
+                runs.iter().all(|idx| *idx == turn % CONNS),
+                "turn {turn} belongs to connection {}: {runs:?}",
+                turn % CONNS
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_under_a_yielding_job_accounts_the_connection_once() {
+        /// Always `Ready`; holds the job inside the run it yields after.
+        struct Busy {
+            runs: usize,
+            entered: crate::CountDownLatch,
+            release: crate::CountDownLatch,
+        }
+        impl ReactorConn for Busy {
+            fn install_wakeup(&mut self, _hook: Wakeup) {}
+            fn pump(&mut self) -> Pump {
+                Pump::Ready
+            }
+            fn handle(&mut self) -> bool {
+                self.runs += 1;
+                if self.runs == MAX_RUNS_PER_JOB {
+                    self.entered.count_down();
+                    self.release.wait();
+                }
+                true
+            }
+        }
+        let reg = wsd_telemetry::Registry::new();
+        let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
+        let reactor = Reactor::start(
+            ReactorConfig::new("yield").telemetry(reg.scope("r")),
+            Arc::clone(&pool),
+        );
+        let (entered, release) = (crate::CountDownLatch::new(1), crate::CountDownLatch::new(1));
+        reactor.register(Busy {
+            runs: 0,
+            entered: entered.clone(),
+            release: release.clone(),
+        });
+        entered.wait();
+        // Closes the cell under the job; the job must not put the
+        // connection back into it when it comes to yield.
+        reactor.shutdown();
+        release.count_down();
+        pool.shutdown();
+        assert_eq!(reactor.open_connections(), 0);
+        match reg.snapshot().get("r.open_conns") {
+            Some(wsd_telemetry::MetricValue::Gauge { value, .. }) => assert_eq!(*value, 0),
+            other => panic!("expected gauge, got {other:?}"),
+        }
     }
 }

@@ -1,15 +1,16 @@
 //! Glue between the generic [`Reactor`] and the HTTP layer: accepted
 //! streams become [`ServedConn`]s that pump bytes through an incremental
-//! [`RequestParser`] and hand complete requests to the server's handler
-//! on the reactor's pool — the whole run of pipelined requests already
-//! parsed at once, so a handler with a per-batch cost (the durable
-//! mailbox's fsync) pays it once per run, not once per request.
+//! [`RequestParser`] and hand complete requests to the server's handler,
+//! both on the reactor's pool — the whole run of pipelined requests
+//! already parsed at once, so a handler with a per-batch cost (the
+//! durable mailbox's fsync) pays it once per run, not once per request.
 //!
 //! This is the piece that removes the paper's thread-per-connection
 //! bottleneck in the threaded runtime: a dispatcher's `CxThread` pool is
-//! no longer pinned one-thread-per-socket — it only runs handlers for
-//! connections with a complete request buffered, while thousands of idle
-//! keep-alive connections cost a parser buffer each and nothing else.
+//! no longer pinned one-thread-per-socket — a connection occupies a
+//! worker only from the wake-up that finds it parked until it has read,
+//! answered and gone idle again, while thousands of idle keep-alive
+//! connections cost a parser buffer each and nothing else.
 
 use std::sync::Arc;
 
@@ -56,13 +57,20 @@ fn one_by_one(handler: RequestHandler) -> BatchHandler {
 }
 
 /// One multiplexed server-side connection: readiness-driven reads, an
-/// incremental parser, and blocking response writes on the handler pool.
+/// incremental parser, and blocking response writes, all on the handler
+/// pool in the one job that owns the connection at a time.
 pub struct ServedConn<S: ReadyStream> {
     stream: S,
     parser: RequestParser,
     pending: Vec<Request>,
     handler: BatchHandler,
-    eof: bool,
+    /// Serialised responses of the run being answered; kept so a
+    /// connection allocates it once, not once per run.
+    wire: Vec<u8>,
+    /// No further request will be read: the peer hung up, or a framing
+    /// error lost the stream's message boundaries. What is already in
+    /// `pending` is still answered; then the connection closes.
+    done: bool,
 }
 
 impl<S: ReadyStream> ServedConn<S> {
@@ -73,7 +81,8 @@ impl<S: ReadyStream> ServedConn<S> {
             parser: RequestParser::new(limits),
             pending: Vec::new(),
             handler,
-            eof: false,
+            wire: Vec::new(),
+            done: false,
         }
     }
 }
@@ -89,30 +98,20 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
 
     fn pump(&mut self) -> Pump {
         let mut chunk = [0u8; 4096];
-        loop {
+        while !self.done {
             match self.stream.try_read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
+                Ok(0) => self.done = true,
                 Ok(n) => {
-                    // A parse error loses framing: drop the connection,
-                    // exactly as the blocking serve loop does.
-                    match self.parser.feed(&chunk[..n]) {
-                        Ok(Some(req)) => {
-                            self.pending.push(req);
-                            // Drain pipelined surplus already buffered.
-                            loop {
-                                match self.parser.poll() {
-                                    Ok(Some(req)) => self.pending.push(req),
-                                    Ok(None) => break,
-                                    Err(_) => return Pump::Closed,
-                                }
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(_) => return Pump::Closed,
+                    let mut parsed = self.parser.feed(&chunk[..n]);
+                    // Drain pipelined surplus already buffered.
+                    while let Ok(Some(req)) = parsed {
+                        self.pending.push(req);
+                        parsed = self.parser.poll();
                     }
+                    // A framing error ends the run like `Connection:
+                    // close` does, exactly as in the blocking serve
+                    // loop: the requests parsed before it are answered.
+                    self.done = parsed.is_err();
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(_) => return Pump::Closed,
@@ -120,7 +119,7 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
         }
         if !self.pending.is_empty() {
             Pump::Ready
-        } else if self.eof {
+        } else if self.done {
             Pump::Closed
         } else {
             Pump::Idle
@@ -130,7 +129,7 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
     fn handle(&mut self) -> bool {
         let mut run = std::mem::take(&mut self.pending);
         if run.is_empty() {
-            return !self.eof;
+            return !self.done;
         }
         // A request that asks to close ends the run and the connection.
         let closing = run.iter().position(|req| !req.keep_alive());
@@ -139,17 +138,17 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
         }
         let asked = run.len();
         let responses = (self.handler)(run);
-        let mut wire = Vec::new();
+        self.wire.clear();
         for resp in &responses {
-            response_bytes_into(&mut wire, resp);
+            response_bytes_into(&mut self.wire, resp);
         }
-        if self.stream.write_all(&wire).and_then(|()| self.stream.flush()).is_err() {
+        if self.stream.write_all(&self.wire).and_then(|()| self.stream.flush()).is_err() {
             return false;
         }
         let keep = closing.is_none()
             && responses.len() == asked
             && responses.iter().all(Response::keep_alive);
-        keep && !self.eof
+        keep && !self.done
     }
 
     fn has_partial(&self) -> bool {
@@ -168,10 +167,10 @@ pub struct ReactorFrontEnd {
 }
 
 impl ReactorFrontEnd {
-    /// Starts the event loop. `handlers` is the pool complete requests
-    /// run on (the dispatcher's `CxThread` pool). Telemetry lands under
-    /// `scope`: `open_conns`/`parked_partials` gauges, a `loop_us`
-    /// histogram, `dispatches`/`wakeups` counters.
+    /// Starts the reactor. `handlers` is the pool connections are read
+    /// and their requests run on (the dispatcher's `CxThread` pool).
+    /// Telemetry lands under `scope`: `open_conns`/`parked_partials`
+    /// gauges, a `loop_us` histogram, `dispatches`/`wakeups` counters.
     pub fn start(name: impl Into<String>, handlers: Arc<ThreadPool>, scope: &Scope) -> Self {
         let config = ReactorConfig::new(name).telemetry(scope.clone());
         ReactorFrontEnd {
@@ -191,7 +190,7 @@ impl ReactorFrontEnd {
         self.reactor.register(ServedConn::new(stream, limits, handler));
     }
 
-    /// Connections currently registered (parked or in a handler).
+    /// Connections currently registered (parked or in a job).
     pub fn open_connections(&self) -> usize {
         self.reactor.open_connections()
     }
@@ -201,8 +200,8 @@ impl ReactorFrontEnd {
         self.reactor.parked_partials()
     }
 
-    /// Stops the loop and drops every parked connection. Call before the
-    /// handler pool's own shutdown so checked-out connections can drain.
+    /// Stops the reactor and drops every connection at rest. Call before
+    /// the handler pool's own shutdown so running connections can drain.
     pub fn shutdown(&self) {
         self.reactor.shutdown();
     }
@@ -427,6 +426,138 @@ mod tests {
         client.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
         assert!(wait_until(|| fe.open_connections() == 0));
         fe.shutdown();
+    }
+
+    /// Two valid pipelined requests, then a complete head that is not
+    /// HTTP.
+    fn framing_script() -> (Vec<u8>, [usize; 2]) {
+        let mut script = Vec::new();
+        let mut ends = [0; 2];
+        for (i, body) in ["m1", "m2"].iter().enumerate() {
+            let req = Request::soap_post("h", "/", "text/xml", body.as_bytes().to_vec());
+            wsd_http::request_bytes_into(&mut script, &req);
+            ends[i] = script.len();
+        }
+        script.extend_from_slice(b"GARBAGE NOT HTTP\r\nContent-Length: zz\r\n\r\n");
+        (script, ends)
+    }
+
+    /// Writes `script` in two pieces split at `at` — the second only once
+    /// the server has executed every request the first one completes —
+    /// then reads until the server closes. Returns the bodies the handler
+    /// saw, in order, and every byte that came back.
+    fn play_split(
+        serve: impl FnOnce(PipeStream, RequestHandler),
+        script: &[u8],
+        request_ends: &[usize],
+        at: usize,
+    ) -> (Vec<Vec<u8>>, Vec<u8>) {
+        let calls = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let handler: RequestHandler = {
+            let calls = Arc::clone(&calls);
+            Arc::new(move |req: Request| {
+                calls.lock().push(req.body.to_vec());
+                Response::new(Status::OK, "text/xml", req.body)
+            })
+        };
+        let (mut client, server) = duplex(64 * 1024);
+        serve(server, handler);
+        client.write_all(&script[..at]).unwrap();
+        let complete = request_ends.iter().filter(|end| **end <= at).count();
+        assert!(wait_until(|| calls.lock().len() >= complete), "split {at}");
+        client.write_all(&script[at..]).unwrap();
+        let mut back = Vec::new();
+        std::io::Read::read_to_end(&mut client, &mut back).unwrap();
+        let calls = calls.lock().clone();
+        (calls, back)
+    }
+
+    #[test]
+    fn framing_error_behind_pipelined_requests_matches_the_blocking_loop() {
+        let reg = wsd_telemetry::Registry::new();
+        let (fe, pool) = front(&reg);
+        let (script, ends) = framing_script();
+        let mut expected = Vec::new();
+        for body in ["m1", "m2"] {
+            let resp = Response::new(Status::OK, "text/xml", body.as_bytes().to_vec());
+            response_bytes_into(&mut expected, &resp);
+        }
+        for at in 0..=script.len() {
+            let blocking = play_split(
+                |server, handler| {
+                    std::thread::spawn(move || {
+                        let served =
+                            wsd_http::serve_connection(server, &Limits::default(), |req| {
+                                handler(req)
+                            });
+                        assert!(served.is_err(), "the framing error is still reported");
+                    });
+                },
+                &script,
+                &ends,
+                at,
+            );
+            let reactor = play_split(
+                |server, handler| fe.serve(server, Limits::default(), handler),
+                &script,
+                &ends,
+                at,
+            );
+            // Both executed the parsed prefix, acknowledged it, and closed
+            // (`read_to_end` returned).
+            assert_eq!(blocking.0, [b"m1", b"m2"], "blocking, split {at}");
+            assert_eq!(blocking.1, expected, "blocking, split {at}");
+            assert_eq!(reactor, blocking, "split {at}");
+        }
+        assert!(wait_until(|| fe.open_connections() == 0));
+        fe.shutdown();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn sixty_four_connections_keep_order_on_two_workers() {
+        const CONNS: usize = 64;
+        const CLIENTS: usize = 8;
+        const EXCHANGES: usize = 500;
+        let reg = wsd_telemetry::Registry::new();
+        let pool = Arc::new(
+            ThreadPool::new(PoolConfig::fixed("handler", 2).telemetry(reg.scope("pool"))).unwrap(),
+        );
+        let fe = ReactorFrontEnd::start("reactor-test", Arc::clone(&pool), &reg.scope("fe"));
+        let mut clients = Vec::new();
+        for _ in 0..CONNS {
+            let (client, server) = duplex(64 * 1024);
+            fe.serve(server, Limits::default(), echo());
+            clients.push(HttpClient::new(client));
+        }
+        std::thread::scope(|s| {
+            for (t, mine) in clients.chunks_mut(CONNS / CLIENTS).enumerate() {
+                s.spawn(move || {
+                    let body = |c: usize, round: usize| format!("t{t}-c{c}-r{round}").into_bytes();
+                    for round in 0..EXCHANGES {
+                        for (c, client) in mine.iter_mut().enumerate() {
+                            let req = Request::soap_post("h", "/", "text/xml", body(c, round));
+                            client.send_only(&req).unwrap();
+                        }
+                        for (c, client) in mine.iter_mut().enumerate() {
+                            let resp = client.read_response().unwrap();
+                            assert_eq!(resp.body, body(c, round), "lost, duplicated or reordered");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(fe.open_connections(), CONNS);
+        assert_eq!(reg.snapshot().get("fe.open_conns").map(gauge_value), Some(CONNS as i64));
+        drop(clients);
+        assert!(wait_until(|| fe.open_connections() == 0));
+        fe.shutdown();
+        pool.shutdown();
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("fe.open_conns").map(gauge_value), Some(0));
+        assert_eq!(snap.get("fe.parked_partials").map(gauge_value), Some(0));
+        assert_eq!(snap.counter("fe.dispatches"), (CONNS * EXCHANGES) as u64);
+        assert!(snap.gauge_peak("pool.workers") <= 2);
     }
 
     fn gauge_value(m: &wsd_telemetry::MetricValue) -> i64 {

@@ -187,7 +187,7 @@ fn handle(
         }
     };
     registry.note_dispatched(&logical, &url);
-    let result = forward_once(net, &url.host, url.port, &fwd, response_timeout);
+    let result = forward_once(net, &url.host, url.port, fwd, response_timeout);
     registry.note_completed(&logical, &url);
     match result {
         Ok(mut resp) => {
@@ -215,7 +215,7 @@ fn forward_once(
     net: &Arc<Network>,
     host: &str,
     port: u16,
-    fwd: &Request,
+    mut fwd: Request,
     response_timeout: Duration,
 ) -> Result<Response, String> {
     let stream = net
@@ -225,9 +225,8 @@ fn forward_once(
     client
         .set_response_timeout(Some(response_timeout))
         .map_err(|e| e.to_string())?;
-    let mut one_shot = fwd.clone();
-    one_shot.headers.set("Connection", "close");
-    client.call(&one_shot).map_err(|e| e.to_string())
+    fwd.headers.set("Connection", "close");
+    client.call(&fwd).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * **thread-per-message** with the paper's ~50-thread budget collapses
 //!   as the client count crosses the budget;
 //! * the **pooled + reactor** redesign serves 1000 held-open clients on
-//!   one event-loop thread plus a fixed handler pool, flat.
+//!   a fixed handler pool plus the reactor's ticker thread, flat.
 //!
 //! Unlike fig4/5/6 this runs on real OS threads (`wsd_core::rt`), not
 //! the simulated network — the wall being reproduced *is* a native
@@ -38,7 +38,7 @@ pub struct ConnWallPoint {
     /// Whether the simulated `OutOfMemoryError` fired.
     pub crashed: bool,
     /// Peak concurrent service threads (budget leases in the
-    /// thread-per-message design; event loop + pool workers behind the
+    /// thread-per-message design; ticker + pool workers behind the
     /// reactor).
     pub peak_threads: usize,
     /// Deposits the service accepted before/despite the wall.

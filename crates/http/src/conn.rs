@@ -118,7 +118,8 @@ impl<S: Stream> HttpClient<S> {
 /// returns a response with `Connection: close`.
 ///
 /// Returns the number of exchanges served, or the error that ended the
-/// loop (a clean close between messages is `Ok`).
+/// loop (a clean close between messages is `Ok`). Responses to requests
+/// handled before a framing error are still written.
 pub fn serve_connection<S: Stream>(
     stream: S,
     limits: &Limits,
@@ -143,7 +144,16 @@ pub fn serve_connection<S: Stream>(
         let req = match reader.read_request(limits) {
             Ok(req) => req,
             Err(HttpError::Closed) => return Ok(served),
-            Err(e) => return Err(e),
+            Err(e) => {
+                // The flush above is skipped for a buffered head that is
+                // malformed. A framing error ends the run as `Connection:
+                // close` does: what was executed is acknowledged before
+                // the connection goes (best effort — the peer may be gone).
+                if reader.stream_mut().write_all(&pending).is_ok() {
+                    let _ = reader.stream_mut().flush();
+                }
+                return Err(e);
+            }
         };
         let client_keep_alive = req.keep_alive();
         let resp = handler(req);

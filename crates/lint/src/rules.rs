@@ -163,10 +163,11 @@ pub fn rule_hint(rule: &str) -> &'static str {
              a buffer the pool will hand to the next envelope"
         }
         "reactor-conn-accounting" => {
-            "a connection removed from the reactor's conns map must be \
-             re-inserted or have `open_conns` decremented on every \
-             non-panic path out — otherwise the gauge and the map drift \
-             and shutdown never drains"
+            "a job that takes a connection out of its cell must rest it \
+             there again or deregister it (conns map entry removed, \
+             `open_conns` decremented) on every non-panic path out — \
+             otherwise the gauge and the map drift and shutdown never \
+             drains"
         }
         "fleet-handoff-completion" => {
             "a claimed handoff must reach completion (a `complete` call \

@@ -517,9 +517,11 @@ pub fn builtin() -> Ruleset {
             },
             TypestateRule {
                 name: "reactor-conn-accounting",
-                doc: "A connection removed from the reactor's conns map is \
-                      re-inserted or has `open_conns` decremented on every \
-                      non-panic exit, keeping the map and gauge truthful."
+                doc: "A job that takes a connection out of its cell rests \
+                      it there again or deregisters it on every non-panic \
+                      exit, and a deregistration that removes the cell \
+                      from the conns map decrements `open_conns`, keeping \
+                      the map and gauge truthful."
                     .into(),
                 scopes: strs(&["crates/concurrent/src/reactor.rs"]),
                 track: "ambient".into(),
@@ -527,15 +529,16 @@ pub fn builtin() -> Ruleset {
                 accepting: strs(&["idle"]),
                 creates: vec![],
                 transitions: arcs(&[
+                    "idle => taken : start_running",
+                    "taken => idle : rest",
                     "idle => taken : conns.remove",
-                    "taken => idle : conns.insert",
                     "taken => idle : open_conns.dec",
                 ]),
                 errors: vec![],
-                exit_message: "`{fn}` can exit with a connection removed \
-                               from the conns map (state `{state}`) but \
-                               neither re-inserted nor accounted by an \
-                               `open_conns` decrement"
+                exit_message: "`{fn}` can exit with a connection taken out \
+                               of its cell or the conns map (state \
+                               `{state}`) but neither rested again nor \
+                               accounted by an `open_conns` decrement"
                     .into(),
             },
             TypestateRule {

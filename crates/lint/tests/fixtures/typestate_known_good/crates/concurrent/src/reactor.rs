@@ -1,26 +1,34 @@
-//! Known-good twin of the seeded reactor fixture: every exit either
-//! re-inserts the removed conn or decrements `open_conns` — including
-//! the branch-polarity shape (`.is_none()` early return) the real
-//! reactor uses.
+//! Known-good twin of the seeded reactor fixture: every exit of the job
+//! either rests the connection in its cell again or deregisters it —
+//! including the let-else shape (a cell closed while the job was
+//! queued: nothing was taken) the real reactor uses.
 
 impl Shared {
-    pub fn reinsert(&self, id: u64, keep: bool) {
-        let mut st = self.state.lock();
-        let conn = st.conns.remove(&id);
-        if keep {
-            st.conns.insert(id, conn);
-        } else {
-            self.open_conns.dec();
+    pub fn run(&self, cell: &Cell) {
+        let Some(mut conn) = cell.start_running() else {
+            return;
+        };
+        loop {
+            match conn.pump() {
+                Pump::Ready => {
+                    if !conn.handle() {
+                        break;
+                    }
+                }
+                Pump::Idle => {
+                    cell.slot.lock().rest(conn, Phase::Parked);
+                    return;
+                }
+                Pump::Closed => break,
+            }
         }
+        self.deregister(cell);
     }
 
-    /// When the remove misses, nothing was taken — the early return is
-    /// clean because the `.is_none()` branch reverts the transition.
-    pub fn reinsert_checked(&self, id: u64) {
+    fn deregister(&self, cell: &Cell) {
         let mut st = self.state.lock();
-        if st.conns.remove(&id).is_none() {
-            return;
-        }
+        st.conns.remove(&cell.id);
+        drop(st);
         self.open_conns.dec();
     }
 }

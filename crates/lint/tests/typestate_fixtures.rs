@@ -46,11 +46,12 @@ fn seeded_typestate_violations_are_all_caught_exactly() {
     assert!(scratch[0].excerpt.contains("`guard`"), "{scratch:#?}");
     assert!(scratch[0].excerpt.contains("take_out"), "{scratch:#?}");
 
-    // Reactor accounting: the !keep fall-through leaks the conn.
+    // Reactor accounting: the !keep exit drops the conn the job took
+    // out of its cell without deregistering it.
     let reactor = by_rule(&wa.findings, "reactor-conn-accounting");
     assert_eq!(reactor.len(), 1, "{:#?}", wa.findings);
     assert_eq!(reactor[0].file, "crates/concurrent/src/reactor.rs");
-    assert!(reactor[0].excerpt.contains("reinsert`"), "{reactor:#?}");
+    assert!(reactor[0].excerpt.contains("run`"), "{reactor:#?}");
 
     // Fleet handoff: claimed but never completed on the failure path.
     let fleet = by_rule(&wa.findings, "fleet-handoff-completion");

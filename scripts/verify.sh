@@ -47,6 +47,15 @@
 #                                      benchmark crate compiling or a workload
 #                                      reports `correct: false` (non-zero
 #                                      exit); also part of bench-gate
+#   scripts/verify.sh reactor-stress   the reactor's scheduling-protocol race
+#                                      tests (crates/concurrent/tests/
+#                                      reactor_races.rs) built once in release
+#                                      and run 200 times, every other run
+#                                      pinned to one CPU with `taskset -c 0` —
+#                                      a single core is what shakes out a lost
+#                                      wake-up (skipped with a notice where
+#                                      `taskset` is missing); the default mode
+#                                      runs 20 iterations of the same
 #   scripts/verify.sh durability-smoke the real-process WAL crash smoke alone
 #                                      (also part of the default mode): SIGKILL
 #                                      a durable-msgbox writer mid-deposit over
@@ -110,8 +119,42 @@ fi
 
 if [ "${1:-}" = "connscale-smoke" ]; then
     # 64 mostly-idle connections, both front ends; the bench binary
-    # asserts the reactor's peak thread count <= pool size + event loop.
+    # asserts the reactor's peak thread count <= pool size + ticker.
     CONNSCALE_SMOKE=1 cargo bench -p wsd-bench --bench connection_scaling
+fi
+
+# Lost wake-ups, double deregistrations and shutdown races in the
+# reactor are schedule-dependent: one pass under `cargo test` proves
+# little, so the race tests are repeated, half of the runs squeezed onto
+# one CPU where a preempted job and its waker interleave the most.
+if [ -z "${1:-}" ] || [ "${1:-}" = "reactor-stress" ]; then
+    if [ -z "${1:-}" ]; then runs=20; else runs=200; fi
+    races=$(cargo test --release -p wsd-concurrent --test reactor_races --no-run 2>&1 |
+        sed -n 's/.*Executable.*(\(.*reactor_races-[^)]*\)).*/\1/p')
+    if [ ! -x "$races" ]; then
+        echo "verify.sh: could not locate the reactor_races test binary" >&2
+        exit 1
+    fi
+    if command -v taskset >/dev/null 2>&1; then
+        pin="taskset -c 0"
+    else
+        pin=""
+        echo "verify.sh: NOTICE: taskset not found; reactor-stress runs unpinned only" >&2
+    fi
+    races_log=$(mktemp)
+    run=0
+    while [ "$run" -lt "$runs" ]; do
+        if [ $((run % 2)) -eq 1 ]; then prefix=$pin; else prefix=""; fi
+        if ! $prefix "$races" >"$races_log" 2>&1; then
+            cat "$races_log"
+            rm -f "$races_log"
+            echo "verify.sh: reactor-stress FAILED on run $run${prefix:+ ($prefix)}" >&2
+            exit 1
+        fi
+        run=$((run + 1))
+    done
+    rm -f "$races_log"
+    echo "reactor-stress PASS: $runs runs of reactor_races${pin:+, every other one under $pin}"
 fi
 
 # The fleet smoke runs in the default mode too: it is a few seconds of
