@@ -94,11 +94,10 @@ impl ThreadPerConnRig {
     }
 }
 
-/// The reactor shape: a fixed handler pool plus the reactor's ticker.
+/// The reactor shape: a fixed handler pool and no other thread.
 struct ReactorRig {
     clients: Vec<HttpClient<PipeStream>>,
     fe: ReactorFrontEnd,
-    pool: Arc<ThreadPool>,
     reg: wsd_telemetry::Registry,
 }
 
@@ -114,25 +113,24 @@ impl ReactorRig {
             )
             .expect("pool"),
         );
-        let fe = ReactorFrontEnd::start("connscale", Arc::clone(&pool), &scope.child("reactor"));
+        let fe = ReactorFrontEnd::start("connscale", pool, &scope.child("reactor"));
         let mut clients = Vec::with_capacity(n);
         for _ in 0..n {
             let (client, server) = duplex(PIPE_CAP);
             fe.serve(server, Limits::default(), echo_handler());
             clients.push(HttpClient::new(client));
         }
-        ReactorRig { clients, fe, pool, reg }
+        ReactorRig { clients, fe, reg }
     }
 
-    /// Ticker thread + peak pool workers.
+    /// Peak pool workers — the reactor has no thread of its own.
     fn peak_threads(&self) -> usize {
-        1 + self.reg.snapshot().gauge_peak("cs.pool.workers") as usize
+        self.reg.snapshot().gauge_peak("cs.pool.workers") as usize
     }
 
     fn close(self) {
         drop(self.clients);
         self.fe.shutdown();
-        self.pool.shutdown();
     }
 }
 
@@ -294,8 +292,8 @@ fn main() {
         if smoke {
             for s in &sweeps {
                 assert!(
-                    s.reactor_peak <= POOL_SIZE + 1,
-                    "reactor used {} threads at {} conns (pool size {POOL_SIZE} + 1 ticker)",
+                    s.reactor_peak <= POOL_SIZE,
+                    "reactor used {} threads at {} conns (pool size {POOL_SIZE})",
                     s.reactor_peak,
                     s.conns,
                 );
@@ -304,7 +302,7 @@ fn main() {
                     "thread-per-conn baseline should pin one thread per connection"
                 );
             }
-            println!("connscale-smoke PASS: reactor peak <= pool size + 1 ticker");
+            println!("connscale-smoke PASS: reactor peak <= pool size");
         }
     }
 }

@@ -40,4 +40,4 @@ pub use map::ShardedMap;
 pub use ordered::{OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 pub use pool::{PoolConfig, RejectionPolicy, TaskError, ThreadPool};
 pub use queue::{FifoQueue, PopError, PushError};
-pub use reactor::{Pump, Reactor, ReactorConfig, ReactorConn, Wakeup};
+pub use reactor::{Pump, Reactor, ReactorConn, Wakeup};

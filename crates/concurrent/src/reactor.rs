@@ -52,7 +52,9 @@
 //!
 //! The hot path takes the connection's own lock only. The global
 //! connection map is touched by `register`, deregistration,
-//! [`Reactor::open_connections`], the tick and [`Reactor::shutdown`].
+//! [`Reactor::open_connections`] and [`Reactor::shutdown`]. The reactor
+//! owns no thread of its own: every transport it serves delivers
+//! wake-ups, so nothing is ever polled.
 //!
 //! # The hook may block
 //!
@@ -63,15 +65,6 @@
 //! pipe gives a writer anyway. If the pool refuses the job (it was shut
 //! down), the hook deregisters the connection and drops it.
 //!
-//! # The ticker thread
-//!
-//! The reactor's one thread no longer relays anything. It exists for
-//! transports that cannot deliver wakeups
-//! ([`ReactorConn::needs_poll`]): every
-//! [`poll_interval`](ReactorConfig::poll_interval) it schedules each such
-//! connection exactly as a hook would, and it sleeps untimed while none
-//! is registered.
-//!
 //! Backpressure is structural: while a job is inside `handle` the
 //! connection is not read, so pipelined bytes accumulate in the
 //! transport's bounded buffer exactly like an unread TCP window; the
@@ -80,10 +73,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use parking_lot::Condvar;
 use wsd_telemetry::{Counter, Gauge, Histogram, Scope};
 
 use crate::ordered::OrderedMutex;
@@ -113,15 +104,9 @@ pub type Wakeup = Arc<dyn Fn() + Send + Sync>;
 /// A connection the reactor can multiplex.
 pub trait ReactorConn: Send + 'static {
     /// Installs the reactor's wakeup hook. Implementations wire it to
-    /// their transport's readiness notification (and may ignore it if
-    /// [`needs_poll`](Self::needs_poll) is `true`).
+    /// their transport's readiness notification: a connection is pumped
+    /// again only when the hook fires.
     fn install_wakeup(&mut self, hook: Wakeup);
-
-    /// Whether this connection cannot deliver wakeups and must be pumped
-    /// on the fallback tick. Asked once, at registration.
-    fn needs_poll(&self) -> bool {
-        false
-    }
 
     /// Ingests whatever bytes are ready *without blocking* and reports
     /// the connection's state. Runs on the handler pool, in the job
@@ -139,43 +124,6 @@ pub trait ReactorConn: Send + 'static {
     /// connection's buffer (slow sender / slow-loris telemetry).
     fn has_partial(&self) -> bool {
         false
-    }
-}
-
-/// Reactor construction parameters.
-pub struct ReactorConfig {
-    /// Ticker thread name.
-    pub name: String,
-    /// Tick on which connections without wakeup support
-    /// ([`ReactorConn::needs_poll`]) are scheduled; governs nothing else.
-    pub poll_interval: Duration,
-    /// Scope the reactor's instruments live under: `open_conns` and
-    /// `parked_partials` gauges, a `loop_us` histogram (one `pump`),
-    /// `dispatches` (one per `Ready` run) and `wakeups` (one per hook
-    /// firing) counters.
-    pub telemetry: Scope,
-}
-
-impl ReactorConfig {
-    /// Defaults: 10 ms fallback tick, no telemetry.
-    pub fn new(name: impl Into<String>) -> Self {
-        ReactorConfig {
-            name: name.into(),
-            poll_interval: Duration::from_millis(10),
-            telemetry: Scope::noop(),
-        }
-    }
-
-    /// Sets the fallback poll tick.
-    pub fn poll_interval(mut self, d: Duration) -> Self {
-        self.poll_interval = d;
-        self
-    }
-
-    /// Attaches a telemetry scope.
-    pub fn telemetry(mut self, scope: Scope) -> Self {
-        self.telemetry = scope;
-        self
     }
 }
 
@@ -225,7 +173,6 @@ struct Slot<C> {
 /// and the global map.
 struct Cell<C> {
     id: u64,
-    needs_poll: bool,
     slot: OrderedMutex<Slot<C>>,
 }
 
@@ -251,22 +198,12 @@ impl<C> Cell<C> {
     }
 }
 
-struct State<C> {
-    conns: HashMap<u64, Arc<Cell<C>>>,
-    /// Registered connections with `needs_poll`; the ticker sleeps
-    /// untimed while this is zero.
-    polled: usize,
-}
-
 struct Shared<C: ReactorConn> {
-    state: OrderedMutex<State<C>>,
-    /// Wakes the ticker for shutdown and for the first `needs_poll`
-    /// registration.
-    cv: Condvar,
+    /// Every registered connection's cell, by id.
+    conns: OrderedMutex<HashMap<u64, Arc<Cell<C>>>>,
     handlers: Arc<ThreadPool>,
     stop: AtomicBool,
     next_id: AtomicU64,
-    poll_interval: Duration,
     tele: ReactorTelemetry,
 }
 
@@ -391,10 +328,11 @@ impl<C: ReactorConn> Shared<C> {
             slot.phase = Phase::Closed;
             slot.conn.take()
         };
-        let mut st = self.state.lock();
-        st.conns.remove(&cell.id);
-        st.polled -= usize::from(cell.needs_poll);
-        drop(st);
+        // `conns.remove` then `open_conns.dec`: the pair wsd-lint's
+        // `reactor-conn-accounting` automaton follows.
+        let mut conns = self.conns.lock();
+        conns.remove(&cell.id);
+        drop(conns);
         self.tele.open_conns.dec();
         // Outside every lock: a conn's Drop may fire its own wakeup
         // hook, which locks the cell.
@@ -406,32 +344,24 @@ impl<C: ReactorConn> Shared<C> {
 /// [`ThreadPool`].
 pub struct Reactor<C: ReactorConn> {
     shared: Arc<Shared<C>>,
-    thread: OrderedMutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl<C: ReactorConn> Reactor<C> {
     /// Starts the reactor. `handlers` is the pool connections are pumped
     /// and handled on (the dispatcher's existing `CxThread` pool); the
-    /// reactor itself adds exactly one thread, the `needs_poll` ticker.
-    pub fn start(config: ReactorConfig, handlers: Arc<ThreadPool>) -> Arc<Reactor<C>> {
-        let shared = Arc::new(Shared {
-            // One line: wsd-lint reads the lock class off the constructor.
-            state: OrderedMutex::new("reactor.state", State { conns: HashMap::new(), polled: 0 }),
-            cv: Condvar::new(),
-            handlers,
-            stop: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
-            poll_interval: config.poll_interval,
-            tele: ReactorTelemetry::new(&config.telemetry),
-        });
-        let shared2 = Arc::clone(&shared);
-        let thread = thread::Builder::new()
-            .name(config.name)
-            .spawn(move || tick(&shared2))
-            .expect("reactor thread");
+    /// reactor adds no thread to it. Its instruments live under
+    /// `telemetry`: `open_conns` and `parked_partials` gauges, a
+    /// `loop_us` histogram (one `pump`), `dispatches` (one per `Ready`
+    /// run) and `wakeups` (one per hook firing) counters.
+    pub fn start(handlers: Arc<ThreadPool>, telemetry: &Scope) -> Arc<Reactor<C>> {
         Arc::new(Reactor {
-            shared,
-            thread: OrderedMutex::new("reactor.thread", Some(thread)),
+            shared: Arc::new(Shared {
+                conns: OrderedMutex::new("reactor.state", HashMap::new()),
+                handlers,
+                stop: AtomicBool::new(false),
+                next_id: AtomicU64::new(0),
+                tele: ReactorTelemetry::new(telemetry),
+            }),
         })
     }
 
@@ -440,13 +370,11 @@ impl<C: ReactorConn> Reactor<C> {
     /// block as [`ThreadPool::execute`] does.
     pub fn register(&self, mut conn: C) {
         let shared = &self.shared;
-        let needs_poll = conn.needs_poll();
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         // Born `Queued`, so a wake-up that fires before the first job is
         // submitted below leaves it alone.
         let cell = Arc::new(Cell {
             id,
-            needs_poll,
             slot: OrderedMutex::new("reactor.conn", Slot { phase: Phase::Queued, conn: None }),
         });
         let (weak, hook_cell) = (Arc::downgrade(shared), Arc::clone(&cell));
@@ -458,14 +386,7 @@ impl<C: ReactorConn> Reactor<C> {
         }));
         cell.slot.lock().conn = Some(conn);
         shared.tele.open_conns.inc();
-        {
-            let mut st = shared.state.lock();
-            st.conns.insert(id, Arc::clone(&cell));
-            if needs_poll {
-                st.polled += 1;
-                shared.cv.notify_all();
-            }
-        }
+        shared.conns.lock().insert(id, Arc::clone(&cell));
         // Read after the insert: `shutdown` sets `stop` before it
         // collects the cells, so a cell it missed sees it here.
         if shared.stop.load(Ordering::Acquire) {
@@ -476,7 +397,7 @@ impl<C: ReactorConn> Reactor<C> {
 
     /// Connections currently registered (parked or in a job).
     pub fn open_connections(&self) -> usize {
-        self.shared.state.lock().conns.len()
+        self.shared.conns.lock().len()
     }
 
     /// Parked connections holding a partial request.
@@ -484,27 +405,14 @@ impl<C: ReactorConn> Reactor<C> {
         self.shared.tele.parked_partials.get().max(0) as usize
     }
 
-    /// Stops the reactor, joins the ticker thread, deregisters every
-    /// connection and drops those at rest (closing their transports). A
-    /// connection inside `pump`/`handle` is dropped by its job when that
-    /// call returns; the caller is responsible for shutting the handler
-    /// pool down afterwards.
+    /// Stops the reactor, deregisters every connection and drops those
+    /// at rest (closing their transports). A connection inside
+    /// `pump`/`handle` is dropped by its job when that call returns; the
+    /// caller is responsible for shutting the handler pool down
+    /// afterwards.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
-        // Passing through the lock puts the store before the ticker's
-        // next check of it, so the notify cannot fall between that check
-        // and its wait.
-        drop(self.shared.state.lock());
-        self.shared.cv.notify_all();
-        // Take the handle out first: joining while `reactor.thread` is
-        // held would let a concurrent shutdown() block on the lock for
-        // the whole join (and the if-let scrutinee temporary holds the
-        // guard through the block).
-        let handle = self.thread.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        let cells: Vec<Arc<Cell<C>>> = self.shared.state.lock().conns.values().cloned().collect();
+        let cells: Vec<Arc<Cell<C>>> = self.shared.conns.lock().values().cloned().collect();
         for cell in &cells {
             self.shared.deregister(cell);
         }
@@ -522,30 +430,6 @@ impl<C: ReactorConn> std::fmt::Debug for Reactor<C> {
         f.debug_struct("Reactor")
             .field("open", &self.open_connections())
             .finish()
-    }
-}
-
-/// The ticker thread: schedules `needs_poll` connections every
-/// `poll_interval`, as their hook would if they had one.
-fn tick<C: ReactorConn>(shared: &Arc<Shared<C>>) {
-    loop {
-        let due: Vec<Arc<Cell<C>>> = {
-            let mut st = shared.state.lock();
-            loop {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if st.polled == 0 {
-                    st.wait(&shared.cv);
-                } else if st.wait_timeout(&shared.cv, shared.poll_interval) {
-                    break;
-                }
-            }
-            st.conns.values().filter(|c| c.needs_poll).cloned().collect()
-        };
-        for cell in &due {
-            shared.schedule(cell);
-        }
     }
 }
 
@@ -627,9 +511,10 @@ mod tests {
         }
     }
 
-    fn rig() -> (Arc<ThreadPool>, ReactorConfig) {
+    fn rig() -> (Arc<ThreadPool>, Arc<Reactor<FakeConn>>) {
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 2)).unwrap());
-        (pool, ReactorConfig::new("reactor-test"))
+        let reactor = Reactor::start(Arc::clone(&pool), &Scope::noop());
+        (pool, reactor)
     }
 
     fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
@@ -637,15 +522,14 @@ mod tests {
             if cond() {
                 return true;
             }
-            thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
         false
     }
 
     #[test]
     fn dispatches_ready_connections_to_handlers() {
-        let (pool, cfg) = rig();
-        let reactor = Reactor::start(cfg, Arc::clone(&pool));
+        let (_pool, reactor) = rig();
         let conn = FakeShared::new();
         reactor.register(FakeConn {
             shared: Arc::clone(&conn),
@@ -662,8 +546,7 @@ mod tests {
 
     #[test]
     fn peer_close_deregisters() {
-        let (pool, cfg) = rig();
-        let reactor = Reactor::start(cfg, Arc::clone(&pool));
+        let (_pool, reactor) = rig();
         let conn = FakeShared::new();
         reactor.register(FakeConn {
             shared: Arc::clone(&conn),
@@ -675,8 +558,7 @@ mod tests {
 
     #[test]
     fn handler_requested_close_deregisters() {
-        let (pool, cfg) = rig();
-        let reactor = Reactor::start(cfg, Arc::clone(&pool));
+        let (_pool, reactor) = rig();
         let conn = FakeShared::new();
         conn.keep.store(false, Ordering::SeqCst);
         reactor.register(FakeConn {
@@ -692,10 +574,7 @@ mod tests {
     fn partial_gauge_tracks_parked_partials() {
         let reg = wsd_telemetry::Registry::new();
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 2)).unwrap());
-        let reactor = Reactor::start(
-            ReactorConfig::new("reactor-test").telemetry(reg.scope("r")),
-            Arc::clone(&pool),
-        );
+        let reactor = Reactor::start(Arc::clone(&pool), &reg.scope("r"));
         let conn = FakeShared::new();
         reactor.register(FakeConn {
             shared: Arc::clone(&conn),
@@ -718,47 +597,8 @@ mod tests {
     }
 
     #[test]
-    fn needs_poll_connections_are_ticked() {
-        struct PollConn {
-            shared: Arc<FakeShared>,
-        }
-        impl ReactorConn for PollConn {
-            fn install_wakeup(&mut self, _hook: Wakeup) {} // unsupported
-            fn needs_poll(&self) -> bool {
-                true
-            }
-            fn pump(&mut self) -> Pump {
-                if self.shared.pending.load(Ordering::SeqCst) > 0 {
-                    Pump::Ready
-                } else {
-                    Pump::Idle
-                }
-            }
-            fn handle(&mut self) -> bool {
-                let n = self.shared.pending.swap(0, Ordering::SeqCst);
-                self.shared.handled.fetch_add(n, Ordering::SeqCst);
-                true
-            }
-        }
-        let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
-        let reactor = Reactor::start(
-            ReactorConfig::new("tick").poll_interval(Duration::from_millis(2)),
-            Arc::clone(&pool),
-        );
-        let conn = FakeShared::new();
-        reactor.register(PollConn {
-            shared: Arc::clone(&conn),
-        });
-        // No wakeup is ever delivered; only the tick can find this.
-        conn.pending.store(4, Ordering::SeqCst);
-        assert!(wait_until(|| conn.handled.load(Ordering::SeqCst) == 4));
-        reactor.shutdown();
-    }
-
-    #[test]
     fn shutdown_drops_parked_connections() {
-        let (pool, cfg) = rig();
-        let reactor = Reactor::start(cfg, Arc::clone(&pool));
+        let (pool, reactor) = rig();
         for _ in 0..8 {
             reactor.register(FakeConn {
                 shared: FakeShared::new(),
@@ -772,8 +612,7 @@ mod tests {
 
     #[test]
     fn register_after_shutdown_drops_connection() {
-        let (pool, cfg) = rig();
-        let reactor = Reactor::start(cfg, Arc::clone(&pool));
+        let (_pool, reactor) = rig();
         reactor.shutdown();
         reactor.register(FakeConn {
             shared: FakeShared::new(),
@@ -784,7 +623,7 @@ mod tests {
     #[test]
     fn many_connections_few_handler_threads() {
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 2)).unwrap());
-        let reactor = Reactor::start(ReactorConfig::new("many"), Arc::clone(&pool));
+        let reactor = Reactor::start(Arc::clone(&pool), &Scope::noop());
         let conns: Vec<Arc<FakeShared>> = (0..64).map(|_| FakeShared::new()).collect();
         for c in &conns {
             reactor.register(FakeConn {
@@ -798,7 +637,7 @@ mod tests {
             .iter()
             .all(|c| c.handled.load(Ordering::SeqCst) == 1)));
         assert_eq!(reactor.open_connections(), 64);
-        // Still exactly 2 handler threads + 1 reactor thread.
+        // Still exactly 2 handler threads.
         assert_eq!(pool.worker_count(), 2);
         reactor.shutdown();
     }
@@ -828,7 +667,7 @@ mod tests {
         const CONNS: usize = 8;
         const ROUNDS: usize = 16;
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
-        let reactor = Reactor::start(ReactorConfig::new("fair"), Arc::clone(&pool));
+        let reactor = Reactor::start(Arc::clone(&pool), &Scope::noop());
         let log = Arc::new(Mutex::new(Vec::new()));
         let close = Arc::new(AtomicBool::new(false));
         // Hold the only worker until every connection's job is queued,
@@ -884,10 +723,7 @@ mod tests {
         }
         let reg = wsd_telemetry::Registry::new();
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
-        let reactor = Reactor::start(
-            ReactorConfig::new("yield").telemetry(reg.scope("r")),
-            Arc::clone(&pool),
-        );
+        let reactor = Reactor::start(Arc::clone(&pool), &reg.scope("r"));
         let (entered, release) = (crate::CountDownLatch::new(1), crate::CountDownLatch::new(1));
         reactor.register(Busy {
             runs: 0,

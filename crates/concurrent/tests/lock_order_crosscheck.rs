@@ -19,29 +19,23 @@ use std::time::Duration;
 
 use wsd_concurrent::ordered::audit;
 use wsd_concurrent::{
-    CountDownLatch, FifoQueue, OrderedMutex, PoolConfig, Pump, Reactor, ReactorConfig,
-    ReactorConn, ShardedMap, ThreadPool, Wakeup,
+    CountDownLatch, FifoQueue, OrderedMutex, PoolConfig, Pump, Reactor, ReactorConn, ShardedMap,
+    ThreadPool, Wakeup,
 };
 
 /// Idle until its one request arrives, serves it, then reports the
-/// peer gone. With `polled` only the ticker can find the request,
-/// without only the wake-up hook — between them every reactor path that
-/// takes a lock runs (register, hook, tick, job start, park, deregister,
-/// shutdown).
+/// peer gone — with the one left parked for `shutdown`, every reactor
+/// path that takes a lock runs (register, hook, job start, park,
+/// deregister, shutdown).
 struct OneShotConn {
     arrived: Arc<AtomicUsize>,
     served: Arc<AtomicUsize>,
-    polled: bool,
     hook: Arc<parking_lot::Mutex<Option<Wakeup>>>,
 }
 
 impl ReactorConn for OneShotConn {
     fn install_wakeup(&mut self, hook: Wakeup) {
         *self.hook.lock() = Some(hook);
-    }
-
-    fn needs_poll(&self) -> bool {
-        self.polled
     }
 
     fn pump(&mut self) -> Pump {
@@ -94,35 +88,26 @@ fn exercise_everything() {
         map.insert(i, i * 2);
     }
 
-    // Reactor: per-connection cells (reactor.conn), the connection map
-    // (reactor.state) and the ticker's lifecycle (reactor.thread).
-    let reactor = Reactor::start(
-        ReactorConfig::new("xcheck-reactor").poll_interval(Duration::from_millis(1)),
-        Arc::clone(&pool),
-    );
-    for polled in [true, false] {
-        let (arrived, served) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-        let hook = Arc::new(parking_lot::Mutex::new(None));
-        reactor.register(OneShotConn {
-            arrived: Arc::clone(&arrived),
-            served: Arc::clone(&served),
-            polled,
-            hook: Arc::clone(&hook),
-        });
-        arrived.store(1, Ordering::SeqCst);
-        if !polled {
-            // As a transport calls it: outside its own lock.
-            let fire = hook.lock().clone().expect("hook installed");
-            fire();
-        }
-        wait_for("request never served", || served.load(Ordering::SeqCst) == 1);
-        wait_for("served connection never deregistered", || reactor.open_connections() == 0);
-    }
+    // Reactor: per-connection cells (reactor.conn) and the connection
+    // map (reactor.state).
+    let reactor = Reactor::start(Arc::clone(&pool), &wsd_telemetry::Scope::noop());
+    let (arrived, served) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let hook = Arc::new(parking_lot::Mutex::new(None));
+    reactor.register(OneShotConn {
+        arrived: Arc::clone(&arrived),
+        served: Arc::clone(&served),
+        hook: Arc::clone(&hook),
+    });
+    arrived.store(1, Ordering::SeqCst);
+    // As a transport calls it: outside its own lock.
+    let fire = hook.lock().clone().expect("hook installed");
+    fire();
+    wait_for("request never served", || served.load(Ordering::SeqCst) == 1);
+    wait_for("served connection never deregistered", || reactor.open_connections() == 0);
     // One more, left parked for `shutdown` to drop.
     reactor.register(OneShotConn {
         arrived: Arc::default(),
         served: Arc::default(),
-        polled: false,
         hook: Arc::default(),
     });
     reactor.shutdown();
@@ -170,7 +155,7 @@ fn dynamic_edges_are_a_subset_of_the_static_prediction() {
     // (the hook submits to the pool after releasing its cell, `shutdown`
     // collects the cells before it visits them), so neither graph has a
     // reactor edge.
-    for class in ["reactor.state", "reactor.conn", "reactor.thread"] {
+    for class in ["reactor.state", "reactor.conn"] {
         assert!(static_classes.contains(class), "{class} missing from {static_classes:?}");
         assert!(
             !dynamic.iter().any(|(from, _)| *from == class),

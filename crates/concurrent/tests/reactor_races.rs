@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use wsd_concurrent::{
-    CountDownLatch, PoolConfig, Pump, Reactor, ReactorConfig, ReactorConn, ThreadPool, Wakeup,
+    CountDownLatch, PoolConfig, Pump, Reactor, ReactorConn, ThreadPool, Wakeup,
 };
 use wsd_telemetry::{MetricValue, Registry};
 
@@ -118,10 +118,7 @@ impl Rig {
     fn new(workers: usize) -> Rig {
         let reg = Registry::new();
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", workers)).unwrap());
-        let reactor = Reactor::start(
-            ReactorConfig::new("races").telemetry(reg.scope("r")),
-            Arc::clone(&pool),
-        );
+        let reactor = Reactor::start(Arc::clone(&pool), &reg.scope("r"));
         Rig { reg, pool, reactor }
     }
 
@@ -316,55 +313,6 @@ fn shutdown_under_busy_connections_accounts_each_once() {
     }
 }
 
-/// A scripted connection that cannot deliver wake-ups.
-struct PolledConn(ScriptConn);
-
-impl ReactorConn for PolledConn {
-    fn install_wakeup(&mut self, _hook: Wakeup) {}
-
-    fn needs_poll(&self) -> bool {
-        true
-    }
-
-    fn pump(&mut self) -> Pump {
-        self.0.pump()
-    }
-
-    fn handle(&mut self) -> bool {
-        self.0.handle()
-    }
-}
-
-#[test]
-fn polled_connections_are_served_by_the_tick_and_nothing_else() {
-    let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
-    // A tick that never comes: after its first pump the connection is
-    // left alone, whatever arrives.
-    let never = Reactor::start(
-        ReactorConfig::new("never").poll_interval(Duration::from_secs(3600)),
-        Arc::clone(&pool),
-    );
-    let quiet = Arc::new(Script::default());
-    never.register(PolledConn(ScriptConn(Arc::clone(&quiet))));
-    assert!(wait_until(|| quiet.pumps.load(Ordering::SeqCst) == 1));
-    quiet.pending.store(4, Ordering::SeqCst);
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(quiet.pumps.load(Ordering::SeqCst), 1);
-    assert_eq!(quiet.handled(), 0);
-    never.shutdown(); // also: the untimed-out ticker still hears this
-    assert_eq!(never.open_connections(), 0);
-
-    let ticking = Reactor::start(
-        ReactorConfig::new("tick").poll_interval(Duration::from_millis(2)),
-        Arc::clone(&pool),
-    );
-    let polled = Arc::new(Script::default());
-    ticking.register(PolledConn(ScriptConn(Arc::clone(&polled))));
-    polled.pending.store(4, Ordering::SeqCst);
-    assert!(wait_until(|| polled.handled() == 4));
-    ticking.shutdown();
-}
-
 /// A request/response transport in miniature: the client pushes request
 /// ids and fires the hook; `handle` answers each id in order.
 #[derive(Default)]
@@ -407,7 +355,7 @@ fn closed_loop_clients_never_strand_a_request() {
     const CLIENTS: usize = 4;
     const EXCHANGES: u32 = 400;
     let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 2)).unwrap());
-    let reactor = Reactor::start(ReactorConfig::new("closed-loop"), Arc::clone(&pool));
+    let reactor = Reactor::start(Arc::clone(&pool), &wsd_telemetry::Scope::noop());
     let wires: Vec<Arc<Wire>> = (0..CONNS).map(|_| Arc::new(Wire::default())).collect();
     for wire in &wires {
         reactor.register(WireConn {

@@ -4,20 +4,6 @@ use std::time::Duration;
 
 use wsd_http::Limits;
 
-/// How a server turns accepted connections into handled requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnFrontEnd {
-    /// One pool thread blocks in the serve loop per connection for its
-    /// whole lifetime — the paper's architecture, which caps fan-in at
-    /// the pool/thread ceiling (§4.3.2's `OutOfMemoryError`).
-    ThreadPerConn,
-    /// A reactor owns all connections and dispatches only complete
-    /// requests to the pool; thread count scales with in-flight requests,
-    /// not open sockets.
-    #[default]
-    Reactor,
-}
-
 /// MSG-Dispatcher tuning (paper §4.2: "the sizes of the pools are
 /// configurable").
 #[derive(Debug, Clone)]
@@ -47,8 +33,6 @@ pub struct DispatcherConfig {
     /// How long a route-table entry (forwarded request awaiting its
     /// reply) survives before being dropped.
     pub route_ttl: Duration,
-    /// Connection-handling architecture for the accept side.
-    pub front_end: ConnFrontEnd,
     /// HTTP parser limits applied to every accepted connection.
     pub limits: Limits,
 }
@@ -66,7 +50,6 @@ impl Default for DispatcherConfig {
             connect_timeout: Duration::from_secs(3),
             response_timeout: Duration::from_secs(30),
             route_ttl: Duration::from_secs(300),
-            front_end: ConnFrontEnd::default(),
             limits: Limits::default(),
         }
     }

@@ -26,7 +26,7 @@ pub use echo_server::EchoServer;
 pub use fleet::{FleetDeployment, FleetMember};
 pub use msg_server::MsgDispatcherServer;
 pub use msgbox_server::MsgBoxServer;
-pub use reactor_front::{BatchHandler, ReactorFrontEnd, RequestHandler, ServedConn};
+pub use reactor_front::{one_by_one, BatchHandler, ReactorFrontEnd, RequestHandler, ServedConn};
 pub use registry_server::RegistryServer;
 pub use rpc_server::RpcDispatcherServer;
 

@@ -9,13 +9,13 @@ use parking_lot::{Condvar, Mutex};
 use wsd_concurrent::{
     FifoQueue, OrderedMutex, PoolConfig, RejectionPolicy, ShardedMap, ThreadPool,
 };
-use wsd_http::{serve_connection, HttpClient, Request, Response, Status};
+use wsd_http::{HttpClient, Request, Response, Status};
 use wsd_soap::{Envelope, SoapVersion};
 use wsd_telemetry::{Counter, Scope};
 
-use crate::config::{ConnFrontEnd, DispatcherConfig};
+use crate::config::DispatcherConfig;
 use crate::msg::{MsgCore, RoutedMeta};
-use crate::rt::{now_us, Network, ReactorFrontEnd};
+use crate::rt::{now_us, one_by_one, Network, ReactorFrontEnd};
 use crate::url::Url;
 
 /// Stop signal for the route-table janitor: a flag under a mutex plus a
@@ -111,16 +111,13 @@ pub struct MsgDispatcherServer {
     core: Arc<MsgCore>,
     janitor: Arc<JanitorSignal>,
     janitor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    front: Option<ReactorFrontEnd>,
-    cx_pool: Arc<ThreadPool>,
+    /// Accept side: listener, connections and the `CxThread` pool.
+    front: ReactorFrontEnd,
     ws_pool: Arc<ThreadPool>,
     dests: Arc<ShardedMap<String, Arc<Dest>>>,
     stats: Arc<MsgServerStats>,
     tele: RtMsgTelemetry,
     net: Arc<Network>,
-    conns: Arc<crate::rt::ConnTracker>,
-    host: String,
-    port: u16,
 }
 
 impl MsgDispatcherServer {
@@ -193,57 +190,21 @@ impl MsgDispatcherServer {
                 })
                 .expect("janitor thread")
         };
-        let front = match config.front_end {
-            ConnFrontEnd::Reactor => Some(ReactorFrontEnd::start(
-                format!("reactor-{host}"),
-                Arc::clone(&cx_pool),
-                &scope.child("reactor"),
-            )),
-            ConnFrontEnd::ThreadPerConn => None,
-        };
+        let front = ReactorFrontEnd::start("reactor", cx_pool, &scope.child("reactor"));
         let server = Arc::new(MsgDispatcherServer {
             core,
             janitor,
             janitor_thread: Mutex::new(Some(janitor_thread)),
             front,
-            cx_pool,
             ws_pool,
             dests: Arc::new(ShardedMap::new()),
             stats: Arc::new(MsgServerStats::default()),
             tele: RtMsgTelemetry::new(scope),
             net: Arc::clone(net),
-            conns: crate::rt::ConnTracker::new(),
-            host: host.to_string(),
-            port,
         });
-        {
-            let server2 = Arc::clone(&server);
-            let config = config.clone();
-            let limits = config.limits;
-            net.listen(host, port, move |stream| {
-                let server = Arc::clone(&server2);
-                let config = config.clone();
-                server.conns.track(&stream);
-                match &server.front {
-                    Some(front) => {
-                        let handler = Arc::clone(&server);
-                        front.serve(
-                            stream,
-                            limits,
-                            Arc::new(move |req| handler.accept(&config, req)),
-                        );
-                    }
-                    None => {
-                        let pool = Arc::clone(&server.cx_pool);
-                        let _ = pool.execute(move || {
-                            let _ = serve_connection(stream, &limits, |req| {
-                                server.accept(&config, req)
-                            });
-                        });
-                    }
-                }
-            });
-        }
+        let (limits, handler) = (config.limits, Arc::clone(&server));
+        let accept = one_by_one(Arc::new(move |req| handler.accept(&config, req)));
+        server.front.listen(net, host, port, limits, accept);
         server
     }
 
@@ -257,10 +218,9 @@ impl MsgDispatcherServer {
         &self.core
     }
 
-    /// Reactor front-end telemetry view (open connections), when the
-    /// reactor front end is configured.
-    pub fn open_connections(&self) -> Option<usize> {
-        self.front.as_ref().map(ReactorFrontEnd::open_connections)
+    /// Client connections currently open (parked or being served).
+    pub fn open_connections(&self) -> usize {
+        self.front.open_connections()
     }
 
     /// Stops accepting, closes connections and queues, joins both pools.
@@ -269,13 +229,10 @@ impl MsgDispatcherServer {
         if let Some(h) = self.janitor_thread.lock().take() {
             let _ = h.join();
         }
-        self.net.unlisten(&self.host, self.port);
-        self.conns.close_all();
-        if let Some(front) = &self.front {
-            front.shutdown();
-        }
+        // The accept side first: once the CxThreads are joined nothing
+        // creates a destination any more, so every queue gets closed.
+        self.front.shutdown();
         self.dests.for_each(|_, d| d.queue.close());
-        self.cx_pool.shutdown();
         self.ws_pool.shutdown();
     }
 
@@ -499,7 +456,7 @@ mod tests {
     use crate::registry::Registry;
     use crate::rt::echo_server::EchoServer;
     use std::time::Duration;
-    use wsd_http::Limits;
+    use wsd_http::{serve_connection, Limits};
     use wsd_soap::rpc as soap_rpc;
     use wsd_wsa::{EndpointReference, WsaHeaders};
 
@@ -605,70 +562,6 @@ mod tests {
             t0.elapsed() < Duration::from_secs(2),
             "shutdown must interrupt the janitor's sweep wait immediately"
         );
-    }
-
-    #[test]
-    fn thread_per_conn_front_end_still_serves() {
-        let net = Network::new();
-        let ws = EchoServer::start(&net, "ws", 8888, 4, Duration::ZERO);
-        let registry = Arc::new(Registry::new());
-        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
-        let config = DispatcherConfig {
-            front_end: ConnFrontEnd::ThreadPerConn,
-            ..quick_config()
-        };
-        let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, config);
-        assert!(disp.open_connections().is_none());
-        for i in 0..3 {
-            let status = one_way(&net, "http://client:9000/cb", &format!("uuid:tpc{i}"), "x");
-            assert_eq!(status, Status::ACCEPTED);
-        }
-        for _ in 0..100 {
-            if disp.stats().delivered.load(Ordering::Relaxed) == 3 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(disp.stats().delivered.load(Ordering::Relaxed), 3);
-        disp.shutdown();
-        ws.shutdown();
-    }
-
-    #[test]
-    fn reactor_open_connection_gauge_returns_to_zero() {
-        let reg = wsd_telemetry::Registry::new();
-        let net = Network::new();
-        let core = MsgCore::new(Arc::new(Registry::new()), "http://dispatcher:8080/msg", 3);
-        let disp = MsgDispatcherServer::start_with_telemetry(
-            &net,
-            "dispatcher",
-            8080,
-            core,
-            quick_config(),
-            &reg.scope("rt.msg"),
-        );
-        // Hold open keep-alive connections without completing a request.
-        let mut held = Vec::new();
-        for _ in 0..6 {
-            held.push(net.connect("dispatcher", 8080).unwrap());
-        }
-        for _ in 0..100 {
-            if disp.open_connections() == Some(6) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(disp.open_connections(), Some(6));
-        disp.shutdown();
-        assert_eq!(disp.open_connections(), Some(0));
-        let snap = reg.snapshot();
-        let open = match snap.get("rt.msg.reactor.open_conns") {
-            Some(wsd_telemetry::MetricValue::Gauge { value, .. }) => *value,
-            other => panic!("expected gauge, got {other:?}"),
-        };
-        assert_eq!(open, 0);
-        drop(held);
     }
 
     #[test]

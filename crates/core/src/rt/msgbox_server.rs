@@ -95,10 +95,9 @@ pub struct MsgBoxServer {
     store: Arc<MsgBoxStore>,
     /// Present with the durable backend.
     pacer: Option<IngressPacer>,
-    pool: Option<Arc<ThreadPool>>,
     /// Present in the pooled design: connections are multiplexed on a
-    /// reactor instead of pinning a pool thread each, so the service
-    /// scales past the worker count in open sockets.
+    /// reactor instead of pinning a thread each, so the service scales
+    /// past the worker count in open sockets.
     front: Option<ReactorFrontEnd>,
     limits: Limits,
     budget: ThreadBudget,
@@ -144,32 +143,25 @@ impl MsgBoxServer {
         ));
         let budget = ThreadBudget::new(config.thread_budget);
         budget.bind_telemetry(&scope.child("budget"));
-        let pool = match config.strategy {
-            MsgBoxStrategy::Pooled { workers } => Some(Arc::new(
-                ThreadPool::new(
+        // The pooled redesign gets the reactor front end; thread-per-message
+        // keeps the paper's original architecture (and its OOM wall).
+        let front = match config.strategy {
+            MsgBoxStrategy::Pooled { workers } => {
+                let pool = ThreadPool::new(
                     PoolConfig::fixed(format!("msgbox-{host}"), workers)
                         .rejection(RejectionPolicy::Block)
                         .telemetry(scope.child("pool")),
                 )
-                .expect("pool"),
-            )),
+                .expect("pool");
+                Some(ReactorFrontEnd::start("reactor", Arc::new(pool), &scope.child("reactor")))
+            }
             MsgBoxStrategy::ThreadPerMessage => None,
         };
-        // The pooled redesign gets the reactor front end; thread-per-message
-        // keeps the paper's original architecture (and its OOM wall).
-        let front = pool.as_ref().map(|pool| {
-            ReactorFrontEnd::start(
-                format!("reactor-msgbox-{host}"),
-                Arc::clone(pool),
-                &scope.child("reactor"),
-            )
-        });
         let pacer = matches!(config.backend, MailboxBackend::Durable { .. })
             .then(IngressPacer::default);
         let server = Arc::new(MsgBoxServer {
             store,
             pacer,
-            pool,
             front,
             limits: config.limits,
             budget,
@@ -182,47 +174,43 @@ impl MsgBoxServer {
             host: host.to_string(),
             port,
         });
-        {
-            let server2 = Arc::clone(&server);
-            net.listen(host, port, move |stream| {
+        let server2 = Arc::clone(&server);
+        match &server.front {
+            Some(front) => front.listen(
+                net,
+                host,
+                port,
+                config.limits,
+                Arc::new(move |run| server2.handle_run(run)),
+            ),
+            None => net.listen(host, port, move |stream| {
                 server2.conns.track(&stream);
-                server2.on_connection(stream);
-            });
+                server2.spawn_message_thread(stream);
+            }),
         }
         server
     }
 
-    fn on_connection(self: &Arc<Self>, stream: wsd_http::PipeStream) {
+    /// Thread-per-connection, gated by the native-thread budget.
+    fn spawn_message_thread(self: &Arc<Self>, stream: wsd_http::PipeStream) {
         if self.crashed.load(Ordering::Acquire) {
             return; // dead JVM: the socket just hangs
         }
         let server = Arc::clone(self);
-        match &self.front {
-            Some(front) => {
-                front.serve_batched(
-                    stream,
-                    self.limits,
-                    Arc::new(move |run| server.handle_run(run)),
-                );
-            }
-            None => {
-                // Thread-per-connection, gated by the native-thread budget.
-                match self.budget.try_acquire() {
-                    Ok(lease) => {
-                        // wsd-lint: allow(raw-thread-spawn): deliberate thread-per-message architecture reproducing the paper's WS-MsgBox OOM wall, gated by ThreadBudget
-                        let spawned = std::thread::Builder::new()
-                            .name("msgbox-msg".into())
-                            .spawn(move || {
-                                let _lease = lease;
-                                server.serve(stream);
-                            });
-                        if spawned.is_err() {
-                            self.mark_crashed();
-                        }
-                    }
-                    Err(_) => self.mark_crashed(),
+        match self.budget.try_acquire() {
+            Ok(lease) => {
+                // wsd-lint: allow(raw-thread-spawn): deliberate thread-per-message architecture reproducing the paper's WS-MsgBox OOM wall, gated by ThreadBudget
+                let spawned = std::thread::Builder::new()
+                    .name("msgbox-msg".into())
+                    .spawn(move || {
+                        let _lease = lease;
+                        server.serve(stream);
+                    });
+                if spawned.is_err() {
+                    self.mark_crashed();
                 }
             }
+            Err(_) => self.mark_crashed(),
         }
     }
 
@@ -357,13 +345,12 @@ impl MsgBoxServer {
 
     /// Stops the service.
     pub fn shutdown(&self) {
-        self.net.unlisten(&self.host, self.port);
-        self.conns.close_all();
-        if let Some(front) = &self.front {
-            front.shutdown();
-        }
-        if let Some(pool) = &self.pool {
-            pool.shutdown();
+        match &self.front {
+            Some(front) => front.shutdown(),
+            None => {
+                self.net.unlisten(&self.host, self.port);
+                self.conns.close_all();
+            }
         }
     }
 }

@@ -1,24 +1,32 @@
-//! Glue between the generic [`Reactor`] and the HTTP layer: accepted
-//! streams become [`ServedConn`]s that pump bytes through an incremental
-//! [`RequestParser`] and hand complete requests to the server's handler,
-//! both on the reactor's pool — the whole run of pipelined requests
-//! already parsed at once, so a handler with a per-batch cost (the
-//! durable mailbox's fsync) pays it once per run, not once per request.
+//! The one way an rt server turns accepted streams into handled
+//! requests. Accepted streams become [`ServedConn`]s on the generic
+//! [`Reactor`]: they pump bytes through an incremental [`RequestParser`]
+//! and hand complete requests to the server's handler, both on the
+//! server's pool — the whole run of pipelined requests already parsed at
+//! once, so a handler with a per-batch cost (the durable mailbox's fsync)
+//! pays it once per run, not once per request.
 //!
 //! This is the piece that removes the paper's thread-per-connection
 //! bottleneck in the threaded runtime: a dispatcher's `CxThread` pool is
-//! no longer pinned one-thread-per-socket — a connection occupies a
-//! worker only from the wake-up that finds it parked until it has read,
+//! not pinned one-thread-per-socket — a connection occupies a worker
+//! only from the wake-up that finds it parked until it has read,
 //! answered and gone idle again, while thousands of idle keep-alive
 //! connections cost a parser buffer each and nothing else.
+//!
+//! [`ReactorFrontEnd`] also owns the accept side every server needs —
+//! bind the listener, track each accepted stream so shutdown can close
+//! it, register it with the reactor — and the teardown order that goes
+//! with it ([`ReactorFrontEnd::shutdown`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use wsd_concurrent::{Pump, Reactor, ReactorConfig, ReactorConn, ThreadPool, Wakeup};
+use wsd_concurrent::{Pump, Reactor, ReactorConn, ThreadPool, Wakeup};
 use wsd_http::{
     response_bytes_into, Limits, PipeStream, ReadyStream, Request, RequestParser, Response,
 };
 use wsd_telemetry::Scope;
+
+use crate::rt::{ConnTracker, Network};
 
 /// The per-request handler a front end runs on the pool; the same shape
 /// as the closure [`wsd_http::serve_connection`] takes, but shareable.
@@ -41,7 +49,7 @@ pub type BatchHandler = Arc<dyn Fn(Vec<Request>) -> Vec<Response> + Send + Sync>
 /// Adapts a per-request handler to the batch shape: requests run one
 /// after another, stopping at a response that closes the connection —
 /// exactly what a per-request serve loop does.
-fn one_by_one(handler: RequestHandler) -> BatchHandler {
+pub fn one_by_one(handler: RequestHandler) -> BatchHandler {
     Arc::new(move |run| {
         let mut responses = Vec::with_capacity(run.len());
         for req in run {
@@ -90,10 +98,6 @@ impl<S: ReadyStream> ServedConn<S> {
 impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
     fn install_wakeup(&mut self, hook: Wakeup) {
         self.stream.set_read_wakeup(Some(hook));
-    }
-
-    fn needs_poll(&self) -> bool {
-        !self.stream.supports_wakeup()
     }
 
     fn pump(&mut self) -> Pump {
@@ -157,37 +161,60 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
 }
 
 /// A reactor-backed connection front end over the in-process network's
-/// [`PipeStream`]s. Cheap to clone; all clones share one reactor.
-///
-/// Servers call [`serve`](Self::serve) from their `Network::listen`
-/// handler instead of submitting a blocking serve loop to the pool.
-#[derive(Clone)]
+/// [`PipeStream`]s: one per server, owning the server's listener, its
+/// accepted connections and the handler pool they run on.
 pub struct ReactorFrontEnd {
     reactor: Arc<Reactor<ServedConn<PipeStream>>>,
+    handlers: Arc<ThreadPool>,
+    conns: Arc<ConnTracker>,
+    /// Where [`listen`](Self::listen) bound, for `shutdown` to unbind.
+    bound: OnceLock<(Arc<Network>, String, u16)>,
 }
 
 impl ReactorFrontEnd {
     /// Starts the reactor. `handlers` is the pool connections are read
-    /// and their requests run on (the dispatcher's `CxThread` pool).
-    /// Telemetry lands under `scope`: `open_conns`/`parked_partials`
-    /// gauges, a `loop_us` histogram, `dispatches`/`wakeups` counters.
-    pub fn start(name: impl Into<String>, handlers: Arc<ThreadPool>, scope: &Scope) -> Self {
-        let config = ReactorConfig::new(name).telemetry(scope.clone());
+    /// and their requests run on (the dispatcher's `CxThread` pool); the
+    /// front end shuts it down with itself. Telemetry lands under
+    /// `scope`: `open_conns`/`parked_partials` gauges, a `loop_us`
+    /// histogram, `dispatches`/`wakeups` counters. `_name` is unused: the
+    /// reactor has no thread to name, and the argument stays only while
+    /// the frozen `benchmark/` passes it (ROADMAP item 7).
+    pub fn start(_name: impl Into<String>, handlers: Arc<ThreadPool>, scope: &Scope) -> Self {
         ReactorFrontEnd {
-            reactor: Reactor::start(config, handlers),
+            reactor: Reactor::start(Arc::clone(&handlers), scope),
+            handlers,
+            conns: ConnTracker::new(),
+            bound: OnceLock::new(),
         }
     }
 
-    /// Hands an accepted connection to the reactor; `handler` runs once
-    /// per request.
-    pub fn serve(&self, stream: PipeStream, limits: Limits, handler: RequestHandler) {
-        self.serve_batched(stream, limits, one_by_one(handler));
+    /// Binds `host:port` on `net` and serves every connection accepted
+    /// there: `handler` — one per server, shared by all its connections —
+    /// runs once per run of pipelined requests (see [`BatchHandler`];
+    /// [`one_by_one`] adapts a per-request handler).
+    pub fn listen(
+        &self,
+        net: &Arc<Network>,
+        host: &str,
+        port: u16,
+        limits: Limits,
+        handler: BatchHandler,
+    ) {
+        self.bound
+            .set((Arc::clone(net), host.to_string(), port))
+            .expect("a front end listens on one address");
+        let (reactor, conns) = (Arc::clone(&self.reactor), Arc::clone(&self.conns));
+        net.listen(host, port, move |stream| {
+            conns.track(&stream);
+            reactor.register(ServedConn::new(stream, limits, Arc::clone(&handler)));
+        });
     }
 
-    /// Hands an accepted connection to the reactor; `handler` runs once
-    /// per run of pipelined requests (see [`BatchHandler`]).
-    pub fn serve_batched(&self, stream: PipeStream, limits: Limits, handler: BatchHandler) {
-        self.reactor.register(ServedConn::new(stream, limits, handler));
+    /// Hands one already-accepted connection to the reactor; `handler`
+    /// runs once per request.
+    pub fn serve(&self, stream: PipeStream, limits: Limits, handler: RequestHandler) {
+        self.conns.track(&stream);
+        self.reactor.register(ServedConn::new(stream, limits, one_by_one(handler)));
     }
 
     /// Connections currently registered (parked or in a job).
@@ -200,10 +227,18 @@ impl ReactorFrontEnd {
         self.reactor.parked_partials()
     }
 
-    /// Stops the reactor and drops every connection at rest. Call before
-    /// the handler pool's own shutdown so running connections can drain.
+    /// Tears the server's accept side down, in the only safe order: stop
+    /// accepting; close every live stream, so a handler blocked writing
+    /// to a stalled peer returns; stop the reactor, which drops the
+    /// connections at rest; then let the running handlers finish and
+    /// join the pool.
     pub fn shutdown(&self) {
+        if let Some((net, host, port)) = self.bound.get() {
+            net.unlisten(host, *port);
+        }
+        self.conns.close_all();
         self.reactor.shutdown();
+        self.handlers.shutdown();
     }
 }
 
@@ -281,7 +316,7 @@ mod tests {
     #[test]
     fn per_request_handler_sees_a_pipelined_run_one_by_one() {
         let reg = wsd_telemetry::Registry::new();
-        let (fe, pool) = front(&reg);
+        let (fe, _pool) = front(&reg);
         let executed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let handler: RequestHandler = {
             let executed = Arc::clone(&executed);
@@ -318,7 +353,6 @@ mod tests {
 
         assert!(wait_until(|| fe.open_connections() == 0));
         fe.shutdown();
-        pool.shutdown();
         let snap = reg.snapshot();
         assert_eq!(snap.get("fe.open_conns").map(gauge_value), Some(0));
         assert_eq!(snap.get("fe.parked_partials").map(gauge_value), Some(0));
@@ -394,7 +428,7 @@ mod tests {
     #[test]
     fn shutdown_with_parked_partials_releases_everything() {
         let reg = wsd_telemetry::Registry::new();
-        let (fe, pool) = front(&reg);
+        let (fe, _pool) = front(&reg);
         let mut holders = Vec::new();
         for _ in 0..8 {
             let (mut client, server) = duplex(4096);
@@ -404,7 +438,6 @@ mod tests {
         }
         assert!(wait_until(|| fe.parked_partials() == 8));
         fe.shutdown();
-        pool.shutdown();
         assert_eq!(fe.open_connections(), 0);
         assert_eq!(fe.parked_partials(), 0);
         let snap = reg.snapshot();
@@ -475,7 +508,7 @@ mod tests {
     #[test]
     fn framing_error_behind_pipelined_requests_matches_the_blocking_loop() {
         let reg = wsd_telemetry::Registry::new();
-        let (fe, pool) = front(&reg);
+        let (fe, _pool) = front(&reg);
         let (script, ends) = framing_script();
         let mut expected = Vec::new();
         for body in ["m1", "m2"] {
@@ -511,7 +544,6 @@ mod tests {
         }
         assert!(wait_until(|| fe.open_connections() == 0));
         fe.shutdown();
-        pool.shutdown();
     }
 
     #[test]
@@ -552,12 +584,114 @@ mod tests {
         drop(clients);
         assert!(wait_until(|| fe.open_connections() == 0));
         fe.shutdown();
-        pool.shutdown();
         let snap = reg.snapshot();
         assert_eq!(snap.get("fe.open_conns").map(gauge_value), Some(0));
         assert_eq!(snap.get("fe.parked_partials").map(gauge_value), Some(0));
         assert_eq!(snap.counter("fe.dispatches"), (CONNS * EXCHANGES) as u64);
         assert!(snap.gauge_peak("pool.workers") <= 2);
+    }
+
+    /// The north star's "every gauge back to zero on teardown", for each
+    /// server the front end serves.
+    #[test]
+    fn every_served_server_tears_down_to_zero() {
+        use crate::config::{DispatcherConfig, MsgBoxConfig};
+        use crate::rt::{MsgBoxServer, MsgDispatcherServer, RegistryServer, RpcDispatcherServer};
+        const HELD: usize = 8;
+        let reg = wsd_telemetry::Registry::new();
+        let net = Network::new();
+        let registry = Arc::new(crate::registry::Registry::new());
+        let core = crate::msg::MsgCore::new(Arc::clone(&registry), "http://msg:80/msg", 3);
+        let msg = MsgDispatcherServer::start_with_telemetry(
+            &net,
+            "msg",
+            80,
+            core,
+            DispatcherConfig::default(),
+            &reg.scope("msg"),
+        );
+        let rpc = RpcDispatcherServer::start_with_telemetry(
+            &net,
+            "rpc",
+            80,
+            Arc::clone(&registry),
+            crate::security::PolicyChain::new(),
+            DispatcherConfig::default(),
+            &reg.scope("rpc"),
+        );
+        let msgbox = MsgBoxServer::start_with_telemetry(
+            &net,
+            "msgbox",
+            80,
+            MsgBoxConfig::default(),
+            11,
+            &reg.scope("msgbox"),
+        );
+        let directory = RegistryServer::start(&net, "registry", 80, registry);
+        struct Served<'a> {
+            host: &'a str,
+            /// Whether the server exports its reactor's gauges (under
+            /// `host`); the registry service takes no telemetry scope.
+            exports: bool,
+            open: &'a dyn Fn() -> usize,
+            shutdown: &'a dyn Fn(),
+        }
+        let servers = [
+            Served {
+                host: "msg",
+                exports: true,
+                open: &|| msg.open_connections(),
+                shutdown: &|| msg.shutdown(),
+            },
+            Served {
+                host: "rpc",
+                exports: true,
+                open: &|| rpc.open_connections(),
+                shutdown: &|| rpc.shutdown(),
+            },
+            Served {
+                host: "msgbox",
+                exports: true,
+                open: &|| msgbox.open_connections().expect("pooled"),
+                shutdown: &|| msgbox.shutdown(),
+            },
+            Served {
+                host: "registry",
+                exports: false,
+                open: &|| directory.open_connections(),
+                shutdown: &|| directory.shutdown(),
+            },
+        ];
+        for Served { host, exports, open, shutdown } in servers {
+            let gauge = |name: &str| {
+                reg.snapshot().get(&format!("{host}.reactor.{name}")).map(gauge_value)
+            };
+            // Half-open connections: some silent, some stalled mid-head.
+            let mut held = Vec::new();
+            for i in 0..HELD {
+                let mut client = net.connect(host, 80).unwrap();
+                if i % 2 == 0 {
+                    client.write_all(b"POST / HTTP/1.1\r\nContent-Le").unwrap();
+                }
+                held.push(client);
+            }
+            assert!(wait_until(|| open() == HELD), "{host}");
+            if exports {
+                assert!(wait_until(|| gauge("parked_partials") == Some(HELD as i64 / 2)), "{host}");
+                assert_eq!(gauge("open_conns"), Some(HELD as i64), "{host}");
+            }
+            shutdown();
+            assert_eq!(open(), 0, "{host}");
+            if exports {
+                assert_eq!(gauge("open_conns"), Some(0), "{host}");
+                assert_eq!(gauge("parked_partials"), Some(0), "{host}");
+            }
+            assert!(!net.is_listening(host, 80), "{host}");
+            for mut client in held {
+                let mut buf = [0u8; 1];
+                assert_eq!(std::io::Read::read(&mut client, &mut buf).unwrap(), 0, "{host}");
+            }
+        }
     }
 
     fn gauge_value(m: &wsd_telemetry::MetricValue) -> i64 {

@@ -15,18 +15,15 @@
 use std::sync::Arc;
 
 use wsd_concurrent::{PoolConfig, RejectionPolicy, ThreadPool};
-use wsd_http::{serve_connection, HttpClient, Limits, Method, Request, Response, Status};
+use wsd_http::{HttpClient, Limits, Method, Request, Response, Status};
+use wsd_telemetry::Scope;
 
 use crate::registry::Registry;
-use crate::rt::Network;
+use crate::rt::{one_by_one, Network, ReactorFrontEnd};
 
 /// A running registry service.
 pub struct RegistryServer {
-    pool: Arc<ThreadPool>,
-    net: Arc<Network>,
-    conns: Arc<crate::rt::ConnTracker>,
-    host: String,
-    port: u16,
+    front: ReactorFrontEnd,
 }
 
 impl RegistryServer {
@@ -57,36 +54,21 @@ impl RegistryServer {
             )
             .expect("pool"),
         );
-        let conns = crate::rt::ConnTracker::new();
-        {
-            let pool2 = Arc::clone(&pool);
-            let net2 = Arc::clone(net);
-            let conns = Arc::clone(&conns);
-            net.listen(host, port, move |stream| {
-                conns.track(&stream);
-                let registry = Arc::clone(&registry);
-                let net = Arc::clone(&net2);
-                let _ = pool2.execute(move || {
-                    let _ = serve_connection(stream, &limits, |req| {
-                        handle(&net, &registry, req)
-                    });
-                });
-            });
-        }
-        RegistryServer {
-            pool,
-            net: Arc::clone(net),
-            conns,
-            host: host.to_string(),
-            port,
-        }
+        let front = ReactorFrontEnd::start("reactor", pool, &Scope::noop());
+        let net2 = Arc::clone(net);
+        let handler = one_by_one(Arc::new(move |req| handle(&net2, &registry, req)));
+        front.listen(net, host, port, limits, handler);
+        RegistryServer { front }
+    }
+
+    /// Client connections currently open (parked or being served).
+    pub fn open_connections(&self) -> usize {
+        self.front.open_connections()
     }
 
     /// Stops the service.
     pub fn shutdown(&self) {
-        self.net.unlisten(&self.host, self.port);
-        self.conns.close_all();
-        self.pool.shutdown();
+        self.front.shutdown();
     }
 }
 
@@ -208,6 +190,25 @@ mod tests {
         let reloaded = Registry::new();
         assert_eq!(reloaded.load_from_str(&body).unwrap(), 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn idle_keep_alive_clients_do_not_starve_a_fresh_one() {
+        let net = Network::new();
+        let (_registry, server) = setup(&net);
+        // More browsers than the service has threads, each keeping its
+        // connection open after one exchange.
+        let mut idle = Vec::new();
+        for i in 0..9 {
+            let mut client = HttpClient::new(net.connect("registry", 8090).unwrap());
+            client.set_response_timeout(Some(Duration::from_secs(2))).unwrap();
+            let resp = client.call(&Request::get("registry:8090", "/registry"));
+            assert_eq!(resp.map(|r| r.status), Ok(Status::OK), "client {i} starved");
+            idle.push(client);
+        }
+        assert_eq!(server.open_connections(), 9);
+        server.shutdown();
+        assert_eq!(server.open_connections(), 0);
     }
 
     #[test]

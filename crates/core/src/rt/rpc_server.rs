@@ -7,14 +7,14 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use wsd_concurrent::{PoolConfig, RejectionPolicy, ThreadPool};
-use wsd_http::{serve_connection, HttpClient, Request, Response};
+use wsd_http::{HttpClient, Request, Response};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, Scope};
 
-use crate::config::{ConnFrontEnd, DispatcherConfig};
+use crate::config::DispatcherConfig;
 use crate::registry::Registry;
 use crate::rpc::{error_response, plan_forward, upstream_failure_response, RpcDispatchStats};
-use crate::rt::{Network, ReactorFrontEnd};
+use crate::rt::{one_by_one, Network, ReactorFrontEnd};
 use crate::security::PolicyChain;
 
 /// Telemetry instruments mirroring [`RpcDispatchStats`].
@@ -40,13 +40,8 @@ impl RtRpcTelemetry {
 
 /// A running RPC dispatcher.
 pub struct RpcDispatcherServer {
-    pool: Arc<ThreadPool>,
-    front: Option<ReactorFrontEnd>,
+    front: ReactorFrontEnd,
     stats: Arc<Mutex<RpcDispatchStats>>,
-    net: Arc<Network>,
-    conns: Arc<crate::rt::ConnTracker>,
-    host: String,
-    port: u16,
 }
 
 impl RpcDispatcherServer {
@@ -74,7 +69,7 @@ impl RpcDispatcherServer {
         config: DispatcherConfig,
         scope: &Scope,
     ) -> RpcDispatcherServer {
-        let tele = Arc::new(RtRpcTelemetry::new(scope));
+        let tele = RtRpcTelemetry::new(scope);
         let pool = Arc::new(
             ThreadPool::new(
                 PoolConfig::growable(
@@ -88,67 +83,16 @@ impl RpcDispatcherServer {
             .expect("pool"),
         );
         let stats = Arc::new(Mutex::new(RpcDispatchStats::default()));
-        let policies = Arc::new(policies);
-        let conns = crate::rt::ConnTracker::new();
-        let front = match config.front_end {
-            ConnFrontEnd::Reactor => Some(ReactorFrontEnd::start(
-                format!("reactor-rpc-{host}"),
-                Arc::clone(&pool),
-                &scope.child("reactor"),
-            )),
-            ConnFrontEnd::ThreadPerConn => None,
-        };
-        {
-            let pool2 = Arc::clone(&pool);
-            let stats = Arc::clone(&stats);
-            let net2 = Arc::clone(net);
-            let conns = Arc::clone(&conns);
-            let tele = Arc::clone(&tele);
-            let front = front.clone();
+        let front = ReactorFrontEnd::start("reactor", pool, &scope.child("reactor"));
+        let handler = {
+            let (stats, net) = (Arc::clone(&stats), Arc::clone(net));
             let response_timeout = config.response_timeout;
-            let limits = config.limits;
-            net.listen(host, port, move |stream| {
-                let registry = Arc::clone(&registry);
-                let policies = Arc::clone(&policies);
-                let stats = Arc::clone(&stats);
-                let net = Arc::clone(&net2);
-                let tele = Arc::clone(&tele);
-                conns.track(&stream);
-                match &front {
-                    Some(front) => front.serve(
-                        stream,
-                        limits,
-                        Arc::new(move |req| {
-                            handle(&net, &registry, &policies, &stats, &tele, response_timeout, req)
-                        }),
-                    ),
-                    None => {
-                        let _ = pool2.execute(move || {
-                            let _ = serve_connection(stream, &limits, |req| {
-                                handle(
-                                    &net,
-                                    &registry,
-                                    &policies,
-                                    &stats,
-                                    &tele,
-                                    response_timeout,
-                                    req,
-                                )
-                            });
-                        });
-                    }
-                }
-            });
-        }
-        RpcDispatcherServer {
-            pool,
-            front,
-            stats,
-            net: Arc::clone(net),
-            conns,
-            host: host.to_string(),
-            port,
-        }
+            one_by_one(Arc::new(move |req| {
+                handle(&net, &registry, &policies, &stats, &tele, response_timeout, req)
+            }))
+        };
+        front.listen(net, host, port, config.limits, handler);
+        RpcDispatcherServer { front, stats }
     }
 
     /// A snapshot of the counters.
@@ -156,14 +100,14 @@ impl RpcDispatcherServer {
         self.stats.lock().clone()
     }
 
+    /// Client connections currently open (parked or being served).
+    pub fn open_connections(&self) -> usize {
+        self.front.open_connections()
+    }
+
     /// Stops accepting, closes live connections and joins the workers.
     pub fn shutdown(&self) {
-        self.net.unlisten(&self.host, self.port);
-        self.conns.close_all();
-        if let Some(front) = &self.front {
-            front.shutdown();
-        }
-        self.pool.shutdown();
+        self.front.shutdown();
     }
 }
 

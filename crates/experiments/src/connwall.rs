@@ -8,7 +8,7 @@
 //! * **thread-per-message** with the paper's ~50-thread budget collapses
 //!   as the client count crosses the budget;
 //! * the **pooled + reactor** redesign serves 1000 held-open clients on
-//!   a fixed handler pool plus the reactor's ticker thread, flat.
+//!   a fixed handler pool and nothing else, flat.
 //!
 //! Unlike fig4/5/6 this runs on real OS threads (`wsd_core::rt`), not
 //! the simulated network — the wall being reproduced *is* a native
@@ -38,8 +38,7 @@ pub struct ConnWallPoint {
     /// Whether the simulated `OutOfMemoryError` fired.
     pub crashed: bool,
     /// Peak concurrent service threads (budget leases in the
-    /// thread-per-message design; ticker + pool workers behind the
-    /// reactor).
+    /// thread-per-message design; pool workers behind the reactor).
     pub peak_threads: usize,
     /// Deposits the service accepted before/despite the wall.
     pub deposits: u64,
@@ -101,10 +100,9 @@ fn run_point(strategy: MsgBoxStrategy, clients: usize) -> ConnWallPoint {
     let open_conns = server.open_connections();
     let peak_threads = match strategy {
         MsgBoxStrategy::ThreadPerMessage => server.peak_threads(),
-        // Event loop + peak concurrently live handler workers.
-        MsgBoxStrategy::Pooled { .. } => {
-            1 + reg.snapshot().gauge_peak("mb.pool.workers") as usize
-        }
+        // Peak concurrently live handler workers: the reactor has no
+        // thread of its own.
+        MsgBoxStrategy::Pooled { .. } => reg.snapshot().gauge_peak("mb.pool.workers") as usize,
     };
     let point = ConnWallPoint {
         clients,
@@ -169,11 +167,7 @@ mod tests {
         assert!(!r.crashed);
         assert_eq!(r.deposits, 200);
         assert_eq!(r.open_conns, Some(200));
-        assert!(
-            r.peak_threads <= POOL_WORKERS + 1,
-            "reactor used {} threads",
-            r.peak_threads
-        );
+        assert!(r.peak_threads <= POOL_WORKERS, "reactor used {} threads", r.peak_threads);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   simulated network, which delivers whole messages) and for blocking
 //!   [`Stream`]s (used by the real-thread runtime),
 //! * an incremental [`RequestParser`] plus readiness support on streams
-//!   ([`ReadyStream`]: `try_read`/`try_write` and wakeup hooks), so an
+//!   ([`ReadyStream`]: `try_read` and wakeup hooks), so an
 //!   event-driven front end can multiplex many connections without
 //!   blocking a thread per socket,
 //! * an in-memory duplex pipe ([`duplex`]) so the threaded runtime can run

@@ -30,53 +30,15 @@ impl Stream for std::net::TcpStream {
 /// non-blocking — they run on the writer's thread.
 pub type WakeHook = Arc<dyn Fn() + Send + Sync>;
 
-/// A [`Stream`] that additionally supports non-blocking reads/writes and
-/// (optionally) readiness wakeups — what a reactor front end multiplexes.
-///
-/// `try_read`/`try_write` return `ErrorKind::WouldBlock` when the
-/// operation cannot make progress. Streams that cannot deliver wakeups
-/// (e.g. a plain `TcpStream` without an OS poller) report
-/// `supports_wakeup() == false` and are polled on a fallback tick.
+/// A [`Stream`] that additionally supports non-blocking reads and
+/// read-readiness wakeups — what a reactor front end multiplexes.
 pub trait ReadyStream: Stream {
-    /// Non-blocking read: `Ok(0)` is EOF, `WouldBlock` means no data yet.
+    /// Non-blocking read: `Ok(0)` is EOF, `ErrorKind::WouldBlock` means
+    /// no data yet.
     fn try_read(&mut self, out: &mut [u8]) -> io::Result<usize>;
-
-    /// Non-blocking write: `WouldBlock` means the peer's window is full.
-    fn try_write(&mut self, data: &[u8]) -> io::Result<usize>;
 
     /// Installs (or clears) the hook invoked on read-readiness changes.
     fn set_read_wakeup(&mut self, hook: Option<WakeHook>);
-
-    /// Whether [`set_read_wakeup`](Self::set_read_wakeup) hooks actually
-    /// fire; when `false` the owner must poll.
-    fn supports_wakeup(&self) -> bool {
-        true
-    }
-}
-
-/// Passthrough for real sockets: readiness is emulated by toggling the
-/// socket's non-blocking flag around each call. No wakeup support — a
-/// reactor owning `TcpStream`s falls back to tick polling.
-impl ReadyStream for std::net::TcpStream {
-    fn try_read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        self.set_nonblocking(true)?;
-        let r = self.read(out);
-        let _ = self.set_nonblocking(false);
-        r
-    }
-
-    fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.set_nonblocking(true)?;
-        let r = self.write(data);
-        let _ = self.set_nonblocking(false);
-        r
-    }
-
-    fn set_read_wakeup(&mut self, _hook: Option<WakeHook>) {}
-
-    fn supports_wakeup(&self) -> bool {
-        false
-    }
 }
 
 struct PipeBuf {
@@ -228,27 +190,6 @@ impl ReadyStream for PipeStream {
             return Ok(0); // EOF
         }
         Err(io::Error::new(io::ErrorKind::WouldBlock, "no data buffered"))
-    }
-
-    fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let mut buf = self.outgoing.buf.lock();
-        if buf.closed {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "peer closed the connection",
-            ));
-        }
-        if buf.capacity.saturating_sub(buf.buffered()) == 0 {
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe full"));
-        }
-        let n = buf.write_from(data);
-        drop(buf);
-        self.outgoing.readable.notify_all();
-        self.outgoing.wake();
-        Ok(n)
     }
 
     fn set_read_wakeup(&mut self, hook: Option<WakeHook>) {
@@ -441,19 +382,6 @@ mod tests {
         assert_eq!(&buf[..2], b"hi");
         drop(a);
         assert_eq!(b.try_read(&mut buf).unwrap(), 0); // EOF
-    }
-
-    #[test]
-    fn try_write_would_block_when_full() {
-        let (mut a, mut b) = duplex(2);
-        assert_eq!(a.try_write(b"abc").unwrap(), 2);
-        assert_eq!(
-            a.try_write(b"c").unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        let mut got = [0u8; 2];
-        b.read_exact(&mut got).unwrap();
-        assert_eq!(a.try_write(b"c").unwrap(), 1);
     }
 
     #[test]

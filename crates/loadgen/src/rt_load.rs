@@ -29,7 +29,7 @@ pub fn run_rpc_load(
 ) -> RunTotals {
     let transmitted = Arc::new(AtomicU64::new(0));
     let not_sent = Arc::new(AtomicU64::new(0));
-    let latencies = Arc::new(parking_lot_stub::Mutex::new(Vec::new()));
+    let latencies = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let env = soap_rpc::paper_echo_request();
     let body = env.to_xml().into_bytes();
     let clock = Arc::new(WallClock::new());
@@ -91,12 +91,6 @@ pub fn run_rpc_load(
         not_sent: not_sent.load(Ordering::Relaxed),
         latency: Some(LatencySummary::of(samples)),
     }
-}
-
-// Tiny internal alias so this crate does not re-export parking_lot in its
-// public API surface.
-mod parking_lot_stub {
-    pub use parking_lot::Mutex;
 }
 
 #[cfg(test)]

@@ -119,7 +119,7 @@ fi
 
 if [ "${1:-}" = "connscale-smoke" ]; then
     # 64 mostly-idle connections, both front ends; the bench binary
-    # asserts the reactor's peak thread count <= pool size + ticker.
+    # asserts the reactor's peak thread count <= pool size.
     CONNSCALE_SMOKE=1 cargo bench -p wsd-bench --bench connection_scaling
 fi
 
