@@ -23,61 +23,6 @@ use wsd_http::{
 use wsd_soap::{rpc, Envelope, SoapVersion};
 use wsd_wsa::{rewrite_for_forward, EndpointReference, WsaHeaders};
 
-/// Counting global allocator (`--features alloc-count`): every heap
-/// acquisition — alloc, alloc_zeroed, realloc — is tallied while a
-/// [`count`](alloc_count::count) window is open. Frees are not counted;
-/// the metric is "allocations performed per operation".
-#[cfg(feature = "alloc-count")]
-mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    struct CountingAlloc;
-
-    // SAFETY: every operation delegates to `System` unchanged; only a
-    // counter is layered on top.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            if ENABLED.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            if ENABLED.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.alloc_zeroed(layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if ENABLED.load(Ordering::Relaxed) {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    /// Runs `f` with counting enabled, returning how many allocations it
-    /// performed. Process-global: call only while no other thread is
-    /// allocating.
-    pub fn count(f: impl FnOnce()) -> u64 {
-        let before = ALLOCS.load(Ordering::SeqCst);
-        ENABLED.store(true, Ordering::SeqCst);
-        f();
-        ENABLED.store(false, Ordering::SeqCst);
-        ALLOCS.load(Ordering::SeqCst) - before
-    }
-}
-
 const DISPATCHER: &str = "http://dispatcher/msg";
 const PHYSICAL: &str = "http://ws:8888/echo";
 /// Messages delivered per drain iteration (one full WsThread backlog).
@@ -94,63 +39,6 @@ fn forwarded_request() -> String {
         .action("urn:wsd:echo:echo")
         .apply(&mut env);
     env.to_xml()
-}
-
-/// A correlated service reply for the canonical request above — what the
-/// dispatcher's reply splice path sees on the wire.
-#[cfg(feature = "alloc-count")]
-fn service_reply() -> String {
-    let mut env = rpc::echo_response(SoapVersion::V11, "benchmark payload");
-    WsaHeaders::new()
-        .to(DISPATCHER)
-        .relates_to("uuid:bench-1")
-        .message_id("uuid:bench-reply-1")
-        .apply(&mut env);
-    env.to_xml()
-}
-
-/// Steady-state allocs/op through `route_raw_into` with a pooled
-/// scratch buffer: each iteration forwards the canonical request
-/// (seeding the route table) and routes the correlated reply (consuming
-/// it), counting each direction separately. The reply figure is the
-/// gated one — on the splice path its only remaining allocations are
-/// the two `String`s inside the parsed destination `Url`.
-#[cfg(feature = "alloc-count")]
-fn route_raw_allocs_per_op() -> (f64, f64) {
-    use wsd_core::{MsgCore, Registry, Url};
-
-    let registry = std::sync::Arc::new(Registry::new());
-    registry.register("Echo", Url::parse(PHYSICAL).unwrap());
-    let core = MsgCore::new(registry, DISPATCHER, 7);
-    let request = forwarded_request();
-    let reply = service_reply();
-    let mut scratch = wsd_soap::checkout();
-    // Warm scratch capacity, shard maps and the splice atoms before
-    // counting: one-time setup allocations are not per-op cost.
-    for _ in 0..8 {
-        scratch.out.clear();
-        core.route_raw_into(&request, request.len(), 0, &mut scratch.out).unwrap();
-        scratch.out.clear();
-        core.route_raw_into(&reply, reply.len(), 0, &mut scratch.out).unwrap();
-    }
-    const OPS: u64 = 256;
-    let (mut forward, mut reply_allocs) = (0u64, 0u64);
-    for _ in 0..OPS {
-        scratch.out.clear();
-        forward += alloc_count::count(|| {
-            let m = core.route_raw_into(&request, request.len(), 0, &mut scratch.out).unwrap();
-            std::hint::black_box(&m);
-        });
-        scratch.out.clear();
-        reply_allocs += alloc_count::count(|| {
-            let m = core.route_raw_into(&reply, reply.len(), 0, &mut scratch.out).unwrap();
-            std::hint::black_box(&m);
-        });
-    }
-    (
-        reply_allocs as f64 / OPS as f64,
-        forward as f64 / OPS as f64,
-    )
 }
 
 fn tree_rewrite(xml: &str) -> String {
@@ -252,24 +140,6 @@ fn emit_json(path: &str) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(10);
-    // Alloc counting runs first, while no drain-rig threads are live.
-    #[cfg(feature = "alloc-count")]
-    let route_raw_section = {
-        let (reply_allocs, forward_allocs) = route_raw_allocs_per_op();
-        println!("route_raw allocs/op: reply {reply_allocs:.2}, forward {forward_allocs:.2}");
-        format!(
-            concat!(
-                "  \"route_raw\": {{\n",
-                "    \"reply_allocs_per_op\": {reply:.2},\n",
-                "    \"forward_allocs_per_op\": {forward:.2}\n",
-                "  }},\n"
-            ),
-            reply = reply_allocs,
-            forward = forward_allocs,
-        )
-    };
-    #[cfg(not(feature = "alloc-count"))]
-    let route_raw_section = String::new();
     let xml = forwarded_request();
     let reps = samples * 100;
     let tree = time_ns(reps, || {
@@ -295,7 +165,6 @@ fn emit_json(path: &str) {
             "    \"splice_ns_per_op\": {splice:.1},\n",
             "    \"speedup\": {speedup:.2}\n",
             "  }},\n",
-            "{route_raw}",
             "  \"drain_ns_per_msg\": {{\n",
             "    \"batch_1\": {d1:.1},\n",
             "    \"batch_4\": {d4:.1},\n",
@@ -304,7 +173,6 @@ fn emit_json(path: &str) {
             "}}\n"
         ),
         samples = samples,
-        route_raw = route_raw_section,
         bytes = xml.len(),
         tree = tree,
         splice = splice,

@@ -176,17 +176,6 @@ fn is_latency_key(key: &str) -> bool {
     key.contains("p50") || key.contains("ns_per")
 }
 
-/// Allocation counts are gated on an *absolute* budget, not a ratio: at
-/// near-zero baselines a percentage is meaningless (0 → 1 alloc/op is
-/// +inf%, 100 → 119 would sneak under 20%). A fresh value may exceed the
-/// reference by at most [`ALLOC_SLACK`] allocations per op.
-fn is_alloc_key(key: &str) -> bool {
-    key.contains("allocs_per_op")
-}
-
-/// Absolute headroom for `allocs_per_op` metrics.
-const ALLOC_SLACK: f64 = 2.0;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [reference_path, fresh_path] = match args.as_slice() {
@@ -232,10 +221,7 @@ fn main() -> ExitCode {
 
     let mut compared = 0usize;
     let mut regressions = Vec::new();
-    for (key, &base) in reference
-        .iter()
-        .filter(|(k, _)| is_latency_key(k) || is_alloc_key(k))
-    {
+    for (key, &base) in reference.iter().filter(|(k, _)| is_latency_key(k)) {
         let Some(&cur) = fresh.get(key) else {
             // Smoke runs cover a subset of the reference sweeps.
             println!("bench_gate: ~ {key} only in reference (base {base}) — skipped");
@@ -243,25 +229,16 @@ fn main() -> ExitCode {
         };
         compared += 1;
         let ratio = if base > 0.0 { cur / base } else { 1.0 };
-        let regressed = if is_alloc_key(key) {
-            cur > base + ALLOC_SLACK
-        } else {
-            ratio > 1.0 + threshold
-        };
-        let verdict = if regressed {
+        let verdict = if ratio > 1.0 + threshold {
             regressions.push((key.clone(), base, cur, ratio));
             "REGRESSION"
         } else {
             "ok"
         };
-        if is_alloc_key(key) {
-            println!("bench_gate: {verdict:<10} {key}: {base} -> {cur} (budget +{ALLOC_SLACK})");
-        } else {
-            println!(
-                "bench_gate: {verdict:<10} {key}: {base} -> {cur} ({:+.1}%)",
-                (ratio - 1.0) * 100.0
-            );
-        }
+        println!(
+            "bench_gate: {verdict:<10} {key}: {base} -> {cur} ({:+.1}%)",
+            (ratio - 1.0) * 100.0
+        );
     }
 
     if compared == 0 {
@@ -309,15 +286,6 @@ mod tests {
         assert!(is_latency_key("drain_ns_per_msg.batch_4"));
         assert!(!is_latency_key("sweeps.0.reactor.p99_us"));
         assert!(!is_latency_key("samples"));
-    }
-
-    #[test]
-    fn alloc_keys_are_absolute_gated() {
-        assert!(is_alloc_key("route_raw.reply_allocs_per_op"));
-        assert!(is_alloc_key("route_raw.forward_allocs_per_op"));
-        assert!(!is_alloc_key("rewrite.splice_ns_per_op"));
-        // An alloc key is not also ratio-gated as latency.
-        assert!(!is_latency_key("route_raw.reply_allocs_per_op"));
     }
 
     #[test]

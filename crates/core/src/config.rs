@@ -26,8 +26,6 @@ pub struct DispatcherConfig {
     /// traffic before closing it (paper: "an open connection for a
     /// predefined time with a specified WS").
     pub connection_linger: Duration,
-    /// Connect timeout toward services and reply endpoints.
-    pub connect_timeout: Duration,
     /// Response timeout for RPC forwarding.
     pub response_timeout: Duration,
     /// How long a route-table entry (forwarded request awaiting its
@@ -47,7 +45,6 @@ impl Default for DispatcherConfig {
             queue_capacity: 1024,
             drain_batch: 16,
             connection_linger: Duration::from_secs(15),
-            connect_timeout: Duration::from_secs(3),
             response_timeout: Duration::from_secs(30),
             route_ttl: Duration::from_secs(300),
             limits: Limits::default(),

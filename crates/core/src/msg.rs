@@ -331,7 +331,6 @@ impl MsgCore {
             }
         }
         self.tele.fastpath_fallbacks.inc();
-        // wsd-lint: allow(alloc-in-drain): anomaly fallback — the full tree route allocates by design; canonical traffic never enters it
         self.route_tree_fallback(xml, serialized_len, now, out)
     }
 
@@ -339,7 +338,7 @@ impl MsgCore {
     /// full parse → tree route → re-serialize. Envelopes the splice
     /// scanner cannot handle (non-canonical prefixes, policy rewrites)
     /// land here; it allocates freely and is deliberately outside the
-    /// `alloc-in-drain` zero-alloc domain.
+    /// allocation budget `tests/alloc_budget.rs` holds the splice path to.
     fn route_tree_fallback<'a>(
         &self,
         xml: &'a str,
@@ -392,7 +391,7 @@ impl MsgCore {
                     .map(|epr| epr.address)
                     .or_else(|| self.mailbox_fallback.clone())
                     .ok_or(WsdError::NoDestination)?;
-                // wsd-lint: allow(alloc-in-drain): the reply path's two budgeted allocations (Url host + path), gated by reply_allocs_per_op in the bench
+                // The reply path's whole allocation budget: Url host + path.
                 let to = Url::parse(&destination)?;
                 scanned.splice_reply_into(Some(&destination), out);
                 return Ok(RoutedMeta::Reply {
@@ -403,20 +402,17 @@ impl MsgCore {
         }
         // Request path: resolve the logical To.
         let logical_to = scanned.to().ok_or(WsdError::NoDestination)?;
-        // wsd-lint: allow(alloc-in-drain): forward-path naming allocations (logical service, URL, error detail) — counted by forward_allocs_per_op in the bench
         let logical = Url::parse(logical_to)?
             .logical_service()
             .map(str::to_string)
-            .ok_or_else(|| WsdError::UnknownService(logical_to.to_string()))?; // wsd-lint: allow(alloc-in-drain): error detail, not steady state
+            .ok_or_else(|| WsdError::UnknownService(logical_to.to_string()))?;
         let physical = self.registry.lookup(&logical)?;
         // Ensure the request has a MessageID so the reply can correlate.
         let minted = match scanned.message_id() {
             Some(_) => None,
-            // wsd-lint: allow(alloc-in-drain): minting covers for clients that omitted MessageID — anomalous traffic mints one fresh String
             None => Some(self.ids.next_id()),
         };
         let record = scanned.splice_forward_into(
-            // wsd-lint: allow(alloc-in-drain): forward serializes the physical URL once per forward — counted by forward_allocs_per_op in the bench
             &physical.to_string(),
             &self.dispatcher_address,
             minted.as_deref(),

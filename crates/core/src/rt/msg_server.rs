@@ -239,8 +239,7 @@ impl MsgDispatcherServer {
     /// CxThread work: route (splice fast path when possible), enqueue, ack.
     fn accept(self: &Arc<Self>, config: &DispatcherConfig, req: Request) -> Response {
         let Some(xml) = req.body_str() else {
-            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            self.tele.rejected.inc();
+            self.count_rejected();
             return Response::empty(Status::BAD_REQUEST);
         };
         // Splice into a pooled scratch buffer; the queue takes ownership
@@ -257,8 +256,7 @@ impl MsgDispatcherServer {
                 self.ack_enqueue(config, &to, body, message_id)
             }
             Err(e) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                self.tele.rejected.inc();
+                self.count_rejected();
                 crate::rpc::error_response(SoapVersion::V11, &e)
             }
         }
@@ -276,8 +274,7 @@ impl MsgDispatcherServer {
             self.tele.accepted.inc();
             Response::empty(Status::ACCEPTED)
         } else {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            self.tele.dropped.inc();
+            self.count_dropped(1);
             Response::empty(Status::SERVICE_UNAVAILABLE)
         }
     }
@@ -321,7 +318,6 @@ impl MsgDispatcherServer {
         let server = Arc::clone(self);
         let config = config.clone();
         let pool = Arc::clone(&self.ws_pool);
-        // wsd-lint: allow(alloc-in-drain): WsThread handoff — pool growth and closure boxing are per-activation, not per-message
         let _ = pool.execute(move || server.drain(&config, dest));
     }
 
@@ -345,7 +341,6 @@ impl MsgDispatcherServer {
                 }
                 let fresh_conn = client.is_none();
                 if fresh_conn {
-                    // wsd-lint: allow(alloc-in-drain): connection setup — amortized across every batch the kept-open connection drains
                     match self.net.connect(&dest.host, dest.port) {
                         Ok(stream) => {
                             self.tele.connects.inc();
@@ -370,7 +365,6 @@ impl MsgDispatcherServer {
                                 // An RPC service answered synchronously:
                                 // translate the response into a reply
                                 // message (Table 1 quadrant 3).
-                                // wsd-lint: allow(alloc-in-drain): quadrant-3 translation constructs a fresh reply request — message creation, not the pure drain loop
                                 self.translate_rpc_response(config, msg.msg_id.as_deref(), &resp);
                             }
                         }
@@ -387,10 +381,8 @@ impl MsgDispatcherServer {
                 self.stats.delivered.fetch_add(delivered, Ordering::Relaxed);
                 self.tele.delivered.add(delivered);
             }
-            let dropped = batch.len() as u64;
-            if dropped > 0 {
-                self.stats.dropped.fetch_add(dropped, Ordering::Relaxed);
-                self.tele.dropped.add(dropped);
+            if !batch.is_empty() {
+                self.count_dropped(batch.len() as u64);
             }
         }
         dest.active.store(false, Ordering::Release);
@@ -434,19 +426,30 @@ impl MsgDispatcherServer {
             owned = env.to_xml();
             &owned
         };
+        // The reply is the dispatcher's own message, not a client's: it
+        // is never `accepted`, but losing it must show in the books.
         let mut scratch = wsd_soap::checkout();
-        match self.core.route_raw_into(routable, routable.len(), now_us(), &mut scratch.out) {
-            Ok(RoutedMeta::Reply { to, message_id }) => {
-                let message_id = message_id.map(std::borrow::Cow::into_owned);
-                let body = scratch.take_out();
-                let _ = self.enqueue(config, &to, body, message_id);
-            }
-            Ok(RoutedMeta::Forward { to, message_id, .. }) => {
-                let body = scratch.take_out();
-                let _ = self.enqueue(config, &to, body, Some(message_id));
-            }
-            Err(_) => {}
+        let (to, message_id) =
+            match self.core.route_raw_into(routable, routable.len(), now_us(), &mut scratch.out) {
+                Ok(RoutedMeta::Reply { to, message_id }) => {
+                    (to, message_id.map(std::borrow::Cow::into_owned))
+                }
+                Ok(RoutedMeta::Forward { to, message_id, .. }) => (to, Some(message_id)),
+                Err(_) => return self.count_rejected(),
+            };
+        if !self.enqueue(config, &to, scratch.take_out(), message_id) {
+            self.count_dropped(1);
         }
+    }
+
+    fn count_rejected(&self) {
+        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        self.tele.rejected.inc();
+    }
+
+    fn count_dropped(&self, n: u64) {
+        self.stats.dropped.fetch_add(n, Ordering::Relaxed);
+        self.tele.dropped.add(n);
     }
 }
 
@@ -630,6 +633,63 @@ mod tests {
         assert!(snap.counter("rt.msg.cx_pool.completed") >= 1);
         // Canonical envelopes take the splice fast path.
         assert!(snap.counter("rt.msg.core.fastpath_hits") >= 5);
+    }
+
+    /// Polls `cond` for up to two seconds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        for _ in 0..200 {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        cond()
+    }
+
+    #[test]
+    fn refused_translated_reply_is_counted_as_dropped() {
+        const SENT: u64 = 6;
+        let net = Network::new();
+        let ws = EchoServer::start(&net, "ws", 8888, 4, Duration::ZERO);
+        // A reply endpoint that accepts the connection and never reads:
+        // the WsThread draining it parks on the first reply's response,
+        // the second reply fills the one-slot queue, the rest are refused.
+        let held = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let held2 = Arc::clone(&held);
+        net.listen("client", 9000, move |stream| held2.lock().push(stream));
+        let registry = Arc::new(Registry::new());
+        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
+        let config = DispatcherConfig { queue_capacity: 1, ..quick_config() };
+        let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, config);
+        let stats = disp.stats();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        for i in 0..SENT {
+            let status = one_way(&net, "http://client:9000/cb", &format!("uuid:q3-{i}"), "x");
+            assert_eq!(status, Status::ACCEPTED);
+            // `delivered` moves once the echo's 200 has been translated
+            // and the reply offered to the client's queue, so the next
+            // request finds the service's own one-slot queue empty.
+            assert!(eventually(|| load(&stats.delivered) == i + 1));
+            // ...and the first reply is in flight before the second is
+            // offered, whatever the WsThread's start-up lag.
+            assert!(eventually(|| !held.lock().is_empty()));
+        }
+        assert_eq!(load(&stats.accepted), SENT);
+        assert_eq!(load(&stats.dropped), SENT - 2, "one reply in flight, one queued");
+
+        // Release the endpoint: the two held replies now fail and drop.
+        // Every accepted request and the reply it spawned is on the books.
+        net.unlisten("client", 9000);
+        held.lock().clear();
+        assert!(eventually(|| load(&stats.dropped) == SENT));
+        assert_eq!(load(&stats.accepted), SENT);
+        assert_eq!(
+            load(&stats.delivered) + load(&stats.dropped) + load(&stats.rejected),
+            2 * SENT
+        );
+        disp.shutdown();
+        ws.shutdown();
     }
 
     #[test]

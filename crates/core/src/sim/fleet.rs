@@ -355,7 +355,6 @@ impl SimFleetInstance {
             if want == 0 {
                 continue;
             }
-            // wsd-lint: allow(alloc-in-drain): simulated drain — fetch cost is charged to the modeled disk, not the host CPU
             let msgs = match self.store.fetch(&svc, BOX_KEY, want, now_us) {
                 Ok(msgs) => msgs,
                 Err(_) => {
@@ -371,7 +370,6 @@ impl SimFleetInstance {
                     .reserve(now, SimDuration(self.dispatch_cost.0 * got)),
             );
             for m in msgs {
-                // wsd-lint: allow(alloc-in-drain): simulated drain builds wire payloads by design; its cost is the modeled dispatch_cost
                 self.forward_to_sink(ctx, &svc, m.body);
             }
             budget -= got as usize;

@@ -188,8 +188,6 @@ enum DestConn {
 }
 
 struct Dest {
-    #[allow(dead_code)] // kept for diagnostics/Debug
-    path_hint: String,
     queue: VecDeque<(String, Payload)>,
     conn: DestConn,
     has_thread: bool,
@@ -204,9 +202,8 @@ struct Dest {
 }
 
 impl Dest {
-    fn new(path_hint: String) -> Self {
+    fn new() -> Self {
         Dest {
-            path_hint,
             queue: VecDeque::new(),
             conn: DestConn::Idle,
             has_thread: false,
@@ -354,10 +351,7 @@ impl SimMsgDispatcher {
         let payload = request_payload(&req);
         let key = (to.host.clone(), to.port);
         let cap = self.config.queue_capacity;
-        let dest = self
-            .dests
-            .entry(key.clone())
-            .or_insert_with(|| Dest::new(to.path.clone()));
+        let dest = self.dests.entry(key.clone()).or_insert_with(Dest::new);
         if dest.queue.len() >= cap {
             self.stats.inner.borrow_mut().dropped += 1;
             self.tele.dropped.inc();

@@ -1,0 +1,148 @@
+//! The dispatch hot path's allocation budget, enforced by `cargo test`.
+//!
+//! `MsgCore::route_raw_into` with a pooled scratch buffer is the
+//! zero-copy splice path of DESIGN §7c: in steady state a correlated
+//! reply costs 2 heap allocations (the two `String`s inside the parsed
+//! destination `Url`) and a forward 15 (logical/physical URL naming plus
+//! the route record). A counting global allocator holds those figures as
+//! ceilings: a `format!`, `to_string()` or fresh `Vec` slipped into the
+//! splice path fails this test on the next `cargo test`.
+//!
+//! One test per binary on purpose: the allocator is process-global, and
+//! the count is kept per thread so the harness's own threads cannot
+//! perturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use wsd_core::{MsgCore, Registry, Url};
+use wsd_soap::{rpc, SoapVersion};
+use wsd_wsa::{EndpointReference, WsaHeaders};
+
+/// Steady-state ceilings, allocations per `route_raw_into` call.
+const REPLY_BUDGET: u64 = 2;
+const FORWARD_BUDGET: u64 = 15;
+
+thread_local! {
+    /// Heap acquisitions (alloc, alloc_zeroed, realloc) by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn tally() {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // the thread's locals are gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every operation delegates to `System` unchanged; only a
+// const-initialised, destructor-free thread-local counter is layered on
+// top, so counting itself never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: forwarded with the caller's layout, unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: forwarded with the caller's layout, unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread performs while running `f`.
+fn count(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const DISPATCHER: &str = "http://dispatcher/msg";
+
+/// The paper's addressed echo request in the writer's canonical form —
+/// what `route_raw` sees on the wire.
+fn forwarded_request() -> String {
+    let mut env = rpc::echo_request(SoapVersion::V11, "benchmark payload");
+    WsaHeaders::new()
+        .to("http://dispatcher/svc/Echo")
+        .reply_to(EndpointReference::new("http://client:9000/cb"))
+        .message_id("uuid:bench-1")
+        .action("urn:wsd:echo:echo")
+        .apply(&mut env);
+    env.to_xml()
+}
+
+/// The service's correlated reply to it.
+fn service_reply() -> String {
+    let mut env = rpc::echo_response(SoapVersion::V11, "benchmark payload");
+    WsaHeaders::new()
+        .to(DISPATCHER)
+        .relates_to("uuid:bench-1")
+        .message_id("uuid:bench-reply-1")
+        .apply(&mut env);
+    env.to_xml()
+}
+
+#[test]
+fn route_raw_into_stays_within_its_allocation_budget() {
+    let registry = Arc::new(Registry::new());
+    registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+    let core = MsgCore::new(registry, DISPATCHER, 7);
+    let request = forwarded_request();
+    let reply = service_reply();
+    let mut scratch = wsd_soap::checkout();
+    // Each round forwards the request (seeding the route table) and
+    // routes the correlated reply (consuming it). Warm scratch capacity,
+    // shard maps and the splice atoms first: one-time setup is not
+    // per-message cost.
+    let mut round = || -> (u64, u64) {
+        scratch.out.clear();
+        let forward = count(|| {
+            let m = core
+                .route_raw_into(&request, request.len(), 0, &mut scratch.out)
+                .unwrap();
+            std::hint::black_box(&m);
+        });
+        scratch.out.clear();
+        let reply = count(|| {
+            let m = core
+                .route_raw_into(&reply, reply.len(), 0, &mut scratch.out)
+                .unwrap();
+            std::hint::black_box(&m);
+        });
+        (forward, reply)
+    };
+    for _ in 0..8 {
+        round();
+    }
+    let (mut forward_max, mut reply_max) = (0, 0);
+    for _ in 0..256 {
+        let (forward, reply) = round();
+        forward_max = forward_max.max(forward);
+        reply_max = reply_max.max(reply);
+    }
+    assert!(
+        reply_max <= REPLY_BUDGET,
+        "reply splice path: {reply_max} allocs/op, budget {REPLY_BUDGET}"
+    );
+    assert!(
+        forward_max <= FORWARD_BUDGET,
+        "forward splice path: {forward_max} allocs/op, budget {FORWARD_BUDGET}"
+    );
+    println!("route_raw_into allocs/op: reply {reply_max}, forward {forward_max}");
+}

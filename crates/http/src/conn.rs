@@ -80,7 +80,7 @@ impl<S: Stream> HttpClient<S> {
             n += 1;
         }
         if n == 0 {
-            return Ok(Vec::new()); // wsd-lint: allow(alloc-in-drain): empty Vec::new never touches the allocator
+            return Ok(Vec::new());
         }
         self.reader.stream_mut().write_all(buf)?;
         self.reader.stream_mut().flush()?;

@@ -23,6 +23,7 @@
 //! entirely: they neither contribute summaries nor pollute bare-name
 //! resolution.
 
+use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -121,10 +122,6 @@ impl Graph {
     }
 }
 
-fn is_ident_char(c: u8) -> bool {
-    (c as char).is_alphanumeric() || c == b'_'
-}
-
 /// Scans one fn body for call sites. `body` is the `(start, end)` span in
 /// `code`; `skip` holds nested-fn spans whose contents belong elsewhere.
 fn scan_calls(
@@ -149,7 +146,7 @@ fn scan_calls(
         }
         // Read the identifier.
         let id_start = i;
-        while i < end && is_ident_char(b[i]) {
+        while i < end && is_ident_byte(b[i]) {
             i += 1;
         }
         let name = &code[id_start..i];
@@ -226,7 +223,7 @@ fn scan_calls(
             // Path call: capture the segment before `::`.
             let mut q = p - 2;
             let seg_end = q;
-            while q > start && is_ident_char(b[q - 1]) {
+            while q > start && is_ident_byte(b[q - 1]) {
                 q -= 1;
             }
             if q < seg_end {
@@ -259,7 +256,7 @@ fn scan_calls(
                     }
                 }
                 let seg_end = q;
-                while q > start && is_ident_char(b[q - 1]) {
+                while q > start && is_ident_byte(b[q - 1]) {
                     q -= 1;
                 }
                 if q == seg_end {

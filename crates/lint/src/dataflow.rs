@@ -34,6 +34,7 @@
 //! terminating the statement's fallthrough.
 
 use crate::callgraph::{line_at, line_index, CallSite, Graph};
+use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
 use crate::rules::{is_test_path, Finding, FlowStep};
 use crate::ruleset::{fill, CallPat, GaugeRule, Ruleset, TaintRule};
@@ -105,10 +106,6 @@ pub trait Flow {
     fn exit(&mut self, st: &Self::State, kind: ExitKind, line: usize);
 }
 
-fn is_word(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
 /// Then-branch polarity of a condition text, when determinable:
 /// `Some(true)` means the then/body side is the condition-held side,
 /// `Some(false)` means the then side is the condition-*failed* side
@@ -132,11 +129,11 @@ fn cond_polarity(cond: &str) -> Option<bool> {
 /// The ident starting at `i`, if any.
 fn word_at(code: &str, i: usize) -> &str {
     let b = code.as_bytes();
-    if i >= b.len() || !is_word(b[i]) || (i > 0 && is_word(b[i - 1])) {
+    if i >= b.len() || !is_ident_byte(b[i]) || (i > 0 && is_ident_byte(b[i - 1])) {
         return "";
     }
     let mut j = i;
-    while j < b.len() && is_word(b[j]) {
+    while j < b.len() && is_ident_byte(b[j]) {
         j += 1;
     }
     &code[i..j]
@@ -317,7 +314,7 @@ impl<'a> Walker<'a> {
             // Loop labels: `'outer: loop { .. }`.
             if c == b'\'' {
                 let mut j = i + 1;
-                while j < e && is_word(b[j]) {
+                while j < e && is_ident_byte(b[j]) {
                     j += 1;
                 }
                 if j < e && b[j] == b':' && j > i + 1 {
@@ -1009,7 +1006,7 @@ fn mut_ref_args(args: &str) -> Vec<&str> {
         let s = from + p + 5;
         let b = args.as_bytes();
         let mut j = s;
-        while j < b.len() && is_word(b[j]) {
+        while j < b.len() && is_ident_byte(b[j]) {
             j += 1;
         }
         if j > s {
@@ -1263,7 +1260,7 @@ mod tests {
     use super::*;
     use crate::callgraph::build;
     use crate::parser::{parse, ParsedFile};
-    use crate::ruleset::builtin;
+    use crate::ruleset::embedded;
     use crate::summaries::compute;
 
     // ---- harness -------------------------------------------------------
@@ -1378,8 +1375,8 @@ impl S {
         .into_iter()
         .collect();
         let mut graph = build(&parsed, &|_| false);
-        let rs = builtin();
-        let facts = compute(&files, &mut graph, &rs);
+        let rs = embedded();
+        let facts = compute(&files, &mut graph, rs);
         let rule = &rs.taint_rules[0];
         let fi = graph.fns.iter().position(|f| f.name == "h").unwrap();
         let f = &graph.fns[fi];

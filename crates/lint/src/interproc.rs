@@ -14,30 +14,26 @@
 //!   (`wsd_concurrent::ordered::audit`) can be cross-checked against
 //!   it.
 //!
-//! The remaining rules are *declarative* — rows in
-//! [`crate::ruleset::Ruleset`] evaluated by three generic engines:
+//! The remaining rules are *declarative* — rows of `lint-rules.toml`
+//! ([`crate::ruleset::Ruleset`]) evaluated by two generic engines:
 //!
 //! * [`obligation_rule`] — "every path into a sink must have passed a
 //!   satisfier first". Unsatisfied sinks propagate the obligation to
 //!   callers; an entry point reached with the obligation still open is
 //!   a finding. `wsa-rewrite-before-forward` and
-//!   `shard-route-before-enqueue` are the built-in rows.
+//!   `shard-route-before-enqueue` are the shipped rows.
 //! * [`arg_rule`] — "a trigger call's argument text must not contain a
-//!   forbidden spelling". `limits-at-serve-site` is the built-in row.
-//! * [`reach_rule`] — "no fn reachable from an entry point may contain
-//!   a forbidden spelling", with edge-aware suppressions: an allow on a
-//!   call-site line prunes propagation through that edge.
-//!   `alloc-in-drain` is the built-in row.
+//!   forbidden spelling". `limits-at-serve-site` is the shipped row.
 //!
-//! Adding another "X before Y" invariant (ROADMAP item 5's
-//! `auth-before-enqueue`) is a new row in `lint-rules.toml` plus a
-//! name in [`crate::rules::RULE_NAMES`] — no new analysis code.
+//! Adding another "X before Y" invariant is a new row in
+//! `lint-rules.toml` — no new analysis code, no Rust edit.
 
 use crate::callgraph::Graph;
 use crate::rules::{Finding, FlowStep};
-use crate::ruleset::{fill, ArgRule, CallPat, ObligationRule, ReachRule, Ruleset};
+use crate::ruleset::{fill, ArgRule, CallPat, ObligationRule, Ruleset};
 use crate::summaries::{
     acquire_chain, block_chain, is_guard_own_wait, region_calls, sink_desc, FileEntry, Facts,
+    ACQUIRE_METHODS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,25 +53,16 @@ pub struct Edge {
     pub witness: String,
 }
 
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
-
-/// Suppressions the reachability engines consumed as edge prunes, as
-/// `(file, directive line, rule)` — feeds the `unused-suppression`
-/// check.
-pub type UsedAllows = BTreeSet<(String, usize, String)>;
-
 /// Runs the interprocedural rules. Returns unfiltered findings
-/// (suppressions are applied by the caller), the static lock-order edge
-/// set for the dynamic cross-check, and the edge-allows that actually
-/// pruned an edge.
+/// (suppressions are applied by the caller) and the static lock-order
+/// edge set for the dynamic cross-check.
 pub fn run(
     files: &BTreeMap<String, FileEntry>,
     graph: &Graph,
     facts: &Facts,
     ruleset: &Ruleset,
-) -> (Vec<Finding>, Vec<Edge>, UsedAllows) {
+) -> (Vec<Finding>, Vec<Edge>) {
     let mut findings = Vec::new();
-    let mut used = UsedAllows::new();
     blocking_under_lock(graph, facts, &mut findings);
     let edges = collect_lock_order_edges(graph, facts);
     static_lock_order(&edges, &mut findings);
@@ -85,10 +72,7 @@ pub fn run(
     for rule in &ruleset.arg_rules {
         arg_rule(rule, files, graph, &mut findings);
     }
-    for rule in &ruleset.reach_rules {
-        reach_rule(rule, files, graph, &mut findings, &mut used);
-    }
-    (findings, edges, used)
+    (findings, edges)
 }
 
 fn blocking_under_lock(graph: &Graph, facts: &Facts, findings: &mut Vec<Finding>) {
@@ -463,154 +447,12 @@ fn arg_rule(
     }
 }
 
-/// The forward-reachability engine: every fn call-graph-reachable from
-/// an entry point is scanned for the forbidden spellings.
-///
-/// Suppressions are *edge-aware*: an allow of this rule on the line of
-/// a call site stops propagation through that edge — the callee's whole
-/// subtree is declared outside the rule's domain for the stated reason
-/// (the tree-fallback route, per-connection setup, reply translation).
-/// An allow on a marker line itself silences just that line (filtered
-/// by the caller, like every other interprocedural finding). Allows
-/// that actually prune a reached edge are reported in `used` so the
-/// `unused-suppression` check can tell armor from dead weight.
-fn reach_rule(
-    rule: &ReachRule,
-    files: &BTreeMap<String, FileEntry>,
-    graph: &Graph,
-    findings: &mut Vec<Finding>,
-    used: &mut UsedAllows,
-) {
-    // Per-file allows of this rule, as (line, is_line_comment).
-    let mut allows: BTreeMap<&str, Vec<(usize, bool)>> = BTreeMap::new();
-    for (path, entry) in files {
-        let sups = crate::rules::active_suppressions(&entry.parsed.stripped.comments);
-        let v: Vec<(usize, bool)> = sups
-            .into_iter()
-            .filter(|(_, _, r)| r == rule.name)
-            .map(|(line, is_line, _)| (line, is_line))
-            .collect();
-        if !v.is_empty() {
-            allows.insert(path.as_str(), v);
-        }
-    }
-    let edge_allowed = |file: &str, call_line: usize| -> Option<usize> {
-        allows.get(file).and_then(|v| {
-            v.iter()
-                .find(|(line, is_line)| {
-                    *line == call_line || (*is_line && line + 1 == call_line)
-                })
-                .map(|(line, _)| *line)
-        })
-    };
-
-    // Forward reachability, keeping the first-discovered witness chain
-    // per fn (entry chains start at the entry's signature line).
-    let mut chain: BTreeMap<usize, (String, Vec<FlowStep>)> = BTreeMap::new();
-    let mut work: Vec<usize> = Vec::new();
-    for (fi, f) in graph.fns.iter().enumerate() {
-        if !f.file.starts_with(rule.scope.as_str()) {
-            continue;
-        }
-        if rule.entries.contains(&f.name)
-            || rule.entry_prefixes.iter().any(|p| f.name.starts_with(p.as_str()))
-        {
-            let steps = vec![FlowStep {
-                file: f.file.clone(),
-                line: f.sig_line,
-                message: format!("entry point {} of the {} domain", f.qualified, rule.name),
-            }];
-            chain.insert(fi, (format!("{} ({}:{})", f.qualified, f.file, f.sig_line), steps));
-            work.push(fi);
-        }
-    }
-    while let Some(fi) = work.pop() {
-        let (prefix, steps) = chain.get(&fi).cloned().unwrap();
-        for c in &graph.fns[fi].calls {
-            let Some(t) = c.callee else { continue };
-            if chain.contains_key(&t) {
-                continue;
-            }
-            if let Some(sup_line) = edge_allowed(&graph.fns[fi].file, c.line) {
-                // Reasoned exit from the rule's domain.
-                used.insert((graph.fns[fi].file.clone(), sup_line, rule.name.to_string()));
-                continue;
-            }
-            let tf = &graph.fns[t];
-            let mut steps2 = steps.clone();
-            steps2.push(FlowStep {
-                file: tf.file.clone(),
-                line: c.line,
-                message: format!("reached {} via this call", tf.qualified),
-            });
-            chain.insert(
-                t,
-                (format!("{prefix} -> {} ({}:{})", tf.qualified, tf.file, c.line), steps2),
-            );
-            work.push(t);
-        }
-    }
-
-    let mut seen: BTreeSet<(String, usize)> = BTreeSet::new();
-    for (fi, (prefix, steps)) in &chain {
-        let f = &graph.fns[*fi];
-        let Some(entry) = files.get(&f.file) else { continue };
-        let pf = &entry.parsed;
-        let Some(item) = pf.fns.get(f.local_idx) else { continue };
-        let Some((bs, be)) = item.body else { continue };
-        let code = &pf.stripped.code;
-        let be = be.min(code.len());
-        let nested = pf.nested_spans(f.local_idx);
-        let starts = crate::callgraph::line_index(code);
-        let src_lines: Vec<&str> = entry.source.lines().collect();
-        for marker in &rule.markers {
-            let mut at = bs;
-            while let Some(rel) = code[at..be].find(marker.as_str()) {
-                let off = at + rel;
-                at = off + marker.len();
-                if nested.iter().any(|(s, e)| *s <= off && off < *e) {
-                    continue; // nested fn bodies are their own graph nodes
-                }
-                let line = crate::callgraph::line_at(&starts, off);
-                if !seen.insert((f.file.clone(), line)) {
-                    continue;
-                }
-                let mut flow = steps.clone();
-                flow.push(FlowStep {
-                    file: f.file.clone(),
-                    line,
-                    message: format!("forbidden `{}` here", marker.trim_end_matches('(')),
-                });
-                findings.push(Finding {
-                    rule: rule.name,
-                    file: f.file.clone(),
-                    line,
-                    excerpt: src_lines
-                        .get(line.saturating_sub(1))
-                        .unwrap_or(&"")
-                        .trim()
-                        .to_string(),
-                    witness: Some(fill(
-                        &rule.witness,
-                        &[
-                            ("marker", marker.trim_end_matches('(')),
-                            ("fn", &f.qualified),
-                            ("chain", prefix),
-                        ],
-                    )),
-                    flow,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::callgraph::build;
     use crate::parser::{parse, ParsedFile};
-    use crate::ruleset::builtin;
+    use crate::ruleset::embedded;
     use crate::summaries::compute;
 
     fn run_on(files: &[(&str, &str)]) -> (Vec<Finding>, Vec<Edge>) {
@@ -631,10 +473,8 @@ mod tests {
             .map(|(p, s)| (p.to_string(), parse(s)))
             .collect();
         let mut graph = build(&parsed, &|_| false);
-        let rs = builtin();
-        let facts = compute(&map, &mut graph, &rs);
-        let (f, e, _) = run(&map, &graph, &facts, &rs);
-        (f, e)
+        let facts = compute(&map, &mut graph, embedded());
+        run(&map, &graph, &facts, embedded())
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&str> {
@@ -916,75 +756,5 @@ fn start(stream: S, limits: &Limits) {
             f.iter().filter(|x| x.rule == "limits-at-serve-site").count(),
             1
         );
-    }
-
-    #[test]
-    fn alloc_reachable_from_route_raw_is_flagged_with_chain() {
-        let src = r#"
-struct C;
-impl C {
-    fn route_raw(&self, xml: &str) { self.helper(xml); }
-    fn helper(&self, xml: &str) { let s = xml.to_string(); }
-}
-"#;
-        let (f, _) = run_on(&[("crates/core/src/msg.rs", src)]);
-        let a: Vec<_> = f.iter().filter(|x| x.rule == "alloc-in-drain").collect();
-        assert_eq!(a.len(), 1, "{f:?}");
-        assert_eq!(a[0].line, 5);
-        let w = a[0].witness.as_ref().unwrap();
-        assert!(w.contains("C::route_raw") && w.contains("C::helper"), "{w}");
-        assert!(a[0].flow.len() >= 2, "{:?}", a[0].flow);
-    }
-
-    #[test]
-    fn alloc_in_drain_entry_itself_is_scanned() {
-        let src = "struct C;\nimpl C {\n    fn drain(&self) { let s = format!(\"x\"); }\n}\n";
-        let (f, _) = run_on(&[("crates/core/src/rt/d.rs", src)]);
-        assert_eq!(
-            f.iter().filter(|x| x.rule == "alloc-in-drain").count(),
-            1,
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn allowed_call_edge_prunes_the_callee_subtree_and_counts_as_used() {
-        let src = r#"
-struct C;
-impl C {
-    fn route_raw(&self, xml: &str) {
-        // wsd-lint: allow(alloc-in-drain): anomaly fallback, allocates by design
-        self.fallback(xml);
-    }
-    fn fallback(&self, xml: &str) { let s = xml.to_string(); }
-}
-"#;
-        let map: BTreeMap<String, FileEntry> = [(
-            "crates/core/src/msg.rs".to_string(),
-            FileEntry {
-                source: src.to_string(),
-                parsed: parse(src),
-            },
-        )]
-        .into_iter()
-        .collect();
-        let parsed: BTreeMap<String, ParsedFile> =
-            [("crates/core/src/msg.rs".to_string(), parse(src))].into_iter().collect();
-        let mut graph = build(&parsed, &|_| false);
-        let rs = builtin();
-        let facts = compute(&map, &mut graph, &rs);
-        let (f, _, used) = run(&map, &graph, &facts, &rs);
-        assert!(f.iter().all(|x| x.rule != "alloc-in-drain"), "{f:?}");
-        assert!(
-            used.contains(&("crates/core/src/msg.rs".to_string(), 5, "alloc-in-drain".to_string())),
-            "{used:?}"
-        );
-    }
-
-    #[test]
-    fn drain_outside_core_is_not_an_entry() {
-        let src = "struct B;\nimpl B {\n    fn drain(&self) { let s = format!(\"x\"); }\n}\n";
-        let (f, _) = run_on(&[("crates/http/src/buf.rs", src)]);
-        assert!(f.iter().all(|x| x.rule != "alloc-in-drain"), "{f:?}");
     }
 }

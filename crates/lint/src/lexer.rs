@@ -46,6 +46,12 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
+/// Whether byte `c` of blanked code continues an identifier — the one
+/// word-boundary predicate every byte-level scanner in the crate shares.
+pub fn is_ident_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
+}
+
 /// Strips strings, chars and comments out of `source`.
 pub fn strip(source: &str) -> Stripped {
     let chars: Vec<char> = source.chars().collect();

@@ -11,9 +11,11 @@
 //! ([`summaries`]) compute acquires-lock / may-block / satisfies /
 //! sanitizes facts, and three rule layers evaluate the named
 //! invariants — lexical ([`rules`]), interprocedural ([`interproc`])
-//! and path-sensitive dataflow ([`dataflow`]) — with the obligation,
-//! taint and gauge rules expressed as *data* in a checked-in ruleset
-//! ([`ruleset`], `lint-rules.toml`), `#[cfg(test)]` exemption, reasoned
+//! and path-sensitive dataflow ([`dataflow`], [`typestate`],
+//! [`waitgraph`]) — with the obligation, taint, gauge, typestate and
+//! wait-graph rules expressed as *data*: rows of the checked-in
+//! `lint-rules.toml`, compiled in and written down nowhere else
+//! ([`ruleset`]), `#[cfg(test)]` exemption, reasoned
 //! suppressions audited for liveness (`unused-suppression`), a ratchet
 //! baseline ([`baseline`]) that fails the build only on *new* findings,
 //! and a SARIF emitter ([`sarif`]) with `codeFlows` for CI.
@@ -41,7 +43,7 @@ pub mod walk;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-pub use rules::{lint_source, suppressions_in, Finding, RULE_NAMES};
+pub use rules::{lint_source, suppressions_in, Finding};
 
 /// Everything one analysis pass produces: findings (lexical +
 /// interprocedural + dataflow, suppression-filtered, sorted), the
@@ -66,14 +68,13 @@ pub struct WorkspaceAnalysis {
     pub timings: Vec<(&'static str, u128)>,
 }
 
-/// Full analysis of every workspace `.rs` file under `root`.
+/// Full analysis of every workspace `.rs` file under `root`, against
+/// the embedded ruleset.
 ///
 /// `self_mode` is the `--self` configuration: per-rule path scoping is
 /// dropped (paths are then relative to `crates/lint`, matching no
 /// scope) so the linter holds itself to the complete rule set.
 pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<WorkspaceAnalysis> {
-    let ruleset = ruleset::load(root)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let mut files: BTreeMap<String, summaries::FileEntry> = BTreeMap::new();
     for (rel, abs) in walk::rust_files(root)? {
         // wsd-lint: allow(raw-file-io): the linter reads the sources it lints
@@ -83,10 +84,21 @@ pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<Worksp
         let parsed = parser::parse(&source);
         files.insert(rel, summaries::FileEntry { source, parsed });
     }
+    Ok(analyze_files(&files, ruleset::embedded(), self_mode))
+}
 
-    // Suppressions that silenced at least one finding (or pruned a
-    // reachability edge), as (file, directive line, rule). Whatever is
-    // left over at the end is dead weight — an `unused-suppression`.
+/// [`analyze_workspace`] over already-read files (keyed by
+/// workspace-relative path) and an explicit ruleset — everything a rule
+/// is comes from `ruleset`: the engines' parameters, the names a
+/// suppression may cite, the ids findings carry.
+pub fn analyze_files(
+    files: &BTreeMap<String, summaries::FileEntry>,
+    ruleset: &ruleset::Ruleset,
+    self_mode: bool,
+) -> WorkspaceAnalysis {
+    // Suppressions that silenced at least one finding, as (file,
+    // directive line, rule). Whatever is left over at the end is dead
+    // weight — an `unused-suppression`.
     let mut used: BTreeSet<(String, usize, String)> = BTreeSet::new();
 
     // wsd-lint: allow(raw-clock): measuring the linter's own stage wall time, not event time
@@ -99,16 +111,20 @@ pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<Worksp
     };
 
     let mut findings = Vec::new();
-    let mut suppressions = 0usize;
-    for (rel, entry) in &files {
+    // Each file's well-formed suppressions, as (line, is_line_comment,
+    // rule): counted for the report, matched against the engines'
+    // findings, and audited for liveness below.
+    let mut allows: BTreeMap<&str, Vec<(usize, bool, String)>> = BTreeMap::new();
+    for (rel, entry) in files {
         let (fs, consumed) =
-            rules::lint_source_uses(rel, &entry.source, &entry.parsed, self_mode);
+            rules::lint_source_uses(rel, &entry.source, &entry.parsed, self_mode, ruleset);
         findings.extend(fs);
         for (line, rule) in consumed {
             used.insert((rel.clone(), line, rule));
         }
-        suppressions += rules::suppressions_in(&entry.source).len();
+        allows.insert(rel, rules::active_suppressions(&entry.parsed.stripped.comments, ruleset));
     }
+    let suppressions = allows.values().map(Vec::len).sum();
     lap("lexical", &mut stage_start, &mut timings);
 
     // Interprocedural layer: test-path files are excluded from the
@@ -120,17 +136,15 @@ pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<Worksp
         .map(|(rel, e)| (rel.clone(), parser::parse(&e.source)))
         .collect();
     let mut graph = callgraph::build(&parsed_for_graph, &|_| false);
-    let facts = summaries::compute(&files, &mut graph, &ruleset);
+    let facts = summaries::compute(files, &mut graph, ruleset);
     lap("graph", &mut stage_start, &mut timings);
-    let (interproc_findings, lock_edges, edge_allows) =
-        interproc::run(&files, &graph, &facts, &ruleset);
-    used.extend(edge_allows);
+    let (interproc_findings, lock_edges) = interproc::run(files, &graph, &facts, ruleset);
     lap("interproc", &mut stage_start, &mut timings);
-    let dataflow_findings = dataflow::run(&files, &graph, &facts, &ruleset);
+    let dataflow_findings = dataflow::run(files, &graph, &facts, ruleset);
     lap("dataflow", &mut stage_start, &mut timings);
-    let typestate_findings = typestate::run(&files, &graph, &ruleset);
+    let typestate_findings = typestate::run(files, &graph, ruleset);
     lap("typestate", &mut stage_start, &mut timings);
-    let waitgraph_findings = waitgraph::run(&files, &graph, &facts, &ruleset);
+    let waitgraph_findings = waitgraph::run(files, &graph, &facts, ruleset);
     lap("waitgraph", &mut stage_start, &mut timings);
 
     // Interprocedural, dataflow, typestate and waitgraph findings
@@ -141,12 +155,10 @@ pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<Worksp
         .chain(typestate_findings)
         .chain(waitgraph_findings)
     {
-        let sups = files
-            .get(&f.file)
-            .map(|e| rules::active_suppressions(&e.parsed.stripped.comments))
-            .unwrap_or_default();
-        let hit = sups.iter().find(|(line, is_line, rule)| {
-            rule == f.rule && (*line == f.line || (*is_line && line + 1 == f.line))
+        let hit = allows.get(f.file.as_str()).and_then(|sups| {
+            sups.iter().find(|(line, is_line, rule)| {
+                rule == f.rule && (*line == f.line || (*is_line && line + 1 == f.line))
+            })
         });
         if let Some((line, _, rule)) = hit {
             used.insert((f.file.clone(), *line, rule.clone()));
@@ -160,28 +172,28 @@ pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<Worksp
     // deliberately stale allows), and outside `--self` so is the
     // analyzer's own source (audited by the self-run, like every other
     // rule).
-    for (rel, entry) in &files {
+    for (rel, entry) in files {
         if rules::is_test_path(rel) {
             continue;
         }
         if !self_mode && !rules::rule_applies("unused-suppression", rel) {
             continue;
         }
-        for (line, _, rule) in rules::active_suppressions(&entry.parsed.stripped.comments) {
-            if entry.parsed.is_test_line(line) {
+        for (line, _, rule) in &allows[rel.as_str()] {
+            if entry.parsed.is_test_line(*line) {
                 continue;
             }
-            if used.contains(&(rel.clone(), line, rule.clone())) {
+            if used.contains(&(rel.clone(), *line, rule.clone())) {
                 continue;
             }
             findings.push(Finding {
                 rule: "unused-suppression",
                 file: rel.clone(),
-                line,
+                line: *line,
                 excerpt: format!("allow({rule}) here silences nothing"),
                 witness: Some(format!(
-                    "suppression of `{rule}` at {rel}:{line} matched no finding and \
-                     pruned no edge — delete it or re-justify it"
+                    "suppression of `{rule}` at {rel}:{line} matched no finding — \
+                     delete it or re-justify it"
                 )),
                 flow: Vec::new(),
             });
@@ -194,14 +206,14 @@ pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<Worksp
             .then(a.line.cmp(&b.line))
             .then(a.rule.cmp(b.rule))
     });
-    Ok(WorkspaceAnalysis {
+    WorkspaceAnalysis {
         findings,
         suppressions,
         graph,
         facts,
         lock_edges,
         timings,
-    })
+    }
 }
 
 /// Lints every workspace `.rs` file under `root`; findings come back

@@ -27,9 +27,8 @@
 //!   object: `total` plus one entry per engine stage (lexical, graph,
 //!   interproc, dataflow, typestate, waitgraph), so budget regressions
 //!   are attributable to a stage.
-//! * `--explain RULE`: print the rule's doc string, engine kind, and
-//!   (for declarative rules) the `lint-rules.toml` source row, then
-//!   exit.
+//! * `--explain RULE`: print the rule's engine kind and hint, and (for
+//!   declarative rules) its `lint-rules.toml` row as written, then exit.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -167,46 +166,25 @@ fn write_out(path: &str, text: &str) -> Result<(), ExitCode> {
     }
 }
 
-/// `--explain RULE`: doc string, engine kind, and (for declarative
-/// rules) the `lint-rules.toml` source row.
-fn explain(root: &std::path::Path, rule: &str) -> ExitCode {
-    let rs = match ruleset::load(root) {
-        Ok(rs) => rs,
-        Err(e) => {
-            eprintln!("wsd-lint: bad ruleset: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let hint = rules::rule_hint(rule);
-    match ruleset::explain_rule(&rs, rule) {
-        Some((kind, doc, toml)) => {
-            println!("{rule} — {kind}");
-            if !doc.is_empty() {
-                println!("  {doc}");
-            }
-            if !hint.is_empty() {
-                println!("  -> {hint}");
-            }
-            println!("\nlint-rules.toml source row:");
-            for line in toml.lines() {
-                println!("  {line}");
-            }
-            ExitCode::SUCCESS
-        }
-        None if rules::RULE_NAMES.contains(&rule) => {
-            println!("{rule} — built-in (lexical/interprocedural; no TOML row)");
-            if !hint.is_empty() {
-                println!("  -> {hint}");
-            }
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!(
-                "wsd-lint: unknown rule {rule:?}; known rules: {}",
-                rules::RULE_NAMES.join(", ")
-            );
-            ExitCode::from(2)
-        }
+/// `--explain RULE`: engine kind, then a coded rule's hint or a
+/// declarative rule's `lint-rules.toml` row exactly as written there
+/// (its `doc` line is the hint).
+fn explain(rule: &str) -> ExitCode {
+    let rs = ruleset::embedded();
+    if let Some(row) = rs.row(rule) {
+        println!("{rule} — {}", row.engine());
+        println!("\nlint-rules.toml, line {}:\n{}", row.line, row.text);
+        ExitCode::SUCCESS
+    } else if rules::RULE_NAMES.contains(&rule) {
+        println!("{rule} — built-in (lexical/interprocedural; no TOML row)");
+        println!("  -> {}", rules::rule_hint(rule));
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "wsd-lint: unknown rule {rule:?}; known rules: {}",
+            rs.rule_names().collect::<Vec<_>>().join(", ")
+        );
+        ExitCode::from(2)
     }
 }
 
@@ -220,7 +198,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(rule) = &opts.explain {
-        return explain(&opts.root, rule);
+        return explain(rule);
     }
 
     // `--self`: the linter lints itself, full rule set, zero tolerance.
@@ -315,10 +293,7 @@ fn main() -> ExitCode {
         if let Some(w) = &f.witness {
             println!("       witness: {w}");
         }
-        let hint = rules::rule_hint(f.rule);
-        if !hint.is_empty() {
-            println!("       -> {hint}");
-        }
+        println!("       -> {}", ruleset::embedded().hint(f.rule));
     }
     for (k, base_n, cur) in &report.burned_down {
         println!(
@@ -347,7 +322,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &opts.sarif_path {
-        let text = sarif::render(&findings);
+        let text = sarif::render(&findings, ruleset::embedded());
         if let Err(code) = write_out(path, &text) {
             return code;
         }

@@ -12,20 +12,16 @@
 //! malformed suppression is itself reported under the `bad-suppression`
 //! rule so silent opt-outs cannot accrete.
 
-use crate::lexer::{strip, Comment};
+use crate::lexer::{is_ident_byte, strip, Comment};
 use crate::parser::{parse, ParsedFile};
+use crate::ruleset::{embedded, Ruleset};
 
-/// All enforced rule names, in report order. The first six are
-/// lexical (per-line); the next six are interprocedural (call-graph
-/// reachability, see [`crate::interproc`] — driven by the declarative
-/// [`crate::ruleset`]); `unvalidated-envelope-to-sink` and
-/// `gauge-balance` are dataflow rules (see [`crate::dataflow`]); the
-/// four protocol-lifecycle rules are `[[typestate]]` automata (see
-/// [`crate::typestate`]); `blocking-cycle` and `queue-pop-no-close`
-/// come from the wait-for graph (see [`crate::waitgraph`]);
-/// `bad-suppression` and `unused-suppression` guard the suppression
-/// mechanism itself.
-pub const RULE_NAMES: [&str; 22] = [
+/// The rules that are Rust code, in report order: six lexical
+/// (per-line) checks, the two structural call-graph rules of
+/// [`crate::interproc`], and the two that guard the suppression
+/// mechanism itself. Every other rule is a row in `lint-rules.toml` and
+/// is named there only — [`Ruleset::rule_names`] lists both kinds.
+pub const RULE_NAMES: [&str; 10] = [
     "raw-thread-spawn",
     "raw-clock",
     "std-sync-primitive",
@@ -34,18 +30,6 @@ pub const RULE_NAMES: [&str; 22] = [
     "raw-file-io",
     "blocking-under-lock",
     "static-lock-order",
-    "wsa-rewrite-before-forward",
-    "shard-route-before-enqueue",
-    "limits-at-serve-site",
-    "alloc-in-drain",
-    "unvalidated-envelope-to-sink",
-    "gauge-balance",
-    "wal-ack-before-durable",
-    "scratch-use-after-take",
-    "reactor-conn-accounting",
-    "fleet-handoff-completion",
-    "blocking-cycle",
-    "queue-pop-no-close",
     "bad-suppression",
     "unused-suppression",
 ];
@@ -65,7 +49,7 @@ pub struct FlowStep {
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (one of [`RULE_NAMES`]).
+    /// Rule name (one of [`Ruleset::rule_names`]).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,
@@ -82,7 +66,8 @@ pub struct Finding {
     pub flow: Vec<FlowStep>,
 }
 
-/// What each rule protects, shown next to findings.
+/// What each coded rule protects, shown next to findings (a declarative
+/// rule's hint is its row's `doc` — see [`Ruleset::hint`]).
 pub fn rule_hint(rule: &str) -> &'static str {
     match rule {
         "raw-thread-spawn" => {
@@ -117,75 +102,6 @@ pub fn rule_hint(rule: &str) -> &'static str {
              the static acquisition graph is a deadlock schedule waiting \
              for the right interleaving"
         }
-        "wsa-rewrite-before-forward" => {
-            "every path from envelope receipt to a forward enqueue must \
-             pass a ReplyTo rewrite (splice_forward / \
-             rewrite_for_forward) — the paper's MSG-Dispatcher contract"
-        }
-        "shard-route-before-enqueue" => {
-            "every path from a fleet client to a deposit enqueue must \
-             pass the consistent-hash routing step (shard_route) — a \
-             deposit aimed at a hard-coded instance breaks the ring's \
-             ownership accounting and the handoff ledger with it"
-        }
-        "limits-at-serve-site" => {
-            "serve sites must thread Limits from config, not \
-             Limits::default() — otherwise ops cannot tighten parser \
-             bounds without a rebuild"
-        }
-        "alloc-in-drain" => {
-            "the dispatch hot path (WsThread drain / route_raw) is \
-             zero-alloc in steady state — per-message String/Vec/format! \
-             allocation belongs to setup or the reasoned tree-fallback \
-             suppressions, not the drain loop"
-        }
-        "unvalidated-envelope-to-sink" => {
-            "bytes read from the firewall-facing socket (try_read / \
-             RequestParser::feed) must pass verify_element or a tree \
-             parse before reaching a forward splice, WAL append, or \
-             enqueue — the dispatcher is the trust boundary"
-        }
-        "gauge-balance" => {
-            "a telemetry gauge incremented in a region must be \
-             decremented on every non-panic path out of it (early \
-             returns, `?`, let-else arms) — the chaos campaign's \
-             gauges-return-to-0 teardown invariant, checked statically"
-        }
-        "wal-ack-before-durable" => {
-            "a function that appends a WAL record must commit (fsync) it \
-             before any non-error return — an ack sent from the appended \
-             state races durability, the exact loss window the 250-seed \
-             crash sweep probes dynamically"
-        }
-        "scratch-use-after-take" => {
-            "once `take_out` moves a pooled scratch buffer's String out, \
-             the guard must not be touched again — a later write lands in \
-             a buffer the pool will hand to the next envelope"
-        }
-        "reactor-conn-accounting" => {
-            "a job that takes a connection out of its cell must rest it \
-             there again or deregister it (conns map entry removed, \
-             `open_conns` decremented) on every non-panic path out — \
-             otherwise the gauge and the map drift and shutdown never \
-             drains"
-        }
-        "fleet-handoff-completion" => {
-            "a claimed handoff must reach completion (a `complete` call \
-             or the recovery timer that leads there) on every path — an \
-             abandoned claim strands the dead instance's mailboxes \
-             forever"
-        }
-        "blocking-cycle" => {
-            "the wait-for graph over lock classes and blocking queue ops \
-             must stay acyclic — a cycle is a deadlock schedule waiting \
-             for the right interleaving, beyond what lock order alone \
-             can see"
-        }
-        "queue-pop-no-close" => {
-            "an unbounded blocking pop on a queue class with no close() \
-             call anywhere in the workspace can never observe shutdown — \
-             the consumer parks forever and teardown hangs"
-        }
         "bad-suppression" => "suppressions need a known rule and a written reason",
         "unused-suppression" => {
             "an allow whose rule no longer fires on that line is dead \
@@ -216,7 +132,7 @@ fn method_calls(code_line: &str) -> Vec<&str> {
         if bytes[i] == b'.' {
             let start = i + 1;
             let mut j = start;
-            while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
+            while j < bytes.len() && is_ident_byte(bytes[j]) {
                 j += 1;
             }
             // Allow turbofish between name and paren: `.recv::<T>(`.
@@ -318,7 +234,7 @@ struct Suppression {
     reason: String,
 }
 
-fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<Finding>) {
+fn parse_suppressions(comments: &[Comment], ruleset: &Ruleset) -> (Vec<Suppression>, Vec<Finding>) {
     let mut sups = Vec::new();
     let mut bad = Vec::new();
     for c in comments {
@@ -333,7 +249,7 @@ fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<Finding>) 
             .and_then(|r| r.split_once(')'))
             .map(|(rule, tail)| (rule.trim().to_string(), tail.trim()));
         match parsed {
-            Some((rule, tail)) if RULE_NAMES.contains(&rule.as_str()) => {
+            Some((rule, tail)) if ruleset.rule_names().any(|r| r == rule) => {
                 let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
                 if reason.is_empty() {
                     bad.push(Finding {
@@ -378,50 +294,47 @@ fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<Finding>) 
 /// Active (well-formed) suppressions in a file's comments, as
 /// `(line, is_line_comment, rule)` — used to filter interprocedural
 /// findings, which are produced outside [`lint_source`].
-pub(crate) fn active_suppressions(comments: &[Comment]) -> Vec<(usize, bool, String)> {
-    let (sups, _) = parse_suppressions(comments);
+pub(crate) fn active_suppressions(
+    comments: &[Comment],
+    ruleset: &Ruleset,
+) -> Vec<(usize, bool, String)> {
+    let (sups, _) = parse_suppressions(comments, ruleset);
     sups.into_iter()
         .map(|s| (s.line, s.is_line_comment, s.rule))
         .collect()
 }
 
-/// Lints one file's source, returning all unsuppressed findings.
+/// Lints one file's source against the embedded ruleset's names,
+/// returning all unsuppressed lexical findings.
 ///
 /// `file` is the workspace-relative `/`-separated path; it selects which
 /// rules apply. Suppressions on the finding's own line, or on a
 /// directive-only comment line directly above it, silence that rule for
 /// that line.
 pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
-    lint_source_parsed(file, source, &parse(source), false)
+    lint_source_uses(file, source, &parse(source), false, embedded()).0
 }
 
-/// [`lint_source`] over an already-parsed file. `force_all` drops the
-/// per-rule path scoping (used by `--self`, where paths are relative to
-/// `crates/lint` and would otherwise match no scope).
+/// [`lint_source`] over an already-parsed file, plus the suppressions
+/// the lexical pass consumed, as `(directive line, rule)` — the raw
+/// material for the `unused-suppression` check (see [`crate::lib`]'s
+/// used-set assembly). `force_all` drops the per-rule path scoping (used
+/// by `--self`, where paths are relative to `crates/lint` and would
+/// otherwise match no scope); `ruleset` names the rules a suppression
+/// may cite.
 ///
 /// Test exemption is parser-driven: `#[cfg(test)]` / `#[test]` item
 /// spans come from [`crate::parser`], so nested modules, attribute
 /// lines, and items following a test module are classified by actual
 /// scope structure rather than brace counting.
-pub fn lint_source_parsed(
-    file: &str,
-    source: &str,
-    parsed: &ParsedFile,
-    force_all: bool,
-) -> Vec<Finding> {
-    lint_source_uses(file, source, parsed, force_all).0
-}
-
-/// [`lint_source_parsed`] plus the suppressions the lexical pass
-/// consumed, as `(directive line, rule)` — the raw material for the
-/// `unused-suppression` check (see [`crate::lib`]'s used-set assembly).
 pub fn lint_source_uses(
     file: &str,
     source: &str,
     parsed: &ParsedFile,
     force_all: bool,
+    ruleset: &Ruleset,
 ) -> (Vec<Finding>, Vec<(usize, String)>) {
-    let (sups, mut bad) = parse_suppressions(&parsed.stripped.comments);
+    let (sups, mut bad) = parse_suppressions(&parsed.stripped.comments, ruleset);
     for b in &mut bad {
         b.file = file.to_string();
     }
@@ -476,11 +389,12 @@ pub fn lint_source_uses(
     (findings, used)
 }
 
-/// Every suppression in `source`, as `(line, rule, reason)` — used by
-/// reports and by tests asserting reasons are present.
+/// Every well-formed suppression in `source` that cites a rule of the
+/// embedded ruleset, as `(line, rule, reason)` — used by tests asserting
+/// reasons are present.
 pub fn suppressions_in(source: &str) -> Vec<(usize, String, String)> {
     let stripped = strip(source);
-    let (sups, _) = parse_suppressions(&stripped.comments);
+    let (sups, _) = parse_suppressions(&stripped.comments, embedded());
     sups.into_iter().map(|s| (s.line, s.rule, s.reason)).collect()
 }
 

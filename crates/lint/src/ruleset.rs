@@ -1,24 +1,24 @@
-//! The declarative ruleset: obligation / taint / gauge rules as data.
+//! The declarative ruleset: obligation / taint / gauge / typestate /
+//! wait-graph rules as data.
 //!
-//! v3 re-expresses the hand-written interprocedural rules as rows in a
-//! [`Ruleset`] — `{sources, sanitizers, sinks}` triples plus message
-//! templates — compiled by [`crate::summaries`] into per-function facts
-//! and evaluated by the generic engines in [`crate::interproc`] and
-//! [`crate::dataflow`]. A new "X must happen before Y" invariant (e.g.
-//! ROADMAP item 5's `auth-before-enqueue`) is a one-row addition here
-//! plus a name in [`crate::rules::RULE_NAMES`], not a new analysis.
-//!
-//! The checked-in `lint-rules.toml` at the workspace root is the
-//! canonical copy; [`load`] parses it with a hand-rolled TOML-subset
-//! reader (sections, string keys, single-line string arrays — no
-//! dependency, like the rest of the crate) and falls back to
-//! [`builtin`] when the file is absent (fixture roots, `--self`).
-//! `builtin()` and the checked-in file must stay identical; a unit test
-//! enforces it.
+//! A declarative rule is one `[[section]]` row in the checked-in
+//! `lint-rules.toml` at the workspace root, and nowhere else: the file
+//! is compiled in ([`SOURCE`]) and [`parse_toml`] reads it with a
+//! hand-rolled TOML-subset reader (sections, string keys, single-line
+//! string arrays — no dependency, like the rest of the crate). The row's
+//! `name` is the rule id findings, suppressions and SARIF carry (a
+//! `&'static str` slice of the text), its `doc` is the hint shown next to
+//! findings, and `--explain` prints the row's own lines ([`Row::text`]).
+//! The rows are compiled by [`crate::summaries`] into per-function facts
+//! and evaluated by the generic engines in [`crate::interproc`],
+//! [`crate::dataflow`], [`crate::typestate`] and [`crate::waitgraph`]. A
+//! new "X must happen before Y" invariant (e.g. ROADMAP item 4's
+//! drop-reason obligation) is a one-row addition to the file — no Rust
+//! edit, not a new analysis.
 
 use crate::callgraph::CallSite;
-use crate::rules::RULE_NAMES;
-use std::path::Path;
+use crate::rules::{rule_hint, RULE_NAMES};
+use std::sync::OnceLock;
 
 /// A call-site pattern: `name` or `Qualifier::name`. A bare name
 /// matches any call of that name (method, free, or path-qualified); a
@@ -114,17 +114,6 @@ impl TsPat {
         }
     }
 
-    /// The TOML spelling this pattern parses back from.
-    pub fn render(&self) -> String {
-        match self {
-            TsPat::Any => "*".to_string(),
-            TsPat::Recv { recv, name } => format!("{recv}.{name}"),
-            TsPat::Call(p) => match &p.qualifier {
-                Some(q) => format!("{q}::{}", p.name),
-                None => p.name.clone(),
-            },
-        }
-    }
 }
 
 /// One automaton transition: in state `from`, a call matching `pat`
@@ -149,10 +138,6 @@ impl TsArc {
             to: to.trim().to_string(),
             pat: TsPat::parse(pat.trim()),
         })
-    }
-
-    fn render(&self) -> String {
-        format!("{} => {} : {}", self.from, self.to, self.pat.render())
     }
 }
 
@@ -180,10 +165,6 @@ impl TsErr {
             _ => Err(format!("error row `{s}` must be `state : call-pattern : message`")),
         }
     }
-
-    fn render(&self) -> String {
-        format!("{} : {} : {}", self.state, self.pat.render(), self.message)
-    }
 }
 
 /// A protocol-lifecycle automaton, checked path-sensitively by
@@ -192,12 +173,10 @@ impl TsErr {
 /// set) a `return` / fall-through exit in a non-accepting state is a
 /// finding. Helpers that perform transitions propagate them to callers
 /// through interprocedural effect summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TypestateRule {
-    /// Rule id (must be in [`RULE_NAMES`]).
+    /// Rule id.
     pub name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
     /// Path prefixes the automaton runs under (empty = everywhere).
     pub scopes: Vec<String>,
     /// `"ambient"` — one machine per function; `"binding"` — one
@@ -222,14 +201,12 @@ pub struct TypestateRule {
 /// The wait-for-graph analysis ([`crate::waitgraph`]): one row
 /// configures both the deadlock-cycle rule (`name`) and the
 /// shutdown-liveness rule (`liveness_name`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WaitgraphRule {
     /// Deadlock-cycle rule id.
     pub name: &'static str,
     /// Blocking-pop-with-no-close rule id.
     pub liveness_name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
     /// Field/binding base types treated as blocking queues.
     pub queue_types: Vec<String>,
     /// Potentially-unbounded blocking consume methods.
@@ -245,12 +222,10 @@ pub struct WaitgraphRule {
 /// "Every path into a sink must have passed a satisfier first" —
 /// unsatisfied sinks propagate the obligation to callers; an entry
 /// point reached with the obligation still open is a finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObligationRule {
-    /// Rule id (must be in [`RULE_NAMES`]).
+    /// Rule id.
     pub name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
     /// Path prefix the rule is scoped to.
     pub scope: String,
     /// Sink calls that demand the obligation.
@@ -265,12 +240,10 @@ pub struct ObligationRule {
 
 /// "A trigger call's argument text must not contain a forbidden
 /// spelling" (serve sites taking `Limits::default()`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ArgRule {
     /// Rule id.
     pub name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
     /// Path prefixes the rule is scoped to (any match applies).
     pub scopes: Vec<String>,
     /// Calls whose argument lists are inspected.
@@ -281,36 +254,13 @@ pub struct ArgRule {
     pub witness: String,
 }
 
-/// "No function reachable from an entry point may contain a forbidden
-/// spelling" (zero-alloc drain path). Suppressions on call-site lines
-/// are edge-aware: they prune propagation through that edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReachRule {
-    /// Rule id.
-    pub name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
-    /// Path prefix entry points must live under.
-    pub scope: String,
-    /// Exact entry-point function names.
-    pub entries: Vec<String>,
-    /// Entry-point name prefixes (`route_raw` matches `route_raw_ack`).
-    pub entry_prefixes: Vec<String>,
-    /// Forbidden spellings, matched lexically in reachable bodies.
-    pub markers: Vec<String>,
-    /// Witness template; `{marker}`, `{fn}`, `{chain}`.
-    pub witness: String,
-}
-
 /// "Bytes from a source must pass a sanitizer before reaching a sink"
 /// — a variable-level taint lattice evaluated by [`crate::dataflow`],
 /// with interprocedural source/sanitizer/sink summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TaintRule {
     /// Rule id.
     pub name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
     /// Path prefixes exempt from the rule (the crates that implement
     /// the primitives themselves).
     pub exempt: Vec<String>,
@@ -328,27 +278,56 @@ pub struct TaintRule {
 /// of the enclosing function" — checked per function, only for gauge
 /// classes the function both increments and decrements (balance intent
 /// is local; cross-function pairs like push/pop counters are exempt).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GaugeRule {
     /// Rule id.
     pub name: &'static str,
-    /// One-line rule doc (surfaced by `--explain`).
-    pub doc: String,
     /// Field base types treated as gauges.
     pub types: Vec<String>,
     /// Path prefixes exempt (the telemetry crate implements gauges).
     pub exempt: Vec<String>,
 }
 
+/// One `[[section]]` of the source text — what exists of a rule beyond
+/// its engine parameters: the ids it defines, the hint shown next to
+/// its findings, and its own lines for `--explain`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// Section kind (`obligation`, `typestate`, ...).
+    pub kind: &'static str,
+    /// 1-based line of the `[[section]]` header.
+    pub line: usize,
+    /// Rule ids the row defines (the waitgraph row carries two).
+    pub names: Vec<&'static str>,
+    /// The row's `doc`: the one text findings, SARIF and `--explain` show.
+    pub doc: &'static str,
+    /// The row exactly as written, header through last key line.
+    pub text: &'static str,
+}
+
+impl Row {
+    /// The engine that evaluates this kind of row.
+    pub fn engine(&self) -> &'static str {
+        match self.kind {
+            "obligation" => "obligation (interprocedural)",
+            "arg-rule" => "argument inspection (call-site)",
+            "taint" => "taint (path-sensitive dataflow)",
+            "gauge" => "gauge balance (path-sensitive dataflow)",
+            "typestate" => "typestate automaton (path-sensitive dataflow)",
+            _ => "wait-for graph (blocking cycles + shutdown liveness)",
+        }
+    }
+}
+
 /// The full declarative ruleset.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Ruleset {
+    /// Every section in file order, across all kinds.
+    pub rows: Vec<Row>,
     /// Obligation-propagation rules.
     pub obligations: Vec<ObligationRule>,
     /// Argument-inspection rules.
     pub arg_rules: Vec<ArgRule>,
-    /// Reachability rules.
-    pub reach_rules: Vec<ReachRule>,
     /// Taint-dataflow rules.
     pub taint_rules: Vec<TaintRule>,
     /// Gauge-balance rules.
@@ -359,266 +338,53 @@ pub struct Ruleset {
     pub waitgraph_rules: Vec<WaitgraphRule>,
 }
 
-fn pats(names: &[&str]) -> Vec<CallPat> {
-    names.iter().map(|n| CallPat::parse(n)).collect()
-}
+impl Ruleset {
+    /// The row that defines `rule`, if it is a declarative one.
+    pub fn row(&self, rule: &str) -> Option<&Row> {
+        self.rows.iter().find(|r| r.names.contains(&rule))
+    }
 
-fn strs(names: &[&str]) -> Vec<String> {
-    names.iter().map(|n| n.to_string()).collect()
-}
+    /// Every rule id a finding or a suppression may carry: the coded
+    /// rules ([`RULE_NAMES`]) followed by the rows' names in file order.
+    pub fn rule_names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        RULE_NAMES
+            .iter()
+            .copied()
+            .chain(self.rows.iter().flat_map(|r| r.names.iter().copied()))
+    }
 
-fn tpats(names: &[&str]) -> Vec<TsPat> {
-    names.iter().map(|n| TsPat::parse(n)).collect()
-}
-
-fn arcs(rows: &[&str]) -> Vec<TsArc> {
-    rows.iter().map(|r| TsArc::parse(r).expect("builtin transition")).collect()
-}
-
-fn terrs(rows: &[&str]) -> Vec<TsErr> {
-    rows.iter().map(|r| TsErr::parse(r).expect("builtin error row")).collect()
-}
-
-/// The built-in ruleset — must stay identical to the checked-in
-/// `lint-rules.toml` (used directly for roots without the file:
-/// fixture trees, `--self`).
-pub fn builtin() -> Ruleset {
-    Ruleset {
-        obligations: vec![
-            ObligationRule {
-                name: "wsa-rewrite-before-forward",
-                doc: "Every path from envelope receipt to a forward enqueue \
-                      passes a ReplyTo rewrite first — the paper's \
-                      MSG-Dispatcher contract."
-                    .into(),
-                scope: "crates/core/".into(),
-                sinks: pats(&["enqueue", "ack_enqueue"]),
-                satisfiers: pats(&["rewrite_for_forward", "splice_forward"]),
-                sink_noun: "forward sink".into(),
-                contract: "path to forward enqueue without a ReplyTo rewrite \
-                           (no rewrite on any route into `{fn}`)"
-                    .into(),
-            },
-            ObligationRule {
-                name: "shard-route-before-enqueue",
-                doc: "Fleet deposits pass the consistent-hash routing step \
-                      before any enqueue, keeping ring ownership truthful."
-                    .into(),
-                scope: "crates/core/".into(),
-                sinks: pats(&["enqueue_fleet"]),
-                satisfiers: pats(&["shard_route"]),
-                sink_noun: "fleet sink".into(),
-                contract: "path to fleet enqueue without a shard-route step                          (no `shard_route` on any route into `{fn}`)".into(),
-            },
-        ],
-        arg_rules: vec![ArgRule {
-            name: "limits-at-serve-site",
-            doc: "Serve sites thread Limits from config, never \
-                  Limits::default(), so parser bounds stay operable."
-                .into(),
-            scopes: strs(&["crates/core/src/rt/", "crates/core/src/sim/"]),
-            triggers: pats(&["serve_connection", "serve", "RequestParser::new"]),
-            forbidden: "Limits::default".into(),
-            witness: "serve site `{call}` in {fn} ({file}:{line}) constructs \
-                      Limits::default() instead of threading config limits"
-                .into(),
-        }],
-        reach_rules: vec![ReachRule {
-            name: "alloc-in-drain",
-            doc: "The WsThread drain / route_raw dispatch path allocates \
-                  nothing in steady state."
-                .into(),
-            scope: "crates/core/".into(),
-            entries: strs(&["drain"]),
-            entry_prefixes: strs(&["route_raw"]),
-            markers: strs(&["String::from(", ".to_string()", "Vec::new()", "format!("]),
-            witness: "allocation `{marker}` in {fn} on drain path: {chain}".into(),
-        }],
-        taint_rules: vec![TaintRule {
-            name: "unvalidated-envelope-to-sink",
-            doc: "Socket bytes pass envelope validation before any forward \
-                  splice, WAL append, or enqueue — the dispatcher is the \
-                  trust boundary."
-                .into(),
-            exempt: strs(&["crates/http/", "crates/xml/", "crates/soap/"]),
-            sources: pats(&["try_read", "feed"]),
-            sanitizers: pats(&[
-                "verify_element",
-                "verify_element_with_prefixes",
-                "Envelope::parse",
-                "xml::parse",
-                "Document::parse",
-            ]),
-            sinks: pats(&[
-                "splice_forward",
-                "splice_forward_into",
-                "append",
-                "append_durable",
-                "enqueue",
-                "ack_enqueue",
-                "enqueue_fleet",
-            ]),
-            contract: "unvalidated bytes reach `{call}`: `{var}` tainted by \
-                       `{src}` at {file}:{line} was never sanitized"
-                .into(),
-        }],
-        gauge_rules: vec![GaugeRule {
-            name: "gauge-balance",
-            doc: "A gauge incremented in a function is decremented on every \
-                  non-panic path out of it — the gauges-return-to-0 teardown \
-                  invariant, statically."
-                .into(),
-            types: strs(&["Gauge"]),
-            exempt: strs(&["crates/telemetry/"]),
-        }],
-        typestate_rules: vec![
-            TypestateRule {
-                name: "wal-ack-before-durable",
-                doc: "A WAL append is committed (fsynced) before the \
-                      function returns — an ack sent from the appended \
-                      state races durability; the static twin of the \
-                      250-seed crash sweep."
-                    .into(),
-                scopes: strs(&["crates/store/", "crates/core/"]),
-                track: "ambient".into(),
-                states: strs(&["idle", "appended", "durable"]),
-                accepting: strs(&["idle", "durable"]),
-                creates: vec![],
-                transitions: arcs(&[
-                    "idle => appended : wal.append",
-                    "durable => appended : wal.append",
-                    "appended => appended : wal.append",
-                    "appended => durable : wal.commit",
-                ]),
-                errors: vec![],
-                exit_message: "`{fn}` can return with a WAL record appended \
-                               but not committed (state `{state}`) — an ack \
-                               on this path races durability"
-                    .into(),
-            },
-            TypestateRule {
-                name: "scratch-use-after-take",
-                doc: "A pooled scratch guard is never touched again after \
-                      `take_out` moves its buffer out — later writes land \
-                      in a buffer the pool hands to the next envelope."
-                    .into(),
-                scopes: strs(&["crates/core/", "crates/soap/"]),
-                track: "binding".into(),
-                states: strs(&["live", "taken"]),
-                accepting: strs(&["live", "taken"]),
-                creates: tpats(&["scratch::checkout", "checkout"]),
-                transitions: arcs(&["live => taken : take_out"]),
-                errors: terrs(&[
-                    "taken : * : scratch guard `{var}` used after \
-                     `take_out` moved its buffer out — the write lands in \
-                     a buffer the pool will reuse for the next envelope",
-                ]),
-                exit_message: String::new(),
-            },
-            TypestateRule {
-                name: "reactor-conn-accounting",
-                doc: "A job that takes a connection out of its cell rests \
-                      it there again or deregisters it on every non-panic \
-                      exit, and a deregistration that removes the cell \
-                      from the conns map decrements `open_conns`, keeping \
-                      the map and gauge truthful."
-                    .into(),
-                scopes: strs(&["crates/concurrent/src/reactor.rs"]),
-                track: "ambient".into(),
-                states: strs(&["idle", "taken"]),
-                accepting: strs(&["idle"]),
-                creates: vec![],
-                transitions: arcs(&[
-                    "idle => taken : start_running",
-                    "taken => idle : rest",
-                    "idle => taken : conns.remove",
-                    "taken => idle : open_conns.dec",
-                ]),
-                errors: vec![],
-                exit_message: "`{fn}` can exit with a connection taken out \
-                               of its cell or the conns map (state \
-                               `{state}`) but neither rested again nor \
-                               accounted by an `open_conns` decrement"
-                    .into(),
-            },
-            TypestateRule {
-                name: "fleet-handoff-completion",
-                doc: "A claimed ownership handoff reaches completion \
-                      (`complete` or the recovery timer that leads there) \
-                      on every path — an abandoned claim strands the dead \
-                      instance's mailboxes."
-                    .into(),
-                scopes: strs(&["crates/core/", "crates/fleet/"]),
-                track: "ambient".into(),
-                states: strs(&["idle", "claimed", "released"]),
-                accepting: strs(&["idle", "released"]),
-                creates: vec![],
-                transitions: arcs(&[
-                    "idle => claimed : handoffs.claim_for",
-                    "claimed => released : handoffs.complete",
-                    "claimed => released : set_timer",
-                ]),
-                errors: vec![],
-                exit_message: "`{fn}` can exit with a handoff claimed \
-                               (state `{state}`) but never completed or \
-                               scheduled for recovery"
-                    .into(),
-            },
-        ],
-        waitgraph_rules: vec![WaitgraphRule {
-            name: "blocking-cycle",
-            liveness_name: "queue-pop-no-close",
-            doc: "Blocking operations (lock acquires, blocking queue \
-                  pops/pushes) form an acyclic wait-for graph, and every \
-                  potentially-unbounded pop has a close() somewhere to \
-                  release it at shutdown."
-                .into(),
-            queue_types: strs(&["FifoQueue"]),
-            blocking_pops: strs(&["pop"]),
-            blocking_pushes: strs(&["push"]),
-            closers: strs(&["close"]),
-            exempt: strs(&["crates/concurrent/src/queue.rs", "crates/telemetry/"]),
-        }],
+    /// What `rule` protects, shown next to findings: the row's `doc`,
+    /// or [`rule_hint`] for a coded rule.
+    pub fn hint(&self, rule: &str) -> &'static str {
+        self.row(rule).map_or_else(|| rule_hint(rule), |r| r.doc)
     }
 }
 
-/// Loads `<root>/lint-rules.toml`, falling back to [`builtin`] when the
-/// file is absent. A present-but-malformed file is an error: a typo'd
-/// ruleset silently reverting to defaults would un-enforce rules.
-pub fn load(root: &Path) -> Result<Ruleset, String> {
-    let path = root.join("lint-rules.toml");
-    // wsd-lint: allow(raw-file-io): the ruleset is checked-in lint config, not durable state
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Ok(builtin());
-    };
-    parse_toml(&text).map_err(|e| format!("{}: {e}", path.display()))
+/// The checked-in `lint-rules.toml`, compiled in.
+pub const SOURCE: &str = include_str!("../../../lint-rules.toml");
+
+/// The ruleset every workspace run uses: [`SOURCE`], parsed once.
+pub fn embedded() -> &'static Ruleset {
+    static EMBEDDED: OnceLock<Ruleset> = OnceLock::new();
+    EMBEDDED.get_or_init(|| {
+        parse_toml(SOURCE).expect("the checked-in lint-rules.toml parses (unit-tested)")
+    })
 }
 
-/// Interns a rule name against [`RULE_NAMES`] (findings carry
-/// `&'static str` rule ids; an unknown name in the TOML is an error —
-/// every declarative rule must also be registered for suppressions and
-/// SARIF rule metadata).
-fn intern_rule(name: &str) -> Result<&'static str, String> {
-    RULE_NAMES
-        .iter()
-        .find(|r| **r == name)
-        .copied()
-        .ok_or_else(|| format!("unknown rule name `{name}` (not in RULE_NAMES)"))
-}
-
-/// One parsed `key = value` where value is a string or string array.
+/// One parsed `key = value` where value is a string or string array,
+/// as slices of the source text.
 enum Val {
-    Str(String),
-    List(Vec<String>),
+    Str(&'static str),
+    List(Vec<&'static str>),
 }
 
-fn parse_value(raw: &str) -> Result<Val, String> {
+fn parse_value(raw: &'static str) -> Result<Val, String> {
     let raw = raw.trim();
     if let Some(rest) = raw.strip_prefix('"') {
         let Some(end) = rest.rfind('"') else {
             return Err("unterminated string".into());
         };
-        return Ok(Val::Str(rest[..end].to_string()));
+        return Ok(Val::Str(&rest[..end]));
     }
     if let Some(rest) = raw.strip_prefix('[') {
         let Some(body) = rest.strip_suffix(']') else {
@@ -634,120 +400,58 @@ fn parse_value(raw: &str) -> Result<Val, String> {
                 .strip_prefix('"')
                 .and_then(|p| p.strip_suffix('"'))
                 .ok_or_else(|| format!("array item `{part}` is not a quoted string"))?;
-            items.push(inner.to_string());
+            items.push(inner);
         }
         return Ok(Val::List(items));
     }
     Err(format!("unsupported value `{raw}` (expected \"str\" or [\"a\", ...])"))
 }
 
+/// Appends an empty rule to `rules`, returning its index.
+fn push_default<T: Default>(rules: &mut Vec<T>) -> usize {
+    rules.push(T::default());
+    rules.len() - 1
+}
+
 /// Hand-rolled parser for the TOML subset the ruleset uses:
 /// `[[section]]` table arrays, `key = "string"`, and single-line
 /// `key = ["a", "b"]` arrays. Comments (`#`) and blank lines ignored.
-pub fn parse_toml(text: &str) -> Result<Ruleset, String> {
+/// The text is `'static` because rule ids and docs are slices of it.
+pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
     let mut rs = Ruleset::default();
-    // Current section kind and the index of the row being filled.
-    let mut section: Option<(String, usize)> = None;
-    // `[[typestate]]` header line per row, for the end-of-parse state
-    // validation (errors there should point at the offending row).
-    let mut ts_lines: Vec<usize> = Vec::new();
+    // Index, within its kind's vector, of the row being filled (the row
+    // itself is `rs.rows.last()`), and where that row's text starts.
+    let mut idx = 0;
+    let mut row_start = 0;
 
-    for (lno, raw) in text.lines().enumerate() {
+    let mut line_start = 0;
+    for (lno, raw) in text.split_inclusive('\n').enumerate() {
+        let start = line_start;
+        line_start += raw.len();
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let line_end = start + raw.trim_end().len();
         let at = |e: String| format!("line {}: {e}", lno + 1);
-        if let Some(name) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-            let idx = match name {
-                "obligation" => {
-                    rs.obligations.push(ObligationRule {
-                        name: "",
-                        doc: String::new(),
-                        scope: String::new(),
-                        sinks: vec![],
-                        satisfiers: vec![],
-                        sink_noun: String::new(),
-                        contract: String::new(),
-                    });
-                    rs.obligations.len() - 1
-                }
-                "arg-rule" => {
-                    rs.arg_rules.push(ArgRule {
-                        name: "",
-                        doc: String::new(),
-                        scopes: vec![],
-                        triggers: vec![],
-                        forbidden: String::new(),
-                        witness: String::new(),
-                    });
-                    rs.arg_rules.len() - 1
-                }
-                "reach-rule" => {
-                    rs.reach_rules.push(ReachRule {
-                        name: "",
-                        doc: String::new(),
-                        scope: String::new(),
-                        entries: vec![],
-                        entry_prefixes: vec![],
-                        markers: vec![],
-                        witness: String::new(),
-                    });
-                    rs.reach_rules.len() - 1
-                }
-                "taint" => {
-                    rs.taint_rules.push(TaintRule {
-                        name: "",
-                        doc: String::new(),
-                        exempt: vec![],
-                        sources: vec![],
-                        sanitizers: vec![],
-                        sinks: vec![],
-                        contract: String::new(),
-                    });
-                    rs.taint_rules.len() - 1
-                }
-                "gauge" => {
-                    rs.gauge_rules.push(GaugeRule {
-                        name: "",
-                        doc: String::new(),
-                        types: vec![],
-                        exempt: vec![],
-                    });
-                    rs.gauge_rules.len() - 1
-                }
-                "typestate" => {
-                    ts_lines.push(lno + 1);
-                    rs.typestate_rules.push(TypestateRule {
-                        name: "",
-                        doc: String::new(),
-                        scopes: vec![],
-                        track: String::new(),
-                        states: vec![],
-                        accepting: vec![],
-                        creates: vec![],
-                        transitions: vec![],
-                        errors: vec![],
-                        exit_message: String::new(),
-                    });
-                    rs.typestate_rules.len() - 1
-                }
-                "waitgraph" => {
-                    rs.waitgraph_rules.push(WaitgraphRule {
-                        name: "",
-                        liveness_name: "",
-                        doc: String::new(),
-                        queue_types: vec![],
-                        blocking_pops: vec![],
-                        blocking_pushes: vec![],
-                        closers: vec![],
-                        exempt: vec![],
-                    });
-                    rs.waitgraph_rules.len() - 1
-                }
+        if let Some(kind) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
+            idx = match kind {
+                "obligation" => push_default(&mut rs.obligations),
+                "arg-rule" => push_default(&mut rs.arg_rules),
+                "taint" => push_default(&mut rs.taint_rules),
+                "gauge" => push_default(&mut rs.gauge_rules),
+                "typestate" => push_default(&mut rs.typestate_rules),
+                "waitgraph" => push_default(&mut rs.waitgraph_rules),
                 other => return Err(at(format!("unknown section `[[{other}]]`"))),
             };
-            section = Some((name.to_string(), idx));
+            row_start = line_end - line.len();
+            rs.rows.push(Row {
+                kind,
+                line: lno + 1,
+                names: Vec::new(),
+                doc: "",
+                text: &text[row_start..line_end],
+            });
             continue;
         }
         let Some((key, raw_val)) = line.split_once('=') else {
@@ -755,65 +459,59 @@ pub fn parse_toml(text: &str) -> Result<Ruleset, String> {
         };
         let key = key.trim();
         let val = parse_value(raw_val).map_err(&at)?;
-        let Some((kind, idx)) = &section else {
+        let Some(row) = rs.rows.last_mut() else {
             return Err(at(format!("`{key}` outside any [[section]]")));
         };
-        let idx = *idx;
-        let want_str = |v: &Val| -> Result<String, String> {
+        row.text = &text[row_start..line_end];
+        let want_str = |v: &Val| -> Result<&'static str, String> {
             match v {
-                Val::Str(s) => Ok(s.clone()),
+                Val::Str(s) => Ok(s),
                 _ => Err(at(format!("`{key}` expects a string"))),
             }
         };
         let want_list = |v: &Val| -> Result<Vec<String>, String> {
             match v {
-                Val::List(l) => Ok(l.clone()),
+                Val::List(l) => Ok(l.iter().map(|s| s.to_string()).collect()),
                 _ => Err(at(format!("`{key}` expects an array"))),
             }
         };
         let to_pats = |v: &Val| -> Result<Vec<CallPat>, String> {
             Ok(want_list(v)?.iter().map(|s| CallPat::parse(s)).collect())
         };
-        match (kind.as_str(), key) {
-            ("obligation", "name") => rs.obligations[idx].name = intern_rule(&want_str(&val)?)?,
-            ("obligation", "doc") => rs.obligations[idx].doc = want_str(&val)?,
-            ("obligation", "scope") => rs.obligations[idx].scope = want_str(&val)?,
+        let mut rule_id = |v: &Val| -> Result<&'static str, String> {
+            let name = want_str(v)?;
+            row.names.push(name);
+            Ok(name)
+        };
+        match (row.kind, key) {
+            (_, "doc") => row.doc = want_str(&val)?,
+            ("obligation", "name") => rs.obligations[idx].name = rule_id(&val)?,
+            ("obligation", "scope") => rs.obligations[idx].scope = want_str(&val)?.to_string(),
             ("obligation", "sinks") => rs.obligations[idx].sinks = to_pats(&val)?,
             ("obligation", "satisfiers") => rs.obligations[idx].satisfiers = to_pats(&val)?,
-            ("obligation", "sink-noun") => rs.obligations[idx].sink_noun = want_str(&val)?,
-            ("obligation", "contract") => rs.obligations[idx].contract = want_str(&val)?,
-            ("arg-rule", "name") => rs.arg_rules[idx].name = intern_rule(&want_str(&val)?)?,
-            ("arg-rule", "doc") => rs.arg_rules[idx].doc = want_str(&val)?,
+            ("obligation", "sink-noun") => {
+                rs.obligations[idx].sink_noun = want_str(&val)?.to_string()
+            }
+            ("obligation", "contract") => {
+                rs.obligations[idx].contract = want_str(&val)?.to_string()
+            }
+            ("arg-rule", "name") => rs.arg_rules[idx].name = rule_id(&val)?,
             ("arg-rule", "scopes") => rs.arg_rules[idx].scopes = want_list(&val)?,
             ("arg-rule", "triggers") => rs.arg_rules[idx].triggers = to_pats(&val)?,
-            ("arg-rule", "forbidden") => rs.arg_rules[idx].forbidden = want_str(&val)?,
-            ("arg-rule", "witness") => rs.arg_rules[idx].witness = want_str(&val)?,
-            ("reach-rule", "name") => rs.reach_rules[idx].name = intern_rule(&want_str(&val)?)?,
-            ("reach-rule", "doc") => rs.reach_rules[idx].doc = want_str(&val)?,
-            ("reach-rule", "scope") => rs.reach_rules[idx].scope = want_str(&val)?,
-            ("reach-rule", "entries") => rs.reach_rules[idx].entries = want_list(&val)?,
-            ("reach-rule", "entry-prefixes") => {
-                rs.reach_rules[idx].entry_prefixes = want_list(&val)?
-            }
-            ("reach-rule", "markers") => rs.reach_rules[idx].markers = want_list(&val)?,
-            ("reach-rule", "witness") => rs.reach_rules[idx].witness = want_str(&val)?,
-            ("taint", "name") => rs.taint_rules[idx].name = intern_rule(&want_str(&val)?)?,
-            ("taint", "doc") => rs.taint_rules[idx].doc = want_str(&val)?,
+            ("arg-rule", "forbidden") => rs.arg_rules[idx].forbidden = want_str(&val)?.to_string(),
+            ("arg-rule", "witness") => rs.arg_rules[idx].witness = want_str(&val)?.to_string(),
+            ("taint", "name") => rs.taint_rules[idx].name = rule_id(&val)?,
             ("taint", "exempt") => rs.taint_rules[idx].exempt = want_list(&val)?,
             ("taint", "sources") => rs.taint_rules[idx].sources = to_pats(&val)?,
             ("taint", "sanitizers") => rs.taint_rules[idx].sanitizers = to_pats(&val)?,
             ("taint", "sinks") => rs.taint_rules[idx].sinks = to_pats(&val)?,
-            ("taint", "contract") => rs.taint_rules[idx].contract = want_str(&val)?,
-            ("gauge", "name") => rs.gauge_rules[idx].name = intern_rule(&want_str(&val)?)?,
-            ("gauge", "doc") => rs.gauge_rules[idx].doc = want_str(&val)?,
+            ("taint", "contract") => rs.taint_rules[idx].contract = want_str(&val)?.to_string(),
+            ("gauge", "name") => rs.gauge_rules[idx].name = rule_id(&val)?,
             ("gauge", "types") => rs.gauge_rules[idx].types = want_list(&val)?,
             ("gauge", "exempt") => rs.gauge_rules[idx].exempt = want_list(&val)?,
-            ("typestate", "name") => {
-                rs.typestate_rules[idx].name = intern_rule(&want_str(&val)?)?
-            }
-            ("typestate", "doc") => rs.typestate_rules[idx].doc = want_str(&val)?,
+            ("typestate", "name") => rs.typestate_rules[idx].name = rule_id(&val)?,
             ("typestate", "scopes") => rs.typestate_rules[idx].scopes = want_list(&val)?,
-            ("typestate", "track") => rs.typestate_rules[idx].track = want_str(&val)?,
+            ("typestate", "track") => rs.typestate_rules[idx].track = want_str(&val)?.to_string(),
             ("typestate", "states") => rs.typestate_rules[idx].states = want_list(&val)?,
             ("typestate", "accepting") => {
                 rs.typestate_rules[idx].accepting = want_list(&val)?
@@ -837,15 +535,12 @@ pub fn parse_toml(text: &str) -> Result<Ruleset, String> {
                     .map_err(&at)?
             }
             ("typestate", "exit-message") => {
-                rs.typestate_rules[idx].exit_message = want_str(&val)?
+                rs.typestate_rules[idx].exit_message = want_str(&val)?.to_string()
             }
-            ("waitgraph", "name") => {
-                rs.waitgraph_rules[idx].name = intern_rule(&want_str(&val)?)?
-            }
+            ("waitgraph", "name") => rs.waitgraph_rules[idx].name = rule_id(&val)?,
             ("waitgraph", "liveness-name") => {
-                rs.waitgraph_rules[idx].liveness_name = intern_rule(&want_str(&val)?)?
+                rs.waitgraph_rules[idx].liveness_name = rule_id(&val)?
             }
-            ("waitgraph", "doc") => rs.waitgraph_rules[idx].doc = want_str(&val)?,
             ("waitgraph", "queue-types") => {
                 rs.waitgraph_rules[idx].queue_types = want_list(&val)?
             }
@@ -860,28 +555,30 @@ pub fn parse_toml(text: &str) -> Result<Ruleset, String> {
             (k, key) => return Err(at(format!("unknown key `{key}` in [[{k}]]"))),
         }
     }
-    for name in rs
-        .obligations
-        .iter()
-        .map(|r| r.name)
-        .chain(rs.arg_rules.iter().map(|r| r.name))
-        .chain(rs.reach_rules.iter().map(|r| r.name))
-        .chain(rs.taint_rules.iter().map(|r| r.name))
-        .chain(rs.gauge_rules.iter().map(|r| r.name))
-        .chain(rs.typestate_rules.iter().map(|r| r.name))
-        .chain(rs.waitgraph_rules.iter().map(|r| r.name))
-        .chain(rs.waitgraph_rules.iter().map(|r| r.liveness_name))
-    {
-        if name.is_empty() {
-            return Err("a rule section is missing its `name`".into());
+    // One name, one place: unique across the rows and the coded rules.
+    let mut seen: Vec<&str> = RULE_NAMES.to_vec();
+    for row in &rs.rows {
+        let at = |e: String| format!("line {}: [[{}]]: {e}", row.line, row.kind);
+        if row.names.len() != if row.kind == "waitgraph" { 2 } else { 1 } {
+            return Err(at("a rule section needs its `name` exactly once \
+                           (and a waitgraph row its `liveness-name`)"
+                .into()));
+        }
+        for name in &row.names {
+            if seen.contains(name) {
+                return Err(at(format!(
+                    "rule name `{name}` is already taken (by an earlier row or rules::RULE_NAMES)"
+                )));
+            }
+            seen.push(name);
         }
     }
     // Structural validation of each automaton, after all keys are in
-    // (row order in the file is free). Errors point at the offending
+    // (key order within a row is free). Errors point at the offending
     // `[[typestate]]` header so a typo'd state is a one-look fix.
-    for (ti, r) in rs.typestate_rules.iter().enumerate() {
-        let line = ts_lines.get(ti).copied().unwrap_or(0);
-        let at = |e: String| format!("line {line}: [[typestate]] `{}`: {e}", r.name);
+    let ts_rows = rs.rows.iter().filter(|r| r.kind == "typestate");
+    for (r, row) in rs.typestate_rules.iter().zip(ts_rows) {
+        let at = |e: String| format!("line {}: [[typestate]] `{}`: {e}", row.line, r.name);
         if r.states.is_empty() {
             return Err(at("declares no states".into()));
         }
@@ -899,9 +596,10 @@ pub fn parse_toml(text: &str) -> Result<Ruleset, String> {
             for s in [&t.from, &t.to] {
                 if undeclared(s) {
                     return Err(at(format!(
-                        "transition `{}` references undeclared state `{s}` \
+                        "transition `{} => {}` references undeclared state `{s}` \
                          (declared: {})",
-                        t.render(),
+                        t.from,
+                        t.to,
                         r.states.join(", ")
                     )));
                 }
@@ -926,150 +624,6 @@ pub fn parse_toml(text: &str) -> Result<Ruleset, String> {
         }
     }
     Ok(rs)
-}
-
-/// `--explain` support: a rule's engine kind, doc string, and the TOML
-/// row it parses back from, looked up across every section (the
-/// waitgraph row answers for both of its rule names).
-pub fn explain_rule(rs: &Ruleset, name: &str) -> Option<(&'static str, String, String)> {
-    let mut only = Ruleset::default();
-    let (kind, doc) = if let Some(r) = rs.obligations.iter().find(|r| r.name == name) {
-        only.obligations.push(r.clone());
-        ("obligation (interprocedural)", r.doc.clone())
-    } else if let Some(r) = rs.arg_rules.iter().find(|r| r.name == name) {
-        only.arg_rules.push(r.clone());
-        ("argument inspection (call-site)", r.doc.clone())
-    } else if let Some(r) = rs.reach_rules.iter().find(|r| r.name == name) {
-        only.reach_rules.push(r.clone());
-        ("reachability (call-graph)", r.doc.clone())
-    } else if let Some(r) = rs.taint_rules.iter().find(|r| r.name == name) {
-        only.taint_rules.push(r.clone());
-        ("taint (path-sensitive dataflow)", r.doc.clone())
-    } else if let Some(r) = rs.gauge_rules.iter().find(|r| r.name == name) {
-        only.gauge_rules.push(r.clone());
-        ("gauge balance (path-sensitive dataflow)", r.doc.clone())
-    } else if let Some(r) = rs.typestate_rules.iter().find(|r| r.name == name) {
-        only.typestate_rules.push(r.clone());
-        ("typestate automaton (path-sensitive dataflow)", r.doc.clone())
-    } else if let Some(r) = rs
-        .waitgraph_rules
-        .iter()
-        .find(|r| r.name == name || r.liveness_name == name)
-    {
-        only.waitgraph_rules.push(r.clone());
-        ("wait-for graph (blocking cycles + shutdown liveness)", r.doc.clone())
-    } else {
-        return None;
-    };
-    let toml = render_toml(&only)
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .skip_while(|l| l.trim().is_empty())
-        .collect::<Vec<_>>()
-        .join("\n");
-    Some((kind, doc, toml))
-}
-
-/// Renders the ruleset back to the TOML subset (used to generate the
-/// checked-in file and by the round-trip test).
-pub fn render_toml(rs: &Ruleset) -> String {
-    fn s(out: &mut String, key: &str, v: &str) {
-        out.push_str(&format!("{key} = \"{v}\"\n"));
-    }
-    fn l(out: &mut String, key: &str, v: &[String]) {
-        let items: Vec<String> = v.iter().map(|i| format!("\"{i}\"")).collect();
-        out.push_str(&format!("{key} = [{}]\n", items.join(", ")));
-    }
-    fn lp(out: &mut String, key: &str, v: &[CallPat]) {
-        let items: Vec<String> = v
-            .iter()
-            .map(|p| match &p.qualifier {
-                Some(q) => format!("\"{q}::{}\"", p.name),
-                None => format!("\"{}\"", p.name),
-            })
-            .collect();
-        out.push_str(&format!("{key} = [{}]\n", items.join(", ")));
-    }
-    let mut out = String::from(
-        "# wsd-lint declarative ruleset (DESIGN.md §9.2–9.3). Each section is\n\
-         # one interprocedural/dataflow/typestate rule; names must exist in\n\
-         # RULE_NAMES. This file must stay identical to `ruleset::builtin()`\n\
-         # (unit-tested; regenerate with the `regenerate_lint_rules_toml` test).\n",
-    );
-    for r in &rs.obligations {
-        out.push_str("\n[[obligation]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "doc", &r.doc);
-        s(&mut out, "scope", &r.scope);
-        lp(&mut out, "sinks", &r.sinks);
-        lp(&mut out, "satisfiers", &r.satisfiers);
-        s(&mut out, "sink-noun", &r.sink_noun);
-        s(&mut out, "contract", &r.contract);
-    }
-    for r in &rs.arg_rules {
-        out.push_str("\n[[arg-rule]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "doc", &r.doc);
-        l(&mut out, "scopes", &r.scopes);
-        lp(&mut out, "triggers", &r.triggers);
-        s(&mut out, "forbidden", &r.forbidden);
-        s(&mut out, "witness", &r.witness);
-    }
-    for r in &rs.reach_rules {
-        out.push_str("\n[[reach-rule]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "doc", &r.doc);
-        s(&mut out, "scope", &r.scope);
-        l(&mut out, "entries", &r.entries);
-        l(&mut out, "entry-prefixes", &r.entry_prefixes);
-        l(&mut out, "markers", &r.markers);
-        s(&mut out, "witness", &r.witness);
-    }
-    for r in &rs.taint_rules {
-        out.push_str("\n[[taint]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "doc", &r.doc);
-        l(&mut out, "exempt", &r.exempt);
-        lp(&mut out, "sources", &r.sources);
-        lp(&mut out, "sanitizers", &r.sanitizers);
-        lp(&mut out, "sinks", &r.sinks);
-        s(&mut out, "contract", &r.contract);
-    }
-    for r in &rs.gauge_rules {
-        out.push_str("\n[[gauge]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "doc", &r.doc);
-        l(&mut out, "types", &r.types);
-        l(&mut out, "exempt", &r.exempt);
-    }
-    for r in &rs.typestate_rules {
-        out.push_str("\n[[typestate]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "doc", &r.doc);
-        l(&mut out, "scopes", &r.scopes);
-        s(&mut out, "track", &r.track);
-        l(&mut out, "states", &r.states);
-        l(&mut out, "accepting", &r.accepting);
-        let creates: Vec<String> = r.creates.iter().map(|p| p.render()).collect();
-        l(&mut out, "creates", &creates);
-        let transitions: Vec<String> = r.transitions.iter().map(|t| t.render()).collect();
-        l(&mut out, "transitions", &transitions);
-        let errors: Vec<String> = r.errors.iter().map(|e| e.render()).collect();
-        l(&mut out, "errors", &errors);
-        s(&mut out, "exit-message", &r.exit_message);
-    }
-    for r in &rs.waitgraph_rules {
-        out.push_str("\n[[waitgraph]]\n");
-        s(&mut out, "name", r.name);
-        s(&mut out, "liveness-name", r.liveness_name);
-        s(&mut out, "doc", &r.doc);
-        l(&mut out, "queue-types", &r.queue_types);
-        l(&mut out, "blocking-pops", &r.blocking_pops);
-        l(&mut out, "blocking-pushes", &r.blocking_pushes);
-        l(&mut out, "closers", &r.closers);
-        l(&mut out, "exempt", &r.exempt);
-    }
-    out
 }
 
 /// Fills a message template: `{fn}`, `{call}`, `{file}`, `{line}`, ...
@@ -1097,41 +651,45 @@ mod tests {
         assert_eq!(deep.name, "c");
     }
 
+    /// What `load` used to check on every run is checked once, here:
+    /// the compiled-in file parses and every automaton validates.
     #[test]
-    fn toml_round_trips_the_builtin() {
-        let rs = builtin();
-        let text = render_toml(&rs);
-        let parsed = parse_toml(&text).expect("round trip");
-        assert_eq!(parsed, rs);
+    fn embedded_ruleset_parses_and_validates() {
+        let rs = parse_toml(SOURCE).expect("checked-in lint-rules.toml");
+        assert_eq!(rs.rows.len(), 10);
+        assert_eq!(rs.rule_names().count(), RULE_NAMES.len() + 11);
+        for row in &rs.rows {
+            assert!(!row.doc.is_empty(), "row at line {} has no doc", row.line);
+            assert!(row.text.starts_with("[["), "{:?}", row.text);
+            assert!(SOURCE.contains(row.text));
+        }
+        let wg = rs.row("queue-pop-no-close").expect("liveness name resolves to its row");
+        assert_eq!(wg.names, ["blocking-cycle", "queue-pop-no-close"]);
+        assert_eq!(rs.hint("blocking-cycle"), wg.doc);
+        assert_eq!(rs.hint("raw-clock"), rule_hint("raw-clock"));
+        assert_eq!(embedded(), &rs);
     }
 
     #[test]
-    fn checked_in_ruleset_matches_builtin() {
-        let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .to_path_buf();
-        let loaded = load(&root).expect("load workspace ruleset");
-        assert_eq!(
-            loaded,
-            builtin(),
-            "lint-rules.toml has drifted from ruleset::builtin() — regenerate \
-             it with ruleset::render_toml(&builtin())"
-        );
+    fn row_text_is_the_section_as_written() {
+        let toml = "# header\n\n[[gauge]]\nname = \"g\"\ndoc = \"d\"\n\n# trailing\n[[gauge]]\n  name = \"h\"  \n";
+        let rs = parse_toml(toml).unwrap();
+        assert_eq!(rs.rows[0].text, "[[gauge]]\nname = \"g\"\ndoc = \"d\"");
+        assert_eq!((rs.rows[0].line, rs.rows[0].doc), (3, "d"));
+        assert_eq!(rs.rows[1].text, "[[gauge]]\n  name = \"h\"");
+        assert_eq!(rs.gauge_rules[1].name, "h");
     }
 
     #[test]
-    fn absent_file_falls_back_to_builtin() {
-        let rs = load(Path::new("/nonexistent-fixture-root")).unwrap();
-        assert_eq!(rs, builtin());
-    }
-
-    #[test]
-    fn unknown_rule_name_is_rejected() {
-        let err = parse_toml("[[gauge]]\nname = \"no-such-rule\"\n").unwrap_err();
-        assert!(err.contains("no-such-rule"), "{err}");
+    fn a_rule_name_lives_in_one_place() {
+        let err = parse_toml("[[gauge]]\nname = \"raw-clock\"\n").unwrap_err();
+        assert!(err.contains("`raw-clock` is already taken"), "{err}");
+        let err = parse_toml("[[gauge]]\nname = \"g\"\n[[gauge]]\nname = \"g\"\n").unwrap_err();
+        assert!(err.contains("line 3") && err.contains("`g` is already taken"), "{err}");
+        let err = parse_toml("[[gauge]]\ndoc = \"nameless\"\n").unwrap_err();
+        assert!(err.contains("line 1") && err.contains("`name`"), "{err}");
+        let err = parse_toml("[[waitgraph]]\nname = \"w\"\n").unwrap_err();
+        assert!(err.contains("liveness-name"), "{err}");
     }
 
     #[test]
@@ -1150,9 +708,6 @@ mod tests {
         );
         assert_eq!(TsPat::parse("scratch::checkout"), TsPat::Call(CallPat::parse("scratch::checkout")));
         assert_eq!(TsPat::parse("set_timer"), TsPat::Call(CallPat::parse("set_timer")));
-        for spelling in ["*", "wal.append", "scratch::checkout", "set_timer"] {
-            assert_eq!(TsPat::parse(spelling).render(), spelling);
-        }
     }
 
     #[test]
@@ -1190,21 +745,6 @@ mod tests {
                     transitions = [\"idle -> idle : f\"]\n";
         let err = parse_toml(toml).unwrap_err();
         assert!(err.contains("from => to"), "{err}");
-    }
-
-    /// Not a check: rewrites the checked-in `lint-rules.toml` from
-    /// [`builtin`]. Run with `cargo test -p wsd-lint regenerate -- --ignored`
-    /// after changing the builtin ruleset.
-    #[test]
-    #[ignore = "writes the checked-in lint-rules.toml"]
-    fn regenerate_lint_rules_toml() {
-        let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .to_path_buf();
-        std::fs::write(root.join("lint-rules.toml"), render_toml(&builtin())).unwrap();
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Minimal SARIF 2.1.0 emitter for CI annotation.
 //!
 //! Emits one run with the `wsd-lint` driver, a rule entry per
-//! [`crate::rules::RULE_NAMES`] member, and one result per finding.
+//! [`Ruleset::rule_names`] member (coded rules, then the rows of
+//! `lint-rules.toml`, each described by its hint), and one result per
+//! finding.
 //! Interprocedural witnesses ride along in the message text so CI
 //! surfaces the call chain, not just the sink line, and findings that
 //! carry a step-by-step path (obligation chains, taint
@@ -12,7 +14,8 @@
 //! rest of the crate (no serde).
 
 use crate::json::escape;
-use crate::rules::{rule_hint, Finding, RULE_NAMES};
+use crate::rules::Finding;
+use crate::ruleset::Ruleset;
 
 /// Renders one finding's `flow` as a SARIF `codeFlows` property
 /// (single thread flow, one location per step). Empty string when the
@@ -39,8 +42,9 @@ fn code_flows(f: &Finding) -> String {
     )
 }
 
-/// Renders findings as a SARIF 2.1.0 document.
-pub fn render(findings: &[Finding]) -> String {
+/// Renders findings as a SARIF 2.1.0 document; `ruleset` supplies the
+/// `rules[]` metadata.
+pub fn render(findings: &[Finding], ruleset: &Ruleset) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
@@ -52,14 +56,18 @@ pub fn render(findings: &[Finding]) -> String {
     out.push_str("          \"name\": \"wsd-lint\",\n");
     out.push_str("          \"informationUri\": \"DESIGN.md\",\n");
     out.push_str("          \"rules\": [\n");
-    for (i, rule) in RULE_NAMES.iter().enumerate() {
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}{}\n",
-            escape(rule),
-            escape(rule_hint(rule)),
-            if i + 1 < RULE_NAMES.len() { "," } else { "" }
-        ));
-    }
+    let rules: Vec<String> = ruleset
+        .rule_names()
+        .map(|rule| {
+            format!(
+                "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
+                escape(rule),
+                escape(ruleset.hint(rule))
+            )
+        })
+        .collect();
+    out.push_str(&rules.join(",\n"));
+    out.push('\n');
     out.push_str("          ]\n        }\n      },\n");
     out.push_str("      \"results\": [\n");
     for (i, f) in findings.iter().enumerate() {
@@ -87,6 +95,7 @@ pub fn render(findings: &[Finding]) -> String {
 mod tests {
     use super::*;
     use crate::rules::FlowStep;
+    use crate::ruleset::embedded;
 
     #[test]
     fn sarif_shape_and_escaping() {
@@ -98,7 +107,7 @@ mod tests {
             witness: Some("A::f (crates/x/src/a.rs:7) -> thread join".to_string()),
             flow: Vec::new(),
         }];
-        let doc = render(&findings);
+        let doc = render(&findings, embedded());
         assert!(doc.contains("\"version\": \"2.1.0\""));
         assert!(doc.contains("\"ruleId\": \"blocking-under-lock\""));
         assert!(doc.contains("\"startLine\": 7"));
@@ -106,8 +115,8 @@ mod tests {
         assert!(doc.contains("witness: A::f"));
         // No flow steps -> no codeFlows property.
         assert!(!doc.contains("codeFlows"));
-        // Every rule is declared.
-        for rule in RULE_NAMES {
+        // Every rule is declared, coded and declarative alike.
+        for rule in embedded().rule_names() {
             assert!(doc.contains(&format!("\"id\": \"{rule}\"")));
         }
     }
@@ -133,7 +142,7 @@ mod tests {
                 },
             ],
         }];
-        let doc = render(&findings);
+        let doc = render(&findings, embedded());
         assert!(doc.contains("\"codeFlows\""));
         assert!(doc.contains("\"threadFlows\""));
         let a = doc.find("tainted by `try_read`").unwrap();
@@ -143,7 +152,7 @@ mod tests {
 
     #[test]
     fn empty_findings_still_valid() {
-        let doc = render(&[]);
+        let doc = render(&[], embedded());
         assert!(doc.contains("\"results\": [\n      ]"));
     }
 }

@@ -37,6 +37,7 @@
 //! the receiver's field type disambiguates it.
 
 use crate::callgraph::{line_at, line_index, CallSite, Graph};
+use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
 use crate::ruleset::{CallPat, Ruleset};
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,10 +149,6 @@ pub fn is_guard_own_wait(c: &CallSite, binding: Option<&String>) -> bool {
         && binding.is_some_and(|b| c.receiver == *b)
 }
 
-fn is_word_char(c: u8) -> bool {
-    (c as char).is_alphanumeric() || c == b'_'
-}
-
 /// Word-boundary `contains`.
 pub fn contains_word(hay: &str, word: &str) -> bool {
     let h = hay.as_bytes();
@@ -159,8 +156,8 @@ pub fn contains_word(hay: &str, word: &str) -> bool {
     while let Some(pos) = hay[from..].find(word) {
         let s = from + pos;
         let e = s + word.len();
-        let left_ok = s == 0 || !is_word_char(h[s - 1]);
-        let right_ok = e >= h.len() || !is_word_char(h[e]);
+        let left_ok = s == 0 || !is_ident_byte(h[s - 1]);
+        let right_ok = e >= h.len() || !is_ident_byte(h[e]);
         if left_ok && right_ok {
             return true;
         }
@@ -304,7 +301,7 @@ pub fn let_binding(slice: &str) -> Option<String> {
     while let Some(p) = slice[from..].find("let") {
         let s = from + p;
         let e = s + 3;
-        if (s == 0 || !is_word_char(b[s - 1])) && (e >= b.len() || !is_word_char(b[e])) {
+        if (s == 0 || !is_ident_byte(b[s - 1])) && (e >= b.len() || !is_ident_byte(b[e])) {
             pos = Some(e);
         }
         from = e;
@@ -315,7 +312,7 @@ pub fn let_binding(slice: &str) -> Option<String> {
             i += 1;
         }
         let s = i;
-        while i < b.len() && is_word_char(b[i]) {
+        while i < b.len() && is_ident_byte(b[i]) {
             i += 1;
         }
         if s == i {
@@ -350,7 +347,7 @@ pub fn fn_params(code: &str, parsed: &ParsedFile, local_idx: usize) -> Vec<Strin
     while let Some(p) = sig[from..].find("fn") {
         let s = from + p;
         let e = s + 2;
-        if (s == 0 || !is_word_char(b[s - 1])) && (e >= b.len() || !is_word_char(b[e])) {
+        if (s == 0 || !is_ident_byte(b[s - 1])) && (e >= b.len() || !is_ident_byte(b[e])) {
             fn_at = Some(e);
             break;
         }
@@ -419,7 +416,7 @@ pub fn fn_params(code: &str, parsed: &ParsedFile, local_idx: usize) -> Vec<Strin
         if name.is_empty()
             || name == "self"
             || name == "_"
-            || !name.bytes().all(is_word_char)
+            || !name.bytes().all(is_ident_byte)
             || name.bytes().next().is_some_and(|c| c.is_ascii_digit())
         {
             continue;
@@ -497,7 +494,7 @@ fn field_type_decls(code: &str) -> BTreeMap<String, String> {
         }
         let b = t.as_bytes();
         let mut i = 0;
-        while i < b.len() && is_word_char(b[i]) {
+        while i < b.len() && is_ident_byte(b[i]) {
             i += 1;
         }
         if i == 0 {
@@ -548,7 +545,10 @@ fn class_string(files: &BTreeMap<String, FileEntry>, file: &str, c: &CallSite) -
     Some(rest[..q2].to_string())
 }
 
-const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
+/// Argument-less methods that acquire an `Ordered*` lock when called
+/// on a field of a known lock class.
+pub(crate) const ACQUIRE_METHODS: &[&str] =
+    &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Computes workspace facts; also runs the field-type-driven second
 /// resolution pass over `graph` (mutating unresolved call sites). The
@@ -963,7 +963,7 @@ mod tests {
             .map(|(p, s)| (p.to_string(), parse(s)))
             .collect();
         let mut graph = build(&parsed, &|_| false);
-        let facts = compute(&map, &mut graph, &crate::ruleset::builtin());
+        let facts = compute(&map, &mut graph, crate::ruleset::embedded());
         (map, graph, facts)
     }
 
@@ -1148,7 +1148,7 @@ fn outer(env: &[u8]) { splice_path(env); record(env); }
 fn record(env: &[u8]) { let s = TraceStage::Rewritten; }
 "#;
         let (_m, graph, facts) = setup(&[("crates/x/src/msg.rs", src)]);
-        let wsa = crate::ruleset::builtin()
+        let wsa = crate::ruleset::embedded()
             .obligations
             .iter()
             .position(|r| r.name == "wsa-rewrite-before-forward")

@@ -403,7 +403,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ruleset::builtin;
+    use crate::ruleset::embedded;
 
     // Same dependency-free PRNG idiom as the dataflow lattice tests.
     struct XorShift(u64);
@@ -420,11 +420,12 @@ mod tests {
 
     /// The WAL automaton's arcs, the richest shipped machine.
     fn wal_rule() -> TypestateRule {
-        builtin()
+        embedded()
             .typestate_rules
-            .into_iter()
+            .iter()
             .find(|r| r.name == "wal-ack-before-durable")
-            .expect("builtin wal rule")
+            .cloned()
+            .expect("shipped wal rule")
     }
 
     fn rand_set(rng: &mut XorShift, states: &[String]) -> StateSet {
@@ -531,9 +532,9 @@ mod tests {
     fn terminal_state_is_absorbing_without_arcs_out() {
         // The scratch automaton: once `taken`, no arc leads back to
         // `live`, so {taken} is a fixpoint of every event.
-        let rule = builtin()
+        let rule = embedded()
             .typestate_rules
-            .into_iter()
+            .iter()
             .find(|r| r.name == "scratch-use-after-take")
             .unwrap();
         let taken: StateSet = [("taken".to_string(), 3)].into_iter().collect();

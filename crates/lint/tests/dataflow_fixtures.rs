@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use wsd_lint::analyze_workspace;
 use wsd_lint::rules::Finding;
-use wsd_lint::sarif;
+use wsd_lint::{ruleset, sarif};
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -77,7 +77,7 @@ fn known_good_dataflow_twin_has_zero_findings() {
 #[test]
 fn sarif_code_flows_surface_the_taint_path() {
     let wa = analyze_workspace(&fixture_root("dataflow_seeded"), false).expect("walk fixture");
-    let doc = sarif::render(&wa.findings);
+    let doc = sarif::render(&wa.findings, ruleset::embedded());
     assert!(doc.contains("\"codeFlows\""), "dataflow findings must emit codeFlows");
     assert!(doc.contains("\"threadFlows\""));
     // The taint flow names both endpoints of the path.

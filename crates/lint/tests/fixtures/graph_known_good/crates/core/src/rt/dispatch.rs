@@ -15,25 +15,4 @@ impl Dispatcher {
         let env = rewrite_for_forward(env);
         self.queue.enqueue(env);
     }
-
-    /// Drain pump done right: the steady state splices into the caller's
-    /// reusable buffer; the allocating tree ack is behind a reasoned
-    /// edge suppression (outside the zero-alloc domain by declaration).
-    pub fn drain(&self, env: Envelope, scratch: &mut String) {
-        scratch.clear();
-        splice_ack_into(&env, scratch);
-        if env.anomalous {
-            // wsd-lint: allow(alloc-in-drain): anomaly fallback — the tree ack allocates by design
-            self.tree_ack(env);
-        }
-    }
-
-    fn tree_ack(&self, env: Envelope) {
-        let ack = format!("<ack>{}</ack>", env.relates_to);
-        self.queue.push_ack(ack);
-    }
-}
-
-fn splice_ack_into(env: &Envelope, out: &mut String) {
-    out.push_str(env.relates_to());
 }

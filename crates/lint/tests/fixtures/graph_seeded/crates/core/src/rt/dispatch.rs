@@ -16,15 +16,4 @@ impl Dispatcher {
     fn classify(&self, env: Envelope) {
         self.queue.enqueue(env);
     }
-
-    /// SEEDED(alloc-in-drain): the drain pump formats a fresh ack per
-    /// message instead of splicing into the reusable scratch buffer.
-    pub fn drain(&self, env: Envelope) {
-        self.emit_ack(env);
-    }
-
-    fn emit_ack(&self, env: Envelope) {
-        let ack = format!("<ack>{}</ack>", env.relates_to);
-        self.queue.push_ack(ack);
-    }
 }

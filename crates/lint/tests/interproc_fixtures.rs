@@ -73,19 +73,8 @@ fn seeded_graph_violations_are_all_caught_exactly() {
     assert_eq!(lim[0].file, "crates/core/src/rt/serve.rs");
     assert!(lim[0].excerpt.contains("Limits::default"));
 
-    let aid = by_rule(&wa.findings, "alloc-in-drain");
-    assert_eq!(aid.len(), 1, "{:#?}", wa.findings);
-    assert_eq!(aid[0].file, "crates/core/src/rt/dispatch.rs");
-    assert!(aid[0].excerpt.contains("format!"), "{aid:#?}");
-    assert!(
-        aid[0].witness.as_deref().is_some_and(|w| {
-            w.contains("Dispatcher::drain") && w.contains("Dispatcher::emit_ack")
-        }),
-        "{aid:#?}"
-    );
-
-    // Nothing else fires: the seeded total is exactly the six rules.
-    assert_eq!(wa.findings.len(), 7, "{:#?}", wa.findings);
+    // Nothing else fires: the seeded total is exactly the five rules.
+    assert_eq!(wa.findings.len(), 6, "{:#?}", wa.findings);
 }
 
 #[test]

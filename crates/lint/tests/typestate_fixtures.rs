@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use wsd_lint::analyze_workspace;
 use wsd_lint::rules::Finding;
-use wsd_lint::sarif;
+use wsd_lint::{ruleset, sarif};
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -108,7 +108,7 @@ fn known_good_waitgraph_twin_has_zero_findings() {
 #[test]
 fn sarif_code_flows_surface_the_typestate_path() {
     let wa = analyze_workspace(&fixture_root("typestate_seeded"), false).expect("walk fixture");
-    let doc = sarif::render(&wa.findings);
+    let doc = sarif::render(&wa.findings, ruleset::embedded());
     assert!(doc.contains("\"codeFlows\""), "typestate findings must emit codeFlows");
     // The flow runs enter-state -> exit, in that order.
     let start = doc.find("machine enters non-accepting state").expect("enter step");

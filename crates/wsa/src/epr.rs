@@ -22,9 +22,7 @@ impl EndpointReference {
     pub fn new(address: impl Into<String>) -> Self {
         EndpointReference {
             address: address.into(),
-            // wsd-lint: allow(alloc-in-drain): empty Vec::new never touches the allocator
             reference_properties: Vec::new(),
-            // wsd-lint: allow(alloc-in-drain): empty Vec::new never touches the allocator
             reference_parameters: Vec::new(),
         }
     }

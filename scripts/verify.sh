@@ -112,9 +112,7 @@ if [ "${1:-}" = "bench-smoke" ]; then
     # Absolute: cargo runs bench binaries from the package directory.
     : "${BENCH_HOTPATH_JSON:=$(pwd)/BENCH_hotpath.json}"
     export CRITERION_SAMPLES BENCH_HOTPATH_JSON
-    # alloc-count layers the counting global allocator under the bench so
-    # the JSON carries route_raw allocs/op alongside the timings.
-    cargo bench -p wsd-bench --features alloc-count --bench dispatch_hotpath
+    cargo bench -p wsd-bench --bench dispatch_hotpath
 fi
 
 if [ "${1:-}" = "connscale-smoke" ]; then
@@ -177,7 +175,7 @@ if [ "${1:-}" = "bench-gate" ]; then
     gate_dir=$(mktemp -d)
     trap 'rm -rf "$gate_dir"' EXIT
     BENCH_HOTPATH_JSON="$gate_dir/hotpath.json" \
-        cargo bench -p wsd-bench --features alloc-count --bench dispatch_hotpath
+        cargo bench -p wsd-bench --bench dispatch_hotpath
     CONNSCALE_SMOKE=1 BENCH_CONNSCALE_JSON="$gate_dir/connscale.json" \
         cargo bench -p wsd-bench --bench connection_scaling
     BENCH_DURABILITY_JSON="$gate_dir/durability.json" \
