@@ -148,7 +148,10 @@ impl MailboxClient {
     }
 
     /// Fetches up to `max` stored messages, parsing each back into an
-    /// envelope.
+    /// envelope. The fetch has already removed the batch from the
+    /// mailbox, and `/deposit/<id>` stores whatever bytes it is sent, so
+    /// a body that does not parse is skipped — failing here would lose
+    /// every good reply picked up with it.
     pub fn poll(&self, max: usize) -> Result<Vec<Envelope>, WsdError> {
         let resp = rpc_call(
             &self.net,
@@ -165,10 +168,10 @@ impl MailboxClient {
             .ok_or(WsdError::Soap(wsd_soap::SoapError::BadRpc(
                 "malformed fetchResponse",
             )))?;
-        bodies
+        Ok(bodies
             .iter()
-            .map(|b| Envelope::parse(b).map_err(WsdError::from))
-            .collect()
+            .filter_map(|b| Envelope::parse(b).ok())
+            .collect())
     }
 
     /// Polls repeatedly until at least one message arrives or `deadline`
@@ -252,6 +255,28 @@ mod tests {
         mbox.destroy().unwrap();
         // Destroyed: polling now faults.
         assert!(mbox.poll(1).is_err());
+        server.shutdown();
+    }
+
+    #[test]
+    fn poll_skips_an_unparseable_deposit_and_keeps_the_rest() {
+        let net = Network::new();
+        let server = MsgBoxServer::start(&net, "msgbox", 8082, MsgBoxConfig::default(), 3);
+        let mbox = MailboxClient::create(&net, "msgbox", 8082).unwrap();
+        let url = crate::url::Url::parse(&mbox.deposit_url()).unwrap();
+        let mut c = HttpClient::new(net.connect(&url.host, url.port).unwrap());
+        let good = |text| soap_rpc::echo_response(SoapVersion::V11, text).to_xml();
+        for body in [good("first"), "not xml".to_string(), good("second")] {
+            let req =
+                Request::soap_post(&url.authority(), &url.path, "text/xml", body.into_bytes());
+            assert_eq!(c.call(&req).unwrap().status, Status::ACCEPTED);
+        }
+        let got = mbox.poll(10).unwrap();
+        let texts: Vec<_> = got
+            .iter()
+            .map(|e| soap_rpc::parse_echo_response(e).unwrap())
+            .collect();
+        assert_eq!(texts, ["first", "second"]);
         server.shutdown();
     }
 

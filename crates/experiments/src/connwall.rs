@@ -7,7 +7,7 @@
 //!
 //! * **thread-per-message** with the paper's ~50-thread budget collapses
 //!   as the client count crosses the budget;
-//! * the **pooled + reactor** redesign serves 1000 held-open clients on
+//! * the **pooled + reactor** redesign serves 4096 held-open clients on
 //!   a fixed handler pool and nothing else, flat.
 //!
 //! Unlike fig4/5/6 this runs on real OS threads (`wsd_core::rt`), not
@@ -28,7 +28,7 @@ pub const POOL_WORKERS: usize = 8;
 /// Client counts thrown at the thread-per-message design.
 pub const TPM_COUNTS: &[usize] = &[25, 40, 50, 60, 75];
 /// Client counts thrown at the reactor-fronted pooled design.
-pub const REACTOR_COUNTS: &[usize] = &[50, 250, 1000];
+pub const REACTOR_COUNTS: &[usize] = &[50, 250, 1000, 4096];
 
 /// One sweep point: `clients` held-open connections against one design.
 #[derive(Debug, Clone)]
@@ -159,14 +159,15 @@ mod tests {
 
     #[test]
     fn wall_fires_past_budget_and_reactor_stays_flat() {
-        let o = run(&[THREAD_BUDGET + 10], &[200]);
+        let n = *REACTOR_COUNTS.last().unwrap();
+        let o = run(&[THREAD_BUDGET + 10], &[n]);
         let tpm = &o.thread_per_message[0];
         assert!(tpm.crashed, "budget-crossing load must crash the service");
         assert!(tpm.peak_threads >= THREAD_BUDGET);
         let r = &o.reactor[0];
         assert!(!r.crashed);
-        assert_eq!(r.deposits, 200);
-        assert_eq!(r.open_conns, Some(200));
+        assert_eq!(r.deposits, n as u64);
+        assert_eq!(r.open_conns, Some(n));
         assert!(r.peak_threads <= POOL_WORKERS, "reactor used {} threads", r.peak_threads);
     }
 

@@ -13,7 +13,7 @@
 //! reassigned the arcs); `Recovering` means the successor has opened
 //! the dead instance's store and is draining it; `Complete` records how
 //! many messages were recovered and when — the announce→complete span
-//! is the rebalance latency the fleet bench reports.
+//! is the rebalance latency `experiments --fleet` reports.
 
 use crate::ring::{HandoffRange, InstanceId};
 

@@ -120,7 +120,7 @@ pub struct MessageReader<S: Stream> {
     /// Bytes before this offset are consumed messages. Advancing a
     /// cursor instead of `drain`-ing the front keeps a pipelined batch
     /// from being memmoved once per message it contains (O(batch²)
-    /// bytes shifted — the drain-batch-16 cliff in BENCH_hotpath.json).
+    /// bytes shifted, which a 16-wide drain batch would pay per run).
     pos: usize,
 }
 

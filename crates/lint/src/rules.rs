@@ -522,7 +522,7 @@ mod tests {
     fn tests_dirs_are_exempt() {
         let src = "fn t() { std::thread::spawn(|| {}); q.pop().unwrap(); }\n";
         assert!(lint_source("crates/core/tests/model.rs", src).is_empty());
-        assert!(lint_source("crates/bench/benches/b.rs", src).is_empty());
+        assert!(lint_source("crates/core/benches/b.rs", src).is_empty());
         assert!(lint_source("examples/demo.rs", src).is_empty());
     }
 

@@ -13,15 +13,12 @@
 //!   plus its callback sink.
 //! * [`ramp`] — fleet builders that spawn N clients with staggered
 //!   starts.
-//! * [`rt_load`] — a thread-based load run against the threaded runtime
-//!   (used by benches).
 
 #![warn(missing_docs)]
 
 pub mod msg_client;
 pub mod ramp;
 pub mod rpc_client;
-pub mod rt_load;
 pub mod stats;
 
 pub use msg_client::{CallbackSink, MsgClientConfig, MsgClientStats, ReplyMode, SimMsgClient};

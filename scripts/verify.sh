@@ -17,27 +17,6 @@
 #                                      suites under Miri (UB/aliasing
 #                                      sanitizer); skips with a warning
 #                                      when the toolchain has no Miri
-#   scripts/verify.sh bench-smoke      the default, plus a quick dispatch_hotpath
-#                                      run emitting BENCH_hotpath.json at the
-#                                      repo root (override with BENCH_HOTPATH_JSON)
-#   scripts/verify.sh connscale-smoke  the default, plus a 64-connection
-#                                      connection_scaling sweep asserting the
-#                                      reactor's peak thread count stays within
-#                                      its handler pool size
-#   scripts/verify.sh fleet-smoke      the default, plus a shortened fleet
-#                                      scaling sweep asserting >=3x delivered
-#                                      throughput 1->4 instances and the
-#                                      kill-one failover invariants (zero
-#                                      acked loss, zero duplicate delivery)
-#   scripts/verify.sh bench-gate       the default, plus fresh dispatch_hotpath /
-#                                      connection_scaling / durability /
-#                                      fleet_scaling smoke runs
-#                                      compared against the checked-in
-#                                      BENCH_*.json — fails on a >20% p50 /
-#                                      ns-per-op regression
-#                                      (BENCH_GATE_THRESHOLD=0.30 loosens it on
-#                                      noisy machines); a missing reference
-#                                      baseline warns and skips that gate
 #   scripts/verify.sh e2e-smoke        the default, plus the frozen end-to-end
 #                                      yardstick (`benchmark/`, its own
 #                                      workspace) built offline against the
@@ -46,7 +25,7 @@
 #                                      wsd-store / rt API change stops the
 #                                      benchmark crate compiling or a workload
 #                                      reports `correct: false` (non-zero
-#                                      exit); also part of bench-gate
+#                                      exit)
 #   scripts/verify.sh reactor-stress   the reactor's scheduling-protocol race
 #                                      tests (crates/concurrent/tests/
 #                                      reactor_races.rs) built once in release
@@ -107,20 +86,6 @@ if [ -z "${1:-}" ] || [ "${1:-}" = "durability-smoke" ]; then
     rm -rf "$smoke_dir"
 fi
 
-if [ "${1:-}" = "bench-smoke" ]; then
-    : "${CRITERION_SAMPLES:=3}"
-    # Absolute: cargo runs bench binaries from the package directory.
-    : "${BENCH_HOTPATH_JSON:=$(pwd)/BENCH_hotpath.json}"
-    export CRITERION_SAMPLES BENCH_HOTPATH_JSON
-    cargo bench -p wsd-bench --bench dispatch_hotpath
-fi
-
-if [ "${1:-}" = "connscale-smoke" ]; then
-    # 64 mostly-idle connections, both front ends; the bench binary
-    # asserts the reactor's peak thread count <= pool size.
-    CONNSCALE_SMOKE=1 cargo bench -p wsd-bench --bench connection_scaling
-fi
-
 # Lost wake-ups, double deregistrations and shutdown races in the
 # reactor are schedule-dependent: one pass under `cargo test` proves
 # little, so the race tests are repeated, half of the runs squeezed onto
@@ -155,39 +120,9 @@ if [ -z "${1:-}" ] || [ "${1:-}" = "reactor-stress" ]; then
     echo "reactor-stress PASS: $runs runs of reactor_races${pin:+, every other one under $pin}"
 fi
 
-# The fleet smoke runs in the default mode too: it is a few seconds of
-# virtual time and guards the tier's two delivery invariants (no acked
-# loss, no duplicates across a kill) plus the scale-out floor.
-if [ -z "${1:-}" ] || [ "${1:-}" = "fleet-smoke" ]; then
-    FLEET_SMOKE=1 cargo bench -p wsd-bench --bench fleet_scaling
-fi
-
-if [ "${1:-}" = "e2e-smoke" ] || [ "${1:-}" = "bench-gate" ]; then
+if [ "${1:-}" = "e2e-smoke" ]; then
     for workload in rpc_echo conv_pingpong backlog_durable sim_fig6; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
     done
-fi
-
-if [ "${1:-}" = "bench-gate" ]; then
-    : "${CRITERION_SAMPLES:=3}"
-    export CRITERION_SAMPLES
-    gate_dir=$(mktemp -d)
-    trap 'rm -rf "$gate_dir"' EXIT
-    BENCH_HOTPATH_JSON="$gate_dir/hotpath.json" \
-        cargo bench -p wsd-bench --bench dispatch_hotpath
-    CONNSCALE_SMOKE=1 BENCH_CONNSCALE_JSON="$gate_dir/connscale.json" \
-        cargo bench -p wsd-bench --bench connection_scaling
-    BENCH_DURABILITY_JSON="$gate_dir/durability.json" \
-        cargo bench -p wsd-bench --bench durability
-    FLEET_SMOKE=1 BENCH_FLEET_JSON="$gate_dir/fleet.json" \
-        cargo bench -p wsd-bench --bench fleet_scaling
-    cargo run -q --release -p wsd-bench --bin bench_gate -- \
-        BENCH_hotpath.json "$gate_dir/hotpath.json"
-    cargo run -q --release -p wsd-bench --bin bench_gate -- \
-        BENCH_connscale.json "$gate_dir/connscale.json"
-    cargo run -q --release -p wsd-bench --bin bench_gate -- \
-        BENCH_durability.json "$gate_dir/durability.json"
-    cargo run -q --release -p wsd-bench --bin bench_gate -- \
-        BENCH_fleet.json "$gate_dir/fleet.json"
 fi
