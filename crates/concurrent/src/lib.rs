@@ -10,7 +10,7 @@
 //!   first-in-first-out queue with close semantics,
 //! * [`ShardedMap`] — a sharded concurrent hash map,
 //! * [`ThreadPool`] — a worker pool with pre-start, on-demand growth up to a
-//!   maximum size, and rejection policies,
+//!   maximum size, and blocking submission when saturated (back-pressure),
 //! * [`CountDownLatch`] — a one-shot completion barrier,
 //! * [`ThreadBudget`] — a global cap on concurrently live threads, used to
 //!   emulate the JVM `OutOfMemoryError` the paper hit when WS-MsgBox spawned
@@ -38,6 +38,6 @@ pub use budget::{BudgetError, ThreadBudget, ThreadLease};
 pub use latch::CountDownLatch;
 pub use map::ShardedMap;
 pub use ordered::{OrderedMutex, OrderedMutexGuard, OrderedRwLock};
-pub use pool::{PoolConfig, RejectionPolicy, TaskError, ThreadPool};
+pub use pool::{PoolConfig, TaskError, ThreadPool};
 pub use queue::{FifoQueue, PopError, PushError};
 pub use reactor::{Pump, Reactor, ReactorConn, Wakeup};

@@ -66,11 +66,6 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
         &self.shards[(h.finish() as usize) & self.mask]
     }
 
-    /// Number of shards the key space is split across.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Inserts a key-value pair, returning the previous value if any.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         self.shard_for(&key).write().insert(key, value)
@@ -249,7 +244,7 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let m: ShardedMap<u8, u8> = ShardedMap::with_shards(5);
-        assert_eq!(m.shard_count(), 8);
+        assert_eq!(m.shards.len(), 8);
     }
 
     #[test]

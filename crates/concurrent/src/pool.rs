@@ -1,46 +1,28 @@
-//! Worker thread pool with pre-start, bounded growth and rejection policies.
+//! Worker thread pool with pre-start, bounded growth and blocking submission.
 //!
 //! Mirrors the pool the MSG-Dispatcher configures for its `CxThread` and
 //! `WsThread` stages (paper §4.2): a configurable number of pre-created
 //! threads, automatic growth up to a maximum under load, and automatic
 //! destruction of idle surplus threads.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use wsd_telemetry::{Counter, Gauge, Scope};
 
-use crate::budget::{ThreadBudget, ThreadLease};
 use crate::ordered::OrderedMutex;
 use crate::queue::{FifoQueue, PopError, PushError};
-
-/// What [`ThreadPool::execute`] does when the task queue is full and the
-/// pool is already at its maximum size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RejectionPolicy {
-    /// Fail the submission with [`TaskError::Rejected`].
-    #[default]
-    Abort,
-    /// Run the task synchronously on the submitting thread (back-pressure).
-    CallerRuns,
-    /// Silently drop the task.
-    Discard,
-    /// Block the submitting thread until queue space frees up.
-    Block,
-}
 
 /// Errors surfaced by pool submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskError {
     /// The pool has been shut down.
     Shutdown,
-    /// The queue was full and the policy is [`RejectionPolicy::Abort`].
+    /// [`ThreadPool::try_execute`] found the queue full.
     Rejected,
-    /// Spawning a worker failed because the shared [`ThreadBudget`] is
-    /// exhausted (the simulated `OutOfMemoryError`).
+    /// The OS refused to start a worker thread.
     OutOfMemory,
 }
 
@@ -49,7 +31,7 @@ impl std::fmt::Display for TaskError {
         match self {
             TaskError::Shutdown => f.write_str("thread pool is shut down"),
             TaskError::Rejected => f.write_str("task rejected: queue full"),
-            TaskError::OutOfMemory => f.write_str("out of memory: thread budget exhausted"),
+            TaskError::OutOfMemory => f.write_str("out of memory: cannot spawn a worker thread"),
         }
     }
 }
@@ -71,10 +53,6 @@ pub struct PoolConfig {
     pub queue_capacity: usize,
     /// How long a surplus worker stays alive with no work before retiring.
     pub keep_alive: Duration,
-    /// Behaviour when the queue is full at maximum pool size.
-    pub rejection: RejectionPolicy,
-    /// Optional shared thread budget; workers hold a lease while alive.
-    pub budget: Option<ThreadBudget>,
     /// Telemetry scope the pool's instruments live under; the default
     /// no-op scope keeps instrumentation invisible and free of exports.
     pub telemetry: Scope,
@@ -89,8 +67,6 @@ impl PoolConfig {
             max_threads: n,
             queue_capacity: 1024,
             keep_alive: Duration::from_millis(500),
-            rejection: RejectionPolicy::Block,
-            budget: None,
             telemetry: Scope::noop(),
         }
     }
@@ -103,8 +79,6 @@ impl PoolConfig {
             max_threads: max,
             queue_capacity: 1024,
             keep_alive: Duration::from_millis(500),
-            rejection: RejectionPolicy::Abort,
-            budget: None,
             telemetry: Scope::noop(),
         }
     }
@@ -115,18 +89,6 @@ impl PoolConfig {
         self
     }
 
-    /// Sets the rejection policy.
-    pub fn rejection(mut self, policy: RejectionPolicy) -> Self {
-        self.rejection = policy;
-        self
-    }
-
-    /// Attaches a shared thread budget.
-    pub fn budget(mut self, budget: ThreadBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// Sets the idle keep-alive for surplus workers.
     pub fn keep_alive(mut self, d: Duration) -> Self {
         self.keep_alive = d;
@@ -134,8 +96,8 @@ impl PoolConfig {
     }
 
     /// Attaches a telemetry scope; the pool registers `workers`, `active`
-    /// and `queue_depth` gauges plus `completed`, `rejected`, `discarded`
-    /// and `oom` counters under it.
+    /// and `queue_depth` gauges plus `completed` and `oom` counters under
+    /// it.
     pub fn telemetry(mut self, scope: Scope) -> Self {
         self.telemetry = scope;
         self
@@ -148,22 +110,18 @@ struct PoolShared {
     queue: FifoQueue<Job>,
     workers: AtomicUsize,
     active: AtomicUsize,
-    completed: AtomicU64,
     shutdown: AtomicBool,
     config: PoolConfigFrozen,
     tele: PoolTelemetry,
 }
 
-/// Instrument handles mirroring the pool's internal counters; under a
-/// no-op scope these record into unregistered cells and cost one relaxed
-/// atomic op per update.
+/// The pool's instruments; under a no-op scope these record into
+/// unregistered cells and cost one relaxed atomic op per update.
 struct PoolTelemetry {
     workers: Gauge,
     active: Gauge,
     queue_depth: Gauge,
     completed: Counter,
-    rejected: Counter,
-    discarded: Counter,
     oom: Counter,
 }
 
@@ -174,8 +132,6 @@ impl PoolTelemetry {
             active: scope.gauge("active"),
             queue_depth: scope.gauge("queue_depth"),
             completed: scope.counter("completed"),
-            rejected: scope.counter("rejected"),
-            discarded: scope.counter("discarded"),
             oom: scope.counter("oom"),
         }
     }
@@ -186,21 +142,19 @@ struct PoolConfigFrozen {
     core_threads: usize,
     max_threads: usize,
     keep_alive: Duration,
-    budget: Option<ThreadBudget>,
 }
 
 /// A managed worker thread pool.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
-    rejection: RejectionPolicy,
     handles: OrderedMutex<Vec<thread::JoinHandle<()>>>,
 }
 
 impl ThreadPool {
     /// Creates the pool and pre-starts `core_threads` workers.
     ///
-    /// Fails with [`TaskError::OutOfMemory`] if the attached budget cannot
-    /// cover the core threads.
+    /// Fails with [`TaskError::OutOfMemory`] if the OS cannot start the
+    /// core threads.
     ///
     /// # Panics
     ///
@@ -215,7 +169,6 @@ impl ThreadPool {
             queue: FifoQueue::bounded(config.queue_capacity.max(1)),
             workers: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
-            completed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             tele: PoolTelemetry::new(&config.telemetry),
             config: PoolConfigFrozen {
@@ -223,12 +176,10 @@ impl ThreadPool {
                 core_threads: config.core_threads,
                 max_threads: config.max_threads,
                 keep_alive: config.keep_alive,
-                budget: config.budget,
             },
         });
         let pool = ThreadPool {
             shared,
-            rejection: config.rejection,
             handles: OrderedMutex::new("thread_pool.handles", Vec::new()),
         };
         for _ in 0..pool.shared.config.core_threads {
@@ -238,23 +189,13 @@ impl ThreadPool {
     }
 
     fn spawn_worker(&self, core: bool) -> Result<(), TaskError> {
-        let lease: Option<ThreadLease> = match &self.shared.config.budget {
-            Some(b) => Some(b.try_acquire().map_err(|_| {
-                self.shared.tele.oom.inc();
-                TaskError::OutOfMemory
-            })?),
-            None => None,
-        };
         let shared = Arc::clone(&self.shared);
         let idx = shared.workers.fetch_add(1, Ordering::AcqRel);
         shared.tele.workers.inc();
         let name = format!("{}-{}", shared.config.name, idx);
         let builder = thread::Builder::new().name(name);
         let handle = builder
-            .spawn(move || {
-                let _lease = lease;
-                worker_loop(&shared, core);
-            })
+            .spawn(move || worker_loop(&shared, core))
             .map_err(|_| {
                 self.shared.workers.fetch_sub(1, Ordering::AcqRel);
                 self.shared.tele.workers.dec();
@@ -265,14 +206,15 @@ impl ThreadPool {
         Ok(())
     }
 
-    /// Submits a task for asynchronous execution.
+    /// Submits a task for asynchronous execution. When the queue is full
+    /// and the pool is at its maximum size, blocks the submitting thread
+    /// until queue space frees up (back-pressure).
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> Result<(), TaskError> {
         self.execute_boxed(Box::new(job))
     }
 
     /// Submits a task only if the queue has room for it right now:
-    /// never blocks, never grows the pool, never runs the task on the
-    /// caller, whatever the rejection policy; a full queue is
+    /// never blocks, never grows the pool; a full queue is
     /// [`TaskError::Rejected`]. For a worker handing work to its own
     /// pool — it must not wait there for room, and it is about to be
     /// free to take the task itself.
@@ -295,59 +237,25 @@ impl ThreadPool {
     }
 
     fn execute_boxed(&self, job: Job) -> Result<(), TaskError> {
-        match self.try_push(job) {
+        let job = match self.try_push(job) {
             Ok(()) => {
                 self.maybe_grow();
-                Ok(())
+                return Ok(());
             }
-            Err(PushError::Closed(_)) => Err(TaskError::Shutdown),
-            Err(PushError::Full(job)) => {
-                // Queue is saturated: try growing first, then apply policy.
-                if self.shared.workers.load(Ordering::Acquire) < self.shared.config.max_threads {
-                    self.spawn_worker(false)?;
-                    if let Err(e) = self.shared.queue.try_push(job) {
-                        return self.apply_rejection(e);
-                    }
-                    self.note_queue_depth();
-                    return Ok(());
-                }
-                self.apply_rejection(PushError::Full(job))
-            }
+            Err(PushError::Closed(_)) => return Err(TaskError::Shutdown),
+            Err(PushError::Full(job)) => job,
+        };
+        // Queue is saturated: grow if allowed, then wait for room.
+        if self.shared.workers.load(Ordering::Acquire) < self.shared.config.max_threads {
+            self.spawn_worker(false)?;
         }
+        self.shared.queue.push(job).map_err(|_| TaskError::Shutdown)?;
+        self.note_queue_depth();
+        Ok(())
     }
 
     fn note_queue_depth(&self) {
         self.shared.tele.queue_depth.set(self.shared.queue.len() as i64);
-    }
-
-    fn apply_rejection(&self, err: PushError<Job>) -> Result<(), TaskError> {
-        let job = match err {
-            PushError::Closed(_) => return Err(TaskError::Shutdown),
-            PushError::Full(job) => job,
-        };
-        match self.rejection {
-            RejectionPolicy::Abort => {
-                self.shared.tele.rejected.inc();
-                Err(TaskError::Rejected)
-            }
-            RejectionPolicy::Discard => {
-                self.shared.tele.discarded.inc();
-                Ok(())
-            }
-            RejectionPolicy::CallerRuns => {
-                job();
-                self.shared.completed.fetch_add(1, Ordering::Relaxed);
-                self.shared.tele.completed.inc();
-                Ok(())
-            }
-            RejectionPolicy::Block => match self.shared.queue.push(job) {
-                Ok(()) => {
-                    self.note_queue_depth();
-                    Ok(())
-                }
-                Err(_) => Err(TaskError::Shutdown),
-            },
-        }
     }
 
     fn maybe_grow(&self) {
@@ -359,19 +267,6 @@ impl ThreadPool {
         {
             let _ = self.spawn_worker(false);
         }
-    }
-
-    /// Submits a task and returns a handle resolving to its result.
-    pub fn submit<T: Send + 'static>(
-        &self,
-        job: impl FnOnce() -> T + Send + 'static,
-    ) -> Result<Completion<T>, TaskError> {
-        // wsd-lint: allow(unbounded-queue-at-serve-site): one-shot completion channel; holds at most one element per submit
-        let (tx, rx) = mpsc::channel();
-        self.execute(move || {
-            let _ = tx.send(job());
-        })?;
-        Ok(Completion { rx })
     }
 
     /// Number of currently live workers.
@@ -387,11 +282,6 @@ impl ThreadPool {
     /// Number of tasks waiting in the queue.
     pub fn queued_count(&self) -> usize {
         self.shared.queue.len()
-    }
-
-    /// Total tasks completed since construction.
-    pub fn completed_count(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
     }
 
     /// Stops accepting tasks, runs everything already queued, and joins all
@@ -444,34 +334,15 @@ fn worker_loop(shared: &PoolShared, core: bool) {
         job();
         shared.active.fetch_sub(1, Ordering::AcqRel);
         shared.tele.active.dec();
-        shared.completed.fetch_add(1, Ordering::Relaxed);
         shared.tele.completed.inc();
     }
     shared.workers.fetch_sub(1, Ordering::AcqRel);
     shared.tele.workers.dec();
 }
 
-/// Handle to a [`ThreadPool::submit`] result.
-pub struct Completion<T> {
-    rx: mpsc::Receiver<T>,
-}
-
-impl<T> Completion<T> {
-    /// Blocks until the task finishes; `None` if the task panicked.
-    pub fn wait(self) -> Option<T> {
-        self.rx.recv().ok()
-    }
-
-    /// Blocks at most `timeout`; `None` on timeout or panic.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<T> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicU32;
 
     #[test]
@@ -487,14 +358,6 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(pool.completed_count(), 100);
-    }
-
-    #[test]
-    fn submit_returns_result() {
-        let pool = ThreadPool::new(PoolConfig::fixed("t", 2)).unwrap();
-        let c = pool.submit(|| 21 * 2).unwrap();
-        assert_eq!(c.wait(), Some(42));
     }
 
     #[test]
@@ -506,8 +369,7 @@ mod tests {
     #[test]
     fn grows_to_max_under_load() {
         let cfg = PoolConfig::growable("t", 1, 4)
-            .queue_capacity(1)
-            .rejection(RejectionPolicy::Block);
+            .queue_capacity(1);
         let pool = ThreadPool::new(cfg).unwrap();
         let latch = crate::CountDownLatch::new(4);
         let release = crate::CountDownLatch::new(1);
@@ -527,96 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn abort_policy_rejects_when_saturated() {
-        let cfg = PoolConfig::growable("t", 1, 1)
-            .queue_capacity(1)
-            .rejection(RejectionPolicy::Abort);
-        let pool = ThreadPool::new(cfg).unwrap();
-        let release = crate::CountDownLatch::new(1);
-        let started = crate::CountDownLatch::new(1);
-        {
-            let release = release.clone();
-            let started = started.clone();
-            pool.execute(move || {
-                started.count_down();
-                release.wait();
-            })
-            .unwrap();
-        }
-        started.wait();
-        // Worker busy; fill the single queue slot, then expect rejection.
-        pool.execute(|| {}).unwrap();
-        let mut rejected = false;
-        for _ in 0..10 {
-            if pool.execute(|| {}) == Err(TaskError::Rejected) {
-                rejected = true;
-                break;
-            }
-        }
-        assert!(rejected);
-        release.count_down();
-        pool.shutdown();
-    }
-
-    #[test]
-    fn discard_policy_drops_silently() {
-        let cfg = PoolConfig::growable("t", 1, 1)
-            .queue_capacity(1)
-            .rejection(RejectionPolicy::Discard);
-        let pool = ThreadPool::new(cfg).unwrap();
-        let release = crate::CountDownLatch::new(1);
-        {
-            let release = release.clone();
-            pool.execute(move || release.wait()).unwrap();
-        }
-        for _ in 0..20 {
-            assert_eq!(pool.execute(|| {}), Ok(()));
-        }
-        release.count_down();
-        pool.shutdown();
-    }
-
-    #[test]
-    fn caller_runs_policy_executes_inline() {
-        let cfg = PoolConfig::growable("t", 1, 1)
-            .queue_capacity(1)
-            .rejection(RejectionPolicy::CallerRuns);
-        let pool = ThreadPool::new(cfg).unwrap();
-        let release = crate::CountDownLatch::new(1);
-        let started = crate::CountDownLatch::new(1);
-        {
-            let release = release.clone();
-            let started = started.clone();
-            pool.execute(move || {
-                started.count_down();
-                release.wait();
-            })
-            .unwrap();
-        }
-        started.wait();
-        pool.execute(|| {}).unwrap(); // fills queue slot
-        let tid = thread::current().id();
-        let ran_on = Arc::new(Mutex::new(None));
-        let mut inline = false;
-        for _ in 0..10 {
-            let ran_on2 = Arc::clone(&ran_on);
-            pool.execute(move || {
-                *ran_on2.lock() = Some(thread::current().id());
-            })
-            .unwrap();
-            if *ran_on.lock() == Some(tid) {
-                inline = true;
-                break;
-            }
-        }
-        assert!(inline, "caller-runs task never executed inline");
-        release.count_down();
-        pool.shutdown();
-    }
-
-    #[test]
     fn try_execute_never_waits_for_room() {
-        let cfg = PoolConfig::fixed("t", 1).queue_capacity(1); // policy: Block
+        let reg = wsd_telemetry::Registry::new();
+        let cfg = PoolConfig::fixed("t", 1).queue_capacity(1).telemetry(reg.scope("t"));
         let pool = ThreadPool::new(cfg).unwrap();
         let release = crate::CountDownLatch::new(1);
         let started = crate::CountDownLatch::new(1);
@@ -635,7 +410,7 @@ mod tests {
         assert_eq!(pool.try_execute(|| {}), Err(TaskError::Rejected));
         release.count_down();
         pool.shutdown();
-        assert_eq!(pool.completed_count(), 2);
+        assert_eq!(reg.snapshot().counter("t.completed"), 2);
         assert_eq!(pool.try_execute(|| {}), Err(TaskError::Shutdown));
     }
 
@@ -669,33 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_is_out_of_memory() {
-        let budget = ThreadBudget::new(2);
-        let _hold = budget.try_acquire().unwrap();
-        let _hold2 = budget.try_acquire().unwrap();
-        let cfg = PoolConfig::fixed("t", 1).budget(budget);
-        match ThreadPool::new(cfg) {
-            Err(TaskError::OutOfMemory) => {}
-            other => panic!("expected OutOfMemory, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn workers_release_budget_on_shutdown() {
-        let budget = ThreadBudget::new(8);
-        let cfg = PoolConfig::fixed("t", 4).budget(budget.clone());
-        let pool = ThreadPool::new(cfg).unwrap();
-        assert_eq!(budget.live(), 4);
-        pool.shutdown();
-        assert_eq!(budget.live(), 0);
-    }
-
-    #[test]
     fn surplus_workers_retire_after_keep_alive() {
         let cfg = PoolConfig::growable("t", 1, 4)
             .queue_capacity(1)
-            .keep_alive(Duration::from_millis(30))
-            .rejection(RejectionPolicy::Block);
+            .keep_alive(Duration::from_millis(30));
         let pool = ThreadPool::new(cfg).unwrap();
         let release = crate::CountDownLatch::new(1);
         for _ in 0..4 {

@@ -174,31 +174,6 @@ impl<T> FifoQueue<T> {
         Ok(())
     }
 
-    /// Pushes an element, blocking at most `timeout` while the queue is full.
-    pub fn push_timeout(&self, value: T, timeout: Duration) -> Result<(), PushError<T>> {
-        // wsd-lint: allow(raw-clock): condvar parking needs a monotonic Instant deadline; no simulated time crosses this boundary
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.inner.state.lock();
-        loop {
-            if st.closed {
-                return Err(PushError::Closed(value));
-            }
-            if st.items.len() < st.capacity {
-                st.items.push_back(value);
-                let depth = st.items.len();
-                drop(st);
-                self.inner.note_push(depth);
-                self.inner.not_empty.notify_one();
-                return Ok(());
-            }
-            if st.wait_until(&self.inner.not_full, deadline) {
-                drop(st);
-                self.inner.note_rejected();
-                return Err(PushError::Full(value));
-            }
-        }
-    }
-
     /// Pops the oldest element, blocking while the queue is empty.
     ///
     /// Returns [`PopError::Closed`] once the queue is closed and drained.
@@ -445,14 +420,6 @@ mod tests {
         let q: FifoQueue<u8> = FifoQueue::bounded(1);
         let err = q.pop_timeout(Duration::from_millis(10)).unwrap_err();
         assert_eq!(err, PopError::Empty);
-    }
-
-    #[test]
-    fn push_timeout_expires_when_full() {
-        let q = FifoQueue::bounded(1);
-        q.push(1).unwrap();
-        let err = q.push_timeout(2, Duration::from_millis(10)).unwrap_err();
-        assert_eq!(err, PushError::Full(2));
     }
 
     #[test]

@@ -60,9 +60,8 @@
 //!
 //! The hook calls [`ThreadPool::execute`] on the writer's thread — never
 //! under the cell's lock (nor, for the in-process pipes, the pipe's). With
-//! [`RejectionPolicy::Block`](crate::RejectionPolicy::Block) and a full
-//! pool queue the writer waits there, which is the back-pressure a full
-//! pipe gives a writer anyway. If the pool refuses the job (it was shut
+//! a full pool queue the writer waits there, which is the back-pressure a
+//! full pipe gives a writer anyway. If the pool refuses the job (it was shut
 //! down), the hook deregisters the connection and drops it.
 //!
 //! Backpressure is structural: while a job is inside `handle` the

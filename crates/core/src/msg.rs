@@ -115,21 +115,6 @@ impl CoreTelemetry {
     }
 }
 
-/// Stats the MSG dispatcher keeps.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct MsgDispatchStats {
-    /// Envelopes accepted.
-    pub received: u64,
-    /// Requests routed toward services.
-    pub forwarded: u64,
-    /// Replies routed toward clients/mailboxes.
-    pub replied: u64,
-    /// Envelopes with no usable route.
-    pub unroutable: u64,
-    /// Security rejections.
-    pub rejected: u64,
-}
-
 /// A route-table entry: the [`RouteRecord`] plus its insertion time (µs)
 /// for TTL cleanup.
 #[derive(Debug, Clone, PartialEq, Eq)]

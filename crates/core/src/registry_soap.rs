@@ -139,15 +139,6 @@ pub mod ops {
         }
         Some(op.find_child(None, "endpoint")?.text())
     }
-
-    /// Reads the service names out of a `listResponse`.
-    pub fn parse_list_response(env: &Envelope) -> Option<Vec<String>> {
-        let op = env.payload()?.first()?;
-        if op.name.local != "listResponse" {
-            return None;
-        }
-        Some(op.find_children(None, "service").map(|s| s.text()).collect())
-    }
 }
 
 #[cfg(test)]
@@ -213,10 +204,10 @@ mod tests {
         round_trip(&r, ops::register(SoapVersion::V11, "B", &["http://b/".into()], None));
         round_trip(&r, ops::register(SoapVersion::V11, "A", &["http://a/".into()], None));
         let resp = round_trip(&r, ops::list(SoapVersion::V11));
-        assert_eq!(
-            ops::parse_list_response(&resp).unwrap(),
-            vec!["A".to_string(), "B".to_string()]
-        );
+        let op = &resp.payload().unwrap()[0];
+        assert_eq!(op.name.local, "listResponse");
+        let names: Vec<String> = op.find_children(None, "service").map(|s| s.text()).collect();
+        assert_eq!(names, ["A", "B"]);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! Paper §4.4 (future work): "improve forwarding service by adding
 //! hold/retry on delivery to simple one way messaging with messages
 //! stored ... with expiration time", related to WS-ReliableMessaging.
-//! This module is the pure policy + per-message state machine; both
-//! runtimes drive it with their own clocks (virtual or wall).
+//! This module is the pure backoff policy; the simulated MSG-Dispatcher
+//! (`sim/msg_dispatcher.rs`) is its one driver.
 
-/// Retry policy: exponential backoff, bounded attempts, absolute TTL.
-/// Times are in microseconds so the simulated and threaded runtimes share
-/// the arithmetic.
+/// Retry policy: exponential backoff, bounded attempts. Times are in
+/// microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum delivery attempts (including the first).
@@ -17,9 +16,6 @@ pub struct RetryPolicy {
     pub base_backoff_us: u64,
     /// Cap on a single backoff interval.
     pub max_backoff_us: u64,
-    /// Message time-to-live from enqueue; expired messages are dropped
-    /// even if attempts remain.
-    pub ttl_us: u64,
 }
 
 impl Default for RetryPolicy {
@@ -28,7 +24,6 @@ impl Default for RetryPolicy {
             max_attempts: 5,
             base_backoff_us: 500_000,        // 0.5 s
             max_backoff_us: 30_000_000,      // 30 s
-            ttl_us: 300_000_000,             // 5 min
         }
     }
 }
@@ -48,64 +43,6 @@ impl RetryPolicy {
     }
 }
 
-/// Outcome of a failed delivery attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryDecision {
-    /// Try again at this absolute time (µs).
-    RetryAt(u64),
-    /// Attempts exhausted.
-    GiveUp,
-    /// TTL exceeded.
-    Expired,
-}
-
-/// Per-message delivery state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeliveryState {
-    /// Attempts made so far.
-    pub attempts: u32,
-    /// Enqueue time (µs).
-    pub enqueued_at: u64,
-}
-
-impl DeliveryState {
-    /// A message enqueued at `now`.
-    pub fn new(now: u64) -> Self {
-        DeliveryState {
-            attempts: 0,
-            enqueued_at: now,
-        }
-    }
-
-    /// Whether the message is past its TTL at `now`.
-    pub fn expired(&self, policy: &RetryPolicy, now: u64) -> bool {
-        now.saturating_sub(self.enqueued_at) >= policy.ttl_us
-    }
-
-    /// Records a delivery attempt starting now.
-    pub fn begin_attempt(&mut self) {
-        self.attempts += 1;
-    }
-
-    /// Decides what to do after the current attempt failed at `now`.
-    pub fn on_failure(&self, policy: &RetryPolicy, now: u64) -> RetryDecision {
-        if self.expired(policy, now) {
-            return RetryDecision::Expired;
-        }
-        match policy.backoff_before(self.attempts + 1) {
-            None => RetryDecision::GiveUp,
-            Some(backoff) => {
-                let at = now + backoff;
-                if at.saturating_sub(self.enqueued_at) >= policy.ttl_us {
-                    RetryDecision::Expired
-                } else {
-                    RetryDecision::RetryAt(at)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +52,6 @@ mod tests {
             max_attempts: 4,
             base_backoff_us: 100,
             max_backoff_us: 300,
-            ttl_us: 10_000,
         }
     }
 
@@ -130,70 +66,11 @@ mod tests {
     }
 
     #[test]
-    fn state_machine_walks_through_retries_then_gives_up() {
-        let p = policy();
-        let mut st = DeliveryState::new(0);
-        let mut now = 0;
-        let mut retries = 0;
-        loop {
-            st.begin_attempt();
-            match st.on_failure(&p, now) {
-                RetryDecision::RetryAt(at) => {
-                    assert!(at > now || st.attempts == 0);
-                    now = at;
-                    retries += 1;
-                }
-                RetryDecision::GiveUp => break,
-                RetryDecision::Expired => panic!("should give up before TTL here"),
-            }
-        }
-        assert_eq!(st.attempts, p.max_attempts);
-        assert_eq!(retries, (p.max_attempts - 1) as usize);
-    }
-
-    #[test]
-    fn expiry_wins_over_remaining_attempts() {
-        let p = RetryPolicy {
-            ttl_us: 200,
-            ..policy()
-        };
-        let mut st = DeliveryState::new(1000);
-        st.begin_attempt();
-        // First failure at enqueue+50: retry at +150 → still inside TTL.
-        assert_eq!(st.on_failure(&p, 1050), RetryDecision::RetryAt(1150));
-        // The next failure lands exactly at the TTL edge: expired.
-        st.begin_attempt();
-        assert_eq!(st.on_failure(&p, 1200), RetryDecision::Expired);
-    }
-
-    #[test]
-    fn expired_checks_absolute_age() {
-        let p = policy();
-        let st = DeliveryState::new(500);
-        assert!(!st.expired(&p, 500));
-        assert!(!st.expired(&p, 10_499));
-        assert!(st.expired(&p, 10_500));
-    }
-
-    #[test]
     fn zero_attempt_policy_never_tries() {
         let p = RetryPolicy {
             max_attempts: 0,
             ..policy()
         };
         assert_eq!(p.backoff_before(1), None);
-    }
-
-    #[test]
-    fn retry_at_respects_ttl_boundary() {
-        let p = RetryPolicy {
-            ttl_us: 250,
-            ..policy()
-        };
-        let mut st = DeliveryState::new(0);
-        st.begin_attempt();
-        st.begin_attempt();
-        // Next backoff is 200; failure at 100 → retry would be at 300 ≥ TTL.
-        assert_eq!(st.on_failure(&p, 100), RetryDecision::Expired);
     }
 }

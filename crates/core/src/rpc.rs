@@ -9,25 +9,69 @@
 
 use wsd_http::{Bytes, Request, Response, Status};
 use wsd_soap::{Envelope, Fault, FaultCode, SoapVersion};
+use wsd_telemetry::{Counter, Scope};
 
 use crate::error::WsdError;
 use crate::registry::Registry;
 use crate::security::PolicyChain;
 use crate::url::Url;
 
-/// Stats a dispatcher keeps (both runtimes increment them).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RpcDispatchStats {
+/// The RPC dispatcher's books, in both runtimes: the telemetry
+/// instruments themselves. A clone is a live handle onto the same cells,
+/// so `stats()` and the registry snapshot can never disagree. At
+/// quiescence `received == refused + relayed + upstream_failures`.
+#[derive(Debug, Clone)]
+pub struct RpcCounters {
     /// Requests accepted from clients.
-    pub received: u64,
-    /// Requests successfully forwarded to a service.
-    pub forwarded: u64,
+    pub received: Counter,
+    /// Requests written to a service's connection.
+    pub forwarded: Counter,
     /// Responses relayed back to clients.
-    pub relayed: u64,
+    pub relayed: Counter,
     /// Requests refused (unknown service, security, malformed).
-    pub refused: u64,
-    /// Forwards that failed (connect/timeout at the service side).
-    pub upstream_failures: u64,
+    pub refused: Counter,
+    /// Forwards that failed: connect, send, timeout or close at the
+    /// service side (the last two after the request was `forwarded`).
+    pub upstream_failures: Counter,
+}
+
+impl RpcCounters {
+    /// The counters, registered under `scope`.
+    pub fn new(scope: &Scope) -> Self {
+        RpcCounters {
+            received: scope.counter("received"),
+            forwarded: scope.counter("forwarded"),
+            relayed: scope.counter("relayed"),
+            refused: scope.counter("refused"),
+            upstream_failures: scope.counter("upstream_failures"),
+        }
+    }
+
+    /// Asserts the books balance at quiescence; `after_send` is how many
+    /// of the failures happened once the request was on the upstream wire.
+    #[cfg(test)]
+    pub(crate) fn assert_conserved(&self, after_send: u64) {
+        assert_eq!(
+            self.received.get(),
+            self.refused.get() + self.relayed.get() + self.upstream_failures.get()
+        );
+        assert_eq!(self.forwarded.get(), self.relayed.get() + after_send);
+    }
+
+    /// Asserts the handle is the instrument: every field reads what the
+    /// registry snapshot reports under `scope`.
+    #[cfg(test)]
+    pub(crate) fn assert_matches(&self, snap: &wsd_telemetry::Snapshot, scope: &str) {
+        for (name, counter) in [
+            ("received", &self.received),
+            ("forwarded", &self.forwarded),
+            ("relayed", &self.relayed),
+            ("refused", &self.refused),
+            ("upstream_failures", &self.upstream_failures),
+        ] {
+            assert_eq!(counter.get(), snap.counter(&format!("{scope}.{name}")), "{name}");
+        }
+    }
 }
 
 /// Decides the fate of one inbound client request.

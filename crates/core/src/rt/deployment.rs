@@ -44,8 +44,6 @@ pub struct DeploymentBuilder {
     msg_port: u16,
     msgbox_port: u16,
     registry_port: u16,
-    with_msgbox: bool,
-    with_registry_service: bool,
     seed: u64,
 }
 
@@ -74,18 +72,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Skips the WS-MsgBox service.
-    pub fn without_msgbox(mut self) -> Self {
-        self.with_msgbox = false;
-        self
-    }
-
-    /// Skips the browseable registry service.
-    pub fn without_registry_service(mut self) -> Self {
-        self.with_registry_service = false;
-        self
-    }
-
     /// Seeds the id generators (deterministic message/mailbox ids).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -104,39 +90,28 @@ impl DeploymentBuilder {
             self.policies,
             self.config.clone(),
         );
-        let mut core = MsgCore::new(
+        let core = MsgCore::new(
             Arc::clone(&registry),
             format!("http://{}:{}/msg", self.host, self.msg_port),
             self.seed,
+        )
+        .with_mailbox(format!("http://{}:{}/deposit", self.host, self.msgbox_port));
+        let msgbox = MsgBoxServer::start(
+            &self.net,
+            &self.host,
+            self.msgbox_port,
+            self.msgbox_config,
+            self.seed,
         );
-        let msgbox = if self.with_msgbox {
-            core = core.with_mailbox(format!(
-                "http://{}:{}/deposit",
-                self.host, self.msgbox_port
-            ));
-            Some(MsgBoxServer::start(
-                &self.net,
-                &self.host,
-                self.msgbox_port,
-                self.msgbox_config.clone(),
-                self.seed,
-            ))
-        } else {
-            None
-        };
         let msg =
             MsgDispatcherServer::start(&self.net, &self.host, self.msg_port, core, self.config);
-        let registry_service = if self.with_registry_service {
-            Some(RegistryServer::start_with_limits(
-                &self.net,
-                &self.host,
-                self.registry_port,
-                Arc::clone(&registry),
-                limits,
-            ))
-        } else {
-            None
-        };
+        let registry_service = RegistryServer::start_with_limits(
+            &self.net,
+            &self.host,
+            self.registry_port,
+            Arc::clone(&registry),
+            limits,
+        );
         Deployment {
             registry,
             rpc,
@@ -156,8 +131,8 @@ pub struct Deployment {
     registry: Arc<Registry>,
     rpc: RpcDispatcherServer,
     msg: Arc<MsgDispatcherServer>,
-    msgbox: Option<Arc<MsgBoxServer>>,
-    registry_service: Option<RegistryServer>,
+    msgbox: Arc<MsgBoxServer>,
+    registry_service: RegistryServer,
     rpc_port: u16,
     msg_port: u16,
     msgbox_port: u16,
@@ -179,8 +154,6 @@ impl Deployment {
             msg_port: 8080,
             msgbox_port: 8082,
             registry_port: 8090,
-            with_msgbox: true,
-            with_registry_service: true,
             seed: 0xD15B,
         }
     }
@@ -200,19 +173,14 @@ impl Deployment {
         self.msg_port
     }
 
-    /// WS-MsgBox port (meaningful when the mailbox service is enabled).
+    /// WS-MsgBox port.
     pub fn msgbox_port(&self) -> u16 {
         self.msgbox_port
     }
 
-    /// Registry-service port (meaningful when enabled).
+    /// Registry-service port.
     pub fn registry_port(&self) -> u16 {
         self.registry_port
-    }
-
-    /// The RPC dispatcher's counters.
-    pub fn rpc_stats(&self) -> crate::rpc::RpcDispatchStats {
-        self.rpc.stats()
     }
 
     /// The MSG dispatcher handle.
@@ -220,19 +188,15 @@ impl Deployment {
         &self.msg
     }
 
-    /// The mailbox service handle, if enabled.
-    pub fn msgbox(&self) -> Option<&MsgBoxServer> {
-        self.msgbox.as_deref()
+    /// The mailbox service handle.
+    pub fn msgbox(&self) -> &MsgBoxServer {
+        &self.msgbox
     }
 
     /// Stops every component.
     pub fn shutdown(&self) {
-        if let Some(r) = &self.registry_service {
-            r.shutdown();
-        }
-        if let Some(m) = &self.msgbox {
-            m.shutdown();
-        }
+        self.registry_service.shutdown();
+        self.msgbox.shutdown();
         self.msg.shutdown();
         self.rpc.shutdown();
     }
@@ -293,22 +257,9 @@ mod tests {
         let resp = client.call(&req).unwrap();
         assert!(resp.body_utf8().contains("Echo"));
 
+        assert!(net.is_listening("dispatcher", deployment.rpc_port()));
         deployment.shutdown();
+        assert!(!net.is_listening("dispatcher", deployment.rpc_port()));
         ws.shutdown();
-    }
-
-    #[test]
-    fn builder_toggles_components() {
-        let net = Network::new();
-        let deployment = Deployment::builder(&net, "d2")
-            .without_msgbox()
-            .without_registry_service()
-            .start();
-        assert!(deployment.msgbox().is_none());
-        assert!(!net.is_listening("d2", deployment.registry_port()));
-        assert!(net.is_listening("d2", deployment.rpc_port()));
-        assert!(net.is_listening("d2", deployment.msg_port()));
-        deployment.shutdown();
-        assert!(!net.is_listening("d2", deployment.rpc_port()));
     }
 }

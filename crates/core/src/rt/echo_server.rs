@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wsd_concurrent::{PoolConfig, RejectionPolicy, ThreadPool};
+use wsd_concurrent::{PoolConfig, ThreadPool};
 use wsd_http::{serve_connection, Limits, Request, Response, Status};
 use wsd_soap::{rpc as soap_rpc, Envelope};
 
@@ -45,11 +45,7 @@ impl EchoServer {
         limits: Limits,
     ) -> EchoServer {
         let pool = Arc::new(
-            ThreadPool::new(
-                PoolConfig::fixed(format!("echo-{host}"), workers)
-                    .rejection(RejectionPolicy::Block),
-            )
-            .expect("pool"),
+            ThreadPool::new(PoolConfig::fixed(format!("echo-{host}"), workers)).expect("pool"),
         );
         let served = Arc::new(AtomicU64::new(0));
         let conns = crate::rt::ConnTracker::new();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use wsd_concurrent::{
-    FifoQueue, OrderedMutex, PoolConfig, RejectionPolicy, ShardedMap, ThreadPool,
+    FifoQueue, OrderedMutex, PoolConfig, ShardedMap, ThreadPool,
 };
 use wsd_http::{HttpClient, Request, Response, Status};
 use wsd_soap::{Envelope, SoapVersion};
@@ -151,7 +151,6 @@ impl MsgDispatcherServer {
                     config.cx_core_threads,
                     config.cx_max_threads,
                 )
-                .rejection(RejectionPolicy::Block)
                 .telemetry(scope.child("cx_pool")),
             )
             .expect("cx pool"),
@@ -163,7 +162,6 @@ impl MsgDispatcherServer {
                     config.ws_core_threads,
                     config.ws_max_threads,
                 )
-                .rejection(RejectionPolicy::Block)
                 .telemetry(scope.child("ws_pool")),
             )
             .expect("ws pool"),

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use wsd_concurrent::{PoolConfig, RejectionPolicy, ThreadBudget, ThreadPool};
+use wsd_concurrent::{PoolConfig, ThreadBudget, ThreadPool};
 use wsd_http::{serve_connection, Limits, Request, Response, Status};
 use wsd_soap::Envelope;
 use wsd_telemetry::{Counter, Scope};
@@ -71,9 +71,10 @@ impl IngressPacer {
     }
 }
 
-/// Telemetry instruments for the threaded WS-MsgBox service. The
-/// thread budget binds its own `budget` sub-scope (live gauge plus
-/// acquired/denials counters).
+/// The threaded WS-MsgBox service's counters — the only copy:
+/// `deposits()`/`rpc_calls()` read these instruments. The thread budget
+/// binds its own `budget` sub-scope (live gauge plus acquired/denials
+/// counters).
 struct MsgBoxTelemetry {
     deposits: Counter,
     rpc_calls: Counter,
@@ -102,8 +103,6 @@ pub struct MsgBoxServer {
     limits: Limits,
     budget: ThreadBudget,
     crashed: Arc<AtomicBool>,
-    deposits: Arc<AtomicU64>,
-    rpc_calls: Arc<AtomicU64>,
     tele: MsgBoxTelemetry,
     net: Arc<Network>,
     conns: Arc<crate::rt::ConnTracker>,
@@ -149,7 +148,6 @@ impl MsgBoxServer {
             MsgBoxStrategy::Pooled { workers } => {
                 let pool = ThreadPool::new(
                     PoolConfig::fixed(format!("msgbox-{host}"), workers)
-                        .rejection(RejectionPolicy::Block)
                         .telemetry(scope.child("pool")),
                 )
                 .expect("pool");
@@ -166,8 +164,6 @@ impl MsgBoxServer {
             limits: config.limits,
             budget,
             crashed: Arc::new(AtomicBool::new(false)),
-            deposits: Arc::new(AtomicU64::new(0)),
-            rpc_calls: Arc::new(AtomicU64::new(0)),
             tele: MsgBoxTelemetry::new(scope),
             net: Arc::clone(net),
             conns: crate::rt::ConnTracker::new(),
@@ -291,7 +287,6 @@ impl MsgBoxServer {
     fn deposit_response(&self, stored: Result<(), crate::msgbox::MsgBoxError>) -> Response {
         match stored {
             Ok(()) => {
-                self.deposits.fetch_add(1, Ordering::Relaxed);
                 self.tele.deposits.inc();
                 Response::empty(Status::ACCEPTED)
             }
@@ -303,7 +298,6 @@ impl MsgBoxServer {
         let Ok(env) = Envelope::parse(&req.body_utf8()) else {
             return Response::empty(Status::BAD_REQUEST);
         };
-        self.rpc_calls.fetch_add(1, Ordering::Relaxed);
         self.tele.rpc_calls.inc();
         let resp_env = handle_soap(&self.store, &env, now_us());
         Response::new(
@@ -320,12 +314,12 @@ impl MsgBoxServer {
 
     /// Deposits accepted.
     pub fn deposits(&self) -> u64 {
-        self.deposits.load(Ordering::Relaxed)
+        self.tele.deposits.get()
     }
 
     /// RPC operations served.
     pub fn rpc_calls(&self) -> u64 {
-        self.rpc_calls.load(Ordering::Relaxed)
+        self.tele.rpc_calls.get()
     }
 
     /// Peak concurrently live message threads (thread-per-message mode).
@@ -373,8 +367,10 @@ mod tests {
 
     #[test]
     fn mailbox_lifecycle_over_the_network() {
+        let reg = wsd_telemetry::Registry::new();
         let net = Network::new();
-        let server = MsgBoxServer::start(&net, "msgbox", 8082, pooled(), 11);
+        let server =
+            MsgBoxServer::start_with_telemetry(&net, "msgbox", 8082, pooled(), 11, &reg.scope("mb"));
         let mbox = MailboxClient::create(&net, "msgbox", 8082).unwrap();
         // Deposit directly (as a dispatcher would).
         let inner = wsd_soap::rpc::echo_response(SoapVersion::V11, "stored!").to_xml();
@@ -399,6 +395,10 @@ mod tests {
         mbox.destroy().unwrap();
         assert_eq!(server.deposits(), 1);
         assert!(server.rpc_calls() >= 3);
+        // The accessors read the instruments the registry reports.
+        let snap = reg.snapshot();
+        assert_eq!(server.deposits(), snap.counter("mb.deposits"));
+        assert_eq!(server.rpc_calls(), snap.counter("mb.rpc_calls"));
         server.shutdown();
     }
 

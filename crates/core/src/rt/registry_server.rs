@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use wsd_concurrent::{PoolConfig, RejectionPolicy, ThreadPool};
+use wsd_concurrent::{PoolConfig, ThreadPool};
 use wsd_http::{HttpClient, Limits, Method, Request, Response, Status};
 use wsd_telemetry::Scope;
 
@@ -48,11 +48,7 @@ impl RegistryServer {
         limits: Limits,
     ) -> RegistryServer {
         let pool = Arc::new(
-            ThreadPool::new(
-                PoolConfig::fixed(format!("registry-{host}"), 2)
-                    .rejection(RejectionPolicy::Block),
-            )
-            .expect("pool"),
+            ThreadPool::new(PoolConfig::fixed(format!("registry-{host}"), 2)).expect("pool"),
         );
         let front = ReactorFrontEnd::start("reactor", pool, &Scope::noop());
         let net2 = Arc::clone(net);

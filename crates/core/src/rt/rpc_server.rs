@@ -5,43 +5,21 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use wsd_concurrent::{PoolConfig, RejectionPolicy, ThreadPool};
+use wsd_concurrent::{PoolConfig, ThreadPool};
 use wsd_http::{HttpClient, Request, Response};
 use wsd_soap::SoapVersion;
-use wsd_telemetry::{Counter, Scope};
+use wsd_telemetry::Scope;
 
 use crate::config::DispatcherConfig;
 use crate::registry::Registry;
-use crate::rpc::{error_response, plan_forward, upstream_failure_response, RpcDispatchStats};
+use crate::rpc::{error_response, plan_forward, upstream_failure_response, RpcCounters};
 use crate::rt::{one_by_one, Network, ReactorFrontEnd};
 use crate::security::PolicyChain;
-
-/// Telemetry instruments mirroring [`RpcDispatchStats`].
-struct RtRpcTelemetry {
-    received: Counter,
-    forwarded: Counter,
-    relayed: Counter,
-    refused: Counter,
-    upstream_failures: Counter,
-}
-
-impl RtRpcTelemetry {
-    fn new(scope: &Scope) -> Self {
-        RtRpcTelemetry {
-            received: scope.counter("received"),
-            forwarded: scope.counter("forwarded"),
-            relayed: scope.counter("relayed"),
-            refused: scope.counter("refused"),
-            upstream_failures: scope.counter("upstream_failures"),
-        }
-    }
-}
 
 /// A running RPC dispatcher.
 pub struct RpcDispatcherServer {
     front: ReactorFrontEnd,
-    stats: Arc<Mutex<RpcDispatchStats>>,
+    stats: RpcCounters,
 }
 
 impl RpcDispatcherServer {
@@ -69,7 +47,6 @@ impl RpcDispatcherServer {
         config: DispatcherConfig,
         scope: &Scope,
     ) -> RpcDispatcherServer {
-        let tele = RtRpcTelemetry::new(scope);
         let pool = Arc::new(
             ThreadPool::new(
                 PoolConfig::growable(
@@ -77,27 +54,26 @@ impl RpcDispatcherServer {
                     config.cx_core_threads,
                     config.cx_max_threads,
                 )
-                .rejection(RejectionPolicy::Block)
                 .telemetry(scope.child("pool")),
             )
             .expect("pool"),
         );
-        let stats = Arc::new(Mutex::new(RpcDispatchStats::default()));
+        let stats = RpcCounters::new(scope);
         let front = ReactorFrontEnd::start("reactor", pool, &scope.child("reactor"));
         let handler = {
-            let (stats, net) = (Arc::clone(&stats), Arc::clone(net));
+            let (stats, net) = (stats.clone(), Arc::clone(net));
             let response_timeout = config.response_timeout;
             one_by_one(Arc::new(move |req| {
-                handle(&net, &registry, &policies, &stats, &tele, response_timeout, req)
+                handle(&net, &registry, &policies, &stats, response_timeout, req)
             }))
         };
         front.listen(net, host, port, config.limits, handler);
         RpcDispatcherServer { front, stats }
     }
 
-    /// A snapshot of the counters.
-    pub fn stats(&self) -> RpcDispatchStats {
-        self.stats.lock().clone()
+    /// A handle to the live counters.
+    pub fn stats(&self) -> RpcCounters {
+        self.stats.clone()
     }
 
     /// Client connections currently open (parked or being served).
@@ -115,38 +91,31 @@ fn handle(
     net: &Arc<Network>,
     registry: &Registry,
     policies: &PolicyChain,
-    stats: &Mutex<RpcDispatchStats>,
-    tele: &RtRpcTelemetry,
+    stats: &RpcCounters,
     response_timeout: Duration,
     req: Request,
 ) -> Response {
-    stats.lock().received += 1;
-    tele.received.inc();
+    stats.received.inc();
     let (url, logical, fwd) = match plan_forward(registry, policies, &req) {
         Ok(plan) => plan,
         Err(e) => {
-            stats.lock().refused += 1;
-            tele.refused.inc();
+            stats.refused.inc();
             return error_response(SoapVersion::V11, &e);
         }
     };
     registry.note_dispatched(&logical, &url);
-    let result = forward_once(net, &url.host, url.port, fwd, response_timeout);
+    let result = forward_once(net, &url.host, url.port, fwd, response_timeout, stats);
     registry.note_completed(&logical, &url);
     match result {
         Ok(mut resp) => {
-            stats.lock().forwarded += 1;
-            stats.lock().relayed += 1;
-            tele.forwarded.inc();
-            tele.relayed.inc();
+            stats.relayed.inc();
             // The upstream hop's connection semantics must not leak to
             // the client connection.
             resp.headers.remove("connection");
             resp
         }
         Err(why) => {
-            stats.lock().upstream_failures += 1;
-            tele.upstream_failures.inc();
+            stats.upstream_failures.inc();
             // A dead endpoint is marked down so the balancer can fail
             // over (the liveness future-work item).
             registry.mark_down(&logical, &url);
@@ -155,12 +124,15 @@ fn handle(
     }
 }
 
+/// One upstream exchange on a fresh connection; counts the request as
+/// `forwarded` once it is written, whatever becomes of the response.
 fn forward_once(
     net: &Arc<Network>,
     host: &str,
     port: u16,
     mut fwd: Request,
     response_timeout: Duration,
+    stats: &RpcCounters,
 ) -> Result<Response, String> {
     let stream = net
         .connect(host, port)
@@ -170,7 +142,9 @@ fn forward_once(
         .set_response_timeout(Some(response_timeout))
         .map_err(|e| e.to_string())?;
     fwd.headers.set("Connection", "close");
-    client.call(&fwd).map_err(|e| e.to_string())
+    client.send_only(&fwd).map_err(|e| e.to_string())?;
+    stats.forwarded.inc();
+    client.read_response().map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -216,7 +190,8 @@ mod tests {
             "through-the-proxy"
         );
         let s = disp.stats();
-        assert_eq!((s.received, s.forwarded, s.relayed), (1, 1, 1));
+        assert_eq!((s.received.get(), s.forwarded.get(), s.relayed.get()), (1, 1, 1));
+        s.assert_conserved(0);
         disp.shutdown();
         ws.shutdown();
     }
@@ -244,6 +219,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("rt.rpc.received"), 1);
         assert_eq!(snap.counter("rt.rpc.relayed"), 1);
+        disp.stats().assert_matches(&snap, "rt.rpc");
         assert!(snap.counter("rt.rpc.pool.completed") >= 1);
     }
 
@@ -260,7 +236,8 @@ mod tests {
         );
         let resp = call_dispatcher(&net, "x");
         assert_eq!(resp.status, Status::NOT_FOUND);
-        assert_eq!(disp.stats().refused, 1);
+        assert_eq!(disp.stats().refused.get(), 1);
+        disp.stats().assert_conserved(0);
         disp.shutdown();
     }
 
@@ -291,7 +268,9 @@ mod tests {
         // Second call lands on the live backup.
         let resp = call_dispatcher(&net, "b");
         assert_eq!(resp.status, Status::OK);
-        assert_eq!(disp.stats().upstream_failures, 1);
+        assert_eq!(disp.stats().upstream_failures.get(), 1);
+        // The dead primary refused the connect: nothing was forwarded to it.
+        disp.stats().assert_conserved(0);
         disp.shutdown();
     }
 
@@ -315,7 +294,9 @@ mod tests {
         );
         let resp = call_dispatcher(&net, "too-slow");
         assert_eq!(resp.status, Status::BAD_GATEWAY);
-        assert_eq!(disp.stats().upstream_failures, 1);
+        assert_eq!(disp.stats().upstream_failures.get(), 1);
+        // Forwarded, then timed out: a failure after the send.
+        disp.stats().assert_conserved(1);
         disp.shutdown();
     }
 
@@ -346,7 +327,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(disp.stats().relayed, 12);
+        assert_eq!(disp.stats().relayed.get(), 12);
         assert_eq!(ws.served(), 12);
         disp.shutdown();
         ws.shutdown();

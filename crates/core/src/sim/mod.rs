@@ -21,7 +21,7 @@ pub use echo::{EchoMode, EchoStats, SimEchoService};
 pub use fleet::{run_fleet, FleetOutcome, FleetParams, HandoffReport};
 pub use msg_dispatcher::{MsgDispatcherStats, SimMsgDispatcher, WsThreadConfig};
 pub use msgbox::{SimMsgBox, SimMsgBoxStats};
-pub use rpc_dispatcher::{RpcDispatcherStats, SimRpcDispatcher};
+pub use rpc_dispatcher::SimRpcDispatcher;
 
 use wsd_http::{Request, Response};
 use wsd_netsim::{Payload, SimDuration, SimTime};

@@ -14,9 +14,7 @@
 //! which is exactly how undeliverable replies starve request forwarding
 //! and produce the middle curve of Figure 6.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
@@ -28,56 +26,47 @@ use crate::reliable::RetryPolicy;
 use crate::sim::{request_payload, response_payload, CpuQueue};
 use crate::url::Url;
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    received: u64,
-    acked: u64,
-    forwarded: u64,
-    replies_routed: u64,
-    delivered: u64,
-    dropped: u64,
-    rejected: u64,
-    peak_active_threads: usize,
-}
-
-/// Live counters of a [`SimMsgDispatcher`].
-#[derive(Debug, Clone, Default)]
+/// The MSG-Dispatcher's books: the telemetry instruments themselves. A
+/// clone is a live handle onto the same cells, so `stats()` reads what a
+/// registry snapshot reports under the same names.
+#[derive(Debug, Clone)]
 pub struct MsgDispatcherStats {
-    inner: Rc<RefCell<StatsInner>>,
+    /// Messages read off client connections.
+    pub received: Counter,
+    /// `202 Accepted` acks sent.
+    pub acked: Counter,
+    /// Requests routed toward services.
+    pub forwarded: Counter,
+    /// Replies routed toward clients/mailboxes.
+    pub replies_routed: Counter,
+    /// Messages actually written to a destination connection.
+    pub delivered: Counter,
+    /// Messages dropped (queue overflow or delivery given up).
+    pub dropped: Counter,
+    /// Messages rejected by routing or security.
+    pub rejected: Counter,
+    /// Messages placed on a destination queue (`queue_enqueued`).
+    pub enqueued: Counter,
+    /// Connection visits that wrote at least one message.
+    pub drain_batches: Counter,
+    /// Concurrently busy `WsThread`s; `peak()` is the high-water mark.
+    pub active_threads: Gauge,
 }
 
 impl MsgDispatcherStats {
-    /// Messages read off client connections.
-    pub fn received(&self) -> u64 {
-        self.inner.borrow().received
-    }
-    /// `202 Accepted` acks sent.
-    pub fn acked(&self) -> u64 {
-        self.inner.borrow().acked
-    }
-    /// Requests routed toward services.
-    pub fn forwarded(&self) -> u64 {
-        self.inner.borrow().forwarded
-    }
-    /// Replies routed toward clients/mailboxes.
-    pub fn replies_routed(&self) -> u64 {
-        self.inner.borrow().replies_routed
-    }
-    /// Messages actually written to a destination connection.
-    pub fn delivered(&self) -> u64 {
-        self.inner.borrow().delivered
-    }
-    /// Messages dropped (queue overflow or delivery given up).
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
-    }
-    /// Messages rejected by routing or security.
-    pub fn rejected(&self) -> u64 {
-        self.inner.borrow().rejected
-    }
-    /// High-water mark of concurrently busy `WsThread`s.
-    pub fn peak_active_threads(&self) -> usize {
-        self.inner.borrow().peak_active_threads
+    fn new(scope: &Scope) -> Self {
+        MsgDispatcherStats {
+            received: scope.counter("received"),
+            acked: scope.counter("acked"),
+            forwarded: scope.counter("forwarded"),
+            replies_routed: scope.counter("replies_routed"),
+            delivered: scope.counter("delivered"),
+            dropped: scope.counter("dropped"),
+            rejected: scope.counter("rejected"),
+            enqueued: scope.counter("queue_enqueued"),
+            drain_batches: scope.counter("drain_batches"),
+            active_threads: scope.gauge("active_threads"),
+        }
     }
 }
 
@@ -115,7 +104,6 @@ impl Default for WsThreadConfig {
                 max_attempts: 2,
                 base_backoff_us: 500_000,
                 max_backoff_us: 5_000_000,
-                ttl_us: 60_000_000,
             },
             route_ttl: SimDuration::from_secs(300),
         }
@@ -124,23 +112,13 @@ impl Default for WsThreadConfig {
 
 type DestKey = (String, u16);
 
-/// Telemetry handles mirroring [`MsgDispatcherStats`] into a registry,
-/// plus per-destination queue-depth gauges and message-lifecycle trace
-/// events keyed by WS-Addressing `MessageID`. Built from a
-/// [`Scope::noop`] by default, so unobserved runs record into thin air.
+/// What the dispatcher records beside its [`MsgDispatcherStats`]:
+/// per-destination queue-depth gauges and message-lifecycle trace events
+/// keyed by WS-Addressing `MessageID`. Built from a [`Scope::noop`] by
+/// default, so unobserved runs record into thin air.
 struct DispatcherTelemetry {
     scope: Scope,
     trace: EventTrace,
-    received: Counter,
-    acked: Counter,
-    forwarded: Counter,
-    replies_routed: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    rejected: Counter,
-    enqueued: Counter,
-    drain_batches: Counter,
-    active_threads: Gauge,
     dest_queue_depth: HashMap<DestKey, Gauge>,
 }
 
@@ -148,16 +126,6 @@ impl DispatcherTelemetry {
     fn new(scope: &Scope) -> Self {
         DispatcherTelemetry {
             trace: scope.trace(),
-            received: scope.counter("received"),
-            acked: scope.counter("acked"),
-            forwarded: scope.counter("forwarded"),
-            replies_routed: scope.counter("replies_routed"),
-            delivered: scope.counter("delivered"),
-            dropped: scope.counter("dropped"),
-            rejected: scope.counter("rejected"),
-            enqueued: scope.counter("queue_enqueued"),
-            drain_batches: scope.counter("drain_batches"),
-            active_threads: scope.gauge("active_threads"),
             dest_queue_depth: HashMap::new(),
             scope: scope.clone(),
         }
@@ -250,7 +218,7 @@ impl SimMsgDispatcher {
             config,
             dispatch_time,
             cpu: CpuQueue::default(),
-            stats: MsgDispatcherStats::default(),
+            stats: MsgDispatcherStats::new(&Scope::noop()),
             next_token: 0,
             routing: HashMap::new(),
             dests: HashMap::new(),
@@ -266,16 +234,17 @@ impl SimMsgDispatcher {
         }
     }
 
-    /// Attaches telemetry: counters mirroring [`MsgDispatcherStats`], an
-    /// `active_threads` gauge, per-destination `dest{host:port}.queue_depth`
-    /// gauges, and message-lifecycle trace events.
+    /// Attaches telemetry: the [`MsgDispatcherStats`] instruments,
+    /// per-destination `dest{host:port}.queue_depth` gauges, and
+    /// message-lifecycle trace events.
     pub fn with_telemetry(mut self, scope: &Scope) -> Self {
+        self.stats = MsgDispatcherStats::new(scope);
         self.tele = DispatcherTelemetry::new(scope);
         self.core.bind_telemetry(&scope.child("core"));
         self
     }
 
-    /// A handle to the live counters.
+    /// A handle to the live counters (take it after `with_telemetry`).
     pub fn stats(&self) -> MsgDispatcherStats {
         self.stats.clone()
     }
@@ -304,8 +273,7 @@ impl SimMsgDispatcher {
             .map(|xml| self.core.route_raw(xml, raw.len(), ctx.now().as_micros()));
         match routed {
             Some(Ok(RoutedRaw::Forward { to, body, message_id, .. })) => {
-                self.stats.inner.borrow_mut().forwarded += 1;
-                self.tele.forwarded.inc();
+                self.stats.forwarded.inc();
                 if let Some(conn) = client_conn {
                     self.ack(ctx, conn);
                 }
@@ -313,16 +281,14 @@ impl SimMsgDispatcher {
                 self.arm_janitor(ctx);
             }
             Some(Ok(RoutedRaw::Reply { to, body, message_id })) => {
-                self.stats.inner.borrow_mut().replies_routed += 1;
-                self.tele.replies_routed.inc();
+                self.stats.replies_routed.inc();
                 if let Some(conn) = client_conn {
                     self.ack(ctx, conn);
                 }
                 self.enqueue(ctx, &to, body, message_id);
             }
             Some(Err(_)) | None => {
-                self.stats.inner.borrow_mut().rejected += 1;
-                self.tele.rejected.inc();
+                self.stats.rejected.inc();
                 if let Some(conn) = client_conn {
                     let resp = Response::empty(Status::BAD_REQUEST);
                     let _ = ctx.send(conn, response_payload(&resp));
@@ -334,8 +300,7 @@ impl SimMsgDispatcher {
     fn ack(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
         let ack = Response::empty(Status::ACCEPTED);
         if ctx.send(conn, response_payload(&ack)).is_ok() {
-            self.stats.inner.borrow_mut().acked += 1;
-            self.tele.acked.inc();
+            self.stats.acked.inc();
         }
     }
 
@@ -353,8 +318,7 @@ impl SimMsgDispatcher {
         let cap = self.config.queue_capacity;
         let dest = self.dests.entry(key.clone()).or_insert_with(Dest::new);
         if dest.queue.len() >= cap {
-            self.stats.inner.borrow_mut().dropped += 1;
-            self.tele.dropped.inc();
+            self.stats.dropped.inc();
             self.tele
                 .stage(&msg_id, TraceStage::Dropped, ctx.now().as_micros());
             return;
@@ -365,7 +329,7 @@ impl SimMsgDispatcher {
             .stage(&msg_id, TraceStage::Enqueued, ctx.now().as_micros());
         dest.queue.push_back((msg_id, payload));
         let depth = dest.queue.len();
-        self.tele.enqueued.inc();
+        self.stats.enqueued.inc();
         self.tele.dest_queue_depth(&key).set(depth as i64);
         self.schedule_dest(ctx, key);
     }
@@ -381,10 +345,7 @@ impl SimMsgDispatcher {
         if self.active_threads < self.config.threads {
             dest.has_thread = true;
             self.active_threads += 1;
-            let mut s = self.stats.inner.borrow_mut();
-            s.peak_active_threads = s.peak_active_threads.max(self.active_threads);
-            drop(s);
-            self.tele.active_threads.set(self.active_threads as i64);
+            self.stats.active_threads.set(self.active_threads as i64);
             self.work_dest(ctx, key);
         } else if !self.waiting.contains(&key) {
             self.waiting.push_back(key);
@@ -449,9 +410,8 @@ impl SimMsgDispatcher {
             }
         }
         let depth = dest.queue.len();
-        self.stats.inner.borrow_mut().delivered += sent;
-        self.tele.delivered.add(sent);
-        self.tele.drain_batches.add(batches);
+        self.stats.delivered.add(sent);
+        self.stats.drain_batches.add(batches);
         self.tele.dest_queue_depth(&key).set(depth as i64);
         if broken {
             self.ready_conns.remove(&conn);
@@ -478,7 +438,7 @@ impl SimMsgDispatcher {
             dest.has_thread = false;
         }
         self.active_threads = self.active_threads.saturating_sub(1);
-        self.tele.active_threads.set(self.active_threads as i64);
+        self.stats.active_threads.set(self.active_threads as i64);
         // Hand the slot to the next waiting destination with work.
         while let Some(next) = self.waiting.pop_front() {
             let ready = self
@@ -490,10 +450,7 @@ impl SimMsgDispatcher {
                 let dest = self.dests.get_mut(&next).expect("checked");
                 dest.has_thread = true;
                 self.active_threads += 1;
-                let mut s = self.stats.inner.borrow_mut();
-                s.peak_active_threads = s.peak_active_threads.max(self.active_threads);
-                drop(s);
-                self.tele.active_threads.set(self.active_threads as i64);
+                self.stats.active_threads.set(self.active_threads as i64);
                 self.work_dest(ctx, next);
                 break;
             }
@@ -551,8 +508,7 @@ impl SimMsgDispatcher {
             }
             dest.conn = DestConn::Idle;
             dest.attempts = 0;
-            self.stats.inner.borrow_mut().dropped += n;
-            self.tele.dropped.add(n);
+            self.stats.dropped.add(n);
             self.tele.dest_queue_depth(&key).set(0);
         }
         self.release_thread(ctx, &key);
@@ -572,8 +528,7 @@ impl Process for SimMsgDispatcher {
                     self.on_dest_response(ctx, key, bytes);
                     return;
                 }
-                self.stats.inner.borrow_mut().received += 1;
-                self.tele.received.inc();
+                self.stats.received.inc();
                 let done_at = self.cpu.reserve(ctx.now(), self.dispatch_time);
                 let token = self.token();
                 self.routing.insert(token, (Some(conn), bytes));
@@ -660,6 +615,8 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::sim::echo::{EchoMode, SimEchoService};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::Arc;
     use wsd_soap::rpc as soap_rpc;
     use wsd_wsa::{EndpointReference, WsaHeaders};
@@ -742,6 +699,10 @@ mod tests {
     );
 
     fn build(client_firewalled: bool, threads: usize) -> BuildOut {
+        build_observed(client_firewalled, threads, &Scope::noop())
+    }
+
+    fn build_observed(client_firewalled: bool, threads: usize, scope: &Scope) -> BuildOut {
         let mut sim = Simulation::new(1);
         let disp_host = sim.add_host(HostConfig::named("dispatcher"));
         let ws_host = sim.add_host(HostConfig::named("ws"));
@@ -774,7 +735,8 @@ mod tests {
                 threads,
                 ..WsThreadConfig::default()
             },
-        );
+        )
+        .with_telemetry(scope);
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8080);
@@ -800,9 +762,9 @@ mod tests {
     fn full_round_trip_through_dispatcher() {
         let (mut sim, stats, echo_stats, got, acks) = build(false, 16);
         sim.run();
-        assert_eq!(stats.forwarded(), 5);
+        assert_eq!(stats.forwarded.get(), 5);
         assert_eq!(echo_stats.accepted(), 5);
-        assert_eq!(stats.replies_routed(), 5, "WS replies must route back");
+        assert_eq!(stats.replies_routed.get(), 5, "WS replies must route back");
         assert_eq!(got.borrow().len(), 5, "client must receive 5 replies");
         assert_eq!(*acks.borrow(), 5);
         // Replies carry correlation to the original ids.
@@ -811,14 +773,34 @@ mod tests {
 
     #[test]
     fn firewalled_client_replies_are_dropped_after_retries() {
-        let (mut sim, stats, echo_stats, got, _acks) = build(true, 16);
+        let reg = wsd_telemetry::Registry::new();
+        let (mut sim, stats, echo_stats, got, _acks) =
+            build_observed(true, 16, &reg.scope("msg_dispatcher"));
         sim.run();
         // Everything forwards and the WS processes it...
-        assert_eq!(stats.forwarded(), 5);
+        assert_eq!(stats.forwarded.get(), 5);
         assert_eq!(echo_stats.accepted(), 5);
         // ...but replies can't reach the firewalled client.
         assert_eq!(got.borrow().len(), 0);
-        assert_eq!(stats.dropped(), 5);
+        assert_eq!(stats.dropped.get(), 5);
+        // The handle is the instrument: every field reads what the
+        // registry reports under the same name.
+        let snap = reg.snapshot();
+        for (name, counter) in [
+            ("received", &stats.received),
+            ("acked", &stats.acked),
+            ("forwarded", &stats.forwarded),
+            ("replies_routed", &stats.replies_routed),
+            ("delivered", &stats.delivered),
+            ("dropped", &stats.dropped),
+            ("rejected", &stats.rejected),
+            ("queue_enqueued", &stats.enqueued),
+            ("drain_batches", &stats.drain_batches),
+        ] {
+            assert_eq!(counter.get(), snap.counter(&format!("msg_dispatcher.{name}")), "{name}");
+        }
+        assert!(stats.active_threads.peak() >= 1);
+        assert_eq!(stats.active_threads.peak(), snap.gauge_peak("msg_dispatcher.active_threads"));
     }
 
     #[test]
@@ -829,8 +811,8 @@ mod tests {
         // the run takes at least the connect-timeout + backoff cycles.
         sim.run();
         assert!(sim.now().as_secs_f64() >= 3.0, "{}", sim.now());
-        assert_eq!(stats.peak_active_threads(), 1);
-        assert_eq!(stats.dropped(), 5);
+        assert_eq!(stats.active_threads.peak(), 1);
+        assert_eq!(stats.dropped.get(), 5);
     }
 
     #[test]
@@ -839,7 +821,7 @@ mod tests {
         sim.run();
         // 5 messages delivered to the WS over (at most) one or two
         // connections — delivered counts messages, not connections.
-        assert!(stats.delivered() >= 5);
+        assert!(stats.delivered.get() >= 5);
         assert_eq!(echo_stats.accepted(), 5);
     }
 
@@ -895,7 +877,7 @@ mod tests {
             }),
         );
         sim.run();
-        assert_eq!(stats.rejected(), 1);
+        assert_eq!(stats.rejected.get(), 1);
         assert!(responses.borrow()[0].starts_with("HTTP/1.1 400"));
     }
 }

@@ -9,9 +9,7 @@
 //! simulated JVM OOM: the process drops every connection and goes silent,
 //! exactly as a crashed JVM would.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 
 use wsd_http::{parse_request_bytes, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
@@ -22,67 +20,33 @@ use crate::config::{MsgBoxConfig, MsgBoxStrategy};
 use crate::msgbox::{handle_soap, MsgBoxStore};
 use crate::sim::{response_payload, CpuQueue};
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    deposits: u64,
-    rpc_calls: u64,
-    messages_fetched: u64,
-    oom: bool,
-    live_threads: usize,
-    peak_threads: usize,
-    dropped_after_crash: u64,
-}
-
-/// Live counters of a [`SimMsgBox`].
-#[derive(Debug, Clone, Default)]
+/// The simulated mailbox's books: the telemetry instruments themselves.
+/// A clone is a live handle onto the same cells. The `threads` gauge and
+/// the budget counters (`thread_spawns`, `budget_exhausted`) expose the
+/// thread-accounting dynamic that drives the paper's §4.3.2 OOM.
+#[derive(Debug, Clone)]
 pub struct SimMsgBoxStats {
-    inner: Rc<RefCell<StatsInner>>,
+    /// One-way deposits accepted.
+    pub deposits: Counter,
+    /// RPC operations served (create/fetch/destroy).
+    pub rpc_calls: Counter,
+    /// Stored messages handed to clients by `fetch`.
+    pub fetched: Counter,
+    /// "Native threads" started.
+    pub thread_spawns: Counter,
+    /// Times the simulated `OutOfMemoryError` fired.
+    pub budget_exhausted: Counter,
+    /// Messages ignored after the crash.
+    pub dropped_after_crash: Counter,
+    /// Pooled strategy: requests waiting for a worker.
+    pub backlog_depth: Gauge,
+    /// Concurrently live threads; `peak()` is the high-water mark.
+    pub threads: Gauge,
 }
 
 impl SimMsgBoxStats {
-    /// One-way deposits accepted.
-    pub fn deposits(&self) -> u64 {
-        self.inner.borrow().deposits
-    }
-    /// RPC operations served (create/fetch/destroy).
-    pub fn rpc_calls(&self) -> u64 {
-        self.inner.borrow().rpc_calls
-    }
-    /// Stored messages handed to clients by `fetch`.
-    pub fn messages_fetched(&self) -> u64 {
-        self.inner.borrow().messages_fetched
-    }
-    /// Whether the simulated `OutOfMemoryError` fired.
-    pub fn oom(&self) -> bool {
-        self.inner.borrow().oom
-    }
-    /// High-water mark of concurrently live threads.
-    pub fn peak_threads(&self) -> usize {
-        self.inner.borrow().peak_threads
-    }
-    /// Messages ignored after the crash.
-    pub fn dropped_after_crash(&self) -> u64 {
-        self.inner.borrow().dropped_after_crash
-    }
-}
-
-/// Telemetry instruments for one [`SimMsgBox`]. The `threads` gauge and
-/// the budget counters (`thread_spawns`, `budget_exhausted`) expose the
-/// thread-accounting dynamic that drives the paper's §4.3.2 OOM.
-struct BoxTelemetry {
-    deposits: Counter,
-    rpc_calls: Counter,
-    fetched: Counter,
-    thread_spawns: Counter,
-    budget_exhausted: Counter,
-    dropped_after_crash: Counter,
-    backlog_depth: Gauge,
-    threads: Gauge,
-}
-
-impl BoxTelemetry {
     fn new(scope: &Scope) -> Self {
-        BoxTelemetry {
+        SimMsgBoxStats {
             deposits: scope.counter("deposits"),
             rpc_calls: scope.counter("rpc_calls"),
             fetched: scope.counter("fetched"),
@@ -92,6 +56,11 @@ impl BoxTelemetry {
             backlog_depth: scope.gauge("backlog_depth"),
             threads: scope.gauge("threads"),
         }
+    }
+
+    /// Whether the simulated `OutOfMemoryError` fired.
+    pub fn oom(&self) -> bool {
+        self.budget_exhausted.get() > 0
     }
 }
 
@@ -130,7 +99,9 @@ pub struct SimMsgBox {
     thrash_factor: f64,
     disk: DiskProfile,
     stats: SimMsgBoxStats,
-    tele: BoxTelemetry,
+    /// Thread-per-message strategy: threads alive right now (what the
+    /// thrash factor multiplies).
+    live_threads: usize,
     cpu: CpuQueue,
     next_token: u64,
     /// Work finishing later: token → (conn to answer on, response).
@@ -154,8 +125,8 @@ impl SimMsgBox {
             service_time,
             thrash_factor: 0.02,
             disk: DiskProfile::default(),
-            stats: SimMsgBoxStats::default(),
-            tele: BoxTelemetry::new(&Scope::noop()),
+            stats: SimMsgBoxStats::new(&Scope::noop()),
+            live_threads: 0,
             cpu: CpuQueue::default(),
             next_token: 0,
             pending: HashMap::new(),
@@ -172,24 +143,17 @@ impl SimMsgBox {
         self
     }
 
-    /// Overrides the virtual disk cost model. Returns `self` for
-    /// chaining.
-    pub fn with_disk_profile(mut self, disk: DiskProfile) -> Self {
-        self.disk = disk;
-        self
-    }
-
     /// Registers telemetry instruments under `scope`. Returns `self`
     /// for chaining. Call before any traffic: the store is rebuilt so
     /// the durable backend's WAL metrics land under `scope` too.
     pub fn with_telemetry(mut self, scope: &Scope) -> Self {
-        self.tele = BoxTelemetry::new(scope);
+        self.stats = SimMsgBoxStats::new(scope);
         self.store =
             MsgBoxStore::with_telemetry(self.config.clone(), self.seed, &scope.child("store"));
         self
     }
 
-    /// A handle to the live counters.
+    /// A handle to the live counters (take it after `with_telemetry`).
     pub fn stats(&self) -> SimMsgBoxStats {
         self.stats.clone()
     }
@@ -216,8 +180,7 @@ impl SimMsgBox {
             let body = req.body_utf8().to_string();
             return match self.store.deposit(box_id, body, now_us) {
                 Ok(()) => {
-                    self.stats.inner.borrow_mut().deposits += 1;
-                    self.tele.deposits.inc();
+                    self.stats.deposits.inc();
                     response_payload(&Response::empty(Status::ACCEPTED))
                 }
                 Err(_) => response_payload(&Response::empty(Status::NOT_FOUND)),
@@ -228,17 +191,12 @@ impl SimMsgBox {
             return response_payload(&Response::empty(Status::BAD_REQUEST));
         };
         let resp_env = handle_soap(&self.store, &env, now_us);
-        {
-            let mut s = self.stats.inner.borrow_mut();
-            s.rpc_calls += 1;
-            self.tele.rpc_calls.inc();
-            if let Some(parts) = resp_env.payload() {
-                if let Some(op) = parts.first() {
-                    if op.name.local == "fetchResponse" {
-                        let n = op.find_children(None, "message").count() as u64;
-                        s.messages_fetched += n;
-                        self.tele.fetched.add(n);
-                    }
+        self.stats.rpc_calls.inc();
+        if let Some(parts) = resp_env.payload() {
+            if let Some(op) = parts.first() {
+                if op.name.local == "fetchResponse" {
+                    let n = op.find_children(None, "message").count() as u64;
+                    self.stats.fetched.add(n);
                 }
             }
         }
@@ -252,10 +210,9 @@ impl SimMsgBox {
 
     fn crash(&mut self, ctx: &mut Ctx<'_>) {
         self.crashed = true;
-        self.stats.inner.borrow_mut().oom = true;
-        self.tele.budget_exhausted.inc();
-        self.tele.threads.set(0);
-        self.tele.backlog_depth.set(0);
+        self.stats.budget_exhausted.inc();
+        self.stats.threads.set(0);
+        self.stats.backlog_depth.set(0);
         // A dying JVM drops its sockets.
         for conn in self.conns.drain() {
             ctx.close(conn);
@@ -288,14 +245,10 @@ impl SimMsgBox {
             MsgBoxStrategy::ThreadPerMessage => {
                 // Spawn a "thread" for this message. Lifetime grows with
                 // the number already live (the runaway mechanism).
-                let live = {
-                    let mut s = self.stats.inner.borrow_mut();
-                    s.live_threads += 1;
-                    s.peak_threads = s.peak_threads.max(s.live_threads);
-                    s.live_threads
-                };
-                self.tele.thread_spawns.inc();
-                self.tele.threads.set(live as i64);
+                self.live_threads += 1;
+                let live = self.live_threads;
+                self.stats.thread_spawns.inc();
+                self.stats.threads.set(live as i64);
                 if live > self.config.thread_budget {
                     self.crash(ctx);
                     return;
@@ -315,13 +268,8 @@ impl SimMsgBox {
             MsgBoxStrategy::Pooled { workers } => {
                 if self.busy_workers < workers {
                     self.busy_workers += 1;
-                    {
-                        let mut s = self.stats.inner.borrow_mut();
-                        s.live_threads = self.busy_workers;
-                        s.peak_threads = s.peak_threads.max(self.busy_workers);
-                    }
-                    self.tele.thread_spawns.inc();
-                    self.tele.threads.set(self.busy_workers as i64);
+                    self.stats.thread_spawns.inc();
+                    self.stats.threads.set(self.busy_workers as i64);
                     let (response, disk) =
                         self.respond_with_disk_cost(&bytes, ctx.now().as_micros());
                     if self.heap_exhausted() {
@@ -336,7 +284,7 @@ impl SimMsgBox {
                     ctx.set_timer(done_at.since(ctx.now()), token);
                 } else {
                     self.backlog.push_back((conn, bytes));
-                    self.tele.backlog_depth.set(self.backlog.len() as i64);
+                    self.stats.backlog_depth.set(self.backlog.len() as i64);
                 }
             }
         }
@@ -347,8 +295,7 @@ impl Process for SimMsgBox {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         if self.crashed {
             if let ProcEvent::Message { .. } = event {
-                self.stats.inner.borrow_mut().dropped_after_crash += 1;
-                self.tele.dropped_after_crash.inc();
+                self.stats.dropped_after_crash.inc();
             }
             return;
         }
@@ -366,16 +313,14 @@ impl Process for SimMsgBox {
                     let _ = ctx.send(conn, response);
                     match self.config.strategy {
                         MsgBoxStrategy::ThreadPerMessage => {
-                            let mut s = self.stats.inner.borrow_mut();
-                            s.live_threads -= 1;
-                            self.tele.threads.set(s.live_threads as i64);
+                            self.live_threads -= 1;
+                            self.stats.threads.set(self.live_threads as i64);
                         }
                         MsgBoxStrategy::Pooled { .. } => {
                             self.busy_workers = self.busy_workers.saturating_sub(1);
-                            self.stats.inner.borrow_mut().live_threads = self.busy_workers;
-                            self.tele.threads.set(self.busy_workers as i64);
+                            self.stats.threads.set(self.busy_workers as i64);
                             if let Some((conn, bytes)) = self.backlog.pop_front() {
-                                self.tele.backlog_depth.set(self.backlog.len() as i64);
+                                self.stats.backlog_depth.set(self.backlog.len() as i64);
                                 self.on_request(ctx, conn, bytes);
                             }
                         }
@@ -390,6 +335,8 @@ impl Process for SimMsgBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use wsd_http::Request;
     use crate::msgbox::ops;
     
@@ -501,8 +448,8 @@ mod tests {
         assert!(got[0].starts_with("HTTP/1.1 202"), "deposit ack: {}", got[0]);
         assert!(got[1].contains("fetchResponse"), "{}", got[1]);
         assert!(got[1].contains("stored"), "{}", got[1]);
-        assert_eq!(stats.deposits(), 1);
-        assert_eq!(stats.messages_fetched(), 1);
+        assert_eq!(stats.deposits.get(), 1);
+        assert_eq!(stats.fetched.get(), 1);
         assert!(!stats.oom());
     }
 
@@ -554,7 +501,7 @@ mod tests {
         sim.run();
         assert_eq!(responses.borrow().len(), 10);
         assert!(!stats.oom());
-        assert!(stats.peak_threads() <= 2);
+        assert!(stats.threads.peak() <= 2);
     }
 
     #[test]
@@ -587,7 +534,7 @@ mod tests {
         }
         sim.run();
         assert!(stats.oom(), "burst must trigger the OOM bug");
-        assert!(stats.peak_threads() > 40);
+        assert!(stats.threads.peak() > 40);
     }
 
     #[test]
@@ -619,7 +566,7 @@ mod tests {
         }
         sim.run();
         assert!(!stats.oom(), "pooled design must not OOM");
-        assert!(stats.peak_threads() <= 8);
+        assert!(stats.threads.peak() <= 8);
         // Every client got its answer.
         assert!(resp_handles.iter().all(|r| r.borrow().len() == 1));
     }
@@ -652,7 +599,7 @@ mod tests {
         );
         sim.run();
         assert!(stats.oom(), "unbounded mailbox growth must OOM");
-        assert!(stats.deposits() < 10, "the fatal deposit is never acked");
+        assert!(stats.deposits.get() < 10, "the fatal deposit is never acked");
     }
 
     #[test]
@@ -696,7 +643,7 @@ mod tests {
         );
         sim.run();
         assert!(!stats.oom(), "durable backend must ride out the burst");
-        assert_eq!(stats.deposits(), 10);
+        assert_eq!(stats.deposits.get(), 10);
         assert!(responses.borrow().iter().all(|r| r.starts_with("HTTP/1.1 202")));
         // Each deposit fsynced: the virtual disk made durability cost
         // simulated time (10 fsyncs ≥ 80 ms on the default profile).
@@ -736,7 +683,20 @@ mod tests {
         assert_eq!(snap.counter("msgbox.budget_exhausted"), 1);
         assert!(snap.counter("msgbox.thread_spawns") > 40);
         assert!(snap.gauge_peak("msgbox.threads") > 40);
-        assert_eq!(snap.gauge_peak("msgbox.threads") as usize, stats.peak_threads());
+        // The handle is the instrument: every field reads what the
+        // registry reports under the same name.
+        for (name, counter) in [
+            ("deposits", &stats.deposits),
+            ("rpc_calls", &stats.rpc_calls),
+            ("fetched", &stats.fetched),
+            ("thread_spawns", &stats.thread_spawns),
+            ("budget_exhausted", &stats.budget_exhausted),
+            ("dropped_after_crash", &stats.dropped_after_crash),
+        ] {
+            assert_eq!(counter.get(), snap.counter(&format!("msgbox.{name}")), "{name}");
+        }
+        assert_eq!(stats.threads.peak(), snap.gauge_peak("msgbox.threads"));
+        assert_eq!(stats.backlog_depth.peak(), snap.gauge_peak("msgbox.backlog_depth"));
     }
 
     #[test]

@@ -7,87 +7,23 @@
 //! relays the response back on the original client connection, and closes
 //! the upstream connection.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use wsd_http::{parse_request_bytes, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
-use wsd_telemetry::{Counter, Gauge, Scope};
+use wsd_telemetry::{Gauge, Scope};
 
 use crate::registry::Registry;
-use crate::rpc::{error_response, plan_forward, upstream_failure_response};
+use crate::rpc::{error_response, plan_forward, upstream_failure_response, RpcCounters};
 use crate::security::PolicyChain;
 use crate::sim::{request_payload, response_payload, CpuQueue};
-
-#[derive(Debug, Default)]
-struct StatsInner {
-    received: u64,
-    forwarded: u64,
-    relayed: u64,
-    refused: u64,
-    upstream_failures: u64,
-}
-
-/// Live counters of a [`SimRpcDispatcher`].
-#[derive(Debug, Clone, Default)]
-pub struct RpcDispatcherStats {
-    inner: Rc<RefCell<StatsInner>>,
-}
-
-impl RpcDispatcherStats {
-    /// Requests accepted from clients.
-    pub fn received(&self) -> u64 {
-        self.inner.borrow().received
-    }
-    /// Requests sent on to a service.
-    pub fn forwarded(&self) -> u64 {
-        self.inner.borrow().forwarded
-    }
-    /// Responses relayed back to clients.
-    pub fn relayed(&self) -> u64 {
-        self.inner.borrow().relayed
-    }
-    /// Requests rejected before forwarding.
-    pub fn refused(&self) -> u64 {
-        self.inner.borrow().refused
-    }
-    /// Forwards that failed at the upstream side.
-    pub fn upstream_failures(&self) -> u64 {
-        self.inner.borrow().upstream_failures
-    }
-}
 
 /// An in-flight forward.
 struct UpstreamJob {
     client_conn: ConnId,
     payload: Payload,
-}
-
-/// Telemetry instruments mirroring [`RpcDispatcherStats`], plus an
-/// `inflight` gauge over upstream requests awaiting a response.
-struct RpcTelemetry {
-    received: Counter,
-    forwarded: Counter,
-    relayed: Counter,
-    refused: Counter,
-    upstream_failures: Counter,
-    inflight: Gauge,
-}
-
-impl RpcTelemetry {
-    fn new(scope: &Scope) -> Self {
-        RpcTelemetry {
-            received: scope.counter("received"),
-            forwarded: scope.counter("forwarded"),
-            relayed: scope.counter("relayed"),
-            refused: scope.counter("refused"),
-            upstream_failures: scope.counter("upstream_failures"),
-            inflight: scope.gauge("inflight"),
-        }
-    }
 }
 
 /// The RPC-Dispatcher as a simulation actor.
@@ -100,8 +36,9 @@ pub struct SimRpcDispatcher {
     connect_timeout: SimDuration,
     response_timeout: SimDuration,
     cpu: CpuQueue,
-    stats: RpcDispatcherStats,
-    tele: RpcTelemetry,
+    stats: RpcCounters,
+    /// Upstream requests awaiting a response.
+    inflight: Gauge,
     next_token: u64,
     /// Requests waiting for dispatcher CPU: token → (client conn, raw).
     pending_plan: HashMap<u64, (ConnId, Payload)>,
@@ -128,8 +65,8 @@ impl SimRpcDispatcher {
             connect_timeout,
             response_timeout,
             cpu: CpuQueue::default(),
-            stats: RpcDispatcherStats::default(),
-            tele: RpcTelemetry::new(&Scope::noop()),
+            stats: RpcCounters::new(&Scope::noop()),
+            inflight: Gauge::new(),
             next_token: 0,
             pending_plan: HashMap::new(),
             connecting: HashMap::new(),
@@ -144,15 +81,16 @@ impl SimRpcDispatcher {
         self
     }
 
-    /// Registers telemetry instruments under `scope`. Returns `self`
-    /// for chaining.
+    /// Registers the counters and the `inflight` gauge under `scope`.
+    /// Returns `self` for chaining.
     pub fn with_telemetry(mut self, scope: &Scope) -> Self {
-        self.tele = RpcTelemetry::new(scope);
+        self.stats = RpcCounters::new(scope);
+        self.inflight = scope.gauge("inflight");
         self
     }
 
-    /// A handle to the live counters.
-    pub fn stats(&self) -> RpcDispatcherStats {
+    /// A handle to the live counters (take it after `with_telemetry`).
+    pub fn stats(&self) -> RpcCounters {
         self.stats.clone()
     }
 
@@ -163,8 +101,7 @@ impl SimRpcDispatcher {
 
     fn plan(&mut self, ctx: &mut Ctx<'_>, client_conn: ConnId, raw: Payload) {
         let Ok(req) = parse_request_bytes(&raw) else {
-            self.stats.inner.borrow_mut().refused += 1;
-            self.tele.refused.inc();
+            self.stats.refused.inc();
             let resp = wsd_http::Response::empty(Status::BAD_REQUEST);
             let _ = ctx.send(client_conn, response_payload(&resp));
             return;
@@ -181,8 +118,7 @@ impl SimRpcDispatcher {
                 );
             }
             Err(e) => {
-                self.stats.inner.borrow_mut().refused += 1;
-                self.tele.refused.inc();
+                self.stats.refused.inc();
                 let resp = error_response(SoapVersion::V11, &e);
                 let _ = ctx.send(client_conn, response_payload(&resp));
             }
@@ -197,16 +133,14 @@ impl Process for SimRpcDispatcher {
             ProcEvent::Message { conn, bytes } => {
                 if let Some(client_conn) = self.awaiting.remove(&conn) {
                     // Upstream response: relay on the original connection.
-                    self.tele.inflight.dec();
+                    self.inflight.dec();
                     if ctx.send(client_conn, bytes).is_ok() {
-                        self.stats.inner.borrow_mut().relayed += 1;
-                        self.tele.relayed.inc();
+                        self.stats.relayed.inc();
                     }
                     ctx.close(conn);
                 } else {
                     // Fresh client request: queue for dispatcher CPU.
-                    self.stats.inner.borrow_mut().received += 1;
-                    self.tele.received.inc();
+                    self.stats.received.inc();
                     let done_at = self.cpu.reserve(ctx.now(), self.dispatch_time);
                     let token = self.token();
                     self.pending_plan.insert(token, (conn, bytes));
@@ -219,9 +153,8 @@ impl Process for SimRpcDispatcher {
                 } else if let Some(upstream) = self.timeouts.remove(&token) {
                     if let Some(client_conn) = self.awaiting.remove(&upstream) {
                         // The WS took longer than the HTTP/TCP timeout.
-                        self.tele.inflight.dec();
-                        self.stats.inner.borrow_mut().upstream_failures += 1;
-                        self.tele.upstream_failures.inc();
+                        self.inflight.dec();
+                        self.stats.upstream_failures.inc();
                         let resp =
                             upstream_failure_response(SoapVersion::V11, "response timed out");
                         let _ = ctx.send(client_conn, response_payload(&resp));
@@ -232,17 +165,15 @@ impl Process for SimRpcDispatcher {
             ProcEvent::ConnEstablished { conn } => {
                 if let Some(job) = self.connecting.remove(&conn) {
                     if ctx.send(conn, job.payload).is_ok() {
-                        self.stats.inner.borrow_mut().forwarded += 1;
-                        self.tele.forwarded.inc();
+                        self.stats.forwarded.inc();
                         // wsd-lint: allow(gauge-balance): inflight is cross-event state — the dec fires when the matching response, timeout, or close event arrives, not on this path
-                        self.tele.inflight.inc();
+                        self.inflight.inc();
                         self.awaiting.insert(conn, job.client_conn);
                         let token = self.token();
                         self.timeouts.insert(token, conn);
                         ctx.set_timer(self.response_timeout, token);
                     } else {
-                        self.stats.inner.borrow_mut().upstream_failures += 1;
-                        self.tele.upstream_failures.inc();
+                        self.stats.upstream_failures.inc();
                         let resp = upstream_failure_response(SoapVersion::V11, "send failed");
                         let _ = ctx.send(job.client_conn, response_payload(&resp));
                     }
@@ -250,8 +181,7 @@ impl Process for SimRpcDispatcher {
             }
             ProcEvent::ConnRefused { conn, reason } => {
                 if let Some(job) = self.connecting.remove(&conn) {
-                    self.stats.inner.borrow_mut().upstream_failures += 1;
-                    self.tele.upstream_failures.inc();
+                    self.stats.upstream_failures.inc();
                     let resp = upstream_failure_response(
                         SoapVersion::V11,
                         &format!("connect failed: {reason:?}"),
@@ -262,9 +192,8 @@ impl Process for SimRpcDispatcher {
             ProcEvent::ConnClosed { conn } => {
                 if let Some(client_conn) = self.awaiting.remove(&conn) {
                     // Upstream died before responding.
-                    self.tele.inflight.dec();
-                    self.stats.inner.borrow_mut().upstream_failures += 1;
-                    self.tele.upstream_failures.inc();
+                    self.inflight.dec();
+                    self.stats.upstream_failures.inc();
                     let resp = upstream_failure_response(
                         SoapVersion::V11,
                         "upstream closed before responding",
@@ -283,6 +212,8 @@ mod tests {
     use crate::url::Url;
     use wsd_http::Request;
     use wsd_netsim::{HostConfig, Simulation};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use wsd_soap::{rpc as soap_rpc, Envelope};
 
     struct TestClient {
@@ -323,7 +254,7 @@ mod tests {
     fn setup(
         service_time: SimDuration,
         response_timeout: SimDuration,
-    ) -> (Simulation, RpcDispatcherStats, Rc<RefCell<Vec<String>>>) {
+    ) -> (Simulation, RpcCounters, Rc<RefCell<Vec<String>>>) {
         let mut sim = Simulation::new(1);
         let ws_host = sim.add_host(HostConfig::named("ws"));
         let disp_host = sim.add_host(HostConfig::named("dispatcher"));
@@ -377,6 +308,7 @@ mod tests {
             SimDuration::from_secs(30),
         )
         .with_telemetry(&reg.scope("rpc_dispatcher"));
+        let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8081);
         let responses = Rc::new(RefCell::new(vec![]));
@@ -394,6 +326,7 @@ mod tests {
         assert_eq!(snap.counter("rpc_dispatcher.relayed"), 1);
         assert_eq!(snap.gauge_peak("rpc_dispatcher.inflight"), 1);
         assert_eq!(snap.counter("rpc_dispatcher.refused"), 0);
+        stats.assert_matches(&snap, "rpc_dispatcher");
     }
 
     #[test]
@@ -401,9 +334,10 @@ mod tests {
         let (mut sim, stats, responses) =
             setup(SimDuration::from_millis(5), SimDuration::from_secs(30));
         sim.run();
-        assert_eq!(stats.received(), 1);
-        assert_eq!(stats.forwarded(), 1);
-        assert_eq!(stats.relayed(), 1);
+        assert_eq!(stats.received.get(), 1);
+        assert_eq!(stats.forwarded.get(), 1);
+        assert_eq!(stats.relayed.get(), 1);
+        stats.assert_conserved(0);
         let got = responses.borrow();
         assert!(got[0].starts_with("HTTP/1.1 200"), "{}", got[0]);
         assert!(got[0].contains("via-proxy"));
@@ -415,7 +349,9 @@ mod tests {
         let (mut sim, stats, responses) =
             setup(SimDuration::from_secs(60), SimDuration::from_secs(5));
         sim.run();
-        assert_eq!(stats.upstream_failures(), 1);
+        assert_eq!(stats.upstream_failures.get(), 1);
+        // Forwarded, then timed out: a failure after the send.
+        stats.assert_conserved(1);
         let got = responses.borrow();
         assert!(got[0].starts_with("HTTP/1.1 502"), "{}", got[0]);
         assert!(got[0].contains("timed out"));
@@ -444,7 +380,8 @@ mod tests {
             }),
         );
         sim.run();
-        assert_eq!(stats.refused(), 1);
+        assert_eq!(stats.refused.get(), 1);
+        stats.assert_conserved(0);
         let got = responses.borrow();
         assert!(got[0].starts_with("HTTP/1.1 404"), "{}", got[0]);
         let body = got[0].split("\r\n\r\n").nth(1).unwrap();
@@ -477,7 +414,9 @@ mod tests {
             }),
         );
         sim.run();
-        assert_eq!(stats.upstream_failures(), 1);
+        assert_eq!(stats.upstream_failures.get(), 1);
+        // Never connected: a failure before anything was forwarded.
+        stats.assert_conserved(0);
         assert!(responses.borrow()[0].starts_with("HTTP/1.1 502"));
     }
 
@@ -543,7 +482,7 @@ mod tests {
             }),
         );
         sim.run();
-        assert_eq!(stats.relayed(), 5);
+        assert_eq!(stats.relayed.get(), 5);
         assert_eq!(responses.borrow().len(), 5);
         for (i, r) in responses.borrow().iter().enumerate() {
             assert!(r.contains(&format!("m{i}")), "response {i} out of order");

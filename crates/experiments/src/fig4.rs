@@ -9,16 +9,10 @@
 //! deliveries at 2000; the dispatcher tracks the direct curve ("little
 //! negative impact on scalability").
 
-use std::sync::Arc;
+use wsd_loadgen::RunTotals;
+use wsd_netsim::{profiles, OverLimit, SimDuration};
 
-use wsd_core::registry::Registry;
-use wsd_core::sim::{EchoMode, SimEchoService, SimRpcDispatcher};
-use wsd_core::url::Url;
-use wsd_loadgen::ramp::ClientPlacement;
-use wsd_loadgen::{spawn_rpc_fleet, RpcClientConfig, RunTotals};
-use wsd_netsim::{profiles, OverLimit, SimDuration, SimTime, Simulation};
-
-use crate::topology::{dispatch_time, light_cpu, service_time};
+use crate::rpc_figure::{self, RpcFigure};
 
 /// The paper's x-axis.
 pub const CLIENT_COUNTS: &[usize] = &[10, 100, 200, 500, 1000, 1500, 2000];
@@ -35,6 +29,20 @@ pub const ACCEPT_LIMIT: usize = 128;
 /// explode to orders of magnitude above deliveries at 2000 connections.
 pub const SOCKET_LIMIT: usize = 1024;
 
+/// The low-broadband environment.
+const FIGURE: RpcFigure = RpcFigure {
+    seed_base: 0x0F16_0400,
+    ws_profile: profiles::inria_slow,
+    client_profile: profiles::iu_low,
+    accept_limit: (ACCEPT_LIMIT, OverLimit::Drop),
+    socket_limit: Some(SOCKET_LIMIT),
+    service_ghz: 1.0,
+    conn_penalty: 0.0,
+    // The slow client machine's own per-exchange processing.
+    think_time: SimDuration(300_000),
+    response_timeout: SimDuration(20_000_000),
+};
+
 /// One plotted point.
 #[derive(Debug, Clone)]
 pub struct Fig4Row {
@@ -46,121 +54,28 @@ pub struct Fig4Row {
     pub dispatched: RunTotals,
 }
 
+fn row(clients: usize, direct: RunTotals, dispatched: RunTotals) -> Fig4Row {
+    Fig4Row {
+        clients,
+        direct,
+        dispatched,
+    }
+}
+
 /// Runs one series point.
 pub fn run_one(clients: usize, via_dispatcher: bool, seconds: u64) -> RunTotals {
-    run_point(clients, via_dispatcher, seconds, None)
-}
-
-/// Runs one series point with telemetry, returning the totals plus the
-/// point's metric snapshot (timestamped in virtual time).
-pub fn run_one_observed(
-    clients: usize,
-    via_dispatcher: bool,
-    seconds: u64,
-) -> (RunTotals, wsd_telemetry::Snapshot) {
-    let obs = crate::Observed::new();
-    let totals = run_point(clients, via_dispatcher, seconds, Some(&obs));
-    (totals, obs.registry.snapshot())
-}
-
-fn run_point(
-    clients: usize,
-    via_dispatcher: bool,
-    seconds: u64,
-    obs: Option<&crate::Observed>,
-) -> RunTotals {
-    let mut sim = Simulation::new(0x0F16_0400 + clients as u64);
-    if let Some(o) = obs {
-        sim.bind_telemetry(&o.registry.scope("net"), o.clock.clone());
-    }
-    let ws_host = sim.add_host(
-        light_cpu(profiles::inria_slow("ws"))
-            .firewall(wsd_netsim::FirewallPolicy::Open)
-            .accept_limit(ACCEPT_LIMIT, OverLimit::Drop),
-    );
-    let client_host =
-        sim.add_host(light_cpu(profiles::iu_low("clients")).outbound_limit(SOCKET_LIMIT));
-
-    let service = SimEchoService::new(EchoMode::Rpc, service_time(1.0));
-    let sp = sim.spawn(ws_host, Box::new(service));
-    sim.listen(sp, 8888);
-
-    let (target_host, target_port, path) = if via_dispatcher {
-        let disp_host = sim.add_host(
-            light_cpu(profiles::inria_fast("dispatcher"))
-                .firewall(wsd_netsim::FirewallPolicy::Open)
-                .accept_limit(ACCEPT_LIMIT, OverLimit::Drop),
-        );
-        let registry = Arc::new(Registry::new());
-        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        let dispatcher = SimRpcDispatcher::new(
-            registry,
-            dispatch_time(3.4),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
-        )
-        .with_telemetry(&crate::Observed::scope_or_noop(obs, "rpc_dispatcher"));
-        let dp = sim.spawn(disp_host, Box::new(dispatcher));
-        sim.listen(dp, 8081);
-        ("dispatcher".to_string(), 8081, "/svc/Echo".to_string())
-    } else {
-        ("ws".to_string(), 8888, "/echo".to_string())
-    };
-
-    let config = RpcClientConfig {
-        target_host,
-        target_port,
-        path,
-        connect_timeout: SimDuration::from_secs(3),
-        response_timeout: SimDuration::from_secs(20),
-        retry_backoff: SimDuration::from_millis(50),
-        run_for: SimDuration::from_secs(seconds),
-        // The slow client machine's own per-exchange processing.
-        think_time: SimDuration::from_millis(300),
-    };
-    let fleet = spawn_rpc_fleet(
-        &mut sim,
-        ClientPlacement::SharedHost(client_host),
-        clients,
-        &config,
-        SimDuration::from_secs(seconds.min(5)),
-    );
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
-    fleet.totals_with_telemetry(&crate::Observed::scope_or_noop(obs, "loadgen"))
+    rpc_figure::run_point(&FIGURE, clients, via_dispatcher, seconds, None)
 }
 
 /// Runs the full figure (both series, all points, in parallel).
 pub fn run(seconds: u64, counts: &[usize]) -> Vec<Fig4Row> {
-    let inputs: Vec<usize> = counts.to_vec();
-    crate::parallel_map(inputs, |clients| Fig4Row {
-        clients,
-        direct: run_one(clients, false, seconds),
-        dispatched: run_one(clients, true, seconds),
-    })
+    rpc_figure::sweep(&FIGURE, seconds, counts, false, row).0
 }
 
 /// Runs the full figure with telemetry: the rows plus one snapshot
 /// merged across every point and series.
 pub fn run_observed(seconds: u64, counts: &[usize]) -> (Vec<Fig4Row>, wsd_telemetry::Snapshot) {
-    let results = crate::parallel_map(counts.to_vec(), |clients| {
-        let (direct, s1) = run_one_observed(clients, false, seconds);
-        let (dispatched, s2) = run_one_observed(clients, true, seconds);
-        (
-            Fig4Row {
-                clients,
-                direct,
-                dispatched,
-            },
-            [s1, s2],
-        )
-    });
-    let mut rows = Vec::new();
-    let mut snaps = Vec::new();
-    for (row, s) in results {
-        rows.push(row);
-        snaps.extend(s);
-    }
-    (rows, crate::merge_snapshots(snaps))
+    rpc_figure::sweep(&FIGURE, seconds, counts, true, row)
 }
 
 /// Prints the figure's series as aligned rows.

@@ -7,16 +7,10 @@
 //! sags slightly beyond that from contention. The dispatcher curve hugs
 //! the direct one.
 
-use std::sync::Arc;
+use wsd_loadgen::RunTotals;
+use wsd_netsim::{profiles, OverLimit, SimDuration};
 
-use wsd_core::registry::Registry;
-use wsd_core::sim::{EchoMode, SimEchoService, SimRpcDispatcher};
-use wsd_core::url::Url;
-use wsd_loadgen::ramp::ClientPlacement;
-use wsd_loadgen::{spawn_rpc_fleet, RpcClientConfig, RunTotals};
-use wsd_netsim::{profiles, OverLimit, SimDuration, SimTime, Simulation};
-
-use crate::topology::{dispatch_time, light_cpu, service_time};
+use crate::rpc_figure::{self, RpcFigure};
 
 /// The paper's x-axis (0–300 connections).
 pub const CLIENT_COUNTS: &[usize] = &[1, 25, 50, 100, 150, 200, 250, 300];
@@ -30,6 +24,19 @@ pub const CONN_PENALTY: f64 = 0.0005;
 /// stack); this is what places the saturation knee near 200 connections
 /// instead of saturating the service with a handful of clients.
 pub const THINK_TIME: SimDuration = SimDuration(1_200_000);
+
+/// The high-connectivity environment.
+const FIGURE: RpcFigure = RpcFigure {
+    seed_base: 0x0F15_0500,
+    ws_profile: profiles::inria_fast,
+    client_profile: profiles::iu_high,
+    accept_limit: (2_000, OverLimit::Refuse),
+    socket_limit: None,
+    service_ghz: 3.4,
+    conn_penalty: CONN_PENALTY,
+    think_time: THINK_TIME,
+    response_timeout: SimDuration(30_000_000),
+};
 
 /// One plotted point.
 #[derive(Debug, Clone)]
@@ -46,125 +53,30 @@ pub struct Fig5Row {
     pub dispatched_not_sent: u64,
 }
 
+fn row(seconds: u64) -> impl Fn(usize, RunTotals, RunTotals) -> Fig5Row + Sync {
+    move |clients, direct, dispatched| Fig5Row {
+        clients,
+        direct_per_min: direct.per_minute(seconds as f64),
+        dispatched_per_min: dispatched.per_minute(seconds as f64),
+        direct_not_sent: direct.not_sent,
+        dispatched_not_sent: dispatched.not_sent,
+    }
+}
+
 /// Runs one series point, returning raw totals.
 pub fn run_one(clients: usize, via_dispatcher: bool, seconds: u64) -> RunTotals {
-    run_point(clients, via_dispatcher, seconds, None)
-}
-
-/// Runs one series point with telemetry, returning the totals plus the
-/// point's metric snapshot (timestamped in virtual time).
-pub fn run_one_observed(
-    clients: usize,
-    via_dispatcher: bool,
-    seconds: u64,
-) -> (RunTotals, wsd_telemetry::Snapshot) {
-    let obs = crate::Observed::new();
-    let totals = run_point(clients, via_dispatcher, seconds, Some(&obs));
-    (totals, obs.registry.snapshot())
-}
-
-fn run_point(
-    clients: usize,
-    via_dispatcher: bool,
-    seconds: u64,
-    obs: Option<&crate::Observed>,
-) -> RunTotals {
-    let mut sim = Simulation::new(0x0F15_0500 + clients as u64);
-    if let Some(o) = obs {
-        sim.bind_telemetry(&o.registry.scope("net"), o.clock.clone());
-    }
-    let ws_host = sim.add_host(
-        light_cpu(profiles::inria_fast("ws"))
-            .firewall(wsd_netsim::FirewallPolicy::Open)
-            .accept_limit(2_000, OverLimit::Refuse),
-    );
-    let client_host = sim.add_host(light_cpu(profiles::iu_high("clients")));
-
-    let service = SimEchoService::new(EchoMode::Rpc, service_time(3.4))
-        .with_conn_penalty(CONN_PENALTY);
-    let sp = sim.spawn(ws_host, Box::new(service));
-    sim.listen(sp, 8888);
-
-    let (target_host, target_port, path) = if via_dispatcher {
-        let disp_host = sim.add_host(
-            light_cpu(profiles::inria_fast("dispatcher"))
-                .firewall(wsd_netsim::FirewallPolicy::Open)
-                .accept_limit(2_000, OverLimit::Refuse),
-        );
-        let registry = Arc::new(Registry::new());
-        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        let dispatcher = SimRpcDispatcher::new(
-            registry,
-            dispatch_time(3.4),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
-        )
-        .with_telemetry(&crate::Observed::scope_or_noop(obs, "rpc_dispatcher"));
-        let dp = sim.spawn(disp_host, Box::new(dispatcher));
-        sim.listen(dp, 8081);
-        ("dispatcher".to_string(), 8081, "/svc/Echo".to_string())
-    } else {
-        ("ws".to_string(), 8888, "/echo".to_string())
-    };
-
-    let config = RpcClientConfig {
-        target_host,
-        target_port,
-        path,
-        connect_timeout: SimDuration::from_secs(3),
-        response_timeout: SimDuration::from_secs(30),
-        retry_backoff: SimDuration::from_millis(50),
-        run_for: SimDuration::from_secs(seconds),
-        think_time: THINK_TIME,
-    };
-    let fleet = spawn_rpc_fleet(
-        &mut sim,
-        ClientPlacement::SharedHost(client_host),
-        clients,
-        &config,
-        SimDuration::from_secs(seconds.min(5)),
-    );
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
-    fleet.totals_with_telemetry(&crate::Observed::scope_or_noop(obs, "loadgen"))
+    rpc_figure::run_point(&FIGURE, clients, via_dispatcher, seconds, None)
 }
 
 /// Runs the full figure.
 pub fn run(seconds: u64, counts: &[usize]) -> Vec<Fig5Row> {
-    crate::parallel_map(counts.to_vec(), |clients| {
-        let direct = run_one(clients, false, seconds);
-        let dispatched = run_one(clients, true, seconds);
-        Fig5Row {
-            clients,
-            direct_per_min: direct.per_minute(seconds as f64),
-            dispatched_per_min: dispatched.per_minute(seconds as f64),
-            direct_not_sent: direct.not_sent,
-            dispatched_not_sent: dispatched.not_sent,
-        }
-    })
+    rpc_figure::sweep(&FIGURE, seconds, counts, false, row(seconds)).0
 }
 
 /// Runs the full figure with telemetry: the rows plus one snapshot
 /// merged across every point and series.
 pub fn run_observed(seconds: u64, counts: &[usize]) -> (Vec<Fig5Row>, wsd_telemetry::Snapshot) {
-    let results = crate::parallel_map(counts.to_vec(), |clients| {
-        let (direct, s1) = run_one_observed(clients, false, seconds);
-        let (dispatched, s2) = run_one_observed(clients, true, seconds);
-        let row = Fig5Row {
-            clients,
-            direct_per_min: direct.per_minute(seconds as f64),
-            dispatched_per_min: dispatched.per_minute(seconds as f64),
-            direct_not_sent: direct.not_sent,
-            dispatched_not_sent: dispatched.not_sent,
-        };
-        (row, [s1, s2])
-    });
-    let mut rows = Vec::new();
-    let mut snaps = Vec::new();
-    for (row, s) in results {
-        rows.push(row);
-        snaps.extend(s);
-    }
-    (rows, crate::merge_snapshots(snaps))
+    rpc_figure::sweep(&FIGURE, seconds, counts, true, row(seconds))
 }
 
 /// Prints the figure's series.

@@ -375,7 +375,7 @@ pub fn run_oom(clients: usize, seconds: u64) -> OomOutcome {
             );
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
-        (stats.oom(), stats.peak_threads())
+        (stats.oom(), stats.threads.peak() as usize)
     };
     let (tpm_oom, tpm_peak) = run(MsgBoxStrategy::ThreadPerMessage);
     let (pooled_oom, pooled_peak) = run(MsgBoxStrategy::Pooled { workers: 16 });
@@ -503,7 +503,7 @@ fn run_wall_point(durable: bool, clients: usize, seconds: u64) -> (bool, u64, u6
     }
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
     let spilled = reg.snapshot().gauge_peak("msgbox.store.spilled_bytes").max(0) as u64;
-    (stats.oom(), stats.deposits(), spilled)
+    (stats.oom(), stats.deposits.get(), spilled)
 }
 
 /// Runs the durability-wall sweep.

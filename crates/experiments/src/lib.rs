@@ -26,6 +26,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fleet;
+mod rpc_figure;
 pub mod table1;
 pub mod topology;
 

@@ -64,7 +64,9 @@ fn main() {
     let stats = dispatcher.stats();
     println!(
         "dispatcher: received={} forwarded={} relayed={}",
-        stats.received, stats.forwarded, stats.relayed
+        stats.received.get(),
+        stats.forwarded.get(),
+        stats.relayed.get()
     );
 
     dispatcher.shutdown();

@@ -87,9 +87,9 @@ fn main() {
     );
     println!(
         "dispatcher           : received={} forwarded={} relayed={}",
-        disp_stats.received(),
-        disp_stats.forwarded(),
-        disp_stats.relayed()
+        disp_stats.received.get(),
+        disp_stats.forwarded.get(),
+        disp_stats.relayed.get()
     );
     println!("service responses    : {}", service_stats.responses_sent());
     assert!(totals.transmitted > 0);
