@@ -1,0 +1,1040 @@
+//! One scenario table, two runtimes.
+//!
+//! Every row is data: what to stand up, the requests a client sends, what
+//! each answer must look like, what must arrive at the client's reply
+//! endpoint, and where the components' books must stand at quiescence.
+//! One executor runs a row on the simulated runtime (a scripted
+//! [`Process`] client over `wsd_netsim`), the other on the threaded
+//! runtime ([`HttpClient`] over `rt::Network`). The rows cover the
+//! decisions `wsd-core` makes once for both runtimes — the mailbox
+//! request handler, the RPC forward outcome, the RPC-reply translation —
+//! so a drift between the two drivers fails here first.
+//!
+//! Where the runtimes still differ on purpose (the per-destination
+//! queue/connect/retry machine, ROADMAP item 2(c)) the row says so in
+//! `differs` and pins each side's answer. Two differences of that machine
+//! have no row because standing them up needs a wedged destination:
+//! a full destination queue is ack-`202`-then-drop in sim and a `503` in
+//! rt, and rt resends a whole batch after a stale-connection error where
+//! sim requeues the one unsent message.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy};
+use ws_dispatcher::core::msg::MsgCore;
+use ws_dispatcher::core::msgbox::ops;
+use ws_dispatcher::core::registry::Registry;
+use ws_dispatcher::core::rt::{
+    EchoServer, MsgBoxServer, MsgDispatcherServer, Network, RpcDispatcherServer,
+};
+use ws_dispatcher::core::security::PolicyChain;
+use ws_dispatcher::core::sim::{
+    request_payload, response_payload, EchoMode, MsgDispatcherStats, SimEchoService, SimMsgBox,
+    SimMsgBoxStats, SimMsgDispatcher, SimRpcDispatcher, WsThreadConfig,
+};
+use ws_dispatcher::core::rpc::RpcCounters;
+use ws_dispatcher::core::url::Url;
+use ws_dispatcher::http::{
+    parse_request_bytes, parse_response_bytes, serve_connection, HttpClient, Limits, PipeStream,
+    Request, Response, Status,
+};
+use ws_dispatcher::netsim::{
+    ConnId, Ctx, FirewallPolicy, HostConfig, HostId, ProcEvent, Process, SimDuration, Simulation,
+};
+use ws_dispatcher::soap::{rpc as soap_rpc, Envelope, SoapVersion};
+use ws_dispatcher::wsa::{EndpointReference, WsaHeaders};
+
+const V11: SoapVersion = SoapVersion::V11;
+
+type Addr = (&'static str, u16);
+const WS: Addr = ("ws", 8888);
+const RPC: Addr = ("dispatcher", 8081);
+const MSG: Addr = ("dispatcher", 8080);
+const MBOX: Addr = ("msgbox", 8082);
+const CLIENT: Addr = ("client", 9000);
+
+// ---------------------------------------------------------------------
+// The table's vocabulary
+// ---------------------------------------------------------------------
+
+/// What listens on `ws:8888`.
+#[derive(Debug, Clone, Copy)]
+enum Service {
+    /// Nothing: connects are refused.
+    Dead,
+    /// The RPC-style echo service, answering after `delay_ms`.
+    Echo { delay_ms: u64 },
+    /// An RPC-style echo whose `200` already carries `RelatesTo`.
+    CorrelatingEcho,
+}
+
+/// Where a one-way message asks for its reply.
+#[derive(Debug, Clone, Copy)]
+enum ReplyTo {
+    /// The client's own listener, `client:9000`.
+    Callback,
+    /// The mailbox the conversation created.
+    Mailbox,
+}
+
+/// One client request.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// SOAP-RPC echo of `text` through the RPC-Dispatcher at `/svc/<service>`.
+    Call { service: &'static str, text: &'static str },
+    /// WS-MsgBox `create`; the conversation remembers the box and its key.
+    Create,
+    /// `POST /deposit/<box>`; `missing` aims at a mailbox nobody created.
+    Deposit { missing: bool, body: &'static str },
+    /// WS-MsgBox `fetch` of up to ten messages.
+    Fetch { wrong_key: bool },
+    /// `Fetch`, repeated until it hands out something.
+    Poll,
+    /// WS-MsgBox `destroy`.
+    Destroy,
+    /// A one-way echo request through the MSG-Dispatcher.
+    OneWay { id: &'static str, text: &'static str, reply_to: ReplyTo },
+    /// A one-way message with no WS-Addressing headers at all.
+    Unroutable,
+}
+
+/// What one answer must look like.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// This status, whatever the body.
+    Status(u16),
+    /// This status and no body.
+    Empty(u16),
+    /// `200` carrying the echo of this text.
+    Echo(&'static str),
+    /// This status carrying a SOAP fault whose reason contains the text.
+    Fault(u16, &'static str),
+    /// `200` `createResponse`.
+    Created,
+    /// `200` `fetchResponse` handing out exactly these bodies, in order.
+    Fetched(&'static [&'static str]),
+    /// `200` `fetchResponse` handing out one echo reply correlated to `relates_to`.
+    FetchedReply { text: &'static str, relates_to: &'static str },
+    /// `200` `destroyResponse`.
+    Destroyed,
+    /// The runtimes answer differently on purpose (see the row's `differs`).
+    PerRuntime { sim: &'static Expect, rt: &'static Expect },
+}
+
+/// The components' books at quiescence.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Books {
+    rpc: RpcBooks,
+    mailbox: MailboxBooks,
+    msg: MsgBooks,
+}
+
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct RpcBooks {
+    received: u64,
+    forwarded: u64,
+    relayed: u64,
+    refused: u64,
+    upstream_failures: u64,
+}
+
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct MailboxBooks {
+    deposits: u64,
+    /// Sim only at this commit: the threaded mailbox does not count what
+    /// it hands out.
+    fetched: u64,
+    /// Messages still in the conversation's mailbox, measured by draining
+    /// it after the books are read.
+    resident: u64,
+}
+
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct MsgBooks {
+    delivered: u64,
+    dropped: u64,
+    rejected: u64,
+}
+
+/// One row.
+struct Scenario {
+    name: &'static str,
+    service: Service,
+    /// Whether the registry maps `Echo` to `ws:8888`.
+    registered: bool,
+    /// The RPC-Dispatcher's response timeout.
+    response_timeout_ms: u64,
+    /// The client host accepts no inbound connection.
+    firewalled_client: bool,
+    /// WS-MsgBox in the paper's thread-per-message design.
+    thread_per_message: bool,
+    script: Vec<(Step, Expect)>,
+    /// rt sends the script from this step on as one pipelined run on one
+    /// connection; sim sends it one by one.
+    pipeline_from: Option<usize>,
+    /// `(echoed text, RelatesTo)` of each message that must reach the
+    /// client's reply endpoint.
+    delivered: &'static [(&'static str, &'static str)],
+    books: Books,
+    /// What the runtimes do differently here, on purpose, and this table
+    /// pins rather than reconciles (ROADMAP item 2(c)).
+    differs: &'static [&'static str],
+    /// A bug this row exposes at the parent commit, fixed with the table.
+    fixed_here: Option<&'static str>,
+}
+
+impl Scenario {
+    fn new(name: &'static str, script: Vec<(Step, Expect)>) -> Scenario {
+        Scenario {
+            name,
+            service: Service::Echo { delay_ms: 0 },
+            registered: true,
+            response_timeout_ms: 30_000,
+            firewalled_client: false,
+            thread_per_message: false,
+            script,
+            pipeline_from: None,
+            delivered: &[],
+            books: Books::default(),
+            differs: &[],
+            fixed_here: None,
+        }
+    }
+
+    fn destroys(&self) -> bool {
+        self.script.iter().any(|(step, _)| matches!(step, Step::Destroy))
+    }
+}
+
+fn mailbox_lifecycle() -> Vec<(Step, Expect)> {
+    vec![
+        (Step::Create, Expect::Created),
+        (Step::Deposit { missing: false, body: "<a/>" }, Expect::Status(202)),
+        (Step::Deposit { missing: false, body: "<b/>" }, Expect::Status(202)),
+        (Step::Fetch { wrong_key: false }, Expect::Fetched(&["<a/>", "<b/>"])),
+        (Step::Fetch { wrong_key: false }, Expect::Fetched(&[])),
+        (Step::Fetch { wrong_key: true }, Expect::Fault(200, "wrong mailbox access key")),
+        (Step::Deposit { missing: true, body: "<lost/>" }, Expect::Status(404)),
+        (Step::Destroy, Expect::Destroyed),
+    ]
+}
+
+fn table() -> Vec<Scenario> {
+    let call = Step::Call { service: "Echo", text: "hello" };
+    let lifecycle_books = Books {
+        mailbox: MailboxBooks { deposits: 2, fetched: 2, resident: 0 },
+        ..Books::default()
+    };
+    vec![
+        Scenario {
+            books: Books {
+                rpc: RpcBooks { received: 1, forwarded: 1, relayed: 1, ..RpcBooks::default() },
+                ..Books::default()
+            },
+            ..Scenario::new(
+                "RPC client, RPC service: forwarded and relayed (Table 1 quadrant 1)",
+                vec![(call, Expect::Echo("hello"))],
+            )
+        },
+        Scenario {
+            registered: false,
+            books: Books {
+                rpc: RpcBooks { received: 1, refused: 1, ..RpcBooks::default() },
+                ..Books::default()
+            },
+            ..Scenario::new(
+                "unknown logical service is refused with 404",
+                vec![(call, Expect::Fault(404, "unknown logical service"))],
+            )
+        },
+        Scenario {
+            service: Service::Dead,
+            books: Books {
+                rpc: RpcBooks { received: 1, upstream_failures: 1, ..RpcBooks::default() },
+                ..Books::default()
+            },
+            differs: &[
+                "rt marks the endpoint whose connect failed down, so a single-endpoint \
+                 service answers 404 from then on; sim's RPC-Dispatcher never touches the \
+                 registry's liveness marks or LeastPending's pending counts",
+            ],
+            ..Scenario::new(
+                "dead upstream is a 502",
+                vec![(call, Expect::Fault(502, "upstream failure: connect"))],
+            )
+        },
+        Scenario {
+            service: Service::Echo { delay_ms: 300 },
+            response_timeout_ms: 50,
+            books: Books {
+                rpc: RpcBooks {
+                    received: 2,
+                    forwarded: 2,
+                    upstream_failures: 2,
+                    ..RpcBooks::default()
+                },
+                ..Books::default()
+            },
+            fixed_here: Some(
+                "rt marked an endpoint down on any upstream failure and nothing marks it \
+                 up again: after one timeout the second answer was 404 and refused == 1",
+            ),
+            ..Scenario::new(
+                "upstream slower than the response timeout, twice in a row: 502 and 502",
+                vec![
+                    (call, Expect::Fault(502, "upstream failure")),
+                    (call, Expect::Fault(502, "upstream failure")),
+                ],
+            )
+        },
+        Scenario {
+            books: lifecycle_books,
+            ..Scenario::new(
+                "mailbox create, deposit x2, fetch in order, fetch empty, wrong key, \
+                 missing box, destroy",
+                mailbox_lifecycle(),
+            )
+        },
+        Scenario {
+            thread_per_message: true,
+            books: lifecycle_books,
+            ..Scenario::new(
+                "the same mailbox conversation against the thread-per-message design",
+                mailbox_lifecycle(),
+            )
+        },
+        Scenario {
+            pipeline_from: Some(1),
+            books: Books {
+                mailbox: MailboxBooks { deposits: 4, fetched: 3, resident: 1 },
+                ..Books::default()
+            },
+            ..Scenario::new(
+                "pipelined deposit-deposit-fetch-deposit-fetch-deposit on one connection",
+                vec![
+                    (Step::Create, Expect::Created),
+                    (Step::Deposit { missing: false, body: "<a/>" }, Expect::Status(202)),
+                    (Step::Deposit { missing: false, body: "<b/>" }, Expect::Status(202)),
+                    (Step::Fetch { wrong_key: false }, Expect::Fetched(&["<a/>", "<b/>"])),
+                    (Step::Deposit { missing: false, body: "<c/>" }, Expect::Status(202)),
+                    (Step::Fetch { wrong_key: false }, Expect::Fetched(&["<c/>"])),
+                    (Step::Deposit { missing: false, body: "<d/>" }, Expect::Status(202)),
+                ],
+            )
+        },
+        Scenario {
+            delivered: &[("q3", "uuid:q3-plain")],
+            books: Books {
+                msg: MsgBooks { delivered: 2, ..MsgBooks::default() },
+                ..Books::default()
+            },
+            ..Scenario::new(
+                "MSG client, RPC service (Table 1 quadrant 3): the 200 is translated into \
+                 a reply and RelatesTo injected",
+                vec![(
+                    Step::OneWay { id: "uuid:q3-plain", text: "q3", reply_to: ReplyTo::Callback },
+                    Expect::Status(202),
+                )],
+            )
+        },
+        Scenario {
+            service: Service::CorrelatingEcho,
+            delivered: &[("q3", "uuid:q3-self")],
+            books: Books {
+                msg: MsgBooks { delivered: 2, ..MsgBooks::default() },
+                ..Books::default()
+            },
+            ..Scenario::new(
+                "quadrant 3 with a service whose 200 already correlates itself",
+                vec![(
+                    Step::OneWay { id: "uuid:q3-self", text: "q3", reply_to: ReplyTo::Callback },
+                    Expect::Status(202),
+                )],
+            )
+        },
+        Scenario {
+            firewalled_client: true,
+            books: Books {
+                mailbox: MailboxBooks { deposits: 1, fetched: 1, resident: 0 },
+                msg: MsgBooks { delivered: 2, ..MsgBooks::default() },
+                ..Books::default()
+            },
+            ..Scenario::new(
+                "Figure 1: a firewalled client converses through dispatcher and mailbox",
+                vec![
+                    (Step::Create, Expect::Created),
+                    (
+                        Step::OneWay {
+                            id: "uuid:fig1",
+                            text: "behind the firewall",
+                            reply_to: ReplyTo::Mailbox,
+                        },
+                        Expect::Status(202),
+                    ),
+                    (
+                        Step::Poll,
+                        Expect::FetchedReply {
+                            text: "behind the firewall",
+                            relates_to: "uuid:fig1",
+                        },
+                    ),
+                ],
+            )
+        },
+        Scenario {
+            firewalled_client: true,
+            books: Books {
+                msg: MsgBooks { delivered: 1, dropped: 1, ..MsgBooks::default() },
+                ..Books::default()
+            },
+            differs: &[
+                "a failed connect is backoff-and-retry, then drop the destination's whole \
+                 queue in sim; rt drops the popped batch at the first failed connect",
+            ],
+            ..Scenario::new(
+                "a reply to a firewalled client with no mailbox is dropped, on the books",
+                vec![(
+                    Step::OneWay { id: "uuid:fw", text: "lost", reply_to: ReplyTo::Callback },
+                    Expect::Status(202),
+                )],
+            )
+        },
+        Scenario {
+            books: Books {
+                msg: MsgBooks { rejected: 1, ..MsgBooks::default() },
+                ..Books::default()
+            },
+            differs: &[
+                "a rejected one-way message is an empty 400 in sim and error_response's \
+                 SOAP fault in rt",
+            ],
+            ..Scenario::new(
+                "a one-way message with no destination is rejected with 400",
+                vec![(
+                    Step::Unroutable,
+                    Expect::PerRuntime {
+                        sim: &Expect::Empty(400),
+                        rt: &Expect::Fault(400, "no destination"),
+                    },
+                )],
+            )
+        },
+    ]
+}
+
+// ---------------------------------------------------------------------
+// What both executors share: building requests, judging answers
+// ---------------------------------------------------------------------
+
+/// What the client has learnt so far: its mailbox and the key to it.
+#[derive(Debug, Default, Clone)]
+struct Conversation {
+    box_id: String,
+    key: String,
+}
+
+/// One answer as the client saw it.
+#[derive(Debug, Clone)]
+struct Reply {
+    status: u16,
+    body: String,
+}
+
+impl Reply {
+    fn of(resp: &Response) -> Reply {
+        Reply { status: resp.status.0, body: resp.body_utf8().into_owned() }
+    }
+
+    fn fetched(&self) -> Option<Vec<String>> {
+        ops::parse_fetch_response(&Envelope::parse(&self.body).ok()?)
+    }
+}
+
+fn soap_post(to: Addr, path: &str, body: String) -> Request {
+    Request::soap_post(&format!("{}:{}", to.0, to.1), path, V11.content_type(), body.into_bytes())
+}
+
+impl Step {
+    /// The listener this step talks to and the request it sends there.
+    fn request(&self, conv: &Conversation) -> (Addr, Request) {
+        match *self {
+            Step::Call { service, text } => {
+                let env = soap_rpc::echo_request(V11, text);
+                (RPC, soap_post(RPC, &format!("/svc/{service}"), env.to_xml()))
+            }
+            Step::Create => (MBOX, soap_post(MBOX, "/msgbox", ops::create(V11).to_xml())),
+            Step::Deposit { missing, body } => {
+                let box_id = if missing { "mbox-missing" } else { &conv.box_id };
+                (MBOX, soap_post(MBOX, &format!("/deposit/{box_id}"), body.to_string()))
+            }
+            Step::Fetch { wrong_key } => {
+                let key = if wrong_key { "key-wrong" } else { &conv.key };
+                let env = ops::fetch(V11, &conv.box_id, key, 10);
+                (MBOX, soap_post(MBOX, "/msgbox", env.to_xml()))
+            }
+            Step::Poll => Step::Fetch { wrong_key: false }.request(conv),
+            Step::Destroy => {
+                let env = ops::destroy(V11, &conv.box_id, &conv.key);
+                (MBOX, soap_post(MBOX, "/msgbox", env.to_xml()))
+            }
+            Step::OneWay { id, text, reply_to } => {
+                let reply_to = match reply_to {
+                    ReplyTo::Callback => format!("http://{}:{}/cb", CLIENT.0, CLIENT.1),
+                    ReplyTo::Mailbox => {
+                        format!("http://{}:{}/deposit/{}", MBOX.0, MBOX.1, conv.box_id)
+                    }
+                };
+                let mut env = soap_rpc::echo_request(V11, text);
+                WsaHeaders::new()
+                    .to("http://dispatcher/svc/Echo")
+                    .reply_to(EndpointReference::new(reply_to))
+                    .message_id(id)
+                    .apply(&mut env);
+                (MSG, soap_post(MSG, "/msg", env.to_xml()))
+            }
+            Step::Unroutable => {
+                (MSG, soap_post(MSG, "/msg", soap_rpc::echo_request(V11, "nowhere").to_xml()))
+            }
+        }
+    }
+
+    /// Whether `reply` ends this step (a `Poll` goes on until the mailbox
+    /// hands something out).
+    fn answered_by(&self, reply: &Reply) -> bool {
+        !matches!(self, Step::Poll) || reply.fetched().is_none_or(|got| !got.is_empty())
+    }
+}
+
+impl Conversation {
+    /// Remembers the mailbox a `create` answered with.
+    fn learn(&mut self, step: &Step, reply: &Reply) {
+        if let Step::Create = step {
+            let created = Envelope::parse(&reply.body)
+                .ok()
+                .and_then(|env| ops::parse_create_response(&env));
+            if let Some((box_id, key)) = created {
+                *self = Conversation { box_id, key };
+            }
+        }
+    }
+}
+
+/// The echoed text and the first `RelatesTo` of a serialized echo reply.
+fn echo_reply(xml: &str) -> (String, String) {
+    let env = Envelope::parse(xml).expect("a reply envelope");
+    let text = soap_rpc::parse_echo_response(&env).expect("an echo response");
+    let headers = WsaHeaders::from_envelope(&env).expect("WS-Addressing headers");
+    let relates_to = headers.relates_to.first().map(|(id, _)| id.clone()).unwrap_or_default();
+    (text, relates_to)
+}
+
+impl Expect {
+    fn check(&self, reply: &Reply, on_sim: bool, at: &str) {
+        let fault_reason = || {
+            let env = Envelope::parse(&reply.body).unwrap_or_else(|e| panic!("{at}: {e}: {reply:?}"));
+            env.as_fault().unwrap_or_else(|| panic!("{at}: not a fault: {reply:?}")).reason.clone()
+        };
+        let fetched = || reply.fetched().unwrap_or_else(|| panic!("{at}: no fetchResponse: {reply:?}"));
+        match *self {
+            Expect::Status(status) => assert_eq!(reply.status, status, "{at}: {reply:?}"),
+            Expect::Empty(status) => {
+                assert_eq!((reply.status, reply.body.as_str()), (status, ""), "{at}")
+            }
+            Expect::Echo(text) => {
+                assert_eq!(reply.status, 200, "{at}: {reply:?}");
+                let env = Envelope::parse(&reply.body).expect("an envelope");
+                assert_eq!(soap_rpc::parse_echo_response(&env).as_deref(), Ok(text), "{at}");
+            }
+            Expect::Fault(status, needle) => {
+                assert_eq!(reply.status, status, "{at}: {reply:?}");
+                let reason = fault_reason();
+                assert!(reason.contains(needle), "{at}: fault says {reason:?}, not {needle:?}");
+            }
+            Expect::Created => {
+                assert_eq!(reply.status, 200, "{at}: {reply:?}");
+                let env = Envelope::parse(&reply.body).expect("an envelope");
+                assert!(ops::parse_create_response(&env).is_some(), "{at}: {reply:?}");
+            }
+            Expect::Fetched(bodies) => {
+                assert_eq!(reply.status, 200, "{at}: {reply:?}");
+                assert_eq!(fetched(), bodies, "{at}");
+            }
+            Expect::FetchedReply { text, relates_to } => {
+                let got = fetched();
+                assert_eq!(got.len(), 1, "{at}: {got:?}");
+                assert_eq!(echo_reply(&got[0]), (text.to_string(), relates_to.to_string()), "{at}");
+            }
+            Expect::Destroyed => {
+                assert_eq!(reply.status, 200, "{at}: {reply:?}");
+                assert!(reply.body.contains("destroyResponse"), "{at}: {reply:?}");
+            }
+            Expect::PerRuntime { sim, rt } => {
+                if on_sim { sim } else { rt }.check(reply, on_sim, at)
+            }
+        }
+    }
+}
+
+/// The RPC-style echo that correlates its own `200`: `RelatesTo` is the
+/// request's `MessageID`.
+fn correlating_echo(req: &Request) -> Response {
+    let env = Envelope::parse(&req.body_utf8()).expect("a request envelope");
+    let id = WsaHeaders::from_envelope(&env).expect("headers").message_id.unwrap_or_default();
+    let mut reply = soap_rpc::echo_response(V11, &soap_rpc::parse_echo(&env).unwrap_or_default());
+    WsaHeaders::new().relates_to(id).apply(&mut reply);
+    Response::new(Status::OK, V11.content_type(), reply.to_xml().into_bytes())
+}
+
+/// A runtime with the whole topology of one row stood up.
+trait Runtime {
+    /// Sends `steps` in order (`pipelined`: as one run on one connection,
+    /// where the runtime can) and returns one answer per step.
+    fn run(&mut self, steps: &[Step], pipelined: bool, conv: &Rc<RefCell<Conversation>>) -> Vec<Reply>;
+    /// The books right now, `resident` left at zero.
+    fn books(&self) -> Books;
+    /// Bodies POSTed to the client's reply endpoint so far.
+    fn delivered(&self) -> Vec<String>;
+    fn shutdown(&mut self) {}
+}
+
+/// Polls `read` until it returns `want` or five seconds pass (the
+/// threaded runtime settles asynchronously; the simulation has already
+/// run to quiescence and answers at once).
+fn settled<T: PartialEq>(want: &T, read: impl Fn() -> T) -> T {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let got = read();
+        if got == *want || Instant::now() >= deadline {
+            return got;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
+    let mut at = format!("[{}] {}", if on_sim { "sim" } else { "rt" }, row.name);
+    for note in row.differs {
+        at.push_str(&format!("\n  (the runtimes differ here on purpose: {note})"));
+    }
+    if let Some(bug) = row.fixed_here {
+        at.push_str(&format!("\n  (fails at the parent commit: {bug})"));
+    }
+    let conv = Rc::new(RefCell::new(Conversation::default()));
+    let steps: Vec<Step> = row.script.iter().map(|(step, _)| *step).collect();
+    let split = row.pipeline_from.unwrap_or(steps.len());
+    let mut replies = runtime.run(&steps[..split], false, &conv);
+    replies.extend(runtime.run(&steps[split..], true, &conv));
+    assert_eq!(replies.len(), steps.len(), "{at}: one answer per request");
+    for (i, ((_, expect), reply)) in row.script.iter().zip(&replies).enumerate() {
+        expect.check(reply, on_sim, &format!("{at}, step {i}"));
+    }
+
+    let want: Vec<(String, String)> =
+        row.delivered.iter().map(|(text, id)| (text.to_string(), id.to_string())).collect();
+    let delivered = settled(&want, || runtime.delivered().iter().map(|xml| echo_reply(xml)).collect());
+    assert_eq!(delivered, want, "{at}: at the client's reply endpoint");
+
+    // The threaded mailbox keeps no `fetched` count yet: its books are
+    // judged without it.
+    let counted = |b: Books| {
+        let fetched = if on_sim { b.mailbox.fetched } else { 0 };
+        Books { mailbox: MailboxBooks { fetched, ..b.mailbox }, ..b }
+    };
+    let want = counted(row.books);
+    let unmeasured = Books { mailbox: MailboxBooks { resident: 0, ..want.mailbox }, ..want };
+    let mut books = settled(&unmeasured, || runtime.books());
+    // What is left in the mailbox is what a last fetch hands out.
+    if !conv.borrow().box_id.is_empty() && !row.destroys() {
+        let drain = runtime.run(&[Step::Fetch { wrong_key: false }], false, &conv);
+        books.mailbox.resident = drain[0].fetched().map_or(0, |got| got.len() as u64);
+    }
+    assert_eq!(books, want, "{at}: books at quiescence");
+
+    // The identities behind the numbers.
+    let rpc = books.rpc;
+    assert_eq!(rpc.received, rpc.refused + rpc.relayed + rpc.upstream_failures, "{at}");
+    assert!(rpc.relayed <= rpc.forwarded, "{at}: {rpc:?}");
+    assert!(rpc.forwarded - rpc.relayed <= rpc.upstream_failures, "{at}: {rpc:?}");
+    if on_sim && !row.destroys() {
+        let mb = books.mailbox;
+        assert_eq!(mb.deposits, mb.fetched + mb.resident, "{at}: {mb:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The simulated executor
+// ---------------------------------------------------------------------
+
+/// Sends its steps one after another, each on the kept-open connection
+/// to the step's listener, and records the answers.
+struct ScriptedClient {
+    steps: Vec<Step>,
+    at: usize,
+    conns: HashMap<Addr, ConnId>,
+    dialing: Option<Addr>,
+    polls_left: u32,
+    conv: Rc<RefCell<Conversation>>,
+    replies: Rc<RefCell<Vec<Reply>>>,
+}
+
+impl ScriptedClient {
+    fn send_current(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(step) = self.steps.get(self.at) else {
+            return;
+        };
+        let (to, req) = step.request(&self.conv.borrow());
+        match self.conns.get(&to) {
+            Some(&conn) => ctx.send(conn, request_payload(&req)).expect("an open connection"),
+            None => {
+                ctx.connect(to.0, to.1, SimDuration::from_secs(5));
+                self.dialing = Some(to);
+            }
+        }
+    }
+}
+
+impl Process for ScriptedClient {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+        match event {
+            ProcEvent::Start | ProcEvent::Timer { .. } => self.send_current(ctx),
+            ProcEvent::ConnEstablished { conn } => {
+                let to = self.dialing.take().expect("a connect in flight");
+                self.conns.insert(to, conn);
+                self.send_current(ctx);
+            }
+            ProcEvent::Message { bytes, .. } => {
+                let reply = Reply::of(&parse_response_bytes(&bytes).expect("an HTTP response"));
+                let step = self.steps[self.at];
+                if !step.answered_by(&reply) && self.polls_left > 0 {
+                    self.polls_left -= 1;
+                    ctx.set_timer(SimDuration::from_millis(100), 0);
+                    return;
+                }
+                self.conv.borrow_mut().learn(&step, &reply);
+                self.replies.borrow_mut().push(reply);
+                self.at += 1;
+                self.send_current(ctx);
+            }
+            ProcEvent::ConnRefused { .. } => panic!("the scripted client's connect was refused"),
+            ProcEvent::ConnAccepted { .. } | ProcEvent::ConnClosed { .. } => {}
+        }
+    }
+}
+
+/// Answers each request through `handler`, at once.
+struct SimHandler<F>(F);
+
+impl<F: FnMut(&Request) -> Response> Process for SimHandler<F> {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+        if let ProcEvent::Message { conn, bytes } = event {
+            let req = parse_request_bytes(&bytes).expect("an HTTP request");
+            let _ = ctx.send(conn, response_payload(&(self.0)(&req)));
+        }
+    }
+}
+
+struct SimRuntime {
+    sim: Simulation,
+    client_host: HostId,
+    rpc: RpcCounters,
+    msg: MsgDispatcherStats,
+    mailbox: SimMsgBoxStats,
+    sink: Rc<RefCell<Vec<String>>>,
+}
+
+impl SimRuntime {
+    fn start(row: &Scenario) -> SimRuntime {
+        let mut sim = Simulation::new(21);
+        let ws_host = sim.add_host(HostConfig::named(WS.0));
+        let disp_host = sim.add_host(HostConfig::named(RPC.0));
+        let mbox_host = sim.add_host(HostConfig::named(MBOX.0));
+        let client_policy =
+            if row.firewalled_client { FirewallPolicy::OutboundOnly } else { FirewallPolicy::Open };
+        let client_host = sim.add_host(HostConfig::named(CLIENT.0).firewall(client_policy));
+
+        let service: Option<Box<dyn Process>> = match row.service {
+            Service::Dead => None,
+            Service::Echo { delay_ms } => Some(Box::new(SimEchoService::new(
+                EchoMode::Rpc,
+                SimDuration::from_millis(delay_ms),
+            ))),
+            Service::CorrelatingEcho => Some(Box::new(SimHandler(correlating_echo))),
+        };
+        if let Some(service) = service {
+            let p = sim.spawn(ws_host, service);
+            sim.listen(p, WS.1);
+        }
+
+        let registry = Arc::new(Registry::new());
+        if row.registered {
+            registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        }
+        let rpc = SimRpcDispatcher::new(
+            Arc::clone(&registry),
+            SimDuration::from_millis(1),
+            SimDuration::from_secs(3),
+            SimDuration::from_millis(row.response_timeout_ms),
+        );
+        let rpc_stats = rpc.stats();
+        let p = sim.spawn(disp_host, Box::new(rpc));
+        sim.listen(p, RPC.1);
+
+        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
+        let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), WsThreadConfig::default());
+        let msg_stats = msg.stats();
+        let p = sim.spawn(disp_host, Box::new(msg));
+        sim.listen(p, MSG.1);
+
+        let mailbox = SimMsgBox::new(msgbox_config(row), SimDuration::from_millis(1), 21);
+        let mailbox_stats = mailbox.stats();
+        let p = sim.spawn(mbox_host, Box::new(mailbox));
+        sim.listen(p, MBOX.1);
+
+        let sink = Rc::new(RefCell::new(Vec::new()));
+        let got = Rc::clone(&sink);
+        let p = sim.spawn(
+            client_host,
+            Box::new(SimHandler(move |req: &Request| {
+                got.borrow_mut().push(req.body_utf8().into_owned());
+                Response::empty(Status::ACCEPTED)
+            })),
+        );
+        sim.listen(p, CLIENT.1);
+
+        SimRuntime { sim, client_host, rpc: rpc_stats, msg: msg_stats, mailbox: mailbox_stats, sink }
+    }
+}
+
+fn msgbox_config(row: &Scenario) -> MsgBoxConfig {
+    let strategy = if row.thread_per_message {
+        MsgBoxStrategy::ThreadPerMessage
+    } else {
+        MsgBoxStrategy::Pooled { workers: 4 }
+    };
+    MsgBoxConfig { strategy, ..MsgBoxConfig::default() }
+}
+
+impl Runtime for SimRuntime {
+    fn run(&mut self, steps: &[Step], _: bool, conv: &Rc<RefCell<Conversation>>) -> Vec<Reply> {
+        let replies = Rc::new(RefCell::new(Vec::new()));
+        self.sim.spawn(
+            self.client_host,
+            Box::new(ScriptedClient {
+                steps: steps.to_vec(),
+                at: 0,
+                conns: HashMap::new(),
+                dialing: None,
+                polls_left: 100,
+                conv: Rc::clone(conv),
+                replies: Rc::clone(&replies),
+            }),
+        );
+        self.sim.run();
+        replies.take()
+    }
+
+    fn books(&self) -> Books {
+        Books {
+            rpc: rpc_books(&self.rpc),
+            mailbox: MailboxBooks {
+                deposits: self.mailbox.deposits.get(),
+                fetched: self.mailbox.fetched.get(),
+                resident: 0,
+            },
+            msg: MsgBooks {
+                delivered: self.msg.delivered.get(),
+                dropped: self.msg.dropped.get(),
+                rejected: self.msg.rejected.get(),
+            },
+        }
+    }
+
+    fn delivered(&self) -> Vec<String> {
+        self.sink.borrow().clone()
+    }
+}
+
+fn rpc_books(c: &RpcCounters) -> RpcBooks {
+    RpcBooks {
+        received: c.received.get(),
+        forwarded: c.forwarded.get(),
+        relayed: c.relayed.get(),
+        refused: c.refused.get(),
+        upstream_failures: c.upstream_failures.get(),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The threaded executor
+// ---------------------------------------------------------------------
+
+/// Serves every connection to `at` on a thread of its own through `handler`.
+fn rt_listen(net: &Arc<Network>, at: Addr, handler: impl Fn(&Request) -> Response + Send + Sync + 'static) {
+    let handler = Arc::new(handler);
+    net.listen(at.0, at.1, move |stream| {
+        let handler = Arc::clone(&handler);
+        std::thread::spawn(move || {
+            let _ = serve_connection(stream, &Limits::default(), |req| handler(&req));
+        });
+    });
+}
+
+struct RtRuntime {
+    net: Arc<Network>,
+    ws: Option<EchoServer>,
+    rpc: RpcDispatcherServer,
+    msg: Arc<MsgDispatcherServer>,
+    mailbox: Arc<MsgBoxServer>,
+    sink: Arc<Mutex<Vec<String>>>,
+    conns: HashMap<Addr, HttpClient<PipeStream>>,
+}
+
+impl RtRuntime {
+    fn start(row: &Scenario) -> RtRuntime {
+        let net = Network::new();
+        let ws = match row.service {
+            Service::Dead => None,
+            Service::Echo { delay_ms } => {
+                Some(EchoServer::start(&net, WS.0, WS.1, 4, Duration::from_millis(delay_ms)))
+            }
+            Service::CorrelatingEcho => {
+                rt_listen(&net, WS, correlating_echo);
+                None
+            }
+        };
+        let registry = Arc::new(Registry::new());
+        if row.registered {
+            registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        }
+        let config = DispatcherConfig {
+            response_timeout: Duration::from_millis(row.response_timeout_ms),
+            connection_linger: Duration::from_millis(50),
+            ..DispatcherConfig::default()
+        };
+        let rpc = RpcDispatcherServer::start(
+            &net,
+            RPC.0,
+            RPC.1,
+            Arc::clone(&registry),
+            PolicyChain::new(),
+            config.clone(),
+        );
+        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
+        let msg = MsgDispatcherServer::start(&net, MSG.0, MSG.1, core, config);
+        let mailbox = MsgBoxServer::start(&net, MBOX.0, MBOX.1, msgbox_config(row), 21);
+
+        let sink = Arc::new(Mutex::new(Vec::new()));
+        let got = Arc::clone(&sink);
+        rt_listen(&net, CLIENT, move |req| {
+            got.lock().unwrap().push(req.body_utf8().into_owned());
+            Response::empty(Status::ACCEPTED)
+        });
+        net.set_firewalled(CLIENT.0, row.firewalled_client);
+
+        RtRuntime { net, ws, rpc, msg, mailbox, sink, conns: HashMap::new() }
+    }
+
+    fn client(&mut self, to: Addr) -> &mut HttpClient<PipeStream> {
+        let net = &self.net;
+        self.conns
+            .entry(to)
+            .or_insert_with(|| HttpClient::new(net.connect(to.0, to.1).expect("a listener")))
+    }
+}
+
+impl Runtime for RtRuntime {
+    fn run(&mut self, steps: &[Step], pipelined: bool, conv: &Rc<RefCell<Conversation>>) -> Vec<Reply> {
+        if pipelined && !steps.is_empty() {
+            let (tos, reqs): (Vec<Addr>, Vec<Request>) =
+                steps.iter().map(|step| step.request(&conv.borrow())).unzip();
+            assert!(tos.iter().all(|to| *to == tos[0]), "a run rides one connection");
+            let resps = self.client(tos[0]).call_pipelined(&reqs, &mut Vec::new()).expect("a run");
+            return resps.iter().map(Reply::of).collect();
+        }
+        let mut replies = Vec::new();
+        for step in steps {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let reply = loop {
+                let (to, req) = step.request(&conv.borrow());
+                let reply = Reply::of(&self.client(to).call(&req).expect("an answer"));
+                if step.answered_by(&reply) || Instant::now() >= deadline {
+                    break reply;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            conv.borrow_mut().learn(step, &reply);
+            replies.push(reply);
+        }
+        replies
+    }
+
+    fn books(&self) -> Books {
+        use std::sync::atomic::Ordering::Relaxed;
+        let msg = self.msg.stats();
+        Books {
+            rpc: rpc_books(&self.rpc.stats()),
+            mailbox: MailboxBooks { deposits: self.mailbox.deposits(), fetched: 0, resident: 0 },
+            msg: MsgBooks {
+                delivered: msg.delivered.load(Relaxed),
+                dropped: msg.dropped.load(Relaxed),
+                rejected: msg.rejected.load(Relaxed),
+            },
+        }
+    }
+
+    fn delivered(&self) -> Vec<String> {
+        self.sink.lock().unwrap().clone()
+    }
+
+    fn shutdown(&mut self) {
+        self.conns.clear();
+        self.mailbox.shutdown();
+        self.msg.shutdown();
+        self.rpc.shutdown();
+        if let Some(ws) = &self.ws {
+            ws.shutdown();
+        }
+        for at in [WS, CLIENT] {
+            self.net.unlisten(at.0, at.1);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+
+/// Runs every row, each against a topology of its own, and reports all
+/// the rows that failed rather than the first.
+fn run_table(on_sim: bool) {
+    let table = table();
+    let failed: Vec<&str> = table
+        .iter()
+        .filter(|row| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut runtime: Box<dyn Runtime> = if on_sim {
+                    Box::new(SimRuntime::start(row))
+                } else {
+                    Box::new(RtRuntime::start(row))
+                };
+                check(row, runtime.as_mut(), on_sim);
+                runtime.shutdown();
+            }))
+            .is_err()
+        })
+        .map(|row| row.name)
+        .collect();
+    assert!(failed.is_empty(), "rows that do not hold: {failed:#?}");
+}
+
+#[test]
+fn every_row_holds_on_the_simulated_runtime() {
+    run_table(true);
+}
+
+#[test]
+fn every_row_holds_on_the_threaded_runtime() {
+    run_table(false);
+}
