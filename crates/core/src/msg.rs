@@ -10,6 +10,7 @@
 use std::borrow::Cow;
 
 use wsd_concurrent::ShardedMap;
+use wsd_http::Response;
 use wsd_soap::Envelope;
 use wsd_telemetry::{Counter, Scope};
 use wsd_wsa::{correlation_id, rewrite_for_forward, rewrite_for_reply, MsgIdGen, RouteRecord, WsaHeaders};
@@ -417,6 +418,32 @@ impl MsgCore {
             message_id,
         })
     }
+}
+
+/// Turns what a destination answered a forwarded one-way request with
+/// into a message the dispatcher can route as that request's reply
+/// (Table 1 quadrant 3, "translation of semantics from messaging to
+/// RPC"); `req_id` is the forwarded request's `MessageID`. `None`
+/// when there is nothing to translate: a plain ack (`202`), an error, or
+/// a `200` whose body is no envelope. A canonically serialized reply that
+/// already correlates itself passes through as the bytes it came in;
+/// anything else is parsed and gains `RelatesTo` unless it carries one.
+pub fn correlate_rpc_reply<'a>(resp: &'a Response, req_id: Option<&str>) -> Option<Cow<'a, str>> {
+    let xml = resp.body_str().filter(|_| resp.status.0 == 200)?;
+    if wsd_wsa::scan(xml).is_some_and(|s| s.correlation_id().is_some()) {
+        return Some(Cow::Borrowed(xml));
+    }
+    let mut env = Envelope::parse(xml).ok()?;
+    if let (Some(id), Ok(mut h)) = (
+        req_id.filter(|id| !id.is_empty()),
+        WsaHeaders::from_envelope(&env),
+    ) {
+        if h.relates_to.is_empty() {
+            h.relates_to.push((id.to_string(), None));
+            h.apply(&mut env);
+        }
+    }
+    Some(Cow::Owned(env.to_xml()))
 }
 
 impl std::fmt::Debug for MsgCore {

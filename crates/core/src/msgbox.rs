@@ -14,9 +14,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wsd_concurrent::ShardedMap;
+use wsd_http::{Request, Response, Status};
 use wsd_soap::{rpc::RpcCall, Envelope, Fault, FaultCode, SoapVersion};
 use wsd_store::{DurableMsgBox, FsStorage, MemStorage, Storage, StoreError};
-use wsd_telemetry::Scope;
+use wsd_telemetry::{Counter, Scope};
 use wsd_wsa::MsgIdGen;
 
 use crate::config::{MailboxBackend, MsgBoxConfig};
@@ -409,13 +410,19 @@ fn prune(mbox: &mut Mailbox, now: u64) -> u64 {
 
 /// Handles one WS-MsgBox RPC envelope, producing the response envelope.
 pub fn handle_soap(store: &MsgBoxStore, env: &Envelope, now: u64) -> Envelope {
+    serve_op(store, env, now).0
+}
+
+/// [`handle_soap`], plus how many stored messages a `fetch` handed out.
+fn serve_op(store: &MsgBoxStore, env: &Envelope, now: u64) -> (Envelope, usize) {
     let version = env.version;
     let call = match RpcCall::from_envelope(env) {
         Ok(c) if c.namespace == MSGBOX_NS => c,
-        Ok(_) => return fault(version, FaultCode::Sender, "not a WS-MsgBox operation"),
-        Err(e) => return fault(version, FaultCode::Sender, &e.to_string()),
+        Ok(_) => return (fault(version, FaultCode::Sender, "not a WS-MsgBox operation"), 0),
+        Err(e) => return (fault(version, FaultCode::Sender, &e.to_string()), 0),
     };
-    match call.operation.as_str() {
+    let mut handed_out = 0;
+    let response = match call.operation.as_str() {
         "create" => {
             let (id, key) = store.create(now);
             let op = wsd_xml::Element::new_ns(Some("m"), "createResponse", MSGBOX_NS)
@@ -433,6 +440,7 @@ pub fn handle_soap(store: &MsgBoxStore, env: &Envelope, now: u64) -> Envelope {
                 .unwrap_or(usize::MAX);
             match store.fetch(id, key, max, now) {
                 Ok(messages) => {
+                    handed_out = messages.len();
                     let mut op = wsd_xml::Element::new_ns(Some("m"), "fetchResponse", MSGBOX_NS)
                         .declare_namespace(Some("m"), MSGBOX_NS);
                     for m in messages {
@@ -464,11 +472,100 @@ pub fn handle_soap(store: &MsgBoxStore, env: &Envelope, now: u64) -> Envelope {
             FaultCode::Sender,
             &format!("unknown WS-MsgBox operation {other:?}"),
         ),
-    }
+    };
+    (response, handed_out)
 }
 
 fn fault(version: SoapVersion, code: FaultCode, reason: &str) -> Envelope {
     Envelope::fault(version, Fault::new(code, reason))
+}
+
+/// Target prefix of a mailbox deposit: `/deposit/<mailbox id>`.
+const DEPOSIT_PREFIX: &str = "/deposit/";
+
+/// The mailbox service's books, in both runtimes: the telemetry
+/// instruments themselves (a clone is a live handle). While nothing
+/// expires or is destroyed, `deposits == fetched + Σ store.len(box)`.
+#[derive(Debug, Clone)]
+pub struct MailboxCounters {
+    /// One-way deposits stored, counted after their durability barrier.
+    pub deposits: Counter,
+    /// RPC operations served (create/fetch/destroy).
+    pub rpc_calls: Counter,
+    /// Stored messages handed to clients by `fetch`.
+    pub fetched: Counter,
+}
+
+impl MailboxCounters {
+    /// The counters, registered under `scope`.
+    pub fn new(scope: &Scope) -> Self {
+        MailboxCounters {
+            deposits: scope.counter("deposits"),
+            rpc_calls: scope.counter("rpc_calls"),
+            fetched: scope.counter("fetched"),
+        }
+    }
+}
+
+/// The mailbox service both runtimes serve through; a driver owns only
+/// the connection, the clock and what it models or enforces around this
+/// call (threads, pacing, the crash). Serves one run of pipelined requests
+/// in order: one response each, plus the body bytes of the deposits the
+/// run carried (what an ingress pacer charges). Consecutive `/deposit/`s
+/// are stored together behind one commit, and only then counted and
+/// answered (`202`, or `404` when the mailbox refused it), so a
+/// dispatcher's 16-wide drain batch costs one fsync, not sixteen; the SOAP
+/// operations are barriers between groups.
+pub fn serve_run(
+    store: &MsgBoxStore,
+    counters: &MailboxCounters,
+    run: impl IntoIterator<Item = Request>,
+    now: u64,
+) -> (Vec<Response>, u64) {
+    let run = run.into_iter();
+    let mut responses = Vec::with_capacity(run.size_hint().0);
+    let mut deposit_bytes = 0;
+    // `(target, body)` of the deposits not yet stored.
+    let mut deposits: Vec<(String, String)> = Vec::new();
+    let store_deposits = |deposits: &mut Vec<(String, String)>, responses: &mut Vec<Response>| {
+        if deposits.is_empty() {
+            return;
+        }
+        let stored = store.deposit_batch(
+            deposits
+                .iter_mut()
+                .map(|(target, body)| (&target[DEPOSIT_PREFIX.len()..], std::mem::take(body))),
+            now,
+        );
+        deposits.clear();
+        responses.extend(stored.into_iter().map(|result| match result {
+            Ok(()) => {
+                counters.deposits.inc();
+                Response::empty(Status::ACCEPTED)
+            }
+            Err(_) => Response::empty(Status::NOT_FOUND),
+        }));
+    };
+    for req in run {
+        if req.target.starts_with(DEPOSIT_PREFIX) {
+            let body = req.body_utf8().into_owned();
+            deposit_bytes += body.len() as u64;
+            deposits.push((req.target, body));
+            continue;
+        }
+        store_deposits(&mut deposits, &mut responses);
+        responses.push(match Envelope::parse(&req.body_utf8()) {
+            Ok(env) => {
+                counters.rpc_calls.inc();
+                let (answer, handed_out) = serve_op(store, &env, now);
+                counters.fetched.add(handed_out as u64);
+                Response::new(Status::OK, env.version.content_type(), answer.to_xml().into_bytes())
+            }
+            Err(_) => Response::empty(Status::BAD_REQUEST),
+        });
+    }
+    store_deposits(&mut deposits, &mut responses);
+    (responses, deposit_bytes)
 }
 
 /// Client-side helpers building the RPC requests [`handle_soap`] serves.

@@ -47,6 +47,29 @@ impl RpcCounters {
         }
     }
 
+    /// Refuses a request that will not be forwarded (unknown service,
+    /// security, malformed): counts it and builds the client's answer.
+    pub fn refuse(&self, err: &WsdError) -> Response {
+        self.refused.inc();
+        error_response(SoapVersion::V11, err)
+    }
+
+    /// Relays a service's response: counts it and strips the upstream
+    /// hop's `Connection` header, which must not leak to the client's.
+    pub fn relay(&self, mut upstream: Response) -> Response {
+        self.relayed.inc();
+        upstream.headers.remove("connection");
+        upstream
+    }
+
+    /// Fails a forward whose endpoint was chosen but never answered:
+    /// counts it and builds the client's `502`.
+    pub fn fail(&self, failure: &UpstreamFailure) -> Response {
+        self.upstream_failures.inc();
+        let reason = format!("upstream failure: {failure}");
+        fault_response(Status::BAD_GATEWAY, SoapVersion::V11, &FaultCode::Receiver, &reason)
+    }
+
     /// Asserts the books balance at quiescence; `after_send` is how many
     /// of the failures happened once the request was on the upstream wire.
     #[cfg(test)]
@@ -70,6 +93,32 @@ impl RpcCounters {
             ("upstream_failures", &self.upstream_failures),
         ] {
             assert_eq!(counter.get(), snap.counter(&format!("{scope}.{name}")), "{name}");
+        }
+    }
+}
+
+/// Why a forward failed once an endpoint had been chosen.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UpstreamFailure {
+    /// The connection could not be opened (the transport's word for why):
+    /// the only failure that says the endpoint may be dead.
+    Connect(String),
+    /// The request could not be written to the open connection.
+    Send,
+    /// No answer within the response timeout (Table 1: "may not work at
+    /// all if message reply comes too late").
+    ResponseTimeout,
+    /// The service closed the connection before answering.
+    ClosedEarly,
+}
+
+impl std::fmt::Display for UpstreamFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UpstreamFailure::Connect(why) => write!(f, "connect failed: {why}"),
+            UpstreamFailure::Send => f.write_str("send failed"),
+            UpstreamFailure::ResponseTimeout => f.write_str("response timed out"),
+            UpstreamFailure::ClosedEarly => f.write_str("upstream closed before responding"),
         }
     }
 }
@@ -125,16 +174,6 @@ pub fn error_response(version: SoapVersion, err: &WsdError) -> Response {
         WsdError::MsgBox(_) => (Status::BAD_REQUEST, FaultCode::Sender),
     };
     fault_response(status, version, &code, &err.to_string())
-}
-
-/// Builds the 502 the client sees when the upstream call failed.
-pub fn upstream_failure_response(version: SoapVersion, why: &str) -> Response {
-    fault_response(
-        Status::BAD_GATEWAY,
-        version,
-        &FaultCode::Receiver,
-        &format!("upstream failure: {why}"),
-    )
 }
 
 /// Writes the fault envelope through the raw byte path — pooled scratch
@@ -236,14 +275,17 @@ mod tests {
         let env = Envelope::parse(&resp.body_utf8()).unwrap();
         assert!(env.as_fault().unwrap().reason.contains("X"));
 
-        let resp = error_response(SoapVersion::V11, &WsdError::Overloaded);
+        let resp = error_response(SoapVersion::V12, &WsdError::Overloaded);
         assert_eq!(resp.status, Status::SERVICE_UNAVAILABLE);
+        assert_eq!(Envelope::parse(&resp.body_utf8()).unwrap().version, SoapVersion::V12);
 
-        let resp = upstream_failure_response(SoapVersion::V12, "connect timed out");
+        let books = RpcCounters::new(&Scope::noop());
+        let resp = books.fail(&UpstreamFailure::Connect("timed out".to_string()));
         assert_eq!(resp.status, Status::BAD_GATEWAY);
         let env = Envelope::parse(&resp.body_utf8()).unwrap();
-        assert_eq!(env.version, SoapVersion::V12);
-        assert!(env.as_fault().unwrap().reason.contains("connect timed out"));
+        let reason = &env.as_fault().unwrap().reason;
+        assert_eq!(reason, "upstream failure: connect failed: timed out");
+        assert_eq!(books.upstream_failures.get(), 1);
     }
 
     #[test]

@@ -10,11 +10,11 @@ use wsd_concurrent::{
     FifoQueue, OrderedMutex, PoolConfig, ShardedMap, ThreadPool,
 };
 use wsd_http::{HttpClient, Request, Response, Status};
-use wsd_soap::{Envelope, SoapVersion};
+use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, Scope};
 
 use crate::config::DispatcherConfig;
-use crate::msg::{MsgCore, RoutedMeta};
+use crate::msg::{correlate_rpc_reply, MsgCore, RoutedMeta};
 use crate::rt::{now_us, one_by_one, Network, ReactorFrontEnd};
 use crate::url::Url;
 
@@ -359,12 +359,7 @@ impl MsgDispatcherServer {
                         let reused = batch.len() - usize::from(fresh_conn);
                         self.tele.reused_sends.add(reused as u64);
                         for (msg, resp) in batch.drain(..).zip(resps) {
-                            if resp.status.0 == 200 {
-                                // An RPC service answered synchronously:
-                                // translate the response into a reply
-                                // message (Table 1 quadrant 3).
-                                self.translate_rpc_response(config, msg.msg_id.as_deref(), &resp);
-                            }
+                            self.translate_rpc_response(config, msg.msg_id.as_deref(), &resp);
                         }
                         break;
                     }
@@ -390,9 +385,10 @@ impl MsgDispatcherServer {
         }
     }
 
-    /// Translates a `200` response from an RPC-style destination into a
-    /// reply message routed back to the original sender. `req_msg_id` is
-    /// the forwarded request's `MessageID`, captured when the request was
+    /// Routes what an RPC-style destination answered synchronously back
+    /// to the original sender as a reply message (Table 1 quadrant 3); a
+    /// plain `202` ack translates to nothing. `req_msg_id` is the
+    /// forwarded request's `MessageID`, captured when the request was
     /// enqueued — the request envelope is never re-parsed here.
     fn translate_rpc_response(
         self: &Arc<Self>,
@@ -400,35 +396,14 @@ impl MsgDispatcherServer {
         req_msg_id: Option<&str>,
         resp: &Response,
     ) {
-        let Some(xml) = resp.body_str() else {
+        let Some(routable) = correlate_rpc_reply(resp, req_msg_id) else {
             return;
-        };
-        // A canonically-serialized reply that already correlates itself
-        // routes as raw bytes; otherwise parse and inject RelatesTo from
-        // the carried request id.
-        let owned;
-        let routable: &str = if wsd_wsa::scan(xml).is_some_and(|s| s.correlation_id().is_some()) {
-            xml
-        } else {
-            let Ok(mut env) = Envelope::parse(xml) else {
-                return;
-            };
-            if let Ok(mut h) = wsd_wsa::WsaHeaders::from_envelope(&env) {
-                if h.relates_to.is_empty() {
-                    if let Some(id) = req_msg_id {
-                        h.relates_to.push((id.to_string(), None));
-                        h.apply(&mut env);
-                    }
-                }
-            }
-            owned = env.to_xml();
-            &owned
         };
         // The reply is the dispatcher's own message, not a client's: it
         // is never `accepted`, but losing it must show in the books.
         let mut scratch = wsd_soap::checkout();
         let (to, message_id) =
-            match self.core.route_raw_into(routable, routable.len(), now_us(), &mut scratch.out) {
+            match self.core.route_raw_into(&routable, routable.len(), now_us(), &mut scratch.out) {
                 Ok(RoutedMeta::Reply { to, message_id }) => {
                     (to, message_id.map(std::borrow::Cow::into_owned))
                 }
@@ -458,7 +433,7 @@ mod tests {
     use crate::rt::echo_server::EchoServer;
     use std::time::Duration;
     use wsd_http::{serve_connection, Limits};
-    use wsd_soap::rpc as soap_rpc;
+    use wsd_soap::{rpc as soap_rpc, Envelope};
     use wsd_wsa::{EndpointReference, WsaHeaders};
 
     fn quick_config() -> DispatcherConfig {

@@ -11,15 +11,11 @@ use std::sync::Arc;
 
 use wsd_concurrent::{PoolConfig, ThreadBudget, ThreadPool};
 use wsd_http::{serve_connection, Limits, Request, Response, Status};
-use wsd_soap::Envelope;
 use wsd_telemetry::{Counter, Scope};
 
 use crate::config::{MailboxBackend, MsgBoxConfig, MsgBoxStrategy};
-use crate::msgbox::{handle_soap, MsgBoxStore};
+use crate::msgbox::{serve_run, MailboxCounters, MsgBoxStore};
 use crate::rt::{now_us, Network, ReactorFrontEnd};
-
-/// Target prefix of a mailbox deposit: `/deposit/<mailbox id>`.
-const DEPOSIT_PREFIX: &str = "/deposit/";
 
 /// Deposit bytes per second the durable backend acknowledges once the
 /// credit is spent (8 MiB/s: about 1 800 a second of the 4.6 KB
@@ -71,26 +67,6 @@ impl IngressPacer {
     }
 }
 
-/// The threaded WS-MsgBox service's counters — the only copy:
-/// `deposits()`/`rpc_calls()` read these instruments. The thread budget
-/// binds its own `budget` sub-scope (live gauge plus acquired/denials
-/// counters).
-struct MsgBoxTelemetry {
-    deposits: Counter,
-    rpc_calls: Counter,
-    crashes: Counter,
-}
-
-impl MsgBoxTelemetry {
-    fn new(scope: &Scope) -> Self {
-        MsgBoxTelemetry {
-            deposits: scope.counter("deposits"),
-            rpc_calls: scope.counter("rpc_calls"),
-            crashes: scope.counter("crashes"),
-        }
-    }
-}
-
 /// A running WS-MsgBox service.
 pub struct MsgBoxServer {
     store: Arc<MsgBoxStore>,
@@ -103,7 +79,9 @@ pub struct MsgBoxServer {
     limits: Limits,
     budget: ThreadBudget,
     crashed: Arc<AtomicBool>,
-    tele: MsgBoxTelemetry,
+    /// The service's books: `deposits()` and `stats()` read these cells.
+    counters: MailboxCounters,
+    crashes: Counter,
     net: Arc<Network>,
     conns: Arc<crate::rt::ConnTracker>,
     host: String,
@@ -164,7 +142,8 @@ impl MsgBoxServer {
             limits: config.limits,
             budget,
             crashed: Arc::new(AtomicBool::new(false)),
-            tele: MsgBoxTelemetry::new(scope),
+            counters: MailboxCounters::new(scope),
+            crashes: scope.counter("crashes"),
             net: Arc::clone(net),
             conns: crate::rt::ConnTracker::new(),
             host: host.to_string(),
@@ -212,7 +191,7 @@ impl MsgBoxServer {
 
     fn mark_crashed(&self) {
         if !self.crashed.swap(true, Ordering::AcqRel) {
-            self.tele.crashes.inc();
+            self.crashes.inc();
             // OutOfMemoryError: stop accepting anything new.
             self.net.unlisten(&self.host, self.port);
         }
@@ -229,82 +208,22 @@ impl MsgBoxServer {
         });
     }
 
-    /// Serves one run of pipelined requests in order. Consecutive
-    /// `/deposit/`s are stored together — appended one after another,
-    /// made durable by a single commit — and only then answered, so a
-    /// dispatcher's 16-wide drain batch costs one fsync, not sixteen;
-    /// anything else (the SOAP operations) is a barrier between groups.
+    /// Serves one run of pipelined requests through the mailbox service,
+    /// then holds the answers until the deposit bytes the run carried may
+    /// be acknowledged at the ingress rate (durable backend only). The
+    /// deposits are stored, durable and counted before the wait.
     fn handle_run(&self, run: Vec<Request>) -> Vec<Response> {
         if self.crashed.load(Ordering::Acquire) {
             return run.iter().map(|_| Response::empty(Status::SERVICE_UNAVAILABLE)).collect();
         }
-        let mut responses = Vec::with_capacity(run.len());
-        // `(target, body)` of the deposits not yet stored.
-        let mut deposits: Vec<(String, String)> = Vec::new();
-        for req in run {
-            if req.target.starts_with(DEPOSIT_PREFIX) {
-                let body = req.body_utf8().into_owned();
-                deposits.push((req.target, body));
-            } else {
-                self.store_deposits(&mut deposits, &mut responses);
-                responses.push(self.handle_rpc(req));
+        let (responses, deposit_bytes) = serve_run(&self.store, &self.counters, run, now_us());
+        if deposit_bytes > 0 {
+            let wait = self.pacer.as_ref().map_or(0, |p| p.charge(deposit_bytes, now_us()));
+            if wait > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(wait));
             }
         }
-        self.store_deposits(&mut deposits, &mut responses);
         responses
-    }
-
-    /// Stores the pending group of deposits behind one durability
-    /// barrier, then answers each.
-    fn store_deposits(&self, deposits: &mut Vec<(String, String)>, responses: &mut Vec<Response>) {
-        if deposits.is_empty() {
-            return;
-        }
-        let bytes = deposits.iter().map(|(_, body)| body.len() as u64).sum();
-        let stored = self.store.deposit_batch(
-            deposits
-                .iter_mut()
-                .map(|(target, body)| (&target[DEPOSIT_PREFIX.len()..], std::mem::take(body))),
-            now_us(),
-        );
-        deposits.clear();
-        self.pace(bytes);
-        responses.extend(stored.into_iter().map(|result| self.deposit_response(result)));
-    }
-
-    /// Holds the calling handler until `bytes` of deposits just stored
-    /// may be acknowledged at the ingress rate (durable backend only).
-    fn pace(&self, bytes: u64) {
-        let wait = self.pacer.as_ref().map_or(0, |p| p.charge(bytes, now_us()));
-        if wait > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(wait));
-        }
-    }
-
-    /// Answers one stored (hence durable) or refused deposit: `202`, or
-    /// `404` when its mailbox refused it. The only place a deposit is
-    /// counted — after its commit.
-    fn deposit_response(&self, stored: Result<(), crate::msgbox::MsgBoxError>) -> Response {
-        match stored {
-            Ok(()) => {
-                self.tele.deposits.inc();
-                Response::empty(Status::ACCEPTED)
-            }
-            Err(_) => Response::empty(Status::NOT_FOUND),
-        }
-    }
-
-    fn handle_rpc(&self, req: Request) -> Response {
-        let Ok(env) = Envelope::parse(&req.body_utf8()) else {
-            return Response::empty(Status::BAD_REQUEST);
-        };
-        self.tele.rpc_calls.inc();
-        let resp_env = handle_soap(&self.store, &env, now_us());
-        Response::new(
-            Status::OK,
-            env.version.content_type(),
-            resp_env.to_xml().into_bytes(),
-        )
     }
 
     /// Whether the simulated OOM fired.
@@ -314,12 +233,12 @@ impl MsgBoxServer {
 
     /// Deposits accepted.
     pub fn deposits(&self) -> u64 {
-        self.tele.deposits.get()
+        self.counters.deposits.get()
     }
 
-    /// RPC operations served.
-    pub fn rpc_calls(&self) -> u64 {
-        self.tele.rpc_calls.get()
+    /// A handle to the live counters.
+    pub fn stats(&self) -> MailboxCounters {
+        self.counters.clone()
     }
 
     /// Peak concurrently live message threads (thread-per-message mode).
@@ -356,7 +275,7 @@ mod tests {
     use crate::rt::client::MailboxClient;
     use std::time::Duration;
     use wsd_http::HttpClient;
-    use wsd_soap::SoapVersion;
+    use wsd_soap::{Envelope, SoapVersion};
 
     fn pooled() -> MsgBoxConfig {
         MsgBoxConfig {
@@ -394,11 +313,14 @@ mod tests {
         assert!(mbox.poll(10).unwrap().is_empty());
         mbox.destroy().unwrap();
         assert_eq!(server.deposits(), 1);
-        assert!(server.rpc_calls() >= 3);
+        let stats = server.stats();
+        assert_eq!(stats.fetched.get(), 1);
+        assert!(stats.rpc_calls.get() >= 3);
         // The accessors read the instruments the registry reports.
         let snap = reg.snapshot();
         assert_eq!(server.deposits(), snap.counter("mb.deposits"));
-        assert_eq!(server.rpc_calls(), snap.counter("mb.rpc_calls"));
+        assert_eq!(stats.rpc_calls.get(), snap.counter("mb.rpc_calls"));
+        assert_eq!(stats.fetched.get(), snap.counter("mb.fetched"));
         server.shutdown();
     }
 

@@ -6,13 +6,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wsd_concurrent::{PoolConfig, ThreadPool};
-use wsd_http::{HttpClient, Request, Response};
-use wsd_soap::SoapVersion;
+use wsd_http::{HttpClient, HttpError, Request, Response};
 use wsd_telemetry::Scope;
 
 use crate::config::DispatcherConfig;
 use crate::registry::Registry;
-use crate::rpc::{error_response, plan_forward, upstream_failure_response, RpcCounters};
+use crate::rpc::{plan_forward, RpcCounters, UpstreamFailure};
 use crate::rt::{one_by_one, Network, ReactorFrontEnd};
 use crate::security::PolicyChain;
 
@@ -98,28 +97,21 @@ fn handle(
     stats.received.inc();
     let (url, logical, fwd) = match plan_forward(registry, policies, &req) {
         Ok(plan) => plan,
-        Err(e) => {
-            stats.refused.inc();
-            return error_response(SoapVersion::V11, &e);
-        }
+        Err(e) => return stats.refuse(&e),
     };
     registry.note_dispatched(&logical, &url);
     let result = forward_once(net, &url.host, url.port, fwd, response_timeout, stats);
     registry.note_completed(&logical, &url);
     match result {
-        Ok(mut resp) => {
-            stats.relayed.inc();
-            // The upstream hop's connection semantics must not leak to
-            // the client connection.
-            resp.headers.remove("connection");
-            resp
-        }
-        Err(why) => {
-            stats.upstream_failures.inc();
-            // A dead endpoint is marked down so the balancer can fail
-            // over (the liveness future-work item).
-            registry.mark_down(&logical, &url);
-            upstream_failure_response(SoapVersion::V11, &why)
+        Ok(resp) => stats.relay(resp),
+        Err(failure) => {
+            // An endpoint that refuses connections is marked down so the
+            // balancer can fail over (the liveness future-work item). One
+            // that answers late is slow, not dead: nothing marks it up again.
+            if let UpstreamFailure::Connect(_) = failure {
+                registry.mark_down(&logical, &url);
+            }
+            stats.fail(&failure)
         }
     }
 }
@@ -133,18 +125,23 @@ fn forward_once(
     mut fwd: Request,
     response_timeout: Duration,
     stats: &RpcCounters,
-) -> Result<Response, String> {
+) -> Result<Response, UpstreamFailure> {
     let stream = net
         .connect(host, port)
-        .map_err(|e| format!("connect to {host}:{port} failed: {e}"))?;
+        .map_err(|e| UpstreamFailure::Connect(e.to_string()))?;
     let mut client = HttpClient::new(stream);
     client
         .set_response_timeout(Some(response_timeout))
-        .map_err(|e| e.to_string())?;
+        .map_err(|_| UpstreamFailure::Send)?;
     fwd.headers.set("Connection", "close");
-    client.send_only(&fwd).map_err(|e| e.to_string())?;
+    client.send_only(&fwd).map_err(|_| UpstreamFailure::Send)?;
     stats.forwarded.inc();
-    client.read_response().map_err(|e| e.to_string())
+    client.read_response().map_err(|e| match e {
+        HttpError::Io(io) if io.kind() == std::io::ErrorKind::TimedOut => {
+            UpstreamFailure::ResponseTimeout
+        }
+        _ => UpstreamFailure::ClosedEarly,
+    })
 }
 
 #[cfg(test)]
@@ -153,7 +150,7 @@ mod tests {
     use crate::rt::echo_server::EchoServer;
     use crate::url::Url;
     use wsd_http::Status;
-    use wsd_soap::{rpc as soap_rpc, Envelope};
+    use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
 
     fn call_dispatcher(net: &Arc<Network>, text: &str) -> Response {
         let stream = net.connect("dispatcher", 8081).unwrap();

@@ -18,10 +18,10 @@ use std::collections::{HashMap, VecDeque};
 
 use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
-use wsd_soap::{Envelope, SoapVersion};
+use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, EventTrace, Gauge, Scope, TraceStage};
 
-use crate::msg::{MsgCore, RoutedRaw};
+use crate::msg::{correlate_rpc_reply, MsgCore, RoutedRaw};
 use crate::reliable::RetryPolicy;
 use crate::sim::{request_payload, response_payload, CpuQueue};
 use crate::url::Url;
@@ -466,23 +466,9 @@ impl SimMsgDispatcher {
         let Ok(resp) = wsd_http::parse_response_bytes(&bytes) else {
             return;
         };
-        if resp.status.0 != 200 {
+        let Some(routable) = correlate_rpc_reply(&resp, outstanding.as_deref()) else {
             return; // plain ack (202) or error — nothing to translate
-        }
-        let Ok(mut env) = Envelope::parse(&resp.body_utf8()) else {
-            return;
         };
-        // Correlate to the request this response answers, unless the
-        // service already did.
-        if let (Some(id), Ok(mut h)) = (
-            outstanding.filter(|id| !id.is_empty()),
-            wsd_wsa::WsaHeaders::from_envelope(&env),
-        ) {
-            if h.relates_to.is_empty() {
-                h.relates_to.push((id, None));
-                h.apply(&mut env);
-            }
-        }
         // Translation costs CxThread CPU like any inbound message — this
         // is why Table 1 calls the RPC server "a bottleneck (translation
         // of semantics from messaging to RPC)".
@@ -490,7 +476,7 @@ impl SimMsgDispatcher {
             "translated",
             "/msg",
             SoapVersion::V11.content_type(),
-            env.to_xml().into_bytes(),
+            routable.into_owned().into_bytes(),
         );
         let done_at = self.cpu.reserve(ctx.now(), self.dispatch_time);
         let token = self.token();

@@ -13,11 +13,10 @@ use std::collections::{HashMap, HashSet};
 
 use wsd_http::{parse_request_bytes, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
-use wsd_soap::Envelope;
 use wsd_telemetry::{Counter, Gauge, Scope};
 
 use crate::config::{MsgBoxConfig, MsgBoxStrategy};
-use crate::msgbox::{handle_soap, MsgBoxStore};
+use crate::msgbox::{serve_run, MailboxCounters, MsgBoxStore};
 use crate::sim::{response_payload, CpuQueue};
 
 /// The simulated mailbox's books: the telemetry instruments themselves.
@@ -26,12 +25,9 @@ use crate::sim::{response_payload, CpuQueue};
 /// thread-accounting dynamic that drives the paper's §4.3.2 OOM.
 #[derive(Debug, Clone)]
 pub struct SimMsgBoxStats {
-    /// One-way deposits accepted.
-    pub deposits: Counter,
-    /// RPC operations served (create/fetch/destroy).
-    pub rpc_calls: Counter,
-    /// Stored messages handed to clients by `fetch`.
-    pub fetched: Counter,
+    /// The mailbox service's own books (`deposits`, `rpc_calls`,
+    /// `fetched`), kept by the service both runtimes call.
+    pub mailbox: MailboxCounters,
     /// "Native threads" started.
     pub thread_spawns: Counter,
     /// Times the simulated `OutOfMemoryError` fired.
@@ -47,9 +43,7 @@ pub struct SimMsgBoxStats {
 impl SimMsgBoxStats {
     fn new(scope: &Scope) -> Self {
         SimMsgBoxStats {
-            deposits: scope.counter("deposits"),
-            rpc_calls: scope.counter("rpc_calls"),
-            fetched: scope.counter("fetched"),
+            mailbox: MailboxCounters::new(scope),
             thread_spawns: scope.counter("thread_spawns"),
             budget_exhausted: scope.counter("budget_exhausted"),
             dropped_after_crash: scope.counter("dropped_after_crash"),
@@ -170,41 +164,18 @@ impl SimMsgBox {
     }
 
     /// Computes the response for one request, immediately (storage work
-    /// is cheap; what costs is the thread/CPU accounting around it).
+    /// is cheap; what costs is the thread/CPU accounting around it). One
+    /// simulated message is one request: the mailbox service sees a run
+    /// of one, so every deposit is its own durability barrier.
     fn respond_to(&mut self, raw: &Payload, now_us: u64) -> Payload {
         let Ok(req) = parse_request_bytes(raw) else {
             return response_payload(&Response::empty(Status::BAD_REQUEST));
         };
-        if let Some(box_id) = req.target.strip_prefix("/deposit/") {
-            // One-way deposit from a dispatcher or service.
-            let body = req.body_utf8().to_string();
-            return match self.store.deposit(box_id, body, now_us) {
-                Ok(()) => {
-                    self.stats.deposits.inc();
-                    response_payload(&Response::empty(Status::ACCEPTED))
-                }
-                Err(_) => response_payload(&Response::empty(Status::NOT_FOUND)),
-            };
-        }
-        // RPC operation.
-        let Ok(env) = Envelope::parse(&req.body_utf8()) else {
-            return response_payload(&Response::empty(Status::BAD_REQUEST));
-        };
-        let resp_env = handle_soap(&self.store, &env, now_us);
-        self.stats.rpc_calls.inc();
-        if let Some(parts) = resp_env.payload() {
-            if let Some(op) = parts.first() {
-                if op.name.local == "fetchResponse" {
-                    let n = op.find_children(None, "message").count() as u64;
-                    self.stats.fetched.add(n);
-                }
-            }
-        }
-        let resp = Response::new(
-            Status::OK,
-            env.version.content_type(),
-            resp_env.to_xml().into_bytes(),
-        );
+        let (mut responses, _) = serve_run(&self.store, &self.stats.mailbox, [req], now_us);
+        // A run of one yields one response.
+        let resp = responses
+            .pop()
+            .unwrap_or_else(|| Response::empty(Status::SERVICE_UNAVAILABLE));
         response_payload(&resp)
     }
 
@@ -341,7 +312,7 @@ mod tests {
     use crate::msgbox::ops;
     
     use wsd_netsim::{HostConfig, Simulation};
-    use wsd_soap::SoapVersion;
+    use wsd_soap::{Envelope, SoapVersion};
 
     /// Drives an arbitrary sequence of requests, one after another.
     struct Scripted {
@@ -448,8 +419,8 @@ mod tests {
         assert!(got[0].starts_with("HTTP/1.1 202"), "deposit ack: {}", got[0]);
         assert!(got[1].contains("fetchResponse"), "{}", got[1]);
         assert!(got[1].contains("stored"), "{}", got[1]);
-        assert_eq!(stats.deposits.get(), 1);
-        assert_eq!(stats.fetched.get(), 1);
+        assert_eq!(stats.mailbox.deposits.get(), 1);
+        assert_eq!(stats.mailbox.fetched.get(), 1);
         assert!(!stats.oom());
     }
 
@@ -599,7 +570,7 @@ mod tests {
         );
         sim.run();
         assert!(stats.oom(), "unbounded mailbox growth must OOM");
-        assert!(stats.deposits.get() < 10, "the fatal deposit is never acked");
+        assert!(stats.mailbox.deposits.get() < 10, "the fatal deposit is never acked");
     }
 
     #[test]
@@ -643,7 +614,7 @@ mod tests {
         );
         sim.run();
         assert!(!stats.oom(), "durable backend must ride out the burst");
-        assert_eq!(stats.deposits.get(), 10);
+        assert_eq!(stats.mailbox.deposits.get(), 10);
         assert!(responses.borrow().iter().all(|r| r.starts_with("HTTP/1.1 202")));
         // Each deposit fsynced: the virtual disk made durability cost
         // simulated time (10 fsyncs ≥ 80 ms on the default profile).
@@ -686,9 +657,9 @@ mod tests {
         // The handle is the instrument: every field reads what the
         // registry reports under the same name.
         for (name, counter) in [
-            ("deposits", &stats.deposits),
-            ("rpc_calls", &stats.rpc_calls),
-            ("fetched", &stats.fetched),
+            ("deposits", &stats.mailbox.deposits),
+            ("rpc_calls", &stats.mailbox.rpc_calls),
+            ("fetched", &stats.mailbox.fetched),
             ("thread_spawns", &stats.thread_spawns),
             ("budget_exhausted", &stats.budget_exhausted),
             ("dropped_after_crash", &stats.dropped_after_crash),

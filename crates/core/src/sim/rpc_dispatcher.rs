@@ -12,11 +12,10 @@ use std::sync::Arc;
 
 use wsd_http::{parse_request_bytes, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
-use wsd_soap::SoapVersion;
 use wsd_telemetry::{Gauge, Scope};
 
 use crate::registry::Registry;
-use crate::rpc::{error_response, plan_forward, upstream_failure_response, RpcCounters};
+use crate::rpc::{plan_forward, RpcCounters, UpstreamFailure};
 use crate::security::PolicyChain;
 use crate::sim::{request_payload, response_payload, CpuQueue};
 
@@ -118,8 +117,7 @@ impl SimRpcDispatcher {
                 );
             }
             Err(e) => {
-                self.stats.refused.inc();
-                let resp = error_response(SoapVersion::V11, &e);
+                let resp = self.stats.refuse(&e);
                 let _ = ctx.send(client_conn, response_payload(&resp));
             }
         }
@@ -154,9 +152,7 @@ impl Process for SimRpcDispatcher {
                     if let Some(client_conn) = self.awaiting.remove(&upstream) {
                         // The WS took longer than the HTTP/TCP timeout.
                         self.inflight.dec();
-                        self.stats.upstream_failures.inc();
-                        let resp =
-                            upstream_failure_response(SoapVersion::V11, "response timed out");
+                        let resp = self.stats.fail(&UpstreamFailure::ResponseTimeout);
                         let _ = ctx.send(client_conn, response_payload(&resp));
                         ctx.close(upstream);
                     }
@@ -173,19 +169,15 @@ impl Process for SimRpcDispatcher {
                         self.timeouts.insert(token, conn);
                         ctx.set_timer(self.response_timeout, token);
                     } else {
-                        self.stats.upstream_failures.inc();
-                        let resp = upstream_failure_response(SoapVersion::V11, "send failed");
+                        let resp = self.stats.fail(&UpstreamFailure::Send);
                         let _ = ctx.send(job.client_conn, response_payload(&resp));
                     }
                 }
             }
             ProcEvent::ConnRefused { conn, reason } => {
                 if let Some(job) = self.connecting.remove(&conn) {
-                    self.stats.upstream_failures.inc();
-                    let resp = upstream_failure_response(
-                        SoapVersion::V11,
-                        &format!("connect failed: {reason:?}"),
-                    );
+                    let failure = UpstreamFailure::Connect(format!("{reason:?}"));
+                    let resp = self.stats.fail(&failure);
                     let _ = ctx.send(job.client_conn, response_payload(&resp));
                 }
             }
@@ -193,11 +185,7 @@ impl Process for SimRpcDispatcher {
                 if let Some(client_conn) = self.awaiting.remove(&conn) {
                     // Upstream died before responding.
                     self.inflight.dec();
-                    self.stats.upstream_failures.inc();
-                    let resp = upstream_failure_response(
-                        SoapVersion::V11,
-                        "upstream closed before responding",
-                    );
+                    let resp = self.stats.fail(&UpstreamFailure::ClosedEarly);
                     let _ = ctx.send(client_conn, response_payload(&resp));
                 }
             }
@@ -214,7 +202,7 @@ mod tests {
     use wsd_netsim::{HostConfig, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
-    use wsd_soap::{rpc as soap_rpc, Envelope};
+    use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
 
     struct TestClient {
         body: Payload,

@@ -503,7 +503,7 @@ fn run_wall_point(durable: bool, clients: usize, seconds: u64) -> (bool, u64, u6
     }
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
     let spilled = reg.snapshot().gauge_peak("msgbox.store.spilled_bytes").max(0) as u64;
-    (stats.oom(), stats.deposits.get(), spilled)
+    (stats.oom(), stats.mailbox.deposits.get(), spilled)
 }
 
 /// Runs the durability-wall sweep.

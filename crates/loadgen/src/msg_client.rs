@@ -452,7 +452,7 @@ mod tests {
         assert!(stats.mailbox_created());
         assert!(stats.sent() > 3, "sent {}", stats.sent());
         assert!(svc_stats.accepted() > 3);
-        assert!(mbox_stats.deposits.get() > 3, "deposits {}", mbox_stats.deposits.get());
+        assert!(mbox_stats.mailbox.deposits.get() > 3, "deposits {}", mbox_stats.mailbox.deposits.get());
         assert!(
             stats.responses_received() > 3,
             "responses {}",

@@ -224,8 +224,8 @@ fn conservation_of_messages() {
     // Client-acked ≥ service-accepted (acks ride behind processing);
     // replies fetched ≤ deposits ≤ service replies sent.
     assert!(svc_stats.accepted() >= sent, "{} vs {sent}", svc_stats.accepted());
-    assert!(mbox_stats.deposits.get() <= svc_stats.responses_sent());
-    assert!(responses <= mbox_stats.deposits.get());
+    assert!(mbox_stats.mailbox.deposits.get() <= svc_stats.responses_sent());
+    assert!(responses <= mbox_stats.mailbox.deposits.get());
     assert!(responses > 0);
     // The dispatcher forwarded everything it accepted (plus replies).
     assert!(disp_stats.forwarded.get() >= sent);

@@ -28,6 +28,7 @@ use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy
 use ws_dispatcher::core::msg::MsgCore;
 use ws_dispatcher::core::msgbox::ops;
 use ws_dispatcher::core::registry::Registry;
+use ws_dispatcher::core::rpc::RpcCounters;
 use ws_dispatcher::core::rt::{
     EchoServer, MsgBoxServer, MsgDispatcherServer, Network, RpcDispatcherServer,
 };
@@ -36,7 +37,6 @@ use ws_dispatcher::core::sim::{
     request_payload, response_payload, EchoMode, MsgDispatcherStats, SimEchoService, SimMsgBox,
     SimMsgBoxStats, SimMsgDispatcher, SimRpcDispatcher, WsThreadConfig,
 };
-use ws_dispatcher::core::rpc::RpcCounters;
 use ws_dispatcher::core::url::Url;
 use ws_dispatcher::http::{
     parse_request_bytes, parse_response_bytes, serve_connection, HttpClient, Limits, PipeStream,
@@ -66,8 +66,8 @@ const CLIENT: Addr = ("client", 9000);
 enum Service {
     /// Nothing: connects are refused.
     Dead,
-    /// The RPC-style echo service, answering after `delay_ms`.
-    Echo { delay_ms: u64 },
+    /// The RPC-style echo service, answering after this many milliseconds.
+    Echo(u64),
     /// An RPC-style echo whose `200` already carries `RelatesTo`.
     CorrelatingEcho,
 }
@@ -84,20 +84,25 @@ enum ReplyTo {
 /// One client request.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// SOAP-RPC echo of `text` through the RPC-Dispatcher at `/svc/<service>`.
-    Call { service: &'static str, text: &'static str },
+    /// SOAP-RPC echo of this text through the RPC-Dispatcher at `/svc/Echo`.
+    Call(&'static str),
     /// WS-MsgBox `create`; the conversation remembers the box and its key.
     Create,
-    /// `POST /deposit/<box>`; `missing` aims at a mailbox nobody created.
-    Deposit { missing: bool, body: &'static str },
+    /// `POST /deposit/<box>` of this body.
+    Deposit(&'static str),
+    /// A deposit aimed at a mailbox nobody created.
+    DepositToMissingBox(&'static str),
     /// WS-MsgBox `fetch` of up to ten messages.
-    Fetch { wrong_key: bool },
+    Fetch,
+    /// A `fetch` presenting the wrong access key.
+    FetchWithWrongKey,
     /// `Fetch`, repeated until it hands out something.
     Poll,
     /// WS-MsgBox `destroy`.
     Destroy,
-    /// A one-way echo request through the MSG-Dispatcher.
-    OneWay { id: &'static str, text: &'static str, reply_to: ReplyTo },
+    /// A one-way echo request `(MessageID, text, ReplyTo)` through the
+    /// MSG-Dispatcher.
+    OneWay(&'static str, &'static str, ReplyTo),
     /// A one-way message with no WS-Addressing headers at all.
     Unroutable,
 }
@@ -117,12 +122,13 @@ enum Expect {
     Created,
     /// `200` `fetchResponse` handing out exactly these bodies, in order.
     Fetched(&'static [&'static str]),
-    /// `200` `fetchResponse` handing out one echo reply correlated to `relates_to`.
-    FetchedReply { text: &'static str, relates_to: &'static str },
+    /// `200` `fetchResponse` handing out one echo reply `(text, RelatesTo)`.
+    FetchedReply(&'static str, &'static str),
     /// `200` `destroyResponse`.
     Destroyed,
-    /// The runtimes answer differently on purpose (see the row's `differs`).
-    PerRuntime { sim: &'static Expect, rt: &'static Expect },
+    /// The runtimes answer differently on purpose (see the row's
+    /// `differs`): `(sim, rt)`.
+    PerRuntime(&'static Expect, &'static Expect),
 }
 
 /// The components' books at quiescence.
@@ -145,8 +151,6 @@ struct RpcBooks {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct MailboxBooks {
     deposits: u64,
-    /// Sim only at this commit: the threaded mailbox does not count what
-    /// it hands out.
     fetched: u64,
     /// Messages still in the conversation's mailbox, measured by draining
     /// it after the books are read.
@@ -158,6 +162,46 @@ struct MsgBooks {
     delivered: u64,
     dropped: u64,
     rejected: u64,
+}
+
+impl Books {
+    /// Only the RPC-Dispatcher saw traffic; arguments in field order.
+    fn rpc(received: u64, forwarded: u64, relayed: u64, refused: u64, failures: u64) -> Books {
+        let rpc = RpcBooks {
+            received,
+            forwarded,
+            relayed,
+            refused,
+            upstream_failures: failures,
+        };
+        Books {
+            rpc,
+            ..Books::default()
+        }
+    }
+
+    /// Only WS-MsgBox saw traffic.
+    fn mailbox(deposits: u64, fetched: u64, resident: u64) -> Books {
+        let mailbox = MailboxBooks {
+            deposits,
+            fetched,
+            resident,
+        };
+        Books {
+            mailbox,
+            ..Books::default()
+        }
+    }
+
+    /// The MSG-Dispatcher's books, on top of `self`.
+    fn msg(self, delivered: u64, dropped: u64, rejected: u64) -> Books {
+        let msg = MsgBooks {
+            delivered,
+            dropped,
+            rejected,
+        };
+        Books { msg, ..self }
+    }
 }
 
 /// One row.
@@ -191,7 +235,7 @@ impl Scenario {
     fn new(name: &'static str, script: Vec<(Step, Expect)>) -> Scenario {
         Scenario {
             name,
-            service: Service::Echo { delay_ms: 0 },
+            service: Service::Echo(0),
             registered: true,
             response_timeout_ms: 30_000,
             firewalled_client: false,
@@ -206,35 +250,34 @@ impl Scenario {
     }
 
     fn destroys(&self) -> bool {
-        self.script.iter().any(|(step, _)| matches!(step, Step::Destroy))
+        self.script
+            .iter()
+            .any(|(step, _)| matches!(step, Step::Destroy))
     }
 }
 
 fn mailbox_lifecycle() -> Vec<(Step, Expect)> {
     vec![
         (Step::Create, Expect::Created),
-        (Step::Deposit { missing: false, body: "<a/>" }, Expect::Status(202)),
-        (Step::Deposit { missing: false, body: "<b/>" }, Expect::Status(202)),
-        (Step::Fetch { wrong_key: false }, Expect::Fetched(&["<a/>", "<b/>"])),
-        (Step::Fetch { wrong_key: false }, Expect::Fetched(&[])),
-        (Step::Fetch { wrong_key: true }, Expect::Fault(200, "wrong mailbox access key")),
-        (Step::Deposit { missing: true, body: "<lost/>" }, Expect::Status(404)),
+        (Step::Deposit("<a/>"), Expect::Status(202)),
+        (Step::Deposit("<b/>"), Expect::Status(202)),
+        (Step::Fetch, Expect::Fetched(&["<a/>", "<b/>"])),
+        (Step::Fetch, Expect::Fetched(&[])),
+        (
+            Step::FetchWithWrongKey,
+            Expect::Fault(200, "wrong mailbox access key"),
+        ),
+        (Step::DepositToMissingBox("<lost/>"), Expect::Status(404)),
         (Step::Destroy, Expect::Destroyed),
     ]
 }
 
 fn table() -> Vec<Scenario> {
-    let call = Step::Call { service: "Echo", text: "hello" };
-    let lifecycle_books = Books {
-        mailbox: MailboxBooks { deposits: 2, fetched: 2, resident: 0 },
-        ..Books::default()
-    };
+    let call = Step::Call("hello");
+    let timed_out = Expect::Fault(502, "upstream failure: response timed out");
     vec![
         Scenario {
-            books: Books {
-                rpc: RpcBooks { received: 1, forwarded: 1, relayed: 1, ..RpcBooks::default() },
-                ..Books::default()
-            },
+            books: Books::rpc(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "RPC client, RPC service: forwarded and relayed (Table 1 quadrant 1)",
                 vec![(call, Expect::Echo("hello"))],
@@ -242,10 +285,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             registered: false,
-            books: Books {
-                rpc: RpcBooks { received: 1, refused: 1, ..RpcBooks::default() },
-                ..Books::default()
-            },
+            books: Books::rpc(1, 0, 0, 1, 0),
             ..Scenario::new(
                 "unknown logical service is refused with 404",
                 vec![(call, Expect::Fault(404, "unknown logical service"))],
@@ -253,10 +293,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             service: Service::Dead,
-            books: Books {
-                rpc: RpcBooks { received: 1, upstream_failures: 1, ..RpcBooks::default() },
-                ..Books::default()
-            },
+            books: Books::rpc(1, 0, 0, 0, 1),
             differs: &[
                 "rt marks the endpoint whose connect failed down, so a single-endpoint \
                  service answers 404 from then on; sim's RPC-Dispatcher never touches the \
@@ -264,35 +301,24 @@ fn table() -> Vec<Scenario> {
             ],
             ..Scenario::new(
                 "dead upstream is a 502",
-                vec![(call, Expect::Fault(502, "upstream failure: connect"))],
+                vec![(call, Expect::Fault(502, "upstream failure: connect failed"))],
             )
         },
         Scenario {
-            service: Service::Echo { delay_ms: 300 },
+            service: Service::Echo(300),
             response_timeout_ms: 50,
-            books: Books {
-                rpc: RpcBooks {
-                    received: 2,
-                    forwarded: 2,
-                    upstream_failures: 2,
-                    ..RpcBooks::default()
-                },
-                ..Books::default()
-            },
+            books: Books::rpc(2, 2, 0, 0, 2),
             fixed_here: Some(
                 "rt marked an endpoint down on any upstream failure and nothing marks it \
                  up again: after one timeout the second answer was 404 and refused == 1",
             ),
             ..Scenario::new(
                 "upstream slower than the response timeout, twice in a row: 502 and 502",
-                vec![
-                    (call, Expect::Fault(502, "upstream failure")),
-                    (call, Expect::Fault(502, "upstream failure")),
-                ],
+                vec![(call, timed_out), (call, timed_out)],
             )
         },
         Scenario {
-            books: lifecycle_books,
+            books: Books::mailbox(2, 2, 0),
             ..Scenario::new(
                 "mailbox create, deposit x2, fetch in order, fetch empty, wrong key, \
                  missing box, destroy",
@@ -301,7 +327,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             thread_per_message: true,
-            books: lifecycle_books,
+            books: Books::mailbox(2, 2, 0),
             ..Scenario::new(
                 "the same mailbox conversation against the thread-per-message design",
                 mailbox_lifecycle(),
@@ -309,34 +335,28 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             pipeline_from: Some(1),
-            books: Books {
-                mailbox: MailboxBooks { deposits: 4, fetched: 3, resident: 1 },
-                ..Books::default()
-            },
+            books: Books::mailbox(4, 3, 1),
             ..Scenario::new(
                 "pipelined deposit-deposit-fetch-deposit-fetch-deposit on one connection",
                 vec![
                     (Step::Create, Expect::Created),
-                    (Step::Deposit { missing: false, body: "<a/>" }, Expect::Status(202)),
-                    (Step::Deposit { missing: false, body: "<b/>" }, Expect::Status(202)),
-                    (Step::Fetch { wrong_key: false }, Expect::Fetched(&["<a/>", "<b/>"])),
-                    (Step::Deposit { missing: false, body: "<c/>" }, Expect::Status(202)),
-                    (Step::Fetch { wrong_key: false }, Expect::Fetched(&["<c/>"])),
-                    (Step::Deposit { missing: false, body: "<d/>" }, Expect::Status(202)),
+                    (Step::Deposit("<a/>"), Expect::Status(202)),
+                    (Step::Deposit("<b/>"), Expect::Status(202)),
+                    (Step::Fetch, Expect::Fetched(&["<a/>", "<b/>"])),
+                    (Step::Deposit("<c/>"), Expect::Status(202)),
+                    (Step::Fetch, Expect::Fetched(&["<c/>"])),
+                    (Step::Deposit("<d/>"), Expect::Status(202)),
                 ],
             )
         },
         Scenario {
             delivered: &[("q3", "uuid:q3-plain")],
-            books: Books {
-                msg: MsgBooks { delivered: 2, ..MsgBooks::default() },
-                ..Books::default()
-            },
+            books: Books::default().msg(2, 0, 0),
             ..Scenario::new(
                 "MSG client, RPC service (Table 1 quadrant 3): the 200 is translated into \
                  a reply and RelatesTo injected",
                 vec![(
-                    Step::OneWay { id: "uuid:q3-plain", text: "q3", reply_to: ReplyTo::Callback },
+                    Step::OneWay("uuid:q3-plain", "q3", ReplyTo::Callback),
                     Expect::Status(202),
                 )],
             )
@@ -344,53 +364,36 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::CorrelatingEcho,
             delivered: &[("q3", "uuid:q3-self")],
-            books: Books {
-                msg: MsgBooks { delivered: 2, ..MsgBooks::default() },
-                ..Books::default()
-            },
+            books: Books::default().msg(2, 0, 0),
             ..Scenario::new(
                 "quadrant 3 with a service whose 200 already correlates itself",
                 vec![(
-                    Step::OneWay { id: "uuid:q3-self", text: "q3", reply_to: ReplyTo::Callback },
+                    Step::OneWay("uuid:q3-self", "q3", ReplyTo::Callback),
                     Expect::Status(202),
                 )],
             )
         },
         Scenario {
             firewalled_client: true,
-            books: Books {
-                mailbox: MailboxBooks { deposits: 1, fetched: 1, resident: 0 },
-                msg: MsgBooks { delivered: 2, ..MsgBooks::default() },
-                ..Books::default()
-            },
+            books: Books::mailbox(1, 1, 0).msg(2, 0, 0),
             ..Scenario::new(
                 "Figure 1: a firewalled client converses through dispatcher and mailbox",
                 vec![
                     (Step::Create, Expect::Created),
                     (
-                        Step::OneWay {
-                            id: "uuid:fig1",
-                            text: "behind the firewall",
-                            reply_to: ReplyTo::Mailbox,
-                        },
+                        Step::OneWay("uuid:fig1", "behind the firewall", ReplyTo::Mailbox),
                         Expect::Status(202),
                     ),
                     (
                         Step::Poll,
-                        Expect::FetchedReply {
-                            text: "behind the firewall",
-                            relates_to: "uuid:fig1",
-                        },
+                        Expect::FetchedReply("behind the firewall", "uuid:fig1"),
                     ),
                 ],
             )
         },
         Scenario {
             firewalled_client: true,
-            books: Books {
-                msg: MsgBooks { delivered: 1, dropped: 1, ..MsgBooks::default() },
-                ..Books::default()
-            },
+            books: Books::default().msg(1, 1, 0),
             differs: &[
                 "a failed connect is backoff-and-retry, then drop the destination's whole \
                  queue in sim; rt drops the popped batch at the first failed connect",
@@ -398,16 +401,13 @@ fn table() -> Vec<Scenario> {
             ..Scenario::new(
                 "a reply to a firewalled client with no mailbox is dropped, on the books",
                 vec![(
-                    Step::OneWay { id: "uuid:fw", text: "lost", reply_to: ReplyTo::Callback },
+                    Step::OneWay("uuid:fw", "lost", ReplyTo::Callback),
                     Expect::Status(202),
                 )],
             )
         },
         Scenario {
-            books: Books {
-                msg: MsgBooks { rejected: 1, ..MsgBooks::default() },
-                ..Books::default()
-            },
+            books: Books::default().msg(0, 0, 1),
             differs: &[
                 "a rejected one-way message is an empty 400 in sim and error_response's \
                  SOAP fault in rt",
@@ -416,10 +416,7 @@ fn table() -> Vec<Scenario> {
                 "a one-way message with no destination is rejected with 400",
                 vec![(
                     Step::Unroutable,
-                    Expect::PerRuntime {
-                        sim: &Expect::Empty(400),
-                        rt: &Expect::Fault(400, "no destination"),
-                    },
+                    Expect::PerRuntime(&Expect::Empty(400), &Expect::Fault(400, "no destination")),
                 )],
             )
         },
@@ -446,7 +443,10 @@ struct Reply {
 
 impl Reply {
     fn of(resp: &Response) -> Reply {
-        Reply { status: resp.status.0, body: resp.body_utf8().into_owned() }
+        Reply {
+            status: resp.status.0,
+            body: resp.body_utf8().into_owned(),
+        }
     }
 
     fn fetched(&self) -> Option<Vec<String>> {
@@ -455,33 +455,43 @@ impl Reply {
 }
 
 fn soap_post(to: Addr, path: &str, body: String) -> Request {
-    Request::soap_post(&format!("{}:{}", to.0, to.1), path, V11.content_type(), body.into_bytes())
+    Request::soap_post(
+        &format!("{}:{}", to.0, to.1),
+        path,
+        V11.content_type(),
+        body.into_bytes(),
+    )
 }
 
 impl Step {
     /// The listener this step talks to and the request it sends there.
     fn request(&self, conv: &Conversation) -> (Addr, Request) {
         match *self {
-            Step::Call { service, text } => {
+            Step::Call(text) => {
                 let env = soap_rpc::echo_request(V11, text);
-                (RPC, soap_post(RPC, &format!("/svc/{service}"), env.to_xml()))
+                (RPC, soap_post(RPC, "/svc/Echo", env.to_xml()))
             }
             Step::Create => (MBOX, soap_post(MBOX, "/msgbox", ops::create(V11).to_xml())),
-            Step::Deposit { missing, body } => {
-                let box_id = if missing { "mbox-missing" } else { &conv.box_id };
-                (MBOX, soap_post(MBOX, &format!("/deposit/{box_id}"), body.to_string()))
+            Step::Deposit(body) => {
+                let path = format!("/deposit/{}", conv.box_id);
+                (MBOX, soap_post(MBOX, &path, body.to_string()))
             }
-            Step::Fetch { wrong_key } => {
+            Step::DepositToMissingBox(body) => (
+                MBOX,
+                soap_post(MBOX, "/deposit/mbox-missing", body.to_string()),
+            ),
+            Step::Fetch | Step::FetchWithWrongKey => {
+                let wrong_key = matches!(self, Step::FetchWithWrongKey);
                 let key = if wrong_key { "key-wrong" } else { &conv.key };
                 let env = ops::fetch(V11, &conv.box_id, key, 10);
                 (MBOX, soap_post(MBOX, "/msgbox", env.to_xml()))
             }
-            Step::Poll => Step::Fetch { wrong_key: false }.request(conv),
+            Step::Poll => Step::Fetch.request(conv),
             Step::Destroy => {
                 let env = ops::destroy(V11, &conv.box_id, &conv.key);
                 (MBOX, soap_post(MBOX, "/msgbox", env.to_xml()))
             }
-            Step::OneWay { id, text, reply_to } => {
+            Step::OneWay(id, text, reply_to) => {
                 let reply_to = match reply_to {
                     ReplyTo::Callback => format!("http://{}:{}/cb", CLIENT.0, CLIENT.1),
                     ReplyTo::Mailbox => {
@@ -496,9 +506,10 @@ impl Step {
                     .apply(&mut env);
                 (MSG, soap_post(MSG, "/msg", env.to_xml()))
             }
-            Step::Unroutable => {
-                (MSG, soap_post(MSG, "/msg", soap_rpc::echo_request(V11, "nowhere").to_xml()))
-            }
+            Step::Unroutable => (
+                MSG,
+                soap_post(MSG, "/msg", soap_rpc::echo_request(V11, "nowhere").to_xml()),
+            ),
         }
     }
 
@@ -528,17 +539,29 @@ fn echo_reply(xml: &str) -> (String, String) {
     let env = Envelope::parse(xml).expect("a reply envelope");
     let text = soap_rpc::parse_echo_response(&env).expect("an echo response");
     let headers = WsaHeaders::from_envelope(&env).expect("WS-Addressing headers");
-    let relates_to = headers.relates_to.first().map(|(id, _)| id.clone()).unwrap_or_default();
+    let relates_to = headers
+        .relates_to
+        .first()
+        .map(|(id, _)| id.clone())
+        .unwrap_or_default();
     (text, relates_to)
 }
 
 impl Expect {
     fn check(&self, reply: &Reply, on_sim: bool, at: &str) {
         let fault_reason = || {
-            let env = Envelope::parse(&reply.body).unwrap_or_else(|e| panic!("{at}: {e}: {reply:?}"));
-            env.as_fault().unwrap_or_else(|| panic!("{at}: not a fault: {reply:?}")).reason.clone()
+            let env =
+                Envelope::parse(&reply.body).unwrap_or_else(|e| panic!("{at}: {e}: {reply:?}"));
+            env.as_fault()
+                .unwrap_or_else(|| panic!("{at}: not a fault: {reply:?}"))
+                .reason
+                .clone()
         };
-        let fetched = || reply.fetched().unwrap_or_else(|| panic!("{at}: no fetchResponse: {reply:?}"));
+        let fetched = || {
+            reply
+                .fetched()
+                .unwrap_or_else(|| panic!("{at}: no fetchResponse: {reply:?}"))
+        };
         match *self {
             Expect::Status(status) => assert_eq!(reply.status, status, "{at}: {reply:?}"),
             Expect::Empty(status) => {
@@ -547,34 +570,46 @@ impl Expect {
             Expect::Echo(text) => {
                 assert_eq!(reply.status, 200, "{at}: {reply:?}");
                 let env = Envelope::parse(&reply.body).expect("an envelope");
-                assert_eq!(soap_rpc::parse_echo_response(&env).as_deref(), Ok(text), "{at}");
+                assert_eq!(
+                    soap_rpc::parse_echo_response(&env).as_deref(),
+                    Ok(text),
+                    "{at}"
+                );
             }
             Expect::Fault(status, needle) => {
                 assert_eq!(reply.status, status, "{at}: {reply:?}");
                 let reason = fault_reason();
-                assert!(reason.contains(needle), "{at}: fault says {reason:?}, not {needle:?}");
+                assert!(
+                    reason.contains(needle),
+                    "{at}: fault says {reason:?}, not {needle:?}"
+                );
             }
             Expect::Created => {
                 assert_eq!(reply.status, 200, "{at}: {reply:?}");
                 let env = Envelope::parse(&reply.body).expect("an envelope");
-                assert!(ops::parse_create_response(&env).is_some(), "{at}: {reply:?}");
+                assert!(
+                    ops::parse_create_response(&env).is_some(),
+                    "{at}: {reply:?}"
+                );
             }
             Expect::Fetched(bodies) => {
                 assert_eq!(reply.status, 200, "{at}: {reply:?}");
                 assert_eq!(fetched(), bodies, "{at}");
             }
-            Expect::FetchedReply { text, relates_to } => {
+            Expect::FetchedReply(text, relates_to) => {
                 let got = fetched();
                 assert_eq!(got.len(), 1, "{at}: {got:?}");
-                assert_eq!(echo_reply(&got[0]), (text.to_string(), relates_to.to_string()), "{at}");
+                assert_eq!(
+                    echo_reply(&got[0]),
+                    (text.to_string(), relates_to.to_string()),
+                    "{at}"
+                );
             }
             Expect::Destroyed => {
                 assert_eq!(reply.status, 200, "{at}: {reply:?}");
                 assert!(reply.body.contains("destroyResponse"), "{at}: {reply:?}");
             }
-            Expect::PerRuntime { sim, rt } => {
-                if on_sim { sim } else { rt }.check(reply, on_sim, at)
-            }
+            Expect::PerRuntime(sim, rt) => if on_sim { sim } else { rt }.check(reply, on_sim, at),
         }
     }
 }
@@ -583,7 +618,10 @@ impl Expect {
 /// request's `MessageID`.
 fn correlating_echo(req: &Request) -> Response {
     let env = Envelope::parse(&req.body_utf8()).expect("a request envelope");
-    let id = WsaHeaders::from_envelope(&env).expect("headers").message_id.unwrap_or_default();
+    let id = WsaHeaders::from_envelope(&env)
+        .expect("headers")
+        .message_id
+        .unwrap_or_default();
     let mut reply = soap_rpc::echo_response(V11, &soap_rpc::parse_echo(&env).unwrap_or_default());
     WsaHeaders::new().relates_to(id).apply(&mut reply);
     Response::new(Status::OK, V11.content_type(), reply.to_xml().into_bytes())
@@ -593,7 +631,12 @@ fn correlating_echo(req: &Request) -> Response {
 trait Runtime {
     /// Sends `steps` in order (`pipelined`: as one run on one connection,
     /// where the runtime can) and returns one answer per step.
-    fn run(&mut self, steps: &[Step], pipelined: bool, conv: &Rc<RefCell<Conversation>>) -> Vec<Reply>;
+    fn run(
+        &mut self,
+        steps: &[Step],
+        pipelined: bool,
+        conv: &Rc<RefCell<Conversation>>,
+    ) -> Vec<Reply>;
     /// The books right now, `resident` left at zero.
     fn books(&self) -> Books;
     /// Bodies POSTed to the client's reply endpoint so far.
@@ -618,7 +661,9 @@ fn settled<T: PartialEq>(want: &T, read: impl Fn() -> T) -> T {
 fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
     let mut at = format!("[{}] {}", if on_sim { "sim" } else { "rt" }, row.name);
     for note in row.differs {
-        at.push_str(&format!("\n  (the runtimes differ here on purpose: {note})"));
+        at.push_str(&format!(
+            "\n  (the runtimes differ here on purpose: {note})"
+        ));
     }
     if let Some(bug) = row.fixed_here {
         at.push_str(&format!("\n  (fails at the parent commit: {bug})"));
@@ -633,33 +678,48 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
         expect.check(reply, on_sim, &format!("{at}, step {i}"));
     }
 
-    let want: Vec<(String, String)> =
-        row.delivered.iter().map(|(text, id)| (text.to_string(), id.to_string())).collect();
-    let delivered = settled(&want, || runtime.delivered().iter().map(|xml| echo_reply(xml)).collect());
+    let want: Vec<(String, String)> = row
+        .delivered
+        .iter()
+        .map(|(text, id)| (text.to_string(), id.to_string()))
+        .collect();
+    let delivered = settled(&want, || {
+        runtime
+            .delivered()
+            .iter()
+            .map(|xml| echo_reply(xml))
+            .collect()
+    });
     assert_eq!(delivered, want, "{at}: at the client's reply endpoint");
 
-    // The threaded mailbox keeps no `fetched` count yet: its books are
-    // judged without it.
-    let counted = |b: Books| {
-        let fetched = if on_sim { b.mailbox.fetched } else { 0 };
-        Books { mailbox: MailboxBooks { fetched, ..b.mailbox }, ..b }
+    let unmeasured = Books {
+        mailbox: MailboxBooks {
+            resident: 0,
+            ..row.books.mailbox
+        },
+        ..row.books
     };
-    let want = counted(row.books);
-    let unmeasured = Books { mailbox: MailboxBooks { resident: 0, ..want.mailbox }, ..want };
     let mut books = settled(&unmeasured, || runtime.books());
     // What is left in the mailbox is what a last fetch hands out.
     if !conv.borrow().box_id.is_empty() && !row.destroys() {
-        let drain = runtime.run(&[Step::Fetch { wrong_key: false }], false, &conv);
+        let drain = runtime.run(&[Step::Fetch], false, &conv);
         books.mailbox.resident = drain[0].fetched().map_or(0, |got| got.len() as u64);
     }
-    assert_eq!(books, want, "{at}: books at quiescence");
+    assert_eq!(books, row.books, "{at}: books at quiescence");
 
     // The identities behind the numbers.
     let rpc = books.rpc;
-    assert_eq!(rpc.received, rpc.refused + rpc.relayed + rpc.upstream_failures, "{at}");
+    assert_eq!(
+        rpc.received,
+        rpc.refused + rpc.relayed + rpc.upstream_failures,
+        "{at}"
+    );
     assert!(rpc.relayed <= rpc.forwarded, "{at}: {rpc:?}");
-    assert!(rpc.forwarded - rpc.relayed <= rpc.upstream_failures, "{at}: {rpc:?}");
-    if on_sim && !row.destroys() {
+    assert!(
+        rpc.forwarded - rpc.relayed <= rpc.upstream_failures,
+        "{at}: {rpc:?}"
+    );
+    if !row.destroys() {
         let mb = books.mailbox;
         assert_eq!(mb.deposits, mb.fetched + mb.resident, "{at}: {mb:?}");
     }
@@ -688,7 +748,9 @@ impl ScriptedClient {
         };
         let (to, req) = step.request(&self.conv.borrow());
         match self.conns.get(&to) {
-            Some(&conn) => ctx.send(conn, request_payload(&req)).expect("an open connection"),
+            Some(&conn) => ctx
+                .send(conn, request_payload(&req))
+                .expect("an open connection"),
             None => {
                 ctx.connect(to.0, to.1, SimDuration::from_secs(5));
                 self.dialing = Some(to);
@@ -752,13 +814,16 @@ impl SimRuntime {
         let ws_host = sim.add_host(HostConfig::named(WS.0));
         let disp_host = sim.add_host(HostConfig::named(RPC.0));
         let mbox_host = sim.add_host(HostConfig::named(MBOX.0));
-        let client_policy =
-            if row.firewalled_client { FirewallPolicy::OutboundOnly } else { FirewallPolicy::Open };
+        let client_policy = if row.firewalled_client {
+            FirewallPolicy::OutboundOnly
+        } else {
+            FirewallPolicy::Open
+        };
         let client_host = sim.add_host(HostConfig::named(CLIENT.0).firewall(client_policy));
 
         let service: Option<Box<dyn Process>> = match row.service {
             Service::Dead => None,
-            Service::Echo { delay_ms } => Some(Box::new(SimEchoService::new(
+            Service::Echo(delay_ms) => Some(Box::new(SimEchoService::new(
                 EchoMode::Rpc,
                 SimDuration::from_millis(delay_ms),
             ))),
@@ -784,7 +849,8 @@ impl SimRuntime {
         sim.listen(p, RPC.1);
 
         let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
-        let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), WsThreadConfig::default());
+        let msg =
+            SimMsgDispatcher::new(core, SimDuration::from_millis(1), WsThreadConfig::default());
         let msg_stats = msg.stats();
         let p = sim.spawn(disp_host, Box::new(msg));
         sim.listen(p, MSG.1);
@@ -805,7 +871,14 @@ impl SimRuntime {
         );
         sim.listen(p, CLIENT.1);
 
-        SimRuntime { sim, client_host, rpc: rpc_stats, msg: msg_stats, mailbox: mailbox_stats, sink }
+        SimRuntime {
+            sim,
+            client_host,
+            rpc: rpc_stats,
+            msg: msg_stats,
+            mailbox: mailbox_stats,
+            sink,
+        }
     }
 }
 
@@ -815,7 +888,10 @@ fn msgbox_config(row: &Scenario) -> MsgBoxConfig {
     } else {
         MsgBoxStrategy::Pooled { workers: 4 }
     };
-    MsgBoxConfig { strategy, ..MsgBoxConfig::default() }
+    MsgBoxConfig {
+        strategy,
+        ..MsgBoxConfig::default()
+    }
 }
 
 impl Runtime for SimRuntime {
@@ -841,8 +917,8 @@ impl Runtime for SimRuntime {
         Books {
             rpc: rpc_books(&self.rpc),
             mailbox: MailboxBooks {
-                deposits: self.mailbox.deposits.get(),
-                fetched: self.mailbox.fetched.get(),
+                deposits: self.mailbox.mailbox.deposits.get(),
+                fetched: self.mailbox.mailbox.fetched.get(),
                 resident: 0,
             },
             msg: MsgBooks {
@@ -873,7 +949,11 @@ fn rpc_books(c: &RpcCounters) -> RpcBooks {
 // ---------------------------------------------------------------------
 
 /// Serves every connection to `at` on a thread of its own through `handler`.
-fn rt_listen(net: &Arc<Network>, at: Addr, handler: impl Fn(&Request) -> Response + Send + Sync + 'static) {
+fn rt_listen(
+    net: &Arc<Network>,
+    at: Addr,
+    handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) {
     let handler = Arc::new(handler);
     net.listen(at.0, at.1, move |stream| {
         let handler = Arc::clone(&handler);
@@ -898,9 +978,13 @@ impl RtRuntime {
         let net = Network::new();
         let ws = match row.service {
             Service::Dead => None,
-            Service::Echo { delay_ms } => {
-                Some(EchoServer::start(&net, WS.0, WS.1, 4, Duration::from_millis(delay_ms)))
-            }
+            Service::Echo(delay_ms) => Some(EchoServer::start(
+                &net,
+                WS.0,
+                WS.1,
+                4,
+                Duration::from_millis(delay_ms),
+            )),
             Service::CorrelatingEcho => {
                 rt_listen(&net, WS, correlating_echo);
                 None
@@ -935,7 +1019,15 @@ impl RtRuntime {
         });
         net.set_firewalled(CLIENT.0, row.firewalled_client);
 
-        RtRuntime { net, ws, rpc, msg, mailbox, sink, conns: HashMap::new() }
+        RtRuntime {
+            net,
+            ws,
+            rpc,
+            msg,
+            mailbox,
+            sink,
+            conns: HashMap::new(),
+        }
     }
 
     fn client(&mut self, to: Addr) -> &mut HttpClient<PipeStream> {
@@ -947,12 +1039,25 @@ impl RtRuntime {
 }
 
 impl Runtime for RtRuntime {
-    fn run(&mut self, steps: &[Step], pipelined: bool, conv: &Rc<RefCell<Conversation>>) -> Vec<Reply> {
+    fn run(
+        &mut self,
+        steps: &[Step],
+        pipelined: bool,
+        conv: &Rc<RefCell<Conversation>>,
+    ) -> Vec<Reply> {
         if pipelined && !steps.is_empty() {
-            let (tos, reqs): (Vec<Addr>, Vec<Request>) =
-                steps.iter().map(|step| step.request(&conv.borrow())).unzip();
-            assert!(tos.iter().all(|to| *to == tos[0]), "a run rides one connection");
-            let resps = self.client(tos[0]).call_pipelined(&reqs, &mut Vec::new()).expect("a run");
+            let (tos, reqs): (Vec<Addr>, Vec<Request>) = steps
+                .iter()
+                .map(|step| step.request(&conv.borrow()))
+                .unzip();
+            assert!(
+                tos.iter().all(|to| *to == tos[0]),
+                "a run rides one connection"
+            );
+            let resps = self
+                .client(tos[0])
+                .call_pipelined(&reqs, &mut Vec::new())
+                .expect("a run");
             return resps.iter().map(Reply::of).collect();
         }
         let mut replies = Vec::new();
@@ -977,7 +1082,11 @@ impl Runtime for RtRuntime {
         let msg = self.msg.stats();
         Books {
             rpc: rpc_books(&self.rpc.stats()),
-            mailbox: MailboxBooks { deposits: self.mailbox.deposits(), fetched: 0, resident: 0 },
+            mailbox: MailboxBooks {
+                deposits: self.mailbox.deposits(),
+                fetched: self.mailbox.stats().fetched.get(),
+                resident: 0,
+            },
             msg: MsgBooks {
                 delivered: msg.delivered.load(Relaxed),
                 dropped: msg.dropped.load(Relaxed),
