@@ -12,11 +12,9 @@
 //!
 //! Where the runtimes still differ on purpose (the per-destination
 //! queue/connect/retry machine, ROADMAP item 2(c)) the row says so in
-//! `differs` and pins each side's answer. Two differences of that machine
-//! have no row because standing them up needs a wedged destination:
-//! a full destination queue is ack-`202`-then-drop in sim and a `503` in
-//! rt, and rt resends a whole batch after a stale-connection error where
-//! sim requeues the one unsent message.
+//! `differs` and pins each side's answer; the last four rows stand up what
+//! that machine decides — a connection lost under a batch, a dead
+//! destination with a backlog, a full queue, a reconnect under quadrant 3.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -39,8 +37,8 @@ use ws_dispatcher::core::sim::{
 };
 use ws_dispatcher::core::url::Url;
 use ws_dispatcher::http::{
-    parse_request_bytes, parse_response_bytes, serve_connection, HttpClient, Limits, PipeStream,
-    Request, Response, Status,
+    parse_request_bytes, parse_response_bytes, serve_connection, write_response, HttpClient,
+    Limits, MessageReader, PipeStream, Request, Response, Status,
 };
 use ws_dispatcher::netsim::{
     ConnId, Ctx, FirewallPolicy, HostConfig, HostId, ProcEvent, Process, SimDuration, Simulation,
@@ -70,6 +68,16 @@ enum Service {
     Echo(u64),
     /// An RPC-style echo whose `200` already carries `RelatesTo`.
     CorrelatingEcho,
+    /// Answers the first `answers` requests it ever reads (`rpc`: with the
+    /// echo's `200`, else with a bare `202`), drops the connection on
+    /// reading the next one without answering it, and answers everything
+    /// on later connections. On the threaded runtime the very first answer
+    /// takes 100 ms, so what the client sends meanwhile reaches it as one
+    /// pipelined batch.
+    ClosesAfter { answers: usize, rpc: bool },
+    /// Never takes a message: a firewalled host whose connects time out in
+    /// sim, a listener that accepts and never reads in rt.
+    Wedged,
 }
 
 /// Where a one-way message asks for its reply.
@@ -105,6 +113,9 @@ enum Step {
     OneWay(&'static str, &'static str, ReplyTo),
     /// A one-way message with no WS-Addressing headers at all.
     Unroutable,
+    /// Sends nothing for 50 ms (virtual in sim), so a WsThread has taken
+    /// what was queued before the next step; "answered" with status 0.
+    Pause,
 }
 
 /// What one answer must look like.
@@ -220,10 +231,22 @@ struct Scenario {
     /// rt sends the script from this step on as one pipelined run on one
     /// connection; sim sends it one by one.
     pipeline_from: Option<usize>,
+    /// Capacity of each destination queue of the MSG-Dispatcher, where
+    /// the row needs it small.
+    queue_capacity: Option<usize>,
     /// `(echoed text, RelatesTo)` of each message that must reach the
     /// client's reply endpoint.
     delivered: &'static [(&'static str, &'static str)],
+    /// `(echo text, at least, at most)`: how often each one-way message
+    /// must be read by a `ClosesAfter` service.
+    arrivals: &'static [(&'static str, usize, usize)],
     books: Books,
+    /// The threaded runtime's books, where they differ on purpose.
+    rt_books: Option<Books>,
+    /// The books must not reach their final state sooner than this after
+    /// the row started (virtual time in sim): a retry after the backoff
+    /// came first.
+    gives_up_after_ms: u64,
     /// What the runtimes do differently here, on purpose, and this table
     /// pins rather than reconciles (ROADMAP item 2(c)).
     differs: &'static [&'static str],
@@ -242,8 +265,12 @@ impl Scenario {
             thread_per_message: false,
             script,
             pipeline_from: None,
+            queue_capacity: None,
             delivered: &[],
+            arrivals: &[],
             books: Books::default(),
+            rt_books: None,
+            gives_up_after_ms: 0,
             differs: &[],
             fixed_here: None,
         }
@@ -420,7 +447,115 @@ fn table() -> Vec<Scenario> {
                 )],
             )
         },
+        Scenario {
+            service: Service::ClosesAfter {
+                answers: 3,
+                rpc: false,
+            },
+            pipeline_from: Some(1),
+            arrivals: &[
+                ("primer", 1, 1),
+                ("m0", 1, 1),
+                ("m1", 1, 1),
+                ("m2", 1, 2),
+                ("m3", 1, 2),
+            ],
+            books: Books::default().msg(5, 0, 0),
+            fixed_here: Some(
+                "rt resent the whole batch after any transport error, so the two messages \
+                 the destination had already answered reached it twice",
+            ),
+            ..Scenario::new(
+                "a destination answers two of a pipelined batch of four, then drops the \
+                 connection: the answered ones are finished, the rest are resent once",
+                vec![
+                    one_way("uuid:k-primer", "primer"),
+                    one_way("uuid:k-0", "m0"),
+                    one_way("uuid:k-1", "m1"),
+                    one_way("uuid:k-2", "m2"),
+                    one_way("uuid:k-3", "m3"),
+                ],
+            )
+        },
+        Scenario {
+            firewalled_client: true,
+            books: Books::default().msg(3, 3, 0),
+            gives_up_after_ms: 500,
+            differs: &[
+                "sim retries the connect once after the backoff and then drops the \
+                 destination's whole queue; rt drops each popped batch at its first failed \
+                 connect with no wait, so only sim is held to the time bound",
+            ],
+            ..Scenario::new(
+                "a dead destination with a backlog: one retry after the backoff, then \
+                 every queued reply is dropped together",
+                vec![
+                    one_way("uuid:dead-0", "r0"),
+                    one_way("uuid:dead-1", "r1"),
+                    one_way("uuid:dead-2", "r2"),
+                ],
+            )
+        },
+        Scenario {
+            service: Service::Wedged,
+            queue_capacity: Some(1),
+            books: Books::default().msg(0, 3, 0),
+            rt_books: Some(Books::default().msg(0, 1, 0)),
+            differs: &[
+                "a full destination queue: sim acks 202 on receipt and then drops (the 2004 \
+                 implementation, kept because Fig. 6 reproduces it: 59 712 of the 74 816 \
+                 messages its dispatcher loses, 80 %, are lost to a full queue), rt offers \
+                 first and answers 503",
+                "rt took the first message off the queue before connecting, so it is in \
+                 flight (counted only once answered) and the second one is queued, not lost; \
+                 sim keeps all it has not written in the queue and gives them up together",
+            ],
+            ..Scenario::new(
+                "a full destination queue behind a wedged destination drops the message, \
+                 on the books",
+                vec![
+                    one_way("uuid:full-0", "q0"),
+                    (Step::Pause, Expect::Status(0)),
+                    one_way("uuid:full-1", "q1"),
+                    (
+                        Step::OneWay("uuid:full-2", "q2", ReplyTo::Callback),
+                        Expect::PerRuntime(&Expect::Status(202), &Expect::Status(503)),
+                    ),
+                ],
+            )
+        },
+        Scenario {
+            service: Service::ClosesAfter {
+                answers: 0,
+                rpc: true,
+            },
+            delivered: &[("a", "uuid:q3-a"), ("b", "uuid:q3-b")],
+            books: Books::default().msg(4, 0, 0),
+            fixed_here: Some(
+                "sim kept the MessageID of a request whose connection closed under it, \
+                 never resent that request, and correlated the next 200 with the stale id: \
+                 the one reply that arrived carried the other request's RelatesTo",
+            ),
+            ..Scenario::new(
+                "quadrant 3 across a reconnect: every reply carries its own request's \
+                 MessageID",
+                vec![
+                    one_way("uuid:q3-a", "a"),
+                    (Step::Pause, Expect::Status(0)),
+                    one_way("uuid:q3-b", "b"),
+                ],
+            )
+        },
     ]
+}
+
+/// A one-way echo request asking for its reply at the client's callback,
+/// acknowledged with `202`.
+fn one_way(id: &'static str, text: &'static str) -> (Step, Expect) {
+    (
+        Step::OneWay(id, text, ReplyTo::Callback),
+        Expect::Status(202),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -510,6 +645,7 @@ impl Step {
                 MSG,
                 soap_post(MSG, "/msg", soap_rpc::echo_request(V11, "nowhere").to_xml()),
             ),
+            Step::Pause => unreachable!("a pause sends nothing"),
         }
     }
 
@@ -627,6 +763,43 @@ fn correlating_echo(req: &Request) -> Response {
     Response::new(Status::OK, V11.content_type(), reply.to_xml().into_bytes())
 }
 
+/// The text a one-way echo request asks to have echoed.
+fn echo_text(req: &Request) -> String {
+    let env = Envelope::parse(&req.body_utf8()).expect("a request envelope");
+    soap_rpc::parse_echo(&env).expect("an echo request")
+}
+
+/// The decisions of a [`Service::ClosesAfter`], whichever runtime carries
+/// the bytes.
+#[derive(Debug, Default)]
+struct ClosingService {
+    answers: usize,
+    rpc: bool,
+    answered: usize,
+    closed_once: bool,
+    /// The echo text of every request read, in order.
+    arrivals: Vec<String>,
+}
+
+impl ClosingService {
+    /// The answer to `req`; `None` says drop the connection instead.
+    fn on_request(&mut self, req: &Request) -> Option<Response> {
+        let text = echo_text(req);
+        self.arrivals.push(text.clone());
+        if !self.closed_once && self.answered == self.answers {
+            self.closed_once = true;
+            return None;
+        }
+        self.answered += 1;
+        Some(if self.rpc {
+            let reply = soap_rpc::echo_response(V11, &text);
+            Response::new(Status::OK, V11.content_type(), reply.to_xml().into_bytes())
+        } else {
+            Response::empty(Status::ACCEPTED)
+        })
+    }
+}
+
 /// A runtime with the whole topology of one row stood up.
 trait Runtime {
     /// Sends `steps` in order (`pipelined`: as one run on one connection,
@@ -641,6 +814,10 @@ trait Runtime {
     fn books(&self) -> Books;
     /// Bodies POSTed to the client's reply endpoint so far.
     fn delivered(&self) -> Vec<String>;
+    /// The echo text of every request a `ClosesAfter` service has read.
+    fn arrivals(&self) -> Vec<String>;
+    /// Milliseconds since the row started (virtual in sim).
+    fn elapsed_ms(&self) -> u64;
     fn shutdown(&mut self) {}
 }
 
@@ -692,20 +869,44 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
     });
     assert_eq!(delivered, want, "{at}: at the client's reply endpoint");
 
+    let want_books = row.rt_books.filter(|_| !on_sim).unwrap_or(row.books);
     let unmeasured = Books {
         mailbox: MailboxBooks {
             resident: 0,
-            ..row.books.mailbox
+            ..want_books.mailbox
         },
-        ..row.books
+        ..want_books
     };
     let mut books = settled(&unmeasured, || runtime.books());
+    let settled_at_ms = runtime.elapsed_ms();
     // What is left in the mailbox is what a last fetch hands out.
     if !conv.borrow().box_id.is_empty() && !row.destroys() {
         let drain = runtime.run(&[Step::Fetch], false, &conv);
         books.mailbox.resident = drain[0].fetched().map_or(0, |got| got.len() as u64);
     }
-    assert_eq!(books, row.books, "{at}: books at quiescence");
+    assert_eq!(books, want_books, "{at}: books at quiescence");
+    // Only sim backs off before giving up (the row's `differs`).
+    if on_sim {
+        assert!(
+            settled_at_ms >= row.gives_up_after_ms,
+            "{at}: gave up after {settled_at_ms} ms, no retry after the backoff"
+        );
+    }
+    // What the service read, once every message has reached it.
+    let count = |got: &[String], text: &str| got.iter().filter(|t| *t == text).count();
+    let arrivals = settled(&true, || {
+        let got = runtime.arrivals();
+        (row.arrivals.iter()).all(|(text, min, _)| count(&got, text) >= *min)
+    });
+    assert!(arrivals, "{at}: some message never reached the service");
+    let arrivals = runtime.arrivals();
+    for (text, min, max) in row.arrivals {
+        let n = count(&arrivals, text);
+        assert!(
+            n <= *max,
+            "{at}: {text:?} reached the service {n} times, not {min} to {max}: {arrivals:?}"
+        );
+    }
 
     // The identities behind the numbers.
     let rpc = books.rpc;
@@ -746,6 +947,10 @@ impl ScriptedClient {
         let Some(step) = self.steps.get(self.at) else {
             return;
         };
+        if let Step::Pause = step {
+            ctx.set_timer(SimDuration::from_millis(50), PAUSE_OVER);
+            return;
+        }
         let (to, req) = step.request(&self.conv.borrow());
         match self.conns.get(&to) {
             Some(&conn) => ctx
@@ -759,9 +964,18 @@ impl ScriptedClient {
     }
 }
 
+/// Timer token of a [`Step::Pause`] (a poll's retry timer carries 0).
+const PAUSE_OVER: u64 = 1;
+
 impl Process for ScriptedClient {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
+            ProcEvent::Timer { token: PAUSE_OVER } => {
+                let body = String::new();
+                self.replies.borrow_mut().push(Reply { status: 0, body });
+                self.at += 1;
+                self.send_current(ctx);
+            }
             ProcEvent::Start | ProcEvent::Timer { .. } => self.send_current(ctx),
             ProcEvent::ConnEstablished { conn } => {
                 let to = self.dialing.take().expect("a connect in flight");
@@ -799,6 +1013,21 @@ impl<F: FnMut(&Request) -> Response> Process for SimHandler<F> {
     }
 }
 
+/// A [`Service::ClosesAfter`] on the simulated network.
+struct SimClosingService(Rc<RefCell<ClosingService>>);
+
+impl Process for SimClosingService {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+        if let ProcEvent::Message { conn, bytes } = event {
+            let req = parse_request_bytes(&bytes).expect("an HTTP request");
+            match self.0.borrow_mut().on_request(&req) {
+                Some(resp) => drop(ctx.send(conn, response_payload(&resp))),
+                None => ctx.close(conn),
+            }
+        }
+    }
+}
+
 struct SimRuntime {
     sim: Simulation,
     client_host: HostId,
@@ -806,12 +1035,17 @@ struct SimRuntime {
     msg: MsgDispatcherStats,
     mailbox: SimMsgBoxStats,
     sink: Rc<RefCell<Vec<String>>>,
+    closing: Rc<RefCell<ClosingService>>,
 }
 
 impl SimRuntime {
     fn start(row: &Scenario) -> SimRuntime {
         let mut sim = Simulation::new(21);
-        let ws_host = sim.add_host(HostConfig::named(WS.0));
+        let ws_policy = match row.service {
+            Service::Wedged => FirewallPolicy::OutboundOnly,
+            _ => FirewallPolicy::Open,
+        };
+        let ws_host = sim.add_host(HostConfig::named(WS.0).firewall(ws_policy));
         let disp_host = sim.add_host(HostConfig::named(RPC.0));
         let mbox_host = sim.add_host(HostConfig::named(MBOX.0));
         let client_policy = if row.firewalled_client {
@@ -821,8 +1055,17 @@ impl SimRuntime {
         };
         let client_host = sim.add_host(HostConfig::named(CLIENT.0).firewall(client_policy));
 
+        let closing = Rc::new(RefCell::new(ClosingService::default()));
         let service: Option<Box<dyn Process>> = match row.service {
-            Service::Dead => None,
+            Service::Dead | Service::Wedged => None,
+            Service::ClosesAfter { answers, rpc } => {
+                *closing.borrow_mut() = ClosingService {
+                    answers,
+                    rpc,
+                    ..ClosingService::default()
+                };
+                Some(Box::new(SimClosingService(Rc::clone(&closing))))
+            }
             Service::Echo(delay_ms) => Some(Box::new(SimEchoService::new(
                 EchoMode::Rpc,
                 SimDuration::from_millis(delay_ms),
@@ -849,8 +1092,11 @@ impl SimRuntime {
         sim.listen(p, RPC.1);
 
         let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
-        let msg =
-            SimMsgDispatcher::new(core, SimDuration::from_millis(1), WsThreadConfig::default());
+        let mut ws_threads = WsThreadConfig::default();
+        if let Some(capacity) = row.queue_capacity {
+            ws_threads.queue_capacity = capacity;
+        }
+        let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), ws_threads);
         let msg_stats = msg.stats();
         let p = sim.spawn(disp_host, Box::new(msg));
         sim.listen(p, MSG.1);
@@ -878,6 +1124,7 @@ impl SimRuntime {
             msg: msg_stats,
             mailbox: mailbox_stats,
             sink,
+            closing,
         }
     }
 }
@@ -932,6 +1179,14 @@ impl Runtime for SimRuntime {
     fn delivered(&self) -> Vec<String> {
         self.sink.borrow().clone()
     }
+
+    fn arrivals(&self) -> Vec<String> {
+        self.closing.borrow().arrivals.clone()
+    }
+
+    fn elapsed_ms(&self) -> u64 {
+        self.sim.now().as_micros() / 1000
+    }
 }
 
 fn rpc_books(c: &RpcCounters) -> RpcBooks {
@@ -963,6 +1218,35 @@ fn rt_listen(
     });
 }
 
+/// A [`Service::ClosesAfter`] on the threaded network: a thread per
+/// connection reads requests one by one and writes each answer at once.
+fn rt_closing_service(net: &Arc<Network>, service: &Arc<Mutex<ClosingService>>) {
+    let service = Arc::clone(service);
+    net.listen(WS.0, WS.1, move |stream| {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            let mut reader = MessageReader::new(stream);
+            while let Ok(req) = reader.read_request(&Limits::default()) {
+                let (first, answer) = {
+                    let mut service = service.lock().unwrap();
+                    (service.answered == 0, service.on_request(&req))
+                };
+                let Some(resp) = answer else {
+                    return; // dropping the stream closes the connection
+                };
+                if first {
+                    // What the client sends meanwhile queues up behind this
+                    // message and goes out as one pipelined batch.
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                if write_response(reader.stream_mut(), &resp).is_err() {
+                    return;
+                }
+            }
+        });
+    });
+}
+
 struct RtRuntime {
     net: Arc<Network>,
     ws: Option<EchoServer>,
@@ -970,14 +1254,34 @@ struct RtRuntime {
     msg: Arc<MsgDispatcherServer>,
     mailbox: Arc<MsgBoxServer>,
     sink: Arc<Mutex<Vec<String>>>,
+    closing: Arc<Mutex<ClosingService>>,
+    /// Connections a `Wedged` service accepted and never reads.
+    held: Arc<Mutex<Vec<PipeStream>>>,
+    started: Instant,
     conns: HashMap<Addr, HttpClient<PipeStream>>,
 }
 
 impl RtRuntime {
     fn start(row: &Scenario) -> RtRuntime {
         let net = Network::new();
+        let closing = Arc::new(Mutex::new(ClosingService::default()));
+        let held = Arc::new(Mutex::new(Vec::new()));
         let ws = match row.service {
             Service::Dead => None,
+            Service::ClosesAfter { answers, rpc } => {
+                *closing.lock().unwrap() = ClosingService {
+                    answers,
+                    rpc,
+                    ..ClosingService::default()
+                };
+                rt_closing_service(&net, &closing);
+                None
+            }
+            Service::Wedged => {
+                let held = Arc::clone(&held);
+                net.listen(WS.0, WS.1, move |stream| held.lock().unwrap().push(stream));
+                None
+            }
             Service::Echo(delay_ms) => Some(EchoServer::start(
                 &net,
                 WS.0,
@@ -997,6 +1301,9 @@ impl RtRuntime {
         let config = DispatcherConfig {
             response_timeout: Duration::from_millis(row.response_timeout_ms),
             connection_linger: Duration::from_millis(50),
+            queue_capacity: row
+                .queue_capacity
+                .unwrap_or(DispatcherConfig::default().queue_capacity),
             ..DispatcherConfig::default()
         };
         let rpc = RpcDispatcherServer::start(
@@ -1026,6 +1333,9 @@ impl RtRuntime {
             msg,
             mailbox,
             sink,
+            closing,
+            held,
+            started: Instant::now(),
             conns: HashMap::new(),
         }
     }
@@ -1062,6 +1372,12 @@ impl Runtime for RtRuntime {
         }
         let mut replies = Vec::new();
         for step in steps {
+            if let Step::Pause = step {
+                std::thread::sleep(Duration::from_millis(50));
+                let body = String::new();
+                replies.push(Reply { status: 0, body });
+                continue;
+            }
             let deadline = Instant::now() + Duration::from_secs(5);
             let reply = loop {
                 let (to, req) = step.request(&conv.borrow());
@@ -1099,17 +1415,27 @@ impl Runtime for RtRuntime {
         self.sink.lock().unwrap().clone()
     }
 
+    fn arrivals(&self) -> Vec<String> {
+        self.closing.lock().unwrap().arrivals.clone()
+    }
+
+    fn elapsed_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
+
     fn shutdown(&mut self) {
         self.conns.clear();
+        // A WsThread parked on a wedged destination comes back once the
+        // connection is gone and no new one can be opened.
+        self.net.unlisten(WS.0, WS.1);
+        self.held.lock().unwrap().clear();
         self.mailbox.shutdown();
         self.msg.shutdown();
         self.rpc.shutdown();
         if let Some(ws) = &self.ws {
             ws.shutdown();
         }
-        for at in [WS, CLIENT] {
-            self.net.unlisten(at.0, at.1);
-        }
+        self.net.unlisten(CLIENT.0, CLIENT.1);
     }
 }
 
