@@ -26,7 +26,9 @@ pub struct DispatcherConfig {
     /// traffic before closing it (paper: "an open connection for a
     /// predefined time with a specified WS").
     pub connection_linger: Duration,
-    /// Response timeout for RPC forwarding.
+    /// Response timeout for RPC forwarding, and for each answer on a
+    /// MSG-Dispatcher destination connection (a silent destination is a
+    /// lost connection, not a parked `WsThread`).
     pub response_timeout: Duration,
     /// How long a route-table entry (forwarded request awaiting its
     /// reply) survives before being dropped.

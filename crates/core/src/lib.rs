@@ -14,15 +14,15 @@
 //! * [`rpc`] — the RPC-Dispatcher: an HTTP/SOAP forwarding proxy that
 //!   relays the response on the original connection.
 //! * [`msg`] — the MSG-Dispatcher core: WS-Addressing header rewriting,
-//!   the route table correlating replies to forwarded requests, and the
-//!   per-destination FIFO ordering contract.
+//!   the route table correlating replies to forwarded requests, and
+//!   [`msg::link`], the per-destination connect / write / retry / give-up
+//!   machine both MSG-Dispatchers drive (with the hold/retry policy of
+//!   the paper's WS-ReliableMessaging-ish future work).
 //! * [`msgbox`] — WS-MsgBox, the "post-office mailbox" for clients with
 //!   no inbound endpoint: create / deposit / fetch / destroy, with access
 //!   keys and message expiry.
 //! * [`security`] — the message-inspection hook (size limits, required
 //!   actions, single-sign-on tokens).
-//! * [`reliable`] — hold/retry delivery with expiration (the paper's
-//!   WS-ReliableMessaging-ish future work).
 //!
 //! # Runtimes
 //!
@@ -43,7 +43,6 @@ pub mod msgbox;
 pub mod registry;
 pub mod registry_repl;
 pub mod registry_soap;
-pub mod reliable;
 pub mod rpc;
 pub mod rt;
 pub mod security;

@@ -4,8 +4,11 @@
 //! physical WS address and rewrites the WS-Addressing headers so replies
 //! return through the dispatcher; a `WsThread` owns a FIFO queue per
 //! destination and a kept-open connection. This module implements the
-//! decision ("where does this envelope go next?") and the route table
-//! correlating replies; queues and threads belong to the runtimes.
+//! decision ("where does this envelope go next?"), the route table
+//! correlating replies and, in [`link`], the `WsThread`'s delivery policy
+//! as a pure machine; queues, sockets and threads belong to the runtimes.
+
+pub mod link;
 
 use std::borrow::Cow;
 

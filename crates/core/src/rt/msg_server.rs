@@ -5,60 +5,31 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-use wsd_concurrent::{
-    FifoQueue, OrderedMutex, PoolConfig, ShardedMap, ThreadPool,
-};
+use parking_lot::Mutex;
+use wsd_concurrent::{FifoQueue, PoolConfig, PopError, ShardedMap, ThreadPool};
 use wsd_http::{HttpClient, Request, Response, Status};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, Scope};
 
 use crate::config::DispatcherConfig;
+use crate::msg::link::{GiveUpReason, Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, MsgCore, RoutedMeta};
-use crate::rt::{now_us, one_by_one, Network, ReactorFrontEnd};
+use crate::rt::{now_us, one_by_one, ConnTracker, Network, ReactorFrontEnd};
 use crate::url::Url;
-
-/// Stop signal for the route-table janitor: a flag under a mutex plus a
-/// condvar, so `shutdown()` interrupts the sweep wait immediately instead
-/// of being noticed at the next fixed-tick wakeup.
-pub(crate) struct JanitorSignal {
-    stopped: OrderedMutex<bool>,
-    cv: Condvar,
-}
-
-impl JanitorSignal {
-    pub(crate) fn new() -> Arc<JanitorSignal> {
-        Arc::new(JanitorSignal {
-            stopped: OrderedMutex::new("msg.janitor", false),
-            cv: Condvar::new(),
-        })
-    }
-
-    pub(crate) fn stop(&self) {
-        *self.stopped.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Parks for `wait`; returns `true` when the janitor should exit.
-    /// A timed-out wait means "run a sweep"; a signaled one means stop.
-    pub(crate) fn wait_or_stopped(&self, wait: std::time::Duration) -> bool {
-        let mut stopped = self.stopped.lock();
-        if *stopped {
-            return true;
-        }
-        stopped.wait_timeout(&self.cv, wait);
-        *stopped
-    }
-}
 
 /// Counters for the threaded MSG dispatcher.
 #[derive(Debug, Default)]
 pub struct MsgServerStats {
     /// Messages accepted (`202`).
     pub accepted: AtomicU64,
-    /// Messages delivered to their destination.
+    /// Messages written to a live destination connection, each once: a
+    /// resend after a lost connection is not counted again. The same
+    /// meaning as the simulated dispatcher's `delivered`; a batch is put
+    /// on the books once its answers are in or its connection is lost.
     pub delivered: AtomicU64,
-    /// Messages dropped (queue overflow, dead destination).
+    /// Messages never written anywhere: refused by a full destination
+    /// queue, or given up on — taken or still queued — once the connect
+    /// retries for their destination were exhausted.
     pub dropped: AtomicU64,
     /// Messages rejected by routing/security.
     pub rejected: AtomicU64,
@@ -109,11 +80,17 @@ impl RtMsgTelemetry {
 /// A running MSG dispatcher.
 pub struct MsgDispatcherServer {
     core: Arc<MsgCore>,
-    janitor: Arc<JanitorSignal>,
+    /// The stop signal, a queue nothing is ever pushed to: a wait on it
+    /// (the janitor's sweep tick, a `WsThread`'s backoff) times out until
+    /// `shutdown()` closes it and returns at once from then on.
+    stop: FifoQueue<()>,
     janitor_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Accept side: listener, connections and the `CxThread` pool.
     front: ReactorFrontEnd,
     ws_pool: Arc<ThreadPool>,
+    /// Destination connections, so `shutdown()` can interrupt a
+    /// `WsThread` reading answers.
+    ws_conns: Arc<ConnTracker>,
     dests: Arc<ShardedMap<String, Arc<Dest>>>,
     stats: Arc<MsgServerStats>,
     tele: RtMsgTelemetry,
@@ -171,18 +148,18 @@ impl MsgDispatcherServer {
         let core = Arc::new(core);
         // Route-table janitor: drop forwarded requests whose replies
         // never came (paper §4.4's expiration-time future work). Parks on
-        // a condvar so shutdown() tears it down without a tick of lag.
-        let janitor = JanitorSignal::new();
+        // the stop signal so shutdown() tears it down without a tick of lag.
+        let stop = FifoQueue::bounded(1);
         let janitor_thread = {
             let core = Arc::clone(&core);
-            let signal = Arc::clone(&janitor);
+            let stop = stop.clone();
             let ttl = config.route_ttl;
             // wsd-lint: allow(raw-thread-spawn): single long-lived maintenance thread parked on a condvar; pooling it would pin a pool slot forever
             std::thread::Builder::new()
                 .name(format!("route-janitor-{host}"))
                 .spawn(move || {
                     let sweep_every = (ttl / 4).max(std::time::Duration::from_millis(50));
-                    while !signal.wait_or_stopped(sweep_every) {
+                    while stop.pop_timeout(sweep_every) == Err(PopError::Empty) {
                         core.expire_routes(crate::rt::now_us(), ttl.as_micros() as u64);
                     }
                 })
@@ -191,10 +168,11 @@ impl MsgDispatcherServer {
         let front = ReactorFrontEnd::start("reactor", cx_pool, &scope.child("reactor"));
         let server = Arc::new(MsgDispatcherServer {
             core,
-            janitor,
+            stop,
             janitor_thread: Mutex::new(Some(janitor_thread)),
             front,
             ws_pool,
+            ws_conns: ConnTracker::new(),
             dests: Arc::new(ShardedMap::new()),
             stats: Arc::new(MsgServerStats::default()),
             tele: RtMsgTelemetry::new(scope),
@@ -223,7 +201,7 @@ impl MsgDispatcherServer {
 
     /// Stops accepting, closes connections and queues, joins both pools.
     pub fn shutdown(&self) {
-        self.janitor.stop();
+        self.stop.close();
         if let Some(h) = self.janitor_thread.lock().take() {
             let _ = h.join();
         }
@@ -231,6 +209,7 @@ impl MsgDispatcherServer {
         // creates a destination any more, so every queue gets closed.
         self.front.shutdown();
         self.dests.for_each(|_, d| d.queue.close());
+        self.ws_conns.close_all();
         self.ws_pool.shutdown();
     }
 
@@ -319,63 +298,83 @@ impl MsgDispatcherServer {
         let _ = pool.execute(move || server.drain(&config, dest));
     }
 
-    /// WsThread work: drain the queue over one kept-open connection,
-    /// coalescing up to `drain_batch` envelopes per pass — one reusable
-    /// serialization buffer, one write, one flush, then the responses are
-    /// read back in order.
+    /// WsThread work: do what the destination's [`Link`] says, with
+    /// blocking I/O, until the queue has been idle for
+    /// `connection_linger` — a batch of up to `drain_batch` envelopes goes
+    /// out in one write and one flush over the kept-open connection, then
+    /// the answers are read back one by one, so a connection that dies
+    /// mid-batch costs a resend of the unanswered messages only. A backoff
+    /// is waited out on this thread: the paper's blocked `WsThread`.
     fn drain(self: &Arc<Self>, config: &DispatcherConfig, dest: Arc<Dest>) {
+        let mut link = Link::new(config.drain_batch);
         let mut client: Option<HttpClient<wsd_http::PipeStream>> = None;
         let mut buf: Vec<u8> = Vec::with_capacity(4096);
-        // Keep the thread (and connection) for `connection_linger` of
-        // idleness, then hand the slot back.
-        while let Ok(mut batch) = dest
-            .queue
-            .pop_timeout_batch(config.connection_linger, config.drain_batch)
-        {
-            let mut delivered = 0u64;
-            for _attempt in 0..2 {
-                if batch.is_empty() {
-                    break;
-                }
-                let fresh_conn = client.is_none();
-                if fresh_conn {
-                    match self.net.connect(&dest.host, dest.port) {
-                        Ok(stream) => {
-                            self.tele.connects.inc();
-                            client = Some(HttpClient::new(stream));
-                        }
-                        Err(_) => break, // dead destination
+        // Written for the first time, not yet on the books.
+        let mut written = 0u64;
+        let mut fresh_conn = false;
+        loop {
+            let step = link.next(false);
+            if written > 0 && !matches!(step, LinkStep::Write | LinkStep::Await) {
+                self.stats.delivered.fetch_add(written, Ordering::Relaxed);
+                self.tele.delivered.add(written);
+                written = 0;
+            }
+            match step {
+                // Keep the thread (and connection) for `connection_linger`
+                // of idleness, then hand the slot back.
+                LinkStep::Idle => {
+                    match dest.queue.pop_timeout_batch(config.connection_linger, config.drain_batch) {
+                        Ok(batch) => link.take(batch),
+                        Err(_) => break,
                     }
                 }
-                // `client` is set above on this same pass; a `None` here
-                // means the connect raced a shutdown — hand the batch to
-                // the drop accounting below rather than panic mid-drain.
-                let Some(c) = client.as_mut() else { break };
-                match c.call_pipelined(batch.iter().map(|m| &m.req), &mut buf) {
-                    Ok(resps) => {
-                        delivered += batch.len() as u64;
-                        // The first send on a fresh connection opens it;
-                        // every other message in the batch reuses it.
-                        let reused = batch.len() - usize::from(fresh_conn);
-                        self.tele.reused_sends.add(reused as u64);
-                        for (msg, resp) in batch.drain(..).zip(resps) {
-                            self.translate_rpc_response(config, msg.msg_id.as_deref(), &resp);
-                        }
-                        break;
+                LinkStep::Connect => {
+                    client = self.connect(config, &dest);
+                    fresh_conn = client.is_some();
+                    if fresh_conn {
+                        link.connected();
+                    } else {
+                        link.connect_failed();
                     }
-                    Err(_) => {
-                        // Stale connection: rebuild once and resend the
-                        // whole batch.
+                }
+                LinkStep::Write => {
+                    let reqs = link.batch().map(|m| &m.req);
+                    match client.as_mut().map(|c| c.send_pipelined(reqs, &mut buf)) {
+                        Some(Ok(n)) => {
+                            written += link.wrote(n) as u64;
+                            // The first send on a fresh connection opens
+                            // it; every other message reuses it.
+                            let opened = usize::from(std::mem::take(&mut fresh_conn));
+                            self.tele.reused_sends.add((n - opened) as u64);
+                        }
+                        _ => {
+                            client = None;
+                            link.write_failed();
+                        }
+                    }
+                }
+                LinkStep::Await => match client.as_mut().map(|c| c.read_response()) {
+                    Some(Ok(resp)) => {
+                        let msg_id = link.answered().and_then(|m| m.msg_id);
+                        self.translate_rpc_response(config, msg_id.as_deref(), &resp);
+                    }
+                    // Closed, errored or silent past `response_timeout`.
+                    _ => {
                         client = None;
+                        link.connection_lost();
                     }
+                },
+                LinkStep::Wait(backoff_us) => {
+                    let _ = self.stop.pop_timeout(std::time::Duration::from_micros(backoff_us));
+                    link.backoff_elapsed();
                 }
-            }
-            if delivered > 0 {
-                self.stats.delivered.fetch_add(delivered, Ordering::Relaxed);
-                self.tele.delivered.add(delivered);
-            }
-            if !batch.is_empty() {
-                self.count_dropped(batch.len() as u64);
+                LinkStep::GiveUp(gave_up) => {
+                    let mut dropped = gave_up.dropped.len();
+                    if gave_up.reason == GiveUpReason::RetriesExhausted {
+                        dropped += dest.queue.drain().len();
+                    }
+                    self.count_dropped(dropped as u64);
+                }
             }
         }
         dest.active.store(false, Ordering::Release);
@@ -383,6 +382,26 @@ impl MsgDispatcherServer {
         if !dest.queue.is_empty() && !dest.queue.is_closed() {
             self.activate(config, dest);
         }
+    }
+
+    /// Opens the destination's connection; answers on it are waited for
+    /// `response_timeout` at most. `None` when the destination is
+    /// unreachable — or the server is stopping, so a `WsThread` with work
+    /// left gives up instead of outliving `shutdown()`.
+    fn connect(
+        &self,
+        config: &DispatcherConfig,
+        dest: &Dest,
+    ) -> Option<HttpClient<wsd_http::PipeStream>> {
+        if self.stop.is_closed() {
+            return None;
+        }
+        let stream = self.net.connect(&dest.host, dest.port).ok()?;
+        self.ws_conns.track(&stream);
+        self.tele.connects.inc();
+        let mut client = HttpClient::new(stream);
+        client.set_response_timeout(Some(config.response_timeout)).ok()?;
+        Some(client)
     }
 
     /// Routes what an RPC-style destination answered synchronously back
@@ -651,11 +670,17 @@ mod tests {
         assert_eq!(load(&stats.accepted), SENT);
         assert_eq!(load(&stats.dropped), SENT - 2, "one reply in flight, one queued");
 
-        // Release the endpoint: the two held replies now fail and drop.
-        // Every accepted request and the reply it spawned is on the books.
+        // Release the endpoint. Edited with the link machine: the reply in
+        // flight was written, so losing its connection puts it on the
+        // books as delivered (it used to be dropped with its batch) and it
+        // is resent once; no connection can be opened for the resend, and
+        // after the backoff the destination is given up on — only the
+        // reply still queued is dropped. Every accepted request and the
+        // reply it spawned is on the books, as before.
         net.unlisten("client", 9000);
         held.lock().clear();
-        assert!(eventually(|| load(&stats.dropped) == SENT));
+        assert!(eventually(|| load(&stats.dropped) == SENT - 1));
+        assert_eq!(load(&stats.delivered), SENT + 1);
         assert_eq!(load(&stats.accepted), SENT);
         assert_eq!(
             load(&stats.delivered) + load(&stats.dropped) + load(&stats.rejected),
@@ -702,6 +727,7 @@ mod tests {
             MsgDispatcherServer::start(&net, "dispatcher", 8080, core, quick_config());
         let _got = start_callback(&net, "client", 9000);
         net.set_firewalled("client", true);
+        let t0 = std::time::Instant::now();
         let status = one_way(&net, "http://client:9000/cb", "uuid:fw", "x");
         assert_eq!(status, Status::ACCEPTED);
         for _ in 0..200 {
@@ -711,7 +737,80 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(disp.stats().dropped.load(Ordering::Relaxed) >= 1);
+        // Edited with the link machine: the drop used to follow the first
+        // failed connect at once; now the WsThread holds its slot through
+        // one backoff and a second connect first, as the simulated one does.
+        assert!(t0.elapsed() >= Duration::from_millis(500), "{:?}", t0.elapsed());
         disp.shutdown();
+    }
+
+    #[test]
+    fn silent_destination_does_not_park_a_wsthread() {
+        let net = Network::new();
+        // Accepts every connection, never reads, never answers.
+        let held = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let held2 = Arc::clone(&held);
+        net.listen("ws", 8888, move |stream| held2.lock().push(stream));
+        let registry = Arc::new(Registry::new());
+        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
+        let config = DispatcherConfig {
+            response_timeout: Duration::from_millis(50),
+            ..quick_config()
+        };
+        let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, config);
+        let stats = disp.stats();
+        let status = one_way(&net, "http://client:9000/cb", "uuid:silent", "x");
+        assert_eq!(status, Status::ACCEPTED);
+        // No answer within `response_timeout` is a lost connection: the
+        // message (written, so delivered) goes out once more on a fresh one…
+        assert!(eventually(|| held.lock().len() == 2));
+        assert!(eventually(|| stats.delivered.load(Ordering::Relaxed) == 1));
+        // …and only once: the WsThread comes back instead of retrying for
+        // ever, and nothing is counted twice or dropped.
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(held.lock().len(), 2);
+        assert_eq!(stats.delivered.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.dropped.load(Ordering::Relaxed), 0);
+        let t0 = std::time::Instant::now();
+        disp.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2), "ws_pool must drain");
+    }
+
+    #[test]
+    fn shutdown_interrupts_a_backoff_and_a_timed_read() {
+        let net = Network::new();
+        let held = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let held2 = Arc::clone(&held);
+        net.listen("ws", 8888, move |stream| held2.lock().push(stream));
+        let _got = start_callback(&net, "client", 9000);
+        net.set_firewalled("client", true);
+        let registry = Arc::new(Registry::new());
+        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        registry.register("Dead", Url::parse("http://client:9000/cb").unwrap());
+        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
+        // Default `response_timeout`: 30 s.
+        let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, quick_config());
+        // One WsThread reads answers a silent destination never sends…
+        assert_eq!(one_way(&net, "http://x:1/cb", "uuid:read", "x"), Status::ACCEPTED);
+        assert!(eventually(|| !held.lock().is_empty()));
+        // …another waits out the backoff before a firewalled one.
+        let mut env = soap_rpc::echo_request(SoapVersion::V11, "x");
+        WsaHeaders::new().to("http://dispatcher/svc/Dead").message_id("uuid:wait").apply(&mut env);
+        let req = Request::soap_post(
+            "dispatcher:8080",
+            "/msg",
+            SoapVersion::V11.content_type(),
+            env.to_xml().into_bytes(),
+        );
+        let mut client = HttpClient::new(net.connect("dispatcher", 8080).unwrap());
+        assert_eq!(client.call(&req).unwrap().status, Status::ACCEPTED);
+        std::thread::sleep(Duration::from_millis(200));
+        let t0 = std::time::Instant::now();
+        disp.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        // What could not be written any more is on the books as dropped.
+        assert_eq!(disp.stats().dropped.load(Ordering::Relaxed), 1);
     }
 
     #[test]

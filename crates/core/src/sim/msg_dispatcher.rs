@@ -21,8 +21,8 @@ use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, EventTrace, Gauge, Scope, TraceStage};
 
+use crate::msg::link::{GiveUpReason, Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, MsgCore, RoutedRaw};
-use crate::reliable::RetryPolicy;
 use crate::sim::{request_payload, response_payload, CpuQueue};
 use crate::url::Url;
 
@@ -77,16 +77,15 @@ pub struct WsThreadConfig {
     pub threads: usize,
     /// Per-destination queue capacity.
     pub queue_capacity: usize,
-    /// How many queued envelopes one connection visit coalesces (the
-    /// threaded runtime's buffered-batch write, mirrored as bookkeeping:
-    /// virtual send times are unchanged, only `drain_batches` counts it).
+    /// How many queued envelopes one write to the connection carries (the
+    /// threaded runtime's buffered-batch write; here every message is its
+    /// own simulated send at the same virtual instant, so only
+    /// `drain_batches` sees the batching).
     pub drain_batch: usize,
     /// Connect timeout toward destinations.
     pub connect_timeout: SimDuration,
     /// Idle time before a kept-open destination connection is closed.
     pub linger: SimDuration,
-    /// Hold/retry policy for unreachable destinations.
-    pub retry: RetryPolicy,
     /// How long a forwarded request's route-table entry awaits its reply
     /// before the janitor drops it.
     pub route_ttl: SimDuration,
@@ -100,11 +99,6 @@ impl Default for WsThreadConfig {
             drain_batch: 16,
             connect_timeout: SimDuration::from_secs(3),
             linger: SimDuration::from_secs(15),
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_backoff_us: 500_000,
-                max_backoff_us: 5_000_000,
-            },
             route_ttl: SimDuration::from_secs(300),
         }
     }
@@ -147,37 +141,34 @@ impl DispatcherTelemetry {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DestConn {
-    Idle,
-    Connecting(ConnId),
-    Ready(ConnId),
-    Backoff,
-}
+/// A queued outbound message: its `MessageID` (for trace stamps and the
+/// quadrant-3 correlation) and the serialized request.
+type QueuedMsg = (String, Payload);
 
 struct Dest {
-    queue: VecDeque<(String, Payload)>,
-    conn: DestConn,
+    /// Admitted and not yet handed to the link; bounded by
+    /// `queue_capacity`. Messages stay here until the connection is up.
+    queue: VecDeque<QueuedMsg>,
+    /// The connection's state and what is in flight on it — the
+    /// `WsThread` discipline both runtimes share.
+    link: Link<QueuedMsg>,
+    /// The established connection, while the link is up.
+    conn: Option<ConnId>,
     has_thread: bool,
-    attempts: u32,
-    generation: u64,
-    /// Message ids written to the connection, awaiting their HTTP
-    /// responses in order — the state behind the paper's Table 1
-    /// quadrant 3: when an *RPC* service answers `200` with a SOAP body,
-    /// the dispatcher translates it into a reply message correlated to
-    /// the oldest outstanding id.
-    outstanding: VecDeque<String>,
+    /// Token of the timer armed last — the backoff while the link backs
+    /// off, the linger of an idle connection otherwise; an older one that
+    /// fires is stale.
+    timer: u64,
 }
 
 impl Dest {
-    fn new() -> Self {
+    fn new(drain_batch: usize) -> Self {
         Dest {
             queue: VecDeque::new(),
-            conn: DestConn::Idle,
+            link: Link::new(drain_batch),
+            conn: None,
             has_thread: false,
-            attempts: 0,
-            generation: 0,
-            outstanding: VecDeque::new(),
+            timer: 0,
         }
     }
 }
@@ -199,10 +190,11 @@ pub struct SimMsgDispatcher {
     active_threads: usize,
     /// Destinations with work, waiting for a free `WsThread`.
     waiting: VecDeque<DestKey>,
-    connecting: HashMap<ConnId, DestKey>,
-    ready_conns: HashMap<ConnId, DestKey>,
-    backoff_timers: HashMap<u64, DestKey>,
-    linger_timers: HashMap<u64, (DestKey, u64)>,
+    /// Destination connections, connecting or established (the link
+    /// knows which).
+    dest_conns: HashMap<ConnId, DestKey>,
+    /// Pending backoff and linger timers.
+    dest_timers: HashMap<u64, DestKey>,
     /// Token of the pending route-table janitor tick (armed lazily so an
     /// idle dispatcher schedules no events and `run()` can drain).
     janitor_token: u64,
@@ -224,10 +216,8 @@ impl SimMsgDispatcher {
             dests: HashMap::new(),
             active_threads: 0,
             waiting: VecDeque::new(),
-            connecting: HashMap::new(),
-            ready_conns: HashMap::new(),
-            backoff_timers: HashMap::new(),
-            linger_timers: HashMap::new(),
+            dest_conns: HashMap::new(),
+            dest_timers: HashMap::new(),
             janitor_token: 0,
             janitor_armed: false,
             tele: DispatcherTelemetry::new(&Scope::noop()),
@@ -287,10 +277,15 @@ impl SimMsgDispatcher {
                 }
                 self.enqueue(ctx, &to, body, message_id);
             }
-            Some(Err(_)) | None => {
+            rejected => {
                 self.stats.rejected.inc();
                 if let Some(conn) = client_conn {
-                    let resp = Response::empty(Status::BAD_REQUEST);
+                    // A routing reject is a SOAP fault; bytes that are no
+                    // HTTP request with a body stay an empty 400.
+                    let resp = match rejected {
+                        Some(Err(e)) => crate::rpc::error_response(SoapVersion::V11, &e),
+                        _ => Response::empty(Status::BAD_REQUEST),
+                    };
                     let _ = ctx.send(conn, response_payload(&resp));
                 }
             }
@@ -315,8 +310,8 @@ impl SimMsgDispatcher {
         );
         let payload = request_payload(&req);
         let key = (to.host.clone(), to.port);
-        let cap = self.config.queue_capacity;
-        let dest = self.dests.entry(key.clone()).or_insert_with(Dest::new);
+        let (cap, drain_batch) = (self.config.queue_capacity, self.config.drain_batch);
+        let dest = self.dests.entry(key.clone()).or_insert_with(|| Dest::new(drain_batch));
         if dest.queue.len() >= cap {
             self.stats.dropped.inc();
             self.tele
@@ -339,7 +334,7 @@ impl SimMsgDispatcher {
         let Some(dest) = self.dests.get_mut(&key) else {
             return;
         };
-        if dest.has_thread || dest.queue.is_empty() {
+        if dest.has_thread || (dest.queue.is_empty() && !dest.link.has_unsent()) {
             return;
         }
         if self.active_threads < self.config.threads {
@@ -352,82 +347,89 @@ impl SimMsgDispatcher {
         }
     }
 
-    /// Advances a destination that owns a thread.
+    /// Advances a destination that owns a thread: does what its link says
+    /// until the link waits on an event (the connect's outcome, the
+    /// backoff timer) or has nothing left to write, which frees the thread.
     fn work_dest(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
-        let Some(dest) = self.dests.get_mut(&key) else {
-            return;
-        };
-        match dest.conn {
-            DestConn::Ready(conn) => self.flush(ctx, key, conn),
-            DestConn::Idle => {
-                let conn = ctx.connect(&key.0, key.1, self.config.connect_timeout);
-                dest.conn = DestConn::Connecting(conn);
-                self.connecting.insert(conn, key);
+        let now_us = ctx.now().as_micros();
+        loop {
+            let Some(dest) = self.dests.get_mut(&key) else {
+                return;
+            };
+            match dest.link.next(!dest.queue.is_empty()) {
+                LinkStep::Connect => {
+                    let conn = ctx.connect(&key.0, key.1, self.config.connect_timeout);
+                    self.dest_conns.insert(conn, key);
+                    return;
+                }
+                // Hold the thread through the backoff — this is the
+                // blocked-WsThread behaviour.
+                LinkStep::Wait(backoff_us) => {
+                    return self.arm_dest_timer(ctx, key, SimDuration::from_micros(backoff_us));
+                }
+                LinkStep::Write => {
+                    let conn = dest.conn.expect("an up link has its connection");
+                    let (mut wrote, mut broken) = (0, false);
+                    for (msg_id, payload) in dest.link.batch() {
+                        if ctx.send(conn, payload.clone()).is_err() {
+                            broken = true;
+                            break;
+                        }
+                        self.tele.stage(msg_id, TraceStage::Drained, now_us);
+                        self.tele.stage(msg_id, TraceStage::Delivered, now_us);
+                        wrote += 1;
+                    }
+                    if wrote > 0 {
+                        self.stats.delivered.add(dest.link.wrote(wrote) as u64);
+                        self.stats.drain_batches.inc();
+                    }
+                    if broken {
+                        // Connection died under us: the batch goes out on
+                        // the next one.
+                        self.dest_conns.remove(&conn);
+                        dest.conn = None;
+                        dest.link.write_failed();
+                    }
+                }
+                LinkStep::GiveUp(gave_up) => {
+                    let mut lost = gave_up.dropped;
+                    if gave_up.reason == GiveUpReason::RetriesExhausted {
+                        lost.extend(dest.queue.drain(..));
+                    }
+                    for (msg_id, _) in &lost {
+                        self.tele.stage(msg_id, TraceStage::Dropped, now_us);
+                    }
+                    self.stats.dropped.add(lost.len() as u64);
+                }
+                LinkStep::Idle | LinkStep::Await => {
+                    let up = dest.link.is_up();
+                    if up && !dest.queue.is_empty() {
+                        let n = dest.queue.len().min(self.config.drain_batch.max(1));
+                        dest.link.take(dest.queue.drain(..n));
+                        continue;
+                    }
+                    // Nothing left to write (answers arrive as events):
+                    // release the thread, keep a live connection warm.
+                    let depth = dest.queue.len();
+                    self.tele.dest_queue_depth(&key).set(depth as i64);
+                    self.release_thread(ctx, &key);
+                    if up {
+                        self.arm_dest_timer(ctx, key, self.config.linger);
+                    }
+                    return;
+                }
             }
-            // Connecting/Backoff: progress arrives via events/timers.
-            DestConn::Connecting(_) | DestConn::Backoff => {}
         }
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<'_>, key: DestKey, conn: ConnId) {
-        let Some(dest) = self.dests.get_mut(&key) else {
-            return;
-        };
-        let mut sent = 0u64;
-        let mut batches = 0u64;
-        let mut broken = false;
-        let now_us = ctx.now().as_micros();
-        let max = self.config.drain_batch.max(1);
-        // Coalesce up to `drain_batch` envelopes per connection visit,
-        // mirroring the threaded runtime's single-flush batches. This is
-        // bookkeeping only: every message is still its own simulated
-        // write at the same virtual instant, so event timing (and every
-        // figure) is unchanged.
-        'batches: while !dest.queue.is_empty() {
-            let mut in_batch = 0usize;
-            while in_batch < max {
-                let Some((msg_id, payload)) = dest.queue.pop_front() else {
-                    break;
-                };
-                if ctx.send(conn, payload.clone()).is_ok() {
-                    self.tele.stage(&msg_id, TraceStage::Drained, now_us);
-                    self.tele.stage(&msg_id, TraceStage::Delivered, now_us);
-                    dest.outstanding.push_back(msg_id);
-                    sent += 1;
-                    in_batch += 1;
-                } else {
-                    // Connection died under us: requeue and reconnect.
-                    dest.queue.push_front((msg_id, payload));
-                    broken = true;
-                    break;
-                }
-            }
-            if in_batch > 0 {
-                batches += 1;
-            }
-            if broken {
-                break 'batches;
-            }
-        }
-        let depth = dest.queue.len();
-        self.stats.delivered.add(sent);
-        self.stats.drain_batches.add(batches);
-        self.tele.dest_queue_depth(&key).set(depth as i64);
-        if broken {
-            self.ready_conns.remove(&conn);
-            let dest = self.dests.get_mut(&key).expect("dest exists");
-            dest.conn = DestConn::Idle;
-            self.work_dest(ctx, key);
-            return;
-        }
-        // Queue drained: release the thread, keep the connection warm.
-        let dest = self.dests.get_mut(&key).expect("dest exists");
-        dest.generation += 1;
-        let generation = dest.generation;
-        self.release_thread(ctx, &key);
+    /// Arms the destination's timer; one armed earlier goes stale.
+    fn arm_dest_timer(&mut self, ctx: &mut Ctx<'_>, key: DestKey, after: SimDuration) {
         let token = self.token();
-        self.linger_timers.insert(token, (key, generation));
-        ctx.set_timer(self.config.linger, token);
+        if let Some(dest) = self.dests.get_mut(&key) {
+            dest.timer = token;
+        }
+        self.dest_timers.insert(token, key);
+        ctx.set_timer(after, token);
     }
 
     fn release_thread(&mut self, ctx: &mut Ctx<'_>, key: &DestKey) {
@@ -440,33 +442,24 @@ impl SimMsgDispatcher {
         self.active_threads = self.active_threads.saturating_sub(1);
         self.stats.active_threads.set(self.active_threads as i64);
         // Hand the slot to the next waiting destination with work.
-        while let Some(next) = self.waiting.pop_front() {
-            let ready = self
-                .dests
-                .get(&next)
-                .map(|d| !d.queue.is_empty() && !d.has_thread)
-                .unwrap_or(false);
-            if ready {
-                let dest = self.dests.get_mut(&next).expect("checked");
-                dest.has_thread = true;
-                self.active_threads += 1;
-                self.stats.active_threads.set(self.active_threads as i64);
-                self.work_dest(ctx, next);
+        while self.active_threads < self.config.threads {
+            let Some(next) = self.waiting.pop_front() else {
                 break;
-            }
+            };
+            self.schedule_dest(ctx, next);
         }
     }
 
     /// Handles an HTTP response arriving on a destination connection.
     fn on_dest_response(&mut self, ctx: &mut Ctx<'_>, key: DestKey, bytes: Payload) {
-        let outstanding = match self.dests.get_mut(&key) {
-            Some(dest) => dest.outstanding.pop_front(),
-            None => None,
-        };
+        // The request this answers: the oldest the link wrote to the
+        // connection the answer came in on.
+        let request = self.dests.get_mut(&key).and_then(|d| d.link.answered());
         let Ok(resp) = wsd_http::parse_response_bytes(&bytes) else {
             return;
         };
-        let Some(routable) = correlate_rpc_reply(&resp, outstanding.as_deref()) else {
+        let req_id = request.as_ref().map(|(msg_id, _)| msg_id.as_str());
+        let Some(routable) = correlate_rpc_reply(&resp, req_id) else {
             return; // plain ack (202) or error — nothing to translate
         };
         // Translation costs CxThread CPU like any inbound message — this
@@ -484,21 +477,6 @@ impl SimMsgDispatcher {
             .insert(token, (None, request_payload(&synthetic)));
         ctx.set_timer(done_at.since(ctx.now()), token);
     }
-
-    fn give_up(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
-        if let Some(dest) = self.dests.get_mut(&key) {
-            let n = dest.queue.len() as u64;
-            let now_us = ctx.now().as_micros();
-            for (msg_id, _) in dest.queue.drain(..) {
-                self.tele.stage(&msg_id, TraceStage::Dropped, now_us);
-            }
-            dest.conn = DestConn::Idle;
-            dest.attempts = 0;
-            self.stats.dropped.add(n);
-            self.tele.dest_queue_depth(&key).set(0);
-        }
-        self.release_thread(ctx, &key);
-    }
 }
 
 impl Process for SimMsgDispatcher {
@@ -506,7 +484,7 @@ impl Process for SimMsgDispatcher {
         match event {
             ProcEvent::Start | ProcEvent::ConnAccepted { .. } => {}
             ProcEvent::Message { conn, bytes } => {
-                if let Some(key) = self.ready_conns.get(&conn).cloned() {
+                if let Some(key) = self.dest_conns.get(&conn).cloned() {
                     // A response from a destination. `202` is a plain
                     // ack; `200` with a SOAP body is an *RPC* service
                     // answering synchronously — translate it into a reply
@@ -531,63 +509,45 @@ impl Process for SimMsgDispatcher {
                     self.arm_janitor(ctx);
                 } else if let Some((conn, raw)) = self.routing.remove(&token) {
                     self.route_now(ctx, conn, raw);
-                } else if let Some(key) = self.backoff_timers.remove(&token) {
-                    if let Some(dest) = self.dests.get_mut(&key) {
-                        if dest.conn == DestConn::Backoff {
-                            dest.conn = DestConn::Idle;
-                            self.work_dest(ctx, key);
-                        }
-                    }
-                } else if let Some((key, generation)) = self.linger_timers.remove(&token) {
-                    if let Some(dest) = self.dests.get_mut(&key) {
-                        if dest.generation == generation && dest.queue.is_empty() {
-                            if let DestConn::Ready(conn) = dest.conn {
-                                dest.conn = DestConn::Idle;
-                                self.ready_conns.remove(&conn);
-                                ctx.close(conn);
-                            }
+                } else if let Some(key) = self.dest_timers.remove(&token) {
+                    let Some(dest) = self.dests.get_mut(&key).filter(|d| d.timer == token) else {
+                        return;
+                    };
+                    if dest.link.backoff_elapsed() {
+                        self.work_dest(ctx, key);
+                    } else if dest.queue.is_empty() && dest.link.idle_expired() {
+                        if let Some(conn) = dest.conn.take() {
+                            self.dest_conns.remove(&conn);
+                            ctx.close(conn);
                         }
                     }
                 }
             }
             ProcEvent::ConnEstablished { conn } => {
-                if let Some(key) = self.connecting.remove(&conn) {
+                if let Some(key) = self.dest_conns.get(&conn).cloned() {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        dest.conn = DestConn::Ready(conn);
-                        dest.attempts = 0;
-                        self.ready_conns.insert(conn, key.clone());
-                        if dest.has_thread {
-                            self.flush(ctx, key, conn);
-                        }
+                        dest.link.connected();
+                        dest.conn = Some(conn);
+                        self.work_dest(ctx, key);
                     }
                 }
             }
             ProcEvent::ConnRefused { conn, .. } => {
-                if let Some(key) = self.connecting.remove(&conn) {
-                    let retry = self.config.retry;
+                if let Some(key) = self.dest_conns.remove(&conn) {
                     if let Some(dest) = self.dests.get_mut(&key) {
-                        dest.attempts += 1;
-                        match retry.backoff_before(dest.attempts + 1) {
-                            Some(backoff) => {
-                                // Hold the thread through the backoff —
-                                // this is the blocked-WsThread behaviour.
-                                dest.conn = DestConn::Backoff;
-                                let token = self.token();
-                                self.backoff_timers.insert(token, key);
-                                ctx.set_timer(SimDuration::from_micros(backoff), token);
-                            }
-                            None => self.give_up(ctx, key),
-                        }
+                        dest.link.connect_failed();
+                        self.work_dest(ctx, key);
                     }
                 }
             }
             ProcEvent::ConnClosed { conn } => {
-                if let Some(key) = self.ready_conns.remove(&conn) {
-                    if let Some(dest) = self.dests.get_mut(&key) {
-                        dest.conn = DestConn::Idle;
-                        if dest.has_thread {
-                            self.work_dest(ctx, key.clone());
-                        }
+                if let Some(key) = self.dest_conns.remove(&conn) {
+                    // An established connection has no thread on it between
+                    // events. What it left unanswered goes out once more on
+                    // a fresh one; its ids die with it.
+                    if let Some(dest) = self.dests.get_mut(&key).filter(|d| d.conn == Some(conn)) {
+                        dest.conn = None;
+                        dest.link.connection_lost();
                         self.schedule_dest(ctx, key);
                     }
                 }
@@ -865,5 +825,9 @@ mod tests {
         sim.run();
         assert_eq!(stats.rejected.get(), 1);
         assert!(responses.borrow()[0].starts_with("HTTP/1.1 400"));
+        // Edited with the link machine: a routing reject is answered with
+        // the SOAP fault the threaded dispatcher always sent, not an empty
+        // body.
+        assert!(responses.borrow()[0].contains("no destination"));
     }
 }

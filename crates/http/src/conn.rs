@@ -68,6 +68,24 @@ impl<S: Stream> HttpClient<S> {
         reqs: impl IntoIterator<Item = &'a Request>,
         buf: &mut Vec<u8>,
     ) -> Result<Vec<Response>, HttpError> {
+        let n = self.send_pipelined(reqs, buf)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.read_response()?);
+        }
+        Ok(out)
+    }
+
+    /// The write half of [`call_pipelined`](Self::call_pipelined): the
+    /// requests go out in one write and one flush, and the caller reads
+    /// the answers one by one with [`read_response`](Self::read_response)
+    /// — so it knows how many arrived before a connection died. Returns
+    /// how many requests were written; an error means none was.
+    pub fn send_pipelined<'a>(
+        &mut self,
+        reqs: impl IntoIterator<Item = &'a Request>,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, HttpError> {
         if self.exhausted {
             return Err(HttpError::Closed);
         }
@@ -79,21 +97,12 @@ impl<S: Stream> HttpClient<S> {
             keep &= req.keep_alive();
             n += 1;
         }
-        if n == 0 {
-            return Ok(Vec::new());
+        if n > 0 {
+            self.reader.stream_mut().write_all(buf)?;
+            self.reader.stream_mut().flush()?;
+            self.exhausted = !keep;
         }
-        self.reader.stream_mut().write_all(buf)?;
-        self.reader.stream_mut().flush()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let resp = self.reader.read_response(&self.limits)?;
-            keep &= resp.keep_alive();
-            out.push(resp);
-        }
-        if !keep {
-            self.exhausted = true;
-        }
-        Ok(out)
+        Ok(n)
     }
 
     /// Sends a request without waiting for any response (one-way
@@ -107,9 +116,13 @@ impl<S: Stream> HttpClient<S> {
         Ok(())
     }
 
-    /// Reads one response (pairs with [`send_only`](Self::send_only)).
+    /// Reads one response (pairs with [`send_only`](Self::send_only) and
+    /// [`send_pipelined`](Self::send_pipelined)); one that says
+    /// `Connection: close` ends the connection's reuse.
     pub fn read_response(&mut self) -> Result<Response, HttpError> {
-        self.reader.read_response(&self.limits)
+        let resp = self.reader.read_response(&self.limits)?;
+        self.exhausted |= !resp.keep_alive();
+        Ok(resp)
     }
 }
 

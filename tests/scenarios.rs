@@ -7,14 +7,15 @@
 //! [`Process`] client over `wsd_netsim`), the other on the threaded
 //! runtime ([`HttpClient`] over `rt::Network`). The rows cover the
 //! decisions `wsd-core` makes once for both runtimes — the mailbox
-//! request handler, the RPC forward outcome, the RPC-reply translation —
-//! so a drift between the two drivers fails here first.
+//! request handler, the RPC forward outcome, the RPC-reply translation,
+//! and the per-destination link machine's connect / write / retry /
+//! give-up policy (the last four rows: a connection lost under a batch, a
+//! dead destination with a backlog, a full queue, a reconnect under
+//! quadrant 3) — so a drift between the two drivers fails here first.
 //!
-//! Where the runtimes still differ on purpose (the per-destination
-//! queue/connect/retry machine, ROADMAP item 2(c)) the row says so in
-//! `differs` and pins each side's answer; the last four rows stand up what
-//! that machine decides — a connection lost under a batch, a dead
-//! destination with a backlog, a full queue, a reconnect under quadrant 3.
+//! Where the runtimes still differ on purpose the row says so in `differs`
+//! and pins each side's answer: RPC liveness marks are rt's alone, and a
+//! full destination queue is acked and dropped in sim, refused in rt.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -123,8 +124,6 @@ enum Step {
 enum Expect {
     /// This status, whatever the body.
     Status(u16),
-    /// This status and no body.
-    Empty(u16),
     /// `200` carrying the echo of this text.
     Echo(&'static str),
     /// This status carrying a SOAP fault whose reason contains the text.
@@ -248,7 +247,7 @@ struct Scenario {
     /// came first.
     gives_up_after_ms: u64,
     /// What the runtimes do differently here, on purpose, and this table
-    /// pins rather than reconciles (ROADMAP item 2(c)).
+    /// pins rather than reconciles (ROADMAP item 2).
     differs: &'static [&'static str],
     /// A bug this row exposes at the parent commit, fixed with the table.
     fixed_here: Option<&'static str>,
@@ -421,10 +420,6 @@ fn table() -> Vec<Scenario> {
         Scenario {
             firewalled_client: true,
             books: Books::default().msg(1, 1, 0),
-            differs: &[
-                "a failed connect is backoff-and-retry, then drop the destination's whole \
-                 queue in sim; rt drops the popped batch at the first failed connect",
-            ],
             ..Scenario::new(
                 "a reply to a firewalled client with no mailbox is dropped, on the books",
                 vec![(
@@ -435,16 +430,9 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             books: Books::default().msg(0, 0, 1),
-            differs: &[
-                "a rejected one-way message is an empty 400 in sim and error_response's \
-                 SOAP fault in rt",
-            ],
             ..Scenario::new(
-                "a one-way message with no destination is rejected with 400",
-                vec![(
-                    Step::Unroutable,
-                    Expect::PerRuntime(&Expect::Empty(400), &Expect::Fault(400, "no destination")),
-                )],
+                "a one-way message with no destination is rejected with a 400 fault",
+                vec![(Step::Unroutable, Expect::Fault(400, "no destination"))],
             )
         },
         Scenario {
@@ -481,11 +469,6 @@ fn table() -> Vec<Scenario> {
             firewalled_client: true,
             books: Books::default().msg(3, 3, 0),
             gives_up_after_ms: 500,
-            differs: &[
-                "sim retries the connect once after the backoff and then drops the \
-                 destination's whole queue; rt drops each popped batch at its first failed \
-                 connect with no wait, so only sim is held to the time bound",
-            ],
             ..Scenario::new(
                 "a dead destination with a backlog: one retry after the backoff, then \
                  every queued reply is dropped together",
@@ -506,9 +489,10 @@ fn table() -> Vec<Scenario> {
                  implementation, kept because Fig. 6 reproduces it: 59 712 of the 74 816 \
                  messages its dispatcher loses, 80 %, are lost to a full queue), rt offers \
                  first and answers 503",
-                "rt took the first message off the queue before connecting, so it is in \
-                 flight (counted only once answered) and the second one is queued, not lost; \
-                 sim keeps all it has not written in the queue and gives them up together",
+                "rt's destination accepts and never reads, so the first message is written \
+                 and in flight (on the books once answered or lost) with the second queued \
+                 behind it; sim's is firewalled, so everything stays queued until the connect \
+                 retries are exhausted and is given up together",
             ],
             ..Scenario::new(
                 "a full destination queue behind a wedged destination drops the message, \
@@ -700,9 +684,6 @@ impl Expect {
         };
         match *self {
             Expect::Status(status) => assert_eq!(reply.status, status, "{at}: {reply:?}"),
-            Expect::Empty(status) => {
-                assert_eq!((reply.status, reply.body.as_str()), (status, ""), "{at}")
-            }
             Expect::Echo(text) => {
                 assert_eq!(reply.status, 200, "{at}: {reply:?}");
                 let env = Envelope::parse(&reply.body).expect("an envelope");
@@ -885,13 +866,10 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
         books.mailbox.resident = drain[0].fetched().map_or(0, |got| got.len() as u64);
     }
     assert_eq!(books, want_books, "{at}: books at quiescence");
-    // Only sim backs off before giving up (the row's `differs`).
-    if on_sim {
-        assert!(
-            settled_at_ms >= row.gives_up_after_ms,
-            "{at}: gave up after {settled_at_ms} ms, no retry after the backoff"
-        );
-    }
+    assert!(
+        settled_at_ms >= row.gives_up_after_ms,
+        "{at}: gave up after {settled_at_ms} ms, no retry after the backoff"
+    );
     // What the service read, once every message has reached it.
     let count = |got: &[String], text: &str| got.iter().filter(|t| *t == text).count();
     let arrivals = settled(&true, || {
