@@ -48,27 +48,6 @@ pub const DELIVERY_RETRY: RetryPolicy = RetryPolicy {
     max_backoff_us: 5_000_000,
 };
 
-/// Why a link stopped trying to deliver messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GiveUpReason {
-    /// Every attempt [`DELIVERY_RETRY`] allows failed: the destination is
-    /// unreachable, and the driver drops what it still queues for it too.
-    RetriesExhausted,
-    /// A message written twice went unanswered twice.
-    ResendFailed,
-}
-
-/// Messages a link stops trying to deliver.
-#[derive(Debug, PartialEq, Eq)]
-pub struct GiveUp<M> {
-    /// Why.
-    pub reason: GiveUpReason,
-    /// Never written to a connection: the driver counts each as dropped.
-    pub dropped: Vec<M>,
-    /// Written (so counted delivered), never answered, not tried again.
-    pub unconfirmed: usize,
-}
-
 /// What the driver must do next.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LinkStep<M> {
@@ -87,8 +66,11 @@ pub enum LinkStep<M> {
     /// Hold the thread this many microseconds, then report
     /// [`backoff_elapsed`](Link::backoff_elapsed).
     Wait(u64),
-    /// Account for these messages; they are gone from the link.
-    GiveUp(GiveUp<M>),
+    /// Every attempt [`DELIVERY_RETRY`] allows failed: the destination is
+    /// unreachable. These messages were never written to a connection and
+    /// are gone from the link; the driver counts each as dropped, and
+    /// drops what it still queues for the destination too.
+    GiveUp(Vec<M>),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +96,7 @@ pub struct Link<M> {
     resends: usize,
     /// Written, awaiting answers, oldest first; the flag marks a resend.
     unanswered: VecDeque<(M, bool)>,
-    gave_up: Option<GiveUp<M>>,
+    gave_up: Option<Vec<M>>,
 }
 
 impl<M> Link<M> {
@@ -152,19 +134,18 @@ impl<M> Link<M> {
     /// not handed over (a driver that keeps them queued until the
     /// connection is up asks for the connection so).
     pub fn next(&mut self, queued: bool) -> LinkStep<M> {
-        if let Some(gave_up) = self.gave_up.take() {
-            return LinkStep::GiveUp(gave_up);
+        if let Some(dropped) = self.gave_up.take() {
+            return LinkStep::GiveUp(dropped);
         }
         match self.conn {
-            Conn::Down if queued || self.has_unsent() => {
+            Conn::Down | Conn::Connecting if queued || self.has_unsent() => {
                 self.conn = Conn::Connecting;
                 LinkStep::Connect
             }
-            Conn::Connecting => LinkStep::Connect,
             Conn::Backoff(wait_us) => LinkStep::Wait(wait_us),
             Conn::Up if self.has_unsent() => LinkStep::Write,
             Conn::Up if !self.unanswered.is_empty() => LinkStep::Await,
-            Conn::Up | Conn::Down => LinkStep::Idle,
+            _ => LinkStep::Idle,
         }
     }
 
@@ -233,28 +214,21 @@ impl<M> Link<M> {
 
     /// The connection closed, errored or timed out. Each unanswered
     /// message goes back to the head of the unsent batch, to be written
-    /// once more on a fresh connection — unless it was a resend already:
-    /// nothing is written three times, and no answer is ever correlated
-    /// with a dead connection's request.
+    /// once more on a fresh connection — unless it was a resend already
+    /// (written, so counted delivered; it is not tried a third time). No
+    /// answer is ever correlated with a dead connection's request.
     pub fn connection_lost(&mut self) {
         if !self.is_up() {
             return;
         }
         self.conn = Conn::Down;
-        let mut unconfirmed = 0;
         // Resends are written first, so a first write among the unanswered
         // means no resend is left unsent.
         while let Some((msg, resend)) = self.unanswered.pop_back() {
-            if resend {
-                unconfirmed += 1;
-            } else {
+            if !resend {
                 self.unsent.push_front(msg);
                 self.resends += 1;
             }
-        }
-        if unconfirmed > 0 {
-            let (reason, dropped) = (GiveUpReason::ResendFailed, Vec::new());
-            self.gave_up = Some(GiveUp { reason, dropped, unconfirmed });
         }
     }
 
@@ -269,17 +243,16 @@ impl<M> Link<M> {
         close
     }
 
-    /// Counts a failed attempt: back off, or give up on everything taken.
+    /// Counts a failed attempt: back off, or give up on everything taken
+    /// (a resend among it was written once and stays counted delivered).
     fn failed_attempt(&mut self) {
         self.attempts += 1;
         match DELIVERY_RETRY.backoff_before(self.attempts + 1) {
             Some(wait_us) => self.conn = Conn::Backoff(wait_us),
             None => {
                 (self.conn, self.attempts) = (Conn::Down, 0);
-                let unconfirmed = std::mem::take(&mut self.resends);
-                let dropped = self.unsent.drain(..).skip(unconfirmed).collect();
-                let reason = GiveUpReason::RetriesExhausted;
-                self.gave_up = Some(GiveUp { reason, dropped, unconfirmed });
+                let resends = std::mem::take(&mut self.resends);
+                self.gave_up = Some(self.unsent.drain(..).skip(resends).collect());
             }
         }
     }
@@ -341,14 +314,6 @@ mod tests {
         link.wrote(n)
     }
 
-    fn gave_up(reason: GiveUpReason, dropped: &[u32], unconfirmed: usize) -> Step {
-        LinkStep::GiveUp(GiveUp {
-            reason,
-            dropped: dropped.to_vec(),
-            unconfirmed,
-        })
-    }
-
     #[test]
     fn happy_path_connects_writes_awaits_and_idles() {
         let mut link: Link<u32> = Link::new(16);
@@ -399,10 +364,7 @@ mod tests {
         link.backoff_elapsed();
         assert_eq!(link.next(false), Step::Connect);
         link.connect_failed();
-        assert_eq!(
-            link.next(false),
-            gave_up(GiveUpReason::RetriesExhausted, &[1, 2], 0)
-        );
+        assert_eq!(link.next(false), Step::GiveUp(vec![1, 2]));
         assert_eq!(link.next(false), Step::Idle);
         // Attempts start over for what comes next.
         link.take([3]);
@@ -445,10 +407,6 @@ mod tests {
         assert_eq!(link.answered(), Some(3));
         // Lost again: a resend is not resent, a first write is.
         link.connection_lost();
-        assert_eq!(
-            link.next(false),
-            gave_up(GiveUpReason::ResendFailed, &[], 1)
-        );
         assert_eq!(link.next(false), Step::Connect);
         link.connected();
         assert_eq!(link.batch().copied().collect::<Vec<_>>(), [5]);
@@ -458,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn giving_up_reports_resends_apart_from_what_was_never_written() {
+    fn giving_up_drops_only_what_was_never_written() {
         let mut link = up([1]);
         assert_eq!(write(&mut link), 1);
         link.take([2]);
@@ -469,10 +427,7 @@ mod tests {
         assert_eq!(link.next(false), Step::Connect);
         link.connect_failed();
         // 1 was delivered once and stays on the books as that; 2 is dropped.
-        assert_eq!(
-            link.next(false),
-            gave_up(GiveUpReason::RetriesExhausted, &[2], 1)
-        );
+        assert_eq!(link.next(false), Step::GiveUp(vec![2]));
     }
 
     #[test]
@@ -501,10 +456,7 @@ mod tests {
         link.connected();
         assert_eq!(link.next(false), Step::Write);
         link.write_failed();
-        assert_eq!(
-            link.next(false),
-            gave_up(GiveUpReason::RetriesExhausted, &[1], 0)
-        );
+        assert_eq!(link.next(false), Step::GiveUp(vec![1]));
     }
 
     #[test]

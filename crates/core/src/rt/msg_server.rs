@@ -12,7 +12,7 @@ use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, Scope};
 
 use crate::config::DispatcherConfig;
-use crate::msg::link::{GiveUpReason, Link, LinkStep};
+use crate::msg::link::{Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, MsgCore, RoutedMeta};
 use crate::rt::{now_us, one_by_one, ConnTracker, Network, ReactorFrontEnd};
 use crate::url::Url;
@@ -368,12 +368,8 @@ impl MsgDispatcherServer {
                     let _ = self.stop.pop_timeout(std::time::Duration::from_micros(backoff_us));
                     link.backoff_elapsed();
                 }
-                LinkStep::GiveUp(gave_up) => {
-                    let mut dropped = gave_up.dropped.len();
-                    if gave_up.reason == GiveUpReason::RetriesExhausted {
-                        dropped += dest.queue.drain().len();
-                    }
-                    self.count_dropped(dropped as u64);
+                LinkStep::GiveUp(lost) => {
+                    self.count_dropped((lost.len() + dest.queue.drain().len()) as u64);
                 }
             }
         }
@@ -398,6 +394,11 @@ impl MsgDispatcherServer {
         }
         let stream = self.net.connect(&dest.host, dest.port).ok()?;
         self.ws_conns.track(&stream);
+        // `shutdown()` may have closed the tracked connections since the
+        // check above; one tracked after that would never be interrupted.
+        if self.stop.is_closed() {
+            return None;
+        }
         self.tele.connects.inc();
         let mut client = HttpClient::new(stream);
         client.set_response_timeout(Some(config.response_timeout)).ok()?;

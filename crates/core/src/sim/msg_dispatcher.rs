@@ -21,7 +21,7 @@ use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, EventTrace, Gauge, Scope, TraceStage};
 
-use crate::msg::link::{GiveUpReason, Link, LinkStep};
+use crate::msg::link::{Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, MsgCore, RoutedRaw};
 use crate::sim::{request_payload, response_payload, CpuQueue};
 use crate::url::Url;
@@ -277,15 +277,10 @@ impl SimMsgDispatcher {
                 }
                 self.enqueue(ctx, &to, body, message_id);
             }
-            rejected => {
+            Some(Err(_)) | None => {
                 self.stats.rejected.inc();
                 if let Some(conn) = client_conn {
-                    // A routing reject is a SOAP fault; bytes that are no
-                    // HTTP request with a body stay an empty 400.
-                    let resp = match rejected {
-                        Some(Err(e)) => crate::rpc::error_response(SoapVersion::V11, &e),
-                        _ => Response::empty(Status::BAD_REQUEST),
-                    };
+                    let resp = Response::empty(Status::BAD_REQUEST);
                     let _ = ctx.send(conn, response_payload(&resp));
                 }
             }
@@ -391,11 +386,8 @@ impl SimMsgDispatcher {
                         dest.link.write_failed();
                     }
                 }
-                LinkStep::GiveUp(gave_up) => {
-                    let mut lost = gave_up.dropped;
-                    if gave_up.reason == GiveUpReason::RetriesExhausted {
-                        lost.extend(dest.queue.drain(..));
-                    }
+                LinkStep::GiveUp(mut lost) => {
+                    lost.extend(dest.queue.drain(..));
                     for (msg_id, _) in &lost {
                         self.tele.stage(msg_id, TraceStage::Dropped, now_us);
                     }
@@ -825,9 +817,5 @@ mod tests {
         sim.run();
         assert_eq!(stats.rejected.get(), 1);
         assert!(responses.borrow()[0].starts_with("HTTP/1.1 400"));
-        // Edited with the link machine: a routing reject is answered with
-        // the SOAP fault the threaded dispatcher always sent, not an empty
-        // body.
-        assert!(responses.borrow()[0].contains("no destination"));
     }
 }
