@@ -307,32 +307,36 @@ impl<C: ReactorConn> Shared<C> {
             }
         }
         // Before `conn` drops: its Drop may fire its own wakeup hook,
-        // which must find the cell `Closed`.
+        // which must find the cell `Closed` (or, when `shutdown` is
+        // closing it this instant, still `Running`), never `Parked`.
         self.deregister(cell);
     }
 
     /// Takes a connection off the books, once: whoever finds the cell
-    /// not yet `Closed` does the accounting. A connection resting in the
+    /// still in the map does the accounting, all of it under the map's
+    /// lock, so a second caller (`shutdown` racing the job that saw
+    /// `stop`) returns, and `open_connections()` reads zero, only once
+    /// the gauge has been decremented too. A connection resting in the
     /// cell is dropped here; one held by an executing job is dropped by
     /// that job, which gets here itself or — closed by `shutdown` —
     /// finds `stop` set or the cell `Closed` at its next step.
     fn deregister(&self, cell: &Cell<C>) {
+        // `conns.remove` then `open_conns.dec`: the pair wsd-lint's
+        // `reactor-conn-accounting` automaton follows.
+        let mut conns = self.conns.lock();
+        if conns.remove(&cell.id).is_none() {
+            return;
+        }
+        self.tele.open_conns.dec();
+        drop(conns);
         let resting = {
             let mut slot = cell.slot.lock();
-            match slot.phase {
-                Phase::Closed => return,
-                Phase::Parked { partial: true } => self.tele.parked_partials.dec(),
-                _ => {}
+            if let Phase::Parked { partial: true } = slot.phase {
+                self.tele.parked_partials.dec();
             }
             slot.phase = Phase::Closed;
             slot.conn.take()
         };
-        // `conns.remove` then `open_conns.dec`: the pair wsd-lint's
-        // `reactor-conn-accounting` automaton follows.
-        let mut conns = self.conns.lock();
-        conns.remove(&cell.id);
-        drop(conns);
-        self.tele.open_conns.dec();
         // Outside every lock: a conn's Drop may fire its own wakeup
         // hook, which locks the cell.
         drop(resting);

@@ -509,22 +509,20 @@ impl MailboxCounters {
 
 /// The mailbox service both runtimes serve through; a driver owns only
 /// the connection, the clock and what it models or enforces around this
-/// call (threads, pacing, the crash). Serves one run of pipelined requests
-/// in order: one response each, plus the body bytes of the deposits the
-/// run carried (what an ingress pacer charges). Consecutive `/deposit/`s
-/// are stored together behind one commit, and only then counted and
-/// answered (`202`, or `404` when the mailbox refused it), so a
-/// dispatcher's 16-wide drain batch costs one fsync, not sixteen; the SOAP
-/// operations are barriers between groups.
+/// call (threads, the crash). Serves one run of pipelined requests in
+/// order, one response each. Consecutive `/deposit/`s are stored together
+/// behind one commit, and only then counted and answered (`202`, or `404`
+/// when the mailbox refused it), so a dispatcher's 16-wide drain batch
+/// costs one fsync, not sixteen; the SOAP operations are barriers between
+/// groups.
 pub fn serve_run(
     store: &MsgBoxStore,
     counters: &MailboxCounters,
     run: impl IntoIterator<Item = Request>,
     now: u64,
-) -> (Vec<Response>, u64) {
+) -> Vec<Response> {
     let run = run.into_iter();
     let mut responses = Vec::with_capacity(run.size_hint().0);
-    let mut deposit_bytes = 0;
     // `(target, body)` of the deposits not yet stored.
     let mut deposits: Vec<(String, String)> = Vec::new();
     let store_deposits = |deposits: &mut Vec<(String, String)>, responses: &mut Vec<Response>| {
@@ -549,7 +547,6 @@ pub fn serve_run(
     for req in run {
         if req.target.starts_with(DEPOSIT_PREFIX) {
             let body = req.body_utf8().into_owned();
-            deposit_bytes += body.len() as u64;
             deposits.push((req.target, body));
             continue;
         }
@@ -565,7 +562,7 @@ pub fn serve_run(
         });
     }
     store_deposits(&mut deposits, &mut responses);
-    (responses, deposit_bytes)
+    responses
 }
 
 /// Client-side helpers building the RPC requests [`handle_soap`] serves.

@@ -6,72 +6,20 @@
 //! version of the paper's `OutOfMemoryError`. The pooled design serves
 //! from a bounded [`ThreadPool`] and survives the same load.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use wsd_concurrent::{PoolConfig, ThreadBudget, ThreadPool};
 use wsd_http::{serve_connection, Limits, Request, Response, Status};
 use wsd_telemetry::{Counter, Scope};
 
-use crate::config::{MailboxBackend, MsgBoxConfig, MsgBoxStrategy};
+use crate::config::{MsgBoxConfig, MsgBoxStrategy};
 use crate::msgbox::{serve_run, MailboxCounters, MsgBoxStore};
 use crate::rt::{now_us, Network, ReactorFrontEnd};
-
-/// Deposit bytes per second the durable backend acknowledges once the
-/// credit is spent (8 MiB/s: about 1 800 a second of the 4.6 KB
-/// envelopes a `backlog_durable` burst stores, five times what the
-/// service stored when every deposit waited out a 2 ms flush interval).
-const INGRESS_BYTES_PER_SEC: u64 = 8 * 1024 * 1024;
-/// Most credit the service holds: a burst of this many bytes is
-/// acknowledged as fast as it is stored, and a depositor in debt that
-/// stalls for less time than this buys at the rate (125 ms) loses none.
-const INGRESS_CREDIT_BYTES: u64 = 1024 * 1024;
-
-/// Paces the acknowledgement of durable deposits (a token bucket kept
-/// as the time its debt is paid off).
-///
-/// The log is one device shared by every mailbox, and a depositor that
-/// is never made to wait takes all of it: with group commit no longer
-/// waiting on a timer the store keeps up with any sender, and how long a
-/// 512-message burst takes end to end is then decided by how the
-/// scheduler happens to interleave sender, forwarder and store (76 to
-/// 187 ms from one burst to the next on two cores, and ±7 % between
-/// identical runs). Holding the `202`s of a run until its bytes are
-/// paid for at a fixed rate — the way a Kafka broker delays a produce
-/// response to enforce a byte quota — makes the burst's store phase end
-/// when its byte count says, whatever the interleaving (and since a
-/// stall shorter than the credit loses no time, back-to-back bursts are
-/// stored on one unbroken schedule), and leaves the queueing to the
-/// depositor (the dispatcher's per-destination queue), where bursts
-/// belong. The records are durable before the wait: the pace gates the
-/// acknowledgement, never durability.
-#[derive(Default)]
-struct IngressPacer {
-    /// Time (µs on [`now_us`]) at which the bytes acknowledged so far
-    /// are paid for at the ingress rate.
-    paid_until: AtomicU64,
-}
-
-impl IngressPacer {
-    /// Charges `bytes` stored at `now`; returns how many µs after `now`
-    /// their acknowledgement is due (0 while the credit lasts).
-    fn charge(&self, bytes: u64, now: u64) -> u64 {
-        let cost = bytes * 1_000_000 / INGRESS_BYTES_PER_SEC;
-        let credit = INGRESS_CREDIT_BYTES * 1_000_000 / INGRESS_BYTES_PER_SEC;
-        let mut due = 0;
-        let _ = self.paid_until.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |paid| {
-            due = paid.max(now.saturating_sub(credit)) + cost;
-            Some(due)
-        });
-        due.saturating_sub(now)
-    }
-}
 
 /// A running WS-MsgBox service.
 pub struct MsgBoxServer {
     store: Arc<MsgBoxStore>,
-    /// Present with the durable backend.
-    pacer: Option<IngressPacer>,
     /// Present in the pooled design: connections are multiplexed on a
     /// reactor instead of pinning a thread each, so the service scales
     /// past the worker count in open sockets.
@@ -133,11 +81,8 @@ impl MsgBoxServer {
             }
             MsgBoxStrategy::ThreadPerMessage => None,
         };
-        let pacer = matches!(config.backend, MailboxBackend::Durable { .. })
-            .then(IngressPacer::default);
         let server = Arc::new(MsgBoxServer {
             store,
-            pacer,
             front,
             limits: config.limits,
             budget,
@@ -208,22 +153,14 @@ impl MsgBoxServer {
         });
     }
 
-    /// Serves one run of pipelined requests through the mailbox service,
-    /// then holds the answers until the deposit bytes the run carried may
-    /// be acknowledged at the ingress rate (durable backend only). The
-    /// deposits are stored, durable and counted before the wait.
+    /// Serves one run of pipelined requests through the mailbox service.
+    /// A run is answered when its deposits are stored, durable and
+    /// counted, and no later.
     fn handle_run(&self, run: Vec<Request>) -> Vec<Response> {
         if self.crashed.load(Ordering::Acquire) {
             return run.iter().map(|_| Response::empty(Status::SERVICE_UNAVAILABLE)).collect();
         }
-        let (responses, deposit_bytes) = serve_run(&self.store, &self.counters, run, now_us());
-        if deposit_bytes > 0 {
-            let wait = self.pacer.as_ref().map_or(0, |p| p.charge(deposit_bytes, now_us()));
-            if wait > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(wait));
-            }
-        }
-        responses
+        serve_run(&self.store, &self.counters, run, now_us())
     }
 
     /// Whether the simulated OOM fired.
@@ -404,27 +341,6 @@ mod tests {
     fn fetched(resp: &Response) -> Vec<String> {
         let env = Envelope::parse(&resp.body_utf8()).unwrap();
         ops::parse_fetch_response(&env).unwrap()
-    }
-
-    #[test]
-    fn ingress_pacer_spends_its_credit_then_holds_the_rate() {
-        let us = |bytes: u64| bytes * 1_000_000 / INGRESS_BYTES_PER_SEC;
-        let pacer = IngressPacer::default();
-        // A long-idle service: the whole credit goes unpaced, in pieces.
-        let t0 = 10_000_000;
-        assert_eq!(pacer.charge(INGRESS_CREDIT_BYTES / 2, t0), 0);
-        assert_eq!(pacer.charge(INGRESS_CREDIT_BYTES / 2, t0), 0);
-        // Past it, every byte is due at the rate, and debts add up
-        // whoever runs them up (two runs charged at the same instant).
-        assert_eq!(pacer.charge(80_000, t0), us(80_000));
-        assert_eq!(pacer.charge(80_000, t0), 2 * us(80_000));
-        // Waiting the debt out earns no credit...
-        let paid = t0 + 2 * us(80_000);
-        assert_eq!(pacer.charge(8_000, paid), us(8_000));
-        // ...idling does, up to the cap and no further.
-        let idle = paid + 60_000_000;
-        assert_eq!(pacer.charge(INGRESS_CREDIT_BYTES, idle), 0);
-        assert_eq!(pacer.charge(8_000, idle), us(8_000));
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl SimMsgBox {
         let Ok(req) = parse_request_bytes(raw) else {
             return response_payload(&Response::empty(Status::BAD_REQUEST));
         };
-        let (mut responses, _) = serve_run(&self.store, &self.stats.mailbox, [req], now_us);
+        let mut responses = serve_run(&self.store, &self.stats.mailbox, [req], now_us);
         // A run of one yields one response.
         let resp = responses
             .pop()

@@ -231,20 +231,21 @@ impl DurableMsgBox {
             .expect("one result per deposit")
     }
 
-    /// Deposits a run of messages behind one durability barrier: every
-    /// record is appended in order, then a single commit of the highest
-    /// LSN covers them all, and only then does anything report `Ok` —
-    /// one fsync for the run instead of one per message. Results are in
-    /// input order; a rejected deposit (missing box, quota) is an `Err`
-    /// in its own slot and appends nothing, its neighbours unaffected.
-    /// A log failure fails every deposit not already rejected.
+    /// Deposits a run of messages behind one durability barrier: the
+    /// accepted records are appended in order with one write, then a
+    /// single commit of the highest LSN covers them all, and only then
+    /// does anything report `Ok` — one write and one fsync for the run
+    /// instead of one of each per message. Results are in input order; a
+    /// rejected deposit (missing box, quota) is an `Err` in its own slot
+    /// and appends nothing, its neighbours unaffected. A log failure
+    /// fails every deposit not already rejected and stores none.
     pub fn deposit_batch<'a>(
         &self,
         deposits: impl IntoIterator<Item = (&'a str, String)>,
         now: u64,
         expires_at: u64,
     ) -> Vec<Result<(), StoreError>> {
-        let mut deposits = deposits.into_iter();
+        let deposits = deposits.into_iter();
         let mut results = Vec::with_capacity(deposits.size_hint().0);
         // LSN 0 precedes every record: committing it is a no-op.
         let mut last_lsn = 0;
@@ -252,73 +253,87 @@ impl DurableMsgBox {
         {
             let mut inner = self.inner.lock();
             let inner = &mut *inner;
-            for (box_id, body) in deposits.by_ref() {
+            // Admission: the quota sees the run's earlier deposits.
+            let mut ops = Vec::with_capacity(results.capacity());
+            for (box_id, body) in deposits {
                 let body_len = body.len() as u64;
-                let Some(tenant) = inner.boxes.get(box_id).map(|b| b.tenant.clone()) else {
+                let Some(tenant) = inner.boxes.get(box_id).map(|b| &b.tenant) else {
                     results.push(Err(StoreError::NoSuchBox));
                     continue;
                 };
-                let used = inner.tenant_bytes.get(&tenant).copied().unwrap_or(0);
+                let used = inner.tenant_bytes.get(tenant).copied().unwrap_or(0);
                 if used.saturating_add(body_len) > self.config.quota_bytes_per_tenant {
                     self.metrics.quota_rejections.inc();
                     results.push(Err(StoreError::QuotaExceeded));
                     continue;
                 }
-                let op = Op::Deposit {
+                *inner.tenant_bytes.entry(tenant.clone()).or_insert(0) += body_len;
+                ops.push(Op::Deposit {
                     box_id: box_id.to_string(),
                     received_at: now,
                     expires_at,
                     body,
-                };
-                let info = match self.rotate_if_full(inner).and_then(|()| self.wal.append(&op)) {
-                    Ok(info) => info,
-                    Err(e) => {
-                        let e = StoreError::from(e);
-                        results.push(Err(e.clone()));
-                        log_failure = Some(e);
-                        break;
-                    }
-                };
-                // The log holds the only copy of a spilled body; a
-                // cached one is the caller's `String`, moved, not cloned.
-                let cached = match op {
-                    Op::Deposit { body, .. }
-                        if inner.resident_bytes + body_len <= self.config.memory_budget_bytes =>
-                    {
-                        inner.resident_bytes += body_len;
-                        Some(body)
-                    }
-                    _ => {
-                        inner.spilled_bytes += body_len;
-                        None
-                    }
-                };
-                *inner.tenant_bytes.entry(tenant).or_insert(0) += body_len;
-                *inner.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
-                let mbox = inner.boxes.get_mut(box_id).expect("checked above");
-                mbox.queue.push_back(MsgRef {
-                    lsn: info.lsn,
-                    seg_base: info.seg_base,
-                    body_off: info.payload_off + Op::deposit_body_offset(box_id),
-                    body_len,
-                    received_at: now,
-                    expires_at,
-                    cached,
                 });
-                last_lsn = info.lsn;
                 results.push(Ok(()));
+            }
+            let appended = if ops.is_empty() {
+                Ok(Vec::new())
+            } else {
+                self.rotate_if_full(inner).and_then(|()| self.wal.append_run(&ops))
+            };
+            match appended {
+                Ok(infos) => {
+                    for (op, info) in ops.into_iter().zip(infos) {
+                        let Op::Deposit { box_id, body, .. } = op else {
+                            unreachable!("the run holds only deposits");
+                        };
+                        let body_len = body.len() as u64;
+                        // The log holds the only copy of a spilled body; a
+                        // cached one is the caller's `String`, moved, not
+                        // cloned.
+                        let cached = if inner.resident_bytes + body_len
+                            <= self.config.memory_budget_bytes
+                        {
+                            inner.resident_bytes += body_len;
+                            Some(body)
+                        } else {
+                            inner.spilled_bytes += body_len;
+                            None
+                        };
+                        *inner.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
+                        let mbox = inner.boxes.get_mut(&box_id).expect("admitted above");
+                        mbox.queue.push_back(MsgRef {
+                            lsn: info.lsn,
+                            seg_base: info.seg_base,
+                            body_off: info.payload_off + Op::deposit_body_offset(&box_id),
+                            body_len,
+                            received_at: now,
+                            expires_at,
+                            cached,
+                        });
+                        last_lsn = info.lsn;
+                    }
+                }
+                Err(e) => {
+                    // Nothing was queued: give the admitted bytes back.
+                    for op in &ops {
+                        if let Op::Deposit { box_id, body, .. } = op {
+                            let tenant = &inner.boxes[box_id].tenant;
+                            debit(&mut inner.tenant_bytes, tenant, body.len() as u64);
+                        }
+                    }
+                    log_failure = Some(StoreError::from(e));
+                }
             }
             self.update_gauges(inner);
         }
         // The one fsync wait, outside the mailbox lock.
         let barrier = self.wal.commit(last_lsn).map_err(StoreError::from).and_then(|()| self.gc());
         if let Err(e) = log_failure.map_or(barrier, Err) {
-            // Nothing appended here may be acknowledged, nor anything
-            // after the append that failed.
+            // Nothing appended here may be acknowledged.
             for r in results.iter_mut().filter(|r| r.is_ok()) {
                 *r = Err(e.clone());
             }
-            results.extend(deposits.map(|_| Err(e.clone())));
         }
         results
     }
@@ -911,6 +926,70 @@ mod tests {
         assert!(s.exists("mbox-1"));
         s.deposit("mbox-1", "after".into(), 100, u64::MAX).unwrap();
         assert_eq!(s.fetch("mbox-1", "key-1", 10, 100).unwrap()[0].body, "after");
+    }
+
+    /// Spilled bodies on real files: one fetch reads across rotations,
+    /// GC deletes the segments behind it, and what recovery truncated
+    /// is gone while what it kept is served.
+    #[test]
+    fn spilled_fetch_on_files_follows_rotation_gc_and_recovery() {
+        use crate::storage::FsStorage;
+        let dir = std::env::temp_dir().join(format!("wsd-store-spill-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            wal: WalConfig {
+                segment_bytes: 256, // a few records a segment
+                sync: SyncMode::Always,
+            },
+            memory_budget_bytes: 0, // everything spills
+            ..StoreConfig::default()
+        };
+        let open_files = |now| {
+            let storage = FsStorage::open(&dir).unwrap();
+            DurableMsgBox::open(cfg.clone(), Box::new(storage), &Scope::noop(), now).unwrap().0
+        };
+        let segments = || Storage::list_segments(&FsStorage::open(&dir).unwrap()).unwrap();
+        let body = |i: u64| format!("spilled-{i:03}-{}", "x".repeat(40));
+        let bodies = |got: Vec<FetchedMessage>| got.into_iter().map(|m| m.body).collect::<Vec<_>>();
+
+        let s = open_files(0);
+        s.create("mbox-1", "key-1", "t", 0).unwrap();
+        for i in 0..30 {
+            s.deposit("mbox-1", body(i), i, u64::MAX).unwrap();
+        }
+        assert_eq!(s.resident_bytes(), 0);
+        let before = segments();
+        assert!(before.len() > 5, "the backlog spans segments: {before:?}");
+        // One fetch, bodies in several segments.
+        let got = bodies(s.fetch("mbox-1", "key-1", 20, 30).unwrap());
+        assert_eq!(got, (0..20).map(body).collect::<Vec<_>>());
+        // Its ack emptied the segments it read from and GC deleted them
+        // (the last one read included); the rest are still where they
+        // were written.
+        let after = segments();
+        assert!(after.len() < before.len() && after[0] > before[0], "{before:?} -> {after:?}");
+        assert_eq!(bodies(s.fetch("mbox-1", "key-1", 5, 30).unwrap()), (20..25).map(body).collect::<Vec<_>>());
+
+        // A crash mid-append leaves a torn tail: recovery cuts it off.
+        drop(s);
+        let last = dir.join(format!("{:020}.wal", segments().last().unwrap()));
+        let torn = Op::Deposit {
+            box_id: "mbox-1".into(),
+            received_at: 31,
+            expires_at: u64::MAX,
+            body: body(999),
+        };
+        let mut framed = Vec::new();
+        torn.append_record_to(&mut framed);
+        let mut file = std::fs::OpenOptions::new().append(true).open(&last).unwrap();
+        std::io::Write::write_all(&mut file, &framed[..framed.len() - 7]).unwrap();
+        drop(file);
+        let s = open_files(31);
+        s.deposit("mbox-1", body(30), 31, u64::MAX).unwrap();
+        let got = bodies(s.fetch("mbox-1", "key-1", usize::MAX, 31).unwrap());
+        assert_eq!(got, (25..31).map(body).collect::<Vec<_>>());
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -118,16 +118,17 @@ impl Op {
         out
     }
 
-    /// Encodes the whole framed record (header + payload) into `out`,
-    /// replacing its contents: the payload is written once, straight
-    /// after a header patched in when its length and CRC are known, so
-    /// a deposit body is copied exactly once on its way to the log.
-    /// Byte-identical to `frame(&self.encode_payload())`.
-    pub fn encode_record_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.resize(HEADER_BYTES as usize, 0);
+    /// Appends the whole framed record (header + payload) to `out`,
+    /// after whatever it already holds: the payload is written once,
+    /// straight after a header patched in when its length and CRC are
+    /// known, so a deposit body is copied exactly once on its way to
+    /// the log and a run of records is one buffer, one write.
+    /// Byte-identical to appending `frame(&self.encode_payload())`.
+    pub fn append_record_to(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + HEADER_BYTES as usize, 0);
         self.encode_payload_into(out);
-        let (header, payload) = out.split_at_mut(HEADER_BYTES as usize);
+        let (header, payload) = out[start..].split_at_mut(HEADER_BYTES as usize);
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     }
@@ -282,11 +283,11 @@ mod tests {
     fn round_trip(op: Op) {
         let payload = op.encode_payload();
         // The single-buffer encoder the WAL appends with writes the
-        // same bytes as framing a separately built payload, whatever
-        // the buffer held before.
-        let mut record = b"stale bytes from the previous append".to_vec();
-        op.encode_record_into(&mut record);
-        assert_eq!(record, frame(&payload));
+        // same bytes as framing a separately built payload, after the
+        // records the buffer already holds.
+        let mut run = b"the run's earlier records".to_vec();
+        op.append_record_to(&mut run);
+        assert_eq!(run, [b"the run's earlier records".as_slice(), &frame(&payload)].concat());
         assert_eq!(Op::decode_payload(&payload), Some(op));
     }
 

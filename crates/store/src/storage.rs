@@ -18,7 +18,8 @@
 //! `durability_smoke` binary on `FsStorage`.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -65,12 +66,18 @@ fn segment_file_name(base: u64) -> String {
 }
 
 /// Directory-of-files storage. Keeps the head segment's write handle
-/// open; reads reopen on demand.
+/// open, and a read handle on the segment last read from.
 pub struct FsStorage {
     dir: PathBuf,
     /// Open append handle for the segment being written; shared with
     /// an in-flight [`Syncer`].
     head: Option<(u64, Arc<std::fs::File>)>,
+    /// Open read handle for the segment [`Storage::read_at`] last
+    /// served: a fetch reads its spilled bodies out of one segment (two
+    /// across a rotation), so all but the first are one `pread` each.
+    /// Dropped when that segment is deleted; a truncation is seen
+    /// through it (same file).
+    reader: Option<(u64, std::fs::File)>,
 }
 
 impl FsStorage {
@@ -78,7 +85,7 @@ impl FsStorage {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<FsStorage> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(FsStorage { dir, head: None })
+        Ok(FsStorage { dir, head: None, reader: None })
     }
 
     fn path(&self, base: u64) -> PathBuf {
@@ -137,10 +144,12 @@ impl Storage for FsStorage {
     }
 
     fn read_at(&mut self, base: u64, off: u64, len: u64) -> io::Result<Vec<u8>> {
-        let mut f = std::fs::File::open(self.path(base))?;
-        f.seek(SeekFrom::Start(off))?;
+        if !matches!(self.reader, Some((b, _)) if b == base) {
+            self.reader = Some((base, std::fs::File::open(self.path(base))?));
+        }
+        let file = &self.reader.as_ref().expect("reader just set").1;
         let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)?;
+        file.read_exact_at(&mut buf, off)?;
         Ok(buf)
     }
 
@@ -155,6 +164,10 @@ impl Storage for FsStorage {
     fn delete_segment(&mut self, base: u64) -> io::Result<()> {
         if matches!(self.head, Some((b, _)) if b == base) {
             self.head = None;
+        }
+        // A kept handle would pin the unlinked file and go on serving it.
+        if matches!(self.reader, Some((b, _)) if b == base) {
+            self.reader = None;
         }
         std::fs::remove_file(self.path(base))
     }
@@ -303,12 +316,24 @@ mod tests {
         storage.sync(0).unwrap();
         assert_eq!(storage.read_segment(0).unwrap(), b"hello world");
         assert_eq!(storage.read_at(0, 6, 5).unwrap(), b"world");
+        // Positioned reads see the segment as it is now, whatever an
+        // earlier read left open: not the bytes a truncation cut off …
         storage.truncate(0, 5).unwrap();
         assert_eq!(storage.read_segment(0).unwrap(), b"hello");
+        assert!(storage.read_at(0, 6, 5).is_err(), "read past the cut");
+        // … but the ones appended in their place, …
+        storage.append(0, b" again").unwrap();
+        assert_eq!(storage.read_at(0, 6, 5).unwrap(), b"again");
+        // … the other segment when the base changes, and nothing once
+        // the segment is deleted.
         storage.create_segment(100).unwrap();
+        storage.append(100, b"next segment").unwrap();
+        assert_eq!(storage.read_at(100, 5, 7).unwrap(), b"segment");
+        assert_eq!(storage.read_at(0, 0, 5).unwrap(), b"hello");
         assert_eq!(storage.list_segments().unwrap(), vec![0, 100]);
         storage.delete_segment(0).unwrap();
         assert_eq!(storage.list_segments().unwrap(), vec![100]);
+        assert!(storage.read_at(0, 0, 5).is_err(), "read of a deleted segment");
     }
 
     #[test]
@@ -324,7 +349,7 @@ mod tests {
         // Reopen sees what was written.
         let mut reopened = FsStorage::open(&dir).unwrap();
         assert_eq!(reopened.list_segments().unwrap(), vec![100]);
-        assert_eq!(reopened.read_segment(100).unwrap(), b"");
+        assert_eq!(reopened.read_segment(100).unwrap(), b"next segment");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -45,7 +45,8 @@
 //!   `truncate` runs before the log is shared, so none of the three can
 //!   race one.
 //! * `flush_batch` caps how many records may sit unsynced with no fsync
-//!   on its way: the append that reaches it syncs before returning.
+//!   on its way: the append (of one record or of a run) that reaches it
+//!   syncs before returning.
 //!
 //! `SyncMode::Always` (the simulation, the figures) takes none of this:
 //! every append syncs under the lock and `commit` finds its LSN durable.
@@ -138,8 +139,8 @@ struct WalInner {
     pending: usize,
     /// A leader is running an fsync with the lock released.
     syncing: bool,
-    /// Encode buffer reused by every append (one copy of the record,
-    /// no allocation once it has grown to the largest one).
+    /// Encode buffer reused by every append (one copy of each record
+    /// of the run, no allocation once it has grown to the largest run).
     record: Vec<u8>,
 }
 
@@ -261,8 +262,17 @@ impl Wal {
     /// Appends one operation (buffered). Durable only once a later
     /// [`Wal::commit`] with this LSN (or any higher one) returns.
     pub fn append(&self, op: &Op) -> io::Result<AppendInfo> {
+        Ok(self.append_run(std::slice::from_ref(op))?[0])
+    }
+
+    /// Appends a run of operations in order (buffered): the records are
+    /// framed back to back and handed to the segment store in one
+    /// `append`, so a run costs one write, not one per record. All of
+    /// them land in the current segment; one [`Wal::commit`] of the last
+    /// LSN covers the run.
+    pub fn append_run(&self, ops: &[Op]) -> io::Result<Vec<AppendInfo>> {
         let mut inner = self.inner.lock();
-        let info = self.append_locked(&mut inner, op)?;
+        let infos = self.append_locked(&mut inner, ops)?;
         let sync_now = match self.config.sync {
             SyncMode::Always => true,
             // With an fsync in flight the backlog is already on its way
@@ -274,25 +284,30 @@ impl Wal {
         if sync_now {
             self.sync_locked(&mut inner)?;
         }
-        Ok(info)
+        Ok(infos)
     }
 
-    fn append_locked(&self, inner: &mut WalInner, op: &Op) -> io::Result<AppendInfo> {
-        op.encode_record_into(&mut inner.record);
+    fn append_locked(&self, inner: &mut WalInner, ops: &[Op]) -> io::Result<Vec<AppendInfo>> {
+        inner.record.clear();
+        let mut infos = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let start = inner.record.len() as u64;
+            op.append_record_to(&mut inner.record);
+            infos.push(AppendInfo {
+                lsn: inner.next_lsn + i as u64,
+                seg_base: inner.cur_base,
+                payload_off: inner.cur_len + start + HEADER_BYTES,
+                payload_len: inner.record.len() as u64 - start - HEADER_BYTES,
+            });
+        }
         inner.storage.append(inner.cur_base, &inner.record)?;
         let len = inner.record.len() as u64;
-        let info = AppendInfo {
-            lsn: inner.next_lsn,
-            seg_base: inner.cur_base,
-            payload_off: inner.cur_len + HEADER_BYTES,
-            payload_len: len - HEADER_BYTES,
-        };
-        inner.next_lsn += 1;
+        inner.next_lsn += ops.len() as u64;
         inner.cur_len += len;
-        inner.pending += 1;
-        self.metrics.appends.inc();
+        inner.pending += ops.len();
+        self.metrics.appends.add(ops.len() as u64);
         self.metrics.wal_bytes.add(len);
-        Ok(info)
+        Ok(infos)
     }
 
     /// Blocks until every record up to `lsn` is durable: returns at
@@ -384,7 +399,7 @@ impl Wal {
         inner.storage.create_segment(base)?;
         inner.cur_base = base;
         inner.cur_len = 0;
-        self.append_locked(&mut inner, &Op::Checkpoint { boxes })?;
+        self.append_locked(&mut inner, &[Op::Checkpoint { boxes }])?;
         // The checkpoint must be durable before it can justify GC.
         self.sync_locked(&mut inner)?;
         self.metrics.checkpoints.inc();
@@ -551,6 +566,64 @@ mod tests {
         assert_eq!(wal.fsync_count(), 3);
         wal.commit(last).unwrap();
         assert_eq!(wal.fsync_count(), 3);
+    }
+
+    /// One framed `Op::Deposit` as the format has always laid it out
+    /// (`[len][crc][op 2][box][received][expires][body]`, CRC by zlib).
+    const GOLDEN_DEPOSIT_RECORD: &str = "420000007c53030a02060000006d626f782d310a0000000000000063000000\
+        00000000230000003c656e763a456e76656c6f70653e676f6c64656e3c2f656e763a456e76656c6f70653e";
+
+    #[test]
+    fn golden_record_encodes_byte_for_byte_and_replays() {
+        let golden: Vec<u8> = (0..GOLDEN_DEPOSIT_RECORD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_DEPOSIT_RECORD[i..i + 2], 16).unwrap())
+            .collect();
+        let op = Op::Deposit {
+            box_id: "mbox-1".into(),
+            received_at: 10,
+            expires_at: 99,
+            body: "<env:Envelope>golden</env:Envelope>".into(),
+        };
+        // What this build writes is what every earlier build wrote …
+        let mem = MemStorage::new();
+        let (wal, _) = open_mem(&mem, &mut Vec::new());
+        wal.append_run(&[op.clone(), op.clone()]).unwrap();
+        let on_disk = Storage::read_segment(&mut mem.clone(), 1).unwrap();
+        assert_eq!(on_disk, [golden.as_slice(), &golden].concat());
+        // … and a log an earlier build wrote replays under this one.
+        let old_log = MemStorage::new();
+        {
+            let disk: &mut dyn Storage = &mut old_log.clone();
+            disk.create_segment(1).unwrap();
+            disk.append(1, &golden).unwrap();
+            disk.sync(1).unwrap();
+        }
+        let mut replayed = Vec::new();
+        let (_, report) = open_mem(&old_log, &mut replayed);
+        assert_eq!((report.records, report.truncated_bytes), (1, 0));
+        assert_eq!(replayed, vec![(1, op)]);
+    }
+
+    #[test]
+    fn a_run_lands_where_its_infos_say() {
+        let mem = MemStorage::new();
+        let (wal, _) = open_mem(&mem, &mut Vec::new());
+        wal.append_durable(&deposit(0)).unwrap();
+        let ops = [deposit(1), deposit(22), deposit(333)];
+        let infos = wal.append_run(&ops).unwrap();
+        assert_eq!(infos.iter().map(|i| i.lsn).collect::<Vec<_>>(), vec![2, 3, 4]);
+        for (op, info) in ops.iter().zip(&infos) {
+            let payload = wal.read_at(info.seg_base, info.payload_off, info.payload_len).unwrap();
+            assert_eq!(Op::decode_payload(&payload).as_ref(), Some(op));
+        }
+        // The next single append carries on after the run.
+        assert_eq!(wal.append(&deposit(4)).unwrap().lsn, 5);
+        let mut replayed = Vec::new();
+        drop(wal);
+        open_mem(&mem, &mut replayed);
+        assert_eq!(replayed.len(), 5);
+        assert_eq!(replayed[3], (4, deposit(333)));
     }
 
     #[test]

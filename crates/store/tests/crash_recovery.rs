@@ -8,10 +8,11 @@
 //!
 //! * every *completed* operation is durable (the store commits before
 //!   returning), so the synced prefix survives;
-//! * with some seeds, a deposit is caught *mid-write*: a partial frame
-//!   of its record is appended unsynced, and the crash keeps a
-//!   seed-chosen prefix of those bytes — the torn tail recovery must
-//!   CRC-detect and truncate.
+//! * with some seeds, a run of deposits is caught *mid-write*: its
+//!   records go to the log in one write, a prefix of that write (cut
+//!   anywhere, in any of its records) is appended unsynced, and the
+//!   crash keeps a seed-chosen prefix of those bytes — the torn tail
+//!   recovery must CRC-detect and truncate.
 //!
 //! After reopening, the invariants of the durability contract are
 //! asserted against an oracle:
@@ -123,19 +124,27 @@ fn run_seed(seed: u64, group_commit: bool) {
                 store.create(&id, &key, "t", now).unwrap();
                 oracle.boxes.insert(id, (key, VecDeque::new()));
             }
-            // deposit
+            // deposit: one message, or a run of them behind one barrier
+            // (one multi-record write, one commit)
             2..=6 if !ids.is_empty() => {
                 let id = &ids[rng.below(ids.len() as u64) as usize];
-                let body = format!("msg-{seed}-{msg_no}");
-                msg_no += 1;
                 let finite_ttl = rng.below(8) == 0;
                 let expires = if finite_ttl { now + 3 } else { u64::MAX };
-                store.deposit(id, body.clone(), now, expires).unwrap();
+                let bodies: Vec<String> = (0..1 + rng.below(4))
+                    .map(|_| {
+                        msg_no += 1;
+                        format!("msg-{seed}-{}", msg_no - 1)
+                    })
+                    .collect();
+                let run = bodies.iter().map(|b| (id.as_str(), b.clone()));
+                for stored in store.deposit_batch(run, now, expires) {
+                    stored.unwrap();
+                }
                 if finite_ttl {
                     // May expire before the post-crash sweep reads it.
-                    oracle.maybe.insert(body);
+                    oracle.maybe.extend(bodies);
                 } else {
-                    oracle.boxes.get_mut(id).unwrap().1.push_back(body);
+                    oracle.boxes.get_mut(id).unwrap().1.extend(bodies);
                 }
             }
             // fetch a few
@@ -178,24 +187,29 @@ fn run_seed(seed: u64, group_commit: bool) {
     if rng.below(2) == 0 && !oracle.boxes.is_empty() {
         let ids: Vec<&String> = oracle.boxes.keys().collect();
         let id = ids[rng.below(ids.len() as u64) as usize];
-        let body = format!("partial-{seed}");
-        let framed = frame(
-            &Op::Deposit {
-                box_id: id.clone(),
-                received_at: now,
-                expires_at: u64::MAX,
-                body: body.clone(),
-            }
-            .encode_payload(),
-        );
+        // A run of up to three records in one write, cut anywhere.
+        let mut framed = Vec::new();
+        let mut ends = Vec::new();
+        for i in 0..1 + rng.below(3) {
+            let body = format!("partial-{seed}-{i}");
+            framed.extend(frame(
+                &Op::Deposit {
+                    box_id: id.clone(),
+                    received_at: now,
+                    expires_at: u64::MAX,
+                    body: body.clone(),
+                }
+                .encode_payload(),
+            ));
+            ends.push((framed.len(), body));
+        }
         let cut = 1 + rng.below(framed.len() as u64) as usize;
         let mut disk = mem.clone();
         wsd_store::Storage::append(&mut disk, cur_seg, &framed[..cut]).unwrap();
-        if cut == framed.len() {
-            oracle.maybe.insert(body);
-        }
-        // If cut < len the tail is torn: recovery must truncate it and
-        // the body must NOT appear (it is not in `maybe`).
+        // The records wholly before the cut may come back; the one the
+        // cut tore is a torn tail: recovery must truncate it and its
+        // body must NOT appear (it is not in `maybe`).
+        oracle.maybe.extend(ends.into_iter().filter(|(end, _)| *end <= cut).map(|(_, body)| body));
     }
     let crash_at = rng.next();
     mem.crash(|tail| (crash_at % (tail as u64 + 1)) as usize);

@@ -9,6 +9,7 @@
 
 use std::collections::HashSet;
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -27,10 +28,12 @@ enum Device {
     Gated(Sender<()>, Arc<Mutex<Receiver<()>>>),
 }
 
-/// A [`MemStorage`] behind a device with fsync latency.
+/// A [`MemStorage`] behind a device with fsync latency, counting the
+/// writes it is handed.
 struct LatentDisk {
     disk: MemStorage,
     device: Device,
+    appends: Arc<AtomicUsize>,
 }
 
 impl Storage for LatentDisk {
@@ -41,6 +44,7 @@ impl Storage for LatentDisk {
         self.disk.create_segment(base)
     }
     fn append(&mut self, base: u64, bytes: &[u8]) -> io::Result<()> {
+        self.appends.fetch_add(1, Ordering::SeqCst);
         self.disk.append(base, bytes)
     }
     fn syncer(&mut self, base: u64) -> io::Result<Syncer> {
@@ -112,6 +116,7 @@ fn concurrent_depositors_share_fsyncs_and_every_ack_survives_a_crash() {
     let storage = LatentDisk {
         disk: disk.clone(),
         device: Device::Slow(Duration::from_millis(1)),
+        appends: Arc::default(),
     };
     let config = StoreConfig {
         wal: group_commit(),
@@ -145,6 +150,39 @@ fn concurrent_depositors_share_fsyncs_and_every_ack_survives_a_crash() {
     assert_eq!(store.len("mbox-1", 0).unwrap() as u64, deposits);
 }
 
+/// A run of deposits reaches the device as one write and one fsync,
+/// however many records it carries and wherever `flush_batch` sits.
+#[test]
+fn a_run_of_deposits_is_one_write_and_one_fsync() {
+    const RUN: usize = 16;
+    for flush_batch in [1, 3, 64] {
+        let disk = MemStorage::new();
+        let appends = Arc::new(AtomicUsize::new(0));
+        let storage = LatentDisk {
+            disk: disk.clone(),
+            device: Device::Slow(Duration::ZERO),
+            appends: Arc::clone(&appends),
+        };
+        let config = StoreConfig {
+            wal: WalConfig {
+                sync: SyncMode::GroupCommit { flush_batch },
+                ..WalConfig::default()
+            },
+            ..StoreConfig::default()
+        };
+        let (store, _) = DurableMsgBox::open(config, Box::new(storage), &Scope::noop(), 0).unwrap();
+        store.create("mbox-1", "key-1", "t", 0).unwrap();
+        let (writes, fsyncs) = (appends.load(Ordering::SeqCst), store.wal().fsync_count());
+        let bodies: Vec<String> = (0..RUN).map(|i| format!("run-{i}")).collect();
+        let results = store.deposit_batch(bodies.iter().map(|b| ("mbox-1", b.clone())), 1, u64::MAX);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(appends.load(Ordering::SeqCst) - writes, 1, "flush_batch {flush_batch}");
+        assert_eq!(store.wal().fsync_count() - fsyncs, 1, "flush_batch {flush_batch}");
+        let survivors = survivors_of_a_crash_now(&disk);
+        assert!(bodies.iter().all(|b| survivors.contains(b)));
+    }
+}
+
 /// The interleaving the invariant is about, forced step by step: a
 /// record appended while an fsync is in flight is not covered by it.
 #[test]
@@ -155,6 +193,7 @@ fn a_record_appended_during_an_fsync_waits_for_the_next_one() {
     let storage = LatentDisk {
         disk: disk.clone(),
         device: Device::Gated(started_tx, Arc::new(Mutex::new(release_rx))),
+        appends: Arc::default(),
     };
     let (wal, _) = Wal::open(group_commit(), Box::new(storage), &Scope::noop(), |_, _| {}).unwrap();
     std::thread::scope(|scope| {

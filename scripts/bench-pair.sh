@@ -1,0 +1,106 @@
+#!/usr/bin/env sh
+# Parent-against-change runs of one benchmark workload, the way
+# choosing-metrics §8 asks for them: the frozen `benchmark/` crate built
+# once against the parent commit and once against the working tree, N
+# pairs of runs with the side that goes first alternating and seeds 1..N,
+# and for every end-to-end metric of BENCHMARK.json each side's median
+# and quartiles plus who won how many pairs.
+#
+#   scripts/bench-pair.sh <workload> [pairs=10] [seconds=25] [parent=HEAD~]
+#
+# The parent's sources are a `git archive` under target/bench-pair/ (no
+# worktree, nothing registered in .git); each binary runs from its own
+# checkout, so each side's WALs land in its own benchmark/out. Every
+# run's JSON line is kept in target/bench-pair/<workload>.runs.
+set -eu
+
+if [ $# -lt 1 ]; then
+    sed -n '2,15p' "$0" >&2
+    exit 2
+fi
+workload=$1
+pairs=${2:-10}
+seconds=${3:-25}
+parent=${4:-HEAD~}
+
+cd "$(dirname "$0")/.."
+root=$PWD
+work=$root/target/bench-pair
+rm -rf "$work/parent"
+mkdir -p "$work/parent"
+git archive "$parent" | tar -x -C "$work/parent"
+
+# Building rewrites the frozen benchmark/Cargo.lock (it still lists two
+# dependencies wsd-loadgen dropped): put the checked-in one back.
+lock=$root/benchmark/Cargo.lock
+cp "$lock" "$work/Cargo.lock.orig"
+trap 'cp "$work/Cargo.lock.orig" "$lock"' EXIT
+build() { # <checkout> <target dir>
+    CARGO_TARGET_DIR=$2 cargo build --release --offline --quiet \
+        --manifest-path "$1/benchmark/Cargo.toml"
+}
+build "$work/parent" "$work/parent-target"
+build "$root" "$work/change-target"
+
+runs=$work/$workload.runs
+: >"$runs"
+run() { # <side> <seed>
+    line=$("$work/$1-target/release/wsd-benchmark" --workload "$workload" \
+        --seed "$2" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
+    echo "$1 $2 $line" >>"$runs"
+}
+seed=1
+while [ "$seed" -le "$pairs" ]; do
+    if [ $((seed % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        run "$side" "$seed"
+    done
+    echo "pair $seed/$pairs done" >&2
+    seed=$((seed + 1))
+done
+
+# `name better` of every end-to-end metric, from BENCHMARK.json.
+metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' \
+    BENCHMARK.json)
+
+echo "$workload: $pairs pairs, $seconds s a run, parent $(git rev-parse --short "$parent"), $(nproc) core(s)"
+echo "$metrics" | while read -r name better; do
+    awk -v name="$name" -v better="$better" '
+        function value(line,    at, rest) {
+            at = index(line, "\"" name "\": {\"value\": ")
+            if (at == 0) return "nan"
+            rest = substr(line, at + length(name) + 14)
+            sub(/[,}].*/, "", rest)
+            return rest + 0
+        }
+        # Quartile q of the sorted v[1..n], linear between ranks.
+        function quantile(v, n, q,    h, lo) {
+            h = (n - 1) * q + 1; lo = int(h)
+            return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+        }
+        function sorted(src, dst, n,    i, j, t) {
+            for (i = 1; i <= n; i++) dst[i] = src[i]
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) { t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t }
+        }
+        $1 == "parent" { p[$2] = value($0); pairs = $2 > pairs ? $2 : pairs }
+        $1 == "change" { c[$2] = value($0) }
+        END {
+            # Only pairs in which both runs reported the metric.
+            for (i = 1; i <= pairs; i++) {
+                if (p[i] == "nan" || c[i] == "nan") continue
+                n++; pv[n] = p[i]; cv[n] = c[i]
+                if (p[i] == c[i]) ties++
+                else if ((better == "higher") == (c[i] > p[i])) wins++
+                else losses++
+            }
+            if (n == 0) exit
+            sorted(pv, ps, n); sorted(cv, cs, n)
+            printf "  %-20s parent %12.3f [%12.3f, %12.3f]  change %12.3f [%12.3f, %12.3f]  %+7.1f%%  change wins %d, loses %d, ties %d of %d (%s is better)\n",
+                name, quantile(ps, n, 0.5), quantile(ps, n, 0.25), quantile(ps, n, 0.75),
+                quantile(cs, n, 0.5), quantile(cs, n, 0.25), quantile(cs, n, 0.75),
+                100 * (quantile(cs, n, 0.5) / quantile(ps, n, 0.5) - 1), wins, losses, ties, n, better
+        }' "$runs"
+done
+# Anything but `correct: true` with `failed: 0` on every run is the headline.
+awk '!/"correct": true/ || !/"failed": 0,/ { bad++; print "  NOT CLEAN: " $0 } END { if (!bad) print "  every run correct, failed = 0" }' "$runs"
