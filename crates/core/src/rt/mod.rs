@@ -49,6 +49,45 @@ pub fn now_us() -> u64 {
     CLOCK.get_or_init(wsd_telemetry::WallClock::new).now_us()
 }
 
+/// Sets glibc's `malloc` up for a thread-per-stage runtime, once per
+/// process; any other allocator is left alone. Two of its defaults made
+/// one program run at different speeds from one process to the next
+/// (DESIGN §7b):
+///
+/// * Arenas are capped at eight per core and the threads past the cap
+///   share, by the order in which they first allocate. The paper's pools
+///   are pre-created, so a two-core host runs 38 threads on 16 arenas,
+///   and whenever two of the five that carry a message (each allocates
+///   the body the next one frees) landed on one arena the durable
+///   deposit rate was a fifth lower for the whole run. 64 arenas is what
+///   glibc allows by itself on eight cores.
+/// * A block above 128 KiB gets a mapping of its own and a freed heap
+///   top goes back to the kernel, and both thresholds then move up to
+///   the largest mapped block freed so far. A 64-message mailbox fetch
+///   is five or six buffers of ≈ 300 KB on each call, so whether each
+///   cost a map, an unmap and a fault per page depended on which sizes
+///   had been freed in which order: 30 000 or 39 000 messages/s through
+///   one fetch path. Set above any buffer a body within
+///   [`wsd_http::Limits`] needs, both stay where they are.
+fn settle_allocator() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: glibc's `int mallopt(int, int)`; it takes the allocator's
+        // own lock, touches no memory of ours and reports a parameter it
+        // does not know by returning 0, which changes nothing.
+        ONCE.call_once(|| unsafe {
+            mallopt(-8, 64); // M_ARENA_MAX
+            mallopt(-3, 16 << 20); // M_MMAP_THRESHOLD
+            mallopt(-1, 32 << 20); // M_TRIM_THRESHOLD
+        });
+    }
+}
+
 type ConnHandler = Arc<dyn Fn(PipeStream) + Send + Sync>;
 
 /// Tracks live server-side connections so shutdown can interrupt workers
@@ -113,6 +152,7 @@ pub struct Network {
 impl Network {
     /// An empty network.
     pub fn new() -> Arc<Network> {
+        settle_allocator();
         Arc::new(Network {
             listeners: Mutex::new(HashMap::new()),
             firewalled: Mutex::new(HashSet::new()),

@@ -29,6 +29,13 @@ work=$root/target/bench-pair
 rm -rf "$work/parent"
 mkdir -p "$work/parent"
 git archive "$parent" | tar -x -C "$work/parent"
+# An archive's files carry their commit's time, so cargo takes an older
+# revision for unchanged sources: a different parent starts from nothing.
+rev=$(git rev-parse "$parent")
+if [ "$(cat "$work/parent.rev" 2>/dev/null)" != "$rev" ]; then
+    rm -rf "$work/parent-target"
+    echo "$rev" >"$work/parent.rev"
+fi
 
 # Building rewrites the frozen benchmark/Cargo.lock (it still lists two
 # dependencies wsd-loadgen dropped): put the checked-in one back.
