@@ -115,19 +115,21 @@ impl FleetConfig {
     }
 }
 
-/// Which storage backs the mailbox store.
+/// What backs the one mailbox store, [`wsd_store::DurableMsgBox`]: the
+/// two differ only in whether it keeps a log.
 #[derive(Debug, Clone, Default)]
 pub enum MailboxBackend {
-    /// The paper's RAM-only store: fastest, but a crash drops every
-    /// queued message and mailbox depth is bounded by the heap
-    /// (see [`MsgBoxConfig::heap_budget_bytes`]).
+    /// The paper's RAM-only store: the store with no log. Nothing is
+    /// appended or fsynced and every body stays resident, so a crash
+    /// drops every queued message, a box holds at most 10 000 messages,
+    /// and total depth is bounded by the heap (see
+    /// [`MsgBoxConfig::heap_budget_bytes`]).
     #[default]
     Memory,
-    /// WAL-backed durable store (`wsd-store`): every acknowledged
-    /// deposit survives a crash, bodies spill to disk past the store's
-    /// memory budget, and per-tenant quotas bound the disk side. The
-    /// per-box message cap does not apply — depth is bounded by
-    /// disk/quota instead.
+    /// The store with a WAL: every acknowledged deposit survives a
+    /// crash, bodies spill to disk past the store's memory budget, and
+    /// per-tenant quotas bound the disk side. No per-box message cap —
+    /// depth is bounded by disk/quota instead.
     Durable {
         /// WAL directory. `None` keeps the log on a process-local
         /// in-memory "disk" — deterministic, used by the simulation
@@ -155,13 +157,13 @@ pub enum MsgBoxStrategy {
     },
 }
 
-/// WS-MsgBox tuning.
+/// WS-MsgBox tuning. Admission is the store's and the same for both
+/// backends: a deposit prunes its box of expired messages, then meets
+/// the per-box cap (10 000, no log only), then the tenant quota.
 #[derive(Debug, Clone)]
 pub struct MsgBoxConfig {
     /// Reply-work strategy.
     pub strategy: MsgBoxStrategy,
-    /// Per-mailbox stored message cap.
-    pub max_messages_per_box: usize,
     /// Stored message time-to-live (expired messages are dropped — the
     /// paper's "messages stored with expiration time" future work).
     pub message_ttl: Duration,
@@ -173,7 +175,7 @@ pub struct MsgBoxConfig {
     /// Heap bytes the store may keep resident before the process is
     /// considered out of memory — the §4.3.2 "memory wall" for stored
     /// message *bodies*. The simulation crashes the service when the
-    /// memory backend crosses it; the durable backend spills to disk
+    /// store with no log crosses it; the durable backend spills to disk
     /// instead and stays under its own `memory_budget_bytes`.
     pub heap_budget_bytes: usize,
     /// HTTP parser limits applied to every accepted connection.
@@ -184,7 +186,6 @@ impl Default for MsgBoxConfig {
     fn default() -> Self {
         MsgBoxConfig {
             strategy: MsgBoxStrategy::Pooled { workers: 8 },
-            max_messages_per_box: 10_000,
             message_ttl: Duration::from_secs(3600),
             thread_budget: 1000,
             backend: MailboxBackend::Memory,

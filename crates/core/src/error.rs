@@ -14,7 +14,7 @@ pub enum WsdError {
     /// The message carries no usable destination.
     NoDestination,
     /// Mailbox errors.
-    MsgBox(crate::msgbox::MsgBoxError),
+    MsgBox(wsd_store::StoreError),
     /// A security policy rejected the message.
     Rejected(String),
     /// The component is saturated (queue full / out of workers).
@@ -43,8 +43,8 @@ impl From<SoapError> for WsdError {
     }
 }
 
-impl From<crate::msgbox::MsgBoxError> for WsdError {
-    fn from(e: crate::msgbox::MsgBoxError) -> Self {
+impl From<wsd_store::StoreError> for WsdError {
+    fn from(e: wsd_store::StoreError) -> Self {
         WsdError::MsgBox(e)
     }
 }

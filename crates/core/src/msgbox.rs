@@ -9,11 +9,16 @@
 //! "currently the message box has unique hard to guess address but that
 //! is the only protection" — we add a secret key checked on fetch and
 //! destroy) and **message expiration** (TTL cleanup).
+//!
+//! The store itself is [`DurableMsgBox`], with a log or without one (see
+//! [`MailboxBackend`]). This module adds what that store leaves to its
+//! caller — minting mailbox ids and keys, turning the TTL into a
+//! drop-dead time — and the SOAP facade and deposit runs both runtimes
+//! serve.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
+use std::time::Duration;
 
-use wsd_concurrent::ShardedMap;
 use wsd_http::{Request, Response, Status};
 use wsd_soap::{rpc::RpcCall, Envelope, Fault, FaultCode, SoapVersion};
 use wsd_store::{DurableMsgBox, FsStorage, MemStorage, Storage, StoreError};
@@ -26,82 +31,17 @@ use crate::config::{MailboxBackend, MsgBoxConfig};
 pub const MSGBOX_NS: &str = "urn:wsd:msgbox";
 
 /// Tenant every mailbox is billed to until the facade grows multi-tenant
-/// routing; the durable backend's per-tenant quota then caps the whole
-/// store.
+/// routing; the per-tenant quota then caps the whole store.
 const TENANT: &str = "default";
 
-/// Mailbox errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MsgBoxError {
-    /// No mailbox with that id (or it was destroyed).
-    NoSuchBox,
-    /// Wrong access key.
-    WrongKey,
-    /// The mailbox hit its stored-message cap (memory backend) or the
-    /// tenant's byte quota (durable backend).
-    Full,
-    /// The durable backend's WAL failed (disk error).
-    Storage(String),
-}
-
-impl std::fmt::Display for MsgBoxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MsgBoxError::NoSuchBox => f.write_str("no such mailbox"),
-            MsgBoxError::WrongKey => f.write_str("wrong mailbox access key"),
-            MsgBoxError::Full => f.write_str("mailbox full"),
-            MsgBoxError::Storage(e) => write!(f, "mailbox storage failure: {e}"),
-        }
-    }
-}
-
-fn map_store_err(e: StoreError) -> MsgBoxError {
-    match e {
-        StoreError::NoSuchBox => MsgBoxError::NoSuchBox,
-        StoreError::WrongKey => MsgBoxError::WrongKey,
-        StoreError::QuotaExceeded => MsgBoxError::Full,
-        StoreError::Io(e) => MsgBoxError::Storage(e),
-    }
-}
-
-impl std::error::Error for MsgBoxError {}
-
-/// One stored message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredMessage {
-    /// The serialized envelope.
-    pub body: String,
-    /// Deposit time (µs, caller's clock).
-    pub received_at: u64,
-    /// Drop-dead time (µs).
-    pub expires_at: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Mailbox {
-    key: String,
-    messages: VecDeque<StoredMessage>,
-    created_at: u64,
-}
-
-/// What actually holds the messages.
-enum Backing {
-    /// The paper's RAM-only store: a sharded map of mailboxes plus a
-    /// resident-byte counter (so the §4.3.2 memory wall is observable).
-    Memory {
-        boxes: ShardedMap<String, Mailbox>,
-        resident: AtomicU64,
-    },
-    /// WAL-backed durable store (boxed: much larger than `Memory`).
-    Durable(Box<DurableMsgBox>),
-}
-
-/// The mailbox store. Thread-safe; time is supplied by the caller in
-/// microseconds so both runtimes share it.
+/// The mailbox store: [`DurableMsgBox`] (every operation but `create`
+/// and `deposit` is its own, through `Deref`) plus the id minting and
+/// TTL it leaves to its caller. Thread-safe; time is supplied by the
+/// caller in microseconds so both runtimes share it.
 pub struct MsgBoxStore {
-    backing: Backing,
+    store: DurableMsgBox,
     ids: MsgIdGen,
-    config: MsgBoxConfig,
+    message_ttl: Duration,
 }
 
 impl MsgBoxStore {
@@ -110,35 +50,30 @@ impl MsgBoxStore {
         Self::with_telemetry(config, seed, &Scope::noop())
     }
 
-    /// An empty store; the durable backend hangs its WAL metrics off
-    /// `scope`. Opening the durable backend replays any WAL already in
-    /// `dir`, so messages acknowledged before a crash are back.
+    /// An empty store; one with a log hangs its WAL metrics off `scope`
+    /// (one without registers nothing). Opening a store with a log
+    /// replays any WAL already in `dir`, so messages acknowledged
+    /// before a crash are back.
     ///
-    /// Panics if the durable backend cannot open or repair its WAL —
-    /// a store that cannot promise durability must not start.
+    /// Panics if the log cannot be opened or repaired — a store that
+    /// cannot promise durability must not start.
     pub fn with_telemetry(config: MsgBoxConfig, seed: u64, scope: &Scope) -> Self {
-        let backing = match &config.backend {
-            MailboxBackend::Memory => Backing::Memory {
-                boxes: ShardedMap::new(),
-                resident: AtomicU64::new(0),
-            },
+        let store = match config.backend {
+            MailboxBackend::Memory => DurableMsgBox::without_log(),
             MailboxBackend::Durable { dir, store } => {
                 let storage: Box<dyn Storage> = match dir {
-                    Some(d) => Box::new(
-                        FsStorage::open(d.clone()).expect("durable mailbox WAL directory"),
-                    ),
+                    Some(d) => Box::new(FsStorage::open(d).expect("durable mailbox WAL directory")),
                     None => Box::new(MemStorage::new()),
                 };
-                let (durable, _report) =
-                    DurableMsgBox::open(store.clone(), storage, scope, 0)
-                        .expect("durable mailbox WAL recovery");
-                Backing::Durable(Box::new(durable))
+                DurableMsgBox::open(store, storage, scope, 0)
+                    .expect("durable mailbox WAL recovery")
+                    .0
             }
         };
         MsgBoxStore {
-            backing,
+            store,
             ids: MsgIdGen::new(seed),
-            config,
+            message_ttl: config.message_ttl,
         }
     }
 
@@ -146,260 +81,31 @@ impl MsgBoxStore {
     pub fn create(&self, now: u64) -> (String, String) {
         let id = format!("mbox-{}", &self.ids.next_id()[5..]);
         let key = format!("key-{}", &self.ids.next_id()[5..]);
-        match &self.backing {
-            Backing::Memory { boxes, .. } => {
-                boxes.insert(
-                    id.clone(),
-                    Mailbox {
-                        key: key.clone(),
-                        messages: VecDeque::new(),
-                        created_at: now,
-                    },
-                );
-            }
-            Backing::Durable(store) => {
-                store
-                    .create(&id, &key, TENANT, now)
-                    .expect("durable mailbox create");
-            }
-        }
+        self.store
+            .create(&id, &key, TENANT, now)
+            .expect("durable mailbox create");
         (id, key)
     }
 
     /// Deposits a serialized envelope into a mailbox. Anyone may deposit
     /// (that is the point — services and dispatchers deliver here); only
     /// fetching needs the key.
-    pub fn deposit(&self, id: &str, body: String, now: u64) -> Result<(), MsgBoxError> {
-        let ttl = self.config.message_ttl.as_micros() as u64;
-        let expires_at = now.saturating_add(ttl);
-        match &self.backing {
-            Backing::Memory { boxes, resident } => {
-                let cap = self.config.max_messages_per_box;
-                let len = body.len() as u64;
-                let mut result = Err(MsgBoxError::NoSuchBox);
-                let mut pruned = 0;
-                boxes.update(id, |mbox| {
-                    pruned = prune(mbox, now);
-                    if mbox.messages.len() >= cap {
-                        result = Err(MsgBoxError::Full);
-                    } else {
-                        mbox.messages.push_back(StoredMessage {
-                            body,
-                            received_at: now,
-                            expires_at,
-                        });
-                        result = Ok(());
-                    }
-                });
-                if result.is_ok() {
-                    resident.fetch_add(len, Ordering::Relaxed);
-                }
-                resident.fetch_sub(pruned, Ordering::Relaxed);
-                result
-            }
-            Backing::Durable(store) => store
-                .deposit(id, body, now, expires_at)
-                .map_err(map_store_err),
-        }
+    pub fn deposit(&self, id: &str, body: String, now: u64) -> Result<(), StoreError> {
+        self.store.deposit(id, body, now, self.expires_at(now))
     }
 
-    /// Deposits a run of `(mailbox id, envelope)` pairs, in order; one
-    /// result per pair. The durable backend stores the whole run behind
-    /// a single durability barrier (one fsync, see
-    /// [`DurableMsgBox::deposit_batch`]) and reports nothing `Ok` before
-    /// it; the memory backend has no barrier to share and just loops.
-    pub fn deposit_batch<'a>(
-        &self,
-        deposits: impl IntoIterator<Item = (&'a str, String)>,
-        now: u64,
-    ) -> Vec<Result<(), MsgBoxError>> {
-        match &self.backing {
-            Backing::Memory { .. } => deposits
-                .into_iter()
-                .map(|(id, body)| self.deposit(id, body, now))
-                .collect(),
-            Backing::Durable(store) => {
-                let ttl = self.config.message_ttl.as_micros() as u64;
-                store
-                    .deposit_batch(deposits, now, now.saturating_add(ttl))
-                    .into_iter()
-                    .map(|r| r.map_err(map_store_err))
-                    .collect()
-            }
-        }
-    }
-
-    /// Fetches up to `max` messages in arrival order, removing them.
-    /// With the durable backend the removal is logged and fsynced
-    /// *before* the messages are returned: pickup is at-most-once even
-    /// across a crash.
-    pub fn fetch(
-        &self,
-        id: &str,
-        key: &str,
-        max: usize,
-        now: u64,
-    ) -> Result<Vec<StoredMessage>, MsgBoxError> {
-        match &self.backing {
-            Backing::Memory { boxes, resident } => {
-                let mut result = Err(MsgBoxError::NoSuchBox);
-                let mut freed = 0;
-                boxes.update(id, |mbox| {
-                    if mbox.key != key {
-                        result = Err(MsgBoxError::WrongKey);
-                        return;
-                    }
-                    freed = prune(mbox, now);
-                    let n = max.min(mbox.messages.len());
-                    let got: Vec<StoredMessage> = mbox.messages.drain(..n).collect();
-                    freed += got.iter().map(|m| m.body.len() as u64).sum::<u64>();
-                    result = Ok(got);
-                });
-                resident.fetch_sub(freed, Ordering::Relaxed);
-                result
-            }
-            Backing::Durable(store) => Ok(store
-                .fetch(id, key, max, now)
-                .map_err(map_store_err)?
-                .into_iter()
-                .map(|m| StoredMessage {
-                    body: m.body,
-                    received_at: m.received_at,
-                    expires_at: m.expires_at,
-                })
-                .collect()),
-        }
-    }
-
-    /// Number of messages waiting (after expiry pruning).
-    pub fn len(&self, id: &str, now: u64) -> Result<usize, MsgBoxError> {
-        match &self.backing {
-            Backing::Memory { boxes, resident } => {
-                let mut result = Err(MsgBoxError::NoSuchBox);
-                let mut pruned = 0;
-                boxes.update(id, |mbox| {
-                    pruned = prune(mbox, now);
-                    result = Ok(mbox.messages.len());
-                });
-                resident.fetch_sub(pruned, Ordering::Relaxed);
-                result
-            }
-            Backing::Durable(store) => store.len(id, now).map_err(map_store_err),
-        }
-    }
-
-    /// Destroys a mailbox, freeing its storage.
-    pub fn destroy(&self, id: &str, key: &str) -> Result<(), MsgBoxError> {
-        match &self.backing {
-            Backing::Memory { boxes, resident } => match boxes.get(id) {
-                None => Err(MsgBoxError::NoSuchBox),
-                Some(mbox) if mbox.key != key => Err(MsgBoxError::WrongKey),
-                Some(_) => {
-                    if let Some(mbox) = boxes.remove(id) {
-                        let freed: u64 =
-                            mbox.messages.iter().map(|m| m.body.len() as u64).sum();
-                        resident.fetch_sub(freed, Ordering::Relaxed);
-                    }
-                    Ok(())
-                }
-            },
-            Backing::Durable(store) => store.destroy(id, key).map_err(map_store_err),
-        }
-    }
-
-    /// Whether a mailbox exists.
-    pub fn exists(&self, id: &str) -> bool {
-        match &self.backing {
-            Backing::Memory { boxes, .. } => boxes.contains_key(id),
-            Backing::Durable(store) => store.exists(id),
-        }
-    }
-
-    /// Number of live mailboxes.
-    pub fn box_count(&self) -> usize {
-        match &self.backing {
-            Backing::Memory { boxes, .. } => boxes.len(),
-            Backing::Durable(store) => store.box_count(),
-        }
-    }
-
-    /// Drops expired messages everywhere; returns how many were dropped.
-    pub fn expire_all(&self, now: u64) -> usize {
-        match &self.backing {
-            Backing::Memory { boxes, resident } => {
-                let mut dropped = 0;
-                let mut freed = 0;
-                for id in boxes.keys() {
-                    boxes.update(&id, |mbox| {
-                        let before = mbox.messages.len();
-                        freed += prune(mbox, now);
-                        dropped += before - mbox.messages.len();
-                    });
-                }
-                resident.fetch_sub(freed, Ordering::Relaxed);
-                dropped
-            }
-            Backing::Durable(store) => store.expire_all(now),
-        }
-    }
-
-    /// Age of a mailbox in µs, if it exists.
-    pub fn age(&self, id: &str, now: u64) -> Option<u64> {
-        match &self.backing {
-            Backing::Memory { boxes, .. } => {
-                boxes.get(id).map(|m| now.saturating_sub(m.created_at))
-            }
-            Backing::Durable(store) => store.age(id, now),
-        }
-    }
-
-    /// Message bytes held in RAM right now. For the memory backend this
-    /// is every stored body — the quantity that hits the heap wall; the
-    /// durable backend caps it at its configured memory budget.
-    pub fn resident_bytes(&self) -> u64 {
-        match &self.backing {
-            Backing::Memory { resident, .. } => resident.load(Ordering::Relaxed),
-            Backing::Durable(store) => store.resident_bytes(),
-        }
-    }
-
-    /// Message bytes living only on disk (0 for the memory backend).
-    pub fn spilled_bytes(&self) -> u64 {
-        match &self.backing {
-            Backing::Memory { .. } => 0,
-            Backing::Durable(store) => store.spilled_bytes(),
-        }
-    }
-
-    /// Cumulative WAL fsyncs (0 for the memory backend). The simulation
-    /// turns deltas of this into virtual disk latency.
-    pub fn wal_fsyncs(&self) -> u64 {
-        match &self.backing {
-            Backing::Memory { .. } => 0,
-            Backing::Durable(store) => store.wal().fsync_count(),
-        }
-    }
-
-    /// Cumulative WAL bytes appended (0 for the memory backend).
-    pub fn wal_bytes_appended(&self) -> u64 {
-        match &self.backing {
-            Backing::Memory { .. } => 0,
-            Backing::Durable(store) => store.wal().bytes_appended(),
-        }
+    /// Drop-dead time of a message deposited at `now`.
+    fn expires_at(&self, now: u64) -> u64 {
+        now.saturating_add(self.message_ttl.as_micros() as u64)
     }
 }
 
-fn prune(mbox: &mut Mailbox, now: u64) -> u64 {
-    let mut dropped = 0;
-    mbox.messages.retain(|m| {
-        if m.expires_at > now {
-            true
-        } else {
-            dropped += m.body.len() as u64;
-            false
-        }
-    });
-    dropped
+impl Deref for MsgBoxStore {
+    type Target = DurableMsgBox;
+
+    fn deref(&self) -> &DurableMsgBox {
+        &self.store
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -534,6 +240,7 @@ pub fn serve_run(
                 .iter_mut()
                 .map(|(target, body)| (&target[DEPOSIT_PREFIX.len()..], std::mem::take(body))),
             now,
+            store.expires_at(now),
         );
         deposits.clear();
         responses.extend(stored.into_iter().map(|result| match result {
@@ -617,66 +324,9 @@ pub mod ops {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn store() -> MsgBoxStore {
         MsgBoxStore::new(MsgBoxConfig::default(), 42)
-    }
-
-    #[test]
-    fn create_deposit_fetch_destroy_cycle() {
-        let s = store();
-        let (id, key) = s.create(0);
-        assert!(s.exists(&id));
-        s.deposit(&id, "<m1/>".into(), 10).unwrap();
-        s.deposit(&id, "<m2/>".into(), 20).unwrap();
-        assert_eq!(s.len(&id, 30).unwrap(), 2);
-        let got = s.fetch(&id, &key, 10, 30).unwrap();
-        assert_eq!(
-            got.iter().map(|m| m.body.as_str()).collect::<Vec<_>>(),
-            vec!["<m1/>", "<m2/>"]
-        );
-        assert_eq!(s.len(&id, 30).unwrap(), 0);
-        s.destroy(&id, &key).unwrap();
-        assert!(!s.exists(&id));
-        assert_eq!(s.deposit(&id, "x".into(), 40), Err(MsgBoxError::NoSuchBox));
-    }
-
-    #[test]
-    fn fetch_respects_max_and_order() {
-        let s = store();
-        let (id, key) = s.create(0);
-        for i in 0..5 {
-            s.deposit(&id, format!("m{i}"), i).unwrap();
-        }
-        let first = s.fetch(&id, &key, 2, 10).unwrap();
-        assert_eq!(first.len(), 2);
-        assert_eq!(first[0].body, "m0");
-        let rest = s.fetch(&id, &key, 100, 10).unwrap();
-        assert_eq!(rest.len(), 3);
-        assert_eq!(rest[0].body, "m2");
-    }
-
-    #[test]
-    fn wrong_key_rejected_for_fetch_and_destroy() {
-        let s = store();
-        let (id, _key) = s.create(0);
-        assert_eq!(s.fetch(&id, "bad", 1, 0), Err(MsgBoxError::WrongKey));
-        assert_eq!(s.destroy(&id, "bad"), Err(MsgBoxError::WrongKey));
-        assert!(s.exists(&id));
-    }
-
-    #[test]
-    fn capacity_enforced() {
-        let cfg = MsgBoxConfig {
-            max_messages_per_box: 2,
-            ..MsgBoxConfig::default()
-        };
-        let s = MsgBoxStore::new(cfg, 1);
-        let (id, _) = s.create(0);
-        s.deposit(&id, "a".into(), 0).unwrap();
-        s.deposit(&id, "b".into(), 0).unwrap();
-        assert_eq!(s.deposit(&id, "c".into(), 0), Err(MsgBoxError::Full));
     }
 
     #[test]
@@ -693,22 +343,6 @@ mod tests {
         let got = s.fetch(&id, &key, 10, 100).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].body, "new");
-    }
-
-    #[test]
-    fn expire_all_counts_drops() {
-        let cfg = MsgBoxConfig {
-            message_ttl: Duration::from_micros(50),
-            ..MsgBoxConfig::default()
-        };
-        let s = MsgBoxStore::new(cfg, 1);
-        let (a, _) = s.create(0);
-        let (b, _) = s.create(0);
-        s.deposit(&a, "1".into(), 0).unwrap();
-        s.deposit(&b, "2".into(), 0).unwrap();
-        s.deposit(&b, "3".into(), 40).unwrap(); // expires at 90
-        assert_eq!(s.expire_all(55), 2);
-        assert_eq!(s.expire_all(55), 0);
     }
 
     #[test]
@@ -780,112 +414,5 @@ mod tests {
             0,
         );
         assert!(resp.as_fault().is_some());
-    }
-
-    #[test]
-    fn memory_backend_tracks_resident_bytes() {
-        let cfg = MsgBoxConfig {
-            message_ttl: Duration::from_micros(100),
-            ..MsgBoxConfig::default()
-        };
-        let s = MsgBoxStore::new(cfg, 1);
-        let (id, key) = s.create(0);
-        assert_eq!(s.resident_bytes(), 0);
-        s.deposit(&id, "12345".into(), 0).unwrap();
-        s.deposit(&id, "678".into(), 10).unwrap();
-        assert_eq!(s.resident_bytes(), 8);
-        s.fetch(&id, &key, 1, 20).unwrap();
-        assert_eq!(s.resident_bytes(), 3);
-        // Expiry pruning releases heap too (second deposit dies at 110).
-        assert_eq!(s.expire_all(120), 1);
-        assert_eq!(s.resident_bytes(), 0);
-        s.deposit(&id, "zz".into(), 130).unwrap();
-        s.destroy(&id, &key).unwrap();
-        assert_eq!(s.resident_bytes(), 0);
-        assert_eq!(s.spilled_bytes(), 0);
-        assert_eq!(s.wal_fsyncs(), 0);
-    }
-
-    fn durable_config(dir: Option<std::path::PathBuf>) -> MsgBoxConfig {
-        MsgBoxConfig {
-            backend: MailboxBackend::Durable {
-                dir,
-                store: wsd_store::StoreConfig {
-                    wal: wsd_store::WalConfig {
-                        sync: wsd_store::SyncMode::Always,
-                        ..wsd_store::WalConfig::default()
-                    },
-                    ..wsd_store::StoreConfig::default()
-                },
-            },
-            ..MsgBoxConfig::default()
-        }
-    }
-
-    #[test]
-    fn durable_backend_survives_reopen() {
-        let dir = std::env::temp_dir().join("wsd-core-durable-msgbox-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = durable_config(Some(dir.clone()));
-        let s = MsgBoxStore::new(cfg.clone(), 42);
-        let (id, key) = s.create(0);
-        s.deposit(&id, "<durable/>".into(), 1).unwrap();
-        s.deposit(&id, "<second/>".into(), 2).unwrap();
-        assert_eq!(s.len(&id, 3).unwrap(), 2);
-        drop(s);
-        // A fresh store over the same directory replays the WAL.
-        let s = MsgBoxStore::new(cfg.clone(), 43);
-        assert!(s.exists(&id));
-        let got = s.fetch(&id, &key, 10, 4).unwrap();
-        assert_eq!(
-            got.iter().map(|m| m.body.as_str()).collect::<Vec<_>>(),
-            vec!["<durable/>", "<second/>"]
-        );
-        drop(s);
-        // The pickup was logged before the messages were returned, so a
-        // third incarnation must not re-deliver.
-        let s = MsgBoxStore::new(cfg, 44);
-        assert!(s.fetch(&id, &key, 10, 5).unwrap().is_empty());
-        drop(s);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn durable_backend_maps_quota_to_full() {
-        let mut cfg = durable_config(None);
-        if let MailboxBackend::Durable { store, .. } = &mut cfg.backend {
-            store.quota_bytes_per_tenant = 4;
-        }
-        let s = MsgBoxStore::new(cfg, 7);
-        let (id, _key) = s.create(0);
-        assert_eq!(s.deposit(&id, "12345".into(), 1), Err(MsgBoxError::Full));
-        s.deposit(&id, "1234".into(), 1).unwrap();
-        assert_eq!(s.deposit("mbox-nope", "x".into(), 2), Err(MsgBoxError::NoSuchBox));
-        assert!(s.wal_fsyncs() > 0);
-        assert!(s.wal_bytes_appended() > 0);
-    }
-
-    #[test]
-    fn concurrent_deposit_and_fetch_lose_nothing() {
-        use std::sync::Arc;
-        let s = Arc::new(store());
-        let (id, key) = s.create(0);
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let s = Arc::clone(&s);
-            let id = id.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..250 {
-                    s.deposit(&id, format!("{t}-{i}"), 0).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let got = s.fetch(&id, &key, usize::MAX, 0).unwrap();
-        assert_eq!(got.len(), 1000);
-        let unique: std::collections::HashSet<_> = got.iter().map(|m| &m.body).collect();
-        assert_eq!(unique.len(), 1000);
     }
 }

@@ -60,7 +60,7 @@ impl MsgBoxServer {
         scope: &Scope,
     ) -> Arc<MsgBoxServer> {
         // The store hangs its WAL/spill metrics (durable backend) off a
-        // `store` sub-scope; the memory backend registers nothing.
+        // `store` sub-scope; the store with no log registers nothing.
         let store = Arc::new(MsgBoxStore::with_telemetry(
             config.clone(),
             seed,
@@ -349,14 +349,14 @@ mod tests {
         let net = Network::new();
         let server = durable_server(&net, u64::MAX);
         let mbox = MailboxClient::create(&net, "msgbox", 8082).unwrap();
-        let fsyncs_before = server.store().wal_fsyncs();
+        let fsyncs_before = server.store().wal().fsync_count();
         // `deposits()` is what a dispatcher's settle loop trusts: it
         // must never run ahead of the fsync that makes a deposit real.
         let sampler = {
             let server = Arc::clone(&server);
             std::thread::spawn(move || loop {
                 let counted = server.deposits();
-                let synced = server.store().wal_fsyncs() - fsyncs_before;
+                let synced = server.store().wal().fsync_count() - fsyncs_before;
                 assert!(counted == 0 || synced > 0, "{counted} deposits counted before any commit");
                 if counted == RUN as u64 {
                     break;
@@ -371,7 +371,7 @@ mod tests {
         assert!(resps.iter().all(|r| r.status == Status::ACCEPTED));
         assert_eq!(resps.len(), RUN);
         sampler.join().unwrap();
-        let fsyncs = server.store().wal_fsyncs() - fsyncs_before;
+        let fsyncs = server.store().wal().fsync_count() - fsyncs_before;
         assert!(fsyncs <= 2, "{fsyncs} fsyncs for one pipelined run of {RUN} deposits");
         // Stored in request order.
         let got: Vec<String> = fetched(&c.call(&fetch_req(&mbox)).unwrap());

@@ -62,8 +62,7 @@ impl SimMsgBoxStats {
 /// (fsyncs, bytes appended) become simulated service latency, so the
 /// price of durability is visible on the simulated clock. The defaults
 /// model a 2004-era spinning disk: ~8 ms per fsync, ~30 MB/s streaming.
-/// The memory backend never touches the WAL, so its deltas — and added
-/// latency — are always zero.
+/// The memory backend has no WAL, so it adds no latency.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskProfile {
     /// Cost of one fsync, in µs.
@@ -195,11 +194,13 @@ impl SimMsgBox {
     /// Runs [`respond_to`](Self::respond_to) and converts any WAL work
     /// it caused into virtual disk latency (0 for the memory backend).
     fn respond_with_disk_cost(&mut self, bytes: &Payload, now_us: u64) -> (Payload, SimDuration) {
-        let fsyncs = self.store.wal_fsyncs();
-        let appended = self.store.wal_bytes_appended();
+        let wal_work =
+            |store: &MsgBoxStore| store.log().map_or((0, 0), |wal| (wal.fsync_count(), wal.bytes_appended()));
+        let (fsyncs, appended) = wal_work(&self.store);
         let response = self.respond_to(bytes, now_us);
-        let disk_us = (self.store.wal_fsyncs() - fsyncs) * self.disk.fsync_us
-            + (self.store.wal_bytes_appended() - appended) * self.disk.us_per_kib / 1024;
+        let (fsyncs_after, appended_after) = wal_work(&self.store);
+        let disk_us = (fsyncs_after - fsyncs) * self.disk.fsync_us
+            + (appended_after - appended) * self.disk.us_per_kib / 1024;
         (response, SimDuration(disk_us))
     }
 

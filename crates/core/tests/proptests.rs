@@ -3,16 +3,20 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use wsd_core::config::MsgBoxConfig;
+use std::time::Duration;
+use wsd_core::config::{MailboxBackend, MsgBoxConfig};
 use wsd_core::msg::{MsgCore, Routed};
 use wsd_core::msgbox::MsgBoxStore;
 use wsd_core::registry::{BalanceStrategy, Registry};
 use wsd_core::url::Url;
 use wsd_soap::{rpc, SoapVersion};
+use wsd_store::{StoreConfig, StoreError};
 use wsd_wsa::{EndpointReference, WsaHeaders};
 
 // ---------------------------------------------------------------------
-// MsgBoxStore model test: behaves like a map of queues with access keys.
+// MsgBoxStore model test: behaves like a map of queues with access keys
+// and a TTL, with a log and without one alike — the two backends agree
+// op for op.
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -33,65 +37,86 @@ fn box_op() -> impl Strategy<Value = BoxOp> {
     ]
 }
 
+/// Messages live this long (µs; one op is 1 µs), so ops outlive some.
+const TTL_US: u64 = 40;
+
 proptest! {
     #[test]
     fn msgbox_store_matches_queue_model(ops in prop::collection::vec(box_op(), 0..120)) {
-        let store = MsgBoxStore::new(MsgBoxConfig::default(), 7);
+        let stores = [
+            MailboxBackend::Memory,
+            MailboxBackend::Durable { dir: None, store: StoreConfig::default() },
+        ]
+        .map(|backend| {
+            let config = MsgBoxConfig {
+                backend,
+                message_ttl: Duration::from_micros(TTL_US),
+                ..MsgBoxConfig::default()
+            };
+            MsgBoxStore::new(config, 7)
+        });
         let mut boxes: Vec<(String, String)> = Vec::new(); // (id, key)
-        let mut model: HashMap<String, Vec<String>> = HashMap::new();
+        // id -> queued (body, expires_at)
+        let mut model: HashMap<String, Vec<(String, u64)>> = HashMap::new();
         let mut now = 0u64;
         for op in ops {
             now += 1;
             match op {
                 BoxOp::Create => {
-                    let (id, key) = store.create(now);
+                    let [(id, key), other] = stores.each_ref().map(|s| s.create(now));
+                    prop_assert_eq!(&other, &(id.clone(), key.clone()));
                     model.insert(id.clone(), Vec::new());
                     boxes.push((id, key));
                 }
                 BoxOp::Deposit { box_ix, body } => {
                     if boxes.is_empty() { continue; }
                     let (id, _) = &boxes[box_ix % boxes.len()];
-                    let expect_ok = model.contains_key(id);
-                    let got = store.deposit(id, body.clone(), now);
-                    prop_assert_eq!(got.is_ok(), expect_ok);
-                    if expect_ok {
-                        model.get_mut(id).unwrap().push(body);
+                    let [got, other] = stores.each_ref().map(|s| s.deposit(id, body.clone(), now));
+                    prop_assert_eq!(&got, &other);
+                    prop_assert_eq!(got.is_ok(), model.contains_key(id));
+                    if let Some(queue) = model.get_mut(id) {
+                        queue.push((body, now + TTL_US));
                     }
                 }
                 BoxOp::Fetch { box_ix, wrong_key, max } => {
                     if boxes.is_empty() { continue; }
                     let (id, key) = &boxes[box_ix % boxes.len()];
                     let key = if wrong_key { "bogus" } else { key.as_str() };
-                    let got = store.fetch(id, key, max, now);
+                    let [got, other] = stores.each_ref().map(|s| {
+                        s.fetch(id, key, max, now)
+                            .map(|fetched| fetched.into_iter().map(|m| m.body).collect::<Vec<_>>())
+                    });
+                    prop_assert_eq!(&got, &other);
                     match (model.get_mut(id), wrong_key) {
                         (Some(queue), false) => {
-                            let fetched = got.unwrap();
+                            queue.retain(|(_, expires_at)| *expires_at > now);
                             let expect: Vec<String> =
-                                queue.drain(..max.min(queue.len())).collect();
-                            let got_bodies: Vec<String> =
-                                fetched.into_iter().map(|m| m.body).collect();
-                            prop_assert_eq!(got_bodies, expect);
+                                queue.drain(..max.min(queue.len())).map(|(body, _)| body).collect();
+                            prop_assert_eq!(got.unwrap(), expect);
                         }
-                        (Some(_), true) => prop_assert!(got.is_err()),
-                        (None, _) => prop_assert!(got.is_err()),
+                        (Some(_), true) => prop_assert_eq!(got, Err(StoreError::WrongKey)),
+                        (None, _) => prop_assert_eq!(got, Err(StoreError::NoSuchBox)),
                     }
                 }
                 BoxOp::Destroy { box_ix, wrong_key } => {
                     if boxes.is_empty() { continue; }
                     let (id, key) = &boxes[box_ix % boxes.len()];
                     let key = if wrong_key { "bogus" } else { key.as_str() };
-                    let got = store.destroy(id, key);
+                    let [got, other] = stores.each_ref().map(|s| s.destroy(id, key));
+                    prop_assert_eq!(&got, &other);
                     match (model.contains_key(id), wrong_key) {
                         (true, false) => {
                             prop_assert!(got.is_ok());
                             model.remove(id);
                         }
-                        (true, true) => prop_assert!(got.is_err()),
-                        (false, _) => prop_assert!(got.is_err()),
+                        (true, true) => prop_assert_eq!(got, Err(StoreError::WrongKey)),
+                        (false, _) => prop_assert_eq!(got, Err(StoreError::NoSuchBox)),
                     }
                 }
             }
-            prop_assert_eq!(store.box_count(), model.len());
+            for store in &stores {
+                prop_assert_eq!(store.box_count(), model.len());
+            }
         }
     }
 }

@@ -13,11 +13,12 @@
 //!   it); recovery replay with torn-tail truncation;
 //!   checkpoint-at-rotation plus segment GC once a segment's deposits
 //!   are all acked or expired.
-//! * [`DurableMsgBox`] — WS-MsgBox semantics (create / deposit / fetch
-//!   / destroy, access keys, TTL expiry) where every acknowledgement is
-//!   backed by a durable record, message bodies **spill to disk** past
-//!   a configurable memory budget, and per-tenant byte quotas bound the
-//!   disk side.
+//! * [`DurableMsgBox`] — the one WS-MsgBox store (create / deposit /
+//!   fetch / destroy, access keys, TTL expiry). Over a log every
+//!   acknowledgement is backed by a durable record, message bodies
+//!   **spill to disk** past a configurable memory budget, and
+//!   per-tenant byte quotas bound the disk side; without one
+//!   ([`DurableMsgBox::without_log`]) it is the paper's RAM-only store.
 //! * [`Storage`] — the segment-store abstraction: [`FsStorage`] (real
 //!   files, real fsync) for the threaded runtime, [`MemStorage`] (a
 //!   deterministic "disk" with an explicit seeded crash model) for the

@@ -1,7 +1,8 @@
-//! The durable mailbox: WS-MsgBox semantics on top of the WAL.
+//! The mailbox store: WS-MsgBox semantics, with or without a WAL.
 //!
-//! Every state change is a WAL record appended *before* the caller sees
-//! success, so "acknowledged" means "survives a crash":
+//! Opened over storage ([`DurableMsgBox::open`]), every state change is
+//! a WAL record appended *before* the caller sees success, so
+//! "acknowledged" means "survives a crash":
 //!
 //! * `create` / `destroy` are durable before they return;
 //! * `deposit` appends, enqueues, then group-commits — the 202 to the
@@ -13,18 +14,26 @@
 //!   re-deliver a message some consumer already received (at-most-once
 //!   pickup; a message is only "delivered" once fetch returns).
 //!
-//! Mailbox depth is bounded by disk, not RAM: message bodies are cached
-//! in memory only up to `memory_budget_bytes`; beyond that a message is
-//! a 48-byte reference and its body is read back from the segment file
-//! on fetch (`spilled_bytes` gauge tracks how much lives only on disk).
-//! Per-tenant byte quotas bound the disk side; expiry (`expires_at`,
-//! supplied by the caller's clock) is the retention policy.
+//! Mailbox depth is then bounded by disk, not RAM: message bodies are
+//! cached in memory only up to `memory_budget_bytes`; beyond that a
+//! message is a 48-byte reference and its body is read back from the
+//! segment file on fetch (`spilled_bytes` gauge tracks how much lives
+//! only on disk). Per-tenant byte quotas bound the disk side; expiry
+//! (`expires_at`, supplied by the caller's clock) is the retention
+//! policy.
+//!
+//! Without a log ([`DurableMsgBox::without_log`]) the same store is the
+//! paper's RAM-only WS-MsgBox: nothing is appended or committed, every
+//! body stays resident, no instrument is registered, a crash loses
+//! everything, and a box holds at most 10 000 messages. Every other
+//! rule — ids, keys, order, expiry, admission, quota, the books — is the
+//! same code.
 //!
 //! Lock order: `store.msgbox` → `wal.inner` (audited by
 //! `OrderedMutex`). Group-commit waits happen *outside* the mailbox
 //! lock so depositors to other boxes aren't serialized behind an fsync.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io;
 
 use wsd_concurrent::OrderedMutex;
@@ -33,6 +42,10 @@ use wsd_telemetry::{Counter, Gauge, Scope};
 use crate::record::Op;
 use crate::storage::Storage;
 use crate::wal::{AppendInfo, RecoveryReport, Wal, WalConfig};
+
+/// Most messages a box with no log holds: RAM is its only bound. A
+/// logged box is bounded by disk and the tenant quota instead.
+const UNLOGGED_BOX_CAP: usize = 10_000;
 
 /// Durable-store tuning.
 #[derive(Debug, Clone)]
@@ -56,13 +69,15 @@ impl Default for StoreConfig {
     }
 }
 
-/// Durable-store errors.
+/// Mailbox-store errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// No mailbox with that id (or it was destroyed).
     NoSuchBox,
     /// Wrong access key.
     WrongKey,
+    /// A box with no log already holds its cap of messages.
+    BoxFull,
     /// The tenant's queued bytes would exceed its quota.
     QuotaExceeded,
     /// The log or segment store failed.
@@ -74,6 +89,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::NoSuchBox => f.write_str("no such mailbox"),
             StoreError::WrongKey => f.write_str("wrong mailbox access key"),
+            StoreError::BoxFull => f.write_str("mailbox full"),
             StoreError::QuotaExceeded => f.write_str("tenant byte quota exceeded"),
             StoreError::Io(e) => write!(f, "store i/o: {e}"),
         }
@@ -99,8 +115,8 @@ pub struct FetchedMessage {
     pub expires_at: u64,
 }
 
-/// A queued message: where its body lives in the log, plus the cached
-/// copy if it fit the memory budget.
+/// A queued message: where its body lives in the log (all zero without
+/// one), plus the cached copy if it fit the memory budget.
 struct MsgRef {
     lsn: u64,
     seg_base: u64,
@@ -116,11 +132,52 @@ struct BoxState {
     tenant: String,
     created_at: u64,
     queue: VecDeque<MsgRef>,
+    /// No queued message expires before this (`u64::MAX` while none
+    /// is queued): below it a prune has nothing to drop, so a box is
+    /// scanned at most once per run of deposits, and not at all until
+    /// something is due.
+    next_expiry: u64,
 }
 
+impl BoxState {
+    fn new(key: String, tenant: String, created_at: u64) -> BoxState {
+        BoxState {
+            key,
+            tenant,
+            created_at,
+            queue: VecDeque::new(),
+            next_expiry: u64::MAX,
+        }
+    }
+
+    fn push(&mut self, m: MsgRef) {
+        self.next_expiry = self.next_expiry.min(m.expires_at);
+        self.queue.push_back(m);
+    }
+
+    /// Drops the messages expired at `now`, taking them off the books.
+    fn prune(&mut self, now: u64, books: &mut Books) {
+        if now < self.next_expiry {
+            return;
+        }
+        let (mut next_expiry, mut freed) = (u64::MAX, 0);
+        self.queue.retain(|m| {
+            let keep = m.expires_at > now;
+            if keep {
+                next_expiry = next_expiry.min(m.expires_at);
+            } else {
+                freed += books.release(m);
+            }
+            keep
+        });
+        self.next_expiry = next_expiry;
+        books.refund(&self.tenant, freed);
+    }
+}
+
+/// What the queued messages hold, kept in step with every queue change.
 #[derive(Default)]
-struct Inner {
-    boxes: HashMap<String, BoxState>,
+struct Books {
     /// Live (queued, unexpired) body bytes per tenant.
     tenant_bytes: HashMap<String, u64>,
     /// Cached body bytes in RAM.
@@ -130,8 +187,94 @@ struct Inner {
     /// Live deposit count per segment; a sealed segment at zero is
     /// garbage.
     live_per_segment: HashMap<u64, u64>,
+}
+
+impl Books {
+    fn charge(&mut self, tenant: &str, n: u64) {
+        match self.tenant_bytes.get_mut(tenant) {
+            Some(v) => *v += n,
+            None => {
+                self.tenant_bytes.insert(tenant.to_string(), n);
+            }
+        }
+    }
+
+    fn refund(&mut self, tenant: &str, n: u64) {
+        if let Some(v) = self.tenant_bytes.get_mut(tenant) {
+            *v = v.saturating_sub(n);
+        }
+    }
+
+    /// Takes a message leaving its queue (fetched, expired, destroyed)
+    /// off the books but for its tenant's bytes, which it returns: the
+    /// caller refunds a batch's at once.
+    fn release(&mut self, m: &MsgRef) -> u64 {
+        match m.cached {
+            Some(_) => self.resident_bytes -= m.body_len,
+            None => self.spilled_bytes -= m.body_len,
+        }
+        if let Some(v) = self.live_per_segment.get_mut(&m.seg_base) {
+            *v = v.saturating_sub(1);
+        }
+        m.body_len
+    }
+}
+
+#[derive(Default)]
+struct Inner {
+    boxes: HashMap<String, BoxState>,
+    books: Books,
     /// Segments no longer being appended to.
     sealed_segments: BTreeSet<u64>,
+}
+
+impl Inner {
+    /// Queues a deposit whose tenant is already charged; `at` is where
+    /// the log put it (`None` without a log). The body stays cached
+    /// while `budget` has room; past it the log holds the only copy.
+    fn enqueue(
+        &mut self,
+        box_id: &str,
+        body: String,
+        at: Option<AppendInfo>,
+        received_at: u64,
+        expires_at: u64,
+        budget: u64,
+    ) {
+        let body_len = body.len() as u64;
+        let (lsn, seg_base, body_off) = match at {
+            Some(info) => {
+                *self.books.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
+                (info.lsn, info.seg_base, info.payload_off + Op::deposit_body_offset(box_id))
+            }
+            None => (0, 0, 0),
+        };
+        // A cached body is the caller's `String`, moved, not cloned.
+        let cached = if self.books.resident_bytes + body_len <= budget {
+            self.books.resident_bytes += body_len;
+            Some(body)
+        } else {
+            self.books.spilled_bytes += body_len;
+            None
+        };
+        self.boxes.get_mut(box_id).expect("a queued deposit has a box").push(MsgRef {
+            lsn,
+            seg_base,
+            body_off,
+            body_len,
+            received_at,
+            expires_at,
+            cached,
+        });
+    }
+
+    /// Removes a box, taking everything queued in it off the books.
+    fn remove_box(&mut self, id: &str) {
+        if let Some(mbox) = self.boxes.remove(id) {
+            let freed = mbox.queue.iter().map(|m| self.books.release(m)).sum();
+            self.books.refund(&mbox.tenant, freed);
+        }
+    }
 }
 
 struct BoxMetrics {
@@ -140,13 +283,11 @@ struct BoxMetrics {
     quota_rejections: Counter,
 }
 
-/// The WAL-backed mailbox store. Same semantics as the in-memory
-/// `MsgBoxStore` (ids and keys are supplied by the caller so the two
-/// backends mint identical addresses), plus crash durability, spill,
-/// and quotas.
+/// The mailbox store, WAL-backed or (with no log) RAM-only. Ids and keys
+/// are supplied by the caller, so both modes mint identical addresses.
 pub struct DurableMsgBox {
     config: StoreConfig,
-    wal: Wal,
+    wal: Option<Wal>,
     inner: OrderedMutex<Inner>,
     metrics: BoxMetrics,
 }
@@ -168,52 +309,59 @@ impl DurableMsgBox {
         // Everything but the segment being appended to is sealed.
         let cur = wal.current_segment();
         inner.sealed_segments.retain(|&b| b != cur);
-        let metrics = BoxMetrics {
-            resident_gauge: scope.gauge("resident_bytes"),
-            spilled_gauge: scope.gauge("spilled_bytes"),
-            quota_rejections: scope.counter("quota_rejections"),
-        };
-        metrics.resident_gauge.set(inner.resident_bytes as i64);
-        metrics.spilled_gauge.set(inner.spilled_bytes as i64);
-        let store = DurableMsgBox {
-            config,
-            wal,
-            inner: OrderedMutex::new("store.msgbox", inner),
-            metrics,
-        };
+        let store = DurableMsgBox::new(config, Some(wal), inner, scope);
         // Segments whose deposits were all acked before the crash are
         // reclaimable immediately.
         store.gc().map_err(io::Error::other)?;
         Ok((store, report))
     }
 
+    /// The store with no log: the paper's RAM-only WS-MsgBox. No record
+    /// is written, no body spills, no instrument is registered; a box
+    /// holds at most 10 000 messages.
+    pub fn without_log() -> DurableMsgBox {
+        DurableMsgBox::new(StoreConfig::default(), None, Inner::default(), &Scope::noop())
+    }
+
+    fn new(config: StoreConfig, wal: Option<Wal>, inner: Inner, scope: &Scope) -> DurableMsgBox {
+        let metrics = BoxMetrics {
+            resident_gauge: scope.gauge("resident_bytes"),
+            spilled_gauge: scope.gauge("spilled_bytes"),
+            quota_rejections: scope.counter("quota_rejections"),
+        };
+        let store = DurableMsgBox {
+            config,
+            wal,
+            inner: OrderedMutex::new("store.msgbox", inner),
+            metrics,
+        };
+        store.update_gauges(&store.inner.lock());
+        store
+    }
+
     /// Registers a mailbox under caller-minted `id`/`key`. Durable
     /// before returning.
     pub fn create(&self, id: &str, key: &str, tenant: &str, now: u64) -> Result<(), StoreError> {
-        // Insert and append under one lock so a concurrent rotation's
-        // checkpoint can never order itself between them and miss the
-        // box.
-        let lsn = {
-            let mut inner = self.inner.lock();
-            inner.boxes.insert(
-                id.to_string(),
-                BoxState {
-                    key: key.to_string(),
-                    tenant: tenant.to_string(),
-                    created_at: now,
-                    queue: VecDeque::new(),
-                },
-            );
-            self.wal
-                .append(&Op::Create {
-                    id: id.to_string(),
-                    key: key.to_string(),
-                    tenant: tenant.to_string(),
-                    created_at: now,
-                })?
-                .lsn
+        let mut inner = self.inner.lock();
+        inner
+            .boxes
+            .insert(id.to_string(), BoxState::new(key.to_string(), tenant.to_string(), now));
+        let Some(wal) = &self.wal else {
+            return Ok(());
         };
-        self.wal.commit(lsn)?;
+        // Appended under the mailbox lock, so a concurrent rotation's
+        // checkpoint can never order itself between insert and record
+        // and miss the box.
+        let lsn = wal
+            .append(&Op::Create {
+                id: id.to_string(),
+                key: key.to_string(),
+                tenant: tenant.to_string(),
+                created_at: now,
+            })?
+            .lsn;
+        drop(inner);
+        wal.commit(lsn)?;
         Ok(())
     }
 
@@ -236,9 +384,10 @@ impl DurableMsgBox {
     /// single commit of the highest LSN covers them all, and only then
     /// does anything report `Ok` — one write and one fsync for the run
     /// instead of one of each per message. Results are in input order; a
-    /// rejected deposit (missing box, quota) is an `Err` in its own slot
-    /// and appends nothing, its neighbours unaffected. A log failure
-    /// fails every deposit not already rejected and stores none.
+    /// rejected deposit (missing box, full box, quota) is an `Err` in
+    /// its own slot and appends nothing, its neighbours unaffected. A
+    /// log failure fails every deposit not already rejected and stores
+    /// none. Without a log each admitted deposit is queued at once.
     pub fn deposit_batch<'a>(
         &self,
         deposits: impl IntoIterator<Item = (&'a str, String)>,
@@ -247,88 +396,64 @@ impl DurableMsgBox {
     ) -> Vec<Result<(), StoreError>> {
         let deposits = deposits.into_iter();
         let mut results = Vec::with_capacity(deposits.size_hint().0);
-        // LSN 0 precedes every record: committing it is a no-op.
-        let mut last_lsn = 0;
-        let mut log_failure = None;
-        {
+        let (wal, last_lsn, log_failure) = {
             let mut inner = self.inner.lock();
             let inner = &mut *inner;
-            // Admission: the quota sees the run's earlier deposits.
-            let mut ops = Vec::with_capacity(results.capacity());
+            // Admission sees the run's earlier deposits.
+            let mut ops = Vec::new();
             for (box_id, body) in deposits {
-                let body_len = body.len() as u64;
-                let Some(tenant) = inner.boxes.get(box_id).map(|b| &b.tenant) else {
-                    results.push(Err(StoreError::NoSuchBox));
-                    continue;
-                };
-                let used = inner.tenant_bytes.get(tenant).copied().unwrap_or(0);
-                if used.saturating_add(body_len) > self.config.quota_bytes_per_tenant {
-                    self.metrics.quota_rejections.inc();
-                    results.push(Err(StoreError::QuotaExceeded));
+                if let Err(e) = self.admit(inner, box_id, body.len() as u64, now) {
+                    results.push(Err(e));
                     continue;
                 }
-                *inner.tenant_bytes.entry(tenant.clone()).or_insert(0) += body_len;
-                ops.push(Op::Deposit {
-                    box_id: box_id.to_string(),
-                    received_at: now,
-                    expires_at,
-                    body,
-                });
                 results.push(Ok(()));
-            }
-            let appended = if ops.is_empty() {
-                Ok(Vec::new())
-            } else {
-                self.rotate_if_full(inner).and_then(|()| self.wal.append_run(&ops))
-            };
-            match appended {
-                Ok(infos) => {
-                    for (op, info) in ops.into_iter().zip(infos) {
-                        let Op::Deposit { box_id, body, .. } = op else {
-                            unreachable!("the run holds only deposits");
-                        };
-                        let body_len = body.len() as u64;
-                        // The log holds the only copy of a spilled body; a
-                        // cached one is the caller's `String`, moved, not
-                        // cloned.
-                        let cached = if inner.resident_bytes + body_len
-                            <= self.config.memory_budget_bytes
-                        {
-                            inner.resident_bytes += body_len;
-                            Some(body)
-                        } else {
-                            inner.spilled_bytes += body_len;
-                            None
-                        };
-                        *inner.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
-                        let mbox = inner.boxes.get_mut(&box_id).expect("admitted above");
-                        mbox.queue.push_back(MsgRef {
-                            lsn: info.lsn,
-                            seg_base: info.seg_base,
-                            body_off: info.payload_off + Op::deposit_body_offset(&box_id),
-                            body_len,
-                            received_at: now,
-                            expires_at,
-                            cached,
-                        });
-                        last_lsn = info.lsn;
-                    }
+                match self.wal {
+                    // Nothing to wait for, and nowhere to spill to.
+                    None => inner.enqueue(box_id, body, None, now, expires_at, u64::MAX),
+                    Some(_) => ops.push(Op::Deposit {
+                        box_id: box_id.to_string(),
+                        received_at: now,
+                        expires_at,
+                        body,
+                    }),
                 }
-                Err(e) => {
-                    // Nothing was queued: give the admitted bytes back.
-                    for op in &ops {
-                        if let Op::Deposit { box_id, body, .. } = op {
-                            let tenant = &inner.boxes[box_id].tenant;
-                            debit(&mut inner.tenant_bytes, tenant, body.len() as u64);
+            }
+            let Some(wal) = &self.wal else {
+                self.update_gauges(inner);
+                return results;
+            };
+            // LSN 0 precedes every record: committing it is a no-op.
+            let mut last_lsn = 0;
+            let mut log_failure = None;
+            if !ops.is_empty() {
+                match self.rotate_if_full(wal, inner).and_then(|()| wal.append_run(&ops)) {
+                    Ok(infos) => {
+                        let budget = self.config.memory_budget_bytes;
+                        for (op, info) in ops.into_iter().zip(infos) {
+                            let Op::Deposit { box_id, body, .. } = op else {
+                                unreachable!("the run holds only deposits");
+                            };
+                            inner.enqueue(&box_id, body, Some(info), now, expires_at, budget);
+                            last_lsn = info.lsn;
                         }
                     }
-                    log_failure = Some(StoreError::from(e));
+                    Err(e) => {
+                        // Nothing was queued: give the admitted bytes back.
+                        for op in &ops {
+                            if let Op::Deposit { box_id, body, .. } = op {
+                                let tenant = &inner.boxes[box_id].tenant;
+                                inner.books.refund(tenant, body.len() as u64);
+                            }
+                        }
+                        log_failure = Some(StoreError::from(e));
+                    }
                 }
             }
             self.update_gauges(inner);
-        }
+            (wal, last_lsn, log_failure)
+        };
         // The one fsync wait, outside the mailbox lock.
-        let barrier = self.wal.commit(last_lsn).map_err(StoreError::from).and_then(|()| self.gc());
+        let barrier = wal.commit(last_lsn).map_err(StoreError::from).and_then(|()| self.gc());
         if let Err(e) = log_failure.map_or(barrier, Err) {
             // Nothing appended here may be acknowledged.
             for r in results.iter_mut().filter(|r| r.is_ok()) {
@@ -338,10 +463,30 @@ impl DurableMsgBox {
         results
     }
 
-    fn rotate_if_full(&self, inner: &mut Inner) -> io::Result<()> {
-        if self.wal.needs_rotation() {
-            let old = self.wal.current_segment();
-            if self.wal.rotate(boxes_snapshot(inner))?.is_some() {
+    /// The admission rule of both modes: prune the box of what has
+    /// expired, apply the cap of a box with no log, then charge the
+    /// tenant's quota.
+    fn admit(&self, inner: &mut Inner, box_id: &str, body_len: u64, now: u64) -> Result<(), StoreError> {
+        let Some(mbox) = inner.boxes.get_mut(box_id) else {
+            return Err(StoreError::NoSuchBox);
+        };
+        mbox.prune(now, &mut inner.books);
+        if self.wal.is_none() && mbox.queue.len() >= UNLOGGED_BOX_CAP {
+            return Err(StoreError::BoxFull);
+        }
+        let used = inner.books.tenant_bytes.get(&mbox.tenant).copied().unwrap_or(0);
+        if used.saturating_add(body_len) > self.config.quota_bytes_per_tenant {
+            self.metrics.quota_rejections.inc();
+            return Err(StoreError::QuotaExceeded);
+        }
+        inner.books.charge(&mbox.tenant, body_len);
+        Ok(())
+    }
+
+    fn rotate_if_full(&self, wal: &Wal, inner: &mut Inner) -> io::Result<()> {
+        if wal.needs_rotation() {
+            let old = wal.current_segment();
+            if wal.rotate(boxes_snapshot(inner))?.is_some() {
                 inner.sealed_segments.insert(old);
             }
         }
@@ -350,7 +495,8 @@ impl DurableMsgBox {
 
     /// Fetches up to `max` messages in arrival order. The covering ack
     /// is durable before the messages are returned: after a crash,
-    /// nothing a consumer has seen is ever handed out again.
+    /// nothing a consumer has seen is ever handed out again. A failed
+    /// read of a spilled body leaves the box as it was.
     pub fn fetch(
         &self,
         id: &str,
@@ -358,7 +504,7 @@ impl DurableMsgBox {
         max: usize,
         now: u64,
     ) -> Result<Vec<FetchedMessage>, StoreError> {
-        let (out, ack_lsn) = {
+        let (wal, out, ack_lsn) = {
             let mut inner = self.inner.lock();
             let inner = &mut *inner;
             let Some(mbox) = inner.boxes.get_mut(id) else {
@@ -367,54 +513,56 @@ impl DurableMsgBox {
             if mbox.key != key {
                 return Err(StoreError::WrongKey);
             }
-            prune_box(
-                mbox,
-                now,
-                &mut inner.tenant_bytes,
-                &mut inner.resident_bytes,
-                &mut inner.spilled_bytes,
-                &mut inner.live_per_segment,
-            );
+            mbox.prune(now, &mut inner.books);
             let n = max.min(mbox.queue.len());
-            if n == 0 {
-                self.update_gauges(inner);
-                return Ok(Vec::new());
-            }
-            let tenant = mbox.tenant.clone();
+            // Every spilled body is read before anything leaves the queue.
+            let spilled: Result<Vec<String>, StoreError> = mbox
+                .queue
+                .range(..n)
+                .filter(|m| m.cached.is_none())
+                .map(|m| self.read_spilled(m))
+                .collect();
+            let mut spilled = match spilled {
+                Ok(bodies) => bodies.into_iter(),
+                Err(e) => {
+                    self.update_gauges(inner);
+                    return Err(e);
+                }
+            };
             let mut out = Vec::with_capacity(n);
-            let mut upto = 0;
+            let (mut upto, mut freed) = (0, 0);
             for m in mbox.queue.drain(..n) {
-                let body = match m.cached {
-                    Some(b) => {
-                        inner.resident_bytes -= m.body_len;
-                        b
-                    }
-                    None => {
-                        inner.spilled_bytes -= m.body_len;
-                        let bytes = self.wal.read_at(m.seg_base, m.body_off, m.body_len)?;
-                        String::from_utf8(bytes)
-                            .map_err(|_| StoreError::Io("spilled body not utf-8".into()))?
-                    }
-                };
-                debit(&mut inner.tenant_bytes, &tenant, m.body_len);
-                release_live(&mut inner.live_per_segment, m.seg_base);
+                freed += inner.books.release(&m);
                 upto = m.lsn;
                 out.push(FetchedMessage {
-                    body,
+                    body: m.cached.unwrap_or_else(|| spilled.next().expect("read above")),
                     received_at: m.received_at,
                     expires_at: m.expires_at,
                 });
             }
+            inner.books.refund(&mbox.tenant, freed);
             self.update_gauges(inner);
-            let info = self.wal.append(&Op::Ack {
+            let Some(wal) = &self.wal else {
+                return Ok(out);
+            };
+            if out.is_empty() {
+                return Ok(out);
+            }
+            let ack = wal.append(&Op::Ack {
                 box_id: id.to_string(),
                 upto_lsn: upto,
             })?;
-            (out, info.lsn)
+            (wal, out, ack.lsn)
         };
-        self.wal.commit(ack_lsn)?;
+        wal.commit(ack_lsn)?;
         self.gc()?;
         Ok(out)
+    }
+
+    fn read_spilled(&self, m: &MsgRef) -> Result<String, StoreError> {
+        let wal = self.wal.as_ref().expect("only a store with a log spills");
+        let bytes = wal.read_at(m.seg_base, m.body_off, m.body_len)?;
+        String::from_utf8(bytes).map_err(|_| StoreError::Io("spilled body not utf-8".into()))
     }
 
     /// Number of messages waiting (after expiry pruning).
@@ -424,42 +572,26 @@ impl DurableMsgBox {
         let Some(mbox) = inner.boxes.get_mut(id) else {
             return Err(StoreError::NoSuchBox);
         };
-        prune_box(
-            mbox,
-            now,
-            &mut inner.tenant_bytes,
-            &mut inner.resident_bytes,
-            &mut inner.spilled_bytes,
-            &mut inner.live_per_segment,
-        );
+        mbox.prune(now, &mut inner.books);
         Ok(mbox.queue.len())
     }
 
     /// Destroys a mailbox and everything queued in it. Durable before
     /// returning.
     pub fn destroy(&self, id: &str, key: &str) -> Result<(), StoreError> {
-        let lsn = {
-            let mut inner = self.inner.lock();
-            let inner = &mut *inner;
-            let Some(mbox) = inner.boxes.get(id) else {
-                return Err(StoreError::NoSuchBox);
-            };
-            if mbox.key != key {
-                return Err(StoreError::WrongKey);
-            }
-            let mbox = inner.boxes.remove(id).expect("checked above");
-            for m in &mbox.queue {
-                match m.cached {
-                    Some(_) => inner.resident_bytes -= m.body_len,
-                    None => inner.spilled_bytes -= m.body_len,
-                }
-                debit(&mut inner.tenant_bytes, &mbox.tenant, m.body_len);
-                release_live(&mut inner.live_per_segment, m.seg_base);
-            }
-            self.update_gauges(inner);
-            self.wal.append(&Op::Destroy { box_id: id.to_string() })?.lsn
+        let mut inner = self.inner.lock();
+        match inner.boxes.get(id) {
+            None => return Err(StoreError::NoSuchBox),
+            Some(mbox) if mbox.key != key => return Err(StoreError::WrongKey),
+            Some(_) => inner.remove_box(id),
+        }
+        self.update_gauges(&inner);
+        let Some(wal) = &self.wal else {
+            return Ok(());
         };
-        self.wal.commit(lsn)?;
+        let lsn = wal.append(&Op::Destroy { box_id: id.to_string() })?.lsn;
+        drop(inner);
+        wal.commit(lsn)?;
         self.gc()?;
         Ok(())
     }
@@ -483,14 +615,7 @@ impl DurableMsgBox {
         let mut dropped = 0;
         for mbox in inner.boxes.values_mut() {
             let before = mbox.queue.len();
-            prune_box(
-                mbox,
-                now,
-                &mut inner.tenant_bytes,
-                &mut inner.resident_bytes,
-                &mut inner.spilled_bytes,
-                &mut inner.live_per_segment,
-            );
+            mbox.prune(now, &mut inner.books);
             dropped += before - mbox.queue.len();
         }
         self.update_gauges(inner);
@@ -508,28 +633,35 @@ impl DurableMsgBox {
 
     /// Body bytes living only on disk right now.
     pub fn spilled_bytes(&self) -> u64 {
-        self.inner.lock().spilled_bytes
+        self.inner.lock().books.spilled_bytes
     }
 
-    /// Body bytes cached in RAM right now.
+    /// Body bytes cached in RAM right now: with no log, every queued
+    /// body — the quantity that hits the §4.3.2 heap wall.
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().resident_bytes
+        self.inner.lock().books.resident_bytes
     }
 
     /// Queued body bytes charged to `tenant`.
     pub fn tenant_bytes(&self, tenant: &str) -> u64 {
-        self.inner.lock().tenant_bytes.get(tenant).copied().unwrap_or(0)
+        self.inner.lock().books.tenant_bytes.get(tenant).copied().unwrap_or(0)
     }
 
-    /// The underlying log (fsync/byte counters feed the sim's disk
-    /// model).
+    /// The log, if the store has one (its fsync/byte counters feed the
+    /// sim's disk model).
+    pub fn log(&self) -> Option<&Wal> {
+        self.wal.as_ref()
+    }
+
+    /// The log of a store opened over storage. Panics on a store
+    /// without one.
     pub fn wal(&self) -> &Wal {
-        &self.wal
+        self.log().expect("a store opened over storage has a log")
     }
 
     fn update_gauges(&self, inner: &Inner) {
-        self.metrics.resident_gauge.set(inner.resident_bytes as i64);
-        self.metrics.spilled_gauge.set(inner.spilled_bytes as i64);
+        self.metrics.resident_gauge.set(inner.books.resident_bytes as i64);
+        self.metrics.spilled_gauge.set(inner.books.spilled_bytes as i64);
     }
 
     /// Deletes the longest *prefix* of sealed segments with no live
@@ -540,20 +672,23 @@ impl DurableMsgBox {
     /// only after a commit, so every ack that emptied a segment is
     /// already durable.
     fn gc(&self) -> Result<(), StoreError> {
+        let Some(wal) = &self.wal else {
+            return Ok(());
+        };
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let mut dead: Vec<u64> = Vec::new();
         for &base in inner.sealed_segments.iter() {
-            if inner.live_per_segment.get(&base).copied().unwrap_or(0) == 0 {
+            if inner.books.live_per_segment.get(&base).copied().unwrap_or(0) == 0 {
                 dead.push(base);
             } else {
                 break;
             }
         }
         for base in dead {
-            self.wal.delete_segment(base)?;
+            wal.delete_segment(base)?;
             inner.sealed_segments.remove(&base);
-            inner.live_per_segment.remove(&base);
+            inner.books.live_per_segment.remove(&base);
         }
         Ok(())
     }
@@ -569,58 +704,21 @@ fn boxes_snapshot(inner: &Inner) -> Vec<(String, String, String, u64)> {
     snapshot
 }
 
-fn debit(tenant_bytes: &mut HashMap<String, u64>, tenant: &str, n: u64) {
-    if let Some(v) = tenant_bytes.get_mut(tenant) {
-        *v = v.saturating_sub(n);
-    }
-}
-
-fn release_live(live: &mut HashMap<u64, u64>, seg: u64) {
-    if let Some(v) = live.get_mut(&seg) {
-        *v = v.saturating_sub(1);
-    }
-}
-
-fn prune_box(
-    mbox: &mut BoxState,
-    now: u64,
-    tenant_bytes: &mut HashMap<String, u64>,
-    resident: &mut u64,
-    spilled: &mut u64,
-    live: &mut HashMap<u64, u64>,
-) {
-    mbox.queue.retain(|m| {
-        let keep = m.expires_at > now;
-        if !keep {
-            match m.cached {
-                Some(_) => *resident -= m.body_len,
-                None => *spilled -= m.body_len,
-            }
-            debit(tenant_bytes, &mbox.tenant, m.body_len);
-            release_live(live, m.seg_base);
-        }
-        keep
-    });
-}
-
 fn replay_op(inner: &mut Inner, info: AppendInfo, op: Op, now: u64, memory_budget: u64) {
     inner.sealed_segments.insert(info.seg_base);
     match op {
         Op::Create { id, key, tenant, created_at } => {
-            inner.boxes.entry(id).or_insert(BoxState {
-                key,
-                tenant,
-                created_at,
-                queue: VecDeque::new(),
-            });
+            inner
+                .boxes
+                .entry(id)
+                .or_insert_with(|| BoxState::new(key, tenant, created_at));
         }
         Op::Checkpoint { boxes } => {
             // A checkpoint is the authoritative set of live boxes at
             // rotation time: a replayed box missing from it was
             // destroyed in a segment that GC has since deleted, so it
             // (and its accounting) goes away here.
-            let live: std::collections::HashSet<&String> =
-                boxes.iter().map(|(id, ..)| id).collect();
+            let live: HashSet<&String> = boxes.iter().map(|(id, ..)| id).collect();
             let dead: Vec<String> = inner
                 .boxes
                 .keys()
@@ -628,75 +726,37 @@ fn replay_op(inner: &mut Inner, info: AppendInfo, op: Op, now: u64, memory_budge
                 .cloned()
                 .collect();
             for id in dead {
-                drop_box(inner, &id);
+                inner.remove_box(&id);
             }
             for (id, key, tenant, created_at) in boxes {
-                inner.boxes.entry(id).or_insert(BoxState {
-                    key,
-                    tenant,
-                    created_at,
-                    queue: VecDeque::new(),
-                });
+                inner
+                    .boxes
+                    .entry(id)
+                    .or_insert_with(|| BoxState::new(key, tenant, created_at));
             }
         }
         Op::Deposit { box_id, received_at, expires_at, body } => {
             if expires_at <= now {
                 return; // retention: already expired, don't resurrect
             }
-            let body_off = info.payload_off + Op::deposit_body_offset(&box_id);
-            let Some(mbox) = inner.boxes.get_mut(&box_id) else {
+            let Some(mbox) = inner.boxes.get(&box_id) else {
                 return; // destroyed later in the log, or never created
             };
-            let body_len = body.len() as u64;
-            let cached = if inner.resident_bytes + body_len <= memory_budget {
-                inner.resident_bytes += body_len;
-                Some(body)
-            } else {
-                inner.spilled_bytes += body_len;
-                None
-            };
-            *inner.tenant_bytes.entry(mbox.tenant.clone()).or_insert(0) += body_len;
-            *inner.live_per_segment.entry(info.seg_base).or_insert(0) += 1;
-            mbox.queue.push_back(MsgRef {
-                lsn: info.lsn,
-                seg_base: info.seg_base,
-                body_off,
-                body_len,
-                received_at,
-                expires_at,
-                cached,
-            });
+            inner.books.charge(&mbox.tenant, body.len() as u64);
+            inner.enqueue(&box_id, body, Some(info), received_at, expires_at, memory_budget);
         }
         Op::Ack { box_id, upto_lsn } => {
             let Some(mbox) = inner.boxes.get_mut(&box_id) else {
                 return;
             };
-            let tenant = mbox.tenant.clone();
+            let mut freed = 0;
             while mbox.queue.front().is_some_and(|m| m.lsn <= upto_lsn) {
                 let m = mbox.queue.pop_front().expect("front checked");
-                match m.cached {
-                    Some(_) => inner.resident_bytes -= m.body_len,
-                    None => inner.spilled_bytes -= m.body_len,
-                }
-                debit(&mut inner.tenant_bytes, &tenant, m.body_len);
-                release_live(&mut inner.live_per_segment, m.seg_base);
+                freed += inner.books.release(&m);
             }
+            inner.books.refund(&mbox.tenant, freed);
         }
-        Op::Destroy { box_id } => drop_box(inner, &box_id),
-    }
-}
-
-/// Removes a box and unwinds all of its accounting (replay only).
-fn drop_box(inner: &mut Inner, id: &str) {
-    if let Some(mbox) = inner.boxes.remove(id) {
-        for m in &mbox.queue {
-            match m.cached {
-                Some(_) => inner.resident_bytes -= m.body_len,
-                None => inner.spilled_bytes -= m.body_len,
-            }
-            debit(&mut inner.tenant_bytes, &mbox.tenant, m.body_len);
-            release_live(&mut inner.live_per_segment, m.seg_base);
-        }
+        Op::Destroy { box_id } => inner.remove_box(&box_id),
     }
 }
 
@@ -722,37 +782,147 @@ mod tests {
             .0
     }
 
+    /// The store with a log (on an in-memory disk) and without one.
+    fn both() -> [DurableMsgBox; 2] {
+        [open(&MemStorage::new(), config(), 0), DurableMsgBox::without_log()]
+    }
+
+    fn bodies(got: Vec<FetchedMessage>) -> Vec<String> {
+        got.into_iter().map(|m| m.body).collect()
+    }
+
     #[test]
     fn create_deposit_fetch_destroy_cycle() {
-        let mem = MemStorage::new();
-        let s = open(&mem, config(), 0);
-        s.create("mbox-1", "key-1", "t", 0).unwrap();
-        s.deposit("mbox-1", "<m1/>".into(), 10, 1_000).unwrap();
-        s.deposit("mbox-1", "<m2/>".into(), 20, 1_000).unwrap();
-        assert_eq!(s.len("mbox-1", 30).unwrap(), 2);
-        let got = s.fetch("mbox-1", "key-1", 10, 30).unwrap();
-        assert_eq!(
-            got.iter().map(|m| m.body.as_str()).collect::<Vec<_>>(),
-            vec!["<m1/>", "<m2/>"]
-        );
-        assert_eq!(s.len("mbox-1", 30).unwrap(), 0);
-        s.destroy("mbox-1", "key-1").unwrap();
-        assert!(!s.exists("mbox-1"));
-        assert_eq!(
-            s.deposit("mbox-1", "x".into(), 40, 1_000),
-            Err(StoreError::NoSuchBox)
-        );
-        assert_eq!(s.fetch("mbox-1", "bad", 1, 0), Err(StoreError::NoSuchBox));
+        for s in both() {
+            s.create("mbox-1", "key-1", "t", 0).unwrap();
+            s.deposit("mbox-1", "<m1/>".into(), 10, 1_000).unwrap();
+            s.deposit("mbox-1", "<m2/>".into(), 20, 1_000).unwrap();
+            assert_eq!(s.len("mbox-1", 30).unwrap(), 2);
+            assert_eq!(bodies(s.fetch("mbox-1", "key-1", 10, 30).unwrap()), ["<m1/>", "<m2/>"]);
+            assert_eq!(s.len("mbox-1", 30).unwrap(), 0);
+            s.destroy("mbox-1", "key-1").unwrap();
+            assert!(!s.exists("mbox-1"));
+            assert_eq!(
+                s.deposit("mbox-1", "x".into(), 40, 1_000),
+                Err(StoreError::NoSuchBox)
+            );
+            assert_eq!(s.fetch("mbox-1", "bad", 1, 0), Err(StoreError::NoSuchBox));
+        }
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let mem = MemStorage::new();
-        let s = open(&mem, config(), 0);
+        for s in both() {
+            s.create("mbox-1", "key-1", "t", 0).unwrap();
+            assert_eq!(s.fetch("mbox-1", "bad", 1, 0), Err(StoreError::WrongKey));
+            assert_eq!(s.destroy("mbox-1", "bad"), Err(StoreError::WrongKey));
+            assert!(s.exists("mbox-1"));
+        }
+    }
+
+    #[test]
+    fn concurrent_deposit_and_fetch_lose_nothing() {
+        for s in both() {
+            s.create("mbox-1", "key-1", "t", 0).unwrap();
+            let got = std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let s = &s;
+                    scope.spawn(move || {
+                        for i in 0..250 {
+                            s.deposit("mbox-1", format!("{t}-{i}"), 0, u64::MAX).unwrap();
+                        }
+                    });
+                }
+                let fetcher = scope.spawn(|| {
+                    let mut got = Vec::new();
+                    while got.len() < 1000 {
+                        got.extend(bodies(s.fetch("mbox-1", "key-1", 7, 0).unwrap()));
+                    }
+                    got
+                });
+                fetcher.join().unwrap()
+            });
+            let unique: HashSet<&String> = got.iter().collect();
+            assert_eq!((got.len(), unique.len()), (1000, 1000));
+            assert_eq!(s.len("mbox-1", 0).unwrap(), 0);
+            assert_eq!((s.resident_bytes(), s.tenant_bytes("t")), (0, 0));
+        }
+    }
+
+    #[test]
+    fn without_a_log_every_body_stays_resident_and_nothing_is_written() {
+        let s = DurableMsgBox::without_log();
+        assert!(s.log().is_none());
         s.create("mbox-1", "key-1", "t", 0).unwrap();
-        assert_eq!(s.fetch("mbox-1", "bad", 1, 0), Err(StoreError::WrongKey));
-        assert_eq!(s.destroy("mbox-1", "bad"), Err(StoreError::WrongKey));
-        assert!(s.exists("mbox-1"));
+        s.deposit("mbox-1", "12345".into(), 0, 100).unwrap();
+        s.deposit("mbox-1", "678".into(), 10, 110).unwrap();
+        assert_eq!((s.resident_bytes(), s.spilled_bytes()), (8, 0));
+        s.fetch("mbox-1", "key-1", 1, 20).unwrap();
+        assert_eq!(s.resident_bytes(), 3);
+        // Expiry releases the heap too (the second body dies at 110) …
+        assert_eq!(s.expire_all(120), 1);
+        assert_eq!(s.resident_bytes(), 0);
+        // … and so does destroying a box with bodies still queued.
+        s.deposit("mbox-1", "zz".into(), 130, 1_000).unwrap();
+        assert_eq!(s.resident_bytes(), 2);
+        s.destroy("mbox-1", "key-1").unwrap();
+        assert_eq!((s.resident_bytes(), s.spilled_bytes(), s.tenant_bytes("t")), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_box_with_no_log_holds_at_most_10_000_messages() {
+        let s = DurableMsgBox::without_log();
+        s.create("mbox-1", "key-1", "t", 0).unwrap();
+        // The cap counts the run's own earlier deposits.
+        let results = s.deposit_batch((0..=UNLOGGED_BOX_CAP).map(|i| ("mbox-1", i.to_string())), 0, u64::MAX);
+        assert!(results[..UNLOGGED_BOX_CAP].iter().all(Result::is_ok));
+        assert_eq!(results[UNLOGGED_BOX_CAP], Err(StoreError::BoxFull));
+        assert_eq!(s.len("mbox-1", 0).unwrap(), UNLOGGED_BOX_CAP);
+        // A pickup makes room.
+        s.fetch("mbox-1", "key-1", 1, 0).unwrap();
+        s.deposit("mbox-1", "again".into(), 0, u64::MAX).unwrap();
+        // A box with a log is bounded by disk and quota, not by a count.
+        let logged = open(&MemStorage::new(), config(), 0);
+        logged.create("mbox-1", "key-1", "t", 0).unwrap();
+        let results = logged.deposit_batch((0..=UNLOGGED_BOX_CAP).map(|i| ("mbox-1", i.to_string())), 0, u64::MAX);
+        assert!(results.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn expired_messages_give_their_quota_back_on_deposit() {
+        let cfg = StoreConfig {
+            quota_bytes_per_tenant: 8,
+            ..config()
+        };
+        let s = open(&MemStorage::new(), cfg, 0);
+        s.create("mbox-1", "key-1", "t", 0).unwrap();
+        s.deposit("mbox-1", "12345".into(), 0, 100).unwrap();
+        // By 200 the first body has expired: it no longer holds the quota.
+        s.deposit("mbox-1", "67890".into(), 200, 1_000).unwrap();
+        assert_eq!(s.tenant_bytes("t"), 5);
+        assert_eq!(bodies(s.fetch("mbox-1", "key-1", 10, 200).unwrap()), ["67890"]);
+    }
+
+    #[test]
+    fn a_failed_spilled_read_leaves_the_box_as_it_was() {
+        let mem = MemStorage::new();
+        let cfg = StoreConfig {
+            memory_budget_bytes: 0, // everything spills
+            ..config()
+        };
+        let s = open(&mem, cfg, 0);
+        s.create("mbox-1", "key-1", "t", 0).unwrap();
+        s.deposit("mbox-1", "spilled-1".into(), 1, u64::MAX).unwrap();
+        s.deposit("mbox-1", "spilled-2".into(), 1, u64::MAX).unwrap();
+        assert_eq!(s.spilled_bytes(), 18);
+        // The disk loses the segment both bodies live in.
+        let mut disk = mem.clone();
+        for base in Storage::list_segments(&disk).unwrap() {
+            disk.delete_segment(base).unwrap();
+        }
+        assert!(matches!(s.fetch("mbox-1", "key-1", 10, 2), Err(StoreError::Io(_))));
+        assert_eq!(s.len("mbox-1", 2).unwrap(), 2);
+        assert_eq!((s.spilled_bytes(), s.tenant_bytes("t")), (18, 18));
     }
 
     #[test]
@@ -950,7 +1120,6 @@ mod tests {
         };
         let segments = || Storage::list_segments(&FsStorage::open(&dir).unwrap()).unwrap();
         let body = |i: u64| format!("spilled-{i:03}-{}", "x".repeat(40));
-        let bodies = |got: Vec<FetchedMessage>| got.into_iter().map(|m| m.body).collect::<Vec<_>>();
 
         let s = open_files(0);
         s.create("mbox-1", "key-1", "t", 0).unwrap();
