@@ -103,6 +103,71 @@ pub enum RoutedMeta<'a> {
     },
 }
 
+/// The MSG-Dispatcher's books, in both runtimes: the telemetry
+/// instruments themselves (a clone is a live handle onto the same cells).
+/// Every message routed is finished once, written or lost, so at
+/// quiescence `forwarded + replies_routed == delivered + dropped`.
+#[derive(Debug, Clone)]
+pub struct MsgCounters {
+    /// Messages read off client connections.
+    pub received: Counter,
+    /// `202 Accepted` answers to clients.
+    pub acked: Counter,
+    /// Requests routed toward services.
+    pub forwarded: Counter,
+    /// Replies routed toward clients or mailboxes, translated quadrant-3
+    /// replies included.
+    pub replies_routed: Counter,
+    /// Messages placed on a destination queue (`queue_enqueued`).
+    pub enqueued: Counter,
+    /// Messages written to a destination connection, each once: a resend
+    /// is not counted again.
+    pub delivered: Counter,
+    /// Routed messages never written anywhere: refused by a full queue,
+    /// or given up on once the connect retries were exhausted.
+    pub dropped: Counter,
+    /// Messages routing or security rejected.
+    pub rejected: Counter,
+    /// Writes to a destination connection that carried at least one message.
+    pub drain_batches: Counter,
+}
+
+impl MsgCounters {
+    /// The counters, registered under `scope`.
+    pub fn new(scope: &Scope) -> Self {
+        MsgCounters {
+            received: scope.counter("received"),
+            acked: scope.counter("acked"),
+            forwarded: scope.counter("forwarded"),
+            replies_routed: scope.counter("replies_routed"),
+            enqueued: scope.counter("queue_enqueued"),
+            delivered: scope.counter("delivered"),
+            dropped: scope.counter("dropped"),
+            rejected: scope.counter("rejected"),
+            drain_batches: scope.counter("drain_batches"),
+        }
+    }
+
+    /// Asserts the handle is the instrument: every field reads what the
+    /// registry snapshot reports under `scope`.
+    #[cfg(test)]
+    pub(crate) fn assert_matches(&self, snap: &wsd_telemetry::Snapshot, scope: &str) {
+        for (name, counter) in [
+            ("received", &self.received),
+            ("acked", &self.acked),
+            ("forwarded", &self.forwarded),
+            ("replies_routed", &self.replies_routed),
+            ("queue_enqueued", &self.enqueued),
+            ("delivered", &self.delivered),
+            ("dropped", &self.dropped),
+            ("rejected", &self.rejected),
+            ("drain_batches", &self.drain_batches),
+        ] {
+            assert_eq!(counter.get(), snap.counter(&format!("{scope}.{name}")), "{name}");
+        }
+    }
+}
+
 /// Hot-path instruments: how many envelopes the single-pass splice
 /// rewrite handled vs. fell back to parse + tree rewrite + re-serialize.
 struct CoreTelemetry {

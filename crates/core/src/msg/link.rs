@@ -481,12 +481,12 @@ mod tests {
             ("take", |l| l.take([9])),
             ("connected", |l| l.connected()),
             ("connect_failed", |l| l.connect_failed()),
-            ("backoff_elapsed", |l| drop(l.backoff_elapsed())),
-            ("wrote", |l| drop(l.wrote(1))),
+            ("backoff_elapsed", |l| _ = l.backoff_elapsed()),
+            ("wrote", |l| _ = l.wrote(1)),
             ("write_failed", |l| l.write_failed()),
-            ("answered", |l| drop(l.answered())),
+            ("answered", |l| _ = l.answered()),
             ("connection_lost", |l| l.connection_lost()),
-            ("idle_expired", |l| drop(l.idle_expired())),
+            ("idle_expired", |l| _ = l.idle_expired()),
         ];
         // Each state holds message 1 unsent; `up` has written 0 before it.
         let down = || {

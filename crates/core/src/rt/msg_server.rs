@@ -13,25 +13,22 @@ use wsd_telemetry::{Counter, Scope};
 
 use crate::config::DispatcherConfig;
 use crate::msg::link::{Link, LinkStep};
-use crate::msg::{correlate_rpc_reply, MsgCore, RoutedMeta};
+use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters, RoutedMeta};
 use crate::rt::{now_us, one_by_one, ConnTracker, Network, ReactorFrontEnd};
 use crate::url::Url;
 
-/// Counters for the threaded MSG dispatcher.
-#[derive(Debug, Default)]
+/// Four of the [`MsgCounters`], copied out by [`MsgDispatcherServer::stats`]
+/// for the end-to-end benchmark, which reads them by field. It goes once
+/// that reader takes the counters (ROADMAP 10(e)).
+#[derive(Debug)]
 pub struct MsgServerStats {
-    /// Messages accepted (`202`).
+    /// `acked`: messages accepted with `202`.
     pub accepted: AtomicU64,
-    /// Messages written to a live destination connection, each once: a
-    /// resend after a lost connection is not counted again. The same
-    /// meaning as the simulated dispatcher's `delivered`; a batch is put
-    /// on the books once its answers are in or its connection is lost.
+    /// `delivered`.
     pub delivered: AtomicU64,
-    /// Messages never written anywhere: refused by a full destination
-    /// queue, or given up on — taken or still queued — once the connect
-    /// retries for their destination were exhausted.
+    /// `dropped`.
     pub dropped: AtomicU64,
-    /// Messages rejected by routing/security.
+    /// `rejected`.
     pub rejected: AtomicU64,
 }
 
@@ -51,32 +48,6 @@ struct Dest {
     active: AtomicBool,
 }
 
-/// Telemetry instruments mirroring [`MsgServerStats`], plus a counter
-/// for connection reuse on the `WsThread` side.
-struct RtMsgTelemetry {
-    scope: Scope,
-    accepted: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    rejected: Counter,
-    connects: Counter,
-    reused_sends: Counter,
-}
-
-impl RtMsgTelemetry {
-    fn new(scope: &Scope) -> Self {
-        RtMsgTelemetry {
-            scope: scope.clone(),
-            accepted: scope.counter("accepted"),
-            delivered: scope.counter("delivered"),
-            dropped: scope.counter("dropped"),
-            rejected: scope.counter("rejected"),
-            connects: scope.counter("connects"),
-            reused_sends: scope.counter("reused_sends"),
-        }
-    }
-}
-
 /// A running MSG dispatcher.
 pub struct MsgDispatcherServer {
     core: Arc<MsgCore>,
@@ -92,8 +63,14 @@ pub struct MsgDispatcherServer {
     /// `WsThread` reading answers.
     ws_conns: Arc<ConnTracker>,
     dests: Arc<ShardedMap<String, Arc<Dest>>>,
-    stats: Arc<MsgServerStats>,
-    tele: RtMsgTelemetry,
+    counters: MsgCounters,
+    /// Destination connections opened.
+    connects: Counter,
+    /// Messages written to a destination connection opened for an
+    /// earlier one.
+    reused_sends: Counter,
+    /// Where each destination queue registers its `dest{host:port}` scope.
+    scope: Scope,
     net: Arc<Network>,
 }
 
@@ -174,8 +151,10 @@ impl MsgDispatcherServer {
             ws_pool,
             ws_conns: ConnTracker::new(),
             dests: Arc::new(ShardedMap::new()),
-            stats: Arc::new(MsgServerStats::default()),
-            tele: RtMsgTelemetry::new(scope),
+            counters: MsgCounters::new(scope),
+            connects: scope.counter("connects"),
+            reused_sends: scope.counter("reused_sends"),
+            scope: scope.clone(),
             net: Arc::clone(net),
         });
         let (limits, handler) = (config.limits, Arc::clone(&server));
@@ -184,9 +163,20 @@ impl MsgDispatcherServer {
         server
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &MsgServerStats {
-        &self.stats
+    /// A handle to the live counters.
+    pub fn counters(&self) -> MsgCounters {
+        self.counters.clone()
+    }
+
+    /// What the counters read now, as the end-to-end benchmark reads them.
+    pub fn stats(&self) -> MsgServerStats {
+        let c = &self.counters;
+        MsgServerStats {
+            accepted: c.acked.get().into(),
+            delivered: c.delivered.get().into(),
+            dropped: c.dropped.get().into(),
+            rejected: c.rejected.get().into(),
+        }
     }
 
     /// The routing core (for inspecting pending routes).
@@ -215,8 +205,9 @@ impl MsgDispatcherServer {
 
     /// CxThread work: route (splice fast path when possible), enqueue, ack.
     fn accept(self: &Arc<Self>, config: &DispatcherConfig, req: Request) -> Response {
+        self.counters.received.inc();
         let Some(xml) = req.body_str() else {
-            self.count_rejected();
+            self.counters.rejected.inc();
             return Response::empty(Status::BAD_REQUEST);
         };
         // Splice into a pooled scratch buffer; the queue takes ownership
@@ -224,16 +215,18 @@ impl MsgDispatcherServer {
         let mut scratch = wsd_soap::checkout();
         match self.core.route_raw_into(xml, req.body.len(), now_us(), &mut scratch.out) {
             Ok(RoutedMeta::Forward { to, message_id, .. }) => {
+                self.counters.forwarded.inc();
                 let body = scratch.take_out();
                 self.ack_enqueue(config, &to, body, Some(message_id))
             }
             Ok(RoutedMeta::Reply { to, message_id }) => {
+                self.counters.replies_routed.inc();
                 let message_id = message_id.map(std::borrow::Cow::into_owned);
                 let body = scratch.take_out();
                 self.ack_enqueue(config, &to, body, message_id)
             }
             Err(e) => {
-                self.count_rejected();
+                self.counters.rejected.inc();
                 crate::rpc::error_response(SoapVersion::V11, &e)
             }
         }
@@ -247,15 +240,15 @@ impl MsgDispatcherServer {
         msg_id: Option<String>,
     ) -> Response {
         if self.enqueue(config, to, body, msg_id) {
-            self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            self.tele.accepted.inc();
+            self.counters.acked.inc();
             Response::empty(Status::ACCEPTED)
         } else {
-            self.count_dropped(1);
             Response::empty(Status::SERVICE_UNAVAILABLE)
         }
     }
 
+    /// Offers a routed message to its destination's queue; a full queue
+    /// drops it, on the books.
     fn enqueue(
         self: &Arc<Self>,
         config: &DispatcherConfig,
@@ -272,7 +265,7 @@ impl MsgDispatcherServer {
         let authority = to.authority();
         let dest = self.dests.get_or_insert_with(authority.clone(), || {
             let queue = FifoQueue::bounded(config.queue_capacity);
-            queue.bind_telemetry(&self.tele.scope.labeled("dest", &authority));
+            queue.bind_telemetry(&self.scope.labeled("dest", &authority));
             Arc::new(Dest {
                 host: to.host.clone(),
                 port: to.port,
@@ -281,8 +274,10 @@ impl MsgDispatcherServer {
             })
         });
         if dest.queue.try_push(QueuedMsg { req: fwd, msg_id }).is_err() {
+            self.counters.dropped.inc();
             return false;
         }
+        self.counters.enqueued.inc();
         self.activate(config, dest);
         true
     }
@@ -315,9 +310,7 @@ impl MsgDispatcherServer {
         loop {
             let step = link.next(false);
             if written > 0 && !matches!(step, LinkStep::Write | LinkStep::Await) {
-                self.stats.delivered.fetch_add(written, Ordering::Relaxed);
-                self.tele.delivered.add(written);
-                written = 0;
+                self.counters.delivered.add(std::mem::take(&mut written));
             }
             match step {
                 // Keep the thread (and connection) for `connection_linger`
@@ -342,10 +335,11 @@ impl MsgDispatcherServer {
                     match client.as_mut().map(|c| c.send_pipelined(reqs, &mut buf)) {
                         Some(Ok(n)) => {
                             written += link.wrote(n) as u64;
+                            self.counters.drain_batches.inc();
                             // The first send on a fresh connection opens
                             // it; every other message reuses it.
                             let opened = usize::from(std::mem::take(&mut fresh_conn));
-                            self.tele.reused_sends.add((n - opened) as u64);
+                            self.reused_sends.add((n - opened) as u64);
                         }
                         _ => {
                             client = None;
@@ -369,7 +363,8 @@ impl MsgDispatcherServer {
                     link.backoff_elapsed();
                 }
                 LinkStep::GiveUp(lost) => {
-                    self.count_dropped((lost.len() + dest.queue.drain().len()) as u64);
+                    let dropped = lost.len() + dest.queue.drain().len();
+                    self.counters.dropped.add(dropped as u64);
                 }
             }
         }
@@ -399,7 +394,7 @@ impl MsgDispatcherServer {
         if self.stop.is_closed() {
             return None;
         }
-        self.tele.connects.inc();
+        self.connects.inc();
         let mut client = HttpClient::new(stream);
         client.set_response_timeout(Some(config.response_timeout)).ok()?;
         Some(client)
@@ -419,30 +414,22 @@ impl MsgDispatcherServer {
         let Some(routable) = correlate_rpc_reply(resp, req_msg_id) else {
             return;
         };
-        // The reply is the dispatcher's own message, not a client's: it
-        // is never `accepted`, but losing it must show in the books.
+        // The reply is the dispatcher's own message, not a client's: it is
+        // neither `received` nor `acked`, but routed and finished like any.
         let mut scratch = wsd_soap::checkout();
         let (to, message_id) =
             match self.core.route_raw_into(&routable, routable.len(), now_us(), &mut scratch.out) {
                 Ok(RoutedMeta::Reply { to, message_id }) => {
+                    self.counters.replies_routed.inc();
                     (to, message_id.map(std::borrow::Cow::into_owned))
                 }
-                Ok(RoutedMeta::Forward { to, message_id, .. }) => (to, Some(message_id)),
-                Err(_) => return self.count_rejected(),
+                Ok(RoutedMeta::Forward { to, message_id, .. }) => {
+                    self.counters.forwarded.inc();
+                    (to, Some(message_id))
+                }
+                Err(_) => return self.counters.rejected.inc(),
             };
-        if !self.enqueue(config, &to, scratch.take_out(), message_id) {
-            self.count_dropped(1);
-        }
-    }
-
-    fn count_rejected(&self) {
-        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        self.tele.rejected.inc();
-    }
-
-    fn count_dropped(&self, n: u64) {
-        self.stats.dropped.fetch_add(n, Ordering::Relaxed);
-        self.tele.dropped.add(n);
+        self.enqueue(config, &to, scratch.take_out(), message_id);
     }
 }
 
@@ -575,12 +562,12 @@ mod tests {
         }
         // Wait for the WsThread to drain.
         for _ in 0..100 {
-            if disp.stats().delivered.load(Ordering::Relaxed) == 5 {
+            if disp.counters().delivered.get() == 5 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(disp.stats().delivered.load(Ordering::Relaxed), 5);
+        assert_eq!(disp.counters().delivered.get(), 5);
         assert_eq!(ws.served(), 5);
         disp.shutdown();
         ws.shutdown();
@@ -607,7 +594,7 @@ mod tests {
             assert_eq!(status, Status::ACCEPTED);
         }
         for _ in 0..100 {
-            if disp.stats().delivered.load(Ordering::Relaxed) == 5 {
+            if disp.counters().delivered.get() == 5 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -615,8 +602,21 @@ mod tests {
         disp.shutdown();
         ws.shutdown();
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("rt.msg.accepted"), 5);
+        let books = disp.counters();
+        books.assert_matches(&snap, "rt.msg");
+        assert_eq!(snap.counter("rt.msg.received"), 5);
+        assert_eq!(snap.counter("rt.msg.acked"), 5);
+        assert_eq!(snap.counter("rt.msg.forwarded"), 5);
+        // The echo answers `200`: each answer is a reply (quadrant 3),
+        // queued for a callback nobody listens on.
+        assert_eq!(snap.counter("rt.msg.replies_routed"), 5);
+        assert_eq!(snap.counter("rt.msg.queue_enqueued"), 10);
         assert_eq!(snap.counter("rt.msg.delivered"), 5);
+        assert!(snap.counter("rt.msg.drain_batches") >= 1);
+        // The view the benchmark reads is a copy of the same counters.
+        let view = disp.stats();
+        assert_eq!(view.accepted.load(Ordering::Relaxed), books.acked.get());
+        assert_eq!(view.delivered.load(Ordering::Relaxed), books.delivered.get());
         // One kept-open connection serves the whole run: at least one
         // send must have reused it.
         assert!(snap.counter("rt.msg.connects") < 5);
@@ -655,21 +655,21 @@ mod tests {
         let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
         let config = DispatcherConfig { queue_capacity: 1, ..quick_config() };
         let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, config);
-        let stats = disp.stats();
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let books = disp.counters();
         for i in 0..SENT {
             let status = one_way(&net, "http://client:9000/cb", &format!("uuid:q3-{i}"), "x");
             assert_eq!(status, Status::ACCEPTED);
             // `delivered` moves once the echo's 200 has been translated
             // and the reply offered to the client's queue, so the next
             // request finds the service's own one-slot queue empty.
-            assert!(eventually(|| load(&stats.delivered) == i + 1));
+            assert!(eventually(|| books.delivered.get() == i + 1));
             // ...and the first reply is in flight before the second is
             // offered, whatever the WsThread's start-up lag.
             assert!(eventually(|| !held.lock().is_empty()));
         }
-        assert_eq!(load(&stats.accepted), SENT);
-        assert_eq!(load(&stats.dropped), SENT - 2, "one reply in flight, one queued");
+        assert_eq!(books.acked.get(), SENT);
+        assert_eq!(books.replies_routed.get(), SENT, "every 200 is translated");
+        assert_eq!(books.dropped.get(), SENT - 2, "one reply in flight, one queued");
 
         // Release the endpoint. Edited with the link machine: the reply in
         // flight was written, so losing its connection puts it on the
@@ -680,12 +680,12 @@ mod tests {
         // reply it spawned is on the books, as before.
         net.unlisten("client", 9000);
         held.lock().clear();
-        assert!(eventually(|| load(&stats.dropped) == SENT - 1));
-        assert_eq!(load(&stats.delivered), SENT + 1);
-        assert_eq!(load(&stats.accepted), SENT);
+        assert!(eventually(|| books.dropped.get() == SENT - 1));
+        assert_eq!(books.delivered.get(), SENT + 1);
+        assert_eq!(books.acked.get(), SENT);
         assert_eq!(
-            load(&stats.delivered) + load(&stats.dropped) + load(&stats.rejected),
-            2 * SENT
+            books.forwarded.get() + books.replies_routed.get(),
+            books.delivered.get() + books.dropped.get()
         );
         disp.shutdown();
         ws.shutdown();
@@ -732,12 +732,12 @@ mod tests {
         let status = one_way(&net, "http://client:9000/cb", "uuid:fw", "x");
         assert_eq!(status, Status::ACCEPTED);
         for _ in 0..200 {
-            if disp.stats().dropped.load(Ordering::Relaxed) >= 1 {
+            if disp.counters().dropped.get() >= 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(disp.stats().dropped.load(Ordering::Relaxed) >= 1);
+        assert!(disp.counters().dropped.get() >= 1);
         // Edited with the link machine: the drop used to follow the first
         // failed connect at once; now the WsThread holds its slot through
         // one backoff and a second connect first, as the simulated one does.
@@ -760,19 +760,19 @@ mod tests {
             ..quick_config()
         };
         let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, config);
-        let stats = disp.stats();
+        let books = disp.counters();
         let status = one_way(&net, "http://client:9000/cb", "uuid:silent", "x");
         assert_eq!(status, Status::ACCEPTED);
         // No answer within `response_timeout` is a lost connection: the
         // message (written, so delivered) goes out once more on a fresh one…
         assert!(eventually(|| held.lock().len() == 2));
-        assert!(eventually(|| stats.delivered.load(Ordering::Relaxed) == 1));
+        assert!(eventually(|| books.delivered.get() == 1));
         // …and only once: the WsThread comes back instead of retrying for
         // ever, and nothing is counted twice or dropped.
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(held.lock().len(), 2);
-        assert_eq!(stats.delivered.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.dropped.load(Ordering::Relaxed), 0);
+        assert_eq!(books.delivered.get(), 1);
+        assert_eq!(books.dropped.get(), 0);
         let t0 = std::time::Instant::now();
         disp.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(2), "ws_pool must drain");
@@ -811,7 +811,7 @@ mod tests {
         disp.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
         // What could not be written any more is on the books as dropped.
-        assert_eq!(disp.stats().dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(disp.counters().dropped.get(), 1);
     }
 
     #[test]
@@ -831,7 +831,7 @@ mod tests {
         let mut client = HttpClient::new(stream);
         let resp = client.call(&req).unwrap();
         assert_eq!(resp.status, Status::BAD_REQUEST);
-        assert_eq!(disp.stats().rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(disp.counters().rejected.get(), 1);
         disp.shutdown();
     }
 
@@ -863,12 +863,12 @@ mod tests {
             h.join().unwrap();
         }
         for _ in 0..300 {
-            if disp.stats().delivered.load(Ordering::Relaxed) == 80 {
+            if disp.counters().delivered.get() == 80 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(disp.stats().delivered.load(Ordering::Relaxed), 80);
+        assert_eq!(disp.counters().delivered.get(), 80);
         assert_eq!(ws.served(), 80);
         disp.shutdown();
         ws.shutdown();

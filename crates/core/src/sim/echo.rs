@@ -7,7 +7,7 @@
 //! * [`EchoMode::OneWay`]: the response is a fresh one-way message to the
 //!   request's `wsa:ReplyTo`. Reply work occupies one of a bounded pool
 //!   of worker threads; when the reply endpoint is firewalled, each
-//!   attempt blocks a worker for the whole connect timeout — the
+//!   attempt blocks a worker for the whole [`CONNECT_TIMEOUT`] — the
 //!   mechanism behind Figure 6's slowest curve.
 
 use std::cell::RefCell;
@@ -19,7 +19,7 @@ use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
 use wsd_wsa::WsaHeaders;
 
-use crate::sim::{response_payload, CpuQueue};
+use crate::sim::{response_payload, CpuQueue, CONNECT_TIMEOUT};
 use crate::url::Url;
 
 /// Interaction style.
@@ -31,8 +31,6 @@ pub enum EchoMode {
     OneWay {
         /// Worker threads shared by processing and reply delivery.
         workers: usize,
-        /// Connect timeout toward reply endpoints.
-        connect_timeout: SimDuration,
     },
 }
 
@@ -193,7 +191,7 @@ impl SimEchoService {
     }
 
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        let EchoMode::OneWay { workers, .. } = self.mode else {
+        let EchoMode::OneWay { workers } = self.mode else {
             return;
         };
         while self.busy_workers < workers {
@@ -244,12 +242,6 @@ impl SimEchoService {
     }
 
     fn deliver_reply(&mut self, ctx: &mut Ctx<'_>, key: DestKey, payload: Payload) {
-        let EchoMode::OneWay {
-            connect_timeout, ..
-        } = self.mode
-        else {
-            return;
-        };
         match self.dests.get_mut(&key) {
             Some(DestState::Ready(conn)) => {
                 let conn = *conn;
@@ -259,22 +251,16 @@ impl SimEchoService {
                     // Stale connection: drop it and reconnect.
                     self.dests.remove(&key);
                     self.ready_conn_keys.remove(&conn);
-                    self.start_connect(ctx, key, payload, connect_timeout);
+                    self.start_connect(ctx, key, payload);
                 }
             }
             Some(DestState::Connecting { queued }) => queued.push(payload),
-            None => self.start_connect(ctx, key, payload, connect_timeout),
+            None => self.start_connect(ctx, key, payload),
         }
     }
 
-    fn start_connect(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        key: DestKey,
-        payload: Payload,
-        timeout: SimDuration,
-    ) {
-        let conn = ctx.connect(&key.0, key.1, timeout);
+    fn start_connect(&mut self, ctx: &mut Ctx<'_>, key: DestKey, payload: Payload) {
+        let conn = ctx.connect(&key.0, key.1, CONNECT_TIMEOUT);
         self.connecting.insert(conn, key.clone());
         self.dests.insert(
             key,
@@ -503,10 +489,7 @@ mod tests {
         let ws_host = sim.add_host(HostConfig::named("ws"));
         let client_host = sim.add_host(HostConfig::named("client"));
         let service = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 4,
-                connect_timeout: SimDuration::from_secs(3),
-            },
+            EchoMode::OneWay { workers: 4 },
             SimDuration::from_millis(10),
         );
         let stats = service.stats();
@@ -546,10 +529,7 @@ mod tests {
         let client_host =
             sim.add_host(HostConfig::named("client").firewall(FirewallPolicy::OutboundOnly));
         let service = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 1,
-                connect_timeout: SimDuration::from_secs(3),
-            },
+            EchoMode::OneWay { workers: 1 },
             SimDuration::from_millis(1),
         );
         let stats = service.stats();
@@ -589,10 +569,7 @@ mod tests {
         let ws_host = sim.add_host(HostConfig::named("ws"));
         let client_host = sim.add_host(HostConfig::named("client"));
         let service = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 8,
-                connect_timeout: SimDuration::from_secs(3),
-            },
+            EchoMode::OneWay { workers: 8 },
             SimDuration::from_millis(1),
         );
         let stats = service.stats();

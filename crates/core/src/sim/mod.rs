@@ -19,12 +19,17 @@ pub mod rpc_dispatcher;
 
 pub use echo::{EchoMode, EchoStats, SimEchoService};
 pub use fleet::{run_fleet, FleetOutcome, FleetParams, HandoffReport};
-pub use msg_dispatcher::{MsgDispatcherStats, SimMsgDispatcher, WsThreadConfig};
+pub use msg_dispatcher::SimMsgDispatcher;
 pub use msgbox::{SimMsgBox, SimMsgBoxStats};
 pub use rpc_dispatcher::SimRpcDispatcher;
 
 use wsd_http::{Request, Response};
 use wsd_netsim::{Payload, SimDuration, SimTime};
+
+/// How long the simulated dispatchers, echo service and load generators
+/// wait for a connect to be answered: 3 s. Figure 6's blocked workers
+/// each hold their slot this long against a firewalled client.
+pub const CONNECT_TIMEOUT: SimDuration = SimDuration(3_000_000);
 
 /// Converts a wall-clock `Duration` (configs use std time) to simulated
 /// time.

@@ -19,100 +19,25 @@ use std::collections::{HashMap, VecDeque};
 use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
-use wsd_telemetry::{Counter, EventTrace, Gauge, Scope, TraceStage};
+use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
 
+use crate::config::DispatcherConfig;
 use crate::msg::link::{Link, LinkStep};
-use crate::msg::{correlate_rpc_reply, MsgCore, RoutedRaw};
-use crate::sim::{request_payload, response_payload, CpuQueue};
+use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters, RoutedRaw};
+use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
 use crate::url::Url;
-
-/// The MSG-Dispatcher's books: the telemetry instruments themselves. A
-/// clone is a live handle onto the same cells, so `stats()` reads what a
-/// registry snapshot reports under the same names.
-#[derive(Debug, Clone)]
-pub struct MsgDispatcherStats {
-    /// Messages read off client connections.
-    pub received: Counter,
-    /// `202 Accepted` acks sent.
-    pub acked: Counter,
-    /// Requests routed toward services.
-    pub forwarded: Counter,
-    /// Replies routed toward clients/mailboxes.
-    pub replies_routed: Counter,
-    /// Messages actually written to a destination connection.
-    pub delivered: Counter,
-    /// Messages dropped (queue overflow or delivery given up).
-    pub dropped: Counter,
-    /// Messages rejected by routing or security.
-    pub rejected: Counter,
-    /// Messages placed on a destination queue (`queue_enqueued`).
-    pub enqueued: Counter,
-    /// Connection visits that wrote at least one message.
-    pub drain_batches: Counter,
-    /// Concurrently busy `WsThread`s; `peak()` is the high-water mark.
-    pub active_threads: Gauge,
-}
-
-impl MsgDispatcherStats {
-    fn new(scope: &Scope) -> Self {
-        MsgDispatcherStats {
-            received: scope.counter("received"),
-            acked: scope.counter("acked"),
-            forwarded: scope.counter("forwarded"),
-            replies_routed: scope.counter("replies_routed"),
-            delivered: scope.counter("delivered"),
-            dropped: scope.counter("dropped"),
-            rejected: scope.counter("rejected"),
-            enqueued: scope.counter("queue_enqueued"),
-            drain_batches: scope.counter("drain_batches"),
-            active_threads: scope.gauge("active_threads"),
-        }
-    }
-}
-
-/// `WsThread`-stage tuning.
-#[derive(Debug, Clone)]
-pub struct WsThreadConfig {
-    /// Sender-thread pool size.
-    pub threads: usize,
-    /// Per-destination queue capacity.
-    pub queue_capacity: usize,
-    /// How many queued envelopes one write to the connection carries (the
-    /// threaded runtime's buffered-batch write; here every message is its
-    /// own simulated send at the same virtual instant, so only
-    /// `drain_batches` sees the batching).
-    pub drain_batch: usize,
-    /// Connect timeout toward destinations.
-    pub connect_timeout: SimDuration,
-    /// Idle time before a kept-open destination connection is closed.
-    pub linger: SimDuration,
-    /// How long a forwarded request's route-table entry awaits its reply
-    /// before the janitor drops it.
-    pub route_ttl: SimDuration,
-}
-
-impl Default for WsThreadConfig {
-    fn default() -> Self {
-        WsThreadConfig {
-            threads: 16,
-            queue_capacity: 256,
-            drain_batch: 16,
-            connect_timeout: SimDuration::from_secs(3),
-            linger: SimDuration::from_secs(15),
-            route_ttl: SimDuration::from_secs(300),
-        }
-    }
-}
 
 type DestKey = (String, u16);
 
-/// What the dispatcher records beside its [`MsgDispatcherStats`]:
-/// per-destination queue-depth gauges and message-lifecycle trace events
-/// keyed by WS-Addressing `MessageID`. Built from a [`Scope::noop`] by
-/// default, so unobserved runs record into thin air.
+/// What the dispatcher records beside its [`MsgCounters`]: the busy
+/// `WsThread` gauge, per-destination queue-depth gauges and
+/// message-lifecycle trace events keyed by WS-Addressing `MessageID`.
+/// Built from a [`Scope::noop`] by default, so unobserved runs record
+/// into thin air.
 struct DispatcherTelemetry {
     scope: Scope,
     trace: EventTrace,
+    active_threads: Gauge,
     dest_queue_depth: HashMap<DestKey, Gauge>,
 }
 
@@ -120,6 +45,7 @@ impl DispatcherTelemetry {
     fn new(scope: &Scope) -> Self {
         DispatcherTelemetry {
             trace: scope.trace(),
+            active_threads: scope.gauge("active_threads"),
             dest_queue_depth: HashMap::new(),
             scope: scope.clone(),
         }
@@ -176,11 +102,15 @@ impl Dest {
 /// The MSG-Dispatcher as a simulation actor.
 pub struct SimMsgDispatcher {
     core: MsgCore,
-    config: WsThreadConfig,
+    /// Read: `ws_max_threads` (the width of the `WsThread` pool model),
+    /// `queue_capacity`, `drain_batch`, `connection_linger`, `route_ttl`.
+    /// Every message is its own simulated send, so only `drain_batches`
+    /// sees `drain_batch`.
+    config: DispatcherConfig,
     /// `CxThread` CPU cost per routed message.
     dispatch_time: SimDuration,
     cpu: CpuQueue,
-    stats: MsgDispatcherStats,
+    stats: MsgCounters,
     next_token: u64,
     /// Routing work waiting for CPU: token → (conn to answer on, raw
     /// bytes). Translated RPC responses re-enter here with no answer
@@ -204,13 +134,13 @@ pub struct SimMsgDispatcher {
 
 impl SimMsgDispatcher {
     /// Creates the dispatcher actor around a routing core.
-    pub fn new(core: MsgCore, dispatch_time: SimDuration, config: WsThreadConfig) -> Self {
+    pub fn new(core: MsgCore, dispatch_time: SimDuration, config: DispatcherConfig) -> Self {
         SimMsgDispatcher {
             core,
             config,
             dispatch_time,
             cpu: CpuQueue::default(),
-            stats: MsgDispatcherStats::new(&Scope::noop()),
+            stats: MsgCounters::new(&Scope::noop()),
             next_token: 0,
             routing: HashMap::new(),
             dests: HashMap::new(),
@@ -224,19 +154,24 @@ impl SimMsgDispatcher {
         }
     }
 
-    /// Attaches telemetry: the [`MsgDispatcherStats`] instruments,
-    /// per-destination `dest{host:port}.queue_depth` gauges, and
+    /// Attaches telemetry: the [`MsgCounters`], the `active_threads`
+    /// gauge, per-destination `dest{host:port}.queue_depth` gauges, and
     /// message-lifecycle trace events.
     pub fn with_telemetry(mut self, scope: &Scope) -> Self {
-        self.stats = MsgDispatcherStats::new(scope);
+        self.stats = MsgCounters::new(scope);
         self.tele = DispatcherTelemetry::new(scope);
         self.core.bind_telemetry(&scope.child("core"));
         self
     }
 
     /// A handle to the live counters (take it after `with_telemetry`).
-    pub fn stats(&self) -> MsgDispatcherStats {
+    pub fn stats(&self) -> MsgCounters {
         self.stats.clone()
+    }
+
+    /// Concurrently busy `WsThread`s; `peak()` is the high-water mark.
+    pub fn active_threads(&self) -> Gauge {
+        self.tele.active_threads.clone()
     }
 
     fn token(&mut self) -> u64 {
@@ -249,7 +184,7 @@ impl SimMsgDispatcher {
         if !self.janitor_armed && self.core.pending_routes() > 0 {
             self.janitor_armed = true;
             self.janitor_token = self.token();
-            ctx.set_timer(SimDuration(self.config.route_ttl.0 / 4), self.janitor_token);
+            ctx.set_timer(to_sim(self.config.route_ttl / 4), self.janitor_token);
         }
     }
 
@@ -332,10 +267,10 @@ impl SimMsgDispatcher {
         if dest.has_thread || (dest.queue.is_empty() && !dest.link.has_unsent()) {
             return;
         }
-        if self.active_threads < self.config.threads {
+        if self.active_threads < self.config.ws_max_threads {
             dest.has_thread = true;
             self.active_threads += 1;
-            self.stats.active_threads.set(self.active_threads as i64);
+            self.tele.active_threads.set(self.active_threads as i64);
             self.work_dest(ctx, key);
         } else if !self.waiting.contains(&key) {
             self.waiting.push_back(key);
@@ -353,7 +288,7 @@ impl SimMsgDispatcher {
             };
             match dest.link.next(!dest.queue.is_empty()) {
                 LinkStep::Connect => {
-                    let conn = ctx.connect(&key.0, key.1, self.config.connect_timeout);
+                    let conn = ctx.connect(&key.0, key.1, CONNECT_TIMEOUT);
                     self.dest_conns.insert(conn, key);
                     return;
                 }
@@ -406,7 +341,7 @@ impl SimMsgDispatcher {
                     self.tele.dest_queue_depth(&key).set(depth as i64);
                     self.release_thread(ctx, &key);
                     if up {
-                        self.arm_dest_timer(ctx, key, self.config.linger);
+                        self.arm_dest_timer(ctx, key, to_sim(self.config.connection_linger));
                     }
                     return;
                 }
@@ -432,9 +367,9 @@ impl SimMsgDispatcher {
             dest.has_thread = false;
         }
         self.active_threads = self.active_threads.saturating_sub(1);
-        self.stats.active_threads.set(self.active_threads as i64);
+        self.tele.active_threads.set(self.active_threads as i64);
         // Hand the slot to the next waiting destination with work.
-        while self.active_threads < self.config.threads {
+        while self.active_threads < self.config.ws_max_threads {
             let Some(next) = self.waiting.pop_front() else {
                 break;
             };
@@ -496,8 +431,8 @@ impl Process for SimMsgDispatcher {
                     // expiration). Re-armed only while routes are
                     // pending, so an idle simulation can drain.
                     self.janitor_armed = false;
-                    self.core
-                        .expire_routes(ctx.now().as_micros(), self.config.route_ttl.0);
+                    let ttl_us = self.config.route_ttl.as_micros() as u64;
+                    self.core.expire_routes(ctx.now().as_micros(), ttl_us);
                     self.arm_janitor(ctx);
                 } else if let Some((conn, raw)) = self.routing.remove(&token) {
                     self.route_now(ctx, conn, raw);
@@ -630,7 +565,8 @@ mod tests {
 
     type BuildOut = (
         Simulation,
-        MsgDispatcherStats,
+        MsgCounters,
+        Gauge,
         crate::sim::echo::EchoStats,
         Rc<RefCell<Vec<String>>>,
         Rc<RefCell<usize>>,
@@ -652,13 +588,8 @@ mod tests {
         let client_host = sim.add_host(client_cfg);
 
         // Echo service in one-way mode, replying through the dispatcher.
-        let service = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 8,
-                connect_timeout: SimDuration::from_secs(3),
-            },
-            SimDuration::from_millis(2),
-        );
+        let service =
+            SimEchoService::new(EchoMode::OneWay { workers: 8 }, SimDuration::from_millis(2));
         let echo_stats = service.stats();
         let ws = sim.spawn(ws_host, Box::new(service));
         sim.listen(ws, 8888);
@@ -669,13 +600,13 @@ mod tests {
         let dispatcher = SimMsgDispatcher::new(
             core,
             SimDuration::from_millis(2),
-            WsThreadConfig {
-                threads,
-                ..WsThreadConfig::default()
+            DispatcherConfig {
+                ws_max_threads: threads,
+                ..DispatcherConfig::default()
             },
         )
         .with_telemetry(scope);
-        let stats = dispatcher.stats();
+        let (stats, threads) = (dispatcher.stats(), dispatcher.active_threads());
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8080);
 
@@ -693,16 +624,17 @@ mod tests {
                 got_acks: acks.clone(),
             }),
         );
-        (sim, stats, echo_stats, got, acks)
+        (sim, stats, threads, echo_stats, got, acks)
     }
 
     #[test]
     fn full_round_trip_through_dispatcher() {
-        let (mut sim, stats, echo_stats, got, acks) = build(false, 16);
+        let (mut sim, stats, _threads, echo_stats, got, acks) = build(false, 16);
         sim.run();
         assert_eq!(stats.forwarded.get(), 5);
         assert_eq!(echo_stats.accepted(), 5);
         assert_eq!(stats.replies_routed.get(), 5, "WS replies must route back");
+        assert_eq!(stats.delivered.get(), 10);
         assert_eq!(got.borrow().len(), 5, "client must receive 5 replies");
         assert_eq!(*acks.borrow(), 5);
         // Replies carry correlation to the original ids.
@@ -712,7 +644,7 @@ mod tests {
     #[test]
     fn firewalled_client_replies_are_dropped_after_retries() {
         let reg = wsd_telemetry::Registry::new();
-        let (mut sim, stats, echo_stats, got, _acks) =
+        let (mut sim, stats, threads, echo_stats, got, _acks) =
             build_observed(true, 16, &reg.scope("msg_dispatcher"));
         sim.run();
         // Everything forwards and the WS processes it...
@@ -721,41 +653,31 @@ mod tests {
         // ...but replies can't reach the firewalled client.
         assert_eq!(got.borrow().len(), 0);
         assert_eq!(stats.dropped.get(), 5);
-        // The handle is the instrument: every field reads what the
-        // registry reports under the same name.
+        assert_eq!(
+            stats.forwarded.get() + stats.replies_routed.get(),
+            stats.delivered.get() + stats.dropped.get()
+        );
         let snap = reg.snapshot();
-        for (name, counter) in [
-            ("received", &stats.received),
-            ("acked", &stats.acked),
-            ("forwarded", &stats.forwarded),
-            ("replies_routed", &stats.replies_routed),
-            ("delivered", &stats.delivered),
-            ("dropped", &stats.dropped),
-            ("rejected", &stats.rejected),
-            ("queue_enqueued", &stats.enqueued),
-            ("drain_batches", &stats.drain_batches),
-        ] {
-            assert_eq!(counter.get(), snap.counter(&format!("msg_dispatcher.{name}")), "{name}");
-        }
-        assert!(stats.active_threads.peak() >= 1);
-        assert_eq!(stats.active_threads.peak(), snap.gauge_peak("msg_dispatcher.active_threads"));
+        stats.assert_matches(&snap, "msg_dispatcher");
+        assert!(threads.peak() >= 1);
+        assert_eq!(threads.peak(), snap.gauge_peak("msg_dispatcher.active_threads"));
     }
 
     #[test]
     fn blocked_destination_holds_a_thread() {
-        let (mut sim, stats, _echo, _got, _acks) = build(true, 1);
+        let (mut sim, stats, threads, _echo, _got, _acks) = build(true, 1);
         // With a single WsThread, the blocked client destination and the
         // WS destination compete for it; everything still completes, but
         // the run takes at least the connect-timeout + backoff cycles.
         sim.run();
         assert!(sim.now().as_secs_f64() >= 3.0, "{}", sim.now());
-        assert_eq!(stats.active_threads.peak(), 1);
+        assert_eq!(threads.peak(), 1);
         assert_eq!(stats.dropped.get(), 5);
     }
 
     #[test]
     fn connection_reuse_across_messages() {
-        let (mut sim, stats, echo_stats, _got, _acks) = build(false, 16);
+        let (mut sim, stats, _threads, echo_stats, _got, _acks) = build(false, 16);
         sim.run();
         // 5 messages delivered to the WS over (at most) one or two
         // connections — delivered counts messages, not connections.
@@ -772,7 +694,7 @@ mod tests {
         let dispatcher = SimMsgDispatcher::new(
             core,
             SimDuration::from_millis(1),
-            WsThreadConfig::default(),
+            DispatcherConfig::default(),
         );
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));

@@ -14,10 +14,11 @@ use wsd_http::{parse_request_bytes, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_telemetry::{Gauge, Scope};
 
+use crate::config::DispatcherConfig;
 use crate::registry::Registry;
 use crate::rpc::{plan_forward, RpcCounters, UpstreamFailure};
 use crate::security::PolicyChain;
-use crate::sim::{request_payload, response_payload, CpuQueue};
+use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
 
 /// An in-flight forward.
 struct UpstreamJob {
@@ -32,7 +33,6 @@ pub struct SimRpcDispatcher {
     /// CPU cost to parse + plan one request (header parse, registry
     /// lookup, header rewrite).
     dispatch_time: SimDuration,
-    connect_timeout: SimDuration,
     response_timeout: SimDuration,
     cpu: CpuQueue,
     stats: RpcCounters,
@@ -50,19 +50,18 @@ pub struct SimRpcDispatcher {
 }
 
 impl SimRpcDispatcher {
-    /// Creates the dispatcher actor.
+    /// Creates the dispatcher actor; of `config` it reads the
+    /// `response_timeout`, as the threaded one does.
     pub fn new(
         registry: Arc<Registry>,
         dispatch_time: SimDuration,
-        connect_timeout: SimDuration,
-        response_timeout: SimDuration,
+        config: DispatcherConfig,
     ) -> Self {
         SimRpcDispatcher {
             registry,
             policies: PolicyChain::new(),
             dispatch_time,
-            connect_timeout,
-            response_timeout,
+            response_timeout: to_sim(config.response_timeout),
             cpu: CpuQueue::default(),
             stats: RpcCounters::new(&Scope::noop()),
             inflight: Gauge::new(),
@@ -107,7 +106,7 @@ impl SimRpcDispatcher {
         };
         match plan_forward(&self.registry, &self.policies, &req) {
             Ok((url, _logical, fwd)) => {
-                let upstream = ctx.connect(&url.host, url.port, self.connect_timeout);
+                let upstream = ctx.connect(&url.host, url.port, CONNECT_TIMEOUT);
                 self.connecting.insert(
                     upstream,
                     UpstreamJob {
@@ -202,6 +201,7 @@ mod tests {
     use wsd_netsim::{HostConfig, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::time::Duration;
     use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
 
     struct TestClient {
@@ -241,7 +241,7 @@ mod tests {
 
     fn setup(
         service_time: SimDuration,
-        response_timeout: SimDuration,
+        response_timeout: Duration,
     ) -> (Simulation, RpcCounters, Rc<RefCell<Vec<String>>>) {
         let mut sim = Simulation::new(1);
         let ws_host = sim.add_host(HostConfig::named("ws"));
@@ -254,12 +254,8 @@ mod tests {
 
         let registry = Arc::new(Registry::new());
         registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        let dispatcher = SimRpcDispatcher::new(
-            registry,
-            SimDuration::from_millis(3),
-            SimDuration::from_secs(3),
-            response_timeout,
-        );
+        let config = DispatcherConfig { response_timeout, ..DispatcherConfig::default() };
+        let dispatcher = SimRpcDispatcher::new(registry, SimDuration::from_millis(3), config);
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8081);
@@ -292,8 +288,7 @@ mod tests {
         let dispatcher = SimRpcDispatcher::new(
             registry,
             SimDuration::from_millis(3),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
+            DispatcherConfig::default(),
         )
         .with_telemetry(&reg.scope("rpc_dispatcher"));
         let stats = dispatcher.stats();
@@ -320,7 +315,7 @@ mod tests {
     #[test]
     fn forwards_and_relays_response() {
         let (mut sim, stats, responses) =
-            setup(SimDuration::from_millis(5), SimDuration::from_secs(30));
+            setup(SimDuration::from_millis(5), Duration::from_secs(30));
         sim.run();
         assert_eq!(stats.received.get(), 1);
         assert_eq!(stats.forwarded.get(), 1);
@@ -335,7 +330,7 @@ mod tests {
     fn slow_service_times_out_with_bad_gateway() {
         // Table 1 quadrant 2: the response comes after the HTTP timeout.
         let (mut sim, stats, responses) =
-            setup(SimDuration::from_secs(60), SimDuration::from_secs(5));
+            setup(SimDuration::from_secs(60), Duration::from_secs(5));
         sim.run();
         assert_eq!(stats.upstream_failures.get(), 1);
         // Forwarded, then timed out: a failure after the send.
@@ -353,8 +348,7 @@ mod tests {
         let dispatcher = SimRpcDispatcher::new(
             Arc::new(Registry::new()),
             SimDuration::from_millis(1),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
+            DispatcherConfig::default(),
         );
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
@@ -387,8 +381,7 @@ mod tests {
         let dispatcher = SimRpcDispatcher::new(
             registry,
             SimDuration::from_millis(1),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
+            DispatcherConfig::default(),
         );
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
@@ -454,8 +447,7 @@ mod tests {
         let dispatcher = SimRpcDispatcher::new(
             registry,
             SimDuration::from_millis(1),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
+            DispatcherConfig::default(),
         );
         let stats = dispatcher.stats();
         let dp = sim.spawn(disp_host, Box::new(dispatcher));

@@ -20,10 +20,10 @@
 
 use std::sync::Arc;
 
-use wsd_core::config::{MsgBoxConfig, MsgBoxStrategy};
+use wsd_core::config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy};
 use wsd_core::msg::MsgCore;
 use wsd_core::registry::Registry;
-use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, WsThreadConfig};
+use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher};
 use wsd_core::url::Url;
 use wsd_loadgen::ramp::ClientPlacement;
 use wsd_loadgen::{spawn_msg_fleet, MsgClientConfig, ReplyMode};
@@ -110,13 +110,7 @@ fn run_point(
         light_cpu(profiles::iu_high("clients")).firewall(FirewallPolicy::OutboundOnly),
     );
 
-    let service = SimEchoService::new(
-        EchoMode::OneWay {
-            workers: 16,
-            connect_timeout: SimDuration::from_secs(3),
-        },
-        service_time(3.4),
-    );
+    let service = SimEchoService::new(EchoMode::OneWay { workers: 16 }, service_time(3.4));
     let svc_stats = service.stats();
     let sp = sim.spawn(ws_host, Box::new(service));
     sim.listen(sp, 8888);
@@ -134,11 +128,14 @@ fn run_point(
             let dispatcher = SimMsgDispatcher::new(
                 core,
                 dispatch_time(3.4),
-                WsThreadConfig {
+                DispatcherConfig {
                     // A modest 2004 pool: small enough that a dozen
                     // blocked client destinations starve forwarding.
-                    threads: 8,
-                    ..WsThreadConfig::default()
+                    ws_max_threads: 8,
+                    // The 2004 queue depth: most of the middle curve's
+                    // losses are this queue filling.
+                    queue_capacity: 256,
+                    ..DispatcherConfig::default()
                 },
             )
             .with_telemetry(&crate::Observed::scope_or_noop(obs, "msg_dispatcher"));
@@ -192,7 +189,6 @@ fn run_point(
         path: target.2,
         to_address,
         reply_mode,
-        connect_timeout: SimDuration::from_secs(3),
         retry_backoff: SimDuration::from_millis(100),
         run_for: SimDuration::from_secs(seconds),
         client_name: format!("{series:?}"),

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use wsd_core::config::DispatcherConfig;
 use wsd_core::registry::Registry;
 use wsd_core::sim::{EchoMode, SimEchoService, SimRpcDispatcher};
 use wsd_core::url::Url;
@@ -79,13 +80,9 @@ pub fn run_point(
         );
         let registry = Arc::new(Registry::new());
         registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        let dispatcher = SimRpcDispatcher::new(
-            registry,
-            dispatch_time(3.4),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(30),
-        )
-        .with_telemetry(&Observed::scope_or_noop(obs, "rpc_dispatcher"));
+        let dispatcher =
+            SimRpcDispatcher::new(registry, dispatch_time(3.4), DispatcherConfig::default())
+                .with_telemetry(&Observed::scope_or_noop(obs, "rpc_dispatcher"));
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8081);
         ("dispatcher".to_string(), 8081, "/svc/Echo".to_string())
@@ -97,7 +94,6 @@ pub fn run_point(
         target_host,
         target_port,
         path,
-        connect_timeout: SimDuration::from_secs(3),
         response_timeout: fig.response_timeout,
         retry_backoff: SimDuration::from_millis(50),
         run_for: SimDuration::from_secs(seconds),

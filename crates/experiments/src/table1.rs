@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 
-use wsd_core::config::MsgBoxConfig;
+use std::time::Duration;
+
+use wsd_core::config::{DispatcherConfig, MsgBoxConfig};
 use wsd_core::msg::MsgCore;
 use wsd_core::registry::Registry;
-use wsd_core::sim::{
-    EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, SimRpcDispatcher, WsThreadConfig,
-};
+use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, SimRpcDispatcher};
 use wsd_core::url::Url;
 use wsd_loadgen::ramp::ClientPlacement;
 use wsd_loadgen::{
@@ -68,6 +68,16 @@ pub fn run_one(quadrant: Quadrant, seconds: u64) -> Table1Row {
     }
 }
 
+/// The 2004 MSG-Dispatcher both messaging quadrants and quadrant 2 run
+/// against: 16 `WsThread`s, 256-deep destination queues.
+fn msg_dispatcher_config() -> DispatcherConfig {
+    DispatcherConfig {
+        ws_max_threads: 16,
+        queue_capacity: 256,
+        ..DispatcherConfig::default()
+    }
+}
+
 /// Quadrants 1 and 2: an RPC client fleet, against an RPC service behind
 /// the RPC-Dispatcher, or against a messaging service behind the
 /// MSG-Dispatcher.
@@ -83,30 +93,22 @@ fn rpc_client_run(msg_service: bool, seconds: u64) -> Table1Row {
     registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
 
     if msg_service {
-        let service = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 16,
-                connect_timeout: SimDuration::from_secs(3),
-            },
-            service_time(3.4),
-        );
+        let service = SimEchoService::new(EchoMode::OneWay { workers: 16 }, service_time(3.4));
         let sp = sim.spawn(ws_host, Box::new(service));
         sim.listen(sp, 8888);
         let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
-        let dispatcher =
-            SimMsgDispatcher::new(core, dispatch_time(3.4), WsThreadConfig::default());
+        let dispatcher = SimMsgDispatcher::new(core, dispatch_time(3.4), msg_dispatcher_config());
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8080);
     } else {
         let service = SimEchoService::new(EchoMode::Rpc, service_time(3.4));
         let sp = sim.spawn(ws_host, Box::new(service));
         sim.listen(sp, 8888);
-        let dispatcher = SimRpcDispatcher::new(
-            registry,
-            dispatch_time(3.4),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(10),
-        );
+        let config = DispatcherConfig {
+            response_timeout: Duration::from_secs(10),
+            ..DispatcherConfig::default()
+        };
+        let dispatcher = SimRpcDispatcher::new(registry, dispatch_time(3.4), config);
         let dp = sim.spawn(disp_host, Box::new(dispatcher));
         sim.listen(dp, 8081);
     }
@@ -115,7 +117,6 @@ fn rpc_client_run(msg_service: bool, seconds: u64) -> Table1Row {
         target_host: "dispatcher".into(),
         target_port: if msg_service { 8080 } else { 8081 },
         path: if msg_service { "/msg".into() } else { "/svc/Echo".into() },
-        connect_timeout: SimDuration::from_secs(3),
         response_timeout: SimDuration::from_secs(5),
         retry_backoff: SimDuration::from_millis(100),
         run_for: SimDuration::from_secs(seconds),
@@ -165,13 +166,7 @@ fn msg_client_run(rpc_service: bool, seconds: u64) -> Table1Row {
         let sp = sim.spawn(ws_host, Box::new(service));
         sim.listen(sp, 8888);
     } else {
-        let service = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 16,
-                connect_timeout: SimDuration::from_secs(3),
-            },
-            service_time(3.4),
-        );
+        let service = SimEchoService::new(EchoMode::OneWay { workers: 16 }, service_time(3.4));
         let sp = sim.spawn(ws_host, Box::new(service));
         sim.listen(sp, 8888);
     }
@@ -179,7 +174,7 @@ fn msg_client_run(rpc_service: bool, seconds: u64) -> Table1Row {
     let registry = Arc::new(Registry::new());
     registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
     let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 3);
-    let dispatcher = SimMsgDispatcher::new(core, dispatch_time(3.4), WsThreadConfig::default());
+    let dispatcher = SimMsgDispatcher::new(core, dispatch_time(3.4), msg_dispatcher_config());
     let dp = sim.spawn(disp_host, Box::new(dispatcher));
     sim.listen(dp, 8080);
 
@@ -197,7 +192,6 @@ fn msg_client_run(rpc_service: bool, seconds: u64) -> Table1Row {
             port: 8082,
             poll_interval: SimDuration::from_millis(500),
         },
-        connect_timeout: SimDuration::from_secs(3),
         retry_backoff: SimDuration::from_millis(100),
         run_for: SimDuration::from_secs(seconds),
         client_name: "t1".into(),

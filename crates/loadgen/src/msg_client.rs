@@ -7,6 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use wsd_core::msgbox::ops;
+use wsd_core::sim::CONNECT_TIMEOUT;
 use wsd_http::{parse_request_bytes, parse_response_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
@@ -53,8 +54,6 @@ pub struct MsgClientConfig {
     pub to_address: String,
     /// Reply routing.
     pub reply_mode: ReplyMode,
-    /// Connect timeout.
-    pub connect_timeout: SimDuration,
     /// Backoff before reconnecting after failures.
     pub retry_backoff: SimDuration,
     /// Sending window (the paper's minute).
@@ -169,14 +168,14 @@ impl SimMsgClient {
         let conn = ctx.connect(
             &self.config.target_host,
             self.config.target_port,
-            self.config.connect_timeout,
+            CONNECT_TIMEOUT,
         );
         self.target_conn = Some(conn);
     }
 
     fn connect_mbox(&mut self, ctx: &mut Ctx<'_>) {
         if let ReplyMode::Mailbox { host, port, .. } = &self.config.reply_mode {
-            let conn = ctx.connect(host, *port, self.config.connect_timeout);
+            let conn = ctx.connect(host, *port, CONNECT_TIMEOUT);
             self.mbox_conn = Some(conn);
             self.mbox = MboxPhase::Connecting;
         }
@@ -388,7 +387,8 @@ mod tests {
     use wsd_core::config::MsgBoxConfig;
     use wsd_core::msg::MsgCore;
     use wsd_core::registry::Registry;
-    use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, WsThreadConfig};
+    use wsd_core::config::DispatcherConfig;
+    use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher};
     use wsd_core::url::Url;
     use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};
 
@@ -404,10 +404,7 @@ mod tests {
             sim.add_host(HostConfig::named("client").firewall(FirewallPolicy::OutboundOnly));
 
         let svc = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 8,
-                connect_timeout: SimDuration::from_secs(3),
-            },
+            EchoMode::OneWay { workers: 8 },
             SimDuration::from_millis(2),
         );
         let svc_stats = svc.stats();
@@ -420,7 +417,7 @@ mod tests {
         let disp = SimMsgDispatcher::new(
             core,
             SimDuration::from_millis(2),
-            WsThreadConfig::default(),
+            DispatcherConfig::default(),
         );
         let dp = sim.spawn(d_host, Box::new(disp));
         sim.listen(dp, 8080);
@@ -440,7 +437,6 @@ mod tests {
                 port: 8082,
                 poll_interval: SimDuration::from_millis(500),
             },
-            connect_timeout: SimDuration::from_secs(3),
             retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(5),
             client_name: "c1".into(),
@@ -469,13 +465,7 @@ mod tests {
         let ws_host = sim.add_host(HostConfig::named("ws"));
         let c_host =
             sim.add_host(HostConfig::named("client").firewall(FirewallPolicy::OutboundOnly));
-        let svc = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 2,
-                connect_timeout: SimDuration::from_secs(3),
-            },
-            SimDuration::from_millis(2),
-        );
+        let svc = SimEchoService::new(EchoMode::OneWay { workers: 2 }, SimDuration::from_millis(2));
         let svc_stats = svc.stats();
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
@@ -490,7 +480,6 @@ mod tests {
             reply_mode: ReplyMode::Callback {
                 url: "http://client:9000/cb".into(),
             },
-            connect_timeout: SimDuration::from_secs(3),
             retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(10),
             client_name: "c1".into(),
@@ -516,13 +505,7 @@ mod tests {
         let mut sim = Simulation::new(1);
         let ws_host = sim.add_host(HostConfig::named("ws"));
         let c_host = sim.add_host(HostConfig::named("client"));
-        let svc = SimEchoService::new(
-            EchoMode::OneWay {
-                workers: 8,
-                connect_timeout: SimDuration::from_secs(3),
-            },
-            SimDuration::from_millis(2),
-        );
+        let svc = SimEchoService::new(EchoMode::OneWay { workers: 8 }, SimDuration::from_millis(2));
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
         let (sink, received) = CallbackSink::new();
@@ -536,7 +519,6 @@ mod tests {
             reply_mode: ReplyMode::Callback {
                 url: "http://client:9000/cb".into(),
             },
-            connect_timeout: SimDuration::from_secs(3),
             retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(3),
             client_name: "c1".into(),

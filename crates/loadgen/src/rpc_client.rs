@@ -9,6 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use wsd_core::sim::CONNECT_TIMEOUT;
 use wsd_http::Request;
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration, SimTime};
 use wsd_soap::{rpc as soap_rpc, SoapVersion};
@@ -30,8 +31,6 @@ pub struct RpcClientConfig {
     /// Request path (`/echo` direct, `/svc/Echo` through the
     /// dispatcher).
     pub path: String,
-    /// TCP connect timeout.
-    pub connect_timeout: SimDuration,
     /// Per-request response timeout (the HTTP/TCP timeout of the paper).
     pub response_timeout: SimDuration,
     /// Backoff before retrying after a failure.
@@ -49,7 +48,6 @@ impl Default for RpcClientConfig {
             target_host: "dispatcher".into(),
             target_port: 8081,
             path: "/svc/Echo".into(),
-            connect_timeout: SimDuration::from_secs(3),
             response_timeout: SimDuration::from_secs(10),
             retry_backoff: SimDuration::from_millis(50),
             run_for: SimDuration::from_secs(60),
@@ -129,7 +127,7 @@ impl SimRpcClient {
         let conn = ctx.connect(
             &self.config.target_host,
             self.config.target_port,
-            self.config.connect_timeout,
+            CONNECT_TIMEOUT,
         );
         self.conn = Some(conn);
     }
@@ -315,9 +313,7 @@ mod tests {
         let svc = SimEchoService::new(EchoMode::Rpc, SimDuration::from_millis(1));
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
-        let mut cfg = client_config("ws", 8888, "/echo", 10);
-        cfg.connect_timeout = SimDuration::from_secs(3);
-        let client = SimRpcClient::new(cfg);
+        let client = SimRpcClient::new(client_config("ws", 8888, "/echo", 10));
         let stats = client.stats();
         sim.spawn(c_host, Box::new(client));
         sim.run();
@@ -359,8 +355,7 @@ mod tests {
         let disp = wsd_core::sim::SimRpcDispatcher::new(
             registry,
             SimDuration::from_millis(2),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(10),
+            wsd_core::DispatcherConfig::default(),
         );
         let dp = sim.spawn(d_host, Box::new(disp));
         sim.listen(dp, 8081);

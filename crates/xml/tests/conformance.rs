@@ -95,7 +95,8 @@ fn deeply_nested_namespaced_soap_like_document() {
 
 #[test]
 fn rejections_are_the_right_kind() {
-    let cases: &[(&str, fn(&XmlErrorKind) -> bool)] = &[
+    type KindCheck = fn(&XmlErrorKind) -> bool;
+    let cases: &[(&str, KindCheck)] = &[
         ("<a><b></a>", |k| matches!(k, XmlErrorKind::MismatchedTag { .. })),
         ("<a x='1' x='2'/>", |k| {
             matches!(k, XmlErrorKind::DuplicateAttribute(_))

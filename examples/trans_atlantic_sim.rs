@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use ws_dispatcher::core::config::DispatcherConfig;
 use ws_dispatcher::core::registry::Registry;
 use ws_dispatcher::core::sim::{EchoMode, SimEchoService, SimRpcDispatcher};
 use ws_dispatcher::core::url::Url;
@@ -46,8 +47,7 @@ fn main() {
     let dispatcher = SimRpcDispatcher::new(
         registry,
         SimDuration::from_millis(3),
-        SimDuration::from_secs(3),
-        SimDuration::from_secs(30),
+        DispatcherConfig::default(),
     );
     let disp_stats = dispatcher.stats();
     let dp = sim.spawn(disp_host, Box::new(dispatcher));

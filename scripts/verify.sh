@@ -74,7 +74,7 @@ fi
 
 cargo build --release --workspace
 cargo test -q --workspace
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Real-process crash coverage for the durable msgbox: the seeded
 # property sweep runs under `cargo test`; this adds actual SIGKILLs

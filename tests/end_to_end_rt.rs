@@ -174,6 +174,16 @@ fn async_conversation_with_mailbox_end_to_end() {
         let h = WsaHeaders::from_envelope(e).unwrap();
         assert!(h.relates_to[0].0.starts_with("uuid:conv-"));
     }
+    // Every message the dispatcher routed is written once: three requests
+    // and three replies (a batch is on the books once its answers are in).
+    let books = disp.counters();
+    let routed = || books.forwarded.get() + books.replies_routed.get();
+    let finished = || books.delivered.get() + books.dropped.get();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while finished() < routed() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!((routed(), finished()), (6, 6), "{books:?}");
     mailbox.destroy().unwrap();
     disp.shutdown();
     mbox_server.shutdown();

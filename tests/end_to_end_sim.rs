@@ -2,12 +2,13 @@
 //! full conversations, and determinism guarantees.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use ws_dispatcher::core::config::MsgBoxConfig;
-use ws_dispatcher::core::msg::MsgCore;
+use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig};
+use ws_dispatcher::core::msg::{MsgCore, MsgCounters};
 use ws_dispatcher::core::registry::Registry;
 use ws_dispatcher::core::sim::{
-    EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, SimRpcDispatcher, WsThreadConfig,
+    EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, SimRpcDispatcher,
 };
 use ws_dispatcher::core::url::Url;
 use ws_dispatcher::loadgen::ramp::ClientPlacement;
@@ -41,13 +42,7 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
     let rpc_svc_stats = rpc_svc.stats();
     let p = sim.spawn(ws_rpc_host, Box::new(rpc_svc));
     sim.listen(p, 8888);
-    let msg_svc = SimEchoService::new(
-        EchoMode::OneWay {
-            workers: 8,
-            connect_timeout: SimDuration::from_secs(3),
-        },
-        SimDuration::from_millis(5),
-    );
+    let msg_svc = SimEchoService::new(EchoMode::OneWay { workers: 8 }, SimDuration::from_millis(5));
     let msg_svc_stats = msg_svc.stats();
     let p = sim.spawn(ws_msg_host, Box::new(msg_svc));
     sim.listen(p, 8889);
@@ -56,17 +51,21 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
     let registry = Arc::new(Registry::new());
     registry.register("EchoRpc", Url::parse("http://ws-rpc:8888/echo").unwrap());
     registry.register("EchoMsg", Url::parse("http://ws-msg:8889/echo").unwrap());
-    let rpc_disp = SimRpcDispatcher::new(
-        Arc::clone(&registry),
-        SimDuration::from_millis(2),
-        SimDuration::from_secs(3),
-        SimDuration::from_secs(20),
-    );
+    let config = DispatcherConfig {
+        response_timeout: Duration::from_secs(20),
+        ..DispatcherConfig::default()
+    };
+    let rpc_disp =
+        SimRpcDispatcher::new(Arc::clone(&registry), SimDuration::from_millis(2), config);
     let p = sim.spawn(disp_host, Box::new(rpc_disp));
     sim.listen(p, 8081);
     let core = MsgCore::new(Arc::clone(&registry), "http://dispatcher:8080/msg", 5);
-    let msg_disp =
-        SimMsgDispatcher::new(core, SimDuration::from_millis(2), WsThreadConfig::default());
+    let msg_disp = SimMsgDispatcher::new(
+        core,
+        SimDuration::from_millis(2),
+        DispatcherConfig::default(),
+    );
+    let msg_stats = msg_disp.stats();
     let p = sim.spawn(disp_host, Box::new(msg_disp));
     sim.listen(p, 8080);
 
@@ -103,7 +102,6 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
                 port: 8082,
                 poll_interval: SimDuration::from_millis(500),
             },
-            connect_timeout: SimDuration::from_secs(3),
             retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(20),
             client_name: "full".into(),
@@ -123,6 +121,8 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
     assert_eq!(failures, 0);
     assert!(responses > 50, "responses {responses}");
     assert!(responses <= msg_svc_stats.processed());
+    sim.run();
+    assert_routed_messages_finished(&msg_stats);
 }
 
 /// Identical seeds and workloads give bit-identical results; different
@@ -172,13 +172,7 @@ fn conservation_of_messages() {
     let client_host =
         sim.add_host(HostConfig::named("clients").firewall(FirewallPolicy::OutboundOnly));
 
-    let svc = SimEchoService::new(
-        EchoMode::OneWay {
-            workers: 4,
-            connect_timeout: SimDuration::from_secs(3),
-        },
-        SimDuration::from_millis(3),
-    );
+    let svc = SimEchoService::new(EchoMode::OneWay { workers: 4 }, SimDuration::from_millis(3));
     let svc_stats = svc.stats();
     let p = sim.spawn(ws_host, Box::new(svc));
     sim.listen(p, 8888);
@@ -187,7 +181,7 @@ fn conservation_of_messages() {
     registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
     let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 5);
     let disp =
-        SimMsgDispatcher::new(core, SimDuration::from_millis(1), WsThreadConfig::default());
+        SimMsgDispatcher::new(core, SimDuration::from_millis(1), DispatcherConfig::default());
     let disp_stats = disp.stats();
     let p = sim.spawn(disp_host, Box::new(disp));
     sim.listen(p, 8080);
@@ -211,7 +205,6 @@ fn conservation_of_messages() {
                 port: 8082,
                 poll_interval: SimDuration::from_millis(300),
             },
-            connect_timeout: SimDuration::from_secs(3),
             retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(10),
             client_name: "cons".into(),
@@ -229,4 +222,15 @@ fn conservation_of_messages() {
     assert!(responses > 0);
     // The dispatcher forwarded everything it accepted (plus replies).
     assert!(disp_stats.forwarded.get() >= sent);
+    sim.run();
+    assert_routed_messages_finished(&disp_stats);
+}
+
+/// Every message the MSG-Dispatcher routed was written or dropped, once.
+fn assert_routed_messages_finished(books: &MsgCounters) {
+    assert_eq!(
+        books.forwarded.get() + books.replies_routed.get(),
+        books.delivered.get() + books.dropped.get(),
+        "{books:?}"
+    );
 }

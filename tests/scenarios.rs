@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy};
-use ws_dispatcher::core::msg::MsgCore;
+use ws_dispatcher::core::msg::{MsgCore, MsgCounters};
 use ws_dispatcher::core::msgbox::ops;
 use ws_dispatcher::core::registry::Registry;
 use ws_dispatcher::core::rpc::RpcCounters;
@@ -35,8 +35,8 @@ use ws_dispatcher::core::rt::{
 };
 use ws_dispatcher::core::security::PolicyChain;
 use ws_dispatcher::core::sim::{
-    request_payload, response_payload, EchoMode, MsgDispatcherStats, SimEchoService, SimMsgBox,
-    SimMsgBoxStats, SimMsgDispatcher, SimRpcDispatcher, WsThreadConfig,
+    request_payload, response_payload, EchoMode, SimEchoService, SimMsgBox, SimMsgBoxStats,
+    SimMsgDispatcher, SimRpcDispatcher,
 };
 use ws_dispatcher::core::url::Url;
 use ws_dispatcher::http::{
@@ -173,6 +173,8 @@ struct MailboxBooks {
 
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct MsgBooks {
+    forwarded: u64,
+    replies_routed: u64,
     delivered: u64,
     dropped: u64,
     rejected: u64,
@@ -207,9 +209,19 @@ impl Books {
         }
     }
 
-    /// The MSG-Dispatcher's books, on top of `self`.
-    fn msg(self, delivered: u64, dropped: u64, rejected: u64) -> Books {
+    /// The MSG-Dispatcher's books, on top of `self`; arguments in field
+    /// order.
+    fn msg(
+        self,
+        forwarded: u64,
+        replies_routed: u64,
+        delivered: u64,
+        dropped: u64,
+        rejected: u64,
+    ) -> Books {
         let msg = MsgBooks {
+            forwarded,
+            replies_routed,
             delivered,
             dropped,
             rejected,
@@ -224,7 +236,9 @@ struct Scenario {
     service: Service,
     /// Whether the registry maps `Echo` to `ws:8888`.
     registered: bool,
-    /// The RPC-Dispatcher's response timeout.
+    /// The dispatchers' `response_timeout`: the RPC-Dispatcher's wait for
+    /// a service's answer, and the threaded MSG-Dispatcher's for each
+    /// answer on a destination connection.
     response_timeout_ms: u64,
     /// The client host accepts no inbound connection.
     firewalled_client: bool,
@@ -381,7 +395,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             delivered: &[("q3", "uuid:q3-plain")],
-            books: Books::default().msg(2, 0, 0),
+            books: Books::default().msg(1, 1, 2, 0, 0),
             ..Scenario::new(
                 "MSG client, RPC service (Table 1 quadrant 3): the 200 is translated into \
                  a reply and RelatesTo injected",
@@ -394,7 +408,7 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::CorrelatingEcho,
             delivered: &[("q3", "uuid:q3-self")],
-            books: Books::default().msg(2, 0, 0),
+            books: Books::default().msg(1, 1, 2, 0, 0),
             ..Scenario::new(
                 "quadrant 3 with a service whose 200 already correlates itself",
                 vec![(
@@ -405,7 +419,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::mailbox(1, 1, 0).msg(2, 0, 0),
+            books: Books::mailbox(1, 1, 0).msg(1, 1, 2, 0, 0),
             ..Scenario::new(
                 "Figure 1: a firewalled client converses through dispatcher and mailbox",
                 vec![
@@ -423,7 +437,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::default().msg(1, 1, 0),
+            books: Books::default().msg(1, 1, 1, 1, 0),
             ..Scenario::new(
                 "a reply to a firewalled client with no mailbox is dropped, on the books",
                 vec![(
@@ -433,7 +447,7 @@ fn table() -> Vec<Scenario> {
             )
         },
         Scenario {
-            books: Books::default().msg(0, 0, 1),
+            books: Books::default().msg(0, 0, 0, 0, 1),
             differs: &[
                 "a rejected one-way message is an empty 400 in sim and error_response's \
                  SOAP fault in rt: Table 1's quadrant-2 RPC clients are answered by this \
@@ -461,7 +475,7 @@ fn table() -> Vec<Scenario> {
                 ("m2", 1, 2),
                 ("m3", 1, 2),
             ],
-            books: Books::default().msg(5, 0, 0),
+            books: Books::default().msg(5, 0, 5, 0, 0),
             fixed_here: Some(
                 "rt resent the whole batch after any transport error, so the two messages \
                  the destination had already answered reached it twice",
@@ -480,7 +494,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::default().msg(3, 3, 0),
+            books: Books::default().msg(3, 3, 3, 3, 0),
             gives_up_after_ms: 500,
             ..Scenario::new(
                 "a dead destination with a backlog: one retry after the backoff, then \
@@ -495,16 +509,20 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::Wedged,
             queue_capacity: Some(1),
-            books: Books::default().msg(0, 3, 0),
-            rt_books: Some(Books::default().msg(0, 1, 0)),
+            // rt waits this long for each answer the wedged destination
+            // never sends; sim's MSG-Dispatcher has no such wait.
+            response_timeout_ms: 200,
+            books: Books::default().msg(3, 0, 0, 3, 0),
+            rt_books: Some(Books::default().msg(3, 0, 2, 1, 0)),
             differs: &[
                 "a full destination queue: sim acks 202 on receipt and then drops (the 2004 \
                  implementation, kept because Fig. 6 reproduces it: 59 712 of the 74 816 \
                  messages its dispatcher loses, 80 %, are lost to a full queue), rt offers \
                  first and answers 503",
                 "rt's destination accepts and never reads, so the first message is written \
-                 and in flight (on the books once answered or lost) with the second queued \
-                 behind it; sim's is firewalled, so everything stays queued until the connect \
+                 with the second queued behind it; each is written once more after its \
+                 answer times out and is on the books as delivered once that one times out \
+                 too. sim's is firewalled, so everything stays queued until the connect \
                  retries are exhausted and is given up together",
             ],
             ..Scenario::new(
@@ -527,7 +545,7 @@ fn table() -> Vec<Scenario> {
                 rpc: true,
             },
             delivered: &[("a", "uuid:q3-a"), ("b", "uuid:q3-b")],
-            books: Books::default().msg(4, 0, 0),
+            books: Books::default().msg(2, 2, 4, 0, 0),
             fixed_here: Some(
                 "sim kept the MessageID of a request whose connection closed under it, \
                  never resent that request, and correlated the next 200 with the stale id: \
@@ -918,6 +936,23 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
         let mb = books.mailbox;
         assert_eq!(mb.deposits, mb.fetched + mb.resident, "{at}: {mb:?}");
     }
+    let msg = books.msg;
+    assert_eq!(
+        msg.forwarded + msg.replies_routed,
+        msg.delivered + msg.dropped,
+        "{at}: every routed message is written or dropped, once: {msg:?}"
+    );
+}
+
+/// The one dispatcher configuration both executors stand a row up with.
+fn dispatcher_config(row: &Scenario) -> DispatcherConfig {
+    let default = DispatcherConfig::default();
+    DispatcherConfig {
+        response_timeout: Duration::from_millis(row.response_timeout_ms),
+        connection_linger: Duration::from_millis(50),
+        queue_capacity: row.queue_capacity.unwrap_or(default.queue_capacity),
+        ..default
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1026,7 +1061,7 @@ struct SimRuntime {
     sim: Simulation,
     client_host: HostId,
     rpc: RpcCounters,
-    msg: MsgDispatcherStats,
+    msg: MsgCounters,
     mailbox: SimMsgBoxStats,
     sink: Rc<RefCell<Vec<String>>>,
     closing: Rc<RefCell<ClosingService>>,
@@ -1075,22 +1110,18 @@ impl SimRuntime {
         if row.registered {
             registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
         }
+        let config = dispatcher_config(row);
         let rpc = SimRpcDispatcher::new(
             Arc::clone(&registry),
             SimDuration::from_millis(1),
-            SimDuration::from_secs(3),
-            SimDuration::from_millis(row.response_timeout_ms),
+            config.clone(),
         );
         let rpc_stats = rpc.stats();
         let p = sim.spawn(disp_host, Box::new(rpc));
         sim.listen(p, RPC.1);
 
         let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
-        let mut ws_threads = WsThreadConfig::default();
-        if let Some(capacity) = row.queue_capacity {
-            ws_threads.queue_capacity = capacity;
-        }
-        let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), ws_threads);
+        let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), config);
         let msg_stats = msg.stats();
         let p = sim.spawn(disp_host, Box::new(msg));
         sim.listen(p, MSG.1);
@@ -1162,11 +1193,7 @@ impl Runtime for SimRuntime {
                 fetched: self.mailbox.mailbox.fetched.get(),
                 resident: 0,
             },
-            msg: MsgBooks {
-                delivered: self.msg.delivered.get(),
-                dropped: self.msg.dropped.get(),
-                rejected: self.msg.rejected.get(),
-            },
+            msg: msg_books(&self.msg),
         }
     }
 
@@ -1190,6 +1217,16 @@ fn rpc_books(c: &RpcCounters) -> RpcBooks {
         relayed: c.relayed.get(),
         refused: c.refused.get(),
         upstream_failures: c.upstream_failures.get(),
+    }
+}
+
+fn msg_books(c: &MsgCounters) -> MsgBooks {
+    MsgBooks {
+        forwarded: c.forwarded.get(),
+        replies_routed: c.replies_routed.get(),
+        delivered: c.delivered.get(),
+        dropped: c.dropped.get(),
+        rejected: c.rejected.get(),
     }
 }
 
@@ -1292,14 +1329,7 @@ impl RtRuntime {
         if row.registered {
             registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
         }
-        let config = DispatcherConfig {
-            response_timeout: Duration::from_millis(row.response_timeout_ms),
-            connection_linger: Duration::from_millis(50),
-            queue_capacity: row
-                .queue_capacity
-                .unwrap_or(DispatcherConfig::default().queue_capacity),
-            ..DispatcherConfig::default()
-        };
+        let config = dispatcher_config(row);
         let rpc = RpcDispatcherServer::start(
             &net,
             RPC.0,
@@ -1388,8 +1418,6 @@ impl Runtime for RtRuntime {
     }
 
     fn books(&self) -> Books {
-        use std::sync::atomic::Ordering::Relaxed;
-        let msg = self.msg.stats();
         Books {
             rpc: rpc_books(&self.rpc.stats()),
             mailbox: MailboxBooks {
@@ -1397,11 +1425,7 @@ impl Runtime for RtRuntime {
                 fetched: self.mailbox.stats().fetched.get(),
                 resident: 0,
             },
-            msg: MsgBooks {
-                delivered: msg.delivered.load(Relaxed),
-                dropped: msg.dropped.load(Relaxed),
-                rejected: msg.rejected.load(Relaxed),
-            },
+            msg: msg_books(&self.msg.counters()),
         }
     }
 
