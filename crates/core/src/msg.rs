@@ -126,7 +126,7 @@ pub struct MsgCounters {
     /// Routed messages never written anywhere: refused by a full queue,
     /// or given up on once the connect retries were exhausted.
     pub dropped: Counter,
-    /// Messages routing or security rejected.
+    /// Messages routing or security rejected, or whose body was unreadable.
     pub rejected: Counter,
     /// Writes to a destination connection that carried at least one message.
     pub drain_batches: Counter,
@@ -145,6 +145,32 @@ impl MsgCounters {
             dropped: scope.counter("dropped"),
             rejected: scope.counter("rejected"),
             drain_batches: scope.counter("drain_batches"),
+        }
+    }
+
+    /// Counts what routing decided (`None`: the body could not be read):
+    /// where the message goes and its `MessageID`, or a reject and the
+    /// sender's answer, `error_response`'s fault or an empty `400`.
+    pub(crate) fn routed(
+        &self,
+        routed: Option<Result<RoutedMeta<'_>, WsdError>>,
+    ) -> Result<(Url, Option<String>), Response> {
+        match routed {
+            Some(Ok(RoutedMeta::Forward { to, message_id, .. })) => {
+                self.forwarded.inc();
+                Ok((to, Some(message_id)))
+            }
+            Some(Ok(RoutedMeta::Reply { to, message_id })) => {
+                self.replies_routed.inc();
+                Ok((to, message_id.map(Cow::into_owned)))
+            }
+            rejected => {
+                self.rejected.inc();
+                Err(rejected.and_then(Result::err).map_or_else(
+                    || Response::empty(wsd_http::Status::BAD_REQUEST),
+                    |e| crate::rpc::error_response(wsd_soap::SoapVersion::V11, &e),
+                ))
+            }
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Paper §4.2: one thread parses the HTTP header, copies the XML message
 //! into a new request for the target WS, performs the RPC, and relays the
-//! result on the original client connection. This module is the
-//! transport-agnostic part — deciding where a request goes and building
-//! the forwarded request / relayed response — shared by the simulated and
-//! threaded runtimes.
+//! result on the original client connection. This module is the part both
+//! runtimes share: per request `RpcCounters::plan`, `forwarded` once it
+//! is written upstream, then `RpcCounters::finish`. A driver moves the
+//! bytes, keeps the time and sends the client only what those return.
 
 use wsd_http::{Bytes, Request, Response, Status};
 use wsd_soap::{Envelope, Fault, FaultCode, SoapVersion};
@@ -47,24 +47,51 @@ impl RpcCounters {
         }
     }
 
-    /// Refuses a request that will not be forwarded (unknown service,
-    /// security, malformed): counts it and builds the client's answer.
-    pub fn refuse(&self, err: &WsdError) -> Response {
-        self.refused.inc();
-        error_response(SoapVersion::V11, err)
+    /// Counts a request `received`, then refuses it with the client's
+    /// answer, or notes it dispatched to its endpoint and returns the
+    /// rewritten request to write there.
+    pub(crate) fn plan(
+        &self,
+        registry: &Registry,
+        policies: &PolicyChain,
+        req: &Request,
+    ) -> Result<(RpcExchange, Request), Response> {
+        self.received.inc();
+        match plan_forward(registry, policies, req) {
+            Ok((url, logical, fwd)) => {
+                registry.note_dispatched(&logical, &url);
+                Ok((RpcExchange { url, logical }, fwd))
+            }
+            Err(e) => {
+                self.refused.inc();
+                Err(error_response(SoapVersion::V11, &e))
+            }
+        }
     }
 
-    /// Relays a service's response: counts it and strips the upstream
-    /// hop's `Connection` header, which must not leak to the client's.
-    pub fn relay(&self, mut upstream: Response) -> Response {
-        self.relayed.inc();
-        upstream.headers.remove("connection");
-        upstream
-    }
-
-    /// Fails a forward whose endpoint was chosen but never answered:
-    /// counts it and builds the client's `502`.
-    pub fn fail(&self, failure: &UpstreamFailure) -> Response {
+    /// Notes the request completed, marks the endpoint down if nothing
+    /// listens there, and counts the client's answer: the service's, less
+    /// the upstream hop's `Connection` header, or a `502`.
+    pub(crate) fn finish(
+        &self,
+        registry: &Registry,
+        exchange: RpcExchange,
+        outcome: Result<Response, UpstreamFailure>,
+    ) -> Response {
+        let RpcExchange { url, logical } = exchange;
+        registry.note_completed(&logical, &url);
+        let failure = match outcome {
+            Ok(mut upstream) => {
+                self.relayed.inc();
+                upstream.headers.remove("connection");
+                return upstream;
+            }
+            Err(failure) => failure,
+        };
+        // A dead endpoint stays down: nothing marks it up again.
+        if let UpstreamFailure::NoListener(_) = failure {
+            registry.mark_down(&logical, &url);
+        }
         self.upstream_failures.inc();
         let reason = format!("upstream failure: {failure}");
         fault_response(Status::BAD_GATEWAY, SoapVersion::V11, &FaultCode::Receiver, &reason)
@@ -97,11 +124,22 @@ impl RpcCounters {
     }
 }
 
+/// A request between [`RpcCounters::plan`] and [`RpcCounters::finish`].
+#[derive(Debug)]
+pub(crate) struct RpcExchange {
+    /// The endpoint it was planned to.
+    pub(crate) url: Url,
+    logical: String,
+}
+
 /// Why a forward failed once an endpoint had been chosen.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpstreamFailure {
-    /// The connection could not be opened (the transport's word for why):
-    /// the only failure that says the endpoint may be dead.
+    /// Nothing listens there (the transport's word for it): the only
+    /// failure that says the endpoint is dead.
+    NoListener(String),
+    /// Any other failed connect: a timeout, a full accept queue, a local
+    /// socket limit.
     Connect(String),
     /// The request could not be written to the open connection.
     Send,
@@ -115,7 +153,9 @@ pub enum UpstreamFailure {
 impl std::fmt::Display for UpstreamFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            UpstreamFailure::Connect(why) => write!(f, "connect failed: {why}"),
+            UpstreamFailure::NoListener(why) | UpstreamFailure::Connect(why) => {
+                write!(f, "connect failed: {why}")
+            }
             UpstreamFailure::Send => f.write_str("send failed"),
             UpstreamFailure::ResponseTimeout => f.write_str("response timed out"),
             UpstreamFailure::ClosedEarly => f.write_str("upstream closed before responding"),
@@ -166,12 +206,8 @@ pub fn logical_name(target: &str) -> Result<String, WsdError> {
 pub fn error_response(version: SoapVersion, err: &WsdError) -> Response {
     let (status, code) = match err {
         WsdError::UnknownService(_) => (Status::NOT_FOUND, FaultCode::Sender),
-        WsdError::Rejected(_) => (Status::BAD_REQUEST, FaultCode::Sender),
-        WsdError::Soap(_) | WsdError::BadAddress(_) | WsdError::NoDestination => {
-            (Status::BAD_REQUEST, FaultCode::Sender)
-        }
         WsdError::Overloaded => (Status::SERVICE_UNAVAILABLE, FaultCode::Receiver),
-        WsdError::MsgBox(_) => (Status::BAD_REQUEST, FaultCode::Sender),
+        _ => (Status::BAD_REQUEST, FaultCode::Sender),
     };
     fault_response(status, version, &code, &err.to_string())
 }
@@ -198,6 +234,7 @@ fn fault_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::BalanceStrategy;
     use crate::security::{MaxSize, PolicyChain};
     use wsd_soap::rpc as soap_rpc;
 
@@ -279,13 +316,47 @@ mod tests {
         assert_eq!(resp.status, Status::SERVICE_UNAVAILABLE);
         assert_eq!(Envelope::parse(&resp.body_utf8()).unwrap().version, SoapVersion::V12);
 
+        let registry = setup();
         let books = RpcCounters::new(&Scope::noop());
-        let resp = books.fail(&UpstreamFailure::Connect("timed out".to_string()));
+        let req = echo_request("/svc/Echo");
+        let (exchange, _) = books.plan(&registry, &PolicyChain::new(), &req).unwrap();
+        let failure = UpstreamFailure::Connect("timed out".to_string());
+        let resp = books.finish(&registry, exchange, Err(failure));
         assert_eq!(resp.status, Status::BAD_GATEWAY);
         let env = Envelope::parse(&resp.body_utf8()).unwrap();
         let reason = &env.as_fault().unwrap().reason;
         assert_eq!(reason, "upstream failure: connect failed: timed out");
+        books.assert_conserved(0);
         assert_eq!(books.upstream_failures.get(), 1);
+    }
+
+    #[test]
+    fn only_an_endpoint_nothing_listens_at_is_marked_down() {
+        let registry = Registry::new().with_strategy(BalanceStrategy::LeastPending);
+        let a = Url::parse("http://a:1/e").unwrap();
+        let b = Url::parse("http://b:1/e").unwrap();
+        registry.register_many("Echo", vec![a.clone(), b.clone()], None);
+        let books = RpcCounters::new(&Scope::noop());
+        let req = echo_request("/svc/Echo");
+        let plan = || books.plan(&registry, &PolicyChain::new(), &req).unwrap().0;
+        let live = || registry.entry("Echo").unwrap().live_endpoints();
+        // A request in flight at `a` sends the next one to `b`; finishing
+        // it makes `a` the least pending again.
+        for failure in [
+            UpstreamFailure::Connect("TimedOut".to_string()),
+            UpstreamFailure::ResponseTimeout,
+            UpstreamFailure::ClosedEarly,
+        ] {
+            let (at_a, at_b) = (plan(), plan());
+            assert_eq!((&at_a.url, &at_b.url), (&a, &b));
+            books.finish(&registry, at_b, Ok(Response::empty(Status::OK)));
+            books.finish(&registry, at_a, Err(failure));
+            assert_eq!(live().len(), 2);
+        }
+        let failure = UpstreamFailure::NoListener("Refused".to_string());
+        let resp = books.finish(&registry, plan(), Err(failure));
+        assert_eq!(resp.status, Status::BAD_GATEWAY);
+        assert_eq!(live(), vec![b]);
     }
 
     #[test]

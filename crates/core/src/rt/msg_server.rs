@@ -13,7 +13,7 @@ use wsd_telemetry::{Counter, Scope};
 
 use crate::config::DispatcherConfig;
 use crate::msg::link::{Link, LinkStep};
-use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters, RoutedMeta};
+use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters};
 use crate::rt::{now_us, one_by_one, ConnTracker, Network, ReactorFrontEnd};
 use crate::url::Url;
 
@@ -206,45 +206,20 @@ impl MsgDispatcherServer {
     /// CxThread work: route (splice fast path when possible), enqueue, ack.
     fn accept(self: &Arc<Self>, config: &DispatcherConfig, req: Request) -> Response {
         self.counters.received.inc();
-        let Some(xml) = req.body_str() else {
-            self.counters.rejected.inc();
-            return Response::empty(Status::BAD_REQUEST);
-        };
         // Splice into a pooled scratch buffer; the queue takes ownership
         // of the rewritten bytes, the scratch returns to the pool.
         let mut scratch = wsd_soap::checkout();
-        match self.core.route_raw_into(xml, req.body.len(), now_us(), &mut scratch.out) {
-            Ok(RoutedMeta::Forward { to, message_id, .. }) => {
-                self.counters.forwarded.inc();
-                let body = scratch.take_out();
-                self.ack_enqueue(config, &to, body, Some(message_id))
-            }
-            Ok(RoutedMeta::Reply { to, message_id }) => {
-                self.counters.replies_routed.inc();
-                let message_id = message_id.map(std::borrow::Cow::into_owned);
-                let body = scratch.take_out();
-                self.ack_enqueue(config, &to, body, message_id)
-            }
-            Err(e) => {
-                self.counters.rejected.inc();
-                crate::rpc::error_response(SoapVersion::V11, &e)
-            }
+        let routed = (req.body_str())
+            .map(|xml| self.core.route_raw_into(xml, req.body.len(), now_us(), &mut scratch.out));
+        let (to, message_id) = match self.counters.routed(routed) {
+            Ok(routed) => routed,
+            Err(reject) => return reject,
+        };
+        if !self.enqueue(config, &to, scratch.take_out(), message_id) {
+            return Response::empty(Status::SERVICE_UNAVAILABLE);
         }
-    }
-
-    fn ack_enqueue(
-        self: &Arc<Self>,
-        config: &DispatcherConfig,
-        to: &Url,
-        body: String,
-        msg_id: Option<String>,
-    ) -> Response {
-        if self.enqueue(config, to, body, msg_id) {
-            self.counters.acked.inc();
-            Response::empty(Status::ACCEPTED)
-        } else {
-            Response::empty(Status::SERVICE_UNAVAILABLE)
-        }
+        self.counters.acked.inc();
+        Response::empty(Status::ACCEPTED)
     }
 
     /// Offers a routed message to its destination's queue; a full queue
@@ -414,22 +389,13 @@ impl MsgDispatcherServer {
         let Some(routable) = correlate_rpc_reply(resp, req_msg_id) else {
             return;
         };
-        // The reply is the dispatcher's own message, not a client's: it is
-        // neither `received` nor `acked`, but routed and finished like any.
+        // The dispatcher's own message, not a client's: neither `received`
+        // nor `acked`, routed like any, and a reject has nobody to answer.
         let mut scratch = wsd_soap::checkout();
-        let (to, message_id) =
-            match self.core.route_raw_into(&routable, routable.len(), now_us(), &mut scratch.out) {
-                Ok(RoutedMeta::Reply { to, message_id }) => {
-                    self.counters.replies_routed.inc();
-                    (to, message_id.map(std::borrow::Cow::into_owned))
-                }
-                Ok(RoutedMeta::Forward { to, message_id, .. }) => {
-                    self.counters.forwarded.inc();
-                    (to, Some(message_id))
-                }
-                Err(_) => return self.counters.rejected.inc(),
-            };
-        self.enqueue(config, &to, scratch.take_out(), message_id);
+        let routed = self.core.route_raw_into(&routable, routable.len(), now_us(), &mut scratch.out);
+        if let Ok((to, message_id)) = self.counters.routed(Some(routed)) {
+            self.enqueue(config, &to, scratch.take_out(), message_id);
+        }
     }
 }
 

@@ -1,7 +1,10 @@
 //! The threaded RPC-Dispatcher: forwards an RPC invocation on a new
 //! upstream connection and relays the response on the client's
 //! connection (paper §4.2, "the first phase of the implementation").
+//! Each request is one [`crate::rpc`] exchange run straight through on a
+//! `CxThread`: plan, connect, write, wait for the answer, finish.
 
+use std::io::ErrorKind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -11,9 +14,10 @@ use wsd_telemetry::Scope;
 
 use crate::config::DispatcherConfig;
 use crate::registry::Registry;
-use crate::rpc::{plan_forward, RpcCounters, UpstreamFailure};
+use crate::rpc::{RpcCounters, UpstreamFailure};
 use crate::rt::{one_by_one, Network, ReactorFrontEnd};
 use crate::security::PolicyChain;
+use crate::url::Url;
 
 /// A running RPC dispatcher.
 pub struct RpcDispatcherServer {
@@ -94,41 +98,30 @@ fn handle(
     response_timeout: Duration,
     req: Request,
 ) -> Response {
-    stats.received.inc();
-    let (url, logical, fwd) = match plan_forward(registry, policies, &req) {
-        Ok(plan) => plan,
-        Err(e) => return stats.refuse(&e),
+    let (exchange, fwd) = match stats.plan(registry, policies, &req) {
+        Ok(planned) => planned,
+        Err(refusal) => return refusal,
     };
-    registry.note_dispatched(&logical, &url);
-    let result = forward_once(net, &url.host, url.port, fwd, response_timeout, stats);
-    registry.note_completed(&logical, &url);
-    match result {
-        Ok(resp) => stats.relay(resp),
-        Err(failure) => {
-            // An endpoint that refuses connections is marked down so the
-            // balancer can fail over (the liveness future-work item). One
-            // that answers late is slow, not dead: nothing marks it up again.
-            if let UpstreamFailure::Connect(_) = failure {
-                registry.mark_down(&logical, &url);
-            }
-            stats.fail(&failure)
-        }
-    }
+    let outcome = forward_once(net, &exchange.url, fwd, response_timeout, stats);
+    stats.finish(registry, exchange, outcome)
 }
 
 /// One upstream exchange on a fresh connection; counts the request as
-/// `forwarded` once it is written, whatever becomes of the response.
+/// `forwarded` once it is written, whatever becomes of the response. A
+/// refused connect is the network's word that nothing listens there.
 fn forward_once(
     net: &Arc<Network>,
-    host: &str,
-    port: u16,
+    url: &Url,
     mut fwd: Request,
     response_timeout: Duration,
     stats: &RpcCounters,
 ) -> Result<Response, UpstreamFailure> {
     let stream = net
-        .connect(host, port)
-        .map_err(|e| UpstreamFailure::Connect(e.to_string()))?;
+        .connect(&url.host, url.port)
+        .map_err(|e| match e.kind() {
+            ErrorKind::ConnectionRefused => UpstreamFailure::NoListener(e.to_string()),
+            _ => UpstreamFailure::Connect(e.to_string()),
+        })?;
     let mut client = HttpClient::new(stream);
     client
         .set_response_timeout(Some(response_timeout))
@@ -137,9 +130,7 @@ fn forward_once(
     client.send_only(&fwd).map_err(|_| UpstreamFailure::Send)?;
     stats.forwarded.inc();
     client.read_response().map_err(|e| match e {
-        HttpError::Io(io) if io.kind() == std::io::ErrorKind::TimedOut => {
-            UpstreamFailure::ResponseTimeout
-        }
+        HttpError::Io(io) if io.kind() == ErrorKind::TimedOut => UpstreamFailure::ResponseTimeout,
         _ => UpstreamFailure::ClosedEarly,
     })
 }
@@ -148,7 +139,6 @@ fn forward_once(
 mod tests {
     use super::*;
     use crate::rt::echo_server::EchoServer;
-    use crate::url::Url;
     use wsd_http::Status;
     use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
 
@@ -268,6 +258,32 @@ mod tests {
         assert_eq!(disp.stats().upstream_failures.get(), 1);
         // The dead primary refused the connect: nothing was forwarded to it.
         disp.stats().assert_conserved(0);
+        assert_eq!(registry.entry("Echo").unwrap().live_endpoints().len(), 1);
+        disp.shutdown();
+    }
+
+    #[test]
+    fn firewalled_upstream_is_502_and_stays_live() {
+        let net = Network::new();
+        let _ws = EchoServer::start(&net, "ws", 8888, 2, Duration::ZERO);
+        net.set_firewalled("ws", true);
+        let registry = Arc::new(Registry::new());
+        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        let disp = RpcDispatcherServer::start(
+            &net,
+            "dispatcher",
+            8081,
+            Arc::clone(&registry),
+            PolicyChain::new(),
+            DispatcherConfig::default(),
+        );
+        // A connect that times out says nothing about the endpoint: the
+        // second call tries it again instead of answering 404.
+        for _ in 0..2 {
+            assert_eq!(call_dispatcher(&net, "a").status, Status::BAD_GATEWAY);
+        }
+        assert_eq!(disp.stats().upstream_failures.get(), 2);
+        assert_eq!(registry.entry("Echo").unwrap().live_endpoints().len(), 1);
         disp.shutdown();
     }
 

@@ -23,7 +23,7 @@ use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
 
 use crate::config::DispatcherConfig;
 use crate::msg::link::{Link, LinkStep};
-use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters, RoutedRaw};
+use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters};
 use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
 use crate::url::Url;
 
@@ -189,43 +189,24 @@ impl SimMsgDispatcher {
     }
 
     fn route_now(&mut self, ctx: &mut Ctx<'_>, client_conn: Option<ConnId>, raw: Payload) {
-        // The splice fast path inside `route_raw` needs only the request's
-        // body bytes; the envelope is parsed solely when the scan declines.
+        // The splice fast path needs only the request's body bytes; the
+        // envelope is parsed solely when the scan declines.
         let parsed = parse_request_bytes(&raw).ok();
-        let routed = parsed
-            .as_ref()
-            .and_then(|req| req.body_str())
-            .map(|xml| self.core.route_raw(xml, raw.len(), ctx.now().as_micros()));
-        match routed {
-            Some(Ok(RoutedRaw::Forward { to, body, message_id, .. })) => {
-                self.stats.forwarded.inc();
-                if let Some(conn) = client_conn {
-                    self.ack(ctx, conn);
-                }
-                self.enqueue(ctx, &to, body, Some(message_id));
-                self.arm_janitor(ctx);
-            }
-            Some(Ok(RoutedRaw::Reply { to, body, message_id })) => {
-                self.stats.replies_routed.inc();
-                if let Some(conn) = client_conn {
-                    self.ack(ctx, conn);
+        let (now, mut body) = (ctx.now().as_micros(), String::new());
+        let routed = (parsed.as_ref().and_then(|req| req.body_str()))
+            .map(|xml| self.core.route_raw_into(xml, raw.len(), now, &mut body));
+        match (self.stats.routed(routed), client_conn) {
+            (Ok((to, message_id)), _) => {
+                let ack = || response_payload(&Response::empty(Status::ACCEPTED));
+                if client_conn.is_some_and(|conn| ctx.send(conn, ack()).is_ok()) {
+                    self.stats.acked.inc();
                 }
                 self.enqueue(ctx, &to, body, message_id);
+                // A no-op after a reply: the forward that left a route armed it.
+                self.arm_janitor(ctx);
             }
-            Some(Err(_)) | None => {
-                self.stats.rejected.inc();
-                if let Some(conn) = client_conn {
-                    let resp = Response::empty(Status::BAD_REQUEST);
-                    let _ = ctx.send(conn, response_payload(&resp));
-                }
-            }
-        }
-    }
-
-    fn ack(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let ack = Response::empty(Status::ACCEPTED);
-        if ctx.send(conn, response_payload(&ack)).is_ok() {
-            self.stats.acked.inc();
+            (Err(reject), Some(conn)) => drop(ctx.send(conn, response_payload(&reject))),
+            (Err(_), None) => {}
         }
     }
 
@@ -738,6 +719,8 @@ mod tests {
         );
         sim.run();
         assert_eq!(stats.rejected.get(), 1);
-        assert!(responses.borrow()[0].starts_with("HTTP/1.1 400"));
+        let got = &responses.borrow()[0];
+        assert!(got.starts_with("HTTP/1.1 400"), "{got}");
+        assert!(got.contains("message has no destination"), "{got}");
     }
 }

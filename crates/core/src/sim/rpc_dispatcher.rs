@@ -5,26 +5,26 @@
 //! registry, opens a *new* connection to the target WS ("this introduces
 //! additional processing time to establish the forwarded connection"),
 //! relays the response back on the original client connection, and closes
-//! the upstream connection.
+//! the upstream connection. It decides nothing itself: a request is a
+//! [`crate::rpc`] exchange, planned on arrival and acted on once the CPU
+//! has spent `dispatch_time` on it, and whichever event ends the forward
+//! finishes it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wsd_http::{parse_request_bytes, Status};
-use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
+use wsd_http::{parse_request_bytes, parse_response_bytes, Response};
+use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, RefuseReason, SimDuration};
 use wsd_telemetry::{Gauge, Scope};
 
 use crate::config::DispatcherConfig;
 use crate::registry::Registry;
-use crate::rpc::{plan_forward, RpcCounters, UpstreamFailure};
+use crate::rpc::{RpcCounters, RpcExchange, UpstreamFailure};
 use crate::security::PolicyChain;
 use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
 
-/// An in-flight forward.
-struct UpstreamJob {
-    client_conn: ConnId,
-    payload: Payload,
-}
+/// A planned request: the forward to start, or the refusal to send.
+type Planned = Result<(RpcExchange, Payload), Response>;
 
 /// The RPC-Dispatcher as a simulation actor.
 pub struct SimRpcDispatcher {
@@ -39,12 +39,14 @@ pub struct SimRpcDispatcher {
     /// Upstream requests awaiting a response.
     inflight: Gauge,
     next_token: u64,
-    /// Requests waiting for dispatcher CPU: token → (client conn, raw).
-    pending_plan: HashMap<u64, (ConnId, Payload)>,
-    /// Upstream connections being established.
-    connecting: HashMap<ConnId, UpstreamJob>,
-    /// Upstream connection → client connection awaiting the response.
-    awaiting: HashMap<ConnId, ConnId>,
+    /// Planned requests waiting for dispatcher CPU: token → (client conn,
+    /// plan).
+    pending_plan: HashMap<u64, (ConnId, Planned)>,
+    /// Upstream connections being established → (client conn, exchange,
+    /// request to write).
+    connecting: HashMap<ConnId, (ConnId, RpcExchange, Payload)>,
+    /// Upstream connection → (client conn, exchange) awaiting the response.
+    awaiting: HashMap<ConnId, (ConnId, RpcExchange)>,
     /// Response timeout timers: token → upstream connection.
     timeouts: HashMap<u64, ConnId>,
 }
@@ -97,29 +99,17 @@ impl SimRpcDispatcher {
         self.next_token
     }
 
-    fn plan(&mut self, ctx: &mut Ctx<'_>, client_conn: ConnId, raw: Payload) {
-        let Ok(req) = parse_request_bytes(&raw) else {
-            self.stats.refused.inc();
-            let resp = wsd_http::Response::empty(Status::BAD_REQUEST);
-            let _ = ctx.send(client_conn, response_payload(&resp));
-            return;
-        };
-        match plan_forward(&self.registry, &self.policies, &req) {
-            Ok((url, _logical, fwd)) => {
-                let upstream = ctx.connect(&url.host, url.port, CONNECT_TIMEOUT);
-                self.connecting.insert(
-                    upstream,
-                    UpstreamJob {
-                        client_conn,
-                        payload: request_payload(&fwd),
-                    },
-                );
-            }
-            Err(e) => {
-                let resp = self.stats.refuse(&e);
-                let _ = ctx.send(client_conn, response_payload(&resp));
-            }
-        }
+    /// Ends an exchange taken off whichever map held it and sends the
+    /// client what it answers.
+    fn finish(
+        &self,
+        ctx: &mut Ctx<'_>,
+        (client_conn, exchange): (ConnId, RpcExchange),
+        out: Result<Response, UpstreamFailure>,
+    ) {
+        self.inflight.set(self.awaiting.len() as i64);
+        let resp = self.stats.finish(&self.registry, exchange, out);
+        let _ = ctx.send(client_conn, response_payload(&resp));
     }
 }
 
@@ -128,64 +118,71 @@ impl Process for SimRpcDispatcher {
         match event {
             ProcEvent::Start | ProcEvent::ConnAccepted { .. } => {}
             ProcEvent::Message { conn, bytes } => {
-                if let Some(client_conn) = self.awaiting.remove(&conn) {
+                if let Some(job) = self.awaiting.remove(&conn) {
                     // Upstream response: relay on the original connection.
-                    self.inflight.dec();
-                    if ctx.send(client_conn, bytes).is_ok() {
-                        self.stats.relayed.inc();
-                    }
+                    let outcome = parse_response_bytes(&bytes);
+                    self.finish(ctx, job, outcome.map_err(|_| UpstreamFailure::ClosedEarly));
                     ctx.close(conn);
-                } else {
-                    // Fresh client request: queue for dispatcher CPU.
-                    self.stats.received.inc();
+                } else if let Ok(req) = parse_request_bytes(&bytes) {
+                    // Fresh client request: planned now, acted on once the
+                    // dispatcher's CPU is done with it.
+                    let planned = (self.stats.plan(&self.registry, &self.policies, &req))
+                        .map(|(exchange, fwd)| (exchange, request_payload(&fwd)));
                     let done_at = self.cpu.reserve(ctx.now(), self.dispatch_time);
                     let token = self.token();
-                    self.pending_plan.insert(token, (conn, bytes));
+                    self.pending_plan.insert(token, (conn, planned));
                     ctx.set_timer(done_at.since(ctx.now()), token);
+                } else {
+                    ctx.close(conn); // no HTTP request: as the threaded front end does
                 }
             }
             ProcEvent::Timer { token } => {
-                if let Some((client_conn, raw)) = self.pending_plan.remove(&token) {
-                    self.plan(ctx, client_conn, raw);
+                if let Some((client_conn, planned)) = self.pending_plan.remove(&token) {
+                    match planned {
+                        Ok((exchange, payload)) => {
+                            let url = &exchange.url;
+                            let upstream = ctx.connect(&url.host, url.port, CONNECT_TIMEOUT);
+                            self.connecting.insert(upstream, (client_conn, exchange, payload));
+                        }
+                        Err(refusal) => drop(ctx.send(client_conn, response_payload(&refusal))),
+                    }
                 } else if let Some(upstream) = self.timeouts.remove(&token) {
-                    if let Some(client_conn) = self.awaiting.remove(&upstream) {
+                    if let Some(job) = self.awaiting.remove(&upstream) {
                         // The WS took longer than the HTTP/TCP timeout.
-                        self.inflight.dec();
-                        let resp = self.stats.fail(&UpstreamFailure::ResponseTimeout);
-                        let _ = ctx.send(client_conn, response_payload(&resp));
+                        self.finish(ctx, job, Err(UpstreamFailure::ResponseTimeout));
                         ctx.close(upstream);
                     }
                 }
             }
             ProcEvent::ConnEstablished { conn } => {
-                if let Some(job) = self.connecting.remove(&conn) {
-                    if ctx.send(conn, job.payload).is_ok() {
+                if let Some((client_conn, exchange, payload)) = self.connecting.remove(&conn) {
+                    if ctx.send(conn, payload).is_ok() {
                         self.stats.forwarded.inc();
-                        // wsd-lint: allow(gauge-balance): inflight is cross-event state — the dec fires when the matching response, timeout, or close event arrives, not on this path
-                        self.inflight.inc();
-                        self.awaiting.insert(conn, job.client_conn);
+                        self.awaiting.insert(conn, (client_conn, exchange));
+                        self.inflight.set(self.awaiting.len() as i64);
                         let token = self.token();
                         self.timeouts.insert(token, conn);
                         ctx.set_timer(self.response_timeout, token);
                     } else {
-                        let resp = self.stats.fail(&UpstreamFailure::Send);
-                        let _ = ctx.send(job.client_conn, response_payload(&resp));
+                        self.finish(ctx, (client_conn, exchange), Err(UpstreamFailure::Send));
                     }
                 }
             }
             ProcEvent::ConnRefused { conn, reason } => {
-                if let Some(job) = self.connecting.remove(&conn) {
-                    let failure = UpstreamFailure::Connect(format!("{reason:?}"));
-                    let resp = self.stats.fail(&failure);
-                    let _ = ctx.send(job.client_conn, response_payload(&resp));
+                if let Some((client_conn, exchange, _)) = self.connecting.remove(&conn) {
+                    // The connecting side reads an RST either way.
+                    let failure = match reason {
+                        RefuseReason::NoListener => UpstreamFailure::NoListener("Refused".into()),
+                        RefuseReason::AcceptOverflow => UpstreamFailure::Connect("Refused".into()),
+                        other => UpstreamFailure::Connect(format!("{other:?}")),
+                    };
+                    self.finish(ctx, (client_conn, exchange), Err(failure));
                 }
             }
             ProcEvent::ConnClosed { conn } => {
-                if let Some(client_conn) = self.awaiting.remove(&conn) {
+                if let Some(job) = self.awaiting.remove(&conn) {
                     // Upstream died before responding.
-                    self.inflight.dec();
-                    let resp = self.stats.fail(&UpstreamFailure::ClosedEarly);
-                    let _ = ctx.send(client_conn, response_payload(&resp));
+                    self.finish(ctx, job, Err(UpstreamFailure::ClosedEarly));
                 }
             }
         }
@@ -198,7 +195,7 @@ mod tests {
     use crate::sim::echo::{EchoMode, SimEchoService};
     use crate::url::Url;
     use wsd_http::Request;
-    use wsd_netsim::{HostConfig, Simulation};
+    use wsd_netsim::{HostConfig, OverLimit, Simulation};
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::time::Duration;
@@ -379,7 +376,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
         let dispatcher = SimRpcDispatcher::new(
-            registry,
+            Arc::clone(&registry),
             SimDuration::from_millis(1),
             DispatcherConfig::default(),
         );
@@ -399,6 +396,76 @@ mod tests {
         // Never connected: a failure before anything was forwarded.
         stats.assert_conserved(0);
         assert!(responses.borrow()[0].starts_with("HTTP/1.1 502"));
+        // Nothing listens there: the endpoint is marked down.
+        assert!(registry.entry("Echo").unwrap().live_endpoints().is_empty());
+    }
+
+    #[test]
+    fn accept_overflow_is_502_and_leaves_the_endpoint_live() {
+        let mut sim = Simulation::new(1);
+        let ws_host = sim.add_host(HostConfig::named("ws").accept_limit(0, OverLimit::Refuse));
+        let disp_host = sim.add_host(HostConfig::named("dispatcher"));
+        let client_host = sim.add_host(HostConfig::named("client"));
+        let ws = sim.spawn(
+            ws_host,
+            Box::new(SimEchoService::new(EchoMode::Rpc, SimDuration::from_millis(1))),
+        );
+        sim.listen(ws, 8888);
+        let registry = Arc::new(Registry::new());
+        registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
+        let dispatcher = SimRpcDispatcher::new(
+            Arc::clone(&registry),
+            SimDuration::from_millis(1),
+            DispatcherConfig::default(),
+        );
+        let stats = dispatcher.stats();
+        let dp = sim.spawn(disp_host, Box::new(dispatcher));
+        sim.listen(dp, 8081);
+        let responses = Rc::new(RefCell::new(vec![]));
+        sim.spawn(
+            client_host,
+            Box::new(TestClient {
+                body: dispatcher_request("x"),
+                responses: responses.clone(),
+            }),
+        );
+        sim.run();
+        stats.assert_conserved(0);
+        let got = &responses.borrow()[0];
+        assert!(got.starts_with("HTTP/1.1 502"), "{got}");
+        // The fault's text is the one Figs. 4 and 5 carry on the wire.
+        let reason = "upstream failure: connect failed: Refused<";
+        assert!(got.contains(reason), "{got}");
+        assert_eq!(registry.entry("Echo").unwrap().live_endpoints().len(), 1);
+    }
+
+    #[test]
+    fn a_client_that_gave_up_is_still_on_the_books() {
+        // Sends its request and closes before the service can answer.
+        struct Quitter(Payload);
+        impl Process for Quitter {
+            fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
+                match ev {
+                    ProcEvent::Start => {
+                        ctx.connect("dispatcher", 8081, SimDuration::from_secs(5));
+                    }
+                    ProcEvent::ConnEstablished { conn } => {
+                        ctx.send(conn, self.0.clone()).unwrap();
+                        ctx.close(conn);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (mut sim, stats, responses) =
+            setup(SimDuration::from_millis(50), Duration::from_secs(30));
+        let client_host = sim.host_id("client").unwrap();
+        sim.spawn(client_host, Box::new(Quitter(dispatcher_request("gone"))));
+        sim.run();
+        // Both answers were decided; one of them found nobody to take it.
+        assert_eq!(responses.borrow().len(), 1);
+        assert_eq!((stats.received.get(), stats.relayed.get()), (2, 2));
+        stats.assert_conserved(0);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! `--quick` shortens the virtual run window and thins the sweeps (for
 //! smoke runs); the default regenerates the paper's one-minute windows.
 //! `--json PATH` writes every selected figure's series plus its merged
-//! telemetry snapshot as one JSON document. The figure runners observe
-//! through `wsd-telemetry` scopes, which never feed back into the
-//! simulation: the series are identical with or without observation.
+//! telemetry snapshot as one JSON document (Table 1's rows carry no
+//! snapshot; `--fig6-oom` and `--calibration` write nothing). The figure
+//! runners observe through `wsd-telemetry` scopes, which never feed back
+//! into the simulation: the series are identical with or without
+//! observation.
 
 use wsd_experiments::{calibration, connwall, fig4, fig5, fig6, fleet, table1};
 use wsd_loadgen::{LatencySummary, RunTotals};
@@ -172,6 +174,19 @@ fn json_totals(t: &RunTotals) -> String {
         t.not_sent,
         json_latency(&t.latency)
     )
+}
+
+fn json_table1(rows: &[table1::Table1Row]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"quadrant\":\"{:?}\",\"exchanges_per_min\":{},\"failures\":{}}}",
+                r.quadrant, r.exchanges_per_min, r.failures
+            )
+        })
+        .collect();
+    format!("{{\"rows\":[{}]}}", rows.join(","))
 }
 
 fn json_fig4(rows: &[fig4::Fig4Row], snap: &Snapshot) -> String {
@@ -334,7 +349,9 @@ fn main() {
         println!();
     }
     if opts.table1 {
-        table1::print(&table1::run(opts.seconds.min(30)));
+        let rows = table1::run(opts.seconds.min(30));
+        table1::print(&rows);
+        json_figures.push(("table1", json_table1(&rows)));
         println!();
     }
     if opts.fig4 {

@@ -55,10 +55,11 @@ pub struct Table1Row {
 /// Clients used in every quadrant.
 pub const CLIENTS: usize = 20;
 
-/// A service slow enough to overrun the RPC client's response timeout in
-/// quadrant 2 trials? No — the failure there is structural (the reply
-/// flows as a separate message the RPC client cannot receive), so the
-/// standard fast service is used everywhere.
+/// Measures one quadrant over `seconds` of virtual time. Every quadrant
+/// runs the standard fast service: quadrant 2 fails structurally, not by
+/// a slow reply. Its RPC echo carries no WS-Addressing destination, so the
+/// MSG-Dispatcher rejects each call with a `400` fault, which the RPC
+/// client counts as a failure and answers by calling again at once.
 pub fn run_one(quadrant: Quadrant, seconds: u64) -> Table1Row {
     match quadrant {
         Quadrant::RpcToRpc => rpc_client_run(false, seconds),
@@ -266,7 +267,7 @@ mod tests {
     fn rpc_to_msg_fails_structurally() {
         let r = run_one(Quadrant::RpcToMsg, SECS);
         // The RPC client never receives its reply: zero completed
-        // exchanges, plenty of timeouts.
+        // exchanges, every call rejected.
         assert_eq!(r.exchanges_per_min, 0.0, "{r:?}");
         assert!(r.failures > 0, "{r:?}");
     }

@@ -10,9 +10,10 @@ pub struct ConnId(pub u64);
 /// Why a connection attempt failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefuseReason {
-    /// Nothing listening (or accept-limit overflow with
-    /// [`OverLimit::Refuse`](crate::host::OverLimit::Refuse)): active RST.
-    Refused,
+    /// Nothing listens on the port: active RST.
+    NoListener,
+    /// Accept limit reached, [`OverLimit::Refuse`](crate::host::OverLimit): active RST.
+    AcceptOverflow,
     /// No SYN-ACK before the connect timeout — firewall drop or SYN
     /// backlog overflow.
     TimedOut,

@@ -36,7 +36,7 @@ pub enum OverLimit {
     /// backlog; this is the Figure-4 loss mechanism).
     #[default]
     Drop,
-    /// Active refusal — the client fails fast with `Refused`.
+    /// Active refusal — the client fails fast with `AcceptOverflow`.
     Refuse,
 }
 

@@ -323,7 +323,7 @@ impl Simulation {
                 self.now + back_prop,
                 SimEvent::RefusedAtClient {
                     conn,
-                    reason: RefuseReason::Refused,
+                    reason: RefuseReason::NoListener,
                 },
             );
             return;
@@ -343,7 +343,7 @@ impl Simulation {
                         self.now + back_prop,
                         SimEvent::RefusedAtClient {
                             conn,
-                            reason: RefuseReason::Refused,
+                            reason: RefuseReason::AcceptOverflow,
                         },
                     );
                 }
@@ -726,7 +726,7 @@ mod tests {
         client.target = Some(("b".into(), 81));
         sim.spawn(a, Box::new(client));
         sim.run();
-        assert_eq!(log.borrow().as_slice(), ["start", "refused:Refused"]);
+        assert_eq!(log.borrow().as_slice(), ["start", "refused:NoListener"]);
     }
 
     #[test]
@@ -817,7 +817,7 @@ mod tests {
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         let refused = logs
             .iter()
-            .filter(|l| l.borrow().iter().any(|e| e == "refused:Refused"))
+            .filter(|l| l.borrow().iter().any(|e| e == "refused:AcceptOverflow"))
             .count();
         assert_eq!(refused, 2);
     }

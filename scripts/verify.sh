@@ -33,16 +33,23 @@
 #                                      pinned to one CPU with `taskset -c 0` —
 #                                      a single core is what shakes out a lost
 #                                      wake-up (skipped with a notice where
-#                                      `taskset` is missing); the default mode
-#                                      runs 20 iterations of the same
+#                                      `taskset` is missing); the default and
+#                                      e2e-smoke modes run 20 iterations of
+#                                      the same
 #   scripts/verify.sh durability-smoke the real-process WAL crash smoke alone
-#                                      (also part of the default mode): SIGKILL
+#                                      (also part of the default and e2e-smoke
+#                                      modes): SIGKILL
 #                                      a durable-msgbox writer mid-deposit over
 #                                      a temp dir, recover, assert no acked
 #                                      message is lost or delivered twice
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# The default sequence runs with no mode and under e2e-smoke, which adds
+# the benchmark smoke at the end.
+mode=${1:-}
+if [ -z "$mode" ] || [ "$mode" = "e2e-smoke" ]; then full=1; else full=; fi
 
 # Invariant checks run first in every mode: they are the cheapest gate
 # and the one most likely to catch a discipline regression. The linter
@@ -54,7 +61,7 @@ cargo build -q --release -p wsd-lint
 ./target/release/wsd-lint --self
 RUSTFLAGS="-D warnings" cargo build --workspace
 
-if [ "${1:-}" = "lint" ]; then
+if [ "$mode" = "lint" ]; then
     exit 0
 fi
 
@@ -62,7 +69,7 @@ fi
 # the concurrency and storage crates are where that risk lives. The
 # component is optional in offline toolchains, so absence is a warning,
 # not a failure.
-if [ "${1:-}" = "sanitize" ]; then
+if [ "$mode" = "sanitize" ]; then
     if cargo miri --version >/dev/null 2>&1; then
         MIRIFLAGS="${MIRIFLAGS:--Zmiri-disable-isolation}" \
             cargo miri test -p wsd-concurrent -p wsd-store
@@ -80,7 +87,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # property sweep runs under `cargo test`; this adds actual SIGKILLs
 # against actual files and fsyncs. Cheap (three rounds), so it is part
 # of the default sequence, not just its named mode.
-if [ -z "${1:-}" ] || [ "${1:-}" = "durability-smoke" ]; then
+if [ -n "$full" ] || [ "$mode" = "durability-smoke" ]; then
     smoke_dir=$(mktemp -d)
     cargo run -q --release -p wsd-store --bin durability_smoke -- "$smoke_dir"
     rm -rf "$smoke_dir"
@@ -90,8 +97,8 @@ fi
 # reactor are schedule-dependent: one pass under `cargo test` proves
 # little, so the race tests are repeated, half of the runs squeezed onto
 # one CPU where a preempted job and its waker interleave the most.
-if [ -z "${1:-}" ] || [ "${1:-}" = "reactor-stress" ]; then
-    if [ -z "${1:-}" ]; then runs=20; else runs=200; fi
+if [ -n "$full" ] || [ "$mode" = "reactor-stress" ]; then
+    if [ -n "$full" ]; then runs=20; else runs=200; fi
     races=$(cargo test --release -p wsd-concurrent --test reactor_races --no-run 2>&1 |
         sed -n 's/.*Executable.*(\(.*reactor_races-[^)]*\)).*/\1/p')
     if [ ! -x "$races" ]; then
@@ -120,7 +127,7 @@ if [ -z "${1:-}" ] || [ "${1:-}" = "reactor-stress" ]; then
     echo "reactor-stress PASS: $runs runs of reactor_races${pin:+, every other one under $pin}"
 fi
 
-if [ "${1:-}" = "e2e-smoke" ]; then
+if [ "$mode" = "e2e-smoke" ]; then
     for workload in rpc_echo conv_pingpong backlog_durable sim_fig6; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null

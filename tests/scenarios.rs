@@ -7,17 +7,17 @@
 //! [`Process`] client over `wsd_netsim`), the other on the threaded
 //! runtime ([`HttpClient`] over `rt::Network`). The rows cover the
 //! decisions `wsd-core` makes once for both runtimes — the mailbox
-//! request handler, the RPC forward outcome, the RPC-reply translation,
+//! request handler, the RPC exchange (its answer and which endpoints it
+//! leaves live), the MSG-Dispatcher's reject, the RPC-reply translation,
 //! and the per-destination link machine's connect / write / retry /
 //! give-up policy (the last four rows: a connection lost under a batch, a
 //! dead destination with a backlog, a full queue, a reconnect under
 //! quadrant 3) — so a drift between the two drivers fails here first.
 //!
 //! Where the runtimes still differ on purpose the row says so in `differs`
-//! and pins each side's answer: RPC liveness marks are rt's alone, a full
-//! destination queue is acked and dropped in sim and refused in rt, and a
-//! routing reject is an empty `400` in sim and a SOAP fault in rt (the
-//! last two because a reproduced figure depends on sim's answer).
+//! and pins each side's answer: a full destination queue is acked and
+//! dropped in sim and refused in rt, because Fig. 6 reproduces sim's
+//! answer.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -126,8 +126,6 @@ enum Step {
 enum Expect {
     /// This status, whatever the body.
     Status(u16),
-    /// This status and no body.
-    Empty(u16),
     /// `200` carrying the echo of this text.
     Echo(&'static str),
     /// This status carrying a SOAP fault whose reason contains the text.
@@ -236,6 +234,12 @@ struct Scenario {
     service: Service,
     /// Whether the registry maps `Echo` to `ws:8888`.
     registered: bool,
+    /// `Echo` is a farm whose first endpoint, `ws:1`, has no listener,
+    /// ahead of `ws:8888`.
+    dead_primary: bool,
+    /// How many of `Echo`'s endpoints the registry holds live at the end,
+    /// where the row pins it.
+    live_endpoints: Option<usize>,
     /// The dispatchers' `response_timeout`: the RPC-Dispatcher's wait for
     /// a service's answer, and the threaded MSG-Dispatcher's for each
     /// answer on a destination connection.
@@ -277,6 +281,8 @@ impl Scenario {
             name,
             service: Service::Echo(0),
             registered: true,
+            dead_primary: false,
+            live_endpoints: None,
             response_timeout_ms: 30_000,
             firewalled_client: false,
             thread_per_message: false,
@@ -319,6 +325,7 @@ fn mailbox_lifecycle() -> Vec<(Step, Expect)> {
 fn table() -> Vec<Scenario> {
     let call = Step::Call("hello");
     let timed_out = Expect::Fault(502, "upstream failure: response timed out");
+    let connect_failed = Expect::Fault(502, "upstream failure: connect failed");
     vec![
         Scenario {
             books: Books::rpc(1, 1, 1, 0, 0),
@@ -337,20 +344,33 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             service: Service::Dead,
-            books: Books::rpc(1, 0, 0, 0, 1),
-            differs: &[
-                "rt marks the endpoint whose connect failed down, so a single-endpoint \
-                 service answers 404 from then on; sim's RPC-Dispatcher never touches the \
-                 registry's liveness marks or LeastPending's pending counts",
-            ],
+            live_endpoints: Some(0),
+            books: Books::rpc(2, 0, 0, 1, 1),
+            fixed_here: Some(
+                "sim's RPC-Dispatcher never marked an endpoint down: its second call was \
+                 another 502 where rt's was a 404",
+            ),
             ..Scenario::new(
-                "dead upstream is a 502",
-                vec![(call, Expect::Fault(502, "upstream failure: connect failed"))],
+                "dead upstream is a 502 that marks it down: the next call is a 404",
+                vec![
+                    (call, connect_failed),
+                    (call, Expect::Fault(404, "no live endpoint")),
+                ],
+            )
+        },
+        Scenario {
+            dead_primary: true,
+            live_endpoints: Some(1),
+            books: Books::rpc(2, 1, 1, 0, 1),
+            ..Scenario::new(
+                "a farm whose first endpoint has no listener: 502, then 200 from the live one",
+                vec![(call, connect_failed), (call, Expect::Echo("hello"))],
             )
         },
         Scenario {
             service: Service::Echo(300),
             response_timeout_ms: 50,
+            live_endpoints: Some(1),
             books: Books::rpc(2, 2, 0, 0, 2),
             fixed_here: Some(
                 "rt marked an endpoint down on any upstream failure and nothing marks it \
@@ -448,18 +468,10 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             books: Books::default().msg(0, 0, 0, 0, 1),
-            differs: &[
-                "a rejected one-way message is an empty 400 in sim and error_response's \
-                 SOAP fault in rt: Table 1's quadrant-2 RPC clients are answered by this \
-                 reject thousands of times and are paced by its size, so the simulated \
-                 answer is part of a reproduced result (4 490 failed calls)",
-            ],
+            fixed_here: Some("sim answered an empty 400 where rt answered the fault"),
             ..Scenario::new(
-                "a one-way message with no destination is rejected with 400",
-                vec![(
-                    Step::Unroutable,
-                    Expect::PerRuntime(&Expect::Empty(400), &Expect::Fault(400, "no destination")),
-                )],
+                "a one-way message with no destination is rejected with a 400 fault",
+                vec![(Step::Unroutable, Expect::Fault(400, "no destination"))],
             )
         },
         Scenario {
@@ -715,9 +727,6 @@ impl Expect {
         };
         match *self {
             Expect::Status(status) => assert_eq!(reply.status, status, "{at}: {reply:?}"),
-            Expect::Empty(status) => {
-                assert_eq!((reply.status, reply.body.as_str()), (status, ""), "{at}")
-            }
             Expect::Echo(text) => {
                 assert_eq!(reply.status, 200, "{at}: {reply:?}");
                 let env = Envelope::parse(&reply.body).expect("an envelope");
@@ -827,6 +836,8 @@ trait Runtime {
     ) -> Vec<Reply>;
     /// The books right now, `resident` left at zero.
     fn books(&self) -> Books;
+    /// The registry both dispatchers resolve against.
+    fn registry(&self) -> &Registry;
     /// Bodies POSTed to the client's reply endpoint so far.
     fn delivered(&self) -> Vec<String>;
     /// The echo text of every request a `ClosesAfter` service has read.
@@ -900,6 +911,11 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
         books.mailbox.resident = drain[0].fetched().map_or(0, |got| got.len() as u64);
     }
     assert_eq!(books, want_books, "{at}: books at quiescence");
+    if let Some(want) = row.live_endpoints {
+        let echo = runtime.registry().entry("Echo");
+        let live = echo.map_or(0, |entry| entry.live_endpoints().len());
+        assert_eq!(live, want, "{at}: live endpoints of Echo");
+    }
     assert!(
         settled_at_ms >= row.gives_up_after_ms,
         "{at}: gave up after {settled_at_ms} ms, no retry after the backoff"
@@ -942,6 +958,19 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
         msg.delivered + msg.dropped,
         "{at}: every routed message is written or dropped, once: {msg:?}"
     );
+}
+
+/// The one registry both executors stand a row up with.
+fn registry(row: &Scenario) -> Arc<Registry> {
+    let registry = Arc::new(Registry::new());
+    let mut urls = vec![Url::parse("http://ws:8888/echo").unwrap()];
+    if row.dead_primary {
+        urls.insert(0, Url::parse("http://ws:1/echo").unwrap());
+    }
+    if row.registered {
+        registry.register_many("Echo", urls, None);
+    }
+    registry
 }
 
 /// The one dispatcher configuration both executors stand a row up with.
@@ -1060,6 +1089,7 @@ impl Process for SimClosingService {
 struct SimRuntime {
     sim: Simulation,
     client_host: HostId,
+    registry: Arc<Registry>,
     rpc: RpcCounters,
     msg: MsgCounters,
     mailbox: SimMsgBoxStats,
@@ -1106,10 +1136,7 @@ impl SimRuntime {
             sim.listen(p, WS.1);
         }
 
-        let registry = Arc::new(Registry::new());
-        if row.registered {
-            registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        }
+        let registry = registry(row);
         let config = dispatcher_config(row);
         let rpc = SimRpcDispatcher::new(
             Arc::clone(&registry),
@@ -1120,7 +1147,7 @@ impl SimRuntime {
         let p = sim.spawn(disp_host, Box::new(rpc));
         sim.listen(p, RPC.1);
 
-        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
+        let core = MsgCore::new(Arc::clone(&registry), "http://dispatcher:8080/msg", 21);
         let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), config);
         let msg_stats = msg.stats();
         let p = sim.spawn(disp_host, Box::new(msg));
@@ -1145,6 +1172,7 @@ impl SimRuntime {
         SimRuntime {
             sim,
             client_host,
+            registry,
             rpc: rpc_stats,
             msg: msg_stats,
             mailbox: mailbox_stats,
@@ -1195,6 +1223,10 @@ impl Runtime for SimRuntime {
             },
             msg: msg_books(&self.msg),
         }
+    }
+
+    fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     fn delivered(&self) -> Vec<String> {
@@ -1280,6 +1312,7 @@ fn rt_closing_service(net: &Arc<Network>, service: &Arc<Mutex<ClosingService>>) 
 
 struct RtRuntime {
     net: Arc<Network>,
+    registry: Arc<Registry>,
     ws: Option<EchoServer>,
     rpc: RpcDispatcherServer,
     msg: Arc<MsgDispatcherServer>,
@@ -1325,10 +1358,7 @@ impl RtRuntime {
                 None
             }
         };
-        let registry = Arc::new(Registry::new());
-        if row.registered {
-            registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
-        }
+        let registry = registry(row);
         let config = dispatcher_config(row);
         let rpc = RpcDispatcherServer::start(
             &net,
@@ -1338,7 +1368,7 @@ impl RtRuntime {
             PolicyChain::new(),
             config.clone(),
         );
-        let core = MsgCore::new(registry, "http://dispatcher:8080/msg", 21);
+        let core = MsgCore::new(Arc::clone(&registry), "http://dispatcher:8080/msg", 21);
         let msg = MsgDispatcherServer::start(&net, MSG.0, MSG.1, core, config);
         let mailbox = MsgBoxServer::start(&net, MBOX.0, MBOX.1, msgbox_config(row), 21);
 
@@ -1352,6 +1382,7 @@ impl RtRuntime {
 
         RtRuntime {
             net,
+            registry,
             ws,
             rpc,
             msg,
@@ -1427,6 +1458,10 @@ impl Runtime for RtRuntime {
             },
             msg: msg_books(&self.msg.counters()),
         }
+    }
+
+    fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     fn delivered(&self) -> Vec<String> {
