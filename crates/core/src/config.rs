@@ -54,19 +54,18 @@ impl Default for DispatcherConfig {
     }
 }
 
-/// Dispatcher-tier scale-out configuration.
+/// Dispatcher-tier scale-out configuration, read by the fleets of both
+/// runtimes (`wsd_experiments::fleet::run_fleet`, `rt::FleetDeployment`)
+/// and by no figure runner of the paper's own results.
 ///
-/// The default is a fleet of one: no ring, no replication, no handoff —
-/// every figure runner keeps its original single-dispatcher topology
-/// and output. Raising `instances` shards logical service names across
-/// N dispatcher instances on a seeded consistent-hash ring
-/// ([`wsd_fleet::ShardRing`]), replicates the registry leader →
-/// followers in the PSYNC shape, and arms msgbox ownership handoff for
-/// instance death.
+/// The fleet shards logical service names across `instances` dispatcher
+/// instances on a seeded consistent-hash ring ([`wsd_fleet::ShardRing`]),
+/// replicates the registry leader → followers in the PSYNC shape, and
+/// hands a dead instance's mailbox store to a successor.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Dispatcher instances in the tier. `1` (the default) disables
-    /// every fleet mechanism.
+    /// Dispatcher instances in the tier (default 1: a ring of one, which
+    /// replicates to nobody and has nobody to hand off to).
     pub instances: usize,
     /// Virtual nodes each instance contributes to the hash ring.
     pub vnodes: u32,
@@ -76,17 +75,6 @@ pub struct FleetConfig {
     /// Commands the registry leader retains for follower partial
     /// resync; a follower further behind full-resyncs from a snapshot.
     pub repl_backlog: usize,
-    /// How long a client-side router waits for a deposit ack before
-    /// declaring the instance dead and re-routing via the ring.
-    pub ack_timeout: Duration,
-    /// Instance control-loop cadence: replication catch-up, ring
-    /// gauges, handoff claims.
-    pub control_tick: Duration,
-    /// Admission bound: an instance sheds load (503) once its queued
-    /// CPU or disk backlog exceeds this, keeping ack latency far below
-    /// `ack_timeout` so failure detection never misfires under
-    /// overload.
-    pub max_backlog: Duration,
 }
 
 impl Default for FleetConfig {
@@ -96,19 +84,11 @@ impl Default for FleetConfig {
             vnodes: 64,
             ring_seed: 0xF1EE_7001,
             repl_backlog: 1024,
-            ack_timeout: Duration::from_secs(5),
-            control_tick: Duration::from_millis(250),
-            max_backlog: Duration::from_secs(1),
         }
     }
 }
 
 impl FleetConfig {
-    /// Whether the fleet machinery is disabled (the paper's topology).
-    pub fn single_instance(&self) -> bool {
-        self.instances <= 1
-    }
-
     /// Builds the tier's hash ring with instances `0..instances`.
     pub fn ring(&self) -> wsd_fleet::ShardRing {
         wsd_fleet::ShardRing::with_instances(self.ring_seed, self.vnodes, self.instances as u32)

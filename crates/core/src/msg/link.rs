@@ -125,6 +125,11 @@ impl<M> Link<M> {
         !self.unsent.is_empty()
     }
 
+    /// Messages taken and not finished: unsent, or written and unanswered.
+    pub fn in_flight(&self) -> usize {
+        self.unsent.len() + self.unanswered.len()
+    }
+
     /// Hands the link messages popped off the destination's queue.
     pub fn take(&mut self, msgs: impl IntoIterator<Item = M>) {
         self.unsent.extend(msgs);

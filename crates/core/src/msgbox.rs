@@ -70,10 +70,16 @@ impl MsgBoxStore {
                     .0
             }
         };
+        Self::over(store, config.message_ttl, seed)
+    }
+
+    /// The facade over a store already open (a fleet member's, over the
+    /// disk its successor adopts).
+    pub fn over(store: DurableMsgBox, message_ttl: Duration, seed: u64) -> Self {
         MsgBoxStore {
             store,
             ids: MsgIdGen::new(seed),
-            message_ttl: config.message_ttl,
+            message_ttl,
         }
     }
 

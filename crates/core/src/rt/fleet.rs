@@ -9,21 +9,25 @@
 //! simulated fleet (and the `shard-route-before-enqueue` lint rule)
 //! enforces.
 //!
-//! Ownership handoff of durable mailboxes is modeled on the simulated
-//! runtime (`sim::fleet`), where kills are injectable and virtual
-//! time makes recovery measurable; here [`FleetDeployment::stop_instance`]
-//! reassigns the dead instance's arcs so routing stays total.
+//! Member `n` keeps its durable mailbox on files under `{dir}/i{n}`.
+//! [`FleetDeployment::stop_instance`] shuts a member down and hands its
+//! mailboxes to a successor, as the simulated fleet does: the membership
+//! half is [`HandoffLog::fail_over`], the store half
+//! [`wsd_store::DurableMsgBox::adopt`] of the stopped member's directory.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use wsd_fleet::{InstanceId, ShardRing};
+use wsd_fleet::{Handoff, HandoffLog, InstanceId, ShardRing};
+use wsd_store::{DurableMsgBox, FsStorage, StoreConfig};
+use wsd_telemetry::Scope;
 
-use crate::config::FleetConfig;
+use crate::config::{FleetConfig, MailboxBackend, MsgBoxConfig};
 use crate::registry::Registry;
 use crate::registry_repl::{RegistryFollower, RegistryLeader};
-use crate::rt::{Deployment, Network};
+use crate::rt::{now_us, Deployment, Network};
 use crate::url::Url;
 use crate::WsdError;
 
@@ -52,14 +56,6 @@ impl FleetMember {
     pub fn deployment(&self) -> &Deployment {
         &self.deployment
     }
-
-    /// The member's replication offset (the leader is always current).
-    pub fn repl_offset(&self, leader: &RegistryLeader) -> u64 {
-        match &self.follower {
-            Some(f) => f.offset(),
-            None => leader.offset(),
-        }
-    }
 }
 
 /// N dispatcher instances behind a seeded consistent-hash ring, with
@@ -68,12 +64,26 @@ pub struct FleetDeployment {
     ring: RwLock<ShardRing>,
     leader: Arc<RegistryLeader>,
     members: Vec<Option<FleetMember>>,
+    handoffs: HandoffLog,
+    dir: PathBuf,
+}
+
+/// The directory member `i` keeps its mailboxes in.
+fn member_dir(dir: &Path, i: u32) -> PathBuf {
+    dir.join(format!("i{i}"))
 }
 
 impl FleetDeployment {
     /// Starts `cfg.instances` deployments on hosts `{base}-0` ..
-    /// `{base}-{n-1}`, instance 0 holding the registry leader.
-    pub fn start(net: &Arc<Network>, base_host: &str, cfg: &FleetConfig) -> FleetDeployment {
+    /// `{base}-{n-1}`, instance 0 holding the registry leader. Member `n`
+    /// keeps its durable mailbox under `{dir}/i{n}`, recovering whatever
+    /// a previous run left there.
+    pub fn start(
+        net: &Arc<Network>,
+        base_host: &str,
+        cfg: &FleetConfig,
+        dir: &Path,
+    ) -> FleetDeployment {
         let leader = Arc::new(RegistryLeader::new(
             Arc::new(Registry::new()),
             cfg.repl_backlog,
@@ -87,9 +97,17 @@ impl FleetDeployment {
                     let follower = RegistryFollower::new(Arc::new(Registry::new()));
                     (Arc::clone(follower.registry()), Some(follower))
                 };
+                let backend = MailboxBackend::Durable {
+                    dir: Some(member_dir(dir, i)),
+                    store: StoreConfig::default(),
+                };
                 let deployment = Deployment::builder(net, &host)
                     .registry(registry)
                     .seed(cfg.ring_seed ^ u64::from(i))
+                    .msgbox_config(MsgBoxConfig {
+                        backend,
+                        ..MsgBoxConfig::default()
+                    })
                     .start();
                 Some(FleetMember {
                     id: InstanceId(i),
@@ -103,12 +121,9 @@ impl FleetDeployment {
             ring: RwLock::new(cfg.ring()),
             leader,
             members,
+            handoffs: HandoffLog::new(),
+            dir: dir.to_path_buf(),
         }
-    }
-
-    /// The registry replication leader (instance 0's registry).
-    pub fn leader(&self) -> &RegistryLeader {
-        &self.leader
     }
 
     /// Live members, in instance order.
@@ -120,11 +135,6 @@ impl FleetDeployment {
     /// [`sync`](FleetDeployment::sync).
     pub fn register(&self, logical: &str, url: Url) -> u64 {
         self.leader.register(logical, url)
-    }
-
-    /// Removes a service at the leader.
-    pub fn unregister(&self, logical: &str) -> u64 {
-        self.leader.unregister(logical)
     }
 
     /// One replication tick: every follower tails the leader. Returns
@@ -146,15 +156,42 @@ impl FleetDeployment {
         self.members.get(owner.0 as usize)?.as_ref()
     }
 
-    /// Stops one instance and reassigns its ring arcs, so
-    /// [`route`](FleetDeployment::route) stays total over live members.
-    /// Returns how many arcs moved.
-    pub fn stop_instance(&mut self, id: InstanceId) -> usize {
-        let Some(member) = self.members.get_mut(id.0 as usize).and_then(Option::take) else {
-            return 0;
-        };
+    /// Stops one instance and hands it off: its ring arcs move, so
+    /// [`route`](FleetDeployment::route) stays total over live members,
+    /// and the successor the handoff names adopts its mailbox directory —
+    /// every box under its id and key, every message not yet fetched.
+    /// Returns the completed handoff; `None` if `id` is not a live member
+    /// or was the last one.
+    ///
+    /// Panics if the stopped member's store cannot be opened or adopted,
+    /// as a mailbox whose log cannot be opened does not start.
+    pub fn stop_instance(&mut self, id: InstanceId) -> Option<Handoff> {
+        let member = self.members.get_mut(id.0 as usize).and_then(Option::take)?;
         member.deployment.shutdown();
-        self.ring.write().remove_instance(id).len()
+        let at = self.handoffs.fail_over(self.ring.get_mut(), id, now_us())?;
+        let successor = self.handoffs.get(at).successor;
+        let heir = self.members[successor.0 as usize]
+            .as_ref()
+            .expect("the successor is a live member");
+        let at = self.handoffs.claim_for(successor).expect("announced above");
+        let storage = FsStorage::open(member_dir(&self.dir, id.0))
+            .expect("a stopped member's mailbox directory");
+        let (dead, _) = DurableMsgBox::open(
+            StoreConfig::default(),
+            Box::new(storage),
+            &Scope::noop(),
+            now_us(),
+        )
+        .expect("a stopped member's mailbox log");
+        let moved = heir
+            .deployment
+            .msgbox()
+            .store()
+            .adopt(&dead, now_us())
+            .expect("adopting a stopped member's mailboxes");
+        let recovered = moved.iter().map(|(_, n)| *n as u64).sum();
+        self.handoffs.complete(at, recovered, now_us());
+        Some(self.handoffs.get(at).clone())
     }
 
     /// Stops every member.
@@ -168,7 +205,8 @@ impl FleetDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rt::{rpc_call, EchoServer};
+    use crate::rt::{rpc_call, send_oneway, EchoServer, MailboxClient};
+    use std::collections::HashSet;
     use std::time::Duration;
     use wsd_soap::{rpc, SoapVersion};
 
@@ -179,11 +217,19 @@ mod tests {
         }
     }
 
+    /// A fresh directory for one test's mailboxes.
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wsd-fleet-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn fleet_routes_and_replicates() {
         let net = Network::new();
         let ws = EchoServer::start(&net, "ws", 8888, 2, Duration::ZERO);
-        let mut fleet = FleetDeployment::start(&net, "fleet", &fleet_cfg(3));
+        let dir = temp_dir("routes");
+        let mut fleet = FleetDeployment::start(&net, "fleet", &fleet_cfg(3), &dir);
 
         fleet.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
         fleet.sync().unwrap();
@@ -195,7 +241,6 @@ mod tests {
                 "{} missing Echo",
                 member.host()
             );
-            assert_eq!(member.repl_offset(fleet.leader()), fleet.leader().offset());
         }
 
         // Route, then dispatch at the owner — through its own stack.
@@ -214,8 +259,8 @@ mod tests {
         // Kill the owner: routing must fail over to a live member and
         // keep serving.
         let dead = owner.id();
-        let moved = fleet.stop_instance(dead);
-        assert!(moved > 0, "dead instance owned arcs");
+        let handoff = fleet.stop_instance(dead).expect("a live member hands off");
+        assert_eq!(handoff.dead, dead);
         let successor = fleet.route("Echo").expect("ring still non-empty");
         assert_ne!(successor.id(), dead);
         let resp = rpc_call(
@@ -231,16 +276,68 @@ mod tests {
 
         fleet.shutdown();
         ws.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Mail deposited at a member that is then stopped is polled from its
+    /// successor under the same box id and key: all of it, once each.
+    #[test]
+    fn a_stopped_members_mailboxes_are_polled_at_its_successor() {
+        const N: usize = 25;
+        let net = Network::new();
+        let dir = temp_dir("kill-one");
+        let mut fleet = FleetDeployment::start(&net, "fleet", &fleet_cfg(3), &dir);
+        let owner = fleet.route("Inbox").expect("ring is non-empty");
+        let (dead, port) = (owner.id(), owner.deployment().msgbox_port());
+        let mailbox = MailboxClient::create(&net, owner.host(), port).unwrap();
+        let target = format!("/deposit/{}", mailbox.box_id());
+        for i in 0..N {
+            let env = rpc::echo_request(SoapVersion::V11, &format!("m{i}"));
+            send_oneway(&net, owner.host(), port, &target, &env).unwrap();
+        }
+
+        let handoff = fleet.stop_instance(dead).expect("a live member hands off");
+        assert_eq!(handoff.recovered, N as u64);
+        let heir = fleet
+            .members()
+            .find(|m| m.id() == handoff.successor)
+            .expect("successor is live");
+        let heir = MailboxClient::attach(
+            &net,
+            heir.host(),
+            port,
+            mailbox.box_id(),
+            mailbox.access_key(),
+        );
+        let mut got = Vec::new();
+        loop {
+            let batch = heir.poll(10).expect("the box moved to the successor");
+            if batch.is_empty() {
+                break;
+            }
+            got.extend(batch.iter().map(|env| env.to_xml()));
+        }
+        let distinct: HashSet<&String> = got.iter().collect();
+        assert_eq!((got.len(), distinct.len()), (N, N), "{got:?}");
+
+        fleet.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn single_instance_fleet_is_a_plain_deployment() {
         let net = Network::new();
-        let fleet = FleetDeployment::start(&net, "solo", &fleet_cfg(1));
+        let dir = temp_dir("solo");
+        let mut fleet = FleetDeployment::start(&net, "solo", &fleet_cfg(1), &dir);
         fleet.register("Svc", Url::parse("http://ws:1/x").unwrap());
         assert_eq!(fleet.sync().unwrap(), 0, "no followers to catch up");
         let owner = fleet.route("Svc").unwrap();
         assert_eq!(owner.id(), InstanceId(0));
+        assert!(
+            fleet.stop_instance(InstanceId(0)).is_none(),
+            "nobody to hand off to"
+        );
         fleet.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -18,7 +18,7 @@ pub mod msgbox;
 pub mod rpc_dispatcher;
 
 pub use echo::{EchoMode, EchoStats, SimEchoService};
-pub use fleet::{run_fleet, FleetOutcome, FleetParams, HandoffReport};
+pub use fleet::{kill_fleet_instance, FleetShared, SimFleetInstance};
 pub use msg_dispatcher::SimMsgDispatcher;
 pub use msgbox::{SimMsgBox, SimMsgBoxStats};
 pub use rpc_dispatcher::SimRpcDispatcher;

@@ -302,14 +302,15 @@ fn json_connwall(o: &connwall::ConnWallOutcome) -> String {
     )
 }
 
-fn json_fleet(rows: &[fleet::FleetScaleRow], f: &fleet::FailoverOutcome) -> String {
+fn json_fleet(rows: &[fleet::FleetOutcome], seconds: u64, f: &fleet::FleetOutcome) -> String {
     let rows: Vec<String> = rows
         .iter()
         .map(|r| {
+            let per_sec = r.delivered as f64 / seconds as f64;
             format!(
                 "{{\"instances\":{},\"generated\":{},\"acked\":{},\"shed\":{},\
-                 \"delivered\":{},\"delivered_per_sec\":{:.1}}}",
-                r.instances, r.generated, r.acked, r.shed, r.delivered, r.delivered_per_sec
+                 \"delivered\":{},\"delivered_per_sec\":{per_sec:.1}}}",
+                r.instances, r.generated, r.acked, r.shed, r.delivered
             )
         })
         .collect();
@@ -319,7 +320,7 @@ fn json_fleet(rows: &[fleet::FleetScaleRow], f: &fleet::FailoverOutcome) -> Stri
          \"resent\":{},\"rebalance_latency_us\":{}}}}}",
         rows.join(","),
         f.instances,
-        f.killed,
+        fleet::FAILOVER_VICTIM,
         f.acked,
         f.delivered,
         f.acked_lost,
@@ -420,11 +421,12 @@ fn main() {
         } else {
             fleet::INSTANCE_COUNTS
         };
-        let rows = fleet::run_scaling(opts.seconds.min(30), counts, fleet::SCALING_CLIENTS);
-        fleet::print(&rows);
+        let seconds = opts.seconds.min(30);
+        let rows = fleet::run_scaling(seconds, counts, fleet::SCALING_CLIENTS);
+        fleet::print(&rows, seconds);
         let failover = fleet::run_failover(opts.seconds.clamp(4, 30));
         fleet::print_failover(&failover);
-        json_figures.push(("fleet", json_fleet(&rows, &failover)));
+        json_figures.push(("fleet", json_fleet(&rows, seconds, &failover)));
         println!();
     }
     if let Some(path) = &opts.json {

@@ -6,16 +6,16 @@
 //! ledger tracks each handoff through a small state machine:
 //!
 //! ```text
-//! Announced ──begin_recovery──▶ Recovering ──complete──▶ Complete
+//! Announced ──claim_for──▶ Recovering ──complete──▶ Complete
 //! ```
 //!
-//! `Announced` marks the membership change (the ring has already
-//! reassigned the arcs); `Recovering` means the successor has opened
-//! the dead instance's store and is draining it; `Complete` records how
-//! many messages were recovered and when — the announce→complete span
-//! is the rebalance latency `experiments --fleet` reports.
+//! `Announced` marks the membership change ([`HandoffLog::fail_over`]:
+//! the ring has already reassigned the arcs); `Recovering` means the
+//! successor is adopting the dead instance's store; `Complete` records
+//! how many messages were recovered and when — the announce→complete
+//! span is the rebalance latency `experiments --fleet` reports.
 
-use crate::ring::{HandoffRange, InstanceId};
+use crate::ring::{InstanceId, ShardRing};
 
 /// Phase of one ownership handoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +23,7 @@ pub enum HandoffState {
     /// The death is known and the ring reassigned; nobody has opened
     /// the orphaned store yet.
     Announced,
-    /// The successor is replaying/draining the orphaned store.
+    /// The successor is adopting the orphaned store.
     Recovering,
     /// All recoverable messages are back in flight.
     Complete,
@@ -36,8 +36,6 @@ pub struct Handoff {
     pub dead: InstanceId,
     /// The instance adopting its durable mailbox.
     pub successor: InstanceId,
-    /// The ring arcs that changed owner.
-    pub ranges: Vec<HandoffRange>,
     state: HandoffState,
     /// Virtual/wall microseconds when the death was announced.
     pub started_at_us: u64,
@@ -72,24 +70,31 @@ impl HandoffLog {
         HandoffLog::default()
     }
 
-    /// Records an instance death; returns the handoff's index.
-    pub fn announce(
+    /// Records a member's death, the membership half of failure handling
+    /// and one function for both runtimes: drops `dead` from `ring`, names
+    /// the next member after it (by id, wrapping) as its successor and
+    /// announces the handoff; returns its index. `None` if `dead` is not a
+    /// member or was the last one — nobody is left to adopt its store.
+    pub fn fail_over(
         &mut self,
+        ring: &mut ShardRing,
         dead: InstanceId,
-        successor: InstanceId,
-        ranges: Vec<HandoffRange>,
         now_us: u64,
-    ) -> usize {
+    ) -> Option<usize> {
+        if !ring.remove_instance(dead) {
+            return None;
+        }
+        let members = ring.members();
+        let successor = *members.iter().find(|m| m.0 > dead.0).or(members.first())?;
         self.entries.push(Handoff {
             dead,
             successor,
-            ranges,
             state: HandoffState::Announced,
             started_at_us: now_us,
             completed_at_us: None,
             recovered: 0,
         });
-        self.entries.len() - 1
+        Some(self.entries.len() - 1)
     }
 
     /// The first announced-but-unclaimed handoff assigned to
@@ -145,8 +150,10 @@ impl HandoffLog {
 mod tests {
     use super::*;
 
+    /// Instance 1 of three dies; instance 2 is its successor.
     fn announce_one(log: &mut HandoffLog) -> usize {
-        log.announce(InstanceId(1), InstanceId(2), Vec::new(), 1_000)
+        let mut ring = ShardRing::with_instances(7, 16, 3);
+        log.fail_over(&mut ring, InstanceId(1), 1_000).unwrap()
     }
 
     #[test]
@@ -181,6 +188,30 @@ mod tests {
         let mut log = HandoffLog::new();
         let at = announce_one(&mut log);
         log.complete(at, 0, 2_000);
+    }
+
+    #[test]
+    fn fail_over_hands_a_dead_member_to_the_next_one_by_id() {
+        let mut ring = ShardRing::with_instances(7, 16, 4);
+        let mut log = HandoffLog::new();
+        let at = log.fail_over(&mut ring, InstanceId(1), 10).unwrap();
+        let h = log.get(at);
+        assert_eq!(
+            (h.dead, h.successor, h.started_at_us),
+            (InstanceId(1), InstanceId(2), 10)
+        );
+        assert!(!ring.contains(InstanceId(1)));
+        // Past the highest id it wraps; a non-member hands nothing off.
+        let at = log.fail_over(&mut ring, InstanceId(3), 11).unwrap();
+        assert_eq!(log.get(at).successor, InstanceId(0));
+        assert_eq!(log.fail_over(&mut ring, InstanceId(3), 12), None);
+        log.fail_over(&mut ring, InstanceId(2), 13).unwrap();
+        assert_eq!(
+            log.fail_over(&mut ring, InstanceId(0), 14),
+            None,
+            "the last member"
+        );
+        assert_eq!(log.in_flight(), 3);
     }
 
     #[test]

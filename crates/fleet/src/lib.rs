@@ -32,4 +32,4 @@ pub mod ring;
 
 pub use handoff::{Handoff, HandoffLog, HandoffState};
 pub use replog::{Admit, FollowerCursor, ReplLog};
-pub use ring::{HandoffRange, InstanceId, ShardRing};
+pub use ring::{InstanceId, ShardRing};

@@ -26,21 +26,6 @@ impl std::fmt::Display for InstanceId {
     }
 }
 
-/// One arc of hash space that changed owner after a membership change:
-/// keys hashing into `(start, end]` (wrapping past `u64::MAX`) moved
-/// from `from` to `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HandoffRange {
-    /// Exclusive lower bound of the arc.
-    pub start: u64,
-    /// Inclusive upper bound (the removed virtual node's point).
-    pub end: u64,
-    /// The instance that owned the arc.
-    pub from: InstanceId,
-    /// The instance that owns it now.
-    pub to: InstanceId,
-}
-
 /// SplitMix64 finalizer: cheap, deterministic, well-mixed.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -122,38 +107,15 @@ impl ShardRing {
         true
     }
 
-    /// Removes an instance, returning the arcs that changed owner (one
-    /// per removed virtual node; empty if the instance was not a member
-    /// or the ring is empty afterwards).
-    pub fn remove_instance(&mut self, id: InstanceId) -> Vec<HandoffRange> {
+    /// Removes an instance's virtual nodes: each of its arcs now belongs
+    /// to the next surviving point. Returns `false` (and changes nothing)
+    /// if it was not a member.
+    pub fn remove_instance(&mut self, id: InstanceId) -> bool {
         if !self.members.remove(&id) {
-            return Vec::new();
+            return false;
         }
-        let old = std::mem::take(&mut self.points);
-        self.points = old.iter().copied().filter(|&(_, o)| o != id).collect();
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let mut moved = Vec::new();
-        for (i, &(p, owner)) in old.iter().enumerate() {
-            if owner != id {
-                continue;
-            }
-            // The arc this point owned runs from its predecessor
-            // (exclusive) to the point itself (inclusive); every key in
-            // it now maps to the first surviving point past `p`.
-            let start = old[(i + old.len() - 1) % old.len()].0;
-            let to = self
-                .owner_of_point(p.wrapping_add(1))
-                .expect("ring is non-empty");
-            moved.push(HandoffRange {
-                start,
-                end: p,
-                from: id,
-                to,
-            });
-        }
-        moved
+        self.points.retain(|&(_, owner)| owner != id);
+        true
     }
 
     /// Hashes a logical name onto the circle.
@@ -306,9 +268,7 @@ mod tests {
                 (n, o)
             })
             .collect();
-        let moved = ring.remove_instance(InstanceId(2));
-        assert!(!moved.is_empty());
-        assert!(moved.iter().all(|r| r.from == InstanceId(2)));
+        assert!(ring.remove_instance(InstanceId(2)));
         for (name, old_owner) in before {
             let new_owner = ring.owner_of(&name).unwrap();
             if old_owner == InstanceId(2) {
@@ -320,48 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn handoff_ranges_cover_exactly_the_moved_keys() {
-        let mut ring = ShardRing::with_instances(11, 32, 3);
-        let probe: Vec<(u64, InstanceId)> = (0..5000u64)
-            .map(|i| {
-                let h = ring.key_point(&format!("k{i}"));
-                (h, ring.owner_of_point(h).unwrap())
-            })
-            .collect();
-        let moved = ring.remove_instance(InstanceId(1));
-        let in_range = |h: u64, r: &HandoffRange| {
-            if r.start < r.end {
-                h > r.start && h <= r.end
-            } else {
-                // wrapping arc
-                h > r.start || h <= r.end
-            }
-        };
-        for (h, old_owner) in probe {
-            let covering: Vec<&HandoffRange> =
-                moved.iter().filter(|r| in_range(h, r)).collect();
-            if old_owner == InstanceId(1) {
-                assert_eq!(covering.len(), 1, "point {h:#x} covered {covering:?}");
-                assert_eq!(
-                    ring.owner_of_point(h).unwrap(),
-                    covering[0].to,
-                    "range promises the wrong successor"
-                );
-            } else {
-                assert!(covering.is_empty(), "unmoved point {h:#x} in {covering:?}");
-            }
-        }
-    }
-
-    #[test]
     fn add_then_remove_restores_the_layout() {
         let mut ring = ShardRing::with_instances(5, 48, 3);
-        let before: Vec<Option<InstanceId>> =
-            names(400).iter().map(|n| ring.owner_of(n)).collect();
+        let before: Vec<Option<InstanceId>> = names(400).iter().map(|n| ring.owner_of(n)).collect();
         ring.add_instance(InstanceId(9));
         ring.remove_instance(InstanceId(9));
-        let after: Vec<Option<InstanceId>> =
-            names(400).iter().map(|n| ring.owner_of(n)).collect();
+        let after: Vec<Option<InstanceId>> = names(400).iter().map(|n| ring.owner_of(n)).collect();
         assert_eq!(before, after);
     }
 
@@ -371,7 +295,7 @@ mod tests {
         assert_eq!(ring.owned_fraction(InstanceId(0)), 1.0);
         assert_eq!(ring.owned_ranges(InstanceId(0)), 1);
         assert_eq!(ring.owner_of("anything"), Some(InstanceId(0)));
-        assert!(ring.remove_instance(InstanceId(0)).is_empty());
+        assert!(ring.remove_instance(InstanceId(0)));
         assert_eq!(ring.owner_of("anything"), None);
     }
 
@@ -379,7 +303,7 @@ mod tests {
     fn double_add_and_foreign_remove_are_noops() {
         let mut ring = ShardRing::with_instances(3, 16, 2);
         assert!(!ring.add_instance(InstanceId(0)));
-        assert!(ring.remove_instance(InstanceId(7)).is_empty());
+        assert!(!ring.remove_instance(InstanceId(7)));
         assert_eq!(ring.len(), 2);
     }
 }

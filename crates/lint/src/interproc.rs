@@ -670,7 +670,7 @@ impl Hub {
     fn enqueue_fleet(&self, i: u32, svc: &str, body: &str) {}
 }
 "#;
-        let (f, _) = run_on(&[("crates/core/src/sim/fleet.rs", src)]);
+        let (f, _) = run_on(&[("crates/experiments/src/fleet.rs", src)]);
         assert!(f.iter().all(|x| x.rule != "shard-route-before-enqueue"), "{f:?}");
     }
 
@@ -685,7 +685,7 @@ impl Hub {
     fn enqueue_fleet(&self, i: u32, svc: &str, body: &str) {}
 }
 "#;
-        let (f, _) = run_on(&[("crates/core/src/sim/fleet.rs", src)]);
+        let (f, _) = run_on(&[("crates/experiments/src/fleet.rs", src)]);
         let r: Vec<_> = f
             .iter()
             .filter(|x| x.rule == "shard-route-before-enqueue")
@@ -710,12 +710,12 @@ impl Hub {
     fn shard_route(&self, svc: &str) -> u32 { 0 }
 }
 "#;
-        let (f, _) = run_on(&[("crates/core/src/sim/fleet.rs", src)]);
+        let (f, _) = run_on(&[("crates/experiments/src/fleet.rs", src)]);
         assert!(f.iter().all(|x| x.rule != "shard-route-before-enqueue"), "{f:?}");
     }
 
     #[test]
-    fn fleet_enqueue_outside_core_is_out_of_scope() {
+    fn fleet_enqueue_outside_experiments_is_out_of_scope() {
         let src = "struct H;\nimpl H {\n    fn f(&self) { self.enqueue_fleet(0); }\n    fn enqueue_fleet(&self, i: u32) {}\n}\n";
         let (f, _) = run_on(&[("crates/netsim/src/h.rs", src)]);
         assert!(f.iter().all(|x| x.rule != "shard-route-before-enqueue"));

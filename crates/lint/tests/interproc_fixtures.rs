@@ -59,7 +59,7 @@ fn seeded_graph_violations_are_all_caught_exactly() {
 
     let shard = by_rule(&wa.findings, "shard-route-before-enqueue");
     assert_eq!(shard.len(), 1, "{:#?}", wa.findings);
-    assert_eq!(shard[0].file, "crates/core/src/sim/fleet_hub.rs");
+    assert_eq!(shard[0].file, "crates/experiments/src/fleet_hub.rs");
     assert!(
         shard[0]
             .witness

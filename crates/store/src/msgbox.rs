@@ -559,6 +559,61 @@ impl DurableMsgBox {
         Ok(out)
     }
 
+    /// Adopts a dead member's store: every box of `dead` is recreated here
+    /// with its id, key and tenant (or merged into the box here with that
+    /// id and key), every message it still queues — acknowledged to its
+    /// depositor, never fetched — is deposited here, keeping its expiry,
+    /// and only then is it acked in `dead`. Each step is durable before the
+    /// next begins, so after a crash part-way the rest is still unacked in
+    /// `dead` and adopting it again completes the move: adoption can
+    /// duplicate a message, never lose one. Messages that expire together
+    /// share one durability barrier. An id that exists here under another
+    /// key is [`StoreError::WrongKey`], and nothing of that box moves.
+    /// Returns how many messages each box that held mail gave up, in id
+    /// order.
+    pub fn adopt(&self, dead: &DurableMsgBox, now: u64) -> Result<Vec<(String, usize)>, StoreError> {
+        let boxes = boxes_snapshot(&dead.inner.lock());
+        let mut moved = Vec::new();
+        for (id, key, tenant, created_at) in boxes {
+            let same_key = self.inner.lock().boxes.get(&id).map(|b| b.key == key);
+            match same_key {
+                Some(false) => return Err(StoreError::WrongKey),
+                Some(true) => {}
+                None => self.create(&id, &key, &tenant, created_at)?,
+            }
+            let queued = dead.queued(&id, now)?;
+            for run in queued.chunk_by(|a, b| a.expires_at == b.expires_at) {
+                let bodies = run.iter().map(|m| (id.as_str(), m.body.clone()));
+                let stored = self.deposit_batch(bodies, now, run[0].expires_at);
+                stored.into_iter().collect::<Result<(), _>>()?;
+            }
+            if !queued.is_empty() {
+                dead.fetch(&id, &key, queued.len(), now)?;
+                moved.push((id, queued.len()));
+            }
+        }
+        Ok(moved)
+    }
+
+    /// Everything box `id` queues at `now`, bodies read back; nothing
+    /// leaves the box.
+    fn queued(&self, id: &str, now: u64) -> Result<Vec<FetchedMessage>, StoreError> {
+        let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        let mbox = inner.boxes.get_mut(id).ok_or(StoreError::NoSuchBox)?;
+        mbox.prune(now, &mut inner.books);
+        let queued = mbox.queue.iter().map(|m| {
+            let body = match &m.cached {
+                Some(body) => body.clone(),
+                None => self.read_spilled(m)?,
+            };
+            Ok(FetchedMessage { body, received_at: m.received_at, expires_at: m.expires_at })
+        });
+        let queued = queued.collect();
+        self.update_gauges(inner);
+        queued
+    }
+
     fn read_spilled(&self, m: &MsgRef) -> Result<String, StoreError> {
         let wal = self.wal.as_ref().expect("only a store with a log spills");
         let bytes = wal.read_at(m.seg_base, m.body_off, m.body_len)?;
@@ -1158,6 +1213,84 @@ mod tests {
         assert_eq!(got, (25..31).map(body).collect::<Vec<_>>());
         drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn adopt_moves_every_unfetched_body_and_acks_it_in_the_dead_store() {
+        let (dead_disk, live_disk) = (MemStorage::new(), MemStorage::new());
+        let cfg = StoreConfig {
+            memory_budget_bytes: 4, // the dead store spilled some bodies
+            ..config()
+        };
+        let dead = open(&dead_disk, cfg, 0);
+        dead.create("svc-a", "k", "acme", 1).unwrap();
+        dead.create("svc-b", "k", "acme", 2).unwrap();
+        dead.create("empty", "k", "acme", 3).unwrap();
+        dead.deposit("svc-a", "a1".into(), 10, 1_000).unwrap();
+        dead.deposit("svc-a", "a2-spilled".into(), 11, 2_000).unwrap();
+        dead.deposit("svc-a", "a3".into(), 12, 3_000).unwrap();
+        dead.deposit("svc-b", "b1".into(), 13, 4_000).unwrap();
+        dead.fetch("svc-a", "k", 1, 20).unwrap(); // a1 was delivered already
+        // The live store has its own mail in a box of the same id and key.
+        let live = open(&live_disk, config(), 0);
+        live.create("svc-b", "k", "acme", 5).unwrap();
+        live.deposit("svc-b", "b0".into(), 6, 5_000).unwrap();
+
+        let moved = live.adopt(&dead, 30).unwrap();
+        assert_eq!(moved, [("svc-a".to_string(), 2), ("svc-b".to_string(), 1)]);
+        assert_eq!(live.box_count(), 3, "the empty box is recreated too");
+        assert_eq!(live.age("svc-a", 30), Some(29), "the box keeps its creation time");
+        drop(dead);
+        assert_eq!(open(&dead_disk, config(), 30).len("svc-a", 30), Ok(0), "acked in the dead store");
+        // Moved durably, each keeping its expiry; deposited at adoption.
+        drop(live);
+        let live = open(&live_disk, config(), 30);
+        let got = live.fetch("svc-a", "k", 10, 30).unwrap();
+        assert_eq!(
+            got.iter().map(|m| (m.body.as_str(), m.received_at, m.expires_at)).collect::<Vec<_>>(),
+            [("a2-spilled", 30, 2_000), ("a3", 30, 3_000)]
+        );
+        assert_eq!(bodies(live.fetch("svc-b", "k", 10, 30).unwrap()), ["b0", "b1"]);
+        // Expiry still applies: nothing adopted outlives its time.
+        let dead = open(&MemStorage::new(), config(), 0);
+        dead.create("svc-c", "k", "acme", 0).unwrap();
+        dead.deposit("svc-c", "short".into(), 0, 100).unwrap();
+        assert!(live.adopt(&dead, 100).unwrap().is_empty());
+        assert_eq!(live.tenant_bytes("acme"), 0);
+    }
+
+    #[test]
+    fn adopting_a_box_held_under_another_key_is_refused() {
+        let dead = open(&MemStorage::new(), config(), 0);
+        dead.create("svc", "k-dead", "t", 0).unwrap();
+        dead.deposit("svc", "m".into(), 0, u64::MAX).unwrap();
+        let live = open(&MemStorage::new(), config(), 0);
+        live.create("svc", "k-live", "t", 0).unwrap();
+        assert_eq!(live.adopt(&dead, 1), Err(StoreError::WrongKey));
+        assert_eq!(live.len("svc", 1), Ok(0));
+        assert_eq!(dead.len("svc", 1), Ok(1), "nothing left the dead store");
+    }
+
+    /// A crash after the bodies are stored here but before the dead store
+    /// acks them leaves them in both: the next adoption duplicates them.
+    #[test]
+    fn a_crash_mid_adoption_duplicates_and_loses_nothing() {
+        let dead_disk = MemStorage::new();
+        let dead = open(&dead_disk, config(), 0);
+        dead.create("svc", "k", "t", 0).unwrap();
+        for i in 0..3 {
+            dead.deposit("svc", format!("m{i}"), i, u64::MAX).unwrap();
+        }
+        // The dead store's disk as it stands before the adoption's ack.
+        let before_ack = dead_disk.fork();
+        let live_disk = MemStorage::new();
+        let live = open(&live_disk, config(), 0);
+        live.adopt(&dead, 5).unwrap();
+        drop(live);
+        let live = open(&live_disk, config(), 6);
+        assert_eq!(live.adopt(&open(&before_ack, config(), 6), 6).unwrap(), [("svc".to_string(), 3)]);
+        let got = bodies(live.fetch("svc", "k", 10, 7).unwrap());
+        assert_eq!(got, ["m0", "m1", "m2", "m0", "m1", "m2"]);
     }
 
     #[test]
