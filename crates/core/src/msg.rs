@@ -433,7 +433,7 @@ impl MsgCore {
                     .ok()
                     .and_then(|h| h.message_id)
                     .unwrap_or_default();
-                wsd_xml::write_element_into(&envelope.to_element(), out);
+                envelope.write_into(out);
                 Ok(RoutedMeta::Forward {
                     to,
                     logical,
@@ -445,7 +445,7 @@ impl MsgCore {
                     .ok()
                     .and_then(|h| h.message_id)
                     .map(Cow::Owned);
-                wsd_xml::write_element_into(&envelope.to_element(), out);
+                envelope.write_into(out);
                 Ok(RoutedMeta::Reply { to, message_id })
             }
         }

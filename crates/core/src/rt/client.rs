@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use wsd_http::{HttpClient, Request, Status};
+use wsd_http::{HttpClient, Request, Response, Status};
 use wsd_soap::{Envelope, SoapVersion};
 
 use crate::error::WsdError;
@@ -23,6 +23,20 @@ pub fn rpc_call(
     env: &Envelope,
     response_timeout: Option<Duration>,
 ) -> Result<Envelope, WsdError> {
+    let resp = exchange(net, host, port, target, env, response_timeout)?;
+    Envelope::parse(&resp.body_utf8()).map_err(WsdError::from)
+}
+
+/// One POST of `env` on a connection of its own, up to the HTTP
+/// response, whose body is left unparsed.
+fn exchange(
+    net: &Arc<Network>,
+    host: &str,
+    port: u16,
+    target: &str,
+    env: &Envelope,
+    response_timeout: Option<Duration>,
+) -> Result<Response, WsdError> {
     let stream = net
         .connect(host, port)
         .map_err(|e| WsdError::Rejected(format!("connect failed: {e}")))?;
@@ -39,10 +53,9 @@ pub fn rpc_call(
         env.to_xml().into_bytes(),
     );
     req.headers.set("Connection", "close");
-    let resp = client
+    client
         .call(&req)
-        .map_err(|e| WsdError::Rejected(format!("call failed: {e}")))?;
-    Envelope::parse(&resp.body_utf8()).map_err(WsdError::from)
+        .map_err(|e| WsdError::Rejected(format!("call failed: {e}")))
 }
 
 /// Sends a one-way message; succeeds on `202 Accepted`.
@@ -53,20 +66,7 @@ pub fn send_oneway(
     target: &str,
     env: &Envelope,
 ) -> Result<(), WsdError> {
-    let stream = net
-        .connect(host, port)
-        .map_err(|e| WsdError::Rejected(format!("connect failed: {e}")))?;
-    let mut client = HttpClient::new(stream);
-    let mut req = Request::soap_post(
-        &format!("{host}:{port}"),
-        target,
-        env.version.content_type(),
-        env.to_xml().into_bytes(),
-    );
-    req.headers.set("Connection", "close");
-    let resp = client
-        .call(&req)
-        .map_err(|e| WsdError::Rejected(format!("send failed: {e}")))?;
+    let resp = exchange(net, host, port, target, env, None)?;
     if resp.status == Status::ACCEPTED {
         Ok(())
     } else {
@@ -152,8 +152,12 @@ impl MailboxClient {
     /// mailbox, and `/deposit/<id>` stores whatever bytes it is sent, so
     /// a body that does not parse is skipped — failing here would lose
     /// every good reply picked up with it.
+    ///
+    /// The bodies are scanned out of the answer in place
+    /// ([`ops::fetched_bodies`]); only an answer framed otherwise — a
+    /// fault, a foreign server — is read as a tree.
     pub fn poll(&self, max: usize) -> Result<Vec<Envelope>, WsdError> {
-        let resp = rpc_call(
+        let resp = exchange(
             &self.net,
             &self.host,
             self.port,
@@ -161,13 +165,13 @@ impl MailboxClient {
             &ops::fetch(SoapVersion::V11, &self.box_id, &self.key, max),
             Some(Duration::from_secs(10)),
         )?;
-        if let Some(f) = resp.as_fault() {
-            return Err(WsdError::Rejected(f.reason.clone()));
-        }
-        let bodies = ops::parse_fetch_response(&resp)
-            .ok_or(WsdError::Soap(wsd_soap::SoapError::BadRpc(
-                "malformed fetchResponse",
-            )))?;
+        let text = resp.body_utf8();
+        let Some(bodies) = ops::fetched_bodies(&text) else {
+            return Err(match Envelope::parse(&text)?.as_fault() {
+                Some(f) => WsdError::Rejected(f.reason.clone()),
+                None => WsdError::Soap(wsd_soap::SoapError::BadRpc("malformed fetchResponse")),
+            });
+        };
         Ok(bodies
             .iter()
             .filter_map(|b| Envelope::parse(b).ok())

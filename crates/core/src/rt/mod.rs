@@ -50,9 +50,7 @@ pub fn now_us() -> u64 {
 }
 
 /// Sets glibc's `malloc` up for a thread-per-stage runtime, once per
-/// process; any other allocator is left alone. Two of its defaults made
-/// one program run at different speeds from one process to the next
-/// (DESIGN §7b):
+/// process; any other allocator is left alone (DESIGN §7b):
 ///
 /// * Arenas are capped at eight per core and the threads past the cap
 ///   share, by the order in which they first allocate. The paper's pools
@@ -64,10 +62,10 @@ pub fn now_us() -> u64 {
 /// * A block above 128 KiB gets a mapping of its own and a freed heap
 ///   top goes back to the kernel, and both thresholds then move up to
 ///   the largest mapped block freed so far. A 64-message mailbox fetch
-///   is five or six buffers of ≈ 300 KB on each call, so whether each
-///   cost a map, an unmap and a fault per page depended on which sizes
-///   had been freed in which order: 30 000 or 39 000 messages/s through
-///   one fetch path. Set above any buffer a body within
+///   still needs four buffers of ≈ 300 KB (the written answer, the
+///   server's wire bytes, the client's read buffer and its body), and
+///   left to glibc they cost a sixth of pick-up (48 000 against 40 000
+///   messages/s). Set above any buffer a body within
 ///   [`wsd_http::Limits`] needs, both stay where they are.
 fn settle_allocator() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]

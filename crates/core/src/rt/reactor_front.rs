@@ -22,7 +22,8 @@ use std::sync::{Arc, OnceLock};
 
 use wsd_concurrent::{Pump, Reactor, ReactorConn, ThreadPool, Wakeup};
 use wsd_http::{
-    response_bytes_into, Limits, PipeStream, ReadyStream, Request, RequestParser, Response,
+    response_bytes_into, response_len, Limits, PipeStream, ReadyStream, Request, RequestParser,
+    Response,
 };
 use wsd_telemetry::Scope;
 
@@ -142,7 +143,10 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
         }
         let asked = run.len();
         let responses = (self.handler)(run);
+        // Sized once: a fetch's one response is hundreds of KB, on a
+        // connection that has never answered before.
         self.wire.clear();
+        self.wire.reserve(responses.iter().map(response_len).sum());
         for resp in &responses {
             response_bytes_into(&mut self.wire, resp);
         }

@@ -36,6 +36,7 @@
 //! backlog passes [`MAX_BACKLOG`], which keeps answers far inside a
 //! client's failure detector, so overload never masquerades as death.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -45,7 +46,7 @@ use std::time::Duration;
 use wsd_fleet::{HandoffLog, InstanceId, ShardRing};
 use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, ProcId, Process, SimDuration, Simulation};
-use wsd_soap::{Envelope, SoapVersion};
+use wsd_soap::SoapVersion;
 use wsd_store::{DurableMsgBox, MemStorage, StoreConfig, SyncMode, WalConfig};
 use wsd_telemetry::{Counter, Gauge, Scope};
 
@@ -399,10 +400,12 @@ impl SimFleetInstance {
             env.into_bytes(),
         );
         let answer = serve_run(&self.store, &self.tele.mailbox, [req], now_us);
-        let env = answer
+        answer
             .first()
-            .and_then(|r| Envelope::parse(&r.body_utf8()).ok());
-        env.and_then(|env| ops::parse_fetch_response(&env))
+            .and_then(|r| {
+                ops::fetched_bodies(&r.body_utf8())
+                    .map(|b| b.into_iter().map(Cow::into_owned).collect())
+            })
             .unwrap_or_default()
     }
 

@@ -6,15 +6,14 @@
 //! destination `Url`) and a forward 15 (logical/physical URL naming plus
 //! the route record). A counting global allocator holds those figures as
 //! ceilings: a `format!`, `to_string()` or fresh `Vec` slipped into the
-//! splice path fails this test on the next `cargo test`.
-//!
-//! One test per binary on purpose: the allocator is process-global, and
-//! the count is kept per thread so the harness's own threads cannot
-//! perturb it.
+//! splice path fails this test on the next `cargo test`. (The counting
+//! allocator and its one-test-per-binary rule: `counting/mod.rs`.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
+
 use std::sync::Arc;
+
+use counting::count;
 
 use wsd_core::{MsgCore, Registry, Url};
 use wsd_soap::{rpc, SoapVersion};
@@ -23,54 +22,6 @@ use wsd_wsa::{EndpointReference, WsaHeaders};
 /// Steady-state ceilings, allocations per `route_raw_into` call.
 const REPLY_BUDGET: u64 = 2;
 const FORWARD_BUDGET: u64 = 15;
-
-thread_local! {
-    /// Heap acquisitions (alloc, alloc_zeroed, realloc) by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn tally() {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread's locals are gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every operation delegates to `System` unchanged; only a
-// const-initialised, destructor-free thread-local counter is layered on
-// top, so counting itself never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
-        // SAFETY: forwarded with the caller's layout, unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
-        // SAFETY: forwarded with the caller's layout, unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations this thread performs while running `f`.
-fn count(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
 
 const DISPATCHER: &str = "http://dispatcher/msg";
 

@@ -35,8 +35,8 @@ pub use incremental::RequestParser;
 pub use message::{Headers, Method, Request, Response, Status, Version};
 pub use parse::{parse_request_bytes, parse_response_bytes, MessageReader};
 pub use serialize::{
-    request_bytes, request_bytes_into, response_bytes, response_bytes_into, write_request,
-    write_response,
+    request_bytes, request_bytes_into, response_bytes, response_bytes_into, response_len,
+    write_request, write_response,
 };
 pub use stream::{duplex, PipeStream, ReadyStream, ShutdownHandle, Stream, WakeHook};
 

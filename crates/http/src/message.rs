@@ -1,5 +1,7 @@
 //! Owned HTTP message model.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 
 /// HTTP protocol version.
@@ -222,14 +224,33 @@ impl Request {
         keep_alive(self.version, self.headers.get("connection"))
     }
 
-    /// The body as UTF-8, lossily.
-    pub fn body_utf8(&self) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(&self.body)
+    /// The body as UTF-8, lossily: borrowed unless it is not UTF-8.
+    pub fn body_utf8(&self) -> Cow<'_, str> {
+        utf8_lossy(&self.body)
     }
 
     /// The body as UTF-8, borrowed — no copy, `None` when not UTF-8.
     pub fn body_str(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
+    }
+
+    /// The body as an owned `String`, lossily: the body's own buffer when
+    /// this request holds its only handle and it is UTF-8, a copy
+    /// otherwise. The bytes are those [`body_utf8`](Self::body_utf8)
+    /// reads.
+    pub fn into_body_string(self) -> String {
+        String::from_utf8(self.body.into_vec())
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+}
+
+/// `String::from_utf8_lossy`, with the validating fast path first: the
+/// lossy walk is several times slower on the valid bodies every
+/// exchange carries, and returns the same borrow for them.
+fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
     }
 }
 
@@ -280,9 +301,9 @@ impl Response {
         keep_alive(self.version, self.headers.get("connection"))
     }
 
-    /// The body as UTF-8, lossily.
-    pub fn body_utf8(&self) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(&self.body)
+    /// The body as UTF-8, lossily: borrowed unless it is not UTF-8.
+    pub fn body_utf8(&self) -> Cow<'_, str> {
+        utf8_lossy(&self.body)
     }
 
     /// The body as UTF-8, borrowed — no copy, `None` when not UTF-8.
@@ -353,6 +374,28 @@ mod tests {
         assert_eq!(req.headers.content_length(), Some(10));
         assert_eq!(req.headers.get("host"), Some("svc.example"));
         assert!(req.headers.get("soapaction").is_some());
+    }
+
+    #[test]
+    fn body_text_is_the_lossy_conversion() {
+        for body in [&b"<e>plain</e>"[..], "héllo — 世界".as_bytes(), b"bad \xff\xfe utf-8", b""] {
+            let req = Request::soap_post("h", "/", "text/xml", body.to_vec());
+            let lossy = String::from_utf8_lossy(body);
+            assert_eq!(req.body_utf8(), lossy);
+            assert_eq!(matches!(req.body_utf8(), Cow::Borrowed(_)), req.body_str().is_some());
+            let resp = Response::new(Status::OK, "text/xml", body.to_vec());
+            assert_eq!(resp.body_utf8(), lossy);
+            assert_eq!(req.into_body_string(), lossy);
+        }
+    }
+
+    #[test]
+    fn a_unique_body_becomes_a_string_in_place() {
+        let body = b"<stored/>".to_vec();
+        let at = body.as_ptr();
+        let req = Request::soap_post("h", "/deposit/x", "text/xml", body);
+        let stored = req.into_body_string();
+        assert_eq!(stored.as_ptr(), at);
     }
 
     #[test]

@@ -109,8 +109,14 @@ fn read_body(
     if available < len {
         return Err(HttpError::UnexpectedEof);
     }
-    Ok(bytes[body_start..body_start + len].to_vec().into())
+    // The body's one copy: the message buffer is the reader's to reuse.
+    Ok(bytes::Bytes::copy_from_slice(&bytes[body_start..body_start + len]))
 }
+
+/// Bytes one read asks for while the head is incomplete.
+const HEAD_CHUNK: usize = 4096;
+/// Most bytes one read asks for: a pipe's default window.
+const FILL_CHUNK: usize = 64 * 1024;
 
 /// A buffered reader that pulls complete messages off a [`Stream`],
 /// preserving any bytes that belong to the next keep-alive message.
@@ -145,11 +151,15 @@ impl<S: Stream> MessageReader<S> {
         self.stream
     }
 
-    fn fill(&mut self) -> Result<usize, HttpError> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
+    /// One read from the stream straight into the buffer, of at most
+    /// `want` bytes (capped at [`FILL_CHUNK`], so that a short read does
+    /// not leave much zeroed room behind to be zeroed again).
+    fn fill(&mut self, want: usize) -> Result<usize, HttpError> {
+        let len = self.buf.len();
+        self.buf.resize(len + want.clamp(1, FILL_CHUNK), 0);
+        let read = self.stream.read(&mut self.buf[len..]);
+        self.buf.truncate(len + *read.as_ref().unwrap_or(&0));
+        Ok(read?)
     }
 
     /// Reads until the buffer holds one complete message (head + declared
@@ -178,7 +188,7 @@ impl<S: Stream> MessageReader<S> {
                 return Err(HttpError::TooLarge("head"));
             }
             scan_from = (self.buf.len() - self.pos).saturating_sub(3);
-            if self.fill()? == 0 {
+            if self.fill(HEAD_CHUNK)? == 0 {
                 return if self.buf.len() == self.pos {
                     Err(HttpError::Closed)
                 } else {
@@ -203,10 +213,12 @@ impl<S: Stream> MessageReader<S> {
         if body_len > limits.max_body {
             return Err(HttpError::TooLarge("body"));
         }
-        // 3. Accumulate the body.
+        // 3. Accumulate the body: room for all of it at once, then reads
+        // straight into that room.
         let total = head_end + body_len;
+        self.buf.reserve((self.pos + total).saturating_sub(self.buf.len()));
         while self.buf.len() - self.pos < total {
-            if self.fill()? == 0 {
+            if self.fill(self.pos + total - self.buf.len())? == 0 {
                 return Err(HttpError::UnexpectedEof);
             }
         }
@@ -347,6 +359,26 @@ mod tests {
         let limits = Limits::default();
         assert_eq!(reader.read_request(&limits).unwrap(), r1);
         assert_eq!(reader.read_request(&limits).unwrap(), r2);
+    }
+
+    #[test]
+    fn reader_takes_a_large_body_across_many_reads() {
+        let body: Vec<u8> = (0..300_000u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let resp = Response::new(Status::OK, "text/xml", body.clone());
+        let (mut server, client) = duplex(64 * 1024);
+        let writer = std::thread::spawn(move || {
+            // A second response behind it: what the first one's reads
+            // pull in of it must still be there for the next call.
+            let next = Response::new(Status::OK, "text/xml", b"next".to_vec());
+            let mut wire = response_bytes(&resp);
+            wire.extend_from_slice(&response_bytes(&next));
+            server.write_all(&wire).unwrap();
+        });
+        let mut reader = MessageReader::new(client);
+        let got = reader.read_response(&Limits::default()).unwrap();
+        assert_eq!(got.body, body);
+        assert_eq!(reader.read_response(&Limits::default()).unwrap().body, b"next");
+        writer.join().unwrap();
     }
 
     #[test]

@@ -33,6 +33,15 @@ fn push_response_head(out: &mut Vec<u8>, resp: &Response) {
     push_headers(out, resp.headers.iter());
 }
 
+/// Serialized size of a full response, head and body — what
+/// [`response_bytes_into`] appends, computed without writing it.
+pub fn response_len(resp: &Response) -> usize {
+    let status = resp.status.0.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let start = resp.version.as_str().len() + 1 + status + 1 + resp.status.reason().len() + 2;
+    let headers: usize = resp.headers.iter().map(|(n, v)| n.len() + 2 + v.len() + 2).sum();
+    start + headers + 2 + resp.body.len()
+}
+
 fn push_headers<'a>(out: &mut Vec<u8>, headers: impl Iterator<Item = (&'a str, &'a str)>) {
     for (name, value) in headers {
         out.extend_from_slice(name.as_bytes());
@@ -107,6 +116,20 @@ mod tests {
         let text = String::from_utf8(response_bytes(&resp)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n<ok/>"));
+    }
+
+    #[test]
+    fn response_len_is_the_wire_size() {
+        let mut closing = Response::new(Status(7), "text/xml", vec![b'x'; 300]);
+        closing.headers.set("Connection", "close");
+        for resp in [
+            Response::new(Status::OK, "text/xml", b"<ok/>".to_vec()),
+            Response::empty(Status::ACCEPTED),
+            Response::empty(Status(65535)),
+            closing,
+        ] {
+            assert_eq!(response_len(&resp), response_bytes(&resp).len(), "{resp:?}");
+        }
     }
 
     #[test]

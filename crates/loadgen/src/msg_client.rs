@@ -215,12 +215,23 @@ impl SimMsgClient {
         let Ok(resp) = parse_response_bytes(bytes) else {
             return;
         };
-        let Ok(env) = Envelope::parse(&resp.body_utf8()) else {
-            return;
+        let text = resp.body_utf8();
+        // A fetch framed as the mailbox service writes it is counted off a
+        // scan; any other answer is read as a tree.
+        let scanned = match self.mbox {
+            MboxPhase::AwaitingFetch { .. } => ops::scan_fetch_response(&text).map(|b| b.len()),
+            _ => None,
+        };
+        let env = match scanned {
+            Some(_) => None,
+            None => match Envelope::parse(&text) {
+                Ok(env) => Some(env),
+                Err(_) => return,
+            },
         };
         match std::mem::replace(&mut self.mbox, MboxPhase::NotUsed) {
             MboxPhase::AwaitingCreate => {
-                if let Some((box_id, key)) = ops::parse_create_response(&env) {
+                if let Some((box_id, key)) = env.as_ref().and_then(ops::parse_create_response) {
                     self.stats.inner.borrow_mut().mailbox_created = true;
                     self.mbox = MboxPhase::Ready { box_id, key };
                     // Mailbox ready: start the sending loop and polling.
@@ -235,8 +246,10 @@ impl SimMsgClient {
                 }
             }
             MboxPhase::AwaitingFetch { box_id, key } => {
-                if let Some(messages) = ops::parse_fetch_response(&env) {
-                    self.stats.inner.borrow_mut().responses_received += messages.len() as u64;
+                let fetched =
+                    scanned.or_else(|| Some(ops::parse_fetch_response(env.as_ref()?)?.len()));
+                if let Some(n) = fetched {
+                    self.stats.inner.borrow_mut().responses_received += n as u64;
                 }
                 self.mbox = MboxPhase::Ready { box_id, key };
             }

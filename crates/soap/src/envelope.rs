@@ -115,15 +115,10 @@ impl Envelope {
         Ok(())
     }
 
-    /// Parses an envelope from XML text.
+    /// Parses an envelope from XML text. The header blocks and payload
+    /// elements are moved out of the parsed tree, not copied.
     pub fn parse(text: &str) -> Result<Envelope, SoapError> {
-        let doc = Document::parse(text)?;
-        Self::from_document(&doc)
-    }
-
-    /// Interprets a parsed document as an envelope.
-    pub fn from_document(doc: &Document) -> Result<Envelope, SoapError> {
-        let root = &doc.root;
+        let root = Document::parse(text)?.root;
         let version = root
             .namespace
             .as_deref()
@@ -131,19 +126,26 @@ impl Envelope {
             .filter(|_| root.name.local == "Envelope")
             .ok_or(SoapError::NotAnEnvelope)?;
         let ns = version.envelope_ns();
-        let headers = root
-            .find_child(Some(ns), "Header")
-            .map(|h| h.child_elements().cloned().collect())
-            .unwrap_or_default();
-        let body_el = root
-            .find_child(Some(ns), "Body")
-            .ok_or(SoapError::MissingBody)?;
-        let body = match body_el
+        // The first `Header` and the first `Body`; any later ones are
+        // ignored.
+        let (mut header, mut body_el) = (None, None);
+        for child in elements(root.children) {
+            if header.is_none() && child.is(Some(ns), "Header") {
+                header = Some(child);
+            } else if body_el.is_none() && child.is(Some(ns), "Body") {
+                body_el = Some(child);
+            }
+        }
+        let headers = header.map(|h| elements(h.children).collect()).unwrap_or_default();
+        let body_el = body_el.ok_or(SoapError::MissingBody)?;
+        let fault = body_el
             .child_elements()
             .find(|e| e.is(Some(ns), "Fault"))
-        {
-            Some(fault_el) => Body::Fault(Fault::from_element(version, fault_el)?),
-            None => Body::Payload(body_el.child_elements().cloned().collect()),
+            .map(|fault_el| Fault::from_element(version, fault_el))
+            .transpose()?;
+        let body = match fault {
+            Some(fault) => Body::Fault(fault),
+            None => Body::Payload(elements(body_el.children).collect()),
         };
         Ok(Envelope {
             version,
@@ -152,39 +154,56 @@ impl Envelope {
         })
     }
 
-    /// Builds the full `<Envelope>` element tree.
-    pub fn to_element(&self) -> Element {
-        let ns = self.version.envelope_ns();
-        let prefix = self.version.prefix();
-        let mut env = Element::new_ns(Some(prefix), "Envelope", ns)
-            .declare_namespace(Some(prefix), ns);
-        if !self.headers.is_empty() {
-            let mut header = Element::new_ns(Some(prefix), "Header", ns);
-            for h in &self.headers {
-                header.children.push(Node::Element(h.clone()));
-            }
-            env.children.push(Node::Element(header));
-        }
-        let mut body = Element::new_ns(Some(prefix), "Body", ns);
-        match &self.body {
-            Body::Payload(parts) => {
-                for p in parts {
-                    body.children.push(Node::Element(p.clone()));
-                }
-            }
-            Body::Fault(f) => body
-                .children
-                .push(Node::Element(f.to_element(self.version))),
-        }
-        env.children.push(Node::Element(body));
-        env
-    }
-
     /// Serializes the envelope to XML text (no XML declaration, as is
     /// conventional for SOAP-over-HTTP payloads).
     pub fn to_xml(&self) -> String {
-        wsd_xml::write_element(&self.to_element())
+        let mut out = String::with_capacity(256);
+        self.write_into(&mut out);
+        out
     }
+
+    /// Appends [`to_xml`](Self::to_xml)'s text to `out`: the
+    /// `Envelope`/`Header`/`Body` wrapper as `wsd_xml`'s writer would
+    /// write it, around the blocks themselves, with no tree built.
+    pub fn write_into(&self, out: &mut String) {
+        let p = self.version.prefix();
+        // The envelope namespaces hold nothing an attribute escapes.
+        let ns = self.version.envelope_ns();
+        push_all(out, &["<", p, ":Envelope xmlns:", p, "=\"", ns, "\">"]);
+        if !self.headers.is_empty() {
+            push_all(out, &["<", p, ":Header>"]);
+            self.headers.iter().for_each(|h| wsd_xml::write_element_into(h, out));
+            push_all(out, &["</", p, ":Header>"]);
+        }
+        let fault;
+        let parts = match &self.body {
+            Body::Payload(parts) => parts.as_slice(),
+            Body::Fault(f) => {
+                fault = [f.to_element(self.version)];
+                &fault[..]
+            }
+        };
+        if parts.is_empty() {
+            push_all(out, &["<", p, ":Body/>"]);
+        } else {
+            push_all(out, &["<", p, ":Body>"]);
+            parts.iter().for_each(|e| wsd_xml::write_element_into(e, out));
+            push_all(out, &["</", p, ":Body>"]);
+        }
+        push_all(out, &["</", p, ":Envelope>"]);
+    }
+}
+
+fn push_all(out: &mut String, pieces: &[&str]) {
+    pieces.iter().for_each(|s| out.push_str(s));
+}
+
+/// The elements among `nodes`, moved out.
+fn elements(nodes: Vec<Node>) -> impl Iterator<Item = Element> {
+    nodes.into_iter().filter_map(|n| match n {
+        Node::Element(e) => Some(e),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -293,6 +312,63 @@ mod tests {
             .with_header(h2);
         assert_eq!(env.remove_headers(Some("urn:a"), "H"), 1);
         assert_eq!(env.headers.len(), 1);
+    }
+
+    /// The tree `write_into` writes, built and handed to `wsd_xml`'s
+    /// writer: the reference it must match byte for byte.
+    fn tree_xml(env: &Envelope) -> String {
+        let ns = env.version.envelope_ns();
+        let prefix = env.version.prefix();
+        let mut root =
+            Element::new_ns(Some(prefix), "Envelope", ns).declare_namespace(Some(prefix), ns);
+        if !env.headers.is_empty() {
+            let mut header = Element::new_ns(Some(prefix), "Header", ns);
+            header.children.extend(env.headers.iter().cloned().map(Node::Element));
+            root = root.with_child(header);
+        }
+        let mut body = Element::new_ns(Some(prefix), "Body", ns);
+        match &env.body {
+            Body::Payload(parts) => body.children.extend(parts.iter().cloned().map(Node::Element)),
+            Body::Fault(f) => body = body.with_child(f.to_element(env.version)),
+        }
+        wsd_xml::write_element(&root.with_child(body))
+    }
+
+    #[test]
+    fn write_into_matches_the_tree_writer() {
+        let header = Element::new_ns(Some("wsa"), "To", "urn:wsa")
+            .declare_namespace(Some("wsa"), "urn:wsa")
+            .with_text("a & <b>");
+        for v in [SoapVersion::V11, SoapVersion::V12] {
+            let empty = Envelope {
+                version: v,
+                headers: vec![],
+                body: Body::Payload(vec![]),
+            };
+            for env in [
+                Envelope::request(v, payload()),
+                Envelope::request(v, payload()).with_header(header.clone()),
+                Envelope::fault(v, Fault::new(FaultCode::Sender, "bad <input> & more")),
+                empty.clone(),
+                empty.with_header(header.clone()),
+            ] {
+                let mut out = String::from("kept:");
+                env.write_into(&mut out);
+                assert_eq!(out, format!("kept:{}", tree_xml(&env)));
+                assert_eq!(env.to_xml(), tree_xml(&env));
+            }
+        }
+    }
+
+    #[test]
+    fn parse_takes_the_first_header_and_body() {
+        let ns = SoapVersion::V11.envelope_ns();
+        let text = format!(
+            r#"<e:Envelope xmlns:e="{ns}"><x/><e:Header><a/></e:Header><e:Body><p/></e:Body><e:Header><b/></e:Header><e:Body><q/></e:Body></e:Envelope>"#
+        );
+        let env = Envelope::parse(&text).unwrap();
+        assert_eq!(env.headers, vec![Element::new("a")]);
+        assert_eq!(env.payload().unwrap(), [Element::new("p")]);
     }
 
     #[test]

@@ -4,14 +4,18 @@
 # once against the parent commit and once against the working tree, N
 # pairs of runs with the side that goes first alternating and seeds 1..N,
 # and for every end-to-end metric of BENCHMARK.json each side's median
-# and quartiles plus who won how many pairs.
+# and quartiles plus who won how many pairs. Then one `--trace 1` run a
+# side (seed 1, same length) and every per-layer metric of BENCHMARK.json
+# side by side, parent -> change, so a claim's layer rows come from the
+# same binaries as its end-to-end numbers.
 #
 #   scripts/bench-pair.sh <workload> [pairs=10] [seconds=25] [parent=HEAD~]
 #
 # The parent's sources are a `git archive` under target/bench-pair/ (no
 # worktree, nothing registered in .git); each binary runs from its own
 # checkout, so each side's WALs land in its own benchmark/out. Every
-# run's JSON line is kept in target/bench-pair/<workload>.runs.
+# run's JSON line is kept in target/bench-pair/<workload>.runs (the
+# traced ones in <workload>.traces).
 set -eu
 
 if [ $# -lt 1 ]; then
@@ -51,10 +55,10 @@ build "$root" "$work/change-target"
 
 runs=$work/$workload.runs
 : >"$runs"
-run() { # <side> <seed>
+run() { # <side> <seed> [trace=0] [log=$runs]
     line=$("$work/$1-target/release/wsd-benchmark" --workload "$workload" \
-        --seed "$2" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1) || true
-    echo "$1 $2 $line" >>"$runs"
+        --seed "$2" --seconds "$seconds" --trace "${3:-0}" 2>/dev/null | tail -n 1) || true
+    echo "$1 $2 $line" >>"${4:-$runs}"
 }
 seed=1
 while [ "$seed" -le "$pairs" ]; do
@@ -65,6 +69,21 @@ while [ "$seed" -le "$pairs" ]; do
     echo "pair $seed/$pairs done" >&2
     seed=$((seed + 1))
 done
+traces=$work/$workload.traces
+: >"$traces"
+for side in parent change; do
+    run "$side" 1 1 "$traces"
+done
+echo "traced runs done" >&2
+
+# `value(line)`: metric `name`'s value in one run's JSON line.
+value='function value(line,    at, rest) {
+    at = index(line, "\"" name "\": {\"value\": ")
+    if (at == 0) return "nan"
+    rest = substr(line, at + length(name) + 14)
+    sub(/[,}].*/, "", rest)
+    return rest + 0
+}'
 
 # `name better` of every end-to-end metric, from BENCHMARK.json.
 metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' \
@@ -72,14 +91,7 @@ metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([^"]*
 
 echo "$workload: $pairs pairs, $seconds s a run, parent $(git rev-parse --short "$parent"), $(nproc) core(s)"
 echo "$metrics" | while read -r name better; do
-    awk -v name="$name" -v better="$better" '
-        function value(line,    at, rest) {
-            at = index(line, "\"" name "\": {\"value\": ")
-            if (at == 0) return "nan"
-            rest = substr(line, at + length(name) + 14)
-            sub(/[,}].*/, "", rest)
-            return rest + 0
-        }
+    awk -v name="$name" -v better="$better" "$value"'
         # Quartile q of the sorted v[1..n], linear between ranks.
         function quantile(v, n, q,    h, lo) {
             h = (n - 1) * q + 1; lo = int(h)
@@ -110,4 +122,21 @@ echo "$metrics" | while read -r name better; do
         }' "$runs"
 done
 # Anything but `correct: true` with `failed: 0` on every run is the headline.
-awk '!/"correct": true/ || !/"failed": 0,/ { bad++; print "  NOT CLEAN: " $0 } END { if (!bad) print "  every run correct, failed = 0" }' "$runs"
+awk '!/"correct": true/ || !/"failed": 0,/ { bad++; print "  NOT CLEAN: " $0 } END { if (!bad) print "  every run correct, failed = 0" }' "$runs" "$traces"
+
+# `name unit` of every per-layer metric, from BENCHMARK.json; a row both
+# sides report as 0 is a layer the workload does not exercise.
+layers=$(sed -n '/"per_layer"/,/\]/s/.*"name": "\([^"]*\)".*"unit": "\([^"]*\)".*/\1 \2/p' \
+    BENCHMARK.json)
+echo "$workload: per-layer rows, one --trace 1 run a side (seed 1), parent -> change"
+echo "$layers" | while read -r name unit; do
+    awk -v name="$name" -v unit="$unit" "$value"'
+        $1 == "parent" { p = value($0) }
+        $1 == "change" { c = value($0) }
+        END {
+            if (p "" == "nan" || c "" == "nan") { printf "  %-38s missing (run failed)\n", name; exit }
+            if (p == 0 && c == 0) exit
+            printf "  %-38s %14.3f -> %14.3f  %+7.1f%%  %s\n", name, p, c,
+                p == 0 ? 0 : 100 * (c / p - 1), unit
+        }' "$traces"
+done

@@ -19,6 +19,7 @@
 //! dropped in sim and refused in rt, because Fig. 6 reproduces sim's
 //! answer.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -612,7 +613,8 @@ impl Reply {
     }
 
     fn fetched(&self) -> Option<Vec<String>> {
-        ops::parse_fetch_response(&Envelope::parse(&self.body).ok()?)
+        let bodies = ops::fetched_bodies(&self.body)?;
+        Some(bodies.into_iter().map(Cow::into_owned).collect())
     }
 }
 
