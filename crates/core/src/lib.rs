@@ -21,6 +21,7 @@
 //! * [`msgbox`] — WS-MsgBox, the "post-office mailbox" for clients with
 //!   no inbound endpoint: create / deposit / fetch / destroy, with access
 //!   keys and message expiry.
+//! * [`echo`] — the paper's test service, RPC and one-way, and its books.
 //! * [`security`] — the message-inspection hook (size limits, required
 //!   actions, single-sign-on tokens).
 //!
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod echo;
 pub mod error;
 pub mod msg;
 pub mod msgbox;

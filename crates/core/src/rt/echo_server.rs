@@ -1,29 +1,30 @@
-//! A threaded echo Web Service for tests, examples and benches.
+//! The threaded echo Web Service for tests, examples and benches:
+//! [`crate::echo`] decides every answer and keeps the books; a pool
+//! worker serves each connection.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use wsd_concurrent::{PoolConfig, ThreadPool};
-use wsd_http::{serve_connection, Limits, Request, Response, Status};
-use wsd_soap::{rpc as soap_rpc, Envelope};
+use wsd_http::{serve_connection, Limits, Response, Status};
 
-use crate::rt::Network;
+use crate::echo::{Echo, EchoCounters, EchoMode};
+use crate::rt::{send_oneway, ConnTracker, Network};
 
-/// A running echo service: each request costs `service_delay` of (slept)
-/// CPU and echoes the SOAP payload back.
+/// A running echo service: each accepted request costs `service_delay`
+/// of (slept) CPU, and one that is not a SOAP envelope gets a `400` at once.
 pub struct EchoServer {
     pool: Arc<ThreadPool>,
-    served: Arc<AtomicU64>,
+    books: EchoCounters,
     net: Arc<Network>,
-    conns: Arc<crate::rt::ConnTracker>,
+    conns: Arc<ConnTracker>,
     host: String,
     port: u16,
 }
 
 impl EchoServer {
-    /// Starts the service on `host:port` with `workers` handler threads
-    /// and default parser limits.
+    /// Starts the RPC-style service on `host:port` with `workers` handler
+    /// threads: the echo goes back on the request's connection.
     pub fn start(
         net: &Arc<Network>,
         host: &str,
@@ -31,15 +32,28 @@ impl EchoServer {
         workers: usize,
         service_delay: Duration,
     ) -> EchoServer {
-        Self::start_with_limits(net, host, port, workers, service_delay, Limits::default())
+        Self::start_in(EchoMode::Rpc, net, (host, port), workers, service_delay, Limits::default())
     }
 
-    /// Like [`EchoServer::start`], with operator-supplied parser limits
-    /// bounding head/body sizes on every accepted connection.
-    pub fn start_with_limits(
+    /// Starts the one-way service (Table 1 quadrant 4) on `host:port` with
+    /// `workers` handler threads: the worker posts the echo to the
+    /// request's `ReplyTo` with [`send_oneway`], then answers `202`. A
+    /// firewalled `ReplyTo` holds it for the network's `firewall_delay`.
+    pub fn start_oneway(
         net: &Arc<Network>,
         host: &str,
         port: u16,
+        workers: usize,
+        service_delay: Duration,
+    ) -> EchoServer {
+        let mode = EchoMode::OneWay { workers };
+        Self::start_in(mode, net, (host, port), workers, service_delay, Limits::default())
+    }
+
+    fn start_in(
+        mode: EchoMode,
+        net: &Arc<Network>,
+        (host, port): (&str, u16),
         workers: usize,
         service_delay: Duration,
         limits: Limits,
@@ -47,39 +61,44 @@ impl EchoServer {
         let pool = Arc::new(
             ThreadPool::new(PoolConfig::fixed(format!("echo-{host}"), workers)).expect("pool"),
         );
-        let served = Arc::new(AtomicU64::new(0));
-        let conns = crate::rt::ConnTracker::new();
-        {
-            let pool2 = Arc::clone(&pool);
-            let served = Arc::clone(&served);
-            let conns = Arc::clone(&conns);
-            net.listen(host, port, move |stream| {
-                let served = Arc::clone(&served);
-                conns.track(&stream);
-                let _ = pool2.execute(move || {
-                    let _ = serve_connection(stream, &limits, |req| {
-                        if !service_delay.is_zero() {
-                            std::thread::sleep(service_delay);
+        let books = EchoCounters::default();
+        let conns = ConnTracker::new();
+        let (pool2, books2, conns2, net2) =
+            (Arc::clone(&pool), books.clone(), Arc::clone(&conns), Arc::clone(net));
+        net.listen(host, port, move |stream| {
+            conns2.track(&stream);
+            let (net, books) = (Arc::clone(&net2), books2.clone());
+            let _ = pool2.execute(move || {
+                let conn = stream.shutdown_handle();
+                let _ = serve_connection(stream, &limits, |req| {
+                    let echo = match books.accept(mode, &req) {
+                        Ok(echo) => echo,
+                        Err(reject) => return reject,
+                    };
+                    std::thread::sleep(service_delay);
+                    books.process(&echo);
+                    match echo {
+                        Echo::Response(resp) => {
+                            books.replied(1, !conn.is_closed());
+                            resp
                         }
-                        served.fetch_add(1, Ordering::Relaxed);
-                        echo_handler(req)
-                    });
+                        Echo::Reply { to, envelope } => {
+                            let sent = send_oneway(&net, &to.host, to.port, &to.path, &envelope);
+                            books.replied(1, sent.is_ok());
+                            Response::empty(Status::ACCEPTED)
+                        }
+                        Echo::NoReply | Echo::Unaddressable => Response::empty(Status::ACCEPTED),
+                    }
                 });
             });
-        }
-        EchoServer {
-            pool,
-            served,
-            net: Arc::clone(net),
-            conns,
-            host: host.to_string(),
-            port,
-        }
+        });
+        let (net, host) = (Arc::clone(net), host.to_string());
+        EchoServer { pool, books, net, conns, host, port }
     }
 
-    /// Requests served so far.
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+    /// A handle to the live counters.
+    pub fn stats(&self) -> EchoCounters {
+        self.books.clone()
     }
 
     /// Stops accepting, closes live connections and joins the workers.
@@ -90,44 +109,31 @@ impl EchoServer {
     }
 }
 
-fn echo_handler(req: Request) -> Response {
-    let Ok(env) = Envelope::parse(&req.body_utf8()) else {
-        return Response::empty(Status::BAD_REQUEST);
-    };
-    let text = soap_rpc::parse_echo(&env).unwrap_or_default();
-    let reply = soap_rpc::echo_response(env.version, &text);
-    Response::new(
-        Status::OK,
-        env.version.content_type(),
-        reply.to_xml().into_bytes(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsd_http::HttpClient;
-    use wsd_soap::SoapVersion;
+    use wsd_http::{HttpClient, Request};
+    use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
+    use wsd_wsa::{EndpointReference, WsaHeaders};
+
+    fn post(env: &Envelope) -> Request {
+        let body = env.to_xml().into_bytes();
+        Request::soap_post("ws:8888", "/echo", SoapVersion::V11.content_type(), body)
+    }
 
     #[test]
     fn echoes_over_the_network() {
         let net = Network::new();
         let server = EchoServer::start(&net, "ws", 8888, 4, Duration::ZERO);
-        let stream = net.connect("ws", 8888).unwrap();
-        let mut client = HttpClient::new(stream);
+        let mut client = HttpClient::new(net.connect("ws", 8888).unwrap());
         let env = soap_rpc::echo_request(SoapVersion::V11, "hello-rt");
-        let req = Request::soap_post(
-            "ws:8888",
-            "/echo",
-            SoapVersion::V11.content_type(),
-            env.to_xml().into_bytes(),
-        );
-        let resp = client.call(&req).unwrap();
+        let resp = client.call(&post(&env)).unwrap();
         assert_eq!(resp.status, Status::OK);
         let renv = Envelope::parse(&resp.body_utf8()).unwrap();
         assert_eq!(soap_rpc::parse_echo_response(&renv).unwrap(), "hello-rt");
-        assert_eq!(server.served(), 1);
         server.shutdown();
+        assert_eq!(server.stats().replies_sent.get(), 1);
+        server.stats().assert_conserved();
     }
 
     #[test]
@@ -138,18 +144,11 @@ mod tests {
         for i in 0..16 {
             let net = Arc::clone(&net);
             handles.push(std::thread::spawn(move || {
-                let stream = net.connect("ws", 8888).unwrap();
-                let mut client = HttpClient::new(stream);
+                let mut client = HttpClient::new(net.connect("ws", 8888).unwrap());
                 for j in 0..5 {
                     let text = format!("c{i}-m{j}");
                     let env = soap_rpc::echo_request(SoapVersion::V11, &text);
-                    let req = Request::soap_post(
-                        "ws:8888",
-                        "/echo",
-                        SoapVersion::V11.content_type(),
-                        env.to_xml().into_bytes(),
-                    );
-                    let resp = client.call(&req).unwrap();
+                    let resp = client.call(&post(&env)).unwrap();
                     let renv = Envelope::parse(&resp.body_utf8()).unwrap();
                     assert_eq!(soap_rpc::parse_echo_response(&renv).unwrap(), text);
                 }
@@ -158,41 +157,70 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(server.served(), 80);
+        assert_eq!(server.stats().processed.get(), 80);
         server.shutdown();
     }
 
     #[test]
-    fn operator_limits_bound_body_size() {
+    fn default_limits_bound_body_size() {
         let net = Network::new();
-        let server = EchoServer::start_with_limits(
-            &net,
-            "ws",
-            8888,
-            2,
-            Duration::ZERO,
-            Limits {
-                max_body: 32,
-                ..Limits::default()
-            },
-        );
-        let stream = net.connect("ws", 8888).unwrap();
-        let mut client = HttpClient::new(stream);
-        let req = Request::soap_post("ws:8888", "/echo", "text/xml", vec![b'x'; 64]);
+        let server = EchoServer::start(&net, "ws", 8888, 2, Duration::ZERO);
+        let mut client = HttpClient::new(net.connect("ws", 8888).unwrap());
+        let body = vec![b'x'; Limits::default().max_body + 1];
+        let req = Request::soap_post("ws:8888", "/echo", "text/xml", body);
         // The server tears the connection down on the oversized body.
         assert!(client.call(&req).is_err());
         server.shutdown();
     }
 
     #[test]
-    fn bad_request_gets_400() {
+    fn bad_request_gets_400_at_once_and_is_not_processed() {
         let net = Network::new();
-        let server = EchoServer::start(&net, "ws", 8888, 2, Duration::ZERO);
-        let stream = net.connect("ws", 8888).unwrap();
-        let mut client = HttpClient::new(stream);
+        let server = EchoServer::start(&net, "ws", 8888, 2, Duration::from_secs(2));
+        let mut client = HttpClient::new(net.connect("ws", 8888).unwrap());
         let req = Request::soap_post("ws:8888", "/echo", "text/xml", b"junk".to_vec());
-        let resp = client.call(&req).unwrap();
-        assert_eq!(resp.status, Status::BAD_REQUEST);
+        let t0 = std::time::Instant::now();
+        assert_eq!(client.call(&req).unwrap().status, Status::BAD_REQUEST);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let books = server.stats();
+        assert_eq!((books.accepted.get(), books.processed.get()), (0, 0));
         server.shutdown();
+    }
+
+    #[test]
+    fn oneway_replies_to_reply_to_before_the_ack() {
+        let net = Network::new();
+        let server = EchoServer::start_oneway(&net, "ws", 8888, 2, Duration::ZERO);
+        let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&got);
+        net.listen("client", 9000, move |stream| {
+            let sink = Arc::clone(&sink);
+            std::thread::spawn(move || {
+                let _ = serve_connection(stream, &Limits::default(), |req| {
+                    sink.lock().push(req.body_utf8().into_owned());
+                    Response::empty(Status::ACCEPTED)
+                });
+            });
+        });
+        net.set_firewalled("laptop", true);
+        let mut client = HttpClient::new(net.connect("ws", 8888).unwrap());
+        let mut call = |reply_to: Option<&str>| {
+            let mut env = soap_rpc::echo_request(SoapVersion::V11, "x");
+            let epr = reply_to.map(EndpointReference::new);
+            WsaHeaders { reply_to: epr, ..WsaHeaders::new() }.apply(&mut env);
+            let t0 = std::time::Instant::now();
+            assert_eq!(client.call(&post(&env)).unwrap().status, Status::ACCEPTED);
+            t0.elapsed()
+        };
+        call(Some("http://client:9000/cb"));
+        assert_eq!(got.lock().len(), 1, "the reply is posted before the 202");
+        let held = call(Some("http://laptop:9000/cb"));
+        assert!(held >= net.firewall_delay, "{held:?}");
+        call(None);
+        server.shutdown();
+        let books = server.stats();
+        let answered = [&books.replies_sent, &books.replies_blocked, &books.no_reply];
+        assert_eq!(answered.map(|c| c.get()), [1, 1, 1]);
+        books.assert_conserved();
     }
 }

@@ -341,7 +341,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(disp.stats().relayed.get(), 12);
-        assert_eq!(ws.served(), 12);
+        assert_eq!(ws.stats().processed.get(), 12);
         disp.shutdown();
         ws.shutdown();
     }

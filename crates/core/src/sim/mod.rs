@@ -17,7 +17,8 @@ pub mod msg_dispatcher;
 pub mod msgbox;
 pub mod rpc_dispatcher;
 
-pub use echo::{EchoMode, EchoStats, SimEchoService};
+pub use crate::echo::EchoMode;
+pub use echo::SimEchoService;
 pub use fleet::{kill_fleet_instance, FleetShared, SimFleetInstance};
 pub use msg_dispatcher::SimMsgDispatcher;
 pub use msgbox::{SimMsgBox, SimMsgBoxStats};

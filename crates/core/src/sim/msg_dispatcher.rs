@@ -468,7 +468,7 @@ impl Process for SimMsgDispatcher {
 mod tests {
     use super::*;
     use crate::registry::Registry;
-    use crate::sim::echo::{EchoMode, SimEchoService};
+    use crate::sim::{EchoMode, SimEchoService};
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Arc;
@@ -548,7 +548,7 @@ mod tests {
         Simulation,
         MsgCounters,
         Gauge,
-        crate::sim::echo::EchoStats,
+        crate::echo::EchoCounters,
         Rc<RefCell<Vec<String>>>,
         Rc<RefCell<usize>>,
     );
@@ -613,7 +613,7 @@ mod tests {
         let (mut sim, stats, _threads, echo_stats, got, acks) = build(false, 16);
         sim.run();
         assert_eq!(stats.forwarded.get(), 5);
-        assert_eq!(echo_stats.accepted(), 5);
+        assert_eq!(echo_stats.accepted.get(), 5);
         assert_eq!(stats.replies_routed.get(), 5, "WS replies must route back");
         assert_eq!(stats.delivered.get(), 10);
         assert_eq!(got.borrow().len(), 5, "client must receive 5 replies");
@@ -630,7 +630,7 @@ mod tests {
         sim.run();
         // Everything forwards and the WS processes it...
         assert_eq!(stats.forwarded.get(), 5);
-        assert_eq!(echo_stats.accepted(), 5);
+        assert_eq!(echo_stats.accepted.get(), 5);
         // ...but replies can't reach the firewalled client.
         assert_eq!(got.borrow().len(), 0);
         assert_eq!(stats.dropped.get(), 5);
@@ -663,7 +663,7 @@ mod tests {
         // 5 messages delivered to the WS over (at most) one or two
         // connections — delivered counts messages, not connections.
         assert!(stats.delivered.get() >= 5);
-        assert_eq!(echo_stats.accepted(), 5);
+        assert_eq!(echo_stats.accepted.get(), 5);
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl Process for SimRpcDispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::echo::{EchoMode, SimEchoService};
+    use crate::sim::{EchoMode, SimEchoService};
     use crate::url::Url;
     use wsd_http::Request;
     use wsd_netsim::{HostConfig, OverLimit, Simulation};

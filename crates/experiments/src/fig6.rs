@@ -205,7 +205,7 @@ fn run_point(
         fleet.totals_with_telemetry(&crate::Observed::scope_or_noop(obs, "loadgen"));
     let _ = mbox_stats; // deposits show up as client-fetched responses
     SeriesPoint {
-        ws_processed: svc_stats.processed(),
+        ws_processed: svc_stats.processed.get(),
         accepted: sent,
         responses_fetched: responses,
     }

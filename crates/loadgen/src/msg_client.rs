@@ -460,7 +460,7 @@ mod tests {
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(10));
         assert!(stats.mailbox_created());
         assert!(stats.sent() > 3, "sent {}", stats.sent());
-        assert!(svc_stats.accepted() > 3);
+        assert!(svc_stats.accepted.get() > 3);
         assert!(mbox_stats.mailbox.deposits.get() > 3, "deposits {}", mbox_stats.mailbox.deposits.get());
         assert!(
             stats.responses_received() > 3,
@@ -503,7 +503,7 @@ mod tests {
         // Some messages were accepted, but every reply is blocked...
         assert!(stats.sent() > 0);
         assert_eq!(*received.borrow(), 0);
-        assert!(svc_stats.replies_blocked() > 0);
+        assert!(svc_stats.replies_blocked.get() > 0);
         // ...and since acceptance is paced by processing and every reply
         // stalls a worker for the 3 s connect timeout, throughput
         // collapses: with 2 workers over ~10 s the service can accept

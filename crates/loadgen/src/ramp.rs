@@ -181,7 +181,7 @@ mod tests {
         assert_eq!(fleet.clients.len(), 5);
         assert!(totals.transmitted > 20, "{}", totals.transmitted);
         assert_eq!(totals.not_sent, 0);
-        assert_eq!(svc_stats.responses_sent(), totals.transmitted);
+        assert_eq!(svc_stats.replies_sent.get(), totals.transmitted);
         let lat = totals.latency.as_ref().unwrap();
         assert_eq!(lat.count as u64, totals.transmitted);
         assert!(lat.p50_us > 0);

@@ -285,7 +285,7 @@ mod tests {
         sim.run();
         assert!(stats.transmitted() > 10, "{}", stats.transmitted());
         assert_eq!(stats.not_sent(), 0);
-        assert_eq!(svc_stats.responses_sent(), stats.transmitted());
+        assert_eq!(svc_stats.replies_sent.get(), stats.transmitted());
         assert_eq!(stats.latencies().len() as u64, stats.transmitted());
     }
 

@@ -24,51 +24,17 @@ use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig};
 use ws_dispatcher::core::msg::MsgCore;
 use ws_dispatcher::core::registry::Registry;
 use ws_dispatcher::core::rt::{
-    send_oneway, MailboxClient, MsgBoxServer, MsgDispatcherServer, Network,
+    send_oneway, EchoServer, MailboxClient, MsgBoxServer, MsgDispatcherServer, Network,
 };
 use ws_dispatcher::core::url::Url;
-use ws_dispatcher::http::{serve_connection, Limits, Response, Status};
-use ws_dispatcher::soap::{rpc, Envelope, SoapVersion};
+use ws_dispatcher::soap::{rpc, SoapVersion};
 use ws_dispatcher::wsa::{EndpointReference, WsaHeaders};
 
 fn main() {
     let net = Network::new();
 
     // --- a one-way echo Web Service that replies via its ReplyTo ------
-    {
-        let net2 = Arc::clone(&net);
-        net.listen("ws-internal", 8888, move |stream| {
-            let net = Arc::clone(&net2);
-            std::thread::spawn(move || {
-                let _ = serve_connection(stream, &Limits::default(), |req| {
-                    let env = match Envelope::parse(&req.body_utf8()) {
-                        Ok(e) => e,
-                        Err(_) => return Response::empty(Status::BAD_REQUEST),
-                    };
-                    let headers = WsaHeaders::from_envelope(&env).unwrap_or_default();
-                    let text = rpc::parse_echo(&env).unwrap_or_default();
-                    // Build the reply, correlated via RelatesTo.
-                    let mut reply = rpc::echo_response(env.version, &text);
-                    let mut h = WsaHeaders::new();
-                    if let Some(r) = &headers.reply_to {
-                        h = h.to(r.address.clone());
-                    }
-                    if let Some(id) = &headers.message_id {
-                        h = h.relates_to(id.clone());
-                    }
-                    h.apply(&mut reply);
-                    if let Some(r) = &headers.reply_to {
-                        if let Ok(url) = Url::parse(&r.address) {
-                            let _ = ws_dispatcher::core::rt::send_oneway(
-                                &net, &url.host, url.port, &url.path, &reply,
-                            );
-                        }
-                    }
-                    Response::empty(Status::ACCEPTED)
-                });
-            });
-        });
-    }
+    let ws = EchoServer::start_oneway(&net, "ws-internal", 8888, 2, Duration::ZERO);
 
     // --- dispatcher + mailbox service ---------------------------------
     let registry = Arc::new(Registry::new());
@@ -115,5 +81,6 @@ fn main() {
     mailbox.destroy().expect("destroy");
     dispatcher.shutdown();
     msgbox.shutdown();
+    ws.shutdown();
     println!("ok");
 }

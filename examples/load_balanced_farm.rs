@@ -61,7 +61,7 @@ fn main() {
         let resp = rpc_call(&net, "dispatcher", 8081, "/svc/Echo", &env, None).unwrap();
         assert_eq!(rpc::parse_echo_response(&resp).unwrap(), format!("call {i}"));
     }
-    let served: Vec<u64> = workers.iter().map(|w| w.served()).collect();
+    let served: Vec<u64> = workers.iter().map(|w| w.stats().processed.get()).collect();
     println!("round-robin spread across the farm: {served:?}");
     assert!(served.iter().all(|&s| s == 2), "each worker serves 2 of 6");
 

@@ -91,7 +91,7 @@ fn main() {
         disp_stats.forwarded.get(),
         disp_stats.relayed.get()
     );
-    println!("service responses    : {}", service_stats.responses_sent());
+    println!("service responses    : {}", service_stats.replies_sent.get());
     assert!(totals.transmitted > 0);
     assert_eq!(totals.not_sent, 0);
     println!("ok");

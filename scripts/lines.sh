@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Lines of Rust per crate under crates/, counted two ways:
+# Lines of Rust per crate under crates/, and of the root package (`root`:
+# src/, tests/, examples/), counted two ways:
 #
 #   all       every .rs file of the crate, lint fixtures excluded
 #   non-test  every .rs file outside a tests/ directory, each counted up to
@@ -38,17 +39,26 @@ checkout() {
     echo "$dir"
 }
 
-# `<crate> <all> <non-test>`, one line per crate of checkout $1.
+# `<name> <all> <non-test>` for the .rs files under directories $2...
+tally() {
+    name=$1
+    shift
+    all=$(find "$@" -name '*.rs' -not -path '*/tests/fixtures/*' -exec cat {} + | wc -l)
+    non_test=$(find "$@" -name '*.rs' -not -path '*/tests/*' \
+        -exec awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} + |
+        awk '{ n += $1 } END { print n + 0 }')
+    echo "$name $all $non_test"
+}
+
+# One line per crate of checkout $1, then `root`: the ws-dispatcher
+# package itself (src/, tests/, examples/).
 count() {
     cd "$1"
     for crate in crates/*/; do
         crate=${crate%/}
-        all=$(find "$crate" -name '*.rs' -not -path '*/tests/fixtures/*' -exec cat {} + | wc -l)
-        non_test=$(find "$crate" -name '*.rs' -not -path '*/tests/*' \
-            -exec awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} + |
-            awk '{ n += $1 } END { print n + 0 }')
-        echo "${crate#crates/} $all $non_test"
+        tally "${crate#crates/}" "$crate"
     done
+    tally root ./src ./tests ./examples
     cd "$root"
 }
 

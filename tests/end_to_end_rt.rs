@@ -86,13 +86,13 @@ fn security_chain_enforced_at_the_edge() {
     let env = rpc::echo_request(SoapVersion::V11, "x");
     let resp = rpc_call(&net, "dispatcher", 8081, "/svc/Echo", &env, None).unwrap();
     assert!(resp.as_fault().is_some());
-    assert_eq!(ws.served(), 0);
+    assert_eq!(ws.stats().processed.get(), 0);
     // With the token: passes.
     let mut env = rpc::echo_request(SoapVersion::V11, "x");
     attach_token(&mut env, "sso-token");
     let resp = rpc_call(&net, "dispatcher", 8081, "/svc/Echo", &env, None).unwrap();
     assert!(resp.as_fault().is_none());
-    assert_eq!(ws.served(), 1);
+    assert_eq!(ws.stats().processed.get(), 1);
     disp.shutdown();
     ws.shutdown();
 }
@@ -101,35 +101,7 @@ fn security_chain_enforced_at_the_edge() {
 fn async_conversation_with_mailbox_end_to_end() {
     let net = Network::new();
     // One-way echo service that replies through its ReplyTo.
-    let net_for_ws = Arc::clone(&net);
-    net.listen("ws", 8888, move |stream| {
-        let net = Arc::clone(&net_for_ws);
-        std::thread::spawn(move || {
-            let _ = ws_dispatcher::http::serve_connection(
-                stream,
-                &ws_dispatcher::http::Limits::default(),
-                |req| {
-                    let env = ws_dispatcher::soap::Envelope::parse(&req.body_utf8()).unwrap();
-                    let h = WsaHeaders::from_envelope(&env).unwrap();
-                    let mut reply =
-                        rpc::echo_response(env.version, &rpc::parse_echo(&env).unwrap());
-                    let mut rh = WsaHeaders::new();
-                    if let Some(r) = &h.reply_to {
-                        rh = rh.to(r.address.clone());
-                    }
-                    if let Some(id) = &h.message_id {
-                        rh = rh.relates_to(id.clone());
-                    }
-                    rh.apply(&mut reply);
-                    if let Some(r) = &h.reply_to {
-                        let url = Url::parse(&r.address).unwrap();
-                        let _ = send_oneway(&net, &url.host, url.port, &url.path, &reply);
-                    }
-                    ws_dispatcher::http::Response::empty(ws_dispatcher::http::Status::ACCEPTED)
-                },
-            );
-        });
-    });
+    let ws = EchoServer::start_oneway(&net, "ws", 8888, 2, Duration::ZERO);
 
     let registry = Arc::new(Registry::new());
     registry.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
@@ -184,9 +156,12 @@ fn async_conversation_with_mailbox_end_to_end() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!((routed(), finished()), (6, 6), "{books:?}");
+    let echo = ws.stats();
+    assert_eq!((echo.processed.get(), echo.replies_sent.get()), (3, 3));
     mailbox.destroy().unwrap();
     disp.shutdown();
     mbox_server.shutdown();
+    ws.shutdown();
 }
 
 #[test]

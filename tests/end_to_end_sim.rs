@@ -114,13 +114,13 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
     let rpc_totals = rpc_fleet.totals();
     assert!(rpc_totals.transmitted > 100, "{rpc_totals:?}");
     assert_eq!(rpc_totals.not_sent, 0);
-    assert_eq!(rpc_svc_stats.responses_sent(), rpc_totals.transmitted);
+    assert_eq!(rpc_svc_stats.replies_sent.get(), rpc_totals.transmitted);
 
     let (sent, failures, responses) = msg_fleet.totals();
     assert!(sent > 50, "sent {sent}");
     assert_eq!(failures, 0);
     assert!(responses > 50, "responses {responses}");
-    assert!(responses <= msg_svc_stats.processed());
+    assert!(responses <= msg_svc_stats.processed.get());
     sim.run();
     assert_routed_messages_finished(&msg_stats);
 }
@@ -216,8 +216,8 @@ fn conservation_of_messages() {
 
     // Client-acked ≥ service-accepted (acks ride behind processing);
     // replies fetched ≤ deposits ≤ service replies sent.
-    assert!(svc_stats.accepted() >= sent, "{} vs {sent}", svc_stats.accepted());
-    assert!(mbox_stats.mailbox.deposits.get() <= svc_stats.responses_sent());
+    assert!(svc_stats.accepted.get() >= sent, "{} vs {sent}", svc_stats.accepted.get());
+    assert!(mbox_stats.mailbox.deposits.get() <= svc_stats.replies_sent.get());
     assert!(responses <= mbox_stats.mailbox.deposits.get());
     assert!(responses > 0);
     // The dispatcher forwarded everything it accepted (plus replies).

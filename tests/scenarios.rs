@@ -6,8 +6,8 @@
 //! One executor runs a row on the simulated runtime (a scripted
 //! [`Process`] client over `wsd_netsim`), the other on the threaded
 //! runtime ([`HttpClient`] over `rt::Network`). The rows cover the
-//! decisions `wsd-core` makes once for both runtimes — the mailbox
-//! request handler, the RPC exchange (its answer and which endpoints it
+//! decisions `wsd-core` makes once for both runtimes — the echo service
+//! in both styles, the mailbox request handler, the RPC exchange (its answer and which endpoints it
 //! leaves live), the MSG-Dispatcher's reject, the RPC-reply translation,
 //! and the per-destination link machine's connect / write / retry /
 //! give-up policy (the last four rows: a connection lost under a batch, a
@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy};
+use ws_dispatcher::core::echo::EchoCounters;
 use ws_dispatcher::core::msg::{MsgCore, MsgCounters};
 use ws_dispatcher::core::msgbox::ops;
 use ws_dispatcher::core::registry::Registry;
@@ -70,6 +71,9 @@ enum Service {
     Dead,
     /// The RPC-style echo service, answering after this many milliseconds.
     Echo(u64),
+    /// The one-way echo service (Table 1 quadrant 4): acknowledges with
+    /// `202` and posts its reply to the request's `ReplyTo`.
+    OneWayEcho,
     /// An RPC-style echo whose `200` already carries `RelatesTo`.
     CorrelatingEcho,
     /// Answers the first `answers` requests it ever reads (`rpc`: with the
@@ -150,6 +154,7 @@ struct Books {
     rpc: RpcBooks,
     mailbox: MailboxBooks,
     msg: MsgBooks,
+    echo: EchoBooks,
 }
 
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +182,15 @@ struct MsgBooks {
     delivered: u64,
     dropped: u64,
     rejected: u64,
+}
+
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct EchoBooks {
+    accepted: u64,
+    processed: u64,
+    replies_sent: u64,
+    replies_blocked: u64,
+    no_reply: u64,
 }
 
 impl Books {
@@ -226,6 +240,19 @@ impl Books {
             rejected,
         };
         Books { msg, ..self }
+    }
+
+    /// The echo service's books, on top of `self`; arguments in field
+    /// order.
+    fn echo(self, accepted: u64, processed: u64, sent: u64, blocked: u64, no_reply: u64) -> Books {
+        let echo = EchoBooks {
+            accepted,
+            processed,
+            replies_sent: sent,
+            replies_blocked: blocked,
+            no_reply,
+        };
+        Books { echo, ..self }
     }
 }
 
@@ -329,7 +356,7 @@ fn table() -> Vec<Scenario> {
     let connect_failed = Expect::Fault(502, "upstream failure: connect failed");
     vec![
         Scenario {
-            books: Books::rpc(1, 1, 1, 0, 0),
+            books: Books::rpc(1, 1, 1, 0, 0).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "RPC client, RPC service: forwarded and relayed (Table 1 quadrant 1)",
                 vec![(call, Expect::Echo("hello"))],
@@ -362,7 +389,7 @@ fn table() -> Vec<Scenario> {
         Scenario {
             dead_primary: true,
             live_endpoints: Some(1),
-            books: Books::rpc(2, 1, 1, 0, 1),
+            books: Books::rpc(2, 1, 1, 0, 1).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "a farm whose first endpoint has no listener: 502, then 200 from the live one",
                 vec![(call, connect_failed), (call, Expect::Echo("hello"))],
@@ -372,7 +399,8 @@ fn table() -> Vec<Scenario> {
             service: Service::Echo(300),
             response_timeout_ms: 50,
             live_endpoints: Some(1),
-            books: Books::rpc(2, 2, 0, 0, 2),
+            // Both answers come after the dispatcher has hung up.
+            books: Books::rpc(2, 2, 0, 0, 2).echo(2, 2, 0, 2, 0),
             fixed_here: Some(
                 "rt marked an endpoint down on any upstream failure and nothing marks it \
                  up again: after one timeout the second answer was 404 and refused == 1",
@@ -416,7 +444,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             delivered: &[("q3", "uuid:q3-plain")],
-            books: Books::default().msg(1, 1, 2, 0, 0),
+            books: Books::default().msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "MSG client, RPC service (Table 1 quadrant 3): the 200 is translated into \
                  a reply and RelatesTo injected",
@@ -440,31 +468,53 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::mailbox(1, 1, 0).msg(1, 1, 2, 0, 0),
+            books: Books::mailbox(1, 1, 0).msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
-                "Figure 1: a firewalled client converses through dispatcher and mailbox",
-                vec![
-                    (Step::Create, Expect::Created),
-                    (
-                        Step::OneWay("uuid:fig1", "behind the firewall", ReplyTo::Mailbox),
-                        Expect::Status(202),
-                    ),
-                    (
-                        Step::Poll,
-                        Expect::FetchedReply("behind the firewall", "uuid:fig1"),
-                    ),
-                ],
+                "Figure 1 with an RPC service: a firewalled client converses through \
+                 dispatcher and mailbox",
+                figure1(),
             )
         },
         Scenario {
             firewalled_client: true,
-            books: Books::default().msg(1, 1, 1, 1, 0),
+            books: Books::default().msg(1, 1, 1, 1, 0).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "a reply to a firewalled client with no mailbox is dropped, on the books",
                 vec![(
                     Step::OneWay("uuid:fw", "lost", ReplyTo::Callback),
                     Expect::Status(202),
                 )],
+            )
+        },
+        Scenario {
+            service: Service::OneWayEcho,
+            firewalled_client: true,
+            books: Books::mailbox(1, 1, 0).msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
+            ..Scenario::new(
+                "Figure 1: a firewalled client converses with a one-way service through \
+                 dispatcher and mailbox (Table 1 quadrant 4)",
+                figure1(),
+            )
+        },
+        Scenario {
+            service: Service::OneWayEcho,
+            delivered: &[("q4", "uuid:q4")],
+            books: Books::default().msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
+            ..Scenario::new(
+                "a one-way service's reply reaches the client's callback through the \
+                 dispatcher, correlated",
+                vec![one_way("uuid:q4", "q4")],
+            )
+        },
+        Scenario {
+            service: Service::OneWayEcho,
+            firewalled_client: true,
+            books: Books::default().msg(1, 1, 1, 1, 0).echo(1, 1, 1, 0, 0),
+            gives_up_after_ms: 500,
+            ..Scenario::new(
+                "a one-way service's reply to a firewalled client with no mailbox is \
+                 dropped after one retry, on the books",
+                vec![one_way("uuid:q4-fw", "lost")],
             )
         },
         Scenario {
@@ -507,7 +557,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::default().msg(3, 3, 3, 3, 0),
+            books: Books::default().msg(3, 3, 3, 3, 0).echo(3, 3, 3, 0, 0),
             gives_up_after_ms: 500,
             ..Scenario::new(
                 "a dead destination with a backlog: one retry after the backoff, then \
@@ -574,6 +624,17 @@ fn table() -> Vec<Scenario> {
                 ],
             )
         },
+    ]
+}
+
+/// Figure 1: create a mailbox, send a one-way request whose reply goes
+/// there, poll until the correlated reply is picked up.
+fn figure1() -> Vec<(Step, Expect)> {
+    let (id, text) = ("uuid:fig1", "behind the firewall");
+    vec![
+        (Step::Create, Expect::Created),
+        (Step::OneWay(id, text, ReplyTo::Mailbox), Expect::Status(202)),
+        (Step::Poll, Expect::FetchedReply(text, id)),
     ]
 }
 
@@ -960,6 +1021,13 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
         msg.delivered + msg.dropped,
         "{at}: every routed message is written or dropped, once: {msg:?}"
     );
+    let echo = books.echo;
+    assert_eq!(echo.accepted, echo.processed, "{at}: {echo:?}");
+    assert_eq!(
+        echo.processed,
+        echo.replies_sent + echo.replies_blocked + echo.no_reply,
+        "{at}: every processed request is answered, blocked or needs no reply: {echo:?}"
+    );
 }
 
 /// The one registry both executors stand a row up with.
@@ -1095,6 +1163,7 @@ struct SimRuntime {
     rpc: RpcCounters,
     msg: MsgCounters,
     mailbox: SimMsgBoxStats,
+    echo: Option<EchoCounters>,
     sink: Rc<RefCell<Vec<String>>>,
     closing: Rc<RefCell<ClosingService>>,
 }
@@ -1117,6 +1186,12 @@ impl SimRuntime {
         let client_host = sim.add_host(HostConfig::named(CLIENT.0).firewall(client_policy));
 
         let closing = Rc::new(RefCell::new(ClosingService::default()));
+        let mut echo = None;
+        let mut echo_service = |mode, delay_ms| -> Option<Box<dyn Process>> {
+            let service = SimEchoService::new(mode, SimDuration::from_millis(delay_ms));
+            echo = Some(service.stats());
+            Some(Box::new(service))
+        };
         let service: Option<Box<dyn Process>> = match row.service {
             Service::Dead | Service::Wedged => None,
             Service::ClosesAfter { answers, rpc } => {
@@ -1127,10 +1202,8 @@ impl SimRuntime {
                 };
                 Some(Box::new(SimClosingService(Rc::clone(&closing))))
             }
-            Service::Echo(delay_ms) => Some(Box::new(SimEchoService::new(
-                EchoMode::Rpc,
-                SimDuration::from_millis(delay_ms),
-            ))),
+            Service::Echo(delay_ms) => echo_service(EchoMode::Rpc, delay_ms),
+            Service::OneWayEcho => echo_service(EchoMode::OneWay { workers: 4 }, 0),
             Service::CorrelatingEcho => Some(Box::new(SimHandler(correlating_echo))),
         };
         if let Some(service) = service {
@@ -1178,6 +1251,7 @@ impl SimRuntime {
             rpc: rpc_stats,
             msg: msg_stats,
             mailbox: mailbox_stats,
+            echo,
             sink,
             closing,
         }
@@ -1224,6 +1298,7 @@ impl Runtime for SimRuntime {
                 resident: 0,
             },
             msg: msg_books(&self.msg),
+            echo: echo_books(self.echo.as_ref()),
         }
     }
 
@@ -1252,6 +1327,16 @@ fn rpc_books(c: &RpcCounters) -> RpcBooks {
         refused: c.refused.get(),
         upstream_failures: c.upstream_failures.get(),
     }
+}
+
+fn echo_books(c: Option<&EchoCounters>) -> EchoBooks {
+    c.map_or_else(EchoBooks::default, |c| EchoBooks {
+        accepted: c.accepted.get(),
+        processed: c.processed.get(),
+        replies_sent: c.replies_sent.get(),
+        replies_blocked: c.replies_blocked.get(),
+        no_reply: c.no_reply.get(),
+    })
 }
 
 fn msg_books(c: &MsgCounters) -> MsgBooks {
@@ -1348,13 +1433,8 @@ impl RtRuntime {
                 net.listen(WS.0, WS.1, move |stream| held.lock().unwrap().push(stream));
                 None
             }
-            Service::Echo(delay_ms) => Some(EchoServer::start(
-                &net,
-                WS.0,
-                WS.1,
-                4,
-                Duration::from_millis(delay_ms),
-            )),
+            Service::Echo(ms) => Some(EchoServer::start(&net, WS.0, WS.1, 4, Duration::from_millis(ms))),
+            Service::OneWayEcho => Some(EchoServer::start_oneway(&net, WS.0, WS.1, 4, Duration::ZERO)),
             Service::CorrelatingEcho => {
                 rt_listen(&net, WS, correlating_echo);
                 None
@@ -1459,6 +1539,7 @@ impl Runtime for RtRuntime {
                 resident: 0,
             },
             msg: msg_books(&self.msg.counters()),
+            echo: echo_books(self.ws.as_ref().map(EchoServer::stats).as_ref()),
         }
     }
 
