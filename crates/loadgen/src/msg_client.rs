@@ -111,6 +111,9 @@ pub struct SimMsgClient {
     target_conn: Option<ConnId>,
     mbox_conn: Option<ConnId>,
     mbox: MboxPhase,
+    /// The paper's padded echo request; each message is a copy with its
+    /// own WSA headers.
+    echo: Envelope,
     seq: u64,
     stopped: bool,
 }
@@ -124,6 +127,7 @@ impl SimMsgClient {
             target_conn: None,
             mbox_conn: None,
             mbox: MboxPhase::NotUsed,
+            echo: soap_rpc::paper_echo_request(),
             seq: 0,
             stopped: false,
         }
@@ -147,7 +151,7 @@ impl SimMsgClient {
 
     fn next_message(&mut self) -> Payload {
         self.seq += 1;
-        let mut env = soap_rpc::paper_echo_request();
+        let mut env = self.echo.clone();
         let mut h = WsaHeaders::new()
             .to(self.config.to_address.clone())
             .message_id(format!("uuid:{}-{}", self.config.client_name, self.seq));

@@ -71,17 +71,15 @@ pub fn is_name_char(c: char) -> bool {
 
 /// Validates a raw (possibly prefixed) name.
 pub fn is_valid_raw_name(raw: &str) -> bool {
-    let parts: Vec<&str> = raw.split(':').collect();
-    if parts.len() > 2 {
-        return false;
+    // A second colon lands in `local`, where `is_name_char` refuses it.
+    let valid = |part: &str| {
+        let mut chars = part.chars();
+        matches!(chars.next(), Some(c) if is_name_start(c)) && chars.all(is_name_char)
+    };
+    match raw.split_once(':') {
+        Some((prefix, local)) => valid(prefix) && valid(local),
+        None => valid(raw),
     }
-    parts.iter().all(|p| {
-        let mut chars = p.chars();
-        match chars.next() {
-            Some(c) if is_name_start(c) => chars.all(is_name_char),
-            _ => false,
-        }
-    })
 }
 
 #[cfg(test)]

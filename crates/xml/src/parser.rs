@@ -1,10 +1,14 @@
 //! Streaming pull parser.
 //!
-//! [`PullParser`] walks a UTF-8 document and yields raw [`Event`]s. It
-//! validates token-level syntax (names, attribute quoting, entity
-//! references) but not document structure — tag matching and
+//! [`PullParser`] walks a UTF-8 document and yields raw [`Event`]s that
+//! borrow from the input: names, CDATA, comments and PIs are slices of
+//! it, and text and attribute values are too unless an entity had to be
+//! decoded. It validates token-level syntax (names, attribute quoting,
+//! entity references) but not document structure — tag matching and
 //! single-root-ness are enforced by [`crate::tree::Document::parse`], which
 //! is what the protocol stack uses.
+
+use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{char_ref, predefined_entity};
@@ -12,35 +16,35 @@ use crate::name::{is_name_char, is_name_start, is_valid_raw_name};
 
 /// An opening tag with its attributes in document order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StartTag {
+pub struct StartTag<'a> {
     /// Raw element name as written (possibly `prefix:local`).
-    pub name: String,
+    pub name: &'a str,
     /// `(raw name, decoded value)` pairs in document order.
-    pub attributes: Vec<(String, String)>,
+    pub attributes: Vec<(&'a str, Cow<'a, str>)>,
     /// Whether the tag ended with `/>`.
     pub self_closing: bool,
 }
 
-/// A raw parse event.
+/// A raw parse event, borrowing from the parser's input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+pub enum Event<'a> {
     /// `<name attr="v">` or `<name/>`.
-    StartElement(StartTag),
+    StartElement(StartTag<'a>),
     /// `</name>` (never emitted for self-closing tags).
-    EndElement(String),
-    /// Character data with entities decoded. Adjacent runs are merged.
-    Text(String),
+    EndElement(&'a str),
+    /// Character data with entities decoded, up to the next markup.
+    Text(Cow<'a, str>),
     /// `<![CDATA[...]]>` content, verbatim.
-    CData(String),
+    CData(&'a str),
     /// `<!--...-->` content, verbatim.
-    Comment(String),
+    Comment(&'a str),
     /// `<?target data?>`. The XML declaration arrives as target `xml`.
     Pi {
         /// PI target.
-        target: String,
+        target: &'a str,
         /// Everything between the target and `?>`, trimmed of one leading
         /// space.
-        data: String,
+        data: &'a str,
     },
     /// End of input.
     Eof,
@@ -67,8 +71,12 @@ impl<'a> PullParser<'a> {
         &self.input[self.pos..]
     }
 
+    /// The next character; only a non-ASCII byte is decoded as UTF-8.
     fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
+        match *self.input.as_bytes().get(self.pos)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.rest().chars().next(),
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -87,8 +95,9 @@ impl<'a> PullParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_ascii_whitespace()) {
-            self.bump();
+        let bytes = self.input.as_bytes();
+        while bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
+            self.pos += 1;
         }
     }
 
@@ -96,7 +105,8 @@ impl<'a> PullParser<'a> {
         self.error_at(self.pos, kind)
     }
 
-    fn error_at(&self, pos: usize, kind: XmlErrorKind) -> XmlError {
+    /// An error located at byte offset `pos` of the input.
+    pub(crate) fn error_at(&self, pos: usize, kind: XmlErrorKind) -> XmlError {
         let prefix = &self.input[..pos.min(self.input.len())];
         let line = prefix.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
         let column = prefix
@@ -109,23 +119,40 @@ impl<'a> PullParser<'a> {
         XmlError::new(kind, line, column)
     }
 
-    fn read_name(&mut self) -> Result<String, XmlError> {
+    /// A name: a name start, then name characters with at most one
+    /// colon, itself followed by a name start. The rule is checked while
+    /// scanning, so the name is read once; it is `is_valid_raw_name`'s.
+    fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         match self.peek() {
-            Some(c) if is_name_start(c) => {
-                self.bump();
-            }
+            Some(c) if is_name_start(c) => self.pos += c.len_utf8(),
             Some(c) => return Err(self.error(XmlErrorKind::UnexpectedChar(c))),
             None => return Err(self.error(XmlErrorKind::UnexpectedEof)),
         }
-        while matches!(self.peek(), Some(c) if is_name_char(c) || c == ':') {
-            self.bump();
+        let bytes = self.input.as_bytes();
+        let (mut colons, mut valid) = (0, true);
+        while let Some(&b) = bytes.get(self.pos) {
+            if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.') {
+                self.pos += 1;
+            } else if b == b':' {
+                self.pos += 1;
+                colons += 1;
+                valid &= colons == 1 && self.peek().is_some_and(is_name_start);
+            } else if b.is_ascii() {
+                break;
+            } else {
+                match self.peek() {
+                    Some(c) if is_name_char(c) => self.pos += c.len_utf8(),
+                    _ => break,
+                }
+            }
         }
         let raw = &self.input[start..self.pos];
-        if !is_valid_raw_name(raw) {
+        debug_assert_eq!(valid, is_valid_raw_name(raw), "{raw:?}");
+        if !valid {
             return Err(self.error_at(start, XmlErrorKind::BadName(raw.to_string())));
         }
-        Ok(raw.to_string())
+        Ok(raw)
     }
 
     /// Decodes `&...;` starting just after the `&`.
@@ -156,168 +183,164 @@ impl<'a> PullParser<'a> {
         Ok(decoded)
     }
 
-    fn read_attr_value(&mut self) -> Result<String, XmlError> {
+    /// Appends `run` and then the entity after it to `decoded`, which is
+    /// started from nothing at the first entity of a value.
+    fn push_entity(&mut self, decoded: &mut Option<String>, run: &str) -> Result<(), XmlError> {
+        let out = decoded.get_or_insert_with(String::new);
+        out.push_str(run);
+        out.push(self.read_entity()?);
+        Ok(())
+    }
+
+    fn read_attr_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let quote = match self.bump() {
-            Some(q @ ('"' | '\'')) => q,
+            Some(q @ ('"' | '\'')) => q as u8,
             Some(c) => return Err(self.error(XmlErrorKind::UnexpectedChar(c))),
             None => return Err(self.error(XmlErrorKind::UnexpectedEof)),
         };
-        // Bulk-scan to the next quote/entity/`<`, copying plain runs in one
-        // step. Stops land on the same bytes the per-char loop decided on,
-        // so error positions are unchanged.
-        let mut out = String::new();
+        // Bulk-scan to the next quote/entity/`<`. A value with no entity
+        // is a slice of the input; the first entity starts an owned copy.
+        let mut decoded: Option<String> = None;
         loop {
             let rest = self.rest();
-            match crate::swar::find_byte3(rest.as_bytes(), quote as u8, b'&', b'<') {
-                None => {
-                    self.pos = self.input.len();
-                    return Err(self.error(XmlErrorKind::UnexpectedEof));
-                }
-                Some(i) => {
-                    out.push_str(&rest[..i]);
-                    self.pos += i + 1;
-                    match rest.as_bytes()[i] {
-                        b'&' => out.push(self.read_entity()?),
-                        b'<' => return Err(self.error(XmlErrorKind::UnexpectedChar('<'))),
-                        _ => return Ok(out),
-                    }
-                }
+            let Some(i) = crate::swar::find_byte3(rest.as_bytes(), quote, b'&', b'<') else {
+                self.pos = self.input.len();
+                return Err(self.error(XmlErrorKind::UnexpectedEof));
+            };
+            let run = &rest[..i];
+            self.pos += i + 1;
+            match rest.as_bytes()[i] {
+                b'&' => self.push_entity(&mut decoded, run)?,
+                b'<' => return Err(self.error(XmlErrorKind::UnexpectedChar('<'))),
+                _ => return Ok(finish(decoded, run)),
             }
         }
     }
 
-    fn read_until(&mut self, terminator: &str, what: &'static str) -> Result<String, XmlError> {
-        match crate::swar::find_seq(self.rest().as_bytes(), terminator.as_bytes()) {
+    fn read_until(&mut self, terminator: &str) -> Result<&'a str, XmlError> {
+        let rest = self.rest();
+        match crate::swar::find_seq(rest.as_bytes(), terminator.as_bytes()) {
             Some(i) => {
-                let content = self.rest()[..i].to_string();
                 self.pos += i + terminator.len();
-                Ok(content)
+                Ok(&rest[..i])
             }
             None => {
-                let _ = what;
                 self.pos = self.input.len();
                 Err(self.error(XmlErrorKind::UnexpectedEof))
             }
         }
     }
 
-    fn read_start_tag(&mut self) -> Result<StartTag, XmlError> {
+    /// Consumes `s`, or fails on the character found in its place.
+    fn expect(&mut self, s: &str) -> Result<(), XmlError> {
+        if self.eat(s) {
+            return Ok(());
+        }
+        Err(match self.peek() {
+            Some(c) => self.error(XmlErrorKind::UnexpectedChar(c)),
+            None => self.error(XmlErrorKind::UnexpectedEof),
+        })
+    }
+
+    fn read_start_tag(&mut self) -> Result<StartTag<'a>, XmlError> {
         let name = self.read_name()?;
-        let mut attributes: Vec<(String, String)> = Vec::new();
+        let mut attributes: Vec<(&'a str, Cow<'a, str>)> = Vec::new();
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some('>') => {
-                    self.bump();
-                    return Ok(StartTag {
-                        name,
-                        attributes,
-                        self_closing: false,
-                    });
-                }
-                Some('/') => {
-                    self.bump();
-                    if !self.eat(">") {
-                        return Err(match self.peek() {
-                            Some(c) => self.error(XmlErrorKind::UnexpectedChar(c)),
-                            None => self.error(XmlErrorKind::UnexpectedEof),
-                        });
-                    }
-                    return Ok(StartTag {
-                        name,
-                        attributes,
-                        self_closing: true,
-                    });
-                }
+            let self_closing = match self.peek() {
+                Some('>') => false,
+                Some('/') => true,
                 Some(c) if is_name_start(c) => {
                     let attr_start = self.pos;
                     let aname = self.read_name()?;
                     self.skip_ws();
-                    if !self.eat("=") {
-                        return Err(match self.peek() {
-                            Some(c) => self.error(XmlErrorKind::UnexpectedChar(c)),
-                            None => self.error(XmlErrorKind::UnexpectedEof),
-                        });
-                    }
+                    self.expect("=")?;
                     self.skip_ws();
                     let value = self.read_attr_value()?;
-                    if attributes.iter().any(|(n, _)| n == &aname) {
-                        return Err(
-                            self.error_at(attr_start, XmlErrorKind::DuplicateAttribute(aname))
-                        );
+                    if attributes.iter().any(|(n, _)| *n == aname) {
+                        return Err(self.error_at(
+                            attr_start,
+                            XmlErrorKind::DuplicateAttribute(aname.to_string()),
+                        ));
                     }
                     attributes.push((aname, value));
+                    continue;
                 }
                 Some(c) => return Err(self.error(XmlErrorKind::UnexpectedChar(c))),
                 None => return Err(self.error(XmlErrorKind::UnexpectedEof)),
+            };
+            self.pos += 1;
+            if self_closing {
+                self.expect(">")?;
             }
+            return Ok(StartTag {
+                name,
+                attributes,
+                self_closing,
+            });
         }
     }
 
-    fn read_text(&mut self) -> Result<String, XmlError> {
-        // Bulk-scan to the next markup/entity byte; plain character data
-        // is copied in one `push_str` per run instead of per char.
-        let mut out = String::new();
+    fn read_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        // Bulk-scan to the next markup/entity byte. Text with no entity
+        // is a slice of the input; the first entity starts an owned copy.
+        let mut decoded: Option<String> = None;
         loop {
             let rest = self.rest();
-            match crate::swar::find_byte2(rest.as_bytes(), b'<', b'&') {
-                None => {
-                    out.push_str(rest);
-                    self.pos = self.input.len();
-                    return Ok(out);
-                }
-                Some(i) => {
-                    out.push_str(&rest[..i]);
-                    self.pos += i;
-                    if rest.as_bytes()[i] == b'<' {
-                        return Ok(out);
-                    }
-                    self.pos += 1; // past the '&'
-                    out.push(self.read_entity()?);
-                }
+            let Some(i) = crate::swar::find_byte2(rest.as_bytes(), b'<', b'&') else {
+                self.pos = self.input.len();
+                return Ok(finish(decoded, rest));
+            };
+            let run = &rest[..i];
+            self.pos += i;
+            if rest.as_bytes()[i] == b'<' {
+                return Ok(finish(decoded, run));
             }
+            self.pos += 1; // past the '&'
+            self.push_entity(&mut decoded, run)?;
         }
     }
 
     /// Returns the next event, or [`Event::Eof`] at end of input.
-    pub fn next_event(&mut self) -> Result<Event, XmlError> {
-        if self.pos >= self.input.len() {
-            return Ok(Event::Eof);
+    pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
+        match self.input.as_bytes().get(self.pos) {
+            None => return Ok(Event::Eof),
+            Some(b'<') => self.pos += 1,
+            Some(_) => return Ok(Event::Text(self.read_text()?)),
         }
-        if self.eat("<") {
-            if self.eat("!--") {
-                let body = self.read_until("-->", "comment")?;
-                return Ok(Event::Comment(body));
-            }
-            if self.eat("![CDATA[") {
-                let body = self.read_until("]]>", "CDATA section")?;
-                return Ok(Event::CData(body));
-            }
-            if self.rest().starts_with('!') {
-                return Err(self.error_at(self.pos - 1, XmlErrorKind::DtdRejected));
-            }
-            if self.eat("?") {
-                let target = self.read_name()?;
-                let data = self.read_until("?>", "processing instruction")?;
-                return Ok(Event::Pi {
-                    target,
-                    data: data.strip_prefix(' ').unwrap_or(&data).to_string(),
-                });
-            }
-            if self.eat("/") {
+        match self.input.as_bytes().get(self.pos) {
+            Some(b'/') => {
+                self.pos += 1;
                 let name = self.read_name()?;
                 self.skip_ws();
-                if !self.eat(">") {
-                    return Err(match self.peek() {
-                        Some(c) => self.error(XmlErrorKind::UnexpectedChar(c)),
-                        None => self.error(XmlErrorKind::UnexpectedEof),
-                    });
-                }
-                return Ok(Event::EndElement(name));
+                self.expect(">")?;
+                Ok(Event::EndElement(name))
             }
-            return Ok(Event::StartElement(self.read_start_tag()?));
+            Some(b'!') if self.eat("!--") => Ok(Event::Comment(self.read_until("-->")?)),
+            Some(b'!') if self.eat("![CDATA[") => Ok(Event::CData(self.read_until("]]>")?)),
+            Some(b'!') => Err(self.error_at(self.pos - 1, XmlErrorKind::DtdRejected)),
+            Some(b'?') => {
+                self.pos += 1;
+                let target = self.read_name()?;
+                let data = self.read_until("?>")?;
+                Ok(Event::Pi {
+                    target,
+                    data: data.strip_prefix(' ').unwrap_or(data),
+                })
+            }
+            _ => Ok(Event::StartElement(self.read_start_tag()?)),
         }
-        Ok(Event::Text(self.read_text()?))
+    }
+}
+
+/// The value ending in `run`: borrowed when nothing was decoded before it.
+fn finish<'a>(decoded: Option<String>, run: &'a str) -> Cow<'a, str> {
+    match decoded {
+        None => Cow::Borrowed(run),
+        Some(mut out) => {
+            out.push_str(run);
+            Cow::Owned(out)
+        }
     }
 }
 
@@ -325,7 +348,7 @@ impl<'a> PullParser<'a> {
 mod tests {
     use super::*;
 
-    fn events(input: &str) -> Result<Vec<Event>, XmlError> {
+    fn events(input: &str) -> Result<Vec<Event<'_>>, XmlError> {
         let mut p = PullParser::new(input);
         let mut out = Vec::new();
         loop {
@@ -343,12 +366,12 @@ mod tests {
             ev,
             vec![
                 Event::StartElement(StartTag {
-                    name: "a".into(),
+                    name: "a",
                     attributes: vec![],
                     self_closing: false
                 }),
                 Event::Text("hi".into()),
-                Event::EndElement("a".into()),
+                Event::EndElement("a"),
             ]
         );
     }
@@ -359,10 +382,7 @@ mod tests {
         match &ev[0] {
             Event::StartElement(t) => {
                 assert!(t.self_closing);
-                assert_eq!(
-                    t.attributes,
-                    vec![("x".to_string(), "1".to_string()), ("y".into(), "2".into())]
-                );
+                assert_eq!(t.attributes, vec![("x", "1".into()), ("y", "2".into())]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -376,6 +396,21 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(ev[1], Event::Text("&>A".into()));
+    }
+
+    #[test]
+    fn values_borrow_unless_an_entity_was_decoded() {
+        let ev = events(r#"<a x="plain" y="a&amp;b">text</a>"#).unwrap();
+        match &ev[0] {
+            Event::StartElement(t) => {
+                assert!(matches!(t.attributes[0].1, Cow::Borrowed("plain")));
+                assert!(matches!(&t.attributes[1].1, Cow::Owned(v) if v == "a&b"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(ev[1], Event::Text(Cow::Borrowed("text"))));
+        let ev = events("<a>x&lt;y</a>").unwrap();
+        assert!(matches!(&ev[1], Event::Text(Cow::Owned(t)) if t == "x<y"));
     }
 
     #[test]
@@ -396,12 +431,12 @@ mod tests {
         assert_eq!(
             ev[0],
             Event::Pi {
-                target: "xml".into(),
-                data: "version=\"1.0\"".into()
+                target: "xml",
+                data: "version=\"1.0\""
             }
         );
-        assert_eq!(ev[2], Event::Comment(" c ".into()));
-        assert_eq!(ev[3], Event::CData("<raw>".into()));
+        assert_eq!(ev[2], Event::Comment(" c "));
+        assert_eq!(ev[3], Event::CData("<raw>"));
     }
 
     #[test]
@@ -450,7 +485,7 @@ mod tests {
     #[test]
     fn whitespace_in_end_tag_ok() {
         let ev = events("<a></a >").unwrap();
-        assert_eq!(ev[1], Event::EndElement("a".into()));
+        assert_eq!(ev[1], Event::EndElement("a"));
     }
 
     #[test]

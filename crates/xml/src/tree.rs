@@ -1,6 +1,6 @@
 //! Owned element tree with namespaces resolved at parse time.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::name::QName;
@@ -290,145 +290,110 @@ impl Document {
 
     /// Parses a complete document, enforcing well-formed structure: one
     /// root, matching tags, bound prefixes, nothing but whitespace,
-    /// comments and PIs outside the root.
+    /// comments and PIs outside the root. A structural error is reported
+    /// at the start of the token that breaks the structure.
     pub fn parse(input: &str) -> Result<Document, XmlError> {
         let mut parser = PullParser::new(input);
-        let mut scopes = NsScopes::new();
+        let mut scopes = NsScopes::default();
         let mut root: Option<Element> = None;
         loop {
-            match parser.next_event()? {
+            let at = parser.position();
+            let misplaced = match parser.next_event()? {
+                Event::StartElement(_) if root.is_some() => "multiple root elements",
                 Event::StartElement(tag) => {
-                    if root.is_some() {
-                        return Err(XmlError::new(
-                            XmlErrorKind::BadDocumentStructure("multiple root elements"),
-                            1,
-                            1,
-                        ));
-                    }
-                    root = Some(build_element(tag, &mut parser, &mut scopes)?);
+                    root = Some(build_element(tag, at, &mut parser, &mut scopes)?);
+                    continue;
                 }
-                Event::Text(t) if t.trim().is_empty() => {}
-                Event::Text(_) => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::BadDocumentStructure("text outside the root element"),
-                        1,
-                        1,
-                    ))
-                }
-                Event::CData(_) => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::BadDocumentStructure("CDATA outside the root element"),
-                        1,
-                        1,
-                    ))
-                }
-                Event::EndElement(_) => {
-                    return Err(XmlError::new(
-                        XmlErrorKind::BadDocumentStructure("end tag without a start tag"),
-                        1,
-                        1,
-                    ))
-                }
-                Event::Comment(_) | Event::Pi { .. } => {}
+                Event::Text(t) if t.trim().is_empty() => continue,
+                Event::Text(_) => "text outside the root element",
+                Event::CData(_) => "CDATA outside the root element",
+                Event::EndElement(_) => "end tag without a start tag",
+                Event::Comment(_) | Event::Pi { .. } => continue,
                 Event::Eof => break,
-            }
+            };
+            return Err(parser.error_at(at, XmlErrorKind::BadDocumentStructure(misplaced)));
         }
         match root {
             Some(root) => Ok(Document { root }),
-            None => Err(XmlError::new(
+            None => Err(parser.error_at(
+                input.len(),
                 XmlErrorKind::BadDocumentStructure("no root element"),
-                1,
-                1,
             )),
         }
     }
 }
 
-struct NsScopes {
-    stack: Vec<HashMap<Option<String>, String>>,
+/// The in-scope namespace declarations, innermost last: one stack for
+/// the whole document, cut back to an element's mark at its end tag.
+/// A URI borrows from the input unless an entity was decoded in it.
+#[derive(Default)]
+struct NsScopes<'a> {
+    bindings: Vec<(Option<&'a str>, Cow<'a, str>)>,
 }
 
-impl NsScopes {
-    fn new() -> Self {
-        NsScopes { stack: Vec::new() }
-    }
-
-    fn push(&mut self, tag: &StartTag) {
-        let mut scope = HashMap::new();
+impl<'a> NsScopes<'a> {
+    /// Pushes `tag`'s `xmlns` / `xmlns:p` declarations and returns the
+    /// mark to [`truncate`](Vec::truncate) back to at its end.
+    fn push(&mut self, tag: &StartTag<'a>) -> usize {
+        let mark = self.bindings.len();
         for (raw, value) in &tag.attributes {
-            if raw == "xmlns" {
-                scope.insert(None, value.clone());
+            if *raw == "xmlns" {
+                self.bindings.push((None, value.clone()));
             } else if let Some(p) = raw.strip_prefix("xmlns:") {
-                scope.insert(Some(p.to_string()), value.clone());
+                self.bindings.push((Some(p), value.clone()));
             }
         }
-        self.stack.push(scope);
+        mark
     }
 
-    fn pop(&mut self) {
-        self.stack.pop();
-    }
-
-    fn resolve(&self, prefix: Option<&str>) -> Option<Option<String>> {
-        if prefix == Some("xml") {
-            return Some(Some(XML_NS.to_string()));
+    fn resolve(&self, prefix: Option<&str>) -> Option<Option<&str>> {
+        match prefix {
+            Some("xml") => return Some(Some(XML_NS)),
+            Some("xmlns") => return Some(None),
+            _ => {}
         }
-        if prefix == Some("xmlns") {
-            return Some(None);
-        }
-        let key = prefix.map(str::to_string);
-        for scope in self.stack.iter().rev() {
-            if let Some(uri) = scope.get(&key) {
-                // xmlns="" un-declares the default namespace.
-                return Some(if uri.is_empty() {
-                    None
-                } else {
-                    Some(uri.clone())
-                });
-            }
-        }
-        if prefix.is_none() {
-            Some(None)
-        } else {
-            None
+        match self.bindings.iter().rev().find(|(p, _)| *p == prefix) {
+            // xmlns="" un-declares the default namespace.
+            Some((_, uri)) => Some(Some(&**uri).filter(|uri| !uri.is_empty())),
+            None => prefix.is_none().then_some(None),
         }
     }
 }
 
-fn build_element(
-    tag: StartTag,
-    parser: &mut PullParser<'_>,
-    scopes: &mut NsScopes,
+/// Builds the element `tag` opens, which started at byte `at`, reading
+/// its content from `parser` up to its end tag.
+fn build_element<'a>(
+    tag: StartTag<'a>,
+    at: usize,
+    parser: &mut PullParser<'a>,
+    scopes: &mut NsScopes<'a>,
 ) -> Result<Element, XmlError> {
-    scopes.push(&tag);
-    let name = QName::parse(&tag.name)
-        .ok_or_else(|| XmlError::new(XmlErrorKind::BadName(tag.name.clone()), 1, 1))?;
+    let mark = scopes.push(&tag);
+    let unbound = |p: &str| parser.error_at(at, XmlErrorKind::UnboundPrefix(p.to_string()));
+    let name = QName::parse(tag.name)
+        .ok_or_else(|| parser.error_at(at, XmlErrorKind::BadName(tag.name.to_string())))?;
+    let prefix = name.prefix.as_deref();
     let namespace = scopes
-        .resolve(name.prefix.as_deref())
-        .ok_or_else(|| {
-            XmlError::new(
-                XmlErrorKind::UnboundPrefix(name.prefix.clone().unwrap_or_default()),
-                1,
-                1,
-            )
-        })?;
+        .resolve(prefix)
+        .ok_or_else(|| unbound(prefix.unwrap_or_default()))?
+        .map(str::to_string);
     let mut attributes = Vec::with_capacity(tag.attributes.len());
-    for (raw, value) in &tag.attributes {
+    for (raw, value) in tag.attributes {
         let aname = QName::parse(raw)
-            .ok_or_else(|| XmlError::new(XmlErrorKind::BadName(raw.clone()), 1, 1))?;
+            .ok_or_else(|| parser.error_at(at, XmlErrorKind::BadName(raw.to_string())))?;
         let ans = match aname.prefix.as_deref() {
             // Unprefixed attributes are in no namespace; xmlns decls are
             // declarations, not namespaced attributes.
-            None => None,
-            Some("xmlns") => None,
-            Some(p) => Some(scopes.resolve(Some(p)).ok_or_else(|| {
-                XmlError::new(XmlErrorKind::UnboundPrefix(p.to_string()), 1, 1)
-            })?),
+            None | Some("xmlns") => None,
+            Some(p) => scopes
+                .resolve(Some(p))
+                .ok_or_else(|| unbound(p))?
+                .map(str::to_string),
         };
         attributes.push(Attribute {
             name: aname,
-            namespace: ans.flatten(),
-            value: value.clone(),
+            namespace: ans,
+            value: value.into_owned(),
         });
     }
     let mut element = Element {
@@ -438,42 +403,40 @@ fn build_element(
         children: Vec::new(),
     };
     if tag.self_closing {
-        scopes.pop();
+        scopes.bindings.truncate(mark);
         return Ok(element);
     }
     loop {
+        let at = parser.position();
         match parser.next_event()? {
             Event::StartElement(child) => {
-                let child = build_element(child, parser, scopes)?;
+                let child = build_element(child, at, parser, scopes)?;
                 element.children.push(Node::Element(child));
             }
             Event::EndElement(raw) => {
-                if raw != element.name.as_written() {
-                    return Err(XmlError::new(
+                if raw != tag.name {
+                    return Err(parser.error_at(
+                        at,
                         XmlErrorKind::MismatchedTag {
-                            expected: element.name.as_written(),
-                            found: raw,
+                            expected: tag.name.to_string(),
+                            found: raw.to_string(),
                         },
-                        1,
-                        1,
                     ));
                 }
-                scopes.pop();
+                scopes.bindings.truncate(mark);
                 return Ok(element);
             }
             Event::Text(t) => {
                 if let Some(Node::Text(prev)) = element.children.last_mut() {
                     prev.push_str(&t);
                 } else if !t.is_empty() {
-                    element.children.push(Node::Text(t));
+                    element.children.push(Node::Text(t.into_owned()));
                 }
             }
-            Event::CData(t) => element.children.push(Node::CData(t)),
-            Event::Comment(c) => element.children.push(Node::Comment(c)),
+            Event::CData(t) => element.children.push(Node::CData(t.to_string())),
+            Event::Comment(c) => element.children.push(Node::Comment(c.to_string())),
             Event::Pi { .. } => {}
-            Event::Eof => {
-                return Err(XmlError::new(XmlErrorKind::UnexpectedEof, 1, 1));
-            }
+            Event::Eof => return Err(parser.error_at(at, XmlErrorKind::UnexpectedEof)),
         }
     }
 }

@@ -128,6 +128,23 @@ fn error_positions_point_at_the_problem() {
 }
 
 #[test]
+fn structural_errors_point_at_the_offending_token() {
+    let cases: &[(&str, u32, u32)] = &[
+        ("<a>\n<b></c></a>", 2, 4),      // mismatched end tag
+        ("<a>\n  <p:b/></a>", 2, 3),     // unbound prefix on an element
+        ("<a>\n<b p:k='v'/></a>", 2, 1), // ... and on an attribute
+        ("<a/>\n<b/>", 2, 1),            // a second root
+        ("<a/><![CDATA[x]]>", 1, 5),     // CDATA outside the root
+        ("<a/>\njunk", 1, 5),            // text outside the root
+        ("<a>\n<b>", 2, 4),              // end of input inside an element
+    ];
+    for &(input, line, column) in cases {
+        let err = parse(input).expect_err(input);
+        assert_eq!((err.line, err.column), (line, column), "{input:?}: {err}");
+    }
+}
+
+#[test]
 fn attribute_value_whitespace_roundtrip() {
     // Tab/newline in attribute values must be preserved via char refs.
     let el = wsd_xml::Element::new("a").with_attr("k", "a\tb\nc");

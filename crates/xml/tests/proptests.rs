@@ -1,7 +1,13 @@
-//! Property-based invariants for the XML substrate.
+//! Property-based invariants for the XML substrate, and the differential
+//! against the parent revision's parser kept in `reference/`.
+
+mod reference;
 
 use proptest::prelude::*;
-use wsd_xml::{parse, write, Document, Element, Node};
+use proptest::sample::Index;
+use wsd_soap::{rpc, SoapVersion};
+use wsd_wsa::{EndpointReference, WsaHeaders};
+use wsd_xml::{parse, write, Document, Element, Event, Node, PullParser, XmlError, XmlErrorKind};
 
 /// Safe name: ASCII letter/underscore start, then letters/digits/-/._
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -202,5 +208,227 @@ proptest! {
         prop_assert!(result.is_err(), "strict prefix parsed: {torn:?}");
         // Determinism of the error itself (kind, line, column).
         prop_assert_eq!(result.err(), parse(torn).err());
+    }
+}
+
+/// How [`mutate`] changes a text: `(how, where, which bit)`.
+fn mutation() -> impl Strategy<Value = (u8, Index, u32)> {
+    (0u8..4, any::<Index>(), 0u32..8)
+}
+
+/// `text` cut at a byte (one time in four), with one bit of one byte
+/// flipped (one in four; repaired to UTF-8 lossily, so a flipped
+/// multi-byte character becomes U+FFFD), or as is.
+fn mutate(text: String, (how, at, bit): (u8, Index, u32)) -> String {
+    let mut bytes = text.into_bytes();
+    if !bytes.is_empty() {
+        let i = at.index(bytes.len());
+        match how {
+            1 => bytes.truncate(i),
+            2 => bytes[i] ^= 1 << bit,
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Written `tree_strategy()` documents, whole, truncated or flipped.
+fn written_tree_input() -> impl Strategy<Value = String> {
+    (tree_strategy(), mutation()).prop_map(|(root, m)| mutate(write(&Document::with_root(root)), m))
+}
+
+/// Entity soup, prefix re-binding and `xmlns=""`: nested elements that
+/// bind, re-bind and un-bind prefixes and the default namespace, around
+/// content full of references, whole, truncated or flipped. A few pieces
+/// are wrong on purpose (unknown or out-of-range references, a stray end
+/// tag, a DTD, a prefix bound nowhere above it).
+fn namespace_soup_input() -> impl Strategy<Value = String> {
+    const ELEMENTS: &[(&str, &str)] = &[
+        ("<p:a xmlns:p='urn:1'>", "</p:a>"),
+        ("<p:a xmlns:p=\"urn:2\" p:k='v'>", "</p:a>"),
+        ("<p:b>", "</p:b>"),
+        ("<a xmlns='urn:d'>", "</a>"),
+        ("<a xmlns=''>", "</a>"),
+        ("<c xmlns:p=''>", "</c>"),
+        ("<b p:k='v' xml:lang='en' k='&amp;'>", "</b>"),
+        (
+            "<q:c xmlns:q='urn:&amp;q' q:k='&lt;&#x41;&quot;'>",
+            "</q:c >",
+        ),
+        ("<é:ü xmlns:é='urn:é'>", "</é:ü>"),
+        ("<c>", "</c>"),
+    ];
+    const CONTENT: &[&str] = &[
+        "<p:d/>",
+        "<d xmlns=''/>",
+        "<d xmlns='urn:e' xmlns:p='urn:3'><p:e/></d>",
+        "<xmlns:f/>",
+        "<g xmlns:xml='urn:x'/>",
+        "&amp;",
+        "&#65;",
+        "&#x1F600;",
+        "text ",
+        " \n\t",
+        "<![CDATA[<p:x>&amp;]]>",
+        "<!-- <p:a> -->",
+        "<?pi data?>",
+    ];
+    const WRONG: &[&str] = &[
+        "&#0;",
+        "&nbsp;",
+        "</c>",
+        "<!DOCTYPE a>",
+        "<r:h/>",
+        "<d k='x<y'/>",
+        "<d k='1' k='2'/>",
+    ];
+    let piece = prop_oneof![
+        30 => (0..CONTENT.len()).prop_map(|i| CONTENT[i]),
+        1 => (0..WRONG.len()).prop_map(|i| WRONG[i]),
+    ];
+    let leaf = proptest::collection::vec(piece, 0..4).prop_map(|p| p.concat());
+    let element = leaf.prop_recursive(4, 32, 4, |inner| {
+        (0..ELEMENTS.len(), proptest::collection::vec(inner, 0..4)).prop_map(|(i, kids)| {
+            let (open, close) = ELEMENTS[i];
+            format!("{open}{}{close}", kids.concat())
+        })
+    });
+    (element, mutation()).prop_map(|(xml, m)| mutate(xml, m))
+}
+
+/// Real SOAP 1.1 / 1.2 echo envelopes with WS-Addressing headers, as the
+/// stack writes them, whole, truncated or flipped.
+fn envelope_input() -> impl Strategy<Value = String> {
+    let headers = (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>());
+    (
+        any::<bool>(),
+        any::<bool>(),
+        "[ -~]{0,40}",
+        headers,
+        mutation(),
+    )
+        .prop_map(|(v12, reply, text, (to, reply_to, id, action), m)| {
+            let version = if v12 {
+                SoapVersion::V12
+            } else {
+                SoapVersion::V11
+            };
+            let mut env = if reply {
+                rpc::echo_response(version, &text)
+            } else {
+                rpc::echo_request(version, &text)
+            };
+            let mut h = WsaHeaders::new();
+            if to {
+                h = h.to("http://dispatcher/svc/Echo?a=1&b=2");
+            }
+            if reply_to {
+                h = h.reply_to(EndpointReference::new("http://client:9000/cb"));
+            }
+            if id {
+                h = h.message_id("uuid:bench-1");
+                if reply {
+                    h = h.relates_to("uuid:bench-0");
+                }
+            }
+            if action {
+                h = h.action("urn:wsd:echo:echo");
+            }
+            h.apply(&mut env);
+            mutate(env.to_xml(), m)
+        })
+}
+
+fn differential_input() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[<>&;/='\"a-z0-9 \\-!\\[\\]?]{0,200}",
+        "[<>&;:/='\"apx0-9 #\\-!?]{0,120}".prop_map(|s| s.replace('x', "xmlns")),
+        written_tree_input(),
+        namespace_soup_input(),
+        envelope_input(),
+    ]
+}
+
+/// The parent reported these (document structure, tag matching,
+/// namespace binding, end of input inside an element) at 1:1; the
+/// product reports the token that broke the structure, so only the kind
+/// is compared.
+fn structural(err: &XmlError) -> bool {
+    (err.line, err.column) == (1, 1)
+        && matches!(
+            err.kind,
+            XmlErrorKind::MismatchedTag { .. }
+                | XmlErrorKind::UnboundPrefix(_)
+                | XmlErrorKind::BadDocumentStructure(_)
+                | XmlErrorKind::BadName(_)
+                | XmlErrorKind::UnexpectedEof
+        )
+}
+
+/// `input`'s pull events, owned in the reference's types, up to the end
+/// or the first error.
+fn product_events(input: &str) -> (Vec<reference::parser::Event>, Option<XmlError>) {
+    use reference::parser::{Event as Owned, StartTag};
+    let mut parser = PullParser::new(input);
+    let mut out = Vec::new();
+    loop {
+        out.push(match parser.next_event() {
+            Err(e) => return (out, Some(e)),
+            Ok(Event::Eof) => return (out, None),
+            Ok(Event::StartElement(tag)) => Owned::StartElement(StartTag {
+                name: tag.name.to_string(),
+                attributes: tag
+                    .attributes
+                    .into_iter()
+                    .map(|(n, v)| (n.to_string(), v.into_owned()))
+                    .collect(),
+                self_closing: tag.self_closing,
+            }),
+            Ok(Event::EndElement(n)) => Owned::EndElement(n.to_string()),
+            Ok(Event::Text(t)) => Owned::Text(t.into_owned()),
+            Ok(Event::CData(t)) => Owned::CData(t.to_string()),
+            Ok(Event::Comment(c)) => Owned::Comment(c.to_string()),
+            Ok(Event::Pi { target, data }) => Owned::Pi {
+                target: target.to_string(),
+                data: data.to_string(),
+            },
+        });
+    }
+}
+
+fn reference_events(input: &str) -> (Vec<reference::parser::Event>, Option<XmlError>) {
+    let mut parser = reference::parser::PullParser::new(input);
+    let mut out = Vec::new();
+    loop {
+        match parser.next_event() {
+            Err(e) => return (out, Some(e)),
+            Ok(reference::parser::Event::Eof) => return (out, None),
+            Ok(e) => out.push(e),
+        }
+    }
+}
+
+proptest! {
+    /// The borrowing parser builds the same tree as the parent's, or
+    /// fails with the same kind of error at the same place.
+    #[test]
+    fn tree_parse_matches_the_reference(input in differential_input()) {
+        match (parse(&input), reference::tree::parse(&input)) {
+            (Ok(doc), Ok(expected)) => prop_assert_eq!(doc, expected),
+            (Err(err), Err(expected)) if structural(&expected) => {
+                prop_assert_eq!(err.kind, expected.kind, "{:?}", input);
+            }
+            (Err(err), Err(expected)) => prop_assert_eq!(err, expected, "{:?}", input),
+            (got, expected) => {
+                prop_assert!(false, "{:?}: got {:?}, reference {:?}", input, got, expected);
+            }
+        }
+    }
+
+    /// The pull parser yields the parent's events, by content, and the
+    /// same error (kind, line and column) where it stops.
+    #[test]
+    fn pull_events_match_the_reference(input in differential_input()) {
+        prop_assert_eq!(product_events(&input), reference_events(&input), "{:?}", input);
     }
 }

@@ -7,7 +7,14 @@
 # and quartiles plus who won how many pairs. Then one `--trace 1` run a
 # side (seed 1, same length) and every per-layer metric of BENCHMARK.json
 # side by side, parent -> change, so a claim's layer rows come from the
-# same binaries as its end-to-end numbers.
+# same binaries as its end-to-end numbers. Under each end-to-end row is
+# a verdict on it, judged with the metric's `bound`:
+#   gain        the change wins >= 9/10 of the pairs and its median is
+#               better by more than the parent's quartile distance;
+#   regression  the change's median is worse by more than the bound;
+#   unresolved  the parent's quartile distance is wider than the bound
+#               and not every change run beats every parent run;
+#   no change   anything else.
 #
 #   scripts/bench-pair.sh <workload> [pairs=10] [seconds=25] [parent=HEAD~]
 #
@@ -19,7 +26,7 @@
 set -eu
 
 if [ $# -lt 1 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -85,13 +92,13 @@ value='function value(line,    at, rest) {
     return rest + 0
 }'
 
-# `name better` of every end-to-end metric, from BENCHMARK.json.
-metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*/\1 \2/p' \
+# `name better bound` of every end-to-end metric, from BENCHMARK.json.
+metrics=$(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*"better": "\([^"]*\)".*"bound": \([0-9.]*\).*/\1 \2 \3/p' \
     BENCHMARK.json)
 
 echo "$workload: $pairs pairs, $seconds s a run, parent $(git rev-parse --short "$parent"), $(nproc) core(s)"
-echo "$metrics" | while read -r name better; do
-    awk -v name="$name" -v better="$better" "$value"'
+echo "$metrics" | while read -r name better bound; do
+    awk -v name="$name" -v better="$better" -v bound="$bound" "$value"'
         # Quartile q of the sorted v[1..n], linear between ranks.
         function quantile(v, n, q,    h, lo) {
             h = (n - 1) * q + 1; lo = int(h)
@@ -119,6 +126,15 @@ echo "$metrics" | while read -r name better; do
                 name, quantile(ps, n, 0.5), quantile(ps, n, 0.25), quantile(ps, n, 0.75),
                 quantile(cs, n, 0.5), quantile(cs, n, 0.25), quantile(cs, n, 0.75),
                 100 * (quantile(cs, n, 0.5) / quantile(ps, n, 0.5) - 1), wins, losses, ties, n, better
+            pm = quantile(ps, n, 0.5); up = better == "higher"
+            ahead = up ? quantile(cs, n, 0.5) - pm : pm - quantile(cs, n, 0.5)
+            spread = quantile(ps, n, 0.75) - quantile(ps, n, 0.25)
+            allowed = bound * (pm < 0 ? -pm : pm)
+            if (wins >= 0.9 * n && ahead > spread) verdict = "gain"
+            else if (-ahead > allowed) verdict = "regression"
+            else if (spread > allowed && !(up ? cs[1] > ps[n] : cs[n] < ps[1])) verdict = "unresolved"
+            else verdict = "no change"
+            printf "  %-20s %s\n", "", verdict
         }' "$runs"
 done
 # Anything but `correct: true` with `failed: 0` on every run is the headline.
