@@ -311,17 +311,13 @@ pub fn line_at(starts: &[usize], offset: usize) -> usize {
     }
 }
 
-/// Builds the graph from parsed files. `files` maps repo-relative path →
-/// parsed file; entries where `skip(path)` is true (test collateral) are
-/// excluded wholesale.
-pub fn build(files: &BTreeMap<String, ParsedFile>, skip: &dyn Fn(&str) -> bool) -> Graph {
+/// Builds the graph from `(repo-relative path, parsed file)` pairs;
+/// the caller leaves test collateral out.
+pub fn build<'a>(files: impl IntoIterator<Item = (&'a str, &'a ParsedFile)>) -> Graph {
     let mut g = Graph::default();
 
     // Pass 1: nodes + raw call sites.
     for (path, pf) in files {
-        if skip(path) {
-            continue;
-        }
         let starts = line_index(&pf.stripped.code);
         for (li, f) in pf.fns.iter().enumerate() {
             if f.is_test {
@@ -341,14 +337,14 @@ pub fn build(files: &BTreeMap<String, ParsedFile>, skip: &dyn Fn(&str) -> bool) 
             };
             let idx = g.fns.len();
             g.fns.push(FnNode {
-                file: path.clone(),
+                file: path.to_string(),
                 local_idx: li,
                 name: f.name.clone(),
                 qualified: f.qualified.clone(),
                 sig_line: f.sig_line,
                 calls,
             });
-            g.by_file.entry(path.clone()).or_default().push(idx);
+            g.by_file.entry(path.to_string()).or_default().push(idx);
         }
     }
 
@@ -427,11 +423,8 @@ mod tests {
     use crate::parser::parse;
 
     fn graph_of(files: &[(&str, &str)]) -> Graph {
-        let map: BTreeMap<String, ParsedFile> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), parse(s)))
-            .collect();
-        build(&map, &|_| false)
+        let parsed: Vec<ParsedFile> = files.iter().map(|(_, s)| parse(s)).collect();
+        build(files.iter().map(|(p, _)| *p).zip(&parsed))
     }
 
     fn node<'g>(g: &'g Graph, q: &str) -> &'g FnNode {

@@ -36,7 +36,7 @@
 use crate::callgraph::{line_at, line_index, CallSite, Graph};
 use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
-use crate::rules::{is_test_path, Finding, FlowStep};
+use crate::rules::{is_test_path, Finding};
 use crate::ruleset::{fill, CallPat, GaugeRule, Ruleset, TaintRule};
 use crate::summaries::{contains_word, Facts, FileEntry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -888,19 +888,6 @@ impl<'a> Flow for GaugeFlow<'a> {
                      with the gauge still raised",
                     self.fn_qualified, self.file, self.file
                 )),
-                flow: vec![
-                    FlowStep {
-                        file: self.file.to_string(),
-                        line: *inc_line,
-                        message: format!("gauge `{class}` incremented"),
-                    },
-                    FlowStep {
-                        file: self.file.to_string(),
-                        line,
-                        message: "path leaves the function without a matching decrement"
-                            .to_string(),
-                    },
-                ],
             });
         }
     }
@@ -1098,21 +1085,6 @@ impl<'a> Flow for TaintFlow<'a> {
                                  `{}` ({}:{}) in {fn_q} with no sanitizer on the path",
                                 self.file, c.name, self.file, c.line
                             )),
-                            flow: vec![
-                                FlowStep {
-                                    file: self.file.to_string(),
-                                    line: *src_line,
-                                    message: format!("`{v}` tainted by source `{src}`"),
-                                },
-                                FlowStep {
-                                    file: self.file.to_string(),
-                                    line: c.line,
-                                    message: format!(
-                                        "sink `{}` receives `{v}` unsanitized",
-                                        c.name
-                                    ),
-                                },
-                            ],
                         });
                     }
                 }
@@ -1366,15 +1338,13 @@ impl S {
     }
 }
 "#;
-        let parsed: BTreeMap<String, ParsedFile> =
-            [("crates/store/src/x.rs".to_string(), parse(src))].into_iter().collect();
         let files: BTreeMap<String, FileEntry> = [(
             "crates/store/src/x.rs".to_string(),
             FileEntry { source: src.to_string(), parsed: parse(src) },
         )]
         .into_iter()
         .collect();
-        let mut graph = build(&parsed, &|_| false);
+        let mut graph = build(files.iter().map(|(p, e)| (p.as_str(), &e.parsed)));
         let rs = embedded();
         let facts = compute(&files, &mut graph, rs);
         let rule = &rs.taint_rules[0];
@@ -1454,7 +1424,7 @@ impl S {
     fn exits_of(src: &str, fname: &str) -> Vec<(ExitKind, bool)> {
         let parsed: BTreeMap<String, ParsedFile> =
             [("crates/x/src/a.rs".to_string(), parse(src))].into_iter().collect();
-        let graph = build(&parsed, &|_| false);
+        let graph = build(parsed.iter().map(|(p, f)| (p.as_str(), f)));
         let fi = graph.fns.iter().position(|f| f.name == fname).unwrap();
         let f = &graph.fns[fi];
         let pf = &parsed[&f.file];

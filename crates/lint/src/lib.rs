@@ -8,33 +8,29 @@
 //! comments so rules match only real code, an item parser ([`parser`])
 //! recovers `fn`/`impl`/`mod` structure, a call graph ([`callgraph`])
 //! resolves intra-workspace calls, per-function summaries
-//! ([`summaries`]) compute acquires-lock / may-block / satisfies /
-//! sanitizes facts, and three rule layers evaluate the named
-//! invariants — lexical ([`rules`]), interprocedural ([`interproc`])
-//! and path-sensitive dataflow ([`dataflow`], [`typestate`],
-//! [`waitgraph`]) — with the obligation, taint, gauge, typestate and
+//! ([`summaries`]) compute acquires-lock / may-block / sanitizes
+//! facts, and the rule layers evaluate the named invariants — lexical
+//! ([`rules`]), call-graph ([`interproc`]), path-sensitive dataflow and
+//! typestate ([`dataflow`], [`typestate`]) and the one wait-for graph
+//! ([`waitgraph`]) — with the argument, taint, gauge, typestate and
 //! wait-graph rules expressed as *data*: rows of the checked-in
 //! `lint-rules.toml`, compiled in and written down nowhere else
-//! ([`ruleset`]), `#[cfg(test)]` exemption, reasoned
-//! suppressions audited for liveness (`unused-suppression`), a ratchet
-//! baseline ([`baseline`]) that fails the build only on *new* findings,
-//! and a SARIF emitter ([`sarif`]) with `codeFlows` for CI.
+//! ([`ruleset`]). Test code is exempt, every suppression needs a
+//! reason and is audited for liveness (`unused-suppression`), and one
+//! matcher applies the suppressions to every finding.
 //!
 //! No dependencies, by design: the build is offline and the linter must
 //! never be the thing that breaks the build for environmental reasons.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod interproc;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 pub mod ruleset;
-pub mod sarif;
 pub mod summaries;
 pub mod typestate;
 pub mod waitgraph;
@@ -45,8 +41,8 @@ use std::path::Path;
 
 pub use rules::{lint_source, suppressions_in, Finding};
 
-/// Everything one analysis pass produces: findings (lexical +
-/// interprocedural + dataflow, suppression-filtered, sorted), the
+/// Everything one analysis pass produces: findings (every layer's,
+/// suppression-filtered, sorted), the
 /// suppression count, and the structures the findings were derived
 /// from — exposed so tests (e.g. the dynamic lock-order cross-check in
 /// `wsd-concurrent`) can interrogate the graph and edge set directly.
@@ -61,7 +57,7 @@ pub struct WorkspaceAnalysis {
     pub facts: summaries::Facts,
     /// The static lock-order edge set (`held -> acquired`), for the
     /// cross-check against `wsd_concurrent::ordered::audit::edges()`.
-    pub lock_edges: Vec<interproc::Edge>,
+    pub lock_edges: Vec<waitgraph::Edge>,
     /// Wall-clock milliseconds per engine stage, in run order — the
     /// `--json` `check_ms` breakdown that makes budget regressions
     /// attributable to a stage.
@@ -96,11 +92,6 @@ pub fn analyze_files(
     ruleset: &ruleset::Ruleset,
     self_mode: bool,
 ) -> WorkspaceAnalysis {
-    // Suppressions that silenced at least one finding, as (file,
-    // directive line, rule). Whatever is left over at the end is dead
-    // weight — an `unused-suppression`.
-    let mut used: BTreeSet<(String, usize, String)> = BTreeSet::new();
-
     // wsd-lint: allow(raw-clock): measuring the linter's own stage wall time, not event time
     let mut stage_start = std::time::Instant::now();
     let mut timings: Vec<(&'static str, u128)> = Vec::new();
@@ -110,19 +101,21 @@ pub fn analyze_files(
         *start = std::time::Instant::now();
     };
 
+    // Each file's well-formed suppressions: counted for the report,
+    // matched against every finding below, and audited for liveness.
+    let mut allows: BTreeMap<&str, Vec<rules::Suppression>> = BTreeMap::new();
+    // Malformed directives are findings no allow can silence; the
+    // lexical and engine findings go through the suppression filter.
     let mut findings = Vec::new();
-    // Each file's well-formed suppressions, as (line, is_line_comment,
-    // rule): counted for the report, matched against the engines'
-    // findings, and audited for liveness below.
-    let mut allows: BTreeMap<&str, Vec<(usize, bool, String)>> = BTreeMap::new();
+    let mut raw = Vec::new();
     for (rel, entry) in files {
-        let (fs, consumed) =
-            rules::lint_source_uses(rel, &entry.source, &entry.parsed, self_mode, ruleset);
-        findings.extend(fs);
-        for (line, rule) in consumed {
-            used.insert((rel.clone(), line, rule));
+        let (sups, bad) = rules::parse_suppressions(rel, &entry.parsed.stripped.comments, ruleset);
+        if !rules::is_test_path(rel) {
+            findings.extend(bad);
+            let lexical = rules::lexical_findings(rel, &entry.source, &entry.parsed, self_mode);
+            raw.extend(lexical);
         }
-        allows.insert(rel, rules::active_suppressions(&entry.parsed.stripped.comments, ruleset));
+        allows.insert(rel, sups);
     }
     let suppressions = allows.values().map(Vec::len).sum();
     lap("lexical", &mut stage_start, &mut timings);
@@ -130,40 +123,37 @@ pub fn analyze_files(
     // Interprocedural layer: test-path files are excluded from the
     // graph wholesale (fixtures deliberately seed violations, and test
     // helpers must not capture bare-name resolution).
-    let parsed_for_graph: BTreeMap<String, parser::ParsedFile> = files
-        .iter()
-        .filter(|(rel, _)| !rules::is_test_path(rel))
-        .map(|(rel, e)| (rel.clone(), parser::parse(&e.source)))
-        .collect();
-    let mut graph = callgraph::build(&parsed_for_graph, &|_| false);
+    let mut graph = callgraph::build(
+        files
+            .iter()
+            .filter(|(rel, _)| !rules::is_test_path(rel))
+            .map(|(rel, e)| (rel.as_str(), &e.parsed)),
+    );
     let facts = summaries::compute(files, &mut graph, ruleset);
     lap("graph", &mut stage_start, &mut timings);
-    let (interproc_findings, lock_edges) = interproc::run(files, &graph, &facts, ruleset);
+    raw.extend(interproc::run(files, &graph, &facts, ruleset));
     lap("interproc", &mut stage_start, &mut timings);
-    let dataflow_findings = dataflow::run(files, &graph, &facts, ruleset);
+    raw.extend(dataflow::run(files, &graph, &facts, ruleset));
     lap("dataflow", &mut stage_start, &mut timings);
-    let typestate_findings = typestate::run(files, &graph, ruleset);
+    raw.extend(typestate::run(files, &graph, ruleset));
     lap("typestate", &mut stage_start, &mut timings);
-    let waitgraph_findings = waitgraph::run(files, &graph, &facts, ruleset);
+    let (waitgraph_findings, lock_edges) = waitgraph::run(&graph, &facts, ruleset);
+    raw.extend(waitgraph_findings);
     lap("waitgraph", &mut stage_start, &mut timings);
 
-    // Interprocedural, dataflow, typestate and waitgraph findings
-    // honour the same suppression comments.
-    for f in interproc_findings
-        .into_iter()
-        .chain(dataflow_findings)
-        .chain(typestate_findings)
-        .chain(waitgraph_findings)
-    {
-        let hit = allows.get(f.file.as_str()).and_then(|sups| {
-            sups.iter().find(|(line, is_line, rule)| {
-                rule == f.rule && (*line == f.line || (*is_line && line + 1 == f.line))
-            })
-        });
-        if let Some((line, _, rule)) = hit {
-            used.insert((f.file.clone(), *line, rule.clone()));
-        } else {
-            findings.push(f);
+    // Suppressions that silenced at least one finding, as (file,
+    // directive line, rule). Whatever is left over at the end is dead
+    // weight — an `unused-suppression`.
+    let mut used: BTreeSet<(String, usize, String)> = BTreeSet::new();
+    for f in raw {
+        let hit = allows
+            .get(f.file.as_str())
+            .and_then(|sups| sups.iter().find(|s| s.covers(&f)));
+        match hit {
+            Some(s) => {
+                used.insert((f.file, s.line, s.rule.clone()));
+            }
+            None => findings.push(f),
         }
     }
 
@@ -179,23 +169,21 @@ pub fn analyze_files(
         if !self_mode && !rules::rule_applies("unused-suppression", rel) {
             continue;
         }
-        for (line, _, rule) in &allows[rel.as_str()] {
-            if entry.parsed.is_test_line(*line) {
-                continue;
-            }
-            if used.contains(&(rel.clone(), *line, rule.clone())) {
+        for s in &allows[rel.as_str()] {
+            let (line, rule) = (s.line, &s.rule);
+            if entry.parsed.is_test_line(line) || used.contains(&(rel.clone(), line, rule.clone()))
+            {
                 continue;
             }
             findings.push(Finding {
                 rule: "unused-suppression",
                 file: rel.clone(),
-                line: *line,
+                line,
                 excerpt: format!("allow({rule}) here silences nothing"),
                 witness: Some(format!(
                     "suppression of `{rule}` at {rel}:{line} matched no finding — \
                      delete it or re-justify it"
                 )),
-                flow: Vec::new(),
             });
         }
     }
@@ -223,4 +211,21 @@ pub fn analyze_files(
 pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, usize)> {
     let wa = analyze_workspace(root, false)?;
     Ok((wa.findings, wa.suppressions))
+}
+
+#[cfg(test)]
+/// The whole pipeline over in-memory `(path, source)` files, against
+/// the embedded ruleset.
+pub(crate) fn analyze_sources(files: &[(&str, &str)]) -> WorkspaceAnalysis {
+    let files = files
+        .iter()
+        .map(|(path, source)| {
+            let entry = summaries::FileEntry {
+                source: source.to_string(),
+                parsed: parser::parse(source),
+            };
+            (path.to_string(), entry)
+        })
+        .collect();
+    analyze_files(&files, ruleset::embedded(), false)
 }

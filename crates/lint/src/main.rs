@@ -1,25 +1,17 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! wsd-lint [--root PATH] [--check] [--json PATH] [--sarif PATH]
-//!          [--update-baseline] [--self] [--budget-ms N]
-//!          [--explain RULE]
+//! wsd-lint [--root PATH] [--check] [--json PATH] [--self]
+//!          [--budget-ms N] [--explain RULE]
 //! ```
 //!
-//! * default: report all findings against the ratchet baseline
-//!   (`<root>/lint-baseline.json`), exit 0.
-//! * `--check`: exit 1 when any (file, rule) pair exceeds its baselined
-//!   count — i.e. on *new* findings only.
-//! * `--update-baseline`: rewrite the baseline to the current counts
-//!   (used after burning down debt, never to absorb new debt casually).
-//! * `--json PATH`: also write the report as JSON (`-` for stdout). The
-//!   payload is an object: `findings` plus the ratchet summary
-//!   (`burned_down` included, so machine consumers see burn-down too,
-//!   not just the diff output).
-//! * `--sarif PATH`: also write findings as SARIF 2.1.0 for CI
-//!   annotation (`-` for stdout).
+//! * default: report all unsuppressed findings, exit 0.
+//! * `--check`: exit 1 when there is any unsuppressed finding.
+//! * `--json PATH`: also write the report as JSON (`-` for stdout): an
+//!   object with the `findings` and a `summary` of the finding and
+//!   suppression counts and the analysis time.
 //! * `--self`: lint `crates/lint` itself with the full rule set (no
-//!   path scoping, no baseline tolerance — any finding fails).
+//!   path scoping) — any finding fails, as under `--check`.
 //! * `--budget-ms N`: fail (exit 1) when the analysis wall time exceeds
 //!   `N` milliseconds — the linter's own performance is part of the
 //!   contract (it runs on every `verify.sh lint`). The measured time is
@@ -30,18 +22,15 @@
 //! * `--explain RULE`: print the rule's engine kind and hint, and (for
 //!   declarative rules) its `lint-rules.toml` row as written, then exit.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wsd_lint::{analyze_workspace, baseline, json, rules, ruleset, sarif};
+use wsd_lint::{analyze_workspace, rules, ruleset};
 
 struct Opts {
     root: PathBuf,
     check: bool,
-    update_baseline: bool,
     json_path: Option<String>,
-    sarif_path: Option<String>,
     self_mode: bool,
     budget_ms: Option<u64>,
     explain: Option<String>,
@@ -51,9 +40,7 @@ fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: PathBuf::from("."),
         check: false,
-        update_baseline: false,
         json_path: None,
-        sarif_path: None,
         self_mode: false,
         budget_ms: None,
         explain: None,
@@ -65,26 +52,24 @@ fn parse_args() -> Result<Opts, String> {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a path")?);
             }
             "--check" => opts.check = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--json" => {
                 opts.json_path = Some(args.next().ok_or("--json needs a path (or -)")?);
-            }
-            "--sarif" => {
-                opts.sarif_path = Some(args.next().ok_or("--sarif needs a path (or -)")?);
             }
             "--self" => opts.self_mode = true,
             "--budget-ms" => {
                 let n = args.next().ok_or("--budget-ms needs a number")?;
-                opts.budget_ms =
-                    Some(n.parse().map_err(|_| format!("bad --budget-ms value {n:?}"))?);
+                opts.budget_ms = Some(
+                    n.parse()
+                        .map_err(|_| format!("bad --budget-ms value {n:?}"))?,
+                );
             }
             "--explain" => {
                 opts.explain = Some(args.next().ok_or("--explain needs a rule name")?);
             }
             "--help" | "-h" => {
                 println!(
-                    "wsd-lint [--root PATH] [--check] [--json PATH] [--sarif PATH] \
-                     [--update-baseline] [--self] [--budget-ms N] [--explain RULE]"
+                    "wsd-lint [--root PATH] [--check] [--json PATH] [--self] \
+                     [--budget-ms N] [--explain RULE]"
                 );
                 std::process::exit(0);
             }
@@ -94,43 +79,45 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// The `--json` payload: an object so the ratchet summary (including
-/// burned-down pairs) travels with the findings — not only in the
-/// human diff output.
+/// Escapes `s` for embedding inside a JSON string literal.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// The `--json` payload: the findings and a summary with the stage
+/// breakdown of `check_ms`.
 fn report_json(
     findings: &[rules::Finding],
-    new_keys: &BTreeMap<String, ()>,
-    report: &baseline::RatchetReport,
     suppressions: usize,
     check_ms: u128,
     timings: &[(&'static str, u128)],
 ) -> String {
     let mut out = String::from("{\n  \"findings\": [\n");
     for (idx, f) in findings.iter().enumerate() {
-        let is_new = new_keys.contains_key(&baseline::key(&f.file, f.rule));
         let witness = match &f.witness {
-            Some(w) => format!(", \"witness\": \"{}\"", json::escape(w)),
+            Some(w) => format!(", \"witness\": \"{}\"", escape(w)),
             None => String::new(),
         };
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"new\": {}, \"excerpt\": \"{}\"{}}}{}",
-            json::escape(f.rule),
-            json::escape(&f.file),
+            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"excerpt\": \"{}\"{}}}{}",
+            escape(f.rule),
+            escape(&f.file),
             f.line,
-            is_new,
-            json::escape(&f.excerpt),
+            escape(&f.excerpt),
             witness,
-            if idx + 1 == findings.len() { "\n" } else { ",\n" }
-        ));
-    }
-    out.push_str("  ],\n  \"burned_down\": [\n");
-    for (idx, (k, base_n, cur)) in report.burned_down.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"key\": \"{}\", \"baseline\": {}, \"current\": {}}}{}",
-            json::escape(k),
-            base_n,
-            cur,
-            if idx + 1 == report.burned_down.len() {
+            if idx + 1 == findings.len() {
                 "\n"
             } else {
                 ",\n"
@@ -142,13 +129,8 @@ fn report_json(
         .map(|(name, ms)| format!(", \"{name}\": {ms}"))
         .collect();
     out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"new\": {}, \"tolerated\": {}, \"burned_down\": {}, \"suppressions\": {}, \"check_ms\": {{\"total\": {}{}}}}}\n}}\n",
-        report.new_findings.len(),
-        report.tolerated,
-        report.burned_down.len(),
-        suppressions,
-        check_ms,
-        stages
+        "  ],\n  \"summary\": {{\"findings\": {}, \"suppressions\": {suppressions}, \"check_ms\": {{\"total\": {check_ms}{stages}}}}}\n}}\n",
+        findings.len()
     ));
     out
 }
@@ -157,7 +139,7 @@ fn write_out(path: &str, text: &str) -> Result<(), ExitCode> {
     if path == "-" {
         print!("{text}");
         Ok(())
-        // wsd-lint: allow(raw-file-io): report artifacts (SARIF/JSON), not durable state
+        // wsd-lint: allow(raw-file-io): the JSON report is an artifact, not durable state
     } else if let Err(e) = std::fs::write(path, text) {
         eprintln!("wsd-lint: cannot write {path}: {e}");
         Err(ExitCode::from(2))
@@ -202,15 +184,15 @@ fn main() -> ExitCode {
     }
 
     // `--self`: the linter lints itself, full rule set, zero tolerance.
-    let (root, self_mode) = if opts.self_mode {
-        (opts.root.join("crates").join("lint"), true)
+    let root = if opts.self_mode {
+        opts.root.join("crates").join("lint")
     } else {
-        (opts.root.clone(), false)
+        opts.root.clone()
     };
 
     // wsd-lint: allow(raw-clock): measuring the linter's own wall time, not event time
     let t0 = std::time::Instant::now();
-    let analysis = match analyze_workspace(&root, self_mode) {
+    let analysis = match analyze_workspace(&root, opts.self_mode) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("wsd-lint: walk failed: {e}");
@@ -218,129 +200,53 @@ fn main() -> ExitCode {
         }
     };
     let check_ms = t0.elapsed().as_millis();
-    let (findings, suppression_count) = (analysis.findings, analysis.suppressions);
+    let findings = &analysis.findings;
 
-    if self_mode {
-        for f in &findings {
-            println!("! {}:{} [{}] {}", f.file, f.line, f.rule, f.excerpt);
-            if let Some(w) = &f.witness {
-                println!("       witness: {w}");
-            }
-        }
-        if findings.is_empty() {
-            println!(
-                "wsd-lint --self: clean ({} fn(s) in the self call graph)",
-                analysis.graph.fns.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        eprintln!(
-            "wsd-lint --self: FAIL — {} finding(s); the linter holds itself to the full rule set",
-            findings.len()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let baseline_path = opts.root.join("lint-baseline.json");
-    // wsd-lint: allow(raw-file-io): the ratchet baseline is a checked-in text file
-    let base = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("wsd-lint: bad baseline {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => BTreeMap::new(), // no baseline file = empty baseline
-    };
-
-    if opts.update_baseline {
-        let text = baseline::render(&findings);
-        // wsd-lint: allow(raw-file-io): rewriting the ratchet baseline on request
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("wsd-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "wsd-lint: baseline rewritten with {} finding(s) across {} (file, rule) pair(s)",
-            findings.len(),
-            baseline::counts(&findings).len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let report = baseline::compare(&findings, &base);
-    let new_keys: BTreeMap<String, ()> = report
-        .new_findings
-        .iter()
-        .map(|f| (baseline::key(&f.file, f.rule), ()))
-        .collect();
-
-    // Human diff-style output: findings grouped per file, `+` marks new
-    // (above-baseline) findings, `=` marks tolerated baselined debt.
+    // Human output: findings grouped per file, witness and hint
+    // indented under each.
     let mut last_file = "";
-    for f in &findings {
+    for f in findings {
         if f.file != last_file {
             println!("--- {}", f.file);
             last_file = &f.file;
         }
-        let marker = if new_keys.contains_key(&baseline::key(&f.file, f.rule)) {
-            '+'
-        } else {
-            '='
-        };
-        println!("{}{:<5} [{}] {}", marker, f.line, f.rule, f.excerpt);
+        println!("{:<5} [{}] {}", f.line, f.rule, f.excerpt);
         if let Some(w) = &f.witness {
             println!("       witness: {w}");
         }
         println!("       -> {}", ruleset::embedded().hint(f.rule));
     }
-    for (k, base_n, cur) in &report.burned_down {
+    if opts.self_mode && findings.is_empty() {
         println!(
-            "~ {k}: baseline {base_n} -> {cur} — debt burned down; run --update-baseline to ratchet"
+            "wsd-lint --self: clean ({} fn(s) in the self call graph)",
+            analysis.graph.fns.len()
+        );
+    } else {
+        println!(
+            "wsd-lint: {} finding(s), {} suppression(s) with reasons, analysis {check_ms}ms",
+            findings.len(),
+            analysis.suppressions
         );
     }
-    println!(
-        "wsd-lint: {} new, {} tolerated (baseline), {} burned-down pair(s), {} suppression(s) with reasons, analysis {check_ms}ms",
-        report.new_findings.len(),
-        report.tolerated,
-        report.burned_down.len(),
-        suppression_count
-    );
 
     if let Some(path) = &opts.json_path {
-        let text = report_json(
-            &findings,
-            &new_keys,
-            &report,
-            suppression_count,
-            check_ms,
-            &analysis.timings,
-        );
-        if let Err(code) = write_out(path, &text) {
-            return code;
-        }
-    }
-    if let Some(path) = &opts.sarif_path {
-        let text = sarif::render(&findings, ruleset::embedded());
+        let text = report_json(findings, analysis.suppressions, check_ms, &analysis.timings);
         if let Err(code) = write_out(path, &text) {
             return code;
         }
     }
 
-    if opts.check && !report.new_findings.is_empty() {
+    if (opts.check || opts.self_mode) && !findings.is_empty() {
         eprintln!(
-            "wsd-lint: FAIL — {} finding(s) above baseline (fix, or suppress with \
+            "wsd-lint: FAIL — {} finding(s) (fix, or suppress with \
              `// wsd-lint: allow(<rule>): <reason>`)",
-            report.new_findings.len()
+            findings.len()
         );
         return ExitCode::FAILURE;
     }
     if let Some(budget) = opts.budget_ms {
         if check_ms > u128::from(budget) {
-            eprintln!(
-                "wsd-lint: FAIL — analysis took {check_ms}ms, over the {budget}ms budget"
-            );
+            eprintln!("wsd-lint: FAIL — analysis took {check_ms}ms, over the {budget}ms budget");
             return ExitCode::FAILURE;
         }
     }

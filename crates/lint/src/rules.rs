@@ -17,8 +17,9 @@ use crate::parser::{parse, ParsedFile};
 use crate::ruleset::{embedded, Ruleset};
 
 /// The rules that are Rust code, in report order: six lexical
-/// (per-line) checks, the two structural call-graph rules of
-/// [`crate::interproc`], and the two that guard the suppression
+/// (per-line) checks, the two structural graph rules
+/// (`blocking-under-lock` in [`crate::interproc`], `static-lock-order`
+/// in [`crate::waitgraph`]), and the two that guard the suppression
 /// mechanism itself. Every other rule is a row in `lint-rules.toml` and
 /// is named there only — [`Ruleset::rule_names`] lists both kinds.
 pub const RULE_NAMES: [&str; 10] = [
@@ -33,18 +34,6 @@ pub const RULE_NAMES: [&str; 10] = [
     "bad-suppression",
     "unused-suppression",
 ];
-
-/// One step of a finding's witness path (rendered as a SARIF
-/// `codeFlow` thread-flow location).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowStep {
-    /// Workspace-relative path, `/`-separated.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// What happens at this step (`source taints x`, `sink reached`).
-    pub message: String,
-}
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,9 +50,6 @@ pub struct Finding {
     /// Call-chain witness for interprocedural findings (`f (file:line)
     /// -> g (file:line) -> sink`); `None` for lexical rules.
     pub witness: Option<String>,
-    /// Step-by-step witness path for dataflow/interprocedural findings
-    /// (empty for lexical rules); drives SARIF `codeFlows`.
-    pub flow: Vec<FlowStep>,
 }
 
 /// What each coded rule protects, shown next to findings (a declarative
@@ -225,18 +211,43 @@ fn line_violates(rule: &str, code_line: &str) -> bool {
     }
 }
 
-/// A parsed `wsd-lint: allow(rule): reason` directive.
+/// A well-formed `wsd-lint: allow(rule): reason` directive.
 #[derive(Debug)]
-struct Suppression {
-    line: usize,
+pub(crate) struct Suppression {
+    pub(crate) line: usize,
     is_line_comment: bool,
-    rule: String,
+    pub(crate) rule: String,
     reason: String,
 }
 
-fn parse_suppressions(comments: &[Comment], ruleset: &Ruleset) -> (Vec<Suppression>, Vec<Finding>) {
+impl Suppression {
+    /// The one suppression matcher, for lexical and engine findings
+    /// alike: a directive silences its rule on its own line, and a
+    /// directive-only comment line also the line directly below it.
+    pub(crate) fn covers(&self, f: &Finding) -> bool {
+        self.rule == f.rule
+            && (self.line == f.line || (self.is_line_comment && self.line + 1 == f.line))
+    }
+}
+
+/// A file's directives: the well-formed ones, and a `bad-suppression`
+/// finding for each malformed or reasonless one.
+pub(crate) fn parse_suppressions(
+    file: &str,
+    comments: &[Comment],
+    ruleset: &Ruleset,
+) -> (Vec<Suppression>, Vec<Finding>) {
     let mut sups = Vec::new();
     let mut bad = Vec::new();
+    let mut flag = |line: usize, excerpt: String| {
+        bad.push(Finding {
+            rule: "bad-suppression",
+            file: file.to_string(),
+            line,
+            excerpt,
+            witness: None,
+        })
+    };
     for c in comments {
         // A directive must *start* the comment (prose that merely
         // mentions the syntax, e.g. docs, is not a directive).
@@ -252,17 +263,13 @@ fn parse_suppressions(comments: &[Comment], ruleset: &Ruleset) -> (Vec<Suppressi
             Some((rule, tail)) if ruleset.rule_names().any(|r| r == rule) => {
                 let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
                 if reason.is_empty() {
-                    bad.push(Finding {
-                        rule: "bad-suppression",
-                        file: String::new(),
-                        line: c.line,
-                        excerpt: format!(
+                    flag(
+                        c.line,
+                        format!(
                             "suppression of `{rule}` has no reason — use \
                              `wsd-lint: allow({rule}): <why this site is exempt>`"
                         ),
-                        witness: None,
-                        flow: Vec::new(),
-                    });
+                    );
                 } else {
                     sups.push(Suppression {
                         line: c.line,
@@ -272,36 +279,17 @@ fn parse_suppressions(comments: &[Comment], ruleset: &Ruleset) -> (Vec<Suppressi
                     });
                 }
             }
-            _ => {
-                bad.push(Finding {
-                    rule: "bad-suppression",
-                    file: String::new(),
-                    line: c.line,
-                    excerpt: format!(
-                        "malformed wsd-lint directive `{}` — expected \
-                         `wsd-lint: allow(<rule>): <reason>` with a known rule",
-                        c.text
-                    ),
-                    witness: None,
-                    flow: Vec::new(),
-                });
-            }
+            _ => flag(
+                c.line,
+                format!(
+                    "malformed wsd-lint directive `{}` — expected \
+                     `wsd-lint: allow(<rule>): <reason>` with a known rule",
+                    c.text
+                ),
+            ),
         }
     }
     (sups, bad)
-}
-
-/// Active (well-formed) suppressions in a file's comments, as
-/// `(line, is_line_comment, rule)` — used to filter interprocedural
-/// findings, which are produced outside [`lint_source`].
-pub(crate) fn active_suppressions(
-    comments: &[Comment],
-    ruleset: &Ruleset,
-) -> Vec<(usize, bool, String)> {
-    let (sups, _) = parse_suppressions(comments, ruleset);
-    sups.into_iter()
-        .map(|s| (s.line, s.is_line_comment, s.rule))
-        .collect()
 }
 
 /// Lints one file's source against the embedded ruleset's names,
@@ -312,59 +300,41 @@ pub(crate) fn active_suppressions(
 /// directive-only comment line directly above it, silence that rule for
 /// that line.
 pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
-    lint_source_uses(file, source, &parse(source), false, embedded()).0
+    if is_test_path(file) {
+        // Test collateral is fully exempt — fixtures deliberately seed
+        // violations (including malformed suppressions) for the
+        // analyzer's own tests.
+        return Vec::new();
+    }
+    let parsed = parse(source);
+    let (sups, mut findings) = parse_suppressions(file, &parsed.stripped.comments, embedded());
+    findings.extend(
+        lexical_findings(file, source, &parsed, false)
+            .into_iter()
+            .filter(|f| !sups.iter().any(|s| s.covers(f))),
+    );
+    findings.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
+    findings
 }
 
-/// [`lint_source`] over an already-parsed file, plus the suppressions
-/// the lexical pass consumed, as `(directive line, rule)` — the raw
-/// material for the `unused-suppression` check (see [`crate::lib`]'s
-/// used-set assembly). `force_all` drops the per-rule path scoping (used
-/// by `--self`, where paths are relative to `crates/lint` and would
-/// otherwise match no scope); `ruleset` names the rules a suppression
-/// may cite.
+/// The lexical rules' findings in one non-test file, before
+/// suppression. `force_all` drops the per-rule path scoping (used by
+/// `--self`, where paths are relative to `crates/lint` and would
+/// otherwise match no scope).
 ///
 /// Test exemption is parser-driven: `#[cfg(test)]` / `#[test]` item
 /// spans come from [`crate::parser`], so nested modules, attribute
 /// lines, and items following a test module are classified by actual
 /// scope structure rather than brace counting.
-pub fn lint_source_uses(
+pub(crate) fn lexical_findings(
     file: &str,
     source: &str,
     parsed: &ParsedFile,
     force_all: bool,
-    ruleset: &Ruleset,
-) -> (Vec<Finding>, Vec<(usize, String)>) {
-    let (sups, mut bad) = parse_suppressions(&parsed.stripped.comments, ruleset);
-    for b in &mut bad {
-        b.file = file.to_string();
-    }
-
-    if is_test_path(file) {
-        // Test collateral is fully exempt — fixtures deliberately seed
-        // violations (including malformed suppressions) for the
-        // analyzer's own tests.
-        return (Vec::new(), Vec::new());
-    }
-
-    let code_lines: Vec<&str> = parsed.stripped.code.lines().collect();
+) -> Vec<Finding> {
     let src_lines: Vec<&str> = source.lines().collect();
-    let mut used: Vec<(usize, String)> = Vec::new();
-
-    let mut suppressed = |rule: &str, line: usize| -> bool {
-        let hit = sups.iter().find(|s| {
-            s.rule == rule
-                && (s.line == line || (s.is_line_comment && s.line + 1 == line))
-        });
-        if let Some(s) = hit {
-            used.push((s.line, s.rule.clone()));
-            true
-        } else {
-            false
-        }
-    };
-
-    let mut findings = bad;
-    for (idx, code_line) in code_lines.iter().enumerate() {
+    let mut findings = Vec::new();
+    for (idx, code_line) in parsed.stripped.code.lines().enumerate() {
         let line = idx + 1;
         if parsed.is_test_line(line) {
             continue;
@@ -373,20 +343,18 @@ pub fn lint_source_uses(
             if rule == "bad-suppression" || (!force_all && !rule_applies(rule, file)) {
                 continue;
             }
-            if line_violates(rule, code_line) && !suppressed(rule, line) {
+            if line_violates(rule, code_line) {
                 findings.push(Finding {
                     rule,
                     file: file.to_string(),
                     line,
                     excerpt: src_lines.get(idx).unwrap_or(&"").trim().to_string(),
                     witness: None,
-                    flow: Vec::new(),
                 });
             }
         }
     }
-    findings.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
-    (findings, used)
+    findings
 }
 
 /// Every well-formed suppression in `source` that cites a rule of the
@@ -394,7 +362,7 @@ pub fn lint_source_uses(
 /// reasons are present.
 pub fn suppressions_in(source: &str) -> Vec<(usize, String, String)> {
     let stripped = strip(source);
-    let (sups, _) = parse_suppressions(&stripped.comments, embedded());
+    let (sups, _) = parse_suppressions("", &stripped.comments, embedded());
     sups.into_iter().map(|s| (s.line, s.rule, s.reason)).collect()
 }
 

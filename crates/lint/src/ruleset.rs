@@ -1,4 +1,4 @@
-//! The declarative ruleset: obligation / taint / gauge / typestate /
+//! The declarative ruleset: argument / taint / gauge / typestate /
 //! wait-graph rules as data.
 //!
 //! A declarative rule is one `[[section]]` row in the checked-in
@@ -6,15 +6,15 @@
 //! is compiled in ([`SOURCE`]) and [`parse_toml`] reads it with a
 //! hand-rolled TOML-subset reader (sections, string keys, single-line
 //! string arrays — no dependency, like the rest of the crate). The row's
-//! `name` is the rule id findings, suppressions and SARIF carry (a
+//! `name` is the rule id findings and suppressions carry (a
 //! `&'static str` slice of the text), its `doc` is the hint shown next to
 //! findings, and `--explain` prints the row's own lines ([`Row::text`]).
 //! The rows are compiled by [`crate::summaries`] into per-function facts
 //! and evaluated by the generic engines in [`crate::interproc`],
 //! [`crate::dataflow`], [`crate::typestate`] and [`crate::waitgraph`]. A
-//! new "X must happen before Y" invariant (e.g. ROADMAP item 4's
-//! drop-reason obligation) is a one-row addition to the file — no Rust
-//! edit, not a new analysis.
+//! new "X must happen before Y" invariant (e.g. a drop-reason
+//! obligation) is a one-row addition to the file — no Rust edit, not a
+//! new analysis.
 
 use crate::callgraph::CallSite;
 use crate::rules::{rule_hint, RULE_NAMES};
@@ -219,25 +219,6 @@ pub struct WaitgraphRule {
     pub exempt: Vec<String>,
 }
 
-/// "Every path into a sink must have passed a satisfier first" —
-/// unsatisfied sinks propagate the obligation to callers; an entry
-/// point reached with the obligation still open is a finding.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ObligationRule {
-    /// Rule id.
-    pub name: &'static str,
-    /// Path prefix the rule is scoped to.
-    pub scope: String,
-    /// Sink calls that demand the obligation.
-    pub sinks: Vec<CallPat>,
-    /// Calls that satisfy it (directly or transitively).
-    pub satisfiers: Vec<CallPat>,
-    /// Noun used in witness chains (`"forward sink"`).
-    pub sink_noun: String,
-    /// Excerpt template; `{fn}` is the entry-point function.
-    pub contract: String,
-}
-
 /// "A trigger call's argument text must not contain a forbidden
 /// spelling" (serve sites taking `Limits::default()`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -293,13 +274,13 @@ pub struct GaugeRule {
 /// its findings, and its own lines for `--explain`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
-    /// Section kind (`obligation`, `typestate`, ...).
+    /// Section kind (`typestate`, `taint`, ...).
     pub kind: &'static str,
     /// 1-based line of the `[[section]]` header.
     pub line: usize,
     /// Rule ids the row defines (the waitgraph row carries two).
     pub names: Vec<&'static str>,
-    /// The row's `doc`: the one text findings, SARIF and `--explain` show.
+    /// The row's `doc`: the one text findings and `--explain` show.
     pub doc: &'static str,
     /// The row exactly as written, header through last key line.
     pub text: &'static str,
@@ -309,7 +290,6 @@ impl Row {
     /// The engine that evaluates this kind of row.
     pub fn engine(&self) -> &'static str {
         match self.kind {
-            "obligation" => "obligation (interprocedural)",
             "arg-rule" => "argument inspection (call-site)",
             "taint" => "taint (path-sensitive dataflow)",
             "gauge" => "gauge balance (path-sensitive dataflow)",
@@ -324,8 +304,6 @@ impl Row {
 pub struct Ruleset {
     /// Every section in file order, across all kinds.
     pub rows: Vec<Row>,
-    /// Obligation-propagation rules.
-    pub obligations: Vec<ObligationRule>,
     /// Argument-inspection rules.
     pub arg_rules: Vec<ArgRule>,
     /// Taint-dataflow rules.
@@ -436,7 +414,6 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
         let at = |e: String| format!("line {}: {e}", lno + 1);
         if let Some(kind) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
             idx = match kind {
-                "obligation" => push_default(&mut rs.obligations),
                 "arg-rule" => push_default(&mut rs.arg_rules),
                 "taint" => push_default(&mut rs.taint_rules),
                 "gauge" => push_default(&mut rs.gauge_rules),
@@ -485,16 +462,6 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
         };
         match (row.kind, key) {
             (_, "doc") => row.doc = want_str(&val)?,
-            ("obligation", "name") => rs.obligations[idx].name = rule_id(&val)?,
-            ("obligation", "scope") => rs.obligations[idx].scope = want_str(&val)?.to_string(),
-            ("obligation", "sinks") => rs.obligations[idx].sinks = to_pats(&val)?,
-            ("obligation", "satisfiers") => rs.obligations[idx].satisfiers = to_pats(&val)?,
-            ("obligation", "sink-noun") => {
-                rs.obligations[idx].sink_noun = want_str(&val)?.to_string()
-            }
-            ("obligation", "contract") => {
-                rs.obligations[idx].contract = want_str(&val)?.to_string()
-            }
             ("arg-rule", "name") => rs.arg_rules[idx].name = rule_id(&val)?,
             ("arg-rule", "scopes") => rs.arg_rules[idx].scopes = want_list(&val)?,
             ("arg-rule", "triggers") => rs.arg_rules[idx].triggers = to_pats(&val)?,
@@ -572,6 +539,12 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
             }
             seen.push(name);
         }
+    }
+    if let Some(row) = rs.rows.iter().filter(|r| r.kind == "waitgraph").nth(1) {
+        return Err(format!(
+            "line {}: a second [[waitgraph]] row — there is one wait-for graph",
+            row.line
+        ));
     }
     // Structural validation of each automaton, after all keys are in
     // (key order within a row is free). Errors point at the offending
@@ -690,6 +663,12 @@ mod tests {
         assert!(err.contains("line 1") && err.contains("`name`"), "{err}");
         let err = parse_toml("[[waitgraph]]\nname = \"w\"\n").unwrap_err();
         assert!(err.contains("liveness-name"), "{err}");
+        let err = parse_toml(
+            "[[waitgraph]]\nname = \"w\"\nliveness-name = \"l\"\n\
+             [[waitgraph]]\nname = \"v\"\nliveness-name = \"m\"\n",
+        )
+        .unwrap_err();
+        assert!(err.contains("line 4") && err.contains("one wait-for graph"), "{err}");
     }
 
     #[test]

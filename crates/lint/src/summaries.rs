@@ -11,17 +11,10 @@
 //! * **blocks** — whether the function can reach an unbounded blocking
 //!   sink (condvar wait, blocking queue pop/push, socket IO, thread
 //!   join, ...), with a witness chain,
-//! * **satisfies** — which declarative obligation rules
-//!   ([`crate::ruleset::ObligationRule`], by index) the function
-//!   (transitively) satisfies by calling one of the rule's satisfier
-//!   markers — e.g. a WS-Addressing forward rewrite
-//!   (`rewrite_for_forward` / `splice_forward`) for
-//!   `wsa-rewrite-before-forward`,
 //! * **sanitizes** — which declarative taint rules
 //!   ([`crate::ruleset::TaintRule`], by index) the function
 //!   (transitively) sanitizes for, by calling one of the rule's
-//!   sanitizers,
-//! * **telemetry_stage** — whether it records a `TraceStage::` marker.
+//!   sanitizers.
 //!
 //! Lock classes are tied to *fields*: `state: OrderedMutex::new("fifo_queue.state", ..)`
 //! binds field `state` → class `fifo_queue.state` **within that file
@@ -96,14 +89,9 @@ pub struct FnFacts {
     pub acquires: BTreeMap<String, AcqWitness>,
     /// Reachable unbounded blocking sink, if any.
     pub blocks: Option<BlockWitness>,
-    /// Obligation rules (by index into `Ruleset::obligations`) this fn
-    /// transitively satisfies by calling a satisfier marker.
-    pub satisfies: BTreeSet<usize>,
     /// Taint rules (by index into `Ruleset::taint_rules`) this fn
     /// transitively sanitizes for by calling a sanitizer.
     pub sanitizes: BTreeSet<usize>,
-    /// Transitively records a `TraceStage::` telemetry marker.
-    pub telemetry_stage: bool,
 }
 
 /// Workspace-wide facts.
@@ -552,8 +540,8 @@ pub(crate) const ACQUIRE_METHODS: &[&str] =
 
 /// Computes workspace facts; also runs the field-type-driven second
 /// resolution pass over `graph` (mutating unresolved call sites). The
-/// `ruleset` supplies the satisfier/sanitizer markers whose transitive
-/// reachability becomes the `satisfies`/`sanitizes` fact sets.
+/// `ruleset` supplies the sanitizer markers whose transitive
+/// reachability becomes the `sanitizes` fact set.
 pub fn compute(
     files: &BTreeMap<String, FileEntry>,
     graph: &mut Graph,
@@ -781,21 +769,12 @@ pub fn compute(
                     });
                 }
             }
-            // Direct obligation satisfiers (WSA rewrite, shard route,
-            // ...) and taint sanitizers, straight from the ruleset.
-            for (oi, rule) in ruleset.obligations.iter().enumerate() {
-                if CallPat::any(&rule.satisfiers, c) {
-                    ff.satisfies.insert(oi);
-                }
-            }
+            // Direct taint sanitizers, straight from the ruleset.
             for (ti, rule) in ruleset.taint_rules.iter().enumerate() {
                 if CallPat::any(&rule.sanitizers, c) {
                     ff.sanitizes.insert(ti);
                 }
             }
-        }
-        if span.1 > span.0 && code[span.0..span.1].contains("TraceStage::") {
-            ff.telemetry_stage = true;
         }
         facts.fns.push(ff);
     }
@@ -841,16 +820,7 @@ pub fn compute(
                         changed = true;
                     }
                 }
-                // satisfies / sanitizes / telemetry_stage
-                let add: Vec<usize> = facts.fns[t]
-                    .satisfies
-                    .difference(&facts.fns[fi].satisfies)
-                    .copied()
-                    .collect();
-                for oi in add {
-                    facts.fns[fi].satisfies.insert(oi);
-                    changed = true;
-                }
+                // sanitizes
                 let add: Vec<usize> = facts.fns[t]
                     .sanitizes
                     .difference(&facts.fns[fi].sanitizes)
@@ -858,10 +828,6 @@ pub fn compute(
                     .collect();
                 for ti in add {
                     facts.fns[fi].sanitizes.insert(ti);
-                    changed = true;
-                }
-                if facts.fns[t].telemetry_stage && !facts.fns[fi].telemetry_stage {
-                    facts.fns[fi].telemetry_stage = true;
                     changed = true;
                 }
             }
@@ -958,11 +924,7 @@ mod tests {
                 )
             })
             .collect();
-        let parsed: BTreeMap<String, ParsedFile> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), parse(s)))
-            .collect();
-        let mut graph = build(&parsed, &|_| false);
+        let mut graph = build(map.iter().map(|(p, e)| (p.as_str(), &e.parsed)));
         let facts = compute(&map, &mut graph, crate::ruleset::embedded());
         (map, graph, facts)
     }
@@ -1140,24 +1102,17 @@ impl Pool {
     }
 
     #[test]
-    fn wsa_and_telemetry_facts_propagate() {
+    fn sanitizer_facts_propagate() {
         let src = r#"
-fn splice_path(env: &[u8]) { splice_forward(env); }
-fn splice_forward(env: &[u8]) {}
-fn outer(env: &[u8]) { splice_path(env); record(env); }
-fn record(env: &[u8]) { let s = TraceStage::Rewritten; }
+fn parse_path(env: &[u8]) { Envelope::parse(env); }
+fn outer(env: &[u8]) { parse_path(env); record(env); }
+fn record(env: &[u8]) {}
 "#;
         let (_m, graph, facts) = setup(&[("crates/x/src/msg.rs", src)]);
-        let wsa = crate::ruleset::embedded()
-            .obligations
-            .iter()
-            .position(|r| r.name == "wsa-rewrite-before-forward")
-            .unwrap();
         let outer = fidx(&graph, "outer");
-        assert!(facts.fns[outer].satisfies.contains(&wsa));
-        assert!(facts.fns[outer].telemetry_stage);
+        assert!(facts.fns[outer].sanitizes.contains(&0));
         let rec = fidx(&graph, "record");
-        assert!(!facts.fns[rec].satisfies.contains(&wsa));
+        assert!(!facts.fns[rec].sanitizes.contains(&0));
     }
 
     #[test]

@@ -35,15 +35,22 @@
 //! `remove` show up on every path.
 //!
 //! Error rows fire immediately (a call matching the row while the
-//! machine may be in its state); non-accepting exits are reported only
-//! for `return` and fall-through ends when the rule carries an
-//! `exit-message` — `?`, `break`, and panic paths are exempt, matching
-//! the gauge-balance convention that unwinding tears the process down,
-//! not the protocol.
+//! machine may be in its state) — except, in ambient mode, a hit while
+//! the machine may still be in its start state: nothing in the function
+//! has happened yet, so the callers owe it. A call site where the
+//! caller's machine cannot be in the start state discharges it (the
+//! caller rewrote, routed, ... before calling); an entry point that
+//! still owes it reports it at the original site, the call chain as
+//! witness. That is how an "X before Y" obligation is a typestate row:
+//! `open => done : X` and the error row `open : Y`. Non-accepting exits
+//! are reported only for `return` and fall-through ends when the rule
+//! carries an `exit-message` — `?`, `break`, and panic paths are exempt,
+//! matching the gauge-balance convention that unwinding tears the
+//! process down, not the protocol.
 
 use crate::callgraph::{line_at, line_index, CallSite, Graph};
 use crate::dataflow::{join_union, ExitKind, Flow, StmtCtx, Walker};
-use crate::rules::{is_test_path, Finding, FlowStep};
+use crate::rules::{is_test_path, Finding};
 use crate::ruleset::{fill, Ruleset, TsArc, TypestateRule};
 use crate::summaries::{contains_word, FileEntry};
 use std::collections::{BTreeMap, BTreeSet};
@@ -146,6 +153,12 @@ struct TsFlow<'a> {
     rhs_created: Option<usize>,
     findings: Vec<Finding>,
     seen: BTreeSet<(usize, String, String)>,
+    /// Ambient mode: the first error-row hit in the start state, owed
+    /// by the callers (its excerpt's `{fn}` still unfilled).
+    owed: Option<Finding>,
+    /// Ambient mode: `(line, callee)` of every call made while the
+    /// machine may still be in its start state.
+    at_start: BTreeSet<(usize, usize)>,
 }
 
 impl<'a> TsFlow<'a> {
@@ -175,31 +188,22 @@ impl<'a> TsFlow<'a> {
             return;
         }
         let shown_var = if var.is_empty() { "<ambient>" } else { var };
-        self.findings.push(Finding {
+        let mut f = Finding {
             rule: self.rule.name,
             file: self.file.to_string(),
             line: c.line,
-            excerpt: fill(
-                message,
-                &[("fn", self.fn_qualified), ("call", &c.name), ("var", shown_var)],
-            ),
+            excerpt: fill(message, &[("call", &c.name), ("var", shown_var)]),
             witness: Some(format!(
                 "{} enters state `{state}` ({}:{wline}) -> `{}` called in that state at {}:{}",
                 self.fn_qualified, self.file, c.name, self.file, c.line
             )),
-            flow: vec![
-                FlowStep {
-                    file: self.file.to_string(),
-                    line: wline,
-                    message: format!("machine enters state `{state}`"),
-                },
-                FlowStep {
-                    file: self.file.to_string(),
-                    line: c.line,
-                    message: format!("`{}` called while still in `{state}`", c.name),
-                },
-            ],
-        });
+        };
+        if !self.binding_mode && state == self.rule.states[0] {
+            self.owed.get_or_insert(f);
+        } else {
+            f.excerpt = fill(&f.excerpt, &[("fn", self.fn_qualified)]);
+            self.findings.push(f);
+        }
     }
 }
 
@@ -218,6 +222,11 @@ impl<'a> Flow for TsFlow<'a> {
         if self.binding_mode && self.rule.creates.iter().any(|p| p.matches(c)) {
             self.rhs_created = Some(c.line);
             return; // the creating call is not an event on any machine
+        }
+        if let (Some(t), Some(states)) = (c.callee, st.machines.get("")) {
+            if !self.binding_mode && states.contains_key(&self.rule.states[0]) {
+                self.at_start.insert((c.line, t));
+            }
         }
         for var in self.vars_for(st, c) {
             let Some(states) = st.machines.get(&var) else { continue };
@@ -313,18 +322,6 @@ impl<'a> Flow for TsFlow<'a> {
                          protocol unfinished",
                         self.fn_qualified, self.file, self.file
                     )),
-                    flow: vec![
-                        FlowStep {
-                            file: self.file.to_string(),
-                            line: *w,
-                            message: format!("machine enters non-accepting state `{s}`"),
-                        },
-                        FlowStep {
-                            file: self.file.to_string(),
-                            line,
-                            message: format!("path exits with the machine still in `{s}`"),
-                        },
-                    ],
                 });
             }
         }
@@ -343,16 +340,24 @@ fn run_rule(
     } else {
         compute_effects(rule, graph)
     };
-    for f in &graph.fns {
+    // Ambient mode's caller bookkeeping: the start-state hits each fn
+    // owes its callers, and for each walked fn the calls it makes while
+    // still in the start state (a fn not walked never leaves it).
+    let mut owed: BTreeMap<usize, Finding> = BTreeMap::new();
+    let mut at_start: Vec<Option<BTreeSet<(usize, usize)>>> = vec![None; graph.fns.len()];
+    for (fi, f) in graph.fns.iter().enumerate() {
         if !in_scope(rule, &f.file) || is_test_path(&f.file) {
             continue;
         }
         // Relevance gate (mirrors the taint gate): only walk fns that
-        // can move a machine — a direct transition/creates match or a
-        // call into an effectful helper.
+        // can move a machine or hit an error row — a direct transition,
+        // creates or (ambient) error-row match, or a call into an
+        // effectful helper. A binding machine exists only after its
+        // `creates` call, so its error rows need no gate of their own.
         let relevant = f.calls.iter().any(|c| {
             rule.transitions.iter().any(|a| a.pat.matches(c))
                 || rule.creates.iter().any(|p| p.matches(c))
+                || (!binding_mode && rule.errors.iter().any(|e| e.pat.matches(c)))
                 || c.callee.is_some_and(|t| !effects[t].is_empty())
         });
         if !relevant {
@@ -372,6 +377,8 @@ fn run_rule(
             rhs_created: None,
             findings: Vec::new(),
             seen: BTreeSet::new(),
+            owed: None,
+            at_start: BTreeSet::new(),
         };
         let mut entry_state = TsState::default();
         if !binding_mode {
@@ -383,6 +390,47 @@ fn run_rule(
         }
         walker.run(&mut flow, span, entry_state);
         findings.append(&mut flow.findings);
+        owed.extend(flow.owed.map(|o| (fi, o)));
+        at_start[fi] = Some(flow.at_start);
+    }
+
+    // An error-row hit in the start state is owed by the callers: a
+    // call site where the caller's machine cannot be in the start state
+    // discharges it, and an entry point that still owes it reports it
+    // at the original site, the call chain as witness.
+    let mut work: Vec<usize> = owed.keys().copied().collect();
+    let mut emitted: BTreeSet<(String, usize)> = BTreeSet::new();
+    while let Some(fi) = work.pop() {
+        let debt = owed[&fi].clone();
+        let callers = graph.callers_of(fi);
+        if callers.is_empty() {
+            if emitted.insert((debt.file.clone(), debt.line)) {
+                let excerpt = fill(&debt.excerpt, &[("fn", &graph.fns[fi].qualified)]);
+                findings.push(Finding { excerpt, ..debt });
+            }
+            continue;
+        }
+        for (g, gline) in callers {
+            let discharged = at_start[g]
+                .as_ref()
+                .is_some_and(|s| !s.contains(&(gline, fi)));
+            if discharged || owed.contains_key(&g) {
+                continue;
+            }
+            let gf = &graph.fns[g];
+            let chain = format!(
+                "{} ({}:{gline}) -> {}",
+                gf.qualified,
+                gf.file,
+                debt.witness.as_deref().unwrap_or("")
+            );
+            let debt = Finding {
+                witness: Some(chain),
+                ..debt.clone()
+            };
+            owed.insert(g, debt);
+            work.push(g);
+        }
     }
 }
 
@@ -403,7 +451,12 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze_sources;
     use crate::ruleset::embedded;
+
+    fn run_on(files: &[(&str, &str)]) -> Vec<Finding> {
+        analyze_sources(files).findings
+    }
 
     // Same dependency-free PRNG idiom as the dataflow lattice tests.
     struct XorShift(u64);
@@ -540,5 +593,137 @@ mod tests {
         let taken: StateSet = [("taken".to_string(), 3)].into_iter().collect();
         let arcs: Vec<&TsArc> = rule.transitions.iter().collect();
         assert_eq!(step(&taken, &arcs, 9), taken);
+    }
+
+    // ---- obligations: start-state error rows owed by callers ---------
+
+    #[test]
+    fn wsa_rewrite_in_body_satisfies() {
+        let src = r#"
+struct D;
+impl D {
+    fn route_raw(&self, env: &[u8]) { splice_forward(env); }
+    fn accept(&self, env: &[u8]) {
+        self.route_raw(env);
+        self.enqueue(env);
+    }
+    fn enqueue(&self, env: &[u8]) {}
+}
+fn splice_forward(env: &[u8]) {}
+"#;
+        let f = run_on(&[("crates/core/src/rt/d.rs", src)]);
+        assert!(f.iter().all(|x| x.rule != "wsa-rewrite-before-forward"), "{f:?}");
+    }
+
+    #[test]
+    fn wsa_missing_rewrite_reaches_entry_point() {
+        let src = r#"
+struct D;
+impl D {
+    fn accept(&self, env: &[u8]) {
+        self.enqueue(env);
+    }
+    fn enqueue(&self, env: &[u8]) {}
+}
+"#;
+        let f = run_on(&[("crates/core/src/rt/d.rs", src)]);
+        let w: Vec<_> = f
+            .iter()
+            .filter(|x| x.rule == "wsa-rewrite-before-forward")
+            .collect();
+        assert_eq!(w.len(), 1, "{f:?}");
+        assert!(w[0].witness.as_ref().unwrap().contains("enqueue"));
+        assert!(w[0].witness.as_ref().unwrap().contains("D::accept"));
+    }
+
+    #[test]
+    fn wsa_rewrite_in_caller_satisfies_callee_obligation() {
+        let src = r#"
+struct D;
+impl D {
+    fn ack_enqueue(&self, env: &[u8]) {
+        self.enqueue(env);
+    }
+    fn enqueue(&self, env: &[u8]) {}
+    fn accept(&self, env: &[u8]) {
+        rewrite_for_forward(env);
+        self.ack_enqueue(env);
+    }
+}
+fn rewrite_for_forward(env: &[u8]) {}
+"#;
+        let f = run_on(&[("crates/core/src/rt/d.rs", src)]);
+        assert!(f.iter().all(|x| x.rule != "wsa-rewrite-before-forward"), "{f:?}");
+    }
+
+    #[test]
+    fn wsa_outside_core_is_out_of_scope() {
+        let src = "struct D;\nimpl D {\n    fn f(&self) { self.enqueue(0); }\n    fn enqueue(&self, x: u8) {}\n}\n";
+        let f = run_on(&[("crates/netsim/src/d.rs", src)]);
+        assert!(f.iter().all(|x| x.rule != "wsa-rewrite-before-forward"));
+    }
+
+    #[test]
+    fn shard_route_before_enqueue_satisfied_in_body() {
+        let src = r#"
+struct Hub;
+impl Hub {
+    fn send(&self, svc: &str, body: &str) {
+        let instance = self.shard_route(svc);
+        self.enqueue_fleet(instance, svc, body);
+    }
+    fn shard_route(&self, svc: &str) -> u32 { 0 }
+    fn enqueue_fleet(&self, i: u32, svc: &str, body: &str) {}
+}
+"#;
+        let f = run_on(&[("crates/experiments/src/fleet.rs", src)]);
+        assert!(f.iter().all(|x| x.rule != "shard-route-before-enqueue"), "{f:?}");
+    }
+
+    #[test]
+    fn shard_route_missing_reaches_entry_point() {
+        let src = r#"
+struct Hub;
+impl Hub {
+    fn resend(&self, svc: &str, body: &str) {
+        self.enqueue_fleet(0, svc, body);
+    }
+    fn enqueue_fleet(&self, i: u32, svc: &str, body: &str) {}
+}
+"#;
+        let f = run_on(&[("crates/experiments/src/fleet.rs", src)]);
+        let r: Vec<_> = f
+            .iter()
+            .filter(|x| x.rule == "shard-route-before-enqueue")
+            .collect();
+        assert_eq!(r.len(), 1, "{f:?}");
+        assert!(r[0].witness.as_ref().unwrap().contains("enqueue_fleet"));
+    }
+
+    #[test]
+    fn shard_route_in_caller_satisfies_callee_obligation() {
+        let src = r#"
+struct Hub;
+impl Hub {
+    fn reroute(&self, svc: &str, body: &str) {
+        self.enqueue_fleet(0, svc, body);
+    }
+    fn enqueue_fleet(&self, i: u32, svc: &str, body: &str) {}
+    fn tick(&self, svc: &str, body: &str) {
+        let instance = self.shard_route(svc);
+        self.reroute(svc, body);
+    }
+    fn shard_route(&self, svc: &str) -> u32 { 0 }
+}
+"#;
+        let f = run_on(&[("crates/experiments/src/fleet.rs", src)]);
+        assert!(f.iter().all(|x| x.rule != "shard-route-before-enqueue"), "{f:?}");
+    }
+
+    #[test]
+    fn fleet_enqueue_outside_experiments_is_out_of_scope() {
+        let src = "struct H;\nimpl H {\n    fn f(&self) { self.enqueue_fleet(0); }\n    fn enqueue_fleet(&self, i: u32) {}\n}\n";
+        let f = run_on(&[("crates/netsim/src/h.rs", src)]);
+        assert!(f.iter().all(|x| x.rule != "shard-route-before-enqueue"));
     }
 }

@@ -1,11 +1,11 @@
 //! End-to-end coverage for the analyzer: seeded-violation fixtures must
 //! all be caught, known-good fixtures must produce zero findings, and the
-//! live workspace must be clean against the checked-in (empty) baseline.
+//! live workspace must carry no unsuppressed finding.
 
 use std::collections::BTreeMap;
 
 use wsd_lint::rules::Finding;
-use wsd_lint::{baseline, lint_source, lint_workspace, suppressions_in};
+use wsd_lint::{lint_source, lint_workspace, suppressions_in};
 
 const SEEDED: &str = include_str!("fixtures/seeded_violations.rs");
 const KNOWN_GOOD: &str = include_str!("fixtures/known_good.rs");
@@ -78,30 +78,14 @@ fn fixtures_under_their_real_path_are_exempt() {
 }
 
 #[test]
-fn workspace_is_clean_against_checked_in_baseline() {
+fn workspace_is_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()
         .parent()
         .unwrap();
     let (findings, _sups) = lint_workspace(root).expect("walk workspace");
-    let base_text = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("lint-baseline.json is checked in");
-    let base = baseline::parse(&base_text).expect("baseline parses");
-    // Acceptance: the baseline holds no raw-clock / raw-thread-spawn debt
-    // for crates/core or crates/concurrent.
-    for (key, _) in base.iter() {
-        let tolerated_debt = (key.starts_with("crates/core/")
-            || key.starts_with("crates/concurrent/"))
-            && (key.ends_with("|raw-clock") || key.ends_with("|raw-thread-spawn"));
-        assert!(!tolerated_debt, "forbidden baseline debt: {key}");
-    }
-    let report = baseline::compare(&findings, &base);
-    assert!(
-        report.new_findings.is_empty(),
-        "workspace has findings above baseline: {:#?}",
-        report.new_findings
-    );
+    assert!(findings.is_empty(), "workspace has findings: {findings:#?}");
 }
 
 #[test]

@@ -1,0 +1,256 @@
+//! Mutation rows against the real source: each row seeds one rule's
+//! violation into the shipped code — an in-memory edit of the workspace
+//! files, nothing on disk changes — and asserts that exactly that rule
+//! fires, at the seeded site. The unedited workspace carries no finding,
+//! so whatever fires is the edit's doing. (An ambient automaton may also
+//! report the callers of the edited function: its effect summary carries
+//! the unfinished protocol into them.)
+//!
+//! Every `find` must occur exactly once in its file: when the code it
+//! names moves or changes, the row fails loudly instead of going
+//! quietly stale. Every declarative rule id and the two coded graph
+//! rules have a row, or an entry in [`NO_ROW`] saying why no edit of
+//! the real source makes the rule fire (DESIGN §9's audit table).
+
+use std::collections::BTreeMap;
+use std::path::Path;
+
+use wsd_lint::summaries::FileEntry;
+use wsd_lint::{analyze_files, parser, ruleset, walk};
+
+struct Row {
+    rule: &'static str,
+    /// `(file, find, replace)`, applied in order.
+    edits: &'static [(&'static str, &'static str, &'static str)],
+    /// Where the finding lands: its file and a fragment of its line.
+    at: (&'static str, &'static str),
+}
+
+const STORE: &str = "crates/store/src/msgbox.rs";
+const MSG_SERVER: &str = "crates/core/src/rt/msg_server.rs";
+const REACTOR: &str = "crates/concurrent/src/reactor.rs";
+const POOL: &str = "crates/concurrent/src/pool.rs";
+
+const ROWS: &[Row] = &[
+    Row {
+        rule: "wal-ack-before-durable",
+        // `destroy` answers before its `Destroy` record is fsynced.
+        edits: &[(
+            STORE,
+            "        let lsn = wal.append(&Op::Destroy { box_id: id.to_string() })?.lsn;\n        drop(inner);\n        wal.commit(lsn)?;\n",
+            "        let lsn = wal.append(&Op::Destroy { box_id: id.to_string() })?.lsn;\n        drop(inner);\n",
+        )],
+        at: (STORE, "wal.append(&Op::Destroy"),
+    },
+    Row {
+        rule: "limits-at-serve-site",
+        edits: &[(
+            "crates/core/src/rt/msgbox_server.rs",
+            "serve_connection(stream, &self.limits, |req| {",
+            "serve_connection(stream, &Limits::default(), |req| {",
+        )],
+        at: ("crates/core/src/rt/msgbox_server.rs", "Limits::default()"),
+    },
+    Row {
+        rule: "reactor-conn-accounting",
+        // A deregistration that forgets the gauge.
+        edits: &[(REACTOR, "        self.tele.open_conns.dec();\n        drop(conns);\n", "        drop(conns);\n")],
+        at: (REACTOR, "conns.remove(&cell.id)"),
+    },
+    Row {
+        rule: "scratch-use-after-take",
+        // `MsgDispatcherServer::accept` writes to the guard after the
+        // queue took its buffer.
+        edits: &[(
+            MSG_SERVER,
+            "        self.counters.acked.inc();\n        Response::empty(Status::ACCEPTED)",
+            "        scratch.out.clear();\n        self.counters.acked.inc();\n        Response::empty(Status::ACCEPTED)",
+        )],
+        at: (MSG_SERVER, "scratch.out.clear()"),
+    },
+    Row {
+        rule: "unvalidated-envelope-to-sink",
+        // Socket bytes appended before the parser has seen them.
+        edits: &[(
+            "crates/core/src/rt/reactor_front.rs",
+            "                    let mut parsed = self.parser.feed(&chunk[..n]);\n",
+            "                    self.wire.append(&mut chunk[..n].to_vec());\n                    let mut parsed = self.parser.feed(&chunk[..n]);\n",
+        )],
+        at: ("crates/core/src/rt/reactor_front.rs", "self.wire.append"),
+    },
+    Row {
+        rule: "wsa-rewrite-before-forward",
+        // The accept path resolves the destination but never rewrites.
+        edits: &[(
+            MSG_SERVER,
+            ".map(|xml| self.core.route_raw_into(xml, req.body.len(), now_us(), &mut scratch.out));",
+            ".map(|xml| self.core.resolve_raw(xml));",
+        )],
+        at: (MSG_SERVER, "if !self.enqueue(config, &to, scratch.take_out(), message_id)"),
+    },
+    Row {
+        rule: "shard-route-before-enqueue",
+        // The hub aims at the first live instance, not the ring's owner.
+        edits: &[(
+            "crates/experiments/src/fleet.rs",
+            "let Some(instance) = self.shard_route(self.service(key)) else {",
+            "let Some(instance) = self.view.first_live() else {",
+        )],
+        at: ("crates/experiments/src/fleet.rs", "self.enqueue_fleet(ctx, instance, key, now_us);"),
+    },
+    Row {
+        rule: "fleet-handoff-completion",
+        // A handoff that moved nothing is claimed and never completed.
+        edits: &[(
+            "crates/core/src/rt/fleet.rs",
+            "        let recovered = moved.iter()",
+            "        if moved.is_empty() {\n            return None;\n        }\n        let recovered = moved.iter()",
+        )],
+        at: ("crates/core/src/rt/fleet.rs", "self.handoffs.claim_for(successor)"),
+    },
+    Row {
+        rule: "blocking-under-lock",
+        // `ThreadPool::shutdown` joins its workers under the handle lock.
+        edits: &[(
+            POOL,
+            "        let handles: Vec<_> = std::mem::take(&mut *self.handles.lock());\n        for h in handles {\n",
+            "        let mut handles = self.handles.lock();\n        for h in handles.drain(..) {\n",
+        )],
+        at: (POOL, "h.join()"),
+    },
+    Row {
+        rule: "static-lock-order",
+        // A cycle takes both orders, and the workspace has neither, so
+        // this row is two edits: `deregister` keeps the map locked
+        // while it closes the cell (state -> conn), and `register`
+        // publishes the cell while holding it (conn -> state).
+        edits: &[
+            (REACTOR, "        self.tele.open_conns.dec();\n        drop(conns);\n", "        self.tele.open_conns.dec();\n"),
+            (
+                REACTOR,
+                "        cell.slot.lock().conn = Some(conn);\n        shared.tele.open_conns.inc();\n        shared.conns.lock().insert(id, Arc::clone(&cell));\n",
+                "        let mut slot = cell.slot.lock();\n        slot.conn = Some(conn);\n        shared.tele.open_conns.inc();\n        shared.conns.lock().insert(id, Arc::clone(&cell));\n        drop(slot);\n",
+            ),
+        ],
+        at: (REACTOR, "shared.conns.lock().insert(id"),
+    },
+];
+
+/// Rules with no row, and why no edit of the real source makes them
+/// fire.
+const NO_ROW: &[(&str, &str)] = &[
+    (
+        "blocking-cycle",
+        "a lock -> queue edge is a blocking queue call under a lock, which \
+         blocking-under-lock reports on its own, and the one blocking consumer \
+         (ThreadPool's worker_loop) reaches no lock but its queue's own",
+    ),
+    (
+        "gauge-balance",
+        "the one function that raises and lowers a gauge (ThreadPool's worker_loop, \
+         `active`) is invisible to it: field types are first declaration wins per \
+         file, and pool.rs declares `active: AtomicUsize` before `active: Gauge`",
+    ),
+    (
+        "queue-pop-no-close",
+        "closers match by field name workspace-wide: dropping ThreadPool::shutdown's \
+         `queue.close()` leaves the MSG dispatcher's own `queue` close to match",
+    ),
+];
+
+fn workspace() -> BTreeMap<String, FileEntry> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .unwrap()
+        .parent()
+        .unwrap();
+    walk::rust_files(root)
+        .expect("walk workspace")
+        .into_iter()
+        .filter_map(|(rel, abs)| {
+            let source = std::fs::read_to_string(abs).ok()?;
+            let parsed = parser::parse(&source);
+            Some((rel, FileEntry { source, parsed }))
+        })
+        .collect()
+}
+
+/// Applies `row`'s edits to `files`, pushing each replaced entry onto
+/// `originals` (restore them in reverse), or says why an edit does not
+/// apply.
+fn apply(
+    row: &Row,
+    files: &mut BTreeMap<String, FileEntry>,
+    originals: &mut Vec<(String, FileEntry)>,
+) -> Result<(), String> {
+    for (file, find, replace) in row.edits {
+        let source = &files.get(*file).ok_or(format!("no file {file}"))?.source;
+        let n = source.matches(find).count();
+        if n != 1 {
+            return Err(format!("`{find}` occurs {n} times in {file}, not once"));
+        }
+        let source = source.replacen(find, replace, 1);
+        let entry = FileEntry {
+            parsed: parser::parse(&source),
+            source,
+        };
+        let original = files.insert(file.to_string(), entry).unwrap();
+        originals.push((file.to_string(), original));
+    }
+    Ok(())
+}
+
+#[test]
+fn every_row_fires_its_rule_alone_at_its_site() {
+    let mut files = workspace();
+    let rs = ruleset::embedded();
+    let clean = analyze_files(&files, rs, false).findings;
+    assert!(
+        clean.is_empty(),
+        "the unedited workspace must be clean: {clean:#?}"
+    );
+
+    let mut failures = Vec::new();
+    for row in ROWS {
+        let mut originals = Vec::new();
+        if let Err(e) = apply(row, &mut files, &mut originals) {
+            failures.push(format!("{}: {e}", row.rule));
+        } else {
+            let findings = analyze_files(&files, rs, false).findings;
+            let (file, fragment) = row.at;
+            let at_site = findings.iter().any(|f| {
+                f.file == file
+                    && files[file]
+                        .source
+                        .lines()
+                        .nth(f.line - 1)
+                        .is_some_and(|l| l.contains(fragment))
+            });
+            if !at_site || findings.iter().any(|f| f.rule != row.rule) {
+                failures.push(format!(
+                    "{}: expected it alone to fire, at `{fragment}` in {file}; got {findings:#?}",
+                    row.rule
+                ));
+            }
+        }
+        for (f, e) in originals.into_iter().rev() {
+            files.insert(f, e);
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+#[test]
+fn every_graph_and_declarative_rule_has_a_row_or_a_reason() {
+    let mut covered: Vec<&str> = ROWS.iter().map(|r| r.rule).collect();
+    covered.extend(NO_ROW.iter().map(|(rule, _)| *rule));
+    covered.sort_unstable();
+    let mut expected: Vec<&str> = ruleset::embedded()
+        .rows
+        .iter()
+        .flat_map(|r| r.names.iter().copied())
+        .chain(["blocking-under-lock", "static-lock-order"])
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(covered, expected);
+}

@@ -1,18 +1,19 @@
 //! A declarative rule exists in exactly one place: its row in
 //! `lint-rules.toml`. These tests pin what that buys — a rule defined
 //! only by a TOML row (here: in a string literal, no Rust anywhere) is a
-//! full citizen for findings, suppressions and SARIF — and that
-//! `--explain` shows the row as the file has it.
+//! full citizen for findings and suppressions — and that `--explain`
+//! shows the row as the file has it.
 
 use std::collections::BTreeMap;
 use std::process::Command;
 
 use wsd_lint::summaries::FileEntry;
-use wsd_lint::{analyze_files, parser, ruleset, sarif};
+use wsd_lint::{analyze_files, parser, ruleset};
 
 const CHECKED_IN: &str = include_str!("../../../lint-rules.toml");
 
-/// The checked-in ruleset plus one made-up automaton.
+/// The checked-in ruleset plus two made-up automata: one with an exit
+/// check, one whose only event is an error row.
 const EXTENDED: &str = concat!(
     include_str!("../../../lint-rules.toml"),
     r#"
@@ -27,6 +28,18 @@ creates = []
 transitions = ["idle => open : txn.begin", "open => idle : txn.commit", "open => idle : txn.abort"]
 errors = []
 exit-message = "`{fn}` can exit with its transaction still open (state `{state}`)"
+
+[[typestate]]
+name = "lease-before-send"
+doc = "A page goes out only under a lease taken on the way to it."
+scopes = ["crates/demo/"]
+track = "ambient"
+states = ["unleased", "leased"]
+accepting = ["unleased", "leased"]
+creates = []
+transitions = ["unleased => leased : lease"]
+errors = ["unleased : send_now : `{call}` without a lease on the way into `{fn}`"]
+exit-message = ""
 "#
 );
 
@@ -70,22 +83,52 @@ fn a_rule_is_one_row() {
     assert!(f.excerpt.contains("Ledger::leaky"), "{f:#?}");
     assert_eq!(wa.suppressions, 1);
 
-    // SARIF declares the rule, described by the row's doc.
-    let doc = sarif::render(&wa.findings, &rs);
-    assert!(
-        doc.contains(
-            "{\"id\": \"txn-commit-or-abort\", \"shortDescription\": {\"text\": \"A begun \
-             transaction is committed or aborted on every path out of the function.\"}}"
-        ),
-        "{doc}"
+    // The row's doc is the rule's hint.
+    assert_eq!(
+        rs.hint("txn-commit-or-abort"),
+        "A begun transaction is committed or aborted on every path out of the function."
     );
-    assert!(doc.contains("\"ruleId\": \"txn-commit-or-abort\""));
 
     // Without the row the rule does not exist: nothing fires, and the
     // allow cites an unknown name.
     let wa = analyze_files(&two_fns(), ruleset::embedded(), false);
     let rules: Vec<&str> = wa.findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, ["bad-suppression"], "{:#?}", wa.findings);
+}
+
+/// A row whose only event in a function is an error arc: `page` has
+/// no transition, creates or effectful call, only the error row's
+/// `send_now`. `relay` is called after a `lease`, so the hit inside it
+/// is discharged by its caller; `page` is an entry point and reports.
+const PAGER: &str = r#"
+struct Pager { link: Link }
+impl Pager {
+    fn page(&self) {
+        self.link.send_now();
+    }
+    fn relay(&self) {
+        self.link.send_now();
+    }
+    fn leased(&self) {
+        self.link.lease();
+        self.relay();
+    }
+}
+"#;
+
+#[test]
+fn an_error_row_alone_gates_a_function_in() {
+    let rs = ruleset::parse_toml(EXTENDED).expect("extended ruleset parses");
+    let entry = FileEntry {
+        source: PAGER.to_string(),
+        parsed: parser::parse(PAGER),
+    };
+    let files = [("crates/demo/src/pager.rs".to_string(), entry)].into_iter().collect();
+    let wa = analyze_files(&files, &rs, false);
+    assert_eq!(wa.findings.len(), 1, "{:#?}", wa.findings);
+    let f = &wa.findings[0];
+    assert_eq!((f.rule, f.line), ("lease-before-send", 5));
+    assert!(f.excerpt.contains("into `Pager::page`"), "{f:#?}");
 }
 
 #[test]

@@ -7,7 +7,6 @@ use std::path::PathBuf;
 
 use wsd_lint::analyze_workspace;
 use wsd_lint::rules::Finding;
-use wsd_lint::{ruleset, sarif};
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -33,7 +32,8 @@ fn seeded_typestate_violations_are_all_caught_exactly() {
     for f in &wal {
         assert_eq!(f.file, "crates/store/src/walbox.rs");
         assert!(f.excerpt.contains("appended but not committed"), "{f:#?}");
-        assert_eq!(f.flow.len(), 2, "{f:#?}");
+        let w = f.witness.as_deref().unwrap_or("");
+        assert!(w.contains("enters state `appended`") && w.contains("unfinished"), "{f:#?}");
     }
     assert!(wal.iter().any(|f| f.excerpt.contains("deposit_fast`")), "{wal:#?}");
     assert!(wal.iter().any(|f| f.excerpt.contains("deposit_racy`")), "{wal:#?}");
@@ -86,7 +86,7 @@ fn seeded_waitgraph_violations_are_all_caught_exactly() {
     let w = cycle[0].witness.as_deref().unwrap_or("");
     assert!(w.contains("blocks on"), "{w}");
     assert!(w.contains("acquires"), "{w}");
-    assert_eq!(cycle[0].flow.len(), 2, "{cycle:#?}");
+    assert_eq!(w.split("; ").count(), 2, "{cycle:#?}");
 
     // `inbox` is popped but never closed; `jobs` has a close and must
     // not be reported.
@@ -103,15 +103,4 @@ fn known_good_waitgraph_twin_has_zero_findings() {
     let wa =
         analyze_workspace(&fixture_root("waitgraph_known_good"), false).expect("walk fixture");
     assert!(wa.findings.is_empty(), "{:#?}", wa.findings);
-}
-
-#[test]
-fn sarif_code_flows_surface_the_typestate_path() {
-    let wa = analyze_workspace(&fixture_root("typestate_seeded"), false).expect("walk fixture");
-    let doc = sarif::render(&wa.findings, ruleset::embedded());
-    assert!(doc.contains("\"codeFlows\""), "typestate findings must emit codeFlows");
-    // The flow runs enter-state -> exit, in that order.
-    let start = doc.find("machine enters non-accepting state").expect("enter step");
-    let end = doc.rfind("path exits with the machine still in").expect("exit step");
-    assert!(start < end);
 }

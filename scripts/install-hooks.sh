@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Installs the repo's git hooks. Currently one: a pre-push hook that
-# runs the invariant linter (`wsd-lint --check` against the ratchet
-# baseline) so discipline regressions are caught before they leave the
-# machine. Safe to re-run; refuses to clobber a hook it did not write.
+# runs the invariant linter (`wsd-lint --check`: any unsuppressed
+# finding fails) so discipline regressions are caught before they leave
+# the machine. Safe to re-run; refuses to clobber a hook it did not write.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,8 +20,8 @@ mkdir -p "$hooks_dir"
 cat > "$hook" <<EOF
 #!/usr/bin/env sh
 $marker
-# Invariant lint gate: a release build must pass the ratchet baseline
-# (and its own 500ms analysis budget) before anything is pushed.
+# Invariant lint gate: a release build must find nothing unsuppressed
+# (within its own 500ms analysis budget) before anything is pushed.
 set -eu
 cd "\$(git rev-parse --show-toplevel)"
 cargo build -q --release -p wsd-lint

@@ -5,13 +5,17 @@
 # Modes:
 #   scripts/verify.sh                  invariant lint + build + test + clippy
 #   scripts/verify.sh lint             just the invariant checks: wsd-lint
-#                                      against lint-baseline.json (with a
-#                                      500ms analysis-time budget — the
-#                                      linter's own performance is part of
-#                                      the contract), wsd-lint linting
-#                                      itself (--self, full rule set, zero
-#                                      tolerance), plus a
-#                                      warnings-as-errors build
+#                                      on the workspace (any unsuppressed
+#                                      finding fails, within a 500ms
+#                                      analysis-time budget — the linter's
+#                                      own performance is part of the
+#                                      contract), wsd-lint linting itself
+#                                      (--self, full rule set), a
+#                                      warnings-as-errors build, and the
+#                                      linter's own tests (its fixtures and
+#                                      the mutation rows that seed each
+#                                      rule's violation into the real
+#                                      source)
 #   scripts/verify.sh sanitize         the invariant checks, then the
 #                                      wsd-concurrent and wsd-store test
 #                                      suites under Miri (UB/aliasing
@@ -52,8 +56,9 @@ mode=${1:-}
 if [ -z "$mode" ] || [ "$mode" = "e2e-smoke" ]; then full=1; else full=; fi
 
 # Invariant checks run first in every mode: they are the cheapest gate
-# and the one most likely to catch a discipline regression. The linter
-# also lints itself — full rule set, no baseline tolerance.
+# and the one most likely to catch a discipline regression. Any
+# unsuppressed finding fails. The linter also lints itself, with the
+# full rule set.
 # The budget keeps the linter honest about its own cost: a release
 # build must finish the whole-workspace analysis in under 500ms.
 cargo build -q --release -p wsd-lint
@@ -62,6 +67,7 @@ cargo build -q --release -p wsd-lint
 RUSTFLAGS="-D warnings" cargo build --workspace
 
 if [ "$mode" = "lint" ]; then
+    cargo test -q -p wsd-lint
     exit 0
 fi
 
