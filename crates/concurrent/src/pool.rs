@@ -434,13 +434,44 @@ mod tests {
         pool.shutdown();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("pool{t}.completed"), 10);
-        assert_eq!(snap.gauge_peak("pool{t}.workers"), 2);
-        // All workers retired at shutdown.
-        let (value, _) = match snap.get("pool{t}.workers") {
-            Some(wsd_telemetry::MetricValue::Gauge { value, peak }) => (*value, *peak),
-            other => panic!("expected gauge, got {other:?}"),
-        };
-        assert_eq!(value, 0);
+        // Both gauges rose and are back at 0: every worker retired at
+        // shutdown, and every job that started running finished.
+        for (gauge, peaks) in [("workers", 2..=2), ("active", 1..=2)] {
+            match snap.get(&format!("pool{{t}}.{gauge}")) {
+                Some(wsd_telemetry::MetricValue::Gauge { value, peak }) => {
+                    assert_eq!(*value, 0, "{gauge}");
+                    assert!(peaks.contains(peak), "{gauge} peaked at {peak}");
+                }
+                other => panic!("expected gauge {gauge}, got {other:?}"),
+            }
+        }
+    }
+
+    /// Idle core workers park in a blocking `pop` that only closing the
+    /// queue ends, so a shutdown that does not close it joins forever.
+    /// Run on a helper thread, that is a latch never counted down, not
+    /// a hung test.
+    #[test]
+    fn shutdown_wakes_parked_core_workers() {
+        let pool = ThreadPool::new(PoolConfig::fixed("t", 2)).unwrap();
+        let ran = crate::CountDownLatch::new(1);
+        {
+            let ran = ran.clone();
+            pool.execute(move || ran.count_down()).unwrap();
+        }
+        assert!(ran.wait_timeout(Duration::from_secs(5)), "the job never ran");
+        let joined = crate::CountDownLatch::new(1);
+        {
+            let joined = joined.clone();
+            thread::spawn(move || {
+                pool.shutdown();
+                joined.count_down();
+            });
+        }
+        assert!(
+            joined.wait_timeout(Duration::from_secs(5)),
+            "shutdown never joined its parked core workers"
+        );
     }
 
     #[test]

@@ -103,10 +103,84 @@ pub enum RoutedMeta<'a> {
     },
 }
 
+/// Why a routed message was never written anywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropReason {
+    /// Its destination's queue was at capacity.
+    QueueFull,
+    /// Its destination's connect retries ran out
+    /// ([`LinkStep::GiveUp`](link::LinkStep::GiveUp)) while it was in
+    /// flight or queued behind them.
+    GivenUp,
+}
+
+impl DropReason {
+    /// Every reason, in counter order.
+    pub const ALL: [DropReason; 2] = [DropReason::QueueFull, DropReason::GivenUp];
+
+    /// The reason's counter name. It is not `dropped` (the sum) nor ends
+    /// in `.dropped`, so `Snapshot::counter_sum("dropped")` counts each
+    /// drop once.
+    pub fn key(self) -> &'static str {
+        match self {
+            DropReason::QueueFull => "dropped_queue_full",
+            DropReason::GivenUp => "dropped_given_up",
+        }
+    }
+}
+
+/// Why routing refused a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// No usable destination: no `To`, an unparseable address, or a
+    /// reply with nowhere to go.
+    NoDestination,
+    /// The logical service is not registered, or has no live endpoint.
+    UnknownService,
+    /// A security policy refused it, or its WS-Addressing headers do not
+    /// read (both [`WsdError::Rejected`]).
+    Policy,
+    /// The body is not a readable SOAP envelope.
+    Unreadable,
+}
+
+impl RejectReason {
+    /// Every reason, in counter order.
+    pub const ALL: [RejectReason; 4] = [
+        RejectReason::NoDestination,
+        RejectReason::UnknownService,
+        RejectReason::Policy,
+        RejectReason::Unreadable,
+    ];
+
+    /// The reason's counter name (`rejected` is the sum).
+    pub fn key(self) -> &'static str {
+        match self {
+            RejectReason::NoDestination => "rejected_no_destination",
+            RejectReason::UnknownService => "rejected_unknown_service",
+            RejectReason::Policy => "rejected_policy",
+            RejectReason::Unreadable => "rejected_unreadable",
+        }
+    }
+
+    fn of(err: &WsdError) -> RejectReason {
+        match err {
+            WsdError::NoDestination | WsdError::BadAddress(_) => RejectReason::NoDestination,
+            WsdError::UnknownService(_) => RejectReason::UnknownService,
+            WsdError::Rejected(_) => RejectReason::Policy,
+            // Routing raises neither a mailbox error nor overload.
+            WsdError::Soap(_) | WsdError::MsgBox(_) | WsdError::Overloaded => {
+                RejectReason::Unreadable
+            }
+        }
+    }
+}
+
 /// The MSG-Dispatcher's books, in both runtimes: the telemetry
 /// instruments themselves (a clone is a live handle onto the same cells).
 /// Every message routed is finished once, written or lost, so at
-/// quiescence `forwarded + replies_routed == delivered + dropped`.
+/// quiescence `forwarded + replies_routed == delivered + Σ dropped[reason]`
+/// ([`written_or_dropped`](Self::written_or_dropped)).
 #[derive(Debug, Clone)]
 pub struct MsgCounters {
     /// Messages read off client connections.
@@ -123,13 +197,18 @@ pub struct MsgCounters {
     /// Messages written to a destination connection, each once: a resend
     /// is not counted again.
     pub delivered: Counter,
-    /// Routed messages never written anywhere: refused by a full queue,
-    /// or given up on once the connect retries were exhausted.
+    /// Routed messages never written anywhere, every [`DropReason`]
+    /// summed; written only by [`drop`](Self::drop).
     pub dropped: Counter,
-    /// Messages routing or security rejected, or whose body was unreadable.
+    /// Messages routing refused, every [`RejectReason`] summed; written
+    /// only by [`reject`](Self::reject).
     pub rejected: Counter,
     /// Writes to a destination connection that carried at least one message.
     pub drain_batches: Counter,
+    /// One counter per [`DropReason`], in [`DropReason::ALL`] order.
+    dropped_by: [Counter; 2],
+    /// One counter per [`RejectReason`], in [`RejectReason::ALL`] order.
+    rejected_by: [Counter; 4],
 }
 
 impl MsgCounters {
@@ -145,7 +224,38 @@ impl MsgCounters {
             dropped: scope.counter("dropped"),
             rejected: scope.counter("rejected"),
             drain_batches: scope.counter("drain_batches"),
+            dropped_by: DropReason::ALL.map(|r| scope.counter(r.key())),
+            rejected_by: RejectReason::ALL.map(|r| scope.counter(r.key())),
         }
+    }
+
+    /// Counts `n` routed messages lost for `reason`.
+    pub(crate) fn drop(&self, reason: DropReason, n: u64) {
+        self.dropped.add(n);
+        self.dropped_by[reason as usize].add(n);
+    }
+
+    /// Counts one message routing refused for `reason`.
+    fn reject(&self, reason: RejectReason) {
+        self.rejected.inc();
+        self.rejected_by[reason as usize].inc();
+    }
+
+    /// Messages lost for `reason`.
+    pub fn dropped_for(&self, reason: DropReason) -> u64 {
+        self.dropped_by[reason as usize].get()
+    }
+
+    /// Messages refused for `reason`.
+    pub fn rejected_for(&self, reason: RejectReason) -> u64 {
+        self.rejected_by[reason as usize].get()
+    }
+
+    /// `delivered + Σ dropped[reason]`: every routed message finished so
+    /// far, which at quiescence is `forwarded + replies_routed`.
+    pub fn written_or_dropped(&self) -> u64 {
+        let dropped: u64 = DropReason::ALL.iter().map(|&r| self.dropped_for(r)).sum();
+        self.delivered.get() + dropped
     }
 
     /// Counts what routing decided (`None`: the body could not be read):
@@ -165,8 +275,9 @@ impl MsgCounters {
                 Ok((to, message_id.map(Cow::into_owned)))
             }
             rejected => {
-                self.rejected.inc();
-                Err(rejected.and_then(Result::err).map_or_else(
+                let err = rejected.and_then(Result::err);
+                self.reject(err.as_ref().map_or(RejectReason::Unreadable, RejectReason::of));
+                Err(err.map_or_else(
                     || Response::empty(wsd_http::Status::BAD_REQUEST),
                     |e| crate::rpc::error_response(wsd_soap::SoapVersion::V11, &e),
                 ))
@@ -190,6 +301,12 @@ impl MsgCounters {
             ("drain_batches", &self.drain_batches),
         ] {
             assert_eq!(counter.get(), snap.counter(&format!("{scope}.{name}")), "{name}");
+        }
+        for (r, counter) in DropReason::ALL.iter().zip(&self.dropped_by) {
+            assert_eq!(counter.get(), snap.counter(&format!("{scope}.{}", r.key())));
+        }
+        for (r, counter) in RejectReason::ALL.iter().zip(&self.rejected_by) {
+            assert_eq!(counter.get(), snap.counter(&format!("{scope}.{}", r.key())));
         }
     }
 }

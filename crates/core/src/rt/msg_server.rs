@@ -13,7 +13,7 @@ use wsd_telemetry::{Counter, Scope};
 
 use crate::config::DispatcherConfig;
 use crate::msg::link::{Link, LinkStep};
-use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters};
+use crate::msg::{correlate_rpc_reply, DropReason, MsgCore, MsgCounters};
 use crate::rt::{now_us, one_by_one, ConnTracker, Network, ReactorFrontEnd};
 use crate::url::Url;
 
@@ -249,7 +249,7 @@ impl MsgDispatcherServer {
             })
         });
         if dest.queue.try_push(QueuedMsg { req: fwd, msg_id }).is_err() {
-            self.counters.dropped.inc();
+            self.counters.drop(DropReason::QueueFull, 1);
             return false;
         }
         self.counters.enqueued.inc();
@@ -339,7 +339,7 @@ impl MsgDispatcherServer {
                 }
                 LinkStep::GiveUp(lost) => {
                     let dropped = lost.len() + dest.queue.drain().len();
-                    self.counters.dropped.add(dropped as u64);
+                    self.counters.drop(DropReason::GivenUp, dropped as u64);
                 }
             }
         }
@@ -588,7 +588,7 @@ mod tests {
         assert_eq!(books.acked.get(), SENT);
         assert_eq!(
             books.forwarded.get() + books.replies_routed.get(),
-            books.delivered.get() + books.dropped.get()
+            books.written_or_dropped()
         );
         disp.shutdown();
         ws.shutdown();

@@ -52,6 +52,7 @@ use wsd_telemetry::{Counter, Gauge, Scope};
 
 use crate::config::FleetConfig;
 use crate::msg::link::{Link, LinkStep};
+use crate::msg::DropReason;
 use crate::msgbox::{ops, serve_run, MailboxCounters, MsgBoxStore};
 use crate::registry::Registry;
 use crate::registry_repl::{RegistryFollower, RegistryLeader};
@@ -159,6 +160,8 @@ struct InstanceTelemetry {
     shed: Counter,
     forwarded: Counter,
     dropped: Counter,
+    /// `dropped`'s one reason here: every drop is a give-up.
+    given_up: Counter,
     recovered: Counter,
     owned_ranges: Gauge,
     repl_offset: Gauge,
@@ -245,6 +248,7 @@ impl SimFleetInstance {
                 shed: scope.counter("shed"),
                 forwarded: scope.counter("forwarded"),
                 dropped: scope.counter("dropped"),
+                given_up: scope.counter(DropReason::GivenUp.key()),
                 recovered: scope.counter("recovered"),
                 owned_ranges: scope.gauge("owned_ranges"),
                 repl_offset: scope.gauge("repl_offset"),
@@ -441,7 +445,10 @@ impl SimFleetInstance {
                     self.dest_timers.insert(token, key.clone());
                     return;
                 }
-                LinkStep::GiveUp(lost) => self.tele.dropped.add(lost.len() as u64),
+                LinkStep::GiveUp(lost) => {
+                    self.tele.dropped.add(lost.len() as u64);
+                    self.tele.given_up.add(lost.len() as u64);
+                }
                 LinkStep::Idle | LinkStep::Await => return,
             }
         }

@@ -23,7 +23,7 @@ use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
 
 use crate::config::DispatcherConfig;
 use crate::msg::link::{Link, LinkStep};
-use crate::msg::{correlate_rpc_reply, MsgCore, MsgCounters};
+use crate::msg::{correlate_rpc_reply, DropReason, MsgCore, MsgCounters};
 use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
 use crate::url::Url;
 
@@ -224,7 +224,7 @@ impl SimMsgDispatcher {
         let (cap, drain_batch) = (self.config.queue_capacity, self.config.drain_batch);
         let dest = self.dests.entry(key.clone()).or_insert_with(|| Dest::new(drain_batch));
         if dest.queue.len() >= cap {
-            self.stats.dropped.inc();
+            self.stats.drop(DropReason::QueueFull, 1);
             self.tele
                 .stage(&msg_id, TraceStage::Dropped, ctx.now().as_micros());
             return;
@@ -307,7 +307,7 @@ impl SimMsgDispatcher {
                     for (msg_id, _) in &lost {
                         self.tele.stage(msg_id, TraceStage::Dropped, now_us);
                     }
-                    self.stats.dropped.add(lost.len() as u64);
+                    self.stats.drop(DropReason::GivenUp, lost.len() as u64);
                 }
                 LinkStep::Idle | LinkStep::Await => {
                     let up = dest.link.is_up();
@@ -633,10 +633,10 @@ mod tests {
         assert_eq!(echo_stats.accepted.get(), 5);
         // ...but replies can't reach the firewalled client.
         assert_eq!(got.borrow().len(), 0);
-        assert_eq!(stats.dropped.get(), 5);
+        assert_eq!(stats.dropped_for(DropReason::GivenUp), 5);
         assert_eq!(
             stats.forwarded.get() + stats.replies_routed.get(),
-            stats.delivered.get() + stats.dropped.get()
+            stats.written_or_dropped()
         );
         let snap = reg.snapshot();
         stats.assert_matches(&snap, "msg_dispatcher");

@@ -11,21 +11,15 @@
 //! the walker cannot classify degrades to a linear over-approximation
 //! of the statement text (which can only *add* facts, never lose them).
 //!
-//! Two analyses run on the walker, both driven by the declarative
-//! [`crate::ruleset`]:
-//!
-//! * **taint** ([`TaintRule`]) — variables bound from a source call
-//!   (or passed to one by `&mut`) are tainted; a sanitizer call clears
-//!   the taint of its arguments; a sink call receiving a tainted
-//!   variable is a finding, with a source→sink code flow. Function
-//!   summaries make it interprocedural: a fn passing a *parameter* to
-//!   a sink is itself sink-like (fixpoint), and a fn transitively
-//!   calling a sanitizer clears its arguments (computed in
-//!   [`crate::summaries`]).
-//! * **gauge balance** ([`GaugeRule`]) — for every gauge class a
-//!   function both increments and decrements, each increment must be
-//!   matched by a decrement on every non-panic path out of the
-//!   function; the finding's flow names the increment and the exit.
+//! Two analyses run on the walker: [`crate::typestate`]'s automata, and
+//! **taint** ([`TaintRule`], a [`crate::ruleset`] row) here. Variables
+//! bound from a source call (or passed to one by `&mut`) are tainted; a
+//! sanitizer call clears the taint of its arguments; a sink call
+//! receiving a tainted variable is a finding, with a source→sink code
+//! flow. Function summaries make it interprocedural: a fn passing a
+//! *parameter* to a sink is itself sink-like (fixpoint), and a fn
+//! transitively calling a sanitizer clears its arguments (computed in
+//! [`crate::summaries`]).
 //!
 //! Known approximations (deliberate, all FP-safe for taint): `match`
 //! pattern bindings do not inherit the scrutinee's taint, closure
@@ -37,7 +31,7 @@ use crate::callgraph::{line_at, line_index, CallSite, Graph};
 use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
 use crate::rules::{is_test_path, Finding};
-use crate::ruleset::{fill, CallPat, GaugeRule, Ruleset, TaintRule};
+use crate::ruleset::{fill, CallPat, Ruleset, TaintRule};
 use crate::summaries::{contains_word, Facts, FileEntry};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -792,7 +786,7 @@ impl<'a> Walker<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Gauge balance
+// Taint
 // ---------------------------------------------------------------------
 
 /// Argument text of a call (inside the parens, blanked).
@@ -805,155 +799,6 @@ fn args_text<'a>(code: &'a str, c: &CallSite) -> &'a str {
         _ => "",
     }
 }
-
-struct GaugeFlow<'a> {
-    code: &'a str,
-    file: &'a str,
-    fn_qualified: &'a str,
-    tracked: BTreeSet<String>,
-    findings: Vec<Finding>,
-    seen: BTreeSet<(usize, String)>,
-}
-
-impl<'a> GaugeFlow<'a> {
-    /// Classifies a call as +1 / -1 / reset on a tracked gauge class.
-    fn classify(&self, c: &CallSite) -> Option<(String, i8)> {
-        if !c.is_method {
-            return None;
-        }
-        let seg = c.receiver.rsplit('.').next().unwrap_or("");
-        if !self.tracked.contains(seg) {
-            return None;
-        }
-        let delta = match c.name.as_str() {
-            "inc" => 1,
-            "dec" => -1,
-            "set" => 0,
-            "add" => {
-                if args_text(self.code, c).trim_start().starts_with('-') {
-                    -1
-                } else {
-                    1
-                }
-            }
-            _ => return None,
-        };
-        Some((seg.to_string(), delta))
-    }
-}
-
-impl<'a> Flow for GaugeFlow<'a> {
-    type State = BTreeMap<String, usize>; // class -> increment line
-
-    fn join(&self, a: &mut Self::State, b: &Self::State) {
-        join_union(a, b);
-    }
-
-    fn call(&mut self, st: &mut Self::State, c: &CallSite, _ctx: &StmtCtx) {
-        if let Some((class, delta)) = self.classify(c) {
-            if delta > 0 {
-                st.insert(class, c.line);
-            } else {
-                st.remove(&class);
-            }
-        }
-    }
-
-    fn stmt_done(&mut self, _st: &mut Self::State, _ctx: &StmtCtx) {}
-
-    fn exit(&mut self, st: &Self::State, kind: ExitKind, line: usize) {
-        if matches!(kind, ExitKind::Panic | ExitKind::Break | ExitKind::Continue) {
-            return; // panic paths tear the process down, not the gauge
-        }
-        for (class, inc_line) in st {
-            if !self.seen.insert((line, class.clone())) {
-                continue;
-            }
-            let how = match kind {
-                ExitKind::Return => "the `return` at",
-                ExitKind::Try => "the `?` early exit at",
-                _ => "the fall-through end at",
-            };
-            self.findings.push(Finding {
-                rule: "gauge-balance",
-                file: self.file.to_string(),
-                line: *inc_line,
-                excerpt: format!(
-                    "gauge `{class}` incremented here is not decremented on \
-                     {how} line {line} (in {})",
-                    self.fn_qualified
-                ),
-                witness: Some(format!(
-                    "{} increments `{class}` ({}:{inc_line}) -> exits at {}:{line} \
-                     with the gauge still raised",
-                    self.fn_qualified, self.file, self.file
-                )),
-            });
-        }
-    }
-}
-
-fn gauge_rule(
-    rule: &GaugeRule,
-    files: &BTreeMap<String, FileEntry>,
-    graph: &Graph,
-    facts: &Facts,
-    findings: &mut Vec<Finding>,
-) {
-    for f in &graph.fns {
-        if rule.exempt.iter().any(|p| f.file.starts_with(p.as_str())) || is_test_path(&f.file) {
-            continue;
-        }
-        let Some(fields) = facts.field_types.get(&f.file) else {
-            continue;
-        };
-        let gauge_fields: BTreeSet<&str> = fields
-            .iter()
-            .filter(|(_, ty)| rule.types.iter().any(|t| t == *ty))
-            .map(|(n, _)| n.as_str())
-            .collect();
-        if gauge_fields.is_empty() {
-            continue;
-        }
-        let Some(entry) = files.get(&f.file) else { continue };
-        let code = &entry.parsed.stripped.code;
-        // Only classes this fn both raises and lowers are tracked:
-        // balance intent is local (push/pop counter pairs split across
-        // functions are legitimately unbalanced per-fn).
-        let probe = GaugeFlow {
-            code,
-            file: &f.file,
-            fn_qualified: &f.qualified,
-            tracked: gauge_fields.iter().map(|s| s.to_string()).collect(),
-            findings: Vec::new(),
-            seen: BTreeSet::new(),
-        };
-        let (mut ups, mut downs) = (BTreeSet::new(), BTreeSet::new());
-        for c in &f.calls {
-            if let Some((class, delta)) = probe.classify(c) {
-                if delta > 0 {
-                    ups.insert(class);
-                } else if delta < 0 {
-                    downs.insert(class);
-                }
-            }
-        }
-        let tracked: BTreeSet<String> = ups.intersection(&downs).cloned().collect();
-        if tracked.is_empty() {
-            continue;
-        }
-        let Some((walker, span)) = Walker::new(code, &entry.parsed, f.local_idx, &f.calls) else {
-            continue;
-        };
-        let mut flow = GaugeFlow { tracked, ..probe };
-        walker.run(&mut flow, span, BTreeMap::new());
-        findings.append(&mut flow.findings);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Taint
-// ---------------------------------------------------------------------
 
 /// Where a taint came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1209,7 +1054,7 @@ fn taint_rule(
     }
 }
 
-/// Runs all declarative dataflow rules (taint + gauge balance).
+/// Runs the taint rules.
 /// Findings are unfiltered; suppressions apply in the caller.
 pub fn run(
     files: &BTreeMap<String, FileEntry>,
@@ -1220,9 +1065,6 @@ pub fn run(
     let mut findings = Vec::new();
     for (i, rule) in ruleset.taint_rules.iter().enumerate() {
         taint_rule(rule, i, files, graph, facts, &mut findings);
-    }
-    for rule in &ruleset.gauge_rules {
-        gauge_rule(rule, files, graph, facts, &mut findings);
     }
     findings
 }

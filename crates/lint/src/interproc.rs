@@ -13,9 +13,8 @@
 //! call's argument text must not contain a forbidden spelling".
 //! `limits-at-serve-site` is the shipped row.
 //!
-//! Lock order is the lock-only part of the wait-for graph
-//! ([`crate::waitgraph`]), and "X before Y" obligations are typestate
-//! rows ([`crate::typestate`]).
+//! Lock order is the lock-order graph ([`crate::waitgraph`]), and
+//! "X before Y" obligations are typestate rows ([`crate::typestate`]).
 
 use crate::callgraph::Graph;
 use crate::rules::Finding;

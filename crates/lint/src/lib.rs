@@ -11,9 +11,9 @@
 //! ([`summaries`]) compute acquires-lock / may-block / sanitizes
 //! facts, and the rule layers evaluate the named invariants — lexical
 //! ([`rules`]), call-graph ([`interproc`]), path-sensitive dataflow and
-//! typestate ([`dataflow`], [`typestate`]) and the one wait-for graph
-//! ([`waitgraph`]) — with the argument, taint, gauge, typestate and
-//! wait-graph rules expressed as *data*: rows of the checked-in
+//! typestate ([`dataflow`], [`typestate`]) and the lock-order graph
+//! ([`waitgraph`]) — with the argument, taint and typestate rules
+//! expressed as *data*: rows of the checked-in
 //! `lint-rules.toml`, compiled in and written down nowhere else
 //! ([`ruleset`]). Test code is exempt, every suppression needs a
 //! reason and is audited for liveness (`unused-suppression`), and one
@@ -137,7 +137,7 @@ pub fn analyze_files(
     lap("dataflow", &mut stage_start, &mut timings);
     raw.extend(typestate::run(files, &graph, ruleset));
     lap("typestate", &mut stage_start, &mut timings);
-    let (waitgraph_findings, lock_edges) = waitgraph::run(&graph, &facts, ruleset);
+    let (waitgraph_findings, lock_edges) = waitgraph::run(&graph, &facts);
     raw.extend(waitgraph_findings);
     lap("waitgraph", &mut stage_start, &mut timings);
 

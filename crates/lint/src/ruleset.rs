@@ -1,5 +1,4 @@
-//! The declarative ruleset: argument / taint / gauge / typestate /
-//! wait-graph rules as data.
+//! The declarative ruleset: argument / taint / typestate rules as data.
 //!
 //! A declarative rule is one `[[section]]` row in the checked-in
 //! `lint-rules.toml` at the workspace root, and nowhere else: the file
@@ -11,7 +10,7 @@
 //! findings, and `--explain` prints the row's own lines ([`Row::text`]).
 //! The rows are compiled by [`crate::summaries`] into per-function facts
 //! and evaluated by the generic engines in [`crate::interproc`],
-//! [`crate::dataflow`], [`crate::typestate`] and [`crate::waitgraph`]. A
+//! [`crate::dataflow`] and [`crate::typestate`]. A
 //! new "X must happen before Y" invariant (e.g. a drop-reason
 //! obligation) is a one-row addition to the file — no Rust edit, not a
 //! new analysis.
@@ -198,27 +197,6 @@ pub struct TypestateRule {
     pub exit_message: String,
 }
 
-/// The wait-for-graph analysis ([`crate::waitgraph`]): one row
-/// configures both the deadlock-cycle rule (`name`) and the
-/// shutdown-liveness rule (`liveness_name`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WaitgraphRule {
-    /// Deadlock-cycle rule id.
-    pub name: &'static str,
-    /// Blocking-pop-with-no-close rule id.
-    pub liveness_name: &'static str,
-    /// Field/binding base types treated as blocking queues.
-    pub queue_types: Vec<String>,
-    /// Potentially-unbounded blocking consume methods.
-    pub blocking_pops: Vec<String>,
-    /// Blocking produce methods (block when a bounded queue is full).
-    pub blocking_pushes: Vec<String>,
-    /// Shutdown methods that release parked consumers.
-    pub closers: Vec<String>,
-    /// Path prefixes exempt (the queue implementation itself).
-    pub exempt: Vec<String>,
-}
-
 /// "A trigger call's argument text must not contain a forbidden
 /// spelling" (serve sites taking `Limits::default()`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -255,20 +233,6 @@ pub struct TaintRule {
     pub contract: String,
 }
 
-/// "Every gauge increment is matched by a decrement on all paths out
-/// of the enclosing function" — checked per function, only for gauge
-/// classes the function both increments and decrements (balance intent
-/// is local; cross-function pairs like push/pop counters are exempt).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GaugeRule {
-    /// Rule id.
-    pub name: &'static str,
-    /// Field base types treated as gauges.
-    pub types: Vec<String>,
-    /// Path prefixes exempt (the telemetry crate implements gauges).
-    pub exempt: Vec<String>,
-}
-
 /// One `[[section]]` of the source text — what exists of a rule beyond
 /// its engine parameters: the ids it defines, the hint shown next to
 /// its findings, and its own lines for `--explain`.
@@ -278,8 +242,8 @@ pub struct Row {
     pub kind: &'static str,
     /// 1-based line of the `[[section]]` header.
     pub line: usize,
-    /// Rule ids the row defines (the waitgraph row carries two).
-    pub names: Vec<&'static str>,
+    /// The rule id the row defines.
+    pub name: &'static str,
     /// The row's `doc`: the one text findings and `--explain` show.
     pub doc: &'static str,
     /// The row exactly as written, header through last key line.
@@ -292,9 +256,7 @@ impl Row {
         match self.kind {
             "arg-rule" => "argument inspection (call-site)",
             "taint" => "taint (path-sensitive dataflow)",
-            "gauge" => "gauge balance (path-sensitive dataflow)",
-            "typestate" => "typestate automaton (path-sensitive dataflow)",
-            _ => "wait-for graph (blocking cycles + shutdown liveness)",
+            _ => "typestate automaton (path-sensitive dataflow)",
         }
     }
 }
@@ -308,18 +270,14 @@ pub struct Ruleset {
     pub arg_rules: Vec<ArgRule>,
     /// Taint-dataflow rules.
     pub taint_rules: Vec<TaintRule>,
-    /// Gauge-balance rules.
-    pub gauge_rules: Vec<GaugeRule>,
     /// Protocol-lifecycle automata.
     pub typestate_rules: Vec<TypestateRule>,
-    /// Wait-for-graph rules (deadlock cycles + pop liveness).
-    pub waitgraph_rules: Vec<WaitgraphRule>,
 }
 
 impl Ruleset {
     /// The row that defines `rule`, if it is a declarative one.
     pub fn row(&self, rule: &str) -> Option<&Row> {
-        self.rows.iter().find(|r| r.names.contains(&rule))
+        self.rows.iter().find(|r| r.name == rule)
     }
 
     /// Every rule id a finding or a suppression may carry: the coded
@@ -328,7 +286,7 @@ impl Ruleset {
         RULE_NAMES
             .iter()
             .copied()
-            .chain(self.rows.iter().flat_map(|r| r.names.iter().copied()))
+            .chain(self.rows.iter().map(|r| r.name))
     }
 
     /// What `rule` protects, shown next to findings: the row's `doc`,
@@ -416,16 +374,14 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
             idx = match kind {
                 "arg-rule" => push_default(&mut rs.arg_rules),
                 "taint" => push_default(&mut rs.taint_rules),
-                "gauge" => push_default(&mut rs.gauge_rules),
                 "typestate" => push_default(&mut rs.typestate_rules),
-                "waitgraph" => push_default(&mut rs.waitgraph_rules),
                 other => return Err(at(format!("unknown section `[[{other}]]`"))),
             };
             row_start = line_end - line.len();
             rs.rows.push(Row {
                 kind,
                 line: lno + 1,
-                names: Vec::new(),
+                name: "",
                 doc: "",
                 text: &text[row_start..line_end],
             });
@@ -456,9 +412,11 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
             Ok(want_list(v)?.iter().map(|s| CallPat::parse(s)).collect())
         };
         let mut rule_id = |v: &Val| -> Result<&'static str, String> {
-            let name = want_str(v)?;
-            row.names.push(name);
-            Ok(name)
+            if !row.name.is_empty() {
+                return Err(at("a rule section sets its `name` once".into()));
+            }
+            row.name = want_str(v)?;
+            Ok(row.name)
         };
         match (row.kind, key) {
             (_, "doc") => row.doc = want_str(&val)?,
@@ -473,9 +431,6 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
             ("taint", "sanitizers") => rs.taint_rules[idx].sanitizers = to_pats(&val)?,
             ("taint", "sinks") => rs.taint_rules[idx].sinks = to_pats(&val)?,
             ("taint", "contract") => rs.taint_rules[idx].contract = want_str(&val)?.to_string(),
-            ("gauge", "name") => rs.gauge_rules[idx].name = rule_id(&val)?,
-            ("gauge", "types") => rs.gauge_rules[idx].types = want_list(&val)?,
-            ("gauge", "exempt") => rs.gauge_rules[idx].exempt = want_list(&val)?,
             ("typestate", "name") => rs.typestate_rules[idx].name = rule_id(&val)?,
             ("typestate", "scopes") => rs.typestate_rules[idx].scopes = want_list(&val)?,
             ("typestate", "track") => rs.typestate_rules[idx].track = want_str(&val)?.to_string(),
@@ -504,21 +459,6 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
             ("typestate", "exit-message") => {
                 rs.typestate_rules[idx].exit_message = want_str(&val)?.to_string()
             }
-            ("waitgraph", "name") => rs.waitgraph_rules[idx].name = rule_id(&val)?,
-            ("waitgraph", "liveness-name") => {
-                rs.waitgraph_rules[idx].liveness_name = rule_id(&val)?
-            }
-            ("waitgraph", "queue-types") => {
-                rs.waitgraph_rules[idx].queue_types = want_list(&val)?
-            }
-            ("waitgraph", "blocking-pops") => {
-                rs.waitgraph_rules[idx].blocking_pops = want_list(&val)?
-            }
-            ("waitgraph", "blocking-pushes") => {
-                rs.waitgraph_rules[idx].blocking_pushes = want_list(&val)?
-            }
-            ("waitgraph", "closers") => rs.waitgraph_rules[idx].closers = want_list(&val)?,
-            ("waitgraph", "exempt") => rs.waitgraph_rules[idx].exempt = want_list(&val)?,
             (k, key) => return Err(at(format!("unknown key `{key}` in [[{k}]]"))),
         }
     }
@@ -526,25 +466,16 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
     let mut seen: Vec<&str> = RULE_NAMES.to_vec();
     for row in &rs.rows {
         let at = |e: String| format!("line {}: [[{}]]: {e}", row.line, row.kind);
-        if row.names.len() != if row.kind == "waitgraph" { 2 } else { 1 } {
-            return Err(at("a rule section needs its `name` exactly once \
-                           (and a waitgraph row its `liveness-name`)"
-                .into()));
+        if row.name.is_empty() {
+            return Err(at("a rule section needs its `name`".into()));
         }
-        for name in &row.names {
-            if seen.contains(name) {
-                return Err(at(format!(
-                    "rule name `{name}` is already taken (by an earlier row or rules::RULE_NAMES)"
-                )));
-            }
-            seen.push(name);
+        if seen.contains(&row.name) {
+            return Err(at(format!(
+                "rule name `{}` is already taken (by an earlier row or rules::RULE_NAMES)",
+                row.name
+            )));
         }
-    }
-    if let Some(row) = rs.rows.iter().filter(|r| r.kind == "waitgraph").nth(1) {
-        return Err(format!(
-            "line {}: a second [[waitgraph]] row — there is one wait-for graph",
-            row.line
-        ));
+        seen.push(row.name);
     }
     // Structural validation of each automaton, after all keys are in
     // (key order within a row is free). Errors point at the offending
@@ -629,51 +560,44 @@ mod tests {
     #[test]
     fn embedded_ruleset_parses_and_validates() {
         let rs = parse_toml(SOURCE).expect("checked-in lint-rules.toml");
-        assert_eq!(rs.rows.len(), 10);
-        assert_eq!(rs.rule_names().count(), RULE_NAMES.len() + 11);
+        assert_eq!(rs.rows.len(), 8);
+        assert_eq!(rs.rule_names().count(), RULE_NAMES.len() + 8);
         for row in &rs.rows {
             assert!(!row.doc.is_empty(), "row at line {} has no doc", row.line);
             assert!(row.text.starts_with("[["), "{:?}", row.text);
             assert!(SOURCE.contains(row.text));
         }
-        let wg = rs.row("queue-pop-no-close").expect("liveness name resolves to its row");
-        assert_eq!(wg.names, ["blocking-cycle", "queue-pop-no-close"]);
-        assert_eq!(rs.hint("blocking-cycle"), wg.doc);
+        let wal = rs.row("wal-ack-before-durable").expect("a row name resolves to its row");
+        assert_eq!((wal.kind, rs.hint(wal.name)), ("typestate", wal.doc));
         assert_eq!(rs.hint("raw-clock"), rule_hint("raw-clock"));
         assert_eq!(embedded(), &rs);
     }
 
     #[test]
     fn row_text_is_the_section_as_written() {
-        let toml = "# header\n\n[[gauge]]\nname = \"g\"\ndoc = \"d\"\n\n# trailing\n[[gauge]]\n  name = \"h\"  \n";
+        let toml = "# header\n\n[[taint]]\nname = \"g\"\ndoc = \"d\"\n\n# trailing\n[[taint]]\n  name = \"h\"  \n";
         let rs = parse_toml(toml).unwrap();
-        assert_eq!(rs.rows[0].text, "[[gauge]]\nname = \"g\"\ndoc = \"d\"");
+        assert_eq!(rs.rows[0].text, "[[taint]]\nname = \"g\"\ndoc = \"d\"");
         assert_eq!((rs.rows[0].line, rs.rows[0].doc), (3, "d"));
-        assert_eq!(rs.rows[1].text, "[[gauge]]\n  name = \"h\"");
-        assert_eq!(rs.gauge_rules[1].name, "h");
+        assert_eq!(rs.rows[1].text, "[[taint]]\n  name = \"h\"");
+        assert_eq!(rs.taint_rules[1].name, "h");
     }
 
     #[test]
     fn a_rule_name_lives_in_one_place() {
-        let err = parse_toml("[[gauge]]\nname = \"raw-clock\"\n").unwrap_err();
+        let err = parse_toml("[[taint]]\nname = \"raw-clock\"\n").unwrap_err();
         assert!(err.contains("`raw-clock` is already taken"), "{err}");
-        let err = parse_toml("[[gauge]]\nname = \"g\"\n[[gauge]]\nname = \"g\"\n").unwrap_err();
+        let err = parse_toml("[[taint]]\nname = \"g\"\n[[taint]]\nname = \"g\"\n").unwrap_err();
         assert!(err.contains("line 3") && err.contains("`g` is already taken"), "{err}");
-        let err = parse_toml("[[gauge]]\ndoc = \"nameless\"\n").unwrap_err();
+        let err = parse_toml("[[taint]]\ndoc = \"nameless\"\n").unwrap_err();
         assert!(err.contains("line 1") && err.contains("`name`"), "{err}");
-        let err = parse_toml("[[waitgraph]]\nname = \"w\"\n").unwrap_err();
-        assert!(err.contains("liveness-name"), "{err}");
-        let err = parse_toml(
-            "[[waitgraph]]\nname = \"w\"\nliveness-name = \"l\"\n\
-             [[waitgraph]]\nname = \"v\"\nliveness-name = \"m\"\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("line 4") && err.contains("one wait-for graph"), "{err}");
+        let err = parse_toml("[[taint]]\nname = \"g\"\nname = \"h\"\n").unwrap_err();
+        assert!(err.contains("line 3") && err.contains("`name` once"), "{err}");
     }
 
     #[test]
     fn malformed_value_is_rejected() {
-        assert!(parse_toml("[[gauge]]\nname = 42\n").is_err());
+        assert!(parse_toml("[[taint]]\nname = 42\n").is_err());
         assert!(parse_toml("[[nope]]\n").is_err());
         assert!(parse_toml("name = \"x\"\n").is_err());
     }

@@ -103,9 +103,6 @@ pub struct Facts {
     pub field_classes: BTreeMap<String, BTreeMap<String, String>>,
     /// Every lock class seen in the workspace.
     pub classes: BTreeSet<String>,
-    /// file -> field -> declared base type (wrappers like `Arc<..>`
-    /// unwrapped) — drives gauge-class detection in [`crate::dataflow`].
-    pub field_types: BTreeMap<String, BTreeMap<String, String>>,
 }
 
 /// Unbounded blocking sinks, by call-site shape. Bounded waits
@@ -636,8 +633,6 @@ pub fn compute(
         }
         field_types_by_file.insert(path.clone(), decls);
     }
-
-    facts.field_types = field_types_by_file.clone();
 
     // Globally-unique field -> type map for cross-file receivers.
     let mut global_field_types: BTreeMap<String, Option<String>> = BTreeMap::new();

@@ -44,9 +44,8 @@
 //! witness. That is how an "X before Y" obligation is a typestate row:
 //! `open => done : X` and the error row `open : Y`. Non-accepting exits
 //! are reported only for `return` and fall-through ends when the rule
-//! carries an `exit-message` — `?`, `break`, and panic paths are exempt,
-//! matching the gauge-balance convention that unwinding tears the
-//! process down, not the protocol.
+//! carries an `exit-message` — `?`, `break`, and panic paths are exempt:
+//! unwinding tears the process down, not the protocol.
 
 use crate::callgraph::{line_at, line_index, CallSite, Graph};
 use crate::dataflow::{join_union, ExitKind, Flow, StmtCtx, Walker};

@@ -1,7 +1,7 @@
-//! End-to-end coverage for the v4 engines (typestate automata and the
-//! blocking wait-for graph): every seeded violation must be caught
-//! with the expected state/cycle witness, and the known-good twins —
-//! the same shapes done right — must produce zero findings.
+//! End-to-end coverage for the typestate automata: every seeded
+//! violation must be caught with the expected state witness, and the
+//! known-good twin — the same shapes done right — must produce zero
+//! findings.
 
 use std::path::PathBuf;
 
@@ -67,40 +67,5 @@ fn seeded_typestate_violations_are_all_caught_exactly() {
 fn known_good_typestate_twin_has_zero_findings() {
     let wa =
         analyze_workspace(&fixture_root("typestate_known_good"), false).expect("walk fixture");
-    assert!(wa.findings.is_empty(), "{:#?}", wa.findings);
-}
-
-#[test]
-fn seeded_waitgraph_violations_are_all_caught_exactly() {
-    let wa = analyze_workspace(&fixture_root("waitgraph_seeded"), false).expect("walk fixture");
-
-    // The two-node cycle: hub.state -> jobs (push under lock) and
-    // jobs -> hub.state (pop then acquire).
-    let cycle = by_rule(&wa.findings, "blocking-cycle");
-    assert_eq!(cycle.len(), 1, "{:#?}", wa.findings);
-    assert_eq!(cycle[0].file, "crates/core/src/rt/hub.rs");
-    assert!(cycle[0].excerpt.contains("potential blocking cycle"), "{cycle:#?}");
-    assert!(cycle[0].excerpt.contains("hub.state"), "{cycle:#?}");
-    assert!(cycle[0].excerpt.contains("jobs"), "{cycle:#?}");
-    // The witness chain names both halves of the wait.
-    let w = cycle[0].witness.as_deref().unwrap_or("");
-    assert!(w.contains("blocks on"), "{w}");
-    assert!(w.contains("acquires"), "{w}");
-    assert_eq!(w.split("; ").count(), 2, "{cycle:#?}");
-
-    // `inbox` is popped but never closed; `jobs` has a close and must
-    // not be reported.
-    let live = by_rule(&wa.findings, "queue-pop-no-close");
-    assert_eq!(live.len(), 1, "{:#?}", wa.findings);
-    assert_eq!(live[0].file, "crates/core/src/rt/pump.rs");
-    assert!(live[0].excerpt.contains("`inbox`"), "{live:#?}");
-
-    assert_eq!(wa.findings.len(), 2, "{:#?}", wa.findings);
-}
-
-#[test]
-fn known_good_waitgraph_twin_has_zero_findings() {
-    let wa =
-        analyze_workspace(&fixture_root("waitgraph_known_good"), false).expect("walk fixture");
     assert!(wa.findings.is_empty(), "{:#?}", wa.findings);
 }

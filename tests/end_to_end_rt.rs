@@ -150,7 +150,7 @@ fn async_conversation_with_mailbox_end_to_end() {
     // and three replies (a batch is on the books once its answers are in).
     let books = disp.counters();
     let routed = || books.forwarded.get() + books.replies_routed.get();
-    let finished = || books.delivered.get() + books.dropped.get();
+    let finished = || books.written_or_dropped();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while finished() < routed() && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));

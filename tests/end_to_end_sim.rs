@@ -230,7 +230,7 @@ fn conservation_of_messages() {
 fn assert_routed_messages_finished(books: &MsgCounters) {
     assert_eq!(
         books.forwarded.get() + books.replies_routed.get(),
-        books.delivered.get() + books.dropped.get(),
+        books.written_or_dropped(),
         "{books:?}"
     );
 }

@@ -8,11 +8,12 @@
 //! runtime ([`HttpClient`] over `rt::Network`). The rows cover the
 //! decisions `wsd-core` makes once for both runtimes — the echo service
 //! in both styles, the mailbox request handler, the RPC exchange (its answer and which endpoints it
-//! leaves live), the MSG-Dispatcher's reject, the RPC-reply translation,
+//! leaves live), the MSG-Dispatcher's rejects and drops (a row of its own
+//! for each `RejectReason` and `DropReason`), the RPC-reply translation,
 //! and the per-destination link machine's connect / write / retry /
-//! give-up policy (the last four rows: a connection lost under a batch, a
-//! dead destination with a backlog, a full queue, a reconnect under
-//! quadrant 3) — so a drift between the two drivers fails here first.
+//! give-up policy (a connection lost under a batch, a dead destination
+//! with a backlog, a full queue, a reconnect under quadrant 3) — so a
+//! drift between the two drivers fails here first.
 //!
 //! Where the runtimes still differ on purpose the row says so in `differs`
 //! and pins each side's answer: a full destination queue is acked and
@@ -28,14 +29,14 @@ use std::time::{Duration, Instant};
 
 use ws_dispatcher::core::config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy};
 use ws_dispatcher::core::echo::EchoCounters;
-use ws_dispatcher::core::msg::{MsgCore, MsgCounters};
+use ws_dispatcher::core::msg::{DropReason, MsgCore, MsgCounters, RejectReason};
 use ws_dispatcher::core::msgbox::ops;
 use ws_dispatcher::core::registry::Registry;
 use ws_dispatcher::core::rpc::RpcCounters;
 use ws_dispatcher::core::rt::{
     EchoServer, MsgBoxServer, MsgDispatcherServer, Network, RpcDispatcherServer,
 };
-use ws_dispatcher::core::security::PolicyChain;
+use ws_dispatcher::core::security::{PolicyChain, TokenAuth};
 use ws_dispatcher::core::sim::{
     request_payload, response_payload, EchoMode, SimEchoService, SimMsgBox, SimMsgBoxStats,
     SimMsgDispatcher, SimRpcDispatcher,
@@ -86,6 +87,10 @@ enum Service {
     /// Never takes a message: a firewalled host whose connects time out in
     /// sim, a listener that accepts and never reads in rt.
     Wedged,
+    /// Acknowledges every request with a bare `202`, but is slow to take
+    /// the first: its host is 100 ms away in sim, so a connect to it takes
+    /// two of those, and in rt its first answer takes 100 ms.
+    SlowAck,
 }
 
 /// Where a one-way message asks for its reply.
@@ -121,6 +126,8 @@ enum Step {
     OneWay(&'static str, &'static str, ReplyTo),
     /// A one-way message with no WS-Addressing headers at all.
     Unroutable,
+    /// A one-way message whose body is not a SOAP envelope.
+    NotAnEnvelope,
     /// Sends nothing for 50 ms (virtual in sim), so a WsThread has taken
     /// what was queued before the next step; "answered" with status 0.
     Pause,
@@ -182,6 +189,10 @@ struct MsgBooks {
     delivered: u64,
     dropped: u64,
     rejected: u64,
+    /// `dropped` by reason, in `DropReason::ALL` order.
+    dropped_by: [u64; 2],
+    /// `rejected` by reason, in `RejectReason::ALL` order.
+    rejected_by: [u64; 4],
 }
 
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -222,24 +233,30 @@ impl Books {
         }
     }
 
-    /// The MSG-Dispatcher's books, on top of `self`; arguments in field
-    /// order.
-    fn msg(
-        self,
-        forwarded: u64,
-        replies_routed: u64,
-        delivered: u64,
-        dropped: u64,
-        rejected: u64,
-    ) -> Books {
+    /// The MSG-Dispatcher's books, on top of `self`, with nothing
+    /// dropped or rejected; arguments in field order.
+    fn msg(self, forwarded: u64, replies_routed: u64, delivered: u64) -> Books {
         let msg = MsgBooks {
             forwarded,
             replies_routed,
             delivered,
-            dropped,
-            rejected,
+            ..MsgBooks::default()
         };
         Books { msg, ..self }
+    }
+
+    /// `n` more messages the MSG-Dispatcher dropped for `reason`.
+    fn dropped(mut self, reason: DropReason, n: u64) -> Books {
+        self.msg.dropped += n;
+        self.msg.dropped_by[reason as usize] += n;
+        self
+    }
+
+    /// `n` more messages the MSG-Dispatcher rejected for `reason`.
+    fn rejected(mut self, reason: RejectReason, n: u64) -> Books {
+        self.msg.rejected += n;
+        self.msg.rejected_by[reason as usize] += n;
+        self
     }
 
     /// The echo service's books, on top of `self`; arguments in field
@@ -276,6 +293,9 @@ struct Scenario {
     firewalled_client: bool,
     /// WS-MsgBox in the paper's thread-per-message design.
     thread_per_message: bool,
+    /// The MSG-Dispatcher admits only messages carrying its auth token,
+    /// which no step sends.
+    requires_token: bool,
     script: Vec<(Step, Expect)>,
     /// rt sends the script from this step on as one pipelined run on one
     /// connection; sim sends it one by one.
@@ -314,6 +334,7 @@ impl Scenario {
             response_timeout_ms: 30_000,
             firewalled_client: false,
             thread_per_message: false,
+            requires_token: false,
             script,
             pipeline_from: None,
             queue_capacity: None,
@@ -444,7 +465,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             delivered: &[("q3", "uuid:q3-plain")],
-            books: Books::default().msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
+            books: Books::default().msg(1, 1, 2).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "MSG client, RPC service (Table 1 quadrant 3): the 200 is translated into \
                  a reply and RelatesTo injected",
@@ -457,7 +478,7 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::CorrelatingEcho,
             delivered: &[("q3", "uuid:q3-self")],
-            books: Books::default().msg(1, 1, 2, 0, 0),
+            books: Books::default().msg(1, 1, 2),
             ..Scenario::new(
                 "quadrant 3 with a service whose 200 already correlates itself",
                 vec![(
@@ -468,7 +489,7 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::mailbox(1, 1, 0).msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
+            books: Books::mailbox(1, 1, 0).msg(1, 1, 2).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "Figure 1 with an RPC service: a firewalled client converses through \
                  dispatcher and mailbox",
@@ -477,7 +498,10 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::default().msg(1, 1, 1, 1, 0).echo(1, 1, 1, 0, 0),
+            books: Books::default()
+                .msg(1, 1, 1)
+                .dropped(DropReason::GivenUp, 1)
+                .echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "a reply to a firewalled client with no mailbox is dropped, on the books",
                 vec![(
@@ -489,7 +513,7 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::OneWayEcho,
             firewalled_client: true,
-            books: Books::mailbox(1, 1, 0).msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
+            books: Books::mailbox(1, 1, 0).msg(1, 1, 2).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "Figure 1: a firewalled client converses with a one-way service through \
                  dispatcher and mailbox (Table 1 quadrant 4)",
@@ -499,7 +523,7 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::OneWayEcho,
             delivered: &[("q4", "uuid:q4")],
-            books: Books::default().msg(1, 1, 2, 0, 0).echo(1, 1, 1, 0, 0),
+            books: Books::default().msg(1, 1, 2).echo(1, 1, 1, 0, 0),
             ..Scenario::new(
                 "a one-way service's reply reaches the client's callback through the \
                  dispatcher, correlated",
@@ -509,7 +533,10 @@ fn table() -> Vec<Scenario> {
         Scenario {
             service: Service::OneWayEcho,
             firewalled_client: true,
-            books: Books::default().msg(1, 1, 1, 1, 0).echo(1, 1, 1, 0, 0),
+            books: Books::default()
+                .msg(1, 1, 1)
+                .dropped(DropReason::GivenUp, 1)
+                .echo(1, 1, 1, 0, 0),
             gives_up_after_ms: 500,
             ..Scenario::new(
                 "a one-way service's reply to a firewalled client with no mailbox is \
@@ -518,11 +545,41 @@ fn table() -> Vec<Scenario> {
             )
         },
         Scenario {
-            books: Books::default().msg(0, 0, 0, 0, 1),
+            books: Books::default().rejected(RejectReason::NoDestination, 1),
             fixed_here: Some("sim answered an empty 400 where rt answered the fault"),
             ..Scenario::new(
                 "a one-way message with no destination is rejected with a 400 fault",
                 vec![(Step::Unroutable, Expect::Fault(400, "no destination"))],
+            )
+        },
+        Scenario {
+            registered: false,
+            books: Books::default().rejected(RejectReason::UnknownService, 1),
+            ..Scenario::new(
+                "a one-way message to an unknown logical service is rejected with a 404 fault",
+                vec![(
+                    Step::OneWay("uuid:unknown", "nowhere", ReplyTo::Callback),
+                    Expect::Fault(404, "unknown logical service"),
+                )],
+            )
+        },
+        Scenario {
+            requires_token: true,
+            books: Books::default().rejected(RejectReason::Policy, 1),
+            ..Scenario::new(
+                "a one-way message without the auth token the security policy requires is \
+                 rejected with a 400 fault",
+                vec![(
+                    Step::OneWay("uuid:no-token", "intruder", ReplyTo::Callback),
+                    Expect::Fault(400, "missing wsd:AuthToken"),
+                )],
+            )
+        },
+        Scenario {
+            books: Books::default().rejected(RejectReason::Unreadable, 1),
+            ..Scenario::new(
+                "a one-way message that is not a SOAP envelope is rejected with a 400 fault",
+                vec![(Step::NotAnEnvelope, Expect::Fault(400, "SOAP error"))],
             )
         },
         Scenario {
@@ -538,7 +595,7 @@ fn table() -> Vec<Scenario> {
                 ("m2", 1, 2),
                 ("m3", 1, 2),
             ],
-            books: Books::default().msg(5, 0, 5, 0, 0),
+            books: Books::default().msg(5, 0, 5),
             fixed_here: Some(
                 "rt resent the whole batch after any transport error, so the two messages \
                  the destination had already answered reached it twice",
@@ -557,7 +614,10 @@ fn table() -> Vec<Scenario> {
         },
         Scenario {
             firewalled_client: true,
-            books: Books::default().msg(3, 3, 3, 3, 0).echo(3, 3, 3, 0, 0),
+            books: Books::default()
+                .msg(3, 3, 3)
+                .dropped(DropReason::GivenUp, 3)
+                .echo(3, 3, 3, 0, 0),
             gives_up_after_ms: 500,
             ..Scenario::new(
                 "a dead destination with a backlog: one retry after the backoff, then \
@@ -570,13 +630,43 @@ fn table() -> Vec<Scenario> {
             )
         },
         Scenario {
+            service: Service::SlowAck,
+            queue_capacity: Some(1),
+            arrivals: &[("q0", 1, 1), ("q1", 0, 1), ("q2", 0, 0)],
+            books: Books::default().msg(3, 0, 1).dropped(DropReason::QueueFull, 2),
+            rt_books: Some(Books::default().msg(3, 0, 2).dropped(DropReason::QueueFull, 1)),
+            differs: &[
+                "a full destination queue: sim acks 202 on receipt and then drops, rt offers \
+                 first and answers 503 (as in the next row)",
+                "sim keeps the first message queued while it connects, so the next two find \
+                 the queue full; rt's WsThread has taken the first and waits for its answer, \
+                 so only the third does",
+            ],
+            ..Scenario::new(
+                "a destination slow to take its first message: what overflows its queue \
+                 meanwhile is dropped, on the books, and the rest is delivered",
+                vec![
+                    one_way("uuid:slow-0", "q0"),
+                    (Step::Pause, Expect::Status(0)),
+                    one_way("uuid:slow-1", "q1"),
+                    (
+                        Step::OneWay("uuid:slow-2", "q2", ReplyTo::Callback),
+                        Expect::PerRuntime(&Expect::Status(202), &Expect::Status(503)),
+                    ),
+                ],
+            )
+        },
+        Scenario {
             service: Service::Wedged,
             queue_capacity: Some(1),
             // rt waits this long for each answer the wedged destination
             // never sends; sim's MSG-Dispatcher has no such wait.
             response_timeout_ms: 200,
-            books: Books::default().msg(3, 0, 0, 3, 0),
-            rt_books: Some(Books::default().msg(3, 0, 2, 1, 0)),
+            books: Books::default()
+                .msg(3, 0, 0)
+                .dropped(DropReason::QueueFull, 2)
+                .dropped(DropReason::GivenUp, 1),
+            rt_books: Some(Books::default().msg(3, 0, 2).dropped(DropReason::QueueFull, 1)),
             differs: &[
                 "a full destination queue: sim acks 202 on receipt and then drops (the 2004 \
                  implementation, kept because Fig. 6 reproduces it: 59 712 of the 74 816 \
@@ -608,7 +698,7 @@ fn table() -> Vec<Scenario> {
                 rpc: true,
             },
             delivered: &[("a", "uuid:q3-a"), ("b", "uuid:q3-b")],
-            books: Books::default().msg(2, 2, 4, 0, 0),
+            books: Books::default().msg(2, 2, 4),
             fixed_here: Some(
                 "sim kept the MessageID of a request whose connection closed under it, \
                  never resent that request, and correlated the next 200 with the stale id: \
@@ -735,6 +825,7 @@ impl Step {
                 MSG,
                 soap_post(MSG, "/msg", soap_rpc::echo_request(V11, "nowhere").to_xml()),
             ),
+            Step::NotAnEnvelope => (MSG, soap_post(MSG, "/msg", "not an envelope".to_string())),
             Step::Pause => unreachable!("a pause sends nothing"),
         }
     }
@@ -856,8 +947,8 @@ fn echo_text(req: &Request) -> String {
     soap_rpc::parse_echo(&env).expect("an echo request")
 }
 
-/// The decisions of a [`Service::ClosesAfter`], whichever runtime carries
-/// the bytes.
+/// The decisions of a [`Service::ClosesAfter`] or [`Service::SlowAck`],
+/// whichever runtime carries the bytes.
 #[derive(Debug, Default)]
 struct ClosingService {
     answers: usize,
@@ -869,6 +960,20 @@ struct ClosingService {
 }
 
 impl ClosingService {
+    /// The decisions of a `ClosesAfter` or `SlowAck` service (a `SlowAck`
+    /// never closes).
+    fn of(service: Service) -> ClosingService {
+        let (answers, rpc) = match service {
+            Service::ClosesAfter { answers, rpc } => (answers, rpc),
+            _ => (usize::MAX, false),
+        };
+        ClosingService {
+            answers,
+            rpc,
+            ..ClosingService::default()
+        }
+    }
+
     /// The answer to `req`; `None` says drop the connection instead.
     fn on_request(&mut self, req: &Request) -> Option<Response> {
         let text = echo_text(req);
@@ -1018,8 +1123,13 @@ fn check(row: &Scenario, runtime: &mut dyn Runtime, on_sim: bool) {
     let msg = books.msg;
     assert_eq!(
         msg.forwarded + msg.replies_routed,
-        msg.delivered + msg.dropped,
+        msg.delivered + msg.dropped_by.iter().sum::<u64>(),
         "{at}: every routed message is written or dropped, once: {msg:?}"
+    );
+    assert_eq!(
+        (msg.dropped, msg.rejected),
+        (msg.dropped_by.iter().sum(), msg.rejected_by.iter().sum()),
+        "{at}: the totals are the reasons' sums: {msg:?}"
     );
     let echo = books.echo;
     assert_eq!(echo.accepted, echo.processed, "{at}: {echo:?}");
@@ -1041,6 +1151,16 @@ fn registry(row: &Scenario) -> Arc<Registry> {
         registry.register_many("Echo", urls, None);
     }
     registry
+}
+
+/// The MSG-Dispatcher's routing core both executors stand a row up with.
+fn msg_core(row: &Scenario, registry: &Arc<Registry>) -> MsgCore {
+    let core = MsgCore::new(Arc::clone(registry), "http://dispatcher:8080/msg", 21);
+    if row.requires_token {
+        core.with_policies(PolicyChain::new().with(TokenAuth::new(["token"])))
+    } else {
+        core
+    }
 }
 
 /// The one dispatcher configuration both executors stand a row up with.
@@ -1141,7 +1261,7 @@ impl<F: FnMut(&Request) -> Response> Process for SimHandler<F> {
     }
 }
 
-/// A [`Service::ClosesAfter`] on the simulated network.
+/// A [`Service::ClosesAfter`] or [`Service::SlowAck`] on the simulated network.
 struct SimClosingService(Rc<RefCell<ClosingService>>);
 
 impl Process for SimClosingService {
@@ -1175,7 +1295,11 @@ impl SimRuntime {
             Service::Wedged => FirewallPolicy::OutboundOnly,
             _ => FirewallPolicy::Open,
         };
-        let ws_host = sim.add_host(HostConfig::named(WS.0).firewall(ws_policy));
+        let mut ws_config = HostConfig::named(WS.0).firewall(ws_policy);
+        if let Service::SlowAck = row.service {
+            ws_config = ws_config.latency(SimDuration::from_millis(100));
+        }
+        let ws_host = sim.add_host(ws_config);
         let disp_host = sim.add_host(HostConfig::named(RPC.0));
         let mbox_host = sim.add_host(HostConfig::named(MBOX.0));
         let client_policy = if row.firewalled_client {
@@ -1194,12 +1318,8 @@ impl SimRuntime {
         };
         let service: Option<Box<dyn Process>> = match row.service {
             Service::Dead | Service::Wedged => None,
-            Service::ClosesAfter { answers, rpc } => {
-                *closing.borrow_mut() = ClosingService {
-                    answers,
-                    rpc,
-                    ..ClosingService::default()
-                };
+            Service::ClosesAfter { .. } | Service::SlowAck => {
+                *closing.borrow_mut() = ClosingService::of(row.service);
                 Some(Box::new(SimClosingService(Rc::clone(&closing))))
             }
             Service::Echo(delay_ms) => echo_service(EchoMode::Rpc, delay_ms),
@@ -1222,7 +1342,7 @@ impl SimRuntime {
         let p = sim.spawn(disp_host, Box::new(rpc));
         sim.listen(p, RPC.1);
 
-        let core = MsgCore::new(Arc::clone(&registry), "http://dispatcher:8080/msg", 21);
+        let core = msg_core(row, &registry);
         let msg = SimMsgDispatcher::new(core, SimDuration::from_millis(1), config);
         let msg_stats = msg.stats();
         let p = sim.spawn(disp_host, Box::new(msg));
@@ -1346,6 +1466,8 @@ fn msg_books(c: &MsgCounters) -> MsgBooks {
         delivered: c.delivered.get(),
         dropped: c.dropped.get(),
         rejected: c.rejected.get(),
+        dropped_by: DropReason::ALL.map(|r| c.dropped_for(r)),
+        rejected_by: RejectReason::ALL.map(|r| c.rejected_for(r)),
     }
 }
 
@@ -1368,8 +1490,9 @@ fn rt_listen(
     });
 }
 
-/// A [`Service::ClosesAfter`] on the threaded network: a thread per
-/// connection reads requests one by one and writes each answer at once.
+/// A [`Service::ClosesAfter`] or [`Service::SlowAck`] on the threaded
+/// network: a thread per connection reads requests one by one and writes
+/// each answer at once.
 fn rt_closing_service(net: &Arc<Network>, service: &Arc<Mutex<ClosingService>>) {
     let service = Arc::clone(service);
     net.listen(WS.0, WS.1, move |stream| {
@@ -1419,12 +1542,8 @@ impl RtRuntime {
         let held = Arc::new(Mutex::new(Vec::new()));
         let ws = match row.service {
             Service::Dead => None,
-            Service::ClosesAfter { answers, rpc } => {
-                *closing.lock().unwrap() = ClosingService {
-                    answers,
-                    rpc,
-                    ..ClosingService::default()
-                };
+            Service::ClosesAfter { .. } | Service::SlowAck => {
+                *closing.lock().unwrap() = ClosingService::of(row.service);
                 rt_closing_service(&net, &closing);
                 None
             }
@@ -1450,7 +1569,7 @@ impl RtRuntime {
             PolicyChain::new(),
             config.clone(),
         );
-        let core = MsgCore::new(Arc::clone(&registry), "http://dispatcher:8080/msg", 21);
+        let core = msg_core(row, &registry);
         let msg = MsgDispatcherServer::start(&net, MSG.0, MSG.1, core, config);
         let mailbox = MsgBoxServer::start(&net, MBOX.0, MBOX.1, msgbox_config(row), 21);
 
@@ -1598,6 +1717,33 @@ fn run_table(on_sim: bool) {
         .map(|row| row.name)
         .collect();
     assert!(failed.is_empty(), "rows that do not hold: {failed:#?}");
+}
+
+/// The one drop or reject reason `msg` counts, as an index into
+/// `DropReason::ALL` followed by `RejectReason::ALL`.
+fn only_reason(msg: &MsgBooks) -> Option<usize> {
+    let counts: Vec<u64> = msg.dropped_by.iter().chain(&msg.rejected_by).copied().collect();
+    let mut counted = (0..counts.len()).filter(|&i| counts[i] > 0);
+    match (counted.next(), counted.next()) {
+        (Some(i), None) => Some(i),
+        _ => None,
+    }
+}
+
+#[test]
+fn every_drop_and_reject_reason_has_a_row_of_its_own() {
+    let mut alone: Vec<usize> = table()
+        .iter()
+        .filter_map(|row| {
+            let sim = only_reason(&row.books.msg)?;
+            let rt = only_reason(&row.rt_books.unwrap_or(row.books).msg)?;
+            (sim == rt).then_some(sim)
+        })
+        .collect();
+    alone.sort_unstable();
+    alone.dedup();
+    let reasons = DropReason::ALL.len() + RejectReason::ALL.len();
+    assert_eq!(alone, (0..reasons).collect::<Vec<_>>());
 }
 
 #[test]
