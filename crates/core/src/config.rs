@@ -2,26 +2,32 @@
 
 use std::time::Duration;
 
-use wsd_http::Limits;
+/// `CxThread` pool: threads pre-created to accept client messages, on
+/// both threaded dispatchers.
+pub(crate) const CX_CORE_THREADS: usize = 4;
+/// `CxThread` pool growth ceiling.
+pub(crate) const CX_MAX_THREADS: usize = 32;
+/// `WsThread` pool: pre-created per-destination sender threads.
+pub(crate) const WS_CORE_THREADS: usize = 4;
+/// How many queued envelopes a `WsThread` coalesces per drain pass: one
+/// serialization buffer, one write, one flush over the kept-open
+/// connection, then the responses are read back in order. Both
+/// MSG-Dispatchers and the simulated fleet instance drain this many.
+pub(crate) const DRAIN_BATCH: usize = 16;
+/// How long a route-table entry (forwarded request awaiting its reply)
+/// survives before being dropped; the janitor sweeps every quarter of it.
+pub(crate) const ROUTE_TTL: Duration = Duration::from_secs(300);
 
-/// MSG-Dispatcher tuning (paper §4.2: "the sizes of the pools are
-/// configurable").
+/// MSG-Dispatcher tuning. The paper's §4.2 "the sizes of the pools are
+/// configurable" is `ws_max_threads` here and
+/// [`MsgBoxStrategy::Pooled`]'s `workers`; the `CxThread` pool (4 grown
+/// to 32) and the `WsThread` core (4) are constants of this module.
 #[derive(Debug, Clone)]
 pub struct DispatcherConfig {
-    /// `CxThread` pool: pre-created threads accepting client messages.
-    pub cx_core_threads: usize,
-    /// `CxThread` pool growth ceiling.
-    pub cx_max_threads: usize,
-    /// `WsThread` pool: per-destination sender threads.
-    pub ws_core_threads: usize,
     /// `WsThread` pool growth ceiling.
     pub ws_max_threads: usize,
     /// Capacity of each destination's FIFO queue.
     pub queue_capacity: usize,
-    /// How many queued envelopes a `WsThread` coalesces per drain pass:
-    /// one serialization buffer, one write, one flush over the kept-open
-    /// connection, then the responses are read back in order.
-    pub drain_batch: usize,
     /// How long a `WsThread` keeps a destination connection open with no
     /// traffic before closing it (paper: "an open connection for a
     /// predefined time with a specified WS").
@@ -30,70 +36,28 @@ pub struct DispatcherConfig {
     /// MSG-Dispatcher destination connection (a silent destination is a
     /// lost connection, not a parked `WsThread`).
     pub response_timeout: Duration,
-    /// How long a route-table entry (forwarded request awaiting its
-    /// reply) survives before being dropped.
-    pub route_ttl: Duration,
-    /// HTTP parser limits applied to every accepted connection.
-    pub limits: Limits,
 }
 
 impl Default for DispatcherConfig {
     fn default() -> Self {
         DispatcherConfig {
-            cx_core_threads: 4,
-            cx_max_threads: 32,
-            ws_core_threads: 4,
             ws_max_threads: 32,
             queue_capacity: 1024,
-            drain_batch: 16,
             connection_linger: Duration::from_secs(15),
             response_timeout: Duration::from_secs(30),
-            route_ttl: Duration::from_secs(300),
-            limits: Limits::default(),
         }
     }
 }
 
-/// Dispatcher-tier scale-out configuration, read by the fleets of both
-/// runtimes (`wsd_experiments::fleet::run_fleet`, `rt::FleetDeployment`)
-/// and by no figure runner of the paper's own results.
-///
-/// The fleet shards logical service names across `instances` dispatcher
-/// instances on a seeded consistent-hash ring ([`wsd_fleet::ShardRing`]),
-/// replicates the registry leader → followers in the PSYNC shape, and
-/// hands a dead instance's mailbox store to a successor.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Dispatcher instances in the tier (default 1: a ring of one, which
-    /// replicates to nobody and has nobody to hand off to).
-    pub instances: usize,
-    /// Virtual nodes each instance contributes to the hash ring.
-    pub vnodes: u32,
-    /// Seed the ring layout derives from — fixed seed, fixed layout,
-    /// replayable netsim runs.
-    pub ring_seed: u64,
-    /// Commands the registry leader retains for follower partial
-    /// resync; a follower further behind full-resyncs from a snapshot.
-    pub repl_backlog: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            instances: 1,
-            vnodes: 64,
-            ring_seed: 0xF1EE_7001,
-            repl_backlog: 1024,
-        }
-    }
-}
-
-impl FleetConfig {
-    /// Builds the tier's hash ring with instances `0..instances`.
-    pub fn ring(&self) -> wsd_fleet::ShardRing {
-        wsd_fleet::ShardRing::with_instances(self.ring_seed, self.vnodes, self.instances as u32)
-    }
-}
+/// Virtual nodes each dispatcher-tier instance contributes to the fleet's
+/// consistent-hash ring ([`wsd_fleet::ShardRing`]), on both runtimes.
+pub(crate) const RING_VNODES: u32 = 64;
+/// Seed the fleet ring's layout derives from — fixed seed, fixed layout,
+/// replayable netsim runs, and every member computes the same ring.
+pub(crate) const RING_SEED: u64 = 0xF1EE_7001;
+/// Commands the fleet's registry leader retains for follower partial
+/// resync; a follower further behind full-resyncs from a snapshot.
+pub const REPL_BACKLOG: usize = 1024;
 
 /// What backs the one mailbox store, [`wsd_store::DurableMsgBox`]: the
 /// two differ only in whether it keeps a log.
@@ -158,8 +122,6 @@ pub struct MsgBoxConfig {
     /// store with no log crosses it; the durable backend spills to disk
     /// instead and stays under its own `memory_budget_bytes`.
     pub heap_budget_bytes: usize,
-    /// HTTP parser limits applied to every accepted connection.
-    pub limits: Limits,
 }
 
 impl Default for MsgBoxConfig {
@@ -170,24 +132,6 @@ impl Default for MsgBoxConfig {
             thread_budget: 1000,
             backend: MailboxBackend::Memory,
             heap_budget_bytes: usize::MAX,
-            limits: Limits::default(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_sane() {
-        let d = DispatcherConfig::default();
-        assert!(d.cx_core_threads <= d.cx_max_threads);
-        assert!(d.ws_core_threads <= d.ws_max_threads);
-        assert!(d.queue_capacity > 0);
-        assert!(d.drain_batch > 0);
-        let m = MsgBoxConfig::default();
-        assert!(matches!(m.strategy, MsgBoxStrategy::Pooled { workers } if workers > 0));
-        assert!(m.thread_budget > 0);
     }
 }

@@ -51,7 +51,7 @@ pub mod security;
 pub mod sim;
 pub mod url;
 
-pub use config::{DispatcherConfig, FleetConfig, MsgBoxConfig, MsgBoxStrategy};
+pub use config::{DispatcherConfig, MsgBoxConfig, MsgBoxStrategy};
 pub use error::WsdError;
 pub use msg::{MsgCore, Routed, RoutedMeta, RoutedRaw};
 pub use msgbox::MsgBoxStore;

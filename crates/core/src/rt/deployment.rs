@@ -27,9 +27,7 @@ use std::sync::Arc;
 use crate::config::{DispatcherConfig, MsgBoxConfig};
 use crate::msg::MsgCore;
 use crate::registry::Registry;
-use crate::rt::{
-    MsgBoxServer, MsgDispatcherServer, Network, RegistryServer, RpcDispatcherServer,
-};
+use crate::rt::{MsgBoxServer, MsgDispatcherServer, Network, RegistryServer, RpcDispatcherServer};
 use crate::security::PolicyChain;
 
 /// Builder for a [`Deployment`].
@@ -37,8 +35,6 @@ pub struct DeploymentBuilder {
     net: Arc<Network>,
     host: String,
     registry: Option<Arc<Registry>>,
-    config: DispatcherConfig,
-    policies: PolicyChain,
     msgbox_config: MsgBoxConfig,
     rpc_port: u16,
     msg_port: u16,
@@ -54,18 +50,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Overrides dispatcher tuning.
-    pub fn config(mut self, config: DispatcherConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Installs security policies on the RPC path.
-    pub fn policies(mut self, policies: PolicyChain) -> Self {
-        self.policies = policies;
-        self
-    }
-
     /// Overrides WS-MsgBox tuning.
     pub fn msgbox_config(mut self, config: MsgBoxConfig) -> Self {
         self.msgbox_config = config;
@@ -78,17 +62,18 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Starts everything.
+    /// Starts everything, the dispatchers with the default
+    /// [`DispatcherConfig`] and no security policies.
     pub fn start(self) -> Deployment {
         let registry = self.registry.unwrap_or_default();
-        let limits = self.config.limits;
+        let config = DispatcherConfig::default();
         let rpc = RpcDispatcherServer::start(
             &self.net,
             &self.host,
             self.rpc_port,
             Arc::clone(&registry),
-            self.policies,
-            self.config.clone(),
+            PolicyChain::new(),
+            config.clone(),
         );
         let core = MsgCore::new(
             Arc::clone(&registry),
@@ -103,14 +88,12 @@ impl DeploymentBuilder {
             self.msgbox_config,
             self.seed,
         );
-        let msg =
-            MsgDispatcherServer::start(&self.net, &self.host, self.msg_port, core, self.config);
-        let registry_service = RegistryServer::start_with_limits(
+        let msg = MsgDispatcherServer::start(&self.net, &self.host, self.msg_port, core, config);
+        let registry_service = RegistryServer::start(
             &self.net,
             &self.host,
             self.registry_port,
             Arc::clone(&registry),
-            limits,
         );
         Deployment {
             registry,
@@ -147,8 +130,6 @@ impl Deployment {
             net: Arc::clone(net),
             host: host.to_string(),
             registry: None,
-            config: DispatcherConfig::default(),
-            policies: PolicyChain::new(),
             msgbox_config: MsgBoxConfig::default(),
             rpc_port: 8081,
             msg_port: 8080,
@@ -205,11 +186,43 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MsgBoxStrategy;
     use crate::rt::{rpc_call, send_oneway, EchoServer, MailboxClient};
     use crate::url::Url;
     use std::time::Duration;
+    use wsd_http::{HttpClient, Limits, Request};
     use wsd_soap::{rpc, SoapVersion};
     use wsd_wsa::{EndpointReference, WsaHeaders};
+
+    /// Every listener parses under `Limits::default()`: a body one byte
+    /// over `max_body` fails the call, as it does at the echo service
+    /// (`echo_server::tests::default_limits_bound_body_size`). The
+    /// thread-per-message mailbox serves on its own loop, so it is
+    /// checked beside the deployment's four.
+    #[test]
+    fn every_front_end_bounds_the_body() {
+        let net = Network::new();
+        let deployment = Deployment::builder(&net, "dispatcher").start();
+        let config = MsgBoxConfig {
+            strategy: MsgBoxStrategy::ThreadPerMessage,
+            ..MsgBoxConfig::default()
+        };
+        let per_message = MsgBoxServer::start(&net, "mailbox", 8082, config, 1);
+        let d = &deployment;
+        let listeners = [d.rpc_port(), d.msg_port(), d.msgbox_port(), d.registry_port()]
+            .map(|port| ("dispatcher", port))
+            .into_iter()
+            .chain([("mailbox", 8082)]);
+        let body = vec![b'x'; Limits::default().max_body + 1];
+        for (host, port) in listeners {
+            let mut client = HttpClient::new(net.connect(host, port).unwrap());
+            let req = Request::soap_post(&format!("{host}:{port}"), "/", "text/xml", body.clone());
+            let over = client.call(&req);
+            assert!(over.is_err(), "{host}:{port} took a body over max_body");
+        }
+        per_message.shutdown();
+        deployment.shutdown();
+    }
 
     #[test]
     fn full_deployment_serves_both_styles() {

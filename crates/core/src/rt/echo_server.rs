@@ -32,7 +32,7 @@ impl EchoServer {
         workers: usize,
         service_delay: Duration,
     ) -> EchoServer {
-        Self::start_in(EchoMode::Rpc, net, (host, port), workers, service_delay, Limits::default())
+        Self::start_in(EchoMode::Rpc, net, (host, port), workers, service_delay)
     }
 
     /// Starts the one-way service (Table 1 quadrant 4) on `host:port` with
@@ -47,7 +47,7 @@ impl EchoServer {
         service_delay: Duration,
     ) -> EchoServer {
         let mode = EchoMode::OneWay { workers };
-        Self::start_in(mode, net, (host, port), workers, service_delay, Limits::default())
+        Self::start_in(mode, net, (host, port), workers, service_delay)
     }
 
     fn start_in(
@@ -56,7 +56,6 @@ impl EchoServer {
         (host, port): (&str, u16),
         workers: usize,
         service_delay: Duration,
-        limits: Limits,
     ) -> EchoServer {
         let pool = Arc::new(
             ThreadPool::new(PoolConfig::fixed(format!("echo-{host}"), workers)).expect("pool"),
@@ -70,7 +69,7 @@ impl EchoServer {
             let (net, books) = (Arc::clone(&net2), books2.clone());
             let _ = pool2.execute(move || {
                 let conn = stream.shutdown_handle();
-                let _ = serve_connection(stream, &limits, |req| {
+                let _ = serve_connection(stream, &Limits::default(), |req| {
                     let echo = match books.accept(mode, &req) {
                         Ok(echo) => echo,
                         Err(reject) => return reject,

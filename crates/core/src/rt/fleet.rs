@@ -24,7 +24,7 @@ use wsd_fleet::{Handoff, HandoffLog, InstanceId, ShardRing};
 use wsd_store::{DurableMsgBox, FsStorage, StoreConfig};
 use wsd_telemetry::Scope;
 
-use crate::config::{FleetConfig, MailboxBackend, MsgBoxConfig};
+use crate::config::{MailboxBackend, MsgBoxConfig, REPL_BACKLOG, RING_SEED, RING_VNODES};
 use crate::registry::Registry;
 use crate::registry_repl::{RegistryFollower, RegistryLeader};
 use crate::rt::{now_us, Deployment, Network};
@@ -74,21 +74,19 @@ fn member_dir(dir: &Path, i: u32) -> PathBuf {
 }
 
 impl FleetDeployment {
-    /// Starts `cfg.instances` deployments on hosts `{base}-0` ..
+    /// Starts `instances` deployments on hosts `{base}-0` ..
     /// `{base}-{n-1}`, instance 0 holding the registry leader. Member `n`
     /// keeps its durable mailbox under `{dir}/i{n}`, recovering whatever
     /// a previous run left there.
     pub fn start(
         net: &Arc<Network>,
         base_host: &str,
-        cfg: &FleetConfig,
+        instances: usize,
         dir: &Path,
     ) -> FleetDeployment {
-        let leader = Arc::new(RegistryLeader::new(
-            Arc::new(Registry::new()),
-            cfg.repl_backlog,
-        ));
-        let members = (0..cfg.instances.max(1) as u32)
+        let instances = instances.max(1) as u32;
+        let leader = Arc::new(RegistryLeader::new(Arc::new(Registry::new()), REPL_BACKLOG));
+        let members = (0..instances)
             .map(|i| {
                 let host = format!("{base_host}-{i}");
                 let (registry, follower) = if i == 0 {
@@ -103,7 +101,7 @@ impl FleetDeployment {
                 };
                 let deployment = Deployment::builder(net, &host)
                     .registry(registry)
-                    .seed(cfg.ring_seed ^ u64::from(i))
+                    .seed(RING_SEED ^ u64::from(i))
                     .msgbox_config(MsgBoxConfig {
                         backend,
                         ..MsgBoxConfig::default()
@@ -118,7 +116,7 @@ impl FleetDeployment {
             })
             .collect();
         FleetDeployment {
-            ring: RwLock::new(cfg.ring()),
+            ring: RwLock::new(ShardRing::with_instances(RING_SEED, RING_VNODES, instances)),
             leader,
             members,
             handoffs: HandoffLog::new(),
@@ -210,13 +208,6 @@ mod tests {
     use std::time::Duration;
     use wsd_soap::{rpc, SoapVersion};
 
-    fn fleet_cfg(n: usize) -> FleetConfig {
-        FleetConfig {
-            instances: n,
-            ..FleetConfig::default()
-        }
-    }
-
     /// A fresh directory for one test's mailboxes.
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wsd-fleet-{name}-{}", std::process::id()));
@@ -229,7 +220,7 @@ mod tests {
         let net = Network::new();
         let ws = EchoServer::start(&net, "ws", 8888, 2, Duration::ZERO);
         let dir = temp_dir("routes");
-        let mut fleet = FleetDeployment::start(&net, "fleet", &fleet_cfg(3), &dir);
+        let mut fleet = FleetDeployment::start(&net, "fleet", 3, &dir);
 
         fleet.register("Echo", Url::parse("http://ws:8888/echo").unwrap());
         fleet.sync().unwrap();
@@ -286,7 +277,7 @@ mod tests {
         const N: usize = 25;
         let net = Network::new();
         let dir = temp_dir("kill-one");
-        let mut fleet = FleetDeployment::start(&net, "fleet", &fleet_cfg(3), &dir);
+        let mut fleet = FleetDeployment::start(&net, "fleet", 3, &dir);
         let owner = fleet.route("Inbox").expect("ring is non-empty");
         let (dead, port) = (owner.id(), owner.deployment().msgbox_port());
         let mailbox = MailboxClient::create(&net, owner.host(), port).unwrap();
@@ -328,7 +319,7 @@ mod tests {
     fn single_instance_fleet_is_a_plain_deployment() {
         let net = Network::new();
         let dir = temp_dir("solo");
-        let mut fleet = FleetDeployment::start(&net, "solo", &fleet_cfg(1), &dir);
+        let mut fleet = FleetDeployment::start(&net, "solo", 1, &dir);
         fleet.register("Svc", Url::parse("http://ws:1/x").unwrap());
         assert_eq!(fleet.sync().unwrap(), 0, "no followers to catch up");
         let owner = fleet.route("Svc").unwrap();

@@ -11,7 +11,9 @@ use wsd_http::{HttpClient, Request, Response, Status};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{Counter, Scope};
 
-use crate::config::DispatcherConfig;
+use crate::config::{
+    DispatcherConfig, CX_CORE_THREADS, CX_MAX_THREADS, DRAIN_BATCH, ROUTE_TTL, WS_CORE_THREADS,
+};
 use crate::msg::link::{Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, DropReason, MsgCore, MsgCounters};
 use crate::rt::{now_us, one_by_one, ConnTracker, Network, ReactorFrontEnd};
@@ -100,12 +102,8 @@ impl MsgDispatcherServer {
     ) -> Arc<MsgDispatcherServer> {
         let cx_pool = Arc::new(
             ThreadPool::new(
-                PoolConfig::growable(
-                    format!("CxThread-{host}"),
-                    config.cx_core_threads,
-                    config.cx_max_threads,
-                )
-                .telemetry(scope.child("cx_pool")),
+                PoolConfig::growable(format!("CxThread-{host}"), CX_CORE_THREADS, CX_MAX_THREADS)
+                    .telemetry(scope.child("cx_pool")),
             )
             .expect("cx pool"),
         );
@@ -113,7 +111,7 @@ impl MsgDispatcherServer {
             ThreadPool::new(
                 PoolConfig::growable(
                     format!("WsThread-{host}"),
-                    config.ws_core_threads,
+                    WS_CORE_THREADS,
                     config.ws_max_threads,
                 )
                 .telemetry(scope.child("ws_pool")),
@@ -130,14 +128,13 @@ impl MsgDispatcherServer {
         let janitor_thread = {
             let core = Arc::clone(&core);
             let stop = stop.clone();
-            let ttl = config.route_ttl;
             // wsd-lint: allow(raw-thread-spawn): single long-lived maintenance thread parked on a condvar; pooling it would pin a pool slot forever
             std::thread::Builder::new()
                 .name(format!("route-janitor-{host}"))
                 .spawn(move || {
-                    let sweep_every = (ttl / 4).max(std::time::Duration::from_millis(50));
+                    let sweep_every = (ROUTE_TTL / 4).max(std::time::Duration::from_millis(50));
                     while stop.pop_timeout(sweep_every) == Err(PopError::Empty) {
-                        core.expire_routes(crate::rt::now_us(), ttl.as_micros() as u64);
+                        core.expire_routes(crate::rt::now_us(), ROUTE_TTL.as_micros() as u64);
                     }
                 })
                 .expect("janitor thread")
@@ -157,9 +154,9 @@ impl MsgDispatcherServer {
             scope: scope.clone(),
             net: Arc::clone(net),
         });
-        let (limits, handler) = (config.limits, Arc::clone(&server));
+        let handler = Arc::clone(&server);
         let accept = one_by_one(Arc::new(move |req| handler.accept(&config, req)));
-        server.front.listen(net, host, port, limits, accept);
+        server.front.listen(net, host, port, accept);
         server
     }
 
@@ -270,13 +267,13 @@ impl MsgDispatcherServer {
 
     /// WsThread work: do what the destination's [`Link`] says, with
     /// blocking I/O, until the queue has been idle for
-    /// `connection_linger` — a batch of up to `drain_batch` envelopes goes
+    /// `connection_linger` — a batch of up to [`DRAIN_BATCH`] envelopes goes
     /// out in one write and one flush over the kept-open connection, then
     /// the answers are read back one by one, so a connection that dies
     /// mid-batch costs a resend of the unanswered messages only. A backoff
     /// is waited out on this thread: the paper's blocked `WsThread`.
     fn drain(self: &Arc<Self>, config: &DispatcherConfig, dest: Arc<Dest>) {
-        let mut link = Link::new(config.drain_batch);
+        let mut link = Link::new(DRAIN_BATCH);
         let mut client: Option<HttpClient<wsd_http::PipeStream>> = None;
         let mut buf: Vec<u8> = Vec::with_capacity(4096);
         // Written for the first time, not yet on the books.
@@ -291,7 +288,7 @@ impl MsgDispatcherServer {
                 // Keep the thread (and connection) for `connection_linger`
                 // of idleness, then hand the slot back.
                 LinkStep::Idle => {
-                    match dest.queue.pop_timeout_batch(config.connection_linger, config.drain_batch) {
+                    match dest.queue.pop_timeout_batch(config.connection_linger, DRAIN_BATCH) {
                         Ok(batch) => link.take(batch),
                         Err(_) => break,
                     }
@@ -437,11 +434,9 @@ mod tests {
     fn shutdown_is_immediate_despite_long_route_ttl() {
         let net = Network::new();
         let core = MsgCore::new(Arc::new(Registry::new()), "http://dispatcher:8080/msg", 3);
-        let config = DispatcherConfig {
-            route_ttl: Duration::from_secs(300), // sweep tick would be 75 s
-            ..DispatcherConfig::default()
-        };
-        let disp = MsgDispatcherServer::start(&net, "dispatcher", 8080, core, config);
+        // `ROUTE_TTL` is 300 s: the sweep tick is 75 s.
+        let disp =
+            MsgDispatcherServer::start(&net, "dispatcher", 8080, core, DispatcherConfig::default());
         let t0 = std::time::Instant::now();
         disp.shutdown();
         assert!(

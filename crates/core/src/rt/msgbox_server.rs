@@ -24,7 +24,6 @@ pub struct MsgBoxServer {
     /// reactor instead of pinning a thread each, so the service scales
     /// past the worker count in open sockets.
     front: Option<ReactorFrontEnd>,
-    limits: Limits,
     budget: ThreadBudget,
     crashed: Arc<AtomicBool>,
     /// The service's books: `deposits()` and `stats()` read these cells.
@@ -84,7 +83,6 @@ impl MsgBoxServer {
         let server = Arc::new(MsgBoxServer {
             store,
             front,
-            limits: config.limits,
             budget,
             crashed: Arc::new(AtomicBool::new(false)),
             counters: MailboxCounters::new(scope),
@@ -96,13 +94,9 @@ impl MsgBoxServer {
         });
         let server2 = Arc::clone(&server);
         match &server.front {
-            Some(front) => front.listen(
-                net,
-                host,
-                port,
-                config.limits,
-                Arc::new(move |run| server2.handle_run(run)),
-            ),
+            Some(front) => {
+                front.listen(net, host, port, Arc::new(move |run| server2.handle_run(run)))
+            }
             None => net.listen(host, port, move |stream| {
                 server2.conns.track(&stream);
                 server2.spawn_message_thread(stream);
@@ -145,7 +139,7 @@ impl MsgBoxServer {
     /// Thread-per-message keeps the paper's shape: one request at a
     /// time, a run of one, so each deposit is its own durability barrier.
     fn serve(&self, stream: wsd_http::PipeStream) {
-        let _ = serve_connection(stream, &self.limits, |req| {
+        let _ = serve_connection(stream, &Limits::default(), |req| {
             // A run of one yields one response.
             self.handle_run(vec![req])
                 .pop()

@@ -83,11 +83,11 @@ pub struct ServedConn<S: ReadyStream> {
 }
 
 impl<S: ReadyStream> ServedConn<S> {
-    /// Wraps an accepted stream.
-    pub fn new(stream: S, limits: Limits, handler: BatchHandler) -> Self {
+    /// Wraps an accepted stream, parsed under [`Limits::default`].
+    pub fn new(stream: S, handler: BatchHandler) -> Self {
         ServedConn {
             stream,
-            parser: RequestParser::new(limits),
+            parser: RequestParser::new(Limits::default()),
             pending: Vec::new(),
             handler,
             wire: Vec::new(),
@@ -196,29 +196,24 @@ impl ReactorFrontEnd {
     /// there: `handler` — one per server, shared by all its connections —
     /// runs once per run of pipelined requests (see [`BatchHandler`];
     /// [`one_by_one`] adapts a per-request handler).
-    pub fn listen(
-        &self,
-        net: &Arc<Network>,
-        host: &str,
-        port: u16,
-        limits: Limits,
-        handler: BatchHandler,
-    ) {
+    pub fn listen(&self, net: &Arc<Network>, host: &str, port: u16, handler: BatchHandler) {
         self.bound
             .set((Arc::clone(net), host.to_string(), port))
             .expect("a front end listens on one address");
         let (reactor, conns) = (Arc::clone(&self.reactor), Arc::clone(&self.conns));
         net.listen(host, port, move |stream| {
             conns.track(&stream);
-            reactor.register(ServedConn::new(stream, limits, Arc::clone(&handler)));
+            reactor.register(ServedConn::new(stream, Arc::clone(&handler)));
         });
     }
 
     /// Hands one already-accepted connection to the reactor; `handler`
-    /// runs once per request.
-    pub fn serve(&self, stream: PipeStream, limits: Limits, handler: RequestHandler) {
+    /// runs once per request. `_limits` is unused: every connection is
+    /// parsed under [`Limits::default`], and the argument stays only
+    /// while the frozen `benchmark/` passes it (ROADMAP item 10(c)).
+    pub fn serve(&self, stream: PipeStream, _limits: Limits, handler: RequestHandler) {
         self.conns.track(&stream);
-        self.reactor.register(ServedConn::new(stream, limits, one_by_one(handler)));
+        self.reactor.register(ServedConn::new(stream, one_by_one(handler)));
     }
 
     /// Connections currently registered (parked or in a job).

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use wsd_concurrent::{PoolConfig, ThreadPool};
-use wsd_http::{HttpClient, Limits, Method, Request, Response, Status};
+use wsd_http::{HttpClient, Method, Request, Response, Status};
 use wsd_telemetry::Scope;
 
 use crate::registry::Registry;
@@ -27,25 +27,12 @@ pub struct RegistryServer {
 }
 
 impl RegistryServer {
-    /// Starts the service on `host:port` with default parser limits.
+    /// Starts the service on `host:port`.
     pub fn start(
         net: &Arc<Network>,
         host: &str,
         port: u16,
         registry: Arc<Registry>,
-    ) -> RegistryServer {
-        Self::start_with_limits(net, host, port, registry, Limits::default())
-    }
-
-    /// Like [`RegistryServer::start`], with operator-supplied parser
-    /// limits (threaded from [`crate::config::DispatcherConfig`] by the
-    /// deployment builder).
-    pub fn start_with_limits(
-        net: &Arc<Network>,
-        host: &str,
-        port: u16,
-        registry: Arc<Registry>,
-        limits: Limits,
     ) -> RegistryServer {
         let pool = Arc::new(
             ThreadPool::new(PoolConfig::fixed(format!("registry-{host}"), 2)).expect("pool"),
@@ -53,7 +40,7 @@ impl RegistryServer {
         let front = ReactorFrontEnd::start("reactor", pool, &Scope::noop());
         let net2 = Arc::clone(net);
         let handler = one_by_one(Arc::new(move |req| handle(&net2, &registry, req)));
-        front.listen(net, host, port, limits, handler);
+        front.listen(net, host, port, handler);
         RegistryServer { front }
     }
 

@@ -12,7 +12,7 @@ use wsd_concurrent::{PoolConfig, ThreadPool};
 use wsd_http::{HttpClient, HttpError, Request, Response};
 use wsd_telemetry::Scope;
 
-use crate::config::DispatcherConfig;
+use crate::config::{DispatcherConfig, CX_CORE_THREADS, CX_MAX_THREADS};
 use crate::registry::Registry;
 use crate::rpc::{RpcCounters, UpstreamFailure};
 use crate::rt::{one_by_one, Network, ReactorFrontEnd};
@@ -52,12 +52,8 @@ impl RpcDispatcherServer {
     ) -> RpcDispatcherServer {
         let pool = Arc::new(
             ThreadPool::new(
-                PoolConfig::growable(
-                    format!("rpc-disp-{host}"),
-                    config.cx_core_threads,
-                    config.cx_max_threads,
-                )
-                .telemetry(scope.child("pool")),
+                PoolConfig::growable(format!("rpc-disp-{host}"), CX_CORE_THREADS, CX_MAX_THREADS)
+                    .telemetry(scope.child("pool")),
             )
             .expect("pool"),
         );
@@ -70,7 +66,7 @@ impl RpcDispatcherServer {
                 handle(&net, &registry, &policies, &stats, response_timeout, req)
             }))
         };
-        front.listen(net, host, port, config.limits, handler);
+        front.listen(net, host, port, handler);
         RpcDispatcherServer { front, stats }
     }
 

@@ -50,7 +50,7 @@ use wsd_soap::SoapVersion;
 use wsd_store::{DurableMsgBox, MemStorage, StoreConfig, SyncMode, WalConfig};
 use wsd_telemetry::{Counter, Gauge, Scope};
 
-use crate::config::FleetConfig;
+use crate::config::{DRAIN_BATCH, RING_SEED, RING_VNODES};
 use crate::msg::link::{Link, LinkStep};
 use crate::msg::DropReason;
 use crate::msgbox::{ops, serve_run, MailboxCounters, MsgBoxStore};
@@ -68,8 +68,6 @@ pub const MAX_BACKLOG: SimDuration = SimDuration(1_000_000);
 /// Every box's key, so a successor adopts the boxes it would have made.
 const BOX_KEY: &str = "fleet";
 const TENANT: &str = "fleet";
-/// Messages an instance forwards per drain pass (and per link write).
-const DRAIN_BATCH: usize = 16;
 /// A fleet box keeps acknowledged mail until it is forwarded: it never
 /// expires (and a successor adopts a box's mail behind one barrier).
 const RETENTION: Duration = Duration::from_micros(u64::MAX);
@@ -111,13 +109,13 @@ pub struct FleetShared {
 }
 
 impl FleetShared {
-    /// The control plane of a fleet of `cfg.instances`, all live.
-    pub fn new(cfg: &FleetConfig) -> Rc<RefCell<FleetShared>> {
+    /// The control plane of a fleet of `instances`, all live.
+    pub fn new(instances: usize) -> Rc<RefCell<FleetShared>> {
         Rc::new(RefCell::new(FleetShared {
-            ring: cfg.ring(),
+            ring: ShardRing::with_instances(RING_SEED, RING_VNODES, instances as u32),
             handoffs: HandoffLog::new(),
-            work: vec![0; cfg.instances],
-            disks: (0..cfg.instances).map(|_| MemStorage::new()).collect(),
+            work: vec![0; instances],
+            disks: (0..instances).map(|_| MemStorage::new()).collect(),
         }))
     }
 

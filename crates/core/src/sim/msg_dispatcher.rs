@@ -21,7 +21,7 @@ use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
 
-use crate::config::DispatcherConfig;
+use crate::config::{DispatcherConfig, DRAIN_BATCH, ROUTE_TTL};
 use crate::msg::link::{Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, DropReason, MsgCore, MsgCounters};
 use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
@@ -88,10 +88,10 @@ struct Dest {
 }
 
 impl Dest {
-    fn new(drain_batch: usize) -> Self {
+    fn new() -> Self {
         Dest {
             queue: VecDeque::new(),
-            link: Link::new(drain_batch),
+            link: Link::new(DRAIN_BATCH),
             conn: None,
             has_thread: false,
             timer: 0,
@@ -103,9 +103,9 @@ impl Dest {
 pub struct SimMsgDispatcher {
     core: MsgCore,
     /// Read: `ws_max_threads` (the width of the `WsThread` pool model),
-    /// `queue_capacity`, `drain_batch`, `connection_linger`, `route_ttl`.
-    /// Every message is its own simulated send, so only `drain_batches`
-    /// sees `drain_batch`.
+    /// `queue_capacity` and `connection_linger`; [`DRAIN_BATCH`] and
+    /// [`ROUTE_TTL`] are constants. Every message is its own simulated
+    /// send, so only `drain_batches` sees [`DRAIN_BATCH`].
     config: DispatcherConfig,
     /// `CxThread` CPU cost per routed message.
     dispatch_time: SimDuration,
@@ -184,7 +184,7 @@ impl SimMsgDispatcher {
         if !self.janitor_armed && self.core.pending_routes() > 0 {
             self.janitor_armed = true;
             self.janitor_token = self.token();
-            ctx.set_timer(to_sim(self.config.route_ttl / 4), self.janitor_token);
+            ctx.set_timer(to_sim(ROUTE_TTL / 4), self.janitor_token);
         }
     }
 
@@ -221,8 +221,8 @@ impl SimMsgDispatcher {
         );
         let payload = request_payload(&req);
         let key = (to.host.clone(), to.port);
-        let (cap, drain_batch) = (self.config.queue_capacity, self.config.drain_batch);
-        let dest = self.dests.entry(key.clone()).or_insert_with(|| Dest::new(drain_batch));
+        let cap = self.config.queue_capacity;
+        let dest = self.dests.entry(key.clone()).or_insert_with(Dest::new);
         if dest.queue.len() >= cap {
             self.stats.drop(DropReason::QueueFull, 1);
             self.tele
@@ -312,7 +312,7 @@ impl SimMsgDispatcher {
                 LinkStep::Idle | LinkStep::Await => {
                     let up = dest.link.is_up();
                     if up && !dest.queue.is_empty() {
-                        let n = dest.queue.len().min(self.config.drain_batch.max(1));
+                        let n = dest.queue.len().min(DRAIN_BATCH);
                         dest.link.take(dest.queue.drain(..n));
                         continue;
                     }
@@ -412,7 +412,7 @@ impl Process for SimMsgDispatcher {
                     // expiration). Re-armed only while routes are
                     // pending, so an idle simulation can drain.
                     self.janitor_armed = false;
-                    let ttl_us = self.config.route_ttl.as_micros() as u64;
+                    let ttl_us = ROUTE_TTL.as_micros() as u64;
                     self.core.expire_routes(ctx.now().as_micros(), ttl_us);
                     self.arm_janitor(ctx);
                 } else if let Some((conn, raw)) = self.routing.remove(&token) {

@@ -24,6 +24,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use wsd_core::config::REPL_BACKLOG;
 use wsd_core::registry::Registry;
 use wsd_core::registry_repl::RegistryLeader;
 use wsd_core::sim::fleet::{instance_host, CONTROL_TICK, FLEET_PORT};
@@ -31,7 +32,6 @@ use wsd_core::sim::{
     kill_fleet_instance, request_payload, response_payload, to_sim, FleetShared, SimFleetInstance,
 };
 use wsd_core::url::Url;
-use wsd_core::FleetConfig;
 use wsd_fleet::{InstanceId, ShardRing};
 use wsd_http::{Request, Response, Status};
 use wsd_netsim::{
@@ -401,18 +401,11 @@ impl FleetOutcome {
 pub fn run_fleet(params: &FleetParams) -> FleetOutcome {
     let registry = wsd_telemetry::Registry::new();
     let fleet_scope = registry.scope("fleet");
-    let fleet = FleetConfig {
-        instances: params.instances,
-        ..FleetConfig::default()
-    };
-    let shared = FleetShared::new(&fleet);
+    let shared = FleetShared::new(params.instances);
 
     // Instance 0's registry is the replication leader; every service's
     // mail is forwarded to the sink.
-    let leader = Arc::new(RegistryLeader::new(
-        Arc::new(Registry::new()),
-        fleet.repl_backlog,
-    ));
+    let leader = Arc::new(RegistryLeader::new(Arc::new(Registry::new()), REPL_BACKLOG));
     for svc in (0..params.services).map(|i| format!("svc-{i}")) {
         leader.register(
             &svc,
@@ -451,7 +444,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetOutcome {
         hub_host,
         Box::new(FleetClientHub::new(
             params,
-            fleet.ring(),
+            shared.borrow().ring.clone(),
             Rc::clone(&hub_books),
         )),
     );

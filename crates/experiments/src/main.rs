@@ -111,9 +111,12 @@ fn parse_args() -> Result<Options, String> {
                 let v = args
                     .next()
                     .ok_or_else(|| "--seconds needs a value".to_string())?;
+                // Zero seconds leaves every rate a 0/0: `NaN` in the JSON.
                 opts.seconds = v
                     .parse()
-                    .map_err(|_| format!("bad --seconds value {v:?}"))?;
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("bad --seconds value {v:?}"))?;
             }
             "--json" => {
                 let v = args

@@ -22,7 +22,9 @@
 //!
 //! Everything here is runtime-agnostic and dependency-free: `wsd-core`
 //! wires these pieces to the registry, the durable store and both
-//! runtimes behind its `FleetConfig`.
+//! runtimes, with the ring's seed and virtual nodes and the leader's
+//! backlog fixed in its `config` (`RING_SEED`, `RING_VNODES`,
+//! `REPL_BACKLOG`).
 
 #![warn(missing_docs)]
 

@@ -9,10 +9,10 @@ use crate::stream::Stream;
 use crate::{HttpError, Limits};
 
 /// A client-side HTTP connection: send a request, read the response,
-/// optionally reuse the connection (keep-alive).
+/// optionally reuse the connection (keep-alive). Responses are parsed
+/// under [`Limits::default`].
 pub struct HttpClient<S: Stream> {
     reader: MessageReader<S>,
-    limits: Limits,
     /// Set once either side signals `Connection: close`.
     exhausted: bool,
 }
@@ -22,15 +22,8 @@ impl<S: Stream> HttpClient<S> {
     pub fn new(stream: S) -> Self {
         HttpClient {
             reader: MessageReader::new(stream),
-            limits: Limits::default(),
             exhausted: false,
         }
-    }
-
-    /// Overrides parser limits.
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// Sets the response read timeout (the paper's HTTP/TCP timeout that
@@ -51,7 +44,7 @@ impl<S: Stream> HttpClient<S> {
             return Err(HttpError::Closed);
         }
         crate::serialize::write_request(self.reader.stream_mut(), req)?;
-        let resp = self.reader.read_response(&self.limits)?;
+        let resp = self.reader.read_response(&Limits::default())?;
         if !req.keep_alive() || !resp.keep_alive() {
             self.exhausted = true;
         }
@@ -120,7 +113,7 @@ impl<S: Stream> HttpClient<S> {
     /// [`send_pipelined`](Self::send_pipelined)); one that says
     /// `Connection: close` ends the connection's reuse.
     pub fn read_response(&mut self) -> Result<Response, HttpError> {
-        let resp = self.reader.read_response(&self.limits)?;
+        let resp = self.reader.read_response(&Limits::default())?;
         self.exhausted |= !resp.keep_alive();
         Ok(resp)
     }

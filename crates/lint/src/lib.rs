@@ -12,7 +12,7 @@
 //! facts, and the rule layers evaluate the named invariants — lexical
 //! ([`rules`]), call-graph ([`interproc`]), path-sensitive dataflow and
 //! typestate ([`dataflow`], [`typestate`]) and the lock-order graph
-//! ([`waitgraph`]) — with the argument, taint and typestate rules
+//! ([`waitgraph`]) — with the taint and typestate rules
 //! expressed as *data*: rows of the checked-in
 //! `lint-rules.toml`, compiled in and written down nowhere else
 //! ([`ruleset`]). Test code is exempt, every suppression needs a
@@ -131,7 +131,7 @@ pub fn analyze_files(
     );
     let facts = summaries::compute(files, &mut graph, ruleset);
     lap("graph", &mut stage_start, &mut timings);
-    raw.extend(interproc::run(files, &graph, &facts, ruleset));
+    raw.extend(interproc::run(&graph, &facts));
     lap("interproc", &mut stage_start, &mut timings);
     raw.extend(dataflow::run(files, &graph, &facts, ruleset));
     lap("dataflow", &mut stage_start, &mut timings);

@@ -1,4 +1,4 @@
-//! The declarative ruleset: argument / taint / typestate rules as data.
+//! The declarative ruleset: taint and typestate rules as data.
 //!
 //! A declarative rule is one `[[section]]` row in the checked-in
 //! `lint-rules.toml` at the workspace root, and nowhere else: the file
@@ -9,8 +9,8 @@
 //! `&'static str` slice of the text), its `doc` is the hint shown next to
 //! findings, and `--explain` prints the row's own lines ([`Row::text`]).
 //! The rows are compiled by [`crate::summaries`] into per-function facts
-//! and evaluated by the generic engines in [`crate::interproc`],
-//! [`crate::dataflow`] and [`crate::typestate`]. A
+//! and evaluated by the generic engines in [`crate::dataflow`] and
+//! [`crate::typestate`]. A
 //! new "X must happen before Y" invariant (e.g. a drop-reason
 //! obligation) is a one-row addition to the file — no Rust edit, not a
 //! new analysis.
@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 /// A call-site pattern: `name` or `Qualifier::name`. A bare name
 /// matches any call of that name (method, free, or path-qualified); a
 /// qualified pattern additionally requires the call's last path
-/// segment (`RequestParser::new`, `xml::parse`).
+/// segment (`Envelope::parse`, `xml::parse`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallPat {
     /// Required qualifier (last path segment), if any.
@@ -197,22 +197,6 @@ pub struct TypestateRule {
     pub exit_message: String,
 }
 
-/// "A trigger call's argument text must not contain a forbidden
-/// spelling" (serve sites taking `Limits::default()`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ArgRule {
-    /// Rule id.
-    pub name: &'static str,
-    /// Path prefixes the rule is scoped to (any match applies).
-    pub scopes: Vec<String>,
-    /// Calls whose argument lists are inspected.
-    pub triggers: Vec<CallPat>,
-    /// Forbidden substring of the (blanked) argument text.
-    pub forbidden: String,
-    /// Witness template; `{call}`, `{fn}`, `{file}`, `{line}`.
-    pub witness: String,
-}
-
 /// "Bytes from a source must pass a sanitizer before reaching a sink"
 /// — a variable-level taint lattice evaluated by [`crate::dataflow`],
 /// with interprocedural source/sanitizer/sink summaries.
@@ -254,7 +238,6 @@ impl Row {
     /// The engine that evaluates this kind of row.
     pub fn engine(&self) -> &'static str {
         match self.kind {
-            "arg-rule" => "argument inspection (call-site)",
             "taint" => "taint (path-sensitive dataflow)",
             _ => "typestate automaton (path-sensitive dataflow)",
         }
@@ -266,8 +249,6 @@ impl Row {
 pub struct Ruleset {
     /// Every section in file order, across all kinds.
     pub rows: Vec<Row>,
-    /// Argument-inspection rules.
-    pub arg_rules: Vec<ArgRule>,
     /// Taint-dataflow rules.
     pub taint_rules: Vec<TaintRule>,
     /// Protocol-lifecycle automata.
@@ -372,7 +353,6 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
         let at = |e: String| format!("line {}: {e}", lno + 1);
         if let Some(kind) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
             idx = match kind {
-                "arg-rule" => push_default(&mut rs.arg_rules),
                 "taint" => push_default(&mut rs.taint_rules),
                 "typestate" => push_default(&mut rs.typestate_rules),
                 other => return Err(at(format!("unknown section `[[{other}]]`"))),
@@ -420,11 +400,6 @@ pub fn parse_toml(text: &'static str) -> Result<Ruleset, String> {
         };
         match (row.kind, key) {
             (_, "doc") => row.doc = want_str(&val)?,
-            ("arg-rule", "name") => rs.arg_rules[idx].name = rule_id(&val)?,
-            ("arg-rule", "scopes") => rs.arg_rules[idx].scopes = want_list(&val)?,
-            ("arg-rule", "triggers") => rs.arg_rules[idx].triggers = to_pats(&val)?,
-            ("arg-rule", "forbidden") => rs.arg_rules[idx].forbidden = want_str(&val)?.to_string(),
-            ("arg-rule", "witness") => rs.arg_rules[idx].witness = want_str(&val)?.to_string(),
             ("taint", "name") => rs.taint_rules[idx].name = rule_id(&val)?,
             ("taint", "exempt") => rs.taint_rules[idx].exempt = want_list(&val)?,
             ("taint", "sources") => rs.taint_rules[idx].sources = to_pats(&val)?,
@@ -560,8 +535,8 @@ mod tests {
     #[test]
     fn embedded_ruleset_parses_and_validates() {
         let rs = parse_toml(SOURCE).expect("checked-in lint-rules.toml");
-        assert_eq!(rs.rows.len(), 8);
-        assert_eq!(rs.rule_names().count(), RULE_NAMES.len() + 8);
+        assert_eq!(rs.rows.len(), 7);
+        assert_eq!(rs.rule_names().count(), RULE_NAMES.len() + 7);
         for row in &rs.rows {
             assert!(!row.doc.is_empty(), "row at line {} has no doc", row.line);
             assert!(row.text.starts_with("[["), "{:?}", row.text);

@@ -43,15 +43,6 @@ const ROWS: &[Row] = &[
         at: (STORE, "wal.append(&Op::Destroy"),
     },
     Row {
-        rule: "limits-at-serve-site",
-        edits: &[(
-            "crates/core/src/rt/msgbox_server.rs",
-            "serve_connection(stream, &self.limits, |req| {",
-            "serve_connection(stream, &Limits::default(), |req| {",
-        )],
-        at: ("crates/core/src/rt/msgbox_server.rs", "Limits::default()"),
-    },
-    Row {
         rule: "reactor-conn-accounting",
         // A deregistration that forgets the gauge.
         edits: &[(REACTOR, "        self.tele.open_conns.dec();\n        drop(conns);\n", "        drop(conns);\n")],
