@@ -198,10 +198,10 @@ pub struct MsgCounters {
     /// is not counted again.
     pub delivered: Counter,
     /// Routed messages never written anywhere, every [`DropReason`]
-    /// summed; written only by [`drop`](Self::drop).
+    /// summed; written only by `MsgCounters::drop`.
     pub dropped: Counter,
     /// Messages routing refused, every [`RejectReason`] summed; written
-    /// only by [`reject`](Self::reject).
+    /// only by `MsgCounters::reject`.
     pub rejected: Counter,
     /// Writes to a destination connection that carried at least one message.
     pub drain_batches: Counter,

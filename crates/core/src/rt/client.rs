@@ -23,18 +23,22 @@ pub fn rpc_call(
     env: &Envelope,
     response_timeout: Option<Duration>,
 ) -> Result<Envelope, WsdError> {
-    let resp = exchange(net, host, port, target, env, response_timeout)?;
+    let resp = exchange(net, (host, port, target), post_body(env), response_timeout)?;
     Envelope::parse(&resp.body_utf8()).map_err(WsdError::from)
 }
 
-/// One POST of `env` on a connection of its own, up to the HTTP
-/// response, whose body is left unparsed.
+/// `env`'s content type and serialised bytes, as a POST carries them.
+fn post_body(env: &Envelope) -> (&'static str, Vec<u8>) {
+    (env.version.content_type(), env.to_xml().into_bytes())
+}
+
+/// One POST of `body` under `content_type` to `target` at `host:port`,
+/// on a connection of its own, up to the HTTP response, whose body is
+/// left unparsed.
 fn exchange(
     net: &Arc<Network>,
-    host: &str,
-    port: u16,
-    target: &str,
-    env: &Envelope,
+    (host, port, target): (&str, u16, &str),
+    (content_type, body): (&str, Vec<u8>),
     response_timeout: Option<Duration>,
 ) -> Result<Response, WsdError> {
     let stream = net
@@ -46,12 +50,7 @@ fn exchange(
             .set_response_timeout(Some(t))
             .map_err(|e| WsdError::Rejected(e.to_string()))?;
     }
-    let mut req = Request::soap_post(
-        &format!("{host}:{port}"),
-        target,
-        env.version.content_type(),
-        env.to_xml().into_bytes(),
-    );
+    let mut req = Request::soap_post(&format!("{host}:{port}"), target, content_type, body);
     req.headers.set("Connection", "close");
     client
         .call(&req)
@@ -66,7 +65,17 @@ pub fn send_oneway(
     target: &str,
     env: &Envelope,
 ) -> Result<(), WsdError> {
-    let resp = exchange(net, host, port, target, env, None)?;
+    send_oneway_bytes(net, (host, port, target), post_body(env))
+}
+
+/// [`send_oneway`] of a message already serialised: `body` under
+/// `content_type`, POSTed to `target` at `host:port`.
+pub(crate) fn send_oneway_bytes(
+    net: &Arc<Network>,
+    to: (&str, u16, &str),
+    body: (&str, Vec<u8>),
+) -> Result<(), WsdError> {
+    let resp = exchange(net, to, body, None)?;
     if resp.status == Status::ACCEPTED {
         Ok(())
     } else {
@@ -159,10 +168,8 @@ impl MailboxClient {
     pub fn poll(&self, max: usize) -> Result<Vec<Envelope>, WsdError> {
         let resp = exchange(
             &self.net,
-            &self.host,
-            self.port,
-            "/msgbox",
-            &ops::fetch(SoapVersion::V11, &self.box_id, &self.key, max),
+            (&self.host, self.port, "/msgbox"),
+            post_body(&ops::fetch(SoapVersion::V11, &self.box_id, &self.key, max)),
             Some(Duration::from_secs(10)),
         )?;
         let text = resp.body_utf8();

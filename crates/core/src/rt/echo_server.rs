@@ -9,7 +9,8 @@ use wsd_concurrent::{PoolConfig, ThreadPool};
 use wsd_http::{serve_connection, Limits, Response, Status};
 
 use crate::echo::{Echo, EchoCounters, EchoMode};
-use crate::rt::{send_oneway, ConnTracker, Network};
+use crate::rt::client::send_oneway_bytes;
+use crate::rt::{ConnTracker, Network};
 
 /// A running echo service: each accepted request costs `service_delay`
 /// of (slept) CPU, and one that is not a SOAP envelope gets a `400` at once.
@@ -36,9 +37,10 @@ impl EchoServer {
     }
 
     /// Starts the one-way service (Table 1 quadrant 4) on `host:port` with
-    /// `workers` handler threads: the worker posts the echo to the
-    /// request's `ReplyTo` with [`send_oneway`], then answers `202`. A
-    /// firewalled `ReplyTo` holds it for the network's `firewall_delay`.
+    /// `workers` handler threads: the worker posts the echo, serialised
+    /// once, to the request's `ReplyTo` as
+    /// [`send_oneway`](crate::rt::send_oneway) does, then answers `202`.
+    /// A firewalled `ReplyTo` holds it for the network's `firewall_delay`.
     pub fn start_oneway(
         net: &Arc<Network>,
         host: &str,
@@ -81,8 +83,10 @@ impl EchoServer {
                             books.replied(1, !conn.is_closed());
                             resp
                         }
-                        Echo::Reply { to, envelope } => {
-                            let sent = send_oneway(&net, &to.host, to.port, &to.path, &envelope);
+                        Echo::Reply { to, version, xml } => {
+                            let dest = (to.host.as_str(), to.port, to.path.as_str());
+                            let body = (version.content_type(), xml.into_bytes());
+                            let sent = send_oneway_bytes(&net, dest, body);
                             books.replied(1, sent.is_ok());
                             Response::empty(Status::ACCEPTED)
                         }

@@ -13,7 +13,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
-use wsd_soap::SoapVersion;
 
 use crate::echo::{Echo, EchoCounters, EchoMode};
 use crate::sim::{request_payload, response_payload, CpuQueue, CONNECT_TIMEOUT};
@@ -136,11 +135,11 @@ impl SimEchoService {
         // Acknowledge acceptance now that the message has been processed.
         let ack = Response::empty(Status::ACCEPTED);
         let _ = ctx.send(conn, response_payload(&ack));
-        let Echo::Reply { to, envelope } = echo else {
+        let Echo::Reply { to, version, xml } = echo else {
             return self.release(ctx, 1); // nothing to send
         };
-        let body = envelope.to_xml().into_bytes();
-        let req = Request::soap_post(&to.authority(), &to.path, SoapVersion::V11.content_type(), body);
+        let content_type = version.content_type();
+        let req = Request::soap_post(&to.authority(), &to.path, content_type, xml.into_bytes());
         self.deliver_reply(ctx, (to.host, to.port), request_payload(&req));
     }
 
@@ -238,7 +237,7 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
-    use wsd_soap::rpc as soap_rpc;
+    use wsd_soap::{rpc as soap_rpc, SoapVersion};
     use wsd_wsa::WsaHeaders;
     use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};
 

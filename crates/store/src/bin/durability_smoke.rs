@@ -2,7 +2,7 @@
 //! assert the durability contract on a real filesystem WAL.
 //!
 //! The seeded crash-recovery property test covers hundreds of kill
-//! points deterministically on [`MemStorage`]; this binary covers the
+//! points deterministically on [`wsd_store::MemStorage`]; this binary covers the
 //! one thing it can't — an actual `kill -9` against actual files and
 //! fsyncs. `scripts/verify.sh durability-smoke` runs it.
 //!

@@ -34,7 +34,7 @@ pub enum Op {
         created_at: u64,
     },
     /// A message was appended to a mailbox. The body is the final field
-    /// of the payload; [`Record::body_offset`] locates it for spill
+    /// of the payload; [`Op::deposit_body_offset`] locates it for spill
     /// reads.
     Deposit {
         /// Destination mailbox id.

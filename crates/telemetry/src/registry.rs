@@ -38,7 +38,7 @@ struct RegistryInner {
 /// The root of an instrument hierarchy.
 ///
 /// Cloning is cheap (an `Arc` bump) and all clones observe the same
-/// instruments. A registry owns the [`Clock`] its instruments and trace
+/// instruments. A registry owns the [`Clock`](crate::Clock) its instruments and trace
 /// stamp with, and one shared [`EventTrace`] ring.
 #[derive(Clone)]
 pub struct Registry {

@@ -1,6 +1,6 @@
 //! WS-Addressing (August 2004 member submission) for the WS-Dispatcher.
 //!
-//! The paper routes asynchronous messages with WS-Addressing [10]: the
+//! The paper routes asynchronous messages with WS-Addressing \[10\]: the
 //! MSG-Dispatcher parses the request's addressing headers, replaces the
 //! client's return address with its own, and forwards the message; replies
 //! are correlated back through `RelatesTo`. This crate implements the

@@ -375,6 +375,11 @@ impl ScannedWsa<'_> {
         self.to.as_ref().map(|(v, _)| v.as_ref())
     }
 
+    /// Decoded `wsa:ReplyTo` address, if present.
+    pub fn reply_to(&self) -> Option<&str> {
+        self.reply_to.as_ref().map(|(v, _)| v.as_ref())
+    }
+
     /// Decoded `wsa:MessageID`, if present.
     pub fn message_id(&self) -> Option<&str> {
         self.message_id.as_ref().map(|(v, _)| v.as_ref())
@@ -528,6 +533,7 @@ mod tests {
             let xml = request(version).to_xml();
             let scanned = scan(&xml).expect("canonical envelope must scan");
             assert_eq!(scanned.to(), Some("http://dispatcher/svc/echo"));
+            assert_eq!(scanned.reply_to(), Some("http://client:8080/cb"));
             assert_eq!(scanned.message_id(), Some("uuid:req-1"));
             assert_eq!(scanned.correlation_id(), None);
         }

@@ -11,7 +11,9 @@
 #                                      own performance is part of the
 #                                      contract), wsd-lint linting itself
 #                                      (--self, full rule set), a
-#                                      warnings-as-errors build, and the
+#                                      warnings-as-errors build, rustdoc
+#                                      with warnings as errors (a broken
+#                                      intra-doc link fails), and the
 #                                      linter's own tests (its fixtures and
 #                                      the mutation rows that seed each
 #                                      rule's violation into the real
@@ -65,6 +67,7 @@ cargo build -q --release -p wsd-lint
 ./target/release/wsd-lint --check --budget-ms 500
 ./target/release/wsd-lint --self
 RUSTFLAGS="-D warnings" cargo build --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 if [ "$mode" = "lint" ]; then
     cargo test -q -p wsd-lint
