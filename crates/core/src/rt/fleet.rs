@@ -5,9 +5,8 @@
 //! instance runs a [`RegistryFollower`] that tails it ([`FleetDeployment::sync`]
 //! is the control tick). Clients route a logical service name through
 //! [`FleetDeployment::route`] — the ring owner — before dispatching to
-//! that instance's ports, the same route-then-enqueue shape the
-//! simulated fleet (and the `shard-route-before-enqueue` lint rule)
-//! enforces.
+//! that instance's ports, the same route-then-enqueue shape as the
+//! simulated fleet's client hub.
 //!
 //! Member `n` keeps its durable mailbox on files under `{dir}/i{n}`.
 //! [`FleetDeployment::stop_instance`] shuts a member down and hands its

@@ -144,7 +144,8 @@ impl FleetClientHub {
     }
 
     /// The ring-routing step: every fleet enqueue must derive its target
-    /// instance here (`shard-route-before-enqueue`).
+    /// instance here. The failover tests below lose messages, and the
+    /// scaling sweep stops scaling, when a key is aimed anywhere else.
     fn shard_route(&self, svc: &str) -> Option<u32> {
         self.view.owner_of(svc).map(|id| id.0)
     }

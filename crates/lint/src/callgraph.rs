@@ -92,8 +92,6 @@ pub struct FnNode {
     pub name: String,
     /// `Type::name` or bare name.
     pub qualified: String,
-    /// 1-based signature line.
-    pub sig_line: usize,
     /// Call sites inside this fn's body (nested fns excluded).
     pub calls: Vec<CallSite>,
 }
@@ -103,23 +101,6 @@ pub struct FnNode {
 pub struct Graph {
     /// Every workspace fn, in file order.
     pub fns: Vec<FnNode>,
-    /// file path -> indices of fns defined there.
-    pub by_file: BTreeMap<String, Vec<usize>>,
-}
-
-impl Graph {
-    /// All callers of `callee_idx`, as `(caller_idx, call_line)`.
-    pub fn callers_of(&self, callee_idx: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            for c in &f.calls {
-                if c.callee == Some(callee_idx) {
-                    out.push((i, c.line));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Scans one fn body for call sites. `body` is the `(start, end)` span in
@@ -335,16 +316,13 @@ pub fn build<'a>(files: impl IntoIterator<Item = (&'a str, &'a ParsedFile)>) -> 
                 }
                 None => Vec::new(),
             };
-            let idx = g.fns.len();
             g.fns.push(FnNode {
                 file: path.to_string(),
                 local_idx: li,
                 name: f.name.clone(),
                 qualified: f.qualified.clone(),
-                sig_line: f.sig_line,
                 calls,
             });
-            g.by_file.entry(path.to_string()).or_default().push(idx);
         }
     }
 
@@ -529,16 +507,5 @@ mod tests {
         let g = graph_of(&[("a.rs", "fn f() { parse_as::<u32>(x); }\n")]);
         let f = node(&g, "f");
         assert_eq!(f.calls[0].name, "parse_as");
-    }
-
-    #[test]
-    fn callers_of_works() {
-        let g = graph_of(&[(
-            "a.rs",
-            "fn leaf() {}\nfn a() { leaf(); }\nfn b() { leaf(); }\n",
-        )]);
-        let leaf = g.fns.iter().position(|f| f.name == "leaf").unwrap();
-        let callers = g.callers_of(leaf);
-        assert_eq!(callers.len(), 2);
     }
 }

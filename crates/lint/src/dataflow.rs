@@ -11,29 +11,21 @@
 //! the walker cannot classify degrades to a linear over-approximation
 //! of the statement text (which can only *add* facts, never lose them).
 //!
-//! Two analyses run on the walker: [`crate::typestate`]'s automata, and
-//! **taint** ([`TaintRule`], a [`crate::ruleset`] row) here. Variables
-//! bound from a source call (or passed to one by `&mut`) are tainted; a
-//! sanitizer call clears the taint of its arguments; a sink call
-//! receiving a tainted variable is a finding, with a source→sink code
-//! flow. Function summaries make it interprocedural: a fn passing a
-//! *parameter* to a sink is itself sink-like (fixpoint), and a fn
-//! transitively calling a sanitizer clears its arguments (computed in
-//! [`crate::summaries`]).
+//! One analysis runs on the walker: [`crate::typestate`]'s automata.
+//! [`Flow`] is the seam between them — the walker decides which calls,
+//! branch entries and exits a path meets, the flow says what each does
+//! to its state — and the walker's own tests drive it with a recording
+//! flow.
 //!
-//! Known approximations (deliberate, all FP-safe for taint): `match`
-//! pattern bindings do not inherit the scrutinee's taint, closure
-//! bodies are analyzed inline with the enclosing fn, and a `return`
-//! nested in braces inside one statement records the exit without
-//! terminating the statement's fallthrough.
+//! Known approximations (deliberate): closure bodies are analyzed
+//! inline with the enclosing fn, and a `return` nested in braces inside
+//! one statement records the exit without terminating the statement's
+//! fallthrough.
 
-use crate::callgraph::{line_at, line_index, CallSite, Graph};
+use crate::callgraph::{line_at, line_index, CallSite};
 use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
-use crate::rules::{is_test_path, Finding};
-use crate::ruleset::{fill, CallPat, Ruleset, TaintRule};
-use crate::summaries::{contains_word, Facts, FileEntry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// How control leaves a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,29 +45,12 @@ pub enum ExitKind {
 }
 
 /// Union join for map-shaped states: keys accumulate, the first
-/// witness for a key wins. This is the single join both analyses use;
-/// the lattice-law tests below target it directly.
+/// witness for a key wins. The lattice-law tests below target it
+/// directly.
 pub fn join_union<K: Ord + Clone, V: Clone>(a: &mut BTreeMap<K, V>, b: &BTreeMap<K, V>) {
     for (k, v) in b {
         a.entry(k.clone()).or_insert_with(|| v.clone());
     }
-}
-
-/// Statement context handed to [`Flow`] hooks.
-pub struct StmtCtx<'a> {
-    /// The statement's blanked text.
-    pub text: &'a str,
-    /// Byte offset of the statement start.
-    pub start: usize,
-    /// `let` binding introduced by this statement, if any.
-    pub binding: Option<String>,
-    /// 1-based line of the statement start.
-    pub line: usize,
-    /// True when this segment is a branch condition (`if` condition,
-    /// `match` scrutinee, loop header, `let .. else` RHS): provisional
-    /// facts survive the statement so [`Flow::branch`] can consume
-    /// them on the branch-entry states.
-    pub cond: bool,
 }
 
 /// One analysis over the walker.
@@ -85,7 +60,7 @@ pub trait Flow {
     /// Lattice join (must only grow `a`).
     fn join(&self, a: &mut Self::State, b: &Self::State);
     /// Transfer for one call site.
-    fn call(&mut self, st: &mut Self::State, c: &CallSite, ctx: &StmtCtx);
+    fn call(&mut self, st: &mut Self::State, c: &CallSite);
     /// Branch refinement: `st` is entering a branch guarded by the
     /// condition text `cond`, on the side where the condition held
     /// (`positive`) or failed (`!positive`). The walker only calls
@@ -94,8 +69,11 @@ pub trait Flow {
     /// arms); unclassifiable conditions refine neither side. Default:
     /// no refinement.
     fn branch(&mut self, _st: &mut Self::State, _cond: &str, _positive: bool) {}
-    /// End-of-statement hook (binding assignment for taint).
-    fn stmt_done(&mut self, st: &mut Self::State, ctx: &StmtCtx);
+    /// End-of-statement hook. `cond` is true when the statement was a
+    /// branch condition (`if` condition, `match` scrutinee, loop header,
+    /// `let .. else` RHS): provisional facts survive it so
+    /// [`Flow::branch`] can consume them on the branch-entry states.
+    fn stmt_done(&mut self, st: &mut Self::State, cond: bool);
     /// A path leaves the function with state `st`.
     fn exit(&mut self, st: &Self::State, kind: ExitKind, line: usize);
 }
@@ -586,17 +564,10 @@ impl<'a> Walker<'a> {
                     f.branch(st, cond_text, false);
                 }
                 let _ = self.block(f, bs + 1, be, else_entry, pending);
-                // Binding applies on the continue (match-held) path.
+                // The continue path is the match-held side.
                 if let Some(st) = cur.as_mut() {
                     f.branch(st, cond_text, true);
-                    let ctx = StmtCtx {
-                        text: cond_text,
-                        start: i,
-                        binding: crate::summaries::let_binding(cond_text),
-                        line: self.line(i),
-                        cond: false,
-                    };
-                    f.stmt_done(st, &ctx);
+                    f.stmt_done(st, false);
                 }
                 return (semi + 1).min(e);
             }
@@ -613,15 +584,7 @@ impl<'a> Walker<'a> {
                 self.segment(f, cur, be + 1, semi, pending, false);
             }
             if let Some(st) = cur.as_mut() {
-                let text = &self.code[i..semi];
-                let ctx = StmtCtx {
-                    text,
-                    start: i,
-                    binding: crate::summaries::let_binding(text),
-                    line: self.line(i),
-                    cond: false,
-                };
-                f.stmt_done(st, &ctx);
+                f.stmt_done(st, false);
             }
             return (semi + 1).min(e);
         }
@@ -686,18 +649,6 @@ impl<'a> Walker<'a> {
         let Some(st) = cur.as_mut() else {
             return false;
         };
-        let text = &self.code[s..e];
-        let ctx = StmtCtx {
-            text,
-            start: s,
-            binding: if word_at(self.code, s) == "let" {
-                crate::summaries::let_binding(text)
-            } else {
-                None
-            },
-            line: self.line(s),
-            cond,
-        };
 
         enum Ev {
             Call(usize),
@@ -752,7 +703,7 @@ impl<'a> Walker<'a> {
         let mut terminator: Option<(ExitKind, usize, bool)> = None;
         for (_, ev) in evs {
             match ev {
-                Ev::Call(ci) => f.call(st, &self.calls[ci], &ctx),
+                Ev::Call(ci) => f.call(st, &self.calls[ci]),
                 Ev::Tok(ExitKind::Try, off, _) => f.exit(st, ExitKind::Try, self.line(off)),
                 Ev::Tok(kind, off, d0) => {
                     if terminator.is_none() {
@@ -766,7 +717,7 @@ impl<'a> Walker<'a> {
                 }
             }
         }
-        f.stmt_done(st, &ctx);
+        f.stmt_done(st, cond);
         match terminator {
             Some((ExitKind::Break, off, d0)) => {
                 pending.push((ExitKind::Break, self.line(off), st.clone()));
@@ -785,297 +736,11 @@ impl<'a> Walker<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Taint
-// ---------------------------------------------------------------------
-
-/// Argument text of a call (inside the parens, blanked).
-fn args_text<'a>(code: &'a str, c: &CallSite) -> &'a str {
-    let open = code[c.offset..c.args_end.min(code.len())]
-        .find('(')
-        .map(|p| c.offset + p + 1);
-    match open {
-        Some(o) if c.args_end >= 1 && o < c.args_end => &code[o..c.args_end - 1],
-        _ => "",
-    }
-}
-
-/// Where a taint came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Origin {
-    /// A real source call: (source name, file line).
-    Source(String, usize),
-    /// A function parameter (used for sink-like summaries only).
-    Param,
-}
-
-type TaintState = BTreeMap<String, Origin>;
-
-struct TaintFlow<'a> {
-    code: &'a str,
-    file: &'a str,
-    rule: &'a TaintRule,
-    facts: &'a Facts,
-    graph: &'a Graph,
-    taint_idx: usize,
-    sink_like: &'a BTreeSet<usize>,
-    /// Per-statement scratch: RHS produced a fresh taint / was
-    /// sanitized.
-    rhs_taint: Option<Origin>,
-    rhs_clean: bool,
-    /// Summary output: some parameter reached a sink.
-    param_to_sink: bool,
-    record: bool,
-    findings: Vec<Finding>,
-    seen: &'a mut BTreeSet<(String, usize, String)>,
-}
-
-/// `&mut ident` occurrences in an argument list.
-fn mut_ref_args(args: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = args[from..].find("&mut ") {
-        let s = from + p + 5;
-        let b = args.as_bytes();
-        let mut j = s;
-        while j < b.len() && is_ident_byte(b[j]) {
-            j += 1;
-        }
-        if j > s {
-            out.push(&args[s..j]);
-        }
-        from = j.max(s + 1);
-    }
-    out
-}
-
-impl<'a> TaintFlow<'a> {
-    fn is_sanitizer(&self, c: &CallSite) -> bool {
-        CallPat::any(&self.rule.sanitizers, c)
-            || c.callee
-                .is_some_and(|t| self.facts.fns[t].sanitizes.contains(&self.taint_idx))
-    }
-
-    fn is_source(&self, c: &CallSite) -> bool {
-        CallPat::any(&self.rule.sources, c)
-    }
-
-    fn is_sink(&self, c: &CallSite) -> bool {
-        CallPat::any(&self.rule.sinks, c) || c.callee.is_some_and(|t| self.sink_like.contains(&t))
-    }
-}
-
-impl<'a> Flow for TaintFlow<'a> {
-    type State = TaintState;
-
-    fn join(&self, a: &mut Self::State, b: &Self::State) {
-        join_union(a, b);
-    }
-
-    fn call(&mut self, st: &mut Self::State, c: &CallSite, _ctx: &StmtCtx) {
-        let args = args_text(self.code, c);
-        if self.is_sanitizer(c) {
-            let cleared: Vec<String> = st
-                .keys()
-                .filter(|v| contains_word(args, v))
-                .cloned()
-                .collect();
-            for v in cleared {
-                st.remove(&v);
-            }
-            self.rhs_clean = true;
-            return;
-        }
-        if self.is_sink(c) {
-            for (v, origin) in st.iter() {
-                if !contains_word(args, v) && !contains_word(&c.receiver, v) {
-                    continue;
-                }
-                match origin {
-                    Origin::Param => self.param_to_sink = true,
-                    Origin::Source(src, src_line) => {
-                        if !self.record
-                            || !self.seen.insert((self.file.to_string(), c.line, v.clone()))
-                        {
-                            continue;
-                        }
-                        let excerpt = fill(
-                            &self.rule.contract,
-                            &[
-                                ("call", &c.name),
-                                ("var", v),
-                                ("src", src),
-                                ("file", self.file),
-                                ("line", &src_line.to_string()),
-                            ],
-                        );
-                        let fn_q = self
-                            .graph
-                            .by_file
-                            .get(self.file)
-                            .and_then(|idxs| {
-                                idxs.iter()
-                                    .map(|i| &self.graph.fns[*i])
-                                    .find(|f| f.calls.iter().any(|cc| cc.offset == c.offset))
-                            })
-                            .map(|f| f.qualified.as_str())
-                            .unwrap_or("?");
-                        self.findings.push(Finding {
-                            rule: self.rule.name,
-                            file: self.file.to_string(),
-                            line: c.line,
-                            excerpt,
-                            witness: Some(format!(
-                                "`{v}` tainted by `{src}` ({}:{src_line}) reaches sink \
-                                 `{}` ({}:{}) in {fn_q} with no sanitizer on the path",
-                                self.file, c.name, self.file, c.line
-                            )),
-                        });
-                    }
-                }
-            }
-            return;
-        }
-        if self.is_source(c) {
-            self.rhs_taint = Some(Origin::Source(c.name.clone(), c.line));
-            for v in mut_ref_args(args) {
-                st.insert(v.to_string(), Origin::Source(c.name.clone(), c.line));
-            }
-        }
-    }
-
-    fn stmt_done(&mut self, st: &mut Self::State, ctx: &StmtCtx) {
-        if let Some(binding) = &ctx.binding {
-            if self.rhs_clean {
-                st.remove(binding);
-            } else if let Some(origin) = self.rhs_taint.take() {
-                st.insert(binding.clone(), origin);
-            } else {
-                // Propagation: `let slice = &buf[..n];` inherits buf's
-                // taint; a clean RHS rebinds the name clean.
-                let rhs = ctx.text.split_once('=').map(|(_, r)| r).unwrap_or("");
-                let inherited = st
-                    .iter()
-                    .find(|(v, _)| v.as_str() != binding && contains_word(rhs, v))
-                    .map(|(_, o)| o.clone());
-                match inherited {
-                    Some(o) => {
-                        st.insert(binding.clone(), o);
-                    }
-                    None => {
-                        st.remove(binding);
-                    }
-                }
-            }
-        }
-        self.rhs_taint = None;
-        self.rhs_clean = false;
-    }
-
-    fn exit(&mut self, _st: &Self::State, _kind: ExitKind, _line: usize) {}
-}
-
-fn taint_rule(
-    rule: &TaintRule,
-    taint_idx: usize,
-    files: &BTreeMap<String, FileEntry>,
-    graph: &Graph,
-    facts: &Facts,
-    findings: &mut Vec<Finding>,
-) {
-    // Fixpoint on the sink-like summary: a fn whose parameter reaches a
-    // sink is itself a sink at its call sites. Summary rounds run until
-    // the set stops growing, then one recording round emits findings.
-    let mut sink_like: BTreeSet<usize> = BTreeSet::new();
-    let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
-    let mut record = false;
-    for _round in 0..8 {
-        let mut grown = false;
-        for (fi, f) in graph.fns.iter().enumerate() {
-            let Some(entry) = files.get(&f.file) else { continue };
-            // Cheap relevance gate before the expensive path walk: a fn
-            // with no source-, sanitizer- or sink-shaped call (including
-            // calls into currently sink-like fns) can neither record a
-            // finding nor grow the summary this round.
-            let relevant = f.calls.iter().any(|c| {
-                CallPat::any(&rule.sources, c)
-                    || CallPat::any(&rule.sinks, c)
-                    || CallPat::any(&rule.sanitizers, c)
-                    || c.callee.is_some_and(|t| {
-                        sink_like.contains(&t) || facts.fns[t].sanitizes.contains(&taint_idx)
-                    })
-            });
-            if !relevant {
-                continue;
-            }
-            let code = &entry.parsed.stripped.code;
-            let Some((walker, span)) = Walker::new(code, &entry.parsed, f.local_idx, &f.calls)
-            else {
-                continue;
-            };
-            let exempt = rule.exempt.iter().any(|p| f.file.starts_with(p.as_str()))
-                || is_test_path(&f.file);
-            // A fn *named* like a sink is the sink machinery itself.
-            let is_sink_impl = rule.sinks.iter().any(|p| p.name == f.name);
-            let mut flow = TaintFlow {
-                code,
-                file: &f.file,
-                rule,
-                facts,
-                graph,
-                taint_idx,
-                sink_like: &sink_like,
-                rhs_taint: None,
-                rhs_clean: false,
-                param_to_sink: false,
-                record: record && !exempt,
-                findings: Vec::new(),
-                seen: &mut seen,
-            };
-            let mut entry_state = TaintState::new();
-            for p in crate::summaries::fn_params(code, &entry.parsed, f.local_idx) {
-                entry_state.insert(p, Origin::Param);
-            }
-            walker.run(&mut flow, span, entry_state);
-            let param_to_sink = flow.param_to_sink;
-            let mut found = std::mem::take(&mut flow.findings);
-            drop(flow);
-            if param_to_sink && !is_sink_impl && sink_like.insert(fi) {
-                grown = true;
-            }
-            findings.append(&mut found);
-        }
-        if record {
-            break;
-        }
-        if !grown {
-            record = true; // summaries stable — final recording round
-        }
-    }
-}
-
-/// Runs the taint rules.
-/// Findings are unfiltered; suppressions apply in the caller.
-pub fn run(
-    files: &BTreeMap<String, FileEntry>,
-    graph: &Graph,
-    facts: &Facts,
-    ruleset: &Ruleset,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (i, rule) in ruleset.taint_rules.iter().enumerate() {
-        taint_rule(rule, i, files, graph, facts, &mut findings);
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::callgraph::build;
     use crate::parser::{parse, ParsedFile};
-    use crate::ruleset::embedded;
-    use crate::summaries::compute;
 
     // ---- harness -------------------------------------------------------
 
@@ -1163,85 +828,6 @@ mod tests {
         }
     }
 
-    // ---- transfer never loses taint ------------------------------------
-
-    #[test]
-    fn taint_transfer_never_drops_vars_on_non_sanitizer_calls() {
-        // A fn whose calls cover the interesting shapes: a source, a
-        // neutral helper, and a method sink.
-        let src = r#"
-struct S;
-impl S {
-    fn h(&self, sock: &mut Sock, out: &mut Out, buf: &mut [u8]) {
-        let n = sock.try_read(buf);
-        frob(n);
-        consume(buf);
-        out.append(n);
-    }
-}
-"#;
-        let files: BTreeMap<String, FileEntry> = [(
-            "crates/store/src/x.rs".to_string(),
-            FileEntry { source: src.to_string(), parsed: parse(src) },
-        )]
-        .into_iter()
-        .collect();
-        let mut graph = build(files.iter().map(|(p, e)| (p.as_str(), &e.parsed)));
-        let rs = embedded();
-        let facts = compute(&files, &mut graph, rs);
-        let rule = &rs.taint_rules[0];
-        let fi = graph.fns.iter().position(|f| f.name == "h").unwrap();
-        let f = &graph.fns[fi];
-        let code = &files[&f.file].parsed.stripped.code;
-
-        let sink_like = BTreeSet::new();
-        let mut seen = BTreeSet::new();
-        let mut rng = XorShift(0x5DEECE66D);
-        for _ in 0..200 {
-            let mut st: TaintState = rand_state(&mut rng)
-                .into_keys()
-                .map(|k| (k, Origin::Param))
-                .collect();
-            st.insert("n".to_string(), Origin::Source("try_read".to_string(), 5));
-            for c in &f.calls {
-                if CallPat::any(&rule.sanitizers, c) {
-                    continue;
-                }
-                let before: Vec<String> = st.keys().cloned().collect();
-                let ctx = StmtCtx {
-                    text: &code[c.offset..c.args_end.min(code.len())],
-                    start: c.offset,
-                    binding: None,
-                    line: c.line,
-                    cond: false,
-                };
-                let mut flow = TaintFlow {
-                    code,
-                    file: &f.file,
-                    rule,
-                    facts: &facts,
-                    graph: &graph,
-                    taint_idx: 0,
-                    sink_like: &sink_like,
-                    rhs_taint: None,
-                    rhs_clean: false,
-                    param_to_sink: false,
-                    record: false,
-                    findings: Vec::new(),
-                    seen: &mut seen,
-                };
-                flow.call(&mut st, c, &ctx);
-                for k in &before {
-                    assert!(
-                        st.contains_key(k),
-                        "non-sanitizer call `{}` dropped `{k}` from the taint state",
-                        c.name
-                    );
-                }
-            }
-        }
-    }
-
     // ---- walker exit structure -----------------------------------------
 
     struct Rec {
@@ -1252,12 +838,12 @@ impl S {
         fn join(&self, a: &mut Self::State, b: &Self::State) {
             join_union(a, b);
         }
-        fn call(&mut self, st: &mut Self::State, c: &CallSite, _ctx: &StmtCtx) {
+        fn call(&mut self, st: &mut Self::State, c: &CallSite) {
             if c.name == "set" {
                 st.insert("x".to_string(), c.line);
             }
         }
-        fn stmt_done(&mut self, _st: &mut Self::State, _ctx: &StmtCtx) {}
+        fn stmt_done(&mut self, _st: &mut Self::State, _cond: bool) {}
         fn exit(&mut self, st: &Self::State, kind: ExitKind, _line: usize) {
             self.exits.push((kind, st.contains_key("x")));
         }

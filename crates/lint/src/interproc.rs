@@ -72,7 +72,6 @@ mod tests {
     use super::*;
     use crate::callgraph::build;
     use crate::parser::parse;
-    use crate::ruleset::embedded;
     use crate::summaries::{compute, FileEntry};
     use std::collections::BTreeMap;
 
@@ -90,7 +89,7 @@ mod tests {
             })
             .collect();
         let mut graph = build(map.iter().map(|(p, e)| (p.as_str(), &e.parsed)));
-        let facts = compute(&map, &mut graph, embedded());
+        let facts = compute(&map, &mut graph);
         run(&graph, &facts)
     }
 

@@ -8,14 +8,13 @@
 //! comments so rules match only real code, an item parser ([`parser`])
 //! recovers `fn`/`impl`/`mod` structure, a call graph ([`callgraph`])
 //! resolves intra-workspace calls, per-function summaries
-//! ([`summaries`]) compute acquires-lock / may-block / sanitizes
-//! facts, and the rule layers evaluate the named invariants — lexical
-//! ([`rules`]), call-graph ([`interproc`]), path-sensitive dataflow and
-//! typestate ([`dataflow`], [`typestate`]) and the lock-order graph
-//! ([`waitgraph`]) — with the taint and typestate rules
-//! expressed as *data*: rows of the checked-in
-//! `lint-rules.toml`, compiled in and written down nowhere else
-//! ([`ruleset`]). Test code is exempt, every suppression needs a
+//! ([`summaries`]) compute acquires-lock / may-block facts, and the
+//! rule layers evaluate the named invariants — lexical ([`rules`]),
+//! call-graph ([`interproc`]), typestate automata on a path-sensitive
+//! walker ([`typestate`], [`dataflow`]) and the lock-order graph
+//! ([`waitgraph`]) — with the automata expressed as *data*: rows of
+//! the checked-in `lint-rules.toml`, compiled in and written down
+//! nowhere else ([`ruleset`]). Test code is exempt, every suppression needs a
 //! reason and is audited for liveness (`unused-suppression`), and one
 //! matcher applies the suppressions to every finding.
 //!
@@ -129,12 +128,10 @@ pub fn analyze_files(
             .filter(|(rel, _)| !rules::is_test_path(rel))
             .map(|(rel, e)| (rel.as_str(), &e.parsed)),
     );
-    let facts = summaries::compute(files, &mut graph, ruleset);
+    let facts = summaries::compute(files, &mut graph);
     lap("graph", &mut stage_start, &mut timings);
     raw.extend(interproc::run(&graph, &facts));
     lap("interproc", &mut stage_start, &mut timings);
-    raw.extend(dataflow::run(files, &graph, &facts, ruleset));
-    lap("dataflow", &mut stage_start, &mut timings);
     raw.extend(typestate::run(files, &graph, ruleset));
     lap("typestate", &mut stage_start, &mut timings);
     let (waitgraph_findings, lock_edges) = waitgraph::run(&graph, &facts);

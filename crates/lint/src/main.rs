@@ -17,8 +17,8 @@
 //!   contract (it runs on every `verify.sh lint`). The measured time is
 //!   reported as `check_ms` in the `--json` summary either way, as an
 //!   object: `total` plus one entry per engine stage (lexical, graph,
-//!   interproc, dataflow, typestate, and `waitgraph` for the lock-order
-//!   graph), so budget regressions are attributable to a stage.
+//!   interproc, typestate, and `waitgraph` for the lock-order graph), so
+//!   budget regressions are attributable to a stage.
 //! * `--explain RULE`: print the rule's engine kind and hint, and (for
 //!   declarative rules) its `lint-rules.toml` row as written, then exit.
 
@@ -154,7 +154,7 @@ fn write_out(path: &str, text: &str) -> Result<(), ExitCode> {
 fn explain(rule: &str) -> ExitCode {
     let rs = ruleset::embedded();
     if let Some(row) = rs.row(rule) {
-        println!("{rule} — {}", row.engine());
+        println!("{rule} — typestate automaton (path-sensitive dataflow)");
         println!("\nlint-rules.toml, line {}:\n{}", row.line, row.text);
         ExitCode::SUCCESS
     } else if rules::RULE_NAMES.contains(&rule) {

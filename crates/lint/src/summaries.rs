@@ -10,11 +10,7 @@
 //!   acquire, each with a witness (line + callee link),
 //! * **blocks** — whether the function can reach an unbounded blocking
 //!   sink (condvar wait, blocking queue pop/push, socket IO, thread
-//!   join, ...), with a witness chain,
-//! * **sanitizes** — which declarative taint rules
-//!   ([`crate::ruleset::TaintRule`], by index) the function
-//!   (transitively) sanitizes for, by calling one of the rule's
-//!   sanitizers.
+//!   join, ...), with a witness chain.
 //!
 //! Lock classes are tied to *fields*: `state: OrderedMutex::new("fifo_queue.state", ..)`
 //! binds field `state` → class `fifo_queue.state` **within that file
@@ -32,7 +28,6 @@
 use crate::callgraph::{line_at, line_index, CallSite, Graph};
 use crate::lexer::is_ident_byte;
 use crate::parser::ParsedFile;
-use crate::ruleset::{CallPat, Ruleset};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One file handed to [`compute`]: original text + parsed items.
@@ -89,9 +84,6 @@ pub struct FnFacts {
     pub acquires: BTreeMap<String, AcqWitness>,
     /// Reachable unbounded blocking sink, if any.
     pub blocks: Option<BlockWitness>,
-    /// Taint rules (by index into `Ruleset::taint_rules`) this fn
-    /// transitively sanitizes for by calling a sanitizer.
-    pub sanitizes: BTreeSet<usize>,
 }
 
 /// Workspace-wide facts.
@@ -311,106 +303,6 @@ pub fn let_binding(slice: &str) -> Option<String> {
     }
 }
 
-/// Parameter names of a fn item, read from its signature text in the
-/// blanked code (the item parser does not model parameters). `self`
-/// and destructuring patterns are skipped — the taint engine treats
-/// only plain-ident parameters as taintable entry values.
-pub fn fn_params(code: &str, parsed: &ParsedFile, local_idx: usize) -> Vec<String> {
-    let Some(item) = parsed.fns.get(local_idx) else {
-        return Vec::new();
-    };
-    let starts = line_index(code);
-    let sig_start = starts.get(item.sig_line.saturating_sub(1)).copied().unwrap_or(0);
-    let sig_end = item.body.map(|(s, _)| s).unwrap_or(code.len()).min(code.len());
-    let sig = &code[sig_start.min(sig_end)..sig_end];
-    let b = sig.as_bytes();
-
-    // The param list opens at the first `(` after `fn` that is outside
-    // the generic parameter list (`fn f<F: Fn(u8)>(x: F)`).
-    let mut fn_at = None;
-    let mut from = 0;
-    while let Some(p) = sig[from..].find("fn") {
-        let s = from + p;
-        let e = s + 2;
-        if (s == 0 || !is_ident_byte(b[s - 1])) && (e >= b.len() || !is_ident_byte(b[e])) {
-            fn_at = Some(e);
-            break;
-        }
-        from = e;
-    }
-    let Some(mut i) = fn_at else { return Vec::new() };
-    let mut ang = 0i32;
-    let mut open = None;
-    while i < b.len() {
-        match b[i] {
-            b'<' => ang += 1,
-            b'>' => ang -= 1,
-            b'(' if ang <= 0 => {
-                open = Some(i);
-                break;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(open) = open else { return Vec::new() };
-    let mut depth = 0i32;
-    let mut close = sig.len();
-    for (j, ch) in b.iter().enumerate().skip(open) {
-        match ch {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = j;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let list = &sig[open + 1..close.min(sig.len())];
-
-    let mut out = Vec::new();
-    let (mut pd, mut ad) = (0i32, 0i32);
-    let mut seg_start = 0;
-    let lb = list.as_bytes();
-    for j in 0..=lb.len() {
-        let split = j == lb.len()
-            || (lb[j] == b',' && pd == 0 && ad == 0);
-        if j < lb.len() {
-            match lb[j] {
-                b'(' | b'[' => pd += 1,
-                b')' | b']' => pd -= 1,
-                b'<' => ad += 1,
-                b'>' => ad -= 1,
-                _ => {}
-            }
-        }
-        if !split {
-            continue;
-        }
-        let param = list[seg_start..j].trim();
-        seg_start = j + 1;
-        let name_part = param.split(':').next().unwrap_or("").trim();
-        let name = name_part
-            .trim_start_matches('&')
-            .trim()
-            .trim_start_matches("mut ")
-            .trim();
-        if name.is_empty()
-            || name == "self"
-            || name == "_"
-            || !name.bytes().all(is_ident_byte)
-            || name.bytes().next().is_some_and(|c| c.is_ascii_digit())
-        {
-            continue;
-        }
-        out.push(name.to_string());
-    }
-    out
-}
-
 /// Strips container wrappers and returns the base type name of a field
 /// declaration's type text (`Vec<OrderedRwLock<HashMap<K, V>>>` →
 /// `OrderedRwLock`, `Arc<FifoQueue<Job>>` → `FifoQueue`).
@@ -536,14 +428,8 @@ pub(crate) const ACQUIRE_METHODS: &[&str] =
     &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Computes workspace facts; also runs the field-type-driven second
-/// resolution pass over `graph` (mutating unresolved call sites). The
-/// `ruleset` supplies the sanitizer markers whose transitive
-/// reachability becomes the `sanitizes` fact set.
-pub fn compute(
-    files: &BTreeMap<String, FileEntry>,
-    graph: &mut Graph,
-    ruleset: &Ruleset,
-) -> Facts {
+/// resolution pass over `graph` (mutating unresolved call sites).
+pub fn compute(files: &BTreeMap<String, FileEntry>, graph: &mut Graph) -> Facts {
     let mut facts = Facts::default();
 
     // ---- lock classes & field types, per file -----------------------
@@ -764,12 +650,6 @@ pub fn compute(
                     });
                 }
             }
-            // Direct taint sanitizers, straight from the ruleset.
-            for (ti, rule) in ruleset.taint_rules.iter().enumerate() {
-                if CallPat::any(&rule.sanitizers, c) {
-                    ff.sanitizes.insert(ti);
-                }
-            }
         }
         facts.fns.push(ff);
     }
@@ -814,16 +694,6 @@ pub fn compute(
                         });
                         changed = true;
                     }
-                }
-                // sanitizes
-                let add: Vec<usize> = facts.fns[t]
-                    .sanitizes
-                    .difference(&facts.fns[fi].sanitizes)
-                    .copied()
-                    .collect();
-                for ti in add {
-                    facts.fns[fi].sanitizes.insert(ti);
-                    changed = true;
                 }
             }
         }
@@ -920,7 +790,7 @@ mod tests {
             })
             .collect();
         let mut graph = build(map.iter().map(|(p, e)| (p.as_str(), &e.parsed)));
-        let facts = compute(&map, &mut graph, crate::ruleset::embedded());
+        let facts = compute(&map, &mut graph);
         (map, graph, facts)
     }
 
@@ -1094,20 +964,6 @@ impl Pool {
         let chain = block_chain(&graph, &facts, ex);
         assert!(chain.contains("Pool::execute"), "{chain}");
         assert!(chain.contains("FifoQueue::pop"), "{chain}");
-    }
-
-    #[test]
-    fn sanitizer_facts_propagate() {
-        let src = r#"
-fn parse_path(env: &[u8]) { Envelope::parse(env); }
-fn outer(env: &[u8]) { parse_path(env); record(env); }
-fn record(env: &[u8]) {}
-"#;
-        let (_m, graph, facts) = setup(&[("crates/x/src/msg.rs", src)]);
-        let outer = fidx(&graph, "outer");
-        assert!(facts.fns[outer].sanitizes.contains(&0));
-        let rec = fidx(&graph, "record");
-        assert!(!facts.fns[rec].sanitizes.contains(&0));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! names moves or changes, the row fails loudly instead of going
 //! quietly stale. Every declarative rule id and the two coded graph
 //! rules have a row that fires (DESIGN §9's audit table): a rule no
-//! edit of the real source can make fire is deleted, not excused.
+//! edit of the real source can make fire is deleted, not excused. What
+//! the product's own tests make of the same edits is
+//! `scripts/mutants.sh`'s business (DESIGN §9.4).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -27,7 +29,6 @@ struct Row {
 }
 
 const STORE: &str = "crates/store/src/msgbox.rs";
-const MSG_SERVER: &str = "crates/core/src/rt/msg_server.rs";
 const REACTOR: &str = "crates/concurrent/src/reactor.rs";
 const POOL: &str = "crates/concurrent/src/pool.rs";
 
@@ -47,57 +48,6 @@ const ROWS: &[Row] = &[
         // A deregistration that forgets the gauge.
         edits: &[(REACTOR, "        self.tele.open_conns.dec();\n        drop(conns);\n", "        drop(conns);\n")],
         at: (REACTOR, "conns.remove(&cell.id)"),
-    },
-    Row {
-        rule: "scratch-use-after-take",
-        // `MsgDispatcherServer::accept` writes to the guard after the
-        // queue took its buffer.
-        edits: &[(
-            MSG_SERVER,
-            "        self.counters.acked.inc();\n        Response::empty(Status::ACCEPTED)",
-            "        scratch.out.clear();\n        self.counters.acked.inc();\n        Response::empty(Status::ACCEPTED)",
-        )],
-        at: (MSG_SERVER, "scratch.out.clear()"),
-    },
-    Row {
-        rule: "unvalidated-envelope-to-sink",
-        // Socket bytes appended before the parser has seen them.
-        edits: &[(
-            "crates/core/src/rt/reactor_front.rs",
-            "                    let mut parsed = self.parser.feed(&chunk[..n]);\n",
-            "                    self.wire.append(&mut chunk[..n].to_vec());\n                    let mut parsed = self.parser.feed(&chunk[..n]);\n",
-        )],
-        at: ("crates/core/src/rt/reactor_front.rs", "self.wire.append"),
-    },
-    Row {
-        rule: "wsa-rewrite-before-forward",
-        // The accept path resolves the destination but never rewrites.
-        edits: &[(
-            MSG_SERVER,
-            ".map(|xml| self.core.route_raw_into(xml, req.body.len(), now_us(), &mut scratch.out));",
-            ".map(|xml| self.core.resolve_raw(xml));",
-        )],
-        at: (MSG_SERVER, "if !self.enqueue(config, &to, scratch.take_out(), message_id)"),
-    },
-    Row {
-        rule: "shard-route-before-enqueue",
-        // The hub aims at the first live instance, not the ring's owner.
-        edits: &[(
-            "crates/experiments/src/fleet.rs",
-            "let Some(instance) = self.shard_route(self.service(key)) else {",
-            "let Some(instance) = self.view.first_live() else {",
-        )],
-        at: ("crates/experiments/src/fleet.rs", "self.enqueue_fleet(ctx, instance, key, now_us);"),
-    },
-    Row {
-        rule: "fleet-handoff-completion",
-        // A handoff that moved nothing is claimed and never completed.
-        edits: &[(
-            "crates/core/src/rt/fleet.rs",
-            "        let recovered = moved.iter()",
-            "        if moved.is_empty() {\n            return None;\n        }\n        let recovered = moved.iter()",
-        )],
-        at: ("crates/core/src/rt/fleet.rs", "self.handoffs.claim_for(successor)"),
     },
     Row {
         rule: "blocking-under-lock",

@@ -12,8 +12,7 @@ use wsd_lint::{analyze_files, parser, ruleset};
 
 const CHECKED_IN: &str = include_str!("../../../lint-rules.toml");
 
-/// The checked-in ruleset plus two made-up automata: one with an exit
-/// check, one whose only event is an error row.
+/// The checked-in ruleset plus a made-up automaton.
 const EXTENDED: &str = concat!(
     include_str!("../../../lint-rules.toml"),
     r#"
@@ -21,25 +20,10 @@ const EXTENDED: &str = concat!(
 name = "txn-commit-or-abort"
 doc = "A begun transaction is committed or aborted on every path out of the function."
 scopes = ["crates/demo/"]
-track = "ambient"
 states = ["idle", "open"]
 accepting = ["idle"]
-creates = []
 transitions = ["idle => open : txn.begin", "open => idle : txn.commit", "open => idle : txn.abort"]
-errors = []
 exit-message = "`{fn}` can exit with its transaction still open (state `{state}`)"
-
-[[typestate]]
-name = "lease-before-send"
-doc = "A page goes out only under a lease taken on the way to it."
-scopes = ["crates/demo/"]
-track = "ambient"
-states = ["unleased", "leased"]
-accepting = ["unleased", "leased"]
-creates = []
-transitions = ["unleased => leased : lease"]
-errors = ["unleased : send_now : `{call}` without a lease on the way into `{fn}`"]
-exit-message = ""
 "#
 );
 
@@ -94,41 +78,6 @@ fn a_rule_is_one_row() {
     let wa = analyze_files(&two_fns(), ruleset::embedded(), false);
     let rules: Vec<&str> = wa.findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, ["bad-suppression"], "{:#?}", wa.findings);
-}
-
-/// A row whose only event in a function is an error arc: `page` has
-/// no transition, creates or effectful call, only the error row's
-/// `send_now`. `relay` is called after a `lease`, so the hit inside it
-/// is discharged by its caller; `page` is an entry point and reports.
-const PAGER: &str = r#"
-struct Pager { link: Link }
-impl Pager {
-    fn page(&self) {
-        self.link.send_now();
-    }
-    fn relay(&self) {
-        self.link.send_now();
-    }
-    fn leased(&self) {
-        self.link.lease();
-        self.relay();
-    }
-}
-"#;
-
-#[test]
-fn an_error_row_alone_gates_a_function_in() {
-    let rs = ruleset::parse_toml(EXTENDED).expect("extended ruleset parses");
-    let entry = FileEntry {
-        source: PAGER.to_string(),
-        parsed: parser::parse(PAGER),
-    };
-    let files = [("crates/demo/src/pager.rs".to_string(), entry)].into_iter().collect();
-    let wa = analyze_files(&files, &rs, false);
-    assert_eq!(wa.findings.len(), 1, "{:#?}", wa.findings);
-    let f = &wa.findings[0];
-    assert_eq!((f.rule, f.line), ("lease-before-send", 5));
-    assert!(f.excerpt.contains("into `Pager::page`"), "{f:#?}");
 }
 
 #[test]

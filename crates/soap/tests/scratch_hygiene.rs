@@ -47,6 +47,30 @@ fn rechecked_out_scratch_never_leaks_previous_envelope() {
 }
 
 #[test]
+fn a_write_after_take_out_never_reaches_the_next_checkout() {
+    // The guard outlives the buffer `take_out` moved out: a later write
+    // lands in the empty buffer left behind, and the guard's drop must
+    // scrub that one like any other before the pool hands it out again.
+    let mut g = checkout();
+    g.out.push_str("<a/>");
+    assert_eq!(g.take_out(), "<a/>");
+    g.out.push_str(SECRET);
+    drop(g);
+
+    let g = checkout();
+    assert!(g.out.is_empty(), "a write after take_out reached the next checkout");
+    #[cfg(debug_assertions)]
+    {
+        // SAFETY: as above — reset() poisoned every capacity byte.
+        let spare = unsafe { std::slice::from_raw_parts(g.out.as_ptr(), g.out.capacity()) };
+        assert!(
+            spare.iter().all(|&b| b == wsd_soap::scratch::POISON),
+            "spare capacity still holds bytes written after take_out"
+        );
+    }
+}
+
+#[test]
 fn raw_fault_bytes_do_not_leak_across_checkouts() {
     // Write a fault with a distinctive reason through the raw byte path.
     let mut g = checkout();
