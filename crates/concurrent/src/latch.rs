@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use parking_lot::Condvar;
 
-use crate::ordered::OrderedMutex;
+use crate::ordered::{audit, OrderedMutex};
 
 /// A one-shot barrier initialized with a count; waiters block until the
 /// count reaches zero.
@@ -47,6 +47,7 @@ impl CountDownLatch {
 
     /// Blocks until the count reaches zero.
     pub fn wait(&self) {
+        audit::assert_unlocked("CountDownLatch::wait");
         let mut c = self.inner.count.lock();
         while *c > 0 {
             c.wait(&self.inner.zero);

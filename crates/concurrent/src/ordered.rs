@@ -1,8 +1,6 @@
-//! Lock-order auditing: the dynamic companion to `wsd-lint`.
+//! Lock-order auditing and the blocking check, both debug-build only.
 //!
-//! `wsd-lint` statically enforces *which* lock types the dispatcher may
-//! use; this module dynamically enforces *in what order* it may take
-//! them. [`OrderedMutex`] and [`OrderedRwLock`] wrap the parking_lot
+//! [`OrderedMutex`] and [`OrderedRwLock`] wrap the parking_lot
 //! primitives and, under `debug_assertions` (so: under `cargo test`,
 //! zero-cost in release), record every lock-acquisition *attempt* into a
 //! process-global order graph keyed by lock *class* (a `&'static str`
@@ -12,6 +10,15 @@
 //! the right interleaving — and the auditor panics immediately with the
 //! cycle, instead of letting the test suite hang on the day the
 //! schedules collide.
+//!
+//! The same per-thread stack of held classes backs
+//! [`audit::assert_unlocked`], which the unbounded blocking calls
+//! (a queue push or pop that can park, a latch wait, a guard's condvar
+//! wait with a second lock held, a join, a sleep) make first: a thread
+//! parked while it holds an ordered lock wedges every peer of that
+//! lock's class, so the call panics with the held classes. It fires on the
+//! call, not on an actual park, so a test that only runs the path
+//! catches it.
 //!
 //! Two deliberate choices:
 //!
@@ -131,8 +138,14 @@ impl<T> OrderedRwLock<T> {
 impl<'a, T> OrderedMutexGuard<'a, T> {
     /// Parks on `cv` until notified. The audit frame is released for
     /// the duration of the park (the mutex is not held while parked).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if this thread holds any other ordered
+    /// lock: only the guard's own lock is released while parked.
     pub fn wait(&mut self, cv: &Condvar) {
         audit::release(self.name);
+        audit::assert_unlocked("OrderedMutexGuard::wait");
         cv.wait(&mut self.guard);
         audit::acquire(self.name);
     }
@@ -200,7 +213,8 @@ impl<T> Drop for OrderedWriteGuard<'_, T> {
     }
 }
 
-/// The global order graph and per-thread held stack.
+/// The global order graph, the per-thread held stack, and the
+/// blocking check that reads it.
 ///
 /// All functions are no-ops in release builds.
 pub mod audit {
@@ -299,6 +313,16 @@ pub mod audit {
             });
         }
 
+        pub fn assert_unlocked(what: &str) {
+            let held: Vec<&'static str> = HELD.with(|h| h.borrow().clone());
+            assert!(
+                held.is_empty(),
+                "{what} can block without bound while this thread holds ordered \
+                 lock(s) {held:?} — a thread parked under a lock wedges every peer \
+                 of its class"
+            );
+        }
+
         /// Snapshot of the recorded edge set, for tests/diagnostics.
         pub fn edges() -> Vec<(&'static str, &'static str)> {
             let g = graph().lock();
@@ -327,6 +351,16 @@ pub mod audit {
         imp::release(name);
         #[cfg(not(debug_assertions))]
         let _ = name;
+    }
+
+    /// Panics (debug builds) if this thread holds any ordered lock:
+    /// `what` names a call about to block without bound, which must not
+    /// park with a lock held.
+    pub fn assert_unlocked(what: &str) {
+        #[cfg(debug_assertions)]
+        imp::assert_unlocked(what);
+        #[cfg(not(debug_assertions))]
+        let _ = what;
     }
 
     /// The recorded acquisition-order edges (debug builds; empty in
@@ -461,6 +495,95 @@ mod tests {
         // drop; taking an unrelated lock now must not see t6.m held.
         let _o = other.lock();
         assert!(!audit::edges().contains(&("t6.m", "t6.other")));
+    }
+
+    /// The payload of the panic `f` raises (a formatted message).
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn blocking_calls_under_an_ordered_lock_panic_naming_it() {
+        let held = OrderedMutex::new("t8.held", ());
+        let full = crate::FifoQueue::bounded(1);
+        full.push(1u8).unwrap();
+        let push = || {
+            let _ = crate::FifoQueue::bounded(1).push(1u8);
+        };
+        let pop = || {
+            let _ = full.pop();
+        };
+        let wait = || crate::CountDownLatch::new(0).wait();
+        let sleep = || audit::assert_unlocked("a sleep");
+        let calls = [
+            ("FifoQueue::push", &push as &dyn Fn()),
+            ("FifoQueue::pop", &pop),
+            ("CountDownLatch::wait", &wait),
+            ("a sleep", &sleep),
+        ];
+        for (what, call) in calls {
+            let msg = panic_message(|| {
+                let _g = held.lock();
+                call();
+            });
+            assert!(
+                msg.contains(what) && msg.contains("t8.held"),
+                "{what}: {msg}"
+            );
+        }
+        // Unlocked, every one of them goes through; the refused pop took
+        // nothing.
+        assert_eq!(full.pop(), Ok(1));
+        full.push(2).unwrap();
+        crate::CountDownLatch::new(0).wait();
+        audit::assert_unlocked("a sleep");
+    }
+
+    #[test]
+    fn a_wait_on_the_guards_own_condvar_is_exempt() {
+        let m = Arc::new(OrderedMutex::new("t9.m", false));
+        let cv = Arc::new(Condvar::new());
+        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
+        let h = std::thread::spawn(move || {
+            *m2.lock() = true;
+            cv2.notify_all();
+        });
+        let mut g = m.lock();
+        while !*g {
+            g.wait(&cv);
+        }
+        drop(g);
+        h.join().expect("signaller");
+    }
+
+    /// Run on a helper thread: without the check the wait parks for
+    /// good, and the test fails on the latch instead of hanging.
+    #[test]
+    fn a_wait_while_another_class_is_held_panics() {
+        let done = crate::CountDownLatch::new(1);
+        let msg = Arc::new(parking_lot::Mutex::new(String::new()));
+        {
+            let (done, msg) = (done.clone(), Arc::clone(&msg));
+            std::thread::spawn(move || {
+                let other = OrderedMutex::new("t10.other", ());
+                let m = OrderedMutex::new("t10.m", ());
+                let cv = Condvar::new();
+                *msg.lock() = panic_message(|| {
+                    let _o = other.lock();
+                    let mut g = m.lock();
+                    g.wait(&cv);
+                });
+                done.count_down();
+            });
+        }
+        assert!(
+            done.wait_timeout(Duration::from_secs(5)),
+            "the wait parked under t10.other"
+        );
+        let msg = msg.lock().clone();
+        assert!(msg.contains("t10.other") && !msg.contains("t10.m"), "{msg}");
     }
 
     #[test]

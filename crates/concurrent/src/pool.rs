@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use wsd_telemetry::{Counter, Gauge, Scope};
 
-use crate::ordered::OrderedMutex;
+use crate::ordered::{audit, OrderedMutex};
 use crate::queue::{FifoQueue, PopError, PushError};
 
 /// Errors surfaced by pool submission.
@@ -291,14 +291,24 @@ impl ThreadPool {
         self.shared.queue.close();
         let handles: Vec<_> = std::mem::take(&mut *self.handles.lock());
         for h in handles {
+            audit::assert_unlocked("ThreadPool::shutdown's join");
             let _ = h.join();
         }
     }
 }
 
 impl Drop for ThreadPool {
+    /// Shuts down, except while the thread unwinds: a worker may then be
+    /// parked on something only the panicking code would have released,
+    /// and joining it would hang. The pool still closes, so every worker
+    /// exits once its job returns.
     fn drop(&mut self) {
-        self.shutdown();
+        if thread::panicking() {
+            self.shared.shutdown.store(true, Ordering::Release);
+            self.shared.queue.close();
+        } else {
+            self.shutdown();
+        }
     }
 }
 
@@ -472,6 +482,31 @@ mod tests {
             joined.wait_timeout(Duration::from_secs(5)),
             "shutdown never joined its parked core workers"
         );
+    }
+
+    /// A test that fails while its jobs wait on a latch only it would
+    /// release must fail, not hang: the pool dropped during the unwind
+    /// does not join them. Run on a helper thread, a join would be a
+    /// latch never counted down.
+    #[test]
+    fn a_pool_dropped_while_unwinding_does_not_join() {
+        let release = crate::CountDownLatch::new(1);
+        let unwound = crate::CountDownLatch::new(1);
+        {
+            let (release, unwound) = (release.clone(), unwound.clone());
+            thread::spawn(move || {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let pool = ThreadPool::new(PoolConfig::fixed("t", 1)).unwrap();
+                    pool.execute(move || release.wait()).unwrap();
+                    panic!("failing with a job parked on the latch");
+                }));
+                assert!(r.is_err());
+                unwound.count_down();
+            });
+        }
+        let returned = unwound.wait_timeout(Duration::from_secs(5));
+        release.count_down();
+        assert!(returned, "the unwind joined a worker parked on the latch");
     }
 
     #[test]

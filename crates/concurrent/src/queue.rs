@@ -12,7 +12,7 @@ use std::time::Duration;
 use parking_lot::Condvar;
 use wsd_telemetry::{Counter, Gauge, Scope};
 
-use crate::ordered::{OrderedMutex, OrderedMutexGuard};
+use crate::ordered::{audit, OrderedMutex, OrderedMutexGuard};
 
 /// Error returned by push operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,6 +138,7 @@ impl<T> FifoQueue<T> {
 
     /// Pushes an element, blocking while the queue is full.
     pub fn push(&self, value: T) -> Result<(), PushError<T>> {
+        audit::assert_unlocked("FifoQueue::push");
         let mut st = self.inner.state.lock();
         loop {
             if st.closed {
@@ -178,6 +179,7 @@ impl<T> FifoQueue<T> {
     ///
     /// Returns [`PopError::Closed`] once the queue is closed and drained.
     pub fn pop(&self) -> Result<T, PopError> {
+        audit::assert_unlocked("FifoQueue::pop");
         let mut st = self.inner.state.lock();
         loop {
             if let Some(v) = st.items.pop_front() {

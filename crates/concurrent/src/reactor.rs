@@ -321,8 +321,8 @@ impl<C: ReactorConn> Shared<C> {
     /// that job, which gets here itself or — closed by `shutdown` —
     /// finds `stop` set or the cell `Closed` at its next step.
     fn deregister(&self, cell: &Cell<C>) {
-        // `conns.remove` then `open_conns.dec`: the pair wsd-lint's
-        // `reactor-conn-accounting` automaton follows.
+        // `conns.remove` then `open_conns.dec`: the race tests read
+        // both back at 0 after every teardown (`reactor_races`).
         let mut conns = self.conns.lock();
         if conns.remove(&cell.id).is_none() {
             return;

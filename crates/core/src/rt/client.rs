@@ -201,6 +201,7 @@ impl MailboxClient {
             if !got.is_empty() || clock.now_us() >= deadline_us {
                 return Ok(got);
             }
+            wsd_concurrent::ordered::audit::assert_unlocked("MailboxClient::poll_until's interval");
             std::thread::sleep(interval);
         }
     }

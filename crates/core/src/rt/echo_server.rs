@@ -76,6 +76,7 @@ impl EchoServer {
                         Ok(echo) => echo,
                         Err(reject) => return reject,
                     };
+                    wsd_concurrent::ordered::audit::assert_unlocked("the echo's service delay");
                     std::thread::sleep(service_delay);
                     books.process(&echo);
                     match echo {

@@ -199,6 +199,7 @@ impl Network {
     /// fast with `ConnectionRefused` (an RST).
     pub fn connect(&self, host: &str, port: u16) -> io::Result<PipeStream> {
         if self.firewalled.lock().contains(host) {
+            wsd_concurrent::ordered::audit::assert_unlocked("a firewalled connect");
             std::thread::sleep(self.firewall_delay);
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use wsd_concurrent::ordered::audit;
 use wsd_concurrent::{FifoQueue, PoolConfig, PopError, ShardedMap, ThreadPool};
 use wsd_http::{HttpClient, Request, Response, Status};
 use wsd_soap::SoapVersion;
@@ -190,6 +191,7 @@ impl MsgDispatcherServer {
     pub fn shutdown(&self) {
         self.stop.close();
         if let Some(h) = self.janitor_thread.lock().take() {
+            audit::assert_unlocked("MsgDispatcherServer::shutdown's join");
             let _ = h.join();
         }
         // The accept side first: once the CxThreads are joined nothing

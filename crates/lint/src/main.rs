@@ -1,36 +1,26 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! wsd-lint [--root PATH] [--check] [--json PATH] [--self]
-//!          [--budget-ms N] [--explain RULE]
+//! wsd-lint [--root PATH] [--check] [--self] [--budget-ms N] [--explain RULE]
 //! ```
 //!
 //! * default: report all unsuppressed findings, exit 0.
 //! * `--check`: exit 1 when there is any unsuppressed finding.
-//! * `--json PATH`: also write the report as JSON (`-` for stdout): an
-//!   object with the `findings` and a `summary` of the finding and
-//!   suppression counts and the analysis time.
 //! * `--self`: lint `crates/lint` itself with the full rule set (no
 //!   path scoping) — any finding fails, as under `--check`.
 //! * `--budget-ms N`: fail (exit 1) when the analysis wall time exceeds
 //!   `N` milliseconds — the linter's own performance is part of the
-//!   contract (it runs on every `verify.sh lint`). The measured time is
-//!   reported as `check_ms` in the `--json` summary either way, as an
-//!   object: `total` plus one entry per engine stage (lexical, graph,
-//!   interproc, typestate, and `waitgraph` for the lock-order graph), so
-//!   budget regressions are attributable to a stage.
-//! * `--explain RULE`: print the rule's engine kind and hint, and (for
-//!   declarative rules) its `lint-rules.toml` row as written, then exit.
+//!   contract (it runs on every `verify.sh lint`).
+//! * `--explain RULE`: print what the rule protects, then exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wsd_lint::{analyze_workspace, rules, ruleset};
+use wsd_lint::{analyze_workspace, rules};
 
 struct Opts {
     root: PathBuf,
     check: bool,
-    json_path: Option<String>,
     self_mode: bool,
     budget_ms: Option<u64>,
     explain: Option<String>,
@@ -40,7 +30,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: PathBuf::from("."),
         check: false,
-        json_path: None,
         self_mode: false,
         budget_ms: None,
         explain: None,
@@ -52,9 +41,6 @@ fn parse_args() -> Result<Opts, String> {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a path")?);
             }
             "--check" => opts.check = true,
-            "--json" => {
-                opts.json_path = Some(args.next().ok_or("--json needs a path (or -)")?);
-            }
             "--self" => opts.self_mode = true,
             "--budget-ms" => {
                 let n = args.next().ok_or("--budget-ms needs a number")?;
@@ -68,8 +54,7 @@ fn parse_args() -> Result<Opts, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "wsd-lint [--root PATH] [--check] [--json PATH] [--self] \
-                     [--budget-ms N] [--explain RULE]"
+                    "wsd-lint [--root PATH] [--check] [--self] [--budget-ms N] [--explain RULE]"
                 );
                 std::process::exit(0);
             }
@@ -79,92 +64,15 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The `--json` payload: the findings and a summary with the stage
-/// breakdown of `check_ms`.
-fn report_json(
-    findings: &[rules::Finding],
-    suppressions: usize,
-    check_ms: u128,
-    timings: &[(&'static str, u128)],
-) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (idx, f) in findings.iter().enumerate() {
-        let witness = match &f.witness {
-            Some(w) => format!(", \"witness\": \"{}\"", escape(w)),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"excerpt\": \"{}\"{}}}{}",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.excerpt),
-            witness,
-            if idx + 1 == findings.len() {
-                "\n"
-            } else {
-                ",\n"
-            }
-        ));
-    }
-    let stages: String = timings
-        .iter()
-        .map(|(name, ms)| format!(", \"{name}\": {ms}"))
-        .collect();
-    out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"findings\": {}, \"suppressions\": {suppressions}, \"check_ms\": {{\"total\": {check_ms}{stages}}}}}\n}}\n",
-        findings.len()
-    ));
-    out
-}
-
-fn write_out(path: &str, text: &str) -> Result<(), ExitCode> {
-    if path == "-" {
-        print!("{text}");
-        Ok(())
-        // wsd-lint: allow(raw-file-io): the JSON report is an artifact, not durable state
-    } else if let Err(e) = std::fs::write(path, text) {
-        eprintln!("wsd-lint: cannot write {path}: {e}");
-        Err(ExitCode::from(2))
-    } else {
-        Ok(())
-    }
-}
-
-/// `--explain RULE`: engine kind, then a coded rule's hint or a
-/// declarative rule's `lint-rules.toml` row exactly as written there
-/// (its `doc` line is the hint).
+/// `--explain RULE`: what the rule protects.
 fn explain(rule: &str) -> ExitCode {
-    let rs = ruleset::embedded();
-    if let Some(row) = rs.row(rule) {
-        println!("{rule} — typestate automaton (path-sensitive dataflow)");
-        println!("\nlint-rules.toml, line {}:\n{}", row.line, row.text);
-        ExitCode::SUCCESS
-    } else if rules::RULE_NAMES.contains(&rule) {
-        println!("{rule} — built-in (lexical/interprocedural; no TOML row)");
-        println!("  -> {}", rules::rule_hint(rule));
+    if rules::RULE_NAMES.contains(&rule) {
+        println!("{rule}\n  -> {}", rules::rule_hint(rule));
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "wsd-lint: unknown rule {rule:?}; known rules: {}",
-            rs.rule_names().collect::<Vec<_>>().join(", ")
+            rules::RULE_NAMES.join(", ")
         );
         ExitCode::from(2)
     }
@@ -202,8 +110,8 @@ fn main() -> ExitCode {
     let check_ms = t0.elapsed().as_millis();
     let findings = &analysis.findings;
 
-    // Human output: findings grouped per file, witness and hint
-    // indented under each.
+    // Human output: findings grouped per file, the hint indented under
+    // each.
     let mut last_file = "";
     for f in findings {
         if f.file != last_file {
@@ -211,29 +119,16 @@ fn main() -> ExitCode {
             last_file = &f.file;
         }
         println!("{:<5} [{}] {}", f.line, f.rule, f.excerpt);
-        if let Some(w) = &f.witness {
-            println!("       witness: {w}");
-        }
-        println!("       -> {}", ruleset::embedded().hint(f.rule));
+        println!("       -> {}", rules::rule_hint(f.rule));
     }
     if opts.self_mode && findings.is_empty() {
-        println!(
-            "wsd-lint --self: clean ({} fn(s) in the self call graph)",
-            analysis.graph.fns.len()
-        );
+        println!("wsd-lint --self: clean ({} file(s))", analysis.files);
     } else {
         println!(
             "wsd-lint: {} finding(s), {} suppression(s) with reasons, analysis {check_ms}ms",
             findings.len(),
             analysis.suppressions
         );
-    }
-
-    if let Some(path) = &opts.json_path {
-        let text = report_json(findings, analysis.suppressions, check_ms, &analysis.timings);
-        if let Err(code) = write_out(path, &text) {
-            return code;
-        }
     }
 
     if (opts.check || opts.self_mode) && !findings.is_empty() {

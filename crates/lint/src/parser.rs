@@ -1,51 +1,23 @@
-//! A lightweight Rust *item* parser on top of [`crate::lexer`].
+//! Which lines are test code, on top of [`crate::lexer`].
 //!
-//! The lexer blanks strings and comments; this module recovers just
-//! enough structure from the blanked code for interprocedural analysis:
-//! `fn` items with byte-accurate body spans, the `impl` block each
-//! method lives in (for `Type::method` qualified names), and which
-//! lines sit under `#[cfg(test)]` / `#[test]` items (test code is
-//! exempt from every rule and excluded from the call graph).
+//! The lexer blanks strings and comments; this module tracks scopes on
+//! the blanked code to find the lines under `#[cfg(test)]` / `#[test]`
+//! items, which every rule exempts.
 //!
 //! This is deliberately *not* a Rust grammar. It is a scope tracker:
-//! braces open and close scopes, and a scope is classified by the item
-//! keyword (`fn` / `mod` / `impl` / `trait`) that introduced it. That
-//! is enough to place every call site inside the right function, which
-//! is all the call graph needs, while staying dependency-free (no
-//! rustc, no syn — the linter must never break the build for
-//! environmental reasons).
+//! braces open and close scopes, and a scope opened by an item keyword
+//! (`fn` / `mod` / `impl` / `trait`) under a test attribute is test
+//! code, from the test attribute's line to its closing brace. That stays
+//! dependency-free (no rustc, no syn — the linter must never break the
+//! build for environmental reasons).
 
 use crate::lexer::{strip, Stripped};
 
-/// One `fn` item recovered from a file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnItem {
-    /// Bare function name (`route_raw`).
-    pub name: String,
-    /// `Type::name` when declared inside an `impl` block (trait impls
-    /// qualify by the *implementing* type), otherwise the bare name.
-    pub qualified: String,
-    /// 1-based line of the `fn` keyword.
-    pub sig_line: usize,
-    /// 1-based line of the body's closing brace (== `sig_line` for
-    /// bodyless trait/extern declarations).
-    pub end_line: usize,
-    /// Byte span `[start, end)` of the body *including* both braces, as
-    /// offsets into the blanked code ([`Stripped::code`]); `None` for
-    /// bodyless declarations.
-    pub body: Option<(usize, usize)>,
-    /// Whether this function is test collateral: it or an enclosing
-    /// item carries `#[cfg(test)]` / `#[test]`.
-    pub is_test: bool,
-}
-
-/// A parsed file: the stripped source plus its items.
+/// A parsed file: the stripped source plus its test lines.
 #[derive(Debug)]
 pub struct ParsedFile {
     /// Blanked code + comments (see [`crate::lexer::strip`]).
     pub stripped: Stripped,
-    /// Every `fn` item, in source order.
-    pub fns: Vec<FnItem>,
     /// Per-line flag (index 0 = line 1): the line lies inside an item
     /// marked `#[cfg(test)]` / `#[test]`, including the attribute line
     /// itself.
@@ -55,177 +27,55 @@ pub struct ParsedFile {
 impl ParsedFile {
     /// Whether 1-based `line` is test collateral.
     pub fn is_test_line(&self, line: usize) -> bool {
-        self.test_lines.get(line.saturating_sub(1)).copied().unwrap_or(false)
-    }
-
-    /// The innermost function whose body span contains byte `offset`
-    /// of the blanked code, if any.
-    pub fn fn_at(&self, offset: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (idx, f) in self.fns.iter().enumerate() {
-            if let Some((s, e)) = f.body {
-                if s <= offset && offset < e {
-                    // Innermost = smallest span containing the offset.
-                    let better = match best {
-                        Some(b) => {
-                            let (bs, be) = self.fns[b].body.unwrap();
-                            (e - s) < (be - bs)
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best = Some(idx);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Body spans of functions nested strictly inside `outer`'s body
-    /// (used to keep a nested `fn`'s calls out of the outer summary).
-    pub fn nested_spans(&self, outer: usize) -> Vec<(usize, usize)> {
-        let Some((os, oe)) = self.fns[outer].body else {
-            return Vec::new();
-        };
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(i, f)| {
-                *i != outer
-                    && f.body.is_some_and(|(s, e)| os < s && e <= oe)
-            })
-            .filter_map(|(_, f)| f.body)
-            .collect()
+        self.test_lines
+            .get(line.saturating_sub(1))
+            .copied()
+            .unwrap_or(false)
     }
 }
 
 /// Does an attribute body mark its item as test collateral?
 fn attr_is_test(attr: &str) -> bool {
     let a = attr.trim();
-    a == "test"
-        || a.ends_with("::test")
-        || (a.starts_with("cfg") && a.contains("test"))
+    a == "test" || a.ends_with("::test") || (a.starts_with("cfg") && a.contains("test"))
 }
 
-#[derive(Debug)]
-enum ScopeKind {
-    /// `mod name { ... }`
-    Mod,
-    /// `impl [Trait for] Type { ... }` — carries the type name.
-    Impl(String),
-    /// `trait Name { ... }` — methods qualify by the trait name.
-    Trait(String),
-    /// `fn name(..) { ... }` — index into `fns`.
-    Fn(usize),
-    /// Any other brace pair (blocks, match bodies, struct literals...).
-    Block,
-}
-
-struct Scope {
-    kind: ScopeKind,
-    is_test: bool,
-    start_line: usize,
-    /// Line the item's *first* attribute started on (the `#[cfg(test)]`
-    /// line itself counts as test collateral).
-    attr_line: usize,
-}
-
-/// What the tokens since the last statement boundary announce the next
-/// `{` to be.
-#[derive(Debug)]
-enum Pending {
-    Mod,
-    Impl,
-    Trait { name: String },
-    Fn { item: usize },
-}
-
-/// Extracts the implementing type name from the text between `impl` and
-/// its `{`: the segment after a trailing ` for ` if present (trait
-/// impls), with leading generics and path qualifiers dropped.
-fn impl_type_name(text: &str) -> String {
-    let text = text.trim();
-    // `impl<T: Fn(u8) -> u8> Foo<T>` — drop one leading <...> group,
-    // tolerating `->` inside it.
-    let mut rest = text;
-    if let Some(after) = rest.strip_prefix('<') {
-        let b = after.as_bytes();
-        let mut depth = 1i32;
-        let mut i = 0;
-        while i < b.len() && depth > 0 {
-            match b[i] {
-                b'<' => depth += 1,
-                b'>' if i == 0 || b[i - 1] != b'-' => depth -= 1,
-                _ => {}
-            }
-            i += 1;
-        }
-        rest = &after[i..];
+/// Marks lines `from..=to` (1-based) as test code.
+fn mark(test_lines: &mut [bool], from: usize, to: usize) {
+    for t in test_lines.iter_mut().take(to).skip(from - 1) {
+        *t = true;
     }
-    // Trait impl: take the type after the last top-level ` for `.
-    let rest = match rest.rfind(" for ") {
-        Some(pos) => &rest[pos + 5..],
-        None => rest,
-    };
-    let rest = rest.trim().trim_start_matches('&');
-    let head: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
-        .collect();
-    head.rsplit("::").next().unwrap_or(&head).to_string()
 }
 
-/// Parses one file's items. `source` is the original text; stripping is
-/// done internally so callers get the [`Stripped`] back alongside.
+/// Parses one file. `source` is the original text; stripping is done
+/// internally so callers get the [`Stripped`] back alongside.
 pub fn parse(source: &str) -> ParsedFile {
     let stripped = strip(source);
-    let code = stripped.code.clone();
+    let code = stripped.code.as_str();
     let b = code.as_bytes();
-    let total_lines = code.lines().count();
-    let mut fns: Vec<FnItem> = Vec::new();
-    let mut test_lines = vec![false; total_lines.max(1)];
-    let mut scopes: Vec<Scope> = Vec::new();
-    let mut pending: Option<Pending> = None;
-    let mut pending_attr_test = false;
-    let mut pending_attr_line = 0usize;
-    let mut impl_text_start: Option<usize> = None;
+    let mut test_lines = vec![false; code.lines().count().max(1)];
+    // Per open brace: the line of its test attribute, when it opens a
+    // test item.
+    let mut scopes: Vec<Option<usize>> = Vec::new();
+    // An item keyword has been seen and its `{` (or `;`) is still ahead.
+    let mut item_pending = false;
+    // The line of the first test attribute since the last `{` or `;`.
+    let mut test_attr: Option<usize> = None;
 
     let mut i = 0usize;
     let mut line = 1usize;
 
-    let in_test = |scopes: &[Scope], own: bool| -> bool {
-        own || scopes.iter().any(|s| s.is_test)
-    };
-    let impl_ctx = |scopes: &[Scope]| -> Option<String> {
-        scopes.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Impl(t) | ScopeKind::Trait(t) => Some(t.clone()),
-            _ => None,
-        })
-    };
-
-    let mark_test =
-        |test_lines: &mut Vec<bool>, from: usize, to: usize| {
-            for l in from..=to {
-                if l >= 1 && l <= test_lines.len() {
-                    test_lines[l - 1] = true;
-                }
-            }
-        };
-
     while i < b.len() {
-        let c = b[i] as char;
-        match c {
-            '\n' => {
+        match b[i] {
+            b'\n' => {
                 line += 1;
                 i += 1;
             }
-            '#' if b.get(i + 1) == Some(&b'[') => {
+            b'#' if b.get(i + 1) == Some(&b'[') => {
                 // Attribute: capture balanced brackets.
                 let start_line = line;
                 let mut depth = 0i32;
                 let mut j = i + 1;
-                let text_start = i + 2;
                 while j < b.len() {
                     match b[j] {
                         b'[' => depth += 1,
@@ -240,183 +90,61 @@ pub fn parse(source: &str) -> ParsedFile {
                     }
                     j += 1;
                 }
-                let text = &code[text_start..j.min(code.len())];
-                if attr_is_test(text) {
-                    if !pending_attr_test {
-                        pending_attr_line = start_line;
-                    }
-                    pending_attr_test = true;
-                } else if pending_attr_line == 0 {
-                    pending_attr_line = start_line;
-                }
-                if pending_attr_line == 0 {
-                    pending_attr_line = start_line;
+                if test_attr.is_none() && attr_is_test(&code[i + 2..j.min(code.len())]) {
+                    test_attr = Some(start_line);
                 }
                 i = j + 1;
             }
-            '{' => {
-                let (kind, own_test) = match pending.take() {
-                    Some(Pending::Mod) => (ScopeKind::Mod, pending_attr_test),
-                    Some(Pending::Impl) => {
-                        let text_start = impl_text_start.take().unwrap_or(i);
-                        let text = &code[text_start..i];
-                        (ScopeKind::Impl(impl_type_name(text)), pending_attr_test)
-                    }
-                    Some(Pending::Trait { name }) => {
-                        (ScopeKind::Trait(name), pending_attr_test)
-                    }
-                    Some(Pending::Fn { item }) => {
-                        fns[item].body = Some((i, i + 1)); // end patched on pop
-                        (ScopeKind::Fn(item), fns[item].is_test)
-                    }
-                    None => (ScopeKind::Block, false),
-                };
-                let attr_line = if pending_attr_line != 0 {
-                    pending_attr_line
-                } else {
-                    line
-                };
-                scopes.push(Scope {
-                    kind,
-                    is_test: own_test,
-                    start_line: line,
-                    attr_line,
-                });
-                pending_attr_test = false;
-                pending_attr_line = 0;
+            b'{' => {
+                scopes.push(test_attr.filter(|_| item_pending));
+                (item_pending, test_attr) = (false, None);
                 i += 1;
             }
-            '}' => {
-                if let Some(scope) = scopes.pop() {
-                    if let ScopeKind::Fn(idx) = scope.kind {
-                        if let Some((s, _)) = fns[idx].body {
-                            fns[idx].body = Some((s, i + 1));
-                        }
-                        fns[idx].end_line = line;
-                    }
-                    if scope.is_test {
-                        mark_test(&mut test_lines, scope.attr_line.min(scope.start_line), line);
-                    }
+            b'}' => {
+                if let Some(Some(from)) = scopes.pop() {
+                    mark(&mut test_lines, from, line);
                 }
                 i += 1;
             }
-            ';' => {
+            b';' => {
                 // Statement boundary: bodyless items and attrs resolve.
-                pending = None;
-                impl_text_start = None;
-                pending_attr_test = false;
-                pending_attr_line = 0;
+                (item_pending, test_attr) = (false, None);
                 i += 1;
             }
-            c if c.is_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < b.len()
-                    && ((b[i] as char).is_alphanumeric() || b[i] == b'_')
-                {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                let word = &code[start..i];
-                match word {
-                    "mod" => pending = Some(Pending::Mod),
-                    "trait" => {
-                        // Next word is the trait name.
-                        let mut j = i;
-                        while j < b.len() && (b[j] as char).is_whitespace() {
-                            if b[j] == b'\n' {
-                                line += 1;
-                            }
-                            j += 1;
-                        }
-                        let ns = j;
-                        while j < b.len()
-                            && ((b[j] as char).is_alphanumeric() || b[j] == b'_')
-                        {
-                            j += 1;
-                        }
-                        pending = Some(Pending::Trait {
-                            name: code[ns..j].to_string(),
-                        });
-                        i = j;
-                    }
-                    "impl" => {
-                        pending = Some(Pending::Impl);
-                        impl_text_start = Some(i);
-                    }
+                match &code[start..i] {
+                    "mod" | "impl" | "trait" => item_pending = true,
+                    // `fn` as a *type* (`fn(u8) -> u8`) has no name.
                     "fn" => {
-                        // `fn` as a *type* (`fn(u8) -> u8`) has no name;
-                        // require an identifier next.
-                        let mut j = i;
-                        while j < b.len() && (b[j] as char).is_whitespace() {
-                            if b[j] == b'\n' {
-                                line += 1;
-                            }
-                            j += 1;
-                        }
-                        let ns = j;
-                        while j < b.len()
-                            && ((b[j] as char).is_alphanumeric() || b[j] == b'_')
-                        {
-                            j += 1;
-                        }
-                        if j == ns {
-                            i = j;
-                            continue;
-                        }
-                        let name = code[ns..j].to_string();
-                        let is_test = in_test(&scopes, pending_attr_test);
-                        let qualified = match impl_ctx(&scopes) {
-                            Some(t) => format!("{t}::{name}"),
-                            None => name.clone(),
-                        };
-                        let sig_line = line;
-                        if pending_attr_test {
-                            // `#[test]` fn: the attribute line onward is
-                            // test collateral even before the body opens.
-                            mark_test(
-                                &mut test_lines,
-                                if pending_attr_line != 0 { pending_attr_line } else { sig_line },
-                                sig_line,
-                            );
-                        }
-                        fns.push(FnItem {
-                            name,
-                            qualified,
-                            sig_line,
-                            end_line: sig_line,
-                            body: None,
-                            is_test,
-                        });
-                        pending = Some(Pending::Fn { item: fns.len() - 1 });
-                        i = j;
+                        let name = code[i..].trim_start();
+                        item_pending |= name.starts_with(|c: char| c.is_alphabetic() || c == '_');
                     }
                     _ => {}
                 }
             }
-            '(' | '[' => {
-                // Skip balanced parens/brackets so `{` inside closure
-                // arguments or array types cannot be mistaken for an
-                // item body *while an item header is pending*. Outside a
-                // pending header the braces are real scopes (closures) —
-                // step in normally.
-                if pending.is_some() {
-                    let open = b[i];
-                    let close = if open == b'(' { b')' } else { b']' };
-                    let mut depth = 0i32;
-                    while i < b.len() {
-                        if b[i] == open {
-                            depth += 1;
-                        } else if b[i] == close {
-                            depth -= 1;
-                            if depth == 0 {
-                                i += 1;
-                                break;
-                            }
-                        } else if b[i] == b'\n' {
-                            line += 1;
+            open @ (b'(' | b'[') if item_pending => {
+                // Skip balanced parens/brackets so `{` inside an item
+                // header's arguments or array types cannot be mistaken
+                // for its body. Outside a pending header the braces are
+                // real scopes (closures) — step in normally.
+                let close = if open == b'(' { b')' } else { b']' };
+                let mut depth = 0i32;
+                while i < b.len() {
+                    if b[i] == open {
+                        depth += 1;
+                    } else if b[i] == close {
+                        depth -= 1;
+                        if depth == 0 {
+                            i += 1;
+                            break;
                         }
-                        i += 1;
+                    } else if b[i] == b'\n' {
+                        line += 1;
                     }
-                } else {
                     i += 1;
                 }
             }
@@ -424,22 +152,13 @@ pub fn parse(source: &str) -> ParsedFile {
         }
     }
 
-    // Unbalanced tail: close any dangling fn scopes at EOF.
-    while let Some(scope) = scopes.pop() {
-        if let ScopeKind::Fn(idx) = scope.kind {
-            if let Some((s, _)) = fns[idx].body {
-                fns[idx].body = Some((s, code.len()));
-            }
-            fns[idx].end_line = line;
-        }
-        if scope.is_test {
-            mark_test(&mut test_lines, scope.attr_line.min(scope.start_line), line);
-        }
+    // Unbalanced tail: close any dangling scopes at EOF.
+    for from in scopes.into_iter().flatten() {
+        mark(&mut test_lines, from, line);
     }
 
     ParsedFile {
         stripped,
-        fns,
         test_lines,
     }
 }
@@ -448,131 +167,57 @@ pub fn parse(source: &str) -> ParsedFile {
 mod tests {
     use super::*;
 
-    fn names(p: &ParsedFile) -> Vec<&str> {
-        p.fns.iter().map(|f| f.name.as_str()).collect()
-    }
-
-    #[test]
-    fn free_fn_and_method_qualified() {
-        let p = parse(
-            "fn free() { body(); }\nstruct S;\nimpl S {\n    fn m(&self) -> u8 { 1 }\n}\n",
-        );
-        assert_eq!(names(&p), vec!["free", "m"]);
-        assert_eq!(p.fns[0].qualified, "free");
-        assert_eq!(p.fns[1].qualified, "S::m");
-        assert_eq!(p.fns[0].sig_line, 1);
-        assert_eq!(p.fns[1].sig_line, 4);
-    }
-
-    #[test]
-    fn trait_impl_qualifies_by_implementing_type() {
-        let p = parse("impl<T> Drop for Guard<'_, T> {\n    fn drop(&mut self) {}\n}\n");
-        assert_eq!(p.fns[0].qualified, "Guard::drop");
-    }
-
-    #[test]
-    fn generic_impl_with_fn_bound() {
-        let p = parse("impl<F: Fn(u8) -> u8> Wrap<F> {\n    fn call_it(&self) {}\n}\n");
-        assert_eq!(p.fns[0].qualified, "Wrap::call_it");
-    }
-
-    #[test]
-    fn body_spans_cover_nested_braces() {
-        let src = "fn outer() {\n    if x { y(); }\n    match z { _ => {} }\n}\nfn after() {}\n";
+    fn test_lines(src: &str) -> Vec<usize> {
         let p = parse(src);
-        assert_eq!(names(&p), vec!["outer", "after"]);
-        let (s, e) = p.fns[0].body.unwrap();
-        let body = &p.stripped.code[s..e];
-        assert!(body.starts_with('{') && body.ends_with('}'));
-        assert!(body.contains("y();"));
-        assert_eq!(p.fns[0].end_line, 4);
-        assert_eq!(p.fns[1].sig_line, 5);
+        (1..=p.test_lines.len())
+            .filter(|&l| p.is_test_line(l))
+            .collect()
     }
 
     #[test]
-    fn cfg_test_mod_marks_lines_and_fns() {
+    fn cfg_test_mod_marks_its_lines_only() {
         let src = "fn serve() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n    #[test]\n    fn t() {}\n}\nfn after() {}\n";
-        let p = parse(src);
-        assert!(!p.fns[0].is_test);
-        assert!(p.fns[1].is_test, "helper inside cfg(test) mod");
-        assert!(p.fns[2].is_test);
-        let after = p.fns.iter().find(|f| f.name == "after").unwrap();
-        assert!(!after.is_test);
-        assert!(p.is_test_line(2), "the #[cfg(test)] attribute line");
-        assert!(p.is_test_line(4));
-        assert!(!p.is_test_line(1));
-        assert!(!p.is_test_line(8));
+        assert_eq!(test_lines(src), [2, 3, 4, 5, 6, 7]);
     }
 
     #[test]
     fn test_attr_on_fn_marks_it() {
         let src = "#[test]\nfn t() { std::thread::spawn(|| {}); }\nfn real() {}\n";
-        let p = parse(src);
-        assert!(p.fns[0].is_test);
-        assert!(!p.fns[1].is_test);
-        assert!(p.is_test_line(1) && p.is_test_line(2));
-        assert!(!p.is_test_line(3));
+        assert_eq!(test_lines(src), [1, 2]);
+    }
+
+    #[test]
+    fn the_test_attribute_opens_the_span() {
+        let src = "fn real() {}\n#[allow(dead_code)]\n#[cfg(test)]\nfn helper() {\n}\n";
+        assert_eq!(test_lines(src), [3, 4, 5]);
     }
 
     #[test]
     fn cfg_not_test_is_not_test() {
-        let p = parse("#[cfg(feature = \"x\")]\nfn gated() {}\n");
-        assert!(!p.fns[0].is_test);
+        assert!(test_lines("#[cfg(feature = \"x\")]\nfn gated() {}\n").is_empty());
     }
 
     #[test]
-    fn bodyless_trait_method() {
-        let p = parse("trait T {\n    fn required(&self);\n    fn with_default(&self) {}\n}\n");
-        assert_eq!(names(&p), vec!["required", "with_default"]);
-        assert!(p.fns[0].body.is_none());
-        assert!(p.fns[1].body.is_some());
-        assert_eq!(p.fns[0].qualified, "T::required");
+    fn a_bodyless_item_ends_the_attribute() {
+        let src = "#[cfg(test)]\nuse helper::x;\nfn real() {\n}\n";
+        assert!(test_lines(src).is_empty());
     }
 
     #[test]
     fn fn_type_in_signature_is_not_an_item() {
-        let p = parse("fn takes(cb: fn(u8) -> u8) -> u8 { cb(1) }\n");
-        assert_eq!(names(&p), vec!["takes"]);
+        let src = "#[cfg(test)]\nmod tests {\n    fn takes(cb: fn(u8) -> u8) -> u8 { cb(1) }\n}\nfn real() {}\n";
+        assert_eq!(test_lines(src), [1, 2, 3, 4]);
     }
 
     #[test]
-    fn where_clause_and_return_type_before_body() {
-        let p = parse(
-            "fn g<T>(x: T) -> Vec<u8>\nwhere\n    T: Into<Vec<u8>>,\n{\n    x.into()\n}\n",
-        );
-        assert_eq!(names(&p), vec!["g"]);
-        let (s, e) = p.fns[0].body.unwrap();
-        assert!(p.stripped.code[s..e].contains("x.into()"));
+    fn strings_and_comments_cannot_fake_a_test_item() {
+        let src = "fn real() {\n    let s = \"#[test] fn fake() {\";\n    // #[cfg(test)] mod fake {\n}\nfn after() {}\n";
+        assert!(test_lines(src).is_empty());
     }
 
     #[test]
-    fn nested_fn_spans_nest() {
-        let src = "fn outer() {\n    fn inner() { leaf(); }\n    inner();\n}\n";
-        let p = parse(src);
-        assert_eq!(names(&p), vec!["outer", "inner"]);
-        let nested = p.nested_spans(0);
-        assert_eq!(nested.len(), 1);
-        assert_eq!(Some(nested[0]), p.fns[1].body);
-        // fn_at resolves to the innermost function.
-        let (is_, _) = p.fns[1].body.unwrap();
-        assert_eq!(p.fn_at(is_ + 2), Some(1));
-    }
-
-    #[test]
-    fn strings_and_comments_cannot_fake_items()
-    {
-        let src = "fn real() {\n    let s = \"fn fake() {\";\n    // fn comment_fake() {\n}\n";
-        let p = parse(src);
-        assert_eq!(names(&p), vec!["real"]);
-        assert_eq!(p.fns[0].end_line, 4);
-    }
-
-    #[test]
-    fn closure_braces_inside_call_args() {
-        let src = "fn f() {\n    net.listen(host, port, move |s| {\n        handle(s);\n    });\n}\nfn g() {}\n";
-        let p = parse(src);
-        assert_eq!(names(&p), vec!["f", "g"]);
-        let (s, e) = p.fns[0].body.unwrap();
-        assert!(p.stripped.code[s..e].contains("handle(s);"));
+    fn closure_braces_inside_a_test_header_stay_inside() {
+        let src = "#[test]\nfn f(x: [u8; { 1 }]) {\n    net.listen(move |s| {\n        handle(s);\n    });\n}\nfn g() {}\n";
+        assert_eq!(test_lines(src), [1, 2, 3, 4, 5, 6]);
     }
 }

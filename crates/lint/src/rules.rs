@@ -1,4 +1,4 @@
-//! The named invariant rules and the per-file analysis engine.
+//! The named invariant rules and the per-file analysis.
 //!
 //! Each rule is a lexical check over *code* (strings and comments are
 //! blanked by [`crate::lexer::strip`] first) plus a path scope: the
@@ -10,27 +10,21 @@
 //! A finding is suppressible only by an adjacent comment of the form
 //! `wsd-lint: allow(<rule>): <reason>` — the reason is mandatory, and a
 //! malformed suppression is itself reported under the `bad-suppression`
-//! rule so silent opt-outs cannot accrete.
+//! rule so silent opt-outs cannot accrete; one that silences nothing is
+//! reported under `unused-suppression`.
 
 use crate::lexer::{is_ident_byte, strip, Comment};
-use crate::parser::{parse, ParsedFile};
-use crate::ruleset::{embedded, Ruleset};
+use crate::parser::parse;
 
-/// The rules that are Rust code, in report order: six lexical
-/// (per-line) checks, the two structural graph rules
-/// (`blocking-under-lock` in [`crate::interproc`], `static-lock-order`
-/// in [`crate::waitgraph`]), and the two that guard the suppression
-/// mechanism itself. Every other rule is a row in `lint-rules.toml` and
-/// is named there only — [`Ruleset::rule_names`] lists both kinds.
-pub const RULE_NAMES: [&str; 10] = [
+/// Every rule, in report order: six lexical (per-line) checks and the
+/// two that guard the suppression mechanism itself.
+pub const RULE_NAMES: [&str; 8] = [
     "raw-thread-spawn",
     "raw-clock",
     "std-sync-primitive",
     "unwrap-in-dispatcher",
     "unbounded-queue-at-serve-site",
     "raw-file-io",
-    "blocking-under-lock",
-    "static-lock-order",
     "bad-suppression",
     "unused-suppression",
 ];
@@ -38,22 +32,18 @@ pub const RULE_NAMES: [&str; 10] = [
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (one of [`Ruleset::rule_names`]).
+    /// Rule name (one of [`RULE_NAMES`]).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// The offending source line, trimmed — or, for interprocedural
-    /// rules, a one-line statement of the violated contract.
+    /// The offending source line, trimmed — or, for a suppression
+    /// finding, what is wrong with the directive.
     pub excerpt: String,
-    /// Call-chain witness for interprocedural findings (`f (file:line)
-    /// -> g (file:line) -> sink`); `None` for lexical rules.
-    pub witness: Option<String>,
 }
 
-/// What each coded rule protects, shown next to findings (a declarative
-/// rule's hint is its row's `doc` — see [`Ruleset::hint`]).
+/// What each rule protects, shown next to findings and by `--explain`.
 pub fn rule_hint(rule: &str) -> &'static str {
     match rule {
         "raw-thread-spawn" => {
@@ -78,16 +68,6 @@ pub fn rule_hint(rule: &str) -> &'static str {
              crash recovery) — ad-hoc std::fs writes are invisible to the \
              durability contract"
         }
-        "blocking-under-lock" => {
-            "no path from a held OrderedMutex/OrderedRwLock guard may \
-             reach an unbounded blocking sink — a stalled CxThread under \
-             lock wedges every peer of that lock class"
-        }
-        "static-lock-order" => {
-            "lock classes must acquire in one global order; a cycle in \
-             the static acquisition graph is a deadlock schedule waiting \
-             for the right interleaving"
-        }
         "bad-suppression" => "suppressions need a known rule and a written reason",
         "unused-suppression" => {
             "an allow whose rule no longer fires on that line is dead \
@@ -104,9 +84,8 @@ fn path_in(file: &str, prefix: &str) -> bool {
 /// Whether the file as a whole is test collateral (under `tests/`,
 /// `benches/`, `examples/`, or `fixtures/`).
 pub fn is_test_path(file: &str) -> bool {
-    file.split('/').any(|seg| {
-        seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures"
-    })
+    file.split('/')
+        .any(|seg| seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures")
 }
 
 /// Finds all identifiers invoked as methods (`.name(`) on a code line.
@@ -142,12 +121,29 @@ fn method_calls(code_line: &str) -> Vec<&str> {
 /// Method names whose `Result`/`Option` is an IO / queue / channel
 /// outcome: unwrapping one on a serve path turns shutdown into a panic.
 const IO_MARKERS: [&str; 20] = [
-    "pop", "try_pop", "pop_front", "pop_timeout", "pop_batch", "pop_timeout_batch", "recv",
-    "try_recv", "recv_timeout", "read", "read_exact", "read_to_end", "write", "write_all",
-    "flush", "connect", "call", "call_pipelined", "send", "as_mut",
+    "pop",
+    "try_pop",
+    "pop_front",
+    "pop_timeout",
+    "pop_batch",
+    "pop_timeout_batch",
+    "recv",
+    "try_recv",
+    "recv_timeout",
+    "read",
+    "read_exact",
+    "read_to_end",
+    "write",
+    "write_all",
+    "flush",
+    "connect",
+    "call",
+    "call_pipelined",
+    "send",
+    "as_mut",
 ];
 
-pub(crate) fn rule_applies(rule: &str, file: &str) -> bool {
+fn rule_applies(rule: &str, file: &str) -> bool {
     match rule {
         // wsd-concurrent *is* the thread abstraction.
         "raw-thread-spawn" => !path_in(file, "crates/concurrent/"),
@@ -177,9 +173,7 @@ fn line_violates(rule: &str, code_line: &str) -> bool {
         "raw-thread-spawn" => {
             code_line.contains("thread::spawn") || code_line.contains("thread::Builder")
         }
-        "raw-clock" => {
-            code_line.contains("Instant::now") || code_line.contains("SystemTime::now")
-        }
+        "raw-clock" => code_line.contains("Instant::now") || code_line.contains("SystemTime::now"),
         "std-sync-primitive" => {
             code_line.contains("std::sync::")
                 && ["Mutex", "RwLock", "Condvar", "Barrier"]
@@ -213,18 +207,18 @@ fn line_violates(rule: &str, code_line: &str) -> bool {
 
 /// A well-formed `wsd-lint: allow(rule): reason` directive.
 #[derive(Debug)]
-pub(crate) struct Suppression {
-    pub(crate) line: usize,
+struct Suppression {
+    line: usize,
     is_line_comment: bool,
-    pub(crate) rule: String,
+    rule: String,
     reason: String,
 }
 
 impl Suppression {
-    /// The one suppression matcher, for lexical and engine findings
-    /// alike: a directive silences its rule on its own line, and a
-    /// directive-only comment line also the line directly below it.
-    pub(crate) fn covers(&self, f: &Finding) -> bool {
+    /// The one suppression matcher: a directive silences its rule on
+    /// its own line, and a directive-only comment line also the line
+    /// directly below it.
+    fn covers(&self, f: &Finding) -> bool {
         self.rule == f.rule
             && (self.line == f.line || (self.is_line_comment && self.line + 1 == f.line))
     }
@@ -232,10 +226,9 @@ impl Suppression {
 
 /// A file's directives: the well-formed ones, and a `bad-suppression`
 /// finding for each malformed or reasonless one.
-pub(crate) fn parse_suppressions(
+fn parse_suppressions(
     file: &str,
     comments: &[Comment],
-    ruleset: &Ruleset,
 ) -> (Vec<Suppression>, Vec<Finding>) {
     let mut sups = Vec::new();
     let mut bad = Vec::new();
@@ -245,7 +238,6 @@ pub(crate) fn parse_suppressions(
             file: file.to_string(),
             line,
             excerpt,
-            witness: None,
         })
     };
     for c in comments {
@@ -260,7 +252,7 @@ pub(crate) fn parse_suppressions(
             .and_then(|r| r.split_once(')'))
             .map(|(rule, tail)| (rule.trim().to_string(), tail.trim()));
         match parsed {
-            Some((rule, tail)) if ruleset.rule_names().any(|r| r == rule) => {
+            Some((rule, tail)) if RULE_NAMES.contains(&rule.as_str()) => {
                 let reason = tail.strip_prefix(':').map(str::trim).unwrap_or("");
                 if reason.is_empty() {
                     flag(
@@ -292,78 +284,89 @@ pub(crate) fn parse_suppressions(
     (sups, bad)
 }
 
-/// Lints one file's source against the embedded ruleset's names,
-/// returning all unsuppressed lexical findings.
+/// Lints one file's source, returning its unsuppressed findings sorted
+/// by line.
 ///
 /// `file` is the workspace-relative `/`-separated path; it selects which
 /// rules apply. Suppressions on the finding's own line, or on a
 /// directive-only comment line directly above it, silence that rule for
 /// that line.
 pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
-    if is_test_path(file) {
-        // Test collateral is fully exempt — fixtures deliberately seed
-        // violations (including malformed suppressions) for the
-        // analyzer's own tests.
-        return Vec::new();
-    }
-    let parsed = parse(source);
-    let (sups, mut findings) = parse_suppressions(file, &parsed.stripped.comments, embedded());
-    findings.extend(
-        lexical_findings(file, source, &parsed, false)
-            .into_iter()
-            .filter(|f| !sups.iter().any(|s| s.covers(f))),
-    );
-    findings.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
-    findings
+    lint_file(file, source, false).0
 }
 
-/// The lexical rules' findings in one non-test file, before
-/// suppression. `force_all` drops the per-rule path scoping (used by
-/// `--self`, where paths are relative to `crates/lint` and would
-/// otherwise match no scope).
+/// One file's findings with its suppressions applied, sorted by (line,
+/// rule), and how many
+/// well-formed suppressions it carries. Test collateral is fully exempt
+/// — fixtures deliberately seed violations (including malformed
+/// suppressions) for the analyzer's own tests. `force_all` drops the
+/// per-rule path scoping (used by `--self`, where paths are relative to
+/// `crates/lint` and would otherwise match no scope).
 ///
 /// Test exemption is parser-driven: `#[cfg(test)]` / `#[test]` item
 /// spans come from [`crate::parser`], so nested modules, attribute
 /// lines, and items following a test module are classified by actual
 /// scope structure rather than brace counting.
-pub(crate) fn lexical_findings(
-    file: &str,
-    source: &str,
-    parsed: &ParsedFile,
-    force_all: bool,
-) -> Vec<Finding> {
+pub(crate) fn lint_file(file: &str, source: &str, force_all: bool) -> (Vec<Finding>, usize) {
+    if is_test_path(file) {
+        return (Vec::new(), 0);
+    }
+    let parsed = parse(source);
+    let (sups, mut findings) = parse_suppressions(file, &parsed.stripped.comments);
+    let mut used = vec![false; sups.len()];
     let src_lines: Vec<&str> = source.lines().collect();
-    let mut findings = Vec::new();
     for (idx, code_line) in parsed.stripped.code.lines().enumerate() {
         let line = idx + 1;
         if parsed.is_test_line(line) {
             continue;
         }
-        for rule in RULE_NAMES {
-            if rule == "bad-suppression" || (!force_all && !rule_applies(rule, file)) {
+        // The six lexical rules.
+        for &rule in &RULE_NAMES[..6] {
+            if (!force_all && !rule_applies(rule, file)) || !line_violates(rule, code_line) {
                 continue;
             }
-            if line_violates(rule, code_line) {
-                findings.push(Finding {
-                    rule,
-                    file: file.to_string(),
-                    line,
-                    excerpt: src_lines.get(idx).unwrap_or(&"").trim().to_string(),
-                    witness: None,
-                });
+            let f = Finding {
+                rule,
+                file: file.to_string(),
+                line,
+                excerpt: src_lines.get(idx).unwrap_or(&"").trim().to_string(),
+            };
+            match sups.iter().position(|s| s.covers(&f)) {
+                Some(k) => used[k] = true,
+                None => findings.push(f),
             }
         }
     }
-    findings
+    // Every well-formed allow must still be earning its keep.
+    if force_all || rule_applies("unused-suppression", file) {
+        for (s, used) in sups.iter().zip(used) {
+            if used || parsed.is_test_line(s.line) {
+                continue;
+            }
+            findings.push(Finding {
+                rule: "unused-suppression",
+                file: file.to_string(),
+                line: s.line,
+                excerpt: format!(
+                    "allow({}) here silences nothing — delete it or re-justify it",
+                    s.rule
+                ),
+            });
+        }
+    }
+    findings.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
+    (findings, sups.len())
 }
 
-/// Every well-formed suppression in `source` that cites a rule of the
-/// embedded ruleset, as `(line, rule, reason)` — used by tests asserting
-/// reasons are present.
+/// Every well-formed suppression in `source` that cites a known rule,
+/// as `(line, rule, reason)` — used by tests asserting reasons are
+/// present.
 pub fn suppressions_in(source: &str) -> Vec<(usize, String, String)> {
     let stripped = strip(source);
-    let (sups, _) = parse_suppressions("", &stripped.comments, embedded());
-    sups.into_iter().map(|s| (s.line, s.rule, s.reason)).collect()
+    let (sups, _) = parse_suppressions("", &stripped.comments);
+    sups.into_iter()
+        .map(|s| (s.line, s.rule, s.reason))
+        .collect()
 }
 
 #[cfg(test)]
@@ -372,7 +375,10 @@ mod tests {
 
     #[test]
     fn spawn_in_core_is_flagged() {
-        let f = lint_source("crates/core/src/x.rs", "fn f() { std::thread::spawn(|| {}); }\n");
+        let f = lint_source(
+            "crates/core/src/x.rs",
+            "fn f() { std::thread::spawn(|| {}); }\n",
+        );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "raw-thread-spawn");
         assert_eq!(f[0].line, 1);
@@ -409,7 +415,8 @@ mod tests {
 
     #[test]
     fn trailing_suppression_silences_same_line() {
-        let src = "std::thread::spawn(|| {}); // wsd-lint: allow(raw-thread-spawn): startup probe\n";
+        let src =
+            "std::thread::spawn(|| {}); // wsd-lint: allow(raw-thread-spawn): startup probe\n";
         assert!(lint_source("crates/core/src/x.rs", src).is_empty());
     }
 

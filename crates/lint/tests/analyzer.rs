@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use wsd_lint::rules::Finding;
-use wsd_lint::{lint_source, lint_workspace, suppressions_in};
+use wsd_lint::{analyze_workspace, lint_source, suppressions_in};
 
 const SEEDED: &str = include_str!("fixtures/seeded_violations.rs");
 const KNOWN_GOOD: &str = include_str!("fixtures/known_good.rs");
@@ -84,7 +84,7 @@ fn workspace_is_clean() {
         .unwrap()
         .parent()
         .unwrap();
-    let (findings, _sups) = lint_workspace(root).expect("walk workspace");
+    let findings = analyze_workspace(root, false).expect("walk workspace").findings;
     assert!(findings.is_empty(), "workspace has findings: {findings:#?}");
 }
 

@@ -1,110 +1,66 @@
-//! Property tests: item spans recovered by the parser must round-trip
-//! through the lexer — every `fn` body span must open on `{` and close
-//! on `}` in the blanked code, line numbers must point at the real
-//! signature, and strings/comments generated around items must never
-//! shift or fake an item.
+//! Property tests: the test lines the parser finds are exactly the
+//! `#[cfg(test)]` item's, whatever items, strings and comments are
+//! generated around and inside it.
 
 use proptest::prelude::*;
-use wsd_lint::lexer::strip;
 use wsd_lint::parser::parse;
 
-/// A generated item: an optional doc/attr prelude, a fn with some
-/// filler statements, possibly wrapped in a mod or impl.
+/// A generated item: a fn with some filler statements, possibly wrapped
+/// in a mod or impl.
 fn item() -> impl Strategy<Value = String> {
     let name = "[a-z][a-z0-9_]{0,8}";
     let filler = prop_oneof![
         Just("let a = 1;".to_string()),
-        Just("// fn fake_in_comment() {".to_string()),
-        Just("let s = \"fn fake_in_string() {\";".to_string()),
+        Just("// #[cfg(test)] mod fake_in_comment {".to_string()),
+        Just("let s = \"#[test] fn fake_in_string() {\";".to_string()),
         Just("call(|| { nested(); });".to_string()),
         Just("if x { y(); } else { z(); }".to_string()),
+        Just("let f: fn(u8) -> u8 = g;".to_string()),
     ];
     (name, proptest::collection::vec(filler, 0..4), any::<u8>()).prop_map(
         |(name, fillers, shape)| {
             let body = fillers.join("\n    ");
-            let f = format!("fn {name}() {{\n    {body}\n}}");
-            match shape % 4 {
+            let f = format!("fn {name}(v: [u8; 2]) {{\n    {body}\n}}");
+            match shape % 3 {
                 0 => f,
                 1 => format!("mod m {{\n{f}\n}}"),
-                2 => format!("struct S;\nimpl S {{\n{f}\n}}"),
-                _ => format!("#[cfg(test)]\nmod tests {{\n{f}\n}}"),
+                _ => format!("struct S;\nimpl S {{\n{f}\n}}"),
             }
         },
     )
 }
 
 proptest! {
-    /// Every parsed fn body span lands on a brace pair in the blanked
-    /// code, and the blanked code has the same length and line
-    /// structure as the original — so spans from the parser can index
-    /// the original source.
+    /// A `#[cfg(test)] mod` between two plain items marks its own lines,
+    /// attribute to closing brace, and nothing else.
     #[test]
-    fn fn_body_spans_round_trip_through_the_lexer(items in proptest::collection::vec(item(), 1..4)) {
-        let src = items.join("\n\n");
+    fn cfg_test_marking_is_span_exact(
+        before in item(),
+        inner in proptest::collection::vec(item(), 1..3),
+        after in item(),
+    ) {
+        let test_mod = format!("#[cfg(test)]\nmod tests {{\n{}\n}}", inner.join("\n"));
+        let src = format!("{before}\n{test_mod}\n{after}\n");
         let parsed = parse(&src);
-        let stripped = strip(&src);
-        prop_assert_eq!(parsed.stripped.code.as_str(), stripped.code.as_str());
-        prop_assert_eq!(
-            stripped.code.chars().filter(|c| *c == '\n').count(),
-            src.chars().filter(|c| *c == '\n').count()
-        );
-        for f in &parsed.fns {
-            let (s, e) = f.body.expect("generated fns all have bodies");
-            prop_assert!(s < e && e <= stripped.code.len());
-            prop_assert_eq!(&stripped.code[s..s + 1], "{", "span must open on a brace");
-            prop_assert_eq!(&stripped.code[e - 1..e], "}", "span must close on a brace");
-            // Brace balance inside the span is zero.
-            let open = stripped.code[s..e].chars().filter(|c| *c == '{').count();
-            let close = stripped.code[s..e].chars().filter(|c| *c == '}').count();
-            prop_assert_eq!(open, close, "body span is brace-balanced");
-            // The signature line of the *original* source declares the fn.
-            let sig = src.lines().nth(f.sig_line - 1).unwrap_or("");
-            prop_assert!(
-                sig.contains("fn "),
-                "sig_line {} must hold the declaration, got {:?}",
-                f.sig_line,
-                sig
+        let first = before.lines().count() + 1;
+        let last = first + test_mod.lines().count() - 1;
+        for line in 1..=src.lines().count() {
+            prop_assert_eq!(
+                parsed.is_test_line(line),
+                (first..=last).contains(&line),
+                "line {}: {:?}",
+                line,
+                src.lines().nth(line - 1)
             );
-            prop_assert!(f.end_line >= f.sig_line);
         }
     }
 
-    /// Items seen by the parser are exactly the generated ones — fakes
-    /// inside strings and comments never materialise.
+    /// Items alone — fake test attributes in their strings and comments
+    /// included — have no test line.
     #[test]
-    fn strings_and_comments_never_fake_items(items in proptest::collection::vec(item(), 1..4)) {
+    fn strings_and_comments_never_fake_a_test_item(items in proptest::collection::vec(item(), 1..4)) {
         let src = items.join("\n\n");
         let parsed = parse(&src);
-        for f in &parsed.fns {
-            prop_assert!(
-                !f.name.starts_with("fake_in_"),
-                "lexer leak: {} parsed as an item",
-                f.name
-            );
-        }
-        // Each generated top fn appears exactly once.
-        prop_assert_eq!(
-            parsed.fns.iter().filter(|f| !f.name.starts_with("fake_in_")).count(),
-            items.len()
-        );
-    }
-
-    /// `#[cfg(test)] mod` contents are marked test down to every line of
-    /// every nested item; fns outside stay unmarked.
-    #[test]
-    fn cfg_test_marking_is_span_exact(inner in item()) {
-        let src = format!(
-            "fn outer() {{\n    let a = 1;\n}}\n\n#[cfg(test)]\nmod tests {{\n{inner}\n}}\n"
-        );
-        let parsed = parse(&src);
-        let outer = parsed.fns.iter().find(|f| f.name == "outer").unwrap();
-        prop_assert!(!outer.is_test);
-        prop_assert!(!parsed.is_test_line(outer.sig_line));
-        for f in parsed.fns.iter().filter(|f| f.name != "outer") {
-            prop_assert!(f.is_test, "{} must be test collateral", f.name);
-            for line in f.sig_line..=f.end_line {
-                prop_assert!(parsed.is_test_line(line), "line {line} of {}", f.name);
-            }
-        }
+        prop_assert!((1..=src.lines().count()).all(|l| !parsed.is_test_line(l)));
     }
 }

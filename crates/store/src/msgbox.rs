@@ -362,6 +362,7 @@ impl DurableMsgBox {
             .lsn;
         drop(inner);
         wal.commit(lsn)?;
+        acked(wal, lsn, "create");
         Ok(())
     }
 
@@ -459,6 +460,8 @@ impl DurableMsgBox {
             for r in results.iter_mut().filter(|r| r.is_ok()) {
                 *r = Err(e.clone());
             }
+        } else {
+            acked(wal, last_lsn, "deposit_batch");
         }
         results
     }
@@ -556,6 +559,7 @@ impl DurableMsgBox {
         };
         wal.commit(ack_lsn)?;
         self.gc()?;
+        acked(wal, ack_lsn, "fetch");
         Ok(out)
     }
 
@@ -648,6 +652,7 @@ impl DurableMsgBox {
         drop(inner);
         wal.commit(lsn)?;
         self.gc()?;
+        acked(wal, lsn, "destroy");
         Ok(())
     }
 
@@ -747,6 +752,15 @@ impl DurableMsgBox {
         }
         Ok(())
     }
+}
+
+/// An ack point's check (debug builds): `op` is about to report success
+/// for the record at `lsn`, which must be durable by now.
+fn acked(wal: &Wal, lsn: u64, op: &str) {
+    #[cfg(debug_assertions)]
+    assert!(wal.is_durable(lsn), "`{op}` acknowledges LSN {lsn} before it is durable");
+    #[cfg(not(debug_assertions))]
+    let _ = (wal, lsn, op);
 }
 
 fn boxes_snapshot(inner: &Inner) -> Vec<(String, String, String, u64)> {
@@ -863,6 +877,33 @@ mod tests {
             );
             assert_eq!(s.fetch("mbox-1", "bad", 1, 0), Err(StoreError::NoSuchBox));
         }
+    }
+
+    /// Each ack point under group commit with `flush_batch > 1`, where an
+    /// append alone syncs nothing (`Always` would sync it and hide a
+    /// skipped commit): once the operation returns, a crash that keeps
+    /// nothing unsynced still has its effect.
+    #[test]
+    fn every_ack_point_is_durable_under_group_commit() {
+        let mem = MemStorage::new();
+        let cfg = StoreConfig {
+            wal: WalConfig { sync: SyncMode::GroupCommit { flush_batch: 64 }, ..WalConfig::default() },
+            ..StoreConfig::default()
+        };
+        let s = open(&mem, cfg.clone(), 0);
+        let crashed = || {
+            let disk = mem.fork();
+            disk.crash(|_| 0);
+            open(&disk, cfg.clone(), 1)
+        };
+        s.create("mbox-1", "key-1", "t", 0).unwrap();
+        assert!(crashed().exists("mbox-1"), "create");
+        s.deposit("mbox-1", "<m/>".into(), 0, 1_000).unwrap();
+        assert_eq!(crashed().len("mbox-1", 1), Ok(1), "deposit");
+        assert_eq!(bodies(s.fetch("mbox-1", "key-1", 10, 1).unwrap()), ["<m/>"]);
+        assert_eq!(crashed().len("mbox-1", 1), Ok(0), "fetch");
+        s.destroy("mbox-1", "key-1").unwrap();
+        assert!(!crashed().exists("mbox-1"), "destroy");
     }
 
     #[test]

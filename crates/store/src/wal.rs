@@ -348,6 +348,13 @@ impl Wal {
         Ok(())
     }
 
+    /// Whether every record up to `lsn` is durable (debug builds: what
+    /// the mailbox's ack points assert before they report success).
+    #[cfg(debug_assertions)]
+    pub fn is_durable(&self, lsn: u64) -> bool {
+        self.inner.lock().synced_lsn >= lsn
+    }
+
     /// Appends and makes durable before returning.
     pub fn append_durable(&self, op: &Op) -> io::Result<AppendInfo> {
         let info = self.append(op)?;

@@ -15,9 +15,7 @@
 #                                      with warnings as errors (a broken
 #                                      intra-doc link fails), and the
 #                                      linter's own tests (its fixtures and
-#                                      the mutation rows that seed each
-#                                      rule's violation into the real
-#                                      source)
+#                                      a clean run over the workspace)
 #   scripts/verify.sh sanitize         the invariant checks, then the
 #                                      wsd-concurrent and wsd-store test
 #                                      suites under Miri (UB/aliasing
