@@ -15,7 +15,7 @@ use wsd_http::{parse_request_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 
 use crate::echo::{Echo, EchoCounters, EchoMode};
-use crate::sim::{request_payload, response_payload, CpuQueue, CONNECT_TIMEOUT};
+use crate::sim::{request_payload, response_payload, CpuQueue, ACCEPTED, CONNECT_TIMEOUT};
 
 type DestKey = (String, u16);
 
@@ -133,8 +133,7 @@ impl SimEchoService {
             return;
         }
         // Acknowledge acceptance now that the message has been processed.
-        let ack = Response::empty(Status::ACCEPTED);
-        let _ = ctx.send(conn, response_payload(&ack));
+        let _ = ctx.send(conn, ACCEPTED);
         let Echo::Reply { to, version, xml } = echo else {
             return self.release(ctx, 1); // nothing to send
         };

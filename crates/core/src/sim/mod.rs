@@ -38,6 +38,12 @@ pub fn to_sim(d: std::time::Duration) -> SimDuration {
     SimDuration::from_micros(d.as_micros() as u64)
 }
 
+/// The `202 Accepted` every simulated one-way hop answers with: the bytes
+/// `response_bytes(&Response::empty(Status::ACCEPTED))` writes, shared,
+/// so an ack allocates nothing.
+pub const ACCEPTED: Payload =
+    Payload::from_static(b"HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\nServer: wsd/0.1\r\n\r\n");
+
 /// Serializes a request for the wire.
 pub fn request_payload(req: &Request) -> Payload {
     Payload::from(wsd_http::request_bytes(req))
@@ -83,6 +89,12 @@ impl CpuQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_static_ack_is_the_written_one() {
+        let written = wsd_http::response_bytes(&Response::empty(wsd_http::Status::ACCEPTED));
+        assert_eq!(ACCEPTED, written);
+    }
 
     #[test]
     fn cpu_queue_serializes_work() {

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use wsd_http::{parse_request_bytes, Request, Response, Status};
+use wsd_http::{Request, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
 use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
@@ -24,7 +24,7 @@ use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
 use crate::config::{DispatcherConfig, DRAIN_BATCH, ROUTE_TTL};
 use crate::msg::link::{Link, LinkStep};
 use crate::msg::{correlate_rpc_reply, DropReason, MsgCore, MsgCounters};
-use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, CONNECT_TIMEOUT};
+use crate::sim::{request_payload, response_payload, to_sim, CpuQueue, ACCEPTED, CONNECT_TIMEOUT};
 use crate::url::Url;
 
 type DestKey = (String, u16);
@@ -52,12 +52,13 @@ impl DispatcherTelemetry {
     }
 
     fn dest_queue_depth(&mut self, key: &DestKey) -> &Gauge {
-        let scope = &self.scope;
-        self.dest_queue_depth.entry(key.clone()).or_insert_with(|| {
-            scope
-                .labeled("dest", &format!("{}:{}", key.0, key.1))
-                .gauge("queue_depth")
-        })
+        // Looked up first: the key is cloned only for a new destination.
+        if !self.dest_queue_depth.contains_key(key) {
+            let label = format!("{}:{}", key.0, key.1);
+            let gauge = self.scope.labeled("dest", &label).gauge("queue_depth");
+            self.dest_queue_depth.insert(key.clone(), gauge);
+        }
+        &self.dest_queue_depth[key]
     }
 
     fn stage(&self, msg_id: &str, stage: TraceStage, at_us: u64) {
@@ -189,19 +190,17 @@ impl SimMsgDispatcher {
     }
 
     fn route_now(&mut self, ctx: &mut Ctx<'_>, client_conn: Option<ConnId>, raw: Payload) {
-        // The splice fast path needs only the request's body bytes; the
-        // envelope is parsed solely when the scan declines.
-        let parsed = parse_request_bytes(&raw).ok();
+        // The splice fast path needs only the request's body bytes, read
+        // in place; the envelope is parsed solely when the scan declines.
+        let xml = wsd_http::request_body(&raw).ok().and_then(|b| std::str::from_utf8(b).ok());
         let (now, mut body) = (ctx.now().as_micros(), String::new());
-        let routed = (parsed.as_ref().and_then(|req| req.body_str()))
-            .map(|xml| self.core.route_raw_into(xml, raw.len(), now, &mut body));
+        let routed = xml.map(|xml| self.core.route_raw_into(xml, raw.len(), now, &mut body));
         match (self.stats.routed(routed), client_conn) {
             (Ok((to, message_id)), _) => {
-                let ack = || response_payload(&Response::empty(Status::ACCEPTED));
-                if client_conn.is_some_and(|conn| ctx.send(conn, ack()).is_ok()) {
+                if client_conn.is_some_and(|conn| ctx.send(conn, ACCEPTED).is_ok()) {
                     self.stats.acked.inc();
                 }
-                self.enqueue(ctx, &to, body, message_id);
+                self.enqueue(ctx, to, body, message_id);
                 // A no-op after a reply: the forward that left a route armed it.
                 self.arm_janitor(ctx);
             }
@@ -210,7 +209,7 @@ impl SimMsgDispatcher {
         }
     }
 
-    fn enqueue(&mut self, ctx: &mut Ctx<'_>, to: &Url, body: String, msg_id: Option<String>) {
+    fn enqueue(&mut self, ctx: &mut Ctx<'_>, to: Url, body: String, msg_id: Option<String>) {
         // The id was captured by `route_raw` at rewrite time — no re-parse.
         let msg_id = msg_id.unwrap_or_default();
         let req = Request::soap_post(
@@ -220,9 +219,12 @@ impl SimMsgDispatcher {
             body.into_bytes(),
         );
         let payload = request_payload(&req);
-        let key = (to.host.clone(), to.port);
+        let key = (to.host, to.port);
         let cap = self.config.queue_capacity;
-        let dest = self.dests.entry(key.clone()).or_insert_with(Dest::new);
+        if !self.dests.contains_key(&key) {
+            self.dests.insert(key.clone(), Dest::new());
+        }
+        let dest = self.dests.get_mut(&key).expect("inserted above");
         if dest.queue.len() >= cap {
             self.stats.drop(DropReason::QueueFull, 1);
             self.tele
@@ -363,12 +365,17 @@ impl SimMsgDispatcher {
         // The request this answers: the oldest the link wrote to the
         // connection the answer came in on.
         let request = self.dests.get_mut(&key).and_then(|d| d.link.answered());
+        // Only a 200 carries a reply to translate: a plain ack (202) or an
+        // error is read no further than its status.
+        if wsd_http::response_status(&bytes) != Some(Status::OK) {
+            return;
+        }
         let Ok(resp) = wsd_http::parse_response_bytes(&bytes) else {
             return;
         };
         let req_id = request.as_ref().map(|(msg_id, _)| msg_id.as_str());
         let Some(routable) = correlate_rpc_reply(&resp, req_id) else {
-            return; // plain ack (202) or error — nothing to translate
+            return;
         };
         // Translation costs CxThread CPU like any inbound message — this
         // is why Table 1 calls the RPC server "a bottleneck (translation
@@ -472,6 +479,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
     use std::sync::Arc;
+    use wsd_http::Response;
     use wsd_soap::rpc as soap_rpc;
     use wsd_wsa::{EndpointReference, WsaHeaders};
     use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};

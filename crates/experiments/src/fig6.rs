@@ -75,7 +75,31 @@ pub struct SeriesPoint {
 
 /// Runs one (series, clients) point.
 pub fn run_one(series: Series, clients: usize, seconds: u64) -> SeriesPoint {
-    run_point(series, clients, seconds, None)
+    run_point(series, clients, seconds, None, None)
+}
+
+/// Where one point's host CPU went: what each host's processes spent in
+/// `on_event`, by host name, and the point's whole wall time (set-up,
+/// the simulator's own loop and tear-down are the rest).
+#[derive(Debug, Clone)]
+pub struct CpuSplit {
+    /// Nanoseconds per host, in the order the hosts were added.
+    pub hosts: Vec<(String, u64)>,
+    /// Nanoseconds of the whole point.
+    pub total_ns: u64,
+}
+
+/// Runs one (series, clients) point with the simulator timing every
+/// host's processes ([`Simulation::time_hosts`]); the point's outcome is
+/// [`run_one`]'s, which the timing never feeds back into.
+pub fn run_cpu_split(series: Series, clients: usize, seconds: u64) -> CpuSplit {
+    let wall = wsd_telemetry::WallClock::new();
+    let mut hosts = Vec::new();
+    run_point(series, clients, seconds, None, Some(&mut hosts));
+    CpuSplit {
+        hosts,
+        total_ns: wall.now_ns(),
+    }
 }
 
 /// Runs one (series, clients) point with telemetry, returning the point
@@ -86,7 +110,7 @@ pub fn run_one_observed(
     seconds: u64,
 ) -> (SeriesPoint, wsd_telemetry::Snapshot) {
     let obs = crate::Observed::new();
-    let point = run_point(series, clients, seconds, Some(&obs));
+    let point = run_point(series, clients, seconds, Some(&obs), None);
     (point, obs.registry.snapshot())
 }
 
@@ -95,8 +119,12 @@ fn run_point(
     clients: usize,
     seconds: u64,
     obs: Option<&crate::Observed>,
+    host_cpu: Option<&mut Vec<(String, u64)>>,
 ) -> SeriesPoint {
     let mut sim = Simulation::new(0x0F16_0600 + clients as u64);
+    if host_cpu.is_some() {
+        sim.time_hosts();
+    }
     if let Some(o) = obs {
         sim.bind_telemetry(&o.registry.scope("net"), o.clock.clone());
     }
@@ -201,6 +229,11 @@ fn run_point(
         SimDuration::from_secs(seconds.min(5)),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
+    if let Some(out) = host_cpu {
+        *out = (sim.host_cpu_ns().into_iter())
+            .map(|(host, ns)| (host.to_string(), ns))
+            .collect();
+    }
     let (sent, _failures, responses) =
         fleet.totals_with_telemetry(&crate::Observed::scope_or_noop(obs, "loadgen"));
     let _ = mbox_stats; // deposits show up as client-fetched responses

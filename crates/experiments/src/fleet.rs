@@ -29,11 +29,11 @@ use wsd_core::registry::Registry;
 use wsd_core::registry_repl::RegistryLeader;
 use wsd_core::sim::fleet::{instance_host, CONTROL_TICK, FLEET_PORT};
 use wsd_core::sim::{
-    kill_fleet_instance, request_payload, response_payload, to_sim, FleetShared, SimFleetInstance,
+    kill_fleet_instance, request_payload, to_sim, FleetShared, SimFleetInstance, ACCEPTED,
 };
 use wsd_core::url::Url;
 use wsd_fleet::{InstanceId, ShardRing};
-use wsd_http::{Request, Response, Status};
+use wsd_http::Request;
 use wsd_netsim::{
     ConnId, Ctx, HostConfig, Payload, ProcEvent, Process, SimDuration, SimTime, Simulation,
 };
@@ -295,7 +295,7 @@ impl Process for FleetSink {
                     books.duplicates += 1;
                 }
             }
-            let _ = ctx.send(conn, response_payload(&Response::empty(Status::ACCEPTED)));
+            let _ = ctx.send(conn, ACCEPTED);
         }
     }
 }

@@ -3,8 +3,15 @@
 //! ```text
 //! experiments [--table1] [--fig4] [--fig5] [--fig6] [--fig6-oom]
 //!             [--fig6-durable] [--connwall] [--fleet] [--calibration]
-//!             [--all] [--seconds N] [--quick] [--json PATH]
+//!             [--cpu-split fig6] [--all] [--seconds N] [--quick] [--json PATH]
 //! ```
+//!
+//! `--cpu-split fig6` runs Figure 6's 50-client MSG-Dispatcher +
+//! WS-MsgBox point with the simulator timing each host's processes and
+//! prints where the host CPU went: per simulated host, the simulator's
+//! own loop (the rest of the wall time) and the total, each the median
+//! of three runs. The split is measured, so it differs from run to run;
+//! nothing of it reaches the figures or their JSON.
 //!
 //! `--connwall` reruns the §4.3.2 connection wall on the threaded
 //! runtime (real OS threads); `--fig6-durable` sweeps the stored-body
@@ -37,6 +44,7 @@ struct Options {
     connwall: bool,
     fleet: bool,
     calibration: bool,
+    cpu_split: bool,
     seconds: u64,
     quick: bool,
     json: Option<String>,
@@ -53,6 +61,7 @@ fn parse_args() -> Result<Options, String> {
         connwall: false,
         fleet: false,
         calibration: false,
+        cpu_split: false,
         seconds: 60,
         quick: false,
         json: None,
@@ -106,6 +115,16 @@ fn parse_args() -> Result<Options, String> {
                 opts.calibration = true;
                 any = true;
             }
+            "--cpu-split" => {
+                let v = args
+                    .next()
+                    .ok_or_else(|| "--cpu-split needs a figure".to_string())?;
+                if v != "fig6" {
+                    return Err(format!("no CPU split for {v:?} (only fig6)"));
+                }
+                opts.cpu_split = true;
+                any = true;
+            }
             "--quick" => opts.quick = true,
             "--seconds" => {
                 let v = args
@@ -134,6 +153,37 @@ fn parse_args() -> Result<Options, String> {
         opts.seconds = opts.seconds.min(10);
     }
     Ok(opts)
+}
+
+/// Runs behind one `--cpu-split` table; each column is their median.
+const CPU_SPLIT_RUNS: usize = 3;
+
+/// Prints the per-host CPU split of Figure 6's 50-client MSG-Dispatcher
+/// + WS-MsgBox point, in ms.
+fn print_cpu_split(seconds: u64) {
+    let runs: Vec<fig6::CpuSplit> = (0..CPU_SPLIT_RUNS)
+        .map(|_| fig6::run_cpu_split(fig6::Series::DispatcherWithMsgBox, 50, seconds))
+        .collect();
+    let median = |mut ns: Vec<u64>| {
+        ns.sort_unstable();
+        ns[ns.len() / 2] as f64 / 1e6
+    };
+    let mut columns: Vec<(String, f64)> = (runs[0].hosts.iter().enumerate())
+        .map(|(i, (host, _))| (host.clone(), median(runs.iter().map(|r| r.hosts[i].1).collect())))
+        .collect();
+    let in_hosts = |r: &fig6::CpuSplit| r.hosts.iter().map(|(_, ns)| ns).sum::<u64>();
+    columns.push((
+        "netsim_loop".into(),
+        median(runs.iter().map(|r| r.total_ns.saturating_sub(in_hosts(r))).collect()),
+    ));
+    columns.push(("total".into(), median(runs.iter().map(|r| r.total_ns).collect())));
+    println!(
+        "# Per-host CPU of Figure 6's 50-client MSG-Dispatcher + WS-MsgBox point \
+         ({seconds} s virtual), ms, median of {CPU_SPLIT_RUNS} runs"
+    );
+    let head: Vec<String> = columns.iter().map(|(name, _)| format!("{name:>12}")).collect();
+    let row: Vec<String> = columns.iter().map(|(_, ms)| format!("{ms:>12.1}")).collect();
+    println!("{}\n{}", head.join(" "), row.join(" "));
 }
 
 /// One line of operational context after each figure: losses, the
@@ -341,8 +391,8 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: experiments [--table1] [--fig4] [--fig5] [--fig6] [--fig6-oom] \
-                 [--fig6-durable] [--connwall] [--fleet] [--calibration] [--all] \
-                 [--seconds N] [--quick] [--json PATH]"
+                 [--fig6-durable] [--connwall] [--fleet] [--calibration] \
+                 [--cpu-split fig6] [--all] [--seconds N] [--quick] [--json PATH]"
             );
             std::process::exit(2);
         }
@@ -430,6 +480,10 @@ fn main() {
         let failover = fleet::run_failover(opts.seconds.clamp(4, 30));
         fleet::print_failover(&failover);
         json_figures.push(("fleet", json_fleet(&rows, seconds, &failover)));
+        println!();
+    }
+    if opts.cpu_split {
+        print_cpu_split(opts.seconds);
         println!();
     }
     if let Some(path) = &opts.json {

@@ -5,9 +5,15 @@
 //! matching pieces:
 //!
 //! * an owned message model ([`Request`], [`Response`], [`Headers`]),
+//!   whose head is one buffer: [`Headers`] keeps its lines as they go
+//!   on the wire, so a parsed head is one allocation and a written one
+//!   one copy,
 //! * a parser and serializer, both for complete byte buffers (used on the
 //!   simulated network, which delivers whole messages) and for blocking
-//!   [`Stream`]s (used by the real-thread runtime),
+//!   [`Stream`]s (used by the real-thread runtime), plus two borrowed
+//!   readers of a complete buffer ([`request_body`], [`response_status`])
+//!   that walk the head by the buffer parser's own rule and build no
+//!   message,
 //! * an incremental [`RequestParser`] plus readiness support on streams
 //!   ([`ReadyStream`]: `try_read` and wakeup hooks), so an
 //!   event-driven front end can multiplex many connections without
@@ -33,7 +39,9 @@ pub use bytes::Bytes;
 pub use conn::{serve_connection, HttpClient};
 pub use incremental::RequestParser;
 pub use message::{Headers, Method, Request, Response, Status, Version};
-pub use parse::{parse_request_bytes, parse_response_bytes, MessageReader};
+pub use parse::{
+    parse_request_bytes, parse_response_bytes, request_body, response_status, MessageReader,
+};
 pub use serialize::{
     request_bytes, request_bytes_into, response_bytes, response_bytes_into, response_len,
     write_request, write_response,

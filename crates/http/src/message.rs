@@ -105,10 +105,17 @@ impl Status {
     }
 }
 
-/// An ordered, case-insensitive header multimap.
+/// An ordered, case-insensitive header multimap, held as its wire lines
+/// (`Name: value\r\n` each) in one buffer: a parsed head is one
+/// allocation, and the serialisers copy it with one `extend`.
+///
+/// Reads walk the lines; [`set`](Self::set) and [`remove`](Self::remove)
+/// rebuild the buffer, which only builders do. A name holds no `:` and
+/// neither part holds `\r\n` (debug builds assert it): such a header
+/// could not be written on the wire either.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    lines: String,
 }
 
 impl Headers {
@@ -117,52 +124,105 @@ impl Headers {
         Headers::default()
     }
 
+    /// An empty header set with room for `bytes` of lines.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Headers {
+            lines: String::with_capacity(bytes),
+        }
+    }
+
     /// First value for `name`, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        // A line is `name`'s when `name` and a colon lead it, read without
+        // splitting the line; no stored name holds a colon, so a `name`
+        // with one has no line.
+        let n = name.len();
+        let named = |line: &&str| {
+            let line = line.as_bytes();
+            line.get(n) == Some(&b':') && line[..n].eq_ignore_ascii_case(name.as_bytes())
+        };
+        let line = self.lines().find(named).filter(|_| !name.contains(':'))?;
+        Some(split_line(line).1)
     }
 
     /// Sets `name`, replacing every existing occurrence.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
-        self.entries.push((name, value.into()));
+    pub fn set(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        self.remove(name.as_ref());
+        self.add(name, value);
     }
 
     /// Appends a header without touching existing occurrences.
-    pub fn add(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.entries.push((name.into(), value.into()));
+    pub fn add(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        let (name, value) = (name.as_ref(), value.as_ref());
+        debug_assert!(
+            !name.contains(':') && !name.contains("\r\n") && !value.contains("\r\n"),
+            "header {name:?}: {value:?} cannot be one line"
+        );
+        self.lines.reserve(name.len() + value.len() + 4);
+        for part in [name, ": ", value, "\r\n"] {
+            self.lines.push_str(part);
+        }
+    }
+
+    /// Appends the `Content-Length` of `len` bytes, its digits written
+    /// straight into the buffer.
+    pub(crate) fn add_content_length(&mut self, len: usize) {
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.lines, "Content-Length: {len}\r\n");
     }
 
     /// Removes every occurrence of `name`; returns whether any existed.
     pub fn remove(&mut self, name: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.entries.len() != before
+        if self.get(name).is_none() {
+            return false;
+        }
+        let keep = |line: &&str| !split_line(line).0.eq_ignore_ascii_case(name);
+        self.lines = self.lines().filter(keep).flat_map(|line| [line, "\r\n"]).collect();
+        true
     }
 
     /// All entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.lines().map(split_line)
+    }
+
+    /// The stored lines, each without its `\r\n`.
+    fn lines(&self) -> impl Iterator<Item = &str> {
+        let mut rest = self.lines.as_str();
+        std::iter::from_fn(move || {
+            let end = wsd_xml::swar::find_seq(rest.as_bytes(), b"\r\n")?;
+            let line = &rest[..end];
+            rest = &rest[end + 2..];
+            Some(line)
+        })
     }
 
     /// Number of header lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines().count()
     }
 
     /// Whether there are no headers.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines.is_empty()
     }
 
     /// Parsed `Content-Length`, if present and numeric.
     pub fn content_length(&self) -> Option<usize> {
         self.get("content-length")?.trim().parse().ok()
     }
+
+    /// The lines as they go on the wire, each ending in `\r\n`.
+    pub(crate) fn as_wire(&self) -> &str {
+        &self.lines
+    }
+}
+
+/// One stored line as name and value.
+fn split_line(line: &str) -> (&str, &str) {
+    let (name, value) = line.split_once(':').unwrap_or((line, ""));
+    (name, value.strip_prefix(' ').unwrap_or(value))
 }
 
 /// An HTTP request.
@@ -191,12 +251,12 @@ impl Request {
         body: impl Into<Bytes>,
     ) -> Request {
         let body = body.into();
-        let mut headers = Headers::new();
-        headers.set("Host", host);
-        headers.set("Content-Type", content_type);
-        headers.set("Content-Length", body.len().to_string());
-        headers.set("SOAPAction", "\"\"");
-        headers.set("User-Agent", "wsd-client/0.1");
+        let mut headers = Headers::with_capacity(host.len() + content_type.len() + 112);
+        headers.add("Host", host);
+        headers.add("Content-Type", content_type);
+        headers.add_content_length(body.len());
+        headers.add("SOAPAction", "\"\"");
+        headers.add("User-Agent", "wsd-client/0.1");
         Request {
             method: Method::Post,
             target: target.to_string(),
@@ -209,7 +269,7 @@ impl Request {
     /// A bodyless GET.
     pub fn get(host: &str, target: &str) -> Request {
         let mut headers = Headers::new();
-        headers.set("Host", host);
+        headers.add("Host", host);
         Request {
             method: Method::Get,
             target: target.to_string(),
@@ -271,10 +331,10 @@ impl Response {
     /// A response with a body and explicit content type.
     pub fn new(status: Status, content_type: &str, body: impl Into<Bytes>) -> Response {
         let body = body.into();
-        let mut headers = Headers::new();
-        headers.set("Content-Type", content_type);
-        headers.set("Content-Length", body.len().to_string());
-        headers.set("Server", "wsd/0.1");
+        let mut headers = Headers::with_capacity(content_type.len() + 72);
+        headers.add("Content-Type", content_type);
+        headers.add_content_length(body.len());
+        headers.add("Server", "wsd/0.1");
         Response {
             version: Version::V11,
             status,
@@ -285,9 +345,9 @@ impl Response {
 
     /// An empty-bodied response.
     pub fn empty(status: Status) -> Response {
-        let mut headers = Headers::new();
-        headers.set("Content-Length", "0");
-        headers.set("Server", "wsd/0.1");
+        let mut headers = Headers::with_capacity(40);
+        headers.add("Content-Length", "0");
+        headers.add("Server", "wsd/0.1");
         Response {
             version: Version::V11,
             status,

@@ -8,9 +8,116 @@ use crate::{HttpError, Limits};
 /// Parses one complete request from a buffer that contains exactly one
 /// message (what the simulated network delivers).
 pub fn parse_request_bytes(bytes: &[u8]) -> Result<Request, HttpError> {
-    let (head, body_start) = split_head(bytes)?;
-    let mut lines = head.split("\r\n");
-    let start = lines.next().ok_or(HttpError::BadSyntax("empty head"))?;
+    let head = Head::split(bytes)?;
+    let (method, target, version) = request_line(head.start)?;
+    let (headers, length) = head.headers()?;
+    // The body's one copy: the message buffer is the reader's to reuse.
+    let body = bytes::Bytes::copy_from_slice(head.body(bytes, length)?);
+    Ok(Request {
+        method,
+        target: target.to_string(),
+        version,
+        headers,
+        body,
+    })
+}
+
+/// The body of the one request in `bytes`, borrowed: `Ok` with the body
+/// [`parse_request_bytes`] would copy, or the error it would return, read
+/// by the same walk without building the [`Request`].
+pub fn request_body(bytes: &[u8]) -> Result<&[u8], HttpError> {
+    let head = Head::split(bytes)?;
+    request_line(head.start)?;
+    let length = head.walk(|_, _| {})?;
+    head.body(bytes, length)
+}
+
+/// Parses one complete response from a buffer.
+pub fn parse_response_bytes(bytes: &[u8]) -> Result<Response, HttpError> {
+    let head = Head::split(bytes)?;
+    let (version, status) = status_line(head.start)?;
+    let (headers, length) = head.headers()?;
+    let body = bytes::Bytes::copy_from_slice(head.body(bytes, length)?);
+    Ok(Response {
+        version,
+        status,
+        headers,
+        body,
+    })
+}
+
+/// The status of the response in `bytes`, read off its start line once
+/// the head is complete: wherever [`parse_response_bytes`] parses, its
+/// `status`. It may answer where the whole parse would fail on a header
+/// or a short body, so a caller that needs the message parses it.
+pub fn response_status(bytes: &[u8]) -> Option<Status> {
+    status_line(Head::split(bytes).ok()?.start).ok().map(|(_, status)| status)
+}
+
+/// A complete buffer's head, cut at its terminator: the one acceptance
+/// rule every buffer parser above walks.
+struct Head<'a> {
+    /// The start line.
+    start: &'a str,
+    /// The header lines after it, each behind its `\r\n`.
+    fields: &'a str,
+    /// Where the body starts in the buffer.
+    body_start: usize,
+}
+
+impl<'a> Head<'a> {
+    fn split(bytes: &'a [u8]) -> Result<Head<'a>, HttpError> {
+        let end = find_head_end(bytes).ok_or(HttpError::UnexpectedEof)?;
+        let head = std::str::from_utf8(&bytes[..end])
+            .map_err(|_| HttpError::BadSyntax("head not UTF-8"))?;
+        let (start, fields) = head.split_at(head.find("\r\n").unwrap_or(head.len()));
+        Ok(Head {
+            start,
+            fields,
+            body_start: end + 4,
+        })
+    }
+
+    /// Checks every header line in order, handing each to `each` as name
+    /// and trimmed value (blank lines are skipped; a line without a colon
+    /// or with a bad name is an error), and returns the first
+    /// `Content-Length`: `None` when there is none or it is not a number.
+    fn walk(&self, mut each: impl FnMut(&'a str, &'a str)) -> Result<Option<usize>, HttpError> {
+        let mut length = None;
+        for line in self.fields.split("\r\n").filter(|line| !line.is_empty()) {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or(HttpError::BadSyntax("header line without colon"))?;
+            if name.is_empty() || name.contains(' ') {
+                return Err(HttpError::BadSyntax("bad header name"));
+            }
+            let value = value.trim();
+            if length.is_none() && name.eq_ignore_ascii_case("content-length") {
+                length = Some(value.parse().ok());
+            }
+            each(name, value);
+        }
+        Ok(length.flatten())
+    }
+
+    /// The header lines in one buffer sized from the head, and the
+    /// `Content-Length` [`walk`](Self::walk) read.
+    fn headers(&self) -> Result<(Headers, Option<usize>), HttpError> {
+        let mut headers = Headers::with_capacity(self.fields.len());
+        let length = self.walk(|name, value| headers.add(name, value))?;
+        Ok((headers, length))
+    }
+
+    /// The body `length` declares (none: empty); a short one is
+    /// [`HttpError::UnexpectedEof`].
+    fn body(&self, bytes: &'a [u8], length: Option<usize>) -> Result<&'a [u8], HttpError> {
+        (self.body_start.checked_add(length.unwrap_or(0)))
+            .and_then(|end| bytes.get(self.body_start..end))
+            .ok_or(HttpError::UnexpectedEof)
+    }
+}
+
+fn request_line(start: &str) -> Result<(Method, &str, Version), HttpError> {
     let mut parts = start.split(' ');
     let method = parts
         .next()
@@ -19,8 +126,7 @@ pub fn parse_request_bytes(bytes: &[u8]) -> Result<Request, HttpError> {
     let target = parts
         .next()
         .filter(|t| !t.is_empty())
-        .ok_or(HttpError::BadSyntax("missing target"))?
-        .to_string();
+        .ok_or(HttpError::BadSyntax("missing target"))?;
     let version = parts
         .next()
         .and_then(Version::parse)
@@ -28,22 +134,10 @@ pub fn parse_request_bytes(bytes: &[u8]) -> Result<Request, HttpError> {
     if parts.next().is_some() {
         return Err(HttpError::BadSyntax("extra tokens in start line"));
     }
-    let headers = parse_headers(lines)?;
-    let body = read_body(bytes, body_start, &headers)?;
-    Ok(Request {
-        method,
-        target,
-        version,
-        headers,
-        body,
-    })
+    Ok((method, target, version))
 }
 
-/// Parses one complete response from a buffer.
-pub fn parse_response_bytes(bytes: &[u8]) -> Result<Response, HttpError> {
-    let (head, body_start) = split_head(bytes)?;
-    let mut lines = head.split("\r\n");
-    let start = lines.next().ok_or(HttpError::BadSyntax("empty head"))?;
+fn status_line(start: &str) -> Result<(Version, Status), HttpError> {
     let mut parts = start.splitn(3, ' ');
     let version = parts
         .next()
@@ -55,21 +149,7 @@ pub fn parse_response_bytes(bytes: &[u8]) -> Result<Response, HttpError> {
         .map(Status)
         .ok_or(HttpError::BadSyntax("bad status code"))?;
     // The reason phrase is ignored; the code is canonical.
-    let headers = parse_headers(lines)?;
-    let body = read_body(bytes, body_start, &headers)?;
-    Ok(Response {
-        version,
-        status,
-        headers,
-        body,
-    })
-}
-
-fn split_head(bytes: &[u8]) -> Result<(&str, usize), HttpError> {
-    let end = find_head_end(bytes).ok_or(HttpError::UnexpectedEof)?;
-    let head =
-        std::str::from_utf8(&bytes[..end]).map_err(|_| HttpError::BadSyntax("head not UTF-8"))?;
-    Ok((head, end + 4))
+    Ok((version, status))
 }
 
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
@@ -80,37 +160,6 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
 /// so bytes already scanned on a previous fill are not rescanned.
 fn find_head_end_from(bytes: &[u8], from: usize) -> Option<usize> {
     wsd_xml::swar::find_seq(bytes.get(from..)?, b"\r\n\r\n").map(|i| i + from)
-}
-
-fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers, HttpError> {
-    let mut headers = Headers::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or(HttpError::BadSyntax("header line without colon"))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(HttpError::BadSyntax("bad header name"));
-        }
-        headers.add(name, value.trim());
-    }
-    Ok(headers)
-}
-
-fn read_body(
-    bytes: &[u8],
-    body_start: usize,
-    headers: &Headers,
-) -> Result<bytes::Bytes, HttpError> {
-    let len = headers.content_length().unwrap_or(0);
-    let available = bytes.len().saturating_sub(body_start);
-    if available < len {
-        return Err(HttpError::UnexpectedEof);
-    }
-    // The body's one copy: the message buffer is the reader's to reuse.
-    Ok(bytes::Bytes::copy_from_slice(&bytes[body_start..body_start + len]))
 }
 
 /// Bytes one read asks for while the head is incomplete.

@@ -2,7 +2,7 @@
 
 use std::io::Write;
 
-use crate::message::{Request, Response};
+use crate::message::{Headers, Request, Response};
 use crate::HttpError;
 
 /// Serialized size of a request's head (start line + headers + blank
@@ -20,17 +20,14 @@ fn push_request_head(out: &mut Vec<u8>, req: &Request) {
     out.push(b' ');
     out.extend_from_slice(req.version.as_str().as_bytes());
     out.extend_from_slice(b"\r\n");
-    push_headers(out, req.headers.iter());
+    push_headers(out, &req.headers);
 }
 
 fn push_response_head(out: &mut Vec<u8>, resp: &Response) {
-    out.extend_from_slice(resp.version.as_str().as_bytes());
-    out.push(b' ');
-    out.extend_from_slice(resp.status.0.to_string().as_bytes());
-    out.push(b' ');
-    out.extend_from_slice(resp.status.reason().as_bytes());
-    out.extend_from_slice(b"\r\n");
-    push_headers(out, resp.headers.iter());
+    let (version, status) = (resp.version.as_str(), resp.status);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{version} {} {}\r\n", status.0, status.reason());
+    push_headers(out, &resp.headers);
 }
 
 /// Serialized size of a full response, head and body — what
@@ -38,17 +35,11 @@ fn push_response_head(out: &mut Vec<u8>, resp: &Response) {
 pub fn response_len(resp: &Response) -> usize {
     let status = resp.status.0.checked_ilog10().map_or(1, |d| d as usize + 1);
     let start = resp.version.as_str().len() + 1 + status + 1 + resp.status.reason().len() + 2;
-    let headers: usize = resp.headers.iter().map(|(n, v)| n.len() + 2 + v.len() + 2).sum();
-    start + headers + 2 + resp.body.len()
+    start + resp.headers.as_wire().len() + 2 + resp.body.len()
 }
 
-fn push_headers<'a>(out: &mut Vec<u8>, headers: impl Iterator<Item = (&'a str, &'a str)>) {
-    for (name, value) in headers {
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(value.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
+fn push_headers(out: &mut Vec<u8>, headers: &Headers) {
+    out.extend_from_slice(headers.as_wire().as_bytes());
     out.extend_from_slice(b"\r\n");
 }
 

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use wsd_http::{
-    parse_request_bytes, parse_response_bytes, request_bytes, response_bytes, Headers, HttpError,
-    Limits, Method, Request, RequestParser, Response, Status, Version,
+    parse_request_bytes, parse_response_bytes, request_body, request_bytes, response_bytes,
+    response_status, Headers, HttpError, Limits, Method, Request, RequestParser, Response, Status,
+    Version,
 };
 
 fn header_name() -> impl Strategy<Value = String> {
@@ -198,5 +199,179 @@ proptest! {
         let chunked = feed_chunked(&bytes, Limits::default(), cycled(cuts, bytes.len())).unwrap_err();
         prop_assert_eq!(&byte_wise, &HttpError::BadSyntax("bad Content-Length"));
         prop_assert_eq!(&chunked, &HttpError::BadSyntax("bad Content-Length"));
+    }
+}
+
+/// One [`Headers`] operation, over a few names that differ in case only
+/// so that `set`, `remove` and `get` meet duplicates.
+#[derive(Debug, Clone)]
+enum HeaderOp {
+    Add(String, String),
+    Set(String, String),
+    Remove(String),
+    Get(String),
+}
+
+fn small_name() -> impl Strategy<Value = String> {
+    "[Aa][Bb-]{0,2}"
+}
+
+fn any_value() -> impl Strategy<Value = String> {
+    // Anything a builder may write: leading, trailing and inner spaces,
+    // colons, lone CR or LF, empty.
+    "[ :a-c\r\n]{0,6}".prop_map(|mut v| {
+        while v.contains("\r\n") {
+            v = v.replace("\r\n", "\n");
+        }
+        v
+    })
+}
+
+fn header_op() -> impl Strategy<Value = HeaderOp> {
+    prop_oneof![
+        (small_name(), any_value()).prop_map(|(n, v)| HeaderOp::Add(n, v)),
+        (small_name(), any_value()).prop_map(|(n, v)| HeaderOp::Set(n, v)),
+        small_name().prop_map(HeaderOp::Remove),
+        small_name().prop_map(HeaderOp::Get),
+    ]
+}
+
+/// What a head mutation does to a serialised message.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Insert a header line (any text) after the `at`-th line.
+    InsertLine(usize, String),
+    /// Replace the `at`-th line.
+    ReplaceLine(usize, String),
+    /// Drop `n` bytes off the end.
+    Truncate(usize),
+    /// Overwrite one byte of the head.
+    Flip(usize, u8),
+}
+
+fn head_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("broken header".to_string()),
+        Just(" Spaced: x".to_string()),
+        Just("Spaced name: x".to_string()),
+        Just(": empty name".to_string()),
+        Just("Content-Length: 3".to_string()),
+        Just("content-length:0".to_string()),
+        Just("Content-Length: 99999".to_string()),
+        Just("Content-Length: nope".to_string()),
+        Just("CONTENT-LENGTH:   7  ".to_string()),
+        Just("X: \u{e9}t\u{e9}".to_string()),
+        Just(String::new()),
+        Just("POST / HTTP/9.9".to_string()),
+        Just("HTTP/1.1 200 OK".to_string()),
+        Just("HTTP/1.1 2x2 Accepted".to_string()),
+        Just("GET  / HTTP/1.1".to_string()),
+        "[ -~]{0,12}",
+    ]
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (0usize..8, head_line()).prop_map(|(at, l)| Mutation::InsertLine(at, l)),
+        (0usize..8, head_line()).prop_map(|(at, l)| Mutation::ReplaceLine(at, l)),
+        (0usize..16).prop_map(Mutation::Truncate),
+        (0usize..256, any::<u8>()).prop_map(|(at, b)| Mutation::Flip(at, b)),
+    ]
+}
+
+/// `bytes` with its head mutated as `m` says.
+fn mutate(bytes: &[u8], m: &Mutation) -> Vec<u8> {
+    let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(bytes.len());
+    let line_starts: Vec<usize> = std::iter::once(0)
+        .chain((0..head_end).filter(|&i| bytes[i..].starts_with(b"\r\n")).map(|i| i + 2))
+        .collect();
+    let line = |at: usize| line_starts[at % line_starts.len()];
+    let mut out = bytes.to_vec();
+    match m {
+        Mutation::InsertLine(at, text) => {
+            let mut ins = text.clone().into_bytes();
+            ins.extend_from_slice(b"\r\n");
+            out.splice(line(*at)..line(*at), ins);
+        }
+        Mutation::ReplaceLine(at, text) => {
+            let start = line(*at);
+            let end = start + out[start..].windows(2).position(|w| w == b"\r\n").unwrap_or(0);
+            out.splice(start..end, text.bytes());
+        }
+        Mutation::Truncate(n) => out.truncate(out.len().saturating_sub(*n)),
+        Mutation::Flip(at, b) => {
+            if head_end > 0 {
+                out[at % head_end] = *b;
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    /// The one-buffer header set behaves as the list of pairs it
+    /// replaced, operation by operation.
+    #[test]
+    fn headers_agree_with_a_list_of_pairs(ops in proptest::collection::vec(header_op(), 0..24)) {
+        let mut headers = Headers::new();
+        let mut model: Vec<(String, String)> = Vec::new();
+        for op in ops {
+            match op {
+                HeaderOp::Add(n, v) => {
+                    headers.add(&n, &v);
+                    model.push((n, v));
+                }
+                HeaderOp::Set(n, v) => {
+                    headers.set(&n, &v);
+                    model.retain(|(m, _)| !m.eq_ignore_ascii_case(&n));
+                    model.push((n, v));
+                }
+                HeaderOp::Remove(n) => {
+                    let before = model.len();
+                    model.retain(|(m, _)| !m.eq_ignore_ascii_case(&n));
+                    prop_assert_eq!(headers.remove(&n), model.len() != before);
+                }
+                HeaderOp::Get(n) => {
+                    let want = model.iter().find(|(m, _)| m.eq_ignore_ascii_case(&n));
+                    prop_assert_eq!(headers.get(&n), want.map(|(_, v)| v.as_str()));
+                }
+            }
+            let got: Vec<(&str, &str)> = headers.iter().collect();
+            let want: Vec<(&str, &str)> =
+                model.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(headers.len(), model.len());
+            prop_assert_eq!(headers.is_empty(), model.is_empty());
+        }
+    }
+
+    /// `request_body` reads the body `parse_request_bytes` copies, or
+    /// fails as it does, on valid requests and on mutated heads.
+    #[test]
+    fn request_body_agrees_with_the_full_parse(req in request_strategy(), m in mutation()) {
+        let bytes = request_bytes(&req);
+        for bytes in [bytes.clone(), mutate(&bytes, &m)] {
+            let full = parse_request_bytes(&bytes).map(|r| r.body.to_vec());
+            prop_assert_eq!(request_body(&bytes).map(<[u8]>::to_vec), full);
+        }
+    }
+
+    /// `response_status` is the full parse's status wherever it parses,
+    /// and says nothing about a buffer with no complete head.
+    #[test]
+    fn response_status_agrees_with_the_full_parse(
+        code in 100u16..600,
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        m in mutation(),
+    ) {
+        let bytes = response_bytes(&Response::new(Status(code), "text/xml", body));
+        for bytes in [bytes.clone(), mutate(&bytes, &m)] {
+            if let Ok(resp) = parse_response_bytes(&bytes) {
+                prop_assert_eq!(response_status(&bytes), Some(resp.status));
+            }
+            if !bytes.windows(4).any(|w| w == b"\r\n\r\n") {
+                prop_assert_eq!(response_status(&bytes), None);
+            }
+        }
     }
 }

@@ -8,8 +8,8 @@ use std::io::Write;
 use std::rc::Rc;
 
 use wsd_core::msgbox::ops;
-use wsd_core::sim::CONNECT_TIMEOUT;
-use wsd_http::{parse_request_bytes, parse_response_bytes, Request, Response, Status};
+use wsd_core::sim::{ACCEPTED, CONNECT_TIMEOUT};
+use wsd_http::{parse_response_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
 use wsd_wsa::{EndpointReference, WsaHeaders};
@@ -476,10 +476,9 @@ impl CallbackSink {
 impl Process for CallbackSink {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         if let ProcEvent::Message { conn, bytes } = event {
-            if parse_request_bytes(&bytes).is_ok() {
+            if wsd_http::request_body(&bytes).is_ok() {
                 *self.received.borrow_mut() += 1;
-                let ack = Response::empty(Status::ACCEPTED);
-                let _ = ctx.send(conn, Payload::from(wsd_http::response_bytes(&ack)));
+                let _ = ctx.send(conn, ACCEPTED);
             }
         }
     }

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use wsd_telemetry::{Counter, Scope, VirtualClock};
+use wsd_telemetry::{Counter, Scope, VirtualClock, WallClock};
 
 use crate::conn::{ConnId, ConnPhase, Connection, RefuseReason, Side};
 use crate::event::{EventQueue, SimEvent};
@@ -34,6 +34,9 @@ pub struct Simulation {
     events_processed: u64,
     messages_delivered: u64,
     tele: Option<NetTelemetry>,
+    /// Host CPU spent in each host's processes, by [`HostId`], while
+    /// [`time_hosts`](Simulation::time_hosts) has switched it on.
+    host_cpu: Option<(WallClock, Vec<u64>)>,
 }
 
 /// Network-level instruments bound by [`Simulation::bind_telemetry`]: the
@@ -71,7 +74,28 @@ impl Simulation {
             events_processed: 0,
             messages_delivered: 0,
             tele: None,
+            host_cpu: None,
         }
+    }
+
+    /// Starts timing every [`Process::on_event`] on the host, per host:
+    /// the per-host CPU split of [`host_cpu_ns`](Self::host_cpu_ns). Off,
+    /// it costs one branch per event. Virtual time never reads it.
+    pub fn time_hosts(&mut self) {
+        self.host_cpu = Some((WallClock::new(), Vec::new()));
+    }
+
+    /// Host nanoseconds each host's processes have spent in `on_event`
+    /// since [`time_hosts`](Self::time_hosts), by host name in the order
+    /// the hosts were added; empty when timing is off.
+    pub fn host_cpu_ns(&self) -> Vec<(&str, u64)> {
+        let Some((_, spent)) = &self.host_cpu else {
+            return Vec::new();
+        };
+        let spent = |i: usize| spent.get(i).copied().unwrap_or(0);
+        (self.hosts.iter().enumerate())
+            .map(|(i, h)| (h.config.name.as_str(), spent(i)))
+            .collect()
     }
 
     /// Binds network-level instruments under `scope` and hands the event
@@ -415,7 +439,18 @@ impl Simulation {
             next_conn_id: &mut self.next_conn,
             conns: &self.conns,
         };
-        process.on_event(&mut ctx, event);
+        match &mut self.host_cpu {
+            None => process.on_event(&mut ctx, event),
+            Some((clock, spent)) => {
+                let started = clock.now_ns();
+                process.on_event(&mut ctx, event);
+                let host = self.procs[proc.0].host.0;
+                if spent.len() <= host {
+                    spent.resize(host + 1, 0);
+                }
+                spent[host] += clock.now_ns() - started;
+            }
+        }
         let ops = ctx.ops;
         self.procs[proc.0].process = Some(process);
         for op in ops {
@@ -705,6 +740,31 @@ mod tests {
         );
         assert_eq!(slog.borrow().as_slice(), ["start", "accepted", "msg:hello"]);
         assert!(sim.now() > SimTime::ZERO);
+    }
+
+    #[test]
+    fn timing_hosts_splits_by_host_and_moves_nothing_virtual() {
+        let run = |timed: bool| {
+            let (mut sim, a, b) = two_host_sim();
+            if timed {
+                sim.time_hosts();
+            }
+            let mut server = Recorder::new(Rc::new(RefCell::new(vec![])));
+            server.echo = true;
+            let sp = sim.spawn(b, Box::new(server));
+            sim.listen(sp, 80);
+            let mut client = Recorder::new(Rc::new(RefCell::new(vec![])));
+            client.target = Some(("b".into(), 80));
+            client.send_on_establish = Some(Payload::from_static(b"hello"));
+            sim.spawn(a, Box::new(client));
+            sim.run();
+            let hosts: Vec<String> = sim.host_cpu_ns().iter().map(|(h, _)| h.to_string()).collect();
+            (sim.now(), sim.events_processed(), hosts)
+        };
+        let (plain, timed) = (run(false), run(true));
+        assert_eq!((plain.0, plain.1), (timed.0, timed.1));
+        assert!(plain.2.is_empty());
+        assert_eq!(timed.2, ["a", "b"]);
     }
 
     #[test]

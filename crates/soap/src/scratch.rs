@@ -24,6 +24,9 @@ pub const POISON: u8 = 0xA5;
 /// buffers are simply dropped — correct, just not reused).
 const POOL_RETAIN: usize = 32;
 
+/// Capacity every pooled buffer has: one envelope plus headroom.
+const DEFAULT_CAPACITY: usize = 2048;
+
 /// Reusable per-envelope working memory: the splice/fault output buffer.
 #[derive(Debug, Default)]
 pub struct EnvelopeScratch {
@@ -38,7 +41,7 @@ impl EnvelopeScratch {
     /// assert holds for fresh and pooled buffers alike.
     pub fn with_default_capacity() -> Self {
         let mut scratch = EnvelopeScratch {
-            out: String::with_capacity(2048),
+            out: String::with_capacity(DEFAULT_CAPACITY),
         };
         scratch.reset();
         scratch
@@ -100,7 +103,8 @@ pub fn checkout() -> ScratchGuard {
 }
 
 /// RAII checkout of an [`EnvelopeScratch`]; returns the (reset) buffer
-/// to the pool on drop.
+/// to the pool on drop, unless it has shrunk below the pre-size (after a
+/// [`take_out`](Self::take_out)): every pooled buffer is pre-sized.
 #[derive(Debug)]
 pub struct ScratchGuard {
     scratch: Option<EnvelopeScratch>,
@@ -108,9 +112,11 @@ pub struct ScratchGuard {
 
 impl ScratchGuard {
     /// Moves the output `String` out of the scratch (for handing an
-    /// envelope to an owning consumer, e.g. a queued request body). The
-    /// guard returns an empty — but no longer pre-sized — buffer to the
-    /// pool; prefer borrowing `out` when the bytes are transient.
+    /// envelope to an owning consumer, e.g. a queued request body). What
+    /// the guard holds afterwards is empty and not pre-sized, so its drop
+    /// lets it go instead of pooling it, and a later checkout starts from
+    /// a fresh pre-sized buffer; prefer borrowing `out` when the bytes are
+    /// transient.
     pub fn take_out(&mut self) -> String {
         std::mem::take(&mut self.scratch.as_mut().expect("scratch present").out)
     }
@@ -132,6 +138,9 @@ impl std::ops::DerefMut for ScratchGuard {
 impl Drop for ScratchGuard {
     fn drop(&mut self) {
         if let Some(mut scratch) = self.scratch.take() {
+            if scratch.out.capacity() < DEFAULT_CAPACITY {
+                return;
+            }
             scratch.reset();
             let mut pool = POOL.lock().expect("scratch pool poisoned");
             if pool.len() < POOL_RETAIN {
@@ -161,8 +170,20 @@ mod tests {
         let owned = g.take_out();
         assert_eq!(owned, "abc");
         assert!(g.out.is_empty());
-        drop(g); // returns an empty buffer — still a clean pool entry
+        drop(g); // lets the emptied buffer go: it is not pre-sized
         assert!(checkout().out.is_empty());
+    }
+
+    #[test]
+    fn a_checkout_after_take_out_is_pre_sized_and_poisoned() {
+        let mut g = checkout();
+        g.out.push_str("<moved/>");
+        drop(g.take_out());
+        drop(g);
+        let g = checkout();
+        assert!(g.out.capacity() >= DEFAULT_CAPACITY, "{}", g.out.capacity());
+        #[cfg(debug_assertions)]
+        g.assert_poisoned();
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn rechecked_out_scratch_never_leaks_previous_envelope() {
 #[test]
 fn a_write_after_take_out_never_reaches_the_next_checkout() {
     // The guard outlives the buffer `take_out` moved out: a later write
-    // lands in the empty buffer left behind, and the guard's drop must
-    // scrub that one like any other before the pool hands it out again.
+    // lands in the empty buffer left behind, which the guard's drop lets
+    // go (it is not pre-sized) or scrubs like any other before pooling.
     let mut g = checkout();
     g.out.push_str("<a/>");
     assert_eq!(g.take_out(), "<a/>");

@@ -37,6 +37,15 @@ impl Default for WallClock {
     }
 }
 
+impl WallClock {
+    /// Nanoseconds since this clock's origin: for timing a section of
+    /// host work shorter than a microsecond (the simulator's per-host CPU
+    /// split), never for stamping an instrument.
+    pub fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+}
+
 impl Clock for WallClock {
     fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
