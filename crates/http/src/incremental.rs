@@ -11,7 +11,7 @@
 //! exactly what the blocking reader would have produced.
 
 use crate::message::Request;
-use crate::parse::parse_request_bytes;
+use crate::parse::{declared_length, parse_request_bytes};
 use crate::{HttpError, Limits};
 
 /// Where the parser is in the current message.
@@ -122,19 +122,7 @@ impl RequestParser {
         if head_end > self.limits.max_head {
             return Err(HttpError::TooLarge("head"));
         }
-        let head = std::str::from_utf8(&self.buf[self.pos..self.pos + head_end - 4])
-            .map_err(|_| HttpError::BadSyntax("head not UTF-8"))?;
-        let mut body_len = 0usize;
-        for line in head.split("\r\n").skip(1) {
-            if let Some((name, value)) = line.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    body_len = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| HttpError::BadSyntax("bad Content-Length"))?;
-                }
-            }
-        }
+        let body_len = declared_length(&self.buf[self.pos..], head_end - 4)?;
         if body_len > self.limits.max_body {
             return Err(HttpError::TooLarge("body"));
         }

@@ -13,7 +13,7 @@
 //!   [`Stream`]s (used by the real-thread runtime), plus two borrowed
 //!   readers of a complete buffer ([`request_body`], [`response_status`])
 //!   that walk the head by the buffer parser's own rule and build no
-//!   message,
+//!   message; the stream readers frame a message by that rule too,
 //! * an incremental [`RequestParser`] plus readiness support on streams
 //!   ([`ReadyStream`]: `try_read` and wakeup hooks), so an
 //!   event-driven front end can multiplex many connections without

@@ -54,8 +54,17 @@ pub fn response_status(bytes: &[u8]) -> Option<Status> {
     status_line(Head::split(bytes).ok()?.start).ok().map(|(_, status)| status)
 }
 
+/// The body length the head of `bytes`, whose terminator starts at
+/// `end`, declares: what the stream readers frame a message by before
+/// they parse it, read by the walk that parse makes, so a message is
+/// framed and parsed by one rule. A head the parse would reject is
+/// rejected here.
+pub(crate) fn declared_length(bytes: &[u8], end: usize) -> Result<usize, HttpError> {
+    Ok(Head::cut(bytes, end)?.walk(|_, _| {})?.unwrap_or(0))
+}
+
 /// A complete buffer's head, cut at its terminator: the one acceptance
-/// rule every buffer parser above walks.
+/// rule every parser above walks, and the stream readers frame by.
 struct Head<'a> {
     /// The start line.
     start: &'a str,
@@ -67,7 +76,11 @@ struct Head<'a> {
 
 impl<'a> Head<'a> {
     fn split(bytes: &'a [u8]) -> Result<Head<'a>, HttpError> {
-        let end = find_head_end(bytes).ok_or(HttpError::UnexpectedEof)?;
+        Head::cut(bytes, find_head_end(bytes).ok_or(HttpError::UnexpectedEof)?)
+    }
+
+    /// The head of `bytes` whose terminator starts at `end`.
+    fn cut(bytes: &'a [u8], end: usize) -> Result<Head<'a>, HttpError> {
         let head = std::str::from_utf8(&bytes[..end])
             .map_err(|_| HttpError::BadSyntax("head not UTF-8"))?;
         let (start, fields) = head.split_at(head.find("\r\n").unwrap_or(head.len()));
@@ -80,8 +93,9 @@ impl<'a> Head<'a> {
 
     /// Checks every header line in order, handing each to `each` as name
     /// and trimmed value (blank lines are skipped; a line without a colon
-    /// or with a bad name is an error), and returns the first
-    /// `Content-Length`: `None` when there is none or it is not a number.
+    /// or with a bad name is an error), and returns the last
+    /// `Content-Length`, `None` when there is none; one that is not a
+    /// number is an error.
     fn walk(&self, mut each: impl FnMut(&'a str, &'a str)) -> Result<Option<usize>, HttpError> {
         let mut length = None;
         for line in self.fields.split("\r\n").filter(|line| !line.is_empty()) {
@@ -92,12 +106,13 @@ impl<'a> Head<'a> {
                 return Err(HttpError::BadSyntax("bad header name"));
             }
             let value = value.trim();
-            if length.is_none() && name.eq_ignore_ascii_case("content-length") {
-                length = Some(value.parse().ok());
+            if name.eq_ignore_ascii_case("content-length") {
+                let parsed = value.parse();
+                length = Some(parsed.map_err(|_| HttpError::BadSyntax("bad Content-Length"))?);
             }
             each(name, value);
         }
-        Ok(length.flatten())
+        Ok(length)
     }
 
     /// The header lines in one buffer sized from the head, and the
@@ -245,20 +260,8 @@ impl<S: Stream> MessageReader<S> {
                 };
             }
         };
-        // 2. Find the declared body length (cheap scan of the head).
-        let head = std::str::from_utf8(&self.buf[self.pos..self.pos + head_end - 4])
-            .map_err(|_| HttpError::BadSyntax("head not UTF-8"))?;
-        let mut body_len = 0usize;
-        for line in head.split("\r\n").skip(1) {
-            if let Some((name, value)) = line.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    body_len = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| HttpError::BadSyntax("bad Content-Length"))?;
-                }
-            }
-        }
+        // 2. Find the declared body length.
+        let body_len = declared_length(&self.buf[self.pos..], head_end - 4)?;
         if body_len > limits.max_body {
             return Err(HttpError::TooLarge("body"));
         }
@@ -301,21 +304,8 @@ impl<S: Stream> MessageReader<S> {
         let Some(end) = find_head_end(buf) else {
             return false;
         };
-        let Ok(head) = std::str::from_utf8(&buf[..end]) else {
-            return true; // read_* will reject it without blocking
-        };
-        let mut body_len = 0usize;
-        for line in head.split("\r\n").skip(1) {
-            if let Some((name, value)) = line.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    match value.trim().parse() {
-                        Ok(n) => body_len = n,
-                        Err(_) => return true, // ditto: immediate BadSyntax
-                    }
-                }
-            }
-        }
-        buf.len() >= end + 4 + body_len
+        // A head read_* rejects is answered without blocking.
+        declared_length(buf, end).map_or(true, |len| buf.len() - (end + 4) >= len)
     }
 
     /// Reads one request.
@@ -388,6 +378,22 @@ mod tests {
             parse_request_bytes(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n"),
             Err(HttpError::BadSyntax(_))
         ));
+    }
+
+    #[test]
+    fn content_length_is_read_alike_for_framing_and_parsing() {
+        // Two lengths: the last one frames the message and is its body.
+        let wire = b"POST / HTTP/1.1\r\nContent-Length: 9\r\nContent-Length: 2\r\n\r\nab";
+        assert_eq!(parse_request_bytes(wire).unwrap().body, &b"ab"[..]);
+        let (mut client, server) = duplex(256);
+        client.write_all(wire).unwrap();
+        drop(client);
+        let read = MessageReader::new(server).read_request(&Limits::default());
+        assert_eq!(read.unwrap().body, &b"ab"[..]);
+        // A length that is not a number is an error to the parse too.
+        let junk = b"POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
+        assert_eq!(parse_request_bytes(junk), Err(HttpError::BadSyntax("bad Content-Length")));
+        assert_eq!(request_body(junk), Err(HttpError::BadSyntax("bad Content-Length")));
     }
 
     #[test]

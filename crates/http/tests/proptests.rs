@@ -1,10 +1,11 @@
 //! Property-based invariants for the HTTP layer.
 
 use proptest::prelude::*;
+use std::io::Write;
 use wsd_http::{
-    parse_request_bytes, parse_response_bytes, request_body, request_bytes, response_bytes,
-    response_status, Headers, HttpError, Limits, Method, Request, RequestParser, Response, Status,
-    Version,
+    duplex, parse_request_bytes, parse_response_bytes, request_body, request_bytes, response_bytes,
+    response_status, Headers, HttpError, Limits, MessageReader, Method, Request, RequestParser,
+    Response, Status, Version,
 };
 
 fn header_name() -> impl Strategy<Value = String> {
@@ -353,6 +354,28 @@ proptest! {
         for bytes in [bytes.clone(), mutate(&bytes, &m)] {
             let full = parse_request_bytes(&bytes).map(|r| r.body.to_vec());
             prop_assert_eq!(request_body(&bytes).map(<[u8]>::to_vec), full);
+        }
+    }
+
+    /// Both stream readers frame a message by the rule the buffer parse
+    /// reads its body with: on valid requests and on mutated heads they
+    /// give the request `parse_request_bytes` gives, or fail where it
+    /// fails (not always alike: framing walks the header lines before
+    /// the parse reads the start line).
+    #[test]
+    fn stream_readers_frame_as_the_full_parse_reads(req in request_strategy(), m in mutation()) {
+        let bytes = request_bytes(&req);
+        for bytes in [bytes.clone(), mutate(&bytes, &m)] {
+            let full = parse_request_bytes(&bytes);
+            let fed = RequestParser::new(Limits::default())
+                .feed(&bytes)
+                .and_then(|req| req.ok_or(HttpError::UnexpectedEof));
+            prop_assert_eq!(fed.as_ref().ok(), full.as_ref().ok());
+            let (mut client, server) = duplex(bytes.len() + 1);
+            client.write_all(&bytes).unwrap();
+            drop(client);
+            let read = MessageReader::new(server).read_request(&Limits::default());
+            prop_assert_eq!(read.as_ref().ok(), full.as_ref().ok());
         }
     }
 

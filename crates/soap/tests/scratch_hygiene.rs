@@ -5,12 +5,23 @@
 //! intact at checkout, so a use-after-return shows up here — loudly —
 //! instead of shipping cross-envelope data.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use wsd_soap::{checkout, Fault, FaultCode, SoapVersion};
 
 const SECRET: &str = "<Envelope>SECRET-PREVIOUS-ENVELOPE-BYTES</Envelope>";
 
+/// The pool is one per process and these tests run on parallel threads:
+/// each holds its turn at the pool throughout, so the buffer a test
+/// returns is the one its next checkout gets, not another test's.
+static POOL_TURN: Mutex<()> = Mutex::new(());
+
+fn pool_turn() -> MutexGuard<'static, ()> {
+    POOL_TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn rechecked_out_scratch_never_leaks_previous_envelope() {
+    let _turn = pool_turn();
     // Round 1: fill a pooled buffer with a distinctive envelope, large
     // enough that its bytes occupy capacity a later, shorter write will
     // not overwrite.
@@ -48,13 +59,18 @@ fn rechecked_out_scratch_never_leaks_previous_envelope() {
 
 #[test]
 fn a_write_after_take_out_never_reaches_the_next_checkout() {
+    let _turn = pool_turn();
     // The guard outlives the buffer `take_out` moved out: a later write
-    // lands in the empty buffer left behind, which the guard's drop lets
-    // go (it is not pre-sized) or scrubs like any other before pooling.
+    // lands in the empty buffer left behind. A short one leaves it under
+    // the pre-size, and the guard's drop lets it go; this one regrows it
+    // past the pre-size, so the drop pools it and must scrub it first.
     let mut g = checkout();
     g.out.push_str("<a/>");
     assert_eq!(g.take_out(), "<a/>");
-    g.out.push_str(SECRET);
+    for _ in 0..48 {
+        g.out.push_str(SECRET);
+    }
+    assert!(g.out.capacity() >= 2048, "the regrown buffer is pooled");
     drop(g);
 
     let g = checkout();
@@ -72,6 +88,7 @@ fn a_write_after_take_out_never_reaches_the_next_checkout() {
 
 #[test]
 fn raw_fault_bytes_do_not_leak_across_checkouts() {
+    let _turn = pool_turn();
     // Write a fault with a distinctive reason through the raw byte path.
     let mut g = checkout();
     Fault::push_fault_envelope(
@@ -95,6 +112,7 @@ fn raw_fault_bytes_do_not_leak_across_checkouts() {
 
 #[test]
 fn interleaved_checkouts_are_independent() {
+    let _turn = pool_turn();
     let mut a = checkout();
     let mut b = checkout();
     a.out.push_str("<alpha/>");
