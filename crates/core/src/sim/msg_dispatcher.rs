@@ -19,7 +19,7 @@ use std::collections::{HashMap, VecDeque};
 use wsd_http::{Request, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::SoapVersion;
-use wsd_telemetry::{EventTrace, Gauge, Scope, TraceStage};
+use wsd_telemetry::{Gauge, Scope};
 
 use crate::config::{DispatcherConfig, DRAIN_BATCH, ROUTE_TTL};
 use crate::msg::link::{Link, LinkStep};
@@ -30,13 +30,10 @@ use crate::url::Url;
 type DestKey = (String, u16);
 
 /// What the dispatcher records beside its [`MsgCounters`]: the busy
-/// `WsThread` gauge, per-destination queue-depth gauges and
-/// message-lifecycle trace events keyed by WS-Addressing `MessageID`.
-/// Built from a [`Scope::noop`] by default, so unobserved runs record
-/// into thin air.
+/// `WsThread` gauge and per-destination queue-depth gauges. Built from a
+/// [`Scope::noop`] by default, so unobserved runs record into thin air.
 struct DispatcherTelemetry {
     scope: Scope,
-    trace: EventTrace,
     active_threads: Gauge,
     dest_queue_depth: HashMap<DestKey, Gauge>,
 }
@@ -44,7 +41,6 @@ struct DispatcherTelemetry {
 impl DispatcherTelemetry {
     fn new(scope: &Scope) -> Self {
         DispatcherTelemetry {
-            trace: scope.trace(),
             active_threads: scope.gauge("active_threads"),
             dest_queue_depth: HashMap::new(),
             scope: scope.clone(),
@@ -60,16 +56,10 @@ impl DispatcherTelemetry {
         }
         &self.dest_queue_depth[key]
     }
-
-    fn stage(&self, msg_id: &str, stage: TraceStage, at_us: u64) {
-        if !msg_id.is_empty() {
-            self.trace.push(msg_id, stage, at_us);
-        }
-    }
 }
 
-/// A queued outbound message: its `MessageID` (for trace stamps and the
-/// quadrant-3 correlation) and the serialized request.
+/// A queued outbound message: its `MessageID` (for the quadrant-3
+/// correlation) and the serialized request.
 type QueuedMsg = (String, Payload);
 
 struct Dest {
@@ -227,14 +217,8 @@ impl SimMsgDispatcher {
         let dest = self.dests.get_mut(&key).expect("inserted above");
         if dest.queue.len() >= cap {
             self.stats.drop(DropReason::QueueFull, 1);
-            self.tele
-                .stage(&msg_id, TraceStage::Dropped, ctx.now().as_micros());
             return;
         }
-        self.tele
-            .stage(&msg_id, TraceStage::Rewritten, ctx.now().as_micros());
-        self.tele
-            .stage(&msg_id, TraceStage::Enqueued, ctx.now().as_micros());
         dest.queue.push_back((msg_id, payload));
         let depth = dest.queue.len();
         self.stats.enqueued.inc();
@@ -264,7 +248,6 @@ impl SimMsgDispatcher {
     /// until the link waits on an event (the connect's outcome, the
     /// backoff timer) or has nothing left to write, which frees the thread.
     fn work_dest(&mut self, ctx: &mut Ctx<'_>, key: DestKey) {
-        let now_us = ctx.now().as_micros();
         loop {
             let Some(dest) = self.dests.get_mut(&key) else {
                 return;
@@ -283,13 +266,11 @@ impl SimMsgDispatcher {
                 LinkStep::Write => {
                     let conn = dest.conn.expect("an up link has its connection");
                     let (mut wrote, mut broken) = (0, false);
-                    for (msg_id, payload) in dest.link.batch() {
+                    for (_, payload) in dest.link.batch() {
                         if ctx.send(conn, payload.clone()).is_err() {
                             broken = true;
                             break;
                         }
-                        self.tele.stage(msg_id, TraceStage::Drained, now_us);
-                        self.tele.stage(msg_id, TraceStage::Delivered, now_us);
                         wrote += 1;
                     }
                     if wrote > 0 {
@@ -304,12 +285,10 @@ impl SimMsgDispatcher {
                         dest.link.write_failed();
                     }
                 }
-                LinkStep::GiveUp(mut lost) => {
-                    lost.extend(dest.queue.drain(..));
-                    for (msg_id, _) in &lost {
-                        self.tele.stage(msg_id, TraceStage::Dropped, now_us);
-                    }
-                    self.stats.drop(DropReason::GivenUp, lost.len() as u64);
+                LinkStep::GiveUp(lost) => {
+                    let n = lost.len() + dest.queue.len();
+                    dest.queue.clear();
+                    self.stats.drop(DropReason::GivenUp, n as u64);
                 }
                 LinkStep::Idle | LinkStep::Await => {
                     let up = dest.link.is_up();

@@ -39,7 +39,7 @@ const FIGURE: RpcFigure = RpcFigure {
 };
 
 /// One plotted point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     /// Concurrent clients.
     pub clients: usize,

@@ -63,7 +63,7 @@ pub struct Fig6Row {
 }
 
 /// Outcome of one series point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeriesPoint {
     /// Messages processed by the WS over the window.
     pub ws_processed: u64,

@@ -4,25 +4,17 @@
 //! the partial message until more arrive — it cannot block in
 //! [`crate::MessageReader`]'s fill loop. [`RequestParser`] is the
 //! push-style equivalent: feed it arbitrary chunks, get complete
-//! [`Request`]s out. [`Limits`] are enforced *progressively* — an
+//! [`Request`]s out. Both frame through the crate's one `Content-Length`
+//! framer, so [`Limits`] are enforced *progressively* and alike — an
 //! oversized head or declared body is rejected as soon as it is
 //! detectable, not after the bytes have been buffered — and a completed
 //! message is handed to [`parse_request_bytes`], so accepted requests are
 //! exactly what the blocking reader would have produced.
 
+use crate::frame::Framer;
 use crate::message::Request;
-use crate::parse::{declared_length, parse_request_bytes};
+use crate::parse::parse_request_bytes;
 use crate::{HttpError, Limits};
-
-/// Where the parser is in the current message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Accumulating start line + headers, scanning for `\r\n\r\n`.
-    Head,
-    /// Head complete: `head_end` bytes of head (terminator included),
-    /// `body_len` declared body bytes still expected in full.
-    Body { head_end: usize, body_len: usize },
-}
 
 /// A push-style HTTP/1.x request parser.
 ///
@@ -41,16 +33,7 @@ enum Phase {
 /// callers must drop the stream, exactly as the blocking serve loop does.
 pub struct RequestParser {
     limits: Limits,
-    buf: Vec<u8>,
-    phase: Phase,
-    /// Resume offset for the head-terminator scan (relative to `pos`),
-    /// so a byte-at-a-time feed stays linear instead of rescanning the
-    /// whole head each call.
-    scan_from: usize,
-    /// Bytes before this offset are completed messages. A cursor instead
-    /// of `drain`-ing the front keeps a pipelined batch from being
-    /// memmoved once per message it contains (O(batch²) bytes shifted).
-    pos: usize,
+    framer: Framer,
 }
 
 impl RequestParser {
@@ -58,10 +41,7 @@ impl RequestParser {
     pub fn new(limits: Limits) -> Self {
         RequestParser {
             limits,
-            buf: Vec::with_capacity(1024),
-            phase: Phase::Head,
-            scan_from: 0,
-            pos: 0,
+            framer: Framer::new(),
         }
     }
 
@@ -69,83 +49,30 @@ impl RequestParser {
     /// means "need more bytes". Call [`poll`](Self::poll) afterwards to
     /// drain further pipelined requests already buffered.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        self.buf.extend_from_slice(bytes);
+        self.framer.extend(bytes);
         self.poll()
     }
 
     /// Tries to complete one request from already-buffered bytes.
     pub fn poll(&mut self) -> Result<Option<Request>, HttpError> {
-        if self.phase == Phase::Head && !self.try_finish_head()? {
-            return Ok(None);
-        }
-        let Phase::Body { head_end, body_len } = self.phase else {
-            unreachable!("head completed above")
-        };
-        let total = head_end + body_len;
-        if self.buf.len() - self.pos < total {
-            return Ok(None);
-        }
-        let req = parse_request_bytes(&self.buf[self.pos..self.pos + total])?;
-        self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > 4096 && self.pos > self.buf.len() - self.pos {
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
-            self.pos = 0;
-        }
-        self.phase = Phase::Head;
-        self.scan_from = 0;
-        Ok(Some(req))
-    }
-
-    /// Scans for the head terminator; on success parses `Content-Length`
-    /// and advances to [`Phase::Body`]. Returns whether the head is
-    /// complete. Limit violations surface exactly like the blocking
-    /// reader's: oversized head while the terminator is missing,
-    /// oversized declared body as soon as the head closes.
-    fn try_finish_head(&mut self) -> Result<bool, HttpError> {
-        let from = self.scan_from.saturating_sub(3);
-        let live = self.buf.len() - self.pos;
-        let Some(at) = wsd_xml::swar::find_seq(&self.buf[self.pos + from..], b"\r\n\r\n") else {
-            if live > self.limits.max_head {
-                return Err(HttpError::TooLarge("head"));
-            }
-            self.scan_from = live;
-            return Ok(false);
-        };
-        let head_end = from + at + 4;
-        // Same rule as the blocking reader: a completed head over the
-        // limit is rejected even when it arrived in one large chunk, so
-        // acceptance is independent of how the bytes were chunked.
-        if head_end > self.limits.max_head {
-            return Err(HttpError::TooLarge("head"));
-        }
-        let body_len = declared_length(&self.buf[self.pos..], head_end - 4)?;
-        if body_len > self.limits.max_body {
-            return Err(HttpError::TooLarge("body"));
-        }
-        self.phase = Phase::Body { head_end, body_len };
-        Ok(true)
+        self.framer.next(&self.limits, parse_request_bytes)
     }
 
     /// Whether a partially-received message is parked in the buffer.
     pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.pos
+        self.framer.buffered() > 0
     }
 
     /// Bytes currently buffered (partial message + pipelined surplus).
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.framer.buffered()
     }
 }
 
 impl std::fmt::Debug for RequestParser {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RequestParser")
-            .field("buffered", &(self.buf.len() - self.pos))
-            .field("phase", &self.phase)
+            .field("buffered", &self.framer.buffered())
             .finish()
     }
 }

@@ -13,7 +13,9 @@
 //!   [`Stream`]s (used by the real-thread runtime), plus two borrowed
 //!   readers of a complete buffer ([`request_body`], [`response_status`])
 //!   that walk the head by the buffer parser's own rule and build no
-//!   message; the stream readers frame a message by that rule too,
+//!   message; both stream readers cut messages out of their bytes
+//!   through one crate-private `Content-Length` framer that reads the
+//!   length by that rule too,
 //! * an incremental [`RequestParser`] plus readiness support on streams
 //!   ([`ReadyStream`]: `try_read` and wakeup hooks), so an
 //!   event-driven front end can multiplex many connections without
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod conn;
+mod frame;
 pub mod incremental;
 pub mod message;
 pub mod parse;

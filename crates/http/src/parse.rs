@@ -1,6 +1,7 @@
 //! Message parsing, from complete buffers (simulated network) or from
 //! blocking streams (threaded runtime).
 
+use crate::frame::Framer;
 use crate::message::{Headers, Method, Request, Response, Status, Version};
 use crate::stream::Stream;
 use crate::{HttpError, Limits};
@@ -55,9 +56,9 @@ pub fn response_status(bytes: &[u8]) -> Option<Status> {
 }
 
 /// The body length the head of `bytes`, whose terminator starts at
-/// `end`, declares: what the stream readers frame a message by before
-/// they parse it, read by the walk that parse makes, so a message is
-/// framed and parsed by one rule. A head the parse would reject is
+/// `end`, declares: what the stream readers' one framer (`Framer`) cuts
+/// a message by before they parse it, read by the walk that parse makes,
+/// so a message is framed and parsed by one rule. A head the parse would reject is
 /// rejected here.
 pub(crate) fn declared_length(bytes: &[u8], end: usize) -> Result<usize, HttpError> {
     Ok(Head::cut(bytes, end)?.walk(|_, _| {})?.unwrap_or(0))
@@ -76,7 +77,8 @@ struct Head<'a> {
 
 impl<'a> Head<'a> {
     fn split(bytes: &'a [u8]) -> Result<Head<'a>, HttpError> {
-        Head::cut(bytes, find_head_end(bytes).ok_or(HttpError::UnexpectedEof)?)
+        let end = wsd_xml::swar::find_seq(bytes, b"\r\n\r\n");
+        Head::cut(bytes, end.ok_or(HttpError::UnexpectedEof)?)
     }
 
     /// The head of `bytes` whose terminator starts at `end`.
@@ -167,31 +169,11 @@ fn status_line(start: &str) -> Result<(Version, Status), HttpError> {
     Ok((version, status))
 }
 
-fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    wsd_xml::swar::find_seq(bytes, b"\r\n\r\n")
-}
-
-/// [`find_head_end`] resuming at `from` — used by the incremental reader
-/// so bytes already scanned on a previous fill are not rescanned.
-fn find_head_end_from(bytes: &[u8], from: usize) -> Option<usize> {
-    wsd_xml::swar::find_seq(bytes.get(from..)?, b"\r\n\r\n").map(|i| i + from)
-}
-
-/// Bytes one read asks for while the head is incomplete.
-const HEAD_CHUNK: usize = 4096;
-/// Most bytes one read asks for: a pipe's default window.
-const FILL_CHUNK: usize = 64 * 1024;
-
 /// A buffered reader that pulls complete messages off a [`Stream`],
 /// preserving any bytes that belong to the next keep-alive message.
 pub struct MessageReader<S: Stream> {
     stream: S,
-    buf: Vec<u8>,
-    /// Bytes before this offset are consumed messages. Advancing a
-    /// cursor instead of `drain`-ing the front keeps a pipelined batch
-    /// from being memmoved once per message it contains (O(batch²)
-    /// bytes shifted, which a 16-wide drain batch would pay per run).
-    pos: usize,
+    framer: Framer,
 }
 
 impl<S: Stream> MessageReader<S> {
@@ -199,8 +181,7 @@ impl<S: Stream> MessageReader<S> {
     pub fn new(stream: S) -> Self {
         MessageReader {
             stream,
-            buf: Vec::with_capacity(1024),
-            pos: 0,
+            framer: Framer::new(),
         }
     }
 
@@ -215,17 +196,6 @@ impl<S: Stream> MessageReader<S> {
         self.stream
     }
 
-    /// One read from the stream straight into the buffer, of at most
-    /// `want` bytes (capped at [`FILL_CHUNK`], so that a short read does
-    /// not leave much zeroed room behind to be zeroed again).
-    fn fill(&mut self, want: usize) -> Result<usize, HttpError> {
-        let len = self.buf.len();
-        self.buf.resize(len + want.clamp(1, FILL_CHUNK), 0);
-        let read = self.stream.read(&mut self.buf[len..]);
-        self.buf.truncate(len + *read.as_ref().unwrap_or(&0));
-        Ok(read?)
-    }
-
     /// Reads until the buffer holds one complete message (head + declared
     /// body), then hands its bytes to `parse`.
     fn read_message<T>(
@@ -233,62 +203,17 @@ impl<S: Stream> MessageReader<S> {
         limits: &Limits,
         parse: impl Fn(&[u8]) -> Result<T, HttpError>,
     ) -> Result<T, HttpError> {
-        // 1. Accumulate the head. Each fill resumes the terminator scan
-        // where the last one stopped (minus 3 bytes, for a `\r\n\r\n`
-        // torn across the chunk boundary) instead of rescanning the
-        // whole buffer.
-        let mut scan_from = 0usize;
-        let head_end = loop {
-            if let Some(end) = find_head_end_from(&self.buf[self.pos..], scan_from) {
-                // The completed head must itself respect the limit: a
-                // large read chunk must not smuggle in an oversized head
-                // that a byte-at-a-time arrival would have rejected.
-                if end + 4 > limits.max_head {
-                    return Err(HttpError::TooLarge("head"));
-                }
-                break end + 4;
+        loop {
+            if let Some(message) = self.framer.next(limits, &parse)? {
+                return Ok(message);
             }
-            if self.buf.len() - self.pos > limits.max_head {
-                return Err(HttpError::TooLarge("head"));
-            }
-            scan_from = (self.buf.len() - self.pos).saturating_sub(3);
-            if self.fill(HEAD_CHUNK)? == 0 {
-                return if self.buf.len() == self.pos {
-                    Err(HttpError::Closed)
-                } else {
-                    Err(HttpError::UnexpectedEof)
-                };
-            }
-        };
-        // 2. Find the declared body length.
-        let body_len = declared_length(&self.buf[self.pos..], head_end - 4)?;
-        if body_len > limits.max_body {
-            return Err(HttpError::TooLarge("body"));
-        }
-        // 3. Accumulate the body: room for all of it at once, then reads
-        // straight into that room.
-        let total = head_end + body_len;
-        self.buf.reserve((self.pos + total).saturating_sub(self.buf.len()));
-        while self.buf.len() - self.pos < total {
-            if self.fill(self.pos + total - self.buf.len())? == 0 {
-                return Err(HttpError::UnexpectedEof);
+            if self.framer.fill(|room| self.stream.read(room))? == 0 {
+                return Err(match self.framer.buffered() {
+                    0 => HttpError::Closed,
+                    _ => HttpError::UnexpectedEof,
+                });
             }
         }
-        // 4. Parse and retain any bytes of the next message: advance the
-        // cursor past this one, reclaiming the buffer only when it is
-        // fully consumed (free) or the dead prefix outgrows the live
-        // tail (one bounded memmove per reclaim, amortized O(1)/byte).
-        let result = parse(&self.buf[self.pos..self.pos + total]);
-        self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > 4096 && self.pos > self.buf.len() - self.pos {
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
-            self.pos = 0;
-        }
-        result
     }
 
     /// Whether the buffer already holds one complete message (head plus
@@ -300,12 +225,7 @@ impl<S: Stream> MessageReader<S> {
     /// buffer and only flush batched responses before a read that would
     /// actually block.
     pub fn has_buffered_message(&self) -> bool {
-        let buf = &self.buf[self.pos..];
-        let Some(end) = find_head_end(buf) else {
-            return false;
-        };
-        // A head read_* rejects is answered without blocking.
-        declared_length(buf, end).map_or(true, |len| buf.len() - (end + 4) >= len)
+        self.framer.has_message()
     }
 
     /// Reads one request.

@@ -83,12 +83,12 @@ impl EventQueue {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
 
-    #[allow(dead_code)] // used by tests and kept for symmetry
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

@@ -41,8 +41,8 @@ pub struct Simulation {
 
 /// Network-level instruments bound by [`Simulation::bind_telemetry`]: the
 /// accept/refuse/timeout outcomes of the TCP-like handshake model, plus a
-/// [`VirtualClock`] the event loop advances so registry snapshots and the
-/// trace ring stamp virtual (not wall) time.
+/// [`VirtualClock`] the event loop advances so registry snapshots stamp
+/// virtual (not wall) time.
 struct NetTelemetry {
     clock: VirtualClock,
     connect_attempts: Counter,

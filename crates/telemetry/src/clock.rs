@@ -1,6 +1,6 @@
 //! Time sources for instruments.
 //!
-//! The same counters, gauges, histograms and traces must work on both
+//! The same counters, gauges and histograms must work on both
 //! runtimes: the real-threaded servers (wall-clock time) and the
 //! deterministic `wsd-netsim` simulation (virtual time). Components
 //! therefore never call `Instant::now()` directly — they stamp through a
@@ -73,11 +73,6 @@ impl VirtualClock {
     pub fn advance_to(&self, us: u64) {
         self.now_us.fetch_max(us, Ordering::Relaxed);
     }
-
-    /// Moves virtual time forward by `us`.
-    pub fn advance_by(&self, us: u64) {
-        self.now_us.fetch_add(us, Ordering::Relaxed);
-    }
 }
 
 impl Clock for VirtualClock {
@@ -110,8 +105,6 @@ mod tests {
         assert_eq!(view.now_us(), 500);
         c.advance_to(100); // never backwards
         assert_eq!(view.now_us(), 500);
-        c.advance_by(50);
-        assert_eq!(view.now_us(), 550);
     }
 
     #[test]

@@ -126,33 +126,9 @@ impl Histogram {
     /// holding that order statistic; the top percentile reports the
     /// exact max. Returns 0 when empty.
     pub fn percentile(&self, pct: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .inner
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let n: u64 = counts.iter().sum();
-        if n == 0 {
-            return 0;
-        }
-        // Same convention as a sorted-Vec order statistic:
-        // index = ceil(n * pct/100) - 1, clamped into range.
-        let rank = ((n as f64 * pct / 100.0).ceil() as u64)
-            .saturating_sub(1)
-            .min(n - 1);
-        if rank == n - 1 {
-            // The top order statistic is the max, tracked exactly.
-            return self.max();
-        }
-        let mut cum = 0u64;
-        for (ix, &c) in counts.iter().enumerate() {
-            cum += c;
-            if cum > rank {
-                return bucket_lo(ix);
-            }
-        }
-        self.max()
+        let buckets = self.nonzero_buckets();
+        let n = buckets.iter().map(|&(_, c)| c).sum();
+        order_statistic(&buckets, n, self.max(), pct)
     }
 
     /// Per-bucket nonzero counts as `(bucket_lo, count)` pairs, in
@@ -168,6 +144,32 @@ impl Histogram {
             })
             .collect()
     }
+}
+
+/// The `pct`-th percentile (0–100) of `n` samples held as ascending
+/// `(bucket_lo, count)` pairs: the lower bound of the bucket where the
+/// running count passes the order statistic's rank, and the exact `max`
+/// for the top rank. 0 when empty.
+pub(crate) fn order_statistic(buckets: &[(u64, u64)], n: u64, max: u64, pct: f64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    // Same convention as a sorted-Vec order statistic:
+    // index = ceil(n * pct/100) - 1, clamped into range.
+    let rank = ((n as f64 * pct / 100.0).ceil() as u64)
+        .saturating_sub(1)
+        .min(n - 1);
+    if rank == n - 1 {
+        return max;
+    }
+    let mut cum = 0u64;
+    for &(lo, c) in buckets {
+        cum += c;
+        if cum > rank {
+            return lo;
+        }
+    }
+    max
 }
 
 /// Inclusive upper bound of a bucket.

@@ -1,7 +1,6 @@
 //! # wsd-telemetry
 //!
-//! Virtual-time-aware metrics and event tracing for the WS-Dispatcher
-//! workspace.
+//! Virtual-time-aware metrics for the WS-Dispatcher workspace.
 //!
 //! The paper's experiments (IPDPS'05 §5) report drops, queue depths,
 //! thread usage and latencies across two very different runtimes: the
@@ -16,10 +15,8 @@
 //!   [`VirtualClock`] driven by the simulator's event loop;
 //! - [`Registry`] / [`Scope`] — hierarchical named instruments
 //!   (`msg_dispatcher.dest{inria-echo}.queue_depth`);
-//! - [`EventTrace`] — bounded ring of message lifecycle events keyed by
-//!   `wsa:MessageID`;
-//! - [`Snapshot`] — mergeable point-in-time capture with text and JSON
-//!   exporters.
+//! - [`Snapshot`] — mergeable point-in-time capture with a JSON
+//!   exporter.
 //!
 //! Instrumentation is opt-in at the composition root: components accept
 //! a [`Scope`] and default to [`Scope::noop`], whose instruments record
@@ -27,14 +24,13 @@
 //! effect on deterministic runs.
 //!
 //! ```
-//! use wsd_telemetry::{Registry, TraceStage};
+//! use wsd_telemetry::Registry;
 //!
 //! let reg = Registry::new();
 //! let disp = reg.scope("msg_dispatcher");
 //! disp.counter("enqueued").inc();
 //! disp.labeled("dest", "inria-echo").gauge("queue_depth").set(3);
 //! disp.histogram("deliver_us").record(420);
-//! reg.trace().record("uuid:1234", TraceStage::Enqueued);
 //!
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("msg_dispatcher.enqueued"), 1);
@@ -46,17 +42,12 @@ mod hist;
 mod metrics;
 mod registry;
 mod snapshot;
-mod trace;
 
 pub use clock::{Clock, SharedClock, VirtualClock, WallClock};
 pub use hist::Histogram;
 pub use metrics::{Counter, Gauge};
 pub use registry::{Registry, Scope};
-pub use snapshot::{json_string, HistogramSummary, MetricValue, Snapshot, SnapshotEntry};
-pub use trace::{EventTrace, TraceEvent, TraceStage, DEFAULT_TRACE_CAPACITY};
-
-#[doc(hidden)]
-pub use snapshot::summary_of_samples;
+pub use snapshot::{HistogramSummary, MetricValue, Snapshot, SnapshotEntry};
 
 #[cfg(test)]
 mod lib_tests {
@@ -69,9 +60,7 @@ mod lib_tests {
         let reg = Registry::with_clock(Arc::new(clock.clone()));
         clock.advance_to(1_000);
         reg.scope("x").counter("hits").inc();
-        reg.trace().record("m", TraceStage::Accepted);
         let snap = reg.snapshot();
         assert_eq!(snap.at_us(), 1_000);
-        assert_eq!(reg.trace().events()[0].at_us, 1_000);
     }
 }

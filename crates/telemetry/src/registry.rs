@@ -20,7 +20,6 @@ use crate::clock::{SharedClock, WallClock};
 use crate::hist::Histogram;
 use crate::metrics::{Counter, Gauge};
 use crate::snapshot::{MetricValue, Snapshot};
-use crate::trace::EventTrace;
 
 #[derive(Default)]
 struct Instruments {
@@ -32,21 +31,20 @@ struct Instruments {
 struct RegistryInner {
     instruments: Mutex<Instruments>,
     clock: SharedClock,
-    trace: EventTrace,
 }
 
 /// The root of an instrument hierarchy.
 ///
 /// Cloning is cheap (an `Arc` bump) and all clones observe the same
-/// instruments. A registry owns the [`Clock`](crate::Clock) its instruments and trace
-/// stamp with, and one shared [`EventTrace`] ring.
+/// instruments. A registry owns the [`Clock`](crate::Clock) its snapshots
+/// are stamped with.
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<RegistryInner>,
 }
 
 impl Registry {
-    /// A registry stamping with wall-clock time and a default trace ring.
+    /// A registry stamping with wall-clock time.
     pub fn new() -> Self {
         Registry::with_clock(Arc::new(WallClock::new()))
     }
@@ -57,7 +55,6 @@ impl Registry {
         Registry {
             inner: Arc::new(RegistryInner {
                 instruments: Mutex::new(Instruments::default()),
-                trace: EventTrace::new(crate::trace::DEFAULT_TRACE_CAPACITY, clock.clone()),
                 clock,
             }),
         }
@@ -74,16 +71,6 @@ impl Registry {
     /// A scope at `path` (dot-joined segments).
     pub fn scope(&self, path: &str) -> Scope {
         self.root().child(path)
-    }
-
-    /// The registry's time source.
-    pub fn clock(&self) -> &SharedClock {
-        &self.inner.clock
-    }
-
-    /// The shared event-trace ring.
-    pub fn trace(&self) -> &EventTrace {
-        &self.inner.trace
     }
 
     /// Captures current values of every registered instrument.
@@ -223,14 +210,6 @@ impl Scope {
         }
     }
 
-    /// The registry's trace ring, or a zero-capacity no-op ring.
-    pub fn trace(&self) -> EventTrace {
-        match &self.registry {
-            None => EventTrace::noop(),
-            Some(reg) => reg.inner.trace.clone(),
-        }
-    }
-
     /// Current time in µs from the owning registry's clock (0 if no-op).
     pub fn now_us(&self) -> u64 {
         match &self.registry {
@@ -284,8 +263,6 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 1); // the handle itself still works
         assert_eq!(scope.now_us(), 0);
-        scope.trace().push("x", crate::TraceStage::Accepted, 0);
-        assert!(scope.trace().drain().is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Point-in-time captures of a registry, with text and JSON exporters.
+//! Point-in-time captures of a registry, with a JSON exporter.
 //!
 //! Snapshots are plain data: sorted `(name, value)` entries. Histograms
 //! export their nonzero buckets, so two snapshots can be merged exactly
@@ -11,7 +11,7 @@
 //! the schema is small enough that an escaper plus `push_str` is clearer
 //! than a serializer framework.
 
-use crate::hist::{bucket_index, bucket_lo, Histogram};
+use crate::hist::{order_statistic, Histogram};
 
 /// Exported quantile summary plus raw buckets for one histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,25 +37,7 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     fn from_parts(count: u64, sum: u64, min: u64, max: u64, buckets: Vec<(u64, u64)>) -> Self {
-        let pctl = |pct: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((count as f64 * pct / 100.0).ceil() as u64)
-                .saturating_sub(1)
-                .min(count - 1);
-            if rank == count - 1 {
-                return max;
-            }
-            let mut cum = 0u64;
-            for &(lo, c) in &buckets {
-                cum += c;
-                if cum > rank {
-                    return lo;
-                }
-            }
-            max
-        };
+        let pctl = |pct: f64| order_statistic(&buckets, count, max, pct);
         HistogramSummary {
             count,
             sum,
@@ -271,35 +253,6 @@ impl Snapshot {
         }
     }
 
-    /// Renders a human-readable multi-line report.
-    pub fn to_text(&self) -> String {
-        let mut out = format!("# snapshot at {}us\n", self.at_us);
-        for e in &self.entries {
-            match &e.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!("{} = {v}\n", e.name));
-                }
-                MetricValue::Gauge { value, peak } => {
-                    out.push_str(&format!("{} = {value} (peak {peak})\n", e.name));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{}: n={} mean={:.1} min={} p50={} p95={} p99={} max={}\n",
-                        e.name,
-                        h.count,
-                        h.mean(),
-                        h.min,
-                        h.p50,
-                        h.p95,
-                        h.p99,
-                        h.max
-                    ));
-                }
-            }
-        }
-        out
-    }
-
     /// Renders the snapshot as a JSON object with a stable schema:
     /// `{"at_us": N, "metrics": {"name": <value>, ...}}` where counter
     /// values are numbers, gauges are `{"value","peak"}`, histograms are
@@ -341,7 +294,7 @@ impl Snapshot {
 }
 
 /// Appends `s` to `out` as a JSON string literal.
-pub fn json_string(out: &mut String, s: &str) {
+fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -355,29 +308,6 @@ pub fn json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Exactness check used by tests: a merged summary must equal the
-/// summary of recording both sample sets into one histogram.
-#[doc(hidden)]
-pub fn summary_of_samples(samples: &[u64]) -> HistogramSummary {
-    let mut buckets: Vec<(u64, u64)> = Vec::new();
-    let mut sorted: Vec<usize> = samples.iter().map(|&v| bucket_index(v)).collect();
-    sorted.sort_unstable();
-    for ix in sorted {
-        let lo = bucket_lo(ix);
-        match buckets.last_mut() {
-            Some(last) if last.0 == lo => last.1 += 1,
-            _ => buckets.push((lo, 1)),
-        }
-    }
-    HistogramSummary::from_parts(
-        samples.len() as u64,
-        samples.iter().sum(),
-        samples.iter().copied().min().unwrap_or(0),
-        samples.iter().copied().max().unwrap_or(0),
-        buckets,
-    )
 }
 
 #[cfg(test)]
@@ -469,17 +399,5 @@ mod tests {
         assert!(json.contains("\"count\":3"));
         assert!(json.contains("\"buckets\":[[1,1],[2,1],"));
         assert!(json.ends_with("}}"));
-    }
-
-    #[test]
-    fn text_report_mentions_every_entry() {
-        let mut s = Snapshot::new(1);
-        s.push("c".into(), MetricValue::Counter(1));
-        s.push("g".into(), MetricValue::Gauge { value: 0, peak: 2 });
-        s.push("h".into(), MetricValue::from_histogram(&hist_of(&[5])));
-        let text = s.to_text();
-        for needle in ["c = 1", "g = 0 (peak 2)", "h: n=1"] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
     }
 }
