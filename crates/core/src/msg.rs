@@ -504,16 +504,18 @@ impl MsgCore {
         }
     }
 
-    /// [`route_raw`](Self::route_raw), writing the rewritten envelope
-    /// into the caller's buffer (a checked-out
-    /// [`wsd_soap::EnvelopeScratch`]) instead of allocating one.
+    /// [`route_raw`](Self::route_raw), appending the rewritten envelope
+    /// to the caller's buffer.
     ///
-    /// This is the zero-allocation entry point: on the steady-state reply
-    /// splice path the only allocations left are the two `String`s inside
-    /// the parsed destination [`Url`] — the body is spliced into `out`,
-    /// the destination is taken by value from the consumed
-    /// [`PendingRoute`], and the reply's `MessageID` is returned borrowed
-    /// from `xml`.
+    /// The buffer's size is decided here, from the input: `out` is
+    /// reserved `xml.len() + 128` bytes up front — room for the longer
+    /// rewritten addresses and a minted `MessageID` — so a fresh
+    /// `String::new()` costs one allocation whatever the body's size, and
+    /// a reused buffer none. On the steady-state reply splice path the
+    /// only other allocations are the two `String`s inside the parsed
+    /// destination [`Url`]: the body is spliced into `out`, the
+    /// destination is taken by value from the consumed [`PendingRoute`],
+    /// and the reply's `MessageID` is returned borrowed from `xml`.
     pub fn route_raw_into<'a>(
         &self,
         xml: &'a str,
@@ -521,6 +523,7 @@ impl MsgCore {
         now: u64,
         out: &mut String,
     ) -> Result<RoutedMeta<'a>, WsdError> {
+        out.reserve(xml.len() + 128);
         if self.policies.is_empty() {
             if let Some(scanned) = wsd_wsa::scan(xml) {
                 self.tele.fastpath_hits.inc();

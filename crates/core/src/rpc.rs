@@ -7,7 +7,7 @@
 //! is written upstream, then `RpcCounters::finish`. A driver moves the
 //! bytes, keeps the time and sends the client only what those return.
 
-use wsd_http::{Bytes, Request, Response, Status};
+use wsd_http::{Request, Response, Status};
 use wsd_soap::{Envelope, Fault, FaultCode, SoapVersion};
 use wsd_telemetry::{Counter, Scope};
 
@@ -212,23 +212,18 @@ pub fn error_response(version: SoapVersion, err: &WsdError) -> Response {
     fault_response(status, version, &code, &err.to_string())
 }
 
-/// Writes the fault envelope through the raw byte path — pooled scratch
-/// buffer, no tree construction — and wraps it in a `Response`. The one
-/// copy into `Bytes` is unavoidable (the response owns its body); the
-/// scratch returns to the pool for the next fault.
+/// Writes the fault envelope through the raw byte path — its own
+/// `String`, no tree construction — and hands that buffer to the
+/// `Response` as its body, without a copy.
 fn fault_response(
     status: Status,
     version: SoapVersion,
     code: &FaultCode,
     reason: &str,
 ) -> Response {
-    let mut scratch = wsd_soap::checkout();
-    Fault::push_fault_envelope(version, code, reason, &mut scratch.out);
-    Response::new(
-        status,
-        version.content_type(),
-        Bytes::copy_from_slice(scratch.out.as_bytes()),
-    )
+    let mut out = String::new();
+    Fault::push_fault_envelope(version, code, reason, &mut out);
+    Response::new(status, version.content_type(), out.into_bytes())
 }
 
 #[cfg(test)]

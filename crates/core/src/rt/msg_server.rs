@@ -205,16 +205,15 @@ impl MsgDispatcherServer {
     /// CxThread work: route (splice fast path when possible), enqueue, ack.
     fn accept(self: &Arc<Self>, config: &DispatcherConfig, req: Request) -> Response {
         self.counters.received.inc();
-        // Splice into a pooled scratch buffer; the queue takes ownership
-        // of the rewritten bytes, the scratch returns to the pool.
-        let mut scratch = wsd_soap::checkout();
+        // The queue takes the rewritten envelope whole.
+        let mut body = String::new();
         let routed = (req.body_str())
-            .map(|xml| self.core.route_raw_into(xml, req.body.len(), now_us(), &mut scratch.out));
+            .map(|xml| self.core.route_raw_into(xml, req.body.len(), now_us(), &mut body));
         let (to, message_id) = match self.counters.routed(routed) {
             Ok(routed) => routed,
             Err(reject) => return reject,
         };
-        if !self.enqueue(config, &to, scratch.take_out(), message_id) {
+        if !self.enqueue(config, &to, body, message_id) {
             return Response::empty(Status::SERVICE_UNAVAILABLE);
         }
         self.counters.acked.inc();
@@ -390,10 +389,10 @@ impl MsgDispatcherServer {
         };
         // The dispatcher's own message, not a client's: neither `received`
         // nor `acked`, routed like any, and a reject has nobody to answer.
-        let mut scratch = wsd_soap::checkout();
-        let routed = self.core.route_raw_into(&routable, routable.len(), now_us(), &mut scratch.out);
+        let mut body = String::new();
+        let routed = self.core.route_raw_into(&routable, routable.len(), now_us(), &mut body);
         if let Ok((to, message_id)) = self.counters.routed(Some(routed)) {
-            self.enqueue(config, &to, scratch.take_out(), message_id);
+            self.enqueue(config, &to, body, message_id);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The dispatch hot path's allocation budget, enforced by `cargo test`.
 //!
-//! `MsgCore::route_raw_into` with a pooled scratch buffer is the
+//! `MsgCore::route_raw_into` into a caller-owned buffer is the
 //! zero-copy splice path of DESIGN §7c: in steady state a correlated
 //! reply costs 2 heap allocations (the two `String`s inside the parsed
 //! destination `Url`) and a forward 15 (logical/physical URL naming plus
@@ -56,23 +56,23 @@ fn route_raw_into_stays_within_its_allocation_budget() {
     let core = MsgCore::new(registry, DISPATCHER, 7);
     let request = forwarded_request();
     let reply = service_reply();
-    let mut scratch = wsd_soap::checkout();
+    let mut out = String::new();
     // Each round forwards the request (seeding the route table) and
-    // routes the correlated reply (consuming it). Warm scratch capacity,
-    // shard maps and the splice atoms first: one-time setup is not
-    // per-message cost.
+    // routes the correlated reply (consuming it), reusing one output
+    // buffer. Warm its capacity and the shard maps first: one-time setup
+    // is not per-message cost.
     let mut round = || -> (u64, u64) {
-        scratch.out.clear();
+        out.clear();
         let forward = count(|| {
             let m = core
-                .route_raw_into(&request, request.len(), 0, &mut scratch.out)
+                .route_raw_into(&request, request.len(), 0, &mut out)
                 .unwrap();
             std::hint::black_box(&m);
         });
-        scratch.out.clear();
+        out.clear();
         let reply = count(|| {
             let m = core
-                .route_raw_into(&reply, reply.len(), 0, &mut scratch.out)
+                .route_raw_into(&reply, reply.len(), 0, &mut out)
                 .unwrap();
             std::hint::black_box(&m);
         });

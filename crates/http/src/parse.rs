@@ -190,12 +190,6 @@ impl<S: Stream> MessageReader<S> {
         &mut self.stream
     }
 
-    /// Consumes the reader, returning the stream. Buffered bytes are
-    /// discarded.
-    pub fn into_stream(self) -> S {
-        self.stream
-    }
-
     /// Reads until the buffer holds one complete message (head + declared
     /// body), then hands its bytes to `parse`.
     fn read_message<T>(

@@ -618,11 +618,6 @@ impl Simulation {
     pub fn stop_process(&mut self, proc: ProcId) {
         self.procs[proc.0].process = None;
     }
-
-    /// Immutable access to a live process (for reading stats mid-run).
-    pub fn process_ref(&self, proc: ProcId) -> Option<&dyn Process> {
-        self.procs[proc.0].process.as_deref()
-    }
 }
 
 fn side_ix(side: Side) -> usize {

@@ -4,7 +4,9 @@
 //! 1.1 and 1.2 wrapping/unwrapping" and "RPC style wrapping". Everything is
 //! hand-rolled on top of [`wsd_xml`] — there is no schema machinery, just
 //! the envelope structure the dispatcher needs to inspect, rewrite and
-//! forward messages.
+//! forward messages. A fault can also be written straight into a caller's
+//! `String` ([`Fault::push_fault_envelope`]), with no tree and no buffer
+//! of this crate's own.
 //!
 //! # Example
 //!
@@ -23,12 +25,10 @@
 pub mod envelope;
 pub mod fault;
 pub mod rpc;
-pub mod scratch;
 pub mod version;
 
 pub use envelope::{Body, Envelope};
 pub use fault::{Fault, FaultCode};
-pub use scratch::{checkout, EnvelopeScratch, ScratchGuard};
 pub use version::SoapVersion;
 
 /// Errors raised while interpreting a document as a SOAP envelope.

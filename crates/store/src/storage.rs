@@ -222,11 +222,6 @@ impl MemStorage {
             inner: Arc::new(Mutex::new(self.inner.lock().clone())),
         }
     }
-
-    /// Total bytes currently on the simulated disk.
-    pub fn disk_bytes(&self) -> u64 {
-        self.inner.lock().segments.values().map(|s| s.bytes.len() as u64).sum()
-    }
 }
 
 impl Storage for MemStorage {

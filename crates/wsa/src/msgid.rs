@@ -32,16 +32,6 @@ impl MsgIdGen {
         }
     }
 
-    /// A generator seeded from the wall clock (non-deterministic).
-    pub fn from_entropy() -> Self {
-        // wsd-lint: allow(raw-clock): entropy seed for MessageID uniqueness, not a timing measurement
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        Self::new(splitmix64(nanos))
-    }
-
     /// Produces the next unique id.
     pub fn next_id(&self) -> String {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);

@@ -28,10 +28,8 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use wsd_xml::escape::{escape_attr, escape_text, push_escaped_text};
-use wsd_xml::intern::{seeded, Atom};
 use wsd_xml::unescape;
 
 use crate::epr::EndpointReference;
@@ -70,37 +68,19 @@ const V12_SHAPE: Shape = Shape {
 /// The canonical namespace declaration every WSA header block carries.
 const XMLNS_WSA: &str = " xmlns:wsa=\"http://schemas.xmlsoap.org/ws/2004/08/addressing\"";
 
-/// The WSA header locals as interned atoms, resolved once: after the
-/// single [`seeded`] lookup per scanned header, slot matching is seven
-/// pointer compares instead of string compares.
-struct HeaderAtoms {
-    slots: [Atom; 7],
-}
-
-fn header_atoms() -> &'static HeaderAtoms {
-    static ATOMS: OnceLock<HeaderAtoms> = OnceLock::new();
-    ATOMS.get_or_init(|| HeaderAtoms {
-        slots: [
-            seeded("To").expect("seeded vocabulary"),
-            seeded("From").expect("seeded vocabulary"),
-            seeded("ReplyTo").expect("seeded vocabulary"),
-            seeded("FaultTo").expect("seeded vocabulary"),
-            seeded("Action").expect("seeded vocabulary"),
-            seeded("MessageID").expect("seeded vocabulary"),
-            seeded("RelatesTo").expect("seeded vocabulary"),
-        ],
-    })
-}
-
-/// Canonical header order (the order `WsaHeaders::apply` emits).
-/// Non-WSA names miss the intern table and return `None` (fall back).
+/// A WSA header's slot in canonical order (the order `WsaHeaders::apply`
+/// emits); any other local is `None` (fall back).
 fn slot_of(local: &str) -> Option<i32> {
-    let atom = seeded(local)?;
-    header_atoms()
-        .slots
-        .iter()
-        .position(|&s| s == atom)
-        .map(|i| i as i32)
+    Some(match local {
+        "To" => 0,
+        "From" => 1,
+        "ReplyTo" => 2,
+        "FaultTo" => 3,
+        "Action" => 4,
+        "MessageID" => 5,
+        "RelatesTo" => 6,
+        _ => return None,
+    })
 }
 
 /// The addressing block of one canonically-serialized envelope: decoded
@@ -411,8 +391,8 @@ impl ScannedWsa<'_> {
     }
 
     /// [`splice_forward`](Self::splice_forward), appending into a caller
-    /// buffer (the checked-out `EnvelopeScratch`): rewritten headers are
-    /// emitted as raw bytes — no element trees are built.
+    /// buffer the caller has sized: rewritten headers are emitted as raw
+    /// bytes — no element trees are built.
     pub fn splice_forward_into(
         &self,
         physical_to: &str,
@@ -420,7 +400,6 @@ impl ScannedWsa<'_> {
         minted_id: Option<&str>,
         out: &mut String,
     ) -> RouteRecord {
-        out.reserve(self.src.len() + 128);
         out.push_str(&self.src[..self.run_start]);
         push_text_header(out, "To", physical_to);
         if let Some(span) = &self.from {
@@ -469,11 +448,10 @@ impl ScannedWsa<'_> {
     }
 
     /// [`splice_reply`](Self::splice_reply), appending into a caller
-    /// buffer (the checked-out `EnvelopeScratch`). The steady-state reply
-    /// path allocates nothing here: spans are copied and the `To` header
-    /// is emitted as raw bytes.
+    /// buffer the caller has sized. The steady-state reply path allocates
+    /// nothing here: spans are copied and the `To` header is emitted as
+    /// raw bytes.
     pub fn splice_reply_into(&self, destination: Option<&str>, out: &mut String) {
-        out.reserve(self.src.len() + 64);
         out.push_str(&self.src[..self.run_start]);
         if let Some(dest) = destination {
             push_text_header(out, "To", dest);

@@ -8,7 +8,10 @@
 //! * an owned element tree ([`Document`], [`Element`], [`Node`]) with
 //!   namespaces resolved at parse time,
 //! * a [`writer`] that serializes a tree back to text,
-//! * correct escaping of text and attribute values.
+//! * correct escaping of text and attribute values,
+//! * byte-level helpers for rewriters that splice serialized text instead
+//!   of building a tree: [`verify_element`] (does the tree parser accept
+//!   this element?), [`unescape`] and the word-at-a-time [`swar`] finders.
 //!
 //! Deliberate restrictions (documented, safe-by-default for a network
 //! service): no DTDs / external entities (rejecting them closes the classic
@@ -31,7 +34,6 @@
 
 pub mod error;
 pub mod escape;
-pub mod intern;
 pub mod name;
 pub mod parser;
 pub mod splice;
@@ -40,10 +42,9 @@ pub mod tree;
 pub mod writer;
 
 pub use error::{XmlError, XmlErrorKind};
-pub use intern::{intern, Atom};
 pub use name::QName;
 pub use parser::{Event, PullParser, StartTag};
-pub use splice::{skip_element, unescape, verify_element};
+pub use splice::{unescape, verify_element};
 pub use tree::{Attribute, Document, Element, Node};
 pub use writer::write_element_into;
 

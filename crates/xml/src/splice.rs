@@ -1,76 +1,14 @@
 //! Byte-level scanning over serialized XML.
 //!
 //! Building blocks for splice-style rewriters that edit a serialized
-//! document in place instead of parsing it into a tree: a balanced
-//! element skipper and an entity decoder. Both are strict — anything
+//! document in place instead of parsing it into a tree: an element
+//! verifier and an entity decoder. Both are strict — anything
 //! they do not recognise yields `None`, and the caller is expected to
 //! fall back to the tree path.
 
 use crate::escape::{char_ref, predefined_entity};
 use crate::swar;
 use std::borrow::Cow;
-
-/// Skips the complete element whose `<` sits at `start`, returning the
-/// offset one past its end (past `/>` or the matching close tag).
-/// Handles nested elements, quoted attribute values, comments and CDATA
-/// sections. Returns `None` when the bytes are not a well-formed
-/// serialized element.
-pub fn skip_element(s: &str, start: usize) -> Option<usize> {
-    let bytes = s.as_bytes();
-    if bytes.get(start) != Some(&b'<') {
-        return None;
-    }
-    let mut pos = start;
-    let mut depth = 0usize;
-    loop {
-        if bytes.get(pos) == Some(&b'<') {
-            let rest = &s[pos..];
-            if let Some(after) = rest.strip_prefix("<!--") {
-                pos += 4 + swar::find_seq(after.as_bytes(), b"-->")? + 3;
-            } else if let Some(after) = rest.strip_prefix("<![CDATA[") {
-                pos += 9 + swar::find_seq(after.as_bytes(), b"]]>")? + 3;
-            } else if rest.starts_with("</") {
-                let gt = find_unquoted_gt(bytes, pos + 2)?;
-                depth = depth.checked_sub(1)?;
-                pos = gt + 1;
-                if depth == 0 {
-                    return Some(pos);
-                }
-            } else {
-                let gt = find_unquoted_gt(bytes, pos + 1)?;
-                let self_closing = bytes[gt - 1] == b'/';
-                pos = gt + 1;
-                if self_closing {
-                    if depth == 0 {
-                        return Some(pos);
-                    }
-                } else {
-                    depth += 1;
-                }
-            }
-        } else {
-            // Character data: jump to the next markup.
-            pos += swar::find_byte(bytes.get(pos..)?, b'<')?;
-        }
-    }
-}
-
-/// Finds the next `>` at or after `from` that is not inside a quoted
-/// attribute value.
-fn find_unquoted_gt(bytes: &[u8], from: usize) -> Option<usize> {
-    let mut pos = from;
-    loop {
-        let i = pos + swar::find_byte3(bytes.get(pos..)?, b'>', b'"', b'\'')?;
-        match bytes[i] {
-            b'>' => return Some(i),
-            q => {
-                // Inside a quoted attribute value: jump to its close quote.
-                let close = i + 1 + swar::find_byte(bytes.get(i + 1..)?, q)?;
-                pos = close + 1;
-            }
-        }
-    }
-}
 
 /// Depth cap for [`verify_element`]'s fixed name stack. Deeper documents
 /// are declined, never mis-verified: the caller falls back to the tree
@@ -85,10 +23,9 @@ const MAX_VERIFY_BINDINGS: usize = 32;
 /// the tree parser ([`crate::Document::parse`]) would accept, and returns
 /// the offset one past its end.
 ///
-/// Where [`skip_element`] only balances depth, this re-checks every token
-/// the parser would — close-tag names must *match* their open tag, names
-/// must be valid (at most one colon, name-start/name-char rules),
-/// attributes must be unique, entity references must be known predefined
+/// It re-checks every token the parser would — close-tag names must
+/// *match* their open tag, names must be valid (at most one colon,
+/// name-start/name-char rules), attributes must be unique, entity references must be known predefined
 /// or character references, and prefixed names must have an in-scope
 /// `xmlns:p` binding — all without allocating, so a splice fast path can
 /// guarantee it never forwards bytes the tree path would fault on.
@@ -324,35 +261,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn skips_flat_and_nested_elements() {
-        let s = "<a><b>x</b><c/></a><tail/>";
-        assert_eq!(skip_element(s, 0), Some(19));
-        assert_eq!(&s[..19], "<a><b>x</b><c/></a>");
-        assert_eq!(skip_element(s, 3), Some(11)); // <b>x</b>
-        assert_eq!(skip_element(s, 11), Some(15)); // <c/>
-    }
-
-    #[test]
-    fn skips_self_closing_with_attrs() {
-        let s = "<a x=\"1>2\" y='<'/>rest";
-        assert_eq!(skip_element(s, 0), Some(18));
-    }
-
-    #[test]
-    fn skips_comments_and_cdata() {
-        let s = "<a><!-- </a> --><![CDATA[</a>]]></a>";
-        assert_eq!(skip_element(s, 0), Some(s.len()));
-    }
-
-    #[test]
-    fn rejects_truncated_input() {
-        assert_eq!(skip_element("<a><b></b>", 0), None);
-        assert_eq!(skip_element("<a", 0), None);
-        assert_eq!(skip_element("x<a/>", 0), None);
-        assert_eq!(skip_element("</a>", 0), None);
-    }
-
-    #[test]
     fn verify_accepts_canonical_elements() {
         let s = "<a><b x=\"1\">t &amp; &#x41;</b><c/></a>tail";
         assert_eq!(verify_element(s, 0), Some(s.len() - 4));
@@ -362,7 +270,7 @@ mod tests {
 
     #[test]
     fn verify_matches_close_tag_names() {
-        // skip_element balances these by depth; the verifier must not.
+        // Balanced by depth, but the close-tag names must match.
         assert_eq!(verify_element("<a></b>", 0), None);
         assert_eq!(verify_element("<a></ab>", 0), None);
         assert_eq!(verify_element("<ab></a>", 0), None);

@@ -121,14 +121,6 @@ impl Element {
         self.child_elements().find(|e| e.is(namespace, local))
     }
 
-    /// Mutable variant of [`find_child`](Self::find_child).
-    pub fn find_child_mut(&mut self, namespace: Option<&str>, local: &str) -> Option<&mut Element> {
-        self.children.iter_mut().find_map(|n| match n {
-            Node::Element(e) if e.is(namespace, local) => Some(e),
-            _ => None,
-        })
-    }
-
     /// All child elements matching `(namespace, local)`.
     pub fn find_children<'a>(
         &'a self,
@@ -215,15 +207,6 @@ impl Element {
     pub fn with_child(mut self, child: Element) -> Self {
         self.children.push(Node::Element(child));
         self
-    }
-
-    /// Appends a child element.
-    pub fn add_child(&mut self, child: Element) -> &mut Element {
-        self.children.push(Node::Element(child));
-        match self.children.last_mut() {
-            Some(Node::Element(e)) => e,
-            _ => unreachable!(),
-        }
     }
 
     /// Appends text content. Returns `self` for chaining.

@@ -12,17 +12,20 @@
 # git does not ignore). The tree is extracted under target/mutants/tree
 # (`git archive`, nothing registered in .git) and every row builds into
 # one shared target directory, target/mutants/target, so a row rebuilds
-# only the crates its diff touches. Each row runs
+# only the crates its diff touches. Each row builds the test binaries of
 #
-#   cargo test --workspace --exclude wsd-lint -q --no-fail-fast
-#   cargo test -p wsd-lint -q --no-fail-fast
+#   cargo test --workspace --exclude wsd-lint
+#   cargo test -p wsd-lint
 #
-# and the linter's own tests are listed apart: they fail on any finding
-# in the edited tree, so they say whether a lint rule sees the mutant,
-# not whether the product's tests do. A diff that no longer applies
-# fails loudly, by name, and the run exits non-zero. Logs are kept
-# under target/mutants/logs/. This is not part of scripts/verify.sh:
-# a full run takes about as long as two warm suites per row.
+# once, then runs every binary under its own timeout (and the doctests
+# under one more), so a mutant that hangs one binary names it and the
+# binaries after it still run. The linter's own tests are listed apart:
+# they fail on any finding in the edited tree, so they say whether a
+# lint rule sees the mutant, not whether the product's tests do. A diff
+# that no longer applies fails loudly, by name, and the run exits
+# non-zero. Logs are kept under target/mutants/logs/. This is not part
+# of scripts/verify.sh: a full run takes about as long as two warm
+# suites per row.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,7 +43,11 @@ export GIT_CEILING_DIRECTORIES=$work
 rm -rf "$tree" "$logs"
 mkdir -p "$tree" "$logs"
 if [ "$rev" = . ]; then
-    git ls-files -z -c -o --exclude-standard | xargs -0 tar -cf - | tar -x -C "$tree"
+    # `ls-files -c` still lists a tracked file the working tree deleted:
+    # keep only the files that exist.
+    git ls-files -z -c -o --exclude-standard |
+        xargs -0 sh -c 'for f; do if [ -e "$f" ]; then printf "%s\0" "$f"; fi; done' sh |
+        tar --null -T - -cf - | tar -x -C "$tree"
 else
     git archive "$rev" | tar -x -C "$tree"
 fi
@@ -49,6 +56,9 @@ fi
 # file now, and the first build is of this tree.
 find "$tree" -type f -exec touch {} +
 
+# Seconds one test binary (or the doctests of one side) may run.
+per_binary=600
+
 # Runs the suite in the tree; `$1` names the log. Prints the failing
 # tests, one per line, the linter's prefixed with `lint: `.
 suite() {
@@ -56,13 +66,26 @@ suite() {
         prefix="" args="--workspace --exclude wsd-lint"
         [ $side = lint ] && prefix="lint: " args="-p wsd-lint"
         log=$logs/$1.$side.log
-        rc=0
+        bins=$logs/$1.$side.bins
+        # Build once; list each test binary with its package directory,
+        # the working directory `cargo test` would give it.
         # shellcheck disable=SC2086 # the args are words
-        (cd "$tree" && timeout 1800 cargo test $args -q --no-fail-fast) >"$log" 2>&1 || rc=$?
+        (cd "$tree" && cargo test $args --no-run --message-format=json-render-diagnostics) 2>"$log" |
+            jq -r 'select(.reason == "compiler-artifact" and .profile.test and .executable != null)
+                   | "\(.manifest_path | rtrimstr("/Cargo.toml"))\t\(.executable)"' >"$bins"
+        tab=$(printf '\t')
+        while IFS=$tab read -r dir exe; do
+            rc=0
+            (cd "$dir" && timeout $per_binary "$exe" -q) </dev/null >>"$log" 2>&1 || rc=$?
+            if [ $rc -eq 124 ]; then echo "${prefix}(timed out: ${exe##*/} hangs, see $log)"; fi
+        done <"$bins"
+        rc=0
+        # shellcheck disable=SC2086
+        (cd "$tree" && timeout $per_binary cargo test $args --doc -q --no-fail-fast) >>"$log" 2>&1 || rc=$?
+        if [ $rc -eq 124 ]; then echo "${prefix}(timed out: the doctests hang, see $log)"; fi
         sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log" | sort -u | sed "s/^/$prefix/"
-        # A build that fails, or a test that hangs, names no test.
+        # A build that fails names no test.
         if grep -q '^error: could not compile' "$log"; then echo "${prefix}(does not compile)"; fi
-        if [ $rc -eq 124 ]; then echo "${prefix}(timed out: a test hangs, see $log)"; fi
     done
 }
 
