@@ -78,19 +78,22 @@ pub enum RoutedRaw {
 /// [`RoutedRaw`] minus the body: the routing decision for
 /// [`MsgCore::route_raw_into`], which writes the rewritten envelope into
 /// a caller-supplied buffer instead of returning an owned `String`. The
-/// reply `MessageID` borrows from the input envelope when the splice
-/// fast path applied, so steady-state replies allocate nothing for it.
+/// logical name and the `MessageID`s borrow from the input envelope when
+/// the splice fast path applied, so steady-state routing allocates
+/// nothing for them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoutedMeta<'a> {
     /// A client request: forward to the resolved service endpoint.
     Forward {
         /// Physical destination.
         to: Url,
-        /// Logical name it resolved from.
-        logical: String,
+        /// Logical name it resolved from — a slice of the request's `To`
+        /// on the fast path.
+        logical: Cow<'a, str>,
         /// `MessageID` of the forwarded request (always present: the
-        /// dispatcher mints one when the client sent none).
-        message_id: String,
+        /// dispatcher mints one when the client sent none) — borrowed
+        /// from the request on the fast path unless it was minted.
+        message_id: Cow<'a, str>,
     },
     /// A service reply: deliver to the client's original reply endpoint
     /// (or its mailbox).
@@ -268,7 +271,7 @@ impl MsgCounters {
         match routed {
             Some(Ok(RoutedMeta::Forward { to, message_id, .. })) => {
                 self.forwarded.inc();
-                Ok((to, Some(message_id)))
+                Ok((to, Some(message_id.into_owned())))
             }
             Some(Ok(RoutedMeta::Reply { to, message_id })) => {
                 self.replies_routed.inc();
@@ -436,11 +439,8 @@ impl MsgCore {
         let headers =
             WsaHeaders::from_envelope(&env).map_err(|e| WsdError::Rejected(e.to_string()))?;
         let to = headers.to.ok_or(WsdError::NoDestination)?;
-        let logical = Url::parse(&to)?
-            .logical_service()
-            .map(str::to_string)
-            .ok_or_else(|| WsdError::UnknownService(to.clone()))?;
-        let physical = self.registry.lookup(&logical)?;
+        let logical = logical_service(&to)?.to_string();
+        let (physical, physical_text) = self.registry.resolve(&logical)?;
         // Ensure the request has a MessageID so the reply can correlate.
         let mut env = env;
         let message_id = match headers.message_id {
@@ -454,7 +454,7 @@ impl MsgCore {
                 id
             }
         };
-        let record = rewrite_for_forward(&mut env, &physical.to_string(), &self.dispatcher_address)
+        let record = rewrite_for_forward(&mut env, &physical_text, &self.dispatcher_address)
             .map_err(|e| WsdError::Rejected(e.to_string()))?;
         self.routes.insert(
             message_id,
@@ -492,9 +492,9 @@ impl MsgCore {
         match self.route_raw_into(xml, serialized_len, now, &mut out)? {
             RoutedMeta::Forward { to, logical, message_id } => Ok(RoutedRaw::Forward {
                 to,
-                logical,
+                logical: logical.into_owned(),
                 body: out,
-                message_id,
+                message_id: message_id.into_owned(),
             }),
             RoutedMeta::Reply { to, message_id } => Ok(RoutedRaw::Reply {
                 to,
@@ -556,8 +556,8 @@ impl MsgCore {
                 envelope.write_into(out);
                 Ok(RoutedMeta::Forward {
                     to,
-                    logical,
-                    message_id,
+                    logical: Cow::Owned(logical),
+                    message_id: Cow::Owned(message_id),
                 })
             }
             Routed::Reply { to, envelope } => {
@@ -600,27 +600,29 @@ impl MsgCore {
                 });
             }
         }
-        // Request path: resolve the logical To.
-        let logical_to = scanned.to().ok_or(WsdError::NoDestination)?;
-        let logical = Url::parse(logical_to)?
-            .logical_service()
-            .map(str::to_string)
-            .ok_or_else(|| WsdError::UnknownService(logical_to.to_string()))?;
-        let physical = self.registry.lookup(&logical)?;
-        // Ensure the request has a MessageID so the reply can correlate.
-        let minted = match scanned.message_id() {
-            Some(_) => None,
-            None => Some(self.ids.next_id()),
+        // Request path: resolve the logical To, a slice of the To header.
+        let logical = match scanned.to_cow().ok_or(WsdError::NoDestination)? {
+            Cow::Borrowed(to) => Cow::Borrowed(logical_service(to)?),
+            Cow::Owned(to) => Cow::Owned(logical_service(&to)?.to_string()),
         };
+        // The registry rendered the endpoint's address when it was
+        // registered: the rewritten To is written from that text.
+        let (physical, physical_text) = self.registry.resolve(&logical)?;
+        // Ensure the request has a MessageID so the reply can correlate.
+        let minted = scanned.message_id().is_none().then(|| self.ids.next_id());
         let record = scanned.splice_forward_into(
-            &physical.to_string(),
+            &physical_text,
             &self.dispatcher_address,
             minted.as_deref(),
             out,
         );
-        let message_id = record.message_id.clone().expect("forward always carries an id");
+        let message_id = match minted {
+            Some(id) => Cow::Owned(id),
+            None => scanned.message_id_cow().expect("the scan read a MessageID"),
+        };
+        // The route map's key is the one copy of the id routing makes.
         self.routes.insert(
-            message_id.clone(),
+            message_id.to_string(),
             PendingRoute {
                 record,
                 stored_at: now,
@@ -634,24 +636,34 @@ impl MsgCore {
     }
 }
 
+/// The logical service a request's `To` names (`http://…/svc/<name>`),
+/// as a slice of it.
+fn logical_service(to: &str) -> Result<&str, WsdError> {
+    Url::logical_service_of(to)?.ok_or_else(|| WsdError::UnknownService(to.to_string()))
+}
+
 /// Turns what a destination answered a forwarded one-way request with
 /// into a message the dispatcher can route as that request's reply
 /// (Table 1 quadrant 3, "translation of semantics from messaging to
 /// RPC"); `req_id` is the forwarded request's `MessageID`. `None`
 /// when there is nothing to translate: a plain ack (`202`), an error, or
 /// a `200` whose body is no envelope. A canonically serialized reply that
-/// already correlates itself passes through as the bytes it came in;
-/// anything else is parsed and gains `RelatesTo` unless it carries one.
+/// already correlates itself passes through as the bytes it came in, and
+/// a canonical answer with no Header gains `RelatesTo` by a splice
+/// ([`wsd_wsa::splice::splice_relates_to`]); anything else is parsed and
+/// gains `RelatesTo` unless it carries one. Both ways write the same
+/// bytes for a parse-canonical answer.
 pub fn correlate_rpc_reply<'a>(resp: &'a Response, req_id: Option<&str>) -> Option<Cow<'a, str>> {
     let xml = resp.body_str().filter(|_| resp.status.0 == 200)?;
     if wsd_wsa::scan(xml).is_some_and(|s| s.correlation_id().is_some()) {
         return Some(Cow::Borrowed(xml));
     }
+    let req_id = req_id.filter(|id| !id.is_empty());
+    if let Some(spliced) = wsd_wsa::splice::splice_relates_to(xml, req_id) {
+        return Some(spliced);
+    }
     let mut env = Envelope::parse(xml).ok()?;
-    if let (Some(id), Ok(mut h)) = (
-        req_id.filter(|id| !id.is_empty()),
-        WsaHeaders::from_envelope(&env),
-    ) {
+    if let (Some(id), Ok(mut h)) = (req_id, WsaHeaders::from_envelope(&env)) {
         if h.relates_to.is_empty() {
             h.relates_to.push((id.to_string(), None));
             h.apply(&mut env);
@@ -911,6 +923,61 @@ mod tests {
             c.route_raw("<not-xml", 8, 0),
             Err(WsdError::Soap(_))
         ));
+    }
+
+    /// Quadrant 3's correlation as it was written before the splice:
+    /// every answer parsed, given `RelatesTo` unless it has one, and
+    /// serialised.
+    fn correlate_by_tree(resp: &Response, req_id: Option<&str>) -> Option<String> {
+        let xml = resp.body_str().filter(|_| resp.status.0 == 200)?;
+        let mut env = Envelope::parse(xml).ok()?;
+        if let (Some(id), Ok(mut h)) = (
+            req_id.filter(|id| !id.is_empty()),
+            WsaHeaders::from_envelope(&env),
+        ) {
+            if h.relates_to.is_empty() {
+                h.relates_to.push((id.to_string(), None));
+                h.apply(&mut env);
+            }
+        }
+        Some(env.to_xml())
+    }
+
+    #[test]
+    fn correlated_answers_are_byte_identical_to_the_reference() {
+        let ok = |v: SoapVersion, xml: &str| {
+            Response::new(wsd_http::Status::OK, v.content_type(), xml.as_bytes().to_vec())
+        };
+        for v in [SoapVersion::V11, SoapVersion::V12] {
+            let bare = soap_rpc::echo_response(v, "héllo <&> MARK").to_xml();
+            let mut headed = soap_rpc::echo_response(v, "x");
+            WsaHeaders::new().message_id("uuid:own").apply(&mut headed);
+            let mut related = soap_rpc::echo_response(v, "x");
+            WsaHeaders::new().relates_to("uuid:earlier").apply(&mut related);
+            // Well-formed, but not the writer's spacing.
+            let spaced = bare.replacen('>', " >", 1);
+            let answers = [
+                (bare.clone(), "spliced"),
+                (headed.to_xml(), "tree: has a Header"),
+                (related.to_xml(), "passes through"),
+                (spaced, "tree: not canonical"),
+            ];
+            for (xml, how) in &answers {
+                for id in [Some("uuid:req-1"), Some("uuid:a&b<c"), Some(""), None] {
+                    let resp = ok(v, xml);
+                    let got = correlate_rpc_reply(&resp, id);
+                    let want = correlate_by_tree(&resp, id);
+                    assert_eq!(got.as_deref(), want.as_deref(), "{v} {how} {id:?}");
+                }
+            }
+            let malformed = bare.replace("MARK", "<open>");
+            assert!(Envelope::parse(&malformed).is_err());
+            for id in [Some("uuid:req-1"), None] {
+                assert_eq!(correlate_rpc_reply(&ok(v, &malformed), id), None, "{v} {id:?}");
+            }
+            let accepted = Response::new(wsd_http::Status::ACCEPTED, v.content_type(), Vec::new());
+            assert_eq!(correlate_rpc_reply(&accepted, Some("uuid:req-1")), None);
+        }
     }
 
     #[test]

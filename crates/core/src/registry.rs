@@ -49,6 +49,9 @@ pub struct ServiceEntry {
 #[derive(Debug)]
 struct EndpointState {
     url: Url,
+    /// `url` rendered once, at registration: what a forward writes into
+    /// the rewritten `To`.
+    rendered: Arc<str>,
     alive: AtomicBool,
     pending: AtomicUsize,
 }
@@ -60,6 +63,7 @@ impl ServiceEntry {
             endpoints: urls
                 .into_iter()
                 .map(|url| EndpointState {
+                    rendered: url.to_string().into(),
                     url,
                     alive: AtomicBool::new(true),
                     pending: AtomicUsize::new(0),
@@ -84,27 +88,20 @@ impl ServiceEntry {
             .collect()
     }
 
-    fn select(&self, strategy: BalanceStrategy) -> Option<Url> {
-        let live: Vec<&EndpointState> = self
-            .endpoints
-            .iter()
-            .filter(|e| e.alive.load(Ordering::Relaxed))
-            .collect();
-        if live.is_empty() {
-            return None;
-        }
-        let chosen = match strategy {
-            BalanceStrategy::First => live[0],
+    fn select(&self, strategy: BalanceStrategy) -> Option<&EndpointState> {
+        let mut live = self.endpoints.iter().filter(|e| e.alive.load(Ordering::Relaxed));
+        match strategy {
+            BalanceStrategy::First => live.next(),
             BalanceStrategy::RoundRobin => {
+                let n = live.clone().count();
+                if n == 0 {
+                    return None;
+                }
                 let i = self.rr_cursor.fetch_add(1, Ordering::Relaxed);
-                live[i % live.len()]
+                live.nth(i % n)
             }
-            BalanceStrategy::LeastPending => live
-                .iter()
-                .min_by_key(|e| e.pending.load(Ordering::Relaxed))
-                .expect("non-empty"),
-        };
-        Some(chosen.url.clone())
+            BalanceStrategy::LeastPending => live.min_by_key(|e| e.pending.load(Ordering::Relaxed)),
+        }
     }
 
     fn state_of(&self, url: &Url) -> Option<&EndpointState> {
@@ -165,12 +162,28 @@ impl Registry {
 
     /// Resolves a logical name to a physical endpoint per the strategy.
     pub fn lookup(&self, logical: &str) -> Result<Url, WsdError> {
+        self.with_selected(logical, |e| e.url.clone())
+    }
+
+    /// [`lookup`](Self::lookup), with the endpoint's address also as the
+    /// text it was rendered to at registration: a shared handle, not a
+    /// fresh `String`.
+    pub fn resolve(&self, logical: &str) -> Result<(Url, Arc<str>), WsdError> {
+        self.with_selected(logical, |e| (e.url.clone(), Arc::clone(&e.rendered)))
+    }
+
+    fn with_selected<R>(
+        &self,
+        logical: &str,
+        read: impl FnOnce(&EndpointState) -> R,
+    ) -> Result<R, WsdError> {
         let entry = self
             .map
             .get(logical)
             .ok_or_else(|| WsdError::UnknownService(logical.to_string()))?;
         entry
             .select(self.strategy)
+            .map(read)
             .ok_or_else(|| WsdError::UnknownService(format!("{logical} (no live endpoint)")))
     }
 
@@ -307,6 +320,9 @@ mod tests {
         let r = Registry::new();
         r.register("Echo", url("http://ws1:8888/echo"));
         assert_eq!(r.lookup("Echo").unwrap(), url("http://ws1:8888/echo"));
+        let (resolved, rendered) = r.resolve("Echo").unwrap();
+        assert_eq!(resolved, url("http://ws1:8888/echo"));
+        assert_eq!(&*rendered, "http://ws1:8888/echo");
         assert!(r.unregister("Echo"));
         assert!(matches!(
             r.lookup("Echo"),

@@ -29,30 +29,19 @@ impl Url {
 
     /// Parses `http://host[:port][/path]`.
     pub fn parse(s: &str) -> Result<Url, WsdError> {
-        let bad = || WsdError::BadAddress(s.to_string());
-        let rest = s.strip_prefix("http://").ok_or_else(bad)?;
-        let (authority, path) = match rest.find('/') {
-            Some(i) => (&rest[..i], &rest[i..]),
-            None => (rest, "/"),
-        };
-        if authority.is_empty() {
-            return Err(bad());
-        }
-        let (host, port) = match authority.rsplit_once(':') {
-            Some((h, p)) => {
-                let port: u16 = p.parse().map_err(|_| bad())?;
-                (h, port)
-            }
-            None => (authority, 80),
-        };
-        if host.is_empty() {
-            return Err(bad());
-        }
+        let (host, port, path) = split(s)?;
         Ok(Url {
             host: host.to_string(),
             port,
             path: path.to_string(),
         })
+    }
+
+    /// [`logical_service`](Self::logical_service) of the URL `s` parses
+    /// to, borrowed from `s`: nothing is allocated unless `s` does not
+    /// parse.
+    pub fn logical_service_of(s: &str) -> Result<Option<&str>, WsdError> {
+        split(s).map(|(_, _, path)| logical_name(path))
     }
 
     /// `host:port` for the HTTP `Host` header.
@@ -67,13 +56,43 @@ impl Url {
     /// The logical service name, when the path follows the dispatcher's
     /// `/svc/<name>` convention.
     pub fn logical_service(&self) -> Option<&str> {
-        let name = self.path.strip_prefix("/svc/")?;
-        let name = name.split(['/', '?']).next().unwrap_or("");
-        if name.is_empty() {
-            None
-        } else {
-            Some(name)
+        logical_name(&self.path)
+    }
+}
+
+/// `s` read as `http://host[:port][/path]`: host, port and path,
+/// borrowed.
+fn split(s: &str) -> Result<(&str, u16, &str), WsdError> {
+    let bad = || WsdError::BadAddress(s.to_string());
+    let rest = s.strip_prefix("http://").ok_or_else(bad)?;
+    let (authority, path) = match rest.find('/') {
+        Some(i) => (&rest[..i], &rest[i..]),
+        None => (rest, "/"),
+    };
+    if authority.is_empty() {
+        return Err(bad());
+    }
+    let (host, port) = match authority.rsplit_once(':') {
+        Some((h, p)) => {
+            let port: u16 = p.parse().map_err(|_| bad())?;
+            (h, port)
         }
+        None => (authority, 80),
+    };
+    if host.is_empty() {
+        return Err(bad());
+    }
+    Ok((host, port, path))
+}
+
+/// The `<name>` of a `/svc/<name>` path.
+fn logical_name(path: &str) -> Option<&str> {
+    let name = path.strip_prefix("/svc/")?;
+    let name = name.split(['/', '?']).next().unwrap_or("");
+    if name.is_empty() {
+        None
+    } else {
+        Some(name)
     }
 }
 
@@ -141,6 +160,23 @@ mod tests {
         );
         assert_eq!(Url::parse("http://d/other").unwrap().logical_service(), None);
         assert_eq!(Url::parse("http://d/svc/").unwrap().logical_service(), None);
+    }
+
+    #[test]
+    fn borrowed_logical_service_reads_as_the_parsed_url() {
+        for s in [
+            "http://d/svc/Echo",
+            "http://d:81/svc/Echo/extra?x",
+            "http://d/other",
+            "http://d",
+            "http://d/svc/",
+            "http://:80/svc/Echo",
+            "ftp://d/svc/Echo",
+        ] {
+            let parsed = Url::parse(s);
+            let want = parsed.as_ref().map(|u| u.logical_service()).map_err(Clone::clone);
+            assert_eq!(Url::logical_service_of(s), want, "{s}");
+        }
     }
 
     #[test]

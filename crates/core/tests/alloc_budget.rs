@@ -3,8 +3,11 @@
 //! `MsgCore::route_raw_into` into a caller-owned buffer is the
 //! zero-copy splice path of DESIGN §7c: in steady state a correlated
 //! reply costs 2 heap allocations (the two `String`s inside the parsed
-//! destination `Url`) and a forward 15 (logical/physical URL naming plus
-//! the route record). A counting global allocator holds those figures as
+//! destination `Url`) and a forward 4 (the two `String`s of the
+//! registry's `Url`, the route map's `MessageID` key and the client's
+//! `ReplyTo` the route record keeps; the logical name and the id are
+//! returned borrowed from the request, and the rewritten `To` is the
+//! registry's text). A counting global allocator holds those figures as
 //! ceilings: a `format!`, `to_string()` or fresh `Vec` slipped into the
 //! splice path fails this test on the next `cargo test`. (The counting
 //! allocator and its one-test-per-binary rule: `counting/mod.rs`.)
@@ -21,7 +24,7 @@ use wsd_wsa::{EndpointReference, WsaHeaders};
 
 /// Steady-state ceilings, allocations per `route_raw_into` call.
 const REPLY_BUDGET: u64 = 2;
-const FORWARD_BUDGET: u64 = 15;
+const FORWARD_BUDGET: u64 = 4;
 
 const DISPATCHER: &str = "http://dispatcher/msg";
 

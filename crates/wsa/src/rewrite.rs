@@ -12,19 +12,15 @@ use crate::headers::WsaHeaders;
 use crate::WsaError;
 
 /// What the dispatcher must remember to route the reply of one forwarded
-/// message.
+/// message. It is filed under the request's `MessageID`, which the reply
+/// carries in `RelatesTo`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteRecord {
-    /// `MessageID` of the forwarded request (replies carry it in
-    /// `RelatesTo`).
-    pub message_id: Option<String>,
     /// Where the client originally asked replies to go (a mailbox, its own
     /// endpoint, or anonymous).
     pub original_reply_to: Option<EndpointReference>,
     /// Where the client originally asked faults to go.
     pub original_fault_to: Option<EndpointReference>,
-    /// The logical address the client targeted (before resolution).
-    pub logical_to: Option<String>,
 }
 
 /// Rewrites a client request for forwarding to the resolved service:
@@ -41,10 +37,8 @@ pub fn rewrite_for_forward(
 ) -> Result<RouteRecord, WsaError> {
     let mut headers = WsaHeaders::from_envelope(env)?;
     let record = RouteRecord {
-        message_id: headers.message_id.clone(),
         original_reply_to: headers.reply_to.clone(),
         original_fault_to: headers.fault_to.clone(),
-        logical_to: headers.to.clone(),
     };
     headers.to = Some(physical_to.to_string());
     headers.reply_to = Some(EndpointReference::new(dispatcher_address));
@@ -112,8 +106,7 @@ mod tests {
         // Untouched headers survive.
         assert_eq!(h.action.as_deref(), Some("urn:wsd:echo:echo"));
         assert_eq!(h.message_id.as_deref(), Some("uuid:req-1"));
-        // The record remembers the originals.
-        assert_eq!(record.logical_to.as_deref(), Some("logical:echo"));
+        // The record remembers the original return address.
         assert_eq!(
             record.original_reply_to.unwrap().address,
             "http://client.example.org:8080/cb"
@@ -178,10 +171,8 @@ mod tests {
     #[test]
     fn reply_falls_back_to_mailbox_for_anonymous_clients() {
         let record = RouteRecord {
-            message_id: Some("uuid:req-2".into()),
             original_reply_to: Some(EndpointReference::new(crate::ANONYMOUS)),
             original_fault_to: None,
-            logical_to: None,
         };
         let mut reply = rpc::echo_response(SoapVersion::V11, "x");
         let dest =
@@ -192,10 +183,8 @@ mod tests {
     #[test]
     fn reply_with_no_destination_returns_none() {
         let record = RouteRecord {
-            message_id: None,
             original_reply_to: None,
             original_fault_to: None,
-            logical_to: None,
         };
         let mut reply = rpc::echo_response(SoapVersion::V11, "x");
         assert_eq!(rewrite_for_reply(&mut reply, &record, None).unwrap(), None);

@@ -1,14 +1,18 @@
-//! Single-pass splice rewrite: the dispatcher's zero-copy fast path.
+//! Single-pass splice rewrites: the dispatcher's zero-copy fast path.
 //!
 //! [`scan`] runs one streaming pass over a serialized envelope and
-//! locates the WS-Addressing header elements; [`ScannedWsa::splice_forward`]
-//! and [`ScannedWsa::splice_reply`] then emit every byte outside the
-//! addressing block verbatim — the body is never parsed into a tree,
-//! rebuilt or re-escaped — and splice the rewritten headers in. The body
-//! bytes are still *verified* ([`wsd_xml::splice::verify_element_with_prefixes`]):
-//! the fast path must never forward an envelope the tree path would
-//! reject, so mismatched tags, unknown entity references and unbound
-//! prefixes all decline to the tree parser instead of being spliced.
+//! locates the WS-Addressing header elements;
+//! [`ScannedWsa::splice_forward_into`] and [`ScannedWsa::splice_reply_into`]
+//! then emit every byte outside the addressing block verbatim into the
+//! caller's buffer — the body is never parsed into a tree, rebuilt or
+//! re-escaped — and splice the rewritten headers in.
+//! [`splice_relates_to`] does the same for Table 1 quadrant 3: it gives
+//! a headerless answer from an RPC service the `RelatesTo` that makes it
+//! a reply. The body bytes are still *verified*
+//! ([`wsd_xml::splice::verify_element_with_prefixes`]): the fast path
+//! must never forward an envelope the tree path would reject, so
+//! mismatched tags, unknown entity references and unbound prefixes all
+//! decline to the tree parser instead of being spliced.
 //!
 //! The scan is deliberately strict: it accepts exactly the canonical
 //! serialization our own [`wsd_xml::writer`] produces (the form every
@@ -18,6 +22,8 @@
 //! attributes, CDATA, non-canonical entity forms, reference
 //! properties/parameters, out-of-order headers — makes `scan` return
 //! `None` and the caller falls back to parse + rewrite + re-serialize.
+//! Header values are checked canonical with the writer's own escaper
+//! ([`wsd_xml::escape`]).
 //!
 //! Byte identity with the tree path is guaranteed for envelopes in
 //! parse-canonical form (a fixed point of `parse` → `to_xml`, which every
@@ -109,16 +115,7 @@ pub struct ScannedWsa<'a> {
 /// writer's canonical form with all header children being canonical WSA
 /// headers in canonical order.
 pub fn scan(src: &str) -> Option<ScannedWsa<'_>> {
-    let shape = if src.starts_with(V11_SHAPE.open) {
-        &V11_SHAPE
-    } else if src.starts_with(V12_SHAPE.open) {
-        &V12_SHAPE
-    } else {
-        return None;
-    };
-    if !src.ends_with(shape.env_close) {
-        return None;
-    }
+    let shape = shape_of(src)?;
     let mut pos = shape.open.len();
     if !src[pos..].starts_with(shape.header_open) {
         return None;
@@ -146,27 +143,7 @@ pub fn scan(src: &str) -> Option<ScannedWsa<'_>> {
             }
             out.run_end = pos;
             let body = pos + shape.header_close.len();
-            if !src[body..].starts_with(shape.body_open) {
-                return None;
-            }
-            match src.as_bytes().get(body + shape.body_open.len()) {
-                Some(b'>') | Some(b'/') => {}
-                _ => return None,
-            }
-            // The splice copies every body byte verbatim, so the fast
-            // path must never accept a body the tree path would fault
-            // on: verify the Body element token-for-token (matched close
-            // tags, canonical attributes, known entity references, bound
-            // prefixes) before committing. Anything questionable falls
-            // back to the tree parser and its precise diagnostics.
-            let body_end = wsd_xml::splice::verify_element_with_prefixes(
-                src,
-                body,
-                &[shape.env_prefix],
-            )?;
-            if &src[body_end..] != shape.env_close {
-                return None;
-            }
+            verify_body(src, shape, body)?;
             return Some(out);
         }
         let start = pos;
@@ -229,6 +206,71 @@ pub fn scan(src: &str) -> Option<ScannedWsa<'_>> {
             }
         }
     }
+}
+
+/// The framing of `src` if it opens and closes as `to_xml()` writes an
+/// envelope of either SOAP version.
+fn shape_of(src: &str) -> Option<&'static Shape> {
+    let shape = [&V11_SHAPE, &V12_SHAPE]
+        .into_iter()
+        .find(|shape| src.starts_with(shape.open))?;
+    src.ends_with(shape.env_close).then_some(shape)
+}
+
+/// Checks that the Body element starting at `body` is one the tree
+/// parser accepts and that `</P:Envelope>` follows it directly.
+///
+/// A splice copies every body byte verbatim, so the fast path must never
+/// accept a body the tree path would fault on: the Body element is
+/// verified token for token (matched close tags, canonical attributes,
+/// known entity references, bound prefixes) before anything is written.
+/// Anything questionable falls back to the tree parser and its precise
+/// diagnostics.
+fn verify_body(src: &str, shape: &Shape, body: usize) -> Option<()> {
+    if !src[body..].starts_with(shape.body_open) {
+        return None;
+    }
+    match src.as_bytes().get(body + shape.body_open.len()) {
+        Some(b'>') | Some(b'/') => {}
+        _ => return None,
+    }
+    let body_end =
+        wsd_xml::splice::verify_element_with_prefixes(src, body, &[shape.env_prefix])?;
+    (&src[body_end..] == shape.env_close).then_some(())
+}
+
+/// Table 1 quadrant 3's correlation, spliced: a canonically serialized
+/// envelope with no Header gains
+/// `<P:Header><wsa:RelatesTo xmlns:wsa="…">relates_to</wsa:RelatesTo></P:Header>`
+/// right after its open tag, and every other byte is copied verbatim.
+/// With no id to relate to, the envelope is returned as it came in.
+///
+/// `None` — meaning "use the tree path" — unless `src` is the writer's
+/// canonical form of an envelope with no Header and a Body the tree
+/// parser accepts (verified as [`scan`] verifies one). The output is
+/// byte-identical to parse → [`WsaHeaders::apply`](crate::WsaHeaders::apply)
+/// with the one `RelatesTo` → `to_xml()` for parse-canonical input, and
+/// is written into one `String` sized for it (an id that needs escaping
+/// grows it once).
+pub fn splice_relates_to<'a>(src: &'a str, relates_to: Option<&str>) -> Option<Cow<'a, str>> {
+    let shape = shape_of(src)?;
+    let body = shape.open.len();
+    verify_body(src, shape, body)?;
+    let Some(id) = relates_to else {
+        return Some(Cow::Borrowed(src));
+    };
+    let mut out = String::with_capacity(
+        src.len()
+            + shape.header_open.len()
+            + text_header_len("RelatesTo", id)
+            + shape.header_close.len(),
+    );
+    out.push_str(&src[..body]);
+    out.push_str(shape.header_open);
+    push_text_header(&mut out, "RelatesTo", id);
+    out.push_str(shape.header_close);
+    out.push_str(&src[body..]);
+    Some(Cow::Owned(out))
 }
 
 struct OpenTag<'a> {
@@ -311,6 +353,13 @@ fn scan_epr_content<'a>(
     Some((addr, end))
 }
 
+/// Bytes [`push_text_header`] writes for a `value` that escapes to
+/// itself (a longer escaped value grows the buffer once).
+fn text_header_len(local: &str, value: &str) -> usize {
+    "<wsa:".len() + local.len() + XMLNS_WSA.len() + ">".len() + value.len()
+        + "</wsa:".len() + local.len() + ">".len()
+}
+
 /// Emits the canonical serialization of a text-only WSA header —
 /// byte-identical to `write_element_into(&text_header(local, value))`
 /// without building the element.
@@ -347,14 +396,15 @@ impl<'a> ScannedWsa<'a> {
     pub fn message_id_cow(&self) -> Option<Cow<'a, str>> {
         self.message_id.as_ref().map(|(v, _)| v.clone())
     }
+
+    /// Decoded `wsa:To`, if present, carrying the scan input's lifetime
+    /// as [`message_id_cow`](Self::message_id_cow) does.
+    pub fn to_cow(&self) -> Option<Cow<'a, str>> {
+        self.to.as_ref().map(|(v, _)| v.clone())
+    }
 }
 
 impl ScannedWsa<'_> {
-    /// Decoded `wsa:To`, if present.
-    pub fn to(&self) -> Option<&str> {
-        self.to.as_ref().map(|(v, _)| v.as_ref())
-    }
-
     /// Decoded `wsa:ReplyTo` address, if present.
     pub fn reply_to(&self) -> Option<&str> {
         self.reply_to.as_ref().map(|(v, _)| v.as_ref())
@@ -374,25 +424,13 @@ impl ScannedWsa<'_> {
         out.push_str(&self.src[span.clone()]);
     }
 
-    /// The forward rewrite (paper §4.2 step 3), spliced: `To` becomes
-    /// `physical_to`, `ReplyTo` (and `FaultTo`, when present) become the
-    /// dispatcher's address, `minted_id` is inserted when the message
-    /// carried no `MessageID`; every other byte is copied verbatim.
-    /// Output is byte-identical to `rewrite_for_forward` + `to_xml()`.
-    pub fn splice_forward(
-        &self,
-        physical_to: &str,
-        dispatcher_address: &str,
-        minted_id: Option<&str>,
-    ) -> (String, RouteRecord) {
-        let mut out = String::with_capacity(self.src.len() + 128);
-        let record = self.splice_forward_into(physical_to, dispatcher_address, minted_id, &mut out);
-        (out, record)
-    }
-
-    /// [`splice_forward`](Self::splice_forward), appending into a caller
-    /// buffer the caller has sized: rewritten headers are emitted as raw
-    /// bytes — no element trees are built.
+    /// The forward rewrite (paper §4.2 step 3), spliced into a buffer the
+    /// caller has sized: `To` becomes `physical_to`, `ReplyTo` (and
+    /// `FaultTo`, when present) become the dispatcher's address,
+    /// `minted_id` is inserted when the message carried no `MessageID`;
+    /// every other byte is copied verbatim, and the rewritten headers are
+    /// emitted as raw bytes — no element trees are built. Output and
+    /// record are those of `rewrite_for_forward` + `to_xml()`.
     pub fn splice_forward_into(
         &self,
         physical_to: &str,
@@ -422,10 +460,6 @@ impl ScannedWsa<'_> {
         }
         out.push_str(&self.src[self.run_end..]);
         RouteRecord {
-            message_id: self
-                .message_id()
-                .or(minted_id)
-                .map(str::to_string),
             original_reply_to: self
                 .reply_to
                 .as_ref()
@@ -434,23 +468,15 @@ impl ScannedWsa<'_> {
                 .fault_to
                 .as_ref()
                 .map(|(a, _)| EndpointReference::new(a.clone().into_owned())),
-            logical_to: self.to.as_ref().map(|(v, _)| v.clone().into_owned()),
         }
     }
 
-    /// The reply rewrite, spliced: `To` becomes `destination` (or is
-    /// dropped when `None`); everything else is copied verbatim. Output
-    /// is byte-identical to `rewrite_for_reply` + `to_xml()`.
-    pub fn splice_reply(&self, destination: Option<&str>) -> String {
-        let mut out = String::with_capacity(self.src.len() + 64);
-        self.splice_reply_into(destination, &mut out);
-        out
-    }
-
-    /// [`splice_reply`](Self::splice_reply), appending into a caller
-    /// buffer the caller has sized. The steady-state reply path allocates
-    /// nothing here: spans are copied and the `To` header is emitted as
-    /// raw bytes.
+    /// The reply rewrite, spliced into a buffer the caller has sized:
+    /// `To` becomes `destination` (or is dropped when `None`); everything
+    /// else is copied verbatim. Output is byte-identical to
+    /// `rewrite_for_reply` + `to_xml()`. The steady-state reply path
+    /// allocates nothing here: spans are copied and the `To` header is
+    /// emitted as raw bytes.
     pub fn splice_reply_into(&self, destination: Option<&str>, out: &mut String) {
         out.push_str(&self.src[..self.run_start]);
         if let Some(dest) = destination {
@@ -510,7 +536,7 @@ mod tests {
         for version in [SoapVersion::V11, SoapVersion::V12] {
             let xml = request(version).to_xml();
             let scanned = scan(&xml).expect("canonical envelope must scan");
-            assert_eq!(scanned.to(), Some("http://dispatcher/svc/echo"));
+            assert_eq!(scanned.to_cow().as_deref(), Some("http://dispatcher/svc/echo"));
             assert_eq!(scanned.reply_to(), Some("http://client:8080/cb"));
             assert_eq!(scanned.message_id(), Some("uuid:req-1"));
             assert_eq!(scanned.correlation_id(), None);
@@ -522,7 +548,8 @@ mod tests {
         for version in [SoapVersion::V11, SoapVersion::V12] {
             let xml = request(version).to_xml();
             let scanned = scan(&xml).unwrap();
-            let (spliced, record) = scanned.splice_forward(PHYSICAL, DISPATCHER, None);
+            let mut spliced = String::new();
+            let record = scanned.splice_forward_into(PHYSICAL, DISPATCHER, None, &mut spliced);
             let mut env = Envelope::parse(&xml).unwrap();
             let tree_record = rewrite_for_forward(&mut env, PHYSICAL, DISPATCHER).unwrap();
             assert_eq!(spliced, env.to_xml());
@@ -539,7 +566,8 @@ mod tests {
             .apply(&mut env);
         let xml = env.to_xml();
         let scanned = scan(&xml).unwrap();
-        let (spliced, record) = scanned.splice_forward(PHYSICAL, DISPATCHER, Some("uuid:minted"));
+        let mut spliced = String::new();
+        scanned.splice_forward_into(PHYSICAL, DISPATCHER, Some("uuid:minted"), &mut spliced);
         // Tree path: mint first (as MsgCore does), then rewrite.
         let mut tree = Envelope::parse(&xml).unwrap();
         let mut h = WsaHeaders::from_envelope(&tree).unwrap();
@@ -547,7 +575,6 @@ mod tests {
         h.apply(&mut tree);
         rewrite_for_forward(&mut tree, PHYSICAL, DISPATCHER).unwrap();
         assert_eq!(spliced, tree.to_xml());
-        assert_eq!(record.message_id.as_deref(), Some("uuid:minted"));
     }
 
     #[test]
@@ -562,12 +589,11 @@ mod tests {
         let scanned = scan(&xml).unwrap();
         assert_eq!(scanned.correlation_id(), Some("uuid:req-1"));
         let record = RouteRecord {
-            message_id: Some("uuid:req-1".into()),
             original_reply_to: Some(EndpointReference::new("http://client:8080/cb")),
             original_fault_to: None,
-            logical_to: None,
         };
-        let spliced = scanned.splice_reply(Some("http://client:8080/cb"));
+        let mut spliced = String::new();
+        scanned.splice_reply_into(Some("http://client:8080/cb"), &mut spliced);
         let mut env = Envelope::parse(&xml).unwrap();
         let dest = rewrite_for_reply(&mut env, &record, None).unwrap();
         assert_eq!(dest.as_deref(), Some("http://client:8080/cb"));
@@ -582,7 +608,8 @@ mod tests {
         h.apply(&mut env);
         let xml = env.to_xml();
         let scanned = scan(&xml).unwrap();
-        let (spliced, record) = scanned.splice_forward(PHYSICAL, DISPATCHER, None);
+        let mut spliced = String::new();
+        let record = scanned.splice_forward_into(PHYSICAL, DISPATCHER, None, &mut spliced);
         let mut tree = Envelope::parse(&xml).unwrap();
         let tree_record = rewrite_for_forward(&mut tree, PHYSICAL, DISPATCHER).unwrap();
         assert_eq!(spliced, tree.to_xml());
@@ -631,6 +658,51 @@ mod tests {
         assert!(scan(&xml.replace("<SOAP-ENV:Header>", "<SOAP-ENV:Header >")).is_none());
         // Truncated document.
         assert!(scan(&xml[..xml.len() - 3]).is_none());
+    }
+
+    /// The tree path `splice_relates_to` stands in for: parse, gain the
+    /// one `RelatesTo`, serialize.
+    fn related_by_tree(xml: &str, id: Option<&str>) -> String {
+        let mut env = Envelope::parse(xml).unwrap();
+        if let Some(id) = id {
+            WsaHeaders::new().relates_to(id).apply(&mut env);
+        }
+        env.to_xml()
+    }
+
+    #[test]
+    fn relates_to_splice_matches_tree() {
+        for version in [SoapVersion::V11, SoapVersion::V12] {
+            for body in [rpc::echo_response(version, "out <&> \"q\" é"), Envelope::fault(
+                version,
+                wsd_soap::Fault::new(wsd_soap::FaultCode::Receiver, "boom"),
+            )] {
+                let xml = body.to_xml();
+                for id in [Some("uuid:req-1"), Some("uuid:a&b<c"), None] {
+                    let spliced = splice_relates_to(&xml, id).expect("canonical and headerless");
+                    assert_eq!(spliced, related_by_tree(&xml, id), "{version} {id:?}");
+                    assert_eq!(matches!(spliced, Cow::Borrowed(_)), id.is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relates_to_splice_declines_what_it_cannot_copy() {
+        let xml = rpc::echo_response(SoapVersion::V11, "out").to_xml();
+        // A Header already there: the tree decides where RelatesTo goes.
+        let mut headed = rpc::echo_response(SoapVersion::V11, "out");
+        WsaHeaders::new().message_id("uuid:r").apply(&mut headed);
+        assert!(splice_relates_to(&headed.to_xml(), Some("uuid:q")).is_none());
+        // Another prefix for the envelope namespace.
+        let foreign = xml.replace("SOAP-ENV", "soap");
+        assert!(Envelope::parse(&foreign).is_ok());
+        assert!(splice_relates_to(&foreign, Some("uuid:q")).is_none());
+        // A Body the tree parser rejects, and a torn envelope.
+        let broken = xml.replace(">out<", "><out<");
+        assert!(Envelope::parse(&broken).is_err());
+        assert!(splice_relates_to(&broken, Some("uuid:q")).is_none());
+        assert!(splice_relates_to(&xml[..xml.len() - 1], None).is_none());
     }
 
     #[test]

@@ -98,8 +98,13 @@ proptest! {
         let Some(scanned) = scanned else { return Ok(()); };
         // Mint an id exactly when the message carries none, as MsgCore does.
         let minted = h.message_id.is_none().then_some("uuid:minted-1");
-        let (spliced, record) =
-            scanned.splice_forward("http://phys.example/svc", "http://disp.example/msg", minted);
+        let mut spliced = String::new();
+        let record = scanned.splice_forward_into(
+            "http://phys.example/svc",
+            "http://disp.example/msg",
+            minted,
+            &mut spliced,
+        );
         let mut tree = Envelope::parse(&xml).unwrap();
         if let Some(id) = minted {
             let mut th = WsaHeaders::from_envelope(&tree).unwrap();
@@ -110,9 +115,7 @@ proptest! {
             rewrite_for_forward(&mut tree, "http://phys.example/svc", "http://disp.example/msg")
                 .unwrap();
         prop_assert_eq!(&spliced, &tree.to_xml());
-        prop_assert_eq!(record.original_reply_to, tree_record.original_reply_to);
-        prop_assert_eq!(record.original_fault_to, tree_record.original_fault_to);
-        prop_assert_eq!(record.logical_to, tree_record.logical_to);
+        prop_assert_eq!(record, tree_record);
         // Spliced output is itself canonical: rescanning it must succeed.
         prop_assert!(wsd_wsa::scan(&spliced).is_some());
     }
@@ -130,12 +133,11 @@ proptest! {
         let xml = env.to_xml();
         let Some(scanned) = wsd_wsa::scan(&xml) else { return Ok(()); };
         let record = RouteRecord {
-            message_id: Some("uuid:q".into()),
             original_reply_to: dest.clone().map(EndpointReference::new),
             original_fault_to: None,
-            logical_to: None,
         };
-        let spliced = scanned.splice_reply(dest.as_deref());
+        let mut spliced = String::new();
+        scanned.splice_reply_into(dest.as_deref(), &mut spliced);
         let mut tree = Envelope::parse(&xml).unwrap();
         let tree_dest = rewrite_for_reply(&mut tree, &record, None).unwrap();
         prop_assert_eq!(tree_dest, dest);
@@ -210,12 +212,11 @@ proptest! {
         // well-formed, and both rewrites must emit identical bytes.
         let tree = Envelope::parse(&adversarial);
         prop_assert!(tree.is_ok(), "fast path accepted, tree rejected: {adversarial}");
-        let spliced = scanned.splice_reply(Some("http://dest.example/mb"));
+        let mut spliced = String::new();
+        scanned.splice_reply_into(Some("http://dest.example/mb"), &mut spliced);
         let record = RouteRecord {
-            message_id: Some("uuid:q".into()),
             original_reply_to: Some(EndpointReference::new("http://dest.example/mb")),
             original_fault_to: None,
-            logical_to: None,
         };
         let mut tree = tree.unwrap();
         rewrite_for_reply(&mut tree, &record, None).unwrap();

@@ -7,54 +7,64 @@ use std::borrow::Cow;
 /// `>` is only mandatory in the `]]>` sequence but escaping it always is
 /// harmless and round-trips cleanly.
 pub fn escape_text(s: &str) -> Cow<'_, str> {
-    escape_with(s, false)
+    escape(s, find_text_special)
 }
 
 /// Escapes an attribute value for double-quoted output: `&`, `<`, `>`,
 /// `"`, plus tab/CR/LF (so whitespace survives attribute-value
 /// normalization on re-parse).
 pub fn escape_attr(s: &str) -> Cow<'_, str> {
-    escape_with(s, true)
+    escape(s, find_attr_special)
 }
 
-fn needs_escape(c: char, attr: bool) -> bool {
-    matches!(c, '&' | '<' | '>') || (attr && matches!(c, '"' | '\t' | '\n' | '\r'))
+/// Appends [`escape_text`]'s bytes to `out`, with no intermediate
+/// `String`.
+pub fn push_escaped_text(s: &str, out: &mut String) {
+    push_escaped(s, out, find_text_special);
 }
 
-fn escape_with(s: &str, attr: bool) -> Cow<'_, str> {
-    let first = match s.char_indices().find(|&(_, c)| needs_escape(c, attr)) {
-        None => return Cow::Borrowed(s),
-        Some((i, _)) => i,
+/// Appends [`escape_attr`]'s bytes to `out`, with no intermediate
+/// `String`.
+pub fn push_escaped_attr(s: &str, out: &mut String) {
+    push_escaped(s, out, find_attr_special);
+}
+
+/// The first byte character data escapes. Every special byte is ASCII,
+/// so a hit is always a character boundary.
+fn find_text_special(bytes: &[u8]) -> Option<usize> {
+    crate::swar::find_byte3(bytes, b'&', b'<', b'>')
+}
+
+/// The first byte an attribute value escapes.
+fn find_attr_special(bytes: &[u8]) -> Option<usize> {
+    crate::swar::find_any(bytes, [b'&', b'<', b'>', b'"', b'\t', b'\n', b'\r'])
+}
+
+fn escape(s: &str, find: fn(&[u8]) -> Option<usize>) -> Cow<'_, str> {
+    let Some(first) = find(s.as_bytes()) else {
+        return Cow::Borrowed(s);
     };
     let mut out = String::with_capacity(s.len() + 8);
     out.push_str(&s[..first]);
-    for c in s[first..].chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            '\t' if attr => out.push_str("&#9;"),
-            '\n' if attr => out.push_str("&#10;"),
-            '\r' if attr => out.push_str("&#13;"),
-            c => out.push(c),
-        }
-    }
+    push_escaped(&s[first..], &mut out, find);
     Cow::Owned(out)
 }
 
-/// Escapes character data directly into an existing buffer — the
-/// zero-intermediate-allocation form of [`escape_text`] for raw byte
-/// emitters. Produces identical bytes.
-pub fn push_escaped_text(s: &str, out: &mut String) {
+/// Copies `s` to `out` a run at a time, each special byte `find` stops
+/// at replaced by its reference.
+fn push_escaped(s: &str, out: &mut String, find: fn(&[u8]) -> Option<usize>) {
     let mut rest = s;
-    while let Some(i) = crate::swar::find_byte3(rest.as_bytes(), b'&', b'<', b'>') {
+    while let Some(i) = find(rest.as_bytes()) {
         out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
-            b'&' => out.push_str("&amp;"),
-            b'<' => out.push_str("&lt;"),
-            _ => out.push_str("&gt;"),
-        }
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\t' => "&#9;",
+            b'\n' => "&#10;",
+            _ => "&#13;",
+        });
         rest = &rest[i + 1..];
     }
     out.push_str(rest);
@@ -120,6 +130,68 @@ mod tests {
             let mut out = String::from("prefix:");
             push_escaped_text(s, &mut out);
             assert_eq!(out, format!("prefix:{}", escape_text(s)));
+        }
+    }
+
+    /// The escaper as it was written before the byte scan: one `char` at
+    /// a time. Kept as the reference the scanning escapers are held to.
+    fn escape_chars(s: &str, attr: bool) -> String {
+        let mut out = String::with_capacity(s.len() + 8);
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' if attr => out.push_str("&quot;"),
+                '\t' if attr => out.push_str("&#9;"),
+                '\n' if attr => out.push_str("&#10;"),
+                '\r' if attr => out.push_str("&#13;"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Every form of both escapers, against the reference: the `Cow`
+    /// (borrowed exactly when nothing changed) and the appending one.
+    fn assert_matches_reference(s: &str) {
+        for attr in [false, true] {
+            let want = escape_chars(s, attr);
+            let (cow, push): (_, fn(&str, &mut String)) = if attr {
+                (escape_attr(s), push_escaped_attr)
+            } else {
+                (escape_text(s), push_escaped_text)
+            };
+            assert_eq!(cow, want, "attr={attr} {s:?}");
+            assert_eq!(matches!(cow, Cow::Borrowed(_)), want == s, "attr={attr} {s:?}");
+            let mut out = String::from("<");
+            push(s, &mut out);
+            assert_eq!(out[1..], want, "attr={attr} {s:?}");
+        }
+    }
+
+    #[test]
+    fn every_special_at_every_word_offset_matches_the_reference() {
+        assert_matches_reference("");
+        for special in ['&', '<', '>', '"', '\t', '\n', '\r', 'é', '世', '😀'] {
+            for len in 1..=17 {
+                for at in 0..len {
+                    let s: String =
+                        (0..len).map(|i| if i == at { special } else { 'a' }).collect();
+                    assert_matches_reference(&s);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Multi-byte UTF-8 next to every special, at any offset of an
+        /// 8-byte word, escapes to the reference's bytes.
+        #[test]
+        fn escapers_match_the_char_walk(
+            s in "[a&<>\"\t\n\r'é世😀\u{80}\u{7ff}\u{ffff}]{0,40}",
+        ) {
+            assert_matches_reference(&s);
         }
     }
 

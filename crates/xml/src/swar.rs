@@ -93,6 +93,26 @@ pub fn find_byte3(haystack: &[u8], n1: u8, n2: u8, n3: u8) -> Option<usize> {
         .map(|p| i + p)
 }
 
+/// Finds the first byte that is any of `needles` (the attribute-value
+/// escaper's seven specials).
+#[inline]
+pub fn find_any<const N: usize>(haystack: &[u8], needles: [u8; N]) -> Option<usize> {
+    let pats = needles.map(splat);
+    let mut i = 0;
+    while i + 8 <= haystack.len() {
+        let word = u64::from_le_bytes(haystack[i..i + 8].try_into().expect("8-byte chunk"));
+        let hit = pats.iter().fold(0, |hit, &p| hit | zero_mask(word ^ p));
+        if hit != 0 {
+            return Some(i + first_lane(hit));
+        }
+        i += 8;
+    }
+    haystack[i..]
+        .iter()
+        .position(|b| needles.contains(b))
+        .map(|p| i + p)
+}
+
 /// Finds the first occurrence of the substring `needle` (used for the
 /// `]]>` / `-->` / `?>` terminators and `\r\n\r\n` head scanning).
 /// Scans for the first needle byte with SWAR, then verifies the rest.
@@ -169,6 +189,10 @@ mod tests {
                 _ => find_byte3(&h, set[0], set[1], set[2]),
             };
             assert_eq!(got, naive(&h, set));
+        }
+        let seven = [b'&', b'<', b'>', b'"', b'\t', b'\n', b'\r'];
+        for start in 0..64 {
+            assert_eq!(find_any(&h[start..], seven), naive(&h[start..], &seven));
         }
     }
 

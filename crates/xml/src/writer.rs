@@ -5,7 +5,7 @@
 //! comments are preserved. `write(parse(x))` therefore reproduces the
 //! structure (though not insignificant whitespace outside the root).
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{push_escaped_attr, push_escaped_text};
 use crate::tree::{Document, Element, Node};
 
 /// Serializes a document with an XML declaration.
@@ -35,7 +35,7 @@ pub fn write_element_into(el: &Element, out: &mut String) {
         }
         out.push_str(&attr.name.local);
         out.push_str("=\"");
-        out.push_str(&escape_attr(&attr.value));
+        push_escaped_attr(&attr.value, out);
         out.push('"');
     }
     if el.children.is_empty() {
@@ -46,12 +46,12 @@ pub fn write_element_into(el: &Element, out: &mut String) {
     for child in &el.children {
         match child {
             Node::Element(e) => write_element_into(e, out),
-            Node::Text(t) => out.push_str(&escape_text(t)),
+            Node::Text(t) => push_escaped_text(t, out),
             Node::CData(t) => {
                 // A CDATA section cannot contain "]]>"; fall back to escaped
                 // text when it does, which preserves the character data.
                 if t.contains("]]>") {
-                    out.push_str(&escape_text(t));
+                    push_escaped_text(t, out);
                 } else {
                     out.push_str("<![CDATA[");
                     out.push_str(t);

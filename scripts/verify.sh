@@ -29,7 +29,8 @@
 #                                      wsd-store / rt API change stops the
 #                                      benchmark crate compiling or a workload
 #                                      reports `correct: false` (non-zero
-#                                      exit)
+#                                      exit); benchmark/Cargo.lock, which the
+#                                      build rewrites, is put back on exit
 #   scripts/verify.sh reactor-stress   the reactor's scheduling-protocol race
 #                                      tests (crates/concurrent/tests/
 #                                      reactor_races.rs) built once in release
@@ -135,6 +136,13 @@ if [ -n "$full" ] || [ "$mode" = "reactor-stress" ]; then
 fi
 
 if [ "$mode" = "e2e-smoke" ]; then
+    # Building rewrites the frozen benchmark/Cargo.lock (it still lists
+    # dependencies wsd-loadgen dropped): put the checked-in one back on
+    # every way out, as bench-pair.sh does.
+    lock=benchmark/Cargo.lock
+    lock_orig=$(mktemp)
+    cp "$lock" "$lock_orig"
+    trap 'cp "$lock_orig" "$lock"; rm -f "$lock_orig"' EXIT
     for workload in rpc_echo conv_pingpong backlog_durable sim_fig6; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
