@@ -43,7 +43,6 @@ pub struct ThreadBudget {
 struct Inner {
     live: AtomicUsize,
     peak: AtomicUsize,
-    denials: AtomicUsize,
     limit: usize,
     tele: OnceLock<BudgetTelemetry>,
 }
@@ -62,17 +61,10 @@ impl ThreadBudget {
             inner: Arc::new(Inner {
                 live: AtomicUsize::new(0),
                 peak: AtomicUsize::new(0),
-                denials: AtomicUsize::new(0),
                 limit,
                 tele: OnceLock::new(),
             }),
         }
-    }
-
-    /// An effectively unlimited budget (for components that should never
-    /// hit the simulated OOM).
-    pub fn unlimited() -> Self {
-        Self::new(usize::MAX)
     }
 
     /// Binds telemetry instruments (`live` gauge, `acquired`/`denials`
@@ -92,7 +84,6 @@ impl ThreadBudget {
         let mut cur = self.inner.live.load(Ordering::Relaxed);
         loop {
             if cur >= self.inner.limit {
-                self.inner.denials.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = self.inner.tele.get() {
                     t.denials.inc();
                 }
@@ -134,11 +125,6 @@ impl ThreadBudget {
     /// The configured limit.
     pub fn limit(&self) -> usize {
         self.inner.limit
-    }
-
-    /// Number of acquisitions denied because the budget was exhausted.
-    pub fn denials(&self) -> usize {
-        self.inner.denials.load(Ordering::Relaxed)
     }
 
     fn release(&self) {
@@ -225,7 +211,6 @@ mod tests {
         assert_eq!(snap.counter("msgbox.budget.acquired"), 2);
         assert_eq!(snap.counter("msgbox.budget.denials"), 1);
         assert_eq!(snap.gauge_peak("msgbox.budget.live"), 2);
-        assert_eq!(b.denials(), 1);
     }
 
     #[test]

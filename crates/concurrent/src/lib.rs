@@ -11,7 +11,6 @@
 //! * [`ShardedMap`] — a sharded concurrent hash map,
 //! * [`ThreadPool`] — a worker pool with pre-start, on-demand growth up to a
 //!   maximum size, and blocking submission when saturated (back-pressure),
-//! * [`CountDownLatch`] — a one-shot completion barrier,
 //! * [`ThreadBudget`] — a global cap on concurrently live threads, used to
 //!   emulate the JVM `OutOfMemoryError` the paper hit when WS-MsgBox spawned
 //!   one thread per message,
@@ -27,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod latch;
 pub mod map;
 pub mod ordered;
 pub mod pool;
@@ -35,7 +33,6 @@ pub mod queue;
 pub mod reactor;
 
 pub use budget::{BudgetError, ThreadBudget, ThreadLease};
-pub use latch::CountDownLatch;
 pub use map::ShardedMap;
 pub use ordered::{OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 pub use pool::{PoolConfig, TaskError, ThreadPool};

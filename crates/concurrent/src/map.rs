@@ -32,9 +32,9 @@ impl<K: Hash + Eq, V: Clone> Default for ShardedMap<K, V> {
 impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     /// Default shard count: enough to keep 32 dispatcher threads from
     /// contending in practice.
-    pub const DEFAULT_SHARDS: usize = 16;
+    const DEFAULT_SHARDS: usize = 16;
 
-    /// Creates a map with [`Self::DEFAULT_SHARDS`] shards.
+    /// Creates a map with `Self::DEFAULT_SHARDS` shards.
     pub fn new() -> Self {
         Self::with_shards(Self::DEFAULT_SHARDS)
     }
@@ -44,7 +44,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn with_shards(shards: usize) -> Self {
+    fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "shard count must be non-zero");
         let n = shards.next_power_of_two();
         let shards = (0..n)
@@ -71,18 +71,6 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
         self.shard_for(&key).write().insert(key, value)
     }
 
-    /// Inserts only if the key is absent. Returns `Err` with the rejected
-    /// value (and leaves the existing mapping untouched) if present.
-    pub fn insert_if_absent(&self, key: K, value: V) -> Result<(), V> {
-        let mut shard = self.shard_for(&key).write();
-        if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(key) {
-            e.insert(value);
-            Ok(())
-        } else {
-            Err(value)
-        }
-    }
-
     /// Returns a clone of the value for `key`.
     pub fn get<Q>(&self, key: &Q) -> Option<V>
     where
@@ -98,19 +86,6 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> V {
         let mut shard = self.shard_for(&key).write();
         shard.entry(key).or_insert_with(make).clone()
-    }
-
-    /// Applies `f` to the value for `key` under the shard's write lock.
-    /// Returns the updated value, or `None` if the key is absent.
-    pub fn update<Q>(&self, key: &Q, f: impl FnOnce(&mut V)) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let mut shard = self.shard_for(key).write();
-        let v = shard.get_mut(key)?;
-        f(v);
-        Some(v.clone())
     }
 
     /// Removes `key`, returning its value if present.
@@ -208,14 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_if_absent_respects_existing() {
-        let m = ShardedMap::new();
-        assert!(m.insert_if_absent("k".to_string(), 1).is_ok());
-        assert_eq!(m.insert_if_absent("k".to_string(), 2), Err(2));
-        assert_eq!(m.get("k"), Some(1));
-    }
-
-    #[test]
     fn get_or_insert_with_calls_once() {
         let m: ShardedMap<u32, u32> = ShardedMap::new();
         let mut calls = 0;
@@ -230,15 +197,6 @@ mod tests {
         });
         assert_eq!(v, 70);
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn update_mutates_in_place() {
-        let m = ShardedMap::new();
-        m.insert(1u8, 10u32);
-        assert_eq!(m.update(&1, |v| *v += 5), Some(15));
-        assert_eq!(m.get(&1), Some(15));
-        assert_eq!(m.update(&2, |v| *v += 5), None);
     }
 
     #[test]
@@ -295,26 +253,20 @@ mod tests {
     #[test]
     fn concurrent_readers_and_writers() {
         let m = Arc::new(ShardedMap::new());
-        for i in 0..64u32 {
-            m.insert(i, 0u64);
-        }
         let mut hs = Vec::new();
-        for _ in 0..4 {
+        for t in 0..4u64 {
             let m = Arc::clone(&m);
             hs.push(thread::spawn(move || {
                 for i in 0..64u32 {
-                    for _ in 0..100 {
-                        m.update(&i, |v| *v += 1);
-                    }
+                    m.insert(i, t);
+                    assert!(m.get(&i).is_some_and(|v| v < 4));
                 }
             }));
         }
         for h in hs {
             h.join().unwrap();
         }
-        for i in 0..64u32 {
-            assert_eq!(m.get(&i), Some(400));
-        }
+        assert_eq!(m.len(), 64);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! The same per-thread stack of held classes backs
 //! [`audit::assert_unlocked`], which the unbounded blocking calls
-//! (a queue push or pop that can park, a latch wait, a guard's condvar
+//! (a queue push or pop that can park, a guard's condvar
 //! wait with a second lock held, a join, a sleep) make first: a thread
 //! parked while it holds an ordered lock wedges every peer of that
 //! lock's class, so the call panics with the held classes. It fires on the
@@ -30,10 +30,10 @@
 //!   guarded by a consistent shard order at the call site.
 //!
 //! Condvar waits release the inner mutex while parked, so
-//! [`OrderedMutexGuard`] exposes `wait`/`wait_timeout`/`wait_until`
+//! [`OrderedMutexGuard`] exposes `wait`/`wait_until`
 //! wrappers that pop and re-push the audit frame around the park.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -94,17 +94,6 @@ impl<T> OrderedMutex<T> {
             guard: self.inner.lock(),
         }
     }
-
-    /// Attempts the lock without blocking. A failed try is not an
-    /// ordering event; a successful one is recorded like `lock`.
-    pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
-        let guard = self.inner.try_lock()?;
-        audit::acquire(self.name);
-        Some(OrderedMutexGuard {
-            name: self.name,
-            guard,
-        })
-    }
 }
 
 impl<T> OrderedRwLock<T> {
@@ -148,14 +137,6 @@ impl<'a, T> OrderedMutexGuard<'a, T> {
         audit::assert_unlocked("OrderedMutexGuard::wait");
         cv.wait(&mut self.guard);
         audit::acquire(self.name);
-    }
-
-    /// Parks on `cv` with a timeout; returns `true` if it timed out.
-    pub fn wait_timeout(&mut self, cv: &Condvar, timeout: Duration) -> bool {
-        audit::release(self.name);
-        let r = cv.wait_timeout(&mut self.guard, timeout).timed_out();
-        audit::acquire(self.name);
-        r
     }
 
     /// Parks on `cv` until `deadline`; returns `true` if it timed out.
@@ -272,7 +253,7 @@ pub mod audit {
             false
         }
 
-        pub fn acquire(name: &'static str) {
+        pub(super) fn acquire(name: &'static str) {
             let held: Vec<&'static str> =
                 HELD.with(|h| h.borrow().iter().copied().collect());
             // Record edges held→name before blocking on the inner
@@ -324,7 +305,7 @@ pub mod audit {
         }
 
         /// Snapshot of the recorded edge set, for tests/diagnostics.
-        pub fn edges() -> Vec<(&'static str, &'static str)> {
+        pub(super) fn edges() -> Vec<(&'static str, &'static str)> {
             let g = graph().lock();
             let mut out: Vec<(&'static str, &'static str)> = g
                 .edges
@@ -338,7 +319,7 @@ pub mod audit {
 
     /// Records an acquisition attempt of lock class `name` by this
     /// thread; panics (debug builds) on a lock-order cycle.
-    pub fn acquire(name: &'static str) {
+    pub(crate) fn acquire(name: &'static str) {
         #[cfg(debug_assertions)]
         imp::acquire(name);
         #[cfg(not(debug_assertions))]
@@ -365,6 +346,7 @@ pub mod audit {
 
     /// The recorded acquisition-order edges (debug builds; empty in
     /// release). Sorted for stable assertions.
+    // wsd-lint: allow(pub-without-caller): tests/lock_order_crosscheck.rs holds the auditor to the edges the workspace's own locks record
     pub fn edges() -> Vec<(&'static str, &'static str)> {
         #[cfg(debug_assertions)]
         {
@@ -381,6 +363,7 @@ pub mod audit {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     // Lock-class names in these tests are unique per test (the graph is
     // process-global and tests share one process).
@@ -486,7 +469,7 @@ mod tests {
 
         let mut g = m.lock();
         while !*g {
-            let timed_out = g.wait_timeout(&cv, Duration::from_secs(5));
+            let timed_out = g.wait_until(&cv, Instant::now() + Duration::from_secs(5));
             assert!(!timed_out, "signal should arrive");
         }
         drop(g);
@@ -515,12 +498,10 @@ mod tests {
         let pop = || {
             let _ = full.pop();
         };
-        let wait = || crate::CountDownLatch::new(0).wait();
         let sleep = || audit::assert_unlocked("a sleep");
         let calls = [
             ("FifoQueue::push", &push as &dyn Fn()),
             ("FifoQueue::pop", &pop),
-            ("CountDownLatch::wait", &wait),
             ("a sleep", &sleep),
         ];
         for (what, call) in calls {
@@ -537,7 +518,6 @@ mod tests {
         // nothing.
         assert_eq!(full.pop(), Ok(1));
         full.push(2).unwrap();
-        crate::CountDownLatch::new(0).wait();
         audit::assert_unlocked("a sleep");
     }
 
@@ -559,13 +539,13 @@ mod tests {
     }
 
     /// Run on a helper thread: without the check the wait parks for
-    /// good, and the test fails on the latch instead of hanging.
+    /// good, and the test fails on the channel instead of hanging.
     #[test]
     fn a_wait_while_another_class_is_held_panics() {
-        let done = crate::CountDownLatch::new(1);
+        let (done, finished) = std::sync::mpsc::channel();
         let msg = Arc::new(parking_lot::Mutex::new(String::new()));
         {
-            let (done, msg) = (done.clone(), Arc::clone(&msg));
+            let msg = Arc::clone(&msg);
             std::thread::spawn(move || {
                 let other = OrderedMutex::new("t10.other", ());
                 let m = OrderedMutex::new("t10.m", ());
@@ -575,25 +555,14 @@ mod tests {
                     let mut g = m.lock();
                     g.wait(&cv);
                 });
-                done.count_down();
+                done.send(()).unwrap();
             });
         }
         assert!(
-            done.wait_timeout(Duration::from_secs(5)),
+            finished.recv_timeout(Duration::from_secs(5)).is_ok(),
             "the wait parked under t10.other"
         );
         let msg = msg.lock().clone();
         assert!(msg.contains("t10.other") && !msg.contains("t10.m"), "{msg}");
-    }
-
-    #[test]
-    fn try_lock_success_is_audited_failure_is_not() {
-        let m = OrderedMutex::new("t7.m", 5u32);
-        {
-            let g = m.try_lock().expect("uncontended");
-            assert_eq!(*g, 5);
-            assert!(m.try_lock().is_none(), "held by us");
-        }
-        assert!(m.try_lock().is_some());
     }
 }

@@ -270,17 +270,19 @@ impl ThreadPool {
     }
 
     /// Number of currently live workers.
+    // wsd-lint: allow(pub-without-caller): the reactor tests (tests/reactor_races.rs, rt::reactor_front) pin the handler pool's size with it
     pub fn worker_count(&self) -> usize {
         self.shared.workers.load(Ordering::Acquire)
     }
 
     /// Number of workers currently running a task.
+    // wsd-lint: allow(pub-without-caller): rt::reactor_front's tests read it to show stalled senders hold no handler thread
     pub fn active_count(&self) -> usize {
         self.shared.active.load(Ordering::Acquire)
     }
 
     /// Number of tasks waiting in the queue.
-    pub fn queued_count(&self) -> usize {
+    fn queued_count(&self) -> usize {
         self.shared.queue.len()
     }
 
@@ -381,20 +383,23 @@ mod tests {
         let cfg = PoolConfig::growable("t", 1, 4)
             .queue_capacity(1);
         let pool = ThreadPool::new(cfg).unwrap();
-        let latch = crate::CountDownLatch::new(4);
-        let release = crate::CountDownLatch::new(1);
+        let (started, running) = std::sync::mpsc::channel();
+        // Jobs park on the gate until the test drops its write guard.
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let closed = gate.write().unwrap();
         for _ in 0..4 {
-            let latch = latch.clone();
-            let release = release.clone();
+            let (started, gate) = (started.clone(), Arc::clone(&gate));
             pool.execute(move || {
-                latch.count_down();
-                release.wait();
+                started.send(()).unwrap();
+                drop(gate.read());
             })
             .unwrap();
         }
-        assert!(latch.wait_timeout(Duration::from_secs(5)), "pool never grew");
+        for _ in 0..4 {
+            assert!(running.recv_timeout(Duration::from_secs(5)).is_ok(), "pool never grew");
+        }
         assert!(pool.worker_count() >= 4);
-        release.count_down();
+        drop(closed);
         pool.shutdown();
     }
 
@@ -403,22 +408,19 @@ mod tests {
         let reg = wsd_telemetry::Registry::new();
         let cfg = PoolConfig::fixed("t", 1).queue_capacity(1).telemetry(reg.scope("t"));
         let pool = ThreadPool::new(cfg).unwrap();
-        let release = crate::CountDownLatch::new(1);
-        let started = crate::CountDownLatch::new(1);
-        {
-            let (release, started) = (release.clone(), started.clone());
-            pool.execute(move || {
-                started.count_down();
-                release.wait();
-            })
-            .unwrap();
-        }
-        started.wait();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (started, running) = std::sync::mpsc::channel();
+        pool.execute(move || {
+            started.send(()).unwrap();
+            let _ = released.recv();
+        })
+        .unwrap();
+        running.recv().unwrap();
         // Worker busy: one task fits the queue, the next finds it full —
         // where `execute` would block, this reports it.
         assert_eq!(pool.try_execute(|| {}), Ok(()));
         assert_eq!(pool.try_execute(|| {}), Err(TaskError::Rejected));
-        release.count_down();
+        release.send(()).unwrap();
         pool.shutdown();
         assert_eq!(reg.snapshot().counter("t.completed"), 2);
         assert_eq!(pool.try_execute(|| {}), Err(TaskError::Shutdown));
@@ -459,54 +461,48 @@ mod tests {
 
     /// Idle core workers park in a blocking `pop` that only closing the
     /// queue ends, so a shutdown that does not close it joins forever.
-    /// Run on a helper thread, that is a latch never counted down, not
-    /// a hung test.
+    /// Run on a helper thread, that is a message never sent, not a
+    /// hung test.
     #[test]
     fn shutdown_wakes_parked_core_workers() {
         let pool = ThreadPool::new(PoolConfig::fixed("t", 2)).unwrap();
-        let ran = crate::CountDownLatch::new(1);
-        {
-            let ran = ran.clone();
-            pool.execute(move || ran.count_down()).unwrap();
-        }
-        assert!(ran.wait_timeout(Duration::from_secs(5)), "the job never ran");
-        let joined = crate::CountDownLatch::new(1);
-        {
-            let joined = joined.clone();
-            thread::spawn(move || {
-                pool.shutdown();
-                joined.count_down();
-            });
-        }
+        let (ran, done) = std::sync::mpsc::channel();
+        pool.execute(move || ran.send(()).unwrap()).unwrap();
+        assert!(done.recv_timeout(Duration::from_secs(5)).is_ok(), "the job never ran");
+        let (joined, shut) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            pool.shutdown();
+            joined.send(()).unwrap();
+        });
         assert!(
-            joined.wait_timeout(Duration::from_secs(5)),
+            shut.recv_timeout(Duration::from_secs(5)).is_ok(),
             "shutdown never joined its parked core workers"
         );
     }
 
-    /// A test that fails while its jobs wait on a latch only it would
-    /// release must fail, not hang: the pool dropped during the unwind
-    /// does not join them. Run on a helper thread, a join would be a
-    /// latch never counted down.
+    /// A test that fails while its jobs wait on a message only it would
+    /// send must fail, not hang: the pool dropped during the unwind does
+    /// not join them. Run on a helper thread, a join would be a message
+    /// never sent.
     #[test]
     fn a_pool_dropped_while_unwinding_does_not_join() {
-        let release = crate::CountDownLatch::new(1);
-        let unwound = crate::CountDownLatch::new(1);
-        {
-            let (release, unwound) = (release.clone(), unwound.clone());
-            thread::spawn(move || {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let pool = ThreadPool::new(PoolConfig::fixed("t", 1)).unwrap();
-                    pool.execute(move || release.wait()).unwrap();
-                    panic!("failing with a job parked on the latch");
-                }));
-                assert!(r.is_err());
-                unwound.count_down();
-            });
-        }
-        let returned = unwound.wait_timeout(Duration::from_secs(5));
-        release.count_down();
-        assert!(returned, "the unwind joined a worker parked on the latch");
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (unwound, returned) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let pool = ThreadPool::new(PoolConfig::fixed("t", 1)).unwrap();
+                pool.execute(move || {
+                    let _ = released.recv();
+                })
+                .unwrap();
+                panic!("failing with a job parked on a channel");
+            }));
+            assert!(r.is_err());
+            unwound.send(()).unwrap();
+        });
+        let returned = returned.recv_timeout(Duration::from_secs(5)).is_ok();
+        drop(release);
+        assert!(returned, "the unwind joined a worker parked on a channel");
     }
 
     #[test]
@@ -515,12 +511,13 @@ mod tests {
             .queue_capacity(1)
             .keep_alive(Duration::from_millis(30));
         let pool = ThreadPool::new(cfg).unwrap();
-        let release = crate::CountDownLatch::new(1);
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let closed = gate.write().unwrap();
         for _ in 0..4 {
-            let release = release.clone();
-            pool.execute(move || release.wait()).unwrap();
+            let gate = Arc::clone(&gate);
+            pool.execute(move || drop(gate.read())).unwrap();
         }
-        release.count_down();
+        drop(closed);
         // Give surplus workers time to idle out.
         for _ in 0..100 {
             if pool.worker_count() <= 1 {

@@ -119,11 +119,6 @@ impl<T> FifoQueue<T> {
         }
     }
 
-    /// Creates a queue with no practical capacity limit.
-    pub fn unbounded() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
     /// Binds telemetry instruments (`depth` gauge, `pushed`/`popped`/
     /// `rejected` counters) under `scope`. Only the first bind takes
     /// effect; later calls are ignored.
@@ -196,23 +191,6 @@ impl<T> FifoQueue<T> {
         }
     }
 
-    /// Pops the oldest element without blocking.
-    pub fn try_pop(&self) -> Result<T, PopError> {
-        let mut st = self.inner.state.lock();
-        if let Some(v) = st.items.pop_front() {
-            let depth = st.items.len();
-            drop(st);
-            self.inner.note_pop(depth);
-            self.inner.not_full.notify_one();
-            return Ok(v);
-        }
-        if st.closed {
-            Err(PopError::Closed)
-        } else {
-            Err(PopError::Empty)
-        }
-    }
-
     /// Pops the oldest element, blocking at most `timeout`.
     pub fn pop_timeout(&self, timeout: Duration) -> Result<T, PopError> {
         // wsd-lint: allow(raw-clock): condvar parking needs a monotonic Instant deadline; no simulated time crosses this boundary
@@ -233,17 +211,6 @@ impl<T> FifoQueue<T> {
                 return Err(PopError::Empty);
             }
         }
-    }
-
-    /// Pops up to `max` elements without blocking, in FIFO order.
-    ///
-    /// Returns at least one element on `Ok`; an empty queue reports
-    /// [`PopError::Empty`] (or [`PopError::Closed`] once closed and
-    /// drained). The whole batch is taken under one lock acquisition and
-    /// noted in telemetry with a single batched update.
-    pub fn pop_batch(&self, max: usize) -> Result<Vec<T>, PopError> {
-        let st = self.inner.state.lock();
-        self.take_batch(st, max)
     }
 
     /// Pops up to `max` elements, blocking at most `timeout` for the
@@ -380,7 +347,7 @@ mod tests {
     #[test]
     fn try_pop_empty() {
         let q: FifoQueue<u8> = FifoQueue::bounded(1);
-        assert_eq!(q.try_pop(), Err(PopError::Empty));
+        assert_eq!(q.pop_timeout(Duration::ZERO), Err(PopError::Empty));
     }
 
     #[test]
@@ -530,11 +497,11 @@ mod tests {
         for i in 0..10 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4).unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(q.pop_batch(100).unwrap(), vec![4, 5, 6, 7, 8, 9]);
-        assert_eq!(q.pop_batch(4), Err(PopError::Empty));
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 4).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 100).unwrap(), vec![4, 5, 6, 7, 8, 9]);
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 4), Err(PopError::Empty));
         q.close();
-        assert_eq!(q.pop_batch(4), Err(PopError::Closed));
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 4), Err(PopError::Closed));
     }
 
     #[test]
@@ -565,9 +532,9 @@ mod tests {
             q2.push(4).unwrap();
         });
         thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop_batch(2).unwrap(), vec![1, 2]);
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 2).unwrap(), vec![1, 2]);
         h.join().unwrap();
-        assert_eq!(q.pop_batch(4).unwrap(), vec![3, 4]);
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 4).unwrap(), vec![3, 4]);
     }
 
     #[test]
@@ -694,7 +661,7 @@ mod tests {
         for i in 0..6 {
             q.push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4).unwrap().len(), 4);
+        assert_eq!(q.pop_timeout_batch(Duration::ZERO, 4).unwrap().len(), 4);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("q.popped"), 4);
     }

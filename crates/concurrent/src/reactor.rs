@@ -675,9 +675,11 @@ mod tests {
         let close = Arc::new(AtomicBool::new(false));
         // Hold the only worker until every connection's job is queued,
         // so the queue order is the registration order.
-        let held = crate::CountDownLatch::new(1);
-        let release = held.clone();
-        pool.execute(move || release.wait()).unwrap();
+        let (held, release) = std::sync::mpsc::channel::<()>();
+        pool.execute(move || {
+            let _ = release.recv();
+        })
+        .unwrap();
         for idx in 0..CONNS {
             reactor.register(Busy {
                 idx,
@@ -685,7 +687,7 @@ mod tests {
                 close: Arc::clone(&close),
             });
         }
-        held.count_down();
+        drop(held);
         assert!(wait_until(|| log.lock().len() >= CONNS * MAX_RUNS_PER_JOB * ROUNDS));
         close.store(true, Ordering::SeqCst);
         assert!(wait_until(|| reactor.open_connections() == 0));
@@ -707,8 +709,8 @@ mod tests {
         /// Always `Ready`; holds the job inside the run it yields after.
         struct Busy {
             runs: usize,
-            entered: crate::CountDownLatch,
-            release: crate::CountDownLatch,
+            entered: std::sync::mpsc::Sender<()>,
+            release: std::sync::mpsc::Receiver<()>,
         }
         impl ReactorConn for Busy {
             fn install_wakeup(&mut self, _hook: Wakeup) {}
@@ -718,8 +720,8 @@ mod tests {
             fn handle(&mut self) -> bool {
                 self.runs += 1;
                 if self.runs == MAX_RUNS_PER_JOB {
-                    self.entered.count_down();
-                    self.release.wait();
+                    self.entered.send(()).unwrap();
+                    let _ = self.release.recv();
                 }
                 true
             }
@@ -727,17 +729,18 @@ mod tests {
         let reg = wsd_telemetry::Registry::new();
         let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("handler", 1)).unwrap());
         let reactor = Reactor::start(Arc::clone(&pool), &reg.scope("r"));
-        let (entered, release) = (crate::CountDownLatch::new(1), crate::CountDownLatch::new(1));
+        let (entered, inside) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel();
         reactor.register(Busy {
             runs: 0,
-            entered: entered.clone(),
-            release: release.clone(),
+            entered,
+            release: released,
         });
-        entered.wait();
+        inside.recv().unwrap();
         // Closes the cell under the job; the job must not put the
         // connection back into it when it comes to yield.
         reactor.shutdown();
-        release.count_down();
+        release.send(()).unwrap();
         pool.shutdown();
         assert_eq!(reactor.open_connections(), 0);
         match reg.snapshot().get("r.open_conns") {

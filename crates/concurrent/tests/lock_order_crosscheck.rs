@@ -3,7 +3,7 @@
 //! The runtime auditor (`ordered::audit`) records every held-class →
 //! newly-acquired-class edge it actually observes, and panics on a
 //! cycle. The invariant checked here: after exercising the pool, queue,
-//! map, latch and reactor, **no edge leaves a workspace lock class** —
+//! map and reactor, **no edge leaves a workspace lock class** —
 //! no code path takes one Ordered lock while holding another, so there
 //! is no order to get wrong. (`wsd-store` nests its log lock under the
 //! mailbox lock on purpose; its own tests run under the same auditor.)
@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use wsd_concurrent::ordered::audit;
 use wsd_concurrent::{
-    CountDownLatch, FifoQueue, OrderedMutex, PoolConfig, Pump, Reactor, ReactorConn, ShardedMap,
+    FifoQueue, OrderedMutex, PoolConfig, Pump, Reactor, ReactorConn, ShardedMap,
     ThreadPool, Wakeup,
 };
 
@@ -65,16 +65,17 @@ fn exercise_everything() {
     // while thread_pool.handles manages worker lifecycles.
     let pool = Arc::new(ThreadPool::new(PoolConfig::fixed("xcheck", 2)).unwrap());
     let queue: Arc<FifoQueue<u32>> = Arc::new(FifoQueue::bounded(8));
-    let latch = Arc::new(CountDownLatch::new(2));
+    let (pushed, done) = std::sync::mpsc::channel();
     for i in 0..2u32 {
-        let q = Arc::clone(&queue);
-        let l = Arc::clone(&latch);
+        let (q, pushed) = (Arc::clone(&queue), pushed.clone());
         let _ = pool.execute(move || {
             q.push(i).unwrap();
-            l.count_down();
+            pushed.send(()).unwrap();
         });
     }
-    latch.wait();
+    for _ in 0..2 {
+        done.recv().unwrap();
+    }
     assert!(queue.pop().is_ok() && queue.pop().is_ok());
 
     // Sharded map: per-shard rwlocks.

@@ -1,20 +1,19 @@
 //! The reactor's scheduling protocol under the interleavings that could
 //! break it: a wake-up at every point of a job's life, peer close and
 //! shutdown racing running jobs, a pool that refuses work. Each test
-//! forces its interleaving with a latch (or from inside a callback the
+//! forces its interleaving with a channel (or from inside a callback the
 //! job makes at the point in question) rather than hoping to hit it;
 //! `scripts/verify.sh reactor-stress` repeats the file, half the time
 //! on one CPU, for the windows only a scheduler can open.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use wsd_concurrent::{
-    CountDownLatch, PoolConfig, Pump, Reactor, ReactorConn, ThreadPool, Wakeup,
-};
+use wsd_concurrent::{PoolConfig, Pump, Reactor, ReactorConn, ThreadPool, Wakeup};
 use wsd_telemetry::{MetricValue, Registry};
 
 /// A scripted connection: `pending` complete requests to serve,
@@ -29,9 +28,9 @@ struct Script {
     /// A peer that never stops sending: every pump is `Ready`.
     always_ready: AtomicBool,
     wake: Mutex<Option<Wakeup>>,
-    /// When set, `handle` reports in on the first latch and waits on the
-    /// second, so a test can act while the job is inside `handle`.
-    gate: Mutex<Option<(CountDownLatch, CountDownLatch)>>,
+    /// When set, `handle` reports in on the first channel and waits on
+    /// the second, so a test can act while the job is inside `handle`.
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
     /// When set, the next `has_partial` — which the job calls between
     /// its last `pump` and parking — makes one more request arrive.
     arrive_before_park: AtomicBool,
@@ -56,10 +55,11 @@ impl Script {
     }
 
     /// Arms the `handle` gate; returns (entered, release).
-    fn gate_handle(&self) -> (CountDownLatch, CountDownLatch) {
-        let gate = (CountDownLatch::new(1), CountDownLatch::new(1));
-        *self.gate.lock() = Some(gate.clone());
-        gate
+    fn gate_handle(&self) -> (Receiver<()>, Sender<()>) {
+        let (entered, inside) = channel();
+        let (release, released) = channel();
+        *self.gate.lock() = Some((entered, released));
+        (inside, release)
     }
 
     fn handled(&self) -> usize {
@@ -93,8 +93,8 @@ impl ReactorConn for ScriptConn {
         let n = self.0.pending.swap(0, Ordering::SeqCst).max(1);
         let gate = self.0.gate.lock().take();
         if let Some((entered, release)) = gate {
-            entered.count_down();
-            release.wait();
+            entered.send(()).unwrap();
+            let _ = release.recv();
         }
         self.0.handled.fetch_add(n, Ordering::SeqCst);
         true
@@ -165,10 +165,10 @@ fn wake_during_handle_is_served_without_another_wake() {
     let conn = rig.register();
     let (entered, release) = conn.gate_handle();
     conn.send(1);
-    entered.wait();
+    entered.recv().unwrap();
     // The job is inside `handle`: this wake-up finds it running.
     conn.send(1);
-    release.count_down();
+    release.send(()).unwrap();
     // Nothing wakes the connection again; the job itself must come back.
     assert!(wait_until(|| conn.handled() == 2), "second request stranded");
     rig.reactor.shutdown();
@@ -203,11 +203,11 @@ fn peer_close_while_running_deregisters_once() {
     assert!(wait_until(|| rig.reactor.parked_partials() == 1));
     let (entered, release) = conn.gate_handle();
     conn.send(1);
-    entered.wait();
+    entered.recv().unwrap();
     assert_eq!(rig.reactor.parked_partials(), 0, "a running connection is not parked");
     conn.close();
     conn.close(); // a peer's close can fire the hook more than once
-    release.count_down();
+    release.send(()).unwrap();
     assert!(wait_until(|| rig.reactor.open_connections() == 0));
     assert_eq!(conn.handled(), 1);
     // A second deregistration would drive the gauge below zero.
@@ -229,13 +229,13 @@ fn shutdown_with_jobs_running_and_parked_leaks_nothing() {
         conn.send(1);
     }
     for (entered, _) in &gates {
-        entered.wait();
+        entered.recv().unwrap();
     }
     // Both workers are inside `handle`; six connections are parked.
     rig.reactor.shutdown();
     rig.assert_drained();
     for (_, release) in &gates {
-        release.count_down();
+        release.send(()).unwrap();
     }
     rig.pool.shutdown();
     // The running jobs finished their run, then let go instead of parking.
@@ -273,7 +273,7 @@ fn shutdown_racing_wakes_and_registrations_leaks_nothing() {
     for _ in 0..200 {
         let rig = Rig::new(2);
         let conns: Vec<Arc<Script>> = (0..8).map(|_| rig.register()).collect();
-        let start = CountDownLatch::new(1);
+        let start = Barrier::new(3);
         std::thread::scope(|s| {
             s.spawn(|| {
                 start.wait();
@@ -287,7 +287,7 @@ fn shutdown_racing_wakes_and_registrations_leaks_nothing() {
                     rig.register();
                 }
             });
-            start.count_down();
+            start.wait();
             rig.reactor.shutdown();
         });
         rig.pool.shutdown();

@@ -119,6 +119,7 @@ pub enum DropReason {
 
 impl DropReason {
     /// Every reason, in counter order.
+    // wsd-lint: allow(pub-without-caller): tests/scenarios.rs reads the drop books reason by reason in this order
     pub const ALL: [DropReason; 2] = [DropReason::QueueFull, DropReason::GivenUp];
 
     /// The reason's counter name. It is not `dropped` (the sum) nor ends
@@ -149,6 +150,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Every reason, in counter order.
+    // wsd-lint: allow(pub-without-caller): tests/scenarios.rs reads the reject books reason by reason in this order
     pub const ALL: [RejectReason; 4] = [
         RejectReason::NoDestination,
         RejectReason::UnknownService,
@@ -245,17 +247,20 @@ impl MsgCounters {
     }
 
     /// Messages lost for `reason`.
+    // wsd-lint: allow(pub-without-caller): the scenario table's books (tests/scenarios.rs) read drops by reason
     pub fn dropped_for(&self, reason: DropReason) -> u64 {
         self.dropped_by[reason as usize].get()
     }
 
     /// Messages refused for `reason`.
+    // wsd-lint: allow(pub-without-caller): the scenario table's books (tests/scenarios.rs) read rejects by reason
     pub fn rejected_for(&self, reason: RejectReason) -> u64 {
         self.rejected_by[reason as usize].get()
     }
 
     /// `delivered + Σ dropped[reason]`: every routed message finished so
     /// far, which at quiescence is `forwarded + replies_routed`.
+    // wsd-lint: allow(pub-without-caller): the conservation identity that tests/end_to_end_sim.rs, tests/end_to_end_rt.rs and both dispatchers' tests assert
     pub fn written_or_dropped(&self) -> u64 {
         let dropped: u64 = DropReason::ALL.iter().map(|&r| self.dropped_for(r)).sum();
         self.delivered.get() + dropped
@@ -439,7 +444,7 @@ impl MsgCore {
         let headers =
             WsaHeaders::from_envelope(&env).map_err(|e| WsdError::Rejected(e.to_string()))?;
         let to = headers.to.ok_or(WsdError::NoDestination)?;
-        let logical = logical_service(&to)?.to_string();
+        let logical = logical_service_name(&to)?.to_string();
         let (physical, physical_text) = self.registry.resolve(&logical)?;
         // Ensure the request has a MessageID so the reply can correlate.
         let mut env = env;
@@ -602,8 +607,8 @@ impl MsgCore {
         }
         // Request path: resolve the logical To, a slice of the To header.
         let logical = match scanned.to_cow().ok_or(WsdError::NoDestination)? {
-            Cow::Borrowed(to) => Cow::Borrowed(logical_service(to)?),
-            Cow::Owned(to) => Cow::Owned(logical_service(&to)?.to_string()),
+            Cow::Borrowed(to) => Cow::Borrowed(logical_service_name(to)?),
+            Cow::Owned(to) => Cow::Owned(logical_service_name(&to)?.to_string()),
         };
         // The registry rendered the endpoint's address when it was
         // registered: the rewritten To is written from that text.
@@ -638,7 +643,7 @@ impl MsgCore {
 
 /// The logical service a request's `To` names (`http://…/svc/<name>`),
 /// as a slice of it.
-fn logical_service(to: &str) -> Result<&str, WsdError> {
+fn logical_service_name(to: &str) -> Result<&str, WsdError> {
     Url::logical_service_of(to)?.ok_or_else(|| WsdError::UnknownService(to.to_string()))
 }
 

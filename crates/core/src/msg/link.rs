@@ -28,7 +28,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// Backoff before attempt number `attempt` (attempt 1 is the first
     /// try and has no backoff). `None` once attempts are exhausted.
-    pub fn backoff_before(&self, attempt: u32) -> Option<u64> {
+    fn backoff_before(&self, attempt: u32) -> Option<u64> {
         if attempt <= 1 {
             return if self.max_attempts >= 1 { Some(0) } else { None };
         }
@@ -42,7 +42,7 @@ impl RetryPolicy {
 
 /// The one policy every destination is held to: a second connect 0.5 s
 /// after the first fails, then the destination is given up on.
-pub const DELIVERY_RETRY: RetryPolicy = RetryPolicy {
+const DELIVERY_RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 2,
     base_backoff_us: 500_000,
     max_backoff_us: 5_000_000,
@@ -66,7 +66,7 @@ pub enum LinkStep<M> {
     /// Hold the thread this many microseconds, then report
     /// [`backoff_elapsed`](Link::backoff_elapsed).
     Wait(u64),
-    /// Every attempt [`DELIVERY_RETRY`] allows failed: the destination is
+    /// Every attempt `DELIVERY_RETRY` allows failed: the destination is
     /// unreachable. These messages were never written to a connection and
     /// are gone from the link; the driver counts each as dropped, and
     /// drops what it still queues for the destination too.

@@ -28,7 +28,7 @@ use wsd_wsa::MsgIdGen;
 use crate::config::{MailboxBackend, MsgBoxConfig};
 
 /// Namespace of the WS-MsgBox SOAP operations.
-pub const MSGBOX_NS: &str = "urn:wsd:msgbox";
+const MSGBOX_NS: &str = "urn:wsd:msgbox";
 
 /// Tenant every mailbox is billed to until the facade grows multi-tenant
 /// routing; the per-tenant quota then caps the whole store.

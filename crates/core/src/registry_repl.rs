@@ -170,18 +170,18 @@ impl RegistryFollower {
     }
 
     /// Commands rejected as offset regressions so far.
-    pub fn stale_rejected(&self) -> u64 {
+    fn stale_rejected(&self) -> u64 {
         self.stale_rejected.load(Ordering::Relaxed)
     }
 
     /// Full resyncs performed so far (1 = just the initial attach).
-    pub fn full_resyncs(&self) -> u64 {
+    fn full_resyncs(&self) -> u64 {
         self.full_resyncs.load(Ordering::Relaxed)
     }
 
     /// Installs a full-resync snapshot, replacing the replica's
     /// contents and restarting the cursor at `offset`.
-    pub fn install_snapshot(&self, snapshot: &str, offset: u64) -> Result<usize, WsdError> {
+    fn install_snapshot(&self, snapshot: &str, offset: u64) -> Result<usize, WsdError> {
         self.registry.clear();
         let loaded = self.registry.load_from_str(snapshot)?;
         *self.cursor.lock() = FollowerCursor::start_at(offset);

@@ -14,7 +14,7 @@ use crate::registry::Registry;
 use crate::url::Url;
 
 /// Namespace of the registry operations.
-pub const REGISTRY_NS: &str = "urn:wsd:registry";
+const REGISTRY_NS: &str = "urn:wsd:registry";
 
 /// Handles one registry RPC envelope, producing the response envelope.
 pub fn handle_soap(registry: &Registry, env: &Envelope) -> Envelope {
@@ -132,7 +132,8 @@ pub mod ops {
     }
 
     /// Reads the endpoint out of a `lookupResponse`.
-    pub fn parse_lookup_response(env: &Envelope) -> Option<String> {
+    #[cfg(test)]
+    pub(crate) fn parse_lookup_response(env: &Envelope) -> Option<String> {
         let op = env.payload()?.first()?;
         if op.name.local != "lookupResponse" {
             return None;

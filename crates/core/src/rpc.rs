@@ -191,10 +191,9 @@ pub fn plan_forward(
 }
 
 /// Extracts the logical service name from a dispatcher request target
-/// (`/svc/<name>`).
-pub fn logical_name(target: &str) -> Result<String, WsdError> {
-    let url = Url::new("dispatcher", 80, target);
-    url.logical_service()
+/// (`/svc/<name>`), copied once.
+fn logical_name(target: &str) -> Result<String, WsdError> {
+    crate::url::logical_name(target)
         .map(str::to_string)
         .ok_or_else(|| WsdError::UnknownService(target.to_string()))
 }

@@ -146,7 +146,8 @@ impl MailboxClient {
 
     /// The secret access key (needed to re-[`attach`](Self::attach)
     /// after a restart).
-    pub fn access_key(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn access_key(&self) -> &str {
         &self.key
     }
 

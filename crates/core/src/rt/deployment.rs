@@ -15,7 +15,7 @@
 //!     .registry()
 //!     .register("Echo", Url::parse("http://ws:8888/echo").unwrap());
 //!
-//! let resp = rpc_call(&net, "dispatcher", deployment.rpc_port(), "/svc/Echo",
+//! let resp = rpc_call(&net, "dispatcher", 8081, "/svc/Echo",
 //!     &rpc::echo_request(SoapVersion::V11, "hi"), None).unwrap();
 //! assert_eq!(rpc::parse_echo_response(&resp).unwrap(), "hi");
 //! deployment.shutdown();
@@ -30,16 +30,18 @@ use crate::registry::Registry;
 use crate::rt::{MsgBoxServer, MsgDispatcherServer, Network, RegistryServer, RpcDispatcherServer};
 use crate::security::PolicyChain;
 
+/// The ports a deployment's four listeners take on its host.
+pub(crate) const RPC_PORT: u16 = 8081;
+pub(crate) const MSG_PORT: u16 = 8080;
+pub(crate) const MSGBOX_PORT: u16 = 8082;
+pub(crate) const REGISTRY_PORT: u16 = 8090;
+
 /// Builder for a [`Deployment`].
 pub struct DeploymentBuilder {
     net: Arc<Network>,
     host: String,
     registry: Option<Arc<Registry>>,
     msgbox_config: MsgBoxConfig,
-    rpc_port: u16,
-    msg_port: u16,
-    msgbox_port: u16,
-    registry_port: u16,
     seed: u64,
 }
 
@@ -70,29 +72,29 @@ impl DeploymentBuilder {
         let rpc = RpcDispatcherServer::start(
             &self.net,
             &self.host,
-            self.rpc_port,
+            RPC_PORT,
             Arc::clone(&registry),
             PolicyChain::new(),
             config.clone(),
         );
         let core = MsgCore::new(
             Arc::clone(&registry),
-            format!("http://{}:{}/msg", self.host, self.msg_port),
+            format!("http://{}:{MSG_PORT}/msg", self.host),
             self.seed,
         )
-        .with_mailbox(format!("http://{}:{}/deposit", self.host, self.msgbox_port));
+        .with_mailbox(format!("http://{}:{MSGBOX_PORT}/deposit", self.host));
         let msgbox = MsgBoxServer::start(
             &self.net,
             &self.host,
-            self.msgbox_port,
+            MSGBOX_PORT,
             self.msgbox_config,
             self.seed,
         );
-        let msg = MsgDispatcherServer::start(&self.net, &self.host, self.msg_port, core, config);
+        let msg = MsgDispatcherServer::start(&self.net, &self.host, MSG_PORT, core, config);
         let registry_service = RegistryServer::start(
             &self.net,
             &self.host,
-            self.registry_port,
+            REGISTRY_PORT,
             Arc::clone(&registry),
         );
         Deployment {
@@ -101,10 +103,6 @@ impl DeploymentBuilder {
             msg,
             msgbox,
             registry_service,
-            rpc_port: self.rpc_port,
-            msg_port: self.msg_port,
-            msgbox_port: self.msgbox_port,
-            registry_port: self.registry_port,
         }
     }
 }
@@ -116,25 +114,17 @@ pub struct Deployment {
     msg: Arc<MsgDispatcherServer>,
     msgbox: Arc<MsgBoxServer>,
     registry_service: RegistryServer,
-    rpc_port: u16,
-    msg_port: u16,
-    msgbox_port: u16,
-    registry_port: u16,
 }
 
 impl Deployment {
-    /// Starts building a deployment on `host` with default ports
-    /// (8081 RPC, 8080 MSG, 8082 WS-MsgBox, 8090 registry).
+    /// Starts building a deployment on `host`, on ports 8081 (RPC),
+    /// 8080 (MSG), 8082 (WS-MsgBox) and 8090 (registry).
     pub fn builder(net: &Arc<Network>, host: &str) -> DeploymentBuilder {
         DeploymentBuilder {
             net: Arc::clone(net),
             host: host.to_string(),
             registry: None,
             msgbox_config: MsgBoxConfig::default(),
-            rpc_port: 8081,
-            msg_port: 8080,
-            msgbox_port: 8082,
-            registry_port: 8090,
             seed: 0xD15B,
         }
     }
@@ -142,31 +132,6 @@ impl Deployment {
     /// The shared registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// RPC-Dispatcher port.
-    pub fn rpc_port(&self) -> u16 {
-        self.rpc_port
-    }
-
-    /// MSG-Dispatcher port.
-    pub fn msg_port(&self) -> u16 {
-        self.msg_port
-    }
-
-    /// WS-MsgBox port.
-    pub fn msgbox_port(&self) -> u16 {
-        self.msgbox_port
-    }
-
-    /// Registry-service port.
-    pub fn registry_port(&self) -> u16 {
-        self.registry_port
-    }
-
-    /// The MSG dispatcher handle.
-    pub fn msg_dispatcher(&self) -> &MsgDispatcherServer {
-        &self.msg
     }
 
     /// The mailbox service handle.
@@ -208,8 +173,7 @@ mod tests {
             ..MsgBoxConfig::default()
         };
         let per_message = MsgBoxServer::start(&net, "mailbox", 8082, config, 1);
-        let d = &deployment;
-        let listeners = [d.rpc_port(), d.msg_port(), d.msgbox_port(), d.registry_port()]
+        let listeners = [RPC_PORT, MSG_PORT, MSGBOX_PORT, REGISTRY_PORT]
             .map(|port| ("dispatcher", port))
             .into_iter()
             .chain([("mailbox", 8082)]);
@@ -237,7 +201,7 @@ mod tests {
         let resp = rpc_call(
             &net,
             "dispatcher",
-            deployment.rpc_port(),
+            RPC_PORT,
             "/svc/Echo",
             &rpc::echo_request(SoapVersion::V11, "rpc"),
             None,
@@ -246,14 +210,14 @@ mod tests {
         assert_eq!(rpc::parse_echo_response(&resp).unwrap(), "rpc");
 
         // MSG path with a mailbox.
-        let mailbox = MailboxClient::create(&net, "dispatcher", deployment.msgbox_port()).unwrap();
+        let mailbox = MailboxClient::create(&net, "dispatcher", MSGBOX_PORT).unwrap();
         let mut env = rpc::echo_request(SoapVersion::V11, "msg");
         WsaHeaders::new()
             .to("http://dispatcher/svc/Echo")
             .reply_to(EndpointReference::new(mailbox.deposit_url()))
             .message_id("uuid:deploy-1")
             .apply(&mut env);
-        send_oneway(&net, "dispatcher", deployment.msg_port(), "/msg", &env).unwrap();
+        send_oneway(&net, "dispatcher", MSG_PORT, "/msg", &env).unwrap();
         // The RPC-style WS answers synchronously; the MSG dispatcher
         // translates the response into a reply message for the mailbox.
         let got = mailbox
@@ -263,16 +227,16 @@ mod tests {
         assert_eq!(rpc::parse_echo_response(&got[0]).unwrap(), "msg");
 
         // Registry service answers too.
-        let stream = net.connect("dispatcher", deployment.registry_port()).unwrap();
+        let stream = net.connect("dispatcher", REGISTRY_PORT).unwrap();
         let mut client = wsd_http::HttpClient::new(stream);
         let mut req = wsd_http::Request::get("dispatcher:8090", "/registry");
         req.headers.set("Connection", "close");
         let resp = client.call(&req).unwrap();
         assert!(resp.body_utf8().contains("Echo"));
 
-        assert!(net.is_listening("dispatcher", deployment.rpc_port()));
+        assert!(net.is_listening("dispatcher", RPC_PORT));
         deployment.shutdown();
-        assert!(!net.is_listening("dispatcher", deployment.rpc_port()));
+        assert!(!net.is_listening("dispatcher", RPC_PORT));
         ws.shutdown();
     }
 }

@@ -50,11 +50,6 @@ impl FleetMember {
     pub fn host(&self) -> &str {
         &self.host
     }
-
-    /// The member's running deployment.
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
-    }
 }
 
 /// N dispatcher instances behind a seeded consistent-hash ring, with
@@ -162,6 +157,7 @@ impl FleetDeployment {
     ///
     /// Panics if the stopped member's store cannot be opened or adopted,
     /// as a mailbox whose log cannot be opened does not start.
+    // wsd-lint: allow(pub-without-caller): ROADMAP 10(a) and 26: the rt kill-one test uses it until the benchmark and the history checker drive it
     pub fn stop_instance(&mut self, id: InstanceId) -> Option<Handoff> {
         let member = self.members.get_mut(id.0 as usize).and_then(Option::take)?;
         member.deployment.shutdown();
@@ -227,7 +223,7 @@ mod tests {
         // Every member's registry converged on the same entry.
         for member in fleet.members() {
             assert!(
-                member.deployment().registry().lookup("Echo").is_ok(),
+                member.deployment.registry().lookup("Echo").is_ok(),
                 "{} missing Echo",
                 member.host()
             );
@@ -238,7 +234,7 @@ mod tests {
         let resp = rpc_call(
             &net,
             owner.host(),
-            owner.deployment().rpc_port(),
+            crate::rt::deployment::RPC_PORT,
             "/svc/Echo",
             &rpc::echo_request(SoapVersion::V11, "fleet"),
             None,
@@ -256,7 +252,7 @@ mod tests {
         let resp = rpc_call(
             &net,
             successor.host(),
-            successor.deployment().rpc_port(),
+            crate::rt::deployment::RPC_PORT,
             "/svc/Echo",
             &rpc::echo_request(SoapVersion::V11, "again"),
             None,
@@ -278,7 +274,7 @@ mod tests {
         let dir = temp_dir("kill-one");
         let mut fleet = FleetDeployment::start(&net, "fleet", 3, &dir);
         let owner = fleet.route("Inbox").expect("ring is non-empty");
-        let (dead, port) = (owner.id(), owner.deployment().msgbox_port());
+        let (dead, port) = (owner.id(), crate::rt::deployment::MSGBOX_PORT);
         let mailbox = MailboxClient::create(&net, owner.host(), port).unwrap();
         let target = format!("/deposit/{}", mailbox.box_id());
         for i in 0..N {

@@ -223,7 +223,8 @@ impl Network {
     }
 
     /// Whether something listens on `host:port`.
-    pub fn is_listening(&self, host: &str, port: u16) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_listening(&self, host: &str, port: u16) -> bool {
         self.listeners.lock().contains_key(&(host.to_string(), port))
     }
 }

@@ -33,7 +33,7 @@
 //! after a kill the successor adopts exactly the acked-but-unforwarded
 //! tail, clients re-send exactly the unacked tail, and the two sets
 //! cannot intersect. An instance sheds with `503` once its disk or CPU
-//! backlog passes [`MAX_BACKLOG`], which keeps answers far inside a
+//! backlog passes `MAX_BACKLOG`, which keeps answers far inside a
 //! client's failure detector, so overload never masquerades as death.
 
 use std::borrow::Cow;
@@ -64,7 +64,7 @@ pub const FLEET_PORT: u16 = 8090;
 /// Instance control loop: replication catch-up, gauges, handoff claims.
 pub const CONTROL_TICK: SimDuration = SimDuration(250_000);
 /// An instance sheds (`503`) once its disk or CPU backlog passes this.
-pub const MAX_BACKLOG: SimDuration = SimDuration(1_000_000);
+const MAX_BACKLOG: SimDuration = SimDuration(1_000_000);
 /// Every box's key, so a successor adopts the boxes it would have made.
 const BOX_KEY: &str = "fleet";
 const TENANT: &str = "fleet";

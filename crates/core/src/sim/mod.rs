@@ -71,7 +71,8 @@ impl CpuQueue {
     }
 
     /// Whether the CPU is idle at `now`.
-    pub fn idle_at(&self, now: SimTime) -> bool {
+    #[cfg(test)]
+    fn idle_at(&self, now: SimTime) -> bool {
         self.busy_until <= now
     }
 

@@ -161,7 +161,8 @@ impl SimMsgDispatcher {
     }
 
     /// Concurrently busy `WsThread`s; `peak()` is the high-water mark.
-    pub fn active_threads(&self) -> Gauge {
+    #[cfg(test)]
+    fn active_threads(&self) -> Gauge {
         self.tele.active_threads.clone()
     }
 

@@ -37,9 +37,9 @@ impl Url {
         })
     }
 
-    /// [`logical_service`](Self::logical_service) of the URL `s` parses
-    /// to, borrowed from `s`: nothing is allocated unless `s` does not
-    /// parse.
+    /// The logical service name of the URL `s` parses to (see
+    /// `logical_name`), borrowed from `s`: nothing is allocated unless
+    /// `s` does not parse.
     pub fn logical_service_of(s: &str) -> Result<Option<&str>, WsdError> {
         split(s).map(|(_, _, path)| logical_name(path))
     }
@@ -51,12 +51,6 @@ impl Url {
         } else {
             format!("{}:{}", self.host, self.port)
         }
-    }
-
-    /// The logical service name, when the path follows the dispatcher's
-    /// `/svc/<name>` convention.
-    pub fn logical_service(&self) -> Option<&str> {
-        logical_name(&self.path)
     }
 }
 
@@ -85,9 +79,11 @@ fn split(s: &str) -> Result<(&str, u16, &str), WsdError> {
     Ok((host, port, path))
 }
 
-/// The `<name>` of a `/svc/<name>` path.
-fn logical_name(path: &str) -> Option<&str> {
-    let name = path.strip_prefix("/svc/")?;
+/// The logical service name of a path that follows the dispatcher's
+/// `/svc/<name>` convention, borrowed; the leading `/` may be missing,
+/// as [`Url::new`] would add it.
+pub(crate) fn logical_name(path: &str) -> Option<&str> {
+    let name = path.strip_prefix('/').unwrap_or(path).strip_prefix("svc/")?;
     let name = name.split(['/', '?']).next().unwrap_or("");
     if name.is_empty() {
         None
@@ -148,18 +144,11 @@ mod tests {
 
     #[test]
     fn logical_service_extraction() {
-        assert_eq!(
-            Url::parse("http://d/svc/EchoService")
-                .unwrap()
-                .logical_service(),
-            Some("EchoService")
-        );
-        assert_eq!(
-            Url::parse("http://d/svc/Echo/extra").unwrap().logical_service(),
-            Some("Echo")
-        );
-        assert_eq!(Url::parse("http://d/other").unwrap().logical_service(), None);
-        assert_eq!(Url::parse("http://d/svc/").unwrap().logical_service(), None);
+        assert_eq!(logical_name("/svc/EchoService"), Some("EchoService"));
+        assert_eq!(logical_name("/svc/Echo/extra"), Some("Echo"));
+        assert_eq!(logical_name("svc/Echo?x"), Some("Echo"));
+        assert_eq!(logical_name("/other"), None);
+        assert_eq!(logical_name("/svc/"), None);
     }
 
     #[test]
@@ -174,7 +163,7 @@ mod tests {
             "ftp://d/svc/Echo",
         ] {
             let parsed = Url::parse(s);
-            let want = parsed.as_ref().map(|u| u.logical_service()).map_err(Clone::clone);
+            let want = parsed.as_ref().map(|u| logical_name(&u.path)).map_err(Clone::clone);
             assert_eq!(Url::logical_service_of(s), want, "{s}");
         }
     }

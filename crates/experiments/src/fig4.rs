@@ -22,12 +22,12 @@ pub const CLIENT_COUNTS: &[usize] = &[10, 100, 200, 500, 1000, 1500, 2000];
 /// are silently dropped (full backlog), so each excess attempt costs the
 /// client a 3 s connect timeout — which keeps losses comparable to
 /// deliveries around 500 connections, as the paper reports.
-pub const ACCEPT_LIMIT: usize = 128;
+const ACCEPT_LIMIT: usize = 128;
 
 /// The client machine's socket (fd / ephemeral port) ceiling. Past it,
 /// attempts fail locally and instantly, which is what makes losses
 /// explode to orders of magnitude above deliveries at 2000 connections.
-pub const SOCKET_LIMIT: usize = 1024;
+const SOCKET_LIMIT: usize = 1024;
 
 /// The low-broadband environment.
 const FIGURE: RpcFigure = RpcFigure {

@@ -18,7 +18,7 @@ pub const CLIENT_COUNTS: &[usize] = &[1, 25, 50, 100, 150, 200, 250, 300];
 /// Per-open-connection service-time penalty producing the post-plateau
 /// droop ("after 200 connections message throughput ... even gets
 /// slightly worsened due to contention").
-pub const CONN_PENALTY: f64 = 0.0005;
+const CONN_PENALTY: f64 = 0.0005;
 
 /// Client-side processing between exchanges (the 2004 client's own SOAP
 /// stack); this is what places the saturation knee near 200 connections

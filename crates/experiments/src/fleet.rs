@@ -16,7 +16,7 @@
 //! The topology: one aggregate client hub routing deposits over its view
 //! of the ring, the instances, and a sink every service's mail is
 //! forwarded to. A run lasts until the fleet is quiet, and its books
-//! must balance ([`FleetOutcome::assert_conserved`]).
+//! must balance (`FleetOutcome::assert_conserved`).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -377,7 +377,7 @@ impl FleetOutcome {
     /// The fleet's books: every offered message was acked, shed or
     /// unroutable, and every deposit an instance stored reached the sink
     /// (a message stored twice arrives twice: a duplicate).
-    pub fn assert_conserved(&self) {
+    fn assert_conserved(&self) {
         let (g, a, s, u) = (self.generated, self.acked, self.shed, self.unroutable);
         assert_eq!(
             g,
@@ -399,7 +399,7 @@ impl FleetOutcome {
 /// kill, and runs until the fleet is quiet: nothing pending at the hub,
 /// nothing held by a live instance, no handoff in flight. Panics if that
 /// takes more than five minutes of virtual time past the offered load.
-pub fn run_fleet(params: &FleetParams) -> FleetOutcome {
+fn run_fleet(params: &FleetParams) -> FleetOutcome {
     let registry = wsd_telemetry::Registry::new();
     let fleet_scope = registry.scope("fleet");
     let shared = FleetShared::new(params.instances);

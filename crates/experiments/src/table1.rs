@@ -53,7 +53,7 @@ pub struct Table1Row {
 }
 
 /// Clients used in every quadrant.
-pub const CLIENTS: usize = 20;
+const CLIENTS: usize = 20;
 
 /// Measures one quadrant over `seconds` of virtual time. Every quadrant
 /// runs the standard fast service: quadrant 2 fails structurally, not by

@@ -7,11 +7,8 @@
 
 use wsd_netsim::{profiles, HostConfig, SimDuration};
 
-/// The paper's run length.
-pub const MINUTE: SimDuration = SimDuration(60_000_000);
-
 /// Host-level per-KB overhead once real CPU lives in the service process.
-pub const PARSE_OVERHEAD: SimDuration = SimDuration(500);
+const PARSE_OVERHEAD: SimDuration = SimDuration(500);
 
 /// Service-process CPU time per message for a machine of `ghz`.
 pub fn service_time(ghz: f64) -> SimDuration {

@@ -60,7 +60,8 @@ impl ReplLog {
     }
 
     /// Offset of the oldest command partial resync can still serve.
-    pub fn base_offset(&self) -> u64 {
+    #[cfg(test)]
+    fn base_offset(&self) -> u64 {
         self.base
     }
 

@@ -82,11 +82,6 @@ impl ShardRing {
         self.seed
     }
 
-    /// Virtual nodes per instance.
-    pub fn vnodes(&self) -> u32 {
-        self.vnodes
-    }
-
     /// The point of virtual node `v` of `id` — a pure function of the
     /// ring seed, so every replica computes the same layout.
     fn vnode_point(&self, id: InstanceId, v: u32) -> u64 {
@@ -95,7 +90,7 @@ impl ShardRing {
 
     /// Adds an instance's virtual nodes. Returns `false` (and changes
     /// nothing) if it is already a member.
-    pub fn add_instance(&mut self, id: InstanceId) -> bool {
+    fn add_instance(&mut self, id: InstanceId) -> bool {
         if !self.members.insert(id) {
             return false;
         }
@@ -119,7 +114,7 @@ impl ShardRing {
     }
 
     /// Hashes a logical name onto the circle.
-    pub fn key_point(&self, name: &str) -> u64 {
+    fn key_point(&self, name: &str) -> u64 {
         hash_bytes(self.seed, name.as_bytes())
     }
 
@@ -131,7 +126,7 @@ impl ShardRing {
 
     /// The instance owning a raw circle point: the owner of the first
     /// virtual node at or after `h`, wrapping.
-    pub fn owner_of_point(&self, h: u64) -> Option<InstanceId> {
+    fn owner_of_point(&self, h: u64) -> Option<InstanceId> {
         if self.points.is_empty() {
             return None;
         }
@@ -180,7 +175,8 @@ impl ShardRing {
     }
 
     /// The fraction of the circle `id` owns (0.0 for non-members).
-    pub fn owned_fraction(&self, id: InstanceId) -> f64 {
+    #[cfg(test)]
+    fn owned_fraction(&self, id: InstanceId) -> f64 {
         if !self.members.contains(&id) || self.points.is_empty() {
             return 0.0;
         }

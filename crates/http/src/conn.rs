@@ -34,7 +34,8 @@ impl<S: Stream> HttpClient<S> {
     }
 
     /// Whether the connection can carry another exchange.
-    pub fn reusable(&self) -> bool {
+    #[cfg(test)]
+    fn reusable(&self) -> bool {
         !self.exhausted
     }
 
@@ -56,6 +57,7 @@ impl<S: Stream> HttpClient<S> {
     /// written with a single flush, then the responses are read back in
     /// order (HTTP/1.1 pipelining). Returns the responses, one per
     /// request; any transport error mid-batch fails the whole call.
+    // wsd-lint: allow(pub-without-caller): tests/scenarios.rs's pipelined row and rt::msgbox_server's tests drive the servers' pipelining with it
     pub fn call_pipelined<'a>(
         &mut self,
         reqs: impl IntoIterator<Item = &'a Request>,

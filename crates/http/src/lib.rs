@@ -47,7 +47,7 @@ pub use parse::{
 };
 pub use serialize::{
     request_bytes, request_bytes_into, response_bytes, response_bytes_into, response_len,
-    write_request, write_response,
+    write_request,
 };
 pub use stream::{duplex, PipeStream, ReadyStream, ShutdownHandle, Stream, WakeHook};
 

@@ -75,10 +75,6 @@ impl Status {
     pub const BAD_REQUEST: Status = Status(400);
     /// 404 Not Found — unknown logical service or mailbox.
     pub const NOT_FOUND: Status = Status(404);
-    /// 408 Request Timeout.
-    pub const REQUEST_TIMEOUT: Status = Status(408);
-    /// 500 Internal Server Error — SOAP fault carrier for 1.1.
-    pub const INTERNAL_SERVER_ERROR: Status = Status(500);
     /// 502 Bad Gateway — forwarding to the service failed.
     pub const BAD_GATEWAY: Status = Status(502);
     /// 503 Service Unavailable — dispatcher saturated.
@@ -97,11 +93,6 @@ impl Status {
             503 => "Service Unavailable",
             _ => "Unknown",
         }
-    }
-
-    /// Whether the status is 2xx.
-    pub fn is_success(self) -> bool {
-        (200..300).contains(&self.0)
     }
 }
 
@@ -206,11 +197,6 @@ impl Headers {
     /// Whether there are no headers.
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()
-    }
-
-    /// Parsed `Content-Length`, if present and numeric.
-    pub fn content_length(&self) -> Option<usize> {
-        self.get("content-length")?.trim().parse().ok()
     }
 
     /// The lines as they go on the wire, each ending in `\r\n`.
@@ -406,15 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn content_length_parses() {
-        let mut h = Headers::new();
-        h.set("Content-Length", " 42 ");
-        assert_eq!(h.content_length(), Some(42));
-        h.set("Content-Length", "nope");
-        assert_eq!(h.content_length(), None);
-    }
-
-    #[test]
     fn keep_alive_defaults_per_version() {
         let mut req = Request::get("h", "/");
         assert!(req.keep_alive());
@@ -431,7 +408,7 @@ mod tests {
     fn soap_post_has_framing_headers() {
         let req = Request::soap_post("svc.example", "/echo", "text/xml; charset=utf-8", vec![0; 10]);
         assert_eq!(req.method, Method::Post);
-        assert_eq!(req.headers.content_length(), Some(10));
+        assert_eq!(req.headers.get("content-length"), Some("10"));
         assert_eq!(req.headers.get("host"), Some("svc.example"));
         assert!(req.headers.get("soapaction").is_some());
     }
@@ -463,8 +440,6 @@ mod tests {
         assert_eq!(Status::OK.reason(), "OK");
         assert_eq!(Status::BAD_GATEWAY.reason(), "Bad Gateway");
         assert_eq!(Status(299).reason(), "Unknown");
-        assert!(Status::ACCEPTED.is_success());
-        assert!(!Status::NOT_FOUND.is_success());
     }
 
     #[test]

@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn reason_phrase_with_spaces_ok() {
         let resp = parse_response_bytes(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n").unwrap();
-        assert_eq!(resp.status, Status::INTERNAL_SERVER_ERROR);
+        assert_eq!(resp.status, Status(500));
     }
 
     #[test]

@@ -5,14 +5,6 @@ use std::io::Write;
 use crate::message::{Headers, Request, Response};
 use crate::HttpError;
 
-/// Serialized size of a request's head (start line + headers + blank
-/// line), without the body.
-pub fn request_head_len(req: &Request) -> usize {
-    let mut out = Vec::with_capacity(256);
-    push_request_head(&mut out, req);
-    out.len()
-}
-
 fn push_request_head(out: &mut Vec<u8>, req: &Request) {
     out.extend_from_slice(req.method.as_str().as_bytes());
     out.push(b' ');
@@ -78,13 +70,6 @@ pub fn write_request(stream: &mut dyn Write, req: &Request) -> Result<(), HttpEr
     Ok(())
 }
 
-/// Writes a response to a stream.
-pub fn write_response(stream: &mut dyn Write, resp: &Response) -> Result<(), HttpError> {
-    stream.write_all(&response_bytes(resp))?;
-    stream.flush()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,12 +106,6 @@ mod tests {
         ] {
             assert_eq!(response_len(&resp), response_bytes(&resp).len(), "{resp:?}");
         }
-    }
-
-    #[test]
-    fn head_len_excludes_body() {
-        let req = Request::soap_post("h", "/", "text/xml", vec![b'x'; 100]);
-        assert_eq!(request_head_len(&req) + 100, request_bytes(&req).len());
     }
 
     #[test]

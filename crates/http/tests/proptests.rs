@@ -70,9 +70,10 @@ proptest! {
     #[test]
     fn content_length_matches_body(body in proptest::collection::vec(any::<u8>(), 0..512)) {
         let req = Request::soap_post("h", "/svc", "text/xml", body.clone());
-        prop_assert_eq!(req.headers.content_length(), Some(body.len()));
+        let declared = body.len().to_string();
+        prop_assert_eq!(req.headers.get("content-length"), Some(declared.as_str()));
         let resp = Response::new(Status::OK, "text/xml", body.clone());
-        prop_assert_eq!(resp.headers.content_length(), Some(body.len()));
+        prop_assert_eq!(resp.headers.get("content-length"), Some(declared.as_str()));
     }
 
     /// The parser never panics on arbitrary bytes.

@@ -8,8 +8,9 @@
 //! ([`lexer`]) blanks strings and comments so rules match only real
 //! code, a scope tracker ([`parser`]) finds the `#[cfg(test)]` /
 //! `#[test]` items, and the lexical rules ([`rules`]) run over what is
-//! left. Test code is exempt, every suppression needs a reason and is
-//! audited for liveness (`unused-suppression`).
+//! left; one of them, `pub-without-caller`, reads every file at once
+//! (`callers`). Test code is exempt, every suppression needs a reason
+//! and is audited for liveness (`unused-suppression`).
 //!
 //! What running the code checks better is checked there: a blocking
 //! call under an ordered lock, lock order, the mailbox's durable acks
@@ -21,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+mod callers;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -45,21 +47,37 @@ pub struct WorkspaceAnalysis {
 /// `self_mode` is the `--self` configuration: per-rule path scoping is
 /// dropped (paths are then relative to `crates/lint`, matching no
 /// scope) so the linter holds itself to the complete rule set.
+///
+/// Callers of a `pub` item are read from every linted file, the
+/// examples and `benchmark/src`; the last two are not linted.
 pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<WorkspaceAnalysis> {
-    let mut wa = WorkspaceAnalysis {
-        findings: Vec::new(),
-        suppressions: 0,
-        files: 0,
-    };
-    for (rel, abs) in walk::rust_files(root)? {
-        if rules::is_test_path(&rel) {
+    let mut read = Vec::new();
+    for (rel, abs) in walk::rust_files(root)?.into_iter().chain(walk::caller_only_files(root)?) {
+        let lint = !rules::is_test_path(&rel) && !rel.starts_with("benchmark/");
+        let harness = rel.split('/').any(|s| matches!(s, "tests" | "benches" | "fixtures"));
+        if !lint && harness {
             continue;
         }
         // wsd-lint: allow(raw-file-io): the linter reads the sources it lints
         let Ok(source) = std::fs::read_to_string(&abs) else {
             continue; // non-UTF8 — nothing for a lexical linter to do
         };
-        let (findings, suppressions) = rules::lint_file(&rel, &source, self_mode);
+        let parsed = parser::parse(&source);
+        read.push((rel, lint, source, parsed));
+    }
+    let scans: Vec<_> = read.iter().map(|(.., parsed)| callers::scan(parsed)).collect();
+    let seen = callers::index(&scans);
+    let mut wa = WorkspaceAnalysis {
+        findings: Vec::new(),
+        suppressions: 0,
+        files: 0,
+    };
+    for (i, (rel, lint, source, parsed)) in read.iter().enumerate() {
+        if !lint {
+            continue;
+        }
+        let uncalled = callers::uncalled(i, &scans[i], &seen);
+        let (findings, suppressions) = rules::lint_file(rel, source, parsed, &uncalled, self_mode);
         wa.findings.extend(findings);
         wa.suppressions += suppressions;
         wa.files += 1;

@@ -14,17 +14,19 @@
 //! reported under `unused-suppression`.
 
 use crate::lexer::{is_ident_byte, strip, Comment};
-use crate::parser::parse;
+use crate::parser::{parse, ParsedFile};
 
-/// Every rule, in report order: six lexical (per-line) checks and the
-/// two that guard the suppression mechanism itself.
-pub const RULE_NAMES: [&str; 8] = [
+/// Every rule, in report order: six lexical (per-line) checks, the one
+/// that looks across files (`crate::callers`) and the two that guard
+/// the suppression mechanism itself.
+pub const RULE_NAMES: [&str; 9] = [
     "raw-thread-spawn",
     "raw-clock",
     "std-sync-primitive",
     "unwrap-in-dispatcher",
     "unbounded-queue-at-serve-site",
     "raw-file-io",
+    "pub-without-caller",
     "bad-suppression",
     "unused-suppression",
 ];
@@ -67,6 +69,11 @@ pub fn rule_hint(rule: &str) -> &'static str {
             "durable state goes through wsd_store (WAL, fsync discipline, \
              crash recovery) — ad-hoc std::fs writes are invisible to the \
              durability contract"
+        }
+        "pub-without-caller" => {
+            "a pub item no other non-test code names is surface nothing pays \
+             for: delete it, narrow it to pub(crate) or #[cfg(test)], or name \
+             its reader in the allow"
         }
         "bad-suppression" => "suppressions need a known rule and a written reason",
         "unused-suppression" => {
@@ -120,28 +127,9 @@ fn method_calls(code_line: &str) -> Vec<&str> {
 
 /// Method names whose `Result`/`Option` is an IO / queue / channel
 /// outcome: unwrapping one on a serve path turns shutdown into a panic.
-const IO_MARKERS: [&str; 20] = [
-    "pop",
-    "try_pop",
-    "pop_front",
-    "pop_timeout",
-    "pop_batch",
-    "pop_timeout_batch",
-    "recv",
-    "try_recv",
-    "recv_timeout",
-    "read",
-    "read_exact",
-    "read_to_end",
-    "write",
-    "write_all",
-    "flush",
-    "connect",
-    "call",
-    "call_pipelined",
-    "send",
-    "as_mut",
-];
+const IO_MARKERS: &str = "pop pop_front pop_timeout pop_timeout_batch recv try_recv \
+    recv_timeout read read_exact read_to_end write write_all flush connect call call_pipelined \
+    send as_mut";
 
 fn rule_applies(rule: &str, file: &str) -> bool {
     match rule {
@@ -183,7 +171,7 @@ fn line_violates(rule: &str, code_line: &str) -> bool {
         "unwrap-in-dispatcher" => {
             let calls = method_calls(code_line);
             calls.iter().any(|c| *c == "unwrap" || *c == "expect")
-                && calls.iter().any(|c| IO_MARKERS.contains(c))
+                && calls.iter().any(|c| IO_MARKERS.split_whitespace().any(|m| m == *c))
         }
         "unbounded-queue-at-serve-site" => {
             code_line.contains("::unbounded(")
@@ -284,57 +272,60 @@ fn parse_suppressions(
     (sups, bad)
 }
 
-/// Lints one file's source, returning its unsuppressed findings sorted
-/// by line.
-///
-/// `file` is the workspace-relative `/`-separated path; it selects which
-/// rules apply. Suppressions on the finding's own line, or on a
-/// directive-only comment line directly above it, silence that rule for
-/// that line.
+/// Lints one file's source on its own (`file`, workspace-relative,
+/// selects the rules), returning its unsuppressed findings by line.
+/// `pub-without-caller` needs the other files: only
+/// [`crate::analyze_workspace`] runs it.
+// wsd-lint: allow(pub-without-caller): the fixture twins (tests/analyzer.rs) and the lexer property tests lint one file through it
 pub fn lint_source(file: &str, source: &str) -> Vec<Finding> {
-    lint_file(file, source, false).0
+    if is_test_path(file) {
+        return Vec::new();
+    }
+    lint_file(file, source, &parse(source), &[], false).0
 }
 
 /// One file's findings with its suppressions applied, sorted by (line,
-/// rule), and how many
-/// well-formed suppressions it carries. Test collateral is fully exempt
-/// — fixtures deliberately seed violations (including malformed
-/// suppressions) for the analyzer's own tests. `force_all` drops the
-/// per-rule path scoping (used by `--self`, where paths are relative to
-/// `crates/lint` and would otherwise match no scope).
-///
-/// Test exemption is parser-driven: `#[cfg(test)]` / `#[test]` item
-/// spans come from [`crate::parser`], so nested modules, attribute
-/// lines, and items following a test module are classified by actual
-/// scope structure rather than brace counting.
-pub(crate) fn lint_file(file: &str, source: &str, force_all: bool) -> (Vec<Finding>, usize) {
-    if is_test_path(file) {
-        return (Vec::new(), 0);
-    }
-    let parsed = parse(source);
+/// rule), and how many well-formed suppressions it carries. `uncalled`
+/// holds the lines of its `pub` items no other file names. `force_all`
+/// drops the per-rule path scoping (`--self`, whose paths are relative
+/// to `crates/lint`). Test lines come from [`crate::parser`]'s scopes.
+/// A suppression silences its rule on its own line, and a
+/// directive-only comment line also on the line below.
+pub(crate) fn lint_file(
+    file: &str,
+    source: &str,
+    parsed: &ParsedFile,
+    uncalled: &[usize],
+    force_all: bool,
+) -> (Vec<Finding>, usize) {
     let (sups, mut findings) = parse_suppressions(file, &parsed.stripped.comments);
     let mut used = vec![false; sups.len()];
     let src_lines: Vec<&str> = source.lines().collect();
+    let finding = |rule, line: usize| Finding {
+        rule,
+        file: file.to_string(),
+        line,
+        excerpt: src_lines.get(line - 1).unwrap_or(&"").trim().to_string(),
+    };
+    let mut found: Vec<Finding> = uncalled
+        .iter()
+        .map(|&line| finding("pub-without-caller", line))
+        .collect();
     for (idx, code_line) in parsed.stripped.code.lines().enumerate() {
-        let line = idx + 1;
-        if parsed.is_test_line(line) {
+        if parsed.is_test_line(idx + 1) {
             continue;
         }
         // The six lexical rules.
         for &rule in &RULE_NAMES[..6] {
-            if (!force_all && !rule_applies(rule, file)) || !line_violates(rule, code_line) {
-                continue;
+            if (force_all || rule_applies(rule, file)) && line_violates(rule, code_line) {
+                found.push(finding(rule, idx + 1));
             }
-            let f = Finding {
-                rule,
-                file: file.to_string(),
-                line,
-                excerpt: src_lines.get(idx).unwrap_or(&"").trim().to_string(),
-            };
-            match sups.iter().position(|s| s.covers(&f)) {
-                Some(k) => used[k] = true,
-                None => findings.push(f),
-            }
+        }
+    }
+    for f in found {
+        match sups.iter().position(|s| s.covers(&f)) {
+            Some(k) => used[k] = true,
+            None => findings.push(f),
         }
     }
     // Every well-formed allow must still be earning its keep.
@@ -361,6 +352,7 @@ pub(crate) fn lint_file(file: &str, source: &str, force_all: bool) -> (Vec<Findi
 /// Every well-formed suppression in `source` that cites a known rule,
 /// as `(line, rule, reason)` — used by tests asserting reasons are
 /// present.
+// wsd-lint: allow(pub-without-caller): tests/analyzer.rs checks every workspace allow's reason through it
 pub fn suppressions_in(source: &str) -> Vec<(usize, String, String)> {
     let stripped = strip(source);
     let (sups, _) = parse_suppressions("", &stripped.comments);
@@ -459,7 +451,7 @@ mod tests {
 
     #[test]
     fn unbounded_queue_flagged() {
-        let src = "fn f() { let q: FifoQueue<u8> = FifoQueue::unbounded(); }\n";
+        let src = "fn f() { let q: Queue<u8> = Queue::unbounded(); }\n";
         let f = lint_source("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "unbounded-queue-at-serve-site");

@@ -42,6 +42,17 @@ pub fn rust_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
+/// The `.rs` files under `root/benchmark/src`, as `benchmark/src/…`:
+/// read for callers of the product's `pub` items, never linted.
+pub fn caller_only_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+    let dir = root.join("benchmark").join("src");
+    if !dir.is_dir() {
+        return Ok(Vec::new());
+    }
+    let files = rust_files(&dir)?;
+    Ok(files.into_iter().map(|(rel, abs)| (format!("benchmark/src/{rel}"), abs)).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,5 +70,11 @@ mod tests {
         assert!(files.iter().all(|(rel, _)| !rel.starts_with("vendor/")));
         assert!(files.iter().all(|(rel, _)| !rel.starts_with("benchmark/")));
         assert!(files.iter().all(|(rel, _)| !rel.contains("/target/")));
+        // benchmark/ is read for callers and still never linted.
+        let readers = caller_only_files(root).unwrap();
+        assert!(readers.iter().any(|(rel, _)| rel == "benchmark/src/main.rs"));
+        let wa = crate::analyze_workspace(root, false).unwrap();
+        assert_eq!(wa.files, files.iter().filter(|(rel, _)| !crate::rules::is_test_path(rel)).count());
+        assert!(wa.findings.iter().all(|f| !f.file.starts_with("benchmark/")));
     }
 }

@@ -1,7 +1,7 @@
 //! Seeded unused-suppression: a well-formed, reasoned allow that no
 //! longer silences anything.
 
-pub fn tidy() -> u64 {
+fn tidy() -> u64 {
     // wsd-lint: allow(raw-clock): measured once at startup (stale — the clock call is long gone)
     compute()
 }

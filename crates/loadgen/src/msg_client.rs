@@ -69,7 +69,6 @@ struct StatsInner {
     sent: u64,
     send_failures: u64,
     responses_received: u64,
-    mailbox_created: bool,
 }
 
 /// Shared view of one messaging client's counters.
@@ -91,10 +90,6 @@ impl MsgClientStats {
     /// counted by the [`CallbackSink`]).
     pub fn responses_received(&self) -> u64 {
         self.inner.borrow().responses_received
-    }
-    /// Whether the mailbox was created successfully.
-    pub fn mailbox_created(&self) -> bool {
-        self.inner.borrow().mailbox_created
     }
 }
 
@@ -316,7 +311,6 @@ impl SimMsgClient {
         match std::mem::replace(&mut self.mbox, MboxPhase::NotUsed) {
             MboxPhase::AwaitingCreate => {
                 if let Some((box_id, key)) = env.as_ref().and_then(ops::parse_create_response) {
-                    self.stats.inner.borrow_mut().mailbox_created = true;
                     self.mbox = MboxPhase::Ready { box_id, key };
                     // Mailbox ready: start the sending loop and polling.
                     if self.target_conn.is_none() {
@@ -599,7 +593,6 @@ mod tests {
         let stats = client.stats();
         sim.spawn(c_host, Box::new(client));
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(10));
-        assert!(stats.mailbox_created());
         assert!(stats.sent() > 3, "sent {}", stats.sent());
         let deposits = mbox_stats.mailbox.deposits.get();
         assert!(deposits > 3, "deposits {deposits}");
@@ -672,7 +665,6 @@ mod tests {
         sim.spawn(c_host, Box::new(client));
 
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(10));
-        assert!(stats.mailbox_created());
         assert!(stats.sent() > 3, "sent {}", stats.sent());
         assert!(svc_stats.accepted.get() > 3);
         assert!(mbox_stats.mailbox.deposits.get() > 3, "deposits {}", mbox_stats.mailbox.deposits.get());

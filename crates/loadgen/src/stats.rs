@@ -66,7 +66,8 @@ impl RunTotals {
     }
 
     /// Fraction of attempts that failed.
-    pub fn loss_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn loss_rate(&self) -> f64 {
         let attempts = self.transmitted + self.not_sent;
         if attempts == 0 {
             0.0

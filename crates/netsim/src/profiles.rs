@@ -14,7 +14,7 @@ use crate::time::SimDuration;
 pub const TRANSATLANTIC_ONE_WAY: SimDuration = SimDuration(45_000);
 
 /// Per-message CPU anchor: microseconds per KB on a 1 GHz machine.
-pub const CPU_US_PER_KB_AT_1GHZ: u64 = 34_000;
+const CPU_US_PER_KB_AT_1GHZ: u64 = 34_000;
 
 /// CPU cost per KB for a machine of `ghz` effective clock.
 pub fn cpu_per_kb(ghz: f64) -> SimDuration {

@@ -25,25 +25,6 @@ impl SimRng {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// Uniform in `[0, bound)`; returns 0 for `bound == 0`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Bernoulli trial with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// Forks an independent stream (seeded from this one).
     pub fn fork(&mut self) -> SimRng {
         SimRng::new(self.next_u64() | 1)
@@ -67,28 +48,6 @@ mod tests {
     fn zero_seed_is_usable() {
         let mut r = SimRng::new(0);
         assert_ne!(r.next_u64(), 0);
-    }
-
-    #[test]
-    fn next_below_respects_bound() {
-        let mut r = SimRng::new(3);
-        for _ in 0..1000 {
-            assert!(r.next_below(17) < 17);
-        }
-        assert_eq!(r.next_below(0), 0);
-    }
-
-    #[test]
-    fn floats_in_unit_interval_and_spread() {
-        let mut r = SimRng::new(11);
-        let mut sum = 0.0;
-        for _ in 0..1000 {
-            let f = r.next_f64();
-            assert!((0.0..1.0).contains(&f));
-            sum += f;
-        }
-        let mean = sum / 1000.0;
-        assert!((0.4..0.6).contains(&mean), "mean {mean}");
     }
 
     #[test]

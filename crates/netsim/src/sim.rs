@@ -185,6 +185,7 @@ impl Simulation {
     }
 
     /// The id of the host named `name`.
+    // wsd-lint: allow(pub-without-caller): the simulated RPC-Dispatcher's and the client ramp's tests find hosts by name
     pub fn host_id(&self, name: &str) -> Option<HostId> {
         self.host_names.get(name).copied()
     }

@@ -100,7 +100,7 @@ proptest! {
         // arrive (send happens-before close in the same event).
         prop_assert_eq!(*received.borrow(), established * per_conn);
         // All inbound slots released after the closes propagate.
-        prop_assert_eq!(sim.inbound_established(sim.host_id("sink").unwrap()), 0);
+        prop_assert_eq!(sim.inbound_established(sink_host), 0);
     }
 
     /// Firewalled destinations never deliver and never leak slots; the
@@ -128,7 +128,7 @@ proptest! {
             prop_assert_eq!(e, 0);
             prop_assert_eq!(r, conns);
         }
-        prop_assert_eq!(sim.inbound_established(sim.host_id("sink").unwrap()), 0);
+        prop_assert_eq!(sim.inbound_established(sink_host), 0);
     }
 
     /// The outbound socket limit caps concurrent attempts; the excess

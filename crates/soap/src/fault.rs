@@ -73,18 +73,6 @@ impl Fault {
         }
     }
 
-    /// Sets the acting role. Returns `self` for chaining.
-    pub fn with_role(mut self, role: impl Into<String>) -> Self {
-        self.role = Some(role.into());
-        self
-    }
-
-    /// Appends a detail element. Returns `self` for chaining.
-    pub fn with_detail(mut self, detail: Element) -> Self {
-        self.detail.push(detail);
-        self
-    }
-
     /// Builds the version-appropriate `<Fault>` element. The element
     /// assumes the envelope prefix is in scope (the envelope serializer
     /// guarantees that).
@@ -282,7 +270,10 @@ mod tests {
 
     #[test]
     fn v11_fault_round_trips() {
-        let f = Fault::new(FaultCode::Sender, "bad request").with_role("urn:dispatcher");
+        let f = Fault {
+            role: Some("urn:dispatcher".into()),
+            ..Fault::new(FaultCode::Sender, "bad request")
+        };
         let got = round_trip(SoapVersion::V11, f.clone());
         assert_eq!(got.code, FaultCode::Sender);
         assert_eq!(got.reason, "bad request");
@@ -324,7 +315,10 @@ mod tests {
     fn detail_elements_round_trip() {
         let detail = Element::new("errno").with_text("42");
         for v in [SoapVersion::V11, SoapVersion::V12] {
-            let f = Fault::new(FaultCode::Receiver, "x").with_detail(detail.clone());
+            let f = Fault {
+                detail: vec![detail.clone()],
+                ..Fault::new(FaultCode::Receiver, "x")
+            };
             let got = round_trip(v, f);
             assert_eq!(got.detail.len(), 1, "{v}");
             assert_eq!(got.detail[0].text(), "42");

@@ -40,9 +40,6 @@ pub enum SoapError {
     NotAnEnvelope,
     /// The envelope has no `Body` element.
     MissingBody,
-    /// A header carried `mustUnderstand` for a QName the processor does
-    /// not understand.
-    MustUnderstand(String),
     /// The body is not shaped like the expected RPC call.
     BadRpc(&'static str),
 }
@@ -53,9 +50,6 @@ impl std::fmt::Display for SoapError {
             SoapError::Xml(e) => write!(f, "invalid XML: {e}"),
             SoapError::NotAnEnvelope => f.write_str("root element is not a SOAP Envelope"),
             SoapError::MissingBody => f.write_str("SOAP envelope has no Body"),
-            SoapError::MustUnderstand(h) => {
-                write!(f, "mustUnderstand header not understood: {h}")
-            }
             SoapError::BadRpc(m) => write!(f, "malformed RPC body: {m}"),
         }
     }

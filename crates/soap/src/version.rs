@@ -45,14 +45,6 @@ impl SoapVersion {
         }
     }
 
-    /// Value an attribute must carry to mean "true" for `mustUnderstand`.
-    pub fn must_understand_true(self, value: &str) -> bool {
-        match self {
-            SoapVersion::V11 => value == "1",
-            SoapVersion::V12 => value == "1" || value == "true",
-        }
-    }
-
     /// The local name of the sender-side fault code
     /// (`Client` in 1.1, `Sender` in 1.2).
     pub fn sender_fault_code(self) -> &'static str {
@@ -99,15 +91,6 @@ mod tests {
         assert!(SoapVersion::V12
             .content_type()
             .starts_with("application/soap+xml"));
-    }
-
-    #[test]
-    fn must_understand_lexical_space() {
-        assert!(SoapVersion::V11.must_understand_true("1"));
-        assert!(!SoapVersion::V11.must_understand_true("true"));
-        assert!(SoapVersion::V12.must_understand_true("true"));
-        assert!(SoapVersion::V12.must_understand_true("1"));
-        assert!(!SoapVersion::V12.must_understand_true("0"));
     }
 
     #[test]

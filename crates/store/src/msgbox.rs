@@ -662,49 +662,15 @@ impl DurableMsgBox {
     }
 
     /// Number of live mailboxes.
+    // wsd-lint: allow(pub-without-caller): the memory-vs-durable differential (core's tests/proptests.rs) and the mailbox tests count boxes with it
     pub fn box_count(&self) -> usize {
         self.inner.lock().boxes.len()
-    }
-
-    /// Drops expired messages everywhere; returns how many were
-    /// dropped. (Expiry is the retention policy: no record is written —
-    /// replay re-applies the same cutoff.)
-    pub fn expire_all(&self, now: u64) -> usize {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let mut dropped = 0;
-        for mbox in inner.boxes.values_mut() {
-            let before = mbox.queue.len();
-            mbox.prune(now, &mut inner.books);
-            dropped += before - mbox.queue.len();
-        }
-        self.update_gauges(inner);
-        dropped
-    }
-
-    /// Age of a mailbox in µs, if it exists.
-    pub fn age(&self, id: &str, now: u64) -> Option<u64> {
-        self.inner
-            .lock()
-            .boxes
-            .get(id)
-            .map(|m| now.saturating_sub(m.created_at))
-    }
-
-    /// Body bytes living only on disk right now.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.inner.lock().books.spilled_bytes
     }
 
     /// Body bytes cached in RAM right now: with no log, every queued
     /// body — the quantity that hits the §4.3.2 heap wall.
     pub fn resident_bytes(&self) -> u64 {
         self.inner.lock().books.resident_bytes
-    }
-
-    /// Queued body bytes charged to `tenant`.
-    pub fn tenant_bytes(&self, tenant: &str) -> u64 {
-        self.inner.lock().books.tenant_bytes.get(tenant).copied().unwrap_or(0)
     }
 
     /// The log, if the store has one (its fsync/byte counters feed the
@@ -832,6 +798,35 @@ fn replay_op(inner: &mut Inner, info: AppendInfo, op: Op, now: u64, memory_budge
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Observers only the tests read.
+    impl DurableMsgBox {
+        /// Drops expired messages everywhere; returns how many were dropped.
+        fn expire_all(&self, now: u64) -> usize {
+            let mut inner = self.inner.lock();
+            let inner = &mut *inner;
+            let mut dropped = 0;
+            for mbox in inner.boxes.values_mut() {
+                let before = mbox.queue.len();
+                mbox.prune(now, &mut inner.books);
+                dropped += before - mbox.queue.len();
+            }
+            self.update_gauges(inner);
+            dropped
+        }
+
+        fn age(&self, id: &str, now: u64) -> Option<u64> {
+            self.inner.lock().boxes.get(id).map(|m| now.saturating_sub(m.created_at))
+        }
+
+        fn spilled_bytes(&self) -> u64 {
+            self.inner.lock().books.spilled_bytes
+        }
+
+        fn tenant_bytes(&self, tenant: &str) -> u64 {
+            self.inner.lock().books.tenant_bytes.get(tenant).copied().unwrap_or(0)
+        }
+    }
     use crate::storage::MemStorage;
     use crate::wal::SyncMode;
 

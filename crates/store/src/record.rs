@@ -111,19 +111,13 @@ impl<'a> Reader<'a> {
 }
 
 impl Op {
-    /// Serializes the payload (everything after the framing header).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_payload_into(&mut out);
-        out
-    }
-
     /// Appends the whole framed record (header + payload) to `out`,
     /// after whatever it already holds: the payload is written once,
     /// straight after a header patched in when its length and CRC are
     /// known, so a deposit body is copied exactly once on its way to
     /// the log and a run of records is one buffer, one write.
-    /// Byte-identical to appending `frame(&self.encode_payload())`.
+    /// Byte-identical to appending the payload framed by the test
+    /// reference `frame`.
     pub fn append_record_to(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + HEADER_BYTES as usize, 0);
@@ -222,15 +216,6 @@ impl Op {
     }
 }
 
-/// Frames a payload into a full record (header + payload).
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + HEADER_BYTES as usize);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Outcome of reading one record at an offset.
 pub enum ReadRecord {
     /// A complete, checksum-valid record: the payload and the offset
@@ -279,6 +264,24 @@ pub fn read_record(seg: &[u8], off: u64) -> ReadRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Op {
+        /// Serializes the payload (everything after the framing header).
+        fn encode_payload(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.encode_payload_into(&mut out);
+            out
+        }
+    }
+
+    /// Frames a payload into a full record (header + payload).
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(payload.len() + HEADER_BYTES as usize);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
 
     fn round_trip(op: Op) {
         let payload = op.encode_payload();

@@ -140,6 +140,7 @@ impl Snapshot {
     }
 
     /// The capture timestamp in microseconds.
+    // wsd-lint: allow(pub-without-caller): telemetry's and netsim's tests hold a registry's snapshots to its (virtual) clock with it
     pub fn at_us(&self) -> u64 {
         self.at_us
     }

@@ -33,18 +33,6 @@ impl EndpointReference {
         self.address == crate::ANONYMOUS
     }
 
-    /// Appends a reference property. Returns `self` for chaining.
-    pub fn with_property(mut self, el: Element) -> Self {
-        self.reference_properties.push(el);
-        self
-    }
-
-    /// Appends a reference parameter. Returns `self` for chaining.
-    pub fn with_parameter(mut self, el: Element) -> Self {
-        self.reference_parameters.push(el);
-        self
-    }
-
     /// Builds this EPR as an element named `local` (e.g. `ReplyTo`,
     /// `From`, `FaultTo`, `EndpointReference`) in the WSA namespace; the
     /// `wsa` prefix is declared on the element so it is self-contained.
@@ -114,9 +102,11 @@ mod tests {
 
     #[test]
     fn properties_and_parameters_round_trip() {
-        let epr = EndpointReference::new("http://example.org/svc")
-            .with_property(Element::new("key").with_text("abc"))
-            .with_parameter(Element::new("session").with_text("42"));
+        let epr = EndpointReference {
+            reference_properties: vec![Element::new("key").with_text("abc")],
+            reference_parameters: vec![Element::new("session").with_text("42")],
+            ..EndpointReference::new("http://example.org/svc")
+        };
         let el = reparse(&epr.to_element("EndpointReference"));
         let got = EndpointReference::from_element(&el, "EndpointReference").unwrap();
         assert_eq!(got.reference_properties.len(), 1);

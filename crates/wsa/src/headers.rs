@@ -218,7 +218,8 @@ mod tests {
 
     #[test]
     fn apply_preserves_non_wsa_headers() {
-        let mut env = rpc::echo_request(SoapVersion::V11, "x").with_header(
+        let mut env = rpc::echo_request(SoapVersion::V11, "x");
+        env.headers.push(
             Element::new_ns(Some("sec"), "Token", "urn:sec")
                 .declare_namespace(Some("sec"), "urn:sec")
                 .with_text("t"),
@@ -263,7 +264,8 @@ mod tests {
 
     #[test]
     fn foreign_headers_ignored() {
-        let mut env = rpc::echo_request(SoapVersion::V11, "x").with_header(
+        let mut env = rpc::echo_request(SoapVersion::V11, "x");
+        env.headers.push(
             Element::new_ns(Some("o"), "To", "urn:other")
                 .declare_namespace(Some("o"), "urn:other")
                 .with_text("not-wsa"),

@@ -648,8 +648,10 @@ mod tests {
         let mut env = request(SoapVersion::V11);
         let mut h = WsaHeaders::from_envelope(&env).unwrap();
         h.reply_to = Some(
-            EndpointReference::new("http://client/cb")
-                .with_parameter(wsd_xml::Element::new("session").with_text("42")),
+            EndpointReference {
+                reference_parameters: vec![wsd_xml::Element::new("session").with_text("42")],
+                ..EndpointReference::new("http://client/cb")
+            },
         );
         h.apply(&mut env);
         assert!(scan(&env.to_xml()).is_none());

@@ -151,8 +151,10 @@ proptest! {
     fn splice_declines_non_canonical_envelopes(h in headers_strategy(), addr in uri()) {
         let mut h = h;
         h.reply_to = Some(
-            EndpointReference::new(addr)
-                .with_parameter(wsd_xml::Element::new("session").with_text("42")),
+            EndpointReference {
+                reference_parameters: vec![wsd_xml::Element::new("session").with_text("42")],
+                ..EndpointReference::new(addr)
+            },
         );
         let mut env = rpc::echo_request(SoapVersion::V11, "x");
         h.apply(&mut env);
@@ -226,8 +228,10 @@ proptest! {
     /// EPRs round-trip through their element form.
     #[test]
     fn epr_round_trips(addr in uri(), param_text in "[a-z0-9]{1,16}") {
-        let epr = EndpointReference::new(addr)
-            .with_parameter(wsd_xml::Element::new("p").with_text(param_text));
+        let epr = EndpointReference {
+            reference_parameters: vec![wsd_xml::Element::new("p").with_text(param_text)],
+            ..EndpointReference::new(addr)
+        };
         let el = epr.to_element("ReplyTo");
         let root = wsd_xml::parse(&wsd_xml::write_element(&el)).unwrap().root;
         let got = EndpointReference::from_element(&root, "ReplyTo").unwrap();

@@ -10,7 +10,7 @@
 //! * a [`writer`] that serializes a tree back to text,
 //! * correct escaping of text and attribute values,
 //! * byte-level helpers for rewriters that splice serialized text instead
-//!   of building a tree: [`verify_element`] (does the tree parser accept
+//!   of building a tree: [`splice::verify_element_with_prefixes`] (does the tree parser accept
 //!   this element?), [`unescape`] and the word-at-a-time [`swar`] finders.
 //!
 //! Deliberate restrictions (documented, safe-by-default for a network
@@ -44,7 +44,7 @@ pub mod writer;
 pub use error::{XmlError, XmlErrorKind};
 pub use name::QName;
 pub use parser::{Event, PullParser, StartTag};
-pub use splice::{unescape, verify_element};
+pub use splice::unescape;
 pub use tree::{Attribute, Document, Element, Node};
 pub use writer::write_element_into;
 

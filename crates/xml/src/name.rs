@@ -40,13 +40,6 @@ impl QName {
         }
     }
 
-    /// The name as written: `prefix:local` or `local`.
-    pub fn as_written(&self) -> String {
-        match &self.prefix {
-            Some(p) => format!("{p}:{}", self.local),
-            None => self.local.clone(),
-        }
-    }
 }
 
 impl std::fmt::Display for QName {
@@ -101,14 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn as_written_round_trips() {
-        assert_eq!(QName::prefixed("s", "Body").as_written(), "s:Body");
-        assert_eq!(QName::local("Body").as_written(), "Body");
-    }
-
-    #[test]
-    fn display_matches_as_written() {
-        assert_eq!(QName::prefixed("a", "b").to_string(), "a:b");
+    fn display_is_the_name_as_written() {
+        assert_eq!(QName::prefixed("s", "Body").to_string(), "s:Body");
+        assert_eq!(QName::local("Body").to_string(), "Body");
     }
 
     #[test]

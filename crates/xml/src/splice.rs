@@ -10,7 +10,7 @@ use crate::escape::{char_ref, predefined_entity};
 use crate::swar;
 use std::borrow::Cow;
 
-/// Depth cap for [`verify_element`]'s fixed name stack. Deeper documents
+/// Depth cap for [`verify_element_with_prefixes`]'s fixed name stack. Deeper documents
 /// are declined, never mis-verified: the caller falls back to the tree
 /// path, which has no such limit.
 const MAX_VERIFY_DEPTH: usize = 64;
@@ -35,11 +35,8 @@ const MAX_VERIFY_BINDINGS: usize = 32;
 /// DOCTYPE, single-quoted or whitespace-padded attributes, whitespace in
 /// close tags, and documents deeper than the fixed stack all yield
 /// `None`. Declining is always safe — the caller falls back to the tree.
-pub fn verify_element(s: &str, start: usize) -> Option<usize> {
-    verify_element_with_prefixes(s, start, &[])
-}
-
-/// [`verify_element`] with namespace prefixes already in scope — e.g. the
+///
+/// `bound` holds the namespace prefixes already in scope — e.g. the
 /// envelope prefix a SOAP `Body` inherits from its root element, which
 /// lies outside the verified byte range.
 pub fn verify_element_with_prefixes(s: &str, start: usize, bound: &[&str]) -> Option<usize> {
@@ -259,6 +256,10 @@ pub fn unescape(s: &str) -> Option<Cow<'_, str>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn verify_element(s: &str, start: usize) -> Option<usize> {
+        verify_element_with_prefixes(s, start, &[])
+    }
 
     #[test]
     fn verify_accepts_canonical_elements() {

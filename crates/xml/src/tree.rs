@@ -36,7 +36,7 @@ pub enum Node {
 
 impl Node {
     /// The element inside, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
             _ => None,
@@ -154,18 +154,13 @@ impl Element {
 
     /// Value of the attribute with the given resolved namespace and local
     /// name.
+    // wsd-lint: allow(pub-without-caller): tests/conformance.rs and the envelope tests read attributes by their resolved namespace
     pub fn attr_ns(&self, namespace: Option<&str>, local: &str) -> Option<&str> {
         self.attributes
             .iter()
             .filter(|a| !a.is_xmlns())
             .find(|a| a.namespace.as_deref() == namespace && a.name.local == local)
             .map(|a| a.value.as_str())
-    }
-
-    /// Sets (or replaces) an unprefixed attribute. Returns `self`.
-    pub fn with_attr(mut self, local: impl Into<String>, value: impl Into<String>) -> Self {
-        self.set_attr(local, value);
-        self
     }
 
     /// Sets (or replaces) an unprefixed attribute.
@@ -215,43 +210,11 @@ impl Element {
         self
     }
 
-    /// Removes child elements matching `(namespace, local)`, returning how
-    /// many were removed.
-    pub fn remove_children(&mut self, namespace: Option<&str>, local: &str) -> usize {
-        let before = self.children.len();
-        self.children.retain(|n| match n {
-            Node::Element(e) => !e.is(namespace, local),
-            _ => true,
-        });
-        before - self.children.len()
-    }
-
-    /// Merges adjacent text nodes and drops empty ones, recursively.
-    /// Comments are preserved. Useful before structural comparison.
-    pub fn normalize(&mut self) {
-        let old = std::mem::take(&mut self.children);
-        for mut node in old {
-            match &mut node {
-                Node::Text(t) => {
-                    if t.is_empty() {
-                        continue;
-                    }
-                    if let Some(Node::Text(prev)) = self.children.last_mut() {
-                        prev.push_str(t);
-                        continue;
-                    }
-                }
-                Node::Element(e) => e.normalize(),
-                _ => {}
-            }
-            self.children.push(node);
-        }
-    }
 }
 
 impl Attribute {
     /// Whether this attribute is an `xmlns` or `xmlns:*` declaration.
-    pub fn is_xmlns(&self) -> bool {
+    fn is_xmlns(&self) -> bool {
         self.name.prefix.as_deref() == Some("xmlns")
             || (self.name.prefix.is_none() && self.name.local == "xmlns")
     }
@@ -266,11 +229,6 @@ pub struct Document {
 }
 
 impl Document {
-    /// Wraps an element as a document root.
-    pub fn with_root(root: Element) -> Self {
-        Document { root }
-    }
-
     /// Parses a complete document, enforcing well-formed structure: one
     /// root, matching tags, bound prefixes, nothing but whitespace,
     /// comments and PIs outside the root. A structural error is reported
@@ -518,28 +476,9 @@ mod tests {
     }
 
     #[test]
-    fn normalize_merges_adjacent_text() {
-        let mut el = Element::new("a")
-            .with_text("x")
-            .with_text("")
-            .with_text("y");
-        el.normalize();
-        assert_eq!(el.children, vec![Node::Text("xy".into())]);
-    }
-
-    #[test]
-    fn remove_children_filters_by_name() {
-        let mut el = Element::new("a")
-            .with_child(Element::new("b"))
-            .with_child(Element::new("c"))
-            .with_child(Element::new("b"));
-        assert_eq!(el.remove_children(None, "b"), 2);
-        assert_eq!(el.child_elements().count(), 1);
-    }
-
-    #[test]
     fn set_attr_replaces_existing() {
-        let mut el = Element::new("a").with_attr("k", "1");
+        let mut el = Element::new("a");
+        el.set_attr("k", "1");
         el.set_attr("k", "2");
         assert_eq!(el.attr("k"), Some("2"));
         assert_eq!(el.attributes.len(), 1);

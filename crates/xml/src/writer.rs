@@ -132,7 +132,8 @@ mod tests {
 
     #[test]
     fn attribute_value_quotes_escaped() {
-        let el = crate::Element::new("a").with_attr("k", "say \"hi\"");
+        let mut el = crate::Element::new("a");
+        el.set_attr("k", "say \"hi\"");
         let written = write_element(&el);
         assert!(written.contains("&quot;"));
         let doc = Document::parse(&written).unwrap();

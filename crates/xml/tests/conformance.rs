@@ -147,8 +147,9 @@ fn structural_errors_point_at_the_offending_token() {
 #[test]
 fn attribute_value_whitespace_roundtrip() {
     // Tab/newline in attribute values must be preserved via char refs.
-    let el = wsd_xml::Element::new("a").with_attr("k", "a\tb\nc");
-    let doc = wsd_xml::Document::with_root(el);
+    let mut root = wsd_xml::Element::new("a");
+    root.set_attr("k", "a\tb\nc");
+    let doc = wsd_xml::Document { root };
     let reparsed = parse(&write(&doc)).unwrap();
     assert_eq!(reparsed.root.attr("k"), Some("a\tb\nc"));
 }

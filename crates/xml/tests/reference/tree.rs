@@ -170,10 +170,10 @@ fn build_element(
                 element.children.push(Node::Element(child));
             }
             Event::EndElement(raw) => {
-                if raw != element.name.as_written() {
+                if raw != element.name.to_string() {
                     return Err(new_error(
                         XmlErrorKind::MismatchedTag {
-                            expected: element.name.as_written(),
+                            expected: element.name.to_string(),
                             found: raw,
                         },
                         1,

@@ -88,9 +88,11 @@ fn one_message_through_every_layer() {
 /// versions.
 #[test]
 fn faults_translate_across_versions() {
-    let fault = Fault::new(FaultCode::Receiver, "backend exploded")
-        .with_role("urn:wsd:dispatcher")
-        .with_detail(xml::Element::new("errno").with_text("7"));
+    let fault = Fault {
+        role: Some("urn:wsd:dispatcher".into()),
+        detail: vec![xml::Element::new("errno").with_text("7")],
+        ..Fault::new(FaultCode::Receiver, "backend exploded")
+    };
     let as11 = Envelope::fault(SoapVersion::V11, fault.clone());
     let parsed = Envelope::parse(&as11.to_xml()).unwrap();
     let carried = parsed.as_fault().unwrap().clone();

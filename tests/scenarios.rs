@@ -23,6 +23,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::io::Write;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,7 +44,7 @@ use ws_dispatcher::core::sim::{
 };
 use ws_dispatcher::core::url::Url;
 use ws_dispatcher::http::{
-    parse_request_bytes, parse_response_bytes, serve_connection, write_response, HttpClient,
+    parse_request_bytes, parse_response_bytes, response_bytes, serve_connection, HttpClient,
     Limits, MessageReader, PipeStream, Request, Response, Status,
 };
 use ws_dispatcher::netsim::{
@@ -1512,7 +1513,7 @@ fn rt_closing_service(net: &Arc<Network>, service: &Arc<Mutex<ClosingService>>) 
                     // message and goes out as one pipelined batch.
                     std::thread::sleep(Duration::from_millis(100));
                 }
-                if write_response(reader.stream_mut(), &resp).is_err() {
+                if reader.stream_mut().write_all(&response_bytes(&resp)).is_err() {
                     return;
                 }
             }
