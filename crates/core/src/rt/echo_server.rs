@@ -1,26 +1,26 @@
 //! The threaded echo Web Service for tests, examples and benches:
-//! [`crate::echo`] decides every answer and keeps the books; a pool
-//! worker serves each connection.
+//! [`crate::echo`] decides every answer and keeps the books; the
+//! service's fixed worker pool runs them behind a [`ReactorFrontEnd`],
+//! so a client that keeps its connection open (the RPC-Dispatcher's
+//! upstream hop, the MSG-Dispatcher's WsThreads) holds a worker only
+//! while a request of its own is being answered.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use wsd_concurrent::{PoolConfig, ThreadPool};
-use wsd_http::{serve_connection, Limits, Response, Status};
+use wsd_http::{Request, Response, ShutdownHandle, Status};
+use wsd_telemetry::Scope;
 
 use crate::echo::{Echo, EchoCounters, EchoMode};
 use crate::rt::client::send_oneway_bytes;
-use crate::rt::{ConnTracker, Network};
+use crate::rt::{one_by_one, Network, ReactorFrontEnd};
 
 /// A running echo service: each accepted request costs `service_delay`
 /// of (slept) CPU, and one that is not a SOAP envelope gets a `400` at once.
 pub struct EchoServer {
-    pool: Arc<ThreadPool>,
+    front: ReactorFrontEnd,
     books: EchoCounters,
-    net: Arc<Network>,
-    conns: Arc<ConnTracker>,
-    host: String,
-    port: u16,
 }
 
 impl EchoServer {
@@ -62,42 +62,16 @@ impl EchoServer {
         let pool = Arc::new(
             ThreadPool::new(PoolConfig::fixed(format!("echo-{host}"), workers)).expect("pool"),
         );
+        let front = ReactorFrontEnd::start("echo", pool, &Scope::noop());
         let books = EchoCounters::default();
-        let conns = ConnTracker::new();
-        let (pool2, books2, conns2, net2) =
-            (Arc::clone(&pool), books.clone(), Arc::clone(&conns), Arc::clone(net));
-        net.listen(host, port, move |stream| {
-            conns2.track(&stream);
-            let (net, books) = (Arc::clone(&net2), books2.clone());
-            let _ = pool2.execute(move || {
-                let conn = stream.shutdown_handle();
-                let _ = serve_connection(stream, &Limits::default(), |req| {
-                    let echo = match books.accept(mode, &req) {
-                        Ok(echo) => echo,
-                        Err(reject) => return reject,
-                    };
-                    wsd_concurrent::ordered::audit::assert_unlocked("the echo's service delay");
-                    std::thread::sleep(service_delay);
-                    books.process(&echo);
-                    match echo {
-                        Echo::Response(resp) => {
-                            books.replied(1, !conn.is_closed());
-                            resp
-                        }
-                        Echo::Reply { to, version, xml } => {
-                            let dest = (to.host.as_str(), to.port, to.path.as_str());
-                            let body = (version.content_type(), xml.into_bytes());
-                            let sent = send_oneway_bytes(&net, dest, body);
-                            books.replied(1, sent.is_ok());
-                            Response::empty(Status::ACCEPTED)
-                        }
-                        Echo::NoReply | Echo::Unaddressable => Response::empty(Status::ACCEPTED),
-                    }
-                });
-            });
+        let (books2, net2) = (books.clone(), Arc::clone(net));
+        front.listen_each(net, host, port, move |conn| {
+            let (books, net) = (books2.clone(), Arc::clone(&net2));
+            one_by_one(Arc::new(move |req| {
+                answer(&net, &books, mode, service_delay, &conn, req)
+            }))
         });
-        let (net, host) = (Arc::clone(net), host.to_string());
-        EchoServer { pool, books, net, conns, host, port }
+        EchoServer { front, books }
     }
 
     /// A handle to the live counters.
@@ -107,16 +81,48 @@ impl EchoServer {
 
     /// Stops accepting, closes live connections and joins the workers.
     pub fn shutdown(&self) {
-        self.net.unlisten(&self.host, self.port);
-        self.conns.close_all();
-        self.pool.shutdown();
+        self.front.shutdown();
+    }
+}
+
+/// One request on `conn`: books it, sleeps the service delay, and
+/// answers. An RPC echo counts as sent only if its client is still
+/// there to read it.
+fn answer(
+    net: &Arc<Network>,
+    books: &EchoCounters,
+    mode: EchoMode,
+    service_delay: Duration,
+    conn: &ShutdownHandle,
+    req: Request,
+) -> Response {
+    let echo = match books.accept(mode, &req) {
+        Ok(echo) => echo,
+        Err(reject) => return reject,
+    };
+    wsd_concurrent::ordered::audit::assert_unlocked("the echo's service delay");
+    std::thread::sleep(service_delay);
+    books.process(&echo);
+    match echo {
+        Echo::Response(resp) => {
+            books.replied(1, !conn.is_closed());
+            resp
+        }
+        Echo::Reply { to, version, xml } => {
+            let dest = (to.host.as_str(), to.port, to.path.as_str());
+            let body = (version.content_type(), xml.into_bytes());
+            let sent = send_oneway_bytes(net, dest, body);
+            books.replied(1, sent.is_ok());
+            Response::empty(Status::ACCEPTED)
+        }
+        Echo::NoReply | Echo::Unaddressable => Response::empty(Status::ACCEPTED),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsd_http::{HttpClient, Request};
+    use wsd_http::{serve_connection, HttpClient, Limits};
     use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
     use wsd_wsa::{EndpointReference, WsaHeaders};
 

@@ -116,9 +116,9 @@ impl ConnTracker {
         })
     }
 
-    /// Remembers `stream` until it closes. A server that accepts one
-    /// connection per request (the RPC-Dispatcher's upstream hop, every
-    /// mailbox poll) would otherwise keep two pipe buffers alive per
+    /// Remembers `stream` until it closes. A server whose clients
+    /// connect once per request (every mailbox poll, each one-shot
+    /// `rpc_call`) would otherwise keep two pipe buffers alive per
     /// connection ever accepted.
     pub(crate) fn track(&self, stream: &PipeStream) {
         let mut t = self.inner.lock();

@@ -23,7 +23,7 @@ use std::sync::{Arc, OnceLock};
 use wsd_concurrent::{Pump, Reactor, ReactorConn, ThreadPool, Wakeup};
 use wsd_http::{
     response_bytes_into, response_len, Limits, PipeStream, ReadyStream, Request, RequestParser,
-    Response,
+    Response, ShutdownHandle,
 };
 use wsd_telemetry::Scope;
 
@@ -197,13 +197,29 @@ impl ReactorFrontEnd {
     /// runs once per run of pipelined requests (see [`BatchHandler`];
     /// [`one_by_one`] adapts a per-request handler).
     pub fn listen(&self, net: &Arc<Network>, host: &str, port: u16, handler: BatchHandler) {
+        self.listen_each(net, host, port, move |_| Arc::clone(&handler));
+    }
+
+    /// Like [`listen`](Self::listen), with a handler of each accepted
+    /// connection's own: `per_conn` makes it from the connection's
+    /// [`ShutdownHandle`], which a handler asks whether its peer is
+    /// still there to be answered (the echo service's books tell a
+    /// reply sent from one whose client has gone).
+    pub(crate) fn listen_each(
+        &self,
+        net: &Arc<Network>,
+        host: &str,
+        port: u16,
+        per_conn: impl Fn(ShutdownHandle) -> BatchHandler + Send + Sync + 'static,
+    ) {
         self.bound
             .set((Arc::clone(net), host.to_string(), port))
             .expect("a front end listens on one address");
         let (reactor, conns) = (Arc::clone(&self.reactor), Arc::clone(&self.conns));
         net.listen(host, port, move |stream| {
             conns.track(&stream);
-            reactor.register(ServedConn::new(stream, Arc::clone(&handler)));
+            let handler = per_conn(stream.shutdown_handle());
+            reactor.register(ServedConn::new(stream, handler));
         });
     }
 

@@ -33,9 +33,10 @@ impl<S: Stream> HttpClient<S> {
         Ok(())
     }
 
-    /// Whether the connection can carry another exchange.
-    #[cfg(test)]
-    fn reusable(&self) -> bool {
+    /// Whether the connection can carry another exchange: neither side
+    /// has said `Connection: close` (a caller that pools connections
+    /// asks this once the response is read).
+    pub fn reusable(&self) -> bool {
         !self.exhausted
     }
 
@@ -102,12 +103,14 @@ impl<S: Stream> HttpClient<S> {
 
     /// Sends a request without waiting for any response (one-way
     /// messaging; the MSG-Dispatcher acknowledges with `202 Accepted`
-    /// which the caller may read later or ignore).
+    /// which the caller may read later or ignore). One that says
+    /// `Connection: close` ends the connection's reuse.
     pub fn send_only(&mut self, req: &Request) -> Result<(), HttpError> {
         if self.exhausted {
             return Err(HttpError::Closed);
         }
         crate::serialize::write_request(self.reader.stream_mut(), req)?;
+        self.exhausted = !req.keep_alive();
         Ok(())
     }
 
@@ -282,6 +285,7 @@ mod tests {
         let mut req = Request::soap_post("h", "/msg", "text/xml", b"async".to_vec());
         req.headers.set("Connection", "close");
         c.send_only(&req).unwrap();
+        assert!(!c.reusable(), "the request said close");
         let ack = c.read_response().unwrap();
         assert_eq!(ack.status, Status::ACCEPTED);
         drop(c);

@@ -49,13 +49,14 @@ pub struct WorkspaceAnalysis {
 /// scope) so the linter holds itself to the complete rule set.
 ///
 /// Callers of a `pub` item are read from every linted file, the
-/// examples and `benchmark/src`; the last two are not linted.
+/// examples and `benchmark/{src,tests}`; the last two are not linted.
 pub fn analyze_workspace(root: &Path, self_mode: bool) -> std::io::Result<WorkspaceAnalysis> {
     let mut read = Vec::new();
     for (rel, abs) in walk::rust_files(root)?.into_iter().chain(walk::caller_only_files(root)?) {
-        let lint = !rules::is_test_path(&rel) && !rel.starts_with("benchmark/");
+        let benchmark = rel.starts_with("benchmark/");
+        let lint = !rules::is_test_path(&rel) && !benchmark;
         let harness = rel.split('/').any(|s| matches!(s, "tests" | "benches" | "fixtures"));
-        if !lint && harness {
+        if !lint && harness && !benchmark {
             continue;
         }
         // wsd-lint: allow(raw-file-io): the linter reads the sources it lints

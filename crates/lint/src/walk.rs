@@ -42,15 +42,19 @@ pub fn rust_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-/// The `.rs` files under `root/benchmark/src`, as `benchmark/src/…`:
-/// read for callers of the product's `pub` items, never linted.
+/// The `.rs` files under `root/benchmark/src` and `root/benchmark/tests`,
+/// as `benchmark/…`: read for callers of the product's `pub` items,
+/// never linted. The frozen benchmark builds against what both name.
 pub fn caller_only_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
-    let dir = root.join("benchmark").join("src");
-    if !dir.is_dir() {
-        return Ok(Vec::new());
+    let mut out = Vec::new();
+    for sub in ["src", "tests"] {
+        let dir = root.join("benchmark").join(sub);
+        if dir.is_dir() {
+            let files = rust_files(&dir)?;
+            out.extend(files.into_iter().map(|(rel, abs)| (format!("benchmark/{sub}/{rel}"), abs)));
+        }
     }
-    let files = rust_files(&dir)?;
-    Ok(files.into_iter().map(|(rel, abs)| (format!("benchmark/src/{rel}"), abs)).collect())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -73,6 +77,7 @@ mod tests {
         // benchmark/ is read for callers and still never linted.
         let readers = caller_only_files(root).unwrap();
         assert!(readers.iter().any(|(rel, _)| rel == "benchmark/src/main.rs"));
+        assert!(readers.iter().any(|(rel, _)| rel == "benchmark/tests/generator.rs"));
         let wa = crate::analyze_workspace(root, false).unwrap();
         assert_eq!(wa.files, files.iter().filter(|(rel, _)| !crate::rules::is_test_path(rel)).count());
         assert!(wa.findings.iter().all(|f| !f.file.starts_with("benchmark/")));

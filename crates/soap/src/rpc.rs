@@ -15,7 +15,6 @@ use crate::SoapError;
 const ECHO_NS: &str = "urn:wsd:echo";
 
 /// The serialized size of the paper's test XML message, in bytes (§4.3).
-// wsd-lint: allow(pub-without-caller): the paper's 263-byte request, pinned by benchmark/tests/generator.rs and the echo and calibration tests
 pub const PAPER_XML_BYTES: usize = 263;
 
 /// The serialized size of the paper's HTTP header, in bytes (§4.3).

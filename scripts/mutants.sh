@@ -56,8 +56,12 @@ fi
 # file now, and the first build is of this tree.
 find "$tree" -type f -exec touch {} +
 
-# Seconds one test binary (or the doctests of one side) may run.
-per_binary=600
+# Seconds one test binary (or the doctests of one side) may run. Every
+# binary of the baseline finishes well inside it (the slowest, in a debug
+# build on 2 cores, in under 10 s). A mutant that loses a condvar
+# wake-up hangs most binaries, and each costs this much; a binary that
+# ever needs longer shows as timed out in the baseline first.
+per_binary=120
 
 # Runs the suite in the tree; `$1` names the log. Prints the failing
 # tests, one per line, the linter's prefixed with `lint: `.
