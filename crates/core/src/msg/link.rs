@@ -13,40 +13,12 @@
 
 use std::collections::VecDeque;
 
-/// Retry policy: exponential backoff, bounded attempts (the hold/retry
-/// with expiration of paper §4.4). Times are in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum delivery attempts (including the first).
-    pub max_attempts: u32,
-    /// Delay before the second attempt; doubles each retry.
-    pub base_backoff_us: u64,
-    /// Cap on a single backoff interval.
-    pub max_backoff_us: u64,
-}
+/// Connects a destination gets before it is given up on (the hold/retry
+/// of paper §4.4): a second connect after the first fails, then no more.
+const DELIVERY_ATTEMPTS: u32 = 2;
 
-impl RetryPolicy {
-    /// Backoff before attempt number `attempt` (attempt 1 is the first
-    /// try and has no backoff). `None` once attempts are exhausted.
-    fn backoff_before(&self, attempt: u32) -> Option<u64> {
-        if attempt <= 1 {
-            return if self.max_attempts >= 1 { Some(0) } else { None };
-        }
-        if attempt > self.max_attempts {
-            return None;
-        }
-        let shift = (attempt - 2).min(30);
-        Some((self.base_backoff_us << shift).min(self.max_backoff_us))
-    }
-}
-
-/// The one policy every destination is held to: a second connect 0.5 s
-/// after the first fails, then the destination is given up on.
-const DELIVERY_RETRY: RetryPolicy = RetryPolicy {
-    max_attempts: 2,
-    base_backoff_us: 500_000,
-    max_backoff_us: 5_000_000,
-};
+/// The wait before that second connect, µs.
+const RETRY_BACKOFF_US: u64 = 500_000;
 
 /// What the driver must do next.
 #[derive(Debug, PartialEq, Eq)]
@@ -66,7 +38,7 @@ pub enum LinkStep<M> {
     /// Hold the thread this many microseconds, then report
     /// [`backoff_elapsed`](Link::backoff_elapsed).
     Wait(u64),
-    /// Every attempt `DELIVERY_RETRY` allows failed: the destination is
+    /// All `DELIVERY_ATTEMPTS` attempts failed: the destination is
     /// unreachable. These messages were never written to a connection and
     /// are gone from the link; the driver counts each as dropped, and
     /// drops what it still queues for the destination too.
@@ -252,13 +224,12 @@ impl<M> Link<M> {
     /// (a resend among it was written once and stays counted delivered).
     fn failed_attempt(&mut self) {
         self.attempts += 1;
-        match DELIVERY_RETRY.backoff_before(self.attempts + 1) {
-            Some(wait_us) => self.conn = Conn::Backoff(wait_us),
-            None => {
-                (self.conn, self.attempts) = (Conn::Down, 0);
-                let resends = std::mem::take(&mut self.resends);
-                self.gave_up = Some(self.unsent.drain(..).skip(resends).collect());
-            }
+        if self.attempts < DELIVERY_ATTEMPTS {
+            self.conn = Conn::Backoff(RETRY_BACKOFF_US);
+        } else {
+            (self.conn, self.attempts) = (Conn::Down, 0);
+            let resends = std::mem::take(&mut self.resends);
+            self.gave_up = Some(self.unsent.drain(..).skip(resends).collect());
         }
     }
 }
@@ -267,35 +238,8 @@ impl<M> Link<M> {
 mod tests {
     use super::*;
 
-    fn policy() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff_us: 100,
-            max_backoff_us: 300,
-        }
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = policy();
-        assert_eq!(p.backoff_before(1), Some(0));
-        assert_eq!(p.backoff_before(2), Some(100));
-        assert_eq!(p.backoff_before(3), Some(200));
-        assert_eq!(p.backoff_before(4), Some(300)); // capped (400 → 300)
-        assert_eq!(p.backoff_before(5), None);
-    }
-
-    #[test]
-    fn zero_attempt_policy_never_tries() {
-        let p = RetryPolicy {
-            max_attempts: 0,
-            ..policy()
-        };
-        assert_eq!(p.backoff_before(1), None);
-    }
-
     type Step = LinkStep<u32>;
-    const BACKOFF: Step = LinkStep::Wait(DELIVERY_RETRY.base_backoff_us);
+    const BACKOFF: Step = LinkStep::Wait(RETRY_BACKOFF_US);
 
     /// A link holding `msgs`, its connect asked for.
     fn connecting(msgs: impl IntoIterator<Item = u32>) -> Link<u32> {

@@ -142,7 +142,12 @@ impl<S: ReadyStream + Send + 'static> ReactorConn for ServedConn<S> {
             run.truncate(last + 1);
         }
         let asked = run.len();
-        let responses = (self.handler)(run);
+        let mut responses = (self.handler)(run);
+        // The connection closes after this run: its last answer says so,
+        // or a client that reads `keep_alive()` writes into a dead one.
+        if let (Some(_), Some(last)) = (closing, responses.last_mut()) {
+            last.headers.set("Connection", "close");
+        }
         // Sized once: a fetch's one response is hundreds of KB, on a
         // connection that has never answered before.
         self.wire.clear();
@@ -371,6 +376,22 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.get("fe.open_conns").map(gauge_value), Some(0));
         assert_eq!(snap.get("fe.parked_partials").map(gauge_value), Some(0));
+    }
+
+    #[test]
+    fn the_answer_to_a_closing_request_says_close() {
+        let reg = wsd_telemetry::Registry::new();
+        let (fe, _pool) = front(&reg);
+        let (client, server) = duplex(4096);
+        fe.serve(server, Limits::default(), echo());
+        let mut c = HttpClient::new(client);
+        let mut req = Request::soap_post("h", "/", "text/xml", b"bye".to_vec());
+        req.headers.set("Connection", "close");
+        let resp = c.call(&req).unwrap();
+        assert_eq!(resp.body, b"bye");
+        assert!(!resp.keep_alive(), "the connection closes after this answer");
+        assert!(wait_until(|| fe.open_connections() == 0));
+        fe.shutdown();
     }
 
     #[test]

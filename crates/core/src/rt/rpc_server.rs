@@ -523,7 +523,9 @@ mod tests {
         let ws = Upstream::start(&net, Duration::ZERO);
         let disp = dispatcher(&net, Duration::from_secs(5));
         for i in 0..3 {
-            assert_eq!(call_raw(&net, &format!("m{i}"), true).status, Status::OK);
+            let resp = call_raw(&net, &format!("m{i}"), true);
+            assert_eq!(resp.status, Status::OK);
+            assert!(!resp.keep_alive(), "the answer says the hop closes");
         }
         // Each client's hop closed as it asked; the upstream hop never
         // heard of it, and carried all three.

@@ -25,7 +25,6 @@ use wsd_core::msg::MsgCore;
 use wsd_core::registry::Registry;
 use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher};
 use wsd_core::url::Url;
-use wsd_loadgen::ramp::ClientPlacement;
 use wsd_loadgen::{spawn_msg_fleet, MsgClientConfig, ReplyMode};
 use wsd_netsim::{profiles, FirewallPolicy, SimDuration, SimTime, Simulation};
 
@@ -176,7 +175,7 @@ fn run_point(
         }
     };
 
-    let mbox_stats = if series == Series::DispatcherWithMsgBox {
+    if series == Series::DispatcherWithMsgBox {
         let mb_host = sim.add_host(
             light_cpu(profiles::inria_fast("msgbox")).firewall(FirewallPolicy::Open),
         );
@@ -189,13 +188,9 @@ fn run_point(
             13,
         )
         .with_telemetry(&crate::Observed::scope_or_noop(obs, "msgbox"));
-        let stats = mbox.stats();
         let mp = sim.spawn(mb_host, Box::new(mbox));
         sim.listen(mp, 8082);
-        Some(stats)
-    } else {
-        None
-    };
+    }
 
     let reply_mode = match series {
         Series::DispatcherWithMsgBox => ReplyMode::Mailbox {
@@ -217,16 +212,16 @@ fn run_point(
         path: target.2,
         to_address,
         reply_mode,
-        retry_backoff: SimDuration::from_millis(100),
         run_for: SimDuration::from_secs(seconds),
         client_name: format!("{series:?}"),
     };
     let fleet = spawn_msg_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(client_host),
+        client_host,
         clients,
         &config,
         SimDuration::from_secs(seconds.min(5)),
+        &crate::Observed::scope_or_noop(obs, "loadgen"),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
     if let Some(out) = host_cpu {
@@ -234,13 +229,10 @@ fn run_point(
             .map(|(host, ns)| (host.to_string(), ns))
             .collect();
     }
-    let (sent, _failures, responses) =
-        fleet.totals_with_telemetry(&crate::Observed::scope_or_noop(obs, "loadgen"));
-    let _ = mbox_stats; // deposits show up as client-fetched responses
     SeriesPoint {
         ws_processed: svc_stats.processed.get(),
-        accepted: sent,
-        responses_fetched: responses,
+        accepted: fleet.sent.get(),
+        responses_fetched: fleet.responses.get(),
     }
 }
 

@@ -210,14 +210,11 @@ fn print_telemetry_summary(fig: &str, snap: &Snapshot) {
     );
 }
 
-fn json_latency(l: &Option<LatencySummary>) -> String {
-    match l {
-        None => "null".to_string(),
-        Some(l) => format!(
-            "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\"max_us\":{}}}",
-            l.count, l.mean_us, l.p50_us, l.p95_us, l.max_us
-        ),
-    }
+fn json_latency(l: &LatencySummary) -> String {
+    format!(
+        "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\"max_us\":{}}}",
+        l.count, l.mean_us, l.p50_us, l.p95_us, l.max_us
+    )
 }
 
 fn json_totals(t: &RunTotals) -> String {

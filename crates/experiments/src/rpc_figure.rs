@@ -9,7 +9,6 @@ use wsd_core::config::DispatcherConfig;
 use wsd_core::registry::Registry;
 use wsd_core::sim::{EchoMode, SimEchoService, SimRpcDispatcher};
 use wsd_core::url::Url;
-use wsd_loadgen::ramp::ClientPlacement;
 use wsd_loadgen::{spawn_rpc_fleet, RpcClientConfig, RunTotals};
 use wsd_netsim::{profiles, HostConfig, OverLimit, SimDuration, SimTime, Simulation};
 use wsd_telemetry::Snapshot;
@@ -101,13 +100,14 @@ pub fn run_point(
     };
     let fleet = spawn_rpc_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(client_host),
+        client_host,
         clients,
         &config,
         SimDuration::from_secs(seconds.min(5)),
+        &Observed::scope_or_noop(obs, "loadgen"),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
-    fleet.totals_with_telemetry(&Observed::scope_or_noop(obs, "loadgen"))
+    fleet.totals()
 }
 
 /// Runs the full figure — both series at every count, in parallel —

@@ -16,11 +16,11 @@ use wsd_core::msg::MsgCore;
 use wsd_core::registry::Registry;
 use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, SimRpcDispatcher};
 use wsd_core::url::Url;
-use wsd_loadgen::ramp::ClientPlacement;
 use wsd_loadgen::{
     spawn_msg_fleet, spawn_rpc_fleet, MsgClientConfig, ReplyMode, RpcClientConfig,
 };
 use wsd_netsim::{profiles, FirewallPolicy, SimDuration, SimTime, Simulation};
+use wsd_telemetry::Scope;
 
 use crate::topology::{dispatch_time, light_cpu, service_time};
 
@@ -125,10 +125,11 @@ fn rpc_client_run(msg_service: bool, seconds: u64) -> Table1Row {
     };
     let fleet = spawn_rpc_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(client_host),
+        client_host,
         CLIENTS,
         &config,
         SimDuration::from_secs(2),
+        &Scope::noop(),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
     let totals = fleet.totals();
@@ -193,20 +194,20 @@ fn msg_client_run(rpc_service: bool, seconds: u64) -> Table1Row {
             port: 8082,
             poll_interval: SimDuration::from_millis(500),
         },
-        retry_backoff: SimDuration::from_millis(100),
         run_for: SimDuration::from_secs(seconds),
         client_name: "t1".into(),
     };
     let fleet = spawn_msg_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(client_host),
+        client_host,
         CLIENTS,
         &config,
         SimDuration::from_secs(2),
+        &Scope::noop(),
     );
     // Grace window so final polls retrieve the tail of responses.
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(seconds + 2));
-    let (_sent, failures, responses) = fleet.totals();
+    let (failures, responses) = (fleet.send_failures.get(), fleet.responses.get());
     Table1Row {
         quadrant: if rpc_service {
             Quadrant::MsgToRpc

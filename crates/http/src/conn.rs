@@ -167,11 +167,15 @@ pub fn serve_connection<S: Stream>(
             }
         };
         let client_keep_alive = req.keep_alive();
-        let resp = handler(req);
-        let resp_keep_alive = resp.keep_alive();
+        let mut resp = handler(req);
+        // The connection closes after this answer: it says so, or a client
+        // that reads `keep_alive()` writes into a dead one.
+        if !client_keep_alive {
+            resp.headers.set("Connection", "close");
+        }
         response_bytes_into(&mut pending, &resp);
         served += 1;
-        if !client_keep_alive || !resp_keep_alive {
+        if !resp.keep_alive() {
             reader.stream_mut().write_all(&pending)?;
             reader.stream_mut().flush()?;
             return Ok(served);
@@ -201,6 +205,18 @@ mod tests {
         assert_eq!(resp.status, Status::OK);
         assert_eq!(resp.body, b"payload");
         assert!(!c.reusable());
+        assert_eq!(h.join().unwrap().unwrap(), 1);
+    }
+
+    #[test]
+    fn the_answer_to_a_closing_request_says_close() {
+        let (client, server) = duplex(4096);
+        let h = thread::spawn(move || serve_connection(server, &Limits::default(), echo_handler));
+        let mut c = HttpClient::new(client);
+        let mut req = Request::soap_post("h", "/", "text/xml", b"bye".to_vec());
+        req.headers.set("Connection", "close");
+        let resp = c.call(&req).unwrap();
+        assert!(!resp.keep_alive(), "the connection closes after this answer");
         assert_eq!(h.join().unwrap().unwrap(), 1);
     }
 

@@ -3,15 +3,14 @@
 //! direct callback, and through the MSG-Dispatcher with a WS-MsgBox
 //! mailbox the client polls over RPC.
 
-use std::cell::RefCell;
 use std::io::Write;
-use std::rc::Rc;
 
 use wsd_core::msgbox::ops;
-use wsd_core::sim::{ACCEPTED, CONNECT_TIMEOUT};
+use wsd_core::sim::CONNECT_TIMEOUT;
 use wsd_http::{parse_response_bytes, Request, Response, Status};
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration};
 use wsd_soap::{rpc as soap_rpc, Envelope, SoapVersion};
+use wsd_telemetry::{Counter, Scope};
 use wsd_wsa::{EndpointReference, WsaHeaders};
 
 const STOP: u64 = 0;
@@ -19,6 +18,9 @@ const RETRY_TARGET: u64 = 1;
 const RETRY_MBOX: u64 = 2;
 const POLL: u64 = 3;
 const RETRY_CREATE: u64 = 4;
+
+/// The wait before a reconnect or a repeated `create` after a failure.
+const RETRY_BACKOFF: SimDuration = SimDuration(100_000);
 
 /// Where the client asks for replies.
 #[derive(Debug, Clone)]
@@ -56,40 +58,32 @@ pub struct MsgClientConfig {
     pub to_address: String,
     /// Reply routing.
     pub reply_mode: ReplyMode,
-    /// Backoff before reconnecting after failures.
-    pub retry_backoff: SimDuration,
     /// Sending window (the paper's minute).
     pub run_for: SimDuration,
     /// Unique name mixed into message ids.
     pub client_name: String,
 }
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    sent: u64,
-    send_failures: u64,
-    responses_received: u64,
-}
-
-/// Shared view of one messaging client's counters.
-#[derive(Debug, Clone, Default)]
+/// The books of a messaging fleet: every client of it counts into one
+/// clone.
+#[derive(Debug, Clone)]
 pub struct MsgClientStats {
-    inner: Rc<RefCell<StatsInner>>,
+    /// One-way messages accepted (`202`) by the target.
+    pub sent: Counter,
+    /// Failed sends / connects.
+    pub send_failures: Counter,
+    /// Replies picked up from mailboxes.
+    pub responses: Counter,
 }
 
 impl MsgClientStats {
-    /// One-way messages accepted (`202`) by the target.
-    pub fn sent(&self) -> u64 {
-        self.inner.borrow().sent
-    }
-    /// Failed sends / connects.
-    pub fn send_failures(&self) -> u64 {
-        self.inner.borrow().send_failures
-    }
-    /// Responses observed (mailbox fetches; callback arrivals are
-    /// counted by the [`CallbackSink`]).
-    pub fn responses_received(&self) -> u64 {
-        self.inner.borrow().responses_received
+    /// The books under `scope`: `sent`, `send_failures`, `responses`.
+    pub fn new(scope: &Scope) -> Self {
+        MsgClientStats {
+            sent: scope.counter("sent"),
+            send_failures: scope.counter("send_failures"),
+            responses: scope.counter("responses"),
+        }
     }
 }
 
@@ -137,11 +131,11 @@ pub struct SimMsgClient {
 }
 
 impl SimMsgClient {
-    /// Creates the client.
-    pub fn new(config: MsgClientConfig) -> Self {
+    /// Creates the client, counting into `stats`.
+    pub fn new(config: MsgClientConfig, stats: MsgClientStats) -> Self {
         SimMsgClient {
             config,
-            stats: MsgClientStats::default(),
+            stats,
             target_conn: None,
             mbox_conn: None,
             mbox: MboxPhase::NotUsed,
@@ -150,11 +144,6 @@ impl SimMsgClient {
             seq: 0,
             stopped: false,
         }
-    }
-
-    /// A handle to the live counters.
-    pub fn stats(&self) -> MsgClientStats {
-        self.stats.clone()
     }
 
     /// What the reply address is made of: the callback URL, or the
@@ -267,9 +256,9 @@ impl SimMsgClient {
         let Some(conn) = self.target_conn else { return };
         let msg = self.next_message();
         if ctx.send(conn, msg).is_err() {
-            self.stats.inner.borrow_mut().send_failures += 1;
+            self.stats.send_failures.inc();
             self.target_conn = None;
-            ctx.set_timer(self.config.retry_backoff, RETRY_TARGET);
+            ctx.set_timer(RETRY_BACKOFF, RETRY_TARGET);
         }
     }
 
@@ -286,7 +275,7 @@ impl SimMsgClient {
         );
         if ctx.send(conn, Payload::from(wsd_http::request_bytes(&req))).is_err() {
             self.mbox_conn = None;
-            ctx.set_timer(self.config.retry_backoff, RETRY_MBOX);
+            ctx.set_timer(RETRY_BACKOFF, RETRY_MBOX);
         }
     }
 
@@ -322,7 +311,7 @@ impl SimMsgClient {
                 } else {
                     self.mbox = MboxPhase::CreateFailed;
                     if !self.stopped {
-                        ctx.set_timer(self.config.retry_backoff, RETRY_CREATE);
+                        ctx.set_timer(RETRY_BACKOFF, RETRY_CREATE);
                     }
                 }
             }
@@ -330,7 +319,7 @@ impl SimMsgClient {
                 let fetched =
                     scanned.or_else(|| Some(ops::parse_fetch_response(env.as_ref()?)?.len()));
                 if let Some(n) = fetched {
-                    self.stats.inner.borrow_mut().responses_received += n as u64;
+                    self.stats.responses.add(n as u64);
                 }
                 self.mbox = MboxPhase::Ready { box_id, key };
             }
@@ -360,14 +349,14 @@ impl Process for SimMsgClient {
             ProcEvent::ConnRefused { conn, .. } => {
                 if self.target_conn == Some(conn) {
                     self.target_conn = None;
-                    self.stats.inner.borrow_mut().send_failures += 1;
+                    self.stats.send_failures.inc();
                     if !self.stopped {
-                        ctx.set_timer(self.config.retry_backoff, RETRY_TARGET);
+                        ctx.set_timer(RETRY_BACKOFF, RETRY_TARGET);
                     }
                 } else if self.mbox_conn == Some(conn) {
                     self.mbox_conn = None;
                     if !self.stopped {
-                        ctx.set_timer(self.config.retry_backoff, RETRY_MBOX);
+                        ctx.set_timer(RETRY_BACKOFF, RETRY_MBOX);
                     }
                 }
             }
@@ -375,12 +364,12 @@ impl Process for SimMsgClient {
                 if self.target_conn == Some(conn) {
                     self.target_conn = None;
                     if !self.stopped {
-                        ctx.set_timer(self.config.retry_backoff, RETRY_TARGET);
+                        ctx.set_timer(RETRY_BACKOFF, RETRY_TARGET);
                     }
                 } else if self.mbox_conn == Some(conn) {
                     self.mbox_conn = None;
                     if !self.stopped {
-                        ctx.set_timer(self.config.retry_backoff, RETRY_MBOX);
+                        ctx.set_timer(RETRY_BACKOFF, RETRY_MBOX);
                     }
                 }
             }
@@ -388,11 +377,11 @@ impl Process for SimMsgClient {
                 if self.target_conn == Some(conn) {
                     match parse_response_bytes(&bytes) {
                         Ok(resp) if resp.status == Status::ACCEPTED => {
-                            self.stats.inner.borrow_mut().sent += 1;
+                            self.stats.sent.inc();
                             self.send_one(ctx); // closed loop on the ack
                         }
                         _ => {
-                            self.stats.inner.borrow_mut().send_failures += 1;
+                            self.stats.send_failures.inc();
                             self.send_one(ctx);
                         }
                     }
@@ -448,36 +437,6 @@ impl Process for SimMsgClient {
     }
 }
 
-/// A callback listener counting replies POSTed to the client's own
-/// endpoint (used by the direct-callback configurations).
-pub struct CallbackSink {
-    received: Rc<RefCell<u64>>,
-}
-
-impl CallbackSink {
-    /// Creates the sink; read the count through the returned handle.
-    pub fn new() -> (CallbackSink, Rc<RefCell<u64>>) {
-        let received = Rc::new(RefCell::new(0));
-        (
-            CallbackSink {
-                received: received.clone(),
-            },
-            received,
-        )
-    }
-}
-
-impl Process for CallbackSink {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        if let ProcEvent::Message { conn, bytes } = event {
-            if wsd_http::request_body(&bytes).is_ok() {
-                *self.received.borrow_mut() += 1;
-                let _ = ctx.send(conn, ACCEPTED);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,9 +445,38 @@ mod tests {
     use wsd_core::msg::MsgCore;
     use wsd_core::registry::Registry;
     use wsd_core::config::DispatcherConfig;
-    use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher};
+    use wsd_core::sim::{EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, ACCEPTED};
     use wsd_core::url::Url;
-    use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};
+    use wsd_netsim::{FirewallPolicy, HostConfig, HostId, Simulation};
+
+    /// A callback listener counting replies POSTed to the client's own
+    /// endpoint (used by the direct-callback configurations).
+    #[derive(Default)]
+    struct CallbackSink {
+        received: Counter,
+    }
+
+    impl Process for CallbackSink {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+            if let ProcEvent::Message { conn, bytes } = event {
+                if wsd_http::request_body(&bytes).is_ok() {
+                    self.received.inc();
+                    let _ = ctx.send(conn, ACCEPTED);
+                }
+            }
+        }
+    }
+
+    fn client(config: MsgClientConfig) -> SimMsgClient {
+        SimMsgClient::new(config, MsgClientStats::new(&Scope::noop()))
+    }
+
+    /// Spawns one client on `host` counting into books of its own.
+    fn spawn(sim: &mut Simulation, host: HostId, config: MsgClientConfig) -> MsgClientStats {
+        let stats = MsgClientStats::new(&Scope::noop());
+        sim.spawn(host, Box::new(SimMsgClient::new(config, stats.clone())));
+        stats
+    }
 
     fn config(reply_mode: ReplyMode) -> MsgClientConfig {
         MsgClientConfig {
@@ -497,7 +485,6 @@ mod tests {
             path: "/msg".into(),
             to_address: "http://dispatcher/svc/Echo".into(),
             reply_mode,
-            retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(5),
             client_name: "c1".into(),
         }
@@ -528,8 +515,8 @@ mod tests {
             }
         };
         let url = "http://client:9000/cb?a=1&b=<2>".to_string();
-        check(&mut SimMsgClient::new(config(ReplyMode::Callback { url })));
-        let mut client = SimMsgClient::new(config(mailbox_mode()));
+        check(&mut client(config(ReplyMode::Callback { url })));
+        let mut client = client(config(mailbox_mode()));
         let mailbox = |box_id: &str| MboxPhase::Ready { box_id: box_id.into(), key: "k".into() };
         for phase in [
             MboxPhase::Connecting,
@@ -589,16 +576,14 @@ mod tests {
         let mbox_stats = inner.stats();
         let mp = sim.spawn(mb_host, Box::new(FlakyMsgBox { inner, op, failed: false }));
         sim.listen(mp, 8082);
-        let client = SimMsgClient::new(config(mailbox_mode()));
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, config(mailbox_mode()));
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(10));
-        assert!(stats.sent() > 3, "sent {}", stats.sent());
+        assert!(stats.sent.get() > 3, "sent {}", stats.sent.get());
         let deposits = mbox_stats.mailbox.deposits.get();
         assert!(deposits > 3, "deposits {deposits}");
         // Polling goes on to the end: all but what arrived after the last
         // poll is picked up.
-        let received = stats.responses_received();
+        let received = stats.responses.get();
         assert!(received * 10 >= deposits * 9, "picked up {received} of {deposits}");
     }
 
@@ -647,33 +632,18 @@ mod tests {
         let mp = sim.spawn(mb_host, Box::new(mbox));
         sim.listen(mp, 8082);
 
-        let client = SimMsgClient::new(MsgClientConfig {
-            target_host: "dispatcher".into(),
-            target_port: 8080,
-            path: "/msg".into(),
-            to_address: "http://dispatcher/svc/Echo".into(),
-            reply_mode: ReplyMode::Mailbox {
-                host: "msgbox".into(),
-                port: 8082,
-                poll_interval: SimDuration::from_millis(500),
-            },
-            retry_backoff: SimDuration::from_millis(100),
-            run_for: SimDuration::from_secs(5),
-            client_name: "c1".into(),
-        });
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, config(mailbox_mode()));
 
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(10));
-        assert!(stats.sent() > 3, "sent {}", stats.sent());
+        assert!(stats.sent.get() > 3, "sent {}", stats.sent.get());
         assert!(svc_stats.accepted.get() > 3);
         assert!(mbox_stats.mailbox.deposits.get() > 3, "deposits {}", mbox_stats.mailbox.deposits.get());
         assert!(
-            stats.responses_received() > 3,
+            stats.responses.get() > 3,
             "responses {}",
-            stats.responses_received()
+            stats.responses.get()
         );
-        assert_eq!(stats.send_failures(), 0);
+        assert_eq!(stats.send_failures.get(), 0);
     }
 
     /// Figure-6(a): direct one-way to the WS, responses blocked at the
@@ -688,10 +658,11 @@ mod tests {
         let svc_stats = svc.stats();
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
-        let (sink, received) = CallbackSink::new();
+        let sink = CallbackSink::default();
+        let received = sink.received.clone();
         let sk = sim.spawn(c_host, Box::new(sink));
         sim.listen(sk, 9000);
-        let client = SimMsgClient::new(MsgClientConfig {
+        let stats = spawn(&mut sim, c_host, MsgClientConfig {
             target_host: "ws".into(),
             target_port: 8888,
             path: "/echo".into(),
@@ -699,23 +670,20 @@ mod tests {
             reply_mode: ReplyMode::Callback {
                 url: "http://client:9000/cb".into(),
             },
-            retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(10),
             client_name: "c1".into(),
         });
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(15));
         // Some messages were accepted, but every reply is blocked...
-        assert!(stats.sent() > 0);
-        assert_eq!(*received.borrow(), 0);
+        assert!(stats.sent.get() > 0);
+        assert_eq!(received.get(), 0);
         assert!(svc_stats.replies_blocked.get() > 0);
         // ...and since acceptance is paced by processing and every reply
         // stalls a worker for the 3 s connect timeout, throughput
         // collapses: with 2 workers over ~10 s the service can accept
         // only a handful of messages (an unblocked service would do
         // thousands).
-        assert!(stats.sent() < 20, "sent {}", stats.sent());
+        assert!(stats.sent.get() < 20, "sent {}", stats.sent.get());
     }
 
     /// An open client actually receives direct callbacks.
@@ -727,10 +695,11 @@ mod tests {
         let svc = SimEchoService::new(EchoMode::OneWay { workers: 8 }, SimDuration::from_millis(2));
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
-        let (sink, received) = CallbackSink::new();
+        let sink = CallbackSink::default();
+        let received = sink.received.clone();
         let sk = sim.spawn(c_host, Box::new(sink));
         sim.listen(sk, 9000);
-        let client = SimMsgClient::new(MsgClientConfig {
+        let stats = spawn(&mut sim, c_host, MsgClientConfig {
             target_host: "ws".into(),
             target_port: 8888,
             path: "/echo".into(),
@@ -738,14 +707,11 @@ mod tests {
             reply_mode: ReplyMode::Callback {
                 url: "http://client:9000/cb".into(),
             },
-            retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(3),
             client_name: "c1".into(),
         });
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(6));
-        assert!(stats.sent() > 3);
-        assert!(*received.borrow() > 3);
+        assert!(stats.sent.get() > 3);
+        assert!(received.get() > 3);
     }
 }

@@ -6,13 +6,13 @@
 //! client retries after a short backoff, as the paper's ramping test
 //! client does.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use wsd_core::sim::CONNECT_TIMEOUT;
 use wsd_http::Request;
 use wsd_netsim::{ConnId, Ctx, Payload, ProcEvent, Process, SimDuration, SimTime};
 use wsd_soap::{rpc as soap_rpc, SoapVersion};
+use wsd_telemetry::{Counter, Histogram, Scope};
+
+use crate::stats::{LatencySummary, RunTotals};
 
 /// Timer tokens.
 const STOP: u64 = 0;
@@ -56,31 +56,35 @@ impl Default for RpcClientConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    transmitted: u64,
-    not_sent: u64,
-    latencies_us: Vec<u64>,
-}
-
-/// Shared view of one client's counters.
-#[derive(Debug, Clone, Default)]
+/// The books of an RPC fleet: every client of it counts into one clone.
+#[derive(Debug, Clone)]
 pub struct RpcClientStats {
-    inner: Rc<RefCell<StatsInner>>,
+    /// Completed request/response round trips.
+    pub transmitted: Counter,
+    /// Failed attempts (refused, timed out, connection lost, answered
+    /// with an error).
+    pub not_sent: Counter,
+    /// Round-trip latency of each completed exchange, µs.
+    pub latency_us: Histogram,
 }
 
 impl RpcClientStats {
-    /// Completed request/response round trips.
-    pub fn transmitted(&self) -> u64 {
-        self.inner.borrow().transmitted
+    /// The books under `scope`: `transmitted`, `not_sent`, `latency_us`.
+    pub fn new(scope: &Scope) -> Self {
+        RpcClientStats {
+            transmitted: scope.counter("transmitted"),
+            not_sent: scope.counter("not_sent"),
+            latency_us: scope.histogram("latency_us"),
+        }
     }
-    /// Failed attempts (refused, timed out, connection lost).
-    pub fn not_sent(&self) -> u64 {
-        self.inner.borrow().not_sent
-    }
-    /// Recorded round-trip latencies (µs).
-    pub fn latencies(&self) -> Vec<u64> {
-        self.inner.borrow().latencies_us.clone()
+
+    /// The fleet's totals so far.
+    pub fn totals(&self) -> RunTotals {
+        RunTotals {
+            transmitted: self.transmitted.get(),
+            not_sent: self.not_sent.get(),
+            latency: LatencySummary::from_histogram(&self.latency_us),
+        }
     }
 }
 
@@ -98,8 +102,9 @@ pub struct SimRpcClient {
 }
 
 impl SimRpcClient {
-    /// Creates a client sending the paper's 483-byte echo message.
-    pub fn new(config: RpcClientConfig) -> Self {
+    /// Creates a client sending the paper's 483-byte echo message and
+    /// counting into `stats`.
+    pub fn new(config: RpcClientConfig, stats: RpcClientStats) -> Self {
         let env = soap_rpc::paper_echo_request();
         let req = Request::soap_post(
             &format!("{}:{}", config.target_host, config.target_port),
@@ -109,18 +114,13 @@ impl SimRpcClient {
         );
         SimRpcClient {
             config,
-            stats: RpcClientStats::default(),
+            stats,
             payload: Payload::from(wsd_http::request_bytes(&req)),
             conn: None,
             sent_at: None,
             generation: 0,
             stopped: false,
         }
-    }
-
-    /// A handle to the live counters.
-    pub fn stats(&self) -> RpcClientStats {
-        self.stats.clone()
     }
 
     fn connect(&mut self, ctx: &mut Ctx<'_>) {
@@ -144,7 +144,7 @@ impl SimRpcClient {
     }
 
     fn fail_and_retry(&mut self, ctx: &mut Ctx<'_>) {
-        self.stats.inner.borrow_mut().not_sent += 1;
+        self.stats.not_sent.inc();
         self.sent_at = None;
         if let Some(conn) = self.conn.take() {
             ctx.close(conn);
@@ -170,7 +170,7 @@ impl Process for SimRpcClient {
             ProcEvent::ConnRefused { conn, .. } => {
                 if self.conn == Some(conn) {
                     self.conn = None;
-                    self.stats.inner.borrow_mut().not_sent += 1;
+                    self.stats.not_sent.inc();
                     if !self.stopped {
                         ctx.set_timer(self.config.retry_backoff, RETRY);
                     }
@@ -188,16 +188,13 @@ impl Process for SimRpcClient {
                         return;
                     }
                     if let Some(sent_at) = self.sent_at.take() {
-                        {
-                            let mut s = self.stats.inner.borrow_mut();
-                            if status == 200 {
-                                s.transmitted += 1;
-                                s.latencies_us.push(ctx.now().since(sent_at).as_micros());
-                            } else {
-                                // 4xx/5xx: the dispatcher or service
-                                // refused — a lost packet.
-                                s.not_sent += 1;
-                            }
+                        if status == 200 {
+                            self.stats.transmitted.inc();
+                            self.stats.latency_us.record(ctx.now().since(sent_at).as_micros());
+                        } else {
+                            // 4xx/5xx: the dispatcher or service refused
+                            // — a lost packet.
+                            self.stats.not_sent.inc();
                         }
                         if !self.stopped {
                             if self.config.think_time > SimDuration::ZERO {
@@ -215,7 +212,7 @@ impl Process for SimRpcClient {
                 if self.conn == Some(conn) {
                     self.conn = None;
                     if self.sent_at.take().is_some() {
-                        self.stats.inner.borrow_mut().not_sent += 1;
+                        self.stats.not_sent.inc();
                     }
                     if !self.stopped {
                         ctx.set_timer(self.config.retry_backoff, RETRY);
@@ -258,7 +255,14 @@ mod tests {
     use wsd_core::registry::Registry;
     use wsd_core::sim::{EchoMode, SimEchoService};
     use wsd_core::url::Url;
-    use wsd_netsim::{FirewallPolicy, HostConfig, Simulation};
+    use wsd_netsim::{FirewallPolicy, HostConfig, HostId, Simulation};
+
+    /// Spawns one client on `host` counting into books of its own.
+    fn spawn(sim: &mut Simulation, host: HostId, config: RpcClientConfig) -> RpcClientStats {
+        let stats = RpcClientStats::new(&Scope::noop());
+        sim.spawn(host, Box::new(SimRpcClient::new(config, stats.clone())));
+        stats
+    }
 
     fn client_config(host: &str, port: u16, path: &str, secs: u64) -> RpcClientConfig {
         RpcClientConfig {
@@ -279,14 +283,12 @@ mod tests {
         let svc_stats = svc.stats();
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
-        let client = SimRpcClient::new(client_config("ws", 8888, "/echo", 2));
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, client_config("ws", 8888, "/echo", 2));
         sim.run();
-        assert!(stats.transmitted() > 10, "{}", stats.transmitted());
-        assert_eq!(stats.not_sent(), 0);
-        assert_eq!(svc_stats.replies_sent.get(), stats.transmitted());
-        assert_eq!(stats.latencies().len() as u64, stats.transmitted());
+        assert!(stats.transmitted.get() > 10, "{}", stats.transmitted.get());
+        assert_eq!(stats.not_sent.get(), 0);
+        assert_eq!(svc_stats.replies_sent.get(), stats.transmitted.get());
+        assert_eq!(stats.latency_us.count(), stats.transmitted.get());
     }
 
     #[test]
@@ -296,12 +298,10 @@ mod tests {
         let c_host = sim.add_host(HostConfig::named("client"));
         let mut cfg = client_config("ws", 8888, "/echo", 1);
         cfg.retry_backoff = SimDuration::from_millis(100);
-        let client = SimRpcClient::new(cfg);
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, cfg);
         sim.run();
-        assert_eq!(stats.transmitted(), 0);
-        assert!(stats.not_sent() > 2, "{}", stats.not_sent());
+        assert_eq!(stats.transmitted.get(), 0);
+        assert!(stats.not_sent.get() > 2, "{}", stats.not_sent.get());
     }
 
     #[test]
@@ -313,13 +313,11 @@ mod tests {
         let svc = SimEchoService::new(EchoMode::Rpc, SimDuration::from_millis(1));
         let sp = sim.spawn(ws_host, Box::new(svc));
         sim.listen(sp, 8888);
-        let client = SimRpcClient::new(client_config("ws", 8888, "/echo", 10));
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, client_config("ws", 8888, "/echo", 10));
         sim.run();
-        assert_eq!(stats.transmitted(), 0);
+        assert_eq!(stats.transmitted.get(), 0);
         // ~10s / (3s timeout + 50ms backoff) ≈ 3 attempts.
-        assert!((2..=5).contains(&stats.not_sent()), "{}", stats.not_sent());
+        assert!((2..=5).contains(&stats.not_sent.get()), "{}", stats.not_sent.get());
     }
 
     #[test]
@@ -333,12 +331,10 @@ mod tests {
         sim.listen(sp, 8888);
         let mut cfg = client_config("ws", 8888, "/echo", 8);
         cfg.response_timeout = SimDuration::from_secs(2);
-        let client = SimRpcClient::new(cfg);
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, cfg);
         sim.run_until(wsd_netsim::SimTime::ZERO + SimDuration::from_secs(12));
-        assert_eq!(stats.transmitted(), 0);
-        assert!(stats.not_sent() >= 2, "{}", stats.not_sent());
+        assert_eq!(stats.transmitted.get(), 0);
+        assert!(stats.not_sent.get() >= 2, "{}", stats.not_sent.get());
     }
 
     #[test]
@@ -359,11 +355,9 @@ mod tests {
         );
         let dp = sim.spawn(d_host, Box::new(disp));
         sim.listen(dp, 8081);
-        let client = SimRpcClient::new(client_config("dispatcher", 8081, "/svc/Echo", 2));
-        let stats = client.stats();
-        sim.spawn(c_host, Box::new(client));
+        let stats = spawn(&mut sim, c_host, client_config("dispatcher", 8081, "/svc/Echo", 2));
         sim.run();
-        assert!(stats.transmitted() > 5, "{}", stats.transmitted());
-        assert_eq!(stats.not_sent(), 0);
+        assert!(stats.transmitted.get() > 5, "{}", stats.transmitted.get());
+        assert_eq!(stats.not_sent.get(), 0);
     }
 }

@@ -7,7 +7,7 @@ use wsd_telemetry::Histogram;
 /// Backed by the shared [`wsd_telemetry::Histogram`]: `count`, `mean_us`
 /// and `max_us` are exact; the percentiles are log-bucket lower bounds
 /// (≤12.5% relative error), which is plenty for the paper's figures.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
@@ -22,16 +22,7 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a sample set. Returns a zero summary for an empty set.
-    pub fn of(samples: Vec<u64>) -> LatencySummary {
-        let hist = Histogram::new();
-        for v in samples {
-            hist.record(v);
-        }
-        Self::from_histogram(&hist)
-    }
-
-    /// Summarizes an already-populated latency histogram.
+    /// Summarizes a latency histogram.
     pub fn from_histogram(hist: &Histogram) -> LatencySummary {
         LatencySummary {
             count: hist.count() as usize,
@@ -52,7 +43,7 @@ pub struct RunTotals {
     /// Attempts that failed (the paper's "packets not sent").
     pub not_sent: u64,
     /// Latency summary over completed messages.
-    pub latency: Option<LatencySummary>,
+    pub latency: LatencySummary,
 }
 
 impl RunTotals {
@@ -81,16 +72,22 @@ impl RunTotals {
 mod tests {
     use super::*;
 
+    fn summary(samples: impl IntoIterator<Item = u64>) -> LatencySummary {
+        let hist = Histogram::new();
+        for v in samples {
+            hist.record(v);
+        }
+        LatencySummary::from_histogram(&hist)
+    }
+
     #[test]
     fn empty_summary_is_zero() {
-        let s = LatencySummary::of(vec![]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.max_us, 0);
+        assert_eq!(summary([]), LatencySummary::default());
     }
 
     #[test]
     fn percentiles_are_bucket_lower_bounds() {
-        let s = LatencySummary::of((1..=100).collect());
+        let s = summary(1..=100);
         assert_eq!(s.count, 100);
         // The 50th/95th order statistics are 50 and 95; the histogram
         // reports their log-bucket lower bounds.
@@ -102,23 +99,14 @@ mod tests {
     }
 
     #[test]
-    fn from_histogram_matches_of() {
-        let hist = wsd_telemetry::Histogram::new();
-        for v in 1..=100u64 {
-            hist.record(v);
-        }
-        assert_eq!(LatencySummary::from_histogram(&hist), LatencySummary::of((1..=100).collect()));
-    }
-
-    #[test]
     fn single_sample() {
-        let s = LatencySummary::of(vec![42]);
+        let s = summary([42]);
         assert_eq!((s.p50_us, s.p95_us, s.max_us), (42, 42, 42));
     }
 
     #[test]
     fn unsorted_input_handled() {
-        let s = LatencySummary::of(vec![30, 10, 20]);
+        let s = summary([30, 10, 20]);
         assert_eq!(s.p50_us, 20);
         assert_eq!(s.max_us, 30);
     }
@@ -128,7 +116,7 @@ mod tests {
         let t = RunTotals {
             transmitted: 300,
             not_sent: 100,
-            latency: None,
+            ..RunTotals::default()
         };
         assert!((t.per_minute(30.0) - 600.0).abs() < 1e-9);
         assert!((t.loss_rate() - 0.25).abs() < 1e-9);

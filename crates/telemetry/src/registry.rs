@@ -209,14 +209,6 @@ impl Scope {
             }
         }
     }
-
-    /// Current time in µs from the owning registry's clock (0 if no-op).
-    pub fn now_us(&self) -> u64 {
-        match &self.registry {
-            None => 0,
-            Some(reg) => reg.inner.clock.now_us(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Scope {
@@ -262,7 +254,6 @@ mod tests {
         let c = scope.counter("x");
         c.inc();
         assert_eq!(c.get(), 1); // the handle itself still works
-        assert_eq!(scope.now_us(), 0);
     }
 
     #[test]

@@ -12,9 +12,9 @@ use ws_dispatcher::core::config::DispatcherConfig;
 use ws_dispatcher::core::registry::Registry;
 use ws_dispatcher::core::sim::{EchoMode, SimEchoService, SimRpcDispatcher};
 use ws_dispatcher::core::url::Url;
-use ws_dispatcher::loadgen::ramp::ClientPlacement;
 use ws_dispatcher::loadgen::{spawn_rpc_fleet, RpcClientConfig};
 use ws_dispatcher::netsim::{profiles, FirewallPolicy, SimDuration, SimTime, Simulation};
+use ws_dispatcher::telemetry::Scope;
 
 fn main() {
     let mut sim = Simulation::new(2005);
@@ -57,7 +57,7 @@ fn main() {
     // the paper's 483-byte echo message for one virtual minute.
     let fleet = spawn_rpc_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(client_host),
+        client_host,
         100,
         &RpcClientConfig {
             target_host: "dispatcher".into(),
@@ -67,13 +67,14 @@ fn main() {
             ..RpcClientConfig::default()
         },
         SimDuration::from_secs(5),
+        &Scope::noop(),
     );
 
     let minute = SimTime::ZERO + SimDuration::from_secs(60);
     sim.run_until(minute);
 
     let totals = fleet.totals();
-    let latency = totals.latency.as_ref().expect("latency recorded");
+    let latency = &totals.latency;
     println!("virtual time elapsed : {}", sim.now());
     println!("events processed     : {}", sim.events_processed());
     println!("messages transmitted : {}", totals.transmitted);

@@ -18,6 +18,7 @@
 //! | [`netsim`] | `wsd-netsim` | deterministic discrete-event network simulator |
 //! | [`core`] | `wsd-core` | **the dispatcher**: registry, RPC/MSG dispatching, WS-MsgBox |
 //! | [`loadgen`] | `wsd-loadgen` | the paper's ramping echo test client |
+//! | [`telemetry`] | `wsd-telemetry` | counters, gauges, histograms and their registry |
 //!
 //! # Quickstart (threaded runtime)
 //!
@@ -51,5 +52,6 @@ pub use wsd_http as http;
 pub use wsd_loadgen as loadgen;
 pub use wsd_netsim as netsim;
 pub use wsd_soap as soap;
+pub use wsd_telemetry as telemetry;
 pub use wsd_wsa as wsa;
 pub use wsd_xml as xml;

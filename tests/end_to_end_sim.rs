@@ -11,13 +11,13 @@ use ws_dispatcher::core::sim::{
     EchoMode, SimEchoService, SimMsgBox, SimMsgDispatcher, SimRpcDispatcher,
 };
 use ws_dispatcher::core::url::Url;
-use ws_dispatcher::loadgen::ramp::ClientPlacement;
 use ws_dispatcher::loadgen::{
     spawn_msg_fleet, spawn_rpc_fleet, MsgClientConfig, ReplyMode, RpcClientConfig,
 };
 use ws_dispatcher::netsim::{
     profiles, FirewallPolicy, HostConfig, SimDuration, SimTime, Simulation,
 };
+use ws_dispatcher::telemetry::Scope;
 
 fn minute() -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(20)
@@ -77,7 +77,7 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
     // Fleets: 10 RPC clients + 10 firewalled messaging clients.
     let rpc_fleet = spawn_rpc_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(rpc_clients_host),
+        rpc_clients_host,
         10,
         &RpcClientConfig {
             target_host: "dispatcher".into(),
@@ -87,10 +87,11 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
             ..RpcClientConfig::default()
         },
         SimDuration::from_secs(2),
+        &Scope::noop(),
     );
     let msg_fleet = spawn_msg_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(msg_clients_host),
+        msg_clients_host,
         10,
         &MsgClientConfig {
             target_host: "dispatcher".into(),
@@ -102,11 +103,11 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
                 port: 8082,
                 poll_interval: SimDuration::from_millis(500),
             },
-            retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(20),
             client_name: "full".into(),
         },
         SimDuration::from_secs(2),
+        &Scope::noop(),
     );
 
     sim.run_until(minute() + SimDuration::from_secs(2));
@@ -116,7 +117,8 @@ fn full_topology_runs_both_interaction_styles_concurrently() {
     assert_eq!(rpc_totals.not_sent, 0);
     assert_eq!(rpc_svc_stats.replies_sent.get(), rpc_totals.transmitted);
 
-    let (sent, failures, responses) = msg_fleet.totals();
+    let (sent, failures, responses) =
+        (msg_fleet.sent.get(), msg_fleet.send_failures.get(), msg_fleet.responses.get());
     assert!(sent > 50, "sent {sent}");
     assert_eq!(failures, 0);
     assert!(responses > 50, "responses {responses}");
@@ -138,7 +140,7 @@ fn simulation_is_deterministic() {
         sim.listen(p, 80);
         let fleet = spawn_rpc_fleet(
             &mut sim,
-            ClientPlacement::SharedHost(clients),
+            clients,
             25,
             &RpcClientConfig {
                 target_host: "ws".into(),
@@ -148,6 +150,7 @@ fn simulation_is_deterministic() {
                 ..RpcClientConfig::default()
             },
             SimDuration::from_secs(1),
+            &Scope::noop(),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
         let t = fleet.totals();
@@ -193,7 +196,7 @@ fn conservation_of_messages() {
 
     let fleet = spawn_msg_fleet(
         &mut sim,
-        ClientPlacement::SharedHost(client_host),
+        client_host,
         5,
         &MsgClientConfig {
             target_host: "dispatcher".into(),
@@ -205,14 +208,14 @@ fn conservation_of_messages() {
                 port: 8082,
                 poll_interval: SimDuration::from_millis(300),
             },
-            retry_backoff: SimDuration::from_millis(100),
             run_for: SimDuration::from_secs(10),
             client_name: "cons".into(),
         },
         SimDuration::from_millis(500),
+        &Scope::noop(),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(14));
-    let (sent, _fail, responses) = fleet.totals();
+    let (sent, responses) = (fleet.sent.get(), fleet.responses.get());
 
     // Client-acked ≥ service-accepted (acks ride behind processing);
     // replies fetched ≤ deposits ≤ service replies sent.
